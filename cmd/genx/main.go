@@ -150,8 +150,8 @@ func main() {
 		}
 		if *pread {
 			fmt.Printf("  read pool: queue peak %.0f, %d backpressure waits, %d errors, %.1f MB wasted\n",
-				s.Gauges["rocpanda.read.queue_depth"],
-				s.Counters["rocpanda.read.backpressure_waits"],
+				s.Gauges["iosched.read.queue_depth"],
+				s.Counters["iosched.read.backpressure_waits"],
 				s.Counters["rocpanda.read.errors"],
 				float64(s.Counters["rocpanda.restart.bytes_wasted"])/1e6)
 		}

@@ -40,10 +40,13 @@ import (
 // together, both served by the unified internal/iosched scheduler) and
 // the scheduler's per-class metrics — iosched.<class>.{queue_depth,
 // backpressure_waits, overlap_seconds, errors, busy_seconds, tasks} for
-// the write/read/scan classes — on every entry that exercises an engine;
-// the old rocpanda.drain.* / rocpanda.read.* names remain as views of
-// the same events.
-const BenchSchema = "genxio-bench/v8"
+// the write/read/scan classes — on every entry that exercises an engine.
+// v9 removed the v4/v5 queue_depth, backpressure_waits and
+// overlap_seconds series under rocpanda.drain.* and rocpanda.read.*:
+// they repeated the iosched.write.* and iosched.read.* series event for
+// event (the errors and flush_seconds series stay; they also count events
+// no scheduler sees).
+const BenchSchema = "genxio-bench/v9"
 
 // BenchOpts configures the observability bench: one small integrated run
 // per I/O module on the simulated Turing platform, with a metrics
@@ -259,10 +262,10 @@ func (r *BenchResult) Format() string {
 		switch io.IO {
 		case "rocpanda-async":
 			d := s.Histograms["rocpanda.server.drain_seconds"]
-			ov := s.Histograms["rocpanda.drain.overlap_seconds"]
+			ov := s.Histograms["iosched.write.overlap_seconds"]
 			fmt.Fprintf(&b, "%-10s drained %d blocks (%.3fs total, %.3fs overlapped), queue peak %.0f blocks, %d backpressure waits\n",
-				io.IO, d.Count, d.Sum, ov.Sum, s.Gauges["rocpanda.drain.queue_depth"],
-				s.Counters["rocpanda.drain.backpressure_waits"])
+				io.IO, d.Count, d.Sum, ov.Sum, s.Gauges["iosched.write.queue_depth"],
+				s.Counters["iosched.write.backpressure_waits"])
 		case "rocpanda-sched":
 			wov := s.Histograms["iosched.write.overlap_seconds"]
 			rov := s.Histograms["iosched.read.overlap_seconds"]
@@ -271,10 +274,10 @@ func (r *BenchResult) Format() string {
 				s.Counters["iosched.read.tasks"], s.Counters["iosched.scan.tasks"], rov.Sum,
 				s.Counters["iosched.write.backpressure_waits"]+s.Counters["iosched.read.backpressure_waits"]+s.Counters["iosched.scan.backpressure_waits"])
 		case "rocpanda-pread":
-			ov := s.Histograms["rocpanda.read.overlap_seconds"]
+			ov := s.Histograms["iosched.read.overlap_seconds"]
 			fmt.Fprintf(&b, "%-10s restart read pool: queue peak %.0f tasks, %.3fs disk time overlapped with shipping, %d backpressure waits, %d errors, %.1f MB read\n",
-				io.IO, s.Gauges["rocpanda.read.queue_depth"], ov.Sum,
-				s.Counters["rocpanda.read.backpressure_waits"],
+				io.IO, s.Gauges["iosched.read.queue_depth"], ov.Sum,
+				s.Counters["iosched.read.backpressure_waits"],
 				s.Counters["rocpanda.read.errors"],
 				float64(s.Counters["rocpanda.restart.bytes_read"])/1e6)
 		case "rocpanda-delta", "rocpanda-delta-r2":

@@ -131,9 +131,9 @@ func TestBenchParallelReadSpeedsUpRestart(t *testing.T) {
 	if par.Metrics.Counters["rocpanda.read.errors"] != 0 {
 		t.Fatalf("read errors = %d on a healthy bench", par.Metrics.Counters["rocpanda.read.errors"])
 	}
-	if par.Metrics.Gauges["rocpanda.read.queue_depth"] < 2 {
+	if par.Metrics.Gauges["iosched.read.queue_depth"] < 2 {
 		t.Fatalf("read queue peak %.0f, want >= 2 (the pool ran wide)",
-			par.Metrics.Gauges["rocpanda.read.queue_depth"])
+			par.Metrics.Gauges["iosched.read.queue_depth"])
 	}
 }
 
@@ -163,11 +163,11 @@ func TestBenchAsyncDrainOverlapsWriteback(t *testing.T) {
 	if av >= sv {
 		t.Fatalf("async visible write+sync %.4fs not below sync drain's %.4fs", av, sv)
 	}
-	ov := asy.Metrics.Histograms["rocpanda.drain.overlap_seconds"]
+	ov := asy.Metrics.Histograms["iosched.write.overlap_seconds"]
 	if ov.Count == 0 || ov.Sum <= 0 {
 		t.Fatalf("no overlapped drain recorded: %+v", ov)
 	}
-	if asy.Metrics.Gauges["rocpanda.drain.queue_depth"] <= 0 {
+	if asy.Metrics.Gauges["iosched.write.queue_depth"] <= 0 {
 		t.Fatal("drain queue never held a block")
 	}
 	// Same workload, same data: the async run ships exactly the bytes the

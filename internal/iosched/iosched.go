@@ -28,11 +28,12 @@
 //     a drain instance is still emptying a previous generation's queue —
 //     cross-engine overlap, not just overlap within one engine.
 //
-//   - One metrics and trace surface. The Engine owns the unified
+//   - One metrics and trace surface. The Engine owns the
 //     iosched.<class>.{queue_depth,backpressure_waits,overlap_seconds,
 //     errors,busy_seconds,tasks} series and emits trace spans from one
-//     place; adapters keep the legacy rocpanda.drain.* / rocpanda.read.*
-//     names populated as views of the same events.
+//     place. An adapter that needs the same events for its own read-out
+//     takes them from what the engine returns (SubmitInfo, Tally) or
+//     measures inside its Run closure; there are no observer hooks.
 //
 // Concurrency contract: Submit, Flush, RunBatch and Close run on the
 // owning rank's goroutine; Run closures execute on the spawned workers.
@@ -133,13 +134,17 @@ type noState struct{}
 func (noState) Flush() error { return nil }
 func (noState) Close() error { return nil }
 
-// ClassTally is one class's accumulated background totals, merged from the
-// workers at exit (plus externally-noted overlap).
+// ClassTally is one class's accumulated totals: the background half is
+// merged from the workers at exit (plus externally-noted overlap), the
+// admission half is kept by the submitter as it dispatches.
 type ClassTally struct {
 	Done    int64   // tasks completed
 	Errors  int64   // failed tasks and failed flush-closes
 	Busy    float64 // seconds spent inside Run
 	Overlap float64 // Busy seconds outside any Flush barrier
+
+	DepthPeak int   // peak tasks of the class in flight
+	Waits     int64 // counted backpressure waits
 }
 
 // Config configures an Engine.
@@ -188,17 +193,6 @@ type Config struct {
 	TraceRank      int
 	TracePhase     string
 	TraceZeroSpans bool
-
-	// OnWorkerDone observes every completion (and flush errors, with a
-	// nil Task) on the worker goroutine, before it is reported — the
-	// legacy per-event histograms live here. overlapped reports the
-	// barrier-free verdict (always false with OverlapExternal).
-	OnWorkerDone func(c Completion, overlapped bool)
-	// OnDepth observes the pool depth (tasks in flight) and queued bytes
-	// after every dispatch, on the submitter — legacy peak gauges.
-	OnDepth func(depth int, queued int64)
-	// OnWait observes every counted backpressure wait, on the submitter.
-	OnWait func(c Class)
 }
 
 // traceRecorder is the slice of trace.Recorder the engine needs; an
@@ -250,7 +244,7 @@ type Engine struct {
 	lastStalled int // RunBatch: index of the last wait-counted task
 	exited      int
 	closed      bool
-	tally       [numClasses]ClassTally // merged worker tallies (after exits)
+	tally       [numClasses]ClassTally // worker tallies (merged at exits) and admission peaks
 	ext         [numClasses]float64    // externally-noted overlap seconds
 	mx          [numClasses]classMx
 }
@@ -324,8 +318,10 @@ func (e *Engine) Workers() int { return e.nw }
 // Crashed reports whether a worker died to an injected crash.
 func (e *Engine) Crashed() bool { return e.crashed.Load() }
 
-// Tally returns a class's merged totals. Complete only after Close (or,
-// for externally-noted overlap, after the rounds that note it).
+// Tally returns a class's totals. The worker half (Done, Errors, Busy,
+// Overlap) is complete only after Close (or, for externally-noted overlap,
+// after the rounds that note it); DepthPeak and Waits are always current.
+// Submitter goroutine.
 func (e *Engine) Tally(c Class) ClassTally {
 	t := e.tally[c]
 	t.Overlap += e.ext[c]
@@ -533,16 +529,12 @@ func (e *Engine) Close() {
 
 func (e *Engine) noteDepth(c Class) {
 	e.mx[c].depth.SetMax(float64(e.classDepth[c]))
-	if e.cfg.OnDepth != nil {
-		e.cfg.OnDepth(e.depth, e.queued)
-	}
+	e.tally[c].DepthPeak = max(e.tally[c].DepthPeak, e.classDepth[c])
 }
 
 func (e *Engine) countWait(c Class) {
 	e.mx[c].waits.Inc()
-	if e.cfg.OnWait != nil {
-		e.cfg.OnWait(c)
-	}
+	e.tally[c].Waits++
 }
 
 func (e *Engine) noteCompletion(c Completion) {
@@ -602,9 +594,6 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 				fc := e.cfg.FlushClass
 				tally[fc].Errors++
 				e.mx[fc].errors.Inc()
-				if e.cfg.OnWorkerDone != nil {
-					e.cfg.OnWorkerDone(Completion{Result: Result{Err: err}}, false)
-				}
 			}
 			e.ctl.Put(tc.Clock(), flushAck{err: sticky})
 		case *Task:
@@ -615,17 +604,14 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 			t0 := tc.Clock().Now()
 			res := t.Run(tc, st) // a FatalPanic in here exits via the defer
 			t1 := tc.Clock().Now()
-			c := Completion{Task: t, Result: res, T0: t0, T1: t1}
 			cl := t.Class
 			tally[cl].Done++
 			tally[cl].Busy += t1 - t0
 			e.mx[cl].busy.Observe(t1 - t0)
 			e.mx[cl].tasks.Inc()
-			overlapped := false
 			if !e.cfg.OverlapExternal && !e.barrier.Load() {
 				// Done while the submitter was free to serve requests:
 				// this is the overlap the paper claims.
-				overlapped = true
 				tally[cl].Overlap += t1 - t0
 				e.mx[cl].overlap.Observe(t1 - t0)
 			}
@@ -639,10 +625,7 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 			if e.cfg.Trace != nil && (e.cfg.TraceZeroSpans || t1 > t0) {
 				e.cfg.Trace.Record(e.cfg.TraceRank, e.cfg.TracePhase, t0, t1)
 			}
-			if e.cfg.OnWorkerDone != nil {
-				e.cfg.OnWorkerDone(c, overlapped)
-			}
-			e.ctl.Put(tc.Clock(), c)
+			e.ctl.Put(tc.Clock(), Completion{Task: t, Result: res, T0: t0, T1: t1})
 			if res.Fatal {
 				crashed = true
 				e.crashed.Store(true)

@@ -77,7 +77,6 @@ func newTestEngine(t *testing.T, cfg Config) (*Engine, *testClock) {
 // on the submitter or the workers — while still counting the waits.
 func TestBackpressureBlocksWithoutSleeping(t *testing.T) {
 	reg := metrics.New()
-	waits := 0
 	eng, clock := newTestEngine(t, Config{
 		Name:     "test-drain",
 		Workers:  2,
@@ -85,7 +84,6 @@ func TestBackpressureBlocksWithoutSleeping(t *testing.T) {
 		QueueCap: 64,
 		Policy:   Writeback{},
 		Metrics:  reg,
-		OnWait:   func(Class) { waits++ },
 	})
 	var done int
 	var mu sync.Mutex
@@ -116,7 +114,7 @@ func TestBackpressureBlocksWithoutSleeping(t *testing.T) {
 	if d != n {
 		t.Fatalf("ran %d of %d tasks", d, n)
 	}
-	if waits != n {
+	if waits := eng.Tally(ClassWrite).Waits; waits != n {
 		t.Fatalf("counted %d backpressure waits, want %d", waits, n)
 	}
 	if got := clock.sleepCount(); got != 0 {
@@ -184,19 +182,13 @@ func TestKeyedOrdering(t *testing.T) {
 // and a tiny budget degenerates to serial admission (peak depth 1, every
 // deferred task counted once).
 func TestRestartReadAdmission(t *testing.T) {
-	run := func(budget int64) (peak, waits int) {
+	run := func(budget int64) (peak int, waits int64) {
 		eng, _ := newTestEngine(t, Config{
 			Name:     "test-read",
 			Workers:  4,
 			Budget:   budget,
 			QueueCap: 16,
 			Policy:   RestartRead{},
-			OnDepth: func(depth int, _ int64) {
-				if depth > peak {
-					peak = depth
-				}
-			},
-			OnWait: func(Class) { waits++ },
 		})
 		var tasks []*Task
 		for i := 0; i < 8; i++ {
@@ -208,7 +200,8 @@ func TestRestartReadAdmission(t *testing.T) {
 		}
 		eng.RunBatch(tasks, nil)
 		eng.Close()
-		return peak, waits
+		tally := eng.Tally(ClassRead)
+		return tally.DepthPeak, tally.Waits
 	}
 	if peak, waits := run(0); peak != 8 || waits != 0 {
 		t.Fatalf("unbounded budget: peak depth %d waits %d, want 8 and 0", peak, waits)

@@ -97,11 +97,16 @@ func (c *comm) gather(root, tag int, data []byte) [][]byte {
 		c.send(root, tag, data)
 		return nil
 	}
+	// Receive from each source by rank, not from any source: two gathers
+	// back to back would otherwise let a fast rank's second contribution be
+	// taken by the first gather and overwrite that rank's own slot. Per-pair
+	// FIFO makes the per-source match exact.
 	out := make([][]byte, c.Size())
 	out[root] = data
-	for i := 1; i < c.Size(); i++ {
-		m := c.ep.RecvMatch(c.pred(AnySource, tag))
-		out[c.local[m.Src]] = m.Data
+	for src := range out {
+		if src != root {
+			out[src] = c.ep.RecvMatch(c.pred(src, tag)).Data
+		}
 	}
 	return out
 }

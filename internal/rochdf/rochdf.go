@@ -159,11 +159,6 @@ func New(ctx mpi.Ctx, cfg Config) *Rochdf {
 			Policy:     iosched.Writeback{},
 			FlushClass: iosched.ClassWrite,
 			Metrics:    cfg.Metrics,
-			OnWorkerDone: func(c iosched.Completion, _ bool) {
-				if c.Task != nil {
-					h.mx.bgWrite.Observe(c.T1 - c.T0)
-				}
-			},
 		})
 	}
 	return h
@@ -244,7 +239,10 @@ func (h *Rochdf) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 		Key:   job.fname,
 		Cost:  bytes,
 		Run: func(tc rt.TaskCtx, _ iosched.WorkerState) iosched.Result {
-			return iosched.Result{Err: h.writeFile(tc.Clock(), tc.FS(), job)}
+			t0 := tc.Clock().Now()
+			err := h.writeFile(tc.Clock(), tc.FS(), job)
+			h.mx.bgWrite.Observe(tc.Clock().Now() - t0)
+			return iosched.Result{Err: err}
 		},
 	})
 	return nil

@@ -153,14 +153,14 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 	cfg.Metrics.Counter("rocpanda.restart.catalog_fallbacks")
 	cfg.Metrics.Counter("rocpanda.restart.files_opened")
 	cfg.Metrics.Counter("rocpanda.restart.bytes_read")
-	cfg.Metrics.Gauge("rocpanda.drain.queue_depth")
-	cfg.Metrics.Counter("rocpanda.drain.backpressure_waits")
-	cfg.Metrics.Histogram("rocpanda.drain.overlap_seconds", nil)
+	cfg.Metrics.Gauge("iosched.write.queue_depth")
+	cfg.Metrics.Counter("iosched.write.backpressure_waits")
+	cfg.Metrics.Histogram("iosched.write.overlap_seconds", nil)
 	cfg.Metrics.Counter("rocpanda.drain.errors")
 	cfg.Metrics.Histogram("rocpanda.drain.flush_seconds", nil)
-	cfg.Metrics.Gauge("rocpanda.read.queue_depth")
-	cfg.Metrics.Counter("rocpanda.read.backpressure_waits")
-	cfg.Metrics.Histogram("rocpanda.read.overlap_seconds", nil)
+	cfg.Metrics.Gauge("iosched.read.queue_depth")
+	cfg.Metrics.Counter("iosched.read.backpressure_waits")
+	cfg.Metrics.Histogram("iosched.read.overlap_seconds", nil)
 	cfg.Metrics.Counter("rocpanda.read.errors")
 	cfg.Metrics.Counter("rocpanda.restart.bytes_wasted")
 	cfg.Metrics.Counter("rocpanda.write.dirty_panes")

@@ -209,7 +209,6 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 	// whole write over to a surviving server and resends it from scratch
 	// (blocks may then exist in two servers' files; restart dedupes).
 	err := c.withFailover("write "+file, func(target int) bool {
-		sendT0 := c.ctx.Clock().Now()
 		c.world.Send(target, tagWriteHdr, enc)
 		for _, pl := range payloads {
 			if c.blockOH > 0 {
@@ -217,14 +216,9 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 			}
 			c.world.Send(target, tagWriteBlock, pl)
 		}
-		sendT1 := c.ctx.Clock().Now()
 		_, st, ok := c.recvTimeout(target, tagWriteAck)
 		if ok && st.Size != 0 {
 			panic("rocpanda: unexpected ack payload")
-		}
-		if debugWrites.Load() && c.comm.Rank() < 2 {
-			fmt.Printf("DEBUG cl%d write %s/%s: enc=%.3f send=%.3f ack=%.3f\n",
-				c.comm.Rank(), file, w.Name, sendT0-t0, sendT1-sendT0, c.ctx.Clock().Now()-sendT1)
 		}
 		return ok
 	})

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"genxio/internal/cluster"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -330,4 +331,91 @@ func TestDeltaCorruptBaseServedFromReplica(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeltaTwoGenerationsUnderOneSync: one Sync that commits two delta
+// generations gathers their pane universes with two back-to-back
+// mpi.Gathers. A gather that took contributions from any source let a fast
+// client's second contribution land in the first gather, so the manifests
+// recorded a partial universe and PanesForRestart silently restored a
+// subset. Both manifests must record every pane, and the head must restore
+// bit-exact. Run on the simulated platform, where the allreduce tree
+// releases the clients at different, repeatable times.
+func TestDeltaTwoGenerationsUnderOneSync(t *testing.T) {
+	const nClients, nblocks = 6, 2
+	want := expectedDeltaPanes(t, nClients, nblocks, []int{1, 2})
+	var mu sync.Mutex
+	got := make(map[int]paneData)
+	universe := make(map[int]int) // written by client 0 only
+	err := cluster.NewWorld(cluster.Turing(), 1).Run(nClients+1, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, Config{
+			NumServers: 1, Profile: hdf.NullProfile(),
+			ActiveBuffering: true, DeltaSnapshots: true,
+		})
+		if err != nil {
+			return err
+		}
+		if cl == nil {
+			return nil
+		}
+		w := buildWindow(t, cl.Comm().Rank(), nblocks)
+		if err := cl.WriteAttribute("d2/s000000", w, "all", 0, 0); err != nil {
+			return err
+		}
+		if err := cl.Sync(); err != nil {
+			return err
+		}
+		for g := 1; g <= 2; g++ {
+			mutateDelta(w, g, nblocks)
+			if err := cl.WriteAttribute(fmt.Sprintf("d2/s%06d", g), w, "all", float64(g), g); err != nil {
+				return err
+			}
+		}
+		if err := cl.Sync(); err != nil {
+			return err
+		}
+		if cl.Comm().Rank() == 0 {
+			for g := 1; g <= 2; g++ {
+				ids, err := snapshot.PaneUniverse(ctx.FS(), fmt.Sprintf("d2/s%06d", g), "fluid")
+				if err != nil {
+					return err
+				}
+				universe[g] = len(ids)
+			}
+		}
+		rw, err := roccom.New().NewWindow("fluid")
+		if err != nil {
+			return err
+		}
+		rw.NewAttribute(roccom.AttrSpec{Name: "pressure", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 1})
+		rw.NewAttribute(roccom.AttrSpec{Name: "flags", Loc: roccom.PaneLoc, Type: hdf.I32, NComp: 1})
+		mine, err := cl.PanesForRestart("d2/s000002", "fluid")
+		if err != nil {
+			return err
+		}
+		if err := cl.ReadPanes("d2/s000002", rw, "all", mine); err != nil {
+			return err
+		}
+		mu.Lock()
+		rw.EachPane(func(p *roccom.Pane) {
+			pr, _ := p.Array("pressure")
+			fl, _ := p.Array("flags")
+			got[p.ID] = paneData{
+				coords:   append([]float64(nil), p.Block.Coords...),
+				pressure: append([]float64(nil), pr.F64...),
+				flags:    fl.I32[0],
+			}
+		})
+		mu.Unlock()
+		return cl.Shutdown()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 1; g <= 2; g++ {
+		if universe[g] != nClients*nblocks {
+			t.Errorf("generation %d committed a universe of %d panes, want %d", g, universe[g], nClients*nblocks)
+		}
+	}
+	checkMxN(t, want, got)
 }

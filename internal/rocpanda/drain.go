@@ -56,7 +56,13 @@ const (
 type drainState struct{ sink *blockSink }
 
 // Flush implements iosched.WorkerState: the barrier closes every file.
-func (d *drainState) Flush() error { return d.sink.closeAll("") }
+func (d *drainState) Flush() error {
+	err := d.sink.closeAll("")
+	if err != nil {
+		d.sink.s.mx.drainErrors.Inc()
+	}
+	return err
+}
 
 // Close implements iosched.WorkerState (never called: the drain pool
 // keeps state unclosed on exit, see Config.CloseStateOnExit).
@@ -99,34 +105,6 @@ func newDrainEngine(s *server) *drainEngine {
 		// The drain timeline records every block span, including
 		// zero-width ones on the virtual platforms.
 		TraceZeroSpans: true,
-		// Legacy rocpanda.drain.* views of the scheduler's events.
-		OnWorkerDone: func(c iosched.Completion, overlapped bool) {
-			if c.Task == nil { // a flush-close failure
-				s.mx.drainErrors.Inc()
-				return
-			}
-			s.mx.drainSeconds.Observe(c.T1 - c.T0)
-			if overlapped {
-				s.mx.overlapSeconds.Observe(c.T1 - c.T0)
-			}
-			if c.Result.Err != nil {
-				s.mx.drainErrors.Inc()
-			}
-		},
-		OnDepth: func(depth int, queued int64) {
-			if queued > s.m.MaxBufBytes {
-				s.m.MaxBufBytes = queued
-			}
-			s.mx.bufBytesPeak.SetMax(float64(queued))
-			if depth > s.m.DrainQueuePeak {
-				s.m.DrainQueuePeak = depth
-			}
-			s.mx.queueDepth.SetMax(float64(depth))
-		},
-		OnWait: func(iosched.Class) {
-			s.m.BackpressureWaits++
-			s.mx.backpressure.Inc()
-		},
 	})
 	return e
 }
@@ -138,21 +116,31 @@ func (e *drainEngine) crashed() bool { return e.eng.Crashed() }
 // enqueue hands one buffered block to the scheduler, which may stall the
 // request loop on the byte budget. Runs on the server goroutine.
 func (e *drainEngine) enqueue(blk pendingBlock) {
+	s := e.s
 	info := e.eng.Submit(&iosched.Task{
 		Class: iosched.ClassWrite,
 		Key:   blk.fname,
 		Cost:  blk.bytes,
 		Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
+			t0 := tc.Clock().Now()
 			err := st.(*drainState).sink.write(blk)
+			s.mx.drainSeconds.Observe(tc.Clock().Now() - t0)
+			if err != nil {
+				s.mx.drainErrors.Inc()
+			}
 			return iosched.Result{
 				Err: err,
 				// MidDrain fires after the block lands (and its span and
 				// tallies are recorded), exactly as on the synchronous
 				// path.
-				Fatal: e.s.cfg.Crash.Hit(e.s.idx, faults.MidDrain),
+				Fatal: s.cfg.Crash.Hit(s.idx, faults.MidDrain),
 			}
 		},
 	})
+	// The queue's occupancy is the async mode's buffer: its byte peak is
+	// the server's buffer peak.
+	s.m.MaxBufBytes = max(s.m.MaxBufBytes, info.Queued)
+	s.mx.bufBytesPeak.SetMax(float64(info.Queued))
 	if info.Waited && e.eng.Crashed() {
 		panic(serverCrashed{})
 	}
@@ -192,6 +180,8 @@ func (e *drainEngine) close() {
 	t := e.eng.Tally(iosched.ClassWrite)
 	e.s.m.OverlapSeconds += t.Overlap
 	e.s.m.DrainErrors += int(t.Errors)
+	e.s.m.DrainQueuePeak = t.DepthPeak
+	e.s.m.BackpressureWaits = int(t.Waits)
 	if e.eng.Crashed() {
 		e.s.m.Crashed = true
 	}

@@ -2,6 +2,8 @@ package rocpanda
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -388,31 +390,48 @@ func TestReadFaultsDegradeNotCrash(t *testing.T) {
 }
 
 // TestParallelReadCrashMidReadFallsBack is the read engine's crash drill:
-// an injected MidRead crash kills server 1 on one of its read workers
-// while it serves snapshot B. The clients' stall detection must declare
-// the silent server dead, and the generation fallback to snapshot A must
-// then restore bit-exact from the survivor alone.
+// an injected MidRead crash kills server 1 while it serves snapshot B — on
+// one of its read workers in the pool, on the request loop inline. The
+// clients' stall detection must declare the silent server dead, and the
+// generation fallback to snapshot A must then restore bit-exact from the
+// survivor alone. Inline, the crash point fires once per file and after
+// that file's ships: dying at the second visit, with two files in its
+// share, the victim has shipped every pane of both.
 func TestParallelReadCrashMidReadFallsBack(t *testing.T) {
-	for _, par := range []bool{false, true} {
-		name := "serial"
-		if par {
-			name = "parallel"
-		}
-		t.Run(name, func(t *testing.T) {
+	cases := []struct {
+		name     string
+		par      bool
+		wServers int // writers' server count: the files the two readers share
+		nth      int
+		served   int // panes the victim ships before dying; -1 is unchecked
+	}{
+		{"serial", false, 2, 1, 4},
+		{"serial-second-file", false, 4, 2, 4},
+		{"parallel", true, 2, 1, -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			fs := rt.NewMemFS()
-			writeSnapshot(t, fs, "cr/A", 4, 2, 2)
-			writeSnapshot(t, fs, "cr/B", 4, 2, 2)
+			writeSnapshot(t, fs, "cr/A", 4, tc.wServers, 2)
+			writeSnapshot(t, fs, "cr/B", 4, tc.wServers, 2)
 
-			plan := faults.NewCrashPlan(1, faults.MidRead, 1)
+			var mu sync.Mutex
+			var sm []ServerMetrics
+			plan := faults.NewCrashPlan(1, faults.MidRead, tc.nth)
 			world := mpi.NewChanWorld(fs, 1)
 			err := world.Run(6, func(ctx mpi.Ctx) error {
 				cl, err := Init(ctx, Config{
 					NumServers: 2, Profile: hdf.NullProfile(),
 					ActiveBuffering: true,
-					ParallelRead:    par,
+					ParallelRead:    tc.par,
 					ReadWorkers:     2,
 					Crash:           plan,
 					RetryTimeout:    0.05,
+					OnServerDone: func(m ServerMetrics) {
+						mu.Lock()
+						sm = append(sm, m)
+						mu.Unlock()
+					},
 				})
 				if err != nil {
 					return err
@@ -445,6 +464,86 @@ func TestParallelReadCrashMidReadFallsBack(t *testing.T) {
 			}
 			if !plan.Fired() {
 				t.Fatal("crash plan never fired")
+			}
+			for _, m := range sm {
+				if m.Crashed && tc.served >= 0 && m.ReadsServed != tc.served {
+					t.Fatalf("victim shipped %d panes before dying, want %d", m.ReadsServed, tc.served)
+				}
+			}
+		})
+	}
+}
+
+// TestReadDriversAreOneMachine runs every kind of restart round under both
+// drivers of the read engine and requires the same restored bytes and the
+// same accounting from each: the inline driver (ParallelRead off) and the
+// worker pool are configurations of one state machine, not two
+// implementations. It also pins that the inline driver builds no
+// scheduler.
+func TestReadDriversAreOneMachine(t *testing.T) {
+	r2 := func(cfg *Config) { cfg.DeltaSnapshots, cfg.ReplicationFactor = false, 2 }
+	cases := []struct {
+		name   string
+		gens   int // generations written; the last one is restored
+		tune   func(*Config)
+		damage func(fs rt.FS, head string) error
+		want   map[int]paneData
+	}{
+		{name: "indexed", gens: 1, tune: func(cfg *Config) { cfg.DeltaSnapshots = false }},
+		{name: "scan", gens: 1, tune: func(cfg *Config) { cfg.DeltaSnapshots = false },
+			damage: func(fs rt.FS, head string) error { return fs.Remove(head + catalog.Suffix) }},
+		{name: "delta-chain", gens: 3, want: expectedDeltaPanes(t, 4, 2, []int{1, 2})},
+		{name: "r2-deleted-primary", gens: 1, tune: r2,
+			damage: func(fs rt.FS, head string) error { return damagePrimary(fs, head, head+"_s000.rhdf", "delete") }},
+		{name: "r2-flipped-primary", gens: 1, tune: r2,
+			damage: func(fs rt.FS, head string) error { return damagePrimary(fs, head, head+"_s000.rhdf", "flipbit") }},
+	}
+	same := []string{
+		"rocpanda.restart.files_opened", "rocpanda.restart.bytes_read", "rocpanda.restart.bytes_wasted",
+		"rocpanda.restart.replica_reads", "rocpanda.restart.repaired_panes",
+		"rocpanda.server.reads_served", "rocpanda.server.files_skipped", "rocpanda.read.errors",
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := rt.NewMemFS()
+			writeDeltaChain(t, fs, "om/", 4, 2, 2, tc.gens, tc.tune)
+			head := fmt.Sprintf("om/s%06d", tc.gens-1)
+			if tc.damage != nil {
+				if err := tc.damage(fs, head); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := tc.want
+			if want == nil {
+				want = expectedPanes(t, 4, 2)
+			}
+			restore := func(pooled bool) (map[int]paneData, metrics.Snapshot) {
+				reg := metrics.New()
+				got := restartTopologyCfg(t, fs, head, 3, 2, reg, func(cfg *Config) {
+					cfg.ParallelRead = pooled
+					cfg.ReadWorkers = 3
+				})
+				checkMxN(t, want, got)
+				return got, reg.Snapshot()
+			}
+			inlineGot, inline := restore(false)
+			pooledGot, pooled := restore(true)
+			if !reflect.DeepEqual(inlineGot, pooledGot) {
+				t.Fatal("the two drivers restored different bytes")
+			}
+			for _, name := range same {
+				if a, b := inline.Counters[name], pooled.Counters[name]; a != b {
+					t.Errorf("%s: inline %d, pooled %d", name, a, b)
+				}
+			}
+			tasks := func(s metrics.Snapshot) int64 {
+				return s.Counters["iosched.read.tasks"] + s.Counters["iosched.scan.tasks"]
+			}
+			if n := tasks(inline); n != 0 {
+				t.Errorf("inline driver ran %d scheduler tasks, want none", n)
+			}
+			if tasks(pooled) == 0 {
+				t.Error("pool driver ran no scheduler tasks")
 			}
 		})
 	}

@@ -12,47 +12,6 @@ import (
 	"genxio/internal/rt"
 )
 
-// TestDebugWritesToggleRace toggles the debug switch while a write
-// workload runs on the real (goroutine) backend. Under -race this fails
-// if debugWrites is a plain bool shared between the test goroutine and
-// the client/server goroutines.
-func TestDebugWritesToggleRace(t *testing.T) {
-	defer DebugWrites(false)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			DebugWrites(i%2 == 1)
-		}
-		DebugWrites(false)
-	}()
-	fs := rt.NewMemFS()
-	world := mpi.NewChanWorld(fs, 1)
-	err := world.Run(5, func(ctx mpi.Ctx) error {
-		cl, err := Init(ctx, Config{NumServers: 1, Profile: hdf.NullProfile(), ActiveBuffering: true})
-		if err != nil {
-			return err
-		}
-		if cl == nil {
-			return nil
-		}
-		w := buildWindow(t, cl.Comm().Rank(), 2)
-		for snap := 0; snap < 4; snap++ {
-			if err := cl.WriteAttribute(fmt.Sprintf("dbg/s%d", snap), w, "all", 0, snap); err != nil {
-				return err
-			}
-		}
-		if err := cl.Sync(); err != nil {
-			return err
-		}
-		return cl.Shutdown()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
-}
-
 // TestResentReadRequestDoesNotStartEarlyScan reproduces the failover
 // scenario where a client resends its restart request (its timeout fired
 // while the server was slow, not dead), so the server sees the same

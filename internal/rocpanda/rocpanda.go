@@ -91,13 +91,14 @@ type Config struct {
 	// up; 0 means unbounded. A budget of one block degenerates to
 	// write-through timing.
 	BufferBudgetBytes int64
-	// ParallelRead moves restart reads off the server's request loop onto
-	// a pool of read workers (internal/rocpanda/read.go): catalog-planned
-	// extents and directory-scan fallbacks are read concurrently, with
-	// disk reads of one file pipelined against the network shipping of
-	// another. Restored panes are bit-identical to the serial path's
-	// (clients dedupe on first arrival, and all shipping stays on the
-	// server's request loop in plan order).
+	// ParallelRead picks the read engine's driver (internal/rocpanda/
+	// read.go). Off, the request loop runs each file's reads itself, one
+	// file at a time — the paper's restart. On, the same reads move onto a
+	// pool of read workers: catalog-planned extents and directory-scan
+	// fallbacks are read concurrently, with disk reads of one file
+	// pipelined against the network shipping of another. Restored panes
+	// are bit-identical either way (clients dedupe on first arrival, and
+	// all shipping stays on the server's request loop in plan order).
 	ParallelRead bool
 	// ReadWorkers sizes the read-worker pool (ParallelRead only). Clamped
 	// to [1, 8]; default 4.
@@ -106,7 +107,7 @@ type Config struct {
 	// (ParallelRead only), so a restart cannot balloon server memory: a
 	// task that would overrun the budget waits for outstanding reads to
 	// complete first. 0 means unbounded; a one-byte budget degenerates to
-	// serial reads.
+	// one read at a time.
 	ReadBudgetBytes int64
 	// ReplicationFactor is the number of copies of each pane block the
 	// servers keep per generation. With R >= 2 every server writes its

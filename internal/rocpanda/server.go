@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"genxio/internal/catalog"
 	"genxio/internal/faults"
@@ -14,7 +13,6 @@ import (
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
 	"genxio/internal/snapshot"
-	"genxio/internal/trace"
 )
 
 // ServerMetrics accumulates one server's activity.
@@ -41,8 +39,8 @@ type ServerMetrics struct {
 	OverlapSeconds    float64 // background write time overlapped with service
 	DrainErrors       int     // block writes or file closes that failed
 
-	// Restart read engine (Config.ParallelRead) and read-path health.
-	ReadQueuePeak         int     // peak read tasks in flight to the worker pool
+	// Restart read pool (Config.ParallelRead) and read-path health.
+	ReadQueuePeak         int     // peak read tasks of one class in flight to the worker pool
 	ReadBackpressureWaits int     // tasks deferred by ReadBudgetBytes
 	ReadOverlapSeconds    float64 // disk read time overlapped with shipping
 	ReadErrors            int     // failed listings and files skipped mid-round
@@ -121,18 +119,12 @@ type srvMx struct {
 	drainSeconds   *metrics.Histogram
 	scanSeconds    *metrics.Histogram
 
-	// Background-drain engine (Config.AsyncDrain).
-	queueDepth     *metrics.Gauge
-	backpressure   *metrics.Counter
-	overlapSeconds *metrics.Histogram
-	drainErrors    *metrics.Counter
-	flushSeconds   *metrics.Histogram
-
-	// Restart read engine (Config.ParallelRead) and read-path health.
-	readQueueDepth   *metrics.Gauge
-	readBackpressure *metrics.Counter
-	readOverlap      *metrics.Histogram
-	readErrors       *metrics.Counter
+	// Drain and read-path health: events no scheduler sees (synchronous
+	// drain failures, the flush barrier, failed listings) count here too,
+	// which is why these are not iosched series.
+	drainErrors  *metrics.Counter
+	flushSeconds *metrics.Histogram
+	readErrors   *metrics.Counter
 
 	// Restart I/O-efficiency counters (catalog vs scan).
 	filesOpened      *metrics.Counter
@@ -164,16 +156,9 @@ func newSrvMx(r *metrics.Registry) srvMx {
 		drainSeconds:   r.Histogram("rocpanda.server.drain_seconds", nil),
 		scanSeconds:    r.Histogram("rocpanda.server.restart_scan_seconds", nil),
 
-		queueDepth:     r.Gauge("rocpanda.drain.queue_depth"),
-		backpressure:   r.Counter("rocpanda.drain.backpressure_waits"),
-		overlapSeconds: r.Histogram("rocpanda.drain.overlap_seconds", nil),
-		drainErrors:    r.Counter("rocpanda.drain.errors"),
-		flushSeconds:   r.Histogram("rocpanda.drain.flush_seconds", nil),
-
-		readQueueDepth:   r.Gauge("rocpanda.read.queue_depth"),
-		readBackpressure: r.Counter("rocpanda.read.backpressure_waits"),
-		readOverlap:      r.Histogram("rocpanda.read.overlap_seconds", nil),
-		readErrors:       r.Counter("rocpanda.read.errors"),
+		drainErrors:  r.Counter("rocpanda.drain.errors"),
+		flushSeconds: r.Histogram("rocpanda.drain.flush_seconds", nil),
+		readErrors:   r.Counter("rocpanda.read.errors"),
 
 		filesOpened:      r.Counter("rocpanda.restart.files_opened"),
 		restartBytes:     r.Counter("rocpanda.restart.bytes_read"),
@@ -339,7 +324,6 @@ func (s *server) recvEmpty(src, tag int, what string) {
 // handleWrite receives one client's header and blocks for a collective
 // write and buffers (or writes through) the blocks.
 func (s *server) handleWrite(src int) {
-	hwT0 := s.ctx.Clock().Now()
 	data := s.recvExpect(src, tagWriteHdr, "write header")
 	hdr, err := decodeWriteHdr(data)
 	if err != nil {
@@ -394,19 +378,7 @@ func (s *server) handleWrite(src int) {
 		}
 	}
 	s.world.Send(src, tagWriteAck, nil)
-	if debugWrites.Load() {
-		fmt.Printf("DEBUG srv%d handleWrite src=%d t=%.3f..%.3f\n", s.idx, src, hwT0, s.ctx.Clock().Now())
-	}
 }
-
-// debugWrites enables handleWrite tracing. Atomic: servers and clients
-// read it from their own goroutines on the real backend, and tests may
-// toggle it while a run is in flight.
-var debugWrites atomic.Bool
-
-// DebugWrites toggles write-path tracing (diagnostics only). Safe to call
-// concurrently with a running service.
-func DebugWrites(on bool) { debugWrites.Store(on) }
 
 // fileName returns this server's file for a snapshot base name.
 func (s *server) fileName(base string) string {
@@ -730,7 +702,7 @@ func (s *server) serveShare(file, window string, round *readRound, alive []int, 
 		}
 		if catErr == nil {
 			if plan, ok := planByFile[name]; ok {
-				items = append(items, readItem{name: name, plan: plan})
+				items = append(items, readItem{name: name, plan: plan, cat: cat})
 				continue
 			}
 			if inCat[name] || !strings.HasSuffix(name, ".rhdf") {
@@ -763,29 +735,10 @@ func (s *server) serveShare(file, window string, round *readRound, alive []int, 
 			if j%len(alive) != pos {
 				continue
 			}
-			items = append(items, readItem{name: name, plan: planByFile[name]})
+			items = append(items, readItem{name: name, plan: planByFile[name], cat: cat})
 		}
 	}
-	var ccat *catalog.Catalog
-	if catErr == nil {
-		ccat = cat
-	}
-	// Files that failed an open this round: a pane retry never re-reads
-	// them, so one lost file costs one failed open, not one per pane.
-	badFiles := make(map[string]bool)
-	if s.cfg.ParallelRead && len(items) > 0 {
-		s.runReadPool(window, round, items, ccat, badFiles)
-	} else {
-		for _, it := range items {
-			if it.scan {
-				s.scanFile(it.name, window, round)
-			} else if !s.shipPlan(it.name, round, it.plan) {
-				badFiles[it.name] = true
-				s.recoverPanes(ccat, window, round, it.plan, badFiles)
-			}
-			s.maybeCrash(faults.MidRead)
-		}
-	}
+	s.serveItems(window, round, items)
 	if catErr == nil {
 		s.m.CatalogHits++
 		s.mx.catalogHits.Inc()
@@ -801,7 +754,7 @@ func (s *server) serveShare(file, window string, round *readRound, alive []int, 
 // newest link whose block catalog holds it — each pane to exactly one
 // (generation, file, extent) — then each link's planned files are read and
 // shipped exactly like a single generation's, per-pane replica retries
-// included (recoverPanes with that link's catalog). The combined item list
+// included (each item carries its link's catalog). The combined item list
 // is dealt round-robin across the surviving servers in deterministic
 // (chain, plan) order, so the servers partition the chain's files without
 // communicating.
@@ -837,18 +790,7 @@ func (s *server) serveChainShare(file, window string, round *readRound, alive []
 			j++
 		}
 	}
-	badFiles := make(map[string]bool)
-	if s.cfg.ParallelRead && len(items) > 0 {
-		s.runReadPool(window, round, items, nil, badFiles)
-	} else {
-		for _, it := range items {
-			if !s.shipPlan(it.name, round, it.plan) {
-				badFiles[it.name] = true
-				s.recoverPanes(it.cat, window, round, it.plan, badFiles)
-			}
-			s.maybeCrash(faults.MidRead)
-		}
-	}
+	s.serveItems(window, round, items)
 	s.m.CatalogHits++
 	s.mx.catalogHits.Inc()
 	return doneModeIndexed
@@ -961,145 +903,11 @@ func assembleShips(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, rou
 	return ships, false, true
 }
 
-// shipPlan serves one file's planned extents with direct offset reads: no
-// directory parse, no per-dataset lookup cost — the catalog already knows
-// where everything is. Adjacent extents coalesce into single reads. On any
-// damage (CRC mismatch, short read, bad inflate) the whole file is skipped
-// before anything ships, and the discarded bytes are accounted as wasted,
-// not read; it returns false so the caller can retry the file's panes
-// against their other copies.
-func (s *server) shipPlan(name string, round *readRound, plan catalog.FilePlan) bool {
-	readT0 := s.ctx.Clock().Now()
-	f, err := s.ctx.FS().Open(name)
-	if err != nil {
-		s.skipFile(0)
-		return false
-	}
-	defer f.Close()
-	s.m.FilesOpened++
-	s.mx.filesOpened.Inc()
-
-	runs := catalog.Coalesce(plan.Entries, 0)
-	bufs := make([][]byte, len(runs))
-	var read int64
-	for i, run := range runs {
-		bufs[i] = make([]byte, run.Length)
-		if _, err := f.ReadAt(bufs[i], run.Offset); err != nil {
-			s.skipFile(read)
-			return false
-		}
-		read += run.Length
-	}
-	s.cfg.Trace.Record(s.traceRank(), trace.PhaseRead, readT0, s.ctx.Clock().Now())
-
-	ships, crcFailed, ok := assembleShips(plan, runs, bufs, round)
-	if crcFailed {
-		s.mx.checksumFails.Inc()
-	}
-	if !ok {
-		s.skipFile(read)
-		return false
-	}
-	s.noteRestartBytes(read)
-	s.sendShips(ships)
-	return true
-}
-
-// recoverPanes retries every pane of a failed planned file against the
-// generation's other copies, best-first (primaries before replicas, per
-// catalog.PaneSources), shipping each pane from the first copy that
-// verifies end to end. The walk is deterministic — sorted panes, ordered
-// sources, a shared bad-file set — so every server makes the same
-// recovery decisions. A pane with no good copy anywhere is simply not
-// shipped: the clients then report the snapshot incomplete and the restore
-// walk falls back a generation, which is exactly the all-copies-bad
-// semantics the replica layer promises. It reports how many panes it
-// recovered (and shipped).
-func (s *server) recoverPanes(cat *catalog.Catalog, window string, round *readRound, plan catalog.FilePlan, badFiles map[string]bool) int {
-	if cat == nil {
-		return 0 // scan mode has no index of copies; the listing covers replicas
-	}
-	seen := make(map[int]bool)
-	var panes []int
-	for i := range plan.Entries {
-		if p := plan.Entries[i].Pane; !seen[p] {
-			seen[p] = true
-			panes = append(panes, p)
-		}
-	}
-	sort.Ints(panes)
-	recovered := 0
-	for _, pane := range panes {
-		for _, src := range cat.PaneSources(window, pane) {
-			if badFiles[src.File] {
-				continue
-			}
-			ok, opened := s.tryPaneSource(src, round)
-			if !opened {
-				badFiles[src.File] = true
-			}
-			if ok {
-				recovered++
-				s.m.RepairedPanes++
-				s.mx.repairedPanes.Inc()
-				if catalog.ReplicaRank(src.File) > 0 {
-					s.m.ReplicaReads++
-					s.mx.replicaReads.Inc()
-				}
-				break
-			}
-		}
-	}
-	return recovered
-}
-
-// tryPaneSource attempts one pane's datasets from one copy: open, read the
-// coalesced extents, verify, inflate, ship. opened=false means the file
-// itself is unreachable (blacklist it); ok=false with opened=true means
-// this copy's bytes are damaged — other panes of the file may still be
-// fine, so only the attempted read is charged as wasted.
-func (s *server) tryPaneSource(plan catalog.FilePlan, round *readRound) (ok, opened bool) {
-	readT0 := s.ctx.Clock().Now()
-	f, err := s.ctx.FS().Open(plan.File)
-	if err != nil {
-		s.skipFile(0)
-		return false, false
-	}
-	defer f.Close()
-	s.m.FilesOpened++
-	s.mx.filesOpened.Inc()
-
-	runs := catalog.Coalesce(plan.Entries, 0)
-	bufs := make([][]byte, len(runs))
-	var read int64
-	for i, run := range runs {
-		bufs[i] = make([]byte, run.Length)
-		if _, err := f.ReadAt(bufs[i], run.Offset); err != nil {
-			s.skipFile(read)
-			return false, true
-		}
-		read += run.Length
-	}
-	s.cfg.Trace.Record(s.traceRank(), trace.PhaseRead, readT0, s.ctx.Clock().Now())
-
-	ships, crcFailed, aok := assembleShips(plan, runs, bufs, round)
-	if crcFailed {
-		s.mx.checksumFails.Inc()
-	}
-	if !aok {
-		s.skipFile(read)
-		return false, true
-	}
-	s.noteRestartBytes(read)
-	s.sendShips(ships)
-	return true, true
-}
-
 // collectScanFile walks one snapshot file and assembles the requested
 // panes of the window into ship-ready payloads, without sending anything.
-// Shared by the serial scan path and the read workers, which run it with
-// their own clock and filesystem view so the profile's per-dataset lookup
-// costs charge to the walking process. bytesRead counts payload bytes
+// It runs with the clock and filesystem view of whichever process drives
+// the scan task (the request loop, or a read worker), so the profile's
+// per-dataset lookup costs charge to the walking process. bytesRead counts payload bytes
 // pulled from the file whether or not the walk succeeded; failed means the
 // whole file must be skipped (unopenable — what a crashed server leaves
 // behind — or damaged mid-walk), with nothing shipped from it.
@@ -1151,21 +959,4 @@ func collectScanFile(fsys rt.FS, clock rt.Clock, profile hdf.CostProfile, reg *m
 		ships = append(ships, *panes[id])
 	}
 	return ships, bytesRead, true, false
-}
-
-// scanFile serves one directory-scan fallback file on the request loop.
-func (s *server) scanFile(name, window string, round *readRound) {
-	readT0 := s.ctx.Clock().Now()
-	ships, read, opened, failed := collectScanFile(s.ctx.FS(), s.ctx.Clock(), s.cfg.Profile, s.cfg.Metrics, name, window, round)
-	s.cfg.Trace.Record(s.traceRank(), trace.PhaseRead, readT0, s.ctx.Clock().Now())
-	if opened {
-		s.m.FilesOpened++
-		s.mx.filesOpened.Inc()
-	}
-	if failed {
-		s.skipFile(read)
-		return
-	}
-	s.noteRestartBytes(read)
-	s.sendShips(ships)
 }
