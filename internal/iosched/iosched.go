@@ -31,9 +31,10 @@
 //   - One metrics and trace surface. The Engine owns the
 //     iosched.<class>.{queue_depth,backpressure_waits,overlap_seconds,
 //     errors,busy_seconds,tasks} series and emits trace spans from one
-//     place. An adapter that needs the same events for its own read-out
-//     takes them from what the engine returns (SubmitInfo, Tally) or
-//     measures inside its Run closure; there are no observer hooks.
+//     place — the registry is the only tally. An adapter that needs an
+//     event as it happens takes it from what the engine returns
+//     (SubmitInfo, Completion) or measures inside its Run closure; there
+//     are no observer hooks.
 //
 // Concurrency contract: Submit, Flush, RunBatch and Close run on the
 // owning rank's goroutine; Run closures execute on the spawned workers.
@@ -134,19 +135,6 @@ type noState struct{}
 func (noState) Flush() error { return nil }
 func (noState) Close() error { return nil }
 
-// ClassTally is one class's accumulated totals: the background half is
-// merged from the workers at exit (plus externally-noted overlap), the
-// admission half is kept by the submitter as it dispatches.
-type ClassTally struct {
-	Done    int64   // tasks completed
-	Errors  int64   // failed tasks and failed flush-closes
-	Busy    float64 // seconds spent inside Run
-	Overlap float64 // Busy seconds outside any Flush barrier
-
-	DepthPeak int   // peak tasks of the class in flight
-	Waits     int64 // counted backpressure waits
-}
-
 // Config configures an Engine.
 type Config struct {
 	// Name is the spawn name of the workers (shows in simulation traces).
@@ -205,10 +193,7 @@ type traceRecorder interface {
 // control-queue message types (besides Completion).
 type flushToken struct{}
 type flushAck struct{ err error }
-type workerExit struct {
-	tally   [numClasses]ClassTally
-	crashed bool
-}
+type workerExit struct{}
 
 // classMx holds one class's unified metric handles (nil-safe no-ops
 // without a registry).
@@ -244,8 +229,6 @@ type Engine struct {
 	lastStalled int // RunBatch: index of the last wait-counted task
 	exited      int
 	closed      bool
-	tally       [numClasses]ClassTally // worker tallies (merged at exits) and admission peaks
-	ext         [numClasses]float64    // externally-noted overlap seconds
 	mx          [numClasses]classMx
 }
 
@@ -318,20 +301,9 @@ func (e *Engine) Workers() int { return e.nw }
 // Crashed reports whether a worker died to an injected crash.
 func (e *Engine) Crashed() bool { return e.crashed.Load() }
 
-// Tally returns a class's totals. The worker half (Done, Errors, Busy,
-// Overlap) is complete only after Close (or, for externally-noted overlap,
-// after the rounds that note it); DepthPeak and Waits are always current.
-// Submitter goroutine.
-func (e *Engine) Tally(c Class) ClassTally {
-	t := e.tally[c]
-	t.Overlap += e.ext[c]
-	return t
-}
-
 // NoteOverlap records class overlap decided by the adapter (only
 // meaningful with Config.OverlapExternal). Submitter goroutine.
 func (e *Engine) NoteOverlap(c Class, seconds float64) {
-	e.ext[c] += seconds
 	e.mx[c].overlap.Observe(seconds)
 }
 
@@ -363,7 +335,7 @@ func (e *Engine) reapReady() {
 		case Completion:
 			e.noteCompletion(msg)
 		case workerExit:
-			e.noteExit(msg)
+			e.exited++
 		}
 	}
 }
@@ -385,14 +357,14 @@ func (e *Engine) Submit(t *Task) SubmitInfo {
 	e.queued += t.Cost
 	e.depth++
 	e.classDepth[t.Class]++
-	e.noteDepth(t.Class)
+	e.mx[t.Class].depth.SetMax(float64(e.classDepth[t.Class]))
 	info := SubmitInfo{Queued: e.queued, Depth: e.depth}
 	// Whether this submit overruns the budget is decided here, before the
 	// workers can race the check: the wait accounting stays deterministic.
 	hold := e.policy.HoldSubmitter(e.queued, e.budget)
 	if hold {
 		info.Waited = true
-		e.countWait(t.Class)
+		e.mx[t.Class].waits.Inc()
 	}
 	e.jobs[e.route(t)].Put(e.clock, t)
 	for hold && e.queued > e.budget && !e.crashed.Load() {
@@ -404,7 +376,7 @@ func (e *Engine) Submit(t *Task) SubmitInfo {
 		case Completion:
 			e.noteCompletion(msg)
 		case workerExit:
-			e.noteExit(msg)
+			e.exited++
 		}
 	}
 	return info
@@ -441,7 +413,7 @@ func (e *Engine) Flush() error {
 		case workerExit:
 			// A worker can only exit mid-run by crashing; the barrier
 			// cannot complete.
-			e.noteExit(msg)
+			e.exited++
 			return err
 		}
 	}
@@ -464,7 +436,7 @@ func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
 				e.queued += t.Cost
 				e.depth++
 				e.classDepth[t.Class]++
-				e.noteDepth(t.Class)
+				e.mx[t.Class].depth.SetMax(float64(e.classDepth[t.Class]))
 				next++
 				continue
 			}
@@ -472,7 +444,7 @@ func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
 			// takes to fit.
 			if e.lastStalled != next {
 				e.lastStalled = next
-				e.countWait(t.Class)
+				e.mx[t.Class].waits.Inc()
 			}
 		}
 		v, ok := e.ctl.Get(e.clock)
@@ -488,7 +460,7 @@ func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
 		case workerExit:
 			// Mid-batch exits are crashes (queues close only after the
 			// batch); the round cannot complete.
-			e.noteExit(msg)
+			e.exited++
 			return
 		}
 	}
@@ -520,21 +492,11 @@ func (e *Engine) Close() {
 		case Completion:
 			e.noteCompletion(msg)
 		case workerExit:
-			e.noteExit(msg)
+			e.exited++
 		}
 		// Stale flush acks from a barrier a crash interrupted are dropped.
 	}
 	e.ctl.Close()
-}
-
-func (e *Engine) noteDepth(c Class) {
-	e.mx[c].depth.SetMax(float64(e.classDepth[c]))
-	e.tally[c].DepthPeak = max(e.tally[c].DepthPeak, e.classDepth[c])
-}
-
-func (e *Engine) countWait(c Class) {
-	e.mx[c].waits.Inc()
-	e.tally[c].Waits++
 }
 
 func (e *Engine) noteCompletion(c Completion) {
@@ -543,27 +505,15 @@ func (e *Engine) noteCompletion(c Completion) {
 	e.classDepth[c.Task.Class]--
 }
 
-func (e *Engine) noteExit(msg workerExit) {
-	e.exited++
-	for c := range msg.tally {
-		e.tally[c].Done += msg.tally[c].Done
-		e.tally[c].Errors += msg.tally[c].Errors
-		e.tally[c].Busy += msg.tally[c].Busy
-		e.tally[c].Overlap += msg.tally[c].Overlap
-	}
-}
-
 // runWorker is one worker's body. It owns private state (its own files,
-// clock identity and filesystem view) and local tallies, so the only
-// cross-task traffic is the queues and the engine's atomics.
+// clock identity and filesystem view), so the only cross-task traffic is
+// the queues, the engine's atomics and the registry's.
 func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 	st := WorkerState(noState{})
 	if e.cfg.NewState != nil {
 		st = e.cfg.NewState(wi, tc)
 	}
-	var tally [numClasses]ClassTally
 	var sticky error
-	crashed := false
 	defer func() {
 		if r := recover(); r != nil {
 			if e.cfg.FatalPanic == nil || !e.cfg.FatalPanic(r) {
@@ -573,12 +523,11 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 			// dead. Flag it so the submitter stops too, and leave the
 			// state unclosed (staged temporaries), as a real process death
 			// would.
-			crashed = true
 			e.crashed.Store(true)
 		} else if e.cfg.CloseStateOnExit {
 			st.Close()
 		}
-		e.ctl.Put(tc.Clock(), workerExit{tally: tally, crashed: crashed})
+		e.ctl.Put(tc.Clock(), workerExit{})
 	}()
 	for {
 		v, ok := e.jobs[wi].Get(tc.Clock())
@@ -591,9 +540,7 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 				if sticky == nil {
 					sticky = err
 				}
-				fc := e.cfg.FlushClass
-				tally[fc].Errors++
-				e.mx[fc].errors.Inc()
+				e.mx[e.cfg.FlushClass].errors.Inc()
 			}
 			e.ctl.Put(tc.Clock(), flushAck{err: sticky})
 		case *Task:
@@ -605,18 +552,14 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 			res := t.Run(tc, st) // a FatalPanic in here exits via the defer
 			t1 := tc.Clock().Now()
 			cl := t.Class
-			tally[cl].Done++
-			tally[cl].Busy += t1 - t0
 			e.mx[cl].busy.Observe(t1 - t0)
 			e.mx[cl].tasks.Inc()
 			if !e.cfg.OverlapExternal && !e.barrier.Load() {
 				// Done while the submitter was free to serve requests:
 				// this is the overlap the paper claims.
-				tally[cl].Overlap += t1 - t0
 				e.mx[cl].overlap.Observe(t1 - t0)
 			}
 			if res.Err != nil {
-				tally[cl].Errors++
 				e.mx[cl].errors.Inc()
 				if sticky == nil {
 					sticky = res.Err
@@ -627,7 +570,6 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 			}
 			e.ctl.Put(tc.Clock(), Completion{Task: t, Result: res, T0: t0, T1: t1})
 			if res.Fatal {
-				crashed = true
 				e.crashed.Store(true)
 				return
 			}

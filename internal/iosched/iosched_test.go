@@ -114,9 +114,6 @@ func TestBackpressureBlocksWithoutSleeping(t *testing.T) {
 	if d != n {
 		t.Fatalf("ran %d of %d tasks", d, n)
 	}
-	if waits := eng.Tally(ClassWrite).Waits; waits != n {
-		t.Fatalf("counted %d backpressure waits, want %d", waits, n)
-	}
 	if got := clock.sleepCount(); got != 0 {
 		t.Fatalf("scheduler took %d busy-wait sleeps under backpressure, want 0", got)
 	}
@@ -124,8 +121,8 @@ func TestBackpressureBlocksWithoutSleeping(t *testing.T) {
 	if got := snap.Counters["iosched.write.backpressure_waits"]; got != n {
 		t.Fatalf("iosched.write.backpressure_waits = %d, want %d", got, n)
 	}
-	if got := eng.Tally(ClassWrite).Done; got != n {
-		t.Fatalf("tally done = %d, want %d", got, n)
+	if got := snap.Counters["iosched.write.tasks"]; got != n {
+		t.Fatalf("iosched.write.tasks = %d, want %d", got, n)
 	}
 }
 
@@ -182,13 +179,15 @@ func TestKeyedOrdering(t *testing.T) {
 // and a tiny budget degenerates to serial admission (peak depth 1, every
 // deferred task counted once).
 func TestRestartReadAdmission(t *testing.T) {
-	run := func(budget int64) (peak int, waits int64) {
+	run := func(budget int64) (peak float64, waits int64) {
+		reg := metrics.New()
 		eng, _ := newTestEngine(t, Config{
 			Name:     "test-read",
 			Workers:  4,
 			Budget:   budget,
 			QueueCap: 16,
 			Policy:   RestartRead{},
+			Metrics:  reg,
 		})
 		var tasks []*Task
 		for i := 0; i < 8; i++ {
@@ -200,14 +199,14 @@ func TestRestartReadAdmission(t *testing.T) {
 		}
 		eng.RunBatch(tasks, nil)
 		eng.Close()
-		tally := eng.Tally(ClassRead)
-		return tally.DepthPeak, tally.Waits
+		snap := reg.Snapshot()
+		return snap.Gauges["iosched.read.queue_depth"], snap.Counters["iosched.read.backpressure_waits"]
 	}
 	if peak, waits := run(0); peak != 8 || waits != 0 {
-		t.Fatalf("unbounded budget: peak depth %d waits %d, want 8 and 0", peak, waits)
+		t.Fatalf("unbounded budget: peak depth %v waits %d, want 8 and 0", peak, waits)
 	}
 	if peak, waits := run(1); peak != 1 || waits != 7 {
-		t.Fatalf("one-byte budget: peak depth %d waits %d, want 1 (serial) and 7", peak, waits)
+		t.Fatalf("one-byte budget: peak depth %v waits %d, want 1 (serial) and 7", peak, waits)
 	}
 }
 
@@ -238,11 +237,13 @@ func TestRoundRobinDealing(t *testing.T) {
 // commit past a lost block.
 func TestFlushErrorSticky(t *testing.T) {
 	boom := errors.New("disk full")
+	reg := metrics.New()
 	eng, _ := newTestEngine(t, Config{
 		Name:     "test-err",
 		Workers:  1,
 		QueueCap: 8,
 		Policy:   Writeback{},
+		Metrics:  reg,
 	})
 	eng.Submit(&Task{Class: ClassWrite, Cost: 1, Run: func(rt.TaskCtx, WorkerState) Result {
 		return Result{Err: boom}
@@ -257,8 +258,8 @@ func TestFlushErrorSticky(t *testing.T) {
 		t.Fatalf("second flush err = %v, want sticky %v", err, boom)
 	}
 	eng.Close()
-	if got := eng.Tally(ClassWrite).Errors; got != 1 {
-		t.Fatalf("tally errors = %d, want 1", got)
+	if got := reg.Snapshot().Counters["iosched.write.errors"]; got != 1 {
+		t.Fatalf("iosched.write.errors = %d, want 1", got)
 	}
 }
 
@@ -266,11 +267,13 @@ func TestFlushErrorSticky(t *testing.T) {
 // kills its worker after the completion is reported, and the engine
 // surfaces it through Crashed without wedging Flush or Close.
 func TestFatalResultStopsPool(t *testing.T) {
+	reg := metrics.New()
 	eng, _ := newTestEngine(t, Config{
 		Name:     "test-fatal",
 		Workers:  1,
 		QueueCap: 8,
 		Policy:   Writeback{},
+		Metrics:  reg,
 	})
 	eng.Submit(&Task{Class: ClassWrite, Cost: 1, Run: func(rt.TaskCtx, WorkerState) Result {
 		return Result{Fatal: true}
@@ -282,8 +285,8 @@ func TestFatalResultStopsPool(t *testing.T) {
 		t.Fatal("engine did not report the crash")
 	}
 	eng.Close()
-	if got := eng.Tally(ClassWrite).Done; got != 1 {
-		t.Fatalf("the fatal task's completion was lost: done = %d, want 1", got)
+	if got := reg.Snapshot().Counters["iosched.write.tasks"]; got != 1 {
+		t.Fatalf("the fatal task's completion was lost: iosched.write.tasks = %d, want 1", got)
 	}
 }
 

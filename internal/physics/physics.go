@@ -2,9 +2,8 @@
 // computation modules, each operating on Roccom windows exactly the way
 // the paper describes (Figure 1(a)): Rocflo (structured-mesh gas
 // dynamics), Rocfrac (unstructured structural mechanics), Rocburn
-// (burn-rate models at the propellant surface), Rocface (fluid-solid
-// interface transfer), and Rocblas (parallel algebraic operators, in the
-// sibling package rocblas).
+// (burn-rate models at the propellant surface), and Rocface (fluid-solid
+// interface transfer).
 //
 // The solvers do real array arithmetic per block — snapshots therefore
 // contain evolving state that restarts must reproduce bit-for-bit — and

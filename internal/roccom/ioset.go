@@ -215,11 +215,22 @@ func EncodeIOSets(sets []IOSet) []byte {
 	return b
 }
 
-// DecodeIOSets parses the wire form produced by EncodeIOSets.
+// minIOSetBytes is the encoded size of a set with empty name, dims, attrs
+// and data: two length prefixes, type, rank, attr count.
+const minIOSetBytes = 2 + 1 + 1 + 2 + 8
+
+// DecodeIOSets parses the wire form produced by EncodeIOSets. Any byte
+// string is safe to pass: damage is an error, never a panic or an
+// allocation sized by the damage.
 func DecodeIOSets(b []byte) ([]IOSet, error) {
 	c := cursor{b: b}
 	n := int(c.u32())
-	sets := make([]IOSet, 0, n)
+	if c.err != nil {
+		return nil, fmt.Errorf("roccom: corrupt IOSet stream: %w", c.err)
+	}
+	// A corrupt count must not size the allocation: no set is shorter than
+	// its fixed fields.
+	sets := make([]IOSet, 0, min(n, len(b)/minIOSetBytes))
 	for i := 0; i < n; i++ {
 		var s IOSet
 		s.Name = c.str()
@@ -260,7 +271,7 @@ func (c *cursor) need(n int) bool {
 	if c.err != nil {
 		return false
 	}
-	if c.off+n > len(c.b) {
+	if n < 0 || n > len(c.b)-c.off {
 		c.err = fmt.Errorf("truncated at %d (need %d of %d)", c.off, n, len(c.b))
 		return false
 	}
@@ -304,7 +315,7 @@ func (c *cursor) u64() uint64 {
 }
 
 func (c *cursor) bytes(n int) []byte {
-	if n < 0 || !c.need(n) {
+	if !c.need(n) {
 		return nil
 	}
 	v := append([]byte(nil), c.b[c.off:c.off+n]...)

@@ -1,6 +1,7 @@
 package roccom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -458,6 +459,16 @@ func TestDecodeIOSetsCorrupt(t *testing.T) {
 	}
 	if sets2, err := DecodeIOSets(EncodeIOSets(nil)); err != nil || len(sets2) != 0 {
 		t.Fatalf("empty stream: %v %v", sets2, err)
+	}
+	// Not even a count; a count no payload could hold; a data length that
+	// overflows the cursor's offset arithmetic.
+	huge := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint32(huge, 0xfffffff0)
+	overflow := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	for name, bad := range map[string][]byte{"no bytes": nil, "short count": {1, 0}, "huge count": huge, "overflowing length": overflow} {
+		if _, err := DecodeIOSets(bad); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 

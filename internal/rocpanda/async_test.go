@@ -8,6 +8,7 @@ import (
 
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
+	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
@@ -34,19 +35,14 @@ func readAll(t testing.TB, fs rt.FS, name string) []byte {
 }
 
 // runSnapshotWorkload writes two snapshot generations (with a Sync after
-// each) and shuts down, returning the collected server metrics. One client
+// each) and shuts down, returning the registry all ranks shared. One client
 // per server: the channel backend delivers different clients' writes in
 // nondeterministic order, and the bit-exactness contract is per arrival
 // order, not across interleavings.
-func runSnapshotWorkload(t *testing.T, fs rt.FS, cfg Config) []ServerMetrics {
+func runSnapshotWorkload(t *testing.T, fs rt.FS, cfg Config) metrics.Snapshot {
 	t.Helper()
-	var mu sync.Mutex
-	var sm []ServerMetrics
-	cfg.OnServerDone = func(m ServerMetrics) {
-		mu.Lock()
-		sm = append(sm, m)
-		mu.Unlock()
-	}
+	reg := metrics.New()
+	cfg.Metrics = reg
 	world := mpi.NewChanWorld(fs, 1)
 	err := world.Run(2*cfg.NumServers, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, cfg)
@@ -74,7 +70,7 @@ func runSnapshotWorkload(t *testing.T, fs rt.FS, cfg Config) []ServerMetrics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sm
+	return reg.Snapshot()
 }
 
 // TestAsyncDrainBitExactOutput pins the engine's core contract: for the
@@ -116,12 +112,9 @@ func TestAsyncDrainBitExactOutput(t *testing.T) {
 	}
 
 	// The writers, not the request loop, wrote the blocks.
-	var written, buffered int
-	for _, m := range sm {
-		written += m.BlocksWritten
-		buffered += m.BlocksBuffered
-	}
-	if written == 0 || written != buffered {
+	written := int(sm.Counters["rocpanda.server.blocks_written"])
+	buffered := int(sm.Counters["rocpanda.server.blocks_buffered"])
+	if written == 0 || written != buffered || sm.Counters["iosched.write.tasks"] != int64(written) {
 		t.Fatalf("async servers wrote %d of %d buffered blocks", written, buffered)
 	}
 	// The writer pool recorded its spans on the timeline.
@@ -155,21 +148,18 @@ func TestAsyncDrainBackpressureOneBlockBudget(t *testing.T) {
 	acfg.BufferBudgetBytes = 1
 	sm := runSnapshotWorkload(t, asyncFS, acfg)
 
-	if len(sm) != 1 {
-		t.Fatalf("server metrics %v, want 1 server", sm)
-	}
-	m := sm[0]
-	if m.BlocksBuffered == 0 {
+	buffered := sm.Counters["rocpanda.server.blocks_buffered"]
+	if buffered == 0 {
 		t.Fatal("no blocks buffered")
 	}
-	if m.DrainQueuePeak != 1 {
-		t.Fatalf("queue peak %d with a 1-byte budget, want 1", m.DrainQueuePeak)
+	if peak := sm.Gauges["iosched.write.queue_depth"]; peak != 1 {
+		t.Fatalf("queue peak %v with a 1-byte budget, want 1", peak)
 	}
-	if m.BackpressureWaits != m.BlocksBuffered {
-		t.Fatalf("backpressure waits %d, want one per block (%d)", m.BackpressureWaits, m.BlocksBuffered)
+	if waits := sm.Counters["iosched.write.backpressure_waits"]; waits != buffered {
+		t.Fatalf("backpressure waits %d, want one per block (%d)", waits, buffered)
 	}
-	if m.BlocksWritten != m.BlocksBuffered {
-		t.Fatalf("wrote %d of %d blocks", m.BlocksWritten, m.BlocksBuffered)
+	if written := sm.Counters["rocpanda.server.blocks_written"]; written != buffered {
+		t.Fatalf("wrote %d of %d blocks", written, buffered)
 	}
 
 	names := listRHDF(t, asyncFS, "ad/")

@@ -49,13 +49,7 @@ func expectedDeltaPanes(t *testing.T, nWriters, nblocks int, gens []int) map[int
 			mutateDelta(w, g, nblocks)
 		}
 		w.EachPane(func(p *roccom.Pane) {
-			pr, _ := p.Array("pressure")
-			fl, _ := p.Array("flags")
-			want[p.ID] = paneData{
-				coords:   append([]float64(nil), p.Block.Coords...),
-				pressure: append([]float64(nil), pr.F64...),
-				flags:    fl.I32[0],
-			}
+			want[p.ID] = capturePane(p)
 		})
 	}
 	return want
@@ -285,13 +279,7 @@ func TestDeltaTornHeadFallsBackToCommittedChain(t *testing.T) {
 		mu.Lock()
 		bases[cl.Comm().Rank()] = base
 		rw.EachPane(func(p *roccom.Pane) {
-			pr, _ := p.Array("pressure")
-			fl, _ := p.Array("flags")
-			got[p.ID] = paneData{
-				coords:   append([]float64(nil), p.Block.Coords...),
-				pressure: append([]float64(nil), pr.F64...),
-				flags:    fl.I32[0],
-			}
+			got[p.ID] = capturePane(p)
 		})
 		mu.Unlock()
 		return cl.Shutdown()
@@ -398,13 +386,7 @@ func TestDeltaTwoGenerationsUnderOneSync(t *testing.T) {
 		}
 		mu.Lock()
 		rw.EachPane(func(p *roccom.Pane) {
-			pr, _ := p.Array("pressure")
-			fl, _ := p.Array("flags")
-			got[p.ID] = paneData{
-				coords:   append([]float64(nil), p.Block.Coords...),
-				pressure: append([]float64(nil), pr.F64...),
-				flags:    fl.I32[0],
-			}
+			got[p.ID] = capturePane(p)
 		})
 		mu.Unlock()
 		return cl.Shutdown()

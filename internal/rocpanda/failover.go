@@ -23,10 +23,11 @@ package rocpanda
 //
 //   - Adoption. A reassigned client announces itself to its new server
 //     with tagAdopt before its first retried operation; the server counts
-//     it from then on for sync and shutdown accounting (ClientsAdopted in
-//     ServerMetrics). Because every failed-over operation ends with an
-//     acknowledged message on the new server, the adoption is always
-//     registered before the client proceeds to any later collective.
+//     it from then on for sync and shutdown accounting
+//     (rocpanda.server.clients_adopted). Because every failed-over
+//     operation ends with an acknowledged message on the new server, the
+//     adoption is always registered before the client proceeds to any
+//     later collective.
 
 import (
 	"fmt"

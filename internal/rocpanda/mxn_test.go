@@ -22,6 +22,17 @@ type paneData struct {
 	flags    int32
 }
 
+// capturePane copies a pane's payload out of its window.
+func capturePane(p *roccom.Pane) paneData {
+	pr, _ := p.Array("pressure")
+	fl, _ := p.Array("flags")
+	return paneData{
+		coords:   append([]float64(nil), p.Block.Coords...),
+		pressure: append([]float64(nil), pr.F64...),
+		flags:    fl.I32[0],
+	}
+}
+
 // expectedPanes re-runs the original writer decomposition and captures
 // every pane's payload, keyed by pane ID.
 func expectedPanes(t *testing.T, nWriters, nblocks int) map[int]paneData {
@@ -30,13 +41,7 @@ func expectedPanes(t *testing.T, nWriters, nblocks int) map[int]paneData {
 	for r := 0; r < nWriters; r++ {
 		w := buildWindow(t, r, nblocks)
 		w.EachPane(func(p *roccom.Pane) {
-			pr, _ := p.Array("pressure")
-			fl, _ := p.Array("flags")
-			want[p.ID] = paneData{
-				coords:   append([]float64(nil), p.Block.Coords...),
-				pressure: append([]float64(nil), pr.F64...),
-				flags:    fl.I32[0],
-			}
+			want[p.ID] = capturePane(p)
 		})
 	}
 	return want
@@ -127,13 +132,7 @@ func restartTopologyCfg(t *testing.T, fs rt.FS, file string, nClients, nServers 
 				if _, seen := got[p.ID]; seen {
 					dup = fmt.Errorf("pane %d restored by two clients", p.ID)
 				}
-				pr, _ := p.Array("pressure")
-				fl, _ := p.Array("flags")
-				got[p.ID] = paneData{
-					coords:   append([]float64(nil), p.Block.Coords...),
-					pressure: append([]float64(nil), pr.F64...),
-					flags:    fl.I32[0],
-				}
+				got[p.ID] = capturePane(p)
 			})
 			mu.Unlock()
 			readErr = dup

@@ -337,14 +337,7 @@ func (e *readEngine) runPool(items []readItem) {
 		}
 	})
 	eng.Close()
-	for _, class := range []iosched.Class{iosched.ClassRead, iosched.ClassScan} {
-		t := eng.Tally(class)
-		s.m.ReadQueuePeak = max(s.m.ReadQueuePeak, t.DepthPeak)
-		s.m.ReadBackpressureWaits += int(t.Waits)
-		s.m.ReadOverlapSeconds += t.Overlap
-	}
 	if eng.Crashed() {
-		s.m.Crashed = true
 		panic(serverCrashed{})
 	}
 }
@@ -359,7 +352,6 @@ func (e *readEngine) consume(c iosched.Completion) *readFile {
 	f := r.f
 	if r.opened && !f.opened {
 		f.opened = true
-		s.m.FilesOpened++
 		s.mx.filesOpened.Inc()
 	}
 	if r.failed {
@@ -432,10 +424,8 @@ func (e *readEngine) recoverPanes(f *readFile) {
 				e.bad[src.File] = true
 			}
 			if try.shipped {
-				s.m.RepairedPanes++
 				s.mx.repairedPanes.Inc()
 				if catalog.ReplicaRank(src.File) > 0 {
-					s.m.ReplicaReads++
 					s.mx.replicaReads.Inc()
 				}
 				break

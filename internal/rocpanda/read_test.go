@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,29 +15,13 @@ import (
 	"genxio/internal/rt"
 )
 
-// collectServerMetrics returns a tune hook that turns on the read engine
-// knobs via tune and collects every server's final metrics.
-func collectServerMetrics(sm *[]ServerMetrics, mu *sync.Mutex, tune func(*Config)) func(*Config) {
-	return func(cfg *Config) {
-		if tune != nil {
-			tune(cfg)
-		}
-		cfg.OnServerDone = func(m ServerMetrics) {
-			mu.Lock()
-			*sm = append(*sm, m)
-			mu.Unlock()
-		}
-	}
-}
-
 // restartExpectIncomplete restarts file on a fresh world over fs and
 // requires every client's collective read to fail with
 // ErrIncompleteRestart — the degraded-not-dead contract of a damaged or
-// unreachable share. Returns the servers' final metrics.
-func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nServers int, reg *metrics.Registry, tune func(*Config)) []ServerMetrics {
+// unreachable share. Returns the registry all ranks shared.
+func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nServers int, tune func(*Config)) metrics.Snapshot {
 	t.Helper()
-	var mu sync.Mutex
-	var sm []ServerMetrics
+	reg := metrics.New()
 	world := mpi.NewChanWorld(fs, 1)
 	err := world.Run(nClients+nServers, func(ctx mpi.Ctx) error {
 		cfg := Config{
@@ -47,11 +30,6 @@ func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nSer
 		}
 		if tune != nil {
 			tune(&cfg)
-		}
-		cfg.OnServerDone = func(m ServerMetrics) {
-			mu.Lock()
-			sm = append(sm, m)
-			mu.Unlock()
 		}
 		cl, err := Init(ctx, cfg)
 		if err != nil {
@@ -77,7 +55,7 @@ func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nSer
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sm
+	return reg.Snapshot()
 }
 
 // TestParallelReadMxNBitExact is the read engine's core contract: with
@@ -86,7 +64,6 @@ func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nSer
 // across files may differ, but per-file plan order and first-arrival
 // dedupe make the restored state equal.
 func TestParallelReadMxNBitExact(t *testing.T) {
-	var mu sync.Mutex
 	cases := []struct {
 		name               string
 		wClients, wServers int
@@ -105,13 +82,11 @@ func TestParallelReadMxNBitExact(t *testing.T) {
 			serialReg := metrics.New()
 			checkMxN(t, want, restartTopology(t, fs, file, tc.rClients, tc.rServers, serialReg))
 
-			var sm []ServerMetrics
 			parReg := metrics.New()
-			got := restartTopologyCfg(t, fs, file, tc.rClients, tc.rServers, parReg,
-				collectServerMetrics(&sm, &mu, func(cfg *Config) {
-					cfg.ParallelRead = true
-					cfg.ReadWorkers = 4
-				}))
+			got := restartTopologyCfg(t, fs, file, tc.rClients, tc.rServers, parReg, func(cfg *Config) {
+				cfg.ParallelRead = true
+				cfg.ReadWorkers = 4
+			})
 			checkMxN(t, want, got)
 
 			// Same generation, same plans: the engine must read exactly the
@@ -123,20 +98,12 @@ func TestParallelReadMxNBitExact(t *testing.T) {
 			if hits := pSnap.Counters["rocpanda.restart.catalog_hits"]; hits != int64(tc.rServers) {
 				t.Fatalf("catalog_hits = %d, want %d", hits, tc.rServers)
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			var served, errs int
-			for _, m := range sm {
-				served += m.ReadsServed
-				errs += m.ReadErrors
-			}
-			if served == 0 {
+			if pSnap.Counters["rocpanda.server.reads_served"] == 0 {
 				t.Fatal("parallel servers shipped nothing")
 			}
-			if errs != 0 {
+			if errs := pSnap.Counters["rocpanda.read.errors"]; errs != 0 {
 				t.Fatalf("read errors = %d on a healthy restart", errs)
 			}
-			sm = nil
 		})
 	}
 }
@@ -148,23 +115,17 @@ func TestParallelReadMxNBitExact(t *testing.T) {
 func TestParallelReadQueueFillsUnbounded(t *testing.T) {
 	fs := rt.NewMemFS()
 	writeSnapshot(t, fs, "pq/s", 8, 2, 2)
-	var mu sync.Mutex
-	var sm []ServerMetrics
-	got := restartTopologyCfg(t, fs, "pq/s", 3, 1, nil,
-		collectServerMetrics(&sm, &mu, func(cfg *Config) { cfg.ParallelRead = true }))
+	reg := metrics.New()
+	got := restartTopologyCfg(t, fs, "pq/s", 3, 1, reg, func(cfg *Config) { cfg.ParallelRead = true })
 	checkMxN(t, expectedPanes(t, 8, 2), got)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sm) != 1 {
-		t.Fatalf("server metrics %v, want 1 server", sm)
-	}
+	sm := reg.Snapshot()
 	// The lone server's share is the two writers' files: at least one task
 	// per file must have been in flight together.
-	if sm[0].ReadQueuePeak < 2 {
-		t.Fatalf("ReadQueuePeak = %d, want >= 2 (both files in flight)", sm[0].ReadQueuePeak)
+	if peak := sm.Gauges["iosched.read.queue_depth"]; peak < 2 {
+		t.Fatalf("iosched.read.queue_depth = %v, want >= 2 (both files in flight)", peak)
 	}
-	if sm[0].ReadBackpressureWaits != 0 {
-		t.Fatalf("backpressure waits = %d with no budget", sm[0].ReadBackpressureWaits)
+	if waits := sm.Counters["iosched.read.backpressure_waits"]; waits != 0 {
+		t.Fatalf("backpressure waits = %d with no budget", waits)
 	}
 }
 
@@ -175,26 +136,19 @@ func TestParallelReadQueueFillsUnbounded(t *testing.T) {
 func TestParallelReadBudgetOneByteDegeneratesToSerial(t *testing.T) {
 	fs := rt.NewMemFS()
 	writeSnapshot(t, fs, "pb/s", 8, 2, 2)
-	var mu sync.Mutex
-	var sm []ServerMetrics
-	got := restartTopologyCfg(t, fs, "pb/s", 3, 1, nil,
-		collectServerMetrics(&sm, &mu, func(cfg *Config) {
-			cfg.ParallelRead = true
-			cfg.ReadWorkers = 4
-			cfg.ReadBudgetBytes = 1
-		}))
+	reg := metrics.New()
+	got := restartTopologyCfg(t, fs, "pb/s", 3, 1, reg, func(cfg *Config) {
+		cfg.ParallelRead = true
+		cfg.ReadWorkers = 4
+		cfg.ReadBudgetBytes = 1
+	})
 	checkMxN(t, expectedPanes(t, 8, 2), got)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sm) != 1 {
-		t.Fatalf("server metrics %v, want 1 server", sm)
+	sm := reg.Snapshot()
+	if peak := sm.Gauges["iosched.read.queue_depth"]; peak != 1 {
+		t.Fatalf("iosched.read.queue_depth = %v with a 1-byte budget, want 1", peak)
 	}
-	m := sm[0]
-	if m.ReadQueuePeak != 1 {
-		t.Fatalf("ReadQueuePeak = %d with a 1-byte budget, want 1", m.ReadQueuePeak)
-	}
-	if m.ReadBackpressureWaits < 1 {
-		t.Fatalf("ReadBackpressureWaits = %d, want >= 1", m.ReadBackpressureWaits)
+	if waits := sm.Counters["iosched.read.backpressure_waits"]; waits < 1 {
+		t.Fatalf("iosched.read.backpressure_waits = %d, want >= 1", waits)
 	}
 }
 
@@ -211,19 +165,12 @@ func TestReadListFailureDegradesNotCrash(t *testing.T) {
 	plan := faults.NewFSPlan(1, faults.FSRule{
 		Op: faults.OpList, PathPrefix: "lf/A_s", Msg: "stale file handle",
 	})
-	reg := metrics.New()
-	sm := restartExpectIncomplete(t, faults.WrapFS(raw, plan), "lf/A", 2, 1, reg, nil)
-	if len(sm) != 1 {
-		t.Fatalf("server metrics %v, want 1 server", sm)
-	}
-	if sm[0].Crashed {
+	sm := restartExpectIncomplete(t, faults.WrapFS(raw, plan), "lf/A", 2, 1, nil)
+	if sm.Counters["rocpanda.server.crashes"] != 0 {
 		t.Fatal("server crashed on a failed listing")
 	}
-	if sm[0].ReadErrors != 1 {
-		t.Fatalf("ReadErrors = %d, want 1 (the failed listing)", sm[0].ReadErrors)
-	}
-	if n := reg.Snapshot().Counters["rocpanda.read.errors"]; n != 1 {
-		t.Fatalf("rocpanda.read.errors = %d, want 1", n)
+	if n := sm.Counters["rocpanda.read.errors"]; n != 1 {
+		t.Fatalf("rocpanda.read.errors = %d, want 1 (the failed listing)", n)
 	}
 }
 
@@ -320,30 +267,18 @@ func TestRestartWastedBytesAccounting(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			reg := metrics.New()
-			sm := restartExpectIncomplete(t, fs, "wb/A", 2, 1, reg, nil)
-			if len(sm) != 1 {
-				t.Fatalf("server metrics %v, want 1 server", sm)
+			c := restartExpectIncomplete(t, fs, "wb/A", 2, 1, nil).Counters
+			if opened, skipped := c["rocpanda.restart.files_opened"], c["rocpanda.server.files_skipped"]; opened != 1 || skipped != 1 {
+				t.Fatalf("opened %d skipped %d, want 1 and 1", opened, skipped)
 			}
-			m := sm[0]
-			if m.FilesOpened != 1 || m.FilesSkipped != 1 {
-				t.Fatalf("opened %d skipped %d, want 1 and 1", m.FilesOpened, m.FilesSkipped)
+			if n := c["rocpanda.restart.bytes_read"]; n != 0 {
+				t.Fatalf("bytes_read = %d for a file that never shipped, want 0", n)
 			}
-			if m.RestartBytes != 0 {
-				t.Fatalf("RestartBytes = %d for a file that never shipped, want 0", m.RestartBytes)
+			if n := c["rocpanda.restart.bytes_wasted"]; n <= 0 {
+				t.Fatalf("bytes_wasted = %d, want > 0", n)
 			}
-			if m.WastedBytes <= 0 {
-				t.Fatalf("WastedBytes = %d, want > 0", m.WastedBytes)
-			}
-			if m.ReadErrors != 1 {
-				t.Fatalf("ReadErrors = %d, want 1", m.ReadErrors)
-			}
-			s := reg.Snapshot()
-			if n := s.Counters["rocpanda.restart.bytes_read"]; n != 0 {
-				t.Fatalf("bytes_read counter = %d, want 0", n)
-			}
-			if n := s.Counters["rocpanda.restart.bytes_wasted"]; n != m.WastedBytes {
-				t.Fatalf("bytes_wasted counter = %d, want %d", n, m.WastedBytes)
+			if n := c["rocpanda.read.errors"]; n != 1 {
+				t.Fatalf("rocpanda.read.errors = %d, want 1", n)
 			}
 		})
 	}
@@ -371,18 +306,15 @@ func TestReadFaultsDegradeNotCrash(t *testing.T) {
 						cfg.ReadWorkers = 2
 					}
 				}
-				sm := restartExpectIncomplete(t, faults.WrapFS(raw, plan), "of/A", 2, 1, nil, tune)
-				if len(sm) != 1 {
-					t.Fatalf("server metrics %v, want 1 server", sm)
-				}
-				if sm[0].Crashed {
+				c := restartExpectIncomplete(t, faults.WrapFS(raw, plan), "of/A", 2, 1, tune).Counters
+				if c["rocpanda.server.crashes"] != 0 {
 					t.Fatalf("server crashed on an injected %s failure", op)
 				}
-				if sm[0].FilesSkipped < 1 {
-					t.Fatalf("FilesSkipped = %d, want >= 1", sm[0].FilesSkipped)
+				if n := c["rocpanda.server.files_skipped"]; n < 1 {
+					t.Fatalf("files_skipped = %d, want >= 1", n)
 				}
-				if sm[0].ReadErrors < 1 {
-					t.Fatalf("ReadErrors = %d, want >= 1", sm[0].ReadErrors)
+				if n := c["rocpanda.read.errors"]; n < 1 {
+					t.Fatalf("rocpanda.read.errors = %d, want >= 1", n)
 				}
 			})
 		}
@@ -415,8 +347,7 @@ func TestParallelReadCrashMidReadFallsBack(t *testing.T) {
 			writeSnapshot(t, fs, "cr/A", 4, tc.wServers, 2)
 			writeSnapshot(t, fs, "cr/B", 4, tc.wServers, 2)
 
-			var mu sync.Mutex
-			var sm []ServerMetrics
+			var regs rankRegistries
 			plan := faults.NewCrashPlan(1, faults.MidRead, tc.nth)
 			world := mpi.NewChanWorld(fs, 1)
 			err := world.Run(6, func(ctx mpi.Ctx) error {
@@ -427,11 +358,7 @@ func TestParallelReadCrashMidReadFallsBack(t *testing.T) {
 					ReadWorkers:     2,
 					Crash:           plan,
 					RetryTimeout:    0.05,
-					OnServerDone: func(m ServerMetrics) {
-						mu.Lock()
-						sm = append(sm, m)
-						mu.Unlock()
-					},
+					Metrics:         regs.forRank(ctx.Comm().Rank()),
 				})
 				if err != nil {
 					return err
@@ -465,10 +392,9 @@ func TestParallelReadCrashMidReadFallsBack(t *testing.T) {
 			if !plan.Fired() {
 				t.Fatal("crash plan never fired")
 			}
-			for _, m := range sm {
-				if m.Crashed && tc.served >= 0 && m.ReadsServed != tc.served {
-					t.Fatalf("victim shipped %d panes before dying, want %d", m.ReadsServed, tc.served)
-				}
+			_, victim := regs.crashed(t)
+			if served := victim["rocpanda.server.reads_served"]; tc.served >= 0 && served != int64(tc.served) {
+				t.Fatalf("victim shipped %d panes before dying, want %d", served, tc.served)
 			}
 		})
 	}

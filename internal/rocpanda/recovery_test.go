@@ -14,6 +14,7 @@ import (
 
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
+	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
@@ -21,10 +22,11 @@ import (
 
 // crashRunResult captures one crash-failover run for determinism checks.
 type crashRunResult struct {
-	trips   []faults.Trip
-	crashed ServerMetrics
-	adopted int
-	clients map[int]Metrics
+	trips       []faults.Trip
+	crashedRank int              // world rank of the dead server
+	crashed     map[string]int64 // its own counters
+	adopted     int64
+	clients     map[int]Metrics
 }
 
 // runMidBufferCrash writes one snapshot on 2 servers + 6 clients while
@@ -35,6 +37,7 @@ func runMidBufferCrash(t *testing.T, fs rt.FS) crashRunResult {
 	plan := faults.NewCrashPlan(1, faults.MidBuffer, 2)
 	res := crashRunResult{clients: make(map[int]Metrics)}
 	var mu sync.Mutex
+	var regs rankRegistries
 	world := mpi.NewChanWorld(fs, 1)
 	err := world.Run(8, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, Config{
@@ -43,14 +46,7 @@ func runMidBufferCrash(t *testing.T, fs rt.FS) crashRunResult {
 			ActiveBuffering: true,
 			Crash:           plan,
 			RetryTimeout:    0.2,
-			OnServerDone: func(m ServerMetrics) {
-				mu.Lock()
-				defer mu.Unlock()
-				if m.Crashed {
-					res.crashed = m
-				}
-				res.adopted += m.ClientsAdopted
-			},
+			Metrics:         regs.forRank(ctx.Comm().Rank()),
 		})
 		if err != nil {
 			return err
@@ -86,6 +82,8 @@ func runMidBufferCrash(t *testing.T, fs rt.FS) crashRunResult {
 		t.Fatal("crash plan never fired")
 	}
 	res.trips = plan.Trips()
+	res.crashedRank, res.crashed = regs.crashed(t)
+	res.adopted = regs.total("rocpanda.server.clients_adopted")
 	return res
 }
 
@@ -93,13 +91,13 @@ func TestCrashMidBufferFailoverAndRestart(t *testing.T) {
 	fs := rt.NewMemFS()
 	res := runMidBufferCrash(t, fs)
 
-	if !res.crashed.Crashed || res.crashed.Idx != 1 {
-		t.Fatalf("crashed server metrics %+v", res.crashed)
+	if want := serverRanks(8, 2, Spread)[1]; res.crashedRank != want {
+		t.Fatalf("rank %d crashed, want server 1 (rank %d)", res.crashedRank, want)
 	}
 	// Nth=2: the server dies having buffered exactly 2 blocks, before any
 	// drain — no file, nothing acknowledged.
-	if res.crashed.BlocksBuffered != 2 || res.crashed.BlocksWritten != 0 || res.crashed.FilesCreated != 0 {
-		t.Fatalf("crashed server did unexpected work: %+v", res.crashed)
+	if c := res.crashed; c["rocpanda.server.blocks_buffered"] != 2 || c["rocpanda.server.blocks_written"] != 0 || c["rocpanda.server.files_created"] != 0 {
+		t.Fatalf("crashed server did unexpected work: %+v", c)
 	}
 	if res.adopted != 3 {
 		t.Fatalf("survivor adopted %d clients, want 3", res.adopted)
@@ -155,8 +153,8 @@ func TestCrashInjectionDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.trips, want) {
 		t.Fatalf("trips %v, want %v", a.trips, want)
 	}
-	if a.crashed.BlocksBuffered != b.crashed.BlocksBuffered ||
-		a.crashed.BlocksWritten != b.crashed.BlocksWritten {
+	if a.crashed["rocpanda.server.blocks_buffered"] != b.crashed["rocpanda.server.blocks_buffered"] ||
+		a.crashed["rocpanda.server.blocks_written"] != b.crashed["rocpanda.server.blocks_written"] {
 		t.Fatalf("crash-point state differs: %+v vs %+v", a.crashed, b.crashed)
 	}
 }
@@ -219,8 +217,9 @@ func TestCrashMidDrainIncompleteSnapshotFallsBack(t *testing.T) {
 	// on the clients whose panes died with server 1; the fallback to A is
 	// collective (every client re-reads, agreed by an allreduce) and must
 	// be bit-exact.
-	var incomplete, skipped int
+	var incomplete int
 	var mu sync.Mutex
+	reg := metrics.New()
 	world = mpi.NewChanWorld(fs, 1)
 	err = world.Run(6, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, Config{
@@ -228,11 +227,7 @@ func TestCrashMidDrainIncompleteSnapshotFallsBack(t *testing.T) {
 			Profile:         hdf.NullProfile(),
 			ActiveBuffering: true,
 			RetryTimeout:    0.2,
-			OnServerDone: func(m ServerMetrics) {
-				mu.Lock()
-				skipped += m.FilesSkipped
-				mu.Unlock()
-			},
+			Metrics:         reg,
 		})
 		if err != nil {
 			return err
@@ -271,7 +266,7 @@ func TestCrashMidDrainIncompleteSnapshotFallsBack(t *testing.T) {
 	// With atomic creates the crashed server's partial file never became
 	// visible: it is still a staged temporary, the committed name does not
 	// exist, and the healthy rescan has nothing to skip.
-	if skipped != 0 {
+	if skipped := reg.Snapshot().Counters["rocpanda.server.files_skipped"]; skipped != 0 {
 		t.Fatalf("servers skipped %d files; the staged temporary should be invisible to the scan", skipped)
 	}
 	if tmps, _ := fs.List("fb/B_s001"); len(tmps) != 1 || !strings.HasSuffix(tmps[0], ".rhdf"+hdf.TmpSuffix) {
@@ -359,18 +354,14 @@ func TestDroppedAckFailoverDedupsRestart(t *testing.T) {
 
 	// Restart in a healthy world: client 2's panes exist in both files;
 	// the read path must dedup them and every pane must be bit-exact.
-	var served int
+	reg := metrics.New()
 	world = mpi.NewChanWorld(fs, 1)
 	err = world.Run(6, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, Config{
 			NumServers:      2,
 			Profile:         hdf.NullProfile(),
 			ActiveBuffering: true,
-			OnServerDone: func(m ServerMetrics) {
-				mu.Lock()
-				served += m.ReadsServed
-				mu.Unlock()
-			},
+			Metrics:         reg,
 		})
 		if err != nil {
 			return err
@@ -392,7 +383,7 @@ func TestDroppedAckFailoverDedupsRestart(t *testing.T) {
 	}
 	// 4 clients x 2 panes unique; the duplicated panes are shipped too
 	// (and discarded client-side), so more than 8 blocks cross the wire.
-	if served <= 8 {
+	if served := reg.Snapshot().Counters["rocpanda.server.reads_served"]; served <= 8 {
 		t.Fatalf("servers shipped %d blocks, want >8 (duplicates must exist)", served)
 	}
 }
@@ -435,24 +426,19 @@ func TestReassignServer(t *testing.T) {
 }
 
 func TestOverflowPartialDrainBitExact(t *testing.T) {
-	// The graceful-overflow satellite: a capacity smaller than any block
+	// The graceful-overflow satellite: a budget smaller than any block
 	// forces a synchronous partial drain on every buffered block — and the
 	// data read back afterwards must still be bit-exact.
-	run := func(capacity int64) ServerMetrics {
-		var m ServerMetrics
-		var mu sync.Mutex
+	run := func(budget int64) map[string]int64 {
+		reg := metrics.New()
 		world := mpi.NewChanWorld(rt.NewMemFS(), 1)
 		err := world.Run(4, func(ctx mpi.Ctx) error {
 			cl, err := Init(ctx, Config{
-				NumServers:      1,
-				Profile:         hdf.NullProfile(),
-				ActiveBuffering: true,
-				BufferCapacity:  capacity,
-				OnServerDone: func(sm ServerMetrics) {
-					mu.Lock()
-					m = sm
-					mu.Unlock()
-				},
+				NumServers:        1,
+				Profile:           hdf.NullProfile(),
+				ActiveBuffering:   true,
+				BufferBudgetBytes: budget,
+				Metrics:           reg,
 			})
 			if err != nil {
 				return err
@@ -479,19 +465,20 @@ func TestOverflowPartialDrainBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		return reg.Snapshot().Counters
 	}
 	roomy := run(1 << 30)
-	if roomy.Overflows != 0 {
-		t.Fatalf("roomy buffer overflowed %d times", roomy.Overflows)
+	if n := roomy["rocpanda.server.overflow_stalls"]; n != 0 {
+		t.Fatalf("roomy buffer overflowed %d times", n)
 	}
 	tiny := run(1)
-	// Every buffered block exceeds a 1-byte capacity, so each one must
+	// Every buffered block exceeds a 1-byte budget, so each one must
 	// trigger exactly one synchronous drain — no more, no fewer.
-	if tiny.Overflows != tiny.BlocksBuffered || tiny.Overflows == 0 {
-		t.Fatalf("overflows=%d buffered=%d, want equal and nonzero", tiny.Overflows, tiny.BlocksBuffered)
+	stalls, buffered := tiny["rocpanda.server.overflow_stalls"], tiny["rocpanda.server.blocks_buffered"]
+	if stalls != buffered || stalls == 0 {
+		t.Fatalf("overflows=%d buffered=%d, want equal and nonzero", stalls, buffered)
 	}
-	if tiny.BlocksWritten != tiny.BlocksBuffered {
-		t.Fatalf("wrote %d of %d blocks", tiny.BlocksWritten, tiny.BlocksBuffered)
+	if written := tiny["rocpanda.server.blocks_written"]; written != buffered {
+		t.Fatalf("wrote %d of %d blocks", written, buffered)
 	}
 }

@@ -3,7 +3,6 @@ package rocpanda
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"genxio/internal/hdf"
@@ -44,17 +43,12 @@ func TestResentReadRequestDoesNotStartEarlyScan(t *testing.T) {
 
 	// Restart, with client 0 injecting a duplicate of its own request
 	// before any client issues the real one.
-	var srvDone []ServerMetrics
-	var mu sync.Mutex
+	reg := metrics.New()
 	world = mpi.NewChanWorld(fs, 1)
 	err = world.Run(nClients+1, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, Config{
 			NumServers: 1, Profile: hdf.NullProfile(), ActiveBuffering: true,
-			OnServerDone: func(m ServerMetrics) {
-				mu.Lock()
-				srvDone = append(srvDone, m)
-				mu.Unlock()
-			},
+			Metrics: reg,
 		})
 		if err != nil {
 			return err
@@ -95,14 +89,9 @@ func TestResentReadRequestDoesNotStartEarlyScan(t *testing.T) {
 		}
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(srvDone) != 1 {
-		t.Fatalf("server metrics %v", srvDone)
-	}
 	// One full scan: every pane shipped exactly once.
-	if got, want := srvDone[0].ReadsServed, nClients*2; got != want {
-		t.Fatalf("ReadsServed = %d, want %d (one complete scan)", got, want)
+	if got, want := reg.Snapshot().Counters["rocpanda.server.reads_served"], int64(nClients*2); got != want {
+		t.Fatalf("reads_served = %d, want %d (one complete scan)", got, want)
 	}
 }
 

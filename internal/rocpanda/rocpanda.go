@@ -18,8 +18,10 @@
 //     drain buffers to scientific-format files while clients compute,
 //     checking for new requests between block writes (non-blocking probe)
 //     and blocking in probe when idle — leaving their CPU to the OS.
-//     If the buffer capacity is exceeded the server drains synchronously
+//     If the buffer budget is exceeded the server drains synchronously
 //     to make room, which delays the acknowledgement (graceful overflow).
+//     All of it is one write engine (drain.go): the in-loop drain is its
+//     zero-worker driver, a background writer pool the other.
 //
 //   - Collective read (restart): every client sends its wanted block list
 //     to every server; snapshot files are assigned to servers round-robin;
@@ -67,29 +69,28 @@ type Config struct {
 	// access (HDF4 in the paper).
 	Profile hdf.CostProfile
 	// ActiveBuffering enables the paper's overlap scheme. When false the
-	// server writes each block to disk before acknowledging
-	// (write-through; the ablation baseline).
+	// write engine holds every block's submit until it is on disk, so the
+	// server writes each block before acknowledging (write-through; the
+	// ablation baseline).
 	ActiveBuffering bool
-	// BufferCapacity bounds the server-side buffer in bytes; 0 means
-	// unlimited. Overflow triggers synchronous partial drains.
-	// Synchronous mode only; with AsyncDrain use BufferBudgetBytes.
-	BufferCapacity int64
-	// AsyncDrain moves the drain off the server's request loop onto a
-	// background writer pool (internal/rocpanda/drain.go): blocks go to
-	// disk while the loop keeps absorbing client writes, which is the
-	// paper's overlap realized inside one server process. Requires
-	// ActiveBuffering; output files are byte-identical to the synchronous
-	// drain.
+	// AsyncDrain picks the write engine's driver (internal/rocpanda/
+	// drain.go). Off, the request loop drains one buffered block whenever
+	// its probe comes back empty — the paper's server. On, the same steps
+	// move onto a background writer pool: blocks go to disk while the loop
+	// keeps absorbing client writes, which is the paper's overlap realized
+	// inside one server process. Requires ActiveBuffering; output files
+	// are byte-identical either way.
 	AsyncDrain bool
 	// DrainWriters sizes the background writer pool (AsyncDrain only).
 	// Blocks route to writers by destination file, so extra writers help
 	// only when snapshot generations overlap. Clamped to [1, 8]; default 1.
 	DrainWriters int
-	// BufferBudgetBytes bounds the bytes queued to the writer pool
-	// (AsyncDrain only). An enqueue that overruns the budget stalls the
-	// request loop — delaying that client's ack — until the writers catch
-	// up; 0 means unbounded. A budget of one block degenerates to
-	// write-through timing.
+	// BufferBudgetBytes bounds the server-side buffer — the bytes queued
+	// to the write engine, under either driver. A block that leaves the
+	// queue over budget holds the request loop — delaying that client's
+	// ack — until enough queued blocks are on disk (drained by the loop
+	// itself, or by the writers it waits for); 0 means unbounded. A budget
+	// smaller than one block degenerates to write-through timing.
 	BufferBudgetBytes int64
 	// ParallelRead picks the read engine's driver (internal/rocpanda/
 	// read.go). Off, the request loop runs each file's reads itself, one
@@ -152,13 +153,12 @@ type Config struct {
 	// snapshot generations (files and manifests) after each commit. Zero
 	// keeps everything.
 	RetainGenerations int
-	// OnServerDone, if set, receives each server's metrics when it shuts
-	// down (called on the server's goroutine/process). It is also called
-	// when the server dies to an injected crash, with Crashed set.
-	OnServerDone func(ServerMetrics)
 	// Metrics, if set, receives rocpanda.client.* and rocpanda.server.*
 	// counters, gauges and latency histograms from every rank sharing the
-	// registry. A nil registry disables all recording at no cost.
+	// registry — the only tally the servers keep (a server that dies to an
+	// injected crash counts in rocpanda.server.crashes). Every rank builds
+	// its own Config, so a caller wanting a per-server view hands each rank
+	// its own registry. A nil registry disables all recording at no cost.
 	Metrics *metrics.Registry
 	// Trace, if set, receives background-drain phase spans from the writer
 	// pool (servers record on timeline rows after the client ranks). A nil
@@ -269,9 +269,6 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 			mx:         newSrvMx(cfg.Metrics),
 		}
 		s.run()
-		if cfg.OnServerDone != nil {
-			cfg.OnServerDone(s.m)
-		}
 		return nil, nil
 	}
 

@@ -9,6 +9,7 @@ import (
 	"genxio/internal/cluster"
 	"genxio/internal/hdf"
 	"genxio/internal/mesh"
+	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
@@ -30,6 +31,56 @@ func listRHDF(t testing.TB, fs rt.FS, prefix string) []string {
 		}
 	}
 	return out
+}
+
+// rankRegistries hands every rank of a test world its own registry (each
+// rank builds its own Config), which is how a test gets a per-server view
+// of the counters. The zero value is ready to use.
+type rankRegistries struct {
+	mu   sync.Mutex
+	regs map[int]*metrics.Registry
+}
+
+func (r *rankRegistries) forRank(rank int) *metrics.Registry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.regs == nil {
+		r.regs = make(map[int]*metrics.Registry)
+	}
+	if r.regs[rank] == nil {
+		r.regs[rank] = metrics.New()
+	}
+	return r.regs[rank]
+}
+
+// total sums one counter over every rank.
+func (r *rankRegistries) total(name string) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var n int64
+	for _, reg := range r.regs {
+		n += reg.Counter(name).Value()
+	}
+	return n
+}
+
+// crashed returns the world rank and counters of the one server that died
+// to an injected crash.
+func (r *rankRegistries) crashed(t testing.TB) (rank int, counters map[string]int64) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	found := 0
+	for wr, reg := range r.regs {
+		if c := reg.Snapshot().Counters; c["rocpanda.server.crashes"] > 0 {
+			rank, counters = wr, c
+			found++
+		}
+	}
+	if found != 1 {
+		t.Fatalf("%d servers recorded a crash, want 1", found)
+	}
+	return rank, counters
 }
 
 // buildWindow registers nblocks panes with deterministic data for a client
@@ -349,21 +400,16 @@ func TestWriteThroughVsActiveBufferingVisibleCost(t *testing.T) {
 }
 
 func TestBufferOverflowDrainsGracefully(t *testing.T) {
-	var srvMetrics []ServerMetrics
-	var mu sync.Mutex
+	reg := metrics.New()
 	fs := rt.NewMemFS()
 	world := mpi.NewChanWorld(fs, 1)
 	err := world.Run(5, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, Config{
-			NumServers:      1,
-			Profile:         hdf.NullProfile(),
-			ActiveBuffering: true,
-			BufferCapacity:  1 << 10, // smaller than one block: every buffering overflows
-			OnServerDone: func(m ServerMetrics) {
-				mu.Lock()
-				srvMetrics = append(srvMetrics, m)
-				mu.Unlock()
-			},
+			NumServers:        1,
+			Profile:           hdf.NullProfile(),
+			ActiveBuffering:   true,
+			BufferBudgetBytes: 1 << 10, // smaller than one block: every buffering overflows
+			Metrics:           reg,
 		})
 		if err != nil {
 			return err
@@ -385,18 +431,15 @@ func TestBufferOverflowDrainsGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(srvMetrics) != 1 {
-		t.Fatalf("server metrics %v", srvMetrics)
-	}
-	m := srvMetrics[0]
-	if m.Overflows == 0 {
+	m := reg.Snapshot()
+	if m.Counters["rocpanda.server.overflow_stalls"] == 0 {
 		t.Fatal("tiny buffer never overflowed")
 	}
-	if m.BlocksWritten != m.BlocksBuffered {
-		t.Fatalf("wrote %d of %d buffered blocks", m.BlocksWritten, m.BlocksBuffered)
+	if written, buffered := m.Counters["rocpanda.server.blocks_written"], m.Counters["rocpanda.server.blocks_buffered"]; written != buffered {
+		t.Fatalf("wrote %d of %d buffered blocks", written, buffered)
 	}
-	if m.MaxBufBytes > 96<<10 {
-		t.Fatalf("buffer grew to %d despite capacity", m.MaxBufBytes)
+	if peak := m.Gauges["rocpanda.server.buf_bytes_peak"]; peak > 96<<10 {
+		t.Fatalf("buffer grew to %v despite capacity", peak)
 	}
 	// All three snapshots must be complete, readable files.
 	names := listRHDF(t, fs, "ovf/")

@@ -15,58 +15,10 @@ import (
 	"genxio/internal/snapshot"
 )
 
-// ServerMetrics accumulates one server's activity.
-type ServerMetrics struct {
-	Idx              int
-	BlocksBuffered   int
-	BlocksWritten    int
-	BytesWritten     int64 // payload bytes drained to files
-	FilesCreated     int
-	MaxBufBytes      int64
-	Overflows        int   // synchronous partial drains due to capacity
-	ReadsServed      int   // restart blocks shipped to clients
-	ClientsAdopted   int   // clients inherited from failed servers (degraded mode)
-	FilesSkipped     int   // unreadable snapshot files skipped during restart scans
-	FilesOpened      int   // snapshot files opened while serving restarts
-	RestartBytes     int64 // payload bytes read from snapshot files during restarts
-	CatalogHits      int   // restart rounds served from the block catalog
-	CatalogFallbacks int   // restart rounds that fell back to the directory scan
-	Crashed          bool  // the server died to an injected crash
-
-	// Background-drain engine (Config.AsyncDrain).
-	DrainQueuePeak    int     // peak blocks queued to the writer pool
-	BackpressureWaits int     // enqueues stalled on BufferBudgetBytes
-	OverlapSeconds    float64 // background write time overlapped with service
-	DrainErrors       int     // block writes or file closes that failed
-
-	// Restart read pool (Config.ParallelRead) and read-path health.
-	ReadQueuePeak         int     // peak read tasks of one class in flight to the worker pool
-	ReadBackpressureWaits int     // tasks deferred by ReadBudgetBytes
-	ReadOverlapSeconds    float64 // disk read time overlapped with shipping
-	ReadErrors            int     // failed listings and files skipped mid-round
-	WastedBytes           int64   // bytes read from files that never shipped
-
-	// Replica retries (Config.ReplicationFactor > 1).
-	ReplicaReads  int // panes served from a replica copy after a primary failed
-	RepairedPanes int // panes recovered from any other copy after a planned read failed
-
-	// Delta snapshots (Config.DeltaSnapshots).
-	ChainDepth int // deepest delta chain served during restart rounds
-}
-
 // serverCrashed is the panic sentinel of an injected server crash; run
 // recovers it and returns without draining or acknowledging anything,
 // simulating process death.
 type serverCrashed struct{}
-
-// pendingBlock is one buffered data block awaiting drain.
-type pendingBlock struct {
-	fname string
-	sets  []roccom.IOSet
-	bytes int64
-	time  float64
-	step  int32
-}
 
 // readRound accumulates a collective read until all clients have asked.
 // Requesters are tracked as a set of world ranks, not a raw count: after a
@@ -90,23 +42,19 @@ type server struct {
 	allClients []int
 	cfg        Config
 
-	buf           []pendingBlock // synchronous-mode buffer (AsyncDrain off)
-	bufBytes      int64
-	sink          *blockSink            // the request loop's own file sink
-	engine        *drainEngine          // background writer pool (AsyncDrain)
-	drainErr      error                 // sticky first drain failure
+	wr            *writeEngine          // the snapshot write machine (drain.go)
 	reads         map[string]*readRound // key: file|window|attr
 	shutdown      int
 	shutdownQueue []int // clients awaiting the shutdown ack
 
-	m  ServerMetrics
 	mx srvMx
 }
 
-// srvMx holds a server's registry handles; every handle is a nil-safe
-// no-op when Config.Metrics is unset. Handles are created once at Init so
-// the hot paths never touch the registry map.
+// srvMx holds a server's registry handles — the server's only tally; every
+// handle is a nil-safe no-op when Config.Metrics is unset. Handles are
+// created once at Init so the hot paths never touch the registry map.
 type srvMx struct {
+	crashes        *metrics.Counter
 	blocksBuffered *metrics.Counter
 	blocksWritten  *metrics.Counter
 	bytesWritten   *metrics.Counter
@@ -144,6 +92,7 @@ type srvMx struct {
 
 func newSrvMx(r *metrics.Registry) srvMx {
 	return srvMx{
+		crashes:        r.Counter("rocpanda.server.crashes"),
 		blocksBuffered: r.Counter("rocpanda.server.blocks_buffered"),
 		blocksWritten:  r.Counter("rocpanda.server.blocks_written"),
 		bytesWritten:   r.Counter("rocpanda.server.bytes_written"),
@@ -179,81 +128,42 @@ func newSrvMx(r *metrics.Registry) srvMx {
 // writes (responsiveness); with clean buffers it blocks in probe, leaving
 // the CPU to the operating system.
 func (s *server) run() {
+	s.wr = newWriteEngine(s)
+	s.reads = make(map[string]*readRound)
 	// An injected crash (internal/faults) panics with serverCrashed from
 	// deep inside the loop; catching it here and returning — no drain, no
 	// acks, snapshot files left without directories — is how this backend
 	// models the process dying.
 	defer func() {
 		r := recover()
-		// Tear the writer pool down on every exit path: it merges the
-		// writers' tallies into s.m before OnServerDone reads them, and
-		// terminates the pool's simulation processes.
-		if s.engine != nil {
-			s.engine.close()
-		}
+		s.wr.close()
 		if r != nil {
 			if _, died := r.(serverCrashed); !died {
 				panic(r)
 			}
+			s.mx.crashes.Inc()
 		}
 	}()
-	s.sink = newBlockSink(s, s.ctx.Clock(), s.ctx.FS(), &s.m)
-	s.reads = make(map[string]*readRound)
-	s.m.Idx = s.idx
-	if s.cfg.ActiveBuffering && s.cfg.AsyncDrain {
-		s.engine = newDrainEngine(s)
-	}
 	for s.shutdown < len(s.myClients) {
-		if s.engine != nil && s.engine.crashed() {
+		if s.wr.crashed() {
 			panic(serverCrashed{}) // a writer task died; the process dies with it
 		}
-		if len(s.buf) > 0 {
+		if s.wr.pending() {
 			if st, ok := s.world.Iprobe(mpi.AnySource, mpi.AnyTag); ok {
 				s.handle(st)
 			} else {
-				s.drainOne()
+				s.wr.step()
 			}
 			continue
 		}
 		s.handle(s.world.Probe(mpi.AnySource, mpi.AnyTag))
 	}
-	err := s.flushOutput()
+	err := s.wr.flush()
 	// Acknowledge all shutdowns only after everything is on disk; the ack
 	// carries the drain outcome so the clients can refuse the commit.
 	for _, dst := range s.shutdownQueue {
 		s.world.Send(dst, tagShutdownAck, ackPayload(err))
 	}
-}
-
-// flushOutput forces every buffered or queued block to disk and closes the
-// snapshot files, returning the server's sticky drain error (nil when all
-// output landed). Both drain modes converge here: it is the
-// barrier-before-commit that sync, restart scans and shutdown rely on.
-func (s *server) flushOutput() error {
-	if s.engine != nil {
-		if err := s.engine.flushBarrier(); err != nil && s.drainErr == nil {
-			s.drainErr = err
-		}
-		return s.drainErr
-	}
-	for len(s.buf) > 0 {
-		s.drainOne()
-	}
-	if err := s.sink.closeAll(""); err != nil {
-		s.noteDrainErr(err)
-	}
-	return s.drainErr
-}
-
-// noteDrainErr records a failed block write or file close. The first error
-// sticks: it is reported on every subsequent sync/shutdown ack, so no
-// generation after the failure can commit.
-func (s *server) noteDrainErr(err error) {
-	if s.drainErr == nil {
-		s.drainErr = err
-	}
-	s.m.DrainErrors++
-	s.mx.drainErrors.Inc()
 }
 
 // ackPayload encodes a drain outcome for a sync or shutdown ack.
@@ -277,8 +187,7 @@ func (s *server) handle(st mpi.Status) {
 		s.handleReadReq(st.Source)
 	case tagSync:
 		s.recvEmpty(st.Source, tagSync, "sync request")
-		err := s.flushOutput()
-		s.world.Send(st.Source, tagSyncAck, ackPayload(err))
+		s.world.Send(st.Source, tagSyncAck, ackPayload(s.wr.flush()))
 	case tagShutdown:
 		s.recvEmpty(st.Source, tagShutdown, "shutdown request")
 		s.shutdown++
@@ -291,7 +200,6 @@ func (s *server) handle(st mpi.Status) {
 			}
 		}
 		s.myClients = append(s.myClients, st.Source)
-		s.m.ClientsAdopted++
 		s.mx.adopted.Inc()
 	default:
 		panic(fmt.Sprintf("rocpanda: server %d got unexpected tag %d from %d", s.idx, st.Tag, st.Source))
@@ -322,7 +230,13 @@ func (s *server) recvEmpty(src, tag int, what string) {
 }
 
 // handleWrite receives one client's header and blocks for a collective
-// write and buffers (or writes through) the blocks.
+// write and submits the blocks to the write engine; the ack goes out once
+// the engine has taken (buffered, or under write-through written) them all.
+//
+// A block that arrives empty or undecodable is an error path, not a panic:
+// MPI framing keeps the stream in sync, so the remaining blocks are still
+// received and written, the damage sticks as a drain error, and the next
+// sync ack makes the clients' commit allreduce refuse the generation.
 func (s *server) handleWrite(src int) {
 	data := s.recvExpect(src, tagWriteHdr, "write header")
 	hdr, err := decodeWriteHdr(data)
@@ -331,50 +245,18 @@ func (s *server) handleWrite(src int) {
 	}
 	fnames := s.copyNames(hdr.File)
 	for i := int32(0); i < hdr.NBlocks; i++ {
-		payload := s.recvExpect(src, tagWriteBlock, "write block")
+		payload, _ := s.world.Recv(src, tagWriteBlock)
 		sets, err := roccom.DecodeIOSets(payload)
 		if err != nil {
-			panic(fmt.Sprintf("rocpanda: server %d: corrupt write block %d/%d from rank %d (tag %d, %d bytes): %v",
+			s.wr.noteDrainErr(fmt.Errorf("rocpanda: server %d: corrupt write block %d/%d from rank %d (tag %d, %d bytes): %w",
 				s.idx, i+1, hdr.NBlocks, src, tagWriteBlock, len(payload), err))
+			continue
 		}
 		// One pending block per copy: the primary plus any replicas, all
-		// through the same sink/engine machinery, so the buffered-byte and
-		// written-byte tallies honestly show the write amplification.
+		// through the same engine, so the buffered-byte and written-byte
+		// tallies honestly show the write amplification.
 		for _, fname := range fnames {
-			blk := pendingBlock{fname: fname, sets: sets, bytes: int64(len(payload)), time: hdr.Time, step: hdr.Step}
-			if !s.cfg.ActiveBuffering {
-				if err := s.sink.write(blk); err != nil {
-					s.noteDrainErr(err)
-				}
-				continue
-			}
-			// Buffer at memory speed; the client's ack is delayed only by
-			// this copy, not by file I/O.
-			if s.cfg.MemcpyBW > 0 {
-				s.ctx.Clock().Compute(float64(blk.bytes) / s.cfg.MemcpyBW)
-			}
-			s.m.BlocksBuffered++
-			s.mx.blocksBuffered.Inc()
-			if s.engine != nil {
-				// Background drain: hand the block to the writer pool (which
-				// may stall here on the byte budget) and keep serving.
-				s.engine.enqueue(blk)
-				s.maybeCrash(faults.MidBuffer)
-				continue
-			}
-			s.buf = append(s.buf, blk)
-			s.bufBytes += blk.bytes
-			s.maybeCrash(faults.MidBuffer)
-			if s.bufBytes > s.m.MaxBufBytes {
-				s.m.MaxBufBytes = s.bufBytes
-			}
-			s.mx.bufBytesPeak.SetMax(float64(s.bufBytes))
-			// Graceful overflow: make room synchronously.
-			for s.cfg.BufferCapacity > 0 && s.bufBytes > s.cfg.BufferCapacity && len(s.buf) > 0 {
-				s.m.Overflows++
-				s.mx.overflowStalls.Inc()
-				s.drainOne()
-			}
+			s.wr.submit(pendingBlock{fname: fname, sets: sets, bytes: int64(len(payload)), time: hdr.Time, step: hdr.Step})
 		}
 	}
 	s.world.Send(src, tagWriteAck, nil)
@@ -405,146 +287,8 @@ func (s *server) copyNames(base string) []string {
 // maybeCrash dies at point if the injected crash plan says so.
 func (s *server) maybeCrash(point faults.CrashPoint) {
 	if s.cfg.Crash.Hit(s.idx, point) {
-		s.m.Crashed = true
 		panic(serverCrashed{})
 	}
-}
-
-// drainOne writes the oldest buffered block to its file, recording the
-// block's drain latency (the background cost active buffering hides).
-// Synchronous mode only; the writer pool drains its own queues.
-func (s *server) drainOne() {
-	blk := s.buf[0]
-	s.buf = s.buf[1:]
-	s.bufBytes -= blk.bytes
-	t0 := s.ctx.Clock().Now()
-	err := s.sink.write(blk)
-	s.mx.drainSeconds.Observe(s.ctx.Clock().Now() - t0)
-	if err != nil {
-		// Keep draining the rest: other files may still complete, and the
-		// sticky error already blocks every later commit.
-		s.noteDrainErr(err)
-	}
-	s.maybeCrash(faults.MidDrain)
-}
-
-// blockSink owns a set of open snapshot writers and appends blocks to
-// them. The request loop uses one directly in synchronous mode; with
-// AsyncDrain each writer task owns a private sink (its own clock identity
-// and filesystem view, required by the simulated platforms). Tallies land
-// in m — the server's own ServerMetrics for the loop's sink, writer-local
-// totals merged at exit for the pool's sinks — so sinks never share
-// mutable state.
-type blockSink struct {
-	s        *server
-	clock    rt.Clock
-	fs       rt.FS
-	m        *ServerMetrics
-	writers  map[string]*hdf.Writer
-	metaDone map[string]bool
-}
-
-func newBlockSink(s *server, clock rt.Clock, fs rt.FS, m *ServerMetrics) *blockSink {
-	return &blockSink{
-		s: s, clock: clock, fs: fs, m: m,
-		writers:  make(map[string]*hdf.Writer),
-		metaDone: make(map[string]bool),
-	}
-}
-
-// write appends one block's datasets to the snapshot file, opening it
-// first if needed. Opening a new snapshot file closes the previous
-// snapshot's writers (collective writes are ordered, so once a newer
-// snapshot's data drains, older files are complete). A file that was
-// already created and closed (for example by one client's sync while
-// another client's blocks were still inbound) is reopened in append mode —
-// recreating it would truncate the blocks already on disk.
-//
-// Errors are returned, not panicked: a full disk on a server must surface
-// through the sync acks and the clients' commit allreduce, not tear the
-// whole run down (see noteDrainErr and Client.Sync).
-func (k *blockSink) write(blk pendingBlock) error {
-	s := k.s
-	w, ok := k.writers[blk.fname]
-	if !ok {
-		if err := k.closeAll(genBase(blk.fname)); err != nil {
-			return err
-		}
-		var err error
-		if k.metaDone[blk.fname] {
-			w, err = hdf.OpenAppend(k.fs, blk.fname, k.clock, s.cfg.Profile)
-		} else {
-			w, err = hdf.Create(k.fs, blk.fname, k.clock, s.cfg.Profile)
-		}
-		if err != nil {
-			return fmt.Errorf("rocpanda: server %d: %w", s.idx, err)
-		}
-		if !k.metaDone[blk.fname] {
-			k.m.FilesCreated++
-			s.mx.filesCreated.Inc()
-		}
-		w.Compress = s.cfg.Compress
-		w.Metrics = s.cfg.Metrics
-		k.writers[blk.fname] = w
-	}
-	if !k.metaDone[blk.fname] {
-		s.maybeCrash(faults.BeforeMeta)
-		k.metaDone[blk.fname] = true
-		err := w.CreateDataset("_meta", hdf.U8, []int64{0}, []hdf.Attr{
-			hdf.F64Attr("time", blk.time),
-			hdf.I32Attr("step", blk.step),
-			hdf.I32Attr("server", int32(s.idx)),
-			hdf.I32Attr("nservers", int32(s.numServers)),
-		}, nil)
-		if err != nil {
-			return fmt.Errorf("rocpanda: server %d writing %s meta: %w", s.idx, blk.fname, err)
-		}
-	}
-	for _, set := range blk.sets {
-		if err := w.CreateDataset(set.Name, set.Type, set.Dims, set.Attrs, set.Data); err != nil {
-			return fmt.Errorf("rocpanda: server %d writing %s: %w", s.idx, blk.fname, err)
-		}
-	}
-	k.m.BlocksWritten++
-	k.m.BytesWritten += blk.bytes
-	s.mx.blocksWritten.Inc()
-	s.mx.bytesWritten.Add(blk.bytes)
-	return nil
-}
-
-// genBase strips a snapshot file name to its generation base (everything
-// before the final "_sNNN[rM].rhdf" tail), the key sinks close by.
-func genBase(fname string) string {
-	if i := strings.LastIndexByte(fname, '_'); i >= 0 {
-		return fname[:i]
-	}
-	return fname
-}
-
-// closeAll closes every open writer except those of the named generation
-// base ("" closes everything), returning the first failure (all affected
-// writers are closed and forgotten regardless — a handle that failed its
-// close is not worth retrying). Closing by generation, not by file, keeps
-// a generation's primary and replica writers open side by side while its
-// copies interleave; collective writes are still ordered across
-// generations, so once a newer snapshot's data drains, the older
-// generation's files are complete and can close.
-func (k *blockSink) closeAll(exceptGen string) error {
-	names := make([]string, 0, len(k.writers))
-	for name := range k.writers {
-		if exceptGen == "" || genBase(name) != exceptGen {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var first error
-	for _, name := range names {
-		if err := k.writers[name].Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(k.writers, name)
-	}
-	return first
 }
 
 // handleReadReq accumulates one client's restart request; when all clients
@@ -611,7 +355,7 @@ func (s *server) serveRead(file, window string, round *readRound) {
 	// absorbs the drain barrier.
 	if _, err := snapshot.Load(s.ctx.FS(), file); err != nil {
 		flushT0 := s.ctx.Clock().Now()
-		s.flushOutput()
+		s.wr.flush()
 		s.mx.flushSeconds.Observe(s.ctx.Clock().Now() - flushT0)
 	}
 
@@ -740,11 +484,9 @@ func (s *server) serveShare(file, window string, round *readRound, alive []int, 
 	}
 	s.serveItems(window, round, items)
 	if catErr == nil {
-		s.m.CatalogHits++
 		s.mx.catalogHits.Inc()
 		return doneModeIndexed
 	}
-	s.m.CatalogFallbacks++
 	s.mx.catalogFallbacks.Inc()
 	return doneModeScan
 }
@@ -770,10 +512,7 @@ func (s *server) serveChainShare(file, window string, round *readRound, alive []
 		s.noteReadErr()
 		return doneModeFailed
 	}
-	if depth := len(chain) - 1; depth > s.m.ChainDepth {
-		s.m.ChainDepth = depth
-		s.mx.chainDepth.SetMax(float64(depth))
-	}
+	s.mx.chainDepth.SetMax(float64(len(chain) - 1))
 	wanted := make(map[int]bool, len(round.wantAll))
 	for id := range round.wantAll {
 		wanted[id] = true
@@ -791,7 +530,6 @@ func (s *server) serveChainShare(file, window string, round *readRound, alive []
 		}
 	}
 	s.serveItems(window, round, items)
-	s.m.CatalogHits++
 	s.mx.catalogHits.Inc()
 	return doneModeIndexed
 }
@@ -809,7 +547,6 @@ type paneShip struct {
 func (s *server) sendShips(ships []paneShip) {
 	for _, sh := range ships {
 		s.world.Send(sh.owner, tagReadBlock, roccom.EncodeIOSets(sh.sets))
-		s.m.ReadsServed++
 		s.mx.readsServed.Inc()
 	}
 }
@@ -818,11 +555,9 @@ func (s *server) sendShips(ships []paneShip) {
 // a restart, with whatever was already read from it accounted as wasted —
 // bytes_read counts only files that shipped.
 func (s *server) skipFile(wasted int64) {
-	s.m.FilesSkipped++
 	s.mx.filesSkipped.Inc()
 	s.noteReadErr()
 	if wasted > 0 {
-		s.m.WastedBytes += wasted
 		s.mx.bytesWasted.Add(wasted)
 	}
 }
@@ -830,7 +565,6 @@ func (s *server) skipFile(wasted int64) {
 // noteReadErr counts one read-path failure (a failed listing, or a file
 // skipped mid-round).
 func (s *server) noteReadErr() {
-	s.m.ReadErrors++
 	s.mx.readErrors.Inc()
 }
 
@@ -839,7 +573,6 @@ func (s *server) noteRestartBytes(n int64) {
 	if n <= 0 {
 		return
 	}
-	s.m.RestartBytes += n
 	s.mx.restartBytes.Add(n)
 }
 
