@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"genxio/internal/hdf"
@@ -287,38 +288,48 @@ func Load(fsys rt.FS, base string) (*Catalog, error) {
 	return Decode(blob)
 }
 
-// ReplicaRank reports which copy of a server's output a snapshot file
-// holds: 0 for a primary ("base_s000.rhdf"), r ≥ 1 for the r-th replica
-// ("base_s000r1.rhdf" — server 0's file set carrying a replica written by
-// another server). Per-rank files ("base_p00000.rhdf") and anything that
-// does not follow the server-file grammar have no replicas and rank 0.
-func ReplicaRank(name string) int {
-	n, ok := strings.CutSuffix(name, ".rhdf")
-	if !ok {
-		return 0
+// ServerFile names one copy of a Rocpanda server's snapshot file — the one
+// place the grammar is spelled: "base_sHHH.rhdf" is the primary written by
+// server HHH, "base_sHHHrN.rhdf" the N-th replica (N ≥ 1) homed in server
+// HHH's file set and written by another server.
+func ServerFile(base string, home, replica int) string {
+	name := fmt.Sprintf("%s_s%03d", base, home)
+	if replica > 0 {
+		name += "r" + strconv.Itoa(replica)
 	}
+	return name + ".rhdf"
+}
+
+// ParseServerFile is ServerFile's inverse: the generation base, the home
+// server index and the replica rank of a server file name. ok is false for
+// anything outside the grammar — per-rank files ("base_p00000.rhdf"),
+// manifests, staged temporaries, empty or non-digit index parts.
+func ParseServerFile(name string) (base string, home, replica int, ok bool) {
+	n, isRHDF := strings.CutSuffix(name, ".rhdf")
 	i := strings.LastIndexByte(n, '_')
-	if i < 0 || i+2 >= len(n) || n[i+1] != 's' {
-		return 0
+	if !isRHDF || i < 0 || i+1 >= len(n) || n[i+1] != 's' {
+		return "", 0, 0, false
 	}
-	tail := n[i+2:]
-	j := strings.IndexByte(tail, 'r')
-	if j <= 0 || j == len(tail)-1 {
-		return 0
+	// ParseUint takes digits only — no sign, no empty string — and 31 bits
+	// keep the indices inside an int everywhere.
+	homeDigits, repDigits, hasRep := strings.Cut(n[i+2:], "r")
+	h, err := strconv.ParseUint(homeDigits, 10, 31)
+	var r uint64
+	if err == nil && hasRep {
+		r, err = strconv.ParseUint(repDigits, 10, 31)
 	}
-	for _, c := range tail[:j] {
-		if c < '0' || c > '9' {
-			return 0
-		}
+	if err != nil {
+		return "", 0, 0, false
 	}
-	r := 0
-	for _, c := range tail[j+1:] {
-		if c < '0' || c > '9' {
-			return 0
-		}
-		r = r*10 + int(c-'0')
-	}
-	return r
+	return n[:i], int(h), int(r), true
+}
+
+// ReplicaRank reports which copy of a server's output a snapshot file
+// holds: 0 for a primary, r ≥ 1 for the r-th replica. Per-rank files and
+// anything else outside the server-file grammar have no replicas and rank 0.
+func ReplicaRank(name string) int {
+	_, _, replica, _ := ParseServerFile(name)
+	return replica
 }
 
 // Panes returns the sorted set of pane IDs present in a window — the

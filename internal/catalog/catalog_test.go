@@ -128,21 +128,46 @@ func TestPlanReadsDedupsAcrossFiles(t *testing.T) {
 }
 
 func TestReplicaRank(t *testing.T) {
-	cases := map[string]int{
-		"run/snap000010_s000.rhdf":    0,
-		"run/snap000010_s000r1.rhdf":  1,
-		"run/snap000010_s001r2.rhdf":  2,
-		"run/snap000010_s012r10.rhdf": 10,
-		"run/snap000010_p00003.rhdf":  0, // per-rank files have no replicas
-		"run/snap000010_s000r.rhdf":   0, // malformed: empty replica digits
-		"run/snap000010_sr1.rhdf":     0, // malformed: empty server digits
-		"run/snap000010_s0x0r1.rhdf":  0, // malformed: non-digit server part
-		"run/snap000010.manifest":     0,
-		"plain.txt":                   0,
+	type parsed struct {
+		base          string
+		home, replica int
+		ok            bool
+	}
+	no := parsed{}
+	cases := map[string]parsed{
+		"run/snap000010_s000.rhdf":        {"run/snap000010", 0, 0, true},
+		"run/snap000010_s000r1.rhdf":      {"run/snap000010", 0, 1, true},
+		"run/snap000010_s001r2.rhdf":      {"run/snap000010", 1, 2, true},
+		"run/snap000010_s012r10.rhdf":     {"run/snap000010", 12, 10, true},
+		"run/a_b_s1000.rhdf":              {"run/a_b", 1000, 0, true}, // wider than the padding
+		"run/snap000010_p00003.rhdf":      no,                         // per-rank files have no replicas
+		"run/snap000010_s000r.rhdf":       no,                         // malformed: empty replica digits
+		"run/snap000010_sr1.rhdf":         no,                         // malformed: empty server digits
+		"run/snap000010_s.rhdf":           no,                         // malformed: no digits at all
+		"run/snap000010_s0x0r1.rhdf":      no,                         // malformed: non-digit server part
+		"run/snap000010_s000r1r2.rhdf":    no,                         // malformed: two replica parts
+		"run/snap000010_s000r-1.rhdf":     no,                         // malformed: signed replica
+		"run/snap000010_s+01.rhdf":        no,                         // malformed: signed server part
+		"run/snap000010_s9999999999.rhdf": no,                         // malformed: overflowing index
+		"run/snap000010_s000.rhdf.tmp":    no,                         // staged, not committed
+		"run/snap000010_s000":             no,
+		"s000.rhdf":                       no, // no base
+		"run/snap000010.manifest":         no,
+		"plain.txt":                       no,
+		"":                                no,
 	}
 	for name, want := range cases {
-		if got := ReplicaRank(name); got != want {
-			t.Errorf("ReplicaRank(%q) = %d, want %d", name, got, want)
+		base, home, replica, ok := ParseServerFile(name)
+		if got := (parsed{base, home, replica, ok}); got != want {
+			t.Errorf("ParseServerFile(%q) = %+v, want %+v", name, got, want)
+		}
+		if got := ReplicaRank(name); got != want.replica {
+			t.Errorf("ReplicaRank(%q) = %d, want %d", name, got, want.replica)
+		}
+		if want.ok {
+			if got := ServerFile(want.base, want.home, want.replica); got != name {
+				t.Errorf("ServerFile(%q, %d, %d) = %q, want %q", want.base, want.home, want.replica, got, name)
+			}
 		}
 	}
 }

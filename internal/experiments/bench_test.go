@@ -178,7 +178,9 @@ func TestBenchAsyncDrainOverlapsWriteback(t *testing.T) {
 }
 
 func TestBenchCarriesPerModuleMetrics(t *testing.T) {
-	opts := BenchOpts{Scale: 0.05, Procs: 8, Seed: 1, Stride: 100}
+	// The committed baseline's size: sixteen processors, so Rocpanda runs
+	// two servers and the restart deal has something to balance.
+	opts := BenchOpts{Scale: 0.1, Procs: 16, Seed: 1, Stride: 100}
 	res, err := RunBench(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -216,6 +218,12 @@ func TestBenchCarriesPerModuleMetrics(t *testing.T) {
 	// MeasureRestart ran for rochdf and rocpanda.
 	if byIO["rochdf"].VisibleRead <= 0 || byIO["rocpanda"].VisibleRead <= 0 {
 		t.Error("restart read not measured")
+	}
+	// A replicated full generation restarts from its primaries, one per
+	// server: replication may cost a little metadata, not a second file on
+	// one server while the other idles.
+	if r1, r2 := byIO["rocpanda"].VisibleRead, byIO["rocpanda-r2"].VisibleRead; r2 <= 0 || r2 > 1.25*r1 {
+		t.Errorf("rocpanda-r2 visible read %.3f s, want within 1.25x of rocpanda's %.3f s", r2, r1)
 	}
 }
 

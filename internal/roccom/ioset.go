@@ -219,29 +219,28 @@ func EncodeIOSets(sets []IOSet) []byte {
 // and data: two length prefixes, type, rank, attr count.
 const minIOSetBytes = 2 + 1 + 1 + 2 + 8
 
-// DecodeIOSets parses the wire form produced by EncodeIOSets. Any byte
-// string is safe to pass: damage is an error, never a panic or an
-// allocation sized by the damage.
+// minAttrBytes is the encoded size of an attribute with empty name and data.
+const minAttrBytes = 2 + 1 + 4
+
+// DecodeIOSets parses the wire form produced by EncodeIOSets, and nothing
+// else: any byte string is safe to pass, damage — trailing bytes included —
+// is an error, never a panic or an allocation sized by the damage.
 func DecodeIOSets(b []byte) ([]IOSet, error) {
 	c := cursor{b: b}
-	n := int(c.u32())
+	n := c.fits(int(c.u32()), minIOSetBytes)
 	if c.err != nil {
 		return nil, fmt.Errorf("roccom: corrupt IOSet stream: %w", c.err)
 	}
-	// A corrupt count must not size the allocation: no set is shorter than
-	// its fixed fields.
-	sets := make([]IOSet, 0, min(n, len(b)/minIOSetBytes))
+	sets := make([]IOSet, 0, n)
 	for i := 0; i < n; i++ {
 		var s IOSet
 		s.Name = c.str()
 		s.Type = hdf.DType(c.u8())
-		nd := int(c.u8())
-		s.Dims = make([]int64, nd)
+		s.Dims = make([]int64, c.fits(int(c.u8()), 8))
 		for j := range s.Dims {
 			s.Dims[j] = int64(c.u64())
 		}
-		na := int(c.u16())
-		s.Attrs = make([]hdf.Attr, na)
+		s.Attrs = make([]hdf.Attr, c.fits(int(c.u16()), minAttrBytes))
 		for j := range s.Attrs {
 			s.Attrs[j].Name = c.str()
 			s.Attrs[j].Type = hdf.DType(c.u8())
@@ -252,6 +251,9 @@ func DecodeIOSets(b []byte) ([]IOSet, error) {
 			return nil, fmt.Errorf("roccom: corrupt IOSet stream at %d: %w", i, c.err)
 		}
 		sets = append(sets, s)
+	}
+	if c.off != len(b) {
+		return nil, fmt.Errorf("roccom: corrupt IOSet stream: %d trailing bytes", len(b)-c.off)
 	}
 	return sets, nil
 }
@@ -276,6 +278,19 @@ func (c *cursor) need(n int) bool {
 		return false
 	}
 	return true
+}
+
+// fits returns n when n records of at least each bytes could still follow,
+// and fails the cursor otherwise, so a corrupt count never sizes an
+// allocation.
+func (c *cursor) fits(n, each int) int {
+	if c.err == nil && (n < 0 || n > (len(c.b)-c.off)/each) {
+		c.err = fmt.Errorf("count %d at %d cannot fit in %d bytes", n, c.off, len(c.b))
+	}
+	if c.err != nil {
+		return 0
+	}
+	return n
 }
 
 func (c *cursor) u8() uint8 {

@@ -58,8 +58,8 @@ package rocpanda
 import (
 	"fmt"
 	"sort"
-	"strings"
 
+	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/iosched"
@@ -362,13 +362,10 @@ func (k *blockSink) write(blk pendingBlock) error {
 	return nil
 }
 
-// genBase strips a snapshot file name to its generation base (everything
-// before the final "_sNNN[rM].rhdf" tail), the key sinks close by.
+// genBase is a snapshot file's generation base, the key sinks close by.
 func genBase(fname string) string {
-	if i := strings.LastIndexByte(fname, '_'); i >= 0 {
-		return fname[:i]
-	}
-	return fname
+	base, _, _, _ := catalog.ParseServerFile(fname)
+	return base
 }
 
 // closeAll closes every open writer except those of the named generation

@@ -60,8 +60,13 @@ func reassignServer(m, n, j int, dead map[int]bool) (idx int, ok bool) {
 			k++
 		}
 	}
-	return alive[k%len(alive)], true
+	return dealt(alive, k), true
 }
+
+// dealt is the one round-robin rule over the surviving servers: item k —
+// an orphaned client by its position, a snapshot file by its home index —
+// goes to alive[k mod len(alive)].
+func dealt(alive []int, k int) int { return alive[k%len(alive)] }
 
 // currentServer returns the world rank of the server this client should
 // talk to under the present dead set.

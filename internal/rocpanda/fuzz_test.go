@@ -1,0 +1,61 @@
+package rocpanda
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"genxio/internal/hdf"
+	"genxio/internal/roccom"
+)
+
+// FuzzWireDecoders feeds arbitrary bytes to the three decoders a server
+// runs on what arrives from the wire — the write header, the read request
+// and the block payload. Each must never panic, never allocate more than a
+// small multiple of what the input could encode (a damaged count must not
+// size an allocation), and accept only its encoder's own output: whatever
+// decodes re-encodes to exactly the bytes that came in.
+func FuzzWireDecoders(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(encodeWriteHdr(writeHdr{File: "run/snap000010", Window: "fluid", Attr: "all", Time: 0.83, Step: 50, NBlocks: 7, Bytes: 1 << 30}))
+	f.Add(encodeReadReq(readReq{File: "run/snap000010", Window: "fluid", Attr: "all", PaneIDs: []int32{1, 5, 9}, Alive: []int32{0, 2}}))
+	f.Add(roccom.EncodeIOSets(nil))
+	f.Add(roccom.EncodeIOSets([]roccom.IOSet{{
+		Name: "/fluid/pane000001/pressure", Type: hdf.F64, Dims: []int64{2, 1},
+		Attrs: []hdf.Attr{hdf.StrAttr("location", "node")}, Data: make([]byte, 16),
+	}}))
+
+	decoders := map[string]func([]byte) ([]byte, error){
+		"decodeWriteHdr": func(b []byte) ([]byte, error) {
+			h, err := decodeWriteHdr(b)
+			return encodeWriteHdr(h), err
+		},
+		"decodeReadReq": func(b []byte) ([]byte, error) {
+			r, err := decodeReadReq(b)
+			return encodeReadReq(r), err
+		},
+		"DecodeIOSets": func(b []byte) ([]byte, error) {
+			sets, err := roccom.DecodeIOSets(b)
+			return roccom.EncodeIOSets(sets), err
+		},
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for name, decode := range decoders {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			again, err := decode(in)
+			runtime.ReadMemStats(&after)
+			// Decoded structs are a few times wider than their wire form
+			// (an 8-byte-minimum attribute becomes a 56-byte hdf.Attr), the
+			// round trip copies the payload twice, and an error message
+			// costs a little; 1 MiB for 14 bytes is none of those.
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(in)+16<<10); got > limit {
+				t.Fatalf("%s allocated %d bytes on a %d-byte input (limit %d)", name, got, len(in), limit)
+			}
+			if err == nil && !bytes.Equal(again, in) {
+				t.Fatalf("%s accepted %x, which re-encodes to %x", name, in, again)
+			}
+		}
+	})
+}

@@ -3,6 +3,7 @@ package rocpanda
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Client-server protocol tags (application tag space, >= 0).
@@ -59,8 +60,9 @@ type writeHdr struct {
 
 // readReq asks the servers for the panes this client owns in a snapshot.
 // Alive lists the server indices the clients believe are alive; the
-// snapshot files are assigned round-robin over that set, so a degraded
-// read still covers every file. Empty means all servers.
+// snapshot files are assigned round-robin over that set by their home
+// index, so a degraded read still covers every file. Empty means all
+// servers.
 type readReq struct {
 	File    string
 	Window  string
@@ -74,7 +76,7 @@ func encodeWriteHdr(h writeHdr) []byte {
 	b = putStr(b, h.File)
 	b = putStr(b, h.Window)
 	b = putStr(b, h.Attr)
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(h.Time*1e9)))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.Time))
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.Step))
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.NBlocks))
 	b = binary.LittleEndian.AppendUint64(b, uint64(h.Bytes))
@@ -87,12 +89,12 @@ func decodeWriteHdr(b []byte) (writeHdr, error) {
 	h.File = c.str()
 	h.Window = c.str()
 	h.Attr = c.str()
-	h.Time = float64(int64(c.u64())) / 1e9
+	h.Time = math.Float64frombits(c.u64())
 	h.Step = int32(c.u32())
 	h.NBlocks = int32(c.u32())
 	h.Bytes = int64(c.u64())
-	if c.err != nil {
-		return h, fmt.Errorf("rocpanda: corrupt write header: %w", c.err)
+	if err := c.end(); err != nil {
+		return h, fmt.Errorf("rocpanda: corrupt write header: %w", err)
 	}
 	return h, nil
 }
@@ -119,22 +121,10 @@ func decodeReadReq(b []byte) (readReq, error) {
 	r.File = c.str()
 	r.Window = c.str()
 	r.Attr = c.str()
-	n := int(c.u32())
-	if c.err == nil && n >= 0 && n <= len(b) {
-		r.PaneIDs = make([]int32, n)
-		for i := range r.PaneIDs {
-			r.PaneIDs[i] = int32(c.u32())
-		}
-	}
-	na := int(c.u32())
-	if c.err == nil && na >= 0 && na <= len(b) {
-		r.Alive = make([]int32, na)
-		for i := range r.Alive {
-			r.Alive[i] = int32(c.u32())
-		}
-	}
-	if c.err != nil {
-		return r, fmt.Errorf("rocpanda: corrupt read request: %w", c.err)
+	r.PaneIDs = c.i32s()
+	r.Alive = c.i32s()
+	if err := c.end(); err != nil {
+		return r, fmt.Errorf("rocpanda: corrupt read request: %w", err)
 	}
 	return r, nil
 }
@@ -154,11 +144,38 @@ func (c *byteCursor) need(n int) bool {
 	if c.err != nil {
 		return false
 	}
-	if c.off+n > len(c.b) {
-		c.err = fmt.Errorf("truncated at %d", c.off)
+	if n > len(c.b)-c.off {
+		c.err = fmt.Errorf("truncated at %d (need %d of %d)", c.off, n, len(c.b))
 		return false
 	}
 	return true
+}
+
+// end returns the first decoding error; bytes left over after the last
+// field are one, so only a message's own encoding decodes.
+func (c *byteCursor) end() error {
+	if c.err == nil && c.off != len(c.b) {
+		c.err = fmt.Errorf("%d trailing bytes", len(c.b)-c.off)
+	}
+	return c.err
+}
+
+// i32s reads a counted list. A count the remaining bytes cannot hold is an
+// error, not a list to skip: the fields after it would otherwise decode
+// from the wrong offset into a plausible request for the wrong panes.
+func (c *byteCursor) i32s() []int32 {
+	n := int(c.u32())
+	if c.err == nil && (n < 0 || n > (len(c.b)-c.off)/4) {
+		c.err = fmt.Errorf("list of %d at %d cannot fit in %d bytes", n, c.off, len(c.b))
+	}
+	if c.err != nil || n == 0 {
+		return nil
+	}
+	v := make([]int32, n)
+	for i := range v {
+		v[i] = int32(c.u32())
+	}
+	return v
 }
 
 func (c *byteCursor) u16() uint16 {

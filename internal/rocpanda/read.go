@@ -45,7 +45,7 @@ package rocpanda
 //
 // Ordering and dedupe: within one file, entries ship in plan order under
 // both drivers; across files the pool's completion order may differ from
-// the listing order the inline driver follows, but a pane is planned from
+// the plan order the inline driver follows, but a pane is planned from
 // exactly one file per server and clients dedupe on first arrival (the
 // copies a failover may leave in two files are identical), so what a rank
 // restores is bit-identical under both. Pool tasks are unkeyed: the
@@ -87,9 +87,8 @@ const (
 	readChunkBytes = 512 << 10
 )
 
-// readItem is one file of a server's restart share, as the listing and the
-// catalog classified it: a planned extent read, or a directory-scan
-// fallback.
+// readItem is one file of a server's restart share, as serveRead classified
+// it: a planned extent read, or a directory-scan fallback.
 type readItem struct {
 	name string
 	scan bool

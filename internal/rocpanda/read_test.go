@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/rt"
+	"genxio/internal/snapshot"
 )
 
 // restartExpectIncomplete restarts file on a fresh world over fs and
@@ -400,29 +402,88 @@ func TestParallelReadCrashMidReadFallsBack(t *testing.T) {
 	}
 }
 
+// openCountFS counts Open calls by file name.
+type openCountFS struct {
+	rt.FS
+	mu    sync.Mutex
+	opens map[string]int
+}
+
+func (f *openCountFS) Open(name string) (rt.File, error) {
+	f.mu.Lock()
+	f.opens[name]++
+	f.mu.Unlock()
+	return f.FS.Open(name)
+}
+
 // TestReadDriversAreOneMachine runs every kind of restart round under both
 // drivers of the read engine and requires the same restored bytes and the
 // same accounting from each: the inline driver (ParallelRead off) and the
 // worker pool are configurations of one state machine, not two
 // implementations. It also pins that the inline driver builds no
-// scheduler.
+// scheduler, and — every rank counting into a registry of its own — that
+// all rounds follow one plan and one deal.
 func TestReadDriversAreOneMachine(t *testing.T) {
+	full := func(cfg *Config) { cfg.DeltaSnapshots = false }
 	r2 := func(cfg *Config) { cfg.DeltaSnapshots, cfg.ReplicationFactor = false, 2 }
+	total := func(name string, want int64) func(*testing.T, *rankRegistries) {
+		return func(t *testing.T, regs *rankRegistries) {
+			if got := regs.total(name); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
+		}
+	}
 	cases := []struct {
 		name   string
 		gens   int // generations written; the last one is restored
 		tune   func(*Config)
 		damage func(fs rt.FS, head string) error
+		rules  func(head string) []faults.FSRule // injected anew into each restore
 		want   map[int]paneData
+		checks []func(*testing.T, *rankRegistries) // run after each restore
 	}{
-		{name: "indexed", gens: 1, tune: func(cfg *Config) { cfg.DeltaSnapshots = false }},
-		{name: "scan", gens: 1, tune: func(cfg *Config) { cfg.DeltaSnapshots = false },
+		{name: "indexed", gens: 1, tune: full},
+		{name: "scan", gens: 1, tune: full,
 			damage: func(fs rt.FS, head string) error { return fs.Remove(head + catalog.Suffix) }},
 		{name: "delta-chain", gens: 3, want: expectedDeltaPanes(t, 4, 2, []int{1, 2})},
 		{name: "r2-deleted-primary", gens: 1, tune: r2,
 			damage: func(fs rt.FS, head string) error { return damagePrimary(fs, head, head+"_s000.rhdf", "delete") }},
 		{name: "r2-flipped-primary", gens: 1, tune: r2,
 			damage: func(fs rt.FS, head string) error { return damagePrimary(fs, head, head+"_s000.rhdf", "flipbit") }},
+		// The deal is keyed on a file's home server, so the two primaries of
+		// an R = 2 generation go one to each server; dealt by slots of the
+		// sorted listing, where replica names interleave, one server read
+		// both.
+		{name: "r2-one-primary-each", gens: 1, tune: r2,
+			checks: []func(*testing.T, *rankRegistries){func(t *testing.T, regs *rankRegistries) {
+				for _, c := range regs.servers() {
+					if n := c["rocpanda.restart.files_opened"]; n != 1 {
+						t.Errorf("a server opened %d files, want 1", n)
+					}
+				}
+			}}},
+		// One server reaches the catalog and the other does not (the three
+		// clients' PanesForRestart open the blob first, a server's open is
+		// the fourth): indexed and scanning, they still cover every file
+		// once between them.
+		{name: "mixed-catalog-verdict", gens: 1, tune: full,
+			rules: func(head string) []faults.FSRule {
+				return []faults.FSRule{{Op: faults.OpOpen, PathPrefix: head + catalog.Suffix, Nth: 3 + 1}}
+			},
+			checks: []func(*testing.T, *rankRegistries){
+				total("rocpanda.restart.catalog_hits", 1),
+				total("rocpanda.restart.catalog_fallbacks", 1),
+				total("rocpanda.restart.fallbacks", 0),
+			}},
+		// A file the catalog never saw (a server wrongly declared dead
+		// renamed it into place after the commit) is still scanned: here it
+		// holds the only copy of the panes planned from the file it replaced.
+		{name: "late-file", gens: 1, tune: full,
+			damage: func(fs rt.FS, head string) error { return fs.Rename(head+"_s001.rhdf", head+"_s002.rhdf") },
+			checks: []func(*testing.T, *rankRegistries){
+				total("rocpanda.restart.catalog_hits", 2),
+				total("rocpanda.server.files_skipped", 1),
+			}},
 	}
 	same := []string{
 		"rocpanda.restart.files_opened", "rocpanda.restart.bytes_read", "rocpanda.restart.bytes_wasted",
@@ -443,14 +504,22 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 			if want == nil {
 				want = expectedPanes(t, 4, 2)
 			}
-			restore := func(pooled bool) (map[int]paneData, metrics.Snapshot) {
-				reg := metrics.New()
-				got := restartTopologyCfg(t, fs, head, 3, 2, reg, func(cfg *Config) {
+			restore := func(pooled bool) (map[int]paneData, *rankRegistries) {
+				var fsys rt.FS = fs
+				if tc.rules != nil {
+					fsys = faults.WrapFS(fs, faults.NewFSPlan(1, tc.rules(head)...))
+				}
+				regs := new(rankRegistries)
+				got := restartTopologyCfg(t, fsys, head, 3, 2, nil, func(cfg *Config) {
 					cfg.ParallelRead = pooled
 					cfg.ReadWorkers = 3
+					cfg.Metrics = regs.fresh()
 				})
 				checkMxN(t, want, got)
-				return got, reg.Snapshot()
+				for _, check := range tc.checks {
+					check(t, regs)
+				}
+				return got, regs
 			}
 			inlineGot, inline := restore(false)
 			pooledGot, pooled := restore(true)
@@ -458,12 +527,12 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 				t.Fatal("the two drivers restored different bytes")
 			}
 			for _, name := range same {
-				if a, b := inline.Counters[name], pooled.Counters[name]; a != b {
+				if a, b := inline.total(name), pooled.total(name); a != b {
 					t.Errorf("%s: inline %d, pooled %d", name, a, b)
 				}
 			}
-			tasks := func(s metrics.Snapshot) int64 {
-				return s.Counters["iosched.read.tasks"] + s.Counters["iosched.scan.tasks"]
+			tasks := func(r *rankRegistries) int64 {
+				return r.total("iosched.read.tasks") + r.total("iosched.scan.tasks")
 			}
 			if n := tasks(inline); n != 0 {
 				t.Errorf("inline driver ran %d scheduler tasks, want none", n)
@@ -472,5 +541,42 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 				t.Error("pool driver ran no scheduler tasks")
 			}
 		})
+	}
+
+	// One plan: a round opens each chain link's manifest and catalog once
+	// per server, whatever the chain's length and the driver. (The clients
+	// restore the panes they wrote, so only servers touch the metadata.)
+	for _, depth := range []int{0, 2} {
+		for _, pooled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("metadata-opens/depth-%d/pooled-%v", depth, pooled), func(t *testing.T) {
+				fs := &openCountFS{FS: rt.NewMemFS(), opens: make(map[string]int)}
+				writeDeltaChain(t, fs, "om/", 4, 2, 2, depth+1, nil)
+				clear(fs.opens)
+				err := mpi.NewChanWorld(fs, 1).Run(4+2, func(ctx mpi.Ctx) error {
+					cl, err := Init(ctx, Config{
+						NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true,
+						ParallelRead: pooled,
+					})
+					if cl == nil {
+						return err
+					}
+					readErr := cl.ReadAttribute(fmt.Sprintf("om/s%06d", depth), zeroWindow(t, cl.Comm().Rank(), 2), "all")
+					if err := cl.Shutdown(); err != nil {
+						return err
+					}
+					return readErr
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for g := 0; g <= depth; g++ {
+					for _, suffix := range []string{snapshot.Suffix, catalog.Suffix} {
+						if name := fmt.Sprintf("om/s%06d%s", g, suffix); fs.opens[name] != 2 {
+							t.Errorf("%s opened %d times by 2 servers, want once each", name, fs.opens[name])
+						}
+					}
+				}
+			})
+		}
 	}
 }

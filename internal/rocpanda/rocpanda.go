@@ -24,10 +24,14 @@
 //     zero-worker driver, a background writer pool the other.
 //
 //   - Collective read (restart): every client sends its wanted block list
-//     to every server; snapshot files are assigned to servers round-robin;
-//     each server scans its files, finds requested blocks, and ships them
-//     to the owning clients — so a run may restart with a different
-//     number of servers than wrote the files.
+//     to every server; snapshot files are assigned to servers round-robin
+//     by their home index (base_sHHH[rN].rhdf goes to survivor HHH mod
+//     the survivor count); each server finds the requested blocks in its
+//     files — through the generation's block catalogs, or by scanning
+//     where there is none — and ships them to the owning clients, so a
+//     run may restart with a different number of servers than wrote the
+//     files. A full generation and a delta chain follow the same plan
+//     (server.serveRead); read.go is the engine that executes it.
 package rocpanda
 
 import (

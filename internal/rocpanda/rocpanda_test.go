@@ -1,6 +1,7 @@
 package rocpanda
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -51,6 +52,33 @@ func (r *rankRegistries) forRank(rank int) *metrics.Registry {
 		r.regs[rank] = metrics.New()
 	}
 	return r.regs[rank]
+}
+
+// fresh hands out a registry of its own to a caller that cannot name its
+// rank (a Config hook sees only the Config). Not to be mixed with forRank.
+func (r *rankRegistries) fresh() *metrics.Registry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.regs == nil {
+		r.regs = make(map[int]*metrics.Registry)
+	}
+	reg := metrics.New()
+	r.regs[len(r.regs)] = reg
+	return reg
+}
+
+// servers returns the counters of every rank that served a restart round.
+func (r *rankRegistries) servers() []map[string]int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []map[string]int64
+	for _, reg := range r.regs {
+		c := reg.Snapshot().Counters
+		if c["rocpanda.restart.catalog_hits"]+c["rocpanda.restart.catalog_fallbacks"] > 0 {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // total sums one counter over every rank.
@@ -635,5 +663,17 @@ func TestProtocolCodecs(t *testing.T) {
 	}
 	if _, err := decodeReadReq([]byte{9}); err == nil {
 		t.Fatal("truncated request accepted")
+	}
+	// A damaged pane count the message cannot hold used to be skipped, the
+	// alive list then decoding from the pane IDs' bytes: a "successful"
+	// request for no panes. So is a count that leaves bytes over.
+	enc := encodeReadReq(r)
+	countAt := len(enc) - 4 - 4*len(r.PaneIDs) - 4
+	for _, n := range []uint32{1 << 30, uint32(len(r.PaneIDs)) + 2, uint32(len(r.PaneIDs)) - 1} {
+		bad := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint32(bad[countAt:], n)
+		if got, err := decodeReadReq(bad); err == nil {
+			t.Fatalf("pane count %d of a %d-pane request accepted: %+v", n, len(r.PaneIDs), got)
+		}
 	}
 }

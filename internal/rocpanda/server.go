@@ -2,8 +2,6 @@ package rocpanda
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"genxio/internal/catalog"
 	"genxio/internal/faults"
@@ -262,11 +260,6 @@ func (s *server) handleWrite(src int) {
 	s.world.Send(src, tagWriteAck, nil)
 }
 
-// fileName returns this server's file for a snapshot base name.
-func (s *server) fileName(base string) string {
-	return fmt.Sprintf("%s_s%03d.rhdf", base, s.idx)
-}
-
 // copyNames returns every file this server's blocks go to for a snapshot
 // base: the primary, then ReplicationFactor-1 replicas homed round-robin
 // at the *other* servers' file sets (base_sHHHrN.rhdf with H = (idx+N) mod
@@ -276,10 +269,9 @@ func (s *server) fileName(base string) string {
 // restart read path and genxfsck -repair substitute one for the other
 // without any translation.
 func (s *server) copyNames(base string) []string {
-	names := []string{s.fileName(base)}
+	names := []string{catalog.ServerFile(base, s.idx, 0)}
 	for r := 1; r < s.cfg.ReplicationFactor; r++ {
-		home := (s.idx + r) % s.numServers
-		names = append(names, fmt.Sprintf("%s_s%03dr%d.rhdf", base, home, r))
+		names = append(names, catalog.ServerFile(base, (s.idx+r)%s.numServers, r))
 	}
 	return names
 }
@@ -342,28 +334,60 @@ func (s *server) handleReadReq(src int) {
 	s.serveRead(req.File, req.Window, round)
 }
 
+// serveRead serves one restart round: it plans this server's share of the
+// generation's files, reads and ships it (serveItems), and reports to every
+// client how the share was read.
+//
+// One plan. The generation's chain is loaded once, newest first; a full
+// generation is the chain of length one. Every requested pane resolves to
+// the newest link whose block catalog holds it — each pane to exactly one
+// (generation, file, extent) — and each link's planned files are read by
+// direct coalesced offset reads, every entry CRC-verified before anything
+// from its file ships; files the catalogs know but planned nothing from are
+// never opened. Each item carries its link's catalog, so a failed file's
+// per-pane replica retries consult the right generation.
+//
+// One deal, keyed on the file and on nothing else: base_sHHH[rN].rhdf
+// belongs to alive[HHH mod len(alive)], whether a catalog planned it or the
+// listing found it. Servers therefore partition the files without talking
+// to each other and without agreeing on anything but the survivor set: one
+// that reached the catalog and one that did not still cover disjoint,
+// exhaustive file sets, so a catalog verdict changes how a file is read,
+// never whether it is; primaries spread evenly whatever the replication
+// factor; and a planned file the directory lost is dealt like any other —
+// its failed open triggers the per-pane replica retry.
+//
+// The directory scan remains where the files are the only description of
+// the state: a full generation whose catalog will not load scans every
+// listed file of its share; so does a head with no readable manifest, once
+// the flush barrier has put an uncommitted generation's blocks on disk; and
+// an indexed full generation still scans listed files its catalog never saw
+// (a server wrongly declared dead renamed its file into place after the
+// commit). A delta's files do not spell out the panes it inherits, so a
+// delta head with any unloadable link fails the round — doneModeFailed,
+// nothing shipped from this server — and the clients' completeness check
+// sends the restore walk back past the whole chain. A failed listing
+// reports the same way instead of killing the server: no client is left
+// hanging, and the clients decide whether peers covered the panes.
 func (s *server) serveRead(file, window string, round *readRound) {
-	// Buffered data must be on disk before a restart read of an
-	// uncommitted generation. A committed one needs no barrier: its commit
-	// record exists only because the Sync flush already put every block of
-	// it on disk — so reading generation g proceeds immediately, its
-	// iosched read instance admitted while the drain instance may still be
-	// writing back generation g+1 (the scheduler's cross-engine overlap).
-	// When the flush does run it is write-back cost, not scan cost: it
-	// gets its own histogram, and the scan clock starts only after it — so
-	// with async drain enabled the restart "scan time" never silently
-	// absorbs the drain barrier.
-	if _, err := snapshot.Load(s.ctx.FS(), file); err != nil {
+	// The loaded chain also answers "committed?". A committed generation
+	// needs no flush barrier: its commit record exists only because the Sync
+	// flush already put every block of it on disk — so reading generation g
+	// proceeds immediately, while the write engine may still be writing back
+	// g+1. When the flush does run it is write-back cost, not scan cost: it
+	// gets its own histogram and the scan clock restarts after it.
+	scanT0 := s.ctx.Clock().Now()
+	chain, chainErr := snapshot.LoadChain(s.ctx.FS(), file)
+	if len(chain) == 0 {
 		flushT0 := s.ctx.Clock().Now()
 		s.wr.flush()
-		s.mx.flushSeconds.Observe(s.ctx.Clock().Now() - flushT0)
+		scanT0 = s.ctx.Clock().Now()
+		s.mx.flushSeconds.Observe(scanT0 - flushT0)
 	}
-
-	scanT0 := s.ctx.Clock().Now()
 	defer func() { s.mx.scanSeconds.Observe(s.ctx.Clock().Now() - scanT0) }()
 
-	// Snapshot files are dealt round-robin over the servers sharing the
-	// scan — all of them normally, the agreed survivors in degraded mode.
+	// The servers sharing the round: all of them normally, the agreed
+	// survivors in degraded mode.
 	alive := round.alive
 	if len(alive) == 0 {
 		alive = make([]int, s.numServers)
@@ -371,167 +395,58 @@ func (s *server) serveRead(file, window string, round *readRound) {
 			alive[i] = i
 		}
 	}
-	pos := -1
-	for i, a := range alive {
-		if a == s.idx {
-			pos = i
-		}
-	}
-	mode := byte(doneModeScan)
-	if pos >= 0 {
-		mode = s.serveShare(file, window, round, alive, pos)
-	}
-	for _, c := range s.allClients {
-		s.world.Send(c, tagReadDone, []byte{mode})
-	}
-}
+	mine := func(home int) bool { return dealt(alive, home) == s.idx }
 
-// serveShare serves this server's round-robin share of a restart round and
-// returns the done-mode byte. One listing feeds both paths, so a catalog
-// verdict can only change how a file is read, never which files this
-// server covers — servers disagreeing about the catalog's health can only
-// re-ship panes (clients dedupe on first arrival), never leave a file
-// unserved.
-//
-// With a usable catalog, only the share's files that actually hold
-// requested panes are read (direct coalesced offset reads, every entry
-// CRC-verified before anything from its file ships); files the catalog
-// knows but planned nothing from are skipped unopened — the indexed read's
-// whole win. Files the commit never saw (a server wrongly declared dead
-// renamed its file into place after the manifest) get the directory scan,
-// as does everything when no usable catalog exists.
-//
-// A failed listing degrades instead of killing the server: the round is
-// reported failed (doneModeFailed) so no client is left hanging, and the
-// clients decide whether peers covered the panes or a generation fallback
-// is needed.
-func (s *server) serveShare(file, window string, round *readRound, alive []int, pos int) byte {
-	// A delta generation restores through its chain, not its own files
-	// alone. An unreadable head manifest falls through to the single-
-	// generation path: its listing still scans, the dirty panes it holds
-	// ship, and the clients' completeness check decides whether that was
-	// enough.
-	if m, err := snapshot.Load(s.ctx.FS(), file); err == nil && m.ChainDepth > 0 {
-		return s.serveChainShare(file, window, round, alive, pos)
-	}
-	names, err := s.ctx.FS().List(file + "_s")
-	if err != nil {
-		s.noteReadErr()
-		return doneModeFailed
-	}
-	cat, catErr := catalog.Load(s.ctx.FS(), file)
-	var planByFile map[string]catalog.FilePlan
-	var inCat map[string]bool
-	if catErr == nil {
+	var items []readItem
+	mode := byte(doneModeScan)
+	indexed := make(map[string]bool) // files the head's catalog describes
+	switch {
+	case chainErr != nil && len(chain) > 0:
+		mode = doneModeFailed // a delta head with an unloadable link
+	case len(chain) > 0 && chain[0].Catalog != nil:
+		mode = doneModeIndexed
+		s.mx.chainDepth.SetMax(float64(len(chain) - 1))
 		wanted := make(map[int]bool, len(round.wantAll))
 		for id := range round.wantAll {
 			wanted[id] = true
 		}
-		plans := cat.PlanReads(window, wanted)
-		planByFile = make(map[string]catalog.FilePlan, len(plans))
-		for _, p := range plans {
-			planByFile[p.File] = p
-		}
-		inCat = make(map[string]bool, len(cat.Files))
-		for _, name := range cat.Files {
-			inCat[name] = true
-		}
-	}
-	var items []readItem
-	listed := make(map[string]bool, len(names))
-	for i, name := range names {
-		listed[name] = true
-		if i%len(alive) != pos {
-			continue // round-robin file assignment
-		}
-		if catErr == nil {
-			if plan, ok := planByFile[name]; ok {
-				items = append(items, readItem{name: name, plan: plan, cat: cat})
-				continue
-			}
-			if inCat[name] || !strings.HasSuffix(name, ".rhdf") {
-				continue
-			}
-			items = append(items, readItem{name: name, scan: true})
-			continue
-		}
-		if !strings.HasSuffix(name, ".rhdf") {
-			continue
-		}
-		items = append(items, readItem{name: name, scan: true})
-	}
-	if catErr == nil {
-		// A planned file the listing no longer has (a lost primary) must
-		// still be attempted, or its panes would silently never ship and
-		// the whole generation would fall back even though replicas hold
-		// every byte. Deal the missing files round-robin too — sorted, so
-		// every server derives the same assignment from the same catalog —
-		// as ordinary planned items whose open failure triggers the
-		// per-pane replica retry.
-		var missing []string
-		for name := range planByFile {
-			if !listed[name] {
-				missing = append(missing, name)
+		cats := snapshot.ChainCatalogs(chain)
+		for gi, panes := range catalog.ResolvePanes(cats, window, wanted) {
+			for _, plan := range cats[gi].PlanReads(window, panes) {
+				// A planned file outside the grammar has home 0.
+				if _, home, _, _ := catalog.ParseServerFile(plan.File); mine(home) {
+					items = append(items, readItem{name: plan.File, plan: plan, cat: cats[gi]})
+				}
 			}
 		}
-		sort.Strings(missing)
-		for j, name := range missing {
-			if j%len(alive) != pos {
-				continue
-			}
-			items = append(items, readItem{name: name, plan: planByFile[name], cat: cat})
+		for _, name := range chain[0].Catalog.Files {
+			indexed[name] = true
 		}
 	}
-	s.serveItems(window, round, items)
-	if catErr == nil {
-		s.mx.catalogHits.Inc()
-		return doneModeIndexed
+	if mode != doneModeFailed && len(chain) <= 1 {
+		names, err := s.ctx.FS().List(file + "_s")
+		if err != nil {
+			mode = doneModeFailed
+		}
+		for _, name := range names {
+			if base, home, _, ok := catalog.ParseServerFile(name); ok && base == file && mine(home) && !indexed[name] {
+				items = append(items, readItem{name: name, scan: true})
+			}
+		}
 	}
-	s.mx.catalogFallbacks.Inc()
-	return doneModeScan
-}
-
-// serveChainShare serves a delta generation's restart round. The head's
-// chain is loaded newest-first and every requested pane resolves to the
-// newest link whose block catalog holds it — each pane to exactly one
-// (generation, file, extent) — then each link's planned files are read and
-// shipped exactly like a single generation's, per-pane replica retries
-// included (each item carries its link's catalog). The combined item list
-// is dealt round-robin across the surviving servers in deterministic
-// (chain, plan) order, so the servers partition the chain's files without
-// communicating.
-//
-// Chain restores are purely catalog-driven: a delta file does not spell
-// out the panes it inherits, so there is no directory-scan fallback. An
-// unloadable link (missing manifest or catalog) fails the round —
-// doneModeFailed, nothing shipped from this server — and the clients'
-// completeness check sends the restore walk back past the whole chain.
-func (s *server) serveChainShare(file, window string, round *readRound, alive []int, pos int) byte {
-	chain, err := snapshot.LoadChain(s.ctx.FS(), file)
-	if err != nil {
+	switch mode {
+	case doneModeFailed:
 		s.noteReadErr()
-		return doneModeFailed
+	case doneModeIndexed:
+		s.serveItems(window, round, items)
+		s.mx.catalogHits.Inc()
+	default:
+		s.serveItems(window, round, items)
+		s.mx.catalogFallbacks.Inc()
 	}
-	s.mx.chainDepth.SetMax(float64(len(chain) - 1))
-	wanted := make(map[int]bool, len(round.wantAll))
-	for id := range round.wantAll {
-		wanted[id] = true
+	for _, c := range s.allClients {
+		s.world.Send(c, tagReadDone, []byte{mode})
 	}
-	cats := snapshot.ChainCatalogs(chain)
-	assign := catalog.ResolvePanes(cats, window, wanted)
-	var items []readItem
-	j := 0
-	for gi, cat := range cats {
-		for _, plan := range cat.PlanReads(window, assign[gi]) {
-			if j%len(alive) == pos {
-				items = append(items, readItem{name: plan.File, plan: plan, cat: cat})
-			}
-			j++
-		}
-	}
-	s.serveItems(window, round, items)
-	s.mx.catalogHits.Inc()
-	return doneModeIndexed
 }
 
 // paneShip is one pane's ship-ready payload: assembled datasets destined

@@ -8,8 +8,9 @@ import (
 )
 
 // ChainGen is one link of a delta chain: a committed generation's base
-// name, its manifest, and its catalog (nil only if the blob failed to
-// load — callers that need indexed reads treat that as a broken link).
+// name, its manifest, and its catalog. Catalog is nil when the blob failed
+// to load: LoadChain reports that as an error for every link except a
+// depth-0 head, whose readers can still scan its files.
 type ChainGen struct {
 	Base     string
 	Manifest *Manifest
@@ -21,34 +22,39 @@ type ChainGen struct {
 // by the FullEvery cadence, orders of magnitude below this.
 const maxChainDepth = 1024
 
-// LoadChain loads the generation under base and walks its delta chain
-// down to the full generation, newest first: result[0] is base itself
-// and the last element has ChainDepth 0. Every link must have a
-// loadable, valid manifest — a missing or damaged link is an error (the
-// chain cannot resolve panes without it) — and each link's catalog is
-// loaded alongside; a catalog that fails to load is an error too, since
-// chain resolution is catalog-driven (there is no scan fallback across
-// generations: a delta's files do not spell out the inherited panes).
+// LoadChain is how a reader learns a generation's shape: it loads the
+// generation under base and walks its delta chain down to the full
+// generation, newest first — result[0] is base itself and the last element
+// has ChainDepth 0. A full generation is the chain of length one.
+//
+// Every link needs a loadable, valid manifest and, because chain
+// resolution is catalog-driven (a delta's files do not spell out the panes
+// it inherits, so there is no scan fallback across generations), a
+// loadable catalog. The one exception is a depth-0 head: its files are its
+// whole state, so it comes back with a nil Catalog and no error, and the
+// reader scans. On any other failure the error is returned alongside the
+// links whose manifests did load — an empty prefix means base itself has
+// no readable commit record.
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
 	var chain []ChainGen
 	seen := make(map[string]bool)
 	for cur := base; ; {
 		if seen[cur] {
-			return nil, fmt.Errorf("snapshot: chain of %s revisits %s", base, cur)
+			return chain, fmt.Errorf("snapshot: chain of %s revisits %s", base, cur)
 		}
 		if len(chain) >= maxChainDepth {
-			return nil, fmt.Errorf("snapshot: chain of %s exceeds depth %d", base, maxChainDepth)
+			return chain, fmt.Errorf("snapshot: chain of %s exceeds depth %d", base, maxChainDepth)
 		}
 		seen[cur] = true
 		m, err := Load(fsys, cur)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot: chain of %s: link %s: %w", base, cur, err)
+			return chain, fmt.Errorf("snapshot: chain of %s: link %s: %w", base, cur, err)
 		}
 		cat, err := catalog.Load(fsys, cur)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: chain of %s: link %s catalog: %w", base, cur, err)
-		}
 		chain = append(chain, ChainGen{Base: cur, Manifest: m, Catalog: cat})
+		if err != nil && (len(chain) > 1 || m.ChainDepth > 0) {
+			return chain, fmt.Errorf("snapshot: chain of %s: link %s catalog: %w", base, cur, err)
+		}
 		if m.ChainDepth == 0 {
 			return chain, nil
 		}

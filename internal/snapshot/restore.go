@@ -25,7 +25,7 @@ type Generation struct {
 }
 
 // baseOf derives the generation base from a snapshot artifact name:
-// base.manifest, base.catalog, base_s000.rhdf, a replica base_s000r1.rhdf,
+// base.manifest, base.catalog, a server file (catalog.ParseServerFile),
 // base_p00000.rhdf, or any of those with a staged .tmp suffix. It returns
 // "" for names that are not snapshot artifacts.
 func baseOf(name string) string {
@@ -36,37 +36,16 @@ func baseOf(name string) string {
 	if b, ok := strings.CutSuffix(name, catalog.Suffix); ok {
 		return b
 	}
+	if b, _, _, ok := catalog.ParseServerFile(name); ok {
+		return b
+	}
+	// Per-rank files: base_pNNNNN.rhdf.
 	name, ok := strings.CutSuffix(name, ".rhdf")
-	if !ok {
-		return ""
-	}
 	i := strings.LastIndexByte(name, '_')
-	if i < 0 || i+1 >= len(name) {
+	if !ok || i < 0 || i+2 >= len(name) || name[i+1] != 'p' {
 		return ""
 	}
-	tail := name[i+1:]
-	if tail[0] != 's' && tail[0] != 'p' {
-		return ""
-	}
-	digits := tail[1:]
-	if tail[0] == 's' {
-		// Server files may carry a replica suffix: sNNNrM.
-		if j := strings.IndexByte(digits, 'r'); j >= 0 {
-			if j == 0 || j == len(digits)-1 {
-				return ""
-			}
-			for _, c := range digits[j+1:] {
-				if c < '0' || c > '9' {
-					return ""
-				}
-			}
-			digits = digits[:j]
-		}
-	}
-	if len(digits) == 0 {
-		return ""
-	}
-	for _, c := range digits {
+	for _, c := range name[i+2:] {
 		if c < '0' || c > '9' {
 			return ""
 		}
@@ -110,107 +89,140 @@ func Generations(fsys rt.FS, prefix string) ([]Generation, error) {
 
 // Options configures a Restore walk.
 type Options struct {
-	// Comm, when set, makes the walk collective: rank 0 verifies each
-	// manifest and broadcasts the verdict, and every generation attempt
-	// ends with an allreduce so all ranks agree on success or fallback.
-	// Every rank of the communicator must call Restore with the same
-	// arguments. Nil runs single-process.
+	// Comm, when set, makes the walk collective: rank 0 alone lists and
+	// verifies the generations and broadcasts every step of the walk, and
+	// every generation attempt ends with an allreduce so all ranks agree on
+	// success or fallback. Every rank of the communicator must call Restore
+	// with the same arguments. Nil runs single-process.
 	Comm mpi.Comm
 	// Metrics, when set, receives rocpanda.restart.generations_scanned
 	// and rocpanda.restart.fallbacks counters. Nil disables recording.
 	Metrics *metrics.Registry
 }
 
+// step is one move of the restore walk: try the generation under base,
+// skip one (err says why), or end the walk (err is the listing failure, if
+// that is what ended it). Rank 0 decides each step and broadcasts it, so
+// every rank sees the same sequence whatever its own view of the directory.
+type step struct {
+	base string
+	err  error
+	end  bool
+}
+
+// Wire form of a step: a kind byte, then the base or the error text.
+const (
+	stepTry = iota
+	stepSkip
+	stepEnd
+)
+
+func (st step) encode() []byte {
+	switch {
+	case st.end && st.err == nil:
+		return []byte{stepEnd}
+	case st.end:
+		return append([]byte{stepEnd}, st.err.Error()...)
+	case st.err != nil:
+		return append([]byte{stepSkip}, st.err.Error()...)
+	}
+	return append([]byte{stepTry}, st.base...)
+}
+
+func decodeStep(msg []byte) step {
+	switch kind, text := msg[0], string(msg[1:]); {
+	case kind == stepTry:
+		return step{base: text}
+	case kind == stepSkip || text != "":
+		return step{err: errors.New(text), end: kind == stepEnd}
+	}
+	return step{end: true}
+}
+
+// walk returns rank 0's side of Restore: a function yielding the walk's
+// steps, newest generation first. Verification touches every file's header
+// and directory, which is why one rank does it and shares the verdict.
+func walk(fsys rt.FS, prefix string) func() step {
+	gens, listErr := Generations(fsys, prefix)
+	return func() step {
+		if listErr != nil || len(gens) == 0 {
+			return step{end: true, err: listErr}
+		}
+		g := gens[0]
+		gens = gens[1:]
+		if !g.Committed {
+			return step{err: fmt.Errorf("snapshot: %s has no manifest (uncommitted)", g.Base)}
+		}
+		// A generation restores through its chain — of length one when it is
+		// full: every link down to the full base must be committed and
+		// loadable, and each link's files must verify. A replicated link
+		// (Replication > 1) is still attempted with damaged or missing
+		// files: the read path retries each pane against its replicas, and
+		// the attempt itself fails — falling back — only when some pane is
+		// bad in every copy.
+		chain, err := LoadChain(fsys, g.Base)
+		for i := 0; err == nil && i < len(chain); i++ {
+			if m := chain[i].Manifest; m.Replication <= 1 {
+				err = m.Verify(fsys)
+			}
+		}
+		return step{base: g.Base, err: err}
+	}
+}
+
 // Restore walks the generations under prefix newest-first and calls try
 // with each restorable base until one attempt succeeds on every rank,
-// returning that base. Uncommitted generations, generations whose
-// manifest fails verification, and generations whose try fails (for
-// example rocpanda.ErrIncompleteRestart after a server skipped a
-// checksum-damaged file) are fallen past, each bumping the
-// rocpanda.restart.fallbacks counter once.
+// returning that base. Uncommitted generations, generations whose chain
+// fails verification, and generations whose try fails (for example
+// rocpanda.ErrIncompleteRestart after a server skipped a checksum-damaged
+// file) are fallen past, each bumping the rocpanda.restart.fallbacks
+// counter once. A failed listing ends the walk on every rank.
 func Restore(fsys rt.FS, prefix string, try func(base string) error, opts Options) (string, error) {
-	gens, err := Generations(fsys, prefix)
-	if err != nil {
-		return "", err
+	var next func() step
+	if opts.Comm == nil || opts.Comm.Rank() == 0 {
+		next = walk(fsys, prefix)
 	}
 	scanned := opts.Metrics.Counter("rocpanda.restart.generations_scanned")
 	fallbacks := opts.Metrics.Counter("rocpanda.restart.fallbacks")
 	var lastErr error
-	for _, g := range gens {
+	for {
+		var st step
+		if next != nil {
+			st = next()
+		}
+		if opts.Comm != nil {
+			if msg := opts.Comm.Bcast(0, st.encode()); next == nil {
+				st = decodeStep(msg)
+			}
+		}
+		if st.end {
+			switch {
+			case st.err != nil:
+				return "", st.err
+			case lastErr != nil:
+				return "", fmt.Errorf("snapshot: no restorable generation under %q (last: %w)", prefix, lastErr)
+			}
+			return "", fmt.Errorf("snapshot: no generations under %q", prefix)
+		}
 		scanned.Inc()
-		ok := g.Committed
-		if !ok {
-			lastErr = fmt.Errorf("snapshot: %s has no manifest (uncommitted)", g.Base)
-		}
-		if ok {
-			// Manifest verification touches every file's header and
-			// directory; one rank does it and shares the verdict.
-			if opts.Comm == nil || opts.Comm.Rank() == 0 {
-				m, err := Load(fsys, g.Base)
-				switch {
-				case err != nil:
-					ok = false
-					lastErr = err
-				case m.ChainDepth > 0:
-					// A delta generation restores through its chain: every
-					// link down to the full base must be committed and
-					// loadable, and each link's files verify with the same
-					// per-link replication tolerance a full generation gets.
-					// A broken link fails the whole head — the walk falls
-					// back to an older (possibly full) generation.
-					chain, cerr := LoadChain(fsys, g.Base)
-					if cerr != nil {
-						ok = false
-						lastErr = cerr
-						break
-					}
-					for _, link := range chain {
-						if verr := link.Manifest.Verify(fsys); verr != nil && link.Manifest.Replication <= 1 {
-							ok = false
-							lastErr = verr
-							break
-						}
-					}
-				default:
-					if verr := m.Verify(fsys); verr != nil && m.Replication <= 1 {
-						// A replicated generation (Replication > 1) is still
-						// attempted with damaged or missing files: the read
-						// path retries each pane against its replicas, and the
-						// attempt itself fails — falling back — only when some
-						// pane is bad in every copy.
-						ok = false
-						lastErr = verr
-					}
-				}
-			}
-			if opts.Comm != nil {
-				v := []byte{0}
-				if ok {
-					v[0] = 1
-				}
-				ok = opts.Comm.Bcast(0, v)[0] == 1
-			}
-		}
-		if ok {
-			err := try(g.Base)
+		if st.err == nil {
+			st.err = try(st.base)
 			bad := 0.0
-			if err != nil {
+			if st.err != nil {
 				bad = 1
-				lastErr = err
 			}
 			if opts.Comm != nil {
 				bad = opts.Comm.AllreduceMax(bad)
 			}
 			if bad == 0 {
-				return g.Base, nil
+				return st.base, nil
 			}
+		}
+		if st.err != nil {
+			lastErr = st.err
 		}
 		fallbacks.Inc()
 	}
-	if lastErr != nil {
-		return "", fmt.Errorf("snapshot: no restorable generation under %q (last: %w)", prefix, lastErr)
-	}
-	return "", fmt.Errorf("snapshot: no generations under %q", prefix)
 }
 
 // Prune removes all artifacts of generations older than the newest

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
@@ -250,6 +251,50 @@ func TestRestoreCollectiveAgreement(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreListFailureEveryRankAgrees: a directory listing that fails
+// once must end the walk the same way on every rank. Only rank 0 lists, so
+// the one failure is the one every rank hears about; when each rank listed
+// for itself the rank that saw the failure returned while the others
+// entered the collective and waited for it forever.
+func TestRestoreListFailureEveryRankAgrees(t *testing.T) {
+	raw := rt.NewMemFS()
+	writeGen(t, raw, "out/snap000000", 4, 0)
+	if _, err := Commit(raw, "out/snap000000", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	fsys := faults.WrapFS(raw, faults.NewFSPlan(1, faults.FSRule{Op: faults.OpList, PathPrefix: "out/", Nth: 1}))
+
+	type result struct {
+		base   string
+		failed bool
+	}
+	results := make([]result, 4)
+	done := make(chan error, 1)
+	go func() {
+		done <- mpi.NewChanWorld(fsys, 1).Run(len(results), func(ctx mpi.Ctx) error {
+			base, err := Restore(fsys, "out/", func(string) error { return nil }, Options{Comm: ctx.Comm()})
+			results[ctx.Comm().Rank()] = result{base, err != nil}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("collective Restore hung after one failed listing")
+	}
+	for rank, r := range results {
+		if r != results[0] {
+			t.Fatalf("rank %d returned %+v, rank 0 %+v", rank, r, results[0])
+		}
+	}
+	if !results[0].failed {
+		t.Fatalf("the listing failure was swallowed: restored %q", results[0].base)
 	}
 }
 
