@@ -45,8 +45,13 @@ import (
 // overlap_seconds series under rocpanda.drain.* and rocpanda.read.*:
 // they repeated the iosched.write.* and iosched.read.* series event for
 // event (the errors and flush_seconds series stay; they also count events
-// no scheduler sees).
-const BenchSchema = "genxio-bench/v9"
+// no scheduler sees). v10: Rochdf and T-Rochdf run the Rocpanda servers'
+// write service, which registers its series under their prefix too
+// ({rochdf,trochdf}.{blocks_buffered, blocks_written, bytes_written,
+// overflow_stalls, drain_errors, buf_bytes_peak, drain_seconds, and
+// rochdf.drain_wait_seconds); trochdf.bg_write_seconds is now
+// trochdf.drain_seconds.
+const BenchSchema = "genxio-bench/v10"
 
 // BenchOpts configures the observability bench: one small integrated run
 // per I/O module on the simulated Turing platform, with a metrics
@@ -298,7 +303,7 @@ func (r *BenchResult) Format() string {
 				io.IO, d.Count, d.Sum, s.Gauges["rocpanda.server.buf_bytes_peak"],
 				s.Counters["rocpanda.server.overflow_stalls"], s.Counters["rocpanda.server.reads_served"])
 		case string(rocman.IOTRochdf):
-			bg := s.Histograms["trochdf.bg_write_seconds"]
+			bg := s.Histograms["trochdf.drain_seconds"]
 			dw := s.Histograms["trochdf.drain_wait_seconds"]
 			fmt.Fprintf(&b, "%-10s background wrote %d jobs (%.3fs total), drain waits %.3fs, %d files\n",
 				io.IO, bg.Count, bg.Sum, dw.Sum, s.Counters["trochdf.files_created"])

@@ -212,7 +212,7 @@ func TestBenchCarriesPerModuleMetrics(t *testing.T) {
 	if byIO["rocpanda"].Metrics.Histograms["rocpanda.server.drain_seconds"].Count == 0 {
 		t.Error("rocpanda drain histogram empty")
 	}
-	if byIO["trochdf"].Metrics.Histograms["trochdf.bg_write_seconds"].Count == 0 {
+	if byIO["trochdf"].Metrics.Histograms["trochdf.drain_seconds"].Count == 0 {
 		t.Error("trochdf background-write histogram empty")
 	}
 	// MeasureRestart ran for rochdf and rocpanda.

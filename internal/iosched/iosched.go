@@ -1,7 +1,8 @@
 // Package iosched is the unified budgeted I/O scheduler behind every
-// background engine in the library: the Rocpanda async-drain writer pool,
-// the Rocpanda parallel restart read pool, and T-Rochdf's per-process I/O
-// thread are all thin adapters over one Engine. It realizes the paper's
+// background engine in the library: the snapshot write service's pool
+// (snapshot.Writer — the Rocpanda async-drain writer pool and T-Rochdf's
+// per-process I/O thread) and the Rocpanda parallel restart read pool are
+// thin adapters over one Engine. It realizes the paper's
 // "yield to new client requests" across request classes instead of once
 // per feature:
 //

@@ -181,6 +181,37 @@ func RestorePane(w *Window, paneID int, sets []IOSet) (*Pane, error) {
 	return p, nil
 }
 
+// ApplyRestart installs one pane's restart data into the window, the step
+// every I/O module's read_attribute ends with: full replacement of the pane
+// for "all" (it need not be registered yet), a fill of the one named
+// attribute of a registered pane otherwise.
+func ApplyRestart(w *Window, paneID int, attr string, sets []IOSet) error {
+	if attr == "all" {
+		if _, ok := w.Pane(paneID); ok {
+			if err := w.DeletePane(paneID); err != nil {
+				return err
+			}
+		}
+		_, err := RestorePane(w, paneID, sets)
+		return err
+	}
+	p, ok := w.Pane(paneID)
+	if !ok {
+		return fmt.Errorf("roccom: restart for unknown pane %d", paneID)
+	}
+	a, ok := p.Array(attr)
+	if !ok {
+		return fmt.Errorf("roccom: window %q has no attribute %q", w.Name, attr)
+	}
+	for _, s := range sets {
+		_, _, name, _ := ParseDatasetName(s.Name)
+		if name == attr {
+			return a.SetBytes(s.Data)
+		}
+	}
+	return fmt.Errorf("roccom: attribute %q missing from restart block of pane %d", attr, paneID)
+}
+
 func attrOf(s *IOSet, name string) (hdf.Attr, bool) {
 	for _, a := range s.Attrs {
 		if a.Name == name {

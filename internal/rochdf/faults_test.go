@@ -8,12 +8,14 @@ package rochdf
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/mpi"
 	"genxio/internal/rt"
+	"genxio/internal/snapshot"
 )
 
 func TestThreadedDrainErrorSurfacesAtNextSnapshot(t *testing.T) {
@@ -97,5 +99,34 @@ func TestUnthreadedWriteFailsSynchronously(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestUnthreadedWriteFailureRefusesCommit(t *testing.T) {
+	// Rank 1's write_attribute fails and says so — but the generation is
+	// missing that rank's panes, so the collective Sync must fail on both
+	// ranks and write no manifest, exactly as a failed background write does.
+	plan := faults.NewFSPlan(1, faults.FSRule{Op: faults.OpWrite, PathPrefix: "uw/s0_p00001", Nth: 3})
+	mem := rt.NewMemFS()
+	world := mpi.NewChanWorld(faults.WrapFS(mem, plan), 1)
+	err := world.Run(2, func(ctx mpi.Ctx) error {
+		rank := ctx.Comm().Rank()
+		h := New(ctx, Config{Profile: hdf.NullProfile()})
+		defer h.Close()
+		_, w := buildWindow(t, rank, 2)
+		werr := h.WriteAttribute("uw/s0", w, "all", 0, 0)
+		if failed := errors.Is(werr, faults.ErrInjected); failed != (rank == 1) {
+			return fmt.Errorf("rank %d: WriteAttribute = %v", rank, werr)
+		}
+		if err := h.Sync(); err == nil {
+			return fmt.Errorf("rank %d: Sync committed a generation missing rank 1's panes", rank)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := snapshot.Load(mem, "uw/s0"); err == nil {
+		t.Fatalf("manifest written over a failed write: %+v", m.Files)
 	}
 }

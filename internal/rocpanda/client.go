@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"genxio/internal/catalog"
 	"genxio/internal/delta"
@@ -26,7 +25,7 @@ var ErrIncompleteRestart = errors.New("rocpanda: snapshot incomplete")
 // output (a block write or file close failed). Sync and Shutdown surface
 // it on every client — the commit allreduce spreads one server's failure
 // to all — and the affected generations get no manifest.
-var errDrainFailed = errors.New("rocpanda: server drain failed")
+var errDrainFailed = snapshot.ErrDrainFailed
 
 // Metrics accumulates a client's application-visible I/O costs.
 type Metrics struct {
@@ -51,15 +50,15 @@ type Client struct {
 	srvRanks   []int    // world ranks of all servers
 	numServers int
 	blockOH    float64 // per-block client-side protocol cost
-	retain     int     // RetainGenerations: prune older generations after commit
 	shutdown   bool
 
-	// Snapshot-commit state: generations written since the last commit.
-	// Writes are collective, so every client accumulates the same list;
-	// client 0 writes the manifests once all servers have drained.
-	pending    []*pendingGen
-	pendingSet map[string]*pendingGen
-	registry   *metrics.Registry
+	// Snapshot-commit state: the generations written since the last commit
+	// (client 0 writes the manifests once all servers have drained), and the
+	// first write ack that arrived damaged — the generation it belonged to
+	// must not commit, so every later Sync reports it.
+	pending  *snapshot.Pending
+	ackErr   error
+	registry *metrics.Registry
 
 	// Delta snapshots (Config.DeltaSnapshots): which panes were last
 	// shipped at which dirty epoch, how many generations this client has
@@ -142,26 +141,23 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 		c.mx.visibleWrite.Observe(d)
 	}()
 
-	gen := c.pendingSet[file]
-	if gen == nil {
+	gen, fresh := c.pending.Begin(file, int64(step), tm)
+	if fresh && c.deltaOn {
 		// First collective write of a new generation: decide full vs delta
 		// once, for every window written into it. The cadence input is the
 		// per-client generation count, identical across clients since
 		// writes are collective.
-		full := !c.deltaOn || delta.IsFull(c.genCount, c.fullEvery)
+		gen.Delta = !delta.IsFull(c.genCount, c.fullEvery)
 		c.genCount++
-		gen = &pendingGen{base: file, epoch: int64(step), time: tm, full: full,
-			panes: make(map[string][]int)}
-		c.pendingSet[file] = gen
-		c.pending = append(c.pending, gen)
+		gen.Panes = make(map[string][]int)
 	}
 
 	ids := w.PaneIDs()
 	if c.deltaOn {
-		gen.panes[w.Name] = ids
+		gen.Panes[w.Name] = ids
 	}
 	var epochs map[int]uint64
-	if c.deltaOn && !gen.full {
+	if gen.Delta {
 		// Delta generation: ship only panes dirtied since their last ship.
 		// Capture each pane's dirty epoch before shipping so a concurrent
 		// re-dirty (in principle) would not be marked clean.
@@ -208,6 +204,7 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 	// are reusable as soon as the ack lands. A timed-out ack fails the
 	// whole write over to a surviving server and resends it from scratch
 	// (blocks may then exist in two servers' files; restart dedupes).
+	var damaged error
 	err := c.withFailover("write "+file, func(target int) bool {
 		c.world.Send(target, tagWriteHdr, enc)
 		for _, pl := range payloads {
@@ -216,12 +213,21 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 			}
 			c.world.Send(target, tagWriteBlock, pl)
 		}
-		_, st, ok := c.recvTimeout(target, tagWriteAck)
-		if ok && st.Size != 0 {
-			panic("rocpanda: unexpected ack payload")
+		data, _, ok := c.recvTimeout(target, tagWriteAck)
+		if ok {
+			damaged = decodeAck(data)
 		}
 		return ok
 	})
+	if err == nil && damaged != nil {
+		// A write ack carries nothing; one that does is protocol damage, and
+		// whether the server took the blocks is unknown. Fail this write and
+		// let the next Sync's allreduce refuse the generation.
+		err = fmt.Errorf("rocpanda: write %s: %w", file, damaged)
+		if c.ackErr == nil {
+			c.ackErr = err
+		}
+	}
 	if err == nil && c.deltaOn {
 		// The server has the bytes; record each pane's shipped epoch so the
 		// next delta skips it unless it dirties again.
@@ -332,7 +338,7 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 			if recovered[paneID] {
 				continue
 			}
-			if err := applyRestart(w, paneID, attr, sets); err != nil {
+			if err := roccom.ApplyRestart(w, paneID, attr, sets); err != nil {
 				return err
 			}
 			recovered[paneID] = true
@@ -382,35 +388,6 @@ func (c *Client) recvReadMsg() ([]byte, mpi.Status, bool) {
 	}
 }
 
-// applyRestart installs one pane's restart data into the window: full
-// replacement for "all", single-attribute fill otherwise.
-func applyRestart(w *roccom.Window, paneID int, attr string, sets []roccom.IOSet) error {
-	if attr == "all" {
-		if _, ok := w.Pane(paneID); ok {
-			if err := w.DeletePane(paneID); err != nil {
-				return err
-			}
-		}
-		_, err := roccom.RestorePane(w, paneID, sets)
-		return err
-	}
-	p, ok := w.Pane(paneID)
-	if !ok {
-		return fmt.Errorf("rocpanda: restart for unknown pane %d", paneID)
-	}
-	a, ok := p.Array(attr)
-	if !ok {
-		return fmt.Errorf("rocpanda: window %q has no attribute %q", w.Name, attr)
-	}
-	for _, s := range sets {
-		_, _, name, _ := roccom.ParseDatasetName(s.Name)
-		if name == attr {
-			return a.SetBytes(s.Data)
-		}
-	}
-	return fmt.Errorf("rocpanda: attribute %q missing from restart block of pane %d", attr, paneID)
-}
-
 // Sync implements roccom.IOService: it blocks until this client's server
 // has drained all buffered output to the filesystem and closed the files.
 func (c *Client) Sync() error {
@@ -434,106 +411,61 @@ func (c *Client) Sync() error {
 		// of through its own timeout.
 		c.shareDeaths()
 	}
-	drainFailed := false
+	var drainErr error
 	err := c.withFailover("sync", func(target int) bool {
 		c.world.Send(target, tagSync, nil)
 		data, _, ok := c.recvTimeout(target, tagSyncAck)
 		if ok {
-			drainFailed = len(data) == 1 && data[0] == ackDrainFailed
+			drainErr = decodeAck(data)
 		}
 		return ok
 	})
-	if err == nil && drainFailed {
-		// The server answered, but some of its output never landed (a
-		// failed block write or file close): the generation is incomplete
-		// and must not commit.
-		err = errDrainFailed
+	// The server answered, but some of its output never landed (a failed
+	// block write or file close), or an earlier write's ack was damaged:
+	// the generation is incomplete and must not commit.
+	if err == nil {
+		err = drainErr
 	}
-	// Agree on the outcome before committing: the allreduce doubles as
-	// the barrier that guarantees every server has drained (each client
-	// enters only after its own server's sync ack), and if any client's
-	// sync failed no manifest may be written.
-	bad := 0.0
-	if err != nil {
-		bad = 1
+	if err == nil {
+		err = c.ackErr
 	}
-	if c.comm.AllreduceMax(bad) > 0 {
-		if err == nil {
-			// A peer's server failed its drain; this client's was fine, but
-			// the snapshot as a whole is incomplete, so every client must
-			// report the refused commit.
-			err = fmt.Errorf("rocpanda: sync: %w on a peer's server", errDrainFailed)
-		}
-		return err
-	}
-	return c.commitPending()
+	// Each client enters the commit allreduce only after its own server's
+	// sync ack, so it is also the barrier behind every server's drain.
+	return c.pending.Commit(err, c.chainInfo)
 }
 
-// pendingGen is one generation awaiting its commit record.
-type pendingGen struct {
-	base  string
-	epoch int64
-	time  float64
-	// Delta snapshots: whether this generation ships every pane (full) or
-	// only dirty ones, and this client's local pane universe per window —
-	// every registered pane, shipped or not, so the committed manifest can
-	// record the generation's true pane set (a clean pane still exists; a
-	// refinement-deleted one must not resurrect from the chain's base).
-	full  bool
-	panes map[string][]int
-}
-
-// commitPending writes the manifest of every generation synced since the
-// last commit (client 0 only; the others wait), then prunes old
-// generations if retention is configured. Callers must have established
-// that every server has drained. The trailing barrier keeps any client
-// from racing ahead — e.g. into a manifest-driven restore — before the
-// commit records exist.
-func (c *Client) commitPending() error {
-	var err error
-	for _, g := range c.pending {
-		var chain *snapshot.ChainInfo
-		if c.deltaOn && !g.full {
-			// A delta's manifest must record the generation's global pane
-			// universe, and panes live where their owners are — no single
-			// client knows the whole set, so gather every client's local
-			// universe to the committer. Collective: every client's pending
-			// list is identical (writes are collective).
-			blob, _ := json.Marshal(g.panes)
-			parts := c.comm.Gather(0, blob)
-			if c.myIdx == 0 {
-				chain = &snapshot.ChainInfo{
-					Base:  c.lastBase,
-					Depth: c.lastDepth + 1,
-					Panes: mergeUniverses(parts),
-				}
-			}
-		}
-		if c.myIdx == 0 {
-			if _, cerr := snapshot.CommitChained(c.ctx.FS(), g.base, g.epoch, g.time, chain); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		// Chain state advances on every client, commit outcome regardless:
-		// if the commit failed, the next delta chains to an uncommitted
-		// base, LoadChain refuses it, and restore falls back — the same
-		// degradation a lost manifest already gets.
-		if c.deltaOn {
-			if g.full {
-				c.lastBase, c.lastDepth = g.base, 0
-			} else {
-				c.lastBase, c.lastDepth = g.base, c.lastDepth+1
-			}
+// chainInfo is the commit protocol's per-generation hook: for a delta it
+// gathers the chain facts the manifest records, and either way it advances
+// this client's chain state.
+func (c *Client) chainInfo(g *snapshot.PendingGen) *snapshot.ChainInfo {
+	if !c.deltaOn {
+		return nil
+	}
+	if !g.Delta {
+		c.lastBase, c.lastDepth = g.Base, 0
+		return nil
+	}
+	// A delta's manifest must record the generation's global pane
+	// universe, and panes live where their owners are — no single client
+	// knows the whole set, so gather every client's local universe to the
+	// committer. Collective: every client's pending list is identical
+	// (writes are collective).
+	blob, _ := json.Marshal(g.Panes)
+	parts := c.comm.Gather(0, blob)
+	var chain *snapshot.ChainInfo
+	if c.myIdx == 0 {
+		chain = &snapshot.ChainInfo{
+			Base:  c.lastBase,
+			Depth: c.lastDepth + 1,
+			Panes: mergeUniverses(parts),
 		}
 	}
-	if err == nil && c.myIdx == 0 && c.retain > 0 && len(c.pending) > 0 {
-		prefix := genPrefix(c.pending[len(c.pending)-1].base)
-		_, err = snapshot.Prune(c.ctx.FS(), prefix, c.retain)
-	}
-	c.pending = nil
-	c.pendingSet = make(map[string]*pendingGen)
-	c.comm.Barrier()
-	return err
+	// Chain state advances on every client, commit outcome regardless: if
+	// the commit fails, the next delta chains to an uncommitted base,
+	// LoadChain refuses it, and restore falls back — the same degradation a
+	// lost manifest already gets.
+	c.lastBase, c.lastDepth = g.Base, c.lastDepth+1
+	return chain
 }
 
 // mergeUniverses unions the clients' per-window pane universes into one
@@ -564,14 +496,6 @@ func mergeUniverses(parts [][]byte) map[string][]int {
 		merged[w] = ids
 	}
 	return merged
-}
-
-// genPrefix returns the directory prefix shared by a base's generations.
-func genPrefix(base string) string {
-	if i := strings.LastIndexByte(base, '/'); i >= 0 {
-		return base[:i+1]
-	}
-	return ""
 }
 
 // PanesForRestart returns the panes this client should recover from a
@@ -625,7 +549,7 @@ func (c *Client) Shutdown() error {
 	for _, t := range c.contacted {
 		c.world.Send(t, tagShutdown, nil)
 	}
-	drainFailed := false
+	var drainErr error
 	for _, t := range c.contacted {
 		if c.deadRank(t) {
 			continue
@@ -635,31 +559,19 @@ func (c *Client) Shutdown() error {
 			c.markDeadRank(t) // died during shutdown; nothing left to do
 			continue
 		}
-		if len(data) == 1 && data[0] == ackDrainFailed {
-			drainFailed = true
+		if err := decodeAck(data); err != nil && drainErr == nil {
+			drainErr = fmt.Errorf("rocpanda: shutdown: %w", err)
 		}
 	}
 	// Generations written but never synced drain as the servers shut
-	// down; commit them now so the last snapshot of a run is restorable.
-	// The allreduce is the barrier that guarantees every client's servers
-	// have acked (drained) before client 0 summarizes the files, and it
-	// spreads any server's drain failure to every client so nobody writes
-	// a manifest over missing data. (A server that merely timed out keeps
-	// the old behavior: the commit proceeds on what survives, and restart
+	// down; commit them now so the last snapshot of a run is restorable,
+	// unless some server's drain failed. (A server that merely timed out
+	// does not count: the commit proceeds on what survives, and restart
 	// falls back a generation if the snapshot proves incomplete.)
-	bad := 0.0
-	if drainFailed {
-		bad = 1
+	if drainErr == nil {
+		drainErr = c.ackErr
 	}
-	if c.comm.AllreduceMax(bad) > 0 {
-		c.pending = nil
-		c.pendingSet = make(map[string]*pendingGen)
-		if drainFailed {
-			return fmt.Errorf("rocpanda: shutdown: %w", errDrainFailed)
-		}
-		return fmt.Errorf("rocpanda: shutdown: %w on a peer's server", errDrainFailed)
-	}
-	return c.commitPending()
+	return c.pending.Commit(drainErr, c.chainInfo)
 }
 
 // deadRank reports whether the server at this world rank is believed dead.

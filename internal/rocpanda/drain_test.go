@@ -323,3 +323,66 @@ func TestCorruptWriteBlockFailsCommitNotServer(t *testing.T) {
 		})
 	}
 }
+
+// ackTamper damages the first write ack its client receives.
+type ackTamper struct {
+	mpi.Comm
+	done bool
+}
+
+func (a *ackTamper) Recv(src, tag int) ([]byte, mpi.Status) {
+	data, st := a.Comm.Recv(src, tag)
+	if tag == tagWriteAck && !a.done {
+		a.done = true
+		data = []byte{0x7f, 'x'}
+	}
+	return data, st
+}
+
+// TestDamagedWriteAckFailsCommitNotClient: a write ack that arrives with a
+// payload used to panic the client. It must instead fail that
+// WriteAttribute, and — whether the server took the blocks being unknown —
+// every rank's next Sync must refuse the generation.
+func TestDamagedWriteAckFailsCommitNotClient(t *testing.T) {
+	fs := rt.NewMemFS()
+	world := mpi.NewChanWorld(fs, 1)
+	err := world.Run(3, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, Config{NumServers: 1, Profile: hdf.NullProfile(), ActiveBuffering: true})
+		if err != nil {
+			return err
+		}
+		if cl == nil {
+			return nil
+		}
+		rank := cl.Comm().Rank()
+		w := buildWindow(t, rank, 2)
+		if err := cl.WriteAttribute("wa/A", w, "all", 0, 0); err != nil {
+			return err
+		}
+		if err := cl.Sync(); err != nil {
+			return err
+		}
+		if rank == 0 {
+			cl.world = &ackTamper{Comm: cl.world}
+		}
+		werr := cl.WriteAttribute("wa/B", w, "all", 1, 10)
+		if (werr != nil) != (rank == 0) {
+			return fmt.Errorf("client %d: WriteAttribute over a damaged ack = %v", rank, werr)
+		}
+		serr := cl.Sync()
+		if serr == nil || (rank == 1 && !errors.Is(serr, errDrainFailed)) {
+			return fmt.Errorf("client %d: Sync = %v, want the generation refused", rank, serr)
+		}
+		cl.Shutdown() // reports the refusal again
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.Load(fs, "wa/A"); err != nil {
+		t.Fatalf("generation A: %v", err)
+	}
+	if _, err := snapshot.Load(fs, "wa/B"); err == nil {
+		t.Fatal("generation B committed over a damaged write ack")
+	}
+}

@@ -26,11 +26,33 @@ const (
 	tagAdopt
 )
 
-// tagSyncAck and tagShutdownAck payload: empty on success, or one status
-// byte reporting that the server failed to land some of its output (a
-// block write or file close error). Clients fold the byte into the commit
-// allreduce so no generation with missing data ever gets a manifest.
+// Ack payloads. A tagWriteAck is empty. A tagSyncAck or tagShutdownAck is
+// empty on success, or the ackDrainFailed status byte followed by the error
+// text: the server failed to land some of its output (a block write or file
+// close error). Clients fold it into the commit allreduce so no generation
+// with missing data ever gets a manifest.
 const ackDrainFailed = 1
+
+// ackPayload encodes a drain outcome for a sync or shutdown ack.
+func ackPayload(err error) []byte {
+	if err != nil {
+		return append([]byte{ackDrainFailed}, err.Error()...)
+	}
+	return nil
+}
+
+// decodeAck is the client's reading of any ack: nil when empty,
+// errDrainFailed with the server's reason for a failed drain, and an error —
+// not a panic — for anything else, which only a damaged stream produces.
+func decodeAck(data []byte) error {
+	switch {
+	case len(data) == 0:
+		return nil
+	case data[0] == ackDrainFailed:
+		return fmt.Errorf("%w: %s", errDrainFailed, data[1:])
+	}
+	return fmt.Errorf("rocpanda: unexpected %d-byte ack payload", len(data))
+}
 
 // tagReadDone payload: one mode byte reporting how the server served its
 // share of the restart, so clients (and their metrics) can tell indexed

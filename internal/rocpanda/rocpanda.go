@@ -20,8 +20,9 @@
 //     and blocking in probe when idle — leaving their CPU to the OS.
 //     If the buffer budget is exceeded the server drains synchronously
 //     to make room, which delays the acknowledgement (graceful overflow).
-//     All of it is one write engine (drain.go): the in-loop drain is its
-//     zero-worker driver, a background writer pool the other.
+//     All of it is the write service Rochdf and T-Rochdf also run
+//     (internal/snapshot.Writer, fed from the MPI stream): the in-loop
+//     drain is its zero-worker driver, a background writer pool the other.
 //
 //   - Collective read (restart): every client sends its wanted block list
 //     to every server; snapshot files are assigned to servers round-robin
@@ -42,6 +43,7 @@ import (
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
+	"genxio/internal/snapshot"
 	"genxio/internal/trace"
 )
 
@@ -73,28 +75,23 @@ type Config struct {
 	// access (HDF4 in the paper).
 	Profile hdf.CostProfile
 	// ActiveBuffering enables the paper's overlap scheme. When false the
-	// write engine holds every block's submit until it is on disk, so the
 	// server writes each block before acknowledging (write-through; the
 	// ablation baseline).
 	ActiveBuffering bool
-	// AsyncDrain picks the write engine's driver (internal/rocpanda/
-	// drain.go). Off, the request loop drains one buffered block whenever
-	// its probe comes back empty — the paper's server. On, the same steps
-	// move onto a background writer pool: blocks go to disk while the loop
-	// keeps absorbing client writes, which is the paper's overlap realized
-	// inside one server process. Requires ActiveBuffering; output files
-	// are byte-identical either way.
+	// AsyncDrain picks the write service's driver (snapshot.Writer). Off,
+	// the request loop drains one buffered block whenever its probe comes
+	// back empty — the paper's server. On, the same steps move onto a
+	// background writer pool: blocks go to disk while the loop keeps
+	// absorbing client writes. Requires ActiveBuffering; output files are
+	// byte-identical either way.
 	AsyncDrain bool
 	// DrainWriters sizes the background writer pool (AsyncDrain only).
 	// Blocks route to writers by destination file, so extra writers help
 	// only when snapshot generations overlap. Clamped to [1, 8]; default 1.
 	DrainWriters int
 	// BufferBudgetBytes bounds the server-side buffer — the bytes queued
-	// to the write engine, under either driver. A block that leaves the
-	// queue over budget holds the request loop — delaying that client's
-	// ack — until enough queued blocks are on disk (drained by the loop
-	// itself, or by the writers it waits for); 0 means unbounded. A budget
-	// smaller than one block degenerates to write-through timing.
+	// to the write service, under either driver (the budget rule is stated
+	// in internal/snapshot/writer.go); 0 means unbounded.
 	BufferBudgetBytes int64
 	// ParallelRead picks the read engine's driver (internal/rocpanda/
 	// read.go). Off, the request loop runs each file's reads itself, one
@@ -299,7 +296,7 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 		srvRanks:   srvRanks,
 		numServers: m,
 		blockOH:    cfg.PerBlockOverhead,
-		retain:     cfg.RetainGenerations,
+		pending:    snapshot.NewPending(sub, ctx.FS(), cfg.RetainGenerations),
 		registry:   cfg.Metrics,
 		nClients:   n,
 		myIdx:      myIdx,
@@ -308,7 +305,6 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 		maxFail:    maxFail,
 		dead:       make(map[int]bool),
 		contacted:  []int{origServer},
-		pendingSet: make(map[string]*pendingGen),
 		deltaOn:    cfg.DeltaSnapshots,
 		fullEvery:  cfg.FullEvery,
 		mx:         newClMx(cfg.Metrics),

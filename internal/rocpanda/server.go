@@ -13,10 +13,11 @@ import (
 	"genxio/internal/snapshot"
 )
 
-// serverCrashed is the panic sentinel of an injected server crash; run
-// recovers it and returns without draining or acknowledging anything,
-// simulating process death.
-type serverCrashed struct{}
+// serverCrashed is the panic sentinel of an injected server crash — the
+// write service's, so a crash point inside it and one on the request loop
+// die the same way; run recovers it and returns without draining or
+// acknowledging anything, simulating process death.
+type serverCrashed = snapshot.WriterCrashed
 
 // readRound accumulates a collective read until all clients have asked.
 // Requesters are tracked as a set of world ranks, not a raw count: after a
@@ -40,7 +41,7 @@ type server struct {
 	allClients []int
 	cfg        Config
 
-	wr            *writeEngine          // the snapshot write machine (drain.go)
+	wr            *snapshot.Writer      // the snapshot write service, fed from the MPI stream
 	reads         map[string]*readRound // key: file|window|attr
 	shutdown      int
 	shutdownQueue []int // clients awaiting the shutdown ack
@@ -48,27 +49,20 @@ type server struct {
 	mx srvMx
 }
 
-// srvMx holds a server's registry handles — the server's only tally; every
+// srvMx holds a server's registry handles — with the write service's
+// rocpanda.server.* series (newWriter) the server's only tally; every
 // handle is a nil-safe no-op when Config.Metrics is unset. Handles are
 // created once at Init so the hot paths never touch the registry map.
 type srvMx struct {
-	crashes        *metrics.Counter
-	blocksBuffered *metrics.Counter
-	blocksWritten  *metrics.Counter
-	bytesWritten   *metrics.Counter
-	filesCreated   *metrics.Counter
-	filesSkipped   *metrics.Counter
-	overflowStalls *metrics.Counter
-	readsServed    *metrics.Counter
-	adopted        *metrics.Counter
-	bufBytesPeak   *metrics.Gauge
-	drainSeconds   *metrics.Histogram
-	scanSeconds    *metrics.Histogram
+	crashes      *metrics.Counter
+	filesSkipped *metrics.Counter
+	readsServed  *metrics.Counter
+	adopted      *metrics.Counter
+	scanSeconds  *metrics.Histogram
 
-	// Drain and read-path health: events no scheduler sees (synchronous
-	// drain failures, the flush barrier, failed listings) count here too,
-	// which is why these are not iosched series.
-	drainErrors  *metrics.Counter
+	// Read-path health and the flush barrier a restart read pays: events
+	// no scheduler sees, which is why these are not iosched series (their
+	// sibling rocpanda.drain.errors is the write service's).
 	flushSeconds *metrics.Histogram
 	readErrors   *metrics.Counter
 
@@ -90,20 +84,12 @@ type srvMx struct {
 
 func newSrvMx(r *metrics.Registry) srvMx {
 	return srvMx{
-		crashes:        r.Counter("rocpanda.server.crashes"),
-		blocksBuffered: r.Counter("rocpanda.server.blocks_buffered"),
-		blocksWritten:  r.Counter("rocpanda.server.blocks_written"),
-		bytesWritten:   r.Counter("rocpanda.server.bytes_written"),
-		filesCreated:   r.Counter("rocpanda.server.files_created"),
-		filesSkipped:   r.Counter("rocpanda.server.files_skipped"),
-		overflowStalls: r.Counter("rocpanda.server.overflow_stalls"),
-		readsServed:    r.Counter("rocpanda.server.reads_served"),
-		adopted:        r.Counter("rocpanda.server.clients_adopted"),
-		bufBytesPeak:   r.Gauge("rocpanda.server.buf_bytes_peak"),
-		drainSeconds:   r.Histogram("rocpanda.server.drain_seconds", nil),
-		scanSeconds:    r.Histogram("rocpanda.server.restart_scan_seconds", nil),
+		crashes:      r.Counter("rocpanda.server.crashes"),
+		filesSkipped: r.Counter("rocpanda.server.files_skipped"),
+		readsServed:  r.Counter("rocpanda.server.reads_served"),
+		adopted:      r.Counter("rocpanda.server.clients_adopted"),
+		scanSeconds:  r.Histogram("rocpanda.server.restart_scan_seconds", nil),
 
-		drainErrors:  r.Counter("rocpanda.drain.errors"),
 		flushSeconds: r.Histogram("rocpanda.drain.flush_seconds", nil),
 		readErrors:   r.Counter("rocpanda.read.errors"),
 
@@ -126,7 +112,7 @@ func newSrvMx(r *metrics.Registry) srvMx {
 // writes (responsiveness); with clean buffers it blocks in probe, leaving
 // the CPU to the operating system.
 func (s *server) run() {
-	s.wr = newWriteEngine(s)
+	s.wr = s.newWriter()
 	s.reads = make(map[string]*readRound)
 	// An injected crash (internal/faults) panics with serverCrashed from
 	// deep inside the loop; catching it here and returning — no drain, no
@@ -134,7 +120,7 @@ func (s *server) run() {
 	// models the process dying.
 	defer func() {
 		r := recover()
-		s.wr.close()
+		s.wr.Close()
 		if r != nil {
 			if _, died := r.(serverCrashed); !died {
 				panic(r)
@@ -143,33 +129,25 @@ func (s *server) run() {
 		}
 	}()
 	for s.shutdown < len(s.myClients) {
-		if s.wr.crashed() {
+		if s.wr.Crashed() {
 			panic(serverCrashed{}) // a writer task died; the process dies with it
 		}
-		if s.wr.pending() {
+		if s.wr.Pending() {
 			if st, ok := s.world.Iprobe(mpi.AnySource, mpi.AnyTag); ok {
 				s.handle(st)
 			} else {
-				s.wr.step()
+				s.wr.Step()
 			}
 			continue
 		}
 		s.handle(s.world.Probe(mpi.AnySource, mpi.AnyTag))
 	}
-	err := s.wr.flush()
+	err := s.wr.Flush()
 	// Acknowledge all shutdowns only after everything is on disk; the ack
 	// carries the drain outcome so the clients can refuse the commit.
 	for _, dst := range s.shutdownQueue {
 		s.world.Send(dst, tagShutdownAck, ackPayload(err))
 	}
-}
-
-// ackPayload encodes a drain outcome for a sync or shutdown ack.
-func ackPayload(err error) []byte {
-	if err != nil {
-		return []byte{ackDrainFailed}
-	}
-	return nil
 }
 
 // traceRank is this server's row in the phase timeline: servers sit after
@@ -185,7 +163,7 @@ func (s *server) handle(st mpi.Status) {
 		s.handleReadReq(st.Source)
 	case tagSync:
 		s.recvEmpty(st.Source, tagSync, "sync request")
-		s.world.Send(st.Source, tagSyncAck, ackPayload(s.wr.flush()))
+		s.world.Send(st.Source, tagSyncAck, ackPayload(s.wr.Flush()))
 	case tagShutdown:
 		s.recvEmpty(st.Source, tagShutdown, "shutdown request")
 		s.shutdown++
@@ -228,7 +206,7 @@ func (s *server) recvEmpty(src, tag int, what string) {
 }
 
 // handleWrite receives one client's header and blocks for a collective
-// write and submits the blocks to the write engine; the ack goes out once
+// write and submits the blocks to the write service; the ack goes out once
 // the engine has taken (buffered, or under write-through written) them all.
 //
 // A block that arrives empty or undecodable is an error path, not a panic:
@@ -246,15 +224,15 @@ func (s *server) handleWrite(src int) {
 		payload, _ := s.world.Recv(src, tagWriteBlock)
 		sets, err := roccom.DecodeIOSets(payload)
 		if err != nil {
-			s.wr.noteDrainErr(fmt.Errorf("rocpanda: server %d: corrupt write block %d/%d from rank %d (tag %d, %d bytes): %w",
+			s.wr.Fail(fmt.Errorf("rocpanda: server %d: corrupt write block %d/%d from rank %d (tag %d, %d bytes): %w",
 				s.idx, i+1, hdr.NBlocks, src, tagWriteBlock, len(payload), err))
 			continue
 		}
-		// One pending block per copy: the primary plus any replicas, all
-		// through the same engine, so the buffered-byte and written-byte
-		// tallies honestly show the write amplification.
+		// One block per copy: the primary plus any replicas, all through
+		// the same service, so the buffered-byte and written-byte tallies
+		// honestly show the write amplification.
 		for _, fname := range fnames {
-			s.wr.submit(pendingBlock{fname: fname, sets: sets, bytes: int64(len(payload)), time: hdr.Time, step: hdr.Step})
+			s.wr.Submit(snapshot.Block{File: fname, Sets: sets, Bytes: int64(len(payload)), Time: hdr.Time, Step: hdr.Step})
 		}
 	}
 	s.world.Send(src, tagWriteAck, nil)
@@ -373,14 +351,14 @@ func (s *server) serveRead(file, window string, round *readRound) {
 	// The loaded chain also answers "committed?". A committed generation
 	// needs no flush barrier: its commit record exists only because the Sync
 	// flush already put every block of it on disk — so reading generation g
-	// proceeds immediately, while the write engine may still be writing back
+	// proceeds immediately, while the write service may still be writing back
 	// g+1. When the flush does run it is write-back cost, not scan cost: it
 	// gets its own histogram and the scan clock restarts after it.
 	scanT0 := s.ctx.Clock().Now()
 	chain, chainErr := snapshot.LoadChain(s.ctx.FS(), file)
 	if len(chain) == 0 {
 		flushT0 := s.ctx.Clock().Now()
-		s.wr.flush()
+		s.wr.Flush()
 		scanT0 = s.ctx.Clock().Now()
 		s.mx.flushSeconds.Observe(scanT0 - flushT0)
 	}

@@ -1,0 +1,122 @@
+package snapshot
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+
+	"genxio/internal/mpi"
+	"genxio/internal/rt"
+)
+
+// ErrDrainFailed reports that some process could not land all of its
+// snapshot output (a block write or file close failed). Every rank of the
+// commit allreduce surfaces it — one failure spreads to all — and the
+// affected generations get no manifest.
+var ErrDrainFailed = errors.New("snapshot: output did not reach the filesystem")
+
+// PendingGen is one generation written since the last commit, awaiting its
+// commit record.
+type PendingGen struct {
+	Base  string
+	Epoch int64
+	Time  float64
+	// Delta marks a generation that shipped only dirty panes, and Panes is
+	// then the writing rank's local pane universe per window — every
+	// registered pane, shipped or not, so the committed manifest can record
+	// the generation's true pane set (a clean pane still exists; a
+	// refinement-deleted one must not resurrect from the chain's base). Set
+	// by the module that began the generation; zero for full generations.
+	Delta bool
+	Panes map[string][]int
+}
+
+// Pending is the commit protocol every I/O module ends a sync with: the
+// generations written since the last commit, in write order, and the
+// collective routine that turns them into manifests. Writes are collective,
+// so every rank of comm accumulates the same list.
+type Pending struct {
+	comm   mpi.Comm
+	fs     rt.FS
+	retain int
+	gens   []*PendingGen // few: what was written since the last sync
+}
+
+// NewPending returns the calling rank's end of the protocol over comm.
+// retain > 0 prunes all but the newest retain generations after each commit.
+func NewPending(comm mpi.Comm, fs rt.FS, retain int) *Pending {
+	return &Pending{comm: comm, fs: fs, retain: retain}
+}
+
+// Begin returns the pending generation under base, adding it (fresh) on the
+// first write into it since the last commit.
+func (p *Pending) Begin(base string, epoch int64, tm float64) (g *PendingGen, fresh bool) {
+	for _, have := range p.gens {
+		if have.Base == base {
+			return have, false
+		}
+	}
+	g = &PendingGen{Base: base, Epoch: epoch, Time: tm}
+	p.gens = append(p.gens, g)
+	return g, true
+}
+
+// Commit is the collective end of a sync or shutdown. flushErr is what this
+// rank's flush barrier reported; the allreduce over it doubles as the
+// barrier that guarantees every rank's output is on disk, and if any rank
+// failed no manifest may be written: every rank returns an error (its own,
+// or ErrDrainFailed for a peer's) and the generations stay pending.
+// Otherwise the pending generations commit. chain, when non-nil, is called
+// on every rank for each generation in order just before its commit — it
+// may be collective — and returns, on rank 0, the chain facts of a delta
+// generation.
+func (p *Pending) Commit(flushErr error, chain func(*PendingGen) *ChainInfo) error {
+	bad := 0.0
+	if flushErr != nil {
+		bad = 1
+	}
+	if p.comm.AllreduceMax(bad) > 0 {
+		if flushErr == nil {
+			flushErr = fmt.Errorf("%w on a peer", ErrDrainFailed)
+		}
+		return flushErr
+	}
+	return p.commitPending(chain)
+}
+
+// commitPending writes the manifest of every pending generation (rank 0
+// only; the others wait), then prunes old generations if retention is
+// configured. Callers must have established that every rank's output is on
+// disk. The trailing barrier keeps any rank from racing ahead — e.g. into a
+// manifest-driven restore — before the commit records exist.
+func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
+	var err error
+	for _, g := range p.gens {
+		var ci *ChainInfo
+		if chain != nil {
+			ci = chain(g)
+		}
+		if p.comm.Rank() == 0 {
+			if _, cerr := CommitChained(p.fs, g.Base, g.Epoch, g.Time, ci); cerr != nil && err == nil {
+				err = cerr
+			}
+		}
+	}
+	if err == nil && p.comm.Rank() == 0 && p.retain > 0 && len(p.gens) > 0 {
+		prefix := genPrefix(p.gens[len(p.gens)-1].Base)
+		if _, err = Prune(p.fs, prefix, p.retain); err != nil {
+			err = fmt.Errorf("snapshot: prune %s: %w", prefix, err)
+		}
+	}
+	p.gens = nil
+	p.comm.Barrier()
+	return err
+}
+
+// genPrefix returns the directory prefix shared by a base's generations.
+func genPrefix(base string) string {
+	if i := strings.LastIndexByte(base, '/'); i >= 0 {
+		return base[:i+1]
+	}
+	return ""
+}

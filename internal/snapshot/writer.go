@@ -1,0 +1,472 @@
+package snapshot
+
+// The write service: the one implementation of a snapshot write, under all
+// three I/O modules. The paper presents individual and collective I/O as two
+// placements of the same work — who holds the buffer, who writes the file —
+// and so does this: a Rocpanda server feeds a Writer from the MPI stream
+// (§6.1, Figure 2), Rochdf is its write-through inline configuration on the
+// compute rank itself, and T-Rochdf its pool of one. It is one state machine
+// with two drivers.
+//
+// The state machine. Submit takes a block into the queue (charging the
+// buffer copy and counting it under active buffering); a step pops the
+// oldest queued block, appends it to its snapshot file through a blockSink,
+// observes drain_seconds and then visits the MidDrain crash point; Flush
+// empties the queue, closes every open file and returns the sticky first
+// error — the barrier-before-commit that sync, restart reads of an
+// uncommitted generation and shutdown rely on. Only after it may a
+// generation's manifest be written (Pending.Commit), so crash consistency,
+// catalog publication and generation fallback depend on neither the driver
+// nor the module.
+//
+// The budget rule, stated once: WriterConfig.Budget bounds the queued bytes
+// under the iosched.Writeback policy. A Submit that leaves the queue over
+// budget holds the submitter — delaying a Rocpanda client's ack — until
+// steps bring it back under; 0 is unbounded, and a budget smaller than any
+// block degenerates to write-through timing under either driver.
+//
+// The inline driver (Workers 0) is the paper-faithful, zero-worker case: the
+// queue lives on the owner, which runs one step per empty Iprobe (a Rocpanda
+// server's request loop) with its own clock and filesystem view, and a held
+// submitter steps inline (overflow_stalls counts those steps). No scheduler
+// is constructed, so such a run reports no iosched write tasks.
+// Write-through (Buffering off — Rochdf, and Rocpanda's ablation baseline)
+// is this driver holding every Submit until the queue is empty: no buffer
+// copy is charged and nothing counts as buffered, but a block still takes
+// the one step, MidDrain point included.
+//
+// The pool driver (Workers > 0 — T-Rochdf's I/O thread is one worker) hands
+// the same step to an internal/iosched pool as ClassWrite tasks (goroutines
+// on the channel backend, simulation processes with their own clock and
+// filesystem view on the virtual platforms): queue, budget and hold are the
+// scheduler's, each writer owns a private blockSink, and the owner keeps
+// absorbing blocks while earlier ones land. A held submitter blocks on
+// completion signals (iosched.write.backpressure_waits), never sleep-polling.
+//
+// Ordering and bit-exactness: the inline queue is FIFO; a pool task's key is
+// its destination file, so the scheduler's keyed-ordering invariant (same
+// key => same worker, in submission order) gives each file its blocks in
+// exactly the arrival order the inline driver uses. The output files are
+// byte-identical under both.
+//
+// Faults: MidBuffer fires on the owner after a buffered block is queued
+// (never under write-through). MidDrain fires after a block lands — on the
+// owner inline, as a fatal task result on a pool writer — and BeforeMeta
+// inside the sink, on whichever process runs the step; a dying writer takes
+// the owning process with it (WriterCrashed), its files left as staged
+// temporaries. A failed write or close never panics: the first error sticks
+// (ErrorSeries counts every one), Flush reports it from then on, and the
+// commit allreduce refuses the generation.
+
+import (
+	"fmt"
+	"sort"
+
+	"genxio/internal/faults"
+	"genxio/internal/hdf"
+	"genxio/internal/iosched"
+	"genxio/internal/metrics"
+	"genxio/internal/mpi"
+	"genxio/internal/roccom"
+	"genxio/internal/rt"
+	"genxio/internal/trace"
+)
+
+// writerQueueCap is each pool writer's job-queue capacity in blocks; the
+// byte budget (or the module's own flush rule), not this bound, is the
+// intended flow control.
+const writerQueueCap = 4096
+
+// Block is one data block awaiting its step: the datasets one source handed
+// over for one snapshot file.
+type Block struct {
+	File  string // destination snapshot file
+	Sets  []roccom.IOSet
+	Bytes int64 // the block's charge against the buffer budget
+	Time  float64
+	Step  int32
+}
+
+// WriterConfig is what differs between the placements of a Writer.
+type WriterConfig struct {
+	Profile  hdf.CostProfile // the scientific-library cost model
+	Compress bool            // store datasets deflate-compressed
+	// Meta follows the time and step attributes of every new file's _meta
+	// dataset: who wrote it (server and server count, or rank).
+	Meta []hdf.Attr
+	// ClosePerBlock closes a file as each block lands and reopens it in
+	// append mode for the next: individual I/O, where one write_attribute
+	// call is the whole write. Off, a file stays open across a generation's
+	// blocks — a server interleaves many clients into one file — and closes
+	// when a newer generation's data arrives or at Flush.
+	ClosePerBlock bool
+
+	// Buffering is the paper's active buffering; off, every Submit is held
+	// until its block is on disk. Workers > 0 selects the pool driver of
+	// that width (Buffering only). MemcpyBW is the buffer-copy bandwidth
+	// (bytes/s) charged per buffered block on simulated platforms; Budget
+	// bounds the queued bytes (0: unbounded).
+	Buffering bool
+	Workers   int
+	MemcpyBW  float64
+	Budget    int64
+
+	// Metrics receives the series named in newWriterMx under Prefix, and
+	// the failure count as ErrorSeries; nil disables recording.
+	Metrics     *metrics.Registry
+	Prefix      string
+	ErrorSeries string
+	// Crash reports whether the owning process dies at an instrumented
+	// point (fault injection); nil never does.
+	Crash func(faults.CrashPoint) bool
+	// Trace receives one span per pool task on row TraceRank.
+	Trace     *trace.Recorder
+	TraceRank int
+}
+
+// WriterCrashed is the panic a Writer raises on its owner when the crash
+// hook fires or a pool writer died to it; the owner recovers it and dies
+// without draining or acknowledging anything.
+type WriterCrashed struct{}
+
+// writerMx holds a Writer's registry handles (nil-safe no-ops without a
+// registry), created once so the hot paths never touch the registry map.
+type writerMx struct {
+	blocksBuffered *metrics.Counter
+	blocksWritten  *metrics.Counter
+	bytesWritten   *metrics.Counter
+	filesCreated   *metrics.Counter
+	overflowStalls *metrics.Counter
+	errors         *metrics.Counter
+	bufBytesPeak   *metrics.Gauge
+	drainSeconds   *metrics.Histogram
+}
+
+func newWriterMx(r *metrics.Registry, prefix, errorSeries string) writerMx {
+	return writerMx{
+		blocksBuffered: r.Counter(prefix + "blocks_buffered"),
+		blocksWritten:  r.Counter(prefix + "blocks_written"),
+		bytesWritten:   r.Counter(prefix + "bytes_written"),
+		filesCreated:   r.Counter(prefix + "files_created"),
+		overflowStalls: r.Counter(prefix + "overflow_stalls"),
+		errors:         r.Counter(errorSeries),
+		bufBytesPeak:   r.Gauge(prefix + "buf_bytes_peak"),
+		drainSeconds:   r.Histogram(prefix+"drain_seconds", nil),
+	}
+}
+
+// Writer is one process's write machine, built once per service lifetime.
+// Everything but the pool's task closures runs on the owner's goroutine.
+type Writer struct {
+	cfg   WriterConfig
+	clock rt.Clock // the owner's
+	mx    writerMx
+	err   error // sticky first failure
+
+	// Inline driver: the queue, its byte count and the owner's sink.
+	queue  []Block
+	queued int64
+	sink   *blockSink
+
+	// Pool driver: queue, budget and sinks live in the scheduler.
+	eng *iosched.Engine
+}
+
+// NewWriter builds the write machine for the calling process. This is the
+// one place the driver is chosen.
+func NewWriter(ctx mpi.Ctx, cfg WriterConfig) *Writer {
+	w := &Writer{cfg: cfg, clock: ctx.Clock(), mx: newWriterMx(cfg.Metrics, cfg.Prefix, cfg.ErrorSeries)}
+	if cfg.Workers <= 0 || !cfg.Buffering {
+		w.sink = newBlockSink(w, ctx.Clock(), ctx.FS())
+		return w
+	}
+	w.eng = iosched.New(ctx, iosched.Config{
+		Name:       "snapshot-write",
+		Workers:    cfg.Workers,
+		Budget:     cfg.Budget,
+		QueueCap:   writerQueueCap,
+		Policy:     iosched.Writeback{},
+		FlushClass: iosched.ClassWrite,
+		NewState: func(wi int, tc rt.TaskCtx) iosched.WorkerState {
+			return newBlockSink(w, tc.Clock(), tc.FS())
+		},
+		// An injected crash point (BeforeMeta inside the sink) panics with
+		// WriterCrashed; the worker dies with its files unclosed.
+		FatalPanic: func(r interface{}) bool { _, died := r.(WriterCrashed); return died },
+		Metrics:    cfg.Metrics,
+		Trace:      cfg.Trace,
+		TraceRank:  cfg.TraceRank,
+		TracePhase: trace.PhaseDrain,
+		// The drain timeline records every block span, including
+		// zero-width ones on the virtual platforms.
+		TraceZeroSpans: true,
+	})
+	return w
+}
+
+// dies asks the crash hook about point; crashAt dies there if it says so.
+func (w *Writer) dies(point faults.CrashPoint) bool {
+	return w.cfg.Crash != nil && w.cfg.Crash(point)
+}
+
+func (w *Writer) crashAt(point faults.CrashPoint) {
+	if w.dies(point) {
+		panic(WriterCrashed{})
+	}
+}
+
+// Submit takes one block into the machine and returns once the queue is
+// back within budget — at once with room to spare, after the steps (inline)
+// or completions (pool) that make room otherwise. A Rocpanda client's ack
+// waits on this, so with room it is delayed only by the buffer copy, not by
+// file I/O.
+func (w *Writer) Submit(blk Block) {
+	buffering := w.cfg.Buffering
+	if buffering {
+		if w.cfg.MemcpyBW > 0 {
+			w.clock.Compute(float64(blk.Bytes) / w.cfg.MemcpyBW)
+		}
+		w.mx.blocksBuffered.Inc()
+	}
+	if w.eng != nil {
+		info := w.eng.Submit(&iosched.Task{
+			Class: iosched.ClassWrite,
+			Key:   blk.File,
+			Cost:  blk.Bytes,
+			Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
+				err := w.land(st.(*blockSink), blk)
+				if err != nil {
+					w.mx.errors.Inc()
+				}
+				return iosched.Result{Err: err, Fatal: w.dies(faults.MidDrain)}
+			},
+		})
+		w.mx.bufBytesPeak.SetMax(float64(info.Queued))
+		if info.Waited && w.eng.Crashed() {
+			panic(WriterCrashed{})
+		}
+		w.crashAt(faults.MidBuffer)
+		return
+	}
+	w.queue = append(w.queue, blk)
+	w.queued += blk.Bytes
+	w.mx.bufBytesPeak.SetMax(float64(w.queued))
+	if !buffering {
+		w.drain() // write-through: the submitter is held until the queue is empty
+		return
+	}
+	w.crashAt(faults.MidBuffer)
+	for w.Pending() && (iosched.Writeback{}).HoldSubmitter(w.queued, w.cfg.Budget) {
+		w.mx.overflowStalls.Inc()
+		w.Step()
+	}
+}
+
+// Pending reports whether the owner has queued blocks to step through
+// between probes; never with the pool, whose writers drain on their own.
+func (w *Writer) Pending() bool { return len(w.queue) > 0 }
+
+// Step drains the oldest queued block on the owner. A failure does not stop
+// the queue: other files may still complete, and the sticky error already
+// blocks every later commit.
+func (w *Writer) Step() {
+	blk := w.queue[0]
+	w.queue = w.queue[1:]
+	w.queued -= blk.Bytes
+	if err := w.land(w.sink, blk); err != nil {
+		w.Fail(err)
+	}
+	w.crashAt(faults.MidDrain)
+}
+
+// drain steps the inline queue empty.
+func (w *Writer) drain() {
+	for w.Pending() {
+		w.Step()
+	}
+}
+
+// land writes one block through k — and under ClosePerBlock closes its
+// file, written or not, so what landed is published — and records the drain
+// latency (the cost active buffering hides) on the clock of whichever
+// process runs it.
+func (w *Writer) land(k *blockSink, blk Block) error {
+	t0 := k.clock.Now()
+	err := k.write(blk)
+	if w.cfg.ClosePerBlock {
+		if cerr := k.closeAll(""); err == nil {
+			err = cerr
+		}
+	}
+	w.mx.drainSeconds.Observe(k.clock.Now() - t0)
+	if err != nil {
+		return fmt.Errorf("snapshot: writing %s: %w", blk.File, err)
+	}
+	return nil
+}
+
+// Flush forces every queued block to disk and closes the snapshot files,
+// returning the sticky error (nil when all output landed). With the pool
+// it is iosched.Flush: every writer finishes its queue, closes its files
+// and acks with its own sticky error. Panics with WriterCrashed if a
+// writer died to an injected crash.
+func (w *Writer) Flush() error {
+	if w.eng == nil {
+		w.drain()
+		if err := w.sink.closeAll(""); err != nil {
+			w.Fail(err)
+		}
+		return w.err
+	}
+	if w.eng.Crashed() {
+		panic(WriterCrashed{})
+	}
+	err := w.eng.Flush()
+	if w.eng.Crashed() {
+		panic(WriterCrashed{})
+	}
+	if err != nil && w.err == nil {
+		w.err = err // counted by the writer that hit it
+	}
+	return w.err
+}
+
+// Fail records a failure seen on the owner: a failed block write or file
+// close, or (a Rocpanda server) a block that arrived undecodable. The first
+// error sticks: Flush reports it from then on, so no generation after the
+// failure can commit.
+func (w *Writer) Fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+	w.mx.errors.Inc()
+}
+
+// Err returns the sticky error as the owner knows it: every inline failure
+// so far, and what the last Flush reported from the pool.
+func (w *Writer) Err() error { return w.err }
+
+// Crashed reports whether a pool writer died to an injected crash; the
+// owner polls it and takes the process down.
+func (w *Writer) Crashed() bool { return w.eng != nil && w.eng.Crashed() }
+
+// Close tears the pool down (idempotent; a no-op inline) so the
+// simulation's non-daemon writer processes always terminate.
+func (w *Writer) Close() {
+	if w.eng != nil {
+		w.eng.Close()
+	}
+}
+
+// blockSink owns a set of open snapshot writers and appends blocks to
+// them: the owner's under the inline driver, one per writer task under the
+// pool — its private iosched.WorkerState, with the worker's own clock
+// identity and filesystem view (required by the simulated platforms) — so
+// sinks never share mutable state. A pool writer's files stay open (staged
+// temporaries) if it dies to an injected crash, as a real process death
+// would leave them.
+type blockSink struct {
+	w        *Writer
+	clock    rt.Clock
+	fs       rt.FS
+	writers  map[string]*hdf.Writer
+	metaDone map[string]bool
+}
+
+func newBlockSink(w *Writer, clock rt.Clock, fs rt.FS) *blockSink {
+	return &blockSink{
+		w: w, clock: clock, fs: fs,
+		writers:  make(map[string]*hdf.Writer),
+		metaDone: make(map[string]bool),
+	}
+}
+
+// Flush implements iosched.WorkerState: the barrier closes every file.
+func (k *blockSink) Flush() error {
+	err := k.closeAll("")
+	if err != nil {
+		k.w.mx.errors.Inc()
+	}
+	return err
+}
+
+// Close implements iosched.WorkerState (never called: the pool keeps state
+// unclosed on exit, see iosched.Config.CloseStateOnExit).
+func (k *blockSink) Close() error { return nil }
+
+// write appends one block's datasets to the snapshot file, opening it
+// first if needed. Opening a new snapshot file closes the previous
+// snapshot's writers (writes are ordered across generations, so once a
+// newer snapshot's data drains, older files are complete). A file that was
+// already created and closed (by ClosePerBlock, or by one client's sync
+// while another client's blocks were still inbound) is reopened in append
+// mode — recreating it would truncate the blocks already on disk.
+//
+// Errors are returned, not panicked: a full disk must surface through the
+// sticky error and the commit allreduce, not tear the whole run down.
+func (k *blockSink) write(blk Block) error {
+	cfg, mx := &k.w.cfg, &k.w.mx
+	w, ok := k.writers[blk.File]
+	if !ok {
+		if err := k.closeAll(baseOf(blk.File)); err != nil {
+			return err
+		}
+		var err error
+		if k.metaDone[blk.File] {
+			w, err = hdf.OpenAppend(k.fs, blk.File, k.clock, cfg.Profile)
+		} else {
+			w, err = hdf.Create(k.fs, blk.File, k.clock, cfg.Profile)
+		}
+		if err != nil {
+			return err
+		}
+		if !k.metaDone[blk.File] {
+			mx.filesCreated.Inc()
+		}
+		w.Compress = cfg.Compress
+		w.Metrics = cfg.Metrics
+		k.writers[blk.File] = w
+	}
+	if !k.metaDone[blk.File] {
+		k.w.crashAt(faults.BeforeMeta)
+		k.metaDone[blk.File] = true
+		attrs := append([]hdf.Attr{hdf.F64Attr("time", blk.Time), hdf.I32Attr("step", blk.Step)}, cfg.Meta...)
+		if err := w.CreateDataset("_meta", hdf.U8, []int64{0}, attrs, nil); err != nil {
+			return fmt.Errorf("meta: %w", err)
+		}
+	}
+	for _, set := range blk.Sets {
+		if err := w.CreateDataset(set.Name, set.Type, set.Dims, set.Attrs, set.Data); err != nil {
+			return err
+		}
+	}
+	mx.blocksWritten.Inc()
+	mx.bytesWritten.Add(blk.Bytes)
+	return nil
+}
+
+// closeAll closes every open writer except those of the named generation
+// base ("" closes everything), returning the first failure (all affected
+// writers are closed and forgotten regardless — a handle that failed its
+// close is not worth retrying). Closing by generation, not by file, keeps
+// a generation's primary and replica writers open side by side while its
+// copies interleave; writes are still ordered across generations, so once
+// a newer snapshot's data drains, the older generation's files are
+// complete and can close.
+func (k *blockSink) closeAll(exceptGen string) error {
+	names := make([]string, 0, len(k.writers))
+	for name := range k.writers {
+		if exceptGen == "" || baseOf(name) != exceptGen {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var first error
+	for _, name := range names {
+		if err := k.writers[name].Close(); err != nil && first == nil {
+			first = fmt.Errorf("snapshot: closing %s: %w", name, err)
+		}
+		delete(k.writers, name)
+	}
+	return first
+}
