@@ -1,0 +1,24 @@
+#!/bin/sh
+# The structural claims of PRs 15-22 as a check: one write path, one commit,
+# one restart-read path, one bounded cursor — over the non-test Go under
+# internal/. Run from the repository root; any miss fails.
+fail=0
+src() { find internal "$@" -name '*.go' ! -name '*_test.go'; } # src [find tests...]
+one() { # one WHAT PATTERN: exactly one line matches
+	n=$(src | xargs grep -hE "$2" | wc -l)
+	[ "$n" -eq 1 ] || { echo "onepath: $n definitions of $1, want 1"; fail=1; }
+}
+none() { # none WHAT PATTERN [find tests...]: no line matches in those files
+	what=$1 pat=$2; shift 2
+	hits=$(src "$@" | xargs grep -nE "$pat")
+	[ -z "$hits" ] || { echo "onepath: $what:"; echo "$hits"; fail=1; }
+}
+one commitPending '^func .*commitPending\('
+one genPrefix '^func genPrefix\('
+one 'a bounded cursor (its need method)' '^func \([a-z]+ \*?[A-Za-z]+\) need\('
+none 'hdf.Open outside internal/snapshot and internal/hdf' 'hdf\.Open\(' \
+	! -path 'internal/snapshot/*' ! -path 'internal/hdf/*'
+none 'iosched.New outside internal/snapshot' 'iosched\.New\(' ! -path 'internal/snapshot/*'
+none 'RHDF writes in internal/rochdf or internal/rocpanda' 'hdf\.(Create|OpenAppend)\(|\.CreateDataset\(' \
+	'(' -path 'internal/rochdf/*' -o -path 'internal/rocpanda/*' ')'
+exit $fail

@@ -122,12 +122,12 @@ func (c *Catalog) Encode() []byte {
 	var body []byte
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.Files)))
 	for _, f := range c.Files {
-		body = appendStr(body, f)
+		body = hdf.AppendStr(body, f)
 	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.Entries)))
 	for _, e := range c.Entries {
 		body = binary.LittleEndian.AppendUint32(body, uint32(e.File))
-		body = appendStr(body, e.Name)
+		body = hdf.AppendStr(body, e.Name)
 		body = append(body, byte(e.Type))
 		var flags byte
 		if e.Compressed {
@@ -145,7 +145,7 @@ func (c *Catalog) Encode() []byte {
 		body = binary.LittleEndian.AppendUint32(body, e.CRC)
 		body = binary.LittleEndian.AppendUint16(body, uint16(len(e.Attrs)))
 		for _, a := range e.Attrs {
-			body = appendStr(body, a.Name)
+			body = hdf.AppendStr(body, a.Name)
 			body = append(body, byte(a.Type))
 			body = binary.LittleEndian.AppendUint32(body, uint32(len(a.Data)))
 			body = append(body, a.Data...)
@@ -175,53 +175,45 @@ func Decode(blob []byte) (*Catalog, error) {
 	if want, got := binary.LittleEndian.Uint32(blob[8:]), hdf.Checksum(body); got != want {
 		return nil, fmt.Errorf("%w: catalog body crc32c %08x, computed %08x", hdf.ErrChecksum, want, got)
 	}
-	p := &parser{b: body}
+	p := hdf.NewCursor(body)
 	c := &Catalog{}
-	nf := int(p.u32())
-	// Each file record is at least 2 bytes; cap the allocation by what the
-	// body could possibly hold before trusting the count.
-	if nf < 0 || nf > len(body)/2 {
-		return nil, fmt.Errorf("catalog: %d files cannot fit in %d bytes", nf, len(body))
-	}
+	// Every count is capped by what the remaining bytes could hold before
+	// it sizes an allocation: a file record is at least 2 bytes, the
+	// smallest entry (empty name, no dims, no attrs) 4+2+1+1+1+8+8+4+2 = 31,
+	// an attribute 2+1+4.
+	nf := p.Fits(int(p.U32()), 2)
 	c.Files = make([]string, 0, nf)
 	for i := 0; i < nf; i++ {
-		c.Files = append(c.Files, p.str())
+		c.Files = append(c.Files, p.Str())
 	}
-	ne := int(p.u32())
-	// The smallest possible entry (empty name, no dims, no attrs) is
-	// 4+2+1+1+1+8+8+4+2 = 31 bytes.
-	if ne < 0 || ne > len(body)/31 {
-		return nil, fmt.Errorf("catalog: %d entries cannot fit in %d bytes", ne, len(body))
+	ne := p.Fits(int(p.U32()), 31)
+	if p.Err() != nil {
+		return nil, fmt.Errorf("catalog: corrupt header: %w", p.Err())
 	}
 	c.Entries = make([]Entry, 0, ne)
 	for i := 0; i < ne; i++ {
 		var e Entry
-		e.File = int(p.u32())
-		e.Name = p.str()
-		e.Type = hdf.DType(p.u8())
-		flags := p.u8()
+		e.File = int(p.U32())
+		e.Name = p.Str()
+		e.Type = hdf.DType(p.U8())
+		flags := p.U8()
 		e.Compressed = flags&entCompressed != 0
 		e.HasCRC = flags&entHasCRC != 0
-		nd := int(p.u8())
-		e.Dims = make([]int64, nd)
+		e.Dims = make([]int64, p.Fits(int(p.U8()), 8))
 		for j := range e.Dims {
-			e.Dims[j] = int64(p.u64())
+			e.Dims[j] = int64(p.U64())
 		}
-		e.Offset = int64(p.u64())
-		e.Length = int64(p.u64())
-		e.CRC = p.u32()
-		na := int(p.u16())
-		if na > len(body)/7 { // min attr record: 2+1+4 bytes
-			return nil, fmt.Errorf("catalog: entry %d claims %d attrs in %d bytes", i, na, len(body))
-		}
-		e.Attrs = make([]hdf.Attr, na)
+		e.Offset = int64(p.U64())
+		e.Length = int64(p.U64())
+		e.CRC = p.U32()
+		e.Attrs = make([]hdf.Attr, p.Fits(int(p.U16()), 7))
 		for j := range e.Attrs {
-			e.Attrs[j].Name = p.str()
-			e.Attrs[j].Type = hdf.DType(p.u8())
-			e.Attrs[j].Data = p.bytes(int(p.u32()))
+			e.Attrs[j].Name = p.Str()
+			e.Attrs[j].Type = hdf.DType(p.U8())
+			e.Attrs[j].Data = p.Bytes(int(p.U32()))
 		}
-		if p.err != nil {
-			return nil, fmt.Errorf("catalog: corrupt at entry %d: %w", i, p.err)
+		if p.Err() != nil {
+			return nil, fmt.Errorf("catalog: corrupt at entry %d: %w", i, p.Err())
 		}
 		if e.File < 0 || e.File >= len(c.Files) {
 			return nil, fmt.Errorf("catalog: entry %d references file %d of %d", i, e.File, len(c.Files))
@@ -236,8 +228,8 @@ func Decode(blob []byte) (*Catalog, error) {
 		e.Window, e.Pane, e.Attr = window, pane, attr
 		c.Entries = append(c.Entries, e)
 	}
-	if p.off != len(body) {
-		return nil, fmt.Errorf("catalog: %d trailing bytes after %d entries", len(body)-p.off, ne)
+	if err := p.End(); err != nil {
+		return nil, fmt.Errorf("catalog: %w after %d entries", err, ne)
 	}
 	return c, nil
 }
@@ -248,21 +240,8 @@ func Decode(blob []byte) (*Catalog, error) {
 // generation's commit record never points at a missing catalog.
 func Write(fsys rt.FS, base string, c *Catalog) (size int64, crc uint32, err error) {
 	blob := c.Encode()
-	name := base + Suffix
-	tmp := name + hdf.TmpSuffix
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := f.WriteAt(blob, 0); err != nil {
-		f.Close()
-		return 0, 0, fmt.Errorf("catalog: writing %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, 0, err
-	}
-	if err := fsys.Rename(tmp, name); err != nil {
-		return 0, 0, err
+	if err := hdf.PublishFile(fsys, base+Suffix, blob); err != nil {
+		return 0, 0, fmt.Errorf("catalog: writing %s: %w", base+Suffix, err)
 	}
 	return int64(len(blob)), hdf.Checksum(blob), nil
 }
@@ -272,18 +251,9 @@ func Write(fsys rt.FS, base string, c *Catalog) (size int64, crc uint32, err err
 // caller treats as "no usable catalog": restart falls back to the scan
 // path rather than abandoning the generation.
 func Load(fsys rt.FS, base string) (*Catalog, error) {
-	f, err := fsys.Open(base + Suffix)
+	blob, err := hdf.ReadFile(fsys, base+Suffix)
 	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	blob := make([]byte, size)
-	if _, err := f.ReadAt(blob, 0); err != nil {
-		return nil, fmt.Errorf("catalog: reading %s: %w", f.Name(), err)
+		return nil, fmt.Errorf("catalog: reading %s: %w", base+Suffix, err)
 	}
 	return Decode(blob)
 }
@@ -305,14 +275,13 @@ func ServerFile(base string, home, replica int) string {
 // anything outside the grammar — per-rank files ("base_p00000.rhdf"),
 // manifests, staged temporaries, empty or non-digit index parts.
 func ParseServerFile(name string) (base string, home, replica int, ok bool) {
-	n, isRHDF := strings.CutSuffix(name, ".rhdf")
-	i := strings.LastIndexByte(n, '_')
-	if !isRHDF || i < 0 || i+1 >= len(n) || n[i+1] != 's' {
+	base, index, ok := cutIndex(name, 's')
+	if !ok {
 		return "", 0, 0, false
 	}
 	// ParseUint takes digits only — no sign, no empty string — and 31 bits
 	// keep the indices inside an int everywhere.
-	homeDigits, repDigits, hasRep := strings.Cut(n[i+2:], "r")
+	homeDigits, repDigits, hasRep := strings.Cut(index, "r")
 	h, err := strconv.ParseUint(homeDigits, 10, 31)
 	var r uint64
 	if err == nil && hasRep {
@@ -321,7 +290,44 @@ func ParseServerFile(name string) (base string, home, replica int, ok bool) {
 	if err != nil {
 		return "", 0, 0, false
 	}
-	return n[:i], int(h), int(r), true
+	return base, int(h), int(r), true
+}
+
+// cutIndex splits "base_<kind><index>.rhdf" into base and index.
+func cutIndex(name string, kind byte) (base, index string, ok bool) {
+	n, isRHDF := strings.CutSuffix(name, ".rhdf")
+	i := strings.LastIndexByte(n, '_')
+	if !isRHDF || i < 0 || i+1 >= len(n) || n[i+1] != kind {
+		return "", "", false
+	}
+	return n[:i], n[i+2:], true
+}
+
+// RankFile names a rank's file of an individual-I/O snapshot:
+// "base_pNNNNN.rhdf", one per writing process.
+func RankFile(base string, rank int) string {
+	return fmt.Sprintf("%s_p%05d.rhdf", base, rank)
+}
+
+// ParseRankFile is RankFile's inverse.
+func ParseRankFile(name string) (base string, rank int, ok bool) {
+	base, index, ok := cutIndex(name, 'p')
+	r, err := strconv.ParseUint(index, 10, 31)
+	if !ok || err != nil {
+		return "", 0, false
+	}
+	return base, int(r), true
+}
+
+// ParseDataFile reads either spelling of a snapshot data file: its
+// generation base and its home index — the server whose file set a server
+// file belongs to, or the rank that wrote a rank file. The home is what a
+// restart deals files by.
+func ParseDataFile(name string) (base string, home int, ok bool) {
+	if base, home, _, ok = ParseServerFile(name); ok {
+		return base, home, true
+	}
+	return ParseRankFile(name)
 }
 
 // ReplicaRank reports which copy of a server's output a snapshot file
@@ -382,11 +388,17 @@ func (c *Catalog) PlanReads(window string, wanted map[int]bool) []FilePlan {
 		}
 		byFile[e.File] = append(byFile[e.File], *e)
 	}
+	return c.filePlans(byFile, func(a, b int) bool { return a < b })
+}
+
+// filePlans turns entries grouped by file index into single-file plans,
+// files ordered by before, entries offset-sorted.
+func (c *Catalog) filePlans(byFile map[int][]Entry, before func(a, b int) bool) []FilePlan {
 	idxs := make([]int, 0, len(byFile))
 	for idx := range byFile {
 		idxs = append(idxs, idx)
 	}
-	sort.Ints(idxs)
+	sort.Slice(idxs, func(a, b int) bool { return before(idxs[a], idxs[b]) })
 	plans := make([]FilePlan, 0, len(idxs))
 	for _, idx := range idxs {
 		ents := byFile[idx]
@@ -422,18 +434,7 @@ func (c *Catalog) PaneSources(window string, pane int) []FilePlan {
 		}
 		byFile[e.File] = append(byFile[e.File], *e)
 	}
-	idxs := make([]int, 0, len(byFile))
-	for idx := range byFile {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(a, b int) bool { return c.betterSource(idxs[a], idxs[b]) })
-	plans := make([]FilePlan, 0, len(idxs))
-	for _, idx := range idxs {
-		ents := byFile[idx]
-		sort.Slice(ents, func(a, b int) bool { return ents[a].Offset < ents[b].Offset })
-		plans = append(plans, FilePlan{File: c.Files[idx], Entries: ents})
-	}
-	return plans
+	return c.filePlans(byFile, c.betterSource)
 }
 
 // ResolvePanes walks a delta chain's catalogs newest first (cats[0] is
@@ -516,73 +517,3 @@ func Repartition(ids []int, n int) [][]int {
 	}
 	return out
 }
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-// parser is a bounds-checked little-endian cursor over the catalog body.
-type parser struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (p *parser) need(n int) bool {
-	if p.err != nil {
-		return false
-	}
-	if n < 0 || p.off+n > len(p.b) {
-		p.err = fmt.Errorf("truncated at offset %d (need %d of %d)", p.off, n, len(p.b))
-		return false
-	}
-	return true
-}
-
-func (p *parser) u8() uint8 {
-	if !p.need(1) {
-		return 0
-	}
-	v := p.b[p.off]
-	p.off++
-	return v
-}
-
-func (p *parser) u16() uint16 {
-	if !p.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(p.b[p.off:])
-	p.off += 2
-	return v
-}
-
-func (p *parser) u32() uint32 {
-	if !p.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(p.b[p.off:])
-	p.off += 4
-	return v
-}
-
-func (p *parser) u64() uint64 {
-	if !p.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(p.b[p.off:])
-	p.off += 8
-	return v
-}
-
-func (p *parser) bytes(n int) []byte {
-	if !p.need(n) {
-		return nil
-	}
-	v := append([]byte(nil), p.b[p.off:p.off+n]...)
-	p.off += n
-	return v
-}
-
-func (p *parser) str() string { return string(p.bytes(int(p.u16()))) }

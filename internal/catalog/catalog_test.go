@@ -172,6 +172,44 @@ func TestReplicaRank(t *testing.T) {
 	}
 }
 
+// TestRankFileGrammar: RankFile and ParseRankFile are inverses, and
+// ParseDataFile gives either kind of data file its home — what a restart
+// deals files by.
+func TestRankFileGrammar(t *testing.T) {
+	type parsed struct {
+		base string
+		home int
+		ok   bool
+	}
+	no := parsed{}
+	cases := map[string]struct{ rank, data parsed }{
+		"run/snap000010_p00003.rhdf":      {parsed{"run/snap000010", 3, true}, parsed{"run/snap000010", 3, true}},
+		"run/a_b_p123456.rhdf":            {parsed{"run/a_b", 123456, true}, parsed{"run/a_b", 123456, true}}, // wider than the padding
+		"run/snap000010_s002r1.rhdf":      {no, parsed{"run/snap000010", 2, true}},
+		"run/snap000010_p.rhdf":           {no, no},
+		"run/snap000010_p12a.rhdf":        {no, no},
+		"run/snap000010_p-1.rhdf":         {no, no},
+		"run/snap000010_p9999999999.rhdf": {no, no},
+		"run/snap000010_p00003.rhdf.tmp":  {no, no},
+		"run/snap000010_p00003":           {no, no},
+		"run/snap000010.catalog":          {no, no},
+		"":                                {no, no},
+	}
+	for name, want := range cases {
+		base, rank, ok := ParseRankFile(name)
+		if got := (parsed{base, rank, ok}); got != want.rank {
+			t.Errorf("ParseRankFile(%q) = %+v, want %+v", name, got, want.rank)
+		}
+		base, home, ok := ParseDataFile(name)
+		if got := (parsed{base, home, ok}); got != want.data {
+			t.Errorf("ParseDataFile(%q) = %+v, want %+v", name, got, want.data)
+		}
+	}
+	if got := RankFile("run/snap000010", 3); got != "run/snap000010_p00003.rhdf" {
+		t.Errorf("RankFile = %q", got)
+	}
+}
+
 // replicatedCatalog indexes a primary pair plus a byte-identical replica
 // of server 1's file homed at server 0. The replica sorts lexically before
 // the primary it copies — exactly the commit-time file order — so these

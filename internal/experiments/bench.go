@@ -50,8 +50,12 @@ import (
 // ({rochdf,trochdf}.{blocks_buffered, blocks_written, bytes_written,
 // overflow_stalls, drain_errors, buf_bytes_peak, drain_seconds, and
 // rochdf.drain_wait_seconds); trochdf.bg_write_seconds is now
-// trochdf.drain_seconds.
-const BenchSchema = "genxio-bench/v10"
+// trochdf.drain_seconds. v11: Rochdf and T-Rochdf run the Rocpanda servers'
+// restart-read service too, which registers its series under their prefix
+// ({rochdf,trochdf}.restart.* and .read_errors); a catalog-planned Rochdf
+// restart goes straight to the extents, so that entry no longer reports
+// hdf.lookups, hdf.datasets_read or hdf.bytes_read.
+const BenchSchema = "genxio-bench/v11"
 
 // BenchOpts configures the observability bench: one small integrated run
 // per I/O module on the simulated Turing platform, with a metrics

@@ -133,6 +133,48 @@ func TestCorruptHeaderRejected(t *testing.T) {
 	}
 }
 
+// TestScanDirRejectsBadExtents: ScanDir feeds the snapshot commit — its
+// extents become the catalog's, whose run lengths size restart buffers — so
+// it must refuse what Open refuses: an extent outside the data region, a
+// negative dimension.
+func TestScanDirRejectsBadExtents(t *testing.T) {
+	valid := validFileBytes(t)
+	dirOff := binary.LittleEndian.Uint64(valid[8:])
+	// First entry layout: u32 count, u16 name len, name, u8 type, u8 flags,
+	// u8 ndims, dims..., u64 offset, u64 length.
+	dim := dirOff + 4 + 2 + uint64(binary.LittleEndian.Uint16(valid[dirOff+4:])) + 3
+	cases := []struct {
+		name string
+		at   uint64
+		v    uint64
+	}{
+		{"offset past the directory", dim + 8, uint64(len(valid)) + 1000},
+		{"length past the directory", dim + 16, 1 << 40},
+		{"negative length", dim + 16, 1 << 63},
+		{"negative dimension", dim, 1 << 63},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte(nil), valid...)
+			binary.LittleEndian.PutUint64(b[tc.at:], tc.v)
+			fsys := rt.NewMemFS()
+			f, _ := fsys.Create("m.rhdf")
+			if _, err := f.WriteAt(b, 0); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if _, _, sets, err := ScanDir(fsys, "m.rhdf"); err == nil {
+				off, length := sets[0].Extent()
+				t.Fatalf("ScanDir accepted dataset %q at [%d,+%d) dims %v in a %d-byte file",
+					sets[0].Name, off, length, sets[0].Dims, len(b))
+			}
+		})
+	}
+	if _, _, _, err := ScanDir(rt.NewMemFS(), "absent.rhdf"); !errors.Is(err, rt.ErrNotExist) {
+		t.Fatalf("ScanDir of a missing file = %v, want rt.ErrNotExist", err)
+	}
+}
+
 // TestChecksumMismatchOnRead flips one payload bit: the directory still
 // parses, so Open succeeds, but ReadData must fail with ErrChecksum and
 // bump hdf.checksum_failures.

@@ -206,31 +206,6 @@ func TestOpenAppend(t *testing.T) {
 	}
 }
 
-func TestLookupPrefix(t *testing.T) {
-	fsys, clock := newFile(t)
-	w, _ := Create(fsys, "p.rhdf", clock, NullProfile())
-	for _, name := range []string{"/a/p1/x", "/a/p1/y", "/a/p2/x", "/b/p1/x"} {
-		w.CreateDataset(name, U8, []int64{1}, nil, []byte{0})
-	}
-	w.Close()
-	r, _ := Open(fsys, "p.rhdf", clock, NullProfile())
-	defer r.Close()
-	got := r.LookupPrefix("/a/p1/")
-	if len(got) != 2 || got[0].Name != "/a/p1/x" || got[1].Name != "/a/p1/y" {
-		var names []string
-		for _, d := range got {
-			names = append(names, d.Name)
-		}
-		t.Fatalf("prefix match = %v", names)
-	}
-	if len(r.LookupPrefix("/zzz")) != 0 {
-		t.Fatal("false prefix match")
-	}
-	if len(r.Names()) != 4 {
-		t.Fatalf("Names = %v", r.Names())
-	}
-}
-
 func TestOpenRejectsGarbage(t *testing.T) {
 	fsys, clock := newFile(t)
 	f, _ := fsys.Create("bad")

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
 
 	"genxio/internal/metrics"
 	"genxio/internal/rt"
@@ -14,12 +13,11 @@ import (
 
 // Reader reads an RHDF file.
 type Reader struct {
-	f      rt.File
-	clock  rt.Clock
-	cost   CostProfile
-	sets   []*Dataset
-	names  map[string]int
-	dirOff int64
+	f     rt.File
+	clock rt.Clock
+	cost  CostProfile
+	sets  []*Dataset
+	names map[string]int
 
 	// Metrics, when set, receives hdf.lookups, hdf.datasets_read and
 	// hdf.bytes_read counters. A nil registry is a no-op.
@@ -42,42 +40,54 @@ func Open(fsys rt.FS, name string, clock rt.Clock, cost CostProfile) (*Reader, e
 }
 
 func newReader(f rt.File, clock rt.Clock, cost CostProfile) (*Reader, error) {
-	size, err := f.Size()
+	_, _, sets, err := loadDir(f)
 	if err != nil {
 		return nil, err
 	}
-	version, dirOff, count, err := readHeader(f, size)
-	if err != nil {
-		return nil, err
-	}
-	dir := make([]byte, size-dirOff)
-	if _, err := f.ReadAt(dir, dirOff); err != nil {
-		return nil, fmt.Errorf("hdf: reading directory of %s: %w", f.Name(), err)
-	}
-	sets, err := decodeDir(dir, version)
-	if err != nil {
-		return nil, fmt.Errorf("hdf: %s: %w", f.Name(), err)
-	}
-	if len(sets) != count {
-		return nil, fmt.Errorf("hdf: %s header says %d datasets, directory has %d", f.Name(), count, len(sets))
-	}
-	for _, d := range sets {
-		if d.offset < headerSize || d.length < 0 || d.offset+d.length < d.offset || d.offset+d.length > dirOff {
-			return nil, fmt.Errorf("hdf: %s dataset %q extent [%d,+%d) outside data region [%d,%d)",
-				f.Name(), d.Name, d.offset, d.length, headerSize, dirOff)
-		}
-		for _, dim := range d.Dims {
-			if dim < 0 {
-				return nil, fmt.Errorf("hdf: %s dataset %q has negative dimension %d", f.Name(), d.Name, dim)
-			}
-		}
-	}
-	r := &Reader{f: f, clock: clock, cost: cost, sets: sets, names: make(map[string]int, len(sets)), dirOff: dirOff}
+	r := &Reader{f: f, clock: clock, cost: cost, sets: sets, names: make(map[string]int, len(sets))}
 	for i, d := range sets {
 		r.names[d.Name] = i
 	}
 	clock.Compute(cost.OpenCost(len(sets)))
 	return r, nil
+}
+
+// loadDir reads and validates an open file's header and directory — the one
+// gate between directory bytes and anything that trusts them (a Reader's
+// payload reads, a committed catalog's extents): the dataset count must
+// match the header, and every extent must sit inside the data region with
+// no negative dimension.
+func loadDir(f rt.File) (size int64, dir []byte, sets []*Dataset, err error) {
+	if size, err = f.Size(); err != nil {
+		return 0, nil, nil, err
+	}
+	version, dirOff, count, err := readHeader(f, size)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	dir = make([]byte, size-dirOff)
+	if _, err := f.ReadAt(dir, dirOff); err != nil {
+		return 0, nil, nil, fmt.Errorf("hdf: reading directory of %s: %w", f.Name(), err)
+	}
+	sets, err = decodeDir(dir, version)
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("hdf: %s: %w", f.Name(), err)
+	}
+	if len(sets) != count {
+		return 0, nil, nil, fmt.Errorf("hdf: %s header says %d datasets, directory has %d", f.Name(), count, len(sets))
+	}
+	for _, d := range sets {
+		if d.offset < headerSize || d.length < 0 || d.offset+d.length < d.offset || d.offset+d.length > dirOff {
+			return 0, nil, nil, fmt.Errorf("hdf: %s dataset %q extent [%d,+%d) outside data region [%d,%d)",
+				f.Name(), d.Name, d.offset, d.length, headerSize, dirOff)
+		}
+		for _, dim := range d.Dims {
+			if dim < 0 {
+				return 0, nil, nil, fmt.Errorf("hdf: %s dataset %q has negative dimension %d", f.Name(), d.Name, dim)
+			}
+		}
+	}
+	return size, dir, sets, nil
 }
 
 // NumDatasets returns the number of datasets in the file.
@@ -104,20 +114,6 @@ func (r *Reader) Lookup(name string) (*Dataset, bool) {
 		return nil, false
 	}
 	return r.sets[i], true
-}
-
-// LookupPrefix returns all datasets whose name starts with prefix, in file
-// order, charging one lookup.
-func (r *Reader) LookupPrefix(prefix string) []*Dataset {
-	r.clock.Compute(r.cost.LookupCost(len(r.sets)))
-	r.Metrics.Counter("hdf.lookups").Inc()
-	var out []*Dataset
-	for _, d := range r.sets {
-		if strings.HasPrefix(d.Name, prefix) {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // ReadData reads a dataset's logical bytes, inflating deflate-compressed
@@ -194,175 +190,78 @@ func readHeader(f rt.File, size int64) (uint32, int64, int, error) {
 	if dirOff < headerSize || dirOff > size {
 		return 0, 0, 0, fmt.Errorf("hdf: %s directory offset %d outside file [%d,%d]", f.Name(), dirOff, headerSize, size)
 	}
-	// A directory entry is at least 22 bytes (empty name, no dims, no
-	// attrs) in every version, so a header claiming more sets than could
-	// fit is garbage — reject it before decodeDir sizes any allocation.
-	if maxSets := (size - dirOff) / 22; int64(count) > maxSets || count < 0 {
+	// A header claiming more sets than the directory bytes could hold is
+	// garbage — reject it before decodeDir sizes any allocation.
+	if maxSets := (size - dirOff) / minDirEntryBytes; int64(count) > maxSets || count < 0 {
 		return 0, 0, 0, fmt.Errorf("hdf: %s header claims %d datasets, directory holds at most %d", f.Name(), count, maxSets)
 	}
 	return version, dirOff, count, nil
 }
 
+// minDirEntryBytes is the encoded size of a directory entry with an empty
+// name and no dims or attrs, in every version; minAttrBytes that of an
+// attribute with empty name and data.
+const (
+	minDirEntryBytes = 22
+	minAttrBytes     = 2 + 1 + 4
+)
+
 func decodeDir(b []byte, version uint32) ([]*Dataset, error) {
-	p := &parser{b: b}
-	n := int(p.u32())
-	// Cap the allocation by what the directory bytes could possibly hold;
-	// the count is validated against the header afterwards.
-	maxSets := len(b) / 22
-	if n > maxSets {
-		return nil, fmt.Errorf("corrupt directory: %d datasets cannot fit in %d bytes", n, len(b))
+	p := NewCursor(b)
+	// Every count is capped by what the remaining bytes could possibly hold
+	// before it sizes an allocation; the dataset count is validated against
+	// the header afterwards.
+	n := p.Fits(int(p.U32()), minDirEntryBytes)
+	if p.Err() != nil {
+		return nil, fmt.Errorf("corrupt directory: %w", p.Err())
 	}
 	sets := make([]*Dataset, 0, n)
 	for i := 0; i < n; i++ {
 		d := &Dataset{}
-		d.Name = p.str()
-		d.Type = DType(p.u8())
-		d.flags = p.u8()
-		nd := int(p.u8())
-		d.Dims = make([]int64, nd)
+		d.Name = p.Str()
+		d.Type = DType(p.U8())
+		d.flags = p.U8()
+		d.Dims = make([]int64, p.Fits(int(p.U8()), 8))
 		for j := range d.Dims {
-			d.Dims[j] = int64(p.u64())
+			d.Dims[j] = int64(p.U64())
 		}
-		d.offset = int64(p.u64())
-		d.length = int64(p.u64())
+		d.offset = int64(p.U64())
+		d.length = int64(p.U64())
 		if version >= 3 {
-			d.crc = p.u32()
+			d.crc = p.U32()
 		} else {
 			d.flags &^= flagHasCRC
 		}
-		na := int(p.u16())
-		d.Attrs = make([]Attr, na)
+		d.Attrs = make([]Attr, p.Fits(int(p.U16()), minAttrBytes))
 		for j := range d.Attrs {
-			d.Attrs[j].Name = p.str()
-			d.Attrs[j].Type = DType(p.u8())
-			ln := int(p.u32())
-			d.Attrs[j].Data = p.bytes(ln)
+			d.Attrs[j].Name = p.Str()
+			d.Attrs[j].Type = DType(p.U8())
+			d.Attrs[j].Data = p.Bytes(int(p.U32()))
 		}
-		if p.err != nil {
-			return nil, fmt.Errorf("corrupt directory at dataset %d: %w", i, p.err)
+		if p.Err() != nil {
+			return nil, fmt.Errorf("corrupt directory at dataset %d: %w", i, p.Err())
 		}
 		sets = append(sets, d)
 	}
 	return sets, nil
 }
 
-// DirInfo summarizes a committed RHDF file for the snapshot manifest: its
-// size, the CRC32C of its directory bytes, and its dataset count. It reads
-// only the header and directory, not the dataset payloads.
-func DirInfo(fsys rt.FS, name string) (size int64, dirCRC uint32, numSets int, err error) {
-	size, dirCRC, sets, err := ScanDir(fsys, name)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return size, dirCRC, len(sets), nil
-}
-
 // ScanDir reads and decodes a committed RHDF file's directory without
 // touching dataset payloads, returning the file size, the CRC32C of the raw
 // directory bytes, and the full dataset descriptors (names, shapes, extents,
-// per-dataset CRCs). The snapshot commit path uses it to derive both the
-// manifest file entry and the block-catalog index from a single pass —
-// the file's own directory is the per-file index.
+// per-dataset CRCs). The snapshot commit path derives both the manifest file
+// entry and the block-catalog index from this single pass — the file's own
+// directory is the per-file index — and verification, the scrub and the
+// catalog-less pane universe read through it too.
 func ScanDir(fsys rt.FS, name string) (size int64, dirCRC uint32, sets []*Dataset, err error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	defer f.Close()
-	size, err = f.Size()
+	size, dir, sets, err := loadDir(f)
 	if err != nil {
 		return 0, 0, nil, err
-	}
-	version, dirOff, count, err := readHeader(f, size)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	dir := make([]byte, size-dirOff)
-	if _, err := f.ReadAt(dir, dirOff); err != nil {
-		return 0, 0, nil, fmt.Errorf("hdf: reading directory of %s: %w", f.Name(), err)
-	}
-	sets, err = decodeDir(dir, version)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("hdf: %s: %w", f.Name(), err)
-	}
-	if len(sets) != count {
-		return 0, 0, nil, fmt.Errorf("hdf: %s header says %d datasets, directory has %d", f.Name(), count, len(sets))
 	}
 	return size, Checksum(dir), sets, nil
-}
-
-// DirEntries returns a committed RHDF file's dataset descriptors without
-// reading payload bytes — the scan-side building block for discovering which
-// panes a file holds when no catalog is available.
-func DirEntries(fsys rt.FS, name string) ([]*Dataset, error) {
-	_, _, sets, err := ScanDir(fsys, name)
-	return sets, err
-}
-
-// parser is a bounds-checked little-endian cursor.
-type parser struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (p *parser) need(n int) bool {
-	if p.err != nil {
-		return false
-	}
-	if p.off+n > len(p.b) {
-		p.err = fmt.Errorf("truncated at offset %d (need %d of %d)", p.off, n, len(p.b))
-		return false
-	}
-	return true
-}
-
-func (p *parser) u8() uint8 {
-	if !p.need(1) {
-		return 0
-	}
-	v := p.b[p.off]
-	p.off++
-	return v
-}
-
-func (p *parser) u16() uint16 {
-	if !p.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(p.b[p.off:])
-	p.off += 2
-	return v
-}
-
-func (p *parser) u32() uint32 {
-	if !p.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(p.b[p.off:])
-	p.off += 4
-	return v
-}
-
-func (p *parser) u64() uint64 {
-	if !p.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(p.b[p.off:])
-	p.off += 8
-	return v
-}
-
-func (p *parser) bytes(n int) []byte {
-	if !p.need(n) {
-		return nil
-	}
-	v := append([]byte(nil), p.b[p.off:p.off+n]...)
-	p.off += n
-	return v
-}
-
-func (p *parser) str() string {
-	n := int(p.u16())
-	return string(p.bytes(n))
 }

@@ -214,7 +214,7 @@ func encodeDir(sets []*Dataset) []byte {
 	var b []byte
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sets)))
 	for _, d := range sets {
-		b = appendString(b, d.Name)
+		b = AppendStr(b, d.Name)
 		b = append(b, byte(d.Type))
 		b = append(b, d.flags)
 		b = append(b, byte(len(d.Dims)))
@@ -226,16 +226,11 @@ func encodeDir(sets []*Dataset) []byte {
 		b = binary.LittleEndian.AppendUint32(b, d.crc)
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(d.Attrs)))
 		for _, a := range d.Attrs {
-			b = appendString(b, a.Name)
+			b = AppendStr(b, a.Name)
 			b = append(b, byte(a.Type))
 			b = binary.LittleEndian.AppendUint32(b, uint32(len(a.Data)))
 			b = append(b, a.Data...)
 		}
 	}
 	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
 }

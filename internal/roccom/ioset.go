@@ -227,7 +227,7 @@ func EncodeIOSets(sets []IOSet) []byte {
 	var b []byte
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sets)))
 	for _, s := range sets {
-		b = appendStr(b, s.Name)
+		b = hdf.AppendStr(b, s.Name)
 		b = append(b, byte(s.Type))
 		b = append(b, byte(len(s.Dims)))
 		for _, d := range s.Dims {
@@ -235,7 +235,7 @@ func EncodeIOSets(sets []IOSet) []byte {
 		}
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(s.Attrs)))
 		for _, a := range s.Attrs {
-			b = appendStr(b, a.Name)
+			b = hdf.AppendStr(b, a.Name)
 			b = append(b, byte(a.Type))
 			b = binary.LittleEndian.AppendUint32(b, uint32(len(a.Data)))
 			b = append(b, a.Data...)
@@ -257,116 +257,34 @@ const minAttrBytes = 2 + 1 + 4
 // else: any byte string is safe to pass, damage — trailing bytes included —
 // is an error, never a panic or an allocation sized by the damage.
 func DecodeIOSets(b []byte) ([]IOSet, error) {
-	c := cursor{b: b}
-	n := c.fits(int(c.u32()), minIOSetBytes)
-	if c.err != nil {
-		return nil, fmt.Errorf("roccom: corrupt IOSet stream: %w", c.err)
+	c := hdf.NewCursor(b)
+	n := c.Fits(int(c.U32()), minIOSetBytes)
+	if c.Err() != nil {
+		return nil, fmt.Errorf("roccom: corrupt IOSet stream: %w", c.Err())
 	}
 	sets := make([]IOSet, 0, n)
 	for i := 0; i < n; i++ {
 		var s IOSet
-		s.Name = c.str()
-		s.Type = hdf.DType(c.u8())
-		s.Dims = make([]int64, c.fits(int(c.u8()), 8))
+		s.Name = c.Str()
+		s.Type = hdf.DType(c.U8())
+		s.Dims = make([]int64, c.Fits(int(c.U8()), 8))
 		for j := range s.Dims {
-			s.Dims[j] = int64(c.u64())
+			s.Dims[j] = int64(c.U64())
 		}
-		s.Attrs = make([]hdf.Attr, c.fits(int(c.u16()), minAttrBytes))
+		s.Attrs = make([]hdf.Attr, c.Fits(int(c.U16()), minAttrBytes))
 		for j := range s.Attrs {
-			s.Attrs[j].Name = c.str()
-			s.Attrs[j].Type = hdf.DType(c.u8())
-			s.Attrs[j].Data = c.bytes(int(c.u32()))
+			s.Attrs[j].Name = c.Str()
+			s.Attrs[j].Type = hdf.DType(c.U8())
+			s.Attrs[j].Data = c.Bytes(int(c.U32()))
 		}
-		s.Data = c.bytes(int(c.u64()))
-		if c.err != nil {
-			return nil, fmt.Errorf("roccom: corrupt IOSet stream at %d: %w", i, c.err)
+		s.Data = c.Bytes(int(c.U64()))
+		if c.Err() != nil {
+			return nil, fmt.Errorf("roccom: corrupt IOSet stream at %d: %w", i, c.Err())
 		}
 		sets = append(sets, s)
 	}
-	if c.off != len(b) {
-		return nil, fmt.Errorf("roccom: corrupt IOSet stream: %d trailing bytes", len(b)-c.off)
+	if err := c.End(); err != nil {
+		return nil, fmt.Errorf("roccom: corrupt IOSet stream: %w", err)
 	}
 	return sets, nil
 }
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) need(n int) bool {
-	if c.err != nil {
-		return false
-	}
-	if n < 0 || n > len(c.b)-c.off {
-		c.err = fmt.Errorf("truncated at %d (need %d of %d)", c.off, n, len(c.b))
-		return false
-	}
-	return true
-}
-
-// fits returns n when n records of at least each bytes could still follow,
-// and fails the cursor otherwise, so a corrupt count never sizes an
-// allocation.
-func (c *cursor) fits(n, each int) int {
-	if c.err == nil && (n < 0 || n > (len(c.b)-c.off)/each) {
-		c.err = fmt.Errorf("count %d at %d cannot fit in %d bytes", n, c.off, len(c.b))
-	}
-	if c.err != nil {
-		return 0
-	}
-	return n
-}
-
-func (c *cursor) u8() uint8 {
-	if !c.need(1) {
-		return 0
-	}
-	v := c.b[c.off]
-	c.off++
-	return v
-}
-
-func (c *cursor) u16() uint16 {
-	if !c.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.b[c.off:])
-	c.off += 2
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if !c.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if !c.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *cursor) bytes(n int) []byte {
-	if !c.need(n) {
-		return nil
-	}
-	v := append([]byte(nil), c.b[c.off:c.off+n]...)
-	c.off += n
-	return v
-}
-
-func (c *cursor) str() string { return string(c.bytes(int(c.u16()))) }

@@ -61,6 +61,30 @@ func RegisterIOService(rc *Roccom, module string, svc IOService) error {
 	})
 }
 
+// IOModule returns the Module every I/O service loads through: Load creates
+// the module's window and registers svc's three operations under it, Unload
+// stops the service (unload: its Close or Shutdown) and deletes the window.
+func IOModule(svc IOService, unload func() error) Module { return ioModule{svc, unload} }
+
+type ioModule struct {
+	svc    IOService
+	unload func() error
+}
+
+func (m ioModule) Load(rc *Roccom, name string) error {
+	if _, err := rc.NewWindow(name); err != nil {
+		return err
+	}
+	return RegisterIOService(rc, name, m.svc)
+}
+
+func (m ioModule) Unload(rc *Roccom, name string) error {
+	if err := m.unload(); err != nil {
+		return err
+	}
+	return rc.DeleteWindow(name)
+}
+
 func ioArgs(args []interface{}, withTime bool) (file string, w *Window, attr string, tm float64, step int, err error) {
 	want := 3
 	if withTime {

@@ -12,14 +12,14 @@
 //     write_attribute only copies the data locally; the main thread blocks
 //     at the next snapshot until the thread has finished the previous one
 //     (bounded memory), and sync waits for everything to reach the
-//     filesystem. The overlap is transparent: callers keep the blocking
-//     interface and may reuse buffers immediately.
+//     filesystem. Callers keep the blocking interface.
 //
-// Both are placements of the one snapshot write service (snapshot.Writer):
-// Rochdf its write-through inline driver on the compute rank, T-Rochdf its
-// pool of one; Sync ends in the commit protocol shared with Rocpanda
-// (snapshot.Pending). What is left here is the file-naming rule, the
-// roccom.IOService shim and the per-rank restart read.
+// Both are placements of the snapshot services Rocpanda's servers also run.
+// Writes go through snapshot.Writer — Rochdf its write-through inline driver
+// on the compute rank, T-Rochdf its pool of one — and Sync ends in the shared
+// commit protocol (snapshot.Pending). Restart is snapshot.Reader's inline
+// driver on the compute rank, delivering in place. What is left here is the
+// file-naming rule (catalog.RankFile) and the roccom.IOService shim.
 //
 // Individual I/O avoids all communication and scales writes with the
 // number of processors, but creates as many files per snapshot as
@@ -29,6 +29,7 @@ package rochdf
 import (
 	"fmt"
 
+	"genxio/internal/catalog"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -71,10 +72,9 @@ type Metrics struct {
 type Rochdf struct {
 	rank  int
 	clock rt.Clock
-	fs    rt.FS
-	cfg   Config
 
 	wr       *snapshot.Writer  // the write service, this rank its only source of blocks
+	rd       *snapshot.Reader  // the restart-read service, delivering in place
 	pending  *snapshot.Pending // generations written since the last Sync
 	lastFile string            // generation of the last write: a change flushes
 	closed   bool
@@ -107,8 +107,6 @@ func New(ctx mpi.Ctx, cfg Config) *Rochdf {
 	return &Rochdf{
 		rank:  rank,
 		clock: ctx.Clock(),
-		fs:    ctx.FS(),
-		cfg:   cfg,
 		wr: snapshot.NewWriter(ctx, snapshot.WriterConfig{
 			Profile:       cfg.Profile,
 			Compress:      cfg.Compress,
@@ -120,6 +118,13 @@ func New(ctx mpi.Ctx, cfg Config) *Rochdf {
 			Metrics:       r,
 			Prefix:        prefix,
 			ErrorSeries:   prefix + "drain_errors",
+		}),
+		rd: snapshot.NewReader(ctx, snapshot.ReaderConfig{
+			Profile:       cfg.Profile,
+			Metrics:       r,
+			Prefix:        prefix + "restart.",
+			SkippedSeries: prefix + "restart.files_skipped",
+			ErrorSeries:   prefix + "read_errors",
 		}),
 		pending: snapshot.NewPending(ctx.Comm(), ctx.FS(), cfg.RetainGenerations),
 		mx: hdfMx{
@@ -146,11 +151,6 @@ func (h *Rochdf) timed(total *float64, hist *metrics.Histogram) func() {
 	}
 }
 
-// fileName returns this rank's file for a snapshot base name.
-func (h *Rochdf) fileName(base string) string {
-	return fmt.Sprintf("%s_p%05d.rhdf", base, h.rank)
-}
-
 // WriteAttribute implements roccom.IOService: one call is one block, every
 // local pane's datasets bound for this rank's file. Rochdf writes it before
 // returning (write-through), so a failed write fails the call; T-Rochdf
@@ -165,7 +165,7 @@ func (h *Rochdf) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 	defer h.timed(&h.m.VisibleWrite, h.mx.visibleWrite)()
 	h.m.WriteCalls++
 
-	blk := snapshot.Block{File: h.fileName(file), Time: tm, Step: int32(step)}
+	blk := snapshot.Block{File: catalog.RankFile(file, h.rank), Time: tm, Step: int32(step)}
 	for _, id := range w.PaneIDs() {
 		p, _ := w.Pane(id)
 		sets, err := roccom.PaneIOSets(w, p, attr)
@@ -203,52 +203,33 @@ func (h *Rochdf) flush() error {
 	return h.wr.Flush()
 }
 
-// ReadAttribute implements roccom.IOService: restart. The window's
-// registered pane IDs define which blocks this process wants; their
-// contents (mesh and attributes for "all", a single attribute otherwise)
-// are replaced from this rank's snapshot file, so individual-I/O restart
-// requires the same process count that wrote the snapshot.
+// ReadAttribute implements roccom.IOService: restart of the window's
+// registered panes.
 func (h *Rochdf) ReadAttribute(file string, w *roccom.Window, attr string) error {
+	return h.ReadPanes(file, w, attr, w.PaneIDs())
+}
+
+// ReadPanes is ReadAttribute with an explicit wanted-pane list, exactly as on
+// rocpanda.Client: this rank reads every file the generation's catalogs plan
+// for the panes — so the writing run's rank count, and module, are free — and
+// installs each verified pane in place (mesh and attributes for "all", which
+// need not be registered yet; the one named attribute otherwise). An
+// uncommitted or catalog-less generation is read from this rank's own file,
+// which then needs the writing process count. Panes no intact copy could be
+// found for fail the call with snapshot.ErrIncompleteRestart.
+func (h *Rochdf) ReadPanes(file string, w *roccom.Window, attr string, ids []int) error {
 	defer h.timed(&h.m.VisibleRead, h.mx.visibleRead)()
 	h.m.ReadCalls++
 	if err := h.flush(); err != nil {
 		return err
 	}
-	fname := h.fileName(file)
-	r, err := hdf.Open(h.fs, fname, h.clock, h.cfg.Profile)
-	if err != nil {
-		return fmt.Errorf("rochdf: restart: %w", err)
-	}
-	defer r.Close()
-	r.Metrics = h.cfg.Metrics
-
-	for _, id := range w.PaneIDs() {
-		prefix := roccom.PanePrefix(w.Name, id)
-		dss := r.LookupPrefix(prefix)
-		if len(dss) == 0 {
-			return fmt.Errorf("rochdf: restart: pane %d not in %s (restart needs the writing process count)", id, fname)
-		}
-		if attr != "all" {
-			// A named attribute is one dataset: read only that.
-			ds, ok := r.Lookup(prefix + attr)
-			if !ok {
-				return fmt.Errorf("rochdf: restart: %s%s not in %s", prefix, attr, fname)
-			}
-			dss = []*hdf.Dataset{ds}
-		}
-		sets := make([]roccom.IOSet, 0, len(dss))
-		for _, d := range dss {
-			data, err := r.ReadData(d)
-			if err != nil {
-				return err
-			}
-			sets = append(sets, roccom.IOSet{Name: d.Name, Type: d.Type, Dims: d.Dims, Attrs: d.Attrs, Data: data})
-		}
-		if err := roccom.ApplyRestart(w, id, attr, sets); err != nil {
-			return err
-		}
-	}
-	return nil
+	rcv := snapshot.NewReceiver(w, attr, ids)
+	h.rd.Read(snapshot.ReadRequest{
+		Base: file, Window: w.Name, Attr: attr, Wanted: rcv.Wanted(),
+		Own:     catalog.RankFile(file, h.rank),
+		Deliver: func(_ int, sets []roccom.IOSet) { rcv.Deliver(sets) }, // a failure sticks: Complete reports it
+	})
+	return rcv.Complete(file)
 }
 
 // Sync implements roccom.IOService: it blocks until all buffered output
@@ -277,22 +258,4 @@ func (h *Rochdf) Close() error {
 
 // Module returns a roccom.Module that exposes this service as the
 // interchangeable I/O module named at load time (e.g. "RochdfIO").
-func (h *Rochdf) Module() roccom.Module { return &module{svc: h} }
-
-type module struct {
-	svc *Rochdf
-}
-
-func (m *module) Load(rc *roccom.Roccom, name string) error {
-	if _, err := rc.NewWindow(name); err != nil {
-		return err
-	}
-	return roccom.RegisterIOService(rc, name, m.svc)
-}
-
-func (m *module) Unload(rc *roccom.Roccom, name string) error {
-	if err := m.svc.Close(); err != nil {
-		return err
-	}
-	return rc.DeleteWindow(name)
-}
+func (h *Rochdf) Module() roccom.Module { return roccom.IOModule(h, h.Close) }

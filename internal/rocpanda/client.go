@@ -2,7 +2,6 @@ package rocpanda
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -14,12 +13,13 @@ import (
 	"genxio/internal/snapshot"
 )
 
-// ErrIncompleteRestart reports that a scan-based restart could not recover
-// every requested pane: the snapshot is incomplete, typically because a
-// server died mid-snapshot and left a file without a directory, or died
-// with blocks still buffered in memory. Callers should fall back to the
-// previous (complete) snapshot.
-var ErrIncompleteRestart = errors.New("rocpanda: snapshot incomplete")
+// ErrIncompleteRestart reports that a restart could not recover every
+// requested pane: the snapshot is incomplete, typically because a server
+// died mid-snapshot and left a file without a directory, or died with
+// blocks still buffered in memory. Callers should fall back to the previous
+// (complete) snapshot. It is the restart-read service's, shared by every
+// I/O module.
+var ErrIncompleteRestart = snapshot.ErrIncompleteRestart
 
 // errDrainFailed reports that a server could not land all of its buffered
 // output (a block write or file close failed). Sync and Shutdown surface
@@ -76,8 +76,6 @@ type Client struct {
 	nClients  int          // client-communicator size
 	myIdx     int          // this client's index in the client communicator
 	timeout   float64      // RetryTimeout; 0 disables
-	poll      float64      // initial poll interval of timed waits
-	maxFail   int          // failover attempts allowed per operation
 	dead      map[int]bool // server idx -> believed dead
 	contacted []int        // world ranks of servers this client announced itself to
 
@@ -290,15 +288,11 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 		c.world.Send(c.srvRanks[si], tagReadReq, enc)
 	}
 
-	want := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
 	// A pane can arrive more than once: a client that timed out on a
 	// slow-but-alive server resent its write elsewhere, duplicating the
 	// pane across two servers' files. First arrival wins (the copies are
 	// identical); recovered panes are counted once.
-	recovered := make(map[int]bool, len(ids))
+	rcv := snapshot.NewReceiver(w, attr, ids)
 	reported := make(map[int]bool, len(alive))
 	dones := 0
 	for dones < len(alive) {
@@ -320,7 +314,7 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 		case tagReadDone:
 			dones++
 			reported[st.Source] = true
-			if len(data) == 1 && data[0] == doneModeIndexed {
+			if len(data) == 1 && snapshot.ReadMode(data[0]) == snapshot.ReadIndexed {
 				c.m.IndexedReads++
 			}
 		case tagReadBlock:
@@ -328,29 +322,14 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 			if err != nil {
 				return err
 			}
-			if len(sets) == 0 {
-				return fmt.Errorf("rocpanda: empty restart block")
-			}
-			_, paneID, _, ok := roccom.ParseDatasetName(sets[0].Name)
-			if !ok || !want[paneID] {
-				return fmt.Errorf("rocpanda: unsolicited restart block %q", sets[0].Name)
-			}
-			if recovered[paneID] {
-				continue
-			}
-			if err := roccom.ApplyRestart(w, paneID, attr, sets); err != nil {
+			if err := rcv.Deliver(sets); err != nil {
 				return err
 			}
-			recovered[paneID] = true
 		default:
 			return fmt.Errorf("rocpanda: unexpected message tag %d during restart", st.Tag)
 		}
 	}
-	if len(recovered) != len(ids) {
-		return fmt.Errorf("rocpanda: recovered %d of %d panes of window %q from %q: %w",
-			len(recovered), len(ids), w.Name, file, ErrIncompleteRestart)
-	}
-	return nil
+	return rcv.Complete(file)
 }
 
 // recvReadMsg receives the next restart-protocol message. In fault-
@@ -363,29 +342,7 @@ func (c *Client) recvReadMsg() ([]byte, mpi.Status, bool) {
 		data, st := c.world.Recv(mpi.AnySource, mpi.AnyTag)
 		return data, st, true
 	}
-	clock := c.ctx.Clock()
-	deadline := clock.Now() + 20*c.timeout
-	poll := c.poll
-	for {
-		for _, tag := range [2]int{tagReadBlock, tagReadDone} {
-			if _, ok := c.world.Iprobe(mpi.AnySource, tag); ok {
-				data, st := c.world.Recv(mpi.AnySource, tag)
-				return data, st, true
-			}
-		}
-		now := clock.Now()
-		if now >= deadline {
-			return nil, mpi.Status{}, false
-		}
-		sleep := poll
-		if now+sleep > deadline {
-			sleep = deadline - now
-		}
-		clock.Sleep(sleep)
-		if poll < c.timeout/2 {
-			poll *= 2
-		}
-	}
+	return c.recvWithin(mpi.AnySource, []int{tagReadBlock, tagReadDone}, 20*c.timeout, c.timeout/2)
 }
 
 // Sync implements roccom.IOService: it blocks until this client's server
@@ -586,22 +543,4 @@ func (c *Client) deadRank(worldRank int) bool {
 
 // Module returns a roccom.Module exposing this client as the
 // interchangeable I/O service named at load time (e.g. "RocpandaIO").
-func (c *Client) Module() roccom.Module { return &module{cl: c} }
-
-type module struct {
-	cl *Client
-}
-
-func (m *module) Load(rc *roccom.Roccom, name string) error {
-	if _, err := rc.NewWindow(name); err != nil {
-		return err
-	}
-	return roccom.RegisterIOService(rc, name, m.cl)
-}
-
-func (m *module) Unload(rc *roccom.Roccom, name string) error {
-	if err := m.cl.Shutdown(); err != nil {
-		return err
-	}
-	return rc.DeleteWindow(name)
-}
+func (c *Client) Module() roccom.Module { return roccom.IOModule(c, c.Shutdown) }

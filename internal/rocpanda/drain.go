@@ -6,8 +6,10 @@ package rocpanda
 // from the MPI stream: handleWrite submits each decoded block once per
 // copy, the request loop (server.run) steps the inline queue between
 // probes, and every sync, shutdown and restart read of an uncommitted
-// generation ends in its Flush. What is the server's own is below: which
-// driver, how wide, and what its files and series are called.
+// generation ends in its Flush. The restart read is the shared read service
+// the same way (internal/snapshot.Reader; server.serveRead feeds it the
+// accumulated request and the deal). What is the server's own is below:
+// which driver, how wide, and what its files and series are called.
 
 import (
 	"genxio/internal/faults"
@@ -15,8 +17,15 @@ import (
 	"genxio/internal/snapshot"
 )
 
-// maxDrainWriters caps Config.DrainWriters.
-const maxDrainWriters = 8
+const (
+	// maxDrainWriters caps Config.DrainWriters.
+	maxDrainWriters = 8
+	// maxReadWorkers caps Config.ReadWorkers.
+	maxReadWorkers = snapshot.MaxReadWorkers
+	// defaultReadWorkers is used when ParallelRead is on and ReadWorkers
+	// is unset.
+	defaultReadWorkers = 4
+)
 
 // newWriter builds the server's write service. This is the one place the
 // driver is chosen — the only non-test read of cfg.AsyncDrain outside
@@ -41,8 +50,38 @@ func (s *server) newWriter() *snapshot.Writer {
 		Metrics:     s.cfg.Metrics,
 		Prefix:      "rocpanda.server.",
 		ErrorSeries: "rocpanda.drain.errors",
-		Crash:       func(p faults.CrashPoint) bool { return s.cfg.Crash.Hit(s.idx, p) },
+		Crash:       s.crashes,
 		Trace:       s.cfg.Trace,
 		TraceRank:   s.traceRank(),
 	})
 }
+
+// newReader builds the server's restart-read service. This is the one place
+// the driver is chosen — the only non-test read of cfg.ParallelRead: off,
+// the inline driver (the request loop runs each file's reads itself, the
+// paper's restart); on, a pool of ReadWorkers read workers per round.
+func (s *server) newReader() *snapshot.Reader {
+	workers := 0
+	if s.cfg.ParallelRead {
+		workers = defaultReadWorkers
+		if s.cfg.ReadWorkers > 0 {
+			workers = min(s.cfg.ReadWorkers, maxReadWorkers)
+		}
+	}
+	return snapshot.NewReader(s.ctx, snapshot.ReaderConfig{
+		Profile:       s.cfg.Profile,
+		Workers:       workers,
+		Budget:        s.cfg.ReadBudgetBytes,
+		Metrics:       s.cfg.Metrics,
+		Prefix:        "rocpanda.restart.",
+		SkippedSeries: "rocpanda.server.files_skipped",
+		ErrorSeries:   "rocpanda.read.errors",
+		Crash:         s.crashes,
+		Trace:         s.cfg.Trace,
+		TraceRank:     s.traceRank(),
+	})
+}
+
+// crashes is the services' crash hook: does the injected plan kill this
+// server at point?
+func (s *server) crashes(point faults.CrashPoint) bool { return s.cfg.Crash.Hit(s.idx, point) }

@@ -132,21 +132,29 @@ func (c *Client) ensureAdopted(target int) {
 }
 
 // recvTimeout receives the earliest message matching (src, tag), waiting
-// at most RetryTimeout seconds (forever when timeouts are disabled). The
-// wait polls with exponential backoff from RetryPoll so it behaves on both
-// the wall-clock and virtual-time backends.
+// at most RetryTimeout seconds (forever when timeouts are disabled).
 func (c *Client) recvTimeout(src, tag int) ([]byte, mpi.Status, bool) {
 	if c.timeout <= 0 {
 		data, st := c.world.Recv(src, tag)
 		return data, st, true
 	}
+	return c.recvWithin(src, []int{tag}, c.timeout, c.timeout/8)
+}
+
+// recvWithin is the one timed wait: the earliest message from src carrying
+// one of tags, or false after budget seconds. It polls with exponential
+// backoff from retryPoll up to pollCap, so it behaves on both the wall-clock
+// and virtual-time backends.
+func (c *Client) recvWithin(src int, tags []int, budget, pollCap float64) ([]byte, mpi.Status, bool) {
 	clock := c.ctx.Clock()
-	deadline := clock.Now() + c.timeout
-	poll := c.poll
+	deadline := clock.Now() + budget
+	poll := retryPoll
 	for {
-		if _, ok := c.world.Iprobe(src, tag); ok {
-			data, st := c.world.Recv(src, tag)
-			return data, st, true
+		for _, tag := range tags {
+			if _, ok := c.world.Iprobe(src, tag); ok {
+				data, st := c.world.Recv(src, tag)
+				return data, st, true
+			}
 		}
 		now := clock.Now()
 		if now >= deadline {
@@ -157,7 +165,7 @@ func (c *Client) recvTimeout(src, tag int) ([]byte, mpi.Status, bool) {
 			sleep = deadline - now
 		}
 		clock.Sleep(sleep)
-		if poll < c.timeout/8 {
+		if poll < pollCap {
 			poll *= 2
 		}
 	}
@@ -180,7 +188,7 @@ func (c *Client) withFailover(what string, op func(target int) bool) error {
 		c.m.Retries++
 		c.mx.retries.Inc()
 		c.markDeadRank(target)
-		if attempt+1 > c.maxFail {
+		if attempt+1 > c.numServers {
 			return fmt.Errorf("rocpanda: %s: no responsive server after %d attempts", what, attempt+1)
 		}
 	}

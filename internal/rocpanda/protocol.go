@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"genxio/internal/hdf"
 )
 
 // Client-server protocol tags (application tag space, >= 0).
@@ -54,19 +56,10 @@ func decodeAck(data []byte) error {
 	return fmt.Errorf("rocpanda: unexpected %d-byte ack payload", len(data))
 }
 
-// tagReadDone payload: one mode byte reporting how the server served its
-// share of the restart, so clients (and their metrics) can tell indexed
-// reads from scan fallbacks. Older-style empty payloads decode as scan.
-const (
-	doneModeScan    = 0 // directory walk over the server's file share
-	doneModeIndexed = 1 // catalog-planned direct offset reads
-	// doneModeFailed reports that the server could not serve its share at
-	// all (e.g. the snapshot listing failed): the round completed — the
-	// client is not left hanging — but shipped nothing from this server.
-	// The client decides whether the restart is still complete (peers may
-	// hold duplicate panes) or must fall back a generation.
-	doneModeFailed = 2
-)
+// tagReadDone payload: one mode byte — a snapshot.ReadMode — reporting how
+// the server served its share of the restart, so clients (and their
+// metrics) can tell indexed reads from scan fallbacks and from a share that
+// could not be served at all. Older-style empty payloads decode as scan.
 
 // writeHdr announces a collective write from one client: nblocks block
 // messages follow on tagWriteBlock.
@@ -95,9 +88,9 @@ type readReq struct {
 
 func encodeWriteHdr(h writeHdr) []byte {
 	var b []byte
-	b = putStr(b, h.File)
-	b = putStr(b, h.Window)
-	b = putStr(b, h.Attr)
+	b = hdf.AppendStr(b, h.File)
+	b = hdf.AppendStr(b, h.Window)
+	b = hdf.AppendStr(b, h.Attr)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.Time))
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.Step))
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.NBlocks))
@@ -107,15 +100,15 @@ func encodeWriteHdr(h writeHdr) []byte {
 
 func decodeWriteHdr(b []byte) (writeHdr, error) {
 	var h writeHdr
-	c := &byteCursor{b: b}
-	h.File = c.str()
-	h.Window = c.str()
-	h.Attr = c.str()
-	h.Time = math.Float64frombits(c.u64())
-	h.Step = int32(c.u32())
-	h.NBlocks = int32(c.u32())
-	h.Bytes = int64(c.u64())
-	if err := c.end(); err != nil {
+	c := hdf.NewCursor(b)
+	h.File = c.Str()
+	h.Window = c.Str()
+	h.Attr = c.Str()
+	h.Time = math.Float64frombits(c.U64())
+	h.Step = int32(c.U32())
+	h.NBlocks = int32(c.U32())
+	h.Bytes = int64(c.U64())
+	if err := c.End(); err != nil {
 		return h, fmt.Errorf("rocpanda: corrupt write header: %w", err)
 	}
 	return h, nil
@@ -123,9 +116,9 @@ func decodeWriteHdr(b []byte) (writeHdr, error) {
 
 func encodeReadReq(r readReq) []byte {
 	var b []byte
-	b = putStr(b, r.File)
-	b = putStr(b, r.Window)
-	b = putStr(b, r.Attr)
+	b = hdf.AppendStr(b, r.File)
+	b = hdf.AppendStr(b, r.Window)
+	b = hdf.AppendStr(b, r.Attr)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.PaneIDs)))
 	for _, id := range r.PaneIDs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(id))
@@ -139,100 +132,14 @@ func encodeReadReq(r readReq) []byte {
 
 func decodeReadReq(b []byte) (readReq, error) {
 	var r readReq
-	c := &byteCursor{b: b}
-	r.File = c.str()
-	r.Window = c.str()
-	r.Attr = c.str()
-	r.PaneIDs = c.i32s()
-	r.Alive = c.i32s()
-	if err := c.end(); err != nil {
+	c := hdf.NewCursor(b)
+	r.File = c.Str()
+	r.Window = c.Str()
+	r.Attr = c.Str()
+	r.PaneIDs = c.I32s()
+	r.Alive = c.I32s()
+	if err := c.End(); err != nil {
 		return r, fmt.Errorf("rocpanda: corrupt read request: %w", err)
 	}
 	return r, nil
-}
-
-func putStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-type byteCursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *byteCursor) need(n int) bool {
-	if c.err != nil {
-		return false
-	}
-	if n > len(c.b)-c.off {
-		c.err = fmt.Errorf("truncated at %d (need %d of %d)", c.off, n, len(c.b))
-		return false
-	}
-	return true
-}
-
-// end returns the first decoding error; bytes left over after the last
-// field are one, so only a message's own encoding decodes.
-func (c *byteCursor) end() error {
-	if c.err == nil && c.off != len(c.b) {
-		c.err = fmt.Errorf("%d trailing bytes", len(c.b)-c.off)
-	}
-	return c.err
-}
-
-// i32s reads a counted list. A count the remaining bytes cannot hold is an
-// error, not a list to skip: the fields after it would otherwise decode
-// from the wrong offset into a plausible request for the wrong panes.
-func (c *byteCursor) i32s() []int32 {
-	n := int(c.u32())
-	if c.err == nil && (n < 0 || n > (len(c.b)-c.off)/4) {
-		c.err = fmt.Errorf("list of %d at %d cannot fit in %d bytes", n, c.off, len(c.b))
-	}
-	if c.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]int32, n)
-	for i := range v {
-		v[i] = int32(c.u32())
-	}
-	return v
-}
-
-func (c *byteCursor) u16() uint16 {
-	if !c.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.b[c.off:])
-	c.off += 2
-	return v
-}
-
-func (c *byteCursor) u32() uint32 {
-	if !c.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *byteCursor) u64() uint64 {
-	if !c.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *byteCursor) str() string {
-	n := int(c.u16())
-	if !c.need(n) {
-		return ""
-	}
-	s := string(c.b[c.off : c.off+n])
-	c.off += n
-	return s
 }

@@ -31,8 +31,10 @@
 //     files — through the generation's block catalogs, or by scanning
 //     where there is none — and ships them to the owning clients, so a
 //     run may restart with a different number of servers than wrote the
-//     files. A full generation and a delta chain follow the same plan
-//     (server.serveRead); read.go is the engine that executes it.
+//     files. A full generation and a delta chain follow the same plan,
+//     executed by the restart-read service Rochdf and T-Rochdf also run
+//     (internal/snapshot.Reader); a server adds the request accumulation,
+//     the deal and the shipping (server.serveRead).
 package rocpanda
 
 import (
@@ -93,14 +95,14 @@ type Config struct {
 	// to the write service, under either driver (the budget rule is stated
 	// in internal/snapshot/writer.go); 0 means unbounded.
 	BufferBudgetBytes int64
-	// ParallelRead picks the read engine's driver (internal/rocpanda/
-	// read.go). Off, the request loop runs each file's reads itself, one
-	// file at a time — the paper's restart. On, the same reads move onto a
-	// pool of read workers: catalog-planned extents and directory-scan
-	// fallbacks are read concurrently, with disk reads of one file
-	// pipelined against the network shipping of another. Restored panes
-	// are bit-identical either way (clients dedupe on first arrival, and
-	// all shipping stays on the server's request loop in plan order).
+	// ParallelRead picks the read service's driver (snapshot.Reader). Off,
+	// the request loop runs each file's reads itself, one file at a time —
+	// the paper's restart. On, the same reads move onto a pool of read
+	// workers: catalog-planned extents and directory-scan fallbacks are
+	// read concurrently, with disk reads of one file pipelined against the
+	// network shipping of another. Restored panes are bit-identical either
+	// way (clients dedupe on first arrival, and all shipping stays on the
+	// server's request loop in plan order).
 	ParallelRead bool
 	// ReadWorkers sizes the read-worker pool (ParallelRead only). Clamped
 	// to [1, 8]; default 4.
@@ -178,13 +180,12 @@ type Config struct {
 	// coordinator's deterministic reassignment. Zero disables timeouts:
 	// a dead server then hangs its clients, as plain MPI would.
 	RetryTimeout float64
-	// RetryPoll is the initial poll interval of a timed wait (seconds),
-	// doubling up to RetryTimeout/8; default 0.2ms.
-	RetryPoll float64
-	// MaxFailovers bounds how many times a single operation may fail
-	// over before giving up; default: the number of servers.
-	MaxFailovers int
 }
+
+// retryPoll is the initial poll interval of a timed wait (seconds); it
+// doubles up to RetryTimeout/8. (A single operation may fail over at most
+// once per server before giving up.)
+const retryPoll = 2e-4
 
 // serverRanks returns the global ranks acting as servers.
 func serverRanks(total, m int, placement Placement) []int {
@@ -279,14 +280,6 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 			myIdx = j
 		}
 	}
-	poll := cfg.RetryPoll
-	if poll <= 0 {
-		poll = 2e-4
-	}
-	maxFail := cfg.MaxFailovers
-	if maxFail <= 0 {
-		maxFail = m
-	}
 	origServer := srvRanks[assign(myIdx)]
 	cl := &Client{
 		ctx:        ctx,
@@ -301,8 +294,6 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 		nClients:   n,
 		myIdx:      myIdx,
 		timeout:    cfg.RetryTimeout,
-		poll:       poll,
-		maxFail:    maxFail,
 		dead:       make(map[int]bool),
 		contacted:  []int{origServer},
 		deltaOn:    cfg.DeltaSnapshots,

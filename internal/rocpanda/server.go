@@ -4,20 +4,17 @@ import (
 	"fmt"
 
 	"genxio/internal/catalog"
-	"genxio/internal/faults"
-	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
-	"genxio/internal/rt"
 	"genxio/internal/snapshot"
 )
 
 // serverCrashed is the panic sentinel of an injected server crash — the
-// write service's, so a crash point inside it and one on the request loop
-// die the same way; run recovers it and returns without draining or
+// snapshot services', so a crash point inside either and one on the request
+// loop die the same way; run recovers it and returns without draining or
 // acknowledging anything, simulating process death.
-type serverCrashed = snapshot.WriterCrashed
+type serverCrashed = snapshot.Crashed
 
 // readRound accumulates a collective read until all clients have asked.
 // Requesters are tracked as a set of world ranks, not a raw count: after a
@@ -25,7 +22,6 @@ type serverCrashed = snapshot.WriterCrashed
 // the first copy in flight, and counting that duplicate would start the
 // scan before every client has actually asked (a partial restart).
 type readRound struct {
-	attr    string
 	wantAll map[int]int  // (paneID) -> world rank of requesting client
 	reqers  map[int]bool // world ranks that have requested this round
 	alive   []int        // server indices sharing the scan (agreed by the clients)
@@ -42,6 +38,7 @@ type server struct {
 	cfg        Config
 
 	wr            *snapshot.Writer      // the snapshot write service, fed from the MPI stream
+	rd            *snapshot.Reader      // the restart-read service, shipping to the clients
 	reads         map[string]*readRound // key: file|window|attr
 	shutdown      int
 	shutdownQueue []int // clients awaiting the shutdown ack
@@ -50,60 +47,27 @@ type server struct {
 }
 
 // srvMx holds a server's registry handles — with the write service's
-// rocpanda.server.* series (newWriter) the server's only tally; every
+// rocpanda.server.* series (newWriter) and the read service's
+// rocpanda.restart.* series (newReader) the server's only tally; every
 // handle is a nil-safe no-op when Config.Metrics is unset. Handles are
 // created once at Init so the hot paths never touch the registry map.
 type srvMx struct {
-	crashes      *metrics.Counter
-	filesSkipped *metrics.Counter
-	readsServed  *metrics.Counter
-	adopted      *metrics.Counter
-	scanSeconds  *metrics.Histogram
-
-	// Read-path health and the flush barrier a restart read pays: events
-	// no scheduler sees, which is why these are not iosched series (their
-	// sibling rocpanda.drain.errors is the write service's).
+	crashes     *metrics.Counter
+	readsServed *metrics.Counter
+	adopted     *metrics.Counter
+	scanSeconds *metrics.Histogram
+	// The flush barrier a restart read of an uncommitted generation pays:
+	// an event no scheduler sees, which is why it is not an iosched series.
 	flushSeconds *metrics.Histogram
-	readErrors   *metrics.Counter
-
-	// Restart I/O-efficiency counters (catalog vs scan).
-	filesOpened      *metrics.Counter
-	restartBytes     *metrics.Counter
-	bytesWasted      *metrics.Counter
-	catalogHits      *metrics.Counter
-	catalogFallbacks *metrics.Counter
-	checksumFails    *metrics.Counter
-
-	// Replica retries (Config.ReplicationFactor > 1).
-	replicaReads  *metrics.Counter
-	repairedPanes *metrics.Counter
-
-	// Delta snapshots (Config.DeltaSnapshots).
-	chainDepth *metrics.Gauge
 }
 
 func newSrvMx(r *metrics.Registry) srvMx {
 	return srvMx{
 		crashes:      r.Counter("rocpanda.server.crashes"),
-		filesSkipped: r.Counter("rocpanda.server.files_skipped"),
 		readsServed:  r.Counter("rocpanda.server.reads_served"),
 		adopted:      r.Counter("rocpanda.server.clients_adopted"),
 		scanSeconds:  r.Histogram("rocpanda.server.restart_scan_seconds", nil),
-
 		flushSeconds: r.Histogram("rocpanda.drain.flush_seconds", nil),
-		readErrors:   r.Counter("rocpanda.read.errors"),
-
-		filesOpened:      r.Counter("rocpanda.restart.files_opened"),
-		restartBytes:     r.Counter("rocpanda.restart.bytes_read"),
-		bytesWasted:      r.Counter("rocpanda.restart.bytes_wasted"),
-		catalogHits:      r.Counter("rocpanda.restart.catalog_hits"),
-		catalogFallbacks: r.Counter("rocpanda.restart.catalog_fallbacks"),
-		checksumFails:    r.Counter("hdf.checksum_failures"),
-
-		replicaReads:  r.Counter("rocpanda.restart.replica_reads"),
-		repairedPanes: r.Counter("rocpanda.restart.repaired_panes"),
-
-		chainDepth: r.Gauge("rocpanda.restart.chain_depth"),
 	}
 }
 
@@ -113,6 +77,7 @@ func newSrvMx(r *metrics.Registry) srvMx {
 // the CPU to the operating system.
 func (s *server) run() {
 	s.wr = s.newWriter()
+	s.rd = s.newReader()
 	s.reads = make(map[string]*readRound)
 	// An injected crash (internal/faults) panics with serverCrashed from
 	// deep inside the loop; catching it here and returning — no drain, no
@@ -254,13 +219,6 @@ func (s *server) copyNames(base string) []string {
 	return names
 }
 
-// maybeCrash dies at point if the injected crash plan says so.
-func (s *server) maybeCrash(point faults.CrashPoint) {
-	if s.cfg.Crash.Hit(s.idx, point) {
-		panic(serverCrashed{})
-	}
-}
-
 // handleReadReq accumulates one client's restart request; when all clients
 // have asked, the server scans its share of the snapshot files and ships
 // the found blocks to their owners (Section 4.1's restart protocol).
@@ -273,7 +231,7 @@ func (s *server) handleReadReq(src int) {
 	key := req.File + "|" + req.Window + "|" + req.Attr
 	round, ok := s.reads[key]
 	if !ok {
-		round = &readRound{attr: req.Attr, wantAll: make(map[int]int), reqers: make(map[int]bool)}
+		round = &readRound{wantAll: make(map[int]int), reqers: make(map[int]bool)}
 		s.reads[key] = round
 	}
 	for _, id := range req.PaneIDs {
@@ -309,61 +267,29 @@ func (s *server) handleReadReq(src int) {
 		return
 	}
 	delete(s.reads, key)
-	s.serveRead(req.File, req.Window, round)
+	s.serveRead(req, round)
 }
 
-// serveRead serves one restart round: it plans this server's share of the
-// generation's files, reads and ships it (serveItems), and reports to every
-// client how the share was read.
+// serveRead serves one restart round through the restart-read service
+// (internal/snapshot.Reader, which plans, reads and verifies): this server's
+// share is what the one deal gives it, a verified pane is shipped to the
+// client that asked for it, and every client learns how the share was read.
 //
-// One plan. The generation's chain is loaded once, newest first; a full
-// generation is the chain of length one. Every requested pane resolves to
-// the newest link whose block catalog holds it — each pane to exactly one
-// (generation, file, extent) — and each link's planned files are read by
-// direct coalesced offset reads, every entry CRC-verified before anything
-// from its file ships; files the catalogs know but planned nothing from are
-// never opened. Each item carries its link's catalog, so a failed file's
-// per-pane replica retries consult the right generation.
+// One deal, keyed on the file and on nothing else: base_sHHH[rN].rhdf — or a
+// rank's base_pHHHHH.rhdf, when an individual-I/O module wrote the
+// generation — belongs to alive[HHH mod len(alive)], whether a catalog
+// planned it or the listing found it. Servers therefore partition the files
+// without talking to each other and without agreeing on anything but the
+// survivor set: one that reached the catalog and one that did not still
+// cover disjoint, exhaustive file sets, so a catalog verdict changes how a
+// file is read, never whether it is; primaries spread evenly whatever the
+// replication factor; and a planned file the directory lost is dealt like
+// any other — its failed open triggers the per-pane replica retry.
 //
-// One deal, keyed on the file and on nothing else: base_sHHH[rN].rhdf
-// belongs to alive[HHH mod len(alive)], whether a catalog planned it or the
-// listing found it. Servers therefore partition the files without talking
-// to each other and without agreeing on anything but the survivor set: one
-// that reached the catalog and one that did not still cover disjoint,
-// exhaustive file sets, so a catalog verdict changes how a file is read,
-// never whether it is; primaries spread evenly whatever the replication
-// factor; and a planned file the directory lost is dealt like any other —
-// its failed open triggers the per-pane replica retry.
-//
-// The directory scan remains where the files are the only description of
-// the state: a full generation whose catalog will not load scans every
-// listed file of its share; so does a head with no readable manifest, once
-// the flush barrier has put an uncommitted generation's blocks on disk; and
-// an indexed full generation still scans listed files its catalog never saw
-// (a server wrongly declared dead renamed its file into place after the
-// commit). A delta's files do not spell out the panes it inherits, so a
-// delta head with any unloadable link fails the round — doneModeFailed,
-// nothing shipped from this server — and the clients' completeness check
-// sends the restore walk back past the whole chain. A failed listing
-// reports the same way instead of killing the server: no client is left
-// hanging, and the clients decide whether peers covered the panes.
-func (s *server) serveRead(file, window string, round *readRound) {
-	// The loaded chain also answers "committed?". A committed generation
-	// needs no flush barrier: its commit record exists only because the Sync
-	// flush already put every block of it on disk — so reading generation g
-	// proceeds immediately, while the write service may still be writing back
-	// g+1. When the flush does run it is write-back cost, not scan cost: it
-	// gets its own histogram and the scan clock restarts after it.
-	scanT0 := s.ctx.Clock().Now()
-	chain, chainErr := snapshot.LoadChain(s.ctx.FS(), file)
-	if len(chain) == 0 {
-		flushT0 := s.ctx.Clock().Now()
-		s.wr.Flush()
-		scanT0 = s.ctx.Clock().Now()
-		s.mx.flushSeconds.Observe(scanT0 - flushT0)
-	}
-	defer func() { s.mx.scanSeconds.Observe(s.ctx.Clock().Now() - scanT0) }()
-
+// A round the service could not serve (snapshot.ReadFailed) still reports:
+// no client is left hanging, and the clients decide whether peers covered
+// the panes.
+func (s *server) serveRead(req readReq, round *readRound) {
 	// The servers sharing the round: all of them normally, the agreed
 	// survivors in degraded mode.
 	alive := round.alive
@@ -373,216 +299,34 @@ func (s *server) serveRead(file, window string, round *readRound) {
 			alive[i] = i
 		}
 	}
-	mine := func(home int) bool { return dealt(alive, home) == s.idx }
-
-	var items []readItem
-	mode := byte(doneModeScan)
-	indexed := make(map[string]bool) // files the head's catalog describes
-	switch {
-	case chainErr != nil && len(chain) > 0:
-		mode = doneModeFailed // a delta head with an unloadable link
-	case len(chain) > 0 && chain[0].Catalog != nil:
-		mode = doneModeIndexed
-		s.mx.chainDepth.SetMax(float64(len(chain) - 1))
-		wanted := make(map[int]bool, len(round.wantAll))
-		for id := range round.wantAll {
-			wanted[id] = true
-		}
-		cats := snapshot.ChainCatalogs(chain)
-		for gi, panes := range catalog.ResolvePanes(cats, window, wanted) {
-			for _, plan := range cats[gi].PlanReads(window, panes) {
-				// A planned file outside the grammar has home 0.
-				if _, home, _, _ := catalog.ParseServerFile(plan.File); mine(home) {
-					items = append(items, readItem{name: plan.File, plan: plan, cat: cats[gi]})
-				}
-			}
-		}
-		for _, name := range chain[0].Catalog.Files {
-			indexed[name] = true
-		}
+	wanted := make(map[int]bool, len(round.wantAll))
+	for id := range round.wantAll {
+		wanted[id] = true
 	}
-	if mode != doneModeFailed && len(chain) <= 1 {
-		names, err := s.ctx.FS().List(file + "_s")
-		if err != nil {
-			mode = doneModeFailed
-		}
-		for _, name := range names {
-			if base, home, _, ok := catalog.ParseServerFile(name); ok && base == file && mine(home) && !indexed[name] {
-				items = append(items, readItem{name: name, scan: true})
-			}
-		}
-	}
-	switch mode {
-	case doneModeFailed:
-		s.noteReadErr()
-	case doneModeIndexed:
-		s.serveItems(window, round, items)
-		s.mx.catalogHits.Inc()
-	default:
-		s.serveItems(window, round, items)
-		s.mx.catalogFallbacks.Inc()
-	}
+	clock := s.ctx.Clock()
+	scanT0 := clock.Now()
+	defer func() { s.mx.scanSeconds.Observe(clock.Now() - scanT0) }()
+	mode := s.rd.Read(snapshot.ReadRequest{
+		Base: req.File, Window: req.Window, Attr: req.Attr, Wanted: wanted,
+		Mine: func(home int) bool { return dealt(alive, home) == s.idx },
+		// Reading a committed generation g proceeds at once, while the
+		// write service may still be writing back g+1. When the flush does
+		// run it is write-back cost, not scan cost: it gets its own
+		// histogram and the scan clock restarts after it.
+		Uncommitted: func() {
+			flushT0 := clock.Now()
+			s.wr.Flush()
+			scanT0 = clock.Now()
+			s.mx.flushSeconds.Observe(scanT0 - flushT0)
+		},
+		// The server goroutine owns all network traffic (simulated
+		// endpoints charge the sending process).
+		Deliver: func(pane int, sets []roccom.IOSet) {
+			s.world.Send(round.wantAll[pane], tagReadBlock, roccom.EncodeIOSets(sets))
+			s.mx.readsServed.Inc()
+		},
+	})
 	for _, c := range s.allClients {
-		s.world.Send(c, tagReadDone, []byte{mode})
+		s.world.Send(c, tagReadDone, []byte{byte(mode)})
 	}
-}
-
-// paneShip is one pane's ship-ready payload: assembled datasets destined
-// for the owning client. Building one never sends anything — the server
-// goroutine owns all network traffic (simulated endpoints charge the
-// sending process), so workers assemble and the request loop ships.
-type paneShip struct {
-	owner int
-	sets  []roccom.IOSet
-}
-
-// sendShips ships assembled pane payloads to their owners, in order.
-func (s *server) sendShips(ships []paneShip) {
-	for _, sh := range ships {
-		s.world.Send(sh.owner, tagReadBlock, roccom.EncodeIOSets(sh.sets))
-		s.mx.readsServed.Inc()
-	}
-}
-
-// skipFile records one unreadable or damaged snapshot file skipped during
-// a restart, with whatever was already read from it accounted as wasted —
-// bytes_read counts only files that shipped.
-func (s *server) skipFile(wasted int64) {
-	s.mx.filesSkipped.Inc()
-	s.noteReadErr()
-	if wasted > 0 {
-		s.mx.bytesWasted.Add(wasted)
-	}
-}
-
-// noteReadErr counts one read-path failure (a failed listing, or a file
-// skipped mid-round).
-func (s *server) noteReadErr() {
-	s.mx.readErrors.Inc()
-}
-
-// noteRestartBytes accounts payload bytes of a file whose panes shipped.
-func (s *server) noteRestartBytes(n int64) {
-	if n <= 0 {
-		return
-	}
-	s.mx.restartBytes.Add(n)
-}
-
-// assembleShips verifies one planned file's read buffers and groups its
-// entries into per-pane payloads, in plan (entry) order. ok is false when
-// anything is damaged — CRC mismatch (crcFailed then reports it), an
-// extent outside its run, a bad inflate, a short payload: the whole file
-// must be skipped with nothing shipped, matching the scan path's
-// semantics so a restart never mixes verified and unverified panes from
-// one file. Pure with respect to the server (safe to call with
-// worker-filled buffers after the handoff).
-func assembleShips(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, round *readRound) (ships []paneShip, crcFailed, ok bool) {
-	stored := make([][]byte, len(plan.Entries))
-	ri := 0
-	for i := range plan.Entries {
-		e := &plan.Entries[i]
-		for ri < len(runs) && e.Offset >= runs[ri].Offset+runs[ri].Length {
-			ri++
-		}
-		if ri == len(runs) || e.Offset < runs[ri].Offset || e.Offset+e.Length > runs[ri].Offset+runs[ri].Length {
-			return nil, false, false
-		}
-		b := bufs[ri][e.Offset-runs[ri].Offset : e.Offset-runs[ri].Offset+e.Length]
-		if e.HasCRC && hdf.Checksum(b) != e.CRC {
-			// The snapshot was damaged after commit; skip the whole file
-			// so the restart recovers the panes elsewhere or falls back a
-			// generation.
-			return nil, true, false
-		}
-		stored[i] = b
-	}
-	panes := make(map[int]*paneShip)
-	var order []int
-	for i := range plan.Entries {
-		e := &plan.Entries[i]
-		logical := int64(e.Type.Size())
-		for _, d := range e.Dims {
-			logical *= d
-		}
-		data := stored[i]
-		if e.Compressed {
-			var err error
-			if data, err = hdf.InflateStored(data, logical); err != nil {
-				return nil, false, false
-			}
-		} else if int64(len(data)) != logical {
-			return nil, false, false
-		}
-		pd, seen := panes[e.Pane]
-		if !seen {
-			pd = &paneShip{owner: round.wantAll[e.Pane]}
-			panes[e.Pane] = pd
-			order = append(order, e.Pane)
-		}
-		pd.sets = append(pd.sets, roccom.IOSet{Name: e.Name, Type: e.Type, Dims: e.Dims, Attrs: e.Attrs, Data: data})
-	}
-	ships = make([]paneShip, 0, len(order))
-	for _, id := range order {
-		ships = append(ships, *panes[id])
-	}
-	return ships, false, true
-}
-
-// collectScanFile walks one snapshot file and assembles the requested
-// panes of the window into ship-ready payloads, without sending anything.
-// It runs with the clock and filesystem view of whichever process drives
-// the scan task (the request loop, or a read worker), so the profile's
-// per-dataset lookup costs charge to the walking process. bytesRead counts payload bytes
-// pulled from the file whether or not the walk succeeded; failed means the
-// whole file must be skipped (unopenable — what a crashed server leaves
-// behind — or damaged mid-walk), with nothing shipped from it.
-func collectScanFile(fsys rt.FS, clock rt.Clock, profile hdf.CostProfile, reg *metrics.Registry,
-	name, window string, round *readRound) (ships []paneShip, bytesRead int64, opened, failed bool) {
-	r, err := hdf.Open(fsys, name, clock, profile)
-	if err != nil {
-		return nil, 0, false, true
-	}
-	r.Metrics = reg
-	defer r.Close()
-
-	panes := make(map[int]*paneShip)
-	var order []int
-	for _, d := range r.Datasets() {
-		win, paneID, _, ok := roccom.ParseDatasetName(d.Name)
-		if !ok || win != window {
-			continue
-		}
-		owner, wanted := round.wantAll[paneID]
-		if !wanted {
-			continue
-		}
-		// Locate and read through the library (charges lookup cost).
-		ds, ok := r.Lookup(d.Name)
-		if !ok {
-			continue
-		}
-		data, err := r.ReadData(ds)
-		if err != nil {
-			// A checksum mismatch (or read failure) in a committed file:
-			// damaged after commit. The whole file is skipped — nothing
-			// has been shipped yet — so the restart either recovers the
-			// panes from another server's file or reports the snapshot
-			// incomplete, sending the caller back a generation.
-			return nil, bytesRead, true, true
-		}
-		bytesRead += int64(len(data))
-		pd, ok := panes[paneID]
-		if !ok {
-			pd = &paneShip{owner: owner}
-			panes[paneID] = pd
-			order = append(order, paneID)
-		}
-		pd.sets = append(pd.sets, roccom.IOSet{Name: ds.Name, Type: ds.Type, Dims: ds.Dims, Attrs: ds.Attrs, Data: data})
-	}
-	ships = make([]paneShip, 0, len(order))
-	for _, id := range order {
-		ships = append(ships, *panes[id])
-	}
-	return ships, bytesRead, true, false
 }

@@ -204,7 +204,7 @@ func fsckGen(fsys rt.FS, g Generation) GenReport {
 // scrubFile verifies one manifested file end to end: size, directory
 // checksum, and every dataset's payload CRC.
 func scrubFile(fsys rt.FS, e FileEntry) FileReport {
-	size, crc, _, err := hdf.DirInfo(fsys, e.Name)
+	size, crc, _, err := hdf.ScanDir(fsys, e.Name)
 	if err != nil {
 		status := "corrupt"
 		if errors.Is(err, rt.ErrNotExist) {
@@ -241,7 +241,7 @@ func scrubFile(fsys rt.FS, e FileEntry) FileReport {
 // index that would send an indexed restart to the wrong bytes, or silently
 // drop panes, is a mismatch.
 func scrubCatalog(fsys rt.FS, m *Manifest) (status, detail string) {
-	f, err := fsys.Open(m.Catalog.Name)
+	blob, err := hdf.ReadFile(fsys, m.Catalog.Name)
 	if err != nil {
 		if errors.Is(err, rt.ErrNotExist) {
 			// The manifest pins a blob that is not there at all — report
@@ -250,17 +250,7 @@ func scrubCatalog(fsys rt.FS, m *Manifest) (status, detail string) {
 		}
 		return "mismatch", err.Error()
 	}
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return "mismatch", err.Error()
-	}
-	blob := make([]byte, size)
-	_, err = f.ReadAt(blob, 0)
-	f.Close()
-	if err != nil {
-		return "mismatch", err.Error()
-	}
+	size := int64(len(blob))
 	if size != m.Catalog.Size {
 		return "mismatch", fmt.Sprintf("%d bytes on disk, manifest says %d", size, m.Catalog.Size)
 	}
@@ -277,7 +267,7 @@ func scrubCatalog(fsys rt.FS, m *Manifest) (status, detail string) {
 	paneSets := 0
 	for _, e := range m.Files {
 		inManifest[e.Name] = true
-		sets, err := hdf.DirEntries(fsys, e.Name)
+		_, _, sets, err := hdf.ScanDir(fsys, e.Name)
 		if err != nil {
 			continue // scrubFile already reported the file itself
 		}

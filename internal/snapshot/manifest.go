@@ -15,7 +15,6 @@ package snapshot
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"genxio/internal/catalog"
@@ -173,19 +172,7 @@ func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *Chai
 	if err != nil {
 		return nil, err
 	}
-	tmp := base + Suffix + hdf.TmpSuffix
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
-	}
-	if _, err := f.WriteAt(enc, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
-	}
-	if err := fsys.Rename(tmp, base+Suffix); err != nil {
+	if err := hdf.PublishFile(fsys, base+Suffix, enc); err != nil {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
 	}
 	return m, nil
@@ -193,20 +180,9 @@ func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *Chai
 
 // Load reads and validates the manifest of the generation under base.
 func Load(fsys rt.FS, base string) (*Manifest, error) {
-	f, err := fsys.Open(base + Suffix)
+	buf, err := hdf.ReadFile(fsys, base+Suffix)
 	if err != nil {
 		return nil, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-			return nil, fmt.Errorf("snapshot: manifest %s: %w", base, err)
-		}
 	}
 	m, err := DecodeManifest(buf)
 	if err != nil {
@@ -271,7 +247,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 // scrub) cover the payload bytes.
 func (m *Manifest) Verify(fsys rt.FS) error {
 	for _, e := range m.Files {
-		size, crc, _, err := hdf.DirInfo(fsys, e.Name)
+		size, crc, _, err := hdf.ScanDir(fsys, e.Name)
 		if err != nil {
 			return fmt.Errorf("snapshot: verify %s: %s: %w", m.Base, e.Name, err)
 		}

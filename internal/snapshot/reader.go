@@ -1,0 +1,832 @@
+package snapshot
+
+// The restart-read service: the one implementation of the paper's restart
+// (§4.1 — find the requested blocks in the snapshot files and hand each to
+// its owner), under all three I/O modules. Like the write service it has two
+// placements: a Rocpanda server reads the files dealt to it and ships the
+// panes to the requesting clients; a Rochdf or T-Rochdf rank reads for
+// itself and installs them in place. Both run one plan → read → verify →
+// deliver machine, so whatever module wrote a committed generation, any
+// module restarts it, on any rank count. What differs is the share — which
+// planned or listed files are this process's (ReadRequest.Mine, Own) — what
+// delivering a verified pane means (ReadRequest.Deliver), and ReaderConfig.
+//
+// One plan (Read). The generation's chain is loaded once, newest first; a
+// full generation is the chain of length one. Every wanted pane resolves to
+// the newest link whose block catalog holds it — each pane to exactly one
+// (generation, file, extent) — and each link's planned files are read by
+// direct coalesced offset reads, every entry CRC-verified before anything
+// from its file is delivered; files the catalogs know but planned nothing
+// from are never opened, and a named attribute plans that one dataset per
+// pane. The directory scan remains where the files are the only description
+// of the state: a full generation whose catalog will not load, and a head
+// with no readable commit record. A delta's files do not spell out the panes
+// it inherits, so a delta head with any unloadable link fails the round —
+// ReadFailed, nothing delivered — and the caller's completeness check sends
+// the restore walk back past the whole chain. A failed listing reports the
+// same way.
+//
+// The state machine. Each file of the share becomes a readFile and a few
+// disk tasks (newFile): a planned file gets its coalesced run buffers and
+// one ReadAt task per run (or per chunk of a run); a scan file is one task
+// that walks the file into deliverable pane payloads. Tasks do disk I/O
+// only. consume folds each result into its file on the owner's goroutine
+// and, when the file's last task is in, does everything else: CRC
+// verification, inflate, pane assembly and every delivery (a server's sends:
+// simulated endpoints charge the sending process, so shipping stays on the
+// owner's identity). A file with any damage is skipped whole, nothing from
+// it is delivered, its bytes count as wasted rather than read, and
+// recoverPanes retries its panes against the generation's other copies.
+//
+// The inline driver (Workers 0) is the paper-faithful, zero-worker case and
+// the only one Rochdf uses: it runs a file's tasks on the owner with its own
+// mpi.Ctx as their rt.TaskCtx, one file at a time — open, one ReadAt per
+// coalesced run, verify, deliver, close — and constructs no scheduler, so
+// such a run reports no iosched read tasks. Pane retries always run through
+// this driver.
+//
+// The pool driver (Workers > 0) hands the whole share's tasks to an
+// internal/iosched batch: ClassRead / ClassScan tasks executed by ctx.Spawn
+// workers (goroutines on the channel backend, simulation processes with
+// their own clock and filesystem view on the virtual platforms), completions
+// consumed on the owner, so reads of file N+1 overlap the verification and
+// delivery of file N. Coalesced runs split into readChunkBytes chunks, so
+// even a single large file spreads across the pool — on the simulated NFS
+// platforms each worker has its own stream-read pacing, which is where the
+// restart speedup comes from. ReaderConfig.Budget is the scheduler budget
+// under the RestartRead policy: a task that would overrun it is deferred
+// until outstanding reads complete, but an idle pool always admits.
+//
+// Ordering and dedupe: within one file, panes are delivered in plan order
+// under both drivers; across files the pool's completion order may differ,
+// but a pane is planned from exactly one file and receivers dedupe on first
+// arrival (Receiver), so what a rank restores is bit-identical under both.
+//
+// Failure: a task never panics the process. Open/ReadAt errors and damaged
+// payloads mark the file failed. The injected MidRead crash point fires once
+// per file after that file's deliveries on the inline driver, and on a
+// worker as a fatal task result in the pool; either way the owner dies as
+// one process (Crashed).
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+
+	"genxio/internal/catalog"
+	"genxio/internal/faults"
+	"genxio/internal/hdf"
+	"genxio/internal/iosched"
+	"genxio/internal/metrics"
+	"genxio/internal/mpi"
+	"genxio/internal/roccom"
+	"genxio/internal/rt"
+	"genxio/internal/trace"
+)
+
+const (
+	// MaxReadWorkers caps ReaderConfig.Workers.
+	MaxReadWorkers = 8
+	// readChunkBytes splits coalesced runs into pool-sized chunks.
+	readChunkBytes = 512 << 10
+)
+
+// ErrIncompleteRestart reports that a restart could not recover every
+// requested pane: the snapshot is incomplete — a writer died mid-snapshot,
+// or a file was damaged after commit with no intact copy left. Callers
+// should fall back to the previous (complete) generation.
+var ErrIncompleteRestart = errors.New("snapshot: snapshot incomplete")
+
+// ReadMode reports how a round's share was read. The values are Rocpanda's
+// done-mode wire bytes.
+type ReadMode byte
+
+const (
+	ReadScan    ReadMode = iota // directory walk over the share's files
+	ReadIndexed                 // catalog-planned direct offset reads
+	// ReadFailed: the share could not be served at all (an unloadable chain
+	// link, a failed listing) and delivered nothing. The round completed;
+	// whether the restart is still complete is the receivers' call.
+	ReadFailed
+)
+
+// ReaderConfig is what differs between the placements of a Reader.
+type ReaderConfig struct {
+	Profile hdf.CostProfile // the scientific-library cost model (scan walks)
+	// Workers > 0 selects the pool driver of that width, at most
+	// MaxReadWorkers; Budget then bounds the read bytes in flight (0:
+	// unbounded).
+	Workers int
+	Budget  int64
+
+	// Metrics receives the series named in newReaderMx: the restart
+	// counters under Prefix, skipped files as SkippedSeries and read-path
+	// failures as ErrorSeries. Nil disables recording.
+	Metrics       *metrics.Registry
+	Prefix        string
+	SkippedSeries string
+	ErrorSeries   string
+	// Crash reports whether the owning process dies at an instrumented
+	// point (fault injection); nil never does.
+	Crash func(faults.CrashPoint) bool
+	// Trace receives one read span per task on row TraceRank.
+	Trace     *trace.Recorder
+	TraceRank int
+}
+
+// ReadRequest is one restart round on one process.
+type ReadRequest struct {
+	Base   string       // the generation
+	Window string       // whose panes
+	Attr   string       // "all", or the one attribute to read of each pane
+	Wanted map[int]bool // the panes to deliver
+
+	// Mine deals the generation's files: a file is read by the one process
+	// whose Mine accepts its home index (catalog.ParseDataFile; a file
+	// outside the grammar has home 0). Nil takes every planned file.
+	Mine func(home int) bool
+	// Own, when set, is the one file walked where no catalog plans the
+	// read, and nothing is listed: individual I/O, where a rank knows its
+	// file by name. Empty lists the generation's server files and walks
+	// Mine's — plus, beside an indexed full generation, any the catalog
+	// never saw (a server wrongly declared dead renamed its file into place
+	// after the commit).
+	Own string
+	// Uncommitted, when set, runs once Base proves to have no readable
+	// commit record, before its files are walked: the flush barrier that
+	// puts a still-buffered generation's blocks on disk. A committed
+	// generation needs none — its commit record exists only because a flush
+	// already landed every block of it.
+	Uncommitted func()
+	// Deliver takes one verified pane's datasets, on the caller's goroutine.
+	Deliver func(pane int, sets []roccom.IOSet)
+}
+
+// readerMx holds a Reader's registry handles (nil-safe no-ops without a
+// registry), created once so the hot paths never touch the registry map.
+type readerMx struct {
+	filesSkipped *metrics.Counter
+	readErrors   *metrics.Counter
+
+	// Restart I/O efficiency (catalog vs scan).
+	filesOpened      *metrics.Counter
+	bytesRead        *metrics.Counter
+	bytesWasted      *metrics.Counter
+	catalogHits      *metrics.Counter
+	catalogFallbacks *metrics.Counter
+	checksumFails    *metrics.Counter
+
+	replicaReads  *metrics.Counter // pane retries served by a replica copy
+	repairedPanes *metrics.Counter
+	chainDepth    *metrics.Gauge // delta chains
+}
+
+func newReaderMx(cfg *ReaderConfig) readerMx {
+	r, p := cfg.Metrics, cfg.Prefix
+	return readerMx{
+		filesSkipped: r.Counter(cfg.SkippedSeries),
+		readErrors:   r.Counter(cfg.ErrorSeries),
+
+		filesOpened:      r.Counter(p + "files_opened"),
+		bytesRead:        r.Counter(p + "bytes_read"),
+		bytesWasted:      r.Counter(p + "bytes_wasted"),
+		catalogHits:      r.Counter(p + "catalog_hits"),
+		catalogFallbacks: r.Counter(p + "catalog_fallbacks"),
+		checksumFails:    r.Counter("hdf.checksum_failures"),
+
+		replicaReads:  r.Counter(p + "replica_reads"),
+		repairedPanes: r.Counter(p + "repaired_panes"),
+		chainDepth:    r.Gauge(p + "chain_depth"),
+	}
+}
+
+// Reader is one process's restart-read machine, built once per service
+// lifetime; a pool, when configured, lives for one round.
+type Reader struct {
+	ctx mpi.Ctx
+	cfg ReaderConfig
+	mx  readerMx
+}
+
+// NewReader builds the read machine for the calling process.
+func NewReader(ctx mpi.Ctx, cfg ReaderConfig) *Reader {
+	return &Reader{ctx: ctx, cfg: cfg, mx: newReaderMx(&cfg)}
+}
+
+// Read serves one restart round — plan this process's share of the
+// generation's files, read, verify and deliver it — and reports how.
+func (rd *Reader) Read(req ReadRequest) ReadMode {
+	fsys := rd.ctx.FS()
+	chain, chainErr := LoadChain(fsys, req.Base)
+	if len(chain) == 0 && req.Uncommitted != nil {
+		req.Uncommitted()
+	}
+	mine := req.Mine
+	if mine == nil {
+		mine = func(int) bool { return true }
+	}
+
+	var items []readItem
+	mode := ReadScan
+	switch {
+	case chainErr != nil && len(chain) > 0:
+		mode = ReadFailed // a delta head with an unloadable link
+	case len(chain) > 0 && chain[0].Catalog != nil:
+		mode = ReadIndexed
+		rd.mx.chainDepth.SetMax(float64(len(chain) - 1))
+		cats := ChainCatalogs(chain)
+		for gi, panes := range catalog.ResolvePanes(cats, req.Window, req.Wanted) {
+			for _, plan := range cats[gi].PlanReads(req.Window, panes) {
+				plan = attrPlan(plan, req.Attr)
+				if _, home, _ := catalog.ParseDataFile(plan.File); len(plan.Entries) > 0 && mine(home) {
+					items = append(items, readItem{name: plan.File, plan: plan, cat: cats[gi]})
+				}
+			}
+		}
+	}
+	switch {
+	case mode == ReadFailed:
+	case req.Own != "":
+		if mode == ReadScan {
+			items = append(items, readItem{name: req.Own, scan: true})
+		}
+	case len(chain) <= 1:
+		indexed := make(map[string]bool) // files the head's catalog describes
+		if mode == ReadIndexed {
+			for _, name := range chain[0].Catalog.Files {
+				indexed[name] = true
+			}
+		}
+		names, err := fsys.List(req.Base + "_s")
+		if err != nil {
+			mode = ReadFailed
+		}
+		for _, name := range names {
+			if base, home, _, ok := catalog.ParseServerFile(name); ok && base == req.Base && mine(home) && !indexed[name] {
+				items = append(items, readItem{name: name, scan: true})
+			}
+		}
+	}
+	if mode == ReadFailed {
+		rd.mx.readErrors.Inc()
+		return mode
+	}
+	rd.serve(&req, items)
+	if mode == ReadIndexed {
+		rd.mx.catalogHits.Inc()
+	} else {
+		rd.mx.catalogFallbacks.Inc()
+	}
+	return mode
+}
+
+// attrPlan narrows a file plan to the requested attribute's datasets.
+func attrPlan(plan catalog.FilePlan, attr string) catalog.FilePlan {
+	if attr == "all" {
+		return plan
+	}
+	var keep []catalog.Entry
+	for _, e := range plan.Entries {
+		if e.Attr == attr {
+			keep = append(keep, e)
+		}
+	}
+	plan.Entries = keep
+	return plan
+}
+
+// dies asks the crash hook about the MidRead point.
+func (rd *Reader) dies() bool {
+	return rd.cfg.Crash != nil && rd.cfg.Crash(faults.MidRead)
+}
+
+// readItem is one file of a share: a planned extent read, or a
+// directory-scan fallback.
+type readItem struct {
+	name string
+	scan bool
+	plan catalog.FilePlan
+	// cat is the catalog a planned item came from (nil for scan items) —
+	// in chain rounds each item carries its own generation's catalog, so a
+	// failed file's pane retries consult the right link's copies.
+	cat *catalog.Catalog
+}
+
+// readFile is the state of one file being read.
+type readFile struct {
+	readItem
+	pooled    bool // its tasks run on pool workers, not on the owner
+	retry     bool // a pane retry against another copy: its own failure is final
+	runs      []catalog.Run
+	bufs      [][]byte // one buffer per run; tasks fill disjoint windows
+	left      int      // outstanding task results for this file
+	failed    bool
+	opened    bool
+	read      int64 // bytes successfully pulled from the file so far
+	delivered bool  // verified end to end and handed over
+}
+
+// readResult is one task's outcome, carried as the completion's value (in
+// the pool the control-queue handoff is also the happens-before edge
+// covering the buffer window the worker filled).
+type readResult struct {
+	f      *readFile
+	read   int64 // bytes actually pulled from the file
+	opened bool
+	failed bool
+	panes  []paneSets // scan tasks only: deliverable pane payloads
+}
+
+// paneSets is one pane's verified datasets. Building one never delivers
+// anything — the owner's goroutine does — so workers assemble and the owner
+// hands over.
+type paneSets struct {
+	pane int
+	sets []roccom.IOSet
+}
+
+// readHandles caches one open handle per file for whoever runs chunk tasks:
+// a pool worker's private iosched.WorkerState (several workers may hold
+// handles on the same file; each reads disjoint chunks), closed on every
+// worker exit, crashed or not; or the inline driver's per-file handle,
+// closed after the file's deliveries.
+type readHandles struct{ m map[string]rt.File }
+
+// Flush implements iosched.WorkerState (restart rounds never flush).
+func (h *readHandles) Flush() error { return nil }
+
+// Close implements iosched.WorkerState.
+func (h *readHandles) Close() error {
+	for _, f := range h.m {
+		f.Close()
+	}
+	return nil
+}
+
+// readRound is one round's share on one process. Everything but the task
+// closures runs on the owner's goroutine.
+type readRound struct {
+	rd  *Reader
+	req *ReadRequest
+	// bad holds files that failed an open this round: a pane retry never
+	// re-reads them, so one lost file costs one failed open, not one per
+	// pane.
+	bad       map[string]bool
+	delivered bool // something left this process already (overlap accounting)
+}
+
+// serve reads, verifies and delivers one round's share. This is the one
+// place the driver is chosen.
+func (rd *Reader) serve(req *ReadRequest, items []readItem) {
+	e := &readRound{rd: rd, req: req, bad: make(map[string]bool)}
+	if rd.cfg.Workers > 0 && len(items) > 0 {
+		e.runPool(items)
+		return
+	}
+	for _, it := range items {
+		e.runInline(it, false)
+		if rd.dies() {
+			panic(Crashed{})
+		}
+	}
+}
+
+// newFile builds one item's file state and disk tasks. For the pool, runs
+// split into readChunkBytes chunks and a scan file's budget cost is its
+// size; inline, a run is one read and nothing is sized (a Stat would be a
+// metadata operation the paper's protocol does not make).
+func (e *readRound) newFile(it readItem, pooled bool) (*readFile, []*iosched.Task) {
+	f := &readFile{readItem: it, pooled: pooled}
+	if it.scan {
+		f.left = 1
+		var cost int64
+		if pooled {
+			cost, _ = e.rd.ctx.FS().Stat(it.name) // unknown size costs zero
+		}
+		return f, []*iosched.Task{e.scanTask(f, cost)}
+	}
+	f.runs = catalog.Coalesce(it.plan.Entries, 0)
+	f.bufs = make([][]byte, len(f.runs))
+	var tasks []*iosched.Task
+	for ri, run := range f.runs {
+		f.bufs[ri] = make([]byte, run.Length)
+		chunk := run.Length
+		if pooled {
+			chunk = readChunkBytes
+		}
+		// At least one task per run, so an empty run still opens its file.
+		for off := int64(0); ; {
+			n := min(chunk, run.Length-off)
+			tasks = append(tasks, e.chunkTask(f, run.Offset+off, f.bufs[ri][off:off+n]))
+			f.left++
+			if off += n; off >= run.Length {
+				break
+			}
+		}
+	}
+	return f, tasks
+}
+
+// chunkTask builds one contiguous disk read: fill buf from off.
+func (e *readRound) chunkTask(f *readFile, off int64, buf []byte) *iosched.Task {
+	return &iosched.Task{
+		Class: iosched.ClassRead,
+		Cost:  int64(len(buf)),
+		Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
+			handles := st.(*readHandles).m
+			res := readResult{f: f}
+			h, ok := handles[f.name]
+			if !ok {
+				var err error
+				h, err = tc.FS().Open(f.name)
+				if err != nil {
+					res.failed = true
+					return e.finish(res)
+				}
+				handles[f.name] = h
+			}
+			res.opened = true
+			if _, err := h.ReadAt(buf, off); err != nil {
+				res.failed = true
+			} else {
+				res.read = int64(len(buf))
+			}
+			return e.finish(res)
+		},
+	}
+}
+
+// scanTask builds one whole-file directory-scan fallback, run on the
+// driver's clock and filesystem view so the profile's lookup costs charge
+// to the process that walks the file (and overlap across the pool).
+func (e *readRound) scanTask(f *readFile, cost int64) *iosched.Task {
+	return &iosched.Task{
+		Class: iosched.ClassScan,
+		Cost:  cost,
+		Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
+			res := scanFile(tc.FS(), tc.Clock(), &e.rd.cfg, f.name, e.req)
+			res.f = f
+			return e.finish(res)
+		},
+	}
+}
+
+// finish wraps a task result. On a pool worker it evaluates the injected
+// MidRead crash after the work (and before the completion is reported,
+// whose tallies and span still land — the owner then dies with the worker);
+// the inline driver fires the crash point itself, once per file.
+func (e *readRound) finish(res readResult) iosched.Result {
+	return iosched.Result{Value: res, Fatal: res.f.pooled && e.rd.dies()}
+}
+
+// runInline is the zero-worker driver: one file's tasks, run to completion
+// on the owner with its own clock and filesystem view. The file's handle
+// closes after its deliveries and before any pane retry.
+func (e *readRound) runInline(it readItem, retry bool) *readFile {
+	rd := e.rd
+	f, tasks := e.newFile(it, false)
+	f.retry = retry
+	h := &readHandles{m: make(map[string]rt.File)}
+	clock := rd.ctx.Clock()
+	for _, t := range tasks {
+		t0 := clock.Now()
+		res := t.Run(rd.ctx, h)
+		t1 := clock.Now()
+		if t1 > t0 {
+			rd.cfg.Trace.Record(rd.cfg.TraceRank, trace.PhaseRead, t0, t1)
+		}
+		e.consume(iosched.Completion{Task: t, Result: res, T0: t0, T1: t1})
+	}
+	h.Close()
+	if !f.delivered {
+		e.recoverPanes(f)
+	}
+	return f
+}
+
+// runPool is the worker-pool driver: the whole share's tasks as one
+// scheduler batch. Runs on the owner's goroutine; returns only after every
+// worker has exited. If a worker hit an injected crash the owning process
+// dies with it.
+func (e *readRound) runPool(items []readItem) {
+	cfg := &e.rd.cfg
+	var tasks []*iosched.Task
+	for _, it := range items {
+		_, ts := e.newFile(it, true)
+		tasks = append(tasks, ts...)
+	}
+	nw := min(cfg.Workers, MaxReadWorkers)
+	eng := iosched.New(e.rd.ctx, iosched.Config{
+		Name:       "snapshot-read",
+		Workers:    nw,
+		MaxWorkers: MaxReadWorkers,
+		Budget:     cfg.Budget,
+		// Queues are sized so no Put ever blocks: the scheduler deals
+		// unkeyed tasks round-robin by index, and the control queue holds
+		// one completion per task plus every exit. A crashed worker that
+		// abandons its queue can then never wedge the owner mid-Put.
+		QueueCap: len(tasks)/nw + 2,
+		CtlCap:   len(tasks) + nw + 4,
+		Policy:   iosched.RestartRead{},
+		NewState: func(wi int, tc rt.TaskCtx) iosched.WorkerState {
+			return &readHandles{m: make(map[string]rt.File)}
+		},
+		CloseStateOnExit: true,
+		Metrics:          cfg.Metrics,
+		Trace:            cfg.Trace,
+		TraceRank:        cfg.TraceRank,
+		TracePhase:       trace.PhaseRead,
+		// Read overlap is not barrier-relative: it is disk time after the
+		// round's first delivery, decided per completion below.
+		OverlapExternal: true,
+	})
+	defer eng.Close()
+	eng.RunBatch(tasks, func(c iosched.Completion) {
+		if dt := c.T1 - c.T0; dt > 0 && e.delivered {
+			// Disk time spent after this round's first pane left: reads of
+			// later files overlapped earlier files' deliveries.
+			eng.NoteOverlap(c.Task.Class, dt)
+		}
+		if f := e.consume(c); f != nil && !f.delivered {
+			// Recovery runs inline, while the workers keep reading the
+			// round's remaining files.
+			e.recoverPanes(f)
+		}
+	})
+	eng.Close()
+	if eng.Crashed() {
+		panic(Crashed{})
+	}
+}
+
+// consume folds one task result into its file and, when it was the file's
+// last, verifies and delivers the file — or skips it whole. It returns the
+// file once it is complete (delivered or not), nil before that. Owner's
+// goroutine only.
+func (e *readRound) consume(c iosched.Completion) *readFile {
+	mx := &e.rd.mx
+	r := c.Result.Value.(readResult)
+	f := r.f
+	if r.opened && !f.opened {
+		f.opened = true
+		mx.filesOpened.Inc()
+	}
+	if r.failed {
+		f.failed = true
+	}
+	f.read += r.read
+	if f.left--; f.left > 0 {
+		return nil
+	}
+	panes, ok := r.panes, !f.failed
+	if ok && !f.scan {
+		var crcFailed bool
+		panes, crcFailed, ok = assemble(f.plan, f.runs, f.bufs)
+		if crcFailed {
+			mx.checksumFails.Inc()
+		}
+	}
+	if !ok {
+		// An unreadable or damaged file is skipped whole, with whatever was
+		// already read from it accounted as wasted — bytes_read counts only
+		// files that were delivered.
+		mx.filesSkipped.Inc()
+		mx.readErrors.Inc()
+		if f.read > 0 {
+			mx.bytesWasted.Add(f.read)
+		}
+		return f
+	}
+	if f.read > 0 {
+		mx.bytesRead.Add(f.read)
+	}
+	for _, p := range panes {
+		e.req.Deliver(p.pane, p.sets)
+	}
+	f.delivered = true
+	if len(panes) > 0 {
+		e.delivered = true
+	}
+	return f
+}
+
+// recoverPanes retries every pane of a failed planned file against the
+// generation's other copies, best-first (primaries before replicas, per
+// catalog.PaneSources), delivering each pane from the first copy that
+// verifies end to end. The walk is deterministic — sorted panes, ordered
+// sources, a shared bad-file set — so every process makes the same recovery
+// decisions. A pane with no good copy anywhere is simply not delivered: the
+// receivers then report the snapshot incomplete and the restore walk falls
+// back a generation, which is exactly the all-copies-bad semantics the
+// replica layer promises.
+//
+// There is nothing to do for a scan-fallback file (it carries no plan, its
+// panes are unknown until read, and the listing already covers every
+// replica), and a retry's own failure is final: the walk moves on to the
+// pane's next copy.
+func (e *readRound) recoverPanes(f *readFile) {
+	if f.scan || f.retry {
+		return
+	}
+	e.bad[f.name] = true
+	seen := make(map[int]bool)
+	var panes []int
+	for i := range f.plan.Entries {
+		if p := f.plan.Entries[i].Pane; !seen[p] {
+			seen[p] = true
+			panes = append(panes, p)
+		}
+	}
+	sort.Ints(panes)
+	for _, pane := range panes {
+		for _, src := range f.cat.PaneSources(e.req.Window, pane) {
+			if e.bad[src.File] {
+				continue
+			}
+			// A copy that cannot be opened is blacklisted; one that opens
+			// but is damaged may still hold other panes intact, so only the
+			// attempted read is charged as wasted.
+			try := e.runInline(readItem{name: src.File, plan: attrPlan(src, e.req.Attr)}, true)
+			if !try.opened {
+				e.bad[src.File] = true
+			}
+			if try.delivered {
+				e.rd.mx.repairedPanes.Inc()
+				if catalog.ReplicaRank(src.File) > 0 {
+					e.rd.mx.replicaReads.Inc()
+				}
+				break
+			}
+		}
+	}
+}
+
+// paneGroups collects datasets into per-pane payloads in first-seen order.
+type paneGroups struct {
+	byPane map[int]int
+	panes  []paneSets
+}
+
+func (g *paneGroups) add(pane int, set roccom.IOSet) {
+	i, seen := g.byPane[pane]
+	if !seen {
+		if g.byPane == nil {
+			g.byPane = make(map[int]int)
+		}
+		i = len(g.panes)
+		g.byPane[pane] = i
+		g.panes = append(g.panes, paneSets{pane: pane})
+	}
+	g.panes[i].sets = append(g.panes[i].sets, set)
+}
+
+// assemble verifies one planned file's read buffers and groups its entries
+// into per-pane payloads, in plan (entry) order. ok is false when anything
+// is damaged — CRC mismatch (crcFailed then reports it), an extent outside
+// its run, a bad inflate, a short payload: the whole file must be skipped
+// with nothing delivered, matching the scan path's semantics so a restart
+// never mixes verified and unverified panes from one file. Pure (safe to
+// call with worker-filled buffers after the handoff).
+func assemble(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte) (panes []paneSets, crcFailed, ok bool) {
+	stored := make([][]byte, len(plan.Entries))
+	ri := 0
+	for i := range plan.Entries {
+		e := &plan.Entries[i]
+		for ri < len(runs) && e.Offset >= runs[ri].Offset+runs[ri].Length {
+			ri++
+		}
+		if ri == len(runs) || e.Offset < runs[ri].Offset || e.Offset+e.Length > runs[ri].Offset+runs[ri].Length {
+			return nil, false, false
+		}
+		b := bufs[ri][e.Offset-runs[ri].Offset : e.Offset-runs[ri].Offset+e.Length]
+		if e.HasCRC && hdf.Checksum(b) != e.CRC {
+			// The snapshot was damaged after commit; skip the whole file
+			// so the restart recovers the panes elsewhere or falls back a
+			// generation.
+			return nil, true, false
+		}
+		stored[i] = b
+	}
+	var g paneGroups
+	for i := range plan.Entries {
+		e := &plan.Entries[i]
+		logical := int64(e.Type.Size())
+		for _, d := range e.Dims {
+			logical *= d
+		}
+		data := stored[i]
+		if e.Compressed {
+			var err error
+			if data, err = hdf.InflateStored(data, logical); err != nil {
+				return nil, false, false
+			}
+		} else if int64(len(data)) != logical {
+			return nil, false, false
+		}
+		g.add(e.Pane, roccom.IOSet{Name: e.Name, Type: e.Type, Dims: e.Dims, Attrs: e.Attrs, Data: data})
+	}
+	return g.panes, false, true
+}
+
+// scanFile walks one snapshot file and assembles the requested panes of the
+// window into deliverable payloads, without delivering anything. It runs
+// with the clock and filesystem view of whichever process drives the scan
+// task (the owner, or a read worker), so the profile's per-dataset lookup
+// costs charge to the walking process. read counts payload bytes pulled from
+// the file whether or not the walk succeeded; failed means the whole file
+// must be skipped (unopenable — what a crashed writer leaves behind — or
+// damaged mid-walk), with nothing delivered from it.
+func scanFile(fsys rt.FS, clock rt.Clock, cfg *ReaderConfig, name string, req *ReadRequest) readResult {
+	r, err := hdf.Open(fsys, name, clock, cfg.Profile)
+	if err != nil {
+		return readResult{failed: true}
+	}
+	r.Metrics = cfg.Metrics
+	defer r.Close()
+
+	res := readResult{opened: true}
+	var g paneGroups
+	for _, d := range r.Datasets() {
+		win, pane, attr, ok := roccom.ParseDatasetName(d.Name)
+		if !ok || win != req.Window || !req.Wanted[pane] || (req.Attr != "all" && attr != req.Attr) {
+			continue
+		}
+		// Locate and read through the library (charges lookup cost).
+		ds, ok := r.Lookup(d.Name)
+		if !ok {
+			continue
+		}
+		data, err := r.ReadData(ds)
+		if err != nil {
+			// A checksum mismatch (or read failure) in a committed file:
+			// damaged after commit. The whole file is skipped — nothing has
+			// been delivered yet — so the restart either recovers the panes
+			// from another file or reports the snapshot incomplete, sending
+			// the caller back a generation.
+			res.failed = true
+			return res
+		}
+		res.read += int64(len(data))
+		g.add(pane, roccom.IOSet{Name: ds.Name, Type: ds.Type, Dims: ds.Dims, Attrs: ds.Attrs, Data: data})
+	}
+	res.panes = g.panes
+	return res
+}
+
+// Receiver is the receiving end of a restart read, written once for every
+// module: panes arrive in any order and possibly twice (a failed-over write
+// leaves identical copies in two files), the first arrival of each wanted
+// pane is installed in the window, and Complete says whether all came.
+type Receiver struct {
+	w    *roccom.Window
+	attr string
+	want map[int]bool
+	got  map[int]bool
+	err  error // sticky first failure
+}
+
+// NewReceiver prepares to restore the panes ids of w; attr is "all" (the
+// panes need not be registered yet) or one attribute of registered panes.
+func NewReceiver(w *roccom.Window, attr string, ids []int) *Receiver {
+	rc := &Receiver{w: w, attr: attr, want: make(map[int]bool, len(ids)), got: make(map[int]bool, len(ids))}
+	for _, id := range ids {
+		rc.want[id] = true
+	}
+	return rc
+}
+
+// Wanted returns the set of panes asked for.
+func (rc *Receiver) Wanted() map[int]bool { return rc.want }
+
+// Deliver installs one pane's datasets; a pane already restored is dropped.
+// An unsolicited or uninstallable block is an error, which sticks.
+func (rc *Receiver) Deliver(sets []roccom.IOSet) (err error) {
+	if rc.err != nil {
+		return rc.err
+	}
+	defer func() { rc.err = err }()
+	if len(sets) == 0 {
+		return fmt.Errorf("snapshot: empty restart block")
+	}
+	_, pane, _, ok := roccom.ParseDatasetName(sets[0].Name)
+	if !ok || !rc.want[pane] {
+		return fmt.Errorf("snapshot: unsolicited restart block %q", sets[0].Name)
+	}
+	if rc.got[pane] {
+		return nil
+	}
+	if err = roccom.ApplyRestart(rc.w, pane, rc.attr, sets); err == nil {
+		rc.got[pane] = true
+	}
+	return err
+}
+
+// Complete returns the first delivery failure, else nil once every wanted
+// pane was delivered, and ErrIncompleteRestart otherwise.
+func (rc *Receiver) Complete(base string) error {
+	if rc.err == nil && len(rc.got) != len(rc.want) {
+		return fmt.Errorf("snapshot: recovered %d of %d panes of window %q from %q: %w",
+			len(rc.got), len(rc.want), rc.w.Name, base, ErrIncompleteRestart)
+	}
+	return rc.err
+}

@@ -130,7 +130,7 @@ func rebuildCatalog(fsys rt.FS, m *Manifest) (FileReport, bool) {
 	if int64(len(blob)) != m.Catalog.Size || hdf.Checksum(blob) != m.Catalog.CRC {
 		return FileReport{}, false
 	}
-	if err := writeBlob(fsys, m.Catalog.Name, blob); err != nil {
+	if err := hdf.PublishFile(fsys, m.Catalog.Name, blob); err != nil {
 		return FileReport{}, false
 	}
 	return FileReport{Name: m.Catalog.Name, Status: "repaired",
@@ -140,40 +140,9 @@ func rebuildCatalog(fsys rt.FS, m *Manifest) (FileReport, bool) {
 // copyFile clones src's bytes over dst via a staged temporary and an
 // atomic rename, so a crash mid-repair never leaves a half-written dst.
 func copyFile(fsys rt.FS, src, dst string) error {
-	f, err := fsys.Open(src)
+	buf, err := hdf.ReadFile(fsys, src)
 	if err != nil {
 		return err
 	}
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	f.Close()
-	return writeBlob(fsys, dst, buf)
-}
-
-func writeBlob(fsys rt.FS, name string, blob []byte) error {
-	tmp := name + hdf.TmpSuffix
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if len(blob) > 0 {
-		if _, err := f.WriteAt(blob, 0); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsys.Rename(tmp, name)
+	return hdf.PublishFile(fsys, dst, buf)
 }

@@ -25,8 +25,8 @@ type Generation struct {
 }
 
 // baseOf derives the generation base from a snapshot artifact name:
-// base.manifest, base.catalog, a server file (catalog.ParseServerFile),
-// base_p00000.rhdf, or any of those with a staged .tmp suffix. It returns
+// base.manifest, base.catalog, a server or rank data file
+// (catalog.ParseDataFile), or any of those with a staged .tmp suffix. It returns
 // "" for names that are not snapshot artifacts.
 func baseOf(name string) string {
 	name = strings.TrimSuffix(name, hdf.TmpSuffix)
@@ -36,21 +36,10 @@ func baseOf(name string) string {
 	if b, ok := strings.CutSuffix(name, catalog.Suffix); ok {
 		return b
 	}
-	if b, _, _, ok := catalog.ParseServerFile(name); ok {
+	if b, _, ok := catalog.ParseDataFile(name); ok {
 		return b
 	}
-	// Per-rank files: base_pNNNNN.rhdf.
-	name, ok := strings.CutSuffix(name, ".rhdf")
-	i := strings.LastIndexByte(name, '_')
-	if !ok || i < 0 || i+2 >= len(name) || name[i+1] != 'p' {
-		return ""
-	}
-	for _, c := range name[i+2:] {
-		if c < '0' || c > '9' {
-			return ""
-		}
-	}
-	return name[:i]
+	return ""
 }
 
 // Generations discovers the snapshot generations under prefix (typically
@@ -130,6 +119,9 @@ func (st step) encode() []byte {
 }
 
 func decodeStep(msg []byte) step {
+	if len(msg) == 0 {
+		return step{end: true, err: errors.New("snapshot: empty restore-walk step")}
+	}
 	switch kind, text := msg[0], string(msg[1:]); {
 	case kind == stepTry:
 		return step{base: text}

@@ -114,6 +114,20 @@ func TestGenerationsDiscovery(t *testing.T) {
 	}
 }
 
+// TestDecodeStepEmptyMessage: a damaged broadcast ends the walk with an
+// error instead of indexing into nothing.
+func TestDecodeStepEmptyMessage(t *testing.T) {
+	if st := decodeStep(nil); !st.end || st.err == nil {
+		t.Fatalf("decodeStep(nil) = %+v, want an end-with-error step", st)
+	}
+	for _, st := range []step{{base: "out/g"}, {err: errors.New("skip")}, {end: true}, {end: true, err: errors.New("list")}} {
+		got := decodeStep(st.encode())
+		if got.base != st.base || got.end != st.end || (got.err == nil) != (st.err == nil) {
+			t.Fatalf("decodeStep(encode(%+v)) = %+v", st, got)
+		}
+	}
+}
+
 func TestBaseOf(t *testing.T) {
 	cases := map[string]string{
 		"out/snap000010.manifest":        "out/snap000010",

@@ -38,7 +38,7 @@ func PaneUniverse(fsys rt.FS, base, window string) ([]int, error) {
 	}
 	seen := make(map[int]bool)
 	for _, e := range m.Files {
-		sets, err := hdf.DirEntries(fsys, e.Name)
+		_, _, sets, err := hdf.ScanDir(fsys, e.Name)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: pane universe of %s: %w", base, err)
 		}

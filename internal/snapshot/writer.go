@@ -53,7 +53,7 @@ package snapshot
 // (never under write-through). MidDrain fires after a block lands — on the
 // owner inline, as a fatal task result on a pool writer — and BeforeMeta
 // inside the sink, on whichever process runs the step; a dying writer takes
-// the owning process with it (WriterCrashed), its files left as staged
+// the owning process with it (Crashed), its files left as staged
 // temporaries. A failed write or close never panics: the first error sticks
 // (ErrorSeries counts every one), Flush reports it from then on, and the
 // commit allreduce refuses the generation.
@@ -124,10 +124,10 @@ type WriterConfig struct {
 	TraceRank int
 }
 
-// WriterCrashed is the panic a Writer raises on its owner when the crash
-// hook fires or a pool writer died to it; the owner recovers it and dies
+// Crashed is the panic a Writer or Reader raises on its owner when the crash
+// hook fires or a pool worker died to it; the owner recovers it and dies
 // without draining or acknowledging anything.
-type WriterCrashed struct{}
+type Crashed struct{}
 
 // writerMx holds a Writer's registry handles (nil-safe no-ops without a
 // registry), created once so the hot paths never touch the registry map.
@@ -191,8 +191,8 @@ func NewWriter(ctx mpi.Ctx, cfg WriterConfig) *Writer {
 			return newBlockSink(w, tc.Clock(), tc.FS())
 		},
 		// An injected crash point (BeforeMeta inside the sink) panics with
-		// WriterCrashed; the worker dies with its files unclosed.
-		FatalPanic: func(r interface{}) bool { _, died := r.(WriterCrashed); return died },
+		// Crashed; the worker dies with its files unclosed.
+		FatalPanic: func(r interface{}) bool { _, died := r.(Crashed); return died },
 		Metrics:    cfg.Metrics,
 		Trace:      cfg.Trace,
 		TraceRank:  cfg.TraceRank,
@@ -211,7 +211,7 @@ func (w *Writer) dies(point faults.CrashPoint) bool {
 
 func (w *Writer) crashAt(point faults.CrashPoint) {
 	if w.dies(point) {
-		panic(WriterCrashed{})
+		panic(Crashed{})
 	}
 }
 
@@ -243,7 +243,7 @@ func (w *Writer) Submit(blk Block) {
 		})
 		w.mx.bufBytesPeak.SetMax(float64(info.Queued))
 		if info.Waited && w.eng.Crashed() {
-			panic(WriterCrashed{})
+			panic(Crashed{})
 		}
 		w.crashAt(faults.MidBuffer)
 		return
@@ -308,7 +308,7 @@ func (w *Writer) land(k *blockSink, blk Block) error {
 // Flush forces every queued block to disk and closes the snapshot files,
 // returning the sticky error (nil when all output landed). With the pool
 // it is iosched.Flush: every writer finishes its queue, closes its files
-// and acks with its own sticky error. Panics with WriterCrashed if a
+// and acks with its own sticky error. Panics with Crashed if a
 // writer died to an injected crash.
 func (w *Writer) Flush() error {
 	if w.eng == nil {
@@ -319,11 +319,11 @@ func (w *Writer) Flush() error {
 		return w.err
 	}
 	if w.eng.Crashed() {
-		panic(WriterCrashed{})
+		panic(Crashed{})
 	}
 	err := w.eng.Flush()
 	if w.eng.Crashed() {
-		panic(WriterCrashed{})
+		panic(Crashed{})
 	}
 	if err != nil && w.err == nil {
 		w.err = err // counted by the writer that hit it

@@ -5,15 +5,17 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/mesh"
+	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rochdf"
@@ -28,13 +30,8 @@ import (
 // the other — with data that depends only on i.
 func moduleWindows(t testing.TB, i int) []*roccom.Window {
 	var ws []*roccom.Window
-	for wi, name := range []string{"fluid", "solid"} {
-		w, err := roccom.New().NewWindow(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.NewAttribute(roccom.AttrSpec{Name: "pressure", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 1})
-		w.NewAttribute(roccom.AttrSpec{Name: "velocity", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 3})
+	for wi, name := range moduleWindowNames {
+		w := emptyModuleWindow(t, name)
 		rng := stats.NewRNG(uint64(10*i + wi + 1))
 		blocks, err := mesh.GenCylinder(mesh.CylinderSpec{
 			RInner: 0.1, ROuter: 0.4, Length: 1, BR: 1, BT: 3, BZ: 1, NodesPerBlock: 80, Spread: 0.2,
@@ -57,6 +54,49 @@ func moduleWindows(t testing.TB, i int) []*roccom.Window {
 		ws = append(ws, w)
 	}
 	return ws
+}
+
+var moduleWindowNames = []string{"fluid", "solid"}
+
+// emptyModuleWindow declares a module window's attributes and no panes: a
+// restart target.
+func emptyModuleWindow(t testing.TB, name string) *roccom.Window {
+	w, err := roccom.New().NewWindow(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.NewAttribute(roccom.AttrSpec{Name: "pressure", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 1})
+	w.NewAttribute(roccom.AttrSpec{Name: "velocity", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 3})
+	return w
+}
+
+// digestLine is one (window, pane, attr, bytes) of a state digest, and
+// digestOf the digest of a set of them, in any order.
+func digestLine(win string, pane int, attr string, data []byte) string {
+	return fmt.Sprintf("%s/%d/%s %x", win, pane, attr, sha256.Sum256(data))
+}
+
+func digestOf(lines []string) string {
+	sort.Strings(lines)
+	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
+	return fmt.Sprintf("%d datasets %s", len(lines), hex.EncodeToString(sum[:]))
+}
+
+// windowLines is what a window holds, as digest lines: what stateDigest
+// reads from the files, read from memory.
+func windowLines(t testing.TB, w *roccom.Window) []string {
+	var lines []string
+	w.EachPane(func(p *roccom.Pane) {
+		sets, err := roccom.PaneIOSets(w, p, "all")
+		if err != nil {
+			t.Error(err)
+		}
+		for _, s := range sets {
+			win, pane, attr, _ := roccom.ParseDatasetName(s.Name)
+			lines = append(lines, digestLine(win, pane, attr, s.Data))
+		}
+	})
+	return lines
 }
 
 // stateDigest is the layout-independent digest of a committed generation:
@@ -86,29 +126,70 @@ func stateDigest(t *testing.T, fs rt.FS, base string) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lines = append(lines, fmt.Sprintf("%s/%d/%s %x", win, pane, attr, sha256.Sum256(data)))
+			lines = append(lines, digestLine(win, pane, attr, data))
 		}
 		r.Close()
 	}
-	sort.Strings(lines)
-	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
-	return fmt.Sprintf("%d datasets %s", len(lines), hex.EncodeToString(sum[:]))
+	return digestOf(lines)
 }
 
 func fileSHA(t *testing.T, fs rt.FS, name string) string {
 	t.Helper()
-	f, err := fs.Open(name)
+	buf, err := hdf.ReadFile(fs, name)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	size, _ := f.Size()
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:])
+}
+
+// paneIO is what every module's service offers: the three Roccom calls and
+// the explicit-pane restart.
+type paneIO interface {
+	roccom.IOService
+	ReadPanes(file string, w *roccom.Window, attr string, ids []int) error
+}
+
+// ioModule is one way to run a rank of an I/O module: Rochdf, T-Rochdf, or
+// Rocpanda (two servers) under its inline or its pool drivers.
+type ioModule struct {
+	name    string
+	servers int
+	file    string // where writer 1's blocks of m/g0 land
+	golden  string // SHA-256 of that file as the commit before PR 21 wrote it
+	// open starts the rank's service; svc is nil on a Rocpanda server, which
+	// has then already served. comm spans the ranks that got one.
+	open func(mpi.Ctx) (svc paneIO, comm mpi.Comm, close func() error, err error)
+}
+
+// ioModules returns the four module configurations, recording into reg.
+func ioModules(reg *metrics.Registry) []ioModule {
+	panda := func(tune func(*rocpanda.Config)) func(mpi.Ctx) (paneIO, mpi.Comm, func() error, error) {
+		return func(ctx mpi.Ctx) (paneIO, mpi.Comm, func() error, error) {
+			cfg := rocpanda.Config{NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true, Metrics: reg}
+			tune(&cfg)
+			cl, err := rocpanda.Init(ctx, cfg)
+			if err != nil || cl == nil {
+				return nil, nil, nil, err
+			}
+			return cl, cl.Comm(), cl.Shutdown, nil
+		}
+	}
+	hdfModule := func(threaded bool) func(mpi.Ctx) (paneIO, mpi.Comm, func() error, error) {
+		return func(ctx mpi.Ctx) (paneIO, mpi.Comm, func() error, error) {
+			h := rochdf.New(ctx, rochdf.Config{Profile: hdf.NullProfile(), Threaded: threaded, Metrics: reg})
+			return h, ctx.Comm(), h.Close, nil
+		}
+	}
+	return []ioModule{
+		{"rochdf", 0, "m/g0_p00001.rhdf", goldenRochdfFile, hdfModule(false)},
+		{"trochdf", 0, "m/g0_p00001.rhdf", goldenRochdfFile, hdfModule(true)},
+		{"rocpanda-inline", 2, "m/g0_s001.rhdf", "", panda(func(*rocpanda.Config) {})},
+		{"rocpanda-pool", 2, "m/g0_s001.rhdf", "", panda(func(cfg *rocpanda.Config) {
+			cfg.AsyncDrain, cfg.DrainWriters = true, 2
+			cfg.ParallelRead, cfg.ReadWorkers = true, 2
+		})},
+	}
 }
 
 // TestModulesAreOneService runs the same two writers through all three I/O
@@ -116,39 +197,11 @@ func fileSHA(t *testing.T, fs rt.FS, name string) string {
 // the same outcome from each, clean or faulted: they are placements of one
 // write service and one commit protocol (internal/snapshot), not three
 // implementations. The golden digests pin the individual-I/O files to the
-// bytes the modules wrote before they shared it.
+// bytes the modules wrote before they shared it. The restart matrix is the
+// read half: one restart-read service under them all.
 func TestModulesAreOneService(t *testing.T) {
 	const writers = 2
-	panda := func(tune func(*rocpanda.Config)) func(mpi.Ctx) (roccom.IOService, int, func() error, error) {
-		return func(ctx mpi.Ctx) (roccom.IOService, int, func() error, error) {
-			cfg := rocpanda.Config{NumServers: writers, Profile: hdf.NullProfile(), ActiveBuffering: true}
-			tune(&cfg)
-			cl, err := rocpanda.Init(ctx, cfg)
-			if err != nil || cl == nil {
-				return nil, 0, nil, err
-			}
-			return cl, cl.Comm().Rank(), cl.Shutdown, nil
-		}
-	}
-	hdfModule := func(threaded bool) func(mpi.Ctx) (roccom.IOService, int, func() error, error) {
-		return func(ctx mpi.Ctx) (roccom.IOService, int, func() error, error) {
-			h := rochdf.New(ctx, rochdf.Config{Profile: hdf.NullProfile(), Threaded: threaded})
-			return h, ctx.Comm().Rank(), h.Close, nil
-		}
-	}
-	modules := []struct {
-		name   string
-		ranks  int
-		file   string // where writer 1's blocks of m/g0 land
-		golden string // SHA-256 of that file as the parent commit wrote it
-		open   func(mpi.Ctx) (svc roccom.IOService, writer int, close func() error, err error)
-	}{
-		{"rochdf", writers, "m/g0_p00001.rhdf", goldenRochdfFile, hdfModule(false)},
-		{"trochdf", writers, "m/g0_p00001.rhdf", goldenRochdfFile, hdfModule(true)},
-		{"rocpanda-inline", 2 * writers, "m/g0_s001.rhdf", "", panda(func(*rocpanda.Config) {})},
-		{"rocpanda-pool", 2 * writers, "m/g0_s001.rhdf", "",
-			panda(func(cfg *rocpanda.Config) { cfg.AsyncDrain, cfg.DrainWriters = true, 2 })},
-	}
+	modules := ioModules(nil)
 	scenarios := []struct {
 		name    string
 		rule    func(file string) *faults.FSRule
@@ -174,12 +227,12 @@ func TestModulesAreOneService(t *testing.T) {
 				}
 				var mu sync.Mutex
 				var syncErrs, lateErrs []error
-				err := mpi.NewChanWorld(fs, 1).Run(mod.ranks, func(ctx mpi.Ctx) error {
-					svc, writer, closeSvc, err := mod.open(ctx)
+				err := mpi.NewChanWorld(fs, 1).Run(writers+mod.servers, func(ctx mpi.Ctx) error {
+					svc, comm, closeSvc, err := mod.open(ctx)
 					if err != nil || svc == nil {
 						return err
 					}
-					ws := moduleWindows(t, writer)
+					ws := moduleWindows(t, comm.Rank())
 					for _, w := range ws {
 						// A failed write is the module's to remember: the run
 						// goes on to the collective Sync regardless.
@@ -253,6 +306,181 @@ func TestModulesAreOneService(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("restart-matrix", restartMatrix)
+}
+
+// dataReadFS counts the bytes read from snapshot data files (*.rhdf) beneath
+// it; manifests and catalogs, which every restart loads whole, stay out.
+type dataReadFS struct {
+	rt.FS
+	bytes *atomic.Int64
+}
+
+type dataReadFile struct {
+	rt.File
+	bytes *atomic.Int64
+}
+
+func (fs dataReadFS) Open(name string) (rt.File, error) {
+	f, err := fs.FS.Open(name)
+	if err != nil || !strings.HasSuffix(name, ".rhdf") {
+		return f, err
+	}
+	return dataReadFile{f, fs.bytes}, nil
+}
+
+func (f dataReadFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.bytes.Add(int64(n))
+	return n, err
+}
+
+// restartMatrix restores every module's committed generation under every
+// module, on another rank count (4 writers, 3 readers; the pane
+// universe dealt by snapshot.PaneUniverse + catalog.Repartition): they are
+// placements of one restart-read service, so any module restarts any
+// module's snapshot, to the same state. Per cell it then re-reads one named
+// attribute — which must cost a fraction of the data bytes — and, on a copy
+// with one flipped bit, requires the loud agreed failure.
+func restartMatrix(t *testing.T) {
+	const writers, readers = 4, 3
+	var firstDigest string
+	var firstBytes [2]int64 // data bytes an "all" and a named-attribute restore read
+	for _, wmod := range ioModules(nil) {
+		mem := rt.NewMemFS()
+		err := mpi.NewChanWorld(mem, 1).Run(writers+wmod.servers, func(ctx mpi.Ctx) error {
+			svc, comm, closeSvc, err := wmod.open(ctx)
+			if err != nil || svc == nil {
+				return err
+			}
+			for _, w := range moduleWindows(t, comm.Rank()) {
+				if err := svc.WriteAttribute("m/g0", w, "all", 0.5, 7); err != nil {
+					return err
+				}
+			}
+			if err := svc.Sync(); err != nil {
+				return err
+			}
+			return closeSvc()
+		})
+		if err != nil {
+			t.Fatalf("%s: write: %v", wmod.name, err)
+		}
+		want := stateDigest(t, mem, "m/g0")
+		if firstDigest == "" {
+			firstDigest = want
+		}
+
+		// restore runs rmod's readers over fs. Each restores its deal of
+		// both windows with "all", then zeroes and re-reads the pressure
+		// alone. It returns every reader's first error, the digest lines of
+		// the readers that had none, and the data bytes each pass read.
+		restore := func(rmod ioModule, fs rt.FS) (errs []error, lines []string, allBytes, attrBytes int64) {
+			var mu sync.Mutex
+			var bytes atomic.Int64
+			err := mpi.NewChanWorld(dataReadFS{fs, &bytes}, 1).Run(readers+rmod.servers, func(ctx mpi.Ctx) error {
+				svc, comm, closeSvc, err := rmod.open(ctx)
+				if err != nil || svc == nil {
+					return err
+				}
+				var ws []*roccom.Window
+				deal := make(map[string][]int)
+				for _, name := range moduleWindowNames {
+					ids, err := snapshot.PaneUniverse(ctx.FS(), "m/g0", name)
+					if err != nil {
+						return err
+					}
+					ws = append(ws, emptyModuleWindow(t, name))
+					deal[name] = catalog.Repartition(ids, readers)[comm.Rank()]
+				}
+				pass := func(attr string) (err error) {
+					for _, w := range ws {
+						// Reads are collective: every reader makes every call.
+						if rerr := svc.ReadPanes("m/g0", w, attr, deal[w.Name]); rerr != nil && err == nil {
+							err = rerr
+						}
+					}
+					// Agreed: no reader goes on alone after a peer's failure.
+					if bad := comm.AllreduceMax(map[bool]float64{true: 1}[err != nil]); bad > 0 && err == nil {
+						err = fmt.Errorf("a peer's restart failed: %w", snapshot.ErrIncompleteRestart)
+					}
+					return err
+				}
+				readErr := pass("all")
+				all := bytes.Load()
+				if readErr == nil {
+					for _, w := range ws {
+						w.EachPane(func(p *roccom.Pane) {
+							a, _ := p.Array("pressure")
+							clear(a.F64)
+						})
+					}
+					comm.Barrier() // all was sampled on every reader
+					readErr = pass("pressure")
+				}
+				mu.Lock()
+				errs = append(errs, readErr)
+				if readErr == nil {
+					for _, w := range ws {
+						lines = append(lines, windowLines(t, w)...)
+					}
+				}
+				allBytes, attrBytes = all, bytes.Load()-all
+				mu.Unlock()
+				return closeSvc()
+			})
+			if err != nil {
+				t.Fatalf("%s restoring %s's snapshot: %v", rmod.name, wmod.name, err)
+			}
+			return errs, lines, allBytes, attrBytes
+		}
+
+		reg := metrics.New()
+		for _, rmod := range ioModules(reg) {
+			cell := wmod.name + " -> " + rmod.name
+			before := reg.Snapshot().Counters["iosched.read.tasks"]
+			errs, lines, allBytes, attrBytes := restore(rmod, mem)
+			for _, err := range errs {
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+			}
+			if got := digestOf(lines); got != want || got != firstDigest {
+				t.Errorf("%s restored %s; the files hold %s and the first writer committed %s", cell, got, want, firstDigest)
+			}
+			if allBytes == 0 || attrBytes == 0 || attrBytes*3 > allBytes {
+				t.Errorf("%s: a named attribute read %d data bytes, \"all\" %d: want a fraction", cell, attrBytes, allBytes)
+			}
+			// One plan: the same extents, whoever reads them from whose files.
+			if firstBytes == [2]int64{} {
+				firstBytes = [2]int64{allBytes, attrBytes}
+			} else if firstBytes != [2]int64{allBytes, attrBytes} {
+				t.Errorf("%s read %d and %d data bytes, the first cell %v", cell, allBytes, attrBytes, firstBytes)
+			}
+			// Only Rocpanda's ParallelRead builds a read pool.
+			if pooled := reg.Snapshot().Counters["iosched.read.tasks"] > before; pooled != (rmod.name == "rocpanda-pool") {
+				t.Errorf("%s: read ran scheduler tasks = %v", cell, pooled)
+			}
+		}
+
+		// One flipped bit in writer 1's file, past the header and inside the
+		// first dataset's payload: every module fails the generation, on
+		// every reader, and says why.
+		if err := faults.FlipBit(mem, wmod.file, 8*200+3); err != nil {
+			t.Fatal(err)
+		}
+		for _, rmod := range ioModules(nil) {
+			errs, _, _, _ := restore(rmod, mem)
+			if len(errs) != readers {
+				t.Fatalf("%s -> %s, bit flipped: %d readers reported, want %d", wmod.name, rmod.name, len(errs), readers)
+			}
+			for i, err := range errs {
+				if !errors.Is(err, snapshot.ErrIncompleteRestart) {
+					t.Errorf("%s -> %s, bit flipped: reader %d: %v, want ErrIncompleteRestart", wmod.name, rmod.name, i, err)
+				}
+			}
+		}
 	}
 }
 
