@@ -1,6 +1,7 @@
 #!/bin/sh
-# The structural claims of PRs 15-22 as a check: one write path, one commit,
-# one restart-read path, one bounded cursor — over the non-test Go under
+# The structural claims of PRs 15-23 as a check: one write path, one commit,
+# one restart-read path with one kind of file work, one way to make a catalog,
+# one verify-and-inflate, one bounded cursor — over the non-test Go under
 # internal/. Run from the repository root; any miss fails.
 fail=0
 src() { find internal "$@" -name '*.go' ! -name '*_test.go'; } # src [find tests...]
@@ -16,8 +17,13 @@ none() { # none WHAT PATTERN [find tests...]: no line matches in those files
 one commitPending '^func .*commitPending\('
 one genPrefix '^func genPrefix\('
 one 'a bounded cursor (its need method)' '^func \([a-z]+ \*?[A-Za-z]+\) need\('
-none 'hdf.Open outside internal/snapshot and internal/hdf' 'hdf\.Open\(' \
-	! -path 'internal/snapshot/*' ! -path 'internal/hdf/*'
+none 'hdf.Open outside internal/hdf and the deep scrub (its independent reference reader)' 'hdf\.Open\(' \
+	! -path 'internal/snapshot/fsck.go' ! -path 'internal/hdf/*'
+none 'a dataset-at-a-time read in the restart reader' '\.Lookup\(|\.ReadData\(' -path 'internal/snapshot/reader.go'
+hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -nE 'ClassScan|func scanFile' {} +)
+[ -z "$hits" ] || { echo "onepath: a scan class or a second file reader:"; echo "$hits"; fail=1; }
+one 'a catalog made from directories (the caller of AddFile)' '\.AddFile\('
+one 'verify-and-inflate (the caller of InflateStored)' '^[^f].*InflateStored\('
 none 'iosched.New outside internal/snapshot' 'iosched\.New\(' ! -path 'internal/snapshot/*'
 none 'RHDF writes in internal/rochdf or internal/rocpanda' 'hdf\.(Create|OpenAppend)\(|\.CreateDataset\(' \
 	'(' -path 'internal/rochdf/*' -o -path 'internal/rocpanda/*' ')'

@@ -138,7 +138,7 @@ func main() {
 			s.Counters["rocpanda.restart.generations_scanned"]/nc,
 			s.Counters["rocpanda.restart.fallbacks"]/nc,
 			s.Counters["hdf.checksum_failures"])
-		fmt.Printf("  catalog: %d indexed, %d scan fallbacks, %d files opened, %.1f MB read\n",
+		fmt.Printf("  catalog: %d indexed, %d derived, %d files opened, %.1f MB read\n",
 			s.Counters["rocpanda.restart.catalog_hits"],
 			s.Counters["rocpanda.restart.catalog_fallbacks"],
 			s.Counters["rocpanda.restart.files_opened"],

@@ -81,8 +81,8 @@ func flipPayloadBit(t *testing.T, fsys rt.FS, base, name string) {
 		t.Fatal(err)
 	}
 	for _, e := range cat.Entries {
-		if cat.Files[e.File] == name && e.Length > 0 {
-			if err := faults.FlipBit(fsys, name, (e.Offset+e.Length/2)*8); err != nil {
+		if off, length := e.Extent(); cat.Files[e.File] == name && length > 0 {
+			if err := faults.FlipBit(fsys, name, (off+length/2)*8); err != nil {
 				t.Fatal(err)
 			}
 			return

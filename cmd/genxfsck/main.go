@@ -43,12 +43,10 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"genxio/internal/hdf"
 	"genxio/internal/rt"
 	"genxio/internal/snapshot"
 )
@@ -88,7 +86,7 @@ func main() {
 	case *repair:
 		reports, err = snapshot.Repair(fsys, *prefix)
 	case *quick:
-		reports, err = quickScrub(fsys, *prefix)
+		reports, err = snapshot.FsckQuick(fsys, *prefix)
 	default:
 		reports, err = snapshot.Fsck(fsys, *prefix)
 	}
@@ -127,94 +125,4 @@ func exitCode(reports []snapshot.GenReport) int {
 		}
 	}
 	return code
-}
-
-// quickScrub is the manifest-level verification: Load + Verify per
-// generation, without reading dataset payloads.
-func quickScrub(fsys rt.FS, prefix string) ([]snapshot.GenReport, error) {
-	gens, err := snapshot.Generations(fsys, prefix)
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]snapshot.GenReport, 0, len(gens))
-	for _, g := range gens {
-		rep := snapshot.GenReport{Base: g.Base, Verdict: snapshot.VerdictOK}
-		if !g.Committed {
-			rep.Verdict = snapshot.VerdictUncommitted
-			reports = append(reports, rep)
-			continue
-		}
-		m, err := snapshot.Load(fsys, g.Base)
-		if err == nil {
-			rep.Epoch = m.Epoch
-			err = m.Verify(fsys)
-		}
-		if err != nil {
-			rep.Verdict = snapshot.VerdictCorrupt
-			rep.Files = append(rep.Files, snapshot.FileReport{
-				Name: g.Base + snapshot.Suffix, Status: "corrupt", Detail: err.Error(),
-			})
-		} else {
-			quickCatalog(fsys, m, &rep)
-		}
-		reports = append(reports, rep)
-	}
-	// Even the quick pass must flag deltas whose chains cannot restore.
-	snapshot.ApplyChainVerdicts(fsys, reports)
-	return reports, nil
-}
-
-// quickCatalog is the manifest-level catalog check: the blob's size and
-// whole-blob CRC against the manifest reference, without decoding the
-// entries (Fsck does the full cross-check).
-func quickCatalog(fsys rt.FS, m *snapshot.Manifest, rep *snapshot.GenReport) {
-	rep.Catalog = "none"
-	if m.Catalog == nil {
-		return
-	}
-	blob, err := readAll(fsys, m.Catalog.Name)
-	if errors.Is(err, rt.ErrNotExist) {
-		// An absent blob is a different failure from a lying one: the
-		// manifest parses fine, the pinned index simply is not there.
-		rep.Catalog = "missing"
-		if rep.Verdict == snapshot.VerdictOK {
-			rep.Verdict = snapshot.VerdictCatalogMissing
-		}
-		rep.Files = append(rep.Files, snapshot.FileReport{
-			Name: m.Catalog.Name, Status: "missing", Detail: err.Error(),
-		})
-		return
-	}
-	if err != nil || int64(len(blob)) != m.Catalog.Size || hdf.Checksum(blob) != m.Catalog.CRC {
-		rep.Catalog = "mismatch"
-		if rep.Verdict == snapshot.VerdictOK {
-			rep.Verdict = snapshot.VerdictCatalogMismatch
-		}
-		detail := "catalog blob does not match manifest reference"
-		if err != nil {
-			detail = err.Error()
-		}
-		rep.Files = append(rep.Files, snapshot.FileReport{
-			Name: m.Catalog.Name, Status: "mismatch", Detail: detail,
-		})
-		return
-	}
-	rep.Catalog = "ok"
-}
-
-func readAll(fsys rt.FS, name string) ([]byte, error) {
-	f, err := fsys.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	blob := make([]byte, size)
-	if _, err := f.ReadAt(blob, 0); err != nil {
-		return nil, err
-	}
-	return blob, nil
 }

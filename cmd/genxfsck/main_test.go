@@ -41,7 +41,7 @@ func TestQuickScrubCatalogMissing(t *testing.T) {
 	if err := fsys.Remove("out/snap000000" + catalog.Suffix); err != nil {
 		t.Fatal(err)
 	}
-	reports, err := quickScrub(fsys, "out/")
+	reports, err := snapshot.FsckQuick(fsys, "out/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestQuickScrubChainBroken(t *testing.T) {
 	if err := fsys.Remove("out/snap000000" + catalog.Suffix); err != nil {
 		t.Fatal(err)
 	}
-	reports, err := quickScrub(fsys, "out/")
+	reports, err := snapshot.FsckQuick(fsys, "out/")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@
 //
 // At restart, servers consult the catalog to open only the files that
 // contain requested panes and issue direct offset reads, verified per entry
-// against the recorded CRC; this replaces the O(total snapshot bytes) scan
-// in the common case. Generations without a catalog, or with one that fails
-// its checksum, fall back to the scan path. The catalog also carries the
+// against the recorded CRC. A full generation without a usable catalog is
+// read the same way through the same catalog, derived again from its files'
+// directories (snapshot.Index). The catalog also carries the
 // generation's pane universe, which the deterministic repartitioner divides
 // among restart ranks — allowing a restart topology (client and server
 // counts) different from the writing run, per the paper's framing of
@@ -44,26 +44,20 @@ const Suffix = ".catalog"
 // headerSize is magic(4) + version(4) + bodyCRC(4).
 const headerSize = 12
 
-// Entry is one dataset's coordinates: enough to locate, read, verify, and
-// reconstruct it without opening the file's directory.
+// Entry is one dataset's coordinates: which file, and that file's own
+// directory entry for it — enough to locate, read, verify, and reconstruct
+// the dataset without opening the file's directory.
 type Entry struct {
-	File int    // index into Catalog.Files
-	Name string // full dataset path, /<window>/pane<ID>/<attr>
+	File        int // index into Catalog.Files
+	hdf.Dataset     // Name is the full dataset path, /<window>/pane<ID>/<attr>
 
 	// Parsed from Name for query convenience; not stored separately.
 	Window string
 	Pane   int
 	Attr   string
-
-	Type       hdf.DType
-	Dims       []int64
-	Attrs      []hdf.Attr
-	Compressed bool
-	HasCRC     bool
-	Offset     int64 // file offset of the stored bytes
-	Length     int64 // stored length (compressed size if deflated)
-	CRC        uint32
 }
+
+func (e *Entry) offset() int64 { off, _ := e.Extent(); return off }
 
 // Catalog is a generation's merged block index.
 type Catalog struct {
@@ -79,45 +73,20 @@ func (c *Catalog) AddFile(name string, sets []*hdf.Dataset) int {
 	idx := len(c.Files)
 	c.Files = append(c.Files, name)
 	for _, d := range sets {
-		window, pane, attr, ok := roccom.ParseDatasetName(d.Name)
-		if !ok {
-			continue
+		if window, pane, attr, ok := roccom.ParseDatasetName(d.Name); ok {
+			c.Entries = append(c.Entries, Entry{File: idx, Dataset: *d, Window: window, Pane: pane, Attr: attr})
 		}
-		off, length := d.Extent()
-		crc, hasCRC := d.CRC()
-		c.Entries = append(c.Entries, Entry{
-			File:       idx,
-			Name:       d.Name,
-			Window:     window,
-			Pane:       pane,
-			Attr:       attr,
-			Type:       d.Type,
-			Dims:       d.Dims,
-			Attrs:      d.Attrs,
-			Compressed: d.Compressed(),
-			HasCRC:     hasCRC,
-			Offset:     off,
-			Length:     length,
-			CRC:        crc,
-		})
 	}
 	return idx
 }
-
-// entry flag bits (wire form).
-const (
-	entCompressed = 1 << 0
-	entHasCRC     = 1 << 1
-)
 
 // Encode serializes the catalog:
 //
 //	"RCAT" | u32 version | u32 crc32c(body) | body
 //	body:  u32 nfiles | files... | u32 nentries | entries...
 //	file:  u16 len | bytes
-//	entry: u32 fileIdx | str name | u8 type | u8 flags | u8 ndims |
-//	       u64 dims... | u64 offset | u64 length | u32 crc |
-//	       u16 nattrs | { str name | u8 type | u32 len | bytes }...
+//	entry: u32 fileIdx | the dataset's RHDF directory entry
+//	       (hdf.Dataset.AppendDirEntry)
 func (c *Catalog) Encode() []byte {
 	var body []byte
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.Files)))
@@ -125,31 +94,9 @@ func (c *Catalog) Encode() []byte {
 		body = hdf.AppendStr(body, f)
 	}
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.Entries)))
-	for _, e := range c.Entries {
-		body = binary.LittleEndian.AppendUint32(body, uint32(e.File))
-		body = hdf.AppendStr(body, e.Name)
-		body = append(body, byte(e.Type))
-		var flags byte
-		if e.Compressed {
-			flags |= entCompressed
-		}
-		if e.HasCRC {
-			flags |= entHasCRC
-		}
-		body = append(body, flags, byte(len(e.Dims)))
-		for _, d := range e.Dims {
-			body = binary.LittleEndian.AppendUint64(body, uint64(d))
-		}
-		body = binary.LittleEndian.AppendUint64(body, uint64(e.Offset))
-		body = binary.LittleEndian.AppendUint64(body, uint64(e.Length))
-		body = binary.LittleEndian.AppendUint32(body, e.CRC)
-		body = binary.LittleEndian.AppendUint16(body, uint16(len(e.Attrs)))
-		for _, a := range e.Attrs {
-			body = hdf.AppendStr(body, a.Name)
-			body = append(body, byte(a.Type))
-			body = binary.LittleEndian.AppendUint32(body, uint32(len(a.Data)))
-			body = append(body, a.Data...)
-		}
+	for i := range c.Entries {
+		body = binary.LittleEndian.AppendUint32(body, uint32(c.Entries[i].File))
+		body = c.Entries[i].AppendDirEntry(body)
 	}
 
 	blob := make([]byte, 0, headerSize+len(body))
@@ -179,8 +126,7 @@ func Decode(blob []byte) (*Catalog, error) {
 	c := &Catalog{}
 	// Every count is capped by what the remaining bytes could hold before
 	// it sizes an allocation: a file record is at least 2 bytes, the
-	// smallest entry (empty name, no dims, no attrs) 4+2+1+1+1+8+8+4+2 = 31,
-	// an attribute 2+1+4.
+	// smallest entry (empty name, no dims, no attrs) 4+2+1+1+1+8+8+4+2 = 31.
 	nf := p.Fits(int(p.U32()), 2)
 	c.Files = make([]string, 0, nf)
 	for i := 0; i < nf; i++ {
@@ -194,32 +140,15 @@ func Decode(blob []byte) (*Catalog, error) {
 	for i := 0; i < ne; i++ {
 		var e Entry
 		e.File = int(p.U32())
-		e.Name = p.Str()
-		e.Type = hdf.DType(p.U8())
-		flags := p.U8()
-		e.Compressed = flags&entCompressed != 0
-		e.HasCRC = flags&entHasCRC != 0
-		e.Dims = make([]int64, p.Fits(int(p.U8()), 8))
-		for j := range e.Dims {
-			e.Dims[j] = int64(p.U64())
-		}
-		e.Offset = int64(p.U64())
-		e.Length = int64(p.U64())
-		e.CRC = p.U32()
-		e.Attrs = make([]hdf.Attr, p.Fits(int(p.U16()), 7))
-		for j := range e.Attrs {
-			e.Attrs[j].Name = p.Str()
-			e.Attrs[j].Type = hdf.DType(p.U8())
-			e.Attrs[j].Data = p.Bytes(int(p.U32()))
-		}
+		p.DirEntry(&e.Dataset, hdf.Version)
 		if p.Err() != nil {
 			return nil, fmt.Errorf("catalog: corrupt at entry %d: %w", i, p.Err())
 		}
 		if e.File < 0 || e.File >= len(c.Files) {
 			return nil, fmt.Errorf("catalog: entry %d references file %d of %d", i, e.File, len(c.Files))
 		}
-		if e.Offset < 0 || e.Length < 0 || e.Offset+e.Length < e.Offset {
-			return nil, fmt.Errorf("catalog: entry %d has bad extent [%d,+%d)", i, e.Offset, e.Length)
+		if off, length := e.Extent(); off < 0 || length < 0 || off+length < off {
+			return nil, fmt.Errorf("catalog: entry %d has bad extent [%d,+%d)", i, off, length)
 		}
 		window, pane, attr, ok := roccom.ParseDatasetName(e.Name)
 		if !ok {
@@ -246,10 +175,10 @@ func Write(fsys rt.FS, base string, c *Catalog) (size int64, crc uint32, err err
 	return int64(len(blob)), hdf.Checksum(blob), nil
 }
 
-// Load reads and decodes a generation's catalog. Any failure — missing
-// file, bad magic, checksum mismatch, malformed body — is an error the
-// caller treats as "no usable catalog": restart falls back to the scan
-// path rather than abandoning the generation.
+// Load reads and decodes the catalog blob beside base. Any failure — missing
+// file, bad magic, checksum mismatch, malformed body — is an error. Restart
+// does not come through here: snapshot.Index also holds the blob to the
+// size and CRC the generation's manifest pins.
 func Load(fsys rt.FS, base string) (*Catalog, error) {
 	blob, err := hdf.ReadFile(fsys, base+Suffix)
 	if err != nil {
@@ -366,9 +295,8 @@ type FilePlan struct {
 // window. When a pane appears in more than one file (failover re-ships
 // blocks to an adopting server, or replication writes extra copies), only
 // one copy is planned: a primary over any replica, and among files of the
-// same replica rank the earliest-indexed one, mirroring the scan path's
-// first-arrival dedup. Plans come back in file-index order with entries
-// sorted by offset.
+// same replica rank the earliest-indexed one. Plans come back in file-index
+// order with entries sorted by offset.
 func (c *Catalog) PlanReads(window string, wanted map[int]bool) []FilePlan {
 	fileOf := make(map[int]int) // pane → preferred file index holding it
 	for i := range c.Entries {
@@ -402,7 +330,7 @@ func (c *Catalog) filePlans(byFile map[int][]Entry, before func(a, b int) bool) 
 	plans := make([]FilePlan, 0, len(idxs))
 	for _, idx := range idxs {
 		ents := byFile[idx]
-		sort.Slice(ents, func(a, b int) bool { return ents[a].Offset < ents[b].Offset })
+		sort.Slice(ents, func(a, b int) bool { return ents[a].offset() < ents[b].offset() })
 		plans = append(plans, FilePlan{File: c.Files[idx], Entries: ents})
 	}
 	return plans
@@ -479,15 +407,16 @@ type Run struct {
 // possible by having an index at all.
 func Coalesce(entries []Entry, maxGap int64) []Run {
 	var runs []Run
-	for _, e := range entries {
-		end := e.Offset + e.Length
-		if n := len(runs); n > 0 && e.Offset <= runs[n-1].Offset+runs[n-1].Length+maxGap {
+	for i := range entries {
+		off, length := entries[i].Extent()
+		end := off + length
+		if n := len(runs); n > 0 && off <= runs[n-1].Offset+runs[n-1].Length+maxGap {
 			if end > runs[n-1].Offset+runs[n-1].Length {
 				runs[n-1].Length = end - runs[n-1].Offset
 			}
 			continue
 		}
-		runs = append(runs, Run{Offset: e.Offset, Length: e.Length})
+		runs = append(runs, Run{Offset: off, Length: length})
 	}
 	return runs
 }

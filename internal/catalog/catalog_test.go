@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestPlanReadsDedupsAcrossFiles(t *testing.T) {
 	}
 	for _, p := range plans {
 		for i := 1; i < len(p.Entries); i++ {
-			if p.Entries[i].Offset < p.Entries[i-1].Offset {
+			if p.Entries[i].offset() < p.Entries[i-1].offset() {
 				t.Fatalf("%s entries not offset-sorted", p.File)
 			}
 		}
@@ -268,16 +269,38 @@ func TestPaneSourcesOrdersPrimariesFirst(t *testing.T) {
 }
 
 func TestCoalesce(t *testing.T) {
-	ents := []Entry{
-		{Offset: 0, Length: 10},
-		{Offset: 10, Length: 5}, // adjacent: merges
-		{Offset: 20, Length: 5}, // gap 5
-		{Offset: 40, Length: 5},
+	// A file's datasets sit back to back after the header: six of 10, 5, 5,
+	// 5, 15 and 5 bytes, of which the plan wants the 1st, 2nd, 4th and 6th.
+	fsys := rt.NewMemFS()
+	w, err := hdf.Create(fsys, "c.rhdf", rt.NewWallClock(), hdf.NullProfile())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := Coalesce(ents, 0); !reflect.DeepEqual(got, []Run{{0, 15}, {20, 5}, {40, 5}}) {
+	for i, n := range []int{10, 5, 5, 5, 15, 5} {
+		if err := w.CreateDataset(fmt.Sprintf("/w/pane000001/a%d", i), hdf.U8, []int64{int64(n)}, nil, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, sets, err := hdf.ScanDir(fsys, "c.rhdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Catalog{}
+	c.AddFile("c.rhdf", sets)
+	h := hdf.HeaderSize()
+	ents := []Entry{
+		c.Entries[0], // [h, h+10)
+		c.Entries[1], // [h+10, h+15), adjacent: merges
+		c.Entries[3], // [h+20, h+25), gap 5
+		c.Entries[5], // [h+40, h+45)
+	}
+	if got := Coalesce(ents, 0); !reflect.DeepEqual(got, []Run{{h, 15}, {h + 20, 5}, {h + 40, 5}}) {
 		t.Fatalf("maxGap 0: %v", got)
 	}
-	if got := Coalesce(ents, 5); !reflect.DeepEqual(got, []Run{{0, 25}, {40, 5}}) {
+	if got := Coalesce(ents, 5); !reflect.DeepEqual(got, []Run{{h, 25}, {h + 40, 5}}) {
 		t.Fatalf("maxGap 5: %v", got)
 	}
 	if got := Coalesce(nil, 0); got != nil {

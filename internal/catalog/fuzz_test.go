@@ -1,10 +1,56 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/hex"
 	"testing"
+	"unsafe"
 
 	"genxio/internal/hdf"
 )
+
+// goldenBlob is the catalog of one file, "snap_s000.rhdf", holding one
+// dataset — /fluid/pane000001/pressure, float64 dims [4 1], attribute
+// location="node", 32 stored bytes at offset 24 with CRC32C 0xdeadbeef —
+// as PR 22's encoder wrote it, byte for byte: the format pin.
+func goldenBlob(t testing.TB) []byte {
+	blob, err := hex.DecodeString("5243415401000000c8b67082" +
+		"01000000" + "0e00736e61705f733030302e72686466" +
+		"01000000" + "00000000" +
+		"1a002f666c7569642f70616e653030303030312f7072657373757265" +
+		"010202" + "0400000000000000" + "0100000000000000" +
+		"1800000000000000" + "2000000000000000" + "efbeadde" +
+		"0100" + "08006c6f636174696f6e" + "05" + "04000000" + "6e6f6465")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestGoldenBlob pins the blob format: the golden blob decodes to the entry
+// it describes and re-encodes to itself.
+func TestGoldenBlob(t *testing.T) {
+	blob := goldenBlob(t)
+	c, err := Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Files) != 1 || c.Files[0] != "snap_s000.rhdf" || len(c.Entries) != 1 {
+		t.Fatalf("decoded %+v", c)
+	}
+	e := &c.Entries[0]
+	off, length := e.Extent()
+	crc, hasCRC := e.CRC()
+	loc, _ := e.Dataset.Attr("location")
+	if e.File != 0 || e.Name != "/fluid/pane000001/pressure" || e.Window != "fluid" || e.Pane != 1 || e.Attr != "pressure" ||
+		e.Type != hdf.F64 || len(e.Dims) != 2 || e.Dims[0] != 4 || e.Dims[1] != 1 || loc.Str() != "node" ||
+		off != 24 || length != 32 || !hasCRC || crc != 0xdeadbeef || e.Compressed() {
+		t.Fatalf("decoded entry %+v", *e)
+	}
+	if !bytes.Equal(c.Encode(), blob) {
+		t.Fatalf("re-encoded blob differs:\n got %x\nwant %x", c.Encode(), blob)
+	}
+}
 
 // FuzzCatalogDecode feeds arbitrary bytes to Decode: malformed blobs must
 // come back as errors, never panics or hangs, and any blob that decodes
@@ -16,17 +62,7 @@ func FuzzCatalogDecode(f *testing.F) {
 	f.Add([]byte("RCAT"))
 	f.Add([]byte("RCAT\x01\x00\x00\x00\x00\x00\x00\x00"))
 
-	c := &Catalog{
-		Files: []string{"snap_s000.rhdf"},
-		Entries: []Entry{{
-			File: 0, Name: "/fluid/pane000001/pressure",
-			Window: "fluid", Pane: 1, Attr: "pressure",
-			Type: hdf.F64, Dims: []int64{4, 1},
-			Attrs:  []hdf.Attr{hdf.StrAttr("location", "node")},
-			HasCRC: true, Offset: 24, Length: 32, CRC: 0xdeadbeef,
-		}},
-	}
-	valid := c.Encode()
+	valid := goldenBlob(f)
 	f.Add(valid)
 	// Seed a few near-valid mutants so the fuzzer starts past the checksum.
 	for _, i := range []int{0, 5, 8, headerSize, len(valid) - 1} {
@@ -44,4 +80,12 @@ func FuzzCatalogDecode(f *testing.F) {
 			t.Fatalf("decoded catalog failed to round-trip: %v", err)
 		}
 	})
+}
+
+// TestEntrySize: PlanReads copies entries by value, several per pane, so an
+// Entry must not outgrow the 152 bytes it was before it carried hdf.Dataset.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n > 152 {
+		t.Fatalf("Entry is %d bytes, want at most 152", n)
+	}
 }

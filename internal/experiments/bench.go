@@ -40,7 +40,7 @@ import (
 // together, both served by the unified internal/iosched scheduler) and
 // the scheduler's per-class metrics — iosched.<class>.{queue_depth,
 // backpressure_waits, overlap_seconds, errors, busy_seconds, tasks} for
-// the write/read/scan classes — on every entry that exercises an engine.
+// the write and read classes — on every entry that exercises an engine.
 // v9 removed the v4/v5 queue_depth, backpressure_waits and
 // overlap_seconds series under rocpanda.drain.* and rocpanda.read.*:
 // they repeated the iosched.write.* and iosched.read.* series event for
@@ -54,8 +54,9 @@ import (
 // restart-read service too, which registers its series under their prefix
 // ({rochdf,trochdf}.restart.* and .read_errors); a catalog-planned Rochdf
 // restart goes straight to the extents, so that entry no longer reports
-// hdf.lookups, hdf.datasets_read or hdf.bytes_read.
-const BenchSchema = "genxio-bench/v11"
+// hdf.lookups, hdf.datasets_read or hdf.bytes_read. v12: every restart read
+// is a planned extent read, so the iosched.scan.* series are gone.
+const BenchSchema = "genxio-bench/v12"
 
 // BenchOpts configures the observability bench: one small integrated run
 // per I/O module on the simulated Turing platform, with a metrics
@@ -152,7 +153,7 @@ func RunBench(opts BenchOpts) (*BenchResult, error) {
 		// read) drops at bit-identical restored state.
 		{"rocpanda-pread", rocman.IORocpanda, false, true, 0, false},
 		// Both engines at once, behind the unified iosched scheduler: a
-		// write-class drain instance and read/scan-class restart instances
+		// write-class drain instance and read-class restart instances
 		// share the scheduler core (per-instance budgets), exercising the
 		// iosched.<class>.* metric surface in one run.
 		{"rocpanda-sched", rocman.IORocpanda, true, true, 0, false},
@@ -278,10 +279,10 @@ func (r *BenchResult) Format() string {
 		case "rocpanda-sched":
 			wov := s.Histograms["iosched.write.overlap_seconds"]
 			rov := s.Histograms["iosched.read.overlap_seconds"]
-			fmt.Fprintf(&b, "%-10s unified scheduler: %d write tasks (%.3fs overlapped), %d read + %d scan tasks (%.3fs overlapped), %d waits\n",
+			fmt.Fprintf(&b, "%-10s unified scheduler: %d write tasks (%.3fs overlapped), %d read tasks (%.3fs overlapped), %d waits\n",
 				io.IO, s.Counters["iosched.write.tasks"], wov.Sum,
-				s.Counters["iosched.read.tasks"], s.Counters["iosched.scan.tasks"], rov.Sum,
-				s.Counters["iosched.write.backpressure_waits"]+s.Counters["iosched.read.backpressure_waits"]+s.Counters["iosched.scan.backpressure_waits"])
+				s.Counters["iosched.read.tasks"], rov.Sum,
+				s.Counters["iosched.write.backpressure_waits"]+s.Counters["iosched.read.backpressure_waits"])
 		case "rocpanda-pread":
 			ov := s.Histograms["iosched.read.overlap_seconds"]
 			fmt.Fprintf(&b, "%-10s restart read pool: queue peak %.0f tasks, %.3fs disk time overlapped with shipping, %d backpressure waits, %d errors, %.1f MB read\n",

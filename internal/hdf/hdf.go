@@ -140,10 +140,10 @@ type Dataset struct {
 	Dims  []int64
 	Attrs []Attr
 
-	flags  uint8
 	offset int64  // file offset of the stored data
 	length int64  // stored data length in bytes (compressed size if deflated)
 	crc    uint32 // CRC32C of the stored bytes, valid when flagHasCRC is set
+	flags  uint8
 }
 
 // Compressed reports whether the dataset is stored deflate-compressed.

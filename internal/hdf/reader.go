@@ -116,38 +116,50 @@ func (r *Reader) Lookup(name string) (*Dataset, bool) {
 	return r.sets[i], true
 }
 
-// ReadData reads a dataset's logical bytes, inflating deflate-compressed
-// storage transparently. Datasets carrying a CRC32C (version-3 writers)
-// are verified before use; a mismatch reports ErrChecksum with file and
-// dataset context and bumps the hdf.checksum_failures counter.
+// ReadData reads a dataset's logical bytes: one ReadAt of the stored extent,
+// then Unpack, with the file named in any error.
 func (r *Reader) ReadData(d *Dataset) ([]byte, error) {
 	buf := make([]byte, d.length)
 	if _, err := r.f.ReadAt(buf, d.offset); err != nil {
 		return nil, fmt.Errorf("hdf: reading %q: %w", d.Name, err)
 	}
-	if want, ok := d.CRC(); ok {
-		if got := Checksum(buf); got != want {
-			r.Metrics.Counter("hdf.checksum_failures").Inc()
-			return nil, fmt.Errorf("%w: %s dataset %q: stored crc32c %08x, computed %08x",
-				ErrChecksum, r.f.Name(), d.Name, want, got)
-		}
+	out, err := d.Unpack(buf, r.Metrics)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", r.f.Name(), err)
 	}
 	r.Metrics.Counter("hdf.datasets_read").Inc()
 	r.Metrics.Counter("hdf.bytes_read").Add(int64(len(buf)))
-	if !d.Compressed() {
-		return buf, nil
-	}
-	out, err := InflateStored(buf, d.Len()*int64(d.Type.Size()))
-	if err != nil {
-		return nil, fmt.Errorf("hdf: %q: %w", d.Name, err)
-	}
 	return out, nil
 }
 
+// Unpack turns d's stored bytes, however they were read, into its logical
+// bytes — the one place stored payload is trusted. Bytes that do not match
+// the recorded CRC32C (version-3 writers record one) report ErrChecksum and
+// bump reg's hdf.checksum_failures; deflate-compressed storage is inflated;
+// either way the result must have the length d's type and dims imply.
+func (d *Dataset) Unpack(stored []byte, reg *metrics.Registry) ([]byte, error) {
+	if want, ok := d.CRC(); ok {
+		if got := Checksum(stored); got != want {
+			reg.Counter("hdf.checksum_failures").Inc()
+			return nil, fmt.Errorf("%w: dataset %q: stored crc32c %08x, computed %08x", ErrChecksum, d.Name, want, got)
+		}
+	}
+	logical := d.Len() * int64(d.Type.Size())
+	if d.Compressed() {
+		out, err := InflateStored(stored, logical)
+		if err != nil {
+			return nil, fmt.Errorf("hdf: %q: %w", d.Name, err)
+		}
+		return out, nil
+	}
+	if int64(len(stored)) != logical {
+		return nil, fmt.Errorf("hdf: %q stores %d bytes, want %d", d.Name, len(stored), logical)
+	}
+	return stored, nil
+}
+
 // InflateStored inflates a deflate-compressed stored payload and checks it
-// against the expected logical size. It is the decompression step shared
-// by ReadData and the catalog's direct offset reads, which fetch stored
-// bytes without going through a Reader.
+// against the expected logical size.
 func InflateStored(stored []byte, logical int64) ([]byte, error) {
 	zr := flate.NewReader(bytes.NewReader(stored))
 	out, err := io.ReadAll(io.LimitReader(zr, logical+1))
@@ -218,26 +230,7 @@ func decodeDir(b []byte, version uint32) ([]*Dataset, error) {
 	sets := make([]*Dataset, 0, n)
 	for i := 0; i < n; i++ {
 		d := &Dataset{}
-		d.Name = p.Str()
-		d.Type = DType(p.U8())
-		d.flags = p.U8()
-		d.Dims = make([]int64, p.Fits(int(p.U8()), 8))
-		for j := range d.Dims {
-			d.Dims[j] = int64(p.U64())
-		}
-		d.offset = int64(p.U64())
-		d.length = int64(p.U64())
-		if version >= 3 {
-			d.crc = p.U32()
-		} else {
-			d.flags &^= flagHasCRC
-		}
-		d.Attrs = make([]Attr, p.Fits(int(p.U16()), minAttrBytes))
-		for j := range d.Attrs {
-			d.Attrs[j].Name = p.Str()
-			d.Attrs[j].Type = DType(p.U8())
-			d.Attrs[j].Data = p.Bytes(int(p.U32()))
-		}
+		p.DirEntry(d, version)
 		if p.Err() != nil {
 			return nil, fmt.Errorf("corrupt directory at dataset %d: %w", i, p.Err())
 		}
@@ -246,13 +239,38 @@ func decodeDir(b []byte, version uint32) ([]*Dataset, error) {
 	return sets, nil
 }
 
+// DirEntry is AppendDirEntry's inverse: it reads one directory entry of the
+// given format version into d (version 2 entries carry no CRC).
+func (c *Cursor) DirEntry(d *Dataset, version uint32) {
+	d.Name = c.Str()
+	d.Type = DType(c.U8())
+	d.flags = c.U8()
+	d.Dims = make([]int64, c.Fits(int(c.U8()), 8))
+	for j := range d.Dims {
+		d.Dims[j] = int64(c.U64())
+	}
+	d.offset = int64(c.U64())
+	d.length = int64(c.U64())
+	if version >= 3 {
+		d.crc = c.U32()
+	} else {
+		d.flags &^= flagHasCRC
+	}
+	d.Attrs = make([]Attr, c.Fits(int(c.U16()), minAttrBytes))
+	for j := range d.Attrs {
+		d.Attrs[j].Name = c.Str()
+		d.Attrs[j].Type = DType(c.U8())
+		d.Attrs[j].Data = c.Bytes(int(c.U32()))
+	}
+}
+
 // ScanDir reads and decodes a committed RHDF file's directory without
 // touching dataset payloads, returning the file size, the CRC32C of the raw
 // directory bytes, and the full dataset descriptors (names, shapes, extents,
-// per-dataset CRCs). The snapshot commit path derives both the manifest file
-// entry and the block-catalog index from this single pass — the file's own
-// directory is the per-file index — and verification, the scrub and the
-// catalog-less pane universe read through it too.
+// per-dataset CRCs). Every block catalog — committed, rebuilt or derived at
+// restart — and every manifest file entry comes from this single pass: the
+// file's own directory is the per-file index. Verification and the scrub
+// read through it too.
 func ScanDir(fsys rt.FS, name string) (size int64, dirCRC uint32, sets []*Dataset, err error) {
 	f, err := fsys.Open(name)
 	if err != nil {

@@ -214,23 +214,32 @@ func encodeDir(sets []*Dataset) []byte {
 	var b []byte
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sets)))
 	for _, d := range sets {
-		b = AppendStr(b, d.Name)
-		b = append(b, byte(d.Type))
-		b = append(b, d.flags)
-		b = append(b, byte(len(d.Dims)))
-		for _, dim := range d.Dims {
-			b = binary.LittleEndian.AppendUint64(b, uint64(dim))
-		}
-		b = binary.LittleEndian.AppendUint64(b, uint64(d.offset))
-		b = binary.LittleEndian.AppendUint64(b, uint64(d.length))
-		b = binary.LittleEndian.AppendUint32(b, d.crc)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(d.Attrs)))
-		for _, a := range d.Attrs {
-			b = AppendStr(b, a.Name)
-			b = append(b, byte(a.Type))
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(a.Data)))
-			b = append(b, a.Data...)
-		}
+		b = d.AppendDirEntry(b)
+	}
+	return b
+}
+
+// AppendDirEntry appends d's directory entry in the version-3 layout, the
+// form an RHDF directory and a block-catalog blob share:
+//
+//	str name | u8 type | u8 flags | u8 ndims | u64 dims... |
+//	u64 offset | u64 length | u32 crc |
+//	u16 nattrs | { str name | u8 type | u32 len | bytes }...
+func (d *Dataset) AppendDirEntry(b []byte) []byte {
+	b = AppendStr(b, d.Name)
+	b = append(b, byte(d.Type), d.flags, byte(len(d.Dims)))
+	for _, dim := range d.Dims {
+		b = binary.LittleEndian.AppendUint64(b, uint64(dim))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(d.offset))
+	b = binary.LittleEndian.AppendUint64(b, uint64(d.length))
+	b = binary.LittleEndian.AppendUint32(b, d.crc)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(d.Attrs)))
+	for _, a := range d.Attrs {
+		b = AppendStr(b, a.Name)
+		b = append(b, byte(a.Type))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(a.Data)))
+		b = append(b, a.Data...)
 	}
 	return b
 }

@@ -6,9 +6,9 @@
 // "yield to new client requests" across request classes instead of once
 // per feature:
 //
-//   - Typed tasks. A Task carries a Class (write-block, read-extent,
-//     scan-file), a routing Key, a byte Cost, and a Run closure executed on
-//     a worker with that worker's own clock identity and filesystem view.
+//   - Typed tasks. A Task carries a Class (write-block, read-extent), a
+//     routing Key, a byte Cost, and a Run closure executed on a worker with
+//     that worker's own clock identity and filesystem view.
 //
 //   - Keyed ordering. Tasks with the same non-empty Key execute on one
 //     worker in submission order (FNV-32a of the key over the pool width) —
@@ -60,10 +60,8 @@ type Class int
 const (
 	// ClassWrite is a buffered-block writeback (drain engines).
 	ClassWrite Class = iota
-	// ClassRead is a planned extent read (catalog-indexed restart).
+	// ClassRead is a planned extent read (restart).
 	ClassRead
-	// ClassScan is a whole-file directory-scan fallback read.
-	ClassScan
 	numClasses
 )
 
@@ -74,8 +72,6 @@ func (c Class) String() string {
 		return "write"
 	case ClassRead:
 		return "read"
-	case ClassScan:
-		return "scan"
 	}
 	return "unknown"
 }

@@ -345,7 +345,7 @@ func TestUnifiedMetricNames(t *testing.T) {
 	eng.Flush()
 	eng.Close()
 	snap := reg.Snapshot()
-	for _, class := range []string{"write", "read", "scan"} {
+	for _, class := range []string{"write", "read"} {
 		for _, name := range []string{"backpressure_waits", "errors", "tasks"} {
 			key := fmt.Sprintf("iosched.%s.%s", class, name)
 			if _, ok := snap.Counters[key]; !ok {

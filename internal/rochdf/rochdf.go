@@ -40,7 +40,8 @@ import (
 
 // Config configures a Rochdf instance.
 type Config struct {
-	// Profile is the scientific-library cost model (HDF4 in the paper).
+	// Profile is the scientific-library cost model (HDF4 in the paper),
+	// charged per dataset created; restart reads charge none.
 	Profile hdf.CostProfile
 	// Threaded selects T-Rochdf: buffer locally and write in background.
 	Threaded bool
@@ -120,7 +121,6 @@ func New(ctx mpi.Ctx, cfg Config) *Rochdf {
 			ErrorSeries:   prefix + "drain_errors",
 		}),
 		rd: snapshot.NewReader(ctx, snapshot.ReaderConfig{
-			Profile:       cfg.Profile,
 			Metrics:       r,
 			Prefix:        prefix + "restart.",
 			SkippedSeries: prefix + "restart.files_skipped",
@@ -213,10 +213,12 @@ func (h *Rochdf) ReadAttribute(file string, w *roccom.Window, attr string) error
 // rocpanda.Client: this rank reads every file the generation's catalogs plan
 // for the panes — so the writing run's rank count, and module, are free — and
 // installs each verified pane in place (mesh and attributes for "all", which
-// need not be registered yet; the one named attribute otherwise). An
-// uncommitted or catalog-less generation is read from this rank's own file,
-// which then needs the writing process count. Panes no intact copy could be
-// found for fail the call with snapshot.ErrIncompleteRestart.
+// need not be registered yet; the one named attribute otherwise). A full
+// generation whose catalog is unusable is planned from the same catalog
+// derived from its files' directories; an uncommitted one is read from this
+// rank's own file, which then needs the writing process count. Panes no
+// intact copy could be found for fail the call with
+// snapshot.ErrIncompleteRestart.
 func (h *Rochdf) ReadPanes(file string, w *roccom.Window, attr string, ids []int) error {
 	defer h.timed(&h.m.VisibleRead, h.mx.visibleRead)()
 	h.m.ReadCalls++

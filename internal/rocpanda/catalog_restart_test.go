@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"genxio/internal/catalog"
+	"genxio/internal/cluster"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
@@ -118,9 +119,10 @@ func TestIndexedRestartReadsOnlyNeededFiles(t *testing.T) {
 }
 
 // TestCorruptCatalogFallsBackToScan bit-flips the committed catalog blob:
-// the servers must detect the damage (blob CRC), count a fallback, scan
-// the directory instead, and still restart every pane bit-exact. A
-// missing catalog (older writer) takes the same path.
+// the servers must detect the damage (blob CRC), count a fallback, derive
+// the index from the files' directories instead, and still restart every
+// pane bit-exact. A missing catalog (older writer) and a stale one (another
+// generation's blob) take the same path.
 func TestCorruptCatalogFallsBackToScan(t *testing.T) {
 	fs := rt.NewMemFS()
 	const nClients, nServers = 3, 1
@@ -151,5 +153,87 @@ func TestCorruptCatalogFallsBackToScan(t *testing.T) {
 	checkMxN(t, want, got)
 	if n := reg.Snapshot().Counters["rocpanda.restart.catalog_fallbacks"]; n != nServers {
 		t.Fatalf("catalog-less fallbacks = %d, want %d", n, nServers)
+	}
+
+	// A newer generation's blob in the older one's place — intact, but not
+	// the blob the older manifest pins (an orphan of a crashed commit whose
+	// replacing rename was dropped looks the same): not this generation's
+	// index either.
+	writeSnapshot(t, fs, "corr/t", nClients, nServers, 2)
+	blob, err := hdf.ReadFile(fs, "corr/t"+catalog.Suffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hdf.PublishFile(fs, "corr/s"+catalog.Suffix, blob); err != nil {
+		t.Fatal(err)
+	}
+	reg = metrics.New()
+	got = restartTopology(t, fs, "corr/s", nClients, nServers, reg)
+	checkMxN(t, want, got)
+	if c := reg.Snapshot().Counters; c["rocpanda.restart.catalog_fallbacks"] != nServers || c["rocpanda.restart.catalog_hits"] != 0 {
+		t.Fatalf("stale catalog: fallbacks %d hits %d, want %d and 0",
+			c["rocpanda.restart.catalog_fallbacks"], c["rocpanda.restart.catalog_hits"], nServers)
+	}
+}
+
+// TestDerivedIndexRestartOnSimulatedTuring restarts one generation twice on
+// the simulated Turing platform (NFS, HDF4 cost profile, 16 clients + 2
+// servers): from its committed catalog, and with the catalog deleted. Both
+// restore bit-exact, and the derived-index restart is the indexed one plus
+// each file's directory read — it pays no per-dataset library lookups, which
+// only the dataset-at-a-time reader it replaced ever paid. The log line is
+// the number EXPERIMENTS.md quotes.
+func TestDerivedIndexRestartOnSimulatedTuring(t *testing.T) {
+	restart := func(deleteCatalog bool) (visible float64) {
+		plat := cluster.Turing()
+		plat.NoiseFrac = 0
+		reg := metrics.New()
+		err := cluster.NewWorld(plat, 1).Run(16+2, func(ctx mpi.Ctx) error {
+			cl, err := Init(ctx, Config{
+				NumServers: 2, Profile: hdf.HDF4Profile(), ActiveBuffering: true,
+				MemcpyBW: plat.MemcpyBW, Metrics: reg,
+			})
+			if err != nil || cl == nil {
+				return err
+			}
+			rank := cl.Comm().Rank()
+			if err := cl.WriteAttribute("tu/A", buildWindow(t, rank, 8), "all", 0, 0); err != nil {
+				return err
+			}
+			if err := cl.Sync(); err != nil {
+				return err
+			}
+			if deleteCatalog && rank == 0 {
+				if err := ctx.FS().Remove("tu/A" + catalog.Suffix); err != nil {
+					return err
+				}
+			}
+			cl.Comm().Barrier()
+			w := zeroWindow(t, rank, 8)
+			if err := cl.ReadAttribute("tu/A", w, "all"); err != nil {
+				return err
+			}
+			if rank == 0 {
+				visible = cl.Metrics().VisibleRead
+			}
+			if err := checkWindow(rank, w); err != nil {
+				return err
+			}
+			return cl.Shutdown()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := reg.Snapshot().Counters
+		if derived := c["rocpanda.restart.catalog_fallbacks"] == 2; derived != deleteCatalog || c["rocpanda.restart.catalog_hits"]+c["rocpanda.restart.catalog_fallbacks"] != 2 {
+			t.Fatalf("catalog deleted %v: %d rounds indexed, %d derived", deleteCatalog,
+				c["rocpanda.restart.catalog_hits"], c["rocpanda.restart.catalog_fallbacks"])
+		}
+		return visible
+	}
+	indexed, derived := restart(false), restart(true)
+	t.Logf("visible restart read on simulated Turing: %.4f s from the committed catalog, %.4f s from a derived one", indexed, derived)
+	if derived < indexed || derived > 1.5*indexed {
+		t.Fatalf("derived-index restart %.4f s against %.4f s indexed: want the same reads plus two directory reads", derived, indexed)
 	}
 }

@@ -239,9 +239,9 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 // ReadAttribute implements roccom.IOService: collective restart. The
 // window's registered pane IDs define this client's wanted blocks; every
 // client sends its list to every server, and servers ship back the blocks
-// found in their round-robin share of the snapshot files — through the
-// block catalog's direct offset reads when the generation has one, by
-// scanning file directories otherwise.
+// found in their round-robin share of the snapshot files — by direct
+// offset reads planned from the generation's block catalog, or from the
+// same catalog derived from the files' directories where it has none.
 func (c *Client) ReadAttribute(file string, w *roccom.Window, attr string) error {
 	return c.ReadPanes(file, w, attr, w.PaneIDs())
 }

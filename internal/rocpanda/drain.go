@@ -69,7 +69,6 @@ func (s *server) newReader() *snapshot.Reader {
 		}
 	}
 	return snapshot.NewReader(s.ctx, snapshot.ReaderConfig{
-		Profile:       s.cfg.Profile,
 		Workers:       workers,
 		Budget:        s.cfg.ReadBudgetBytes,
 		Metrics:       s.cfg.Metrics,

@@ -58,8 +58,9 @@ func decodeAck(data []byte) error {
 
 // tagReadDone payload: one mode byte — a snapshot.ReadMode — reporting how
 // the server served its share of the restart, so clients (and their
-// metrics) can tell indexed reads from scan fallbacks and from a share that
-// could not be served at all. Older-style empty payloads decode as scan.
+// metrics) can tell a committed index from a derived one and from a share
+// that could not be served at all. Older-style empty payloads decode as
+// derived.
 
 // writeHdr announces a collective write from one client: nblocks block
 // messages follow on tagWriteBlock.

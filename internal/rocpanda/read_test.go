@@ -13,6 +13,7 @@ import (
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
+	"genxio/internal/roccom"
 	"genxio/internal/rt"
 	"genxio/internal/snapshot"
 )
@@ -258,10 +259,11 @@ func TestRestartWastedBytesAccounting(t *testing.T) {
 			// provably re-accounted as waste too.
 			e := cat.Entries[len(cat.Entries)-1]
 			name := cat.Files[e.File]
-			if !e.HasCRC {
+			if _, hasCRC := e.CRC(); !hasCRC {
 				t.Fatal("catalog entry carries no CRC")
 			}
-			if err := faults.FlipBit(fs, name, (e.Offset+e.Length/2)*8); err != nil {
+			off, length := e.Extent()
+			if err := faults.FlipBit(fs, name, (off+length/2)*8); err != nil {
 				t.Fatal(err)
 			}
 			if mode == "scan" {
@@ -476,13 +478,62 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 				total("rocpanda.restart.fallbacks", 0),
 			}},
 		// A file the catalog never saw (a server wrongly declared dead
-		// renamed it into place after the commit) is still scanned: here it
-		// holds the only copy of the panes planned from the file it replaced.
+		// renamed it into place after the commit) is still read, through an
+		// index derived from its own directory: here it holds the only copy
+		// of the panes planned from the file it replaced.
 		{name: "late-file", gens: 1, tune: full,
 			damage: func(fs rt.FS, head string) error { return fs.Rename(head+"_s001.rhdf", head+"_s002.rhdf") },
 			checks: []func(*testing.T, *rankRegistries){
 				total("rocpanda.restart.catalog_hits", 2),
 				total("rocpanda.server.files_skipped", 1),
+			}},
+		// A derived index is an index: with no catalog, a primary that fails
+		// its CRCs is retried pane by pane against the replica in its share.
+		{name: "derived-r2-flipped-primary", gens: 1, tune: r2,
+			damage: func(fs rt.FS, head string) error {
+				if err := damagePrimary(fs, head, head+"_s000.rhdf", "flipbit"); err != nil {
+					return err
+				}
+				return fs.Remove(head + catalog.Suffix)
+			},
+			checks: []func(*testing.T, *rankRegistries){
+				total("rocpanda.restart.catalog_fallbacks", 2),
+				total("rocpanda.server.files_skipped", 1),
+				func(t *testing.T, regs *rankRegistries) {
+					if n := regs.total("rocpanda.restart.repaired_panes"); n == 0 {
+						t.Error("no pane was repaired from the replica")
+					}
+				},
+			}},
+		// A file with no directory (what a crashed writer leaves behind) is
+		// skipped and the rest of the share delivered.
+		{name: "derived-no-directory", gens: 1, tune: full,
+			damage: func(fs rt.FS, head string) error {
+				if err := hdf.PublishFile(fs, head+"_s002.rhdf", []byte("not an RHDF file")); err != nil {
+					return err
+				}
+				return fs.Remove(head + catalog.Suffix)
+			},
+			checks: []func(*testing.T, *rankRegistries){
+				total("rocpanda.restart.catalog_fallbacks", 2),
+				total("rocpanda.server.files_skipped", 1),
+				total("rocpanda.restart.files_opened", 2),
+			}},
+		// A catalog blob that decodes but is not the one the manifest pins —
+		// here the previous generation's — is not this generation's index.
+		{name: "stale-catalog", gens: 2, tune: full,
+			damage: func(fs rt.FS, head string) error {
+				blob, err := hdf.ReadFile(fs, "om/s000000"+catalog.Suffix)
+				if err != nil {
+					return err
+				}
+				return hdf.PublishFile(fs, head+catalog.Suffix, blob)
+			},
+			want: expectedDeltaPanes(t, 4, 2, []int{1}),
+			checks: []func(*testing.T, *rankRegistries){
+				total("rocpanda.restart.catalog_hits", 0),
+				total("rocpanda.restart.catalog_fallbacks", 2),
+				total("rocpanda.server.files_skipped", 0),
 			}},
 	}
 	same := []string{
@@ -531,13 +582,10 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 					t.Errorf("%s: inline %d, pooled %d", name, a, b)
 				}
 			}
-			tasks := func(r *rankRegistries) int64 {
-				return r.total("iosched.read.tasks") + r.total("iosched.scan.tasks")
-			}
-			if n := tasks(inline); n != 0 {
+			if n := inline.total("iosched.read.tasks"); n != 0 {
 				t.Errorf("inline driver ran %d scheduler tasks, want none", n)
 			}
-			if tasks(pooled) == 0 {
+			if pooled.total("iosched.read.tasks") == 0 {
 				t.Error("pool driver ran no scheduler tasks")
 			}
 		})
@@ -578,5 +626,86 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// One kind of file work: with no catalog, one large file is still read
+	// by coalesced runs — a handful of ReadAt calls, not one per dataset —
+	// and under the pool its runs split into chunks across the workers.
+	for _, pooled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("derived-coalesced/pooled-%v", pooled), func(t *testing.T) {
+			raw := rt.NewMemFS()
+			writeSnapshot(t, raw, "lg/A", 4, 1, 120)
+			if err := raw.Remove("lg/A" + catalog.Suffix); err != nil {
+				t.Fatal(err)
+			}
+			size, _, sets, err := hdf.ScanDir(raw, "lg/A_s000.rhdf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size <= 512<<10 {
+				t.Fatalf("the file is %d bytes: too small to split into pool chunks", size)
+			}
+			fs := &slowFS{FS: raw}
+			reg := metrics.New()
+			got := restartTopologyCfg(t, fs, "lg/A", 3, 1, reg, func(cfg *Config) {
+				cfg.ParallelRead = pooled
+				cfg.ReadWorkers = 3
+			})
+			checkMxN(t, expectedPanes(t, 4, 120), got)
+			c := reg.Snapshot().Counters
+			if n := c["rocpanda.restart.catalog_fallbacks"]; n != 1 {
+				t.Errorf("catalog_fallbacks = %d, want 1", n)
+			}
+			if n := c["iosched.read.tasks"]; pooled != (n > 1) {
+				t.Errorf("iosched.read.tasks = %d with pooled = %v", n, pooled)
+			}
+			// Every ReadAt of the restart, metadata included (the manifest,
+			// each directory once per process that derives from it).
+			if reads := fs.reads.Load(); reads*10 > int64(len(sets)) {
+				t.Errorf("%d ReadAt calls for a file of %d datasets: want runs, not datasets", reads, len(sets))
+			}
+		})
+	}
+
+	// Individual I/O with no commit record: the one file a rank names (Own)
+	// goes through the same machine, under either driver.
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("own-file-no-manifest/workers-%d", workers), func(t *testing.T) {
+			fs := rt.NewMemFS()
+			writeSnapshot(t, fs, "ow/A", 1, 1, 4)
+			for _, suffix := range []string{snapshot.Suffix, catalog.Suffix} {
+				if err := fs.Remove("ow/A" + suffix); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reg := metrics.New()
+			err := mpi.NewChanWorld(fs, 1).Run(1, func(ctx mpi.Ctx) error {
+				w := zeroWindow(t, 0, 4)
+				rcv := snapshot.NewReceiver(w, "all", w.PaneIDs())
+				rd := snapshot.NewReader(ctx, snapshot.ReaderConfig{Workers: workers, Metrics: reg, Prefix: "own."})
+				mode := rd.Read(snapshot.ReadRequest{
+					Base: "ow/A", Window: w.Name, Attr: "all", Wanted: rcv.Wanted(),
+					Own:     "ow/A_s000.rhdf",
+					Deliver: func(_ int, sets []roccom.IOSet) { rcv.Deliver(sets) },
+				})
+				if mode != snapshot.ReadScan {
+					return fmt.Errorf("read mode %d, want ReadScan (a derived index)", mode)
+				}
+				if err := rcv.Complete("ow/A"); err != nil {
+					return err
+				}
+				return checkWindow(0, w)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := reg.Snapshot().Counters
+			if c["own.files_opened"] != 1 || c["own.catalog_fallbacks"] != 1 {
+				t.Errorf("files_opened %d, catalog_fallbacks %d, want 1 and 1", c["own.files_opened"], c["own.catalog_fallbacks"])
+			}
+			if n := c["iosched.read.tasks"]; (workers > 0) != (n > 0) {
+				t.Errorf("iosched.read.tasks = %d with %d workers", n, workers)
+			}
+		})
 	}
 }

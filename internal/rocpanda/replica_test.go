@@ -170,8 +170,9 @@ func damagePrimary(fs rt.FS, gen, name, how string) error {
 		return err
 	}
 	for _, e := range cat.Entries {
-		if cat.Files[e.File] == name && e.HasCRC {
-			return faults.FlipBit(fs, name, (e.Offset+e.Length/2)*8)
+		if _, hasCRC := e.CRC(); cat.Files[e.File] == name && hasCRC {
+			off, length := e.Extent()
+			return faults.FlipBit(fs, name, (off+length/2)*8)
 		}
 	}
 	return fmt.Errorf("no CRC-bearing catalog entry in %s", name)

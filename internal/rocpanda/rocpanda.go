@@ -28,8 +28,8 @@
 //     to every server; snapshot files are assigned to servers round-robin
 //     by their home index (base_sHHH[rN].rhdf goes to survivor HHH mod
 //     the survivor count); each server finds the requested blocks in its
-//     files — through the generation's block catalogs, or by scanning
-//     where there is none — and ships them to the owning clients, so a
+//     files — through the generation's block catalogs, committed or
+//     derived from the files' directories — and ships them to the owning clients, so a
 //     run may restart with a different number of servers than wrote the
 //     files. A full generation and a delta chain follow the same plan,
 //     executed by the restart-read service Rochdf and T-Rochdf also run
@@ -73,8 +73,9 @@ type Config struct {
 	ClientServerRatio int
 	// Placement selects server placement (default Spread).
 	Placement Placement
-	// Profile is the scientific-library cost model for server-side file
-	// access (HDF4 in the paper).
+	// Profile is the scientific-library cost model (HDF4 in the paper),
+	// charged per dataset the servers create; restart reads go straight
+	// to the extents and charge none.
 	Profile hdf.CostProfile
 	// ActiveBuffering enables the paper's overlap scheme. When false the
 	// server writes each block before acknowledging (write-through; the
@@ -98,7 +99,7 @@ type Config struct {
 	// ParallelRead picks the read service's driver (snapshot.Reader). Off,
 	// the request loop runs each file's reads itself, one file at a time —
 	// the paper's restart. On, the same reads move onto a pool of read
-	// workers: catalog-planned extents and directory-scan fallbacks are
+	// workers: the planned extents are
 	// read concurrently, with disk reads of one file pipelined against the
 	// network shipping of another. Restored panes are bit-identical either
 	// way (clients dedupe on first arrival, and all shipping stays on the

@@ -1,7 +1,9 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -51,6 +53,15 @@ func TestCommitWritesCatalogBeforeManifest(t *testing.T) {
 	}
 	if m.Catalog.Name != "out/snap000010"+catalog.Suffix {
 		t.Fatalf("catalog name %q", m.Catalog.Name)
+	}
+	// Golden: the blob and the files of this fixed generation, as PR 22
+	// wrote them — the catalog entry codec is hdf's directory-entry codec
+	// now, and the bytes on disk did not move.
+	if m.Catalog.Size != 397 || m.Catalog.CRC != 0x60857d2a {
+		t.Errorf("catalog blob is %d bytes crc %08x, golden 397 bytes crc 60857d2a", m.Catalog.Size, m.Catalog.CRC)
+	}
+	if f := m.Files; len(f) != 2 || f[0].Size != 307 || f[0].DirCRC != 0x053bc0c5 || f[1].Size != 214 || f[1].DirCRC != 0x6017f34e {
+		t.Errorf("files %+v, golden 307 bytes dir crc 053bc0c5 and 214 bytes dir crc 6017f34e", f)
 	}
 	cat, err := catalog.Load(fsys, "out/snap000010")
 	if err != nil {
@@ -240,5 +251,82 @@ func stripCatalogRef(t *testing.T, fsys rt.FS, base string) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIndex: the one answer to "where are this generation's pane bytes" is
+// the committed blob when it is the blob the manifest pins, and otherwise —
+// for a full generation only — the same catalog derived from the files.
+func TestIndex(t *testing.T) {
+	fsys := rt.NewMemFS()
+	writePaneGen(t, fsys, "out/snap000010", 2, 5)
+	m, err := Commit(fsys, "out/snap000010", 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := readAll(t, fsys, m.Catalog.Name)
+	index := func(wantDerived bool) *catalog.Catalog {
+		t.Helper()
+		cat, derived, err := Index(fsys, m)
+		if err != nil || derived != wantDerived {
+			t.Fatalf("Index: derived %v err %v, want derived %v", derived, err, wantDerived)
+		}
+		if !bytes.Equal(cat.Encode(), committed) {
+			t.Fatalf("Index (derived %v) is not the catalog the commit wrote", derived)
+		}
+		return cat
+	}
+	index(false)
+
+	// Another generation's blob, self-consistent, in this one's place.
+	writePaneGen(t, fsys, "out/snap000020", 2, 3)
+	other, err := Commit(fsys, "out/snap000020", 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, fsys, m.Catalog.Name, readAll(t, fsys, other.Catalog.Name))
+	index(true)
+	if ids, err := PaneUniverse(fsys, "out/snap000010", "fluid"); err != nil || len(ids) != 5 {
+		t.Fatalf("PaneUniverse beside a stale catalog = %v, %v; want this generation's 5 panes", ids, err)
+	}
+	if err := fsys.Remove(m.Catalog.Name); err != nil {
+		t.Fatal(err)
+	}
+	index(true)
+
+	// A file whose directory will not read: the rest is indexed and the
+	// error says so; the pane universe, which must be whole, refuses.
+	if err := fsys.Remove("out/snap000010_s001.rhdf"); err != nil {
+		t.Fatal(err)
+	}
+	cat, derived, err := Index(fsys, m)
+	if !derived || !errors.Is(err, rt.ErrNotExist) || len(cat.Files) != 1 || len(cat.Entries) != 3 {
+		t.Fatalf("Index short a file: derived %v err %v, %d files %d entries", derived, err, len(cat.Files), len(cat.Entries))
+	}
+	if _, err := PaneUniverse(fsys, "out/snap000010", "fluid"); err == nil {
+		t.Fatal("PaneUniverse answered from an index short a file")
+	}
+
+	// A delta generation is never derived.
+	writePaneGen(t, fsys, "out/snap000030", 1, 1)
+	delta, err := CommitChained(fsys, "out/snap000030", 30, 0,
+		&ChainInfo{Base: "out/snap000020", Depth: 1, Panes: map[string][]int{"fluid": {1000, 1001, 1002}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Index(fsys, delta); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Remove(delta.Catalog.Name); err != nil {
+		t.Fatal(err)
+	}
+	if cat, derived, err := Index(fsys, delta); err == nil || derived || cat != nil {
+		t.Fatalf("Index of a delta without its blob: cat %v derived %v err %v", cat, derived, err)
+	}
+
+	// An orphan catalog beside an unreadable manifest is nobody's index.
+	writeAll(t, fsys, "out/snap000020"+Suffix, []byte("{"))
+	if ids, err := PaneUniverse(fsys, "out/snap000020", "fluid"); err == nil {
+		t.Fatalf("PaneUniverse answered %v from an orphan catalog", ids)
 	}
 }

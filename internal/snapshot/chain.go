@@ -8,13 +8,14 @@ import (
 )
 
 // ChainGen is one link of a delta chain: a committed generation's base
-// name, its manifest, and its catalog. Catalog is nil when the blob failed
-// to load: LoadChain reports that as an error for every link except a
-// depth-0 head, whose readers can still scan its files.
+// name, its manifest, and its index (Index). Derived marks an index built
+// from the files' directories, which only a depth-0 head may have; Catalog is
+// nil on the link LoadChain failed at.
 type ChainGen struct {
 	Base     string
 	Manifest *Manifest
 	Catalog  *catalog.Catalog
+	Derived  bool
 }
 
 // maxChainDepth bounds the chain walk against manifests whose recorded
@@ -27,14 +28,14 @@ const maxChainDepth = 1024
 // generation, newest first — result[0] is base itself and the last element
 // has ChainDepth 0. A full generation is the chain of length one.
 //
-// Every link needs a loadable, valid manifest and, because chain
-// resolution is catalog-driven (a delta's files do not spell out the panes
-// it inherits, so there is no scan fallback across generations), a
-// loadable catalog. The one exception is a depth-0 head: its files are its
-// whole state, so it comes back with a nil Catalog and no error, and the
-// reader scans. On any other failure the error is returned alongside the
-// links whose manifests did load — an empty prefix means base itself has
-// no readable commit record.
+// Every link needs a loadable, valid manifest and an index. The head's is
+// whatever Index gives: a depth-0 head whose committed catalog is missing,
+// damaged or not the one its manifest pins comes back Derived, with the
+// files whose directories read, and no error. Every link under a head needs
+// its committed catalog — a delta's files do not spell out the panes it
+// inherits, so nothing is derived across generations. On any failure the
+// error is returned alongside the links whose manifests did load — an empty
+// prefix means base itself has no readable commit record.
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
 	var chain []ChainGen
 	seen := make(map[string]bool)
@@ -50,9 +51,16 @@ func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
 		if err != nil {
 			return chain, fmt.Errorf("snapshot: chain of %s: link %s: %w", base, cur, err)
 		}
-		cat, err := catalog.Load(fsys, cur)
-		chain = append(chain, ChainGen{Base: cur, Manifest: m, Catalog: cat})
-		if err != nil && (len(chain) > 1 || m.ChainDepth > 0) {
+		g := ChainGen{Base: cur, Manifest: m}
+		if len(chain) == 0 {
+			if g.Catalog, g.Derived, err = Index(fsys, m); g.Derived {
+				err = nil
+			}
+		} else {
+			g.Catalog, err = loadCatalog(fsys, m)
+		}
+		chain = append(chain, g)
+		if err != nil {
 			return chain, fmt.Errorf("snapshot: chain of %s: link %s catalog: %w", base, cur, err)
 		}
 		if m.ChainDepth == 0 {

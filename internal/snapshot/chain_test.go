@@ -122,10 +122,29 @@ func TestLoadChainRefusesBrokenLinks(t *testing.T) {
 	if _, err := LoadChain(fsys, bases[2]); err == nil {
 		t.Fatal("LoadChain accepted a chain with a missing catalog")
 	}
+	// Another link's blob in its place: loadable, but not the one the
+	// link's manifest pins.
+	writeAll(t, fsys, bases[1]+catalog.Suffix, readAll(t, fsys, bases[0]+catalog.Suffix))
+	if _, err := LoadChain(fsys, bases[2]); err == nil {
+		t.Fatal("LoadChain accepted a link whose catalog its manifest does not pin")
+	}
 	writeAll(t, fsys, bases[1]+catalog.Suffix, blob)
 	if _, err := LoadChain(fsys, bases[2]); err != nil {
 		t.Fatalf("restored catalog, LoadChain still fails: %v", err)
 	}
+	// The full base under a delta needs its committed blob like any link:
+	// only a head is ever derived.
+	blob = readAll(t, fsys, bases[0]+catalog.Suffix)
+	if err := fsys.Remove(bases[0] + catalog.Suffix); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadChain(fsys, bases[2]); err == nil {
+		t.Fatal("LoadChain accepted a chain whose full base has no catalog")
+	}
+	if chain, err := LoadChain(fsys, bases[0]); err != nil || len(chain) != 1 || !chain[0].Derived || chain[0].Catalog == nil {
+		t.Fatalf("the same generation as a head: chain %+v, err %v; want one derived link", chain, err)
+	}
+	writeAll(t, fsys, bases[0]+catalog.Suffix, blob)
 
 	// Missing base manifest.
 	if err := fsys.Remove(bases[0] + Suffix); err != nil {

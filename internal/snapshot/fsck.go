@@ -1,13 +1,13 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 
 	"genxio/internal/catalog"
 	"genxio/internal/hdf"
-	"genxio/internal/roccom"
 	"genxio/internal/rt"
 )
 
@@ -17,9 +17,11 @@ const (
 	VerdictUncommitted = "UNCOMMITTED"
 	VerdictCorrupt     = "CORRUPT"
 	// VerdictCatalogMismatch marks a generation whose data files all scrub
-	// clean but whose block catalog disagrees with them — a stale, damaged,
-	// or incomplete index. Restart still works (the scan fallback ignores
-	// the catalog) but indexed reads would not, so the scrub fails.
+	// clean but whose block catalog is not the one its manifest pins, or
+	// disagrees with the files — a stale, damaged, or incomplete index. A
+	// full generation still restarts (Index derives the catalog from the
+	// files' directories, at the price of reading them); a delta, or any
+	// chain through this generation, does not. The scrub fails.
 	VerdictCatalogMismatch = "CATALOG-MISMATCH"
 	// VerdictRepaired marks a generation Repair rebuilt from verified
 	// replica copies and re-scrubbed clean. It counts as clean.
@@ -27,8 +29,7 @@ const (
 	// VerdictCatalogMissing marks a generation whose manifest parses and
 	// pins a catalog blob that is simply absent on disk — distinct from
 	// CATALOG-MISMATCH (a blob that exists but lies) so operators can
-	// tell deletion from damage. Restart still works via the scan
-	// fallback, but indexed reads and chain resolution cannot.
+	// tell deletion from damage. What still restarts is the same.
 	VerdictCatalogMissing = "CATALOG-MISSING"
 	// VerdictChainBroken marks a committed delta generation whose own
 	// files scrub clean but whose chain does not resolve: a base
@@ -60,29 +61,29 @@ type GenReport struct {
 // For committed generations it verifies each manifested file's size and
 // directory checksum, then reads every dataset back so the per-dataset
 // CRC32Cs cover the payload bytes too — a single flipped bit anywhere in
-// a committed file is reported against that file. Staged temporaries and
+// a committed file is reported against that file — and cross-checks the
+// block catalog against the files' directories. Staged temporaries and
 // files on disk but absent from the manifest are flagged without failing
 // the generation (they are crash residue the restart path already
 // ignores).
-func Fsck(fsys rt.FS, prefix string) ([]GenReport, error) {
+func Fsck(fsys rt.FS, prefix string) ([]GenReport, error) { return fsck(fsys, prefix, true) }
+
+// FsckQuick is the scrub at its shallow depth: the same verdicts from
+// manifests, file sizes, directory checksums and the catalog blob's pinned
+// size and CRC, with no payload read and no catalog entry cross-checked.
+func FsckQuick(fsys rt.FS, prefix string) ([]GenReport, error) { return fsck(fsys, prefix, false) }
+
+func fsck(fsys rt.FS, prefix string, deep bool) ([]GenReport, error) {
 	gens, err := Generations(fsys, prefix)
 	if err != nil {
 		return nil, err
 	}
 	reports := make([]GenReport, 0, len(gens))
 	for _, g := range gens {
-		reports = append(reports, fsckGen(fsys, g))
+		reports = append(reports, fsckGen(fsys, g, deep))
 	}
 	applyChainVerdicts(fsys, reports)
 	return reports, nil
-}
-
-// ApplyChainVerdicts runs the chain pass over externally produced
-// reports. cmd/genxfsck's quick scrub uses it so that even a
-// manifest-level pass flags delta generations whose chains cannot
-// restore.
-func ApplyChainVerdicts(fsys rt.FS, reports []GenReport) {
-	applyChainVerdicts(fsys, reports)
 }
 
 // applyChainVerdicts is the scrub's second pass: a committed delta
@@ -145,7 +146,9 @@ func brokenLink(fsys rt.FS, byBase map[string]*GenReport, m *Manifest) (link, de
 	return "", ""
 }
 
-func fsckGen(fsys rt.FS, g Generation) GenReport {
+// fsckGen scrubs one generation; deep adds the payload reads and the catalog
+// entry cross-check.
+func fsckGen(fsys rt.FS, g Generation, deep bool) GenReport {
 	rep := GenReport{Base: g.Base, Verdict: VerdictOK}
 	onDisk, _ := fsys.List(g.Base + "_")
 	inManifest := make(map[string]bool)
@@ -161,7 +164,7 @@ func fsckGen(fsys rt.FS, g Generation) GenReport {
 			rep.Epoch = m.Epoch
 			for _, e := range m.Files {
 				inManifest[e.Name] = true
-				fr := scrubFile(fsys, e)
+				fr := scrubFile(fsys, e, deep)
 				if fr.Status != "ok" {
 					rep.Verdict = VerdictCorrupt
 				}
@@ -169,7 +172,7 @@ func fsckGen(fsys rt.FS, g Generation) GenReport {
 			}
 			rep.Catalog = "none"
 			if m.Catalog != nil {
-				status, detail := scrubCatalog(fsys, m)
+				status, detail := scrubCatalog(fsys, m, deep)
 				rep.Catalog = status
 				if status != "ok" {
 					// Damaged data files already make the generation
@@ -201,9 +204,10 @@ func fsckGen(fsys rt.FS, g Generation) GenReport {
 	return rep
 }
 
-// scrubFile verifies one manifested file end to end: size, directory
-// checksum, and every dataset's payload CRC.
-func scrubFile(fsys rt.FS, e FileEntry) FileReport {
+// scrubFile verifies one manifested file: size and directory checksum, and
+// when deep every dataset's payload CRC — through hdf.Reader, one ReadAt per
+// dataset, the reference reader independent of the restart path's.
+func scrubFile(fsys rt.FS, e FileEntry, deep bool) FileReport {
 	size, crc, _, err := hdf.ScanDir(fsys, e.Name)
 	if err != nil {
 		status := "corrupt"
@@ -220,6 +224,9 @@ func scrubFile(fsys rt.FS, e FileEntry) FileReport {
 		return FileReport{Name: e.Name, Status: "corrupt",
 			Detail: fmt.Sprintf("directory crc32c %08x, manifest says %08x", crc, e.DirCRC)}
 	}
+	if !deep {
+		return FileReport{Name: e.Name, Status: "ok"}
+	}
 	r, err := hdf.Open(fsys, e.Name, nullClock{}, hdf.NullProfile())
 	if err != nil {
 		return FileReport{Name: e.Name, Status: "corrupt", Detail: err.Error()}
@@ -233,53 +240,39 @@ func scrubFile(fsys rt.FS, e FileEntry) FileReport {
 	return FileReport{Name: e.Name, Status: "ok"}
 }
 
-// scrubCatalog cross-checks a committed generation's block catalog against
-// its manifest and data files: the blob must match the manifest's size and
-// CRC reference and decode cleanly, every entry must resolve to a real
-// dataset at the recorded extent with the recorded checksum, and every
-// pane dataset in the manifested files must appear in the catalog — an
-// index that would send an indexed restart to the wrong bytes, or silently
-// drop panes, is a mismatch.
-func scrubCatalog(fsys rt.FS, m *Manifest) (status, detail string) {
-	blob, err := hdf.ReadFile(fsys, m.Catalog.Name)
-	if err != nil {
-		if errors.Is(err, rt.ErrNotExist) {
-			// The manifest pins a blob that is not there at all — report
-			// absence distinctly from a blob that exists but disagrees.
-			return "missing", err.Error()
-		}
+// scrubCatalog checks a committed generation's block catalog: the blob must
+// be the one the manifest pins and decode cleanly (loadCatalog) and, when
+// deep, say exactly what the manifested files' own directories say — every
+// stored entry equal to the derived one, none missing: an index that would
+// send a restart to the wrong bytes, or silently drop panes, is a mismatch.
+func scrubCatalog(fsys rt.FS, m *Manifest, deep bool) (status, detail string) {
+	cat, err := loadCatalog(fsys, m)
+	switch {
+	case errors.Is(err, rt.ErrNotExist):
+		// The manifest pins a blob that is not there at all — report
+		// absence distinctly from a blob that exists but disagrees.
+		return "missing", err.Error()
+	case err != nil:
 		return "mismatch", err.Error()
+	case !deep:
+		return "ok", ""
 	}
-	size := int64(len(blob))
-	if size != m.Catalog.Size {
-		return "mismatch", fmt.Sprintf("%d bytes on disk, manifest says %d", size, m.Catalog.Size)
+	// A file whose directory will not read is scrubFile's to report; its
+	// entries are not checked.
+	derived, _, _ := deriveCatalog(fsys, m.fileNames())
+	onDisk := make(map[string]map[string]*catalog.Entry, len(derived.Files))
+	for _, name := range derived.Files {
+		onDisk[name] = make(map[string]*catalog.Entry)
 	}
-	if crc := hdf.Checksum(blob); crc != m.Catalog.CRC {
-		return "mismatch", fmt.Sprintf("blob crc32c %08x, manifest says %08x", crc, m.Catalog.CRC)
+	for i := range derived.Entries {
+		e := &derived.Entries[i]
+		onDisk[derived.Files[e.File]][e.Name] = e
 	}
-	cat, err := catalog.Decode(blob)
-	if err != nil {
-		return "mismatch", err.Error()
-	}
-
 	inManifest := make(map[string]bool, len(m.Files))
-	onDisk := make(map[string]map[string]*hdf.Dataset, len(m.Files))
-	paneSets := 0
 	for _, e := range m.Files {
 		inManifest[e.Name] = true
-		_, _, sets, err := hdf.ScanDir(fsys, e.Name)
-		if err != nil {
-			continue // scrubFile already reported the file itself
-		}
-		byName := make(map[string]*hdf.Dataset, len(sets))
-		for _, d := range sets {
-			byName[d.Name] = d
-			if _, _, _, ok := roccom.ParseDatasetName(d.Name); ok {
-				paneSets++
-			}
-		}
-		onDisk[e.Name] = byName
 	}
+	checked := 0
 	for i := range cat.Entries {
 		e := &cat.Entries[i]
 		name := cat.Files[e.File]
@@ -290,22 +283,17 @@ func scrubCatalog(fsys rt.FS, m *Manifest) (status, detail string) {
 		if !ok {
 			continue
 		}
+		checked++
 		d, ok := byName[e.Name]
 		if !ok {
 			return "mismatch", fmt.Sprintf("catalog entry %q not in %s", e.Name, name)
 		}
-		off, length := d.Extent()
-		if off != e.Offset || length != e.Length {
-			return "mismatch", fmt.Sprintf("catalog entry %q extent [%d,+%d), file says [%d,+%d)",
-				e.Name, e.Offset, e.Length, off, length)
-		}
-		crc, hasCRC := d.CRC()
-		if hasCRC != e.HasCRC || (hasCRC && crc != e.CRC) {
-			return "mismatch", fmt.Sprintf("catalog entry %q crc32c %08x, file says %08x", e.Name, e.CRC, crc)
+		if !bytes.Equal(e.AppendDirEntry(nil), d.AppendDirEntry(nil)) {
+			return "mismatch", fmt.Sprintf("catalog entry %q is not %s's directory entry for it", e.Name, name)
 		}
 	}
-	if len(cat.Entries) < paneSets {
-		return "mismatch", fmt.Sprintf("catalog indexes %d pane datasets, files hold %d", len(cat.Entries), paneSets)
+	if checked < len(derived.Entries) {
+		return "mismatch", fmt.Sprintf("catalog indexes %d pane datasets, files hold %d", checked, len(derived.Entries))
 	}
 	return "ok", ""
 }

@@ -33,8 +33,8 @@ const Suffix = ".manifest"
 // CatalogRef pins a generation's block-catalog blob from the manifest:
 // the catalog is written before the manifest, so the commit record can
 // carry its size and whole-blob CRC32C, letting readers detect a damaged
-// or swapped catalog cheaply. Absent on generations committed by older
-// writers; restart then uses the scan path.
+// or swapped catalog cheaply (loadCatalog). Absent on generations committed
+// by older writers; Index then derives their catalog from the files.
 type CatalogRef struct {
 	Name string `json:"name"`
 	Size int64  `json:"size"`
@@ -138,18 +138,17 @@ func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *Chai
 		m.ChainDepth = chain.Depth
 		m.Panes = chain.Panes
 	}
-	cat := &catalog.Catalog{}
+	var files []string
 	for _, name := range names {
-		if !strings.HasSuffix(name, ".rhdf") {
-			continue // staged *.tmp residue is not part of the generation
+		if strings.HasSuffix(name, ".rhdf") { // staged *.tmp residue is not part of the generation
+			files = append(files, name)
 		}
-		size, crc, sets, err := hdf.ScanDir(fsys, name)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
-		}
-		m.Files = append(m.Files, FileEntry{Name: name, Size: size, DirCRC: crc, Datasets: len(sets)})
-		cat.AddFile(name, sets)
 	}
+	cat, entries, errs := deriveCatalog(fsys, files)
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("snapshot: commit %s: %w", base, errs[0])
+	}
+	m.Files = entries
 	if len(m.Files) == 0 && chain == nil {
 		return nil, fmt.Errorf("snapshot: commit %s: no snapshot files", base)
 	}
@@ -176,6 +175,15 @@ func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *Chai
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
 	}
 	return m, nil
+}
+
+// fileNames returns the committed files' names, in manifest order.
+func (m *Manifest) fileNames() []string {
+	names := make([]string, len(m.Files))
+	for i, e := range m.Files {
+		names[i] = e.Name
+	}
+	return names
 }
 
 // Load reads and validates the manifest of the generation under base.

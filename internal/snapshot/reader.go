@@ -13,30 +13,30 @@ package snapshot
 //
 // One plan (Read). The generation's chain is loaded once, newest first; a
 // full generation is the chain of length one. Every wanted pane resolves to
-// the newest link whose block catalog holds it — each pane to exactly one
+// the newest link whose index holds it — each pane to exactly one
 // (generation, file, extent) — and each link's planned files are read by
 // direct coalesced offset reads, every entry CRC-verified before anything
-// from its file is delivered; files the catalogs know but planned nothing
+// from its file is delivered; files the index knows but planned nothing
 // from are never opened, and a named attribute plans that one dataset per
-// pane. The directory scan remains where the files are the only description
-// of the state: a full generation whose catalog will not load, and a head
-// with no readable commit record. A delta's files do not spell out the panes
-// it inherits, so a delta head with any unloadable link fails the round —
-// ReadFailed, nothing delivered — and the caller's completeness check sends
-// the restore walk back past the whole chain. A failed listing reports the
-// same way.
+// pane. Where the index comes from is all that varies: the catalog a commit
+// wrote, or — a full head without a usable one, files no commit record
+// describes — the same catalog derived from the files' own directories
+// (Index, deriveCatalog), planned and read the same way. A delta's files do
+// not spell out the panes it inherits, so a delta head with any unloadable
+// link fails the round — ReadFailed, nothing delivered — and the caller's
+// completeness check sends the restore walk back past the whole chain. A
+// failed listing reports the same way.
 //
-// The state machine. Each file of the share becomes a readFile and a few
-// disk tasks (newFile): a planned file gets its coalesced run buffers and
-// one ReadAt task per run (or per chunk of a run); a scan file is one task
-// that walks the file into deliverable pane payloads. Tasks do disk I/O
-// only. consume folds each result into its file on the owner's goroutine
-// and, when the file's last task is in, does everything else: CRC
-// verification, inflate, pane assembly and every delivery (a server's sends:
-// simulated endpoints charge the sending process, so shipping stays on the
-// owner's identity). A file with any damage is skipped whole, nothing from
-// it is delivered, its bytes count as wasted rather than read, and
-// recoverPanes retries its panes against the generation's other copies.
+// The state machine. Each planned file of the share becomes a readFile with
+// its coalesced run buffers and one ReadAt task per run, or per chunk of a
+// run (newFile). Tasks do disk I/O only. consume folds each result into its
+// file on the owner's goroutine and, when the file's last task is in, does
+// everything else: CRC verification, inflate, pane assembly and every
+// delivery (a server's sends: simulated endpoints charge the sending
+// process, so shipping stays on the owner's identity). A file with any
+// damage is skipped whole, nothing from it is delivered, its bytes count as
+// wasted rather than read, and recoverPanes retries its panes against the
+// other copies its index knows.
 //
 // The inline driver (Workers 0) is the paper-faithful, zero-worker case and
 // the only one Rochdf uses: it runs a file's tasks on the owner with its own
@@ -46,7 +46,7 @@ package snapshot
 // this driver.
 //
 // The pool driver (Workers > 0) hands the whole share's tasks to an
-// internal/iosched batch: ClassRead / ClassScan tasks executed by ctx.Spawn
+// internal/iosched batch: ClassRead tasks executed by ctx.Spawn
 // workers (goroutines on the channel backend, simulation processes with
 // their own clock and filesystem view on the virtual platforms), completions
 // consumed on the owner, so reads of file N+1 overlap the verification and
@@ -75,7 +75,6 @@ import (
 
 	"genxio/internal/catalog"
 	"genxio/internal/faults"
-	"genxio/internal/hdf"
 	"genxio/internal/iosched"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -97,13 +96,13 @@ const (
 // should fall back to the previous (complete) generation.
 var ErrIncompleteRestart = errors.New("snapshot: snapshot incomplete")
 
-// ReadMode reports how a round's share was read. The values are Rocpanda's
-// done-mode wire bytes.
+// ReadMode reports where a round's index came from. The values are
+// Rocpanda's done-mode wire bytes.
 type ReadMode byte
 
 const (
-	ReadScan    ReadMode = iota // directory walk over the share's files
-	ReadIndexed                 // catalog-planned direct offset reads
+	ReadScan    ReadMode = iota // derived from the directories of the share's files
+	ReadIndexed                 // the head's committed catalog
 	// ReadFailed: the share could not be served at all (an unloadable chain
 	// link, a failed listing) and delivered nothing. The round completed;
 	// whether the restart is still complete is the receivers' call.
@@ -112,7 +111,6 @@ const (
 
 // ReaderConfig is what differs between the placements of a Reader.
 type ReaderConfig struct {
-	Profile hdf.CostProfile // the scientific-library cost model (scan walks)
 	// Workers > 0 selects the pool driver of that width, at most
 	// MaxReadWorkers; Budget then bounds the read bytes in flight (0:
 	// unbounded).
@@ -145,15 +143,15 @@ type ReadRequest struct {
 	// whose Mine accepts its home index (catalog.ParseDataFile; a file
 	// outside the grammar has home 0). Nil takes every planned file.
 	Mine func(home int) bool
-	// Own, when set, is the one file walked where no catalog plans the
-	// read, and nothing is listed: individual I/O, where a rank knows its
-	// file by name. Empty lists the generation's server files and walks
-	// Mine's — plus, beside an indexed full generation, any the catalog
-	// never saw (a server wrongly declared dead renamed its file into place
-	// after the commit).
+	// Own, when set, is the one file read where Base has no commit record,
+	// and nothing is listed: individual I/O, where a rank knows its file by
+	// name. Empty lists the generation's server files and reads Mine's that
+	// the head's index does not describe: all of them without a commit
+	// record, and beside a full generation any its commit never saw (a
+	// server wrongly declared dead renamed its file into place afterwards).
 	Own string
 	// Uncommitted, when set, runs once Base proves to have no readable
-	// commit record, before its files are walked: the flush barrier that
+	// commit record, before its files are read: the flush barrier that
 	// puts a still-buffered generation's blocks on disk. A committed
 	// generation needs none — its commit record exists only because a flush
 	// already landed every block of it.
@@ -168,13 +166,12 @@ type readerMx struct {
 	filesSkipped *metrics.Counter
 	readErrors   *metrics.Counter
 
-	// Restart I/O efficiency (catalog vs scan).
+	// Restart I/O efficiency; rounds by where their index came from.
 	filesOpened      *metrics.Counter
 	bytesRead        *metrics.Counter
 	bytesWasted      *metrics.Counter
 	catalogHits      *metrics.Counter
 	catalogFallbacks *metrics.Counter
-	checksumFails    *metrics.Counter
 
 	replicaReads  *metrics.Counter // pane retries served by a replica copy
 	repairedPanes *metrics.Counter
@@ -192,7 +189,6 @@ func newReaderMx(cfg *ReaderConfig) readerMx {
 		bytesWasted:      r.Counter(p + "bytes_wasted"),
 		catalogHits:      r.Counter(p + "catalog_hits"),
 		catalogFallbacks: r.Counter(p + "catalog_fallbacks"),
-		checksumFails:    r.Counter("hdf.checksum_failures"),
 
 		replicaReads:  r.Counter(p + "replica_reads"),
 		repairedPanes: r.Counter(p + "repaired_panes"),
@@ -214,62 +210,75 @@ func NewReader(ctx mpi.Ctx, cfg ReaderConfig) *Reader {
 }
 
 // Read serves one restart round — plan this process's share of the
-// generation's files, read, verify and deliver it — and reports how.
+// generation's files, read, verify and deliver it — and reports where the
+// index came from.
 func (rd *Reader) Read(req ReadRequest) ReadMode {
 	fsys := rd.ctx.FS()
-	chain, chainErr := LoadChain(fsys, req.Base)
-	if len(chain) == 0 && req.Uncommitted != nil {
-		req.Uncommitted()
+	chain, err := LoadChain(fsys, req.Base)
+	switch {
+	case len(chain) == 0: // no commit record: what is on disk is the only description
+		if req.Uncommitted != nil {
+			req.Uncommitted()
+		}
+	case err != nil: // a delta head with an unloadable link
+		return rd.failed()
 	}
 	mine := req.Mine
 	if mine == nil {
 		mine = func(int) bool { return true }
 	}
-
 	var items []readItem
-	mode := ReadScan
-	switch {
-	case chainErr != nil && len(chain) > 0:
-		mode = ReadFailed // a delta head with an unloadable link
-	case len(chain) > 0 && chain[0].Catalog != nil:
-		mode = ReadIndexed
-		rd.mx.chainDepth.SetMax(float64(len(chain) - 1))
-		cats := ChainCatalogs(chain)
+	planFrom := func(cats []*catalog.Catalog) {
 		for gi, panes := range catalog.ResolvePanes(cats, req.Window, req.Wanted) {
-			for _, plan := range cats[gi].PlanReads(req.Window, panes) {
-				plan = attrPlan(plan, req.Attr)
-				if _, home, _ := catalog.ParseDataFile(plan.File); len(plan.Entries) > 0 && mine(home) {
-					items = append(items, readItem{name: plan.File, plan: plan, cat: cats[gi]})
+			for _, fp := range cats[gi].PlanReads(req.Window, panes) {
+				fp = attrPlan(fp, req.Attr)
+				if _, home, _ := catalog.ParseDataFile(fp.File); len(fp.Entries) > 0 && mine(home) {
+					items = append(items, readItem{plan: fp, cat: cats[gi]})
 				}
 			}
 		}
 	}
+
+	mode := ReadScan
+	if len(chain) > 0 {
+		if !chain[0].Derived {
+			mode = ReadIndexed
+		}
+		rd.mx.chainDepth.SetMax(float64(len(chain) - 1))
+		planFrom(ChainCatalogs(chain))
+	}
+	// The share's files on disk that no commit record describes get an
+	// index derived from their own directories.
+	var loose []string
 	switch {
-	case mode == ReadFailed:
 	case req.Own != "":
-		if mode == ReadScan {
-			items = append(items, readItem{name: req.Own, scan: true})
+		if len(chain) == 0 {
+			loose = []string{req.Own}
 		}
 	case len(chain) <= 1:
-		indexed := make(map[string]bool) // files the head's catalog describes
-		if mode == ReadIndexed {
+		described := make(map[string]bool) // files the head's index describes
+		if len(chain) == 1 {
 			for _, name := range chain[0].Catalog.Files {
-				indexed[name] = true
+				described[name] = true
 			}
 		}
 		names, err := fsys.List(req.Base + "_s")
 		if err != nil {
-			mode = ReadFailed
+			return rd.failed()
 		}
 		for _, name := range names {
-			if base, home, _, ok := catalog.ParseServerFile(name); ok && base == req.Base && mine(home) && !indexed[name] {
-				items = append(items, readItem{name: name, scan: true})
+			if base, home, _, ok := catalog.ParseServerFile(name); ok && base == req.Base && mine(home) && !described[name] {
+				loose = append(loose, name)
 			}
 		}
 	}
-	if mode == ReadFailed {
-		rd.mx.readErrors.Inc()
-		return mode
+	if len(loose) > 0 {
+		cat, _, errs := deriveCatalog(fsys, loose)
+		for range errs { // no directory: what a crashed writer leaves behind
+			rd.mx.filesSkipped.Inc()
+			rd.mx.readErrors.Inc()
+		}
+		planFrom([]*catalog.Catalog{cat})
 	}
 	rd.serve(&req, items)
 	if mode == ReadIndexed {
@@ -278,6 +287,12 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		rd.mx.catalogFallbacks.Inc()
 	}
 	return mode
+}
+
+// failed reports a round that could not be served at all.
+func (rd *Reader) failed() ReadMode {
+	rd.mx.readErrors.Inc()
+	return ReadFailed
 }
 
 // attrPlan narrows a file plan to the requested attribute's datasets.
@@ -300,16 +315,13 @@ func (rd *Reader) dies() bool {
 	return rd.cfg.Crash != nil && rd.cfg.Crash(faults.MidRead)
 }
 
-// readItem is one file of a share: a planned extent read, or a
-// directory-scan fallback.
+// readItem is one file of a share: the extents planned from it, and the
+// index they were planned from — in chain rounds each item carries its own
+// generation's, a file no commit describes its share's derived one — so a
+// failed file's pane retries consult the right copies.
 type readItem struct {
-	name string
-	scan bool
 	plan catalog.FilePlan
-	// cat is the catalog a planned item came from (nil for scan items) —
-	// in chain rounds each item carries its own generation's catalog, so a
-	// failed file's pane retries consult the right link's copies.
-	cat *catalog.Catalog
+	cat  *catalog.Catalog
 }
 
 // readFile is the state of one file being read.
@@ -334,7 +346,6 @@ type readResult struct {
 	read   int64 // bytes actually pulled from the file
 	opened bool
 	failed bool
-	panes  []paneSets // scan tasks only: deliverable pane payloads
 }
 
 // paneSets is one pane's verified datasets. Building one never delivers
@@ -391,20 +402,10 @@ func (rd *Reader) serve(req *ReadRequest, items []readItem) {
 	}
 }
 
-// newFile builds one item's file state and disk tasks. For the pool, runs
-// split into readChunkBytes chunks and a scan file's budget cost is its
-// size; inline, a run is one read and nothing is sized (a Stat would be a
-// metadata operation the paper's protocol does not make).
+// newFile builds one item's file state and disk tasks: for the pool, runs
+// split into readChunkBytes chunks; inline, a run is one read.
 func (e *readRound) newFile(it readItem, pooled bool) (*readFile, []*iosched.Task) {
 	f := &readFile{readItem: it, pooled: pooled}
-	if it.scan {
-		f.left = 1
-		var cost int64
-		if pooled {
-			cost, _ = e.rd.ctx.FS().Stat(it.name) // unknown size costs zero
-		}
-		return f, []*iosched.Task{e.scanTask(f, cost)}
-	}
 	f.runs = catalog.Coalesce(it.plan.Entries, 0)
 	f.bufs = make([][]byte, len(f.runs))
 	var tasks []*iosched.Task
@@ -429,21 +430,22 @@ func (e *readRound) newFile(it readItem, pooled bool) (*readFile, []*iosched.Tas
 
 // chunkTask builds one contiguous disk read: fill buf from off.
 func (e *readRound) chunkTask(f *readFile, off int64, buf []byte) *iosched.Task {
+	name := f.plan.File
 	return &iosched.Task{
 		Class: iosched.ClassRead,
 		Cost:  int64(len(buf)),
 		Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
 			handles := st.(*readHandles).m
 			res := readResult{f: f}
-			h, ok := handles[f.name]
+			h, ok := handles[name]
 			if !ok {
 				var err error
-				h, err = tc.FS().Open(f.name)
+				h, err = tc.FS().Open(name)
 				if err != nil {
 					res.failed = true
 					return e.finish(res)
 				}
-				handles[f.name] = h
+				handles[name] = h
 			}
 			res.opened = true
 			if _, err := h.ReadAt(buf, off); err != nil {
@@ -451,21 +453,6 @@ func (e *readRound) chunkTask(f *readFile, off int64, buf []byte) *iosched.Task 
 			} else {
 				res.read = int64(len(buf))
 			}
-			return e.finish(res)
-		},
-	}
-}
-
-// scanTask builds one whole-file directory-scan fallback, run on the
-// driver's clock and filesystem view so the profile's lookup costs charge
-// to the process that walks the file (and overlap across the pool).
-func (e *readRound) scanTask(f *readFile, cost int64) *iosched.Task {
-	return &iosched.Task{
-		Class: iosched.ClassScan,
-		Cost:  cost,
-		Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
-			res := scanFile(tc.FS(), tc.Clock(), &e.rd.cfg, f.name, e.req)
-			res.f = f
 			return e.finish(res)
 		},
 	}
@@ -578,13 +565,10 @@ func (e *readRound) consume(c iosched.Completion) *readFile {
 	if f.left--; f.left > 0 {
 		return nil
 	}
-	panes, ok := r.panes, !f.failed
-	if ok && !f.scan {
-		var crcFailed bool
-		panes, crcFailed, ok = assemble(f.plan, f.runs, f.bufs)
-		if crcFailed {
-			mx.checksumFails.Inc()
-		}
+	var panes []paneSets
+	ok := !f.failed
+	if ok {
+		panes, ok = assemble(f.plan, f.runs, f.bufs, e.rd.cfg.Metrics)
 	}
 	if !ok {
 		// An unreadable or damaged file is skipped whole, with whatever was
@@ -610,25 +594,21 @@ func (e *readRound) consume(c iosched.Completion) *readFile {
 	return f
 }
 
-// recoverPanes retries every pane of a failed planned file against the
-// generation's other copies, best-first (primaries before replicas, per
+// recoverPanes retries every pane of a failed file against the other copies
+// its index knows, best-first (primaries before replicas, per
 // catalog.PaneSources), delivering each pane from the first copy that
 // verifies end to end. The walk is deterministic — sorted panes, ordered
 // sources, a shared bad-file set — so every process makes the same recovery
 // decisions. A pane with no good copy anywhere is simply not delivered: the
 // receivers then report the snapshot incomplete and the restore walk falls
 // back a generation, which is exactly the all-copies-bad semantics the
-// replica layer promises.
-//
-// There is nothing to do for a scan-fallback file (it carries no plan, its
-// panes are unknown until read, and the listing already covers every
-// replica), and a retry's own failure is final: the walk moves on to the
-// pane's next copy.
+// replica layer promises. A retry's own failure is final: the walk moves on
+// to the pane's next copy.
 func (e *readRound) recoverPanes(f *readFile) {
-	if f.scan || f.retry {
+	if f.retry {
 		return
 	}
-	e.bad[f.name] = true
+	e.bad[f.plan.File] = true
 	seen := make(map[int]bool)
 	var panes []int
 	for i := range f.plan.Entries {
@@ -646,7 +626,7 @@ func (e *readRound) recoverPanes(f *readFile) {
 			// A copy that cannot be opened is blacklisted; one that opens
 			// but is damaged may still hold other panes intact, so only the
 			// attempted read is charged as wasted.
-			try := e.runInline(readItem{name: src.File, plan: attrPlan(src, e.req.Attr)}, true)
+			try := e.runInline(readItem{plan: attrPlan(src, e.req.Attr), cat: f.cat}, true)
 			if !try.opened {
 				e.bad[src.File] = true
 			}
@@ -680,97 +660,32 @@ func (g *paneGroups) add(pane int, set roccom.IOSet) {
 	g.panes[i].sets = append(g.panes[i].sets, set)
 }
 
-// assemble verifies one planned file's read buffers and groups its entries
-// into per-pane payloads, in plan (entry) order. ok is false when anything
-// is damaged — CRC mismatch (crcFailed then reports it), an extent outside
-// its run, a bad inflate, a short payload: the whole file must be skipped
-// with nothing delivered, matching the scan path's semantics so a restart
-// never mixes verified and unverified panes from one file. Pure (safe to
-// call with worker-filled buffers after the handoff).
-func assemble(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte) (panes []paneSets, crcFailed, ok bool) {
-	stored := make([][]byte, len(plan.Entries))
+// assemble cuts one planned file's read buffers into its entries' stored
+// bytes, unpacks each (hdf.Dataset.Unpack: CRC, inflate, logical length) and
+// groups them into per-pane payloads, in plan (entry) order. ok is false
+// when anything is damaged or an extent lies outside its run: the whole file
+// must then be skipped with nothing delivered, so a restart never mixes
+// verified and unverified panes from one file — it recovers the panes
+// elsewhere or falls back a generation.
+func assemble(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, reg *metrics.Registry) (panes []paneSets, ok bool) {
+	var g paneGroups
 	ri := 0
 	for i := range plan.Entries {
 		e := &plan.Entries[i]
-		for ri < len(runs) && e.Offset >= runs[ri].Offset+runs[ri].Length {
+		off, length := e.Extent()
+		for ri < len(runs) && off >= runs[ri].Offset+runs[ri].Length {
 			ri++
 		}
-		if ri == len(runs) || e.Offset < runs[ri].Offset || e.Offset+e.Length > runs[ri].Offset+runs[ri].Length {
-			return nil, false, false
+		if ri == len(runs) || off < runs[ri].Offset || off+length > runs[ri].Offset+runs[ri].Length {
+			return nil, false
 		}
-		b := bufs[ri][e.Offset-runs[ri].Offset : e.Offset-runs[ri].Offset+e.Length]
-		if e.HasCRC && hdf.Checksum(b) != e.CRC {
-			// The snapshot was damaged after commit; skip the whole file
-			// so the restart recovers the panes elsewhere or falls back a
-			// generation.
-			return nil, true, false
-		}
-		stored[i] = b
-	}
-	var g paneGroups
-	for i := range plan.Entries {
-		e := &plan.Entries[i]
-		logical := int64(e.Type.Size())
-		for _, d := range e.Dims {
-			logical *= d
-		}
-		data := stored[i]
-		if e.Compressed {
-			var err error
-			if data, err = hdf.InflateStored(data, logical); err != nil {
-				return nil, false, false
-			}
-		} else if int64(len(data)) != logical {
-			return nil, false, false
+		data, err := e.Unpack(bufs[ri][off-runs[ri].Offset:off-runs[ri].Offset+length], reg)
+		if err != nil {
+			return nil, false
 		}
 		g.add(e.Pane, roccom.IOSet{Name: e.Name, Type: e.Type, Dims: e.Dims, Attrs: e.Attrs, Data: data})
 	}
-	return g.panes, false, true
-}
-
-// scanFile walks one snapshot file and assembles the requested panes of the
-// window into deliverable payloads, without delivering anything. It runs
-// with the clock and filesystem view of whichever process drives the scan
-// task (the owner, or a read worker), so the profile's per-dataset lookup
-// costs charge to the walking process. read counts payload bytes pulled from
-// the file whether or not the walk succeeded; failed means the whole file
-// must be skipped (unopenable — what a crashed writer leaves behind — or
-// damaged mid-walk), with nothing delivered from it.
-func scanFile(fsys rt.FS, clock rt.Clock, cfg *ReaderConfig, name string, req *ReadRequest) readResult {
-	r, err := hdf.Open(fsys, name, clock, cfg.Profile)
-	if err != nil {
-		return readResult{failed: true}
-	}
-	r.Metrics = cfg.Metrics
-	defer r.Close()
-
-	res := readResult{opened: true}
-	var g paneGroups
-	for _, d := range r.Datasets() {
-		win, pane, attr, ok := roccom.ParseDatasetName(d.Name)
-		if !ok || win != req.Window || !req.Wanted[pane] || (req.Attr != "all" && attr != req.Attr) {
-			continue
-		}
-		// Locate and read through the library (charges lookup cost).
-		ds, ok := r.Lookup(d.Name)
-		if !ok {
-			continue
-		}
-		data, err := r.ReadData(ds)
-		if err != nil {
-			// A checksum mismatch (or read failure) in a committed file:
-			// damaged after commit. The whole file is skipped — nothing has
-			// been delivered yet — so the restart either recovers the panes
-			// from another file or reports the snapshot incomplete, sending
-			// the caller back a generation.
-			res.failed = true
-			return res
-		}
-		res.read += int64(len(data))
-		g.add(pane, roccom.IOSet{Name: ds.Name, Type: ds.Type, Dims: ds.Dims, Attrs: ds.Attrs, Data: data})
-	}
-	res.panes = g.panes
-	return res
+	return g.panes, true
 }
 
 // Receiver is the receiving end of a restart read, written once for every

@@ -3,7 +3,6 @@ package snapshot
 import (
 	"fmt"
 
-	"genxio/internal/catalog"
 	"genxio/internal/hdf"
 	"genxio/internal/rt"
 )
@@ -38,11 +37,11 @@ func Repair(fsys rt.FS, prefix string) ([]GenReport, error) {
 	}
 	reports := make([]GenReport, 0, len(gens))
 	for _, g := range gens {
-		rep := fsckGen(fsys, g)
+		rep := fsckGen(fsys, g, true)
 		switch rep.Verdict {
 		case VerdictCorrupt, VerdictCatalogMismatch, VerdictCatalogMissing:
 			if fixed := repairGen(fsys, rep); len(fixed) > 0 {
-				fresh := fsckGen(fsys, g)
+				fresh := fsckGen(fsys, g, true)
 				if fresh.Verdict == VerdictOK {
 					fresh.Verdict = VerdictRepaired
 				}
@@ -113,18 +112,14 @@ func findDonor(m *Manifest, e FileEntry, status map[string]string) string {
 	return ""
 }
 
-// rebuildCatalog regenerates the block catalog by re-merging the
-// manifested files' directories — the same deterministic walk Commit runs,
-// in the same (manifest, i.e. lexical) file order — and installs it only
-// if the rebuilt blob matches the manifest's pinned size and CRC.
+// rebuildCatalog regenerates the block catalog from the manifested files'
+// directories — deriveCatalog, as Commit ran it, in the same (manifest, i.e.
+// lexical) file order — and installs it only if the rebuilt blob matches the
+// manifest's pinned size and CRC.
 func rebuildCatalog(fsys rt.FS, m *Manifest) (FileReport, bool) {
-	cat := &catalog.Catalog{}
-	for _, e := range m.Files {
-		_, _, sets, err := hdf.ScanDir(fsys, e.Name)
-		if err != nil {
-			return FileReport{}, false // a data file is still bad; nothing to index
-		}
-		cat.AddFile(e.Name, sets)
+	cat, _, errs := deriveCatalog(fsys, m.fileNames())
+	if len(errs) > 0 {
+		return FileReport{}, false // a data file is still bad; nothing to index
 	}
 	blob := cat.Encode()
 	if int64(len(blob)) != m.Catalog.Size || hdf.Checksum(blob) != m.Catalog.CRC {

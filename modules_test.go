@@ -464,6 +464,57 @@ func restartMatrix(t *testing.T) {
 			}
 		}
 
+		// The same cells with no usable committed catalog — deleted, then a
+		// self-consistent blob the manifest does not pin (here an empty
+		// catalog; an orphan of a crashed commit looks the same): every
+		// module derives the index from the files' directories and restores
+		// the same state.
+		blobName := "m/g0" + catalog.Suffix
+		blob, err := hdf.ReadFile(mem, blobName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, damage := range []struct {
+			name string
+			do   func() error
+		}{
+			{"catalog deleted", func() error { return mem.Remove(blobName) }},
+			{"stale catalog", func() error { return hdf.PublishFile(mem, blobName, new(catalog.Catalog).Encode()) }},
+		} {
+			if err := damage.do(); err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.New()
+			rounds := func(series string) (n int64) { // restart rounds, over every module's prefix
+				for name, v := range reg.Snapshot().Counters {
+					if strings.HasSuffix(name, ".restart."+series) {
+						n += v
+					}
+				}
+				return n
+			}
+			for _, rmod := range ioModules(reg) {
+				cell := wmod.name + " -> " + rmod.name + ", " + damage.name
+				before := rounds("catalog_fallbacks")
+				errs, lines, _, _ := restore(rmod, mem)
+				for _, err := range errs {
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+				}
+				if got := digestOf(lines); got != want {
+					t.Errorf("%s restored %s; the files hold %s", cell, got, want)
+				}
+				if rounds("catalog_fallbacks") == before || rounds("catalog_hits") != 0 {
+					t.Errorf("%s: %d rounds took the committed catalog, %d derived their index",
+						cell, rounds("catalog_hits"), rounds("catalog_fallbacks")-before)
+				}
+			}
+		}
+		if err := hdf.PublishFile(mem, blobName, blob); err != nil {
+			t.Fatal(err)
+		}
+
 		// One flipped bit in writer 1's file, past the header and inside the
 		// first dataset's payload: every module fails the generation, on
 		// every reader, and says why.
