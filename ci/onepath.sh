@@ -1,8 +1,9 @@
 #!/bin/sh
-# The structural claims of PRs 15-23 as a check: one write path, one commit,
+# The structural claims of PRs 15-25 as a check: one write path, one commit,
 # one restart-read path with one kind of file work, one way to make a catalog,
-# one verify-and-inflate, one bounded cursor — over the non-test Go under
-# internal/. Run from the repository root; any miss fails.
+# one verify-and-inflate, one bounded cursor, one payload copy per message —
+# over the non-test Go under internal/. Run from the repository root; any
+# miss fails.
 fail=0
 src() { find internal "$@" -name '*.go' ! -name '*_test.go'; } # src [find tests...]
 one() { # one WHAT PATTERN: exactly one line matches
@@ -27,4 +28,12 @@ one 'verify-and-inflate (the caller of InflateStored)' '^[^f].*InflateStored\('
 none 'iosched.New outside internal/snapshot' 'iosched\.New\(' ! -path 'internal/snapshot/*'
 none 'RHDF writes in internal/rochdf or internal/rocpanda' 'hdf\.(Create|OpenAppend)\(|\.CreateDataset\(' \
 	'(' -path 'internal/rochdf/*' -o -path 'internal/rocpanda/*' ')'
+# Every byte moves once (PR 25): a message's one payload copy is Send's gather
+# in internal/mpi/comm.go, panes are packed by view, and blocks travel as the
+# wire codec's segments, never re-encoded into a buffer first.
+none 'a payload copy in a transport endpoint' 'append\(\[\]byte\(nil\)|bytes\.(Clone|Join)\(|copy\(|\.Data\.\.\.' \
+	'(' -path 'internal/mpi/chanworld.go' -o -path 'internal/cluster/ctx.go' ')'
+none 'a converting pack in the pane extractor' 'hdf\.(F64|F32|I32)Bytes\(' -path 'internal/roccom/ioset.go'
+none 'an encoded block buffer in internal/rocpanda or internal/rocman' 'EncodeIOSets\(' \
+	'(' -path 'internal/rocpanda/*' -o -path 'internal/rocman/*' ')'
 exit $fail

@@ -97,14 +97,11 @@ const messageHeaderBytes = 64
 
 // Send charges the sender's CPU overhead and source-side occupancy, then
 // hands the message to a delivery daemon that models propagation and
-// destination-side occupancy. The sender may reuse its buffer on return
-// (the transport copies), and a send never blocks on the receiver.
+// destination-side occupancy. A send never blocks on the receiver.
 func (e *simEndpoint) Send(dst int, m *mpi.Message) {
 	c := e.ctx
 	plat := c.clock.plat
-	cp := *m
-	cp.Data = append([]byte(nil), m.Data...)
-	size := float64(len(cp.Data) + messageHeaderBytes)
+	size := float64(len(m.Data) + messageHeaderBytes)
 
 	overhead := plat.SendOverhead + plat.SendOverheadPerRank*float64(c.nranks)
 	c.proc.Wait(overhead)
@@ -115,7 +112,7 @@ func (e *simEndpoint) Send(dst int, m *mpi.Message) {
 	if srcNode == dstNode {
 		// Intra-node: one pass over the shared memory bus.
 		srcNode.bus.Use(c.proc, size/plat.MemBW)
-		box.Put(&cp)
+		box.Put(m)
 		return
 	}
 	// Inter-node: occupy the source NIC, then propagate and occupy the
@@ -126,7 +123,7 @@ func (e *simEndpoint) Send(dst int, m *mpi.Message) {
 	env.SpawnDaemon("msg", func(d *sim.Proc) {
 		d.Wait(plat.LinkLatency)
 		dstNode.nic.Use(d, size/plat.LinkBW)
-		box.Put(&cp)
+		box.Put(m)
 	})
 }
 

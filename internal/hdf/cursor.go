@@ -72,13 +72,15 @@ func (c *Cursor) U16() uint16 { return binary.LittleEndian.Uint16(c.word(2)) }
 func (c *Cursor) U32() uint32 { return binary.LittleEndian.Uint32(c.word(4)) }
 func (c *Cursor) U64() uint64 { return binary.LittleEndian.Uint64(c.word(8)) }
 
-// Bytes reads n bytes into a copy the caller owns.
+// Bytes reads n bytes in place: a subslice of the cursor's input, which the
+// caller owns, capacity-capped so appending to one field can never overwrite
+// the field after it.
 func (c *Cursor) Bytes(n int) []byte {
 	if !c.need(n) {
 		return nil
 	}
 	c.off += n
-	return append([]byte(nil), c.b[c.off-n:c.off]...)
+	return c.b[c.off-n : c.off : c.off]
 }
 
 // Str reads a uint16-counted string.

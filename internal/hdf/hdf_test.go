@@ -563,3 +563,51 @@ func TestCompressedCorruptionDetected(t *testing.T) {
 		t.Fatal("corrupted compressed stream read back without error")
 	}
 }
+
+// TestDirectoryAttrsAreCappedViews: attribute values decoded from a file's
+// directory alias the directory bytes, capacity-capped, so appending to one
+// reallocates it and never overwrites the attribute or entry after it.
+func TestDirectoryAttrsAreCappedViews(t *testing.T) {
+	fsys, clock := newFile(t)
+	w, err := Create(fsys, "a.rhdf", clock, NullProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, attrs := range map[string][]Attr{
+		"x": {StrAttr("u", "ab"), StrAttr("v", "cd")},
+		"y": {StrAttr("u", "ef")},
+	} {
+		if err := w.CreateDataset(name, U8, []int64{1}, attrs, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(fsys, "a.rhdf", clock, NullProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	want := make(map[string]string)
+	for _, d := range r.Datasets() {
+		for _, a := range d.Attrs {
+			if cap(a.Data) != len(a.Data) {
+				t.Fatalf("%s.%s has capacity %d past its length %d", d.Name, a.Name, cap(a.Data), len(a.Data))
+			}
+			want[d.Name+"."+a.Name] = a.Str()
+		}
+	}
+	for _, d := range r.Datasets() {
+		for _, a := range d.Attrs {
+			_ = append(a.Data, "XXXX"...)
+		}
+	}
+	for _, d := range r.Datasets() {
+		for _, a := range d.Attrs {
+			if got := a.Str(); got != want[d.Name+"."+a.Name] {
+				t.Fatalf("%s.%s reads %q after appends to its neighbours, want %q", d.Name, a.Name, got, want[d.Name+"."+a.Name])
+			}
+		}
+	}
+}

@@ -134,9 +134,7 @@ func (e *chanEndpoint) Send(dst int, m *Message) {
 			return
 		}
 	}
-	cp := *m
-	cp.Data = append([]byte(nil), m.Data...)
-	e.inboxes[dst].put(&cp)
+	e.inboxes[dst].put(m)
 }
 
 func (e *chanEndpoint) RecvMatch(pred func(*Message) bool) *Message {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -34,18 +35,20 @@ func (c *comm) Rank() int   { return c.rank }
 func (c *comm) Size() int   { return len(c.group) }
 func (c *comm) Global() int { return c.ep.GlobalRank() }
 
-func (c *comm) Send(dst, tag int, data []byte) {
+func (c *comm) Send(dst, tag int, data ...[]byte) {
 	if tag < 0 {
 		panic(fmt.Sprintf("mpi: application tag %d must be >= 0", tag))
 	}
-	c.send(dst, tag, data)
+	c.send(dst, tag, data...)
 }
 
-func (c *comm) send(dst, tag int, data []byte) {
+// send gathers the segments into a fresh message payload — the one copy a
+// message costs on either backend — and hands it to the endpoint.
+func (c *comm) send(dst, tag int, data ...[]byte) {
 	if dst < 0 || dst >= len(c.group) {
 		panic(fmt.Sprintf("mpi: Send to rank %d outside communicator of size %d", dst, len(c.group)))
 	}
-	c.ep.Send(c.group[dst], &Message{Ctx: c.ctx, Src: c.ep.GlobalRank(), Tag: tag, Data: data})
+	c.ep.Send(c.group[dst], &Message{Ctx: c.ctx, Src: c.ep.GlobalRank(), Tag: tag, Data: bytes.Join(data, nil)})
 }
 
 // pred builds the match predicate for (src, tag) within this communicator.

@@ -47,15 +47,16 @@ type Message struct {
 // Endpoint is what a backend provides to each rank: raw matched messaging
 // against every other rank in the world. Implementations must preserve
 // per-(sender,receiver) FIFO order among messages matching the same
-// predicate, and must copy Data on Send so the caller may reuse its buffer.
+// predicate.
 type Endpoint interface {
 	// GlobalRank returns this rank's index in the world.
 	GlobalRank() int
 	// NumRanks returns the world size.
 	NumRanks() int
-	// Send delivers m to the global rank dst. It blocks only for
-	// transport cost (simulated backends charge send time here), never
-	// for the receiver to post a matching receive.
+	// Send delivers m to the global rank dst, taking ownership of it (Comm
+	// built m.Data for this message alone). It blocks only for transport
+	// cost (simulated backends charge send time here), never for the
+	// receiver to post a matching receive.
 	Send(dst int, m *Message)
 	// RecvMatch removes and returns the earliest pending message
 	// matching pred, blocking until one arrives.
@@ -97,9 +98,14 @@ type Comm interface {
 	Rank() int
 	// Size returns the number of ranks in this communicator.
 	Size() int
-	// Send sends data to rank dst with the given tag (tag >= 0). The
-	// data buffer may be reused as soon as Send returns.
-	Send(dst, tag int, data []byte)
+	// Send sends one message to rank dst with the given tag (tag >= 0)
+	// whose payload is the segments of data concatenated (no segments, or
+	// only empty ones, send an empty payload). The copy contract: Send
+	// gathers the segments into the delivered message in one pass — the
+	// only copy a message costs, on every backend — so each may be reused
+	// or changed as soon as Send returns, and the receiver owns what Recv
+	// hands it.
+	Send(dst, tag int, data ...[]byte)
 	// Recv receives the earliest message matching (src, tag), either of
 	// which may be a wildcard, and returns its payload and status.
 	Recv(src, tag int) ([]byte, Status)

@@ -1,6 +1,7 @@
 package roccom
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -57,6 +58,12 @@ func ParseDatasetName(name string) (window string, paneID int, attr string, ok b
 // the paper's write_attribute semantics: "all" writes the mesh and every
 // declared attribute, "mesh" writes only the mesh, and any other value
 // writes the single named attribute.
+//
+// The view rule: a set's Data aliases its pane's arrays (on little-endian
+// hosts; elsewhere it is a converted copy) until the pane next changes, so
+// whoever holds a set past the call that packed it copies it — T-Rochdf's
+// buffered block does; a send, a write-through block and a migration consume
+// the sets before they return and copy nothing.
 func PaneIOSets(w *Window, p *Pane, attr string) ([]IOSet, error) {
 	prefix := PanePrefix(w.Name, p.ID)
 	var sets []IOSet
@@ -74,14 +81,14 @@ func PaneIOSets(w *Window, p *Pane, attr string) ([]IOSet, error) {
 			Type:  hdf.F64,
 			Dims:  []int64{int64(b.NumNodes()), 3},
 			Attrs: meshAttrs,
-			Data:  hdf.F64Bytes(b.Coords),
+			Data:  f64View(b.Coords),
 		})
 		if b.Kind == mesh.Unstructured {
 			sets = append(sets, IOSet{
 				Name: prefix + connAttr,
 				Type: hdf.I32,
 				Dims: []int64{int64(b.NumElems()), 4},
-				Data: hdf.I32Bytes(b.Conn),
+				Data: i32View(b.Conn),
 			})
 		}
 	}
@@ -221,29 +228,51 @@ func attrOf(s *IOSet, name string) (hdf.Attr, bool) {
 	return hdf.Attr{}, false
 }
 
-// EncodeIOSets serializes datasets for the wire (client-to-server block
-// shipping in Rocpanda's protocol).
-func EncodeIOSets(sets []IOSet) []byte {
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(sets)))
+// IOSetSegments is the wire form of datasets (a Rocpanda block, a migrated
+// pane) as segments, in order: the codec's own header bytes — set count,
+// names, types, dims, attributes, lengths — between each set's Data as it
+// stands, a view and never a copy. mpi.Comm.Send gathers them into the
+// message in one pass, the way an MPI derived datatype packs noncontiguous
+// data; their concatenation is EncodeIOSets.
+func IOSetSegments(sets []IOSet) [][]byte {
+	n := 4
 	for _, s := range sets {
-		b = hdf.AppendStr(b, s.Name)
-		b = append(b, byte(s.Type))
-		b = append(b, byte(len(s.Dims)))
-		for _, d := range s.Dims {
-			b = binary.LittleEndian.AppendUint64(b, uint64(d))
-		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(s.Attrs)))
+		n += 2 + len(s.Name) + 2 + 8*len(s.Dims) + 2 + 8
 		for _, a := range s.Attrs {
-			b = hdf.AppendStr(b, a.Name)
-			b = append(b, byte(a.Type))
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(a.Data)))
-			b = append(b, a.Data...)
+			n += 2 + len(a.Name) + 1 + 4 + len(a.Data)
 		}
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(s.Data)))
-		b = append(b, s.Data...)
 	}
-	return b
+	hdr := make([]byte, 0, n) // sized once: the segments below alias it
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(sets)))
+	segs := make([][]byte, 0, 2*len(sets)+1)
+	from := 0
+	for _, s := range sets {
+		hdr = hdf.AppendStr(hdr, s.Name)
+		hdr = append(hdr, byte(s.Type), byte(len(s.Dims)))
+		for _, d := range s.Dims {
+			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(d))
+		}
+		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(s.Attrs)))
+		for _, a := range s.Attrs {
+			hdr = hdf.AppendStr(hdr, a.Name)
+			hdr = append(hdr, byte(a.Type))
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(a.Data)))
+			hdr = append(hdr, a.Data...)
+		}
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(s.Data)))
+		segs = append(segs, hdr[from:len(hdr):len(hdr)], s.Data)
+		from = len(hdr)
+	}
+	if len(sets) == 0 {
+		segs = append(segs, hdr) // the count alone
+	}
+	return segs
+}
+
+// EncodeIOSets is the wire form in one buffer: IOSetSegments concatenated,
+// allocated once at its exact size.
+func EncodeIOSets(sets []IOSet) []byte {
+	return bytes.Join(IOSetSegments(sets), nil)
 }
 
 // minIOSetBytes is the encoded size of a set with empty name, dims, attrs
@@ -255,7 +284,10 @@ const minAttrBytes = 2 + 1 + 4
 
 // DecodeIOSets parses the wire form produced by EncodeIOSets, and nothing
 // else: any byte string is safe to pass, damage — trailing bytes included —
-// is an error, never a panic or an allocation sized by the damage.
+// is an error, never a panic or an allocation sized by the damage. Payloads
+// are decoded by alias: every Data and attribute value is a capacity-capped
+// subslice of b (hdf.Cursor.Bytes), which the caller — a message's receiver —
+// already owns and must not reuse while the sets live.
 func DecodeIOSets(b []byte) ([]IOSet, error) {
 	c := hdf.NewCursor(b)
 	n := c.Fits(int(c.U32()), minIOSetBytes)

@@ -1,6 +1,7 @@
 package roccom
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -469,6 +470,68 @@ func TestDecodeIOSetsCorrupt(t *testing.T) {
 		if _, err := DecodeIOSets(bad); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
+	}
+}
+
+// TestPaneIOSetsAreViews pins the view rule: on a little-endian host a
+// packed set is the pane's own memory until the pane changes, and a view is
+// capacity-capped, so appending to it never writes into the pane.
+func TestPaneIOSetsAreViews(t *testing.T) {
+	if !littleEndian {
+		t.Skip("big-endian hosts pack by copy")
+	}
+	w := fluidWindow(t, New(), testBlocks(t, 1))
+	p, _ := w.Pane(1)
+	sets, err := PaneIOSets(w, p, "pressure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, _ := p.Array("pressure")
+	pr.F64[0] = 2.5
+	if got := hdf.BytesF64(sets[0].Data)[0]; got != 2.5 || cap(sets[0].Data) != len(sets[0].Data) {
+		t.Fatalf("set reads %v after the pane changed (cap %d, len %d): not a capped view", got, cap(sets[0].Data), len(sets[0].Data))
+	}
+}
+
+// TestWireSegmentsAndAliases: the segment form concatenates to the encoded
+// form and carries each set's Data as the view it was, and decoding aliases
+// the message — capacity-capped, so appending to one decoded payload (data
+// or attribute) reallocates it instead of overwriting the next field.
+func TestWireSegmentsAndAliases(t *testing.T) {
+	sets := []IOSet{
+		{Name: "/w/pane000001/a", Type: hdf.U8, Dims: []int64{3}, Attrs: []hdf.Attr{hdf.StrAttr("u", "xy"), hdf.StrAttr("v", "z")}, Data: []byte{1, 2, 3}},
+		{Name: "/w/pane000001/b", Type: hdf.U8, Dims: []int64{2}, Attrs: []hdf.Attr{hdf.StrAttr("u", "q")}, Data: []byte{4, 5}},
+	}
+	segs := IOSetSegments(sets)
+	msg := EncodeIOSets(sets)
+	if !bytes.Equal(bytes.Join(segs, nil), msg) || len(msg) != cap(msg) {
+		t.Fatalf("segments %x do not concatenate to the exact-size encoding %x", segs, msg)
+	}
+	if &segs[1][0] != &sets[0].Data[0] || &segs[3][0] != &sets[1].Data[0] {
+		t.Fatal("a set's Data was copied into its segments")
+	}
+	if got := IOSetSegments(nil); len(got) != 1 || !bytes.Equal(got[0], EncodeIOSets(nil)) {
+		t.Fatalf("no sets: segments %x", got)
+	}
+
+	dec, err := DecodeIOSets(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &dec[1].Data[0] != &msg[len(msg)-2] {
+		t.Fatal("decoded Data is a copy, not a view of the message")
+	}
+	for _, s := range dec {
+		for _, b := range append([][]byte{s.Data}, s.Attrs[0].Data) {
+			if cap(b) != len(b) {
+				t.Fatalf("decoded field %q has capacity %d past its length %d", b, cap(b), len(b))
+			}
+		}
+	}
+	_ = append(dec[0].Data, 0xee, 0xee, 0xee)
+	_ = append(dec[0].Attrs[0].Data, 0xee)
+	if !bytes.Equal(msg, EncodeIOSets(sets)) || dec[0].Attrs[1].Str() != "z" || !bytes.Equal(dec[1].Data, []byte{4, 5}) {
+		t.Fatal("appending to one decoded payload overwrote the next field")
 	}
 }
 

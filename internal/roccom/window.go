@@ -103,24 +103,29 @@ func (a *Array) Len() int {
 	}
 }
 
-// Bytes encodes the array as little-endian bytes for file or wire.
+// Bytes returns the array as little-endian bytes for file or wire: a view of
+// its storage on little-endian hosts (see PaneIOSets for how long it holds).
 func (a *Array) Bytes() []byte {
 	switch a.Spec.Type {
 	case hdf.F64:
-		return hdf.F64Bytes(a.F64)
+		return f64View(a.F64)
 	case hdf.F32:
-		return hdf.F32Bytes(a.F32)
+		return f32View(a.F32)
 	default:
-		return hdf.I32Bytes(a.I32)
+		return i32View(a.I32)
 	}
 }
 
-// SetBytes decodes little-endian bytes into the array; the byte count must
+// SetBytes copies little-endian bytes into the array; the byte count must
 // match the array's size.
 func (a *Array) SetBytes(b []byte) error {
 	want := a.Len() * a.Spec.Type.Size()
 	if len(b) != want {
 		return fmt.Errorf("roccom: attribute %q expects %d bytes, got %d", a.Spec.Name, want, len(b))
+	}
+	if littleEndian {
+		copy(a.Bytes(), b)
+		return nil
 	}
 	switch a.Spec.Type {
 	case hdf.F64:

@@ -78,6 +78,7 @@ type Rochdf struct {
 	rd       *snapshot.Reader  // the restart-read service, delivering in place
 	pending  *snapshot.Pending // generations written since the last Sync
 	lastFile string            // generation of the last write: a change flushes
+	buffered bool              // T-Rochdf: blocks outlive WriteAttribute
 	closed   bool
 
 	m  Metrics
@@ -106,8 +107,9 @@ func New(ctx mpi.Ctx, cfg Config) *Rochdf {
 	rank := ctx.Comm().Rank()
 	r := cfg.Metrics
 	return &Rochdf{
-		rank:  rank,
-		clock: ctx.Clock(),
+		rank:     rank,
+		clock:    ctx.Clock(),
+		buffered: cfg.Threaded,
 		wr: snapshot.NewWriter(ctx, snapshot.WriterConfig{
 			Profile:       cfg.Profile,
 			Compress:      cfg.Compress,
@@ -153,11 +155,12 @@ func (h *Rochdf) timed(total *float64, hist *metrics.Histogram) func() {
 
 // WriteAttribute implements roccom.IOService: one call is one block, every
 // local pane's datasets bound for this rank's file. Rochdf writes it before
-// returning (write-through), so a failed write fails the call; T-Rochdf
-// only buffers it — PaneIOSets already copied the data, BufferBW models
-// that copy on simulated platforms — after blocking until the previous
-// snapshot is fully written (the paper's bounded-memory rule), where a
-// background failure surfaces.
+// returning (write-through), so a failed write fails the call and the pane
+// views PaneIOSets packed are never copied; T-Rochdf only buffers it — in
+// one contiguous copy, since it holds the block past the call (the view
+// rule), which BufferBW models on simulated platforms — after blocking
+// until the previous snapshot is fully written (the paper's bounded-memory
+// rule), where a background failure surfaces.
 func (h *Rochdf) WriteAttribute(file string, w *roccom.Window, attr string, tm float64, step int) error {
 	if h.closed {
 		return fmt.Errorf("rochdf: write after Close")
@@ -189,8 +192,21 @@ func (h *Rochdf) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 		}
 	}
 	h.lastFile = file
+	if h.buffered {
+		ownCopy(blk.Sets, blk.Bytes)
+	}
 	h.wr.Submit(blk)
 	return h.wr.Err()
+}
+
+// ownCopy moves every set's Data out of its pane into one buffer of n bytes.
+func ownCopy(sets []roccom.IOSet, n int64) {
+	buf := make([]byte, 0, n)
+	for i := range sets {
+		from := len(buf)
+		buf = append(buf, sets[i].Data...)
+		sets[i].Data = buf[from:len(buf):len(buf)]
+	}
 }
 
 // flush waits until every outstanding block has landed, recording the

@@ -34,7 +34,8 @@ func MigratePane(comm mpi.Comm, w *roccom.Window, paneID, src, dst int) error {
 		if err != nil {
 			return err
 		}
-		comm.Send(dst, tagMigrate, roccom.EncodeIOSets(sets))
+		// Send gathers the pane's views into the message before the pane goes.
+		comm.Send(dst, tagMigrate, roccom.IOSetSegments(sets)...)
 		return w.DeletePane(paneID)
 	case dst:
 		data, _ := comm.Recv(src, tagMigrate)

@@ -176,7 +176,10 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 		}
 	}
 
-	payloads := make([][]byte, 0, len(ids))
+	// Each pane is one block message, shipped as the wire codec's segments:
+	// header bytes between views of the pane's arrays, gathered by Send.
+	blocks := make([][][]byte, 0, len(ids))
+	sizes := make([]int64, 0, len(ids))
 	var bytes int64
 	for _, id := range ids {
 		p, _ := w.Pane(id)
@@ -184,9 +187,14 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 		if err != nil {
 			return err
 		}
-		enc := roccom.EncodeIOSets(sets)
-		bytes += int64(len(enc))
-		payloads = append(payloads, enc)
+		segs := roccom.IOSetSegments(sets)
+		var n int64
+		for _, s := range segs {
+			n += int64(len(s))
+		}
+		bytes += n
+		blocks = append(blocks, segs)
+		sizes = append(sizes, n)
 	}
 	c.m.BytesOut += bytes
 	c.mx.bytesOut.Add(bytes)
@@ -194,22 +202,22 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 	hdr := writeHdr{
 		File: file, Window: w.Name, Attr: attr,
 		Time: tm, Step: int32(step),
-		NBlocks: int32(len(payloads)), Bytes: bytes,
+		NBlocks: int32(len(blocks)), Bytes: bytes,
 	}
 	enc := encodeWriteHdr(hdr)
 	// Ship header and blocks, then wait for the ack, which arrives when
-	// the server has safely buffered (or written) everything; our buffers
-	// are reusable as soon as the ack lands. A timed-out ack fails the
-	// whole write over to a surviving server and resends it from scratch
-	// (blocks may then exist in two servers' files; restart dedupes).
+	// the server has safely buffered (or written) everything. A timed-out
+	// ack fails the whole write over to a surviving server and resends it
+	// from scratch (blocks may then exist in two servers' files; restart
+	// dedupes) — from the same pane views, which nothing changes meanwhile.
 	var damaged error
 	err := c.withFailover("write "+file, func(target int) bool {
 		c.world.Send(target, tagWriteHdr, enc)
-		for _, pl := range payloads {
+		for _, segs := range blocks {
 			if c.blockOH > 0 {
 				c.ctx.Clock().Compute(c.blockOH)
 			}
-			c.world.Send(target, tagWriteBlock, pl)
+			c.world.Send(target, tagWriteBlock, segs...)
 		}
 		data, _, ok := c.recvTimeout(target, tagWriteAck)
 		if ok {
@@ -230,7 +238,7 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 		// The server has the bytes; record each pane's shipped epoch so the
 		// next delta skips it unless it dirties again.
 		for i, id := range ids {
-			c.tracker.MarkShipped(w.Name, id, epochs[id], int64(len(payloads[i])))
+			c.tracker.MarkShipped(w.Name, id, epochs[id], sizes[i])
 		}
 	}
 	return err

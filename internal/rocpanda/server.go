@@ -195,7 +195,8 @@ func (s *server) handleWrite(src int) {
 		}
 		// One block per copy: the primary plus any replicas, all through
 		// the same service, so the buffered-byte and written-byte tallies
-		// honestly show the write amplification.
+		// honestly show the write amplification. The sets alias the
+		// received payload — the server's buffer, copied nowhere else.
 		for _, fname := range fnames {
 			s.wr.Submit(snapshot.Block{File: fname, Sets: sets, Bytes: int64(len(payload)), Time: hdr.Time, Step: hdr.Step})
 		}
@@ -320,9 +321,11 @@ func (s *server) serveRead(req readReq, round *readRound) {
 			s.mx.flushSeconds.Observe(scanT0 - flushT0)
 		},
 		// The server goroutine owns all network traffic (simulated
-		// endpoints charge the sending process).
+		// endpoints charge the sending process). The sets are views into
+		// the service's read buffers; Send gathers them straight into the
+		// message, with no encoded copy in between.
 		Deliver: func(pane int, sets []roccom.IOSet) {
-			s.world.Send(round.wantAll[pane], tagReadBlock, roccom.EncodeIOSets(sets))
+			s.world.Send(round.wantAll[pane], tagReadBlock, roccom.IOSetSegments(sets)...)
 			s.mx.readsServed.Inc()
 		},
 	})

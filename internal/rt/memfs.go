@@ -2,6 +2,8 @@ package rt
 
 import (
 	"fmt"
+	"io"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -15,9 +17,49 @@ type MemFS struct {
 	files map[string]*memNode
 }
 
+// memNode is one file's bytes in pages that are allocated where first
+// written and never move, so a file grows without recopying what it holds.
+// Pages double from 1<<minPageShift bytes to 1<<maxPageShift and stay at
+// that size, so a small file stays small. A nil page is a hole and reads as
+// zeros; every allocated byte at or past size is zero, so Truncate and
+// sparse writes read back zeros as on a real filesystem.
 type memNode struct {
-	mu   sync.Mutex
-	data []byte
+	mu    sync.Mutex
+	pages [][]byte
+	size  int64
+}
+
+const (
+	minPageShift = 9  // the first page: 512 B
+	maxPageShift = 16 // the largest page: 64 KiB
+	// The doubling pages, up to and including the first largest one, and
+	// the bytes they hold together.
+	doublingPages = maxPageShift - minPageShift + 1
+	doublingBytes = 1<<(maxPageShift+1) - 1<<minPageShift
+)
+
+// pageOf maps a file offset to its page and the offset within that page.
+func pageOf(off int64) (page int, in int64) {
+	if off < doublingBytes {
+		page = bits.Len64(uint64(off>>minPageShift+1)) - 1
+		return page, off - (1<<page-1)<<minPageShift
+	}
+	off -= doublingBytes
+	return doublingPages + int(off>>maxPageShift), off & (1<<maxPageShift - 1)
+}
+
+// pageSize is the length of page i.
+func pageSize(i int) int64 { return 1 << min(minPageShift+i, maxPageShift) }
+
+// each calls fn for every page piece of [off, off+n), in order: the page
+// index, the offset within it, and the piece's length.
+func each(off, n int64, fn func(page int, in, k int64)) {
+	for end := off + n; off < end; {
+		page, in := pageOf(off)
+		k := min(pageSize(page)-in, end-off)
+		fn(page, in, k)
+		off += k
+	}
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -93,7 +135,7 @@ func (m *MemFS) Stat(name string) (int64, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return int64(len(n.data)), nil
+	return n.size, nil
 }
 
 type memFile struct {
@@ -103,73 +145,91 @@ type memFile struct {
 
 func (f *memFile) Name() string { return f.name }
 
+// ReadAt follows os.File.ReadAt: a read that ends past EOF returns what
+// there was and io.EOF, and an empty read succeeds wherever it starts.
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	f.node.mu.Lock()
-	defer f.node.mu.Unlock()
+	n := f.node
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if off < 0 {
 		return 0, fmt.Errorf("memfs: negative offset %d", off)
 	}
-	if off >= int64(len(f.node.data)) {
-		return 0, fmt.Errorf("memfs: read at %d past EOF (%d)", off, len(f.node.data))
+	if len(p) == 0 {
+		return 0, nil
 	}
-	n := copy(p, f.node.data[off:])
-	if n < len(p) {
-		return n, fmt.Errorf("memfs: short read: %d < %d", n, len(p))
+	if off >= n.size {
+		return 0, io.EOF
 	}
-	return n, nil
+	got := min(int64(len(p)), n.size-off)
+	each(off, got, func(page int, in, k int64) {
+		dst := p[:k]
+		if page < len(n.pages) && n.pages[page] != nil {
+			copy(dst, n.pages[page][in:])
+		} else {
+			clear(dst)
+		}
+		p = p[k:]
+	})
+	if len(p) > 0 {
+		return int(got), io.EOF
+	}
+	return int(got), nil
 }
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
-	f.node.mu.Lock()
-	defer f.node.mu.Unlock()
+	n := f.node
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if off < 0 {
 		return 0, fmt.Errorf("memfs: negative offset %d", off)
 	}
-	end := off + int64(len(p))
-	if end > int64(len(f.node.data)) {
-		if end > int64(cap(f.node.data)) {
-			// Amortized growth: sequential appends (the common write
-			// pattern) must not copy the whole file every time.
-			newCap := 2 * int64(cap(f.node.data))
-			if newCap < end {
-				newCap = end
-			}
-			grown := make([]byte, end, newCap)
-			copy(grown, f.node.data)
-			f.node.data = grown
-		} else {
-			f.node.data = f.node.data[:end]
-		}
+	if len(p) == 0 {
+		return 0, nil
 	}
-	copy(f.node.data[off:end], p)
-	return len(p), nil
+	wrote := len(p)
+	each(off, int64(len(p)), func(page int, in, k int64) {
+		for len(n.pages) <= page {
+			n.pages = append(n.pages, nil)
+		}
+		if n.pages[page] == nil {
+			n.pages[page] = make([]byte, pageSize(page))
+		}
+		copy(n.pages[page][in:], p[:k])
+		p = p[k:]
+	})
+	n.size = max(n.size, off+int64(wrote))
+	return wrote, nil
 }
 
 func (f *memFile) Size() (int64, error) {
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	return int64(len(f.node.data)), nil
+	return f.node.size, nil
 }
 
 func (f *memFile) Truncate(size int64) error {
-	f.node.mu.Lock()
-	defer f.node.mu.Unlock()
+	n := f.node
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if size < 0 {
 		return fmt.Errorf("memfs: negative truncate size %d", size)
 	}
-	if size <= int64(len(f.node.data)) {
-		// Zero the cut region so a later extension reads back zeros
-		// (the spare capacity is reused by WriteAt's growth path).
-		tail := f.node.data[size:]
-		for i := range tail {
-			tail[i] = 0
+	if size < n.size {
+		// Drop the pages past the cut and zero the cut page's tail, so a
+		// later extension reads back zeros.
+		page, in := pageOf(size)
+		if in > 0 {
+			if page < len(n.pages) && n.pages[page] != nil {
+				clear(n.pages[page][in:])
+			}
+			page++
 		}
-		f.node.data = f.node.data[:size]
-		return nil
+		if page < len(n.pages) {
+			clear(n.pages[page:])
+			n.pages = n.pages[:page]
+		}
 	}
-	grown := make([]byte, size)
-	copy(grown, f.node.data)
-	f.node.data = grown
+	n.size = size
 	return nil
 }
 

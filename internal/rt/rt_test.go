@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +206,79 @@ func TestMemFSRandomRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemFSMatchesOSFS runs the same random operations on one MemFS file
+// and one OSFS file and requires the same answers: n, whether err is nil,
+// and the bytes. The ops cover what paged storage could get wrong — sparse
+// writes past EOF and across page boundaries (small pages near the start,
+// 64 KiB ones past 127.5 KiB), shrink-then-extend truncation reading back
+// zeros, and short, past-EOF and empty reads.
+func TestMemFSMatchesOSFS(t *testing.T) {
+	const span = 300 << 10 // offsets reach well into the largest pages
+	for seed := uint64(1); seed <= 4; seed++ {
+		fsys := fsCases(t)
+		mem, _ := fsys["memfs"].Create("f")
+		osf, _ := fsys["osfs"].Create("f")
+		rng := rand.New(rand.NewPCG(seed, 0))
+		length := func() int { // mostly small, sometimes more than a page
+			if rng.IntN(3) == 0 {
+				return rng.IntN(70 << 10)
+			}
+			return rng.IntN(600)
+		}
+		for op := 0; op < 400; op++ {
+			size, _ := osf.Size()
+			off := rng.Int64N(span)
+			if rng.IntN(2) == 0 {
+				off = max(0, size-300+rng.Int64N(600)) // around EOF
+			}
+			var what string
+			var mn, on int
+			var merr, oerr error
+			var mb, ob []byte // what the reads returned
+			switch rng.IntN(4) {
+			case 0:
+				p := make([]byte, length())
+				for i := range p {
+					p[i] = byte(rng.IntN(255) + 1)
+				}
+				what = fmt.Sprintf("WriteAt(%d bytes, %d)", len(p), off)
+				mn, merr = mem.WriteAt(p, off)
+				on, oerr = osf.WriteAt(p, off)
+			case 1:
+				to := rng.Int64N(size + 1) // shrink
+				if rng.IntN(2) == 0 {
+					to = size + rng.Int64N(70<<10) // extend
+				}
+				what = fmt.Sprintf("Truncate(%d)", to)
+				merr, oerr = mem.Truncate(to), osf.Truncate(to)
+			case 2:
+				n := length()
+				if rng.IntN(8) == 0 {
+					n = 0
+				}
+				mb, ob = make([]byte, n), make([]byte, n)
+				what = fmt.Sprintf("ReadAt(%d bytes, %d)", n, off)
+				mn, merr = mem.ReadAt(mb, off)
+				on, oerr = osf.ReadAt(ob, off)
+				mb, ob = mb[:mn], ob[:on]
+			default:
+				what = "Size()"
+				msz, merr := mem.Size()
+				osz, oerr := osf.Size()
+				mn, on = int(msz), int(osz)
+				if merr != nil || oerr != nil {
+					t.Fatal(merr, oerr)
+				}
+			}
+			if mn != on || (merr == nil) != (oerr == nil) || !bytes.Equal(mb, ob) {
+				t.Fatalf("seed %d op %d %s at size %d: memfs %d, %v; osfs %d, %v", seed, op, what, size, mn, merr, on, oerr)
+			}
+		}
+		mem.Close()
+		osf.Close()
 	}
 }
 

@@ -27,14 +27,15 @@ import (
 
 // moduleWindows builds writer i's two windows — two write_attribute calls per
 // generation, so an individual-I/O file is created by one and appended to by
-// the other — with data that depends only on i.
-func moduleWindows(t testing.TB, i int) []*roccom.Window {
+// the other — with data that depends only on i, on panes of about nodes
+// nodes each.
+func moduleWindows(t testing.TB, i, nodes int) []*roccom.Window {
 	var ws []*roccom.Window
 	for wi, name := range moduleWindowNames {
 		w := emptyModuleWindow(t, name)
 		rng := stats.NewRNG(uint64(10*i + wi + 1))
 		blocks, err := mesh.GenCylinder(mesh.CylinderSpec{
-			RInner: 0.1, ROuter: 0.4, Length: 1, BR: 1, BT: 3, BZ: 1, NodesPerBlock: 80, Spread: 0.2,
+			RInner: 0.1, ROuter: 0.4, Length: 1, BR: 1, BT: 3, BZ: 1, NodesPerBlock: nodes, Spread: 0.2,
 		}, 100*i+10*wi+1, rng)
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +233,7 @@ func TestModulesAreOneService(t *testing.T) {
 					if err != nil || svc == nil {
 						return err
 					}
-					ws := moduleWindows(t, comm.Rank())
+					ws := moduleWindows(t, comm.Rank(), 80)
 					for _, w := range ws {
 						// A failed write is the module's to remember: the run
 						// goes on to the collective Sync regardless.
@@ -354,7 +355,7 @@ func restartMatrix(t *testing.T) {
 			if err != nil || svc == nil {
 				return err
 			}
-			for _, w := range moduleWindows(t, comm.Rank()) {
+			for _, w := range moduleWindows(t, comm.Rank(), 80) {
 				if err := svc.WriteAttribute("m/g0", w, "all", 0.5, 7); err != nil {
 					return err
 				}
