@@ -36,4 +36,14 @@ none 'a payload copy in a transport endpoint' 'append\(\[\]byte\(nil\)|bytes\.(C
 none 'a converting pack in the pane extractor' 'hdf\.(F64|F32|I32)Bytes\(' -path 'internal/roccom/ioset.go'
 none 'an encoded block buffer in internal/rocpanda or internal/rocman' 'EncodeIOSets\(' \
 	'(' -path 'internal/rocpanda/*' -o -path 'internal/rocman/*' ')'
+# One scheduler, no plug-ins: iosched's two admission rules are its two entry
+# points (Submit streams under OverBudget, RunBatch admits what fits or runs
+# alone), a crash is a Fatal result, and no single-caller switch comes back.
+hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -nE '\bPolicy\b|HoldSubmitter|Writeback\{\}|RestartRead\{\}' {} +)
+[ -z "$hits" ] || { echo "onepath: a pluggable admission policy:"; echo "$hits"; fail=1; }
+hits=$(find internal/iosched -name '*.go' -exec grep -nE \
+	'MaxWorkers|CtlCap|Policy|FlushClass|CloseStateOnExit|FatalPanic|OverlapExternal|TraceZeroSpans|recover\(\)' {} +)
+[ -z "$hits" ] || { echo "onepath: a removed iosched switch or a recover:"; echo "$hits"; fail=1; }
+one 'the streaming budget rule' '^func OverBudget\('
+one 'a queued-over-budget test (the body of OverBudget)' 'queued > [a-z.]*budget'
 exit $fail

@@ -20,22 +20,32 @@
 //   - Budget admission on completion signals. Config.Budget bounds the
 //     task bytes in flight. The gate never sleep-polls: a stalled
 //     submitter blocks on the control queue and is woken by the very
-//     completion that releases budget. How the gate is applied is the
-//     pluggable Policy — Writeback stalls the submitter after enqueueing
-//     (write-through degeneration at tiny budgets), RestartRead defers
-//     admission but always admits when the pool is idle (serial
-//     degeneration at tiny budgets). Because admission is per Engine
-//     instance, a restart-read instance is serviced immediately even while
-//     a drain instance is still emptying a previous generation's queue —
-//     cross-engine overlap, not just overlap within one engine.
+//     completion that releases budget. The two entry points are the two
+//     admission rules. Submit streams (drain engines): every task is
+//     enqueued, then the submitter is held while OverBudget — write-through
+//     degeneration at tiny budgets. RunBatch runs a bounded list (restart
+//     rounds): a task is admitted while it fits the budget or nothing is in
+//     flight — serial degeneration at tiny budgets. Because admission is
+//     per Engine instance, a restart-read instance is serviced immediately
+//     even while a drain instance is still emptying a previous generation's
+//     queue — cross-engine overlap, not just overlap within one engine.
 //
 //   - One metrics and trace surface. The Engine owns the
 //     iosched.<class>.{queue_depth,backpressure_waits,overlap_seconds,
-//     errors,busy_seconds,tasks} series and emits trace spans from one
-//     place — the registry is the only tally. An adapter that needs an
-//     event as it happens takes it from what the engine returns
-//     (SubmitInfo, Completion) or measures inside its Run closure; there
-//     are no observer hooks.
+//     errors,busy_seconds,tasks} series and hands the trace recorder one
+//     span per task Run, zero-width ones included (trace.Recorder keeps
+//     the spans with width) — the registry is the only tally.
+//     errors counts failed tasks; a failed worker-state Flush is the
+//     adapter's to count. overlap_seconds is task time outside a barrier;
+//     RunBatch runs under one, so batch overlap is what the consumer notes
+//     (NoteOverlap). An adapter that needs an event as it happens takes it
+//     from what the engine returns (SubmitInfo, Completion) or measures
+//     inside its Run closure; there are no observer hooks.
+//
+//   - Crashes are results. A task whose process dies at an injected crash
+//     point returns Result.Fatal: its worker reports the completion and
+//     exits, and the engine reports Crashed. A panic in Run is a bug and
+//     propagates.
 //
 // Concurrency contract: Submit, Flush, RunBatch and Close run on the
 // owning rank's goroutine; Run closures execute on the spawned workers.
@@ -85,8 +95,6 @@ type Task struct {
 	Key string
 	// Cost is the task's byte charge against Config.Budget.
 	Cost int64
-	// Meta is opaque adapter context echoed back in the Completion.
-	Meta interface{}
 	// Run does the work on a worker, with the worker's clock and
 	// filesystem (via TaskCtx) and the worker's private state.
 	Run func(tc rt.TaskCtx, st WorkerState) Result
@@ -119,8 +127,8 @@ type Completion struct {
 
 // WorkerState is a worker's private per-pool state (open file handles, a
 // block sink). Flush is the barrier hook: finish and close everything so
-// prior output is durable. Close tears the state down at worker exit when
-// Config.CloseStateOnExit is set.
+// prior output is durable. Close tears the state down at every worker exit,
+// crashed or not.
 type WorkerState interface {
 	Flush() error
 	Close() error
@@ -136,48 +144,23 @@ func (noState) Close() error { return nil }
 type Config struct {
 	// Name is the spawn name of the workers (shows in simulation traces).
 	Name string
-	// Workers is the pool width, clamped to [1, MaxWorkers].
+	// Workers is the pool width (at least 1).
 	Workers int
-	// MaxWorkers caps Workers; <= 0 means no cap.
-	MaxWorkers int
 	// Budget bounds the task bytes in flight; <= 0 is unbounded.
 	Budget int64
 	// QueueCap is each worker's job-queue capacity (>= 1).
 	QueueCap int
-	// CtlCap sizes the control queue; 0 derives a capacity large enough
-	// that no worker ever blocks reporting a completion.
-	CtlCap int
-	// Policy is the admission policy; nil defaults to Writeback.
-	Policy Policy
-	// FlushClass is the class flush-close errors account to.
-	FlushClass Class
 	// NewState builds a worker's private state; nil means stateless.
 	NewState func(wi int, tc rt.TaskCtx) WorkerState
-	// CloseStateOnExit closes the worker state on (non-panic) worker
-	// exit. Leave false when unflushed state must survive as staged
-	// output (the drain sink's crash semantics).
-	CloseStateOnExit bool
-	// FatalPanic classifies a Run panic as a worker death (true: the
-	// worker exits crashed, state unclosed) instead of a bug (false or
-	// nil: the panic propagates).
-	FatalPanic func(r interface{}) bool
-	// OverlapExternal disables the worker-side overlap accounting
-	// (Busy outside a barrier); the adapter then decides per completion
-	// and calls NoteOverlap — the restart read pool's "after first ship"
-	// rule.
-	OverlapExternal bool
 
 	// Metrics receives the unified iosched.<class>.* series; nil
 	// disables them.
 	Metrics *metrics.Registry
-	// Trace, TraceRank and TracePhase emit one span per task Run; a nil
-	// recorder disables them. TraceZeroSpans also records empty spans
-	// (t1 == t0), which the write class needs for span-per-block
-	// accounting.
-	Trace          traceRecorder
-	TraceRank      int
-	TracePhase     string
-	TraceZeroSpans bool
+	// Trace, TraceRank and TracePhase receive the task spans; a nil
+	// recorder disables them.
+	Trace      traceRecorder
+	TraceRank  int
+	TracePhase string
 }
 
 // traceRecorder is the slice of trace.Recorder the engine needs; an
@@ -206,61 +189,38 @@ type classMx struct {
 // Engine is one budgeted worker pool. See the package comment for the
 // concurrency contract.
 type Engine struct {
-	cfg    Config
-	clock  rt.Clock // the submitter's clock identity
-	nw     int
-	budget int64
-	policy Policy
-	jobs   []rt.Queue
-	ctl    rt.Queue
+	cfg   Config
+	clock rt.Clock // the submitter's clock identity
+	nw    int
+	jobs  []rt.Queue
+	ctl   rt.Queue
 
-	barrier atomic.Bool // a Flush is in progress (work then isn't overlap)
+	barrier atomic.Bool // a Flush or RunBatch is in progress (work then isn't overlap)
 	crashed atomic.Bool // a worker died (injected crash)
 	dead    atomic.Bool // pool closed: workers cancel instead of running
 
 	// Submitter-goroutine-only state.
-	queued      int64
-	depth       int
-	classDepth  [numClasses]int
-	rr          int // round-robin cursor for unkeyed tasks
-	lastStalled int // RunBatch: index of the last wait-counted task
-	exited      int
-	closed      bool
-	mx          [numClasses]classMx
+	queued     int64
+	depth      int
+	classDepth [numClasses]int
+	rr         int // round-robin cursor for unkeyed tasks
+	exited     int
+	closed     bool
+	mx         [numClasses]classMx
 }
 
 // New builds the pool and spawns its workers.
 func New(ctx mpi.Ctx, cfg Config) *Engine {
-	nw := cfg.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	if cfg.MaxWorkers > 0 && nw > cfg.MaxWorkers {
-		nw = cfg.MaxWorkers
-	}
-	qcap := cfg.QueueCap
-	if qcap < 1 {
-		qcap = 1
-	}
-	ctlCap := cfg.CtlCap
-	if ctlCap <= 0 {
+	nw := max(cfg.Workers, 1)
+	qcap := max(cfg.QueueCap, 1)
+	e := &Engine{
+		cfg:   cfg,
+		clock: ctx.Clock(),
+		nw:    nw,
 		// One slot per possibly-outstanding task plus every ack and exit:
 		// a worker never blocks reporting, so a stalled or absent
 		// submitter can never wedge the pool.
-		ctlCap = nw*qcap + 2*nw + 4
-	}
-	pol := cfg.Policy
-	if pol == nil {
-		pol = Writeback{}
-	}
-	e := &Engine{
-		cfg:         cfg,
-		clock:       ctx.Clock(),
-		nw:          nw,
-		budget:      cfg.Budget,
-		policy:      pol,
-		ctl:         ctx.NewQueue(ctlCap),
-		lastStalled: -1,
+		ctl: ctx.NewQueue(nw*qcap + 2*nw + 4),
 	}
 	for c := Class(0); c < numClasses; c++ {
 		e.mx[c] = newClassMx(cfg.Metrics, c)
@@ -292,14 +252,11 @@ func newClassMx(r *metrics.Registry, c Class) classMx {
 	}
 }
 
-// Workers returns the clamped pool width.
-func (e *Engine) Workers() int { return e.nw }
-
 // Crashed reports whether a worker died to an injected crash.
 func (e *Engine) Crashed() bool { return e.crashed.Load() }
 
-// NoteOverlap records class overlap decided by the adapter (only
-// meaningful with Config.OverlapExternal). Submitter goroutine.
+// NoteOverlap records class overlap decided by the adapter: a batch's,
+// which the workers never count themselves. Submitter goroutine.
 func (e *Engine) NoteOverlap(c Class, seconds float64) {
 	e.mx[c].overlap.Observe(seconds)
 }
@@ -340,31 +297,38 @@ func (e *Engine) reapReady() {
 // SubmitInfo reports a Submit's admission accounting to the adapter.
 type SubmitInfo struct {
 	Queued int64 // bytes in flight after this submit
-	Depth  int   // tasks in flight after this submit
 	Waited bool  // the submitter was held for budget
+}
+
+// OverBudget is the streaming admission rule: a submitter whose queue
+// holds queued bytes (the newest block included) is held while this is
+// true. The data is already buffered, so refusing a block would buy
+// nothing; holding its submitter degenerates to write-through at tiny
+// budgets. A budget <= 0 is unbounded.
+func OverBudget(queued, budget int64) bool {
+	return budget > 0 && queued > budget
 }
 
 // Submit dispatches one task in streaming mode (drain engines): the task
 // is always enqueued, then the submitter is held on completion signals
-// while the policy says the queue is over budget. Ready completions are
-// reaped (without blocking) first, so depth and byte accounting track the
-// workers' progress at every submit point. Submitter goroutine.
+// while the queue is OverBudget. Ready completions are reaped (without
+// blocking) first, so depth and byte accounting track the workers'
+// progress at every submit point. Submitter goroutine.
 func (e *Engine) Submit(t *Task) SubmitInfo {
 	e.reapReady()
 	e.queued += t.Cost
 	e.depth++
 	e.classDepth[t.Class]++
 	e.mx[t.Class].depth.SetMax(float64(e.classDepth[t.Class]))
-	info := SubmitInfo{Queued: e.queued, Depth: e.depth}
+	info := SubmitInfo{Queued: e.queued}
 	// Whether this submit overruns the budget is decided here, before the
 	// workers can race the check: the wait accounting stays deterministic.
-	hold := e.policy.HoldSubmitter(e.queued, e.budget)
-	if hold {
+	if OverBudget(e.queued, e.cfg.Budget) {
 		info.Waited = true
 		e.mx[t.Class].waits.Inc()
 	}
 	e.jobs[e.route(t)].Put(e.clock, t)
-	for hold && e.queued > e.budget && !e.crashed.Load() {
+	for OverBudget(e.queued, e.cfg.Budget) && !e.crashed.Load() {
 		v, ok := e.ctl.Get(e.clock)
 		if !ok {
 			break
@@ -419,16 +383,22 @@ func (e *Engine) Flush() error {
 
 // RunBatch executes a bounded task list (restart read rounds): admission
 // interleaves with consumption, and every non-cancelled completion is
-// handed to onDone on the submitter goroutine. Admission always wins while
-// the policy allows it, so the queues stay full and the workers never
-// starve; a deferred task blocks the loop on one completion signal, which
-// both releases budget and lets earlier results ship while later work is
-// still on disk. Returns early if a worker crashed. Submitter goroutine.
+// handed to onDone on the submitter goroutine. A task is admitted while it
+// fits the budget or nothing is in flight — an idle pool always admits, so
+// a single over-budget task still runs, and tiny budgets degenerate to
+// serial. Admission always wins while it may, so the queues stay full and
+// the workers never starve; a deferred task blocks the loop on one
+// completion signal, which both releases budget and lets earlier results
+// ship while later work is still on disk. The batch runs under the
+// barrier: its overlap is what onDone notes (NoteOverlap). Returns early,
+// the barrier still up, if a worker crashed. Submitter goroutine.
 func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
+	e.barrier.Store(true)
+	stalled := -1 // index of the last wait-counted task
 	for next := 0; next < len(tasks) || e.depth > 0; {
 		if next < len(tasks) {
 			t := tasks[next]
-			if e.policy.Admit(e.queued, e.budget, e.depth, t.Cost) {
+			if e.cfg.Budget <= 0 || e.queued+t.Cost <= e.cfg.Budget || e.depth == 0 {
 				e.jobs[e.route(t)].Put(e.clock, t)
 				e.queued += t.Cost
 				e.depth++
@@ -439,8 +409,8 @@ func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
 			}
 			// Count the wait once per task, however many completions it
 			// takes to fit.
-			if e.lastStalled != next {
-				e.lastStalled = next
+			if stalled != next {
+				stalled = next
 				e.mx[t.Class].waits.Inc()
 			}
 		}
@@ -461,6 +431,7 @@ func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
 			return
 		}
 	}
+	e.barrier.Store(false)
 }
 
 // Close tears the pool down: closes the job queues, drains the control
@@ -512,18 +483,7 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 	}
 	var sticky error
 	defer func() {
-		if r := recover(); r != nil {
-			if e.cfg.FatalPanic == nil || !e.cfg.FatalPanic(r) {
-				panic(r)
-			}
-			// An injected crash point fired mid-Run: the owning process is
-			// dead. Flag it so the submitter stops too, and leave the
-			// state unclosed (staged temporaries), as a real process death
-			// would.
-			e.crashed.Store(true)
-		} else if e.cfg.CloseStateOnExit {
-			st.Close()
-		}
+		st.Close()
 		e.ctl.Put(tc.Clock(), workerExit{})
 	}()
 	for {
@@ -533,11 +493,8 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 		}
 		switch t := v.(type) {
 		case flushToken:
-			if err := st.Flush(); err != nil {
-				if sticky == nil {
-					sticky = err
-				}
-				e.mx[e.cfg.FlushClass].errors.Inc()
+			if err := st.Flush(); err != nil && sticky == nil {
+				sticky = err
 			}
 			e.ctl.Put(tc.Clock(), flushAck{err: sticky})
 		case *Task:
@@ -546,12 +503,12 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 				continue
 			}
 			t0 := tc.Clock().Now()
-			res := t.Run(tc, st) // a FatalPanic in here exits via the defer
+			res := t.Run(tc, st)
 			t1 := tc.Clock().Now()
 			cl := t.Class
 			e.mx[cl].busy.Observe(t1 - t0)
 			e.mx[cl].tasks.Inc()
-			if !e.cfg.OverlapExternal && !e.barrier.Load() {
+			if !e.barrier.Load() {
 				// Done while the submitter was free to serve requests:
 				// this is the overlap the paper claims.
 				e.mx[cl].overlap.Observe(t1 - t0)
@@ -562,7 +519,7 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 					sticky = res.Err
 				}
 			}
-			if e.cfg.Trace != nil && (e.cfg.TraceZeroSpans || t1 > t0) {
+			if e.cfg.Trace != nil {
 				e.cfg.Trace.Record(e.cfg.TraceRank, e.cfg.TracePhase, t0, t1)
 			}
 			e.ctl.Put(tc.Clock(), Completion{Task: t, Result: res, T0: t0, T1: t1})

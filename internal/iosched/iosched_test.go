@@ -72,7 +72,7 @@ func newTestEngine(t *testing.T, cfg Config) (*Engine, *testClock) {
 }
 
 // TestBackpressureBlocksWithoutSleeping is the satellite regression test:
-// a one-byte Writeback budget stalls every submit behind the writer, and
+// a one-byte streaming budget stalls every submit behind the writer, and
 // the stall must block on completion signals — zero Sleep calls anywhere,
 // on the submitter or the workers — while still counting the waits.
 func TestBackpressureBlocksWithoutSleeping(t *testing.T) {
@@ -82,7 +82,6 @@ func TestBackpressureBlocksWithoutSleeping(t *testing.T) {
 		Workers:  2,
 		Budget:   1,
 		QueueCap: 64,
-		Policy:   Writeback{},
 		Metrics:  reg,
 	})
 	var done int
@@ -134,7 +133,6 @@ func TestKeyedOrdering(t *testing.T) {
 		Name:     "test-order",
 		Workers:  8,
 		QueueCap: 256,
-		Policy:   Writeback{},
 	})
 	var mu sync.Mutex
 	got := make(map[string][]int)
@@ -174,7 +172,7 @@ func TestKeyedOrdering(t *testing.T) {
 	}
 }
 
-// TestRestartReadAdmission checks the batch policy's two degenerate modes:
+// TestRestartReadAdmission checks the batch admission rule's two degenerate modes:
 // unbounded budget floods the pool (peak depth = batch size, no waits),
 // and a tiny budget degenerates to serial admission (peak depth 1, every
 // deferred task counted once).
@@ -186,7 +184,6 @@ func TestRestartReadAdmission(t *testing.T) {
 			Workers:  4,
 			Budget:   budget,
 			QueueCap: 16,
-			Policy:   RestartRead{},
 			Metrics:  reg,
 		})
 		var tasks []*Task
@@ -218,11 +215,7 @@ func TestRoundRobinDealing(t *testing.T) {
 		Name:     "test-rr",
 		Workers:  nw,
 		QueueCap: 64,
-		Policy:   Writeback{},
 	})
-	if eng.Workers() != nw {
-		t.Fatalf("workers = %d, want %d", eng.Workers(), nw)
-	}
 	for i := 0; i < 4*nw; i++ {
 		want := i % nw
 		if got := eng.route(&Task{}); got != want {
@@ -242,7 +235,6 @@ func TestFlushErrorSticky(t *testing.T) {
 		Name:     "test-err",
 		Workers:  1,
 		QueueCap: 8,
-		Policy:   Writeback{},
 		Metrics:  reg,
 	})
 	eng.Submit(&Task{Class: ClassWrite, Cost: 1, Run: func(rt.TaskCtx, WorkerState) Result {
@@ -272,7 +264,6 @@ func TestFatalResultStopsPool(t *testing.T) {
 		Name:     "test-fatal",
 		Workers:  1,
 		QueueCap: 8,
-		Policy:   Writeback{},
 		Metrics:  reg,
 	})
 	eng.Submit(&Task{Class: ClassWrite, Cost: 1, Run: func(rt.TaskCtx, WorkerState) Result {
@@ -288,6 +279,24 @@ func TestFatalResultStopsPool(t *testing.T) {
 	if got := reg.Snapshot().Counters["iosched.write.tasks"]; got != 1 {
 		t.Fatalf("the fatal task's completion was lost: iosched.write.tasks = %d, want 1", got)
 	}
+
+	// A batch sized as the read pool sizes one: round-robin queues of
+	// n/nw+2 and the derived control queue. A crash mid-batch leaves the
+	// dead worker's queue unread, and neither RunBatch nor Close may wedge.
+	const n, nw = 200, 3
+	eng, _ = newTestEngine(t, Config{Name: "test-fatal-batch", Workers: nw, QueueCap: n/nw + 2})
+	var tasks []*Task
+	for i := 0; i < n; i++ {
+		fatal := i == n/2
+		tasks = append(tasks, &Task{Class: ClassRead, Cost: 1, Run: func(rt.TaskCtx, WorkerState) Result {
+			return Result{Fatal: fatal}
+		}})
+	}
+	eng.RunBatch(tasks, nil)
+	if !eng.Crashed() {
+		t.Fatal("batch engine did not report the crash")
+	}
+	eng.Close()
 }
 
 // TestWorkerStateFlush checks that a barrier flushes every worker's
@@ -299,7 +308,6 @@ func TestWorkerStateFlush(t *testing.T) {
 		Name:     "test-state",
 		Workers:  3,
 		QueueCap: 8,
-		Policy:   Writeback{},
 		NewState: func(wi int, tc rt.TaskCtx) WorkerState {
 			return &countingState{mu: &mu, flushes: &flushes}
 		},
@@ -338,7 +346,6 @@ func TestUnifiedMetricNames(t *testing.T) {
 		Name:     "test-names",
 		Workers:  1,
 		QueueCap: 8,
-		Policy:   Writeback{},
 		Metrics:  reg,
 	})
 	eng.Submit(&Task{Class: ClassWrite, Cost: 1, Run: func(rt.TaskCtx, WorkerState) Result { return Result{} }})

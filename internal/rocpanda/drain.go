@@ -17,24 +17,19 @@ import (
 	"genxio/internal/snapshot"
 )
 
-const (
-	// maxDrainWriters caps Config.DrainWriters.
-	maxDrainWriters = 8
-	// maxReadWorkers caps Config.ReadWorkers.
-	maxReadWorkers = snapshot.MaxReadWorkers
-	// defaultReadWorkers is used when ParallelRead is on and ReadWorkers
-	// is unset.
-	defaultReadWorkers = 4
-)
+// defaultReadWorkers is used when ParallelRead is on and ReadWorkers is
+// unset.
+const defaultReadWorkers = 4
 
 // newWriter builds the server's write service. This is the one place the
 // driver is chosen — the only non-test read of cfg.AsyncDrain outside
 // Validate: off (or without active buffering) the inline driver, the
-// paper-faithful zero-worker case; on, a pool of DrainWriters writers.
+// paper-faithful zero-worker case; on, a pool of DrainWriters writers (the
+// service caps it at snapshot.MaxWorkers).
 func (s *server) newWriter() *snapshot.Writer {
 	workers := 0
 	if s.cfg.AsyncDrain {
-		workers = min(max(s.cfg.DrainWriters, 1), maxDrainWriters)
+		workers = max(s.cfg.DrainWriters, 1)
 	}
 	return snapshot.NewWriter(s.ctx, snapshot.WriterConfig{
 		Profile:  s.cfg.Profile,
@@ -65,7 +60,7 @@ func (s *server) newReader() *snapshot.Reader {
 	if s.cfg.ParallelRead {
 		workers = defaultReadWorkers
 		if s.cfg.ReadWorkers > 0 {
-			workers = min(s.cfg.ReadWorkers, maxReadWorkers)
+			workers = s.cfg.ReadWorkers
 		}
 	}
 	return snapshot.NewReader(s.ctx, snapshot.ReaderConfig{

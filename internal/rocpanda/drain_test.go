@@ -153,6 +153,12 @@ func TestWriteDriversAreOneMachine(t *testing.T) {
 		{name: "mid-drain-crash", gens: 2, failing: 2, want: nil, wantThrough: []int{1},
 			tune:  func(cfg *Config) { cfg.RetryTimeout = 0.2 },
 			crash: func() *faults.CrashPlan { return faults.NewCrashPlan(1, faults.MidDrain, 5) }},
+		// Server 1 dies creating its file of generation 1, before the
+		// file's _meta dataset: inside the sink, on whichever process runs
+		// the step. The fallback is mid-drain-crash's.
+		{name: "before-meta-crash", gens: 2, failing: 2, want: nil, wantThrough: []int{1},
+			tune:  func(cfg *Config) { cfg.RetryTimeout = 0.2 },
+			crash: func() *faults.CrashPlan { return faults.NewCrashPlan(1, faults.BeforeMeta, 2) }},
 	}
 	same := []string{
 		"rocpanda.server.blocks_written", "rocpanda.server.bytes_written",

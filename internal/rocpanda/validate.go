@@ -3,6 +3,8 @@ package rocpanda
 import (
 	"errors"
 	"fmt"
+
+	"genxio/internal/snapshot"
 )
 
 // Sentinel errors for incompatible Config combinations; callers match them
@@ -49,14 +51,14 @@ func (c *Config) Validate() error {
 	if c.AsyncDrain && !c.ActiveBuffering {
 		return ErrAsyncDrainNeedsBuffering
 	}
-	if c.DrainWriters < 0 || c.DrainWriters > maxDrainWriters {
-		return &ConfigRangeError{Field: "DrainWriters", Value: int64(c.DrainWriters), Min: 0, Max: maxDrainWriters}
+	if c.DrainWriters < 0 || c.DrainWriters > snapshot.MaxWorkers {
+		return &ConfigRangeError{Field: "DrainWriters", Value: int64(c.DrainWriters), Min: 0, Max: snapshot.MaxWorkers}
 	}
 	if c.BufferBudgetBytes < 0 {
 		return &ConfigRangeError{Field: "BufferBudgetBytes", Value: c.BufferBudgetBytes, Min: 0, Max: -1}
 	}
-	if c.ReadWorkers < 0 || c.ReadWorkers > maxReadWorkers {
-		return &ConfigRangeError{Field: "ReadWorkers", Value: int64(c.ReadWorkers), Min: 0, Max: maxReadWorkers}
+	if c.ReadWorkers < 0 || c.ReadWorkers > snapshot.MaxWorkers {
+		return &ConfigRangeError{Field: "ReadWorkers", Value: int64(c.ReadWorkers), Min: 0, Max: snapshot.MaxWorkers}
 	}
 	if c.ReadBudgetBytes < 0 {
 		return &ConfigRangeError{Field: "ReadBudgetBytes", Value: c.ReadBudgetBytes, Min: 0, Max: -1}

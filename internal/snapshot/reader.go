@@ -53,9 +53,10 @@ package snapshot
 // delivery of file N. Coalesced runs split into readChunkBytes chunks, so
 // even a single large file spreads across the pool — on the simulated NFS
 // platforms each worker has its own stream-read pacing, which is where the
-// restart speedup comes from. ReaderConfig.Budget is the scheduler budget
-// under the RestartRead policy: a task that would overrun it is deferred
-// until outstanding reads complete, but an idle pool always admits.
+// restart speedup comes from. ReaderConfig.Budget is the batch's scheduler
+// budget: a task that would overrun it is deferred until outstanding reads
+// complete, but an idle pool always admits. Read overlap is disk time after
+// the round's first delivery, which the owner notes per completion.
 //
 // Ordering and dedupe: within one file, panes are delivered in plan order
 // under both drivers; across files the pool's completion order may differ,
@@ -84,8 +85,9 @@ import (
 )
 
 const (
-	// MaxReadWorkers caps ReaderConfig.Workers.
-	MaxReadWorkers = 8
+	// MaxWorkers caps the pool width of both services: WriterConfig.Workers
+	// and ReaderConfig.Workers.
+	MaxWorkers = 8
 	// readChunkBytes splits coalesced runs into pool-sized chunks.
 	readChunkBytes = 512 << 10
 )
@@ -112,7 +114,7 @@ const (
 // ReaderConfig is what differs between the placements of a Reader.
 type ReaderConfig struct {
 	// Workers > 0 selects the pool driver of that width, at most
-	// MaxReadWorkers; Budget then bounds the read bytes in flight (0:
+	// MaxWorkers; Budget then bounds the read bytes in flight (0:
 	// unbounded).
 	Workers int
 	Budget  int64
@@ -479,9 +481,7 @@ func (e *readRound) runInline(it readItem, retry bool) *readFile {
 		t0 := clock.Now()
 		res := t.Run(rd.ctx, h)
 		t1 := clock.Now()
-		if t1 > t0 {
-			rd.cfg.Trace.Record(rd.cfg.TraceRank, trace.PhaseRead, t0, t1)
-		}
+		rd.cfg.Trace.Record(rd.cfg.TraceRank, trace.PhaseRead, t0, t1)
 		e.consume(iosched.Completion{Task: t, Result: res, T0: t0, T1: t1})
 	}
 	h.Close()
@@ -502,36 +502,31 @@ func (e *readRound) runPool(items []readItem) {
 		_, ts := e.newFile(it, true)
 		tasks = append(tasks, ts...)
 	}
-	nw := min(cfg.Workers, MaxReadWorkers)
+	nw := min(cfg.Workers, MaxWorkers)
 	eng := iosched.New(e.rd.ctx, iosched.Config{
-		Name:       "snapshot-read",
-		Workers:    nw,
-		MaxWorkers: MaxReadWorkers,
-		Budget:     cfg.Budget,
-		// Queues are sized so no Put ever blocks: the scheduler deals
-		// unkeyed tasks round-robin by index, and the control queue holds
-		// one completion per task plus every exit. A crashed worker that
-		// abandons its queue can then never wedge the owner mid-Put.
+		Name:    "snapshot-read",
+		Workers: nw,
+		Budget:  cfg.Budget,
+		// Job queues are sized so no Put ever blocks: the scheduler deals
+		// unkeyed tasks round-robin by index (and its control queue holds
+		// every job queue's worth of completions plus every exit). A crashed
+		// worker that abandons its queue can then never wedge the owner
+		// mid-Put.
 		QueueCap: len(tasks)/nw + 2,
-		CtlCap:   len(tasks) + nw + 4,
-		Policy:   iosched.RestartRead{},
 		NewState: func(wi int, tc rt.TaskCtx) iosched.WorkerState {
 			return &readHandles{m: make(map[string]rt.File)}
 		},
-		CloseStateOnExit: true,
-		Metrics:          cfg.Metrics,
-		Trace:            cfg.Trace,
-		TraceRank:        cfg.TraceRank,
-		TracePhase:       trace.PhaseRead,
-		// Read overlap is not barrier-relative: it is disk time after the
-		// round's first delivery, decided per completion below.
-		OverlapExternal: true,
+		Metrics:    cfg.Metrics,
+		Trace:      cfg.Trace,
+		TraceRank:  cfg.TraceRank,
+		TracePhase: trace.PhaseRead,
 	})
 	defer eng.Close()
 	eng.RunBatch(tasks, func(c iosched.Completion) {
 		if dt := c.T1 - c.T0; dt > 0 && e.delivered {
 			// Disk time spent after this round's first pane left: reads of
-			// later files overlapped earlier files' deliveries.
+			// later files overlapped earlier files' deliveries. The batch
+			// runs under the barrier, so this is its only overlap.
 			eng.NoteOverlap(c.Task.Class, dt)
 		}
 		if f := e.consume(c); f != nil && !f.delivered {

@@ -20,10 +20,11 @@ package snapshot
 // nor the module.
 //
 // The budget rule, stated once: WriterConfig.Budget bounds the queued bytes
-// under the iosched.Writeback policy. A Submit that leaves the queue over
-// budget holds the submitter — delaying a Rocpanda client's ack — until
-// steps bring it back under; 0 is unbounded, and a budget smaller than any
-// block degenerates to write-through timing under either driver.
+// by iosched.OverBudget, the scheduler's streaming rule. A Submit that
+// leaves the queue over budget holds the submitter — delaying a Rocpanda
+// client's ack — until steps bring it back under; 0 is unbounded, and a
+// budget smaller than any block degenerates to write-through timing under
+// either driver.
 //
 // The inline driver (Workers 0) is the paper-faithful, zero-worker case: the
 // queue lives on the owner, which runs one step per empty Iprobe (a Rocpanda
@@ -50,9 +51,9 @@ package snapshot
 // byte-identical under both.
 //
 // Faults: MidBuffer fires on the owner after a buffered block is queued
-// (never under write-through). MidDrain fires after a block lands — on the
-// owner inline, as a fatal task result on a pool writer — and BeforeMeta
-// inside the sink, on whichever process runs the step; a dying writer takes
+// (never under write-through). MidDrain fires after a block lands and
+// BeforeMeta inside the sink, on whichever process runs the step — on the
+// owner inline, as a fatal task result on a pool writer; a dying writer takes
 // the owning process with it (Crashed), its files left as staged
 // temporaries. A failed write or close never panics: the first error sticks
 // (ErrorSeries counts every one), Flush reports it from then on, and the
@@ -103,9 +104,9 @@ type WriterConfig struct {
 
 	// Buffering is the paper's active buffering; off, every Submit is held
 	// until its block is on disk. Workers > 0 selects the pool driver of
-	// that width (Buffering only). MemcpyBW is the buffer-copy bandwidth
-	// (bytes/s) charged per buffered block on simulated platforms; Budget
-	// bounds the queued bytes (0: unbounded).
+	// that width, at most MaxWorkers (Buffering only). MemcpyBW is the
+	// buffer-copy bandwidth (bytes/s) charged per buffered block on
+	// simulated platforms; Budget bounds the queued bytes (0: unbounded).
 	Buffering bool
 	Workers   int
 	MemcpyBW  float64
@@ -181,25 +182,17 @@ func NewWriter(ctx mpi.Ctx, cfg WriterConfig) *Writer {
 		return w
 	}
 	w.eng = iosched.New(ctx, iosched.Config{
-		Name:       "snapshot-write",
-		Workers:    cfg.Workers,
-		Budget:     cfg.Budget,
-		QueueCap:   writerQueueCap,
-		Policy:     iosched.Writeback{},
-		FlushClass: iosched.ClassWrite,
+		Name:     "snapshot-write",
+		Workers:  min(cfg.Workers, MaxWorkers),
+		Budget:   cfg.Budget,
+		QueueCap: writerQueueCap,
 		NewState: func(wi int, tc rt.TaskCtx) iosched.WorkerState {
 			return newBlockSink(w, tc.Clock(), tc.FS())
 		},
-		// An injected crash point (BeforeMeta inside the sink) panics with
-		// Crashed; the worker dies with its files unclosed.
-		FatalPanic: func(r interface{}) bool { _, died := r.(Crashed); return died },
 		Metrics:    cfg.Metrics,
 		Trace:      cfg.Trace,
 		TraceRank:  cfg.TraceRank,
 		TracePhase: trace.PhaseDrain,
-		// The drain timeline records every block span, including
-		// zero-width ones on the virtual platforms.
-		TraceZeroSpans: true,
 	})
 	return w
 }
@@ -233,7 +226,17 @@ func (w *Writer) Submit(blk Block) {
 			Class: iosched.ClassWrite,
 			Key:   blk.File,
 			Cost:  blk.Bytes,
-			Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
+			Run: func(tc rt.TaskCtx, st iosched.WorkerState) (res iosched.Result) {
+				// The BeforeMeta crash point inside the sink panics with
+				// Crashed; the writer dies there, its files unclosed.
+				defer func() {
+					if r := recover(); r != nil {
+						if _, died := r.(Crashed); !died {
+							panic(r)
+						}
+						res = iosched.Result{Fatal: true}
+					}
+				}()
 				err := w.land(st.(*blockSink), blk)
 				if err != nil {
 					w.mx.errors.Inc()
@@ -256,7 +259,7 @@ func (w *Writer) Submit(blk Block) {
 		return
 	}
 	w.crashAt(faults.MidBuffer)
-	for w.Pending() && (iosched.Writeback{}).HoldSubmitter(w.queued, w.cfg.Budget) {
+	for w.Pending() && iosched.OverBudget(w.queued, w.cfg.Budget) {
 		w.mx.overflowStalls.Inc()
 		w.Step()
 	}
@@ -390,8 +393,8 @@ func (k *blockSink) Flush() error {
 	return err
 }
 
-// Close implements iosched.WorkerState (never called: the pool keeps state
-// unclosed on exit, see iosched.Config.CloseStateOnExit).
+// Close implements iosched.WorkerState. It closes nothing: files still open
+// when a writer exits belong to a dead process and stay staged.
 func (k *blockSink) Close() error { return nil }
 
 // write appends one block's datasets to the snapshot file, opening it
