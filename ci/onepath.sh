@@ -24,6 +24,17 @@ none 'a dataset-at-a-time read in the restart reader' '\.Lookup\(|\.ReadData\(' 
 hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -nE 'ClassScan|func scanFile' {} +)
 [ -z "$hits" ] || { echo "onepath: a scan class or a second file reader:"; echo "$hits"; fail=1; }
 one 'a catalog made from directories (the caller of AddFile)' '\.AddFile\('
+# Commit from what the writers know: a directory is validated by one gate,
+# whether read off the file (loadDir) or reported by its writer
+# (Published.Decode), and the commit reads a directory off the filesystem
+# only in deriveCatalog's fallback for a file no writer reported.
+one 'a directory validation gate' '^func checkDir\('
+one 'a dataset-extent check (the body of checkDir)' 'outside data region'
+n=$(src -path 'internal/hdf/*' | xargs grep -hE '[^ ]+ = checkDir\(' | wc -l)
+[ "$n" -eq 2 ] || { echo "onepath: $n callers of checkDir, want 2 (loadDir and Published.Decode)"; fail=1; }
+none 'ScanDir on the commit path' 'ScanDir\(' '(' -path 'internal/snapshot/commit.go' -o -path 'internal/snapshot/manifest.go' ')'
+n=$(grep -cE 'ScanDir\(' internal/snapshot/index.go)
+[ "$n" -eq 1 ] || { echo "onepath: $n ScanDir calls in index.go, want 1 (deriveCatalog's fallback)"; fail=1; }
 one 'verify-and-inflate (the caller of InflateStored)' '^[^f].*InflateStored\('
 none 'iosched.New outside internal/snapshot' 'iosched\.New\(' ! -path 'internal/snapshot/*'
 none 'RHDF writes in internal/rochdf or internal/rocpanda' 'hdf\.(Create|OpenAppend)\(|\.CreateDataset\(' \

@@ -5,8 +5,10 @@ package hdf
 // and payload damage must surface as ErrChecksum.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"genxio/internal/metrics"
@@ -133,10 +135,11 @@ func TestCorruptHeaderRejected(t *testing.T) {
 	}
 }
 
-// TestScanDirRejectsBadExtents: ScanDir feeds the snapshot commit — its
-// extents become the catalog's, whose run lengths size restart buffers — so
-// it must refuse what Open refuses: an extent outside the data region, a
-// negative dimension.
+// TestScanDirRejectsBadExtents: ScanDir and a writer's report
+// (Published.Decode) feed the snapshot commit — their extents become the
+// catalog's, whose run lengths size restart buffers — so both must refuse
+// what Open refuses: an extent outside the data region, a negative
+// dimension, a count the header does not state.
 func TestScanDirRejectsBadExtents(t *testing.T) {
 	valid := validFileBytes(t)
 	dirOff := binary.LittleEndian.Uint64(valid[8:])
@@ -168,10 +171,99 @@ func TestScanDirRejectsBadExtents(t *testing.T) {
 				t.Fatalf("ScanDir accepted dataset %q at [%d,+%d) dims %v in a %d-byte file",
 					sets[0].Name, off, length, sets[0].Dims, len(b))
 			}
+			report := Published{Name: "m.rhdf", Size: int64(len(b)), Count: 2, Dir: b[dirOff:]}
+			if _, _, _, err := report.Decode(); err == nil {
+				t.Fatal("a report of the same directory decoded")
+			}
 		})
 	}
 	if _, _, _, err := ScanDir(rt.NewMemFS(), "absent.rhdf"); !errors.Is(err, rt.ErrNotExist) {
 		t.Fatalf("ScanDir of a missing file = %v, want rt.ErrNotExist", err)
+	}
+
+	// The undamaged report decodes to exactly what ScanDir reads; a report
+	// that misstates the count or the size does not decode.
+	report := Published{Name: "v.rhdf", Size: int64(len(valid)), Count: 2, Dir: valid[dirOff:]}
+	fsys := rt.NewMemFS()
+	f, _ := fsys.Create("v.rhdf")
+	f.WriteAt(valid, 0)
+	f.Close()
+	size, crc, sets, err := ScanDir(fsys, "v.rhdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSize, gotCRC, gotSets, err := report.Decode()
+	if err != nil || gotSize != size || gotCRC != crc || !reflect.DeepEqual(gotSets, sets) {
+		t.Fatalf("report decoded to %d bytes, crc %08x, %v (%v); ScanDir read %d, %08x, %v", gotSize, gotCRC, gotSets, err, size, crc, sets)
+	}
+	for name, bad := range map[string]Published{
+		"count":          {Name: "v.rhdf", Size: report.Size, Count: 3, Dir: report.Dir},
+		"size":           {Name: "v.rhdf", Size: report.Size - 8, Count: 2, Dir: report.Dir},
+		"no data region": {Name: "v.rhdf", Size: int64(len(report.Dir)), Count: 2, Dir: report.Dir},
+	} {
+		if _, _, _, err := bad.Decode(); err == nil {
+			t.Errorf("a report with a wrong %s decoded", name)
+		}
+	}
+}
+
+// TestWriterReportsWhatItPublished: Publish returns what Close put on disk —
+// the name, the size and the directory bytes — for a created file and for
+// an append, so a report decodes to what ScanDir reads back.
+func TestWriterReportsWhatItPublished(t *testing.T) {
+	fsys, clock := newFile(t)
+	for i, open := range []func() (*Writer, error){
+		func() (*Writer, error) { return Create(fsys, "p.rhdf", clock, NullProfile()) },
+		func() (*Writer, error) { return OpenAppend(fsys, "p.rhdf", clock, NullProfile()) },
+	} {
+		w, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.CreateDataset(string(rune('a'+i)), F64, []int64{2}, nil, F64Bytes([]float64{1, 2})); err != nil {
+			t.Fatal(err)
+		}
+		p, err := w.Publish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, crc, sets, err := ScanDir(fsys, "p.rhdf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSize, gotCRC, gotSets, err := p.Decode()
+		if err != nil || p.Name != "p.rhdf" || p.Count != i+1 || gotSize != size || gotCRC != crc || !reflect.DeepEqual(gotSets, sets) {
+			t.Fatalf("publish %d reported %+v (%v), the file reads %d bytes, crc %08x, %d sets", i, p, err, size, crc, len(sets))
+		}
+		if again, err := w.Publish(); err != nil || again.Name != "" {
+			t.Fatalf("a second Publish reported %+v, %v", again, err)
+		}
+	}
+}
+
+// TestPublishedWireRoundTrip: reports survive their wire form, directories
+// decoded by alias, and damage is an error.
+func TestPublishedWireRoundTrip(t *testing.T) {
+	in := []Published{
+		{Name: "a_s000.rhdf", Size: 100, Count: 1, Dir: []byte{1, 2, 3}},
+		{Name: "a_s001r1.rhdf", Size: 1 << 33, Count: 7, Dir: nil},
+	}
+	enc := bytes.Join(PublishedSegments(in), nil)
+	out, err := DecodePublished(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 || out[0].Name != in[0].Name || out[1].Size != in[1].Size || out[1].Count != 7 ||
+		string(out[0].Dir) != string(in[0].Dir) || len(out[1].Dir) != 0 {
+		t.Fatalf("round trip gave %+v", out)
+	}
+	if cap(out[0].Dir) != len(out[0].Dir) || &out[0].Dir[0] != &enc[4+2+len(in[0].Name)+16] {
+		t.Fatal("a decoded directory is not a capacity-capped alias of the message")
+	}
+	for _, bad := range [][]byte{enc[:len(enc)-1], append(enc[:len(enc):len(enc)], 0), {0xff, 0xff, 0xff, 0xff}} {
+		if _, err := DecodePublished(bad); err == nil {
+			t.Errorf("DecodePublished accepted %x", bad)
+		}
 	}
 }
 

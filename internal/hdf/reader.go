@@ -52,11 +52,8 @@ func newReader(f rt.File, clock rt.Clock, cost CostProfile) (*Reader, error) {
 	return r, nil
 }
 
-// loadDir reads and validates an open file's header and directory — the one
-// gate between directory bytes and anything that trusts them (a Reader's
-// payload reads, a committed catalog's extents): the dataset count must
-// match the header, and every extent must sit inside the data region with
-// no negative dimension.
+// loadDir reads an open file's header and directory and passes them through
+// checkDir.
 func loadDir(f rt.File) (size int64, dir []byte, sets []*Dataset, err error) {
 	if size, err = f.Size(); err != nil {
 		return 0, nil, nil, err
@@ -69,25 +66,43 @@ func loadDir(f rt.File) (size int64, dir []byte, sets []*Dataset, err error) {
 	if _, err := f.ReadAt(dir, dirOff); err != nil {
 		return 0, nil, nil, fmt.Errorf("hdf: reading directory of %s: %w", f.Name(), err)
 	}
-	sets, err = decodeDir(dir, version)
+	if sets, err = checkDir(f.Name(), dir, version, count, dirOff); err != nil {
+		return 0, nil, nil, err
+	}
+	return size, dir, sets, nil
+}
+
+// checkDir decodes and validates a file's directory — the one gate between
+// directory bytes and anything that trusts them (a Reader's payload reads, a
+// committed catalog's extents), whether the bytes were read off the file
+// (loadDir) or reported by the writer that published it (Published.Decode):
+// the dataset count must match the header's, and every extent must sit
+// inside the data region [headerSize, dirOff) with no negative dimension.
+func checkDir(name string, dir []byte, version uint32, count int, dirOff int64) ([]*Dataset, error) {
+	// A header claiming more sets than the directory bytes could hold is
+	// garbage — reject it before anything trusts the count.
+	if maxSets := len(dir) / minDirEntryBytes; count > maxSets || count < 0 {
+		return nil, fmt.Errorf("hdf: %s header claims %d datasets, directory holds at most %d", name, count, maxSets)
+	}
+	sets, err := decodeDir(dir, version)
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("hdf: %s: %w", f.Name(), err)
+		return nil, fmt.Errorf("hdf: %s: %w", name, err)
 	}
 	if len(sets) != count {
-		return 0, nil, nil, fmt.Errorf("hdf: %s header says %d datasets, directory has %d", f.Name(), count, len(sets))
+		return nil, fmt.Errorf("hdf: %s header says %d datasets, directory has %d", name, count, len(sets))
 	}
 	for _, d := range sets {
 		if d.offset < headerSize || d.length < 0 || d.offset+d.length < d.offset || d.offset+d.length > dirOff {
-			return 0, nil, nil, fmt.Errorf("hdf: %s dataset %q extent [%d,+%d) outside data region [%d,%d)",
-				f.Name(), d.Name, d.offset, d.length, headerSize, dirOff)
+			return nil, fmt.Errorf("hdf: %s dataset %q extent [%d,+%d) outside data region [%d,%d)",
+				name, d.Name, d.offset, d.length, headerSize, dirOff)
 		}
 		for _, dim := range d.Dims {
 			if dim < 0 {
-				return 0, nil, nil, fmt.Errorf("hdf: %s dataset %q has negative dimension %d", f.Name(), d.Name, dim)
+				return nil, fmt.Errorf("hdf: %s dataset %q has negative dimension %d", name, d.Name, dim)
 			}
 		}
 	}
-	return size, dir, sets, nil
+	return sets, nil
 }
 
 // NumDatasets returns the number of datasets in the file.
@@ -202,11 +217,6 @@ func readHeader(f rt.File, size int64) (uint32, int64, int, error) {
 	if dirOff < headerSize || dirOff > size {
 		return 0, 0, 0, fmt.Errorf("hdf: %s directory offset %d outside file [%d,%d]", f.Name(), dirOff, headerSize, size)
 	}
-	// A header claiming more sets than the directory bytes could hold is
-	// garbage — reject it before decodeDir sizes any allocation.
-	if maxSets := (size - dirOff) / minDirEntryBytes; int64(count) > maxSets || count < 0 {
-		return 0, 0, 0, fmt.Errorf("hdf: %s header claims %d datasets, directory holds at most %d", f.Name(), count, maxSets)
-	}
 	return version, dirOff, count, nil
 }
 
@@ -267,10 +277,11 @@ func (c *Cursor) DirEntry(d *Dataset, version uint32) {
 // ScanDir reads and decodes a committed RHDF file's directory without
 // touching dataset payloads, returning the file size, the CRC32C of the raw
 // directory bytes, and the full dataset descriptors (names, shapes, extents,
-// per-dataset CRCs). Every block catalog — committed, rebuilt or derived at
-// restart — and every manifest file entry comes from this single pass: the
-// file's own directory is the per-file index. Verification and the scrub
-// read through it too.
+// per-dataset CRCs). The file's own directory is the per-file index: a block
+// catalog rebuilt or derived at restart comes from this pass, and so does a
+// commit's, for every file its writer did not report (Published.Decode
+// answers the same from the report). Verification and the scrub read
+// through it too.
 func ScanDir(fsys rt.FS, name string) (size int64, dirCRC uint32, sets []*Dataset, err error) {
 	f, err := fsys.Open(name)
 	if err != nil {

@@ -171,23 +171,31 @@ func (w *Writer) CreateDataset(name string, typ DType, dims []int64, attrs []Att
 	return nil
 }
 
-// Close writes the directory, patches the header, closes the file, and —
-// for newly created files — renames the staged bytes into place. Any
-// failure before the rename leaves the previous file (if one existed)
-// untouched, with the staged *.tmp orphan as the only residue.
+// Close is Publish for a caller that needs only the outcome.
 func (w *Writer) Close() error {
+	_, err := w.Publish()
+	return err
+}
+
+// Publish writes the directory, patches the header, closes the file, and —
+// for newly created files — renames the staged bytes into place, returning
+// what it put on disk. Any failure before the rename leaves the previous
+// file (if one existed) untouched, with the staged *.tmp orphan as the only
+// residue. A writer publishes once; later calls return the zero report.
+func (w *Writer) Publish() (Published, error) {
 	if w.closed {
-		return nil
+		return Published{}, nil
 	}
 	w.closed = true
 	dir := encodeDir(w.sets)
 	if _, err := w.f.WriteAt(dir, w.off); err != nil {
 		w.f.Close()
-		return fmt.Errorf("hdf: writing directory: %w", err)
+		return Published{}, fmt.Errorf("hdf: writing directory: %w", err)
 	}
-	if err := w.f.Truncate(w.off + int64(len(dir))); err != nil {
+	size := w.off + int64(len(dir))
+	if err := w.f.Truncate(size); err != nil {
 		w.f.Close()
-		return err
+		return Published{}, err
 	}
 	hdr := make([]byte, headerSize)
 	copy(hdr, Magic)
@@ -196,17 +204,17 @@ func (w *Writer) Close() error {
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(w.sets)))
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
 		w.f.Close()
-		return fmt.Errorf("hdf: patching header: %w", err)
+		return Published{}, fmt.Errorf("hdf: patching header: %w", err)
 	}
 	if err := w.f.Close(); err != nil {
-		return err
+		return Published{}, err
 	}
 	if w.staged {
 		if err := w.fsys.Rename(w.final+TmpSuffix, w.final); err != nil {
-			return fmt.Errorf("hdf: committing %s: %w", w.final, err)
+			return Published{}, fmt.Errorf("hdf: committing %s: %w", w.final, err)
 		}
 	}
-	return nil
+	return Published{Name: w.final, Size: size, Count: len(w.sets), Dir: dir}, nil
 }
 
 // encodeDir serializes the dataset directory (version-3 layout).

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 )
@@ -83,18 +84,19 @@ func (c *comm) bcast(root, tag int, data []byte) []byte {
 	return data
 }
 
-// Gather collects every rank's data at root. At root the result has one
-// entry per rank, indexed by communicator rank; other ranks get nil.
-func (c *comm) Gather(root int, data []byte) [][]byte {
-	return c.gather(root, tagGather, data)
+// Gather collects every rank's data — segments, gathered into one message
+// as Send does — at root. At root the result has one entry per rank,
+// indexed by communicator rank; other ranks get nil.
+func (c *comm) Gather(root int, data ...[]byte) [][]byte {
+	return c.gather(root, tagGather, data...)
 }
 
-func (c *comm) gather(root, tag int, data []byte) [][]byte {
+func (c *comm) gather(root, tag int, data ...[]byte) [][]byte {
 	// Flat gather: each rank sends directly to root. Contributions can
 	// be large and heterogeneous, so a flat pattern avoids forwarding
 	// volume through the tree.
 	if c.rank != root {
-		c.send(root, tag, data)
+		c.send(root, tag, data...)
 		return nil
 	}
 	// Receive from each source by rank, not from any source: two gathers
@@ -102,7 +104,7 @@ func (c *comm) gather(root, tag int, data []byte) [][]byte {
 	// taken by the first gather and overwrite that rank's own slot. Per-pair
 	// FIFO makes the per-source match exact.
 	out := make([][]byte, c.Size())
-	out[root] = data
+	out[root] = bytes.Join(data, nil)
 	for src := range out {
 		if src != root {
 			out[src] = c.ep.RecvMatch(c.pred(src, tag)).Data

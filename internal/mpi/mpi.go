@@ -133,8 +133,9 @@ type Comm interface {
 	// non-root callers may pass nil.
 	Bcast(root int, data []byte) []byte
 	// Gather collects each rank's data at root, indexed by rank;
-	// non-root callers receive nil.
-	Gather(root int, data []byte) [][]byte
+	// non-root callers receive nil. A rank's data may come in segments,
+	// gathered into its one message as Send gathers them.
+	Gather(root int, data ...[]byte) [][]byte
 	// AllreduceSum returns the sum of x over all ranks, on all ranks.
 	AllreduceSum(x float64) float64
 	// AllreduceMax returns the maximum of x over all ranks, on all ranks.

@@ -128,7 +128,7 @@ func New(ctx mpi.Ctx, cfg Config) *Rochdf {
 			SkippedSeries: prefix + "restart.files_skipped",
 			ErrorSeries:   prefix + "read_errors",
 		}),
-		pending: snapshot.NewPending(ctx.Comm(), ctx.FS(), cfg.RetainGenerations),
+		pending: snapshot.NewPending(ctx.Comm(), ctx.FS(), cfg.RetainGenerations, r),
 		mx: hdfMx{
 			visibleWrite: r.Histogram(prefix+"visible_write_seconds", nil),
 			visibleRead:  r.Histogram(prefix+"visible_read_seconds", nil),
@@ -256,10 +256,12 @@ func (h *Rochdf) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 // their flush outcomes) before rank 0 writes the commit records, so a
 // failure anywhere — a T-Rochdf background write, or an earlier
 // WriteAttribute that already returned its error — fails Sync on every rank
-// and leaves every generation visibly uncommitted.
+// and leaves every generation visibly uncommitted. The commit indexes the
+// files from what this rank's writes reported publishing.
 func (h *Rochdf) Sync() error {
 	defer h.timed(&h.m.SyncWait, h.mx.syncWait)()
-	return h.pending.Commit(h.flush(), nil)
+	err := h.flush()
+	return h.pending.Commit(err, h.wr.Published(), nil)
 }
 
 // Close drains outstanding output and stops the I/O thread. The service

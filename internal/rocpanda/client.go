@@ -7,6 +7,7 @@ import (
 
 	"genxio/internal/catalog"
 	"genxio/internal/delta"
+	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
@@ -220,8 +221,8 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 			c.world.Send(target, tagWriteBlock, segs...)
 		}
 		data, _, ok := c.recvTimeout(target, tagWriteAck)
-		if ok {
-			damaged = decodeAck(data)
+		if ok && len(data) > 0 {
+			damaged = fmt.Errorf("rocpanda: unexpected %d-byte ack payload", len(data))
 		}
 		return ok
 	})
@@ -377,11 +378,12 @@ func (c *Client) Sync() error {
 		c.shareDeaths()
 	}
 	var drainErr error
+	var published []hdf.Published // what the server reported, if this client's sync was its first
 	err := c.withFailover("sync", func(target int) bool {
 		c.world.Send(target, tagSync, nil)
 		data, _, ok := c.recvTimeout(target, tagSyncAck)
 		if ok {
-			drainErr = decodeAck(data)
+			published, drainErr = decodeAck(data)
 		}
 		return ok
 	})
@@ -396,7 +398,7 @@ func (c *Client) Sync() error {
 	}
 	// Each client enters the commit allreduce only after its own server's
 	// sync ack, so it is also the barrier behind every server's drain.
-	return c.pending.Commit(err, c.chainInfo)
+	return c.pending.Commit(err, published, c.chainInfo)
 }
 
 // chainInfo is the commit protocol's per-generation hook: for a delta it
@@ -515,6 +517,7 @@ func (c *Client) Shutdown() error {
 		c.world.Send(t, tagShutdown, nil)
 	}
 	var drainErr error
+	var published []hdf.Published
 	for _, t := range c.contacted {
 		if c.deadRank(t) {
 			continue
@@ -524,9 +527,11 @@ func (c *Client) Shutdown() error {
 			c.markDeadRank(t) // died during shutdown; nothing left to do
 			continue
 		}
-		if err := decodeAck(data); err != nil && drainErr == nil {
+		ps, err := decodeAck(data)
+		if err != nil && drainErr == nil {
 			drainErr = fmt.Errorf("rocpanda: shutdown: %w", err)
 		}
+		published = append(published, ps...)
 	}
 	// Generations written but never synced drain as the servers shut
 	// down; commit them now so the last snapshot of a run is restorable,
@@ -536,7 +541,7 @@ func (c *Client) Shutdown() error {
 	if drainErr == nil {
 		drainErr = c.ackErr
 	}
-	return c.pending.Commit(drainErr, c.chainInfo)
+	return c.pending.Commit(drainErr, published, c.chainInfo)
 }
 
 // deadRank reports whether the server at this world rank is believed dead.

@@ -9,9 +9,10 @@ import (
 	"genxio/internal/roccom"
 )
 
-// FuzzWireDecoders feeds arbitrary bytes to the three decoders a server
-// runs on what arrives from the wire — the write header, the read request
-// and the block payload. Each must never panic, never allocate more than a
+// FuzzWireDecoders feeds arbitrary bytes to the decoders of what arrives
+// from the wire — the write header, the read request and the block payload
+// a server reads, and the sync or shutdown ack, with its report of what the
+// server published, a client reads. Each must never panic, never allocate more than a
 // small multiple of what the input could encode (a damaged count must not
 // size an allocation), and accept only its encoder's own output: whatever
 // decodes re-encodes to exactly the bytes that came in.
@@ -25,6 +26,13 @@ func FuzzWireDecoders(f *testing.F) {
 		Name: "/fluid/pane000001/pressure", Type: hdf.F64, Dims: []int64{2, 1},
 		Attrs: []hdf.Attr{hdf.StrAttr("location", "node")}, Data: make([]byte, 16),
 	}}))
+	published := []hdf.Published{
+		{Name: "run/snap000010_s000.rhdf", Size: 4096, Count: 3, Dir: bytes.Repeat([]byte{7}, 300)},
+		{Name: "run/snap000010_s001r1.rhdf", Size: 1 << 20, Count: 1, Dir: make([]byte, 40)},
+	}
+	f.Add(bytes.Join(ackSegments(nil, published), nil))
+	f.Add(bytes.Join(ackSegments(nil, published[1:]), nil))
+	f.Add(bytes.Join(ackSegments(errDrainFailed, published), nil))
 
 	decoders := map[string]func([]byte) ([]byte, error){
 		"decodeWriteHdr": func(b []byte) ([]byte, error) {
@@ -39,6 +47,10 @@ func FuzzWireDecoders(f *testing.F) {
 			sets, err := roccom.DecodeIOSets(b)
 			return roccom.EncodeIOSets(sets), err
 		},
+		"decodeAck": func(b []byte) ([]byte, error) {
+			published, err := decodeAck(b)
+			return bytes.Join(ackSegments(nil, published), nil), err
+		},
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for name, decode := range decoders {
@@ -49,7 +61,8 @@ func FuzzWireDecoders(f *testing.F) {
 			// Decoding aliases every payload, so what it allocates is the
 			// structs, at most ~7× their wire form (a 7-byte minimal
 			// attribute becomes a 48-byte hdf.Attr, a 14-byte minimal set a
-			// 96-byte IOSet); the re-encode adds its header bytes, its
+			// 96-byte IOSet, an 18-byte minimal report a 56-byte
+			// hdf.Published); the re-encode adds its header bytes, its
 			// segment list (48 bytes a set) and one exact-size copy: at most
 			// ~13×, hence 16× (64× while the decoder copied). The 16 KiB
 			// floor is for an error message and, under -fuzz, the engine's

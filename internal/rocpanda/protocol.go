@@ -28,32 +28,55 @@ const (
 	tagAdopt
 )
 
-// Ack payloads. A tagWriteAck is empty. A tagSyncAck or tagShutdownAck is
-// empty on success, or the ackDrainFailed status byte followed by the error
-// text: the server failed to land some of its output (a block write or file
-// close error). Clients fold it into the commit allreduce so no generation
-// with missing data ever gets a manifest.
-const ackDrainFailed = 1
+// Ack payloads. A tagWriteAck is empty. A tagSyncAck or tagShutdownAck
+// carries the server's flush outcome:
+//   - ackDrainFailed followed by the error text: the server failed to land
+//     some of its output (a block write or file close error). Clients fold it
+//     into the commit allreduce so no generation with missing data ever gets
+//     a manifest.
+//   - ackPublished followed by hdf.PublishedSegments: the flush succeeded,
+//     and these are the files the server published since its last ack, which
+//     the commit indexes instead of reading their directories back.
+//   - empty: the flush succeeded and published nothing new.
+const (
+	ackDrainFailed = 1
+	ackPublished   = 2
+)
 
-// ackPayload encodes a drain outcome for a sync or shutdown ack.
-func ackPayload(err error) []byte {
-	if err != nil {
-		return append([]byte{ackDrainFailed}, err.Error()...)
+// ackSegments encodes a flush outcome for a sync or shutdown ack, as
+// segments for a gathering Send: the directories travel uncopied.
+func ackSegments(err error, published []hdf.Published) [][]byte {
+	switch {
+	case err != nil:
+		return [][]byte{append([]byte{ackDrainFailed}, err.Error()...)}
+	case len(published) > 0:
+		return append([][]byte{{ackPublished}}, hdf.PublishedSegments(published)...)
 	}
 	return nil
 }
 
-// decodeAck is the client's reading of any ack: nil when empty,
-// errDrainFailed with the server's reason for a failed drain, and an error —
-// not a panic — for anything else, which only a damaged stream produces.
-func decodeAck(data []byte) error {
+// decodeAck is the client's reading of a sync or shutdown ack: what the
+// server published when it carries a report, errDrainFailed with the
+// server's reason for a failed drain, and an error — not a panic — for
+// anything else, which only a damaged stream produces. A report is read
+// strictly (hdf.DecodePublished), its directories by alias of data.
+func decodeAck(data []byte) ([]hdf.Published, error) {
 	switch {
 	case len(data) == 0:
-		return nil
+		return nil, nil
 	case data[0] == ackDrainFailed:
-		return fmt.Errorf("%w: %s", errDrainFailed, data[1:])
+		return nil, fmt.Errorf("%w: %s", errDrainFailed, data[1:])
+	case data[0] == ackPublished:
+		published, err := hdf.DecodePublished(data[1:])
+		if err == nil && len(published) == 0 {
+			err = fmt.Errorf("empty report") // ackSegments sends an empty ack instead
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rocpanda: corrupt ack: %w", err)
+		}
+		return published, nil
 	}
-	return fmt.Errorf("rocpanda: unexpected %d-byte ack payload", len(data))
+	return nil, fmt.Errorf("rocpanda: unexpected %d-byte ack payload", len(data))
 }
 
 // tagReadDone payload: one mode byte — a snapshot.ReadMode — reporting how

@@ -107,11 +107,14 @@ func (s *server) run() {
 		}
 		s.handle(s.world.Probe(mpi.AnySource, mpi.AnyTag))
 	}
-	err := s.wr.Flush()
 	// Acknowledge all shutdowns only after everything is on disk; the ack
-	// carries the drain outcome so the clients can refuse the commit.
+	// carries the drain outcome so the clients can refuse the commit, and the
+	// first carries what was published, once, to the commit.
+	err := s.wr.Flush()
+	published := s.wr.Published()
 	for _, dst := range s.shutdownQueue {
-		s.world.Send(dst, tagShutdownAck, ackPayload(err))
+		s.world.Send(dst, tagShutdownAck, ackSegments(err, published)...)
+		published = nil
 	}
 }
 
@@ -127,8 +130,11 @@ func (s *server) handle(st mpi.Status) {
 	case tagReadReq:
 		s.handleReadReq(st.Source)
 	case tagSync:
+		// Of several clients syncing here, the first carries what the flush
+		// published to the commit; the others' acks report only the outcome.
 		s.recvEmpty(st.Source, tagSync, "sync request")
-		s.world.Send(st.Source, tagSyncAck, ackPayload(s.wr.Flush()))
+		err := s.wr.Flush()
+		s.world.Send(st.Source, tagSyncAck, ackSegments(err, s.wr.Published())...)
 	case tagShutdown:
 		s.recvEmpty(st.Source, tagShutdown, "shutdown request")
 		s.shutdown++

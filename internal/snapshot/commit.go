@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 
+	"genxio/internal/hdf"
+	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/rt"
 )
@@ -14,6 +16,12 @@ import (
 // commit allreduce surfaces it — one failure spreads to all — and the
 // affected generations get no manifest.
 var ErrDrainFailed = errors.New("snapshot: output did not reach the filesystem")
+
+// ErrCommitFailed reports that every rank's output landed but rank 0 could
+// not write the commit records (or prune after them). Rank 0 returns its own
+// error; every other rank learns of it from the commit's closing allreduce
+// and returns this.
+var ErrCommitFailed = errors.New("snapshot: commit failed")
 
 // PendingGen is one generation written since the last commit, awaiting its
 // commit record.
@@ -36,16 +44,20 @@ type PendingGen struct {
 // collective routine that turns them into manifests. Writes are collective,
 // so every rank of comm accumulates the same list.
 type Pending struct {
-	comm   mpi.Comm
-	fs     rt.FS
-	retain int
-	gens   []*PendingGen // few: what was written since the last sync
+	comm      mpi.Comm
+	fs        rt.FS
+	retain    int
+	gens      []*PendingGen   // few: what was written since the last sync
+	published []hdf.Published // what this rank's writers reported since the last commit
+	dirsRead  *metrics.Counter
 }
 
 // NewPending returns the calling rank's end of the protocol over comm.
 // retain > 0 prunes all but the newest retain generations after each commit.
-func NewPending(comm mpi.Comm, fs rt.FS, retain int) *Pending {
-	return &Pending{comm: comm, fs: fs, retain: retain}
+// reg receives snapshot.commit.dirs_read: the directories a commit had to
+// read off the filesystem because no writer reported them.
+func NewPending(comm mpi.Comm, fs rt.FS, retain int, reg *metrics.Registry) *Pending {
+	return &Pending{comm: comm, fs: fs, retain: retain, dirsRead: reg.Counter("snapshot.commit.dirs_read")}
 }
 
 // Begin returns the pending generation under base, adding it (fresh) on the
@@ -65,12 +77,16 @@ func (p *Pending) Begin(base string, epoch int64, tm float64) (g *PendingGen, fr
 // rank's flush barrier reported; the allreduce over it doubles as the
 // barrier that guarantees every rank's output is on disk, and if any rank
 // failed no manifest may be written: every rank returns an error (its own,
-// or ErrDrainFailed for a peer's) and the generations stay pending.
-// Otherwise the pending generations commit. chain, when non-nil, is called
-// on every rank for each generation in order just before its commit — it
-// may be collective — and returns, on rank 0, the chain facts of a delta
+// or ErrDrainFailed for a peer's) and the generations stay pending, with
+// what was published. Otherwise the pending generations commit. published
+// is what this rank's write service reported closing since it last handed
+// reports out (Writer.Published, or a Rocpanda server's ack); every rank's
+// reach rank 0, which indexes the files from them. chain, when non-nil, is
+// called on every rank for each generation in order just before its commit —
+// it may be collective — and returns, on rank 0, the chain facts of a delta
 // generation.
-func (p *Pending) Commit(flushErr error, chain func(*PendingGen) *ChainInfo) error {
+func (p *Pending) Commit(flushErr error, published []hdf.Published, chain func(*PendingGen) *ChainInfo) error {
+	p.published = append(p.published, published...)
 	bad := 0.0
 	if flushErr != nil {
 		bad = 1
@@ -87,17 +103,18 @@ func (p *Pending) Commit(flushErr error, chain func(*PendingGen) *ChainInfo) err
 // commitPending writes the manifest of every pending generation (rank 0
 // only; the others wait), then prunes old generations if retention is
 // configured. Callers must have established that every rank's output is on
-// disk. The trailing barrier keeps any rank from racing ahead — e.g. into a
-// manifest-driven restore — before the commit records exist.
+// disk. The closing allreduce is the agreement on the outcome: no rank races
+// ahead — e.g. into a manifest-driven restore — before the commit records
+// exist, and when rank 0 failed every rank returns an error.
 func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
-	var err error
+	reported, err := p.gatherPublished()
 	for _, g := range p.gens {
 		var ci *ChainInfo
 		if chain != nil {
 			ci = chain(g)
 		}
 		if p.comm.Rank() == 0 {
-			if _, cerr := CommitChained(p.fs, g.Base, g.Epoch, g.Time, ci); cerr != nil && err == nil {
+			if _, cerr := commit(p.fs, g.Base, g.Epoch, g.Time, ci, reported, p.dirsRead); cerr != nil && err == nil {
 				err = cerr
 			}
 		}
@@ -108,9 +125,44 @@ func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 			err = fmt.Errorf("snapshot: prune %s: %w", prefix, err)
 		}
 	}
-	p.gens = nil
-	p.comm.Barrier()
+	p.gens, p.published = nil, nil
+	bad := 0.0
+	if err != nil {
+		bad = 1
+	}
+	if p.comm.AllreduceMax(bad) > 0 && err == nil {
+		err = fmt.Errorf("%w on rank 0", ErrCommitFailed)
+	}
 	return err
+}
+
+// gatherPublished collects every rank's reports on rank 0 (nil elsewhere),
+// keyed by file: the others ship theirs as uncopied segments, rank 0 keeps
+// its own. Of two reports of one file the larger wins: an append republishes
+// a file past its old end, so the latest is the largest.
+func (p *Pending) gatherPublished() (map[string]hdf.Published, error) {
+	if p.comm.Rank() != 0 {
+		p.comm.Gather(0, hdf.PublishedSegments(p.published)...)
+		return nil, nil
+	}
+	parts := p.comm.Gather(0)
+	reported := make(map[string]hdf.Published)
+	add := func(ps []hdf.Published) {
+		for _, pub := range ps {
+			if have, ok := reported[pub.Name]; !ok || pub.Size > have.Size {
+				reported[pub.Name] = pub
+			}
+		}
+	}
+	add(p.published)
+	for _, part := range parts[1:] {
+		ps, err := hdf.DecodePublished(part)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: commit: %w", err)
+		}
+		add(ps)
+	}
+	return reported, nil
 }
 
 // genPrefix returns the directory prefix shared by a base's generations.

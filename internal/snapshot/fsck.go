@@ -259,7 +259,7 @@ func scrubCatalog(fsys rt.FS, m *Manifest, deep bool) (status, detail string) {
 	}
 	// A file whose directory will not read is scrubFile's to report; its
 	// entries are not checked.
-	derived, _, _ := deriveCatalog(fsys, m.fileNames())
+	derived, _, _ := deriveCatalog(fsys, m.fileNames(), nil, nil)
 	onDisk := make(map[string]map[string]*catalog.Entry, len(derived.Files))
 	for _, name := range derived.Files {
 		onDisk[name] = make(map[string]*catalog.Entry)

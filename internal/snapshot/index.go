@@ -6,19 +6,32 @@ import (
 
 	"genxio/internal/catalog"
 	"genxio/internal/hdf"
+	"genxio/internal/metrics"
 	"genxio/internal/rt"
 )
 
 // deriveCatalog builds the block catalog of the named files from the files'
-// own directories, in the order given — hdf.ScanDir → AddFile, the one way a
+// own directories, in the order given — directory → AddFile, the one way a
 // catalog is made: at commit, by the catalog rebuild and the scrub, and by
-// any reader left without a committed one. entries are the files' manifest
-// records, parallel to cat.Files. A file whose directory will not read is in
-// neither, and its error (which names it) is in errs.
-func deriveCatalog(fsys rt.FS, names []string) (cat *catalog.Catalog, entries []FileEntry, errs []error) {
+// any reader left without a committed one. A file's directory is the one its
+// writer reported publishing, when reported holds it (the commit's case: no
+// read), and is otherwise read off the file by hdf.ScanDir and counted on
+// dirsRead; both pass the same validation gate. entries are the files'
+// manifest records, parallel to cat.Files. A file whose directory will not
+// read or decode is in neither, and its error (which names it) is in errs.
+func deriveCatalog(fsys rt.FS, names []string, reported map[string]hdf.Published, dirsRead *metrics.Counter) (cat *catalog.Catalog, entries []FileEntry, errs []error) {
 	cat = &catalog.Catalog{}
 	for _, name := range names {
-		size, crc, sets, err := hdf.ScanDir(fsys, name)
+		var size int64
+		var crc uint32
+		var sets []*hdf.Dataset
+		var err error
+		if p, ok := reported[name]; ok {
+			size, crc, sets, err = p.Decode()
+		} else {
+			size, crc, sets, err = hdf.ScanDir(fsys, name)
+			dirsRead.Inc()
+		}
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -66,6 +79,6 @@ func Index(fsys rt.FS, m *Manifest) (cat *catalog.Catalog, derived bool, err err
 	if cat, err = loadCatalog(fsys, m); err == nil || m.ChainDepth > 0 {
 		return cat, false, err
 	}
-	cat, _, errs := deriveCatalog(fsys, m.fileNames())
+	cat, _, errs := deriveCatalog(fsys, m.fileNames(), nil, nil)
 	return cat, true, errors.Join(errs...)
 }

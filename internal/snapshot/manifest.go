@@ -15,10 +15,12 @@ package snapshot
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 
 	"genxio/internal/catalog"
 	"genxio/internal/hdf"
+	"genxio/internal/metrics"
 	"genxio/internal/rt"
 )
 
@@ -122,6 +124,17 @@ func Commit(fsys rt.FS, base string, epoch int64, tm float64) (*Manifest, error)
 // (exactly Commit). A delta generation may legitimately have no files —
 // nothing was dirty — because its restorable state lives in the chain.
 func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo) (*Manifest, error) {
+	return commit(fsys, base, epoch, tm, chain, nil, nil)
+}
+
+// commit is CommitChained indexing the generation's files from what their
+// writers reported publishing (hdf.Published, keyed by file name): a listed
+// file with a report is indexed from it, one without — a dead writer's
+// renamed file, an older writer's — is read off the filesystem and counted on
+// dirsRead, and a reported file the listing lacks (its rename was lost)
+// refuses the commit. The manifest and catalog bytes are the same either way.
+func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
+	reported map[string]hdf.Published, dirsRead *metrics.Counter) (*Manifest, error) {
 	names, err := fsys.List(base + "_")
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
@@ -139,12 +152,24 @@ func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *Chai
 		m.Panes = chain.Panes
 	}
 	var files []string
+	listed := make(map[string]bool, len(names))
 	for _, name := range names {
 		if strings.HasSuffix(name, ".rhdf") { // staged *.tmp residue is not part of the generation
 			files = append(files, name)
+			listed[name] = true
 		}
 	}
-	cat, entries, errs := deriveCatalog(fsys, files)
+	var lost []string
+	for name := range reported {
+		if strings.HasPrefix(name, base+"_") && !listed[name] {
+			lost = append(lost, name)
+		}
+	}
+	if len(lost) > 0 {
+		sort.Strings(lost)
+		return nil, fmt.Errorf("snapshot: commit %s: %s published but not on the filesystem", base, strings.Join(lost, ", "))
+	}
+	cat, entries, errs := deriveCatalog(fsys, files, reported, dirsRead)
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, errs[0])
 	}
@@ -247,25 +272,4 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 		}
 	}
 	return m, nil
-}
-
-// Verify checks the manifest's files against the filesystem: each must
-// exist with the committed size and directory checksum. It reads only
-// headers and directories; ReadData's per-dataset CRCs (and Fsck's deep
-// scrub) cover the payload bytes.
-func (m *Manifest) Verify(fsys rt.FS) error {
-	for _, e := range m.Files {
-		size, crc, _, err := hdf.ScanDir(fsys, e.Name)
-		if err != nil {
-			return fmt.Errorf("snapshot: verify %s: %s: %w", m.Base, e.Name, err)
-		}
-		if size != e.Size {
-			return fmt.Errorf("snapshot: verify %s: %s is %d bytes, manifest says %d", m.Base, e.Name, size, e.Size)
-		}
-		if crc != e.DirCRC {
-			return fmt.Errorf("%w: snapshot %s: %s directory crc32c %08x, manifest says %08x",
-				hdf.ErrChecksum, m.Base, e.Name, crc, e.DirCRC)
-		}
-	}
-	return nil
 }

@@ -275,7 +275,7 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		}
 	}
 	if len(loose) > 0 {
-		cat, _, errs := deriveCatalog(fsys, loose)
+		cat, _, errs := deriveCatalog(fsys, loose, nil, nil)
 		for range errs { // no directory: what a crashed writer leaves behind
 			rd.mx.filesSkipped.Inc()
 			rd.mx.readErrors.Inc()

@@ -117,7 +117,7 @@ func findDonor(m *Manifest, e FileEntry, status map[string]string) string {
 // lexical) file order — and installs it only if the rebuilt blob matches the
 // manifest's pinned size and CRC.
 func rebuildCatalog(fsys rt.FS, m *Manifest) (FileReport, bool) {
-	cat, _, errs := deriveCatalog(fsys, m.fileNames())
+	cat, _, errs := deriveCatalog(fsys, m.fileNames(), nil, nil)
 	if len(errs) > 0 {
 		return FileReport{}, false // a data file is still bad; nothing to index
 	}

@@ -311,3 +311,24 @@ func sorted(names []string) []string {
 	sort.Strings(names)
 	return names
 }
+
+// Verify checks the manifest's files against the filesystem: each must
+// exist with the committed size and directory checksum. It reads only
+// headers and directories; ReadData's per-dataset CRCs (and Fsck's deep
+// scrub) cover the payload bytes.
+func (m *Manifest) Verify(fsys rt.FS) error {
+	for _, e := range m.Files {
+		size, crc, _, err := hdf.ScanDir(fsys, e.Name)
+		if err != nil {
+			return fmt.Errorf("snapshot: verify %s: %s: %w", m.Base, e.Name, err)
+		}
+		if size != e.Size {
+			return fmt.Errorf("snapshot: verify %s: %s is %d bytes, manifest says %d", m.Base, e.Name, size, e.Size)
+		}
+		if crc != e.DirCRC {
+			return fmt.Errorf("%w: snapshot %s: %s directory crc32c %08x, manifest says %08x",
+				hdf.ErrChecksum, m.Base, e.Name, crc, e.DirCRC)
+		}
+	}
+	return nil
+}

@@ -50,6 +50,15 @@ package snapshot
 // exactly the arrival order the inline driver uses. The output files are
 // byte-identical under both.
 //
+// Reports: every file a sink closes is reported to the Writer as what its
+// hdf.Writer published — name, size, dataset count and directory bytes, the
+// latest per file (an append republishes it). Published hands them out once;
+// the owner calls it after the flush that answers a sync or shutdown, so they
+// travel to the commit (Pending.Commit), which indexes the files from them
+// instead of reading every directory back off the filesystem. A flush that is
+// only a barrier (a restart read of an uncommitted generation) leaves them
+// for the next.
+//
 // Faults: MidBuffer fires on the owner after a buffered block is queued
 // (never under write-through). MidDrain fires after a block lands and
 // BeforeMeta inside the sink, on whichever process runs the step — on the
@@ -62,6 +71,7 @@ package snapshot
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
@@ -171,6 +181,9 @@ type Writer struct {
 
 	// Pool driver: queue, budget and sinks live in the scheduler.
 	eng *iosched.Engine
+
+	mu        sync.Mutex               // guards published: pool sinks report from their workers
+	published map[string]hdf.Published // closed since the last Published call, the latest per file
 }
 
 // NewWriter builds the write machine for the calling process. This is the
@@ -349,6 +362,31 @@ func (w *Writer) Fail(err error) {
 // so far, and what the last Flush reported from the pool.
 func (w *Writer) Err() error { return w.err }
 
+// Published hands out, once and sorted by name, the reports of the files
+// closed since the last call: what each put on disk, the latest per file.
+// Call it after a Flush, when every file of what was flushed is closed.
+func (w *Writer) Published() []hdf.Published {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ps := make([]hdf.Published, 0, len(w.published))
+	for _, p := range w.published {
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
+	w.published = nil
+	return ps
+}
+
+// report records what a sink's file put on disk as it closed.
+func (w *Writer) report(p hdf.Published) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.published == nil {
+		w.published = make(map[string]hdf.Published)
+	}
+	w.published[p.Name] = p
+}
+
 // Crashed reports whether a pool writer died to an injected crash; the
 // owner polls it and takes the process down.
 func (w *Writer) Crashed() bool { return w.eng != nil && w.eng.Crashed() }
@@ -449,9 +487,10 @@ func (k *blockSink) write(blk Block) error {
 }
 
 // closeAll closes every open writer except those of the named generation
-// base ("" closes everything), returning the first failure (all affected
-// writers are closed and forgotten regardless — a handle that failed its
-// close is not worth retrying). Closing by generation, not by file, keeps
+// base ("" closes everything), reporting each file it published and
+// returning the first failure (all affected writers are closed and forgotten
+// regardless — a handle that failed its close is not worth retrying, and its
+// file is not reported). Closing by generation, not by file, keeps
 // a generation's primary and replica writers open side by side while its
 // copies interleave; writes are still ordered across generations, so once
 // a newer snapshot's data drains, the older generation's files are
@@ -466,7 +505,10 @@ func (k *blockSink) closeAll(exceptGen string) error {
 	sort.Strings(names)
 	var first error
 	for _, name := range names {
-		if err := k.writers[name].Close(); err != nil && first == nil {
+		p, err := k.writers[name].Publish()
+		if err == nil {
+			k.w.report(p)
+		} else if first == nil {
 			first = fmt.Errorf("snapshot: closing %s: %w", name, err)
 		}
 		delete(k.writers, name)

@@ -203,19 +203,31 @@ func ioModules(reg *metrics.Registry) []ioModule {
 func TestModulesAreOneService(t *testing.T) {
 	const writers = 2
 	modules := ioModules(nil)
+	const catalogBlob = "m/g0" + catalog.Suffix
 	scenarios := []struct {
 		name    string
 		rule    func(file string) *faults.FSRule
 		commits bool
+		names   string // what the one error that owns the failure names, when not the file
 	}{
-		{"clean", nil, true},
+		{"clean", nil, true, ""},
 		{"disk-full", func(file string) *faults.FSRule {
 			return &faults.FSRule{Op: faults.OpWrite, PathPrefix: file, Nth: 3, Msg: "no space left on device"}
-		}, false},
+		}, false, ""},
 		// A snapshot file is renamed into place as its writer closes.
 		{"failed-close", func(file string) *faults.FSRule {
 			return &faults.FSRule{Op: faults.OpRename, PathPrefix: file}
-		}, false},
+		}, false, ""},
+		// Every output landed, but rank 0 cannot write the commit's catalog:
+		// the commit fails there, and every other rank must hear of it.
+		{"catalog-create-fails", func(string) *faults.FSRule {
+			return &faults.FSRule{Op: faults.OpCreate, PathPrefix: catalogBlob}
+		}, false, catalogBlob},
+		// The rename reports success and never happens: the writer published
+		// a file the filesystem does not have, and the generation is short.
+		{"dropped-rename", func(file string) *faults.FSRule {
+			return &faults.FSRule{Op: faults.OpRename, PathPrefix: file, DropRename: true}
+		}, false, ""},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -291,19 +303,23 @@ func TestModulesAreOneService(t *testing.T) {
 				}
 				// Refused on every writer — its own failure, or a peer's —
 				// and the writer that owns the failure names the file.
+				file := mod.file
+				if sc.names != "" {
+					file = sc.names
+				}
 				named := 0
 				for i, err := range syncErrs {
 					switch {
 					case err == nil:
 						t.Errorf("%s: writer %d's Sync committed over the failure", mod.name, i)
-					case strings.Contains(err.Error(), mod.file):
+					case strings.Contains(err.Error(), file):
 						named++
-					case !errors.Is(err, snapshot.ErrDrainFailed):
-						t.Errorf("%s: Sync = %v: neither names %s nor reports a peer's failure", mod.name, err, mod.file)
+					case !errors.Is(err, snapshot.ErrDrainFailed) && !errors.Is(err, snapshot.ErrCommitFailed):
+						t.Errorf("%s: Sync = %v: neither names %s nor reports a peer's failure", mod.name, err, file)
 					}
 				}
 				if named != 1 {
-					t.Errorf("%s: %d Sync errors name %s, want 1: %v", mod.name, named, mod.file, syncErrs)
+					t.Errorf("%s: %d Sync errors name %s, want 1: %v", mod.name, named, file, syncErrs)
 				}
 			}
 		})
