@@ -35,6 +35,18 @@ n=$(src -path 'internal/hdf/*' | xargs grep -hE '[^ ]+ = checkDir\(' | wc -l)
 none 'ScanDir on the commit path' 'ScanDir\(' '(' -path 'internal/snapshot/commit.go' -o -path 'internal/snapshot/manifest.go' ')'
 n=$(grep -cE 'ScanDir\(' internal/snapshot/index.go)
 [ "$n" -eq 1 ] || { echo "onepath: $n ScanDir calls in index.go, want 1 (deriveCatalog's fallback)"; fail=1; }
+# Prune from what the commit knows: the commit round lists its prefix once
+# and commit indexes from that listing; the prune removes only listed names
+# (no per-generation listing, no staged name guessed at) and reads a
+# manifest only for a chain link no commit of the process reported.
+n=$(grep -c '\.List(' internal/snapshot/commit.go)
+[ "$n" -eq 1 ] || { echo "onepath: $n listings in commit.go, want 1 (the commit round's)"; fail=1; }
+hits=$(awk '/^func commit\(/,/^}/' internal/snapshot/manifest.go | grep -n '\.List(')
+[ -z "$hits" ] || { echo "onepath: a listing inside manifest.go's commit:"; echo "$hits"; fail=1; }
+none 'a per-generation listing or a hand-built staged-name remove in the prune' 'List\(g\.Base|[Rr]emove\(.*TmpSuffix' \
+	'(' -path 'internal/snapshot/restore.go' -o -path 'internal/snapshot/prune.go' ')'
+n=$(grep -c 'Load(' internal/snapshot/prune.go)
+[ "$n" -eq 1 ] || { echo "onepath: $n manifest loads on the prune path, want 1 (the unknown-link fallback)"; fail=1; }
 one 'verify-and-inflate (the caller of InflateStored)' '^[^f].*InflateStored\('
 none 'iosched.New outside internal/snapshot' 'iosched\.New\(' ! -path 'internal/snapshot/*'
 none 'RHDF writes in internal/rochdf or internal/rocpanda' 'hdf\.(Create|OpenAppend)\(|\.CreateDataset\(' \

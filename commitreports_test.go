@@ -2,6 +2,7 @@ package genxio_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -128,4 +129,89 @@ func commitBytes(t *testing.T, fs rt.FS, base string) [2][]byte {
 		out[k] = b
 	}
 	return out
+}
+
+// metaFS counts, beneath it, the metadata traffic of a commit round: List
+// calls, manifests opened, and Removes — of names that exist or not.
+type metaFS struct {
+	rt.FS
+	c *metaCounts
+}
+
+type metaCounts struct{ lists, manifestOpens, removes, blindRemoves atomic.Int64 }
+
+func (fs metaFS) List(prefix string) ([]string, error) {
+	fs.c.lists.Add(1)
+	return fs.FS.List(prefix)
+}
+
+func (fs metaFS) Open(name string) (rt.File, error) {
+	if strings.HasSuffix(name, snapshot.Suffix) {
+		fs.c.manifestOpens.Add(1)
+	}
+	return fs.FS.Open(name)
+}
+
+func (fs metaFS) Remove(name string) error {
+	err := fs.FS.Remove(name)
+	if errors.Is(err, rt.ErrNotExist) {
+		fs.c.blindRemoves.Add(1)
+	}
+	fs.c.removes.Add(1)
+	return err
+}
+
+// TestSyncPrunesFromOneListing pins the commit round's metadata traffic
+// under every module: one Sync commits four generations and prunes all but
+// the newest two. Rank 0 lists once, opens no manifest — the prune knows
+// every chain link it needs from the commits — and removes only names that
+// exist.
+func TestSyncPrunesFromOneListing(t *testing.T) {
+	const writers, gens, retain = 2, 4, 2
+	for i, mod := range ioModules(nil) {
+		t.Run(mod.name, func(t *testing.T) {
+			mem := rt.NewMemFS()
+			var c metaCounts
+			reg := metrics.New()
+			mod := retainingModules(reg, retain)[i]
+			err := mpi.NewChanWorld(metaFS{mem, &c}, 1).Run(writers+mod.servers, func(ctx mpi.Ctx) error {
+				svc, comm, closeSvc, err := mod.open(ctx)
+				if err != nil || svc == nil {
+					return err
+				}
+				w := moduleWindows(t, comm.Rank(), 80)[0]
+				for g := 0; g < gens; g++ {
+					if err := svc.WriteAttribute(fmt.Sprintf("m/g%d", g), w, "all", float64(g), 7+g); err != nil {
+						return err
+					}
+				}
+				if err := svc.Sync(); err != nil {
+					return err
+				}
+				return closeSvc()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := c.lists.Load(); n != 1 {
+				t.Errorf("the run listed %d times, want 1", n)
+			}
+			if n := c.manifestOpens.Load(); n != 0 {
+				t.Errorf("the run opened %d manifests, want 0", n)
+			}
+			if n := reg.Snapshot().Counters["snapshot.prune.manifests_read"]; n != 0 {
+				t.Errorf("snapshot.prune.manifests_read = %d, want 0", n)
+			}
+			if n := c.blindRemoves.Load(); n != 0 || c.removes.Load() == 0 {
+				t.Errorf("%d of %d removes named files that did not exist, want 0 of some", n, c.removes.Load())
+			}
+			survivors, err := snapshot.Generations(mem, "m/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(survivors); got != "[{m/g3 true} {m/g2 true}]" {
+				t.Errorf("survivors %s, want the newest two, committed", got)
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"genxio/internal/catalog"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -49,15 +50,23 @@ type Pending struct {
 	retain    int
 	gens      []*PendingGen   // few: what was written since the last sync
 	published []hdf.Published // what this rank's writers reported since the last commit
-	dirsRead  *metrics.Counter
+	// links is rank 0's base → BaseGeneration of the generations it
+	// committed (or its prunes read) that retention still keeps; kept only
+	// when retain > 0.
+	links         map[string]string
+	dirsRead      *metrics.Counter
+	manifestsRead *metrics.Counter
 }
 
 // NewPending returns the calling rank's end of the protocol over comm.
 // retain > 0 prunes all but the newest retain generations after each commit.
-// reg receives snapshot.commit.dirs_read: the directories a commit had to
-// read off the filesystem because no writer reported them.
+// reg receives snapshot.commit.dirs_read, the directories a commit had to
+// read off the filesystem because no writer reported them, and
+// snapshot.prune.manifests_read, the manifests a prune had to read because
+// no commit of this Pending wrote them.
 func NewPending(comm mpi.Comm, fs rt.FS, retain int, reg *metrics.Registry) *Pending {
-	return &Pending{comm: comm, fs: fs, retain: retain, dirsRead: reg.Counter("snapshot.commit.dirs_read")}
+	return &Pending{comm: comm, fs: fs, retain: retain, links: make(map[string]string),
+		dirsRead: reg.Counter("snapshot.commit.dirs_read"), manifestsRead: reg.Counter("snapshot.prune.manifests_read")}
 }
 
 // Begin returns the pending generation under base, adding it (fresh) on the
@@ -103,25 +112,46 @@ func (p *Pending) Commit(flushErr error, published []hdf.Published, chain func(*
 // commitPending writes the manifest of every pending generation (rank 0
 // only; the others wait), then prunes old generations if retention is
 // configured. Callers must have established that every rank's output is on
-// disk. The closing allreduce is the agreement on the outcome: no rank races
-// ahead — e.g. into a manifest-driven restore — before the commit records
-// exist, and when rank 0 failed every rank returns an error.
+// disk. Rank 0 lists each generation prefix once; the commits index their
+// files from that listing and the prune works from it plus the catalogs and
+// manifests the commits wrote. When a report could not be gathered rank 0
+// commits nothing — every rank's Sync fails, so no manifest may appear. The
+// closing allreduce is the agreement on the outcome: no rank races ahead —
+// e.g. into a manifest-driven restore — before the commit records exist,
+// and when rank 0 failed every rank returns an error.
 func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 	reported, err := p.gatherPublished()
+	var listed map[string][]string // generation prefix → its listing
+	if err == nil && p.comm.Rank() == 0 {
+		listed, err = p.list()
+	}
+	commits := err == nil && p.comm.Rank() == 0
 	for _, g := range p.gens {
 		var ci *ChainInfo
 		if chain != nil {
-			ci = chain(g)
+			ci = chain(g) // collective: every rank calls it, committing or not
 		}
-		if p.comm.Rank() == 0 {
-			if _, cerr := commit(p.fs, g.Base, g.Epoch, g.Time, ci, reported, p.dirsRead); cerr != nil && err == nil {
+		if !commits {
+			continue
+		}
+		prefix := genPrefix(g.Base)
+		if _, cerr := commit(p.fs, g.Base, g.Epoch, g.Time, ci, listed[prefix], reported, p.dirsRead); cerr != nil {
+			if err == nil {
 				err = cerr
+			}
+			continue
+		}
+		listed[prefix] = afterCommit(listed[prefix], g.Base)
+		if p.retain > 0 {
+			p.links[g.Base] = ""
+			if ci != nil {
+				p.links[g.Base] = ci.Base
 			}
 		}
 	}
-	if err == nil && p.comm.Rank() == 0 && p.retain > 0 && len(p.gens) > 0 {
+	if err == nil && commits && p.retain > 0 && len(p.gens) > 0 {
 		prefix := genPrefix(p.gens[len(p.gens)-1].Base)
-		if _, err = Prune(p.fs, prefix, p.retain); err != nil {
+		if _, err = prune(p.fs, listed[prefix], p.retain, p.links, p.manifestsRead); err != nil {
 			err = fmt.Errorf("snapshot: prune %s: %w", prefix, err)
 		}
 	}
@@ -134,6 +164,39 @@ func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 		err = fmt.Errorf("%w on rank 0", ErrCommitFailed)
 	}
 	return err
+}
+
+// list lists each distinct prefix of the pending generations once.
+func (p *Pending) list() (map[string][]string, error) {
+	listed := make(map[string][]string, 1)
+	for _, g := range p.gens {
+		prefix := genPrefix(g.Base)
+		if _, ok := listed[prefix]; ok {
+			continue
+		}
+		names, err := p.fs.List(prefix)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: commit %s: %w", g.Base, err)
+		}
+		listed[prefix] = names
+	}
+	return listed, nil
+}
+
+// afterCommit returns names, a listing taken before base's commit, as the
+// commit left it: base's catalog and manifest exist, each renamed over its
+// staged name.
+func afterCommit(names []string, base string) []string {
+	cat, man := base+catalog.Suffix, base+Suffix
+	out := names[:0]
+	for _, name := range names {
+		switch name {
+		case cat, man, cat + hdf.TmpSuffix, man + hdf.TmpSuffix:
+		default:
+			out = append(out, name)
+		}
+	}
+	return append(out, cat, man)
 }
 
 // gatherPublished collects every rank's reports on rank 0 (nil elsewhere),

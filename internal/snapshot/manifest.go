@@ -124,21 +124,23 @@ func Commit(fsys rt.FS, base string, epoch int64, tm float64) (*Manifest, error)
 // (exactly Commit). A delta generation may legitimately have no files —
 // nothing was dirty — because its restorable state lives in the chain.
 func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo) (*Manifest, error) {
-	return commit(fsys, base, epoch, tm, chain, nil, nil)
-}
-
-// commit is CommitChained indexing the generation's files from what their
-// writers reported publishing (hdf.Published, keyed by file name): a listed
-// file with a report is indexed from it, one without — a dead writer's
-// renamed file, an older writer's — is read off the filesystem and counted on
-// dirsRead, and a reported file the listing lacks (its rename was lost)
-// refuses the commit. The manifest and catalog bytes are the same either way.
-func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
-	reported map[string]hdf.Published, dirsRead *metrics.Counter) (*Manifest, error) {
 	names, err := fsys.List(base + "_")
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
 	}
+	return commit(fsys, base, epoch, tm, chain, names, nil, nil)
+}
+
+// commit is CommitChained over names, a listing that holds the generation's
+// files (its Base_*.rhdf names are the generation), indexing them from what
+// their writers reported publishing (hdf.Published, keyed by file name): a
+// listed file with a report is indexed from it, one without — a dead
+// writer's renamed file, an older writer's — is read off the filesystem and
+// counted on dirsRead, and a reported file the listing lacks (its rename was
+// lost) refuses the commit. The manifest and catalog bytes are the same
+// either way.
+func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
+	names []string, reported map[string]hdf.Published, dirsRead *metrics.Counter) (*Manifest, error) {
 	m := &Manifest{Schema: ManifestSchema, Base: base, Epoch: epoch, Time: tm}
 	if chain != nil {
 		if chain.Base == "" || chain.Base == base {
@@ -154,7 +156,8 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 	var files []string
 	listed := make(map[string]bool, len(names))
 	for _, name := range names {
-		if strings.HasSuffix(name, ".rhdf") { // staged *.tmp residue is not part of the generation
+		// Staged *.tmp residue is not part of the generation.
+		if strings.HasPrefix(name, base+"_") && strings.HasSuffix(name, ".rhdf") {
 			files = append(files, name)
 			listed[name] = true
 		}

@@ -52,18 +52,25 @@ func Generations(fsys rt.FS, prefix string) ([]Generation, error) {
 	if err != nil {
 		return nil, err
 	}
+	gens, _ := generations(names)
+	return gens, nil
+}
+
+// generations is Generations over names, a listing; it also returns the
+// listed artifacts of each generation, keyed by base.
+func generations(names []string) ([]Generation, map[string][]string) {
 	committed := make(map[string]bool)
-	seen := make(map[string]bool)
+	files := make(map[string][]string)
 	var bases []string
 	for _, name := range names {
 		b := baseOf(name)
 		if b == "" {
 			continue
 		}
-		if !seen[b] {
-			seen[b] = true
+		if _, seen := files[b]; !seen {
 			bases = append(bases, b)
 		}
+		files[b] = append(files[b], name)
 		if strings.HasSuffix(name, Suffix) {
 			committed[b] = true
 		}
@@ -73,7 +80,7 @@ func Generations(fsys rt.FS, prefix string) ([]Generation, error) {
 	for i, b := range bases {
 		gens[i] = Generation{Base: b, Committed: committed[b]}
 	}
-	return gens, nil
+	return gens, files
 }
 
 // Options configures a Restore walk.
@@ -215,101 +222,6 @@ func Restore(fsys rt.FS, prefix string, try func(base string) error, opts Option
 		}
 		fallbacks.Inc()
 	}
-}
-
-// Prune removes all artifacts of generations older than the newest
-// retain ones — snapshot files, staged temporaries, and the manifest,
-// which goes first so a crash mid-prune leaves the generation visibly
-// uncommitted rather than silently partial. A generation referenced by
-// a retained delta chain is pinned: the transitive BaseGeneration
-// closure of every kept committed generation survives, however old, so
-// a delta is never pruned out from under its children. Files already
-// gone are tolerated (a crashed or concurrent prune can simply be
-// re-run). retain <= 0 keeps everything. It returns the removed bases
-// in sorted (oldest-first) order.
-func Prune(fsys rt.FS, prefix string, retain int) ([]string, error) {
-	if retain <= 0 {
-		return nil, nil
-	}
-	gens, err := Generations(fsys, prefix)
-	if err != nil {
-		return nil, err
-	}
-	if len(gens) <= retain {
-		return nil, nil
-	}
-	// Pin the chain ancestry of every retained committed generation.
-	// An unreadable manifest contributes no links — its chain is already
-	// unrestorable, so nothing extra needs protecting.
-	pinned := make(map[string]bool)
-	queue := make([]string, 0, retain)
-	for _, g := range gens[:retain] {
-		if g.Committed {
-			queue = append(queue, g.Base)
-		}
-	}
-	for len(queue) > 0 {
-		base := queue[0]
-		queue = queue[1:]
-		m, err := Load(fsys, base)
-		if err != nil || m.BaseGeneration == "" || pinned[m.BaseGeneration] {
-			continue
-		}
-		pinned[m.BaseGeneration] = true
-		queue = append(queue, m.BaseGeneration)
-	}
-	// remove tolerates rt.ErrNotExist: a prune interrupted after some
-	// removals (or racing a concurrent prune) must be re-runnable.
-	remove := func(name string) error {
-		if err := fsys.Remove(name); err != nil && !errors.Is(err, rt.ErrNotExist) {
-			return err
-		}
-		return nil
-	}
-	var removed []string
-	for _, g := range gens[retain:] {
-		if pinned[g.Base] {
-			continue
-		}
-		if g.Committed {
-			if err := remove(g.Base + Suffix); err != nil {
-				return sorted(removed), err
-			}
-		}
-		// The catalog blob goes right after the manifest so a pruned
-		// generation leaves no orphaned index behind; older generations
-		// (and crash windows before catalog.Write) have none.
-		if err := remove(g.Base + catalog.Suffix); err != nil {
-			return sorted(removed), err
-		}
-		if err := remove(g.Base + catalog.Suffix + hdf.TmpSuffix); err != nil {
-			return sorted(removed), err
-		}
-		names, err := fsys.List(g.Base + "_")
-		if err != nil {
-			return sorted(removed), err
-		}
-		for _, name := range names {
-			if baseOf(name) != g.Base {
-				continue
-			}
-			if err := remove(name); err != nil {
-				return sorted(removed), err
-			}
-		}
-		// Staged manifest residue (base.manifest.tmp) sits outside the
-		// base+"_" namespace.
-		if err := remove(g.Base + Suffix + hdf.TmpSuffix); err != nil {
-			return sorted(removed), err
-		}
-		removed = append(removed, g.Base)
-	}
-	return sorted(removed), nil
-}
-
-func sorted(names []string) []string {
-	sort.Strings(names)
-	return names
 }
 
 // Verify checks the manifest's files against the filesystem: each must

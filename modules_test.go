@@ -164,10 +164,15 @@ type ioModule struct {
 }
 
 // ioModules returns the four module configurations, recording into reg.
-func ioModules(reg *metrics.Registry) []ioModule {
+func ioModules(reg *metrics.Registry) []ioModule { return retainingModules(reg, 0) }
+
+// retainingModules is ioModules with each commit pruning all but the newest
+// retain generations (0 keeps them all).
+func retainingModules(reg *metrics.Registry, retain int) []ioModule {
 	panda := func(tune func(*rocpanda.Config)) func(mpi.Ctx) (paneIO, mpi.Comm, func() error, error) {
 		return func(ctx mpi.Ctx) (paneIO, mpi.Comm, func() error, error) {
-			cfg := rocpanda.Config{NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true, Metrics: reg}
+			cfg := rocpanda.Config{NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true, Metrics: reg,
+				RetainGenerations: retain}
 			tune(&cfg)
 			cl, err := rocpanda.Init(ctx, cfg)
 			if err != nil || cl == nil {
@@ -178,7 +183,8 @@ func ioModules(reg *metrics.Registry) []ioModule {
 	}
 	hdfModule := func(threaded bool) func(mpi.Ctx) (paneIO, mpi.Comm, func() error, error) {
 		return func(ctx mpi.Ctx) (paneIO, mpi.Comm, func() error, error) {
-			h := rochdf.New(ctx, rochdf.Config{Profile: hdf.NullProfile(), Threaded: threaded, Metrics: reg})
+			h := rochdf.New(ctx, rochdf.Config{Profile: hdf.NullProfile(), Threaded: threaded, Metrics: reg,
+				RetainGenerations: retain})
 			return h, ctx.Comm(), h.Close, nil
 		}
 	}
