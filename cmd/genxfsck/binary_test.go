@@ -16,6 +16,7 @@ import (
 	"genxio/internal/roccom"
 	"genxio/internal/rocpanda"
 	"genxio/internal/rt"
+	"genxio/internal/snapshot"
 	"genxio/internal/stats"
 )
 
@@ -76,10 +77,11 @@ func writeTree(t *testing.T, root string, cfg rocpanda.Config, nGens int) rt.FS 
 // named file, located through the generation's catalog.
 func flipPayloadBit(t *testing.T, fsys rt.FS, base, name string) {
 	t.Helper()
-	cat, err := catalog.Load(fsys, base)
+	chain, err := snapshot.LoadChain(fsys, base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cat := chain[0].Catalog
 	for _, e := range cat.Entries {
 		if off, length := e.Extent(); cat.Files[e.File] == name && length > 0 {
 			if err := faults.FlipBit(fsys, name, (off+length/2)*8); err != nil {

@@ -93,6 +93,64 @@ func TestQuickScrubChainBroken(t *testing.T) {
 	}
 }
 
+// TestReplicatedChainExitCodes: a replicated base that lost its primary is
+// CORRUPT, but the delta on it is OK — the restore walk goes through the base
+// and reads its panes from the replica — so the exit code is 2 for the base
+// alone, and -repair rebuilds the primary: REPAIRED, exit 0.
+func TestReplicatedChainExitCodes(t *testing.T) {
+	fsys := rt.NewMemFS()
+	for i, base := range []string{"out/snap000000", "out/snap000010"} {
+		panes := []int{1, 2}
+		if i > 0 {
+			panes = []int{2}
+		}
+		writeGen(t, fsys, base, panes)
+		blob, err := hdf.ReadFile(fsys, base+"_s000.rhdf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hdf.PublishFile(fsys, base+"_s001r1.rhdf", blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := snapshot.Commit(fsys, "out/snap000000", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.CommitChained(fsys, "out/snap000010", 10, 1,
+		&snapshot.ChainInfo{Base: "out/snap000000", Depth: 1,
+			Panes: map[string][]int{"fluid": {1, 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Remove("out/snap000000_s000.rhdf"); err != nil {
+		t.Fatal(err)
+	}
+	// In this order: the repair comes last.
+	for _, pass := range []struct {
+		name  string
+		scrub func(rt.FS, string) ([]snapshot.GenReport, error)
+	}{{"deep", snapshot.Fsck}, {"quick", snapshot.FsckQuick}, {"repair", snapshot.Repair}} {
+		name := pass.name
+		reports, err := pass.scrub(fsys, "out/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts := map[string]string{}
+		for _, r := range reports {
+			verdicts[r.Base] = r.Verdict
+		}
+		wantBase, wantExit := snapshot.VerdictCorrupt, exitCorrupt
+		if name == "repair" {
+			wantBase, wantExit = snapshot.VerdictRepaired, exitOK
+		}
+		if verdicts["out/snap000010"] != snapshot.VerdictOK || verdicts["out/snap000000"] != wantBase {
+			t.Fatalf("%s: verdicts %v, want the delta OK and the base %s", name, verdicts, wantBase)
+		}
+		if code := exitCode(reports); code != wantExit {
+			t.Fatalf("%s: exit code %d, want %d", name, code, wantExit)
+		}
+	}
+}
+
 // TestExitCodeSeverity: worst verdict wins, chain and catalog verdicts rank
 // with corrupt.
 func TestExitCodeSeverity(t *testing.T) {

@@ -175,18 +175,6 @@ func Write(fsys rt.FS, base string, c *Catalog) (size int64, crc uint32, err err
 	return int64(len(blob)), hdf.Checksum(blob), nil
 }
 
-// Load reads and decodes the catalog blob beside base. Any failure — missing
-// file, bad magic, checksum mismatch, malformed body — is an error. Restart
-// does not come through here: snapshot.Index also holds the blob to the
-// size and CRC the generation's manifest pins.
-func Load(fsys rt.FS, base string) (*Catalog, error) {
-	blob, err := hdf.ReadFile(fsys, base+Suffix)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: reading %s: %w", base+Suffix, err)
-	}
-	return Decode(blob)
-}
-
 // ServerFile names one copy of a Rocpanda server's snapshot file — the one
 // place the grammar is spelled: "base_sHHH.rhdf" is the primary written by
 // server HHH, "base_sHHHrN.rhdf" the N-th replica (N ≥ 1) homed in server

@@ -64,7 +64,6 @@ type Metrics struct {
 	VisibleRead  float64 // time spent inside read_attribute
 	SyncWait     float64 // time spent inside sync
 	WriteCalls   int
-	ReadCalls    int
 	BytesOut     int64 // payload bytes handed to write_attribute
 	FilesCreated int   // snapshot files this rank started
 }
@@ -237,7 +236,6 @@ func (h *Rochdf) ReadAttribute(file string, w *roccom.Window, attr string) error
 // snapshot.ErrIncompleteRestart.
 func (h *Rochdf) ReadPanes(file string, w *roccom.Window, attr string, ids []int) error {
 	defer h.timed(&h.m.VisibleRead, h.mx.visibleRead)()
-	h.m.ReadCalls++
 	if err := h.flush(); err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
+	"genxio/internal/snapshot"
 )
 
 // snapshotBytes sums the committed .rhdf payload sizes of a generation.
@@ -86,10 +87,11 @@ func TestIndexedRestartReadsOnlyNeededFiles(t *testing.T) {
 	const nClients, nServers = 4, 2
 	writeSnapshot(t, fs, "eff/s", nClients, nServers, 2)
 
-	cat, err := catalog.Load(fs, "eff/s")
+	chain, err := snapshot.LoadChain(fs, "eff/s")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cat := chain[0].Catalog
 	panes := cat.Panes("fluid")
 	if len(panes) != nClients*2 {
 		t.Fatalf("pane universe %v, want %d panes", panes, nClients*2)

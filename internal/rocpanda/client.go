@@ -34,11 +34,9 @@ type Metrics struct {
 	VisibleRead  float64 // time inside read_attribute
 	SyncWait     float64 // time inside sync
 	WriteCalls   int
-	ReadCalls    int
 	BytesOut     int64 // payload bytes shipped to the server
 	Retries      int   // operations retried after a server wait timed out
 	Failovers    int   // servers this client declared dead
-	IndexedReads int   // restart rounds a server served from the block catalog
 }
 
 // Client is a compute process's handle to the Rocpanda service. It
@@ -269,7 +267,6 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 	defer func() {
 		d := c.ctx.Clock().Now() - t0
 		c.m.VisibleRead += d
-		c.m.ReadCalls++
 		c.mx.visibleRead.Observe(d)
 	}()
 
@@ -323,9 +320,6 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 		case tagReadDone:
 			dones++
 			reported[st.Source] = true
-			if len(data) == 1 && snapshot.ReadMode(data[0]) == snapshot.ReadIndexed {
-				c.m.IndexedReads++
-			}
 		case tagReadBlock:
 			sets, err := roccom.DecodeIOSets(data)
 			if err != nil {

@@ -245,10 +245,11 @@ func TestRestartWastedBytesAccounting(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			fs := rt.NewMemFS()
 			writeSnapshot(t, fs, "wb/A", 2, 1, 2)
-			cat, err := catalog.Load(fs, "wb/A")
+			chain, err := snapshot.LoadChain(fs, "wb/A")
 			if err != nil {
 				t.Fatal(err)
 			}
+			cat := chain[0].Catalog
 			if len(cat.Entries) == 0 {
 				t.Fatal("empty catalog")
 			}

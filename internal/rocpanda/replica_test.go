@@ -13,13 +13,13 @@ import (
 	"sync"
 	"testing"
 
-	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
+	"genxio/internal/snapshot"
 )
 
 // writeTwoGenerations runs a 2-server world that writes generation 0 with
@@ -165,10 +165,11 @@ func damagePrimary(fs rt.FS, gen, name, how string) error {
 	if how == "delete" {
 		return fs.Remove(name)
 	}
-	cat, err := catalog.Load(fs, gen)
+	chain, err := snapshot.LoadChain(fs, gen)
 	if err != nil {
 		return err
 	}
+	cat := chain[0].Catalog
 	for _, e := range cat.Entries {
 		if _, hasCRC := e.CRC(); cat.Files[e.File] == name && hasCRC {
 			off, length := e.Extent()

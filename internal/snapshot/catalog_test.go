@@ -63,10 +63,11 @@ func TestCommitWritesCatalogBeforeManifest(t *testing.T) {
 	if f := m.Files; len(f) != 2 || f[0].Size != 307 || f[0].DirCRC != 0x053bc0c5 || f[1].Size != 214 || f[1].DirCRC != 0x6017f34e {
 		t.Errorf("files %+v, golden 307 bytes dir crc 053bc0c5 and 214 bytes dir crc 6017f34e", f)
 	}
-	cat, err := catalog.Load(fsys, "out/snap000010")
-	if err != nil {
-		t.Fatal(err)
+	chain, err := LoadChain(fsys, "out/snap000010")
+	if err != nil || chain[0].Derived {
+		t.Fatalf("pinned catalog: derived %v, err %v", chain[0].Derived, err)
 	}
+	cat := chain[0].Catalog
 	if len(cat.Files) != 2 || len(cat.Entries) != 5 {
 		t.Fatalf("catalog has %d files, %d entries; want 2, 5", len(cat.Files), len(cat.Entries))
 	}
@@ -103,12 +104,12 @@ func TestVerifyIgnoresCatalogDamage(t *testing.T) {
 	if err := faults.FlipBit(fsys, m.Catalog.Name, 12*8+3); err != nil {
 		t.Fatal(err)
 	}
-	// A damaged catalog must not fail manifest verification — restart
+	// A damaged catalog must not fail the walk's file check — restart
 	// degrades to the scan path instead of abandoning the generation.
-	if err := m.Verify(fsys); err != nil {
-		t.Fatalf("Verify failed on catalog damage: %v", err)
+	if got, err := Restore(fsys, "out/", func(string) error { return nil }, Options{}); err != nil || got != m.Base {
+		t.Fatalf("walk on catalog damage: restored %q, %v", got, err)
 	}
-	if _, err := catalog.Load(fsys, "out/snap000010"); err == nil {
+	if chain, err := LoadChain(fsys, "out/snap000010"); err != nil || !chain[0].Derived {
 		t.Fatal("damaged catalog loaded cleanly")
 	}
 }
@@ -130,7 +131,7 @@ func TestPruneRemovesCatalog(t *testing.T) {
 	if names, _ := fsys.List("out/snap000000"); len(names) != 0 {
 		t.Fatalf("pruned generation left artifacts: %v", names)
 	}
-	if _, err := catalog.Load(fsys, "out/snap000100"); err != nil {
+	if chain, err := LoadChain(fsys, "out/snap000100"); err != nil || chain[0].Derived {
 		t.Fatalf("surviving generation's catalog gone: %v", err)
 	}
 }

@@ -79,3 +79,33 @@ func ChainCatalogs(chain []ChainGen) []*catalog.Catalog {
 	}
 	return cats
 }
+
+// throughChain is the one rule the restore walk and the scrub hold the chain
+// of the generation under base to: LoadChain loads every link, and every file
+// of a link with Replication ≤ 1 passes check (the walk's checkOnDisk, the
+// scrub's report). A replicated link is gone through whatever its files'
+// state: the read path retries each pane against the file's copies. It
+// returns the chain it went through, or on refusal the link at fault.
+func throughChain(fsys rt.FS, base string, check func(FileEntry) error) (chain []ChainGen, link string, err error) {
+	chain, err = LoadChain(fsys, base)
+	if err != nil {
+		link = base
+		if n := len(chain); n > 0 {
+			if link = chain[n-1].Base; chain[n-1].Catalog != nil {
+				link = chain[n-1].Manifest.BaseGeneration
+			}
+		}
+		return nil, link, err
+	}
+	for _, g := range chain {
+		if g.Manifest.Replication > 1 {
+			continue
+		}
+		for _, e := range g.Manifest.Files {
+			if err := check(e); err != nil {
+				return nil, g.Base, fmt.Errorf("snapshot: verify %s: %w", g.Base, err)
+			}
+		}
+	}
+	return chain, "", nil
+}

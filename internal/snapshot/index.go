@@ -10,42 +10,66 @@ import (
 	"genxio/internal/rt"
 )
 
-// deriveCatalog builds the block catalog of the named files from the files'
-// own directories, in the order given — directory → AddFile, the one way a
+// deriveCatalog builds the block catalog of files from the files' own
+// directories, in the order given — directory → AddFile, the one way a
 // catalog is made: at commit, by the catalog rebuild and the scrub, and by
 // any reader left without a committed one. A file's directory is the one its
 // writer reported publishing, when reported holds it (the commit's case: no
 // read), and is otherwise read off the file by hdf.ScanDir and counted on
-// dirsRead; both pass the same validation gate. entries are the files'
-// manifest records, parallel to cat.Files. A file whose directory will not
-// read or decode is in neither, and its error (which names it) is in errs.
-func deriveCatalog(fsys rt.FS, names []string, reported map[string]hdf.Published, dirsRead *metrics.Counter) (cat *catalog.Catalog, entries []FileEntry, errs []error) {
+// dirsRead; both pass the same validation gate. When pinned, files are
+// manifest entries and each is held to its entry by checkFile. entries are
+// the files' manifest records as found, parallel to cat.Files. A file whose
+// directory will not read or decode, or fails its pin, is in neither, and
+// its error (which names it) is in errs.
+func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[string]hdf.Published, dirsRead *metrics.Counter) (cat *catalog.Catalog, entries []FileEntry, errs []error) {
 	cat = &catalog.Catalog{}
-	for _, name := range names {
-		var size int64
-		var crc uint32
-		var sets []*hdf.Dataset
-		var err error
-		if p, ok := reported[name]; ok {
-			size, crc, sets, err = p.Decode()
+	for _, f := range files {
+		dir := func() (int64, uint32, []*hdf.Dataset, error) { return hdf.ScanDir(fsys, f.Name) }
+		if p, ok := reported[f.Name]; ok {
+			dir = p.Decode
 		} else {
-			size, crc, sets, err = hdf.ScanDir(fsys, name)
 			dirsRead.Inc()
+		}
+		size, crc, sets, err := dir()
+		found := FileEntry{Name: f.Name, Size: size, DirCRC: crc, Datasets: len(sets)}
+		if err == nil && pinned {
+			err = checkFile(f, found)
 		}
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		entries = append(entries, FileEntry{Name: name, Size: size, DirCRC: crc, Datasets: len(sets)})
-		cat.AddFile(name, sets)
+		entries = append(entries, found)
+		cat.AddFile(f.Name, sets)
 	}
 	return cat, entries, errs
 }
 
-// loadCatalog reads the catalog blob m's commit wrote: the bytes must have
-// the size and CRC32C the manifest pins before they are decoded, so an
-// orphan of a crashed earlier commit, or another generation's blob, is
-// never taken for this one's.
+// checkFile is the one test of a committed file against its commit record:
+// found — the file as its directory gives it, by hdf.ScanDir or
+// deriveCatalog — must have the size and directory CRC32C its manifest entry
+// e pins. A stale or torn replacement of the file cannot keep both.
+func checkFile(e, found FileEntry) error {
+	if found.Size != e.Size {
+		return fmt.Errorf("snapshot: %s is %d bytes on disk, manifest says %d", e.Name, found.Size, e.Size)
+	}
+	if found.DirCRC != e.DirCRC {
+		return fmt.Errorf("%w: snapshot: %s directory crc32c %08x, manifest says %08x",
+			hdf.ErrChecksum, e.Name, found.DirCRC, e.DirCRC)
+	}
+	return nil
+}
+
+// matches reports whether blob is the catalog blob r pins: its size and
+// whole-blob CRC32C.
+func (r *CatalogRef) matches(blob []byte) bool {
+	return int64(len(blob)) == r.Size && hdf.Checksum(blob) == r.CRC
+}
+
+// loadCatalog reads the catalog blob m's commit wrote: the bytes must be the
+// blob the manifest pins before they are decoded, so an orphan of a crashed
+// earlier commit, or another generation's blob, is never taken for this
+// one's.
 func loadCatalog(fsys rt.FS, m *Manifest) (*catalog.Catalog, error) {
 	if m.Catalog == nil {
 		return nil, fmt.Errorf("snapshot: %s committed no catalog", m.Base)
@@ -54,11 +78,9 @@ func loadCatalog(fsys rt.FS, m *Manifest) (*catalog.Catalog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
 	}
-	if size := int64(len(blob)); size != m.Catalog.Size {
-		return nil, fmt.Errorf("catalog: %s is %d bytes on disk, manifest says %d", m.Catalog.Name, size, m.Catalog.Size)
-	}
-	if crc := hdf.Checksum(blob); crc != m.Catalog.CRC {
-		return nil, fmt.Errorf("%w: catalog %s blob crc32c %08x, manifest says %08x", hdf.ErrChecksum, m.Catalog.Name, crc, m.Catalog.CRC)
+	if !m.Catalog.matches(blob) {
+		return nil, fmt.Errorf("%w: catalog %s is %d bytes crc32c %08x, manifest pins %d bytes crc32c %08x", hdf.ErrChecksum,
+			m.Catalog.Name, len(blob), hdf.Checksum(blob), m.Catalog.Size, m.Catalog.CRC)
 	}
 	return catalog.Decode(blob)
 }
@@ -67,9 +89,10 @@ func loadCatalog(fsys rt.FS, m *Manifest) (*catalog.Catalog, error) {
 // committed catalog when loadCatalog accepts it, otherwise — for a full
 // generation, whose files are its whole state — the same catalog derived
 // from the manifested files' directories. derived reports which; a derived
-// index holds every file whose directory read, and err then joins the errors
-// of those that did not (a reader goes on without them; whoever needs the
-// whole generation cannot).
+// index holds every file whose directory read and passes checkFile, and err
+// then joins the errors of those that did not (a reader goes on without
+// them; whoever needs the whole generation cannot). A file the manifest does
+// not pin is never indexed.
 //
 // A delta generation gets no derived index: its files do not spell out the
 // panes it inherits, and a derived index that silently lacked a damaged
@@ -79,6 +102,6 @@ func Index(fsys rt.FS, m *Manifest) (cat *catalog.Catalog, derived bool, err err
 	if cat, err = loadCatalog(fsys, m); err == nil || m.ChainDepth > 0 {
 		return cat, false, err
 	}
-	cat, _, errs := deriveCatalog(fsys, m.fileNames(), nil, nil)
+	cat, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
 	return cat, true, errors.Join(errs...)
 }

@@ -7,9 +7,11 @@
 // makes a crash at any point recoverable: the previous committed
 // generation is still intact and still selected.
 //
-// The package also provides the read side: generation discovery, manifest
-// verification, a newest-first restore walk that falls back past damaged
-// generations, retention pruning, and the deep scrub behind cmd/genxfsck.
+// The package also provides the read side: generation discovery, a
+// newest-first restore walk that falls back past damaged generations,
+// retention pruning, and the scrub behind cmd/genxfsck — which judges a
+// generation's files and chain by the walk's own rules (checkFile,
+// throughChain).
 package snapshot
 
 import (
@@ -68,14 +70,16 @@ type Manifest struct {
 	// Files lists every committed file, in lexical order.
 	Files []FileEntry `json:"files"`
 	// Catalog references the generation's block-catalog blob, when one was
-	// committed. Verify deliberately ignores it: a damaged catalog costs
-	// the indexed read path, not the generation.
+	// committed. The restore walk's file check ignores it: a damaged
+	// catalog costs a full generation the indexed read path, not the
+	// generation.
 	Catalog *CatalogRef `json:"catalog,omitempty"`
 	// Replication is the number of copies of each server file set this
 	// generation carries: 1 + the highest replica rank among the committed
 	// files. A generation with Replication > 1 can lose or corrupt files
 	// and still restore — the read path retries each pane against the
-	// replicas — so the restore walk attempts it even when Verify fails.
+	// replicas — so the restore walk attempts it even when its files fail
+	// checkFile.
 	// Zero on manifests committed by older writers (treated as 1).
 	Replication int `json:"replication,omitempty"`
 	// BaseGeneration names the committed generation this delta resolves
@@ -153,12 +157,12 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 		m.ChainDepth = chain.Depth
 		m.Panes = chain.Panes
 	}
-	var files []string
+	var files []FileEntry
 	listed := make(map[string]bool, len(names))
 	for _, name := range names {
 		// Staged *.tmp residue is not part of the generation.
 		if strings.HasPrefix(name, base+"_") && strings.HasSuffix(name, ".rhdf") {
-			files = append(files, name)
+			files = append(files, FileEntry{Name: name})
 			listed[name] = true
 		}
 	}
@@ -172,7 +176,7 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 		sort.Strings(lost)
 		return nil, fmt.Errorf("snapshot: commit %s: %s published but not on the filesystem", base, strings.Join(lost, ", "))
 	}
-	cat, entries, errs := deriveCatalog(fsys, files, reported, dirsRead)
+	cat, entries, errs := deriveCatalog(fsys, files, false, reported, dirsRead)
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, errs[0])
 	}
@@ -203,15 +207,6 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
 	}
 	return m, nil
-}
-
-// fileNames returns the committed files' names, in manifest order.
-func (m *Manifest) fileNames() []string {
-	names := make([]string, len(m.Files))
-	for i, e := range m.Files {
-		names[i] = e.Name
-	}
-	return names
 }
 
 // Load reads and validates the manifest of the generation under base.

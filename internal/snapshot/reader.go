@@ -148,7 +148,7 @@ type ReadRequest struct {
 	// Own, when set, is the one file read where Base has no commit record,
 	// and nothing is listed: individual I/O, where a rank knows its file by
 	// name. Empty lists the generation's server files and reads Mine's that
-	// the head's index does not describe: all of them without a commit
+	// the head's commit record does not name: all of them without a commit
 	// record, and beside a full generation any its commit never saw (a
 	// server wrongly declared dead renamed its file into place afterwards).
 	Own string
@@ -251,17 +251,17 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 	}
 	// The share's files on disk that no commit record describes get an
 	// index derived from their own directories.
-	var loose []string
+	var loose []FileEntry
 	switch {
 	case req.Own != "":
 		if len(chain) == 0 {
-			loose = []string{req.Own}
+			loose = []FileEntry{{Name: req.Own}}
 		}
 	case len(chain) <= 1:
-		described := make(map[string]bool) // files the head's index describes
+		described := make(map[string]bool) // files the head's commit names
 		if len(chain) == 1 {
-			for _, name := range chain[0].Catalog.Files {
-				described[name] = true
+			for _, e := range chain[0].Manifest.Files {
+				described[e.Name] = true
 			}
 		}
 		names, err := fsys.List(req.Base + "_s")
@@ -270,12 +270,12 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		}
 		for _, name := range names {
 			if base, home, _, ok := catalog.ParseServerFile(name); ok && base == req.Base && mine(home) && !described[name] {
-				loose = append(loose, name)
+				loose = append(loose, FileEntry{Name: name})
 			}
 		}
 	}
 	if len(loose) > 0 {
-		cat, _, errs := deriveCatalog(fsys, loose, nil, nil)
+		cat, _, errs := deriveCatalog(fsys, loose, false, nil, nil)
 		for range errs { // no directory: what a crashed writer leaves behind
 			rd.mx.filesSkipped.Inc()
 			rd.mx.readErrors.Inc()

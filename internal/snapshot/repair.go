@@ -54,7 +54,7 @@ func Repair(fsys rt.FS, prefix string) ([]GenReport, error) {
 	// The chain pass runs after every per-generation repair so a delta
 	// whose base was just rebuilt comes out clean, and one whose base is
 	// beyond repair comes out CHAIN-BROKEN.
-	applyChainVerdicts(fsys, reports)
+	chainVerdicts(fsys, reports)
 	return reports, nil
 }
 
@@ -114,16 +114,13 @@ func findDonor(m *Manifest, e FileEntry, status map[string]string) string {
 
 // rebuildCatalog regenerates the block catalog from the manifested files'
 // directories — deriveCatalog, as Commit ran it, in the same (manifest, i.e.
-// lexical) file order — and installs it only if the rebuilt blob matches the
-// manifest's pinned size and CRC.
+// lexical) file order — and installs it only if every file passes its pin
+// and the rebuilt blob is the one the manifest pins.
 func rebuildCatalog(fsys rt.FS, m *Manifest) (FileReport, bool) {
-	cat, _, errs := deriveCatalog(fsys, m.fileNames(), nil, nil)
-	if len(errs) > 0 {
-		return FileReport{}, false // a data file is still bad; nothing to index
-	}
+	cat, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
 	blob := cat.Encode()
-	if int64(len(blob)) != m.Catalog.Size || hdf.Checksum(blob) != m.Catalog.CRC {
-		return FileReport{}, false
+	if len(errs) > 0 || !m.Catalog.matches(blob) {
+		return FileReport{}, false // a data file is still bad, or the index would lie
 	}
 	if err := hdf.PublishFile(fsys, m.Catalog.Name, blob); err != nil {
 		return FileReport{}, false

@@ -152,19 +152,8 @@ func walk(fsys rt.FS, prefix string) func() step {
 		if !g.Committed {
 			return step{err: fmt.Errorf("snapshot: %s has no manifest (uncommitted)", g.Base)}
 		}
-		// A generation restores through its chain — of length one when it is
-		// full: every link down to the full base must be committed and
-		// loadable, and each link's files must verify. A replicated link
-		// (Replication > 1) is still attempted with damaged or missing
-		// files: the read path retries each pane against its replicas, and
-		// the attempt itself fails — falling back — only when some pane is
-		// bad in every copy.
-		chain, err := LoadChain(fsys, g.Base)
-		for i := 0; err == nil && i < len(chain); i++ {
-			if m := chain[i].Manifest; m.Replication <= 1 {
-				err = m.Verify(fsys)
-			}
-		}
+		// A full generation is the chain of length one.
+		_, _, err := throughChain(fsys, g.Base, func(e FileEntry) error { return checkOnDisk(fsys, e) })
 		return step{base: g.Base, err: err}
 	}
 }
@@ -224,23 +213,13 @@ func Restore(fsys rt.FS, prefix string, try func(base string) error, opts Option
 	}
 }
 
-// Verify checks the manifest's files against the filesystem: each must
-// exist with the committed size and directory checksum. It reads only
-// headers and directories; ReadData's per-dataset CRCs (and Fsck's deep
-// scrub) cover the payload bytes.
-func (m *Manifest) Verify(fsys rt.FS) error {
-	for _, e := range m.Files {
-		size, crc, _, err := hdf.ScanDir(fsys, e.Name)
-		if err != nil {
-			return fmt.Errorf("snapshot: verify %s: %s: %w", m.Base, e.Name, err)
-		}
-		if size != e.Size {
-			return fmt.Errorf("snapshot: verify %s: %s is %d bytes, manifest says %d", m.Base, e.Name, size, e.Size)
-		}
-		if crc != e.DirCRC {
-			return fmt.Errorf("%w: snapshot %s: %s directory crc32c %08x, manifest says %08x",
-				hdf.ErrChecksum, m.Base, e.Name, crc, e.DirCRC)
-		}
+// checkOnDisk is checkFile of the file as it is on disk now: one
+// hdf.ScanDir, header and directory only — ReadData's per-dataset CRCs (and
+// Fsck's deep scrub) cover the payload bytes.
+func checkOnDisk(fsys rt.FS, e FileEntry) error {
+	size, crc, _, err := hdf.ScanDir(fsys, e.Name)
+	if err != nil {
+		return err
 	}
-	return nil
+	return checkFile(e, FileEntry{Size: size, DirCRC: crc})
 }

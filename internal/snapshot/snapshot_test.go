@@ -54,15 +54,18 @@ func TestCommitLoadVerifyRoundTrip(t *testing.T) {
 	if got.Epoch != 10 || got.Time != 0.5 || got.Schema != ManifestSchema {
 		t.Fatalf("manifest %+v", got)
 	}
-	if err := got.Verify(fsys); err != nil {
-		t.Fatal(err)
+	// The walk's file check passes the committed files and fails a
+	// truncated one.
+	accept := func(string) error { return nil }
+	if base, err := Restore(fsys, "out/", accept, Options{}); err != nil || base != got.Base {
+		t.Fatalf("walk over the committed generation: %q, %v", base, err)
 	}
-	// Damage one file's length: Verify must fail.
+	// Damage one file's length: the check must fail.
 	if err := faults.TruncateTail(fsys, files[1], 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Verify(fsys); err == nil {
-		t.Fatal("Verify accepted a truncated file")
+	if _, err := Restore(fsys, "out/", accept, Options{}); err == nil {
+		t.Fatal("the walk accepted a truncated file")
 	}
 }
 
@@ -157,7 +160,7 @@ func tryRead(fsys rt.FS) func(base string) error {
 			return err
 		}
 		for _, e := range m.Files {
-			r, err := hdf.Open(fsys, e.Name, nullClock{}, hdf.NullProfile())
+			r, err := hdf.Open(fsys, e.Name, rt.NewWallClock(), hdf.NullProfile())
 			if err != nil {
 				return err
 			}
