@@ -239,35 +239,3 @@ func BenchmarkIntegratedRealRun(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkPandaCollective measures the classic Panda regular-array
-// collective write+read (the paper's [19] baseline) through the public
-// facade: a 256x256 global array over 4 clients and 2 servers.
-func BenchmarkPandaCollective(b *testing.B) {
-	spec := genxio.PandaArraySpec{Name: "a", Dims: []int{256, 256}, ClientMesh: []int{2, 2}}
-	srv := []int{0, 1}
-	b.SetBytes(int64(8 * spec.NumElems()))
-	for i := 0; i < b.N; i++ {
-		fs := genxio.NewMemFS()
-		world := genxio.NewLocalWorld(fs, 1)
-		err := world.Run(6, func(ctx genxio.Ctx) error {
-			c := ctx.Comm()
-			var data []float64
-			if c.Rank() >= 2 {
-				piece := genxio.PandaPiece(spec, c.Rank()-2)
-				data = make([]float64, piece.NumElems())
-				for j := range data {
-					data[j] = float64(j)
-				}
-			}
-			if err := genxio.PandaWrite(c, ctx.FS(), srv, spec, data, "a.panda"); err != nil {
-				return err
-			}
-			_, err := genxio.PandaRead(c, ctx.FS(), srv, spec, "a.panda")
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -47,12 +47,15 @@ none 'a per-generation listing or a hand-built staged-name remove in the prune' 
 	'(' -path 'internal/snapshot/restore.go' -o -path 'internal/snapshot/prune.go' ')'
 n=$(grep -c 'Load(' internal/snapshot/prune.go)
 [ "$n" -eq 1 ] || { echo "onepath: $n manifest loads on the prune path, want 1 (the unknown-link fallback)"; fail=1; }
-# One judge of a committed generation: one chain walk (LoadChain, with the
-# one depth guard) that the restore walk and the scrub both go through, one
-# check of a file against its manifest entry (checkFile; findDonor matches two
-# entries, not a file), and no catalog loader that skips the manifest's pin.
+# One judge of a committed generation, per pane: one chain walk (LoadChain,
+# with the one depth guard), one rule (restorable: every pane of the head's
+# universe has a copy whose file passes, in the link it resolves to) that the
+# restore walk and the scrub both call, with no replica count in it; one check
+# of a file against its manifest entry (checkFile; findDonor matches two
+# entries, not a file); and no catalog loader that skips the manifest's pin.
 none 'maxChainDepth outside chain.go' 'maxChainDepth' -path 'internal/*' ! -path 'internal/snapshot/chain.go'
 none 'a chain walk of the scrub'"'"'s own' 'BaseGeneration' -path 'internal/snapshot/fsck.go'
+none 'a replication count in the snapshot package' '\bReplication\b' -path 'internal/snapshot/*'
 n=$(src -path 'internal/snapshot/*' | xargs awk '/^func /{f=$0} /(Size|DirCRC|size|crc) [!=]= [a-z]+\.(Size|DirCRC)/ && f !~ /findDonor/ {print FILENAME ": " f}' | sort -u | wc -l)
 [ "$n" -eq 1 ] || { echo "onepath: $n functions compare a file with its manifest entry, want 1 (checkFile)"; fail=1; }
 hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -n 'catalog\.Load(' {} +)

@@ -32,9 +32,9 @@
 //	CATALOG-MISSING   the manifest pins a catalog blob that is
 //	                  absent from disk                            exit 2
 //	CHAIN-BROKEN      the generation's own files are clean but the
-//	                  restore walk will not go through its delta
-//	                  chain (a replicated link's damage does not
-//	                  break it)                                   exit 2
+//	                  restore walk will not restore it: a chain
+//	                  link will not load, or a pane has no intact
+//	                  copy (the detail names it)                  exit 2
 //
 //	0  every committed generation verifies (OK / REPAIRED)
 //	1  only UNCOMMITTED generations are unclean

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"genxio/internal/catalog"
@@ -147,6 +148,67 @@ func TestReplicatedChainExitCodes(t *testing.T) {
 		}
 		if code := exitCode(reports); code != wantExit {
 			t.Fatalf("%s: exit code %d, want %d", name, code, wantExit)
+		}
+	}
+}
+
+// TestReplicatedChainNamesLostPanes: a replicated base that lost both
+// copies of its panes 1 and 3 while the delta on it rewrote only pane 2 is
+// CORRUPT, and the delta CHAIN-BROKEN — the restore walk will not go through
+// it — with the detail naming the panes that have no intact copy.
+func TestReplicatedChainNamesLostPanes(t *testing.T) {
+	fsys := rt.NewMemFS()
+	for i, base := range []string{"out/snap000000", "out/snap000010"} {
+		panes := []int{1, 3}
+		if i > 0 {
+			panes = []int{2}
+		}
+		writeGen(t, fsys, base, panes)
+		blob, err := hdf.ReadFile(fsys, base+"_s000.rhdf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hdf.PublishFile(fsys, base+"_s001r1.rhdf", blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := snapshot.Commit(fsys, "out/snap000000", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.CommitChained(fsys, "out/snap000010", 10, 1,
+		&snapshot.ChainInfo{Base: "out/snap000000", Depth: 1,
+			Panes: map[string][]int{"fluid": {1, 2, 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"out/snap000000_s000.rhdf", "out/snap000000_s001r1.rhdf"} {
+		if err := fsys.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, scrub := range map[string]func(rt.FS, string) ([]snapshot.GenReport, error){"deep": snapshot.Fsck, "quick": snapshot.FsckQuick} {
+		reports, err := scrub(fsys, "out/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var detail string
+		for _, r := range reports {
+			if r.Base != "out/snap000010" {
+				continue
+			}
+			if r.Verdict != snapshot.VerdictChainBroken {
+				t.Fatalf("%s: delta verdict %q, want CHAIN-BROKEN\n%s", name, r.Verdict, snapshot.Format(reports))
+			}
+			for _, f := range r.Files {
+				if f.Status == "chain-broken" {
+					detail = f.Detail
+				}
+			}
+		}
+		if !strings.HasSuffix(detail, "no intact copy of fluid:1, fluid:3 (2 in all)") {
+			t.Fatalf("%s: chain-broken detail %q, want the panes 1 and 3 named", name, detail)
+		}
+		if code := exitCode(reports); code != exitCorrupt {
+			t.Fatalf("%s: exit code %d, want %d", name, code, exitCorrupt)
 		}
 	}
 }

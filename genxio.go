@@ -32,7 +32,6 @@ import (
 	"genxio/internal/mesh"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
-	"genxio/internal/panda"
 	"genxio/internal/physics"
 	"genxio/internal/roccom"
 	"genxio/internal/rochdf"
@@ -320,21 +319,4 @@ var (
 	Fsck       = snapshot.Fsck
 	FsckFormat = snapshot.Format
 	FsckClean  = snapshot.Clean
-)
-
-// Classic Panda server-directed collective I/O for regular
-// (BLOCK,...,BLOCK) distributed arrays — the baseline Rocpanda grew out
-// of; GENx's irregular blocks are exactly what it cannot describe.
-type (
-	// PandaArraySpec describes a distributed global array.
-	PandaArraySpec = panda.ArraySpec
-	// PandaSubarray is one client's rectangular piece.
-	PandaSubarray = panda.Subarray
-)
-
-// Panda collective operations and distribution helpers.
-var (
-	PandaWrite = panda.CollectiveWrite
-	PandaRead  = panda.CollectiveRead
-	PandaPiece = panda.ClientPiece
 )

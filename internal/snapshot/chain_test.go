@@ -339,9 +339,10 @@ func TestFsckChainBroken(t *testing.T) {
 	fsys := rt.NewMemFS()
 	bases := commitChain(t, fsys)
 
-	// Flip a payload bit in the full base: it scrubs CORRUPT and every
-	// delta above it is CHAIN-BROKEN — their own files are fine, but they
-	// cannot restore.
+	// Flip a payload bit in the full base: it scrubs CORRUPT, and the delta
+	// that still resolves panes 1 and 3 to it is CHAIN-BROKEN — its own
+	// files are fine, but it cannot restore. The head rewrites panes 1 and 3
+	// and takes pane 2 from the middle delta: it needs nothing of the base's.
 	if err := faults.FlipBit(fsys, bases[0]+"_s000.rhdf", int64(hdf.HeaderSize()*8+3)); err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +357,8 @@ func TestFsckChainBroken(t *testing.T) {
 	if verdicts[bases[0]] != VerdictCorrupt {
 		t.Fatalf("base verdict %q, want CORRUPT", verdicts[bases[0]])
 	}
-	for _, b := range bases[1:] {
-		if verdicts[b] != VerdictChainBroken {
-			t.Fatalf("delta %s verdict %q, want CHAIN-BROKEN", b, verdicts[b])
-		}
+	if verdicts[bases[1]] != VerdictChainBroken || verdicts[bases[2]] != VerdictOK {
+		t.Fatalf("delta verdicts %v, want the middle CHAIN-BROKEN and the head OK", verdicts)
 	}
 	if Clean(reports) {
 		t.Fatal("Clean() true with a broken chain")
@@ -369,19 +368,19 @@ func TestFsckChainBroken(t *testing.T) {
 		t.Fatalf("Format lacks the chain verdict:\n%s", out)
 	}
 
-	// The broken-link report names the bad base.
+	// The broken-link report names the bad base and the panes it costs.
 	for _, r := range reports {
 		if r.Verdict != VerdictChainBroken {
 			continue
 		}
 		found := false
 		for _, f := range r.Files {
-			if f.Status == "chain-broken" && f.Name == bases[0] {
+			if f.Status == "chain-broken" && f.Name == bases[0] && strings.Contains(f.Detail, "no intact copy of fluid:1, fluid:3 (2 in all)") {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("%s chain-broken report does not name %s: %+v", r.Base, bases[0], r.Files)
+			t.Fatalf("%s chain-broken report does not name %s and its panes: %+v", r.Base, bases[0], r.Files)
 		}
 	}
 }

@@ -30,18 +30,18 @@ const (
 	// CATALOG-MISMATCH (a blob that exists but lies) so operators can
 	// tell deletion from damage. What still restarts is the same.
 	VerdictCatalogMissing = "CATALOG-MISSING"
-	// VerdictChainBroken marks a committed delta generation whose own
-	// files scrub clean but whose chain the restore walk will not go
-	// through (throughChain, the links' files judged by their scrub): a
-	// link will not load with its catalog, or is unreplicated with a
-	// damaged file. The scrub fails.
+	// VerdictChainBroken marks a committed generation whose own files scrub
+	// clean but which the restore walk will not restore (restorable, the
+	// files judged by their scrub): a link of its chain will not load with
+	// its catalog, or a pane has no clean copy in the link that wrote it
+	// last. The scrub fails.
 	VerdictChainBroken = "CHAIN-BROKEN"
 )
 
 // FileReport is one file's scrub outcome.
 type FileReport struct {
 	Name   string `json:"name"`
-	Status string `json:"status"` // "ok", "corrupt", "missing", "staged", "unmanifested"
+	Status string `json:"status"` // "ok", "corrupt", "missing", "staged", "unmanifested", "chain-broken", "repaired"
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -56,7 +56,6 @@ type GenReport struct {
 	Epoch   int64        `json:"epoch,omitempty"`
 	Catalog string       `json:"catalog,omitempty"`
 	Files   []FileReport `json:"files"`
-	delta   bool         // a chained generation: chainVerdicts judges its chain
 }
 
 // Fsck deep-scrubs every snapshot generation under prefix, newest first.
@@ -88,12 +87,12 @@ func fsck(fsys rt.FS, prefix string, deep bool) ([]GenReport, error) {
 	return reports, nil
 }
 
-// chainVerdicts is the scrub's chain pass: a delta generation whose own files
-// are clean gets CHAIN-BROKEN, with the link at fault named, when the restore
-// walk will not go through its chain — throughChain, each link's files judged
-// by their scrub reports. Per-generation verdicts are never downgraded — a
-// CORRUPT delta stays CORRUPT. The links of a chain the walk goes through
-// need no walk of their own: each one's chain is a suffix of it.
+// chainVerdicts is the scrub's pass of the restore walk's rule: every
+// committed generation is judged as the walk judges it, each file by its
+// scrub report. One the walk would not restore gets a "chain-broken" line
+// naming the link at fault and why and, if its own files are clean, the
+// verdict CHAIN-BROKEN; a CORRUPT one stays CORRUPT. A committed generation
+// without the line is one the walk restores.
 func chainVerdicts(fsys rt.FS, reports []GenReport) {
 	status := make(map[string]string)
 	for _, rep := range reports {
@@ -101,27 +100,151 @@ func chainVerdicts(fsys rt.FS, reports []GenReport) {
 			status[f.Name] = f.Status // a repaired file's fresh report comes last
 		}
 	}
-	scrubbed := func(e FileEntry) error {
-		if status[e.Name] != "ok" { // or not under the scrubbed prefix at all
-			return fmt.Errorf("%s did not scrub clean", e.Name)
-		}
-		return nil
-	}
-	through := make(map[string]bool)
-	for i := range reports { // newest first
+	scrubbed := func(e FileEntry) bool { return status[e.Name] == "ok" } // no report: not scrubbed clean
+	for i := range reports {
 		rep := &reports[i]
-		if !rep.delta || through[rep.Base] || (rep.Verdict != VerdictOK && rep.Verdict != VerdictRepaired) {
+		if rep.Verdict == VerdictUncommitted {
 			continue
 		}
-		chain, link, err := throughChain(fsys, rep.Base, scrubbed)
-		if err != nil {
-			rep.Verdict = VerdictChainBroken
+		if link, err := judge(fsys, rep.Base, scrubbed); err != nil {
+			if rep.Verdict == VerdictOK || rep.Verdict == VerdictRepaired {
+				rep.Verdict = VerdictChainBroken
+			}
 			rep.Files = append(rep.Files, FileReport{Name: link, Status: "chain-broken", Detail: err.Error()})
 		}
-		for _, g := range chain {
-			through[g.Base] = true
+	}
+}
+
+// Repair deep-scrubs every generation under prefix like Fsck and then
+// attempts to rebuild what the scrub found damaged, from data the
+// generation itself still carries:
+//
+//   - A corrupt or missing manifested file is rebuilt from a donor file
+//     with the same manifest-pinned size and directory CRC32C that scrubs
+//     clean — with ReplicationFactor > 1 every replica is byte-identical
+//     to its primary, so the copy is exact, and the donor match is
+//     content-addressed (size+CRC), never guessed from file names.
+//   - A mismatched or missing block catalog is rebuilt deterministically
+//     from the manifested files (the same merge Commit performs) and
+//     written only if the rebuilt blob matches the manifest's pinned size
+//     and CRC — a rebuilt index can never disagree with the commit record.
+//
+// All writes are staged at name+".tmp" and renamed into place, and only
+// files the scrub reported damaged are ever written; committed-good files
+// are read at most. Generations whose manifest itself is unreadable, or
+// whose damage has no clean copy anywhere, are left as they are — the
+// restore walk's generation fallback still covers those.
+//
+// Each repaired generation is re-scrubbed; if it now passes, its verdict
+// is VerdictRepaired and the rebuilt artifacts are reported with status
+// "repaired". Clean() treats REPAIRED as clean.
+func Repair(fsys rt.FS, prefix string) ([]GenReport, error) {
+	gens, err := Generations(fsys, prefix)
+	if err != nil {
+		return nil, err
+	}
+	reports := make([]GenReport, 0, len(gens))
+	for _, g := range gens {
+		rep := fsckGen(fsys, g, true)
+		switch rep.Verdict {
+		case VerdictCorrupt, VerdictCatalogMismatch, VerdictCatalogMissing:
+			if fixed := repairGen(fsys, rep); len(fixed) > 0 {
+				fresh := fsckGen(fsys, g, true)
+				if fresh.Verdict == VerdictOK {
+					fresh.Verdict = VerdictRepaired
+				}
+				fresh.Files = append(fixed, fresh.Files...)
+				rep = fresh
+			}
+		}
+		reports = append(reports, rep)
+	}
+	// The chain pass runs after every per-generation repair so a delta
+	// whose base was just rebuilt comes out clean, and one whose base is
+	// beyond repair comes out CHAIN-BROKEN.
+	chainVerdicts(fsys, reports)
+	return reports, nil
+}
+
+// repairGen rebuilds what it can of one damaged committed generation and
+// returns a report line per artifact it rewrote.
+func repairGen(fsys rt.FS, rep GenReport) []FileReport {
+	m, err := Load(fsys, rep.Base)
+	if err != nil {
+		return nil // no trustworthy commit record to repair against
+	}
+	status := make(map[string]string, len(rep.Files))
+	for _, f := range rep.Files {
+		status[f.Name] = f.Status
+	}
+	var fixed []FileReport
+	for _, e := range m.Files {
+		st := status[e.Name]
+		if st == "ok" || st == "" {
+			continue
+		}
+		donor := findDonor(m, e, status)
+		if donor == "" {
+			continue
+		}
+		if err := copyFile(fsys, donor, e.Name); err != nil {
+			continue
+		}
+		status[e.Name] = "ok"
+		fixed = append(fixed, FileReport{Name: e.Name, Status: "repaired",
+			Detail: fmt.Sprintf("rebuilt from %s", donor)})
+	}
+	if m.Catalog != nil && rep.Catalog != "ok" && rep.Catalog != "" && rep.Catalog != "none" {
+		if fr, ok := rebuildCatalog(fsys, m); ok {
+			fixed = append(fixed, fr)
 		}
 	}
+	return fixed
+}
+
+// findDonor picks another manifested file whose committed size and
+// directory CRC equal the damaged entry's and whose scrub (or repair, this
+// pass) left it clean. Byte-identical replicas always satisfy this; two
+// coincidentally different files never can, since DirCRC covers the
+// directory bytes that locate every payload.
+func findDonor(m *Manifest, e FileEntry, status map[string]string) string {
+	for _, d := range m.Files {
+		if d.Name == e.Name || d.Size != e.Size || d.DirCRC != e.DirCRC {
+			continue
+		}
+		if status[d.Name] != "ok" {
+			continue
+		}
+		return d.Name
+	}
+	return ""
+}
+
+// rebuildCatalog regenerates the block catalog from the manifested files'
+// directories — deriveCatalog, as Commit ran it, in the same (manifest, i.e.
+// lexical) file order — and installs it only if every file passes its pin
+// and the rebuilt blob is the one the manifest pins.
+func rebuildCatalog(fsys rt.FS, m *Manifest) (FileReport, bool) {
+	cat, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
+	blob := cat.Encode()
+	if len(errs) > 0 || !m.Catalog.matches(blob) {
+		return FileReport{}, false // a data file is still bad, or the index would lie
+	}
+	if err := hdf.PublishFile(fsys, m.Catalog.Name, blob); err != nil {
+		return FileReport{}, false
+	}
+	return FileReport{Name: m.Catalog.Name, Status: "repaired",
+		Detail: "rebuilt from manifested files"}, true
+}
+
+// copyFile clones src's bytes over dst via a staged temporary and an
+// atomic rename, so a crash mid-repair never leaves a half-written dst.
+func copyFile(fsys rt.FS, src, dst string) error {
+	buf, err := hdf.ReadFile(fsys, src)
+	if err != nil {
+		return err
+	}
+	return hdf.PublishFile(fsys, dst, buf)
 }
 
 // fsckGen scrubs one generation; deep adds the payload reads and the catalog
@@ -139,7 +262,7 @@ func fsckGen(fsys rt.FS, g Generation, deep bool) GenReport {
 			rep.Verdict = VerdictCorrupt
 			rep.Files = append(rep.Files, FileReport{Name: g.Base + Suffix, Status: "corrupt", Detail: err.Error()})
 		} else {
-			rep.Epoch, rep.delta = m.Epoch, m.ChainDepth > 0
+			rep.Epoch = m.Epoch
 			for _, e := range m.Files {
 				inManifest[e.Name] = true
 				fr := scrubFile(fsys, e, deep)

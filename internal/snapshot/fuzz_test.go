@@ -19,8 +19,7 @@ func FuzzManifestDecode(f *testing.F) {
 		Files: []FileEntry{
 			{Name: "out/snap000100_s000.rhdf", Size: 4096, DirCRC: 0xdeadbeef},
 		},
-		Catalog:     &CatalogRef{Name: "out/snap000100.catalog", Size: 128, CRC: 1},
-		Replication: 2,
+		Catalog: &CatalogRef{Name: "out/snap000100.catalog", Size: 128, CRC: 1},
 	}
 	delta := &Manifest{
 		Schema:         ManifestSchema,

@@ -39,11 +39,15 @@ func judgeWindow(t *testing.T) *roccom.Window {
 }
 
 // judgeState is a window holding every pane and, per generation, the
-// encoded state a restore of that generation must reproduce.
+// encoded state a restore of that generation must reproduce — and what the
+// test wrote where, the record restores models a restart from.
 type judgeState struct {
-	w    *roccom.Window
-	want map[string]map[int][]byte // base → pane → roccom.EncodeIOSets of the pane
-	last map[int][]byte
+	w      *roccom.Window
+	want   map[string]map[int][]byte // base → pane → roccom.EncodeIOSets of the pane
+	last   map[int][]byte
+	order  []string                    // bases, oldest first
+	parent map[string]string           // base → the generation a delta resolves against
+	files  map[string]map[string][]int // base → file (every copy) → panes it holds
 }
 
 func newJudgeState(t *testing.T) *judgeState {
@@ -60,7 +64,8 @@ func newJudgeState(t *testing.T) *judgeState {
 			t.Fatal(err)
 		}
 	}
-	return &judgeState{w: w, want: map[string]map[int][]byte{}, last: map[int][]byte{}}
+	return &judgeState{w: w, want: map[string]map[int][]byte{}, last: map[int][]byte{},
+		parent: map[string]string{}, files: map[string]map[string][]int{}}
 }
 
 // write gives the panes new pressure values, writes them as server files of
@@ -69,6 +74,7 @@ func newJudgeState(t *testing.T) *judgeState {
 func (s *judgeState) write(t *testing.T, fsys rt.FS, base string, panes []int, val float64, r int, chain *ChainInfo) {
 	t.Helper()
 	files := map[int][][]roccom.IOSet{}
+	held := map[int][]int{}
 	for _, id := range panes {
 		p, _ := s.w.Pane(id)
 		pr, _ := p.Array("pressure")
@@ -81,12 +87,21 @@ func (s *judgeState) write(t *testing.T, fsys rt.FS, base string, panes []int, v
 		}
 		s.last[id] = roccom.EncodeIOSets(sets)
 		files[(id-1)%2] = append(files[(id-1)%2], sets)
+		held[(id-1)%2] = append(held[(id-1)%2], id)
+	}
+	s.order = append(s.order, base)
+	s.files[base] = map[string][]int{}
+	if chain != nil {
+		s.parent[base] = chain.Base
 	}
 	for srv, panes := range files {
 		name := fmt.Sprintf("%s_s%03d.rhdf", base, srv)
 		writeSets(t, fsys, name, panes)
+		s.files[base][name] = held[srv]
 		if r == 2 {
-			writeAll(t, fsys, fmt.Sprintf("%s_s%03dr1.rhdf", base, 1-srv), readAll(t, fsys, name))
+			replica := fmt.Sprintf("%s_s%03dr1.rhdf", base, 1-srv)
+			writeAll(t, fsys, replica, readAll(t, fsys, name))
+			s.files[base][replica] = held[srv]
 		}
 	}
 	var err error
@@ -143,9 +158,18 @@ func readBase(t *testing.T, rd *Reader, base string) (*roccom.Window, error) {
 // its attempt, and returns the base it restored and the window it filled.
 func restoreReal(t *testing.T, fsys rt.FS, prefix string) (base string, got *roccom.Window, err error) {
 	t.Helper()
+	base, got, _, err = restoreTried(t, fsys, prefix)
+	return base, got, err
+}
+
+// restoreTried is restoreReal that also returns the bases the walk tried,
+// in order.
+func restoreTried(t *testing.T, fsys rt.FS, prefix string) (base string, got *roccom.Window, tried []string, err error) {
+	t.Helper()
 	runErr := mpi.NewChanWorld(fsys, 1).Run(1, func(ctx mpi.Ctx) error {
 		rd := NewReader(ctx, ReaderConfig{})
 		base, err = Restore(ctx.FS(), prefix, func(b string) (err error) {
+			tried = append(tried, b)
 			got, err = readBase(t, rd, b)
 			return err
 		}, Options{})
@@ -154,7 +178,7 @@ func restoreReal(t *testing.T, fsys rt.FS, prefix string) (base string, got *roc
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	return base, got, err
+	return base, got, tried, err
 }
 
 // readExplicit reads the generation under base with no walk in front, as an
@@ -192,34 +216,52 @@ func checkState(t *testing.T, w *roccom.Window, want map[int][]byte) {
 	}
 }
 
-// promised reports whether a deep scrub verdict promises that the restore
-// walk can restore the generation: OK or REPAIRED; a catalog verdict on a
-// full generation, which restarts from its derived index; CORRUPT on a
-// replicated generation in which every damaged file has an intact copy.
-func promised(fsys rt.FS, rep GenReport) bool {
-	switch rep.Verdict {
-	case VerdictOK, VerdictRepaired:
-		return true
-	case VerdictCatalogMismatch, VerdictCatalogMissing:
-		m, err := Load(fsys, rep.Base)
-		return err == nil && m.ChainDepth == 0
-	case VerdictCorrupt:
-		m, err := Load(fsys, rep.Base)
-		if err != nil || m.Replication < 2 {
+// promised reports whether a deep scrub report promises that the restore
+// walk restores the generation: it is committed, and the scrub's pass of the
+// walk's rule left no "chain-broken" line on it.
+func promised(rep GenReport) bool {
+	if rep.Verdict == VerdictUncommitted {
+		return false
+	}
+	for _, f := range rep.Files {
+		if f.Status == "chain-broken" {
 			return false
 		}
-		status := map[string]string{}
-		for _, f := range rep.Files {
-			status[f.Name] = f.Status
+	}
+	return true
+}
+
+// restores is the model the restore is checked against, built from what the
+// test recorded alone — which panes each generation wrote to which files —
+// and hit, the artifacts the damage hit: a restart of head returns every
+// pane when head and every link below it kept their manifests, every link
+// but a full head (which derives its index from its files) kept its
+// catalog, and each pane has a file no damage hit in the newest link that
+// wrote it.
+func (s *judgeState) restores(head string, hit map[string]bool) bool {
+	intact, resolved := map[int]bool{}, map[int]bool{}
+	for g := head; g != ""; g = s.parent[g] {
+		if hit[g+Suffix] || (hit[g+".catalog"] && (g != head || s.parent[g] != "")) {
+			return false
 		}
-		for _, e := range m.Files {
-			if status[e.Name] != "ok" && findDonor(m, e, status) == "" {
-				return false
+		wrote := map[int]bool{}
+		for name, panes := range s.files[g] {
+			for _, id := range panes {
+				if !resolved[id] {
+					wrote[id], intact[id] = true, intact[id] || !hit[name]
+				}
 			}
 		}
-		return true
+		for id := range wrote {
+			resolved[id] = true
+		}
 	}
-	return false
+	for id := 1; id <= judgePanes; id++ {
+		if !intact[id] {
+			return false
+		}
+	}
+	return true
 }
 
 // payloadBit returns the bit in the middle of the first stored dataset of
@@ -240,87 +282,131 @@ func payloadBit(t *testing.T, fsys rt.FS, base, name string) int64 {
 	return 0
 }
 
-// TestScrubPredictsRestore: whatever the damage, the restore walk returns the
-// newest generation the deep scrub promises — OK/REPAIRED, a catalog verdict
-// on a full generation, CORRUPT on a replicated one whose every damaged file
-// has an intact copy — and restores it bit-exact. The damage lands on the
-// full generation snap000010: the head itself, or the base link of a
-// depth-2 delta head; snap000000 is an intact older full generation.
+// TestScrubPredictsRestore: whatever the damage, the restore walk tries
+// exactly the generations, and restores bit-exact the one, that a per-pane
+// model of the tree predicts from what the test wrote where and what the
+// damage hit (restores) — the walk's file check does not see payload damage,
+// the read that follows does — and that restored generation is the newest
+// the deep scrub promises. The damage lands on the full generation
+// snap000010, over an intact older full snap000000: as the head itself, as
+// the base of a depth-2 delta head (deltas rewriting pane 2, then pane 4), or
+// as the base of a depth-1 delta rewriting panes 1 and 3 (delta13) or pane 2
+// (delta2). Server file _s000 holds panes 1 and 3, and at R = 2 its copy is
+// _s001r1.
 func TestScrubPredictsRestore(t *testing.T) {
 	const target = "out/snap000010"
-	damages := []struct {
-		name string
-		do   func(t *testing.T, fsys rt.FS)
-	}{
-		{"clean", func(*testing.T, rt.FS) {}},
-		{"data-file-removed", func(t *testing.T, fsys rt.FS) {
-			if err := fsys.Remove(target + "_s000.rhdf"); err != nil {
-				t.Fatal(err)
+	remove := func(suffixes ...string) func(*testing.T, rt.FS) {
+		return func(t *testing.T, fsys rt.FS) {
+			for _, sfx := range suffixes {
+				if err := fsys.Remove(target + sfx); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}},
-		{"payload-bit-flipped", func(t *testing.T, fsys rt.FS) {
+		}
+	}
+	type damage struct {
+		name    string
+		hits    []string // suffixes of the artifacts of target it damages
+		payload bool     // only a payload read sees it
+		do      func(t *testing.T, fsys rt.FS)
+	}
+	damages := []damage{
+		{"clean", nil, false, func(*testing.T, rt.FS) {}},
+		{"data-file-removed", []string{"_s000.rhdf"}, false, remove("_s000.rhdf")},
+		{"payload-bit-flipped", []string{"_s000.rhdf"}, true, func(t *testing.T, fsys rt.FS) {
 			if err := faults.FlipBit(fsys, target+"_s000.rhdf", payloadBit(t, fsys, target, target+"_s000.rhdf")); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"directory-bit-flipped", func(t *testing.T, fsys rt.FS) {
+		{"directory-bit-flipped", []string{"_s000.rhdf"}, false, func(t *testing.T, fsys rt.FS) {
 			size := int64(len(readAll(t, fsys, target+"_s000.rhdf")))
 			if err := faults.FlipBit(fsys, target+"_s000.rhdf", (size-2)*8+5); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"catalog-bit-flipped", func(t *testing.T, fsys rt.FS) {
+		{"catalog-bit-flipped", []string{".catalog"}, false, func(t *testing.T, fsys rt.FS) {
 			if err := faults.FlipBit(fsys, target+".catalog", 12*8+3); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"catalog-removed", func(t *testing.T, fsys rt.FS) {
-			if err := fsys.Remove(target + ".catalog"); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"base-manifest-removed", func(t *testing.T, fsys rt.FS) {
-			if err := fsys.Remove(target + Suffix); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"catalog-removed", []string{".catalog"}, false, remove(".catalog")},
+		{"base-manifest-removed", []string{Suffix}, false, remove(Suffix)},
+		{"catalog-and-data-file-removed", []string{".catalog", "_s000.rhdf"}, false, remove(".catalog", "_s000.rhdf")},
 	}
+	type row struct {
+		r    int
+		head string
+		d    damage
+	}
+	var rows []row
 	for _, r := range []int{1, 2} {
 		for _, head := range []string{"full", "delta"} {
 			for _, d := range damages {
-				t.Run(fmt.Sprintf("R%d/%s/%s", r, head, d.name), func(t *testing.T) {
-					fsys := rt.NewMemFS()
-					s := newJudgeState(t)
-					s.write(t, fsys, "out/snap000000", []int{1, 2, 3, 4}, 0, r, nil)
-					s.write(t, fsys, target, []int{1, 2, 3, 4}, 10, r, nil)
-					if head == "delta" {
-						s.write(t, fsys, "out/snap000020", []int{2}, 20, r, deltaOn(target, 1))
-						s.write(t, fsys, "out/snap000030", []int{4}, 30, r, deltaOn("out/snap000020", 2))
-					}
-					d.do(t, fsys)
-
-					reports, err := Fsck(fsys, "out/")
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := ""
-					for _, rep := range reports {
-						if promised(fsys, rep) {
-							want = rep.Base
-							break
-						}
-					}
-					base, got, err := restoreReal(t, fsys, "out/")
-					if err != nil {
-						t.Fatalf("restore: %v\n%s", err, Format(reports))
-					}
-					if base != want {
-						t.Fatalf("restored %s, the scrub promised %s\n%s", base, want, Format(reports))
-					}
-					checkState(t, got, s.want[base])
-				})
+				rows = append(rows, row{r, head, d})
 			}
 		}
+	}
+	rows = append(rows,
+		row{1, "delta13", damages[1]},
+		row{1, "delta13", damages[2]},
+		row{2, "delta2", damage{"data-file-and-copy-removed", []string{"_s000.rhdf", "_s001r1.rhdf"}, false,
+			remove("_s000.rhdf", "_s001r1.rhdf")}},
+	)
+	deltas := map[string][][]int{"delta": {{2}, {4}}, "delta13": {{1, 3}}, "delta2": {{2}}}
+	for _, row := range rows {
+		r, d := row.r, row.d
+		t.Run(fmt.Sprintf("R%d/%s/%s", r, row.head, d.name), func(t *testing.T) {
+			fsys := rt.NewMemFS()
+			s := newJudgeState(t)
+			s.write(t, fsys, "out/snap000000", []int{1, 2, 3, 4}, 0, r, nil)
+			s.write(t, fsys, target, []int{1, 2, 3, 4}, 10, r, nil)
+			for i, panes := range deltas[row.head] {
+				base := fmt.Sprintf("out/snap%06d", 20+10*i)
+				s.write(t, fsys, base, panes, float64(20+10*i), r, deltaOn(s.order[len(s.order)-1], i+1))
+			}
+			d.do(t, fsys)
+
+			hit := map[string]bool{}
+			for _, sfx := range d.hits {
+				hit[target+sfx] = true
+			}
+			seen := hit // what the walk's file check sees
+			if d.payload {
+				seen = nil
+			}
+			want, wantTried := "", []string(nil)
+			for i := len(s.order) - 1; i >= 0 && want == ""; i-- {
+				if g := s.order[i]; s.restores(g, seen) {
+					wantTried = append(wantTried, g)
+					if s.restores(g, hit) {
+						want = g
+					}
+				}
+			}
+
+			reports, err := Fsck(fsys, "out/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			scrubbed := ""
+			for _, rep := range reports {
+				if promised(rep) {
+					scrubbed = rep.Base
+					break
+				}
+			}
+			base, got, tried, err := restoreTried(t, fsys, "out/")
+			if err != nil {
+				t.Fatalf("restore: %v\n%s", err, Format(reports))
+			}
+			if base != want || fmt.Sprint(tried) != fmt.Sprint(wantTried) {
+				t.Fatalf("walk tried %v and restored %s, the model says %v and %s\n%s", tried, base, wantTried, want, Format(reports))
+			}
+			if base != scrubbed {
+				t.Fatalf("restored %s, the scrub promised %s\n%s", base, scrubbed, Format(reports))
+			}
+			checkState(t, got, s.want[base])
+		})
 	}
 }
 

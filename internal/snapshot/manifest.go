@@ -10,8 +10,8 @@
 // The package also provides the read side: generation discovery, a
 // newest-first restore walk that falls back past damaged generations,
 // retention pruning, and the scrub behind cmd/genxfsck — which judges a
-// generation's files and chain by the walk's own rules (checkFile,
-// throughChain).
+// generation's files and panes by the walk's own rules (checkFile,
+// restorable).
 package snapshot
 
 import (
@@ -74,14 +74,6 @@ type Manifest struct {
 	// catalog costs a full generation the indexed read path, not the
 	// generation.
 	Catalog *CatalogRef `json:"catalog,omitempty"`
-	// Replication is the number of copies of each server file set this
-	// generation carries: 1 + the highest replica rank among the committed
-	// files. A generation with Replication > 1 can lose or corrupt files
-	// and still restore — the read path retries each pane against the
-	// replicas — so the restore walk attempts it even when its files fail
-	// checkFile.
-	// Zero on manifests committed by older writers (treated as 1).
-	Replication int `json:"replication,omitempty"`
 	// BaseGeneration names the committed generation this delta resolves
 	// against: panes not rewritten here are read from the base (which may
 	// itself be a delta — the chain walks down to a full generation).
@@ -183,12 +175,6 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 	m.Files = entries
 	if len(m.Files) == 0 && chain == nil {
 		return nil, fmt.Errorf("snapshot: commit %s: no snapshot files", base)
-	}
-	m.Replication = 1
-	for _, e := range m.Files {
-		if r := catalog.ReplicaRank(e.Name) + 1; r > m.Replication {
-			m.Replication = r
-		}
 	}
 	// The catalog goes to disk before the manifest: the manifest is the
 	// commit record, so a crash between the two leaves an uncommitted

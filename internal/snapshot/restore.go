@@ -139,8 +139,8 @@ func decodeStep(msg []byte) step {
 }
 
 // walk returns rank 0's side of Restore: a function yielding the walk's
-// steps, newest generation first. Verification touches every file's header
-// and directory, which is why one rank does it and shares the verdict.
+// steps, newest generation first. Verification reads the needed files'
+// headers and directories, so one rank does it and shares the verdict.
 func walk(fsys rt.FS, prefix string) func() step {
 	gens, listErr := Generations(fsys, prefix)
 	return func() step {
@@ -153,15 +153,15 @@ func walk(fsys rt.FS, prefix string) func() step {
 			return step{err: fmt.Errorf("snapshot: %s has no manifest (uncommitted)", g.Base)}
 		}
 		// A full generation is the chain of length one.
-		_, _, err := throughChain(fsys, g.Base, func(e FileEntry) error { return checkOnDisk(fsys, e) })
+		_, err := judge(fsys, g.Base, func(e FileEntry) bool { return checkOnDisk(fsys, e) == nil })
 		return step{base: g.Base, err: err}
 	}
 }
 
 // Restore walks the generations under prefix newest-first and calls try
 // with each restorable base until one attempt succeeds on every rank,
-// returning that base. Uncommitted generations, generations whose chain
-// fails verification, and generations whose try fails (for example
+// returning that base. Uncommitted generations, generations that fail
+// restorable, and generations whose try fails (for example
 // rocpanda.ErrIncompleteRestart after a server skipped a checksum-damaged
 // file) are fallen past, each bumping the rocpanda.restart.fallbacks
 // counter once. A failed listing ends the walk on every rank.

@@ -10,11 +10,13 @@ import (
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
+	"genxio/internal/roccom"
 	"genxio/internal/rt"
 )
 
 // writeGen writes one committed-looking generation (nfiles rank files under
-// base) and returns the file names. Commit is the caller's choice.
+// base, rank p's holding pane p+1) and returns the file names. Commit is the
+// caller's choice.
 func writeGen(t *testing.T, fsys rt.FS, base string, nfiles int, val float64) []string {
 	t.Helper()
 	clock := rt.NewWallClock()
@@ -25,7 +27,7 @@ func writeGen(t *testing.T, fsys rt.FS, base string, nfiles int, val float64) []
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.CreateDataset("fluid.1.p", hdf.F64, []int64{3}, nil,
+		if err := w.CreateDataset(roccom.PanePrefix("fluid", p+1)+"p", hdf.F64, []int64{3}, nil,
 			hdf.F64Bytes([]float64{val, val + 1, val + 2})); err != nil {
 			t.Fatal(err)
 		}
