@@ -134,10 +134,15 @@ func main() {
 		// registry carries clients× the per-rank counts.
 		s := reg.Snapshot()
 		nc := int64(rep.NumClients)
-		fmt.Printf("  restart: scanned %d generations, %d fallbacks, %d checksum failures\n",
+		// Seconds split the restart: client 0 judging the generations,
+		// then each server round's chain load and the scan around it.
+		fmt.Printf("  restart: scanned %d generations, %d fallbacks, %d checksum failures; judge %.3f s, chain %.3f s, scan %.3f s\n",
 			s.Counters["rocpanda.restart.generations_scanned"]/nc,
 			s.Counters["rocpanda.restart.fallbacks"]/nc,
-			s.Counters["hdf.checksum_failures"])
+			s.Counters["hdf.checksum_failures"],
+			s.Histograms["rocpanda.restart.judge_seconds"].Sum,
+			s.Histograms["rocpanda.restart.chain_seconds"].Sum,
+			s.Histograms["rocpanda.server.restart_scan_seconds"].Sum)
 		fmt.Printf("  catalog: %d indexed, %d derived, %d files opened, %.1f MB read\n",
 			s.Counters["rocpanda.restart.catalog_hits"],
 			s.Counters["rocpanda.restart.catalog_fallbacks"],

@@ -167,6 +167,8 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 	cfg.Metrics.Counter("rocpanda.write.clean_panes")
 	cfg.Metrics.Counter("rocpanda.write.delta_bytes_saved")
 	cfg.Metrics.Gauge("rocpanda.restart.chain_depth")
+	cfg.Metrics.Histogram("rocpanda.restart.judge_seconds", nil)
+	cfg.Metrics.Histogram("rocpanda.restart.chain_seconds", nil)
 
 	// I/O module selection: Rocpanda splits the world; the Rochdf
 	// variants use the world communicator directly.
@@ -250,7 +252,7 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 	if cfg.RestartFromLatest {
 		if _, err := snapshot.Restore(ctx.FS(), cfg.OutputDir+"/", func(base string) error {
 			return sim.restartAgreed(svc, base)
-		}, snapshot.Options{Comm: comm, Metrics: cfg.Metrics}); err != nil {
+		}, snapshot.Options{Comm: comm, Metrics: cfg.Metrics, Reader: snapshot.NewReader(ctx, snapshot.ReaderConfig{})}); err != nil {
 			return nil, err
 		}
 	}

@@ -58,6 +58,7 @@ type Client struct {
 	pending  *snapshot.Pending
 	ackErr   error
 	registry *metrics.Registry
+	rd       *snapshot.Reader // the restore walk's metadata reads (newReader)
 
 	// Delta snapshots (Config.DeltaSnapshots): which panes were last
 	// shipped at which dirty epoch, how many generations this client has
@@ -479,13 +480,14 @@ func (c *Client) PanesForRestart(base, window string) ([]int, error) {
 // — skipping uncommitted and damaged ones — and calls restore with each
 // candidate base until one succeeds on every client, returning that base.
 // Collective over the clients; restore is typically a ReadAttribute (or
-// several). Fallbacks are counted on rocpanda.restart.fallbacks.
+// several). Fallbacks are counted on rocpanda.restart.fallbacks. Client 0
+// judges each generation through the driver the servers read with.
 func (c *Client) RestoreLatest(prefix string, restore func(base string) error) (string, error) {
 	if c.shutdown {
 		return "", fmt.Errorf("rocpanda: restore after shutdown")
 	}
 	return snapshot.Restore(c.ctx.FS(), prefix, restore,
-		snapshot.Options{Comm: c.comm, Metrics: c.registry})
+		snapshot.Options{Comm: c.comm, Metrics: c.registry, Reader: c.rd})
 }
 
 // Shutdown is collective over the clients: it drains the servers and

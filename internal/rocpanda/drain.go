@@ -14,6 +14,7 @@ package rocpanda
 import (
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
+	"genxio/internal/mpi"
 	"genxio/internal/snapshot"
 )
 
@@ -51,28 +52,31 @@ func (s *server) newWriter() *snapshot.Writer {
 	})
 }
 
-// newReader builds the server's restart-read service. This is the one place
-// the driver is chosen — the only non-test read of cfg.ParallelRead: off,
-// the inline driver (the request loop runs each file's reads itself, the
-// paper's restart); on, a pool of ReadWorkers read workers per round.
-func (s *server) newReader() *snapshot.Reader {
+// newReader builds a Rocpanda process's restart-read service. This is the
+// one place the driver is chosen — the only non-test read of
+// cfg.ParallelRead: off, the inline driver (the request loop runs each
+// file's reads itself, the paper's restart); on, a pool of ReadWorkers read
+// workers per round. A server reads its share and ships it with it (crash is
+// its fault hook); the clients' rank 0 issues the restore walk's metadata
+// reads through it (RestoreLatest).
+func newReader(ctx mpi.Ctx, cfg *Config, crash func(faults.CrashPoint) bool, traceRank int) *snapshot.Reader {
 	workers := 0
-	if s.cfg.ParallelRead {
+	if cfg.ParallelRead {
 		workers = defaultReadWorkers
-		if s.cfg.ReadWorkers > 0 {
-			workers = s.cfg.ReadWorkers
+		if cfg.ReadWorkers > 0 {
+			workers = cfg.ReadWorkers
 		}
 	}
-	return snapshot.NewReader(s.ctx, snapshot.ReaderConfig{
+	return snapshot.NewReader(ctx, snapshot.ReaderConfig{
 		Workers:       workers,
-		Budget:        s.cfg.ReadBudgetBytes,
-		Metrics:       s.cfg.Metrics,
+		Budget:        cfg.ReadBudgetBytes,
+		Metrics:       cfg.Metrics,
 		Prefix:        "rocpanda.restart.",
 		SkippedSeries: "rocpanda.server.files_skipped",
 		ErrorSeries:   "rocpanda.read.errors",
-		Crash:         s.crashes,
-		Trace:         s.cfg.Trace,
-		TraceRank:     s.traceRank(),
+		Crash:         crash,
+		Trace:         cfg.Trace,
+		TraceRank:     traceRank,
 	})
 }
 

@@ -292,6 +292,7 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 		blockOH:    cfg.PerBlockOverhead,
 		pending:    snapshot.NewPending(sub, ctx.FS(), cfg.RetainGenerations, cfg.Metrics),
 		registry:   cfg.Metrics,
+		rd:         newReader(ctx, &cfg, nil, myIdx),
 		nClients:   n,
 		myIdx:      myIdx,
 		timeout:    cfg.RetryTimeout,

@@ -77,7 +77,7 @@ func newSrvMx(r *metrics.Registry) srvMx {
 // the CPU to the operating system.
 func (s *server) run() {
 	s.wr = s.newWriter()
-	s.rd = s.newReader()
+	s.rd = newReader(s.ctx, &s.cfg, s.crashes, s.traceRank())
 	s.reads = make(map[string]*readRound)
 	// An injected crash (internal/faults) panics with serverCrashed from
 	// deep inside the loop; catching it here and returning — no drain, no

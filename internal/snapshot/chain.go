@@ -40,38 +40,106 @@ const maxChainDepth = 1024
 // inherits, so nothing is derived across generations. On any failure the
 // error is returned alongside the links whose manifests did load — an empty
 // prefix means base itself has no readable commit record.
+//
+// LoadChain reads inline, in the paper's serial order; a Reader's rounds and
+// the restore walk issue the same reads through their driver (loadChain).
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
+	return loadChain(fsys, serial(fsys), base, nil)
+}
+
+// reads issues one batch of independent metadata reads — a chain's catalog
+// blobs, the walk's file checks — through a process's restart-read driver:
+// read(fsys, i) for every i < n, each on the filesystem view of whoever runs
+// it, returning once all have run. serial is the inline driver; a pooled
+// Reader's (Reader.reads) runs one task per read.
+type reads func(n int, read func(fsys rt.FS, i int))
+
+// serial runs a batch inline on fsys, in index order: the paper's serial
+// restart.
+func serial(fsys rt.FS) reads {
+	return func(n int, read func(rt.FS, int)) {
+		for i := range n {
+			read(fsys, i)
+		}
+	}
+}
+
+// commitRecord is one generation's commit record as a chain walk loaded it:
+// the manifest, and once read, the catalog blob it pins — each with why it
+// did not load. A pass judging many heads (the scrub) keeps them by base, so
+// a link shared by several chains loads once.
+type commitRecord struct {
+	m       *Manifest
+	mErr    error
+	cat     *catalog.Catalog
+	catErr  error
+	catRead bool
+}
+
+// loadChain is LoadChain through the driver each. The manifests come first,
+// one link at a time on fsys (each names the next); then every link's pinned
+// catalog blob is read as one batch, one read per blob. The chain is judged
+// in link order after the batch, so it fails where a link-by-link walk
+// would stop, with the same error and prefix; only a broken chain reads
+// more (the links past the one at fault). known, when set, holds the
+// records loaded so far by base and gains the new ones.
+func loadChain(fsys rt.FS, each reads, base string, known map[string]*commitRecord) ([]ChainGen, error) {
+	if known == nil {
+		known = make(map[string]*commitRecord)
+	}
 	var chain []ChainGen
+	var walkErr error
 	seen := make(map[string]bool)
 	for cur := base; ; {
 		if seen[cur] {
-			return chain, fmt.Errorf("snapshot: chain of %s revisits %s", base, cur)
+			walkErr = fmt.Errorf("snapshot: chain of %s revisits %s", base, cur)
+			break
 		}
 		if len(chain) >= maxChainDepth {
-			return chain, fmt.Errorf("snapshot: chain of %s exceeds depth %d", base, maxChainDepth)
+			walkErr = fmt.Errorf("snapshot: chain of %s exceeds depth %d", base, maxChainDepth)
+			break
 		}
 		seen[cur] = true
-		m, err := Load(fsys, cur)
-		if err != nil {
-			return chain, fmt.Errorf("snapshot: chain of %s: link %s: %w", base, cur, err)
+		rec := known[cur]
+		if rec == nil {
+			rec = &commitRecord{}
+			rec.m, rec.mErr = Load(fsys, cur)
+			known[cur] = rec
 		}
-		g := ChainGen{Base: cur, Manifest: m}
-		if len(chain) == 0 {
-			if g.Catalog, g.Derived, err = Index(fsys, m); g.Derived {
+		if rec.mErr != nil {
+			walkErr = fmt.Errorf("snapshot: chain of %s: link %s: %w", base, cur, rec.mErr)
+			break
+		}
+		chain = append(chain, ChainGen{Base: cur, Manifest: rec.m})
+		if rec.m.ChainDepth == 0 {
+			break
+		}
+		cur = rec.m.BaseGeneration
+	}
+	var unread []*commitRecord
+	for _, g := range chain {
+		if rec := known[g.Base]; !rec.catRead {
+			rec.catRead = true
+			unread = append(unread, rec)
+		}
+	}
+	each(len(unread), func(fsys rt.FS, i int) {
+		unread[i].cat, unread[i].catErr = loadCatalog(fsys, unread[i].m)
+	})
+	for i := range chain {
+		g, rec := &chain[i], known[chain[i].Base]
+		g.Catalog = rec.cat
+		err := rec.catErr
+		if i == 0 {
+			if g.Catalog, g.Derived, err = index(fsys, g.Manifest, rec.cat, rec.catErr); g.Derived {
 				err = nil
 			}
-		} else {
-			g.Catalog, err = loadCatalog(fsys, m)
 		}
-		chain = append(chain, g)
 		if err != nil {
-			return chain, fmt.Errorf("snapshot: chain of %s: link %s catalog: %w", base, cur, err)
+			return chain[:i+1], fmt.Errorf("snapshot: chain of %s: link %s catalog: %w", base, g.Base, err)
 		}
-		if m.ChainDepth == 0 {
-			return chain, nil
-		}
-		cur = m.BaseGeneration
 	}
+	return chain, walkErr
 }
 
 // ChainCatalogs returns the chain's catalogs newest first, ready for
@@ -124,11 +192,16 @@ func universe(m *Manifest, cat *catalog.Catalog) map[string][]int {
 }
 
 // judge holds the generation under base to restorable, each file judged by
-// fileOK (the walk's checkOnDisk, the scrub's reports): nil when the restore
-// walk goes through it, else the link at fault — where LoadChain stopped, or
-// where the first pane with no intact copy resolves — and why.
-func judge(fsys rt.FS, base string, fileOK func(FileEntry) bool) (link string, err error) {
-	chain, err := LoadChain(fsys, base)
+// fileOK on the filesystem view the driver each hands it (the walk's
+// checkOnDisk, the scrub's reports): nil when the restore walk goes through
+// it, else the link at fault — where the chain load stopped, or where the
+// first pane with no intact copy resolves — and why. The chain loads through
+// each (loadChain, sharing known); then the files restorable asks first,
+// every needed pane's best copy, are checked as one batch through each, and
+// restorable runs over those verdicts, checking a copy on fsys only where a
+// best copy failed — each file at most once, as restorable alone would.
+func judge(fsys rt.FS, each reads, base string, fileOK func(rt.FS, FileEntry) bool, known map[string]*commitRecord) (link string, err error) {
+	chain, err := loadChain(fsys, each, base, known)
 	if n := len(chain); err != nil {
 		if link = base; n > 0 && chain[n-1].Catalog == nil {
 			link = chain[n-1].Base
@@ -137,7 +210,21 @@ func judge(fsys rt.FS, base string, fileOK func(FileEntry) bool) (link string, e
 		}
 		return link, err
 	}
-	if link, lost := restorable(chain, fileOK); len(lost) > 0 {
+	var best []FileEntry // what restorable asks when every file passes
+	restorable(chain, func(e FileEntry) bool { best = append(best, e); return true })
+	ok := make([]bool, len(best))
+	each(len(best), func(fsys rt.FS, i int) { ok[i] = fileOK(fsys, best[i]) })
+	verdicts := make(map[string]bool, len(best))
+	for i, e := range best {
+		verdicts[e.Name] = ok[i]
+	}
+	link, lost := restorable(chain, func(e FileEntry) bool {
+		if v, asked := verdicts[e.Name]; asked {
+			return v
+		}
+		return fileOK(fsys, e)
+	})
+	if len(lost) > 0 {
 		return link, fmt.Errorf("snapshot: %s: no intact copy of %s (%d in all)", base, strings.Join(lost[:min(len(lost), 4)], ", "), len(lost))
 	}
 	return "", nil

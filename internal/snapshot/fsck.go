@@ -92,7 +92,8 @@ func fsck(fsys rt.FS, prefix string, deep bool) ([]GenReport, error) {
 // scrub report. One the walk would not restore gets a "chain-broken" line
 // naming the link at fault and why and, if its own files are clean, the
 // verdict CHAIN-BROKEN; a CORRUPT one stays CORRUPT. A committed generation
-// without the line is one the walk restores.
+// without the line is one the walk restores. Each link's manifest and catalog
+// load once per pass, however many heads sit above it.
 func chainVerdicts(fsys rt.FS, reports []GenReport) {
 	status := make(map[string]string)
 	for _, rep := range reports {
@@ -100,13 +101,14 @@ func chainVerdicts(fsys rt.FS, reports []GenReport) {
 			status[f.Name] = f.Status // a repaired file's fresh report comes last
 		}
 	}
-	scrubbed := func(e FileEntry) bool { return status[e.Name] == "ok" } // no report: not scrubbed clean
+	scrubbed := func(_ rt.FS, e FileEntry) bool { return status[e.Name] == "ok" } // no report: not scrubbed clean
+	known := make(map[string]*commitRecord)
 	for i := range reports {
 		rep := &reports[i]
 		if rep.Verdict == VerdictUncommitted {
 			continue
 		}
-		if link, err := judge(fsys, rep.Base, scrubbed); err != nil {
+		if link, err := judge(fsys, serial(fsys), rep.Base, scrubbed, known); err != nil {
 			if rep.Verdict == VerdictOK || rep.Verdict == VerdictRepaired {
 				rep.Verdict = VerdictChainBroken
 			}

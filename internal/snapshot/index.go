@@ -99,7 +99,13 @@ func loadCatalog(fsys rt.FS, m *Manifest) (*catalog.Catalog, error) {
 // file would resolve that file's panes to a stale older link. Its committed
 // catalog loads or Index fails.
 func Index(fsys rt.FS, m *Manifest) (cat *catalog.Catalog, derived bool, err error) {
-	if cat, err = loadCatalog(fsys, m); err == nil || m.ChainDepth > 0 {
+	cat, err = loadCatalog(fsys, m)
+	return index(fsys, m, cat, err)
+}
+
+// index is Index given what loadCatalog returned for m.
+func index(fsys rt.FS, m *Manifest, cat *catalog.Catalog, err error) (*catalog.Catalog, bool, error) {
+	if err == nil || m.ChainDepth > 0 {
 		return cat, false, err
 	}
 	cat, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)

@@ -10,6 +10,7 @@ import (
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/mesh"
+	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
@@ -163,8 +164,29 @@ func restoreReal(t *testing.T, fsys rt.FS, prefix string) (base string, got *roc
 }
 
 // restoreTried is restoreReal that also returns the bases the walk tried,
-// in order.
+// in order. The walk runs under both drivers of its metadata reads — inline
+// and on a 4-wide pool — and must try the same bases in the same order and
+// restore the same one, bit-exact; the inline run's outcome is returned.
 func restoreTried(t *testing.T, fsys rt.FS, prefix string) (base string, got *roccom.Window, tried []string, err error) {
+	t.Helper()
+	base, got, tried, err = restoreWith(t, fsys, prefix, ReaderConfig{})
+	reg := metrics.New()
+	pBase, pGot, pTried, pErr := restoreWith(t, fsys, prefix, ReaderConfig{Workers: 4, Metrics: reg})
+	if reg.Counter("iosched.read.tasks").Value() == 0 {
+		t.Fatal("the pooled walk ran no scheduler tasks")
+	}
+	if pBase != base || fmt.Sprint(pTried) != fmt.Sprint(tried) || fmt.Sprint(pErr) != fmt.Sprint(err) {
+		t.Fatalf("pooled walk tried %v and restored %q (%v), inline tried %v and restored %q (%v)", pTried, pBase, pErr, tried, base, err)
+	}
+	if got != nil {
+		checkState(t, pGot, stateOf(t, got))
+	}
+	return base, got, tried, err
+}
+
+// restoreWith is one restore walk whose metadata reads go through a Reader
+// configured by walk; the attempts read inline.
+func restoreWith(t *testing.T, fsys rt.FS, prefix string, walk ReaderConfig) (base string, got *roccom.Window, tried []string, err error) {
 	t.Helper()
 	runErr := mpi.NewChanWorld(fsys, 1).Run(1, func(ctx mpi.Ctx) error {
 		rd := NewReader(ctx, ReaderConfig{})
@@ -172,13 +194,28 @@ func restoreTried(t *testing.T, fsys rt.FS, prefix string) (base string, got *ro
 			tried = append(tried, b)
 			got, err = readBase(t, rd, b)
 			return err
-		}, Options{})
+		}, Options{Reader: NewReader(ctx, walk)})
 		return nil
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
 	return base, got, tried, err
+}
+
+// stateOf encodes every pane of w, as checkState compares them.
+func stateOf(t *testing.T, w *roccom.Window) map[int][]byte {
+	t.Helper()
+	state := make(map[int][]byte)
+	for _, id := range w.PaneIDs() {
+		p, _ := w.Pane(id)
+		sets, err := roccom.PaneIOSets(w, p, "all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		state[id] = roccom.EncodeIOSets(sets)
+	}
+	return state
 }
 
 // readExplicit reads the generation under base with no walk in front, as an

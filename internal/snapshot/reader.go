@@ -12,7 +12,11 @@ package snapshot
 // delivering a verified pane means (ReadRequest.Deliver), and ReaderConfig.
 //
 // One plan (Read). The generation's chain is loaded once, newest first; a
-// full generation is the chain of length one. Every wanted pane resolves to
+// full generation is the chain of length one. The manifests are followed
+// link by link; every link's catalog blob is then read as one batch through
+// the Reader's driver (reads), and the restore walk's file checks go the
+// same way (Options.Reader) — inline, the paper's serial order; pooled, one
+// task per blob or file. Every wanted pane resolves to
 // the newest link whose index holds it — each pane to exactly one
 // (generation, file, extent) — and each link's planned files are read by
 // direct coalesced offset reads, every entry CRC-verified before anything
@@ -43,7 +47,7 @@ package snapshot
 // mpi.Ctx as their rt.TaskCtx, one file at a time — open, one ReadAt per
 // coalesced run, verify, deliver, close — and constructs no scheduler, so
 // such a run reports no iosched read tasks. Pane retries always run through
-// this driver.
+// this driver, and so does a metadata batch of one.
 //
 // The pool driver (Workers > 0) hands the whole share's tasks to an
 // internal/iosched batch: ClassRead tasks executed by ctx.Spawn
@@ -177,7 +181,8 @@ type readerMx struct {
 
 	replicaReads  *metrics.Counter // pane retries served by a replica copy
 	repairedPanes *metrics.Counter
-	chainDepth    *metrics.Gauge // delta chains
+	chainDepth    *metrics.Gauge     // delta chains
+	chainSeconds  *metrics.Histogram // each round's chain load
 }
 
 func newReaderMx(cfg *ReaderConfig) readerMx {
@@ -195,6 +200,7 @@ func newReaderMx(cfg *ReaderConfig) readerMx {
 		replicaReads:  r.Counter(p + "replica_reads"),
 		repairedPanes: r.Counter(p + "repaired_panes"),
 		chainDepth:    r.Gauge(p + "chain_depth"),
+		chainSeconds:  r.Histogram(p+"chain_seconds", nil),
 	}
 }
 
@@ -215,8 +221,10 @@ func NewReader(ctx mpi.Ctx, cfg ReaderConfig) *Reader {
 // generation's files, read, verify and deliver it — and reports where the
 // index came from.
 func (rd *Reader) Read(req ReadRequest) ReadMode {
-	fsys := rd.ctx.FS()
-	chain, err := LoadChain(fsys, req.Base)
+	fsys, clock := rd.ctx.FS(), rd.ctx.Clock()
+	t0 := clock.Now()
+	chain, err := loadChain(fsys, rd.reads(), req.Base, nil)
+	rd.mx.chainSeconds.Observe(clock.Now() - t0)
 	switch {
 	case len(chain) == 0: // no commit record: what is on disk is the only description
 		if req.Uncommitted != nil {
@@ -289,6 +297,57 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		rd.mx.catalogFallbacks.Inc()
 	}
 	return mode
+}
+
+// reads is the Reader's driver for a batch of independent metadata reads:
+// inline on the owner, or one task per read on a pool of Workers, each with
+// its worker's filesystem view (on the simulated platforms, a stream of its
+// own). A batch of one runs inline: a pool would only add its start-up.
+// Metadata tasks fire no crash point.
+func (rd *Reader) reads() reads {
+	inline := serial(rd.ctx.FS())
+	if rd.cfg.Workers == 0 {
+		return inline
+	}
+	return func(n int, read func(rt.FS, int)) {
+		if n < 2 {
+			inline(n, read)
+			return
+		}
+		tasks := make([]*iosched.Task, n)
+		for i := range tasks {
+			tasks[i] = &iosched.Task{Class: iosched.ClassRead, Run: func(tc rt.TaskCtx, _ iosched.WorkerState) iosched.Result {
+				read(tc.FS(), i)
+				return iosched.Result{}
+			}}
+		}
+		eng := rd.newPool(n, nil)
+		defer eng.Close()
+		eng.RunBatch(tasks, func(iosched.Completion) {})
+	}
+}
+
+// newPool builds a batch's scheduler: Workers wide, at most MaxWorkers, for
+// n tasks, each worker's private state from newState (nil: stateless).
+func (rd *Reader) newPool(n int, newState func(int, rt.TaskCtx) iosched.WorkerState) *iosched.Engine {
+	cfg := &rd.cfg
+	nw := min(cfg.Workers, MaxWorkers)
+	return iosched.New(rd.ctx, iosched.Config{
+		Name:    "snapshot-read",
+		Workers: nw,
+		Budget:  cfg.Budget,
+		// Job queues are sized so no Put ever blocks: the scheduler deals
+		// unkeyed tasks round-robin by index (and its control queue holds
+		// every job queue's worth of completions plus every exit). A crashed
+		// worker that abandons its queue can then never wedge the owner
+		// mid-Put.
+		QueueCap:   n/nw + 2,
+		NewState:   newState,
+		Metrics:    cfg.Metrics,
+		Trace:      cfg.Trace,
+		TraceRank:  cfg.TraceRank,
+		TracePhase: trace.PhaseRead,
+	})
 }
 
 // failed reports a round that could not be served at all.
@@ -496,30 +555,13 @@ func (e *readRound) runInline(it readItem, retry bool) *readFile {
 // worker has exited. If a worker hit an injected crash the owning process
 // dies with it.
 func (e *readRound) runPool(items []readItem) {
-	cfg := &e.rd.cfg
 	var tasks []*iosched.Task
 	for _, it := range items {
 		_, ts := e.newFile(it, true)
 		tasks = append(tasks, ts...)
 	}
-	nw := min(cfg.Workers, MaxWorkers)
-	eng := iosched.New(e.rd.ctx, iosched.Config{
-		Name:    "snapshot-read",
-		Workers: nw,
-		Budget:  cfg.Budget,
-		// Job queues are sized so no Put ever blocks: the scheduler deals
-		// unkeyed tasks round-robin by index (and its control queue holds
-		// every job queue's worth of completions plus every exit). A crashed
-		// worker that abandons its queue can then never wedge the owner
-		// mid-Put.
-		QueueCap: len(tasks)/nw + 2,
-		NewState: func(wi int, tc rt.TaskCtx) iosched.WorkerState {
-			return &readHandles{m: make(map[string]rt.File)}
-		},
-		Metrics:    cfg.Metrics,
-		Trace:      cfg.Trace,
-		TraceRank:  cfg.TraceRank,
-		TracePhase: trace.PhaseRead,
+	eng := e.rd.newPool(len(tasks), func(int, rt.TaskCtx) iosched.WorkerState {
+		return &readHandles{m: make(map[string]rt.File)}
 	})
 	defer eng.Close()
 	eng.RunBatch(tasks, func(c iosched.Completion) {

@@ -92,8 +92,16 @@ type Options struct {
 	// with the same arguments. Nil runs single-process.
 	Comm mpi.Comm
 	// Metrics, when set, receives rocpanda.restart.generations_scanned
-	// and rocpanda.restart.fallbacks counters. Nil disables recording.
+	// and rocpanda.restart.fallbacks counters and the
+	// rocpanda.restart.judge_seconds histogram (rank 0, once per judged
+	// generation). Nil disables recording.
 	Metrics *metrics.Registry
+	// Reader, when set, is the restart-read driver rank 0 issues the walk's
+	// metadata reads through — a generation's catalog blobs, then its best
+	// copies' file checks, each as one batch: inline (Workers 0) or on its
+	// pool. Its process reads fsys; its clock times each judged generation.
+	// Nil reads inline on fsys, timed by the wall clock.
+	Reader *Reader
 }
 
 // step is one move of the restore walk: try the generation under base,
@@ -140,9 +148,18 @@ func decodeStep(msg []byte) step {
 
 // walk returns rank 0's side of Restore: a function yielding the walk's
 // steps, newest generation first. Verification reads the needed files'
-// headers and directories, so one rank does it and shares the verdict.
-func walk(fsys rt.FS, prefix string) func() step {
+// headers and directories, so one rank does it and shares the verdict. Its
+// metadata reads — each candidate's catalog blobs, then its best copies'
+// file checks — go through opts.Reader's driver as one batch each (judge):
+// inline, the paper's serial order; pooled, concurrent.
+func walk(fsys rt.FS, prefix string, opts Options) func() step {
 	gens, listErr := Generations(fsys, prefix)
+	each, clock := serial(fsys), rt.Clock(rt.NewWallClock())
+	if rd := opts.Reader; rd != nil {
+		each, clock = rd.reads(), rd.ctx.Clock()
+	}
+	judged := opts.Metrics.Histogram("rocpanda.restart.judge_seconds", nil)
+	fileOK := func(fsys rt.FS, e FileEntry) bool { return checkOnDisk(fsys, e) == nil }
 	return func() step {
 		if listErr != nil || len(gens) == 0 {
 			return step{end: true, err: listErr}
@@ -153,7 +170,9 @@ func walk(fsys rt.FS, prefix string) func() step {
 			return step{err: fmt.Errorf("snapshot: %s has no manifest (uncommitted)", g.Base)}
 		}
 		// A full generation is the chain of length one.
-		_, err := judge(fsys, g.Base, func(e FileEntry) bool { return checkOnDisk(fsys, e) == nil })
+		t0 := clock.Now()
+		_, err := judge(fsys, each, g.Base, fileOK, nil)
+		judged.Observe(clock.Now() - t0)
 		return step{base: g.Base, err: err}
 	}
 }
@@ -168,7 +187,7 @@ func walk(fsys rt.FS, prefix string) func() step {
 func Restore(fsys rt.FS, prefix string, try func(base string) error, opts Options) (string, error) {
 	var next func() step
 	if opts.Comm == nil || opts.Comm.Rank() == 0 {
-		next = walk(fsys, prefix)
+		next = walk(fsys, prefix, opts)
 	}
 	scanned := opts.Metrics.Counter("rocpanda.restart.generations_scanned")
 	fallbacks := opts.Metrics.Counter("rocpanda.restart.fallbacks")
