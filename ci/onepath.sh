@@ -23,18 +23,27 @@ none 'hdf.Open outside internal/hdf and the deep scrub (its independent referenc
 none 'a dataset-at-a-time read in the restart reader' '\.Lookup\(|\.ReadData\(' -path 'internal/snapshot/reader.go'
 hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -nE 'ClassScan|func scanFile' {} +)
 [ -z "$hits" ] || { echo "onepath: a scan class or a second file reader:"; echo "$hits"; fail=1; }
-one 'a catalog made from directories (the caller of AddFile)' '\.AddFile\('
-# Commit from what the writers know: a directory is validated by one gate,
-# whether read off the file (loadDir) or reported by its writer
-# (Published.Decode), and the commit reads a directory off the filesystem
-# only in deriveCatalog's fallback for a file no writer reported.
-one 'a directory validation gate' '^func checkDir\('
-one 'a dataset-extent check (the body of checkDir)' 'outside data region'
-n=$(src -path 'internal/hdf/*' | xargs grep -hE '[^ ]+ = checkDir\(' | wc -l)
-[ "$n" -eq 2 ] || { echo "onepath: $n callers of checkDir, want 2 (loadDir and Published.Decode)"; fail=1; }
-none 'ScanDir on the commit path' 'ScanDir\(' '(' -path 'internal/snapshot/commit.go' -o -path 'internal/snapshot/manifest.go' ')'
-n=$(grep -cE 'ScanDir\(' internal/snapshot/index.go)
-[ "$n" -eq 1 ] || { echo "onepath: $n ScanDir calls in index.go, want 1 (deriveCatalog's fallback)"; fail=1; }
+# Commit from what the writers know, copying entries: a directory passes one
+# gate, the walker, whether read off the file or reported by its writer; the
+# walker's one materializing caller is hdf's Datasets (Open, ScanDir), its one
+# splicing caller catalog.Splice, which copies each entry into the blob; one
+# assembler writes the blob around the entries, for Splice and Encode alike;
+# the snapshot package neither builds a catalog with AddFile nor re-encodes
+# one; and the commit reads a directory off the filesystem only in
+# deriveCatalog's fallback for a file no writer reported.
+one 'a directory walker (the gate)' '^func \([a-z]+ \*?RawDir\) Walk\('
+one 'a dataset-extent check (the body of the walker)' 'outside data region'
+for pkg in hdf catalog; do
+	n=$(src -path "internal/$pkg/*" | xargs grep -hE '\.Walk\(' | wc -l)
+	[ "$n" -eq 1 ] || { echo "onepath: $n callers of the directory walker in internal/$pkg, want 1"; fail=1; }
+done
+none 'a caller of the directory walker outside internal/hdf and internal/catalog' '\.Walk\(' \
+	! -path 'internal/hdf/*' ! -path 'internal/catalog/*'
+one 'a catalog blob assembler' '^func assembleBlob\('
+none 'a catalog built by AddFile or re-encoded in internal/snapshot' 'AddFile\(|\.Encode\(\)' -path 'internal/snapshot/*'
+none 'ScanDir on the commit path' 'ScanDir\(' '(' -path 'internal/snapshot/commit.go' -o -path 'internal/snapshot/manifest.go' -o -path 'internal/snapshot/index.go' ')'
+n=$(grep -cE 'ReadRawDir\(' internal/snapshot/index.go)
+[ "$n" -eq 1 ] || { echo "onepath: $n directory reads in index.go, want 1 (deriveCatalog's fallback)"; fail=1; }
 # Prune from what the commit knows: the commit round lists its prefix once
 # and commit indexes from that listing; the prune removes only listed names
 # (no per-generation listing, no staged name guessed at) and reads a

@@ -119,6 +119,15 @@ func main() {
 	fmt.Printf("  clients %d, servers %d, steps %d, snapshots %d\n",
 		rep.NumClients, rep.NumServers, rep.Steps, rep.Snapshots)
 	fmt.Printf("  payload to I/O: %.1f MB\n", float64(rep.BytesOut)/1e6)
+	// A Rocpanda client's sync waits for its server's drain and then for
+	// rank 0's commit, so the two sums split a sync second between them.
+	s := reg.Snapshot()
+	commit, wait := s.Histograms["snapshot.commit_seconds"], s.Histograms["rocpanda.client.sync_wait_seconds"]
+	fmt.Printf("  sync: rank 0 committed %d generations in %.3f s", commit.Count, commit.Sum)
+	if wait.Count > 0 {
+		fmt.Printf(", clients waited %.3f s each", wait.Sum/float64(rep.NumClients))
+	}
+	fmt.Println()
 	if *deltaSnap {
 		s := reg.Snapshot()
 		fmt.Printf("  delta: %d dirty panes shipped, %d clean panes skipped, %.1f MB saved\n",

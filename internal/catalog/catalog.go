@@ -1,12 +1,16 @@
 // Package catalog implements the per-generation block catalog: a compact
 // index mapping every (window, pane, dataset) in a committed snapshot
 // generation to its exact byte extent — file, offset, stored length, and
-// CRC32C. The committing rank builds it at snapshot commit by merging the
+// CRC32C. The committing rank builds it at snapshot commit from the
 // directories of the generation's RHDF files (the writer's directory IS the
 // per-file index, so no extra wire traffic is needed) and writes it as a
 // single blob next to the manifest, before the manifest — the manifest is
 // the commit record, so a generation either has its catalog or is not yet
-// committed.
+// committed. A blob entry is a file index and the dataset's directory entry
+// byte for byte, so the commit builds the blob by copying entries (Splice):
+// each directory passes its one gate, hdf.RawDir.Walk, and no dataset is
+// decoded on the way. A Catalog is the decoded blob (Decode) that readers
+// plan from.
 //
 // At restart, servers consult the catalog to open only the files that
 // contain requested panes and issue direct offset reads, verified per entry
@@ -22,6 +26,7 @@ package catalog
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,7 +73,8 @@ type Catalog struct {
 // AddFile merges one file's dataset descriptors into the catalog and
 // returns the file's index. Datasets whose names do not follow the pane
 // path grammar (e.g. server-side "_meta" markers) are skipped — the catalog
-// indexes restartable blocks, not bookkeeping.
+// indexes restartable blocks, not bookkeeping. With Encode it is the
+// decoded reference a Splice of the same directories must match.
 func (c *Catalog) AddFile(name string, sets []*hdf.Dataset) int {
 	idx := len(c.Files)
 	c.Files = append(c.Files, name)
@@ -88,23 +94,71 @@ func (c *Catalog) AddFile(name string, sets []*hdf.Dataset) int {
 //	entry: u32 fileIdx | the dataset's RHDF directory entry
 //	       (hdf.Dataset.AppendDirEntry)
 func (c *Catalog) Encode() []byte {
-	var body []byte
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.Files)))
-	for _, f := range c.Files {
-		body = hdf.AppendStr(body, f)
-	}
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(c.Entries)))
+	var entries []byte
 	for i := range c.Entries {
-		body = binary.LittleEndian.AppendUint32(body, uint32(c.Entries[i].File))
-		body = c.Entries[i].AppendDirEntry(body)
+		entries = binary.LittleEndian.AppendUint32(entries, uint32(c.Entries[i].File))
+		entries = c.Entries[i].AppendDirEntry(entries)
 	}
-
-	blob := make([]byte, 0, headerSize+len(body))
-	blob = append(blob, Magic...)
-	blob = binary.LittleEndian.AppendUint32(blob, Version)
-	blob = binary.LittleEndian.AppendUint32(blob, hdf.Checksum(body))
-	return append(blob, body...)
+	return assembleBlob(c.Files, len(c.Entries), entries)
 }
+
+// assembleBlob writes a blob around n encoded entries: the header, the file
+// table, the entry count and the body CRC32C.
+func assembleBlob(files []string, n int, entries []byte) []byte {
+	size := headerSize + 4 + 4 + len(entries)
+	for _, f := range files {
+		size += 2 + len(f)
+	}
+	blob := make([]byte, headerSize, size)
+	copy(blob, Magic)
+	binary.LittleEndian.PutUint32(blob[4:], Version)
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(files)))
+	for _, f := range files {
+		blob = hdf.AppendStr(blob, f)
+	}
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(n))
+	blob = append(blob, entries...)
+	binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:]))
+	return blob
+}
+
+// Splice builds a catalog blob the way a commit does: each file's
+// directory entries pass the directory's one gate (hdf.RawDir.Walk) and
+// the pane-path grammar, and are copied into the body as they stand — no
+// dataset is decoded and encoded again. The blob is the one AddFile and
+// Encode make of the same directories (FuzzDirSplice). The zero value is
+// empty.
+type Splice struct {
+	files   []string
+	n       int
+	entries []byte // n × { u32 fileIdx | directory entry }
+}
+
+// AddDir indexes d's pane datasets under the next file index. A directory
+// that fails the gate adds nothing and its error says why.
+func (s *Splice) AddDir(d hdf.RawDir) error {
+	mark, n, idx := len(s.entries), s.n, uint32(len(s.files))
+	// An entry is at least 22 bytes and grows by at most 8 here (its file
+	// index, a version-2 entry's CRC), so the directory's half again holds
+	// whatever it adds.
+	s.entries = slices.Grow(s.entries, len(d.Bytes)+len(d.Bytes)/2)
+	err := d.Walk(func(e *hdf.DirEntry) {
+		if _, _, _, ok := roccom.ParseDatasetName(e.Name); ok {
+			s.entries = binary.LittleEndian.AppendUint32(s.entries, idx)
+			s.entries = e.Append(s.entries)
+			s.n++
+		}
+	})
+	if err != nil {
+		s.entries, s.n = s.entries[:mark], n
+		return err
+	}
+	s.files = append(s.files, d.Name)
+	return nil
+}
+
+// Blob returns the catalog blob of the directories added.
+func (s *Splice) Blob() []byte { return assembleBlob(s.files, s.n, s.entries) }
 
 // Decode parses a catalog blob, verifying magic, version, and the body
 // checksum. All malformed-input paths are errors, never panics.
@@ -163,12 +217,16 @@ func Decode(blob []byte) (*Catalog, error) {
 	return c, nil
 }
 
-// Write stages the catalog at base+Suffix+tmp and renames it into place,
-// returning the blob's size and whole-blob CRC32C for the manifest's
-// catalog reference. It must be called before the manifest commit so the
-// generation's commit record never points at a missing catalog.
+// Write publishes c's blob the way WriteBlob does.
 func Write(fsys rt.FS, base string, c *Catalog) (size int64, crc uint32, err error) {
-	blob := c.Encode()
+	return WriteBlob(fsys, base, c.Encode())
+}
+
+// WriteBlob stages blob at base+Suffix+tmp and renames it into place,
+// returning its size and whole-blob CRC32C for the manifest's catalog
+// reference. It must be called before the manifest commit so the
+// generation's commit record never points at a missing catalog.
+func WriteBlob(fsys rt.FS, base string, blob []byte) (size int64, crc uint32, err error) {
 	if err := hdf.PublishFile(fsys, base+Suffix, blob); err != nil {
 		return 0, 0, fmt.Errorf("catalog: writing %s: %w", base+Suffix, err)
 	}

@@ -1,0 +1,148 @@
+package catalog
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"testing"
+
+	"genxio/internal/hdf"
+	"genxio/internal/rt"
+)
+
+// rhdfImage writes sets (name → dims) as an RHDF file and returns its bytes.
+func rhdfImage(t testing.TB, sets map[string][]int64) []byte {
+	t.Helper()
+	fsys := rt.NewMemFS()
+	w, err := hdf.Create(fsys, "img.rhdf", rt.NewWallClock(), hdf.NullProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, dims := range sets {
+		n := int64(1)
+		for _, d := range dims {
+			n *= d
+		}
+		attrs := []hdf.Attr{hdf.StrAttr("location", "node"), hdf.I32Attr("extent", 1, 2, 3)}
+		if err := w.CreateDataset(name, hdf.U8, dims, attrs, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := hdf.ReadFile(fsys, "img.rhdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// dirOf splits an RHDF image into FuzzDirSplice's inputs: the directory
+// bytes and the header facts they are checked against.
+func dirOf(img []byte) (dir []byte, count uint32, dataLen uint16, version uint32) {
+	dirOff := binary.LittleEndian.Uint64(img[8:])
+	return img[dirOff:], binary.LittleEndian.Uint32(img[16:]), uint16(dirOff - uint64(hdf.HeaderSize())), binary.LittleEndian.Uint32(img[4:])
+}
+
+// fileWith is an RHDF file around dir: the header states version, count and
+// a directory offset past dataLen zero data bytes.
+func fileWith(dir []byte, count uint32, dataLen uint16, version uint32) []byte {
+	img := []byte(hdf.Magic)
+	img = binary.LittleEndian.AppendUint32(img, version)
+	img = binary.LittleEndian.AppendUint64(img, uint64(hdf.HeaderSize())+uint64(dataLen))
+	img = binary.LittleEndian.AppendUint32(img, count)
+	img = append(img, make([]byte, 4+int(dataLen))...)
+	return append(img, dir...)
+}
+
+// FuzzDirSplice: for any directory bytes and header facts, the splice
+// accepts exactly what the materializing reader (hdf.ScanDir) accepts, and
+// its blob is the one AddFile and Encode make of the decoded datasets. A
+// refused directory adds nothing: the intact file spliced before it is the
+// whole blob.
+func FuzzDirSplice(f *testing.F) {
+	v3 := rhdfImage(f, map[string][]int64{
+		"/fluid/pane000001/pressure": {4},
+		"/fluid/pane000001/_coords":  {2, 3},
+		"/solid/pane000007/_conn":    {1, 2, 2},
+		"_meta":                      {1},
+	})
+	v2, err := os.ReadFile("../hdf/testdata/legacy_v2.rhdf")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, img := range [][]byte{v3, v2} {
+		dir, count, dataLen, version := dirOf(img)
+		f.Add(dir, count, dataLen, version == 2)
+		f.Add(dir, count+1, dataLen, version == 2)
+		f.Add(dir, count, dataLen-1, version == 2)
+		f.Add(dir[:len(dir)-1], count, dataLen, version == 2)
+		f.Add(dir, count, dataLen, version != 2)
+	}
+	// A version-2 entry whose flags claim a CRC it has no field for: the
+	// reader clears the flag, so the splice must too.
+	dir, count, dataLen, _ := dirOf(v2)
+	dir = append([]byte(nil), dir...)
+	dir[4+2+len("/fluid/pane000001/pressure")+1] |= 2
+	f.Add(dir, count, dataLen, true)
+	f.Add([]byte{}, uint32(0), uint16(0), false)
+	f.Add([]byte{0, 0, 0, 0}, uint32(0), uint16(0), false)
+	intact := rhdfImage(f, map[string][]int64{"/fluid/pane000002/pressure": {2}})
+
+	f.Fuzz(func(t *testing.T, dir []byte, count uint32, dataLen uint16, v2 bool) {
+		version := uint32(hdf.Version)
+		if v2 {
+			version = 2
+		}
+		fsys := rt.NewMemFS()
+		for name, img := range map[string][]byte{"a.rhdf": intact, "b.rhdf": fileWith(dir, count, dataLen, version)} {
+			if err := hdf.PublishFile(fsys, name, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref := &Catalog{}
+		var s Splice
+		for _, name := range []string{"a.rhdf", "b.rhdf"} {
+			_, _, sets, refErr := hdf.ScanDir(fsys, name)
+			d, err := hdf.ReadRawDir(fsys, name)
+			if err == nil {
+				err = s.AddDir(d)
+			}
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s: splice says %v, the reader %v", name, err, refErr)
+			}
+			if refErr == nil {
+				ref.AddFile(name, sets)
+			}
+		}
+		if got, want := s.Blob(), ref.Encode(); !bytes.Equal(got, want) {
+			t.Fatalf("spliced blob differs from the encoded catalog:\n got %x\nwant %x", got, want)
+		}
+	})
+}
+
+// TestSpliceAllocations: splicing a directory costs a fixed number of
+// allocations however many entries it holds — none per entry.
+func TestSpliceAllocations(t *testing.T) {
+	allocs := func(n int) float64 {
+		sets := make(map[string][]int64, n)
+		for i := range n {
+			sets[fmt.Sprintf("/fluid/pane%06d/pressure", i)] = []int64{1}
+		}
+		img := rhdfImage(t, sets)
+		dir, count, _, version := dirOf(img)
+		d := hdf.RawDir{Name: "f.rhdf", Size: int64(len(img)), Version: version, Count: int(count), Bytes: dir}
+		return testing.AllocsPerRun(5, func() {
+			var s Splice
+			if err := s.AddDir(d); err != nil || s.n != n {
+				t.Fatalf("spliced %d of %d entries: %v", s.n, n, err)
+			}
+			s.Blob()
+		})
+	}
+	if few, many := allocs(48), allocs(4800); many != few || many > 8 {
+		t.Fatalf("splicing 48 entries allocates %.0f times, 4800 entries %.0f", few, many)
+	}
+}

@@ -136,7 +136,7 @@ func TestCorruptHeaderRejected(t *testing.T) {
 }
 
 // TestScanDirRejectsBadExtents: ScanDir and a writer's report
-// (Published.Decode) feed the snapshot commit — their extents become the
+// (Published.Raw, through Walk) feed the snapshot commit — their extents become the
 // catalog's, whose run lengths size restart buffers — so both must refuse
 // what Open refuses: an extent outside the data region, a negative
 // dimension, a count the header does not state.
@@ -172,7 +172,7 @@ func TestScanDirRejectsBadExtents(t *testing.T) {
 					sets[0].Name, off, length, sets[0].Dims, len(b))
 			}
 			report := Published{Name: "m.rhdf", Size: int64(len(b)), Count: 2, Dir: b[dirOff:]}
-			if _, _, _, err := report.Decode(); err == nil {
+			if err := report.Raw().Walk(func(*DirEntry) {}); err == nil {
 				t.Fatal("a report of the same directory decoded")
 			}
 		})
@@ -192,8 +192,8 @@ func TestScanDirRejectsBadExtents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSize, gotCRC, gotSets, err := report.Decode()
-	if err != nil || gotSize != size || gotCRC != crc || !reflect.DeepEqual(gotSets, sets) {
+	gotSets, err := report.Raw().Datasets()
+	if gotSize, gotCRC := report.Size, Checksum(report.Dir); err != nil || gotSize != size || gotCRC != crc || !reflect.DeepEqual(gotSets, sets) {
 		t.Fatalf("report decoded to %d bytes, crc %08x, %v (%v); ScanDir read %d, %08x, %v", gotSize, gotCRC, gotSets, err, size, crc, sets)
 	}
 	for name, bad := range map[string]Published{
@@ -201,7 +201,7 @@ func TestScanDirRejectsBadExtents(t *testing.T) {
 		"size":           {Name: "v.rhdf", Size: report.Size - 8, Count: 2, Dir: report.Dir},
 		"no data region": {Name: "v.rhdf", Size: int64(len(report.Dir)), Count: 2, Dir: report.Dir},
 	} {
-		if _, _, _, err := bad.Decode(); err == nil {
+		if err := bad.Raw().Walk(func(*DirEntry) {}); err == nil {
 			t.Errorf("a report with a wrong %s decoded", name)
 		}
 	}
@@ -231,8 +231,8 @@ func TestWriterReportsWhatItPublished(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSize, gotCRC, gotSets, err := p.Decode()
-		if err != nil || p.Name != "p.rhdf" || p.Count != i+1 || gotSize != size || gotCRC != crc || !reflect.DeepEqual(gotSets, sets) {
+		gotSets, err := p.Raw().Datasets()
+		if err != nil || p.Name != "p.rhdf" || p.Count != i+1 || p.Size != size || Checksum(p.Dir) != crc || !reflect.DeepEqual(gotSets, sets) {
 			t.Fatalf("publish %d reported %+v (%v), the file reads %d bytes, crc %08x, %d sets", i, p, err, size, crc, len(sets))
 		}
 		if again, err := w.Publish(); err != nil || again.Name != "" {

@@ -33,14 +33,21 @@ func (c *Cursor) End() error {
 }
 
 func (c *Cursor) need(n int) bool {
-	if c.err != nil {
-		return false
-	}
-	if n < 0 || n > len(c.b)-c.off {
-		c.err = fmt.Errorf("truncated at offset %d (need %d of %d)", c.off, n, len(c.b))
+	if c.err != nil || uint(n) > uint(len(c.b)-c.off) {
+		c.fail(n)
 		return false
 	}
 	return true
+}
+
+// fail sticks the error of a read of n bytes that does not fit, unless an
+// earlier error stuck. It stays out of line so need, on every read, inlines.
+//
+//go:noinline
+func (c *Cursor) fail(n int) {
+	if c.err == nil {
+		c.err = fmt.Errorf("truncated at offset %d (need %d of %d)", c.off, n, len(c.b))
+	}
 }
 
 // Fits returns n when n records of at least each bytes could still follow,
@@ -56,11 +63,14 @@ func (c *Cursor) Fits(n, each int) int {
 	return n
 }
 
+// zeros is what a failed cursor reads.
+var zeros [8]byte
+
 // word returns the next n <= 8 bytes in place, or zeros once the cursor has
 // failed.
 func (c *Cursor) word(n int) []byte {
 	if !c.need(n) {
-		return make([]byte, 8)[:n]
+		return zeros[:n]
 	}
 	c.off += n
 	return c.b[c.off-n : c.off]

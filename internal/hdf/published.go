@@ -8,7 +8,7 @@ import (
 // Published is what one Writer put on disk when it closed: the file's
 // committed name, its size, its dataset count and its directory bytes
 // exactly as written — everything a commit would otherwise read back off the
-// file (ScanDir) to index it, which is why a writer reports it upward. Dir
+// file (ReadRawDir) to index it, which is why a writer reports it upward. Dir
 // aliases the writer's directory buffer, or, once decoded, the message that
 // carried it.
 type Published struct {
@@ -18,18 +18,10 @@ type Published struct {
 	Dir   []byte
 }
 
-// Decode is ScanDir's answer from a report instead of the file — the size,
-// the CRC32C of the directory bytes and the dataset descriptors — through
-// the same gate (checkDir) a directory read off the disk passes.
-func (p Published) Decode() (size int64, dirCRC uint32, sets []*Dataset, err error) {
-	dirOff := p.Size - int64(len(p.Dir))
-	if dirOff < headerSize {
-		return 0, 0, nil, fmt.Errorf("hdf: %s reported %d directory bytes in a %d-byte file", p.Name, len(p.Dir), p.Size)
-	}
-	if sets, err = checkDir(p.Name, p.Dir, Version, p.Count, dirOff); err != nil {
-		return 0, 0, nil, err
-	}
-	return p.Size, Checksum(p.Dir), sets, nil
+// Raw is the report as the directory it carries, for Walk: a writer
+// publishes the current format version.
+func (p Published) Raw() RawDir {
+	return RawDir{Name: p.Name, Size: p.Size, Version: Version, Count: p.Count, Bytes: p.Dir}
 }
 
 // minPublishedBytes is the wire size of a report with an empty name and

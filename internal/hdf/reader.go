@@ -40,7 +40,11 @@ func Open(fsys rt.FS, name string, clock rt.Clock, cost CostProfile) (*Reader, e
 }
 
 func newReader(f rt.File, clock rt.Clock, cost CostProfile) (*Reader, error) {
-	_, _, sets, err := loadDir(f)
+	d, err := readRawDir(f)
+	if err != nil {
+		return nil, err
+	}
+	sets, err := d.Datasets()
 	if err != nil {
 		return nil, err
 	}
@@ -52,57 +56,22 @@ func newReader(f rt.File, clock rt.Clock, cost CostProfile) (*Reader, error) {
 	return r, nil
 }
 
-// loadDir reads an open file's header and directory and passes them through
-// checkDir.
-func loadDir(f rt.File) (size int64, dir []byte, sets []*Dataset, err error) {
-	if size, err = f.Size(); err != nil {
-		return 0, nil, nil, err
+// readRawDir reads an open file's header, checked against the file's size
+// (readHeader), and its directory bytes, which are Walk's to check.
+func readRawDir(f rt.File) (RawDir, error) {
+	size, err := f.Size()
+	if err != nil {
+		return RawDir{}, err
 	}
 	version, dirOff, count, err := readHeader(f, size)
 	if err != nil {
-		return 0, nil, nil, err
+		return RawDir{}, err
 	}
-	dir = make([]byte, size-dirOff)
+	dir := make([]byte, size-dirOff)
 	if _, err := f.ReadAt(dir, dirOff); err != nil {
-		return 0, nil, nil, fmt.Errorf("hdf: reading directory of %s: %w", f.Name(), err)
+		return RawDir{}, fmt.Errorf("hdf: reading directory of %s: %w", f.Name(), err)
 	}
-	if sets, err = checkDir(f.Name(), dir, version, count, dirOff); err != nil {
-		return 0, nil, nil, err
-	}
-	return size, dir, sets, nil
-}
-
-// checkDir decodes and validates a file's directory — the one gate between
-// directory bytes and anything that trusts them (a Reader's payload reads, a
-// committed catalog's extents), whether the bytes were read off the file
-// (loadDir) or reported by the writer that published it (Published.Decode):
-// the dataset count must match the header's, and every extent must sit
-// inside the data region [headerSize, dirOff) with no negative dimension.
-func checkDir(name string, dir []byte, version uint32, count int, dirOff int64) ([]*Dataset, error) {
-	// A header claiming more sets than the directory bytes could hold is
-	// garbage — reject it before anything trusts the count.
-	if maxSets := len(dir) / minDirEntryBytes; count > maxSets || count < 0 {
-		return nil, fmt.Errorf("hdf: %s header claims %d datasets, directory holds at most %d", name, count, maxSets)
-	}
-	sets, err := decodeDir(dir, version)
-	if err != nil {
-		return nil, fmt.Errorf("hdf: %s: %w", name, err)
-	}
-	if len(sets) != count {
-		return nil, fmt.Errorf("hdf: %s header says %d datasets, directory has %d", name, count, len(sets))
-	}
-	for _, d := range sets {
-		if d.offset < headerSize || d.length < 0 || d.offset+d.length < d.offset || d.offset+d.length > dirOff {
-			return nil, fmt.Errorf("hdf: %s dataset %q extent [%d,+%d) outside data region [%d,%d)",
-				name, d.Name, d.offset, d.length, headerSize, dirOff)
-		}
-		for _, dim := range d.Dims {
-			if dim < 0 {
-				return nil, fmt.Errorf("hdf: %s dataset %q has negative dimension %d", name, d.Name, dim)
-			}
-		}
-	}
-	return sets, nil
+	return RawDir{Name: f.Name(), Size: size, Version: version, Count: count, Bytes: dir}, nil
 }
 
 // NumDatasets returns the number of datasets in the file.
@@ -220,77 +189,28 @@ func readHeader(f rt.File, size int64) (uint32, int64, int, error) {
 	return version, dirOff, count, nil
 }
 
-// minDirEntryBytes is the encoded size of a directory entry with an empty
-// name and no dims or attrs, in every version; minAttrBytes that of an
-// attribute with empty name and data.
-const (
-	minDirEntryBytes = 22
-	minAttrBytes     = 2 + 1 + 4
-)
-
-func decodeDir(b []byte, version uint32) ([]*Dataset, error) {
-	p := NewCursor(b)
-	// Every count is capped by what the remaining bytes could possibly hold
-	// before it sizes an allocation; the dataset count is validated against
-	// the header afterwards.
-	n := p.Fits(int(p.U32()), minDirEntryBytes)
-	if p.Err() != nil {
-		return nil, fmt.Errorf("corrupt directory: %w", p.Err())
-	}
-	sets := make([]*Dataset, 0, n)
-	for i := 0; i < n; i++ {
-		d := &Dataset{}
-		p.DirEntry(d, version)
-		if p.Err() != nil {
-			return nil, fmt.Errorf("corrupt directory at dataset %d: %w", i, p.Err())
-		}
-		sets = append(sets, d)
-	}
-	return sets, nil
-}
-
-// DirEntry is AppendDirEntry's inverse: it reads one directory entry of the
-// given format version into d (version 2 entries carry no CRC).
-func (c *Cursor) DirEntry(d *Dataset, version uint32) {
-	d.Name = c.Str()
-	d.Type = DType(c.U8())
-	d.flags = c.U8()
-	d.Dims = make([]int64, c.Fits(int(c.U8()), 8))
-	for j := range d.Dims {
-		d.Dims[j] = int64(c.U64())
-	}
-	d.offset = int64(c.U64())
-	d.length = int64(c.U64())
-	if version >= 3 {
-		d.crc = c.U32()
-	} else {
-		d.flags &^= flagHasCRC
-	}
-	d.Attrs = make([]Attr, c.Fits(int(c.U16()), minAttrBytes))
-	for j := range d.Attrs {
-		d.Attrs[j].Name = c.Str()
-		d.Attrs[j].Type = DType(c.U8())
-		d.Attrs[j].Data = c.Bytes(int(c.U32()))
-	}
-}
-
 // ScanDir reads and decodes a committed RHDF file's directory without
 // touching dataset payloads, returning the file size, the CRC32C of the raw
 // directory bytes, and the full dataset descriptors (names, shapes, extents,
-// per-dataset CRCs). The file's own directory is the per-file index: a block
-// catalog rebuilt or derived at restart comes from this pass, and so does a
-// commit's, for every file its writer did not report (Published.Decode
-// answers the same from the report). Verification and the scrub read
-// through it too.
+// per-dataset CRCs), through the same gate (Walk) a catalog's entries pass.
 func ScanDir(fsys rt.FS, name string) (size int64, dirCRC uint32, sets []*Dataset, err error) {
+	d, err := ReadRawDir(fsys, name)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if sets, err = d.Datasets(); err != nil {
+		return 0, 0, nil, err
+	}
+	return d.Size, Checksum(d.Bytes), sets, nil
+}
+
+// ReadRawDir reads the named file's directory as stored, undecoded: what a
+// commit indexes a file from when no writer reported it.
+func ReadRawDir(fsys rt.FS, name string) (RawDir, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
-		return 0, 0, nil, err
+		return RawDir{}, err
 	}
 	defer f.Close()
-	size, dir, sets, err := loadDir(f)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return size, Checksum(dir), sets, nil
+	return readRawDir(f)
 }

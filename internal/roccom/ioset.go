@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
 
 	"genxio/internal/hdf"
 	"genxio/internal/mesh"
@@ -38,20 +37,65 @@ func PanePrefix(window string, paneID int) string {
 }
 
 // ParseDatasetName splits a dataset path into window, pane ID, and
-// attribute name.
-func ParseDatasetName(name string) (window string, paneID int, attr string, ok bool) {
-	parts := strings.Split(name, "/")
-	if len(parts) != 4 || parts[0] != "" {
-		return "", 0, "", false
+// attribute name. The grammar is exactly three slashes, the first leading:
+// "/<window>/pane<ID>/<attr>", where window and attr may be empty and ID is
+// what strconv.Atoi accepts (an optional sign, then decimal digits, in int
+// range). It allocates nothing, whether name is a string or a directory
+// entry's name bytes in place; window and attr are subslices of name.
+func ParseDatasetName[S ~string | ~[]byte](name S) (window S, paneID int, attr S, ok bool) {
+	if len(name) == 0 || name[0] != '/' {
+		return window, 0, attr, false
 	}
-	if !strings.HasPrefix(parts[2], "pane") {
-		return "", 0, "", false
+	window, rest, ok1 := cutSlash(name[1:])
+	pane, attr, ok2 := cutSlash(rest)
+	if _, _, extra := cutSlash(attr); !ok1 || !ok2 || extra || len(pane) < len("pane") {
+		return window, 0, attr, false
 	}
-	id, err := strconv.Atoi(parts[2][4:])
-	if err != nil {
-		return "", 0, "", false
+	for i := range len("pane") {
+		if pane[i] != "pane"[i] {
+			return window, 0, attr, false
+		}
 	}
-	return parts[1], id, parts[3], true
+	if paneID, ok = atoi(pane[len("pane"):]); !ok {
+		return window, 0, attr, false
+	}
+	return window, paneID, attr, true
+}
+
+// cutSlash is strings.Cut(s, "/") for either kind of name.
+func cutSlash[S ~string | ~[]byte](s S) (before, after S, found bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '/' {
+			return s[:i], s[i+1:], true
+		}
+	}
+	return s, s[len(s):], false
+}
+
+// atoi accepts what strconv.Atoi accepts — an optional sign, then at least
+// one decimal digit, the value in int range — without the error value
+// Atoi allocates on a rejection.
+func atoi[S ~string | ~[]byte](s S) (int, bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	var n uint64
+	for i := 0; i < len(s); i++ {
+		d := uint64(s[i] - '0')
+		if d > 9 || n > (limit-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	if neg {
+		n = -n // limit+1 wraps to math.MinInt
+	}
+	return int(n), len(s) > 0
 }
 
 // PaneIOSets extracts datasets from a pane. The attribute selector follows

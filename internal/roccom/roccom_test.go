@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -540,12 +541,106 @@ func TestParseDatasetName(t *testing.T) {
 	if !ok || win != "fluid" || id != 42 || attr != "pressure" {
 		t.Fatalf("parse = %q %d %q %v", win, id, attr, ok)
 	}
-	for _, bad := range []string{"", "/a/b", "/a/b/c", "/a/paneX/c", "a/pane0001/c", "/a/pane0001/c/d"} {
-		if _, _, _, ok := ParseDatasetName(bad); ok {
-			t.Fatalf("accepted %q", bad)
+	if win, id, attr, ok := ParseDatasetName([]byte("//pane-7/")); !ok || len(win) != 0 || id != -7 || len(attr) != 0 {
+		t.Fatalf("parse of bytes = %q %d %q %v", win, id, attr, ok)
+	}
+	// The corners of the grammar, strconv.Atoi's quirks among them: each
+	// name parses as the reference (strings.Split, then Atoi) parses it,
+	// from a string and from bytes alike.
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"/fluid/pane000042/pressure", true},
+		{"/w/pane+3/a", true},
+		{"/w/pane-3/a", true},
+		{"/w/pane-0/a", true},
+		{"/w/pane0007/a", true},
+		{"//pane1/", true},
+		{"/w/pane9223372036854775807/a", true},
+		{"/w/pane-9223372036854775808/a", true},
+		{"/w/pane9223372036854775808/a", false},
+		{"/w/pane-9223372036854775809/a", false},
+		{"/w/pane99999999999999999999/a", false},
+		{"/w/pane/a", false},
+		{"/w/pane+/a", false},
+		{"/w/pane-/a", false},
+		{"/w/pane+-1/a", false},
+		{"/w/pane1_000/a", false},
+		{"/w/pane0x10/a", false},
+		{"/w/pane 1/a", false},
+		{"/w/pane1 /a", false},
+		{"/w/Pane1/a", false},
+		{"/w/pan1/a", false},
+		{"/w/xpane1/a", false},
+		{"", false},
+		{"/", false},
+		{"_meta", false},
+		{"/a/b", false},
+		{"/a/b/c", false},
+		{"/a/paneX/c", false},
+		{"a/pane0001/c", false},
+		{"/a/pane0001/c/d", false},
+		{"/a/pane0001/c/", false},
+	} {
+		w, id, a, ok := ParseDatasetName(tc.name)
+		bw, bid, ba, bok := ParseDatasetName([]byte(tc.name))
+		rw, rid, ra, rok := splitParse(tc.name)
+		if ok != tc.ok || rok != tc.ok || bok != ok || ok && (w != rw || id != rid || a != ra || string(bw) != w || bid != id || string(ba) != a) {
+			t.Errorf("%q: parsed %q %d %q %v, bytes %q %d %q %v, reference %q %d %q %v, want ok %v",
+				tc.name, w, id, a, ok, bw, bid, ba, bok, rw, rid, ra, rok, tc.ok)
 		}
 	}
 	if PanePrefix("fluid", 42) != "/fluid/pane000042/" {
 		t.Fatal("PanePrefix format changed")
 	}
+}
+
+// splitParse is the pane-path grammar as strings.Split and strconv.Atoi
+// state it: the reference ParseDatasetName must agree with.
+func splitParse(name string) (window string, paneID int, attr string, ok bool) {
+	parts := strings.Split(name, "/")
+	if len(parts) != 4 || parts[0] != "" || !strings.HasPrefix(parts[2], "pane") {
+		return "", 0, "", false
+	}
+	id, err := strconv.Atoi(parts[2][len("pane"):])
+	if err != nil {
+		return "", 0, "", false
+	}
+	return parts[1], id, parts[3], true
+}
+
+// TestParseDatasetNameAllocatesNothing: the commit runs the grammar on
+// every dataset of a generation, accepted or not, string or bytes.
+func TestParseDatasetNameAllocatesNothing(t *testing.T) {
+	names := []string{"/fluid/pane000042/pressure", "/fluid/paneX/pressure", "/w/pane99999999999999999999/a", "_meta"}
+	var raw [][]byte
+	for _, n := range names {
+		raw = append(raw, []byte(n))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range names {
+			ParseDatasetName(names[i])
+			ParseDatasetName(raw[i])
+		}
+	}); n != 0 {
+		t.Fatalf("ParseDatasetName allocates %.1f times per run", n)
+	}
+}
+
+// FuzzParseDatasetName: for any name, ParseDatasetName agrees with the
+// reference grammar, from a string and from bytes alike.
+func FuzzParseDatasetName(f *testing.F) {
+	for _, seed := range []string{"/fluid/pane000042/pressure", "/w/pane-3/a", "/w/pane+0/", "//pane1/", "_meta", "/a/b/c"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		w, id, a, ok := ParseDatasetName(name)
+		bw, bid, ba, bok := ParseDatasetName([]byte(name))
+		rw, rid, ra, rok := splitParse(name)
+		if ok != rok || bok != ok || ok && (w != rw || id != rid || a != ra || string(bw) != w || bid != id || string(ba) != a) {
+			t.Fatalf("%q: parsed %q %d %q %v, bytes %q %d %q %v, reference %q %d %q %v",
+				name, w, id, a, ok, bw, bid, ba, bok, rw, rid, ra, rok)
+		}
+	})
 }

@@ -127,7 +127,7 @@ func New(ctx mpi.Ctx, cfg Config) *Rochdf {
 			SkippedSeries: prefix + "restart.files_skipped",
 			ErrorSeries:   prefix + "read_errors",
 		}),
-		pending: snapshot.NewPending(ctx.Comm(), ctx.FS(), cfg.RetainGenerations, r),
+		pending: snapshot.NewPending(ctx.Comm(), ctx.FS(), ctx.Clock(), cfg.RetainGenerations, r),
 		mx: hdfMx{
 			visibleWrite: r.Histogram(prefix+"visible_write_seconds", nil),
 			visibleRead:  r.Histogram(prefix+"visible_read_seconds", nil),

@@ -168,6 +168,7 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 	cfg.Metrics.Counter("rocpanda.write.delta_bytes_saved")
 	cfg.Metrics.Gauge("rocpanda.restart.chain_depth")
 	cfg.Metrics.Histogram("rocpanda.restart.judge_seconds", nil)
+	cfg.Metrics.Histogram("snapshot.commit_seconds", nil)
 	cfg.Metrics.Histogram("rocpanda.restart.chain_seconds", nil)
 
 	// I/O module selection: Rocpanda splits the world; the Rochdf

@@ -290,7 +290,7 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 		srvRanks:   srvRanks,
 		numServers: m,
 		blockOH:    cfg.PerBlockOverhead,
-		pending:    snapshot.NewPending(sub, ctx.FS(), cfg.RetainGenerations, cfg.Metrics),
+		pending:    snapshot.NewPending(sub, ctx.FS(), ctx.Clock(), cfg.RetainGenerations, cfg.Metrics),
 		registry:   cfg.Metrics,
 		rd:         newReader(ctx, &cfg, nil, myIdx),
 		nClients:   n,

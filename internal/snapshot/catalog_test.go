@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -329,5 +330,43 @@ func TestIndex(t *testing.T) {
 	writeAll(t, fsys, "out/snap000020"+Suffix, []byte("{"))
 	if ids, err := PaneUniverse(fsys, "out/snap000020", "fluid"); err == nil {
 		t.Fatalf("PaneUniverse answered %v from an orphan catalog", ids)
+	}
+}
+
+// legacyV2CatalogCRC is the whole-blob CRC32C (197 bytes) of the catalog
+// committed for a generation whose one file is the hand-built version-2
+// image ../hdf/testdata/legacy_v2.rhdf, as the encoder that decoded each
+// dataset and wrote it back with AppendDirEntry committed it: obtained by
+// running this test's commit on the tree before the splice.
+const legacyV2CatalogCRC = 0xda4d9ed8
+
+// TestLegacyV2Catalog: the commit splices a version-2 directory into the
+// version-3 entry layout — a zero CRC inserted, the CRC flag clear — so
+// its catalog is the one decoding and re-encoding made, and reading it
+// back finds the pane datasets without CRCs.
+func TestLegacyV2Catalog(t *testing.T) {
+	img, err := os.ReadFile("../hdf/testdata/legacy_v2.rhdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := rt.NewMemFS()
+	if err := hdf.PublishFile(fsys, "run/snap000001_s000.rhdf", img); err != nil {
+		t.Fatal(err)
+	}
+	m, err := CommitChained(fsys, "run/snap000001", 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Catalog.Size != 197 || m.Catalog.CRC != legacyV2CatalogCRC {
+		t.Fatalf("catalog is %d bytes crc32c %08x, want 197 bytes %08x", m.Catalog.Size, m.Catalog.CRC, legacyV2CatalogCRC)
+	}
+	cat, derived, err := Index(fsys, m)
+	if err != nil || derived || len(cat.Entries) != 2 {
+		t.Fatalf("index: %v, derived %v, %d entries", err, derived, len(cat.Entries))
+	}
+	for _, e := range cat.Entries {
+		if _, has := e.CRC(); has || e.Window != "fluid" || e.Pane != 1 {
+			t.Errorf("entry %s: crc %v, window %q pane %d", e.Name, has, e.Window, e.Pane)
+		}
 	}
 }

@@ -47,6 +47,7 @@ type PendingGen struct {
 type Pending struct {
 	comm      mpi.Comm
 	fs        rt.FS
+	clock     rt.Clock
 	retain    int
 	gens      []*PendingGen   // few: what was written since the last sync
 	published []hdf.Published // what this rank's writers reported since the last commit
@@ -56,17 +57,21 @@ type Pending struct {
 	links         map[string]string
 	dirsRead      *metrics.Counter
 	manifestsRead *metrics.Counter
+	commitSeconds *metrics.Histogram
 }
 
 // NewPending returns the calling rank's end of the protocol over comm.
 // retain > 0 prunes all but the newest retain generations after each commit.
 // reg receives snapshot.commit.dirs_read, the directories a commit had to
-// read off the filesystem because no writer reported them, and
+// read off the filesystem because no writer reported them,
 // snapshot.prune.manifests_read, the manifests a prune had to read because
-// no commit of this Pending wrote them.
-func NewPending(comm mpi.Comm, fs rt.FS, retain int, reg *metrics.Registry) *Pending {
-	return &Pending{comm: comm, fs: fs, retain: retain, links: make(map[string]string),
-		dirsRead: reg.Counter("snapshot.commit.dirs_read"), manifestsRead: reg.Counter("snapshot.prune.manifests_read")}
+// no commit of this Pending wrote them, and snapshot.commit_seconds, the
+// time on clock rank 0 spent committing each generation (its catalog and
+// manifest, from the reports to the renames).
+func NewPending(comm mpi.Comm, fs rt.FS, clock rt.Clock, retain int, reg *metrics.Registry) *Pending {
+	return &Pending{comm: comm, fs: fs, clock: clock, retain: retain, links: make(map[string]string),
+		dirsRead: reg.Counter("snapshot.commit.dirs_read"), manifestsRead: reg.Counter("snapshot.prune.manifests_read"),
+		commitSeconds: reg.Histogram("snapshot.commit_seconds", nil)}
 }
 
 // Begin returns the pending generation under base, adding it (fresh) on the
@@ -135,7 +140,10 @@ func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 			continue
 		}
 		prefix := genPrefix(g.Base)
-		if _, cerr := commit(p.fs, g.Base, g.Epoch, g.Time, ci, listed[prefix], reported, p.dirsRead); cerr != nil {
+		t0 := p.clock.Now()
+		_, cerr := commit(p.fs, g.Base, g.Epoch, g.Time, ci, listed[prefix], reported, p.dirsRead)
+		p.commitSeconds.Observe(p.clock.Now() - t0)
+		if cerr != nil {
 			if err == nil {
 				err = cerr
 			}

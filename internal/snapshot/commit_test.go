@@ -111,7 +111,7 @@ func TestCommitRefusesDamagedReport(t *testing.T) {
 	err := mpi.NewChanWorld(fsys, 1).Run(2, func(ctx mpi.Ctx) error {
 		comm := truncatingComm{ctx.Comm()}
 		rank := comm.Rank()
-		p := NewPending(comm, fsys, 1, nil)
+		p := NewPending(comm, fsys, rt.NewWallClock(), 1, nil)
 		p.Begin("m/g0", 0, 0)
 		calls := 0
 		errs[rank] = p.Commit(nil, pubs[rank:rank+1], func(*PendingGen) *ChainInfo {
@@ -234,7 +234,7 @@ func TestCommitPruneMatchesPrune(t *testing.T) {
 			comm := soloComm(t)
 			viaCommit, viaPrune := &countFS{FS: rt.NewMemFS()}, rt.NewMemFS()
 			reg := metrics.New()
-			p := NewPending(comm, viaCommit, tc.retain, reg)
+			p := NewPending(comm, viaCommit, rt.NewWallClock(), tc.retain, reg)
 			removed := 0
 			for i, r := range tc.rounds {
 				var published []hdf.Published
@@ -317,8 +317,8 @@ func TestPruneLinksStayBounded(t *testing.T) {
 			}
 			kept, restarted := rt.NewMemFS(), rt.NewMemFS()
 			reg := metrics.New()
-			p := NewPending(comm, kept, retain, reg)
-			q := NewPending(comm, restarted, retain, nil)
+			p := NewPending(comm, kept, rt.NewWallClock(), retain, reg)
+			q := NewPending(comm, restarted, rt.NewWallClock(), retain, nil)
 			for i := 0; i < gens; i++ {
 				commitOne(p, kept, i)
 				commitOne(q, restarted, i)
@@ -335,7 +335,7 @@ func TestPruneLinksStayBounded(t *testing.T) {
 			}
 
 			reg2 := metrics.New()
-			fresh := NewPending(comm, restarted, retain, reg2)
+			fresh := NewPending(comm, restarted, rt.NewWallClock(), retain, reg2)
 			commitOne(p, kept, gens)
 			commitOne(fresh, restarted, gens)
 			if got := reg2.Snapshot().Counters["snapshot.prune.manifests_read"]; got == 0 {
@@ -367,4 +367,33 @@ func (fs *countFS) Remove(name string) error {
 		fs.blindRemoves = append(fs.blindRemoves, name)
 	}
 	return err
+}
+
+// TestCommitSeconds: rank 0 observes snapshot.commit_seconds once for each
+// generation it commits; no other rank observes it.
+func TestCommitSeconds(t *testing.T) {
+	fsys := rt.NewMemFS()
+	var pubs [2][]hdf.Published
+	for rank := range pubs {
+		for g := range 3 {
+			pubs[rank] = append(pubs[rank], publishFile(t, fsys, fmt.Sprintf("m/g%d_p%05d.rhdf", g, rank), []int{rank}, 1))
+		}
+	}
+	regs := [2]*metrics.Registry{metrics.New(), metrics.New()}
+	err := mpi.NewChanWorld(fsys, 1).Run(2, func(ctx mpi.Ctx) error {
+		rank := ctx.Comm().Rank()
+		p := NewPending(ctx.Comm(), fsys, ctx.Clock(), 0, regs[rank])
+		for g := range 3 {
+			p.Begin(fmt.Sprintf("m/g%d", g), int64(g), 0)
+		}
+		return p.Commit(nil, pubs[rank], nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, want := range []int64{3, 0} {
+		if h := regs[rank].Snapshot().Histograms["snapshot.commit_seconds"]; h.Count != want || h.Sum < 0 {
+			t.Errorf("rank %d observed %d commits (%g s), want %d", rank, h.Count, h.Sum, want)
+		}
+	}
 }

@@ -63,7 +63,7 @@ type GenReport struct {
 // (checkFile), then reads every dataset back so the per-dataset CRC32Cs
 // cover the payload bytes too — a single flipped bit anywhere in a
 // committed file is reported against that file — and checks that the
-// catalog derived from the files encodes to the blob the manifest pins.
+// catalog blob derived from the files is the blob the manifest pins.
 // Staged temporaries and files on disk but absent from the manifest are
 // flagged without failing the generation (they are crash residue the
 // restart path already ignores).
@@ -227,8 +227,7 @@ func findDonor(m *Manifest, e FileEntry, status map[string]string) string {
 // lexical) file order — and installs it only if every file passes its pin
 // and the rebuilt blob is the one the manifest pins.
 func rebuildCatalog(fsys rt.FS, m *Manifest) (FileReport, bool) {
-	cat, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
-	blob := cat.Encode()
+	blob, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
 	if len(errs) > 0 || !m.Catalog.matches(blob) {
 		return FileReport{}, false // a data file is still bad, or the index would lie
 	}
@@ -334,9 +333,9 @@ func scrubFile(fsys rt.FS, e FileEntry, deep bool) FileReport {
 
 // scrubCatalog checks a committed generation's block catalog: the blob on
 // disk must be the one the manifest pins and decode cleanly (loadCatalog)
-// and, when derive, the catalog derived from the manifested files must
-// encode to that same pinned blob — the identity the commit wrote it under
-// and rebuildCatalog installs it under. derive needs every file intact.
+// and, when derive, the catalog blob derived from the manifested files must
+// be that same pinned blob — the identity the commit wrote it under and
+// rebuildCatalog installs it under. derive needs every file intact.
 func scrubCatalog(fsys rt.FS, m *Manifest, derive bool) (status, detail string) {
 	_, err := loadCatalog(fsys, m)
 	switch {
@@ -349,7 +348,7 @@ func scrubCatalog(fsys rt.FS, m *Manifest, derive bool) (status, detail string) 
 	case !derive:
 		return "ok", ""
 	}
-	if cat, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil); len(errs) > 0 || !m.Catalog.matches(cat.Encode()) {
+	if blob, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil); len(errs) > 0 || !m.Catalog.matches(blob) {
 		return "mismatch", "catalog is not the one the manifested files' directories derive"
 	}
 	return "ok", ""

@@ -10,39 +10,43 @@ import (
 	"genxio/internal/rt"
 )
 
-// deriveCatalog builds the block catalog of files from the files' own
-// directories, in the order given — directory → AddFile, the one way a
-// catalog is made: at commit, by the catalog rebuild and the scrub, and by
-// any reader left without a committed one. A file's directory is the one its
-// writer reported publishing, when reported holds it (the commit's case: no
-// read), and is otherwise read off the file by hdf.ScanDir and counted on
-// dirsRead; both pass the same validation gate. When pinned, files are
-// manifest entries and each is held to its entry by checkFile. entries are
-// the files' manifest records as found, parallel to cat.Files. A file whose
-// directory will not read or decode, or fails its pin, is in neither, and
-// its error (which names it) is in errs.
-func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[string]hdf.Published, dirsRead *metrics.Counter) (cat *catalog.Catalog, entries []FileEntry, errs []error) {
-	cat = &catalog.Catalog{}
+// deriveCatalog builds the block catalog blob of files from the files' own
+// directories, in the order given — the one way a catalog is made: at
+// commit, by the catalog rebuild and the scrub, and by any reader left
+// without a committed one (which decodes it). A file's directory is the one
+// its writer reported publishing, when reported holds it (the commit's
+// case: no read), and is otherwise read off the file and counted on
+// dirsRead; either way its entries pass the directory's one gate and are
+// copied into the blob as they stand (catalog.Splice). When pinned, files
+// are manifest entries and each is held to its entry by checkFile. entries
+// are the files' manifest records as found, parallel to the blob's file
+// table. A file whose directory will not read or pass, or fails its pin, is
+// in neither, and its error (which names it) is in errs.
+func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[string]hdf.Published, dirsRead *metrics.Counter) (blob []byte, entries []FileEntry, errs []error) {
+	var s catalog.Splice
 	for _, f := range files {
-		dir := func() (int64, uint32, []*hdf.Dataset, error) { return hdf.ScanDir(fsys, f.Name) }
+		var d hdf.RawDir
+		var err error
 		if p, ok := reported[f.Name]; ok {
-			dir = p.Decode
+			d = p.Raw()
 		} else {
 			dirsRead.Inc()
+			d, err = hdf.ReadRawDir(fsys, f.Name)
 		}
-		size, crc, sets, err := dir()
-		found := FileEntry{Name: f.Name, Size: size, DirCRC: crc, Datasets: len(sets)}
+		found := FileEntry{Name: f.Name, Size: d.Size, DirCRC: hdf.Checksum(d.Bytes), Datasets: d.Count}
 		if err == nil && pinned {
 			err = checkFile(f, found)
+		}
+		if err == nil {
+			err = s.AddDir(d)
 		}
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
 		entries = append(entries, found)
-		cat.AddFile(f.Name, sets)
 	}
-	return cat, entries, errs
+	return s.Blob(), entries, errs
 }
 
 // checkFile is the one test of a committed file against its commit record:
@@ -108,6 +112,9 @@ func index(fsys rt.FS, m *Manifest, cat *catalog.Catalog, err error) (*catalog.C
 	if err == nil || m.ChainDepth > 0 {
 		return cat, false, err
 	}
-	cat, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
+	blob, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
+	if cat, err = catalog.Decode(blob); err != nil {
+		return nil, false, err
+	}
 	return cat, true, errors.Join(errs...)
 }

@@ -168,7 +168,7 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 		sort.Strings(lost)
 		return nil, fmt.Errorf("snapshot: commit %s: %s published but not on the filesystem", base, strings.Join(lost, ", "))
 	}
-	cat, entries, errs := deriveCatalog(fsys, files, false, reported, dirsRead)
+	blob, entries, errs := deriveCatalog(fsys, files, false, reported, dirsRead)
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, errs[0])
 	}
@@ -180,7 +180,7 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 	// commit record, so a crash between the two leaves an uncommitted
 	// generation with a harmless orphan catalog, never a committed
 	// generation pointing at a catalog that does not exist.
-	catSize, catCRC, err := catalog.Write(fsys, base, cat)
+	catSize, catCRC, err := catalog.WriteBlob(fsys, base, blob)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
 	}

@@ -283,10 +283,14 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		}
 	}
 	if len(loose) > 0 {
-		cat, _, errs := deriveCatalog(fsys, loose, false, nil, nil)
+		blob, _, errs := deriveCatalog(fsys, loose, false, nil, nil)
 		for range errs { // no directory: what a crashed writer leaves behind
 			rd.mx.filesSkipped.Inc()
 			rd.mx.readErrors.Inc()
+		}
+		cat, err := catalog.Decode(blob)
+		if err != nil {
+			return rd.failed()
 		}
 		planFrom([]*catalog.Catalog{cat})
 	}
