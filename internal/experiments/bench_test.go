@@ -4,25 +4,35 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
-func runBenchTwice(t *testing.T) (*BenchResult, *BenchResult) {
+// benchRuns is two RunBench runs with identical options, made once and
+// shared by the tests below: the determinism tests compare the two, the
+// others read the first.
+var benchRuns struct {
+	once sync.Once
+	a, b *BenchResult
+	err  error
+}
+
+func benchPair(t *testing.T) (*BenchResult, *BenchResult) {
 	t.Helper()
-	opts := BenchOpts{Scale: 0.05, Procs: 8, Seed: 3, Stride: 100}
-	a, err := RunBench(opts)
-	if err != nil {
-		t.Fatal(err)
+	benchRuns.once.Do(func() {
+		opts := BenchOpts{Scale: 0.05, Procs: 8, Seed: 3, Stride: 100}
+		if benchRuns.a, benchRuns.err = RunBench(opts); benchRuns.err == nil {
+			benchRuns.b, benchRuns.err = RunBench(opts)
+		}
+	})
+	if benchRuns.err != nil {
+		t.Fatal(benchRuns.err)
 	}
-	b, err := RunBench(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, b
+	return benchRuns.a, benchRuns.b
 }
 
 func TestBenchJSONDeterministicAndParseable(t *testing.T) {
-	a, b := runBenchTwice(t)
+	a, b := benchPair(t)
 	var ba, bb bytes.Buffer
 	if err := a.WriteJSON(&ba); err != nil {
 		t.Fatal(err)
@@ -48,10 +58,7 @@ func TestBenchJSONDeterministicAndParseable(t *testing.T) {
 // rocpanda entry, while its measured restart still succeeds (chain-aware,
 // visible read > 0).
 func TestBenchDeltaWriteSavings(t *testing.T) {
-	res, err := RunBench(BenchOpts{Scale: 0.05, Procs: 8, Seed: 3, Stride: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := benchPair(t)
 	byIO := map[string]IOBenchResult{}
 	for _, io := range res.IOs {
 		byIO[io.IO] = io
@@ -101,10 +108,7 @@ func TestBenchDeltaWriteSavings(t *testing.T) {
 // serial one — the per-worker stream pacing of the simulated NFS overlaps
 // across the pool — at identical bytes restored.
 func TestBenchParallelReadSpeedsUpRestart(t *testing.T) {
-	res, err := RunBench(BenchOpts{Scale: 0.05, Procs: 8, Seed: 3, Stride: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := benchPair(t)
 	byIO := map[string]IOBenchResult{}
 	for _, io := range res.IOs {
 		byIO[io.IO] = io
@@ -143,10 +147,7 @@ func TestBenchParallelReadSpeedsUpRestart(t *testing.T) {
 // the synchronous-drain run — the writeback moved into the background —
 // with the overlap visible in the drain metrics.
 func TestBenchAsyncDrainOverlapsWriteback(t *testing.T) {
-	res, err := RunBench(BenchOpts{Scale: 0.05, Procs: 8, Seed: 3, Stride: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := benchPair(t)
 	byIO := map[string]IOBenchResult{}
 	for _, io := range res.IOs {
 		byIO[io.IO] = io
@@ -228,7 +229,7 @@ func TestBenchCarriesPerModuleMetrics(t *testing.T) {
 }
 
 func TestBenchTraceExportsDeterministic(t *testing.T) {
-	a, b := runBenchTwice(t)
+	a, b := benchPair(t)
 	for i := range a.IOs {
 		for _, format := range []string{"jsonl", "chrome"} {
 			var sa, sb strings.Builder

@@ -14,6 +14,7 @@ import (
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/mpi"
+	"genxio/internal/roccom"
 	"genxio/internal/rt"
 	"genxio/internal/snapshot"
 )
@@ -128,5 +129,49 @@ func TestUnthreadedWriteFailureRefusesCommit(t *testing.T) {
 	}
 	if m, err := snapshot.Load(mem, "uw/s0"); err == nil {
 		t.Fatalf("manifest written over a failed write: %+v", m.Files)
+	}
+}
+
+func TestCommittedReadIgnoresLaterWriteFailure(t *testing.T) {
+	// g0 is committed; g1's background write then fails (disk full). A
+	// restart of g0 needs no flush — its commit record exists because one
+	// already landed it — so it restores g0 bit-exact, and the failure
+	// stays for the next Sync to report.
+	plan := faults.NewFSPlan(1, faults.FSRule{
+		Op: faults.OpWrite, PathPrefix: "zz/g1_p00000", Nth: 1, Msg: "no space left on device",
+	})
+	fs := faults.WrapFS(rt.NewMemFS(), plan)
+	world := mpi.NewChanWorld(fs, 1)
+	err := world.Run(1, func(ctx mpi.Ctx) error {
+		h := New(ctx, Config{Profile: hdf.NullProfile(), Threaded: true})
+		defer h.Close()
+		_, w := buildWindow(t, 0, 2)
+		if err := h.WriteAttribute("zz/g0", w, "all", 0, 0); err != nil {
+			return err
+		}
+		if err := h.Sync(); err != nil {
+			return err
+		}
+		w.EachPane(func(p *roccom.Pane) {
+			pr, _ := p.Array("pressure")
+			clear(pr.F64)
+		})
+		h.WriteAttribute("zz/g1", w, "all", 1, 1) // buffered; its write fails in the background
+		if err := h.ReadAttribute("zz/g0", w, "all"); err != nil {
+			return fmt.Errorf("restart of the committed g0: %w", err)
+		}
+		if err := checkRestored(0, w); err != nil {
+			return err
+		}
+		if err := h.Sync(); !errors.Is(err, faults.ErrInjected) {
+			return fmt.Errorf("sync after the failed write: %v, want the injected error", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Trips()) == 0 {
+		t.Fatal("fault plan never tripped")
 	}
 }

@@ -231,19 +231,19 @@ func (h *Rochdf) ReadAttribute(file string, w *roccom.Window, attr string) error
 // need not be registered yet; the one named attribute otherwise). A full
 // generation whose catalog is unusable is planned from the same catalog
 // derived from its files' directories; an uncommitted one is read from this
-// rank's own file, which then needs the writing process count. Panes no
-// intact copy could be found for fail the call with
-// snapshot.ErrIncompleteRestart.
+// rank's own file, which then needs the writing process count, after a
+// flush puts its still-buffered blocks on disk (a committed generation needs
+// none, so a later generation's background write error does not fail its
+// read; the next Sync reports it). Panes no intact copy could be found for
+// fail the call with snapshot.ErrIncompleteRestart.
 func (h *Rochdf) ReadPanes(file string, w *roccom.Window, attr string, ids []int) error {
 	defer h.timed(&h.m.VisibleRead, h.mx.visibleRead)()
-	if err := h.flush(); err != nil {
-		return err
-	}
 	rcv := snapshot.NewReceiver(w, attr, ids)
 	h.rd.Read(snapshot.ReadRequest{
 		Base: file, Window: w.Name, Attr: attr, Wanted: rcv.Wanted(),
-		Own:     catalog.RankFile(file, h.rank),
-		Deliver: func(_ int, sets []roccom.IOSet) { rcv.Deliver(sets) }, // a failure sticks: Complete reports it
+		Own:         catalog.RankFile(file, h.rank),
+		Uncommitted: func() { rcv.Fail(h.flush()) },
+		Deliver:     func(_ int, sets []roccom.IOSet) { rcv.Deliver(sets) }, // a failure sticks: Complete reports it
 	})
 	return rcv.Complete(file)
 }

@@ -12,6 +12,7 @@
 package rocman
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -126,8 +127,10 @@ type Report struct {
 }
 
 // Run executes the integrated simulation; every rank of the world calls
-// it. The Report is returned on client rank 0.
-func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
+// it. The Report is returned on client rank 0. Once the I/O module is
+// loaded, every return releases it through one UnloadModule — for Rocpanda
+// the collective Shutdown that frees the servers — failed runs included.
+func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 	if cfg.StrideRealWork < 1 {
 		cfg.StrideRealWork = 1
 	}
@@ -175,7 +178,7 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 	// variants use the world communicator directly.
 	var (
 		comm    mpi.Comm
-		svc     roccom.IOService
+		mod     roccom.Module
 		pandaCl *rocpanda.Client
 		hdfSvc  *rochdf.Rochdf
 		rc      = roccom.New()
@@ -212,12 +215,7 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 		if cl == nil {
 			return nil, nil // server rank: service loop already done
 		}
-		pandaCl = cl
-		comm = cl.Comm()
-		nsrv = cl.NumServers()
-		if err := rc.LoadModule(cl.Module(), "IO"); err != nil {
-			return nil, err
-		}
+		pandaCl, comm, nsrv, mod = cl, cl.Comm(), cl.NumServers(), cl.Module()
 	case IORochdf, IOTRochdf:
 		comm = ctx.Comm()
 		hdfSvc = rochdf.New(ctx, rochdf.Config{
@@ -228,14 +226,22 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 			Metrics:           cfg.Metrics,
 			RetainGenerations: cfg.RetainGenerations,
 		})
-		if err := rc.LoadModule(hdfSvc.Module(), "IO"); err != nil {
-			return nil, err
-		}
+		mod = hdfSvc.Module()
 	default:
 		return nil, fmt.Errorf("rocman: unknown I/O module %q", cfg.IO)
 	}
-	var err error
-	svc, err = roccom.LoadedIO(rc, "IO")
+	if err := rc.LoadModule(mod, "IO"); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if uerr := rc.UnloadModule("IO"); err == nil {
+			err = uerr
+		}
+		if err != nil {
+			report = nil
+		}
+	}()
+	svc, err := roccom.LoadedIO(rc, "IO")
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +258,7 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 	}
 	if cfg.RestartFromLatest {
 		if _, err := snapshot.Restore(ctx.FS(), cfg.OutputDir+"/", func(base string) error {
-			return sim.restartAgreed(svc, base)
+			return sim.restart(svc, base)
 		}, snapshot.Options{Comm: comm, Metrics: cfg.Metrics, Reader: snapshot.NewReader(ctx, snapshot.ReaderConfig{})}); err != nil {
 			return nil, err
 		}
@@ -262,7 +268,8 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	// Drain everything before the run ends, then release the service.
+	// Drain everything before the run ends; the deferred unload releases
+	// the service.
 	syncT0 := ctx.Clock().Now()
 	if err := svc.Sync(); err != nil {
 		return nil, err
@@ -282,14 +289,7 @@ func Run(ctx mpi.Ctx, cfg Config) (*Report, error) {
 			return nil, err
 		}
 	}
-	report, err := sim.gatherReport(comm, pandaCl, hdfSvc, nsrv)
-	if err != nil {
-		return nil, err
-	}
-	if err := rc.UnloadModule("IO"); err != nil {
-		return nil, err
-	}
-	return report, nil
+	return sim.gatherReport(comm, pandaCl, hdfSvc, nsrv)
 }
 
 // genx holds one client rank's simulation state.
@@ -414,49 +414,31 @@ func build(ctx mpi.Ctx, rc *roccom.Roccom, comm mpi.Comm, cfg Config) (*genx, er
 	return g, nil
 }
 
-// restart replaces the registered panes' contents from a checkpoint. The
-// read latency is accounted by the I/O service itself.
+// restart replaces the registered panes' contents from a checkpoint: one
+// attempt that every client runs to its end. A window's read is a collective
+// round no client may skip (a Rocpanda server waits for every client's
+// request), so each window is read whatever an earlier window's read
+// returned; the face maps are rebuilt only after clean reads. A damaged
+// generation can fail only some clients' reads (those whose panes sat in the
+// damaged file), so the clients agree once, after the reads, and when any
+// failed every one returns an error. The read latency is accounted by the
+// I/O service itself, inside its calls, so the agreement adds none.
 func (g *genx) restart(svc roccom.IOService, base string) error {
 	t0 := g.ctx.Clock().Now()
-	if err := svc.ReadAttribute(base, g.fluid, "all"); err != nil {
-		return err
-	}
-	if g.solid != nil {
-		if err := svc.ReadAttribute(base, g.solid, "all"); err != nil {
-			return err
-		}
-		if err := g.face.RebuildMaps(); err != nil {
-			return err
-		}
-	}
-	g.cfg.Trace.Record(g.comm.Rank(), trace.PhaseRead, t0, g.ctx.Clock().Now())
-	return nil
-}
-
-// restartAgreed is restart with collective error agreement between the
-// window reads. A damaged generation can fail only some clients' reads
-// (the ones whose panes sat in the corrupt file); without agreement
-// those ranks would bail out to the fallback while the others enter the
-// next window's collective read round, deadlocking the servers. Every
-// read is followed by an allreduce so all clients abandon the attempt
-// together. Only the generation-fallback path pays for this — plain
-// restarts keep their exact timing behavior.
-func (g *genx) restartAgreed(svc roccom.IOService, base string) error {
-	t0 := g.ctx.Clock().Now()
 	err := svc.ReadAttribute(base, g.fluid, "all")
-	if peerFailed(g.comm, err) {
-		return restartPeerErr(base, "fluid", err)
-	}
 	if g.solid != nil {
-		err = svc.ReadAttribute(base, g.solid, "all")
+		if serr := svc.ReadAttribute(base, g.solid, "all"); err == nil {
+			err = serr
+		}
 		if err == nil {
 			err = g.face.RebuildMaps()
 		}
-		if peerFailed(g.comm, err) {
-			return restartPeerErr(base, "solid", err)
-		}
 	}
-	g.cfg.Trace.Record(g.comm.Rank(), trace.PhaseRead, t0, g.ctx.Clock().Now())
+	t1 := g.ctx.Clock().Now()
+	if peerFailed(g.comm, err) {
+		return cmp.Or(err, fmt.Errorf("rocman: restart %s: a peer rank's read failed", base))
+	}
+	g.cfg.Trace.Record(g.comm.Rank(), trace.PhaseRead, t0, t1)
 	return nil
 }
 
@@ -467,15 +449,6 @@ func peerFailed(comm mpi.Comm, err error) bool {
 		bad = 1
 	}
 	return comm.AllreduceMax(bad) > 0
-}
-
-// restartPeerErr keeps the local error when there is one and otherwise
-// names the window whose read failed on a peer.
-func restartPeerErr(base, window string, err error) error {
-	if err != nil {
-		return err
-	}
-	return fmt.Errorf("rocman: restart %s: a peer rank failed its %s read", base, window)
 }
 
 // run executes the timestep loop with periodic snapshots.

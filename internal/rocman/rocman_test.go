@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"genxio/internal/cluster"
 	"genxio/internal/faults"
@@ -507,11 +508,12 @@ func TestTraceTimelineOnSimPlatform(t *testing.T) {
 func TestRestartFromLatestFallsBackMultiWindow(t *testing.T) {
 	// Regression for a restore deadlock: a corrupt newest generation
 	// fails only the clients whose panes sat in the damaged server file.
-	// Without collective agreement between the fluid and solid window
-	// reads those clients abandon the attempt while the rest enter the
-	// next read round, and the servers wait forever for a full round.
-	// The fallback must move every client past the damaged generation
-	// together and the run must complete.
+	// Were those clients to abandon the attempt at once, the rest would
+	// enter the solid window's read round alone and the servers would wait
+	// forever for a full round. Every client runs both rounds and the
+	// clients agree once, after the reads: the fallback must move every
+	// client past the damaged generation together and the run must
+	// complete.
 	const n = 6 // 4 clients + 2 servers
 	cfg := baseCfg(IORocpanda)
 	cfg.Rocpanda.NumServers = 2
@@ -559,5 +561,68 @@ func TestRestartFromLatestFallsBackMultiWindow(t *testing.T) {
 	}
 	if got := s.Counters["hdf.checksum_failures"]; got != 1 {
 		t.Fatalf("hdf.checksum_failures = %d, want 1", got)
+	}
+}
+
+// TestFailedRunReleasesServers: a Rocpanda run whose restart or drain fails
+// returns an error on every client, and its servers are released, so the
+// world ends. Each row runs the world on its own goroutine under a deadline:
+// a client that returned without releasing its servers, or that skipped a
+// collective read round its peers entered, hangs the world, and the test
+// fails instead of hanging with it. World ranks 0 and 3 are the servers
+// (Spread placement of 2 among 6).
+func TestFailedRunReleasesServers(t *testing.T) {
+	const n = 6
+	rows := []struct {
+		name  string
+		setup func(t *testing.T, cfg *Config) rt.FS
+	}{
+		{"bit-flipped-restart-from", func(t *testing.T, cfg *Config) rt.FS {
+			// Only the clients whose panes sat in _s001 fail their fluid
+			// read; the others go on to the solid window's round.
+			_, fs := runReal(t, n, *cfg)
+			if err := faults.FlipBit(fs, "out/snap000012_s001.rhdf", hdf.HeaderSize()*8+13); err != nil {
+				t.Fatal(err)
+			}
+			cfg.RestartFrom = "out/snap000012"
+			return fs
+		}},
+		{"restart-latest-empty-prefix", func(t *testing.T, cfg *Config) rt.FS {
+			cfg.RestartFromLatest = true
+			return rt.NewMemFS()
+		}},
+		{"drain-fault", func(t *testing.T, cfg *Config) rt.FS {
+			plan := faults.NewFSPlan(1, faults.FSRule{Op: faults.OpCreate, PathPrefix: "out/snap000004_s001", Nth: 1})
+			return faults.WrapFS(rt.NewMemFS(), plan)
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := baseCfg(IORocpanda)
+			cfg.Rocpanda.NumServers = 2
+			fs := row.setup(t, &cfg)
+			errs := make([]error, n)
+			done := make(chan error, 1)
+			go func() {
+				done <- mpi.NewChanWorld(fs, 1).Run(n, func(ctx mpi.Ctx) error {
+					_, err := Run(ctx, cfg)
+					errs[ctx.Comm().Rank()] = err
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("the world did not end: a rank is blocked in a collective its peers left")
+			}
+			for _, rank := range []int{1, 2, 4, 5} {
+				if errs[rank] == nil {
+					t.Errorf("client rank %d: Run returned no error", rank)
+				}
+			}
+		})
 	}
 }

@@ -291,46 +291,48 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 		req.Alive[i] = int32(si)
 	}
 	enc := encodeReadReq(req)
+	asked := make(map[int]bool, len(alive)) // world ranks; each reports once
 	for _, si := range alive {
 		c.world.Send(c.srvRanks[si], tagReadReq, enc)
+		asked[c.srvRanks[si]] = true
 	}
 
-	// A pane can arrive more than once: a client that timed out on a
-	// slow-but-alive server resent its write elsewhere, duplicating the
-	// pane across two servers' files. First arrival wins (the copies are
-	// identical); recovered panes are counted once.
+	// The round is read to its last done, whatever a block held: a message
+	// left unread would be taken for the next round's. A failure sticks in
+	// the receiver and is returned after the round. A pane can arrive more
+	// than once: a client that timed out on a slow-but-alive server resent
+	// its write elsewhere, duplicating the pane across two servers' files.
+	// First arrival wins (the copies are identical); recovered panes are
+	// counted once. A server not asked this round — one a stall declared
+	// dead, whose late messages still arrive — is not heard.
 	rcv := snapshot.NewReceiver(w, attr, ids)
-	reported := make(map[int]bool, len(alive))
-	dones := 0
-	for dones < len(alive) {
+	for len(asked) > 0 {
 		data, st, ok := c.recvReadMsg()
 		if !ok {
 			// A server that never reported its round is dead (or as good
 			// as): mark it so the next attempt — typically the caller
 			// falling back a generation — agrees on the survivors instead
 			// of stalling on the same silence again.
-			for _, si := range alive {
-				if !reported[c.srvRanks[si]] {
-					c.markDeadRank(c.srvRanks[si])
-				}
+			for rank := range asked {
+				c.markDeadRank(rank)
 			}
 			return fmt.Errorf("rocpanda: restart of %q stalled (%d of %d servers reported)",
-				file, dones, len(alive))
+				file, len(alive)-len(asked), len(alive))
+		}
+		if !asked[st.Source] {
+			continue
 		}
 		switch st.Tag {
 		case tagReadDone:
-			dones++
-			reported[st.Source] = true
+			delete(asked, st.Source)
 		case tagReadBlock:
-			sets, err := roccom.DecodeIOSets(data)
-			if err != nil {
-				return err
-			}
-			if err := rcv.Deliver(sets); err != nil {
-				return err
+			if sets, err := roccom.DecodeIOSets(data); err != nil {
+				rcv.Fail(err)
+			} else {
+				rcv.Deliver(sets) // a failure sticks: Complete reports it
 			}
 		default:
-			return fmt.Errorf("rocpanda: unexpected message tag %d during restart", st.Tag)
+			rcv.Fail(fmt.Errorf("rocpanda: unexpected message tag %d during restart", st.Tag))
 		}
 	}
 	return rcv.Complete(file)

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"testing"
 
+	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
+	"genxio/internal/roccom"
 	"genxio/internal/rt"
 )
 
@@ -161,5 +163,77 @@ func TestConfigMetricsPopulated(t *testing.T) {
 		if s.Histograms[name].Count == 0 {
 			t.Errorf("histogram %s empty", name)
 		}
+	}
+}
+
+// TestFailedReadRoundIsReadToItsEnd: a named-attribute read whose blocks
+// will not install (the window has none of the panes) fails, and the next
+// read, of another generation, restores that generation bit-exact. A read
+// that returned at its first bad block would leave the rest of its round —
+// a block and both servers' dones — to be taken for the next round's.
+func TestFailedReadRoundIsReadToItsEnd(t *testing.T) {
+	fs := rt.NewMemFS()
+	cfg := Config{NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true}
+	writeTwoGenerations(t, fs, "round/", cfg)
+	err := mpi.NewChanWorld(fs, 1).Run(4, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, cfg)
+		if err != nil || cl == nil {
+			return err
+		}
+		defer cl.Shutdown()
+		me := cl.Comm().Rank()
+		w := zeroWindow(t, me, 2)
+		empty, err := roccom.New().NewWindow(w.Name)
+		if err != nil {
+			return err
+		}
+		if err := cl.ReadPanes("round/snap000000", empty, "pressure", w.PaneIDs()); err == nil {
+			return fmt.Errorf("client %d: a read into a window without its panes succeeded", me)
+		}
+		if err := cl.ReadAttribute("round/snap000100", w, "all"); err != nil {
+			return fmt.Errorf("client %d: the read after a failed round: %w", me, err)
+		}
+		return checkWindow(me, w)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLateServerIsNotHeard: a server whose first restart block is held past
+// the clients' stall budget is declared dead by both clients, and its late
+// blocks and done, still delivered, are not taken for the next round's: the
+// read of the other generation, served by the survivor alone, restores it
+// bit-exact on both clients. World ranks 0 and 2 are the servers.
+func TestLateServerIsNotHeard(t *testing.T) {
+	fs := rt.NewMemFS()
+	cfg := Config{NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true}
+	writeTwoGenerations(t, fs, "late/", cfg)
+	net := faults.NewNetPlan(1, faults.NetRule{Src: 2, Dst: -1, Tag: tagReadBlock, Nth: 1, Delay: 0.4})
+	world := mpi.NewChanWorld(fs, 1)
+	world.SetSendHook(net.Hook())
+	cfg.RetryTimeout = 0.01 // a 0.2 s stall budget
+	err := world.Run(4, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, cfg)
+		if err != nil || cl == nil {
+			return err
+		}
+		defer cl.Shutdown()
+		me := cl.Comm().Rank()
+		if err := cl.ReadAttribute("late/snap000000", zeroWindow(t, me, 2), "all"); err == nil {
+			return fmt.Errorf("client %d: the read with a held block did not stall", me)
+		}
+		cl.world.Probe(2, tagReadDone) // the late server's round is all delivered
+		w := zeroWindow(t, me, 2)
+		if err := cl.ReadAttribute("late/snap000100", w, "all"); err != nil {
+			return fmt.Errorf("client %d: the read after the stall: %w", me, err)
+		}
+		return checkWindow(me, w)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(net.Trips()) != 1 {
+		t.Fatalf("net trips %v, want the one held block", net.Trips())
 	}
 }

@@ -155,13 +155,21 @@ func ChainCatalogs(chain []ChainGen) []*catalog.Catalog {
 // PaneUniverse returns the sorted set of pane IDs a committed generation
 // holds for a window — the input to the M×N repartitioner, which lets a
 // restart run use a different rank count than the writing run. It answers
-// from universe; a full generation's Index must be whole: a universe short
-// of an unreadable file's panes would restore short and report success.
+// from universe; a full generation's Index must be whole up to copies,
+// restorable's rule judged on the index alone (every file passes): a
+// universe short of an unindexed file's panes would restore short and
+// report success.
 func PaneUniverse(fsys rt.FS, base, window string) ([]int, error) {
 	m, err := Load(fsys, base)
 	var cat *catalog.Catalog
 	if err == nil && m.ChainDepth == 0 {
-		cat, _, err = Index(fsys, m)
+		if cat, _, err = Index(fsys, m); cat != nil {
+			head := []ChainGen{{Base: base, Manifest: m, Catalog: cat}}
+			err = nil // a derived index lacks the files that failed: restorable judges them
+			if _, lost := restorable(head, func(FileEntry) bool { return true }); len(lost) > 0 {
+				err = fmt.Errorf("no indexed copy of %s", strings.Join(lost, ", "))
+			}
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: pane universe of %s: %w", base, err)

@@ -65,8 +65,12 @@ type GenReport struct {
 // committed file is reported against that file — and checks that the
 // catalog blob derived from the files is the blob the manifest pins.
 // Staged temporaries and files on disk but absent from the manifest are
-// flagged without failing the generation (they are crash residue the
-// restart path already ignores).
+// flagged without failing the generation: the restore walk judges only
+// manifested files, so they never refuse it. The read does not ignore them
+// all: beside a full generation, a listed server file its manifest does not
+// name (one a server wrongly declared dead renamed into place after the
+// commit) is indexed from its own directory and read too, its panes
+// delivered like any copy's (ReadRequest.Own).
 func Fsck(fsys rt.FS, prefix string) ([]GenReport, error) { return fsck(fsys, prefix, true) }
 
 // FsckQuick is the scrub at its shallow depth: the same verdicts from

@@ -442,6 +442,11 @@ func TestScrubPredictsRestore(t *testing.T) {
 			if base != scrubbed {
 				t.Fatalf("restored %s, the scrub promised %s\n%s", base, scrubbed, Format(reports))
 			}
+			for _, g := range tried {
+				if _, err := PaneUniverse(fsys, g, "fluid"); err != nil {
+					t.Fatalf("the walk accepted %s, PaneUniverse refuses it: %v", g, err)
+				}
+			}
 			checkState(t, got, s.want[base])
 		})
 	}
@@ -480,8 +485,10 @@ func TestIndexRefusesUnpinnedFile(t *testing.T) {
 					t.Fatalf("derived index holds %s, which the manifest does not pin", victim)
 				}
 			}
-			if _, err := PaneUniverse(fsys, base, "fluid"); err == nil {
+			if ids, err := PaneUniverse(fsys, base, "fluid"); r == 1 && err == nil {
 				t.Fatal("PaneUniverse answered from an index short the impostor")
+			} else if r == 2 && fmt.Sprint(ids) != "[1 2 3 4]" {
+				t.Fatalf("PaneUniverse at R = 2: %v, %v; want [1 2 3 4] through the impostor's indexed replica", ids, err)
 			}
 
 			got, err := readExplicit(t, fsys, base)

@@ -759,6 +759,15 @@ func (rc *Receiver) Deliver(sets []roccom.IOSet) (err error) {
 	return err
 }
 
+// Fail records a failure of the round outside Deliver — a block that would
+// not decode, a flush that did not land — and nil records nothing. The first
+// failure sticks: later deliveries install nothing.
+func (rc *Receiver) Fail(err error) {
+	if rc.err == nil {
+		rc.err = err
+	}
+}
+
 // Complete returns the first delivery failure, else nil once every wanted
 // pane was delivered, and ErrIncompleteRestart otherwise.
 func (rc *Receiver) Complete(base string) error {
