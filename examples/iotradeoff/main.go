@@ -34,13 +34,13 @@ func main() {
 				ServerBufferBW: 300e6,
 				StrideRealWork: 50, // charge costs; sample real arithmetic
 				Rocpanda: genxio.RocpandaConfig{
-					ClientServerRatio: 8,
-					ActiveBuffering:   true,
+					NumServers:      n / 8, // the paper's 8:1 clients per server
+					ActiveBuffering: true,
 				},
 			}
 			ranks := n
 			if io == genxio.IORocpanda {
-				ranks = n + n/8
+				ranks = n + cfg.Rocpanda.NumServers
 			}
 			var rep *genxio.Report
 			err := world.Run(ranks, func(ctx genxio.Ctx) error {

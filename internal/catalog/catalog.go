@@ -5,22 +5,25 @@
 // directories of the generation's RHDF files (the writer's directory IS the
 // per-file index, so no extra wire traffic is needed) and writes it as a
 // single blob next to the manifest, before the manifest — the manifest is
-// the commit record, so a generation either has its catalog or is not yet
-// committed. A blob entry is a file index and the dataset's directory entry
-// byte for byte, so the commit builds the blob by copying entries (Splice):
-// each directory passes its one gate, hdf.RawDir.Walk, and no dataset is
-// decoded on the way. A Catalog is the decoded blob (Decode) that readers
-// plan from.
+// the commit record and always pins its catalog's size and CRC32C, so a
+// generation either has its catalog or is not yet committed. A blob entry
+// is a file index and the dataset's directory entry byte for byte, so the
+// commit builds the blob by copying entries (Splice): each directory passes
+// its one gate, hdf.RawDir.Walk, and no dataset is decoded on the way. Every
+// entry carries its dataset's CRC32C, in the blob as in the directory; an
+// entry without one is refused by both. A Catalog is the decoded blob
+// (Decode) that readers plan from.
 //
 // At restart, servers consult the catalog to open only the files that
-// contain requested panes and issue direct offset reads, verified per entry
-// against the recorded CRC. A full generation without a usable catalog is
-// read the same way through the same catalog, derived again from its files'
-// directories (snapshot.Index). The catalog also carries the
-// generation's pane universe, which the deterministic repartitioner divides
-// among restart ranks — allowing a restart topology (client and server
-// counts) different from the writing run, per the paper's framing of
-// restart as decoupled from the writing decomposition.
+// contain requested panes and issue direct offset reads, each entry's bytes
+// checked against its CRC. A full generation whose catalog file is missing
+// or is not the blob its manifest pins is read the same way through the
+// same catalog, derived again from its files' directories (snapshot.Index).
+// The catalog also carries the generation's pane universe, which the
+// deterministic repartitioner divides among restart ranks — allowing a
+// restart topology (client and server counts) different from the writing
+// run, per the paper's framing of restart as decoupled from the writing
+// decomposition.
 package catalog
 
 import (
@@ -138,10 +141,9 @@ type Splice struct {
 // that fails the gate adds nothing and its error says why.
 func (s *Splice) AddDir(d hdf.RawDir) error {
 	mark, n, idx := len(s.entries), s.n, uint32(len(s.files))
-	// An entry is at least 22 bytes and grows by at most 8 here (its file
-	// index, a version-2 entry's CRC), so the directory's half again holds
-	// whatever it adds.
-	s.entries = slices.Grow(s.entries, len(d.Bytes)+len(d.Bytes)/2)
+	// An entry is at least 27 bytes and gains its 4-byte file index here, so
+	// the directory's quarter again holds whatever it adds.
+	s.entries = slices.Grow(s.entries, len(d.Bytes)+len(d.Bytes)/4)
 	err := d.Walk(func(e *hdf.DirEntry) {
 		if _, _, _, ok := roccom.ParseDatasetName(e.Name); ok {
 			s.entries = binary.LittleEndian.AppendUint32(s.entries, idx)
@@ -181,6 +183,7 @@ func Decode(blob []byte) (*Catalog, error) {
 	// Every count is capped by what the remaining bytes could hold before
 	// it sizes an allocation: a file record is at least 2 bytes, the
 	// smallest entry (empty name, no dims, no attrs) 4+2+1+1+1+8+8+4+2 = 31.
+	// Every entry must carry its CRC (Cursor.DirEntry), as in a directory.
 	nf := p.Fits(int(p.U32()), 2)
 	c.Files = make([]string, 0, nf)
 	for i := 0; i < nf; i++ {
@@ -194,7 +197,7 @@ func Decode(blob []byte) (*Catalog, error) {
 	for i := 0; i < ne; i++ {
 		var e Entry
 		e.File = int(p.U32())
-		p.DirEntry(&e.Dataset, hdf.Version)
+		p.DirEntry(&e.Dataset)
 		if p.Err() != nil {
 			return nil, fmt.Errorf("catalog: corrupt at entry %d: %w", i, p.Err())
 		}

@@ -2,7 +2,9 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -40,15 +42,27 @@ func TestGoldenBlob(t *testing.T) {
 	}
 	e := &c.Entries[0]
 	off, length := e.Extent()
-	crc, hasCRC := e.CRC()
 	loc, _ := e.Dataset.Attr("location")
 	if e.File != 0 || e.Name != "/fluid/pane000001/pressure" || e.Window != "fluid" || e.Pane != 1 || e.Attr != "pressure" ||
 		e.Type != hdf.F64 || len(e.Dims) != 2 || e.Dims[0] != 4 || e.Dims[1] != 1 || loc.Str() != "node" ||
-		off != 24 || length != 32 || !hasCRC || crc != 0xdeadbeef || e.Compressed() {
+		off != 24 || length != 32 || e.CRC() != 0xdeadbeef || e.Compressed() {
 		t.Fatalf("decoded entry %+v", *e)
 	}
 	if !bytes.Equal(c.Encode(), blob) {
 		t.Fatalf("re-encoded blob differs:\n got %x\nwant %x", c.Encode(), blob)
+	}
+}
+
+// TestDecodeRefusesCRCLessEntry: a catalog entry, like the directory entry
+// it copies, must carry its CRC; one whose flags lack the CRC bit is refused
+// even under a valid body checksum.
+func TestDecodeRefusesCRCLessEntry(t *testing.T) {
+	blob := goldenBlob(t)
+	flags := headerSize + 4 + 2 + len("snap_s000.rhdf") + 4 + 4 + 2 + len("/fluid/pane000001/pressure") + 1
+	blob[flags] &^= 2
+	binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:]))
+	if _, err := Decode(blob); err == nil || !strings.Contains(err.Error(), "carries no CRC") {
+		t.Fatalf("Decode of an entry without its CRC bit: %v", err)
 	}
 }
 

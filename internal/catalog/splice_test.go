@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
 	"testing"
 
 	"genxio/internal/hdf"
@@ -41,16 +40,16 @@ func rhdfImage(t testing.TB, sets map[string][]int64) []byte {
 
 // dirOf splits an RHDF image into FuzzDirSplice's inputs: the directory
 // bytes and the header facts they are checked against.
-func dirOf(img []byte) (dir []byte, count uint32, dataLen uint16, version uint32) {
+func dirOf(img []byte) (dir []byte, count uint32, dataLen uint16) {
 	dirOff := binary.LittleEndian.Uint64(img[8:])
-	return img[dirOff:], binary.LittleEndian.Uint32(img[16:]), uint16(dirOff - uint64(hdf.HeaderSize())), binary.LittleEndian.Uint32(img[4:])
+	return img[dirOff:], binary.LittleEndian.Uint32(img[16:]), uint16(dirOff - uint64(hdf.HeaderSize()))
 }
 
-// fileWith is an RHDF file around dir: the header states version, count and
-// a directory offset past dataLen zero data bytes.
-func fileWith(dir []byte, count uint32, dataLen uint16, version uint32) []byte {
+// fileWith is an RHDF file around dir: the header states count and a
+// directory offset past dataLen zero data bytes.
+func fileWith(dir []byte, count uint32, dataLen uint16) []byte {
 	img := []byte(hdf.Magic)
-	img = binary.LittleEndian.AppendUint32(img, version)
+	img = binary.LittleEndian.AppendUint32(img, hdf.Version)
 	img = binary.LittleEndian.AppendUint64(img, uint64(hdf.HeaderSize())+uint64(dataLen))
 	img = binary.LittleEndian.AppendUint32(img, count)
 	img = append(img, make([]byte, 4+int(dataLen))...)
@@ -69,35 +68,32 @@ func FuzzDirSplice(f *testing.F) {
 		"/solid/pane000007/_conn":    {1, 2, 2},
 		"_meta":                      {1},
 	})
-	v2, err := os.ReadFile("../hdf/testdata/legacy_v2.rhdf")
-	if err != nil {
-		f.Fatal(err)
+	small := rhdfImage(f, map[string][]int64{"/fluid/pane000001/pressure": {2}})
+	for _, img := range [][]byte{v3, small} {
+		dir, count, dataLen := dirOf(img)
+		f.Add(dir, count, dataLen)
+		f.Add(dir, count+1, dataLen)
+		f.Add(dir, count, dataLen-1)
+		f.Add(dir[:len(dir)-1], count, dataLen)
+		// The first entry without its CRC bit: the reader refuses it, so
+		// the splice must too.
+		dir = bytes.Clone(dir)
+		dir[4+2+int(binary.LittleEndian.Uint16(dir[4:]))+1] &^= 2
+		f.Add(dir, count, dataLen)
 	}
-	for _, img := range [][]byte{v3, v2} {
-		dir, count, dataLen, version := dirOf(img)
-		f.Add(dir, count, dataLen, version == 2)
-		f.Add(dir, count+1, dataLen, version == 2)
-		f.Add(dir, count, dataLen-1, version == 2)
-		f.Add(dir[:len(dir)-1], count, dataLen, version == 2)
-		f.Add(dir, count, dataLen, version != 2)
-	}
-	// A version-2 entry whose flags claim a CRC it has no field for: the
-	// reader clears the flag, so the splice must too.
-	dir, count, dataLen, _ := dirOf(v2)
-	dir = append([]byte(nil), dir...)
-	dir[4+2+len("/fluid/pane000001/pressure")+1] |= 2
-	f.Add(dir, count, dataLen, true)
-	f.Add([]byte{}, uint32(0), uint16(0), false)
-	f.Add([]byte{0, 0, 0, 0}, uint32(0), uint16(0), false)
+	// small's entry in the old version-2 layout, with no CRC field: refused.
+	dir, count, dataLen := dirOf(small)
+	crcAt := 4 + 2 + len("/fluid/pane000001/pressure") + 3 + 8 + 16
+	dir = append(bytes.Clone(dir[:crcAt]), dir[crcAt+4:]...)
+	dir[4+2+len("/fluid/pane000001/pressure")+1] = 0
+	f.Add(dir, count, dataLen)
+	f.Add([]byte{}, uint32(0), uint16(0))
+	f.Add([]byte{0, 0, 0, 0}, uint32(0), uint16(0))
 	intact := rhdfImage(f, map[string][]int64{"/fluid/pane000002/pressure": {2}})
 
-	f.Fuzz(func(t *testing.T, dir []byte, count uint32, dataLen uint16, v2 bool) {
-		version := uint32(hdf.Version)
-		if v2 {
-			version = 2
-		}
+	f.Fuzz(func(t *testing.T, dir []byte, count uint32, dataLen uint16) {
 		fsys := rt.NewMemFS()
-		for name, img := range map[string][]byte{"a.rhdf": intact, "b.rhdf": fileWith(dir, count, dataLen, version)} {
+		for name, img := range map[string][]byte{"a.rhdf": intact, "b.rhdf": fileWith(dir, count, dataLen)} {
 			if err := hdf.PublishFile(fsys, name, img); err != nil {
 				t.Fatal(err)
 			}
@@ -132,8 +128,8 @@ func TestSpliceAllocations(t *testing.T) {
 			sets[fmt.Sprintf("/fluid/pane%06d/pressure", i)] = []int64{1}
 		}
 		img := rhdfImage(t, sets)
-		dir, count, _, version := dirOf(img)
-		d := hdf.RawDir{Name: "f.rhdf", Size: int64(len(img)), Version: version, Count: int(count), Bytes: dir}
+		dir, count, _ := dirOf(img)
+		d := hdf.RawDir{Name: "f.rhdf", Size: int64(len(img)), Count: int(count), Bytes: dir}
 		return testing.AllocsPerRun(5, func() {
 			var s Splice
 			if err := s.AddDir(d); err != nil || s.n != n {

@@ -10,11 +10,10 @@ import (
 // It comes off the file (ReadRawDir) or from the writer that published the
 // file (Published.Raw); Walk is the gate before anything uses it.
 type RawDir struct {
-	Name    string // the file, for errors
-	Size    int64  // the file's size; the directory ends it
-	Version uint32 // the header's format version
-	Count   int    // the header's dataset count
-	Bytes   []byte
+	Name  string // the file, for errors
+	Size  int64  // the file's size; the directory ends it
+	Count int    // the header's dataset count
+	Bytes []byte
 }
 
 // DirEntry is one directory entry in place: views of the directory bytes,
@@ -28,17 +27,15 @@ type DirEntry struct {
 	dims           []byte // ndims little-endian u64s
 	offset, length int64
 	crc            uint32
-	v2             bool   // a version-2 entry: no CRC field
-	crcAt          int    // where the CRC field sits in raw, or would in a version-2 entry
 	attrs          []byte // nattrs × { str name | u8 type | u32 length | data }
 	nattrs         int
 }
 
 // minDirEntryBytes is the encoded size of a directory entry with an empty
-// name and no dims or attrs, in every version; minAttrBytes that of an
-// attribute with empty name and data.
+// name and no dims or attrs; minAttrBytes that of an attribute with empty
+// name and data.
 const (
-	minDirEntryBytes = 22
+	minDirEntryBytes = 2 + 1 + 1 + 1 + 8 + 8 + 4 + 2
 	minAttrBytes     = 2 + 1 + 4
 )
 
@@ -46,11 +43,11 @@ const (
 // them — a Reader's payload reads, a committed catalog's extents. The data
 // region [headerSize, dirOff) must exist; the header's dataset count must be
 // one the bytes could hold and the number of entries the directory has;
-// every length is bounded by the bytes (Cursor); every extent lies inside
-// the data region, and no dimension is negative. Walk calls yield with each
-// entry as it passes, the same *DirEntry refilled, and allocates nothing
-// per entry. An error refuses the whole directory, possibly after some
-// entries were yielded.
+// every length is bounded by the bytes (Cursor); every entry carries its
+// CRC; every extent lies inside the data region, and no dimension is
+// negative. Walk calls yield with each entry as it passes, the same
+// *DirEntry refilled, and allocates nothing per entry. An error refuses the
+// whole directory, possibly after some entries were yielded.
 func (d RawDir) Walk(yield func(*DirEntry)) error {
 	dirOff := d.Size - int64(len(d.Bytes))
 	if dirOff < headerSize {
@@ -71,7 +68,7 @@ func (d RawDir) Walk(yield func(*DirEntry)) error {
 	}
 	var e DirEntry
 	for i := 0; i < n; i++ {
-		if c.entry(&e, d.Version); c.Err() != nil {
+		if c.entry(&e); c.Err() != nil {
 			return fmt.Errorf("hdf: %s: corrupt directory at dataset %d: %w", d.Name, i, c.Err())
 		}
 		if e.offset < headerSize || e.length < 0 || e.offset+e.length < e.offset || e.offset+e.length > dirOff {
@@ -106,23 +103,21 @@ func (d RawDir) Datasets() ([]*Dataset, error) {
 	return sets, nil
 }
 
-// entry reads one directory entry of the given format version in place
-// (version-2 entries carry no CRC field): the one parser of an entry's
-// layout, which AppendDirEntry writes.
-func (c *Cursor) entry(e *DirEntry, version uint32) {
+// entry reads one directory entry in place: the one parser of an entry's
+// layout, which AppendDirEntry writes. An entry whose flags do not mark its
+// CRC fails the cursor: its payload could not be checked.
+func (c *Cursor) entry(e *DirEntry) {
 	start := c.off
 	e.Name = c.Bytes(int(c.U16()))
 	e.typ = DType(c.U8())
 	e.flags = c.U8()
+	if c.err == nil && e.flags&flagHasCRC == 0 {
+		c.err = fmt.Errorf("entry %q at offset %d carries no CRC", e.Name, start)
+	}
 	e.dims = c.Bytes(8 * c.Fits(int(c.U8()), 8))
 	e.offset = int64(c.U64())
 	e.length = int64(c.U64())
-	e.crcAt, e.crc, e.v2 = c.off-start, 0, version < 3
-	if e.v2 {
-		e.flags &^= flagHasCRC
-	} else {
-		e.crc = c.U32()
-	}
+	e.crc = c.U32()
 	e.nattrs = c.Fits(int(c.U16()), minAttrBytes)
 	at := c.off
 	for j := 0; j < e.nattrs; j++ {
@@ -133,11 +128,10 @@ func (c *Cursor) entry(e *DirEntry, version uint32) {
 	e.attrs, e.raw = c.b[at:c.off], c.b[start:c.off]
 }
 
-// DirEntry is AppendDirEntry's inverse: it reads one directory entry of the
-// given format version into d (version 2 entries carry no CRC).
-func (c *Cursor) DirEntry(d *Dataset, version uint32) {
+// DirEntry is AppendDirEntry's inverse: it reads one directory entry into d.
+func (c *Cursor) DirEntry(d *Dataset) {
 	var e DirEntry
-	if c.entry(&e, version); c.err == nil {
+	if c.entry(&e); c.err == nil {
 		e.decode(d)
 	}
 }
@@ -158,17 +152,6 @@ func (e *DirEntry) decode(d *Dataset) {
 	}
 }
 
-// Append appends e in the current format's layout: the bytes
-// AppendDirEntry writes for the dataset e decodes to. A version-3 entry is
-// copied as stored; a version-2 one gets its flags' CRC bit cleared and a
-// zero CRC inserted.
-func (e *DirEntry) Append(b []byte) []byte {
-	if !e.v2 {
-		return append(b, e.raw...)
-	}
-	flags := len(b) + 2 + len(e.Name) + 1
-	b = append(b, e.raw[:e.crcAt]...)
-	b[flags] = e.flags
-	b = append(b, 0, 0, 0, 0)
-	return append(b, e.raw[e.crcAt:]...)
-}
+// Append appends e as stored: the bytes AppendDirEntry writes for the
+// dataset e decodes to.
+func (e *DirEntry) Append(b []byte) []byte { return append(b, e.raw...) }

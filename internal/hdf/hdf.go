@@ -26,13 +26,11 @@ import (
 // Magic identifies an RHDF file.
 const Magic = "RHDF"
 
-// Version is the current format version. Version 2 added the per-dataset
-// flags byte (deflate compression); version 3 added a CRC32C per directory
-// entry covering the stored dataset bytes. Readers accept both.
+// Version is the RHDF format version, the one layout writers write and
+// readers accept: every directory entry carries a flags byte (deflate
+// compression) and the CRC32C of the dataset's stored bytes, which every
+// read checks.
 const Version = 3
-
-// minVersion is the oldest format version readers still accept.
-const minVersion = 2
 
 const headerSize = 24 // magic(4) version(4) dirOffset(8) numSets(4) reserved(4)
 
@@ -130,7 +128,7 @@ func (a Attr) I32s() []int32 { return BytesI32(a.Data) }
 // Dataset flag bits.
 const (
 	flagDeflate = 1 << 0
-	flagHasCRC  = 1 << 1 // crc field is valid (v3 writers; v2 datasets lack it)
+	flagHasCRC  = 1 << 1 // set on every entry: one without it is refused
 )
 
 // Dataset describes one named array in a file.
@@ -142,16 +140,15 @@ type Dataset struct {
 
 	offset int64  // file offset of the stored data
 	length int64  // stored data length in bytes (compressed size if deflated)
-	crc    uint32 // CRC32C of the stored bytes, valid when flagHasCRC is set
+	crc    uint32 // CRC32C of the stored bytes
 	flags  uint8
 }
 
 // Compressed reports whether the dataset is stored deflate-compressed.
 func (d *Dataset) Compressed() bool { return d.flags&flagDeflate != 0 }
 
-// CRC returns the recorded CRC32C of the stored bytes and whether the
-// dataset carries one (version-2 files and their appended datasets do not).
-func (d *Dataset) CRC() (uint32, bool) { return d.crc, d.flags&flagHasCRC != 0 }
+// CRC returns the recorded CRC32C of the stored bytes.
+func (d *Dataset) CRC() uint32 { return d.crc }
 
 // Extent returns the file offset and stored byte length of the dataset's
 // payload — the direct-read coordinates recorded by the block catalog, so

@@ -18,10 +18,9 @@ type Published struct {
 	Dir   []byte
 }
 
-// Raw is the report as the directory it carries, for Walk: a writer
-// publishes the current format version.
+// Raw is the report as the directory it carries, for Walk.
 func (p Published) Raw() RawDir {
-	return RawDir{Name: p.Name, Size: p.Size, Version: Version, Count: p.Count, Bytes: p.Dir}
+	return RawDir{Name: p.Name, Size: p.Size, Count: p.Count, Bytes: p.Dir}
 }
 
 // minPublishedBytes is the wire size of a report with an empty name and

@@ -63,7 +63,7 @@ func readRawDir(f rt.File) (RawDir, error) {
 	if err != nil {
 		return RawDir{}, err
 	}
-	version, dirOff, count, err := readHeader(f, size)
+	dirOff, count, err := readHeader(f, size)
 	if err != nil {
 		return RawDir{}, err
 	}
@@ -71,7 +71,7 @@ func readRawDir(f rt.File) (RawDir, error) {
 	if _, err := f.ReadAt(dir, dirOff); err != nil {
 		return RawDir{}, fmt.Errorf("hdf: reading directory of %s: %w", f.Name(), err)
 	}
-	return RawDir{Name: f.Name(), Size: size, Version: version, Count: count, Bytes: dir}, nil
+	return RawDir{Name: f.Name(), Size: size, Count: count, Bytes: dir}, nil
 }
 
 // NumDatasets returns the number of datasets in the file.
@@ -118,15 +118,13 @@ func (r *Reader) ReadData(d *Dataset) ([]byte, error) {
 
 // Unpack turns d's stored bytes, however they were read, into its logical
 // bytes — the one place stored payload is trusted. Bytes that do not match
-// the recorded CRC32C (version-3 writers record one) report ErrChecksum and
-// bump reg's hdf.checksum_failures; deflate-compressed storage is inflated;
-// either way the result must have the length d's type and dims imply.
+// the recorded CRC32C report ErrChecksum and bump reg's
+// hdf.checksum_failures; deflate-compressed storage is inflated; either way
+// the result must have the length d's type and dims imply.
 func (d *Dataset) Unpack(stored []byte, reg *metrics.Registry) ([]byte, error) {
-	if want, ok := d.CRC(); ok {
-		if got := Checksum(stored); got != want {
-			reg.Counter("hdf.checksum_failures").Inc()
-			return nil, fmt.Errorf("%w: dataset %q: stored crc32c %08x, computed %08x", ErrChecksum, d.Name, want, got)
-		}
+	if got := Checksum(stored); got != d.crc {
+		reg.Counter("hdf.checksum_failures").Inc()
+		return nil, fmt.Errorf("%w: dataset %q: stored crc32c %08x, computed %08x", ErrChecksum, d.Name, d.crc, got)
 	}
 	logical := d.Len() * int64(d.Type.Size())
 	if d.Compressed() {
@@ -160,33 +158,32 @@ func InflateStored(stored []byte, logical int64) ([]byte, error) {
 func (r *Reader) Close() error { return r.f.Close() }
 
 // readHeader validates the fixed header against the actual file size and
-// returns (version, dirOff, count). All failure modes of garbage input —
-// wrong magic, unknown version, offsets outside the file — are errors,
+// returns (dirOff, count). All failure modes of garbage input — wrong magic,
+// a version other than Version, offsets outside the file — are errors,
 // never panics.
-func readHeader(f rt.File, size int64) (uint32, int64, int, error) {
+func readHeader(f rt.File, size int64) (int64, int, error) {
 	if size < headerSize {
-		return 0, 0, 0, fmt.Errorf("hdf: %s too short for a header (%d bytes)", f.Name(), size)
+		return 0, 0, fmt.Errorf("hdf: %s too short for a header (%d bytes)", f.Name(), size)
 	}
 	hdr := make([]byte, headerSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return 0, 0, 0, fmt.Errorf("hdf: reading header of %s: %w", f.Name(), err)
+		return 0, 0, fmt.Errorf("hdf: reading header of %s: %w", f.Name(), err)
 	}
 	if string(hdr[:4]) != Magic {
-		return 0, 0, 0, fmt.Errorf("hdf: %s is not an RHDF file", f.Name())
+		return 0, 0, fmt.Errorf("hdf: %s is not an RHDF file", f.Name())
 	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	if version < minVersion || version > Version {
-		return 0, 0, 0, fmt.Errorf("hdf: %s has version %d, want %d..%d", f.Name(), version, minVersion, Version)
+	if version := binary.LittleEndian.Uint32(hdr[4:]); version != Version {
+		return 0, 0, fmt.Errorf("hdf: %s has version %d, want %d", f.Name(), version, Version)
 	}
 	dirOff := int64(binary.LittleEndian.Uint64(hdr[8:]))
 	count := int(binary.LittleEndian.Uint32(hdr[16:]))
 	if dirOff == 0 {
-		return 0, 0, 0, fmt.Errorf("hdf: %s has no directory (incomplete write?)", f.Name())
+		return 0, 0, fmt.Errorf("hdf: %s has no directory (incomplete write?)", f.Name())
 	}
 	if dirOff < headerSize || dirOff > size {
-		return 0, 0, 0, fmt.Errorf("hdf: %s directory offset %d outside file [%d,%d]", f.Name(), dirOff, headerSize, size)
+		return 0, 0, fmt.Errorf("hdf: %s directory offset %d outside file [%d,%d]", f.Name(), dirOff, headerSize, size)
 	}
-	return version, dirOff, count, nil
+	return dirOff, count, nil
 }
 
 // ScanDir reads and decodes a committed RHDF file's directory without
@@ -205,7 +202,8 @@ func ScanDir(fsys rt.FS, name string) (size int64, dirCRC uint32, sets []*Datase
 }
 
 // ReadRawDir reads the named file's directory as stored, undecoded: what a
-// commit indexes a file from when no writer reported it.
+// commit indexes a file from when no writer reported it, and what the
+// restore walk checks a file against its manifest entry by.
 func ReadRawDir(fsys rt.FS, name string) (RawDir, error) {
 	f, err := fsys.Open(name)
 	if err != nil {

@@ -7,10 +7,14 @@ package rochdf
 // WriteAttribute (which drains the previous one) or at Sync.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/mpi"
@@ -174,4 +178,55 @@ func TestCommittedReadIgnoresLaterWriteFailure(t *testing.T) {
 	if len(plan.Trips()) == 0 {
 		t.Fatal("fault plan never tripped")
 	}
+}
+
+func TestCRCLessOwnFileIsIncomplete(t *testing.T) {
+	// An uncommitted generation's rank file is read as the rank's own file
+	// (ReadRequest.Own). Rewritten as no writer leaves it — a pane dataset's
+	// directory entry without its CRC bit over a flipped payload byte — the
+	// file is refused whole, so the restart reports ErrIncompleteRestart
+	// instead of installing the damaged bytes.
+	fs := rt.NewMemFS()
+	err := mpi.NewChanWorld(fs, 1).Run(1, func(ctx mpi.Ctx) error {
+		h := New(ctx, Config{Profile: hdf.NullProfile()})
+		defer h.Close()
+		_, w := buildWindow(t, 0, 2)
+		if err := h.WriteAttribute("nc/s0", w, "all", 0, 0); err != nil {
+			return err
+		}
+		if err := dropCRC(fs, catalog.RankFile("nc/s0", 0)); err != nil {
+			return err
+		}
+		if err := h.ReadAttribute("nc/s0", w, "all"); !errors.Is(err, snapshot.ErrIncompleteRestart) {
+			return fmt.Errorf("restart from the CRC-less file: %v, want ErrIncompleteRestart", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dropCRC rewrites the RHDF file name with its first pane dataset's CRC bit
+// (bit 1 of the entry's flags byte) cleared and the first byte of that
+// dataset's payload flipped.
+func dropCRC(fs rt.FS, name string) error {
+	img, err := hdf.ReadFile(fs, name)
+	if err != nil {
+		return err
+	}
+	_, _, sets, err := hdf.ScanDir(fs, name)
+	if err != nil {
+		return err
+	}
+	for _, d := range sets {
+		if off, length := d.Extent(); strings.HasPrefix(d.Name, "/fluid/") && length > 0 {
+			dirOff := int(binary.LittleEndian.Uint64(img[8:]))
+			at := dirOff + bytes.Index(img[dirOff:], hdf.AppendStr(nil, d.Name))
+			img[at+2+len(d.Name)+1] &^= 2 // past the name and the type byte
+			img[off] ^= 1
+			return hdf.PublishFile(fs, name, img)
+		}
+	}
+	return fmt.Errorf("%s holds no pane dataset", name)
 }

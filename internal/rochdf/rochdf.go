@@ -27,6 +27,7 @@
 package rochdf
 
 import (
+	"cmp"
 	"fmt"
 
 	"genxio/internal/catalog"
@@ -78,6 +79,7 @@ type Rochdf struct {
 	pending  *snapshot.Pending // generations written since the last Sync
 	lastFile string            // generation of the last write: a change flushes
 	buffered bool              // T-Rochdf: blocks outlive WriteAttribute
+	failed   error             // the caller's failed step (Fail): no commit after it
 	closed   bool
 
 	m  Metrics
@@ -258,9 +260,14 @@ func (h *Rochdf) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 // files from what this rank's writes reported publishing.
 func (h *Rochdf) Sync() error {
 	defer h.timed(&h.m.SyncWait, h.mx.syncWait)()
-	err := h.flush()
+	err := cmp.Or(h.flush(), h.failed)
 	return h.pending.Commit(err, h.wr.Published(), nil)
 }
+
+// Fail records a step the caller could not finish on this rank: from then
+// on every Sync fails on every rank, as after a failed write, so no
+// generation the step's output belonged to commits.
+func (h *Rochdf) Fail(err error) { h.failed = cmp.Or(h.failed, err) }
 
 // Close drains outstanding output and stops the I/O thread. The service
 // is unusable afterwards.

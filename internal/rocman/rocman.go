@@ -181,6 +181,7 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 		mod     roccom.Module
 		pandaCl *rocpanda.Client
 		hdfSvc  *rochdf.Rochdf
+		fail    func(error) // the module's Fail: no commit after a failed step
 		rc      = roccom.New()
 		nsrv    int
 	)
@@ -215,7 +216,7 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 		if cl == nil {
 			return nil, nil // server rank: service loop already done
 		}
-		pandaCl, comm, nsrv, mod = cl, cl.Comm(), cl.NumServers(), cl.Module()
+		pandaCl, comm, nsrv, mod, fail = cl, cl.Comm(), cl.NumServers(), cl.Module(), cl.Fail
 	case IORochdf, IOTRochdf:
 		comm = ctx.Comm()
 		hdfSvc = rochdf.New(ctx, rochdf.Config{
@@ -226,7 +227,7 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 			Metrics:           cfg.Metrics,
 			RetainGenerations: cfg.RetainGenerations,
 		})
-		mod = hdfSvc.Module()
+		mod, fail = hdfSvc.Module(), hdfSvc.Fail
 	default:
 		return nil, fmt.Errorf("rocman: unknown I/O module %q", cfg.IO)
 	}
@@ -264,15 +265,16 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 		}
 	}
 
-	if err := sim.run(svc, cfg); err != nil {
-		return nil, err
+	// A failed run still drains, with its module told: no pending generation
+	// commits, and the commit allreduce carries a last step's failure to
+	// every rank. The deferred unload releases the service.
+	runErr := sim.run(svc, cfg)
+	if runErr != nil {
+		fail(runErr)
 	}
-
-	// Drain everything before the run ends; the deferred unload releases
-	// the service.
 	syncT0 := ctx.Clock().Now()
-	if err := svc.Sync(); err != nil {
-		return nil, err
+	if err := svc.Sync(); runErr != nil || err != nil {
+		return nil, cmp.Or(runErr, err)
 	}
 	cfg.Trace.Record(comm.Rank(), trace.PhaseSync, syncT0, ctx.Clock().Now())
 	if cfg.MeasureRestart {
@@ -451,13 +453,18 @@ func peerFailed(comm mpi.Comm, err error) bool {
 	return comm.AllreduceMax(bad) > 0
 }
 
-// run executes the timestep loop with periodic snapshots.
+// run executes the timestep loop with periodic snapshots. A step that fails
+// on one rank — its snapshot write, refinement or rebalance — must not
+// leave its peers in a collective it no longer enters, so the rank skips
+// the rest of its own work and enters the next step's dt reduction with a
+// negative bound, where every rank stops with an error. A failure in the
+// last step is returned on its rank alone; Run carries it into the final
+// Sync's commit allreduce. A clean run makes no collective call it did not
+// make before.
 func (g *genx) run(svc roccom.IOService, cfg Config) error {
 	spec := cfg.Workload
 	simTime := 0.0
-	if err := g.snapshot(svc, simTime, 0); err != nil {
-		return err
-	}
+	failed := g.snapshot(svc, simTime, 0)
 	for step := 1; step <= spec.Steps; step++ {
 		t0 := g.ctx.Clock().Now()
 		// Global stable-dt reduction from the current state: the
@@ -466,7 +473,13 @@ func (g *genx) run(svc roccom.IOService, cfg Config) error {
 		for _, s := range g.solvers {
 			bound = math.Min(bound, s.StableDt())
 		}
+		if failed != nil {
+			bound = -1
+		}
 		dt := g.comm.AllreduceMin(bound)
+		if dt < 0 {
+			return cmp.Or(failed, fmt.Errorf("rocman: step %d failed on a peer rank", step-1))
+		}
 		if (step-1)%cfg.StrideRealWork == 0 {
 			for _, s := range g.solvers {
 				s.Step(dt)
@@ -483,26 +496,23 @@ func (g *genx) run(svc roccom.IOService, cfg Config) error {
 		}
 		simTime += dt
 		if cfg.RefineEvery > 0 && step%cfg.RefineEvery == 0 {
-			if err := g.refine(); err != nil {
-				return err
-			}
+			failed = g.refine()
 		}
 		if cfg.RebalanceEvery > 0 && step%cfg.RebalanceEvery == 0 {
-			if _, err := Rebalance(g.comm, g.fluid, 0); err != nil {
-				return err
+			// Collective: entered whatever the refinement returned.
+			if _, err := Rebalance(g.comm, g.fluid, 0); failed == nil {
+				failed = err
 			}
 		}
 		g.computeTime += g.ctx.Clock().Now() - t0
 		cfg.Trace.Record(g.comm.Rank(), trace.PhaseCompute, t0, g.ctx.Clock().Now())
 		g.steps++
 
-		if spec.SnapshotEvery > 0 && step%spec.SnapshotEvery == 0 {
-			if err := g.snapshot(svc, simTime, step); err != nil {
-				return err
-			}
+		if failed == nil && spec.SnapshotEvery > 0 && step%spec.SnapshotEvery == 0 {
+			failed = g.snapshot(svc, simTime, step)
 		}
 	}
-	return nil
+	return failed
 }
 
 // chargeOnlyCost is the per-step CPU charge when real arithmetic is

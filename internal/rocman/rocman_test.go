@@ -2,6 +2,7 @@ package rocman
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"genxio/internal/roccom"
 	"genxio/internal/rocpanda"
 	"genxio/internal/rt"
+	"genxio/internal/snapshot"
 	"genxio/internal/trace"
 	"genxio/internal/workload"
 )
@@ -564,42 +566,58 @@ func TestRestartFromLatestFallsBackMultiWindow(t *testing.T) {
 	}
 }
 
-// TestFailedRunReleasesServers: a Rocpanda run whose restart or drain fails
-// returns an error on every client, and its servers are released, so the
-// world ends. Each row runs the world on its own goroutine under a deadline:
-// a client that returned without releasing its servers, or that skipped a
-// collective read round its peers entered, hangs the world, and the test
-// fails instead of hanging with it. World ranks 0 and 3 are the servers
-// (Spread placement of 2 among 6).
+// TestFailedRunReleasesServers: a run whose restart, drain or write fails on
+// some ranks returns an error on every client, and a Rocpanda run's servers
+// are released, so the world ends. Each row runs the world on its own
+// goroutine under a deadline: a client that returned without releasing its
+// servers, that skipped a collective read round its peers entered, or that
+// left its peers in the next step's dt reduction hangs the world, and the
+// test fails instead of hanging with it. Rocpanda rows run 6 ranks, of which
+// world ranks 0 and 3 are the servers (Spread placement of 2 among 6); the
+// individual-I/O rows run 3 clients, and rank 1's file of a snapshot fails
+// to create.
 func TestFailedRunReleasesServers(t *testing.T) {
-	const n = 6
+	createFault := func(prefix string) func(t *testing.T, cfg *Config) rt.FS {
+		return func(t *testing.T, cfg *Config) rt.FS {
+			plan := faults.NewFSPlan(1, faults.FSRule{Op: faults.OpCreate, PathPrefix: prefix, Nth: 1})
+			return faults.WrapFS(rt.NewMemFS(), plan)
+		}
+	}
 	rows := []struct {
 		name  string
+		io    IOKind
 		setup func(t *testing.T, cfg *Config) rt.FS
 	}{
-		{"bit-flipped-restart-from", func(t *testing.T, cfg *Config) rt.FS {
+		{"bit-flipped-restart-from", IORocpanda, func(t *testing.T, cfg *Config) rt.FS {
 			// Only the clients whose panes sat in _s001 fail their fluid
 			// read; the others go on to the solid window's round.
-			_, fs := runReal(t, n, *cfg)
+			_, fs := runReal(t, 6, *cfg)
 			if err := faults.FlipBit(fs, "out/snap000012_s001.rhdf", hdf.HeaderSize()*8+13); err != nil {
 				t.Fatal(err)
 			}
 			cfg.RestartFrom = "out/snap000012"
 			return fs
 		}},
-		{"restart-latest-empty-prefix", func(t *testing.T, cfg *Config) rt.FS {
+		{"restart-latest-empty-prefix", IORocpanda, func(t *testing.T, cfg *Config) rt.FS {
 			cfg.RestartFromLatest = true
 			return rt.NewMemFS()
 		}},
-		{"drain-fault", func(t *testing.T, cfg *Config) rt.FS {
-			plan := faults.NewFSPlan(1, faults.FSRule{Op: faults.OpCreate, PathPrefix: "out/snap000004_s001", Nth: 1})
-			return faults.WrapFS(rt.NewMemFS(), plan)
-		}},
+		{"drain-fault", IORocpanda, createFault("out/snap000004_s001")},
+		// A middle step's failure stops every rank at the next dt reduction;
+		// T-Rochdf's background write reports it a snapshot later.
+		{"rochdf-write-fault", IORochdf, createFault("out/snap000004_p00001")},
+		{"trochdf-write-fault", IOTRochdf, createFault("out/snap000004_p00001")},
+		// The last step's failure reaches the peers at the final Sync.
+		{"rochdf-last-write-fault", IORochdf, createFault("out/snap000012_p00001")},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := baseCfg(IORocpanda)
-			cfg.Rocpanda.NumServers = 2
+			cfg := baseCfg(row.io)
+			n, clients := 3, []int{0, 1, 2}
+			if row.io == IORocpanda {
+				cfg.Rocpanda.NumServers = 2
+				n, clients = 6, []int{1, 2, 4, 5}
+			}
 			fs := row.setup(t, &cfg)
 			errs := make([]error, n)
 			done := make(chan error, 1)
@@ -618,10 +636,17 @@ func TestFailedRunReleasesServers(t *testing.T) {
 			case <-time.After(30 * time.Second):
 				t.Fatal("the world did not end: a rank is blocked in a collective its peers left")
 			}
-			for _, rank := range []int{1, 2, 4, 5} {
+			for _, rank := range clients {
 				if errs[rank] == nil {
 					t.Errorf("client rank %d: Run returned no error", rank)
 				}
+			}
+			if row.io == IORocpanda {
+				return
+			}
+			names, _ := fs.List("out/")
+			if slices.ContainsFunc(names, func(name string) bool { return strings.HasSuffix(name, snapshot.Suffix) }) {
+				t.Errorf("a failed run committed a generation: %v", names)
 			}
 		})
 	}

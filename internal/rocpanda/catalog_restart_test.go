@@ -123,7 +123,7 @@ func TestIndexedRestartReadsOnlyNeededFiles(t *testing.T) {
 // TestCorruptCatalogFallsBackToScan bit-flips the committed catalog blob:
 // the servers must detect the damage (blob CRC), count a fallback, derive
 // the index from the files' directories instead, and still restart every
-// pane bit-exact. A missing catalog (older writer) and a stale one (another
+// pane bit-exact. A missing catalog file and a stale one (another
 // generation's blob) take the same path.
 func TestCorruptCatalogFallsBackToScan(t *testing.T) {
 	fs := rt.NewMemFS()

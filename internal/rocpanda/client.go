@@ -53,8 +53,9 @@ type Client struct {
 
 	// Snapshot-commit state: the generations written since the last commit
 	// (client 0 writes the manifests once all servers have drained), and the
-	// first write ack that arrived damaged — the generation it belonged to
-	// must not commit, so every later Sync reports it.
+	// first write ack that arrived damaged, or step the caller failed (Fail)
+	// — the generation it belonged to must not commit, so every later Sync
+	// reports it.
 	pending  *snapshot.Pending
 	ackErr   error
 	registry *metrics.Registry
@@ -464,12 +465,12 @@ func mergeUniverses(parts [][]byte) map[string][]int {
 
 // PanesForRestart returns the panes this client should recover from a
 // committed generation: the generation's pane universe for the window
-// (from the block catalog, or a directory walk on catalog-less
-// generations), dealt round-robin over the current client count. Every
-// client computes the same assignment with no communication, so a run may
-// restart with any topology — more clients, fewer, different server
-// counts — and ReadPanes with attr "all" rebuilds panes this rank never
-// wrote.
+// (from the block catalog, or the same catalog derived from the files'
+// directories when the committed one is missing or damaged), dealt
+// round-robin over the current client count. Every client computes the
+// same assignment with no communication, so a run may restart with any
+// topology — more clients, fewer, different server counts — and ReadPanes
+// with attr "all" rebuilds panes this rank never wrote.
 func (c *Client) PanesForRestart(base, window string) ([]int, error) {
 	ids, err := snapshot.PaneUniverse(c.ctx.FS(), base, window)
 	if err != nil {
@@ -490,6 +491,15 @@ func (c *Client) RestoreLatest(prefix string, restore func(base string) error) (
 	}
 	return snapshot.Restore(c.ctx.FS(), prefix, restore,
 		snapshot.Options{Comm: c.comm, Metrics: c.registry, Reader: c.rd})
+}
+
+// Fail records a step the caller could not finish on this client: from then
+// on every Sync and Shutdown refuses to commit, on every client, as after a
+// damaged write ack.
+func (c *Client) Fail(err error) {
+	if c.ackErr == nil {
+		c.ackErr = err
+	}
 }
 
 // Shutdown is collective over the clients: it drains the servers and

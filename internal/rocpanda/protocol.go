@@ -79,11 +79,11 @@ func decodeAck(data []byte) ([]hdf.Published, error) {
 	return nil, fmt.Errorf("rocpanda: unexpected %d-byte ack payload", len(data))
 }
 
-// tagReadDone payload: one mode byte — a snapshot.ReadMode — reporting how
-// the server served its share of the restart, so clients (and their
-// metrics) can tell a committed index from a derived one and from a share
-// that could not be served at all. Older-style empty payloads decode as
-// derived.
+// tagReadDone payload: one mode byte — a snapshot.ReadMode — saying how the
+// server served its share of the restart: from the committed index, from a
+// derived one, or not at all. The client reads only the tag, which ends
+// that server's part of the round, and ignores the byte; the server's read
+// service counts the mode (catalog_hits, catalog_fallbacks).
 
 // writeHdr announces a collective write from one client: nblocks block
 // messages follow on tagWriteBlock.

@@ -260,9 +260,6 @@ func TestRestartWastedBytesAccounting(t *testing.T) {
 			// provably re-accounted as waste too.
 			e := cat.Entries[len(cat.Entries)-1]
 			name := cat.Files[e.File]
-			if _, hasCRC := e.CRC(); !hasCRC {
-				t.Fatal("catalog entry carries no CRC")
-			}
 			off, length := e.Extent()
 			if err := faults.FlipBit(fs, name, (off+length/2)*8); err != nil {
 				t.Fatal(err)

@@ -171,12 +171,12 @@ func damagePrimary(fs rt.FS, gen, name, how string) error {
 	}
 	cat := chain[0].Catalog
 	for _, e := range cat.Entries {
-		if _, hasCRC := e.CRC(); cat.Files[e.File] == name && hasCRC {
+		if cat.Files[e.File] == name {
 			off, length := e.Extent()
 			return faults.FlipBit(fs, name, (off+length/2)*8)
 		}
 	}
-	return fmt.Errorf("no CRC-bearing catalog entry in %s", name)
+	return fmt.Errorf("no catalog entry in %s", name)
 }
 
 // TestReplicaLossRestartsSameGeneration is the acceptance scenario: with

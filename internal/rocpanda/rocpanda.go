@@ -63,14 +63,11 @@ const (
 	Packed
 )
 
-// Config configures Rocpanda initialization. Exactly one of NumServers or
-// ClientServerRatio must be positive.
+// Config configures Rocpanda initialization.
 type Config struct {
-	// NumServers is the number of dedicated I/O server processes.
+	// NumServers is the number of dedicated I/O server processes, at least
+	// 1 (the paper typically runs >= 8 clients per server).
 	NumServers int
-	// ClientServerRatio derives the server count as
-	// total/(ratio+1), at least 1 (the paper typically uses >= 8:1).
-	ClientServerRatio int
 	// Placement selects server placement (default Spread).
 	Placement Placement
 	// Profile is the scientific-library cost model (HDF4 in the paper),
@@ -213,12 +210,6 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 	world := ctx.Comm()
 	total := world.Size()
 	m := cfg.NumServers
-	if m <= 0 && cfg.ClientServerRatio > 0 {
-		m = total / (cfg.ClientServerRatio + 1)
-		if m < 1 {
-			m = 1
-		}
-	}
 	if m < 1 || m > total-m {
 		return nil, fmt.Errorf("rocpanda: %d servers with world size %d (need at least as many clients as servers)", m, total)
 	}

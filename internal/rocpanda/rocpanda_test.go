@@ -493,15 +493,12 @@ func TestFileCountReduction(t *testing.T) {
 	world := mpi.NewChanWorld(fs, 1)
 	const total = 18 // 16 clients + 2 servers
 	err := world.Run(total, func(ctx mpi.Ctx) error {
-		cl, err := Init(ctx, Config{ClientServerRatio: 8, Profile: hdf.NullProfile(), ActiveBuffering: true})
+		cl, err := Init(ctx, Config{NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true})
 		if err != nil {
 			return err
 		}
 		if cl == nil {
 			return nil
-		}
-		if cl.NumServers() != 2 {
-			return fmt.Errorf("derived %d servers", cl.NumServers())
 		}
 		if cl.Comm().Size() != 16 {
 			return fmt.Errorf("client comm size %d", cl.Comm().Size())

@@ -45,9 +45,6 @@ func (c *Config) Validate() error {
 	if c.NumServers < 0 {
 		return &ConfigRangeError{Field: "NumServers", Value: int64(c.NumServers), Min: 0, Max: -1}
 	}
-	if c.ClientServerRatio < 0 {
-		return &ConfigRangeError{Field: "ClientServerRatio", Value: int64(c.ClientServerRatio), Min: 0, Max: -1}
-	}
 	if c.AsyncDrain && !c.ActiveBuffering {
 		return ErrAsyncDrainNeedsBuffering
 	}

@@ -15,7 +15,6 @@ func TestValidateAcceptsCommonConfigs(t *testing.T) {
 		// R > NumServers wraps replica homes around; legal (copyNames).
 		{NumServers: 1, ActiveBuffering: true, ReplicationFactor: 2},
 		{NumServers: 1, ActiveBuffering: true, DeltaSnapshots: true, FullEvery: 4},
-		{ClientServerRatio: 8, ActiveBuffering: true},
 		{NumServers: 1}, // write-through ablation
 	}
 	for i, c := range cases {
@@ -50,7 +49,6 @@ func TestValidateRangeErrors(t *testing.T) {
 		field string
 	}{
 		{"negative servers", Config{NumServers: -1}, "NumServers"},
-		{"negative ratio", Config{ClientServerRatio: -2}, "ClientServerRatio"},
 		{"too many drain writers", Config{NumServers: 1, ActiveBuffering: true, AsyncDrain: true, DrainWriters: 9}, "DrainWriters"},
 		{"negative drain writers", Config{NumServers: 1, ActiveBuffering: true, AsyncDrain: true, DrainWriters: -1}, "DrainWriters"},
 		{"negative write budget", Config{NumServers: 1, ActiveBuffering: true, AsyncDrain: true, BufferBudgetBytes: -1}, "BufferBudgetBytes"},

@@ -2,10 +2,8 @@ package snapshot
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -151,7 +149,7 @@ func TestPaneUniverse(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("catalog universe %v, want %v", got, want)
 	}
-	// Without the catalog (older writer), the manifest walk answers.
+	// Without the catalog file, the index derived from the files answers.
 	if err := fsys.Remove("out/snap000010" + catalog.Suffix); err != nil {
 		t.Fatal(err)
 	}
@@ -208,51 +206,6 @@ func TestFsckCatalogMismatch(t *testing.T) {
 	reports, _ = Fsck(fsys, "out/")
 	if reports[0].Verdict != VerdictCorrupt {
 		t.Fatalf("corrupt+mismatch verdict %q, want %q", reports[0].Verdict, VerdictCorrupt)
-	}
-
-	// Generations committed by older writers report catalog "none" and
-	// stay OK.
-	writePaneGen(t, fsys, "out/snap000200", 1, 2)
-	if _, err := Commit(fsys, "out/snap000200", 200, 0); err != nil {
-		t.Fatal(err)
-	}
-	fsys.Remove("out/snap000200" + catalog.Suffix)
-	stripCatalogRef(t, fsys, "out/snap000200")
-	reports, _ = Fsck(fsys, "out/")
-	for _, rep := range reports {
-		if rep.Base == "out/snap000200" {
-			if rep.Verdict != VerdictOK || rep.Catalog != "none" {
-				t.Fatalf("catalog-less generation: verdict %q, catalog %q", rep.Verdict, rep.Catalog)
-			}
-		}
-	}
-}
-
-// stripCatalogRef rewrites a manifest without its catalog reference,
-// simulating a generation committed before the catalog existed.
-func stripCatalogRef(t *testing.T, fsys rt.FS, base string) {
-	t.Helper()
-	m, err := Load(fsys, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Catalog = nil
-	enc, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fsys.Remove(base + Suffix); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fsys.Create(base + Suffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(enc, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -330,43 +283,5 @@ func TestIndex(t *testing.T) {
 	writeAll(t, fsys, "out/snap000020"+Suffix, []byte("{"))
 	if ids, err := PaneUniverse(fsys, "out/snap000020", "fluid"); err == nil {
 		t.Fatalf("PaneUniverse answered %v from an orphan catalog", ids)
-	}
-}
-
-// legacyV2CatalogCRC is the whole-blob CRC32C (197 bytes) of the catalog
-// committed for a generation whose one file is the hand-built version-2
-// image ../hdf/testdata/legacy_v2.rhdf, as the encoder that decoded each
-// dataset and wrote it back with AppendDirEntry committed it: obtained by
-// running this test's commit on the tree before the splice.
-const legacyV2CatalogCRC = 0xda4d9ed8
-
-// TestLegacyV2Catalog: the commit splices a version-2 directory into the
-// version-3 entry layout — a zero CRC inserted, the CRC flag clear — so
-// its catalog is the one decoding and re-encoding made, and reading it
-// back finds the pane datasets without CRCs.
-func TestLegacyV2Catalog(t *testing.T) {
-	img, err := os.ReadFile("../hdf/testdata/legacy_v2.rhdf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys := rt.NewMemFS()
-	if err := hdf.PublishFile(fsys, "run/snap000001_s000.rhdf", img); err != nil {
-		t.Fatal(err)
-	}
-	m, err := CommitChained(fsys, "run/snap000001", 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Catalog.Size != 197 || m.Catalog.CRC != legacyV2CatalogCRC {
-		t.Fatalf("catalog is %d bytes crc32c %08x, want 197 bytes %08x", m.Catalog.Size, m.Catalog.CRC, legacyV2CatalogCRC)
-	}
-	cat, derived, err := Index(fsys, m)
-	if err != nil || derived || len(cat.Entries) != 2 {
-		t.Fatalf("index: %v, derived %v, %d entries", err, derived, len(cat.Entries))
-	}
-	for _, e := range cat.Entries {
-		if _, has := e.CRC(); has || e.Window != "fluid" || e.Pane != 1 {
-			t.Errorf("entry %s: crc %v, window %q pane %d", e.Name, has, e.Window, e.Pane)
-		}
 	}
 }

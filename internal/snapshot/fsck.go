@@ -46,10 +46,9 @@ type FileReport struct {
 }
 
 // GenReport is one generation's scrub outcome. Catalog reports the block
-// catalog's state: "none" (older writer, no catalog committed), "ok",
-// "missing" (pinned by the manifest but absent on disk), or "mismatch". On a
-// CORRUPT generation it is the blob's state alone: the deep identity check
-// needs every file intact.
+// catalog's state: "ok", "missing" (pinned by the manifest but absent on
+// disk), or "mismatch". On a CORRUPT generation it is the blob's state
+// alone: the deep identity check needs every file intact.
 type GenReport struct {
 	Base    string       `json:"base"`
 	Verdict string       `json:"verdict"`
@@ -200,7 +199,7 @@ func repairGen(fsys rt.FS, rep GenReport) []FileReport {
 		fixed = append(fixed, FileReport{Name: e.Name, Status: "repaired",
 			Detail: fmt.Sprintf("rebuilt from %s", donor)})
 	}
-	if m.Catalog != nil && rep.Catalog != "ok" && rep.Catalog != "" && rep.Catalog != "none" {
+	if rep.Catalog != "ok" {
 		if fr, ok := rebuildCatalog(fsys, m); ok {
 			fixed = append(fixed, fr)
 		}
@@ -276,21 +275,18 @@ func fsckGen(fsys rt.FS, g Generation, deep bool) GenReport {
 				}
 				rep.Files = append(rep.Files, fr)
 			}
-			rep.Catalog = "none"
-			if m.Catalog != nil {
-				status, detail := scrubCatalog(fsys, m, deep && rep.Verdict == VerdictOK)
-				rep.Catalog = status
-				if status != "ok" {
-					// A CORRUPT generation stays CORRUPT; a clean one with
-					// a bad index is CATALOG-MISSING or CATALOG-MISMATCH.
-					if rep.Verdict == VerdictOK {
-						rep.Verdict = VerdictCatalogMismatch
-						if status == "missing" {
-							rep.Verdict = VerdictCatalogMissing
-						}
+			status, detail := scrubCatalog(fsys, m, deep && rep.Verdict == VerdictOK)
+			rep.Catalog = status
+			if status != "ok" {
+				// A CORRUPT generation stays CORRUPT; a clean one with a bad
+				// index is CATALOG-MISSING or CATALOG-MISMATCH.
+				if rep.Verdict == VerdictOK {
+					rep.Verdict = VerdictCatalogMismatch
+					if status == "missing" {
+						rep.Verdict = VerdictCatalogMissing
 					}
-					rep.Files = append(rep.Files, FileReport{Name: m.Catalog.Name, Status: status, Detail: detail})
 				}
+				rep.Files = append(rep.Files, FileReport{Name: m.Catalog.Name, Status: status, Detail: detail})
 			}
 		}
 	}

@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// TestDecodeManifestRequiresCatalog: every commit pins its catalog, so a
+// manifest without the reference is not one.
+func TestDecodeManifestRequiresCatalog(t *testing.T) {
+	m := &Manifest{Schema: ManifestSchema, Base: "out/snap000100",
+		Files:   []FileEntry{{Name: "out/snap000100_s000.rhdf", Size: 4096, DirCRC: 0xdeadbeef, Datasets: 3}},
+		Catalog: &CatalogRef{Name: "out/snap000100.catalog", Size: 128, CRC: 1}}
+	for _, pinned := range []bool{true, false} {
+		if !pinned {
+			m.Catalog = nil
+		}
+		blob, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeManifest(blob); (err == nil) != pinned {
+			t.Errorf("catalog pinned %v: DecodeManifest error %v", pinned, err)
+		}
+	}
+}
+
 // FuzzManifestDecode hammers the manifest decoder with hostile JSON: the
 // decoder must reject or accept, never panic, and anything it accepts
 // must survive a re-encode/decode round trip (DecodeManifest's invariants
@@ -29,6 +49,7 @@ func FuzzManifestDecode(f *testing.F) {
 		BaseGeneration: "out/snap000100",
 		ChainDepth:     3,
 		Panes:          map[string][]int{"fluid": {1, 2, 3}, "solid": {7}},
+		Catalog:        &CatalogRef{Name: "out/snap000110.catalog", Size: 64, CRC: 2},
 	}
 	f.Add([]byte{})
 	f.Add([]byte("{}"))

@@ -50,9 +50,11 @@ func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[stri
 }
 
 // checkFile is the one test of a committed file against its commit record:
-// found — the file as its directory gives it, by hdf.ScanDir or
-// deriveCatalog — must have the size and directory CRC32C its manifest entry
-// e pins. A stale or torn replacement of the file cannot keep both.
+// found — the file as its header and directory bytes give it, by
+// checkOnDisk or deriveCatalog — must have the size, directory CRC32C and
+// header dataset count its manifest entry e pins. A stale or torn
+// replacement of the file cannot keep all three, and a file that keeps them
+// has the directory its commit walked.
 func checkFile(e, found FileEntry) error {
 	if found.Size != e.Size {
 		return fmt.Errorf("snapshot: %s is %d bytes on disk, manifest says %d", e.Name, found.Size, e.Size)
@@ -60,6 +62,9 @@ func checkFile(e, found FileEntry) error {
 	if found.DirCRC != e.DirCRC {
 		return fmt.Errorf("%w: snapshot: %s directory crc32c %08x, manifest says %08x",
 			hdf.ErrChecksum, e.Name, found.DirCRC, e.DirCRC)
+	}
+	if found.Datasets != e.Datasets {
+		return fmt.Errorf("snapshot: %s header counts %d datasets, manifest says %d", e.Name, found.Datasets, e.Datasets)
 	}
 	return nil
 }
@@ -75,9 +80,6 @@ func (r *CatalogRef) matches(blob []byte) bool {
 // earlier commit, or another generation's blob, is never taken for this
 // one's.
 func loadCatalog(fsys rt.FS, m *Manifest) (*catalog.Catalog, error) {
-	if m.Catalog == nil {
-		return nil, fmt.Errorf("snapshot: %s committed no catalog", m.Base)
-	}
 	blob, err := hdf.ReadFile(fsys, m.Catalog.Name)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)

@@ -37,8 +37,7 @@ const Suffix = ".manifest"
 // CatalogRef pins a generation's block-catalog blob from the manifest:
 // the catalog is written before the manifest, so the commit record can
 // carry its size and whole-blob CRC32C, letting readers detect a damaged
-// or swapped catalog cheaply (loadCatalog). Absent on generations committed
-// by older writers; Index then derives their catalog from the files.
+// or swapped catalog cheaply (loadCatalog). Every manifest carries one.
 type CatalogRef struct {
 	Name string `json:"name"`
 	Size int64  `json:"size"`
@@ -69,8 +68,8 @@ type Manifest struct {
 	Time float64 `json:"time"`
 	// Files lists every committed file, in lexical order.
 	Files []FileEntry `json:"files"`
-	// Catalog references the generation's block-catalog blob, when one was
-	// committed. The restore walk's file check ignores it: a damaged
+	// Catalog references the generation's block-catalog blob; DecodeManifest
+	// requires it. The restore walk's file check ignores it: a damaged
 	// catalog costs a full generation the indexed read path, not the
 	// generation.
 	Catalog *CatalogRef `json:"catalog,omitempty"`
@@ -131,10 +130,10 @@ func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *Chai
 // files (its Base_*.rhdf names are the generation), indexing them from what
 // their writers reported publishing (hdf.Published, keyed by file name): a
 // listed file with a report is indexed from it, one without — a dead
-// writer's renamed file, an older writer's — is read off the filesystem and
-// counted on dirsRead, and a reported file the listing lacks (its rename was
-// lost) refuses the commit. The manifest and catalog bytes are the same
-// either way.
+// writer's renamed file — is read off the filesystem and counted on
+// dirsRead, and a reported file the listing lacks (its rename was lost)
+// refuses the commit. The manifest and catalog bytes are the same either
+// way.
 func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 	names []string, reported map[string]hdf.Published, dirsRead *metrics.Counter) (*Manifest, error) {
 	m := &Manifest{Schema: ManifestSchema, Base: base, Epoch: epoch, Time: tm}
@@ -210,10 +209,11 @@ func Load(fsys rt.FS, base string) (*Manifest, error) {
 
 // DecodeManifest parses and validates manifest JSON. It is the single
 // entry point for untrusted manifest bytes (Load, the fsck scrub, the
-// fuzzer): beyond the schema check it enforces the chain invariants —
-// depth and base name must agree, a generation cannot base on itself,
-// and the recorded pane universe must be well-formed — so downstream
-// chain walks never see a manifest that lies about its own shape.
+// fuzzer): beyond the schema check it requires the catalog reference and
+// enforces the chain invariants — depth and base name must agree, a
+// generation cannot base on itself, and the recorded pane universe must be
+// well-formed — so downstream chain walks never see a manifest that lies
+// about its own shape.
 func DecodeManifest(buf []byte) (*Manifest, error) {
 	m := &Manifest{}
 	if err := json.Unmarshal(buf, m); err != nil {
@@ -224,6 +224,9 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	}
 	if m.Base == "" {
 		return nil, fmt.Errorf("empty base")
+	}
+	if m.Catalog == nil {
+		return nil, fmt.Errorf("no catalog reference")
 	}
 	if m.ChainDepth < 0 {
 		return nil, fmt.Errorf("negative chain depth %d", m.ChainDepth)

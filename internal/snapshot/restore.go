@@ -233,12 +233,14 @@ func Restore(fsys rt.FS, prefix string, try func(base string) error, opts Option
 }
 
 // checkOnDisk is checkFile of the file as it is on disk now: one
-// hdf.ScanDir, header and directory only — ReadData's per-dataset CRCs (and
-// Fsck's deep scrub) cover the payload bytes.
+// hdf.ReadRawDir, header and directory bytes only, none of them decoded — a
+// file that matches its entry has the directory its commit walked.
+// ReadData's per-dataset CRCs (and Fsck's deep scrub) cover the payload
+// bytes.
 func checkOnDisk(fsys rt.FS, e FileEntry) error {
-	size, crc, _, err := hdf.ScanDir(fsys, e.Name)
+	d, err := hdf.ReadRawDir(fsys, e.Name)
 	if err != nil {
 		return err
 	}
-	return checkFile(e, FileEntry{Size: size, DirCRC: crc})
+	return checkFile(e, FileEntry{Size: d.Size, DirCRC: hdf.Checksum(d.Bytes), Datasets: d.Count})
 }

@@ -424,3 +424,25 @@ func TestFsckVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestFileCheckReadsHeaderCount: the file check reads the header and the raw
+// directory and decodes nothing, so it holds the header's dataset count to
+// the manifest entry: a flipped count bit leaves the size and directory CRC
+// intact but fails the scrub, as the directory walk it replaces did.
+func TestFileCheckReadsHeaderCount(t *testing.T) {
+	fsys := rt.NewMemFS()
+	files := writeGen(t, fsys, "out/snap000100", 2, 1)
+	if _, err := Commit(fsys, "out/snap000100", 100, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := faults.FlipBit(fsys, files[0], 16*8+2); err != nil { // the header's dataset count
+		t.Fatal(err)
+	}
+	reports, err := FsckQuick(fsys, "out/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || reports[0].Verdict != VerdictCorrupt || !strings.Contains(Format(reports), "header counts") {
+		t.Fatalf("quick scrub of a file with a flipped header count:\n%s", Format(reports))
+	}
+}
