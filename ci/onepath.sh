@@ -91,4 +91,6 @@ hits=$(find internal/iosched -name '*.go' -exec grep -nE \
 [ -z "$hits" ] || { echo "onepath: a removed iosched switch or a recover:"; echo "$hits"; fail=1; }
 one 'the streaming budget rule' '^func OverBudget\('
 one 'a queued-over-budget test (the body of OverBudget)' 'queued > [a-z.]*budget'
+one 'a failure agreement' '^func AgreeMin\('
+none 'an allreduce outside internal/mpi and the failover dead-set merge' 'AllreduceM(ax|in)\(' ! -path 'internal/mpi/*' ! -path 'internal/rocpanda/failover.go'
 exit $fail

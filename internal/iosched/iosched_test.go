@@ -44,8 +44,8 @@ func (c *testClock) sleepCount() int {
 	return c.sleeps
 }
 
-// stubCtx is a minimal mpi.Ctx over goroutines and GoQueues — just enough
-// surface for the engine (Clock, Spawn, NewQueue).
+// stubCtx is a minimal mpi.Ctx over goroutines and channel queues — just
+// enough surface for the engine (Clock, Spawn, NewQueue).
 type stubCtx struct{ clock *testClock }
 
 func (s *stubCtx) Comm() mpi.Comm    { return nil }
@@ -58,7 +58,28 @@ func (s *stubCtx) Spawn(name string, fn func(rt.TaskCtx)) {
 	go fn(stubTaskCtx{clock: s.clock})
 }
 
-func (s *stubCtx) NewQueue(capacity int) rt.Queue { return rt.NewGoQueue(capacity) }
+func (s *stubCtx) NewQueue(capacity int) rt.Queue { return make(chanQueue, max(capacity, 1)) }
+
+// chanQueue is rt.Queue over a buffered channel; the goroutines block
+// natively, so the Clock arguments are ignored.
+type chanQueue chan interface{}
+
+func (q chanQueue) Put(_ rt.Clock, v interface{}) { q <- v }
+func (q chanQueue) Close()                        { close(q) }
+
+func (q chanQueue) Get(rt.Clock) (interface{}, bool) {
+	v, ok := <-q
+	return v, ok
+}
+
+func (q chanQueue) TryGet(rt.Clock) (interface{}, bool) {
+	select {
+	case v, ok := <-q:
+		return v, ok
+	default:
+		return nil, false
+	}
+}
 
 type stubTaskCtx struct{ clock *testClock }
 

@@ -1,8 +1,11 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"genxio/internal/rt"
@@ -34,56 +37,150 @@ func NewChanWorld(fs rt.FS, procsPerNode int) *ChanWorld {
 }
 
 // Run implements World: it launches n goroutine ranks running main and
-// waits for all of them. The first rank error (by rank order) is returned;
-// a rank panic is recovered and reported as that rank's error.
+// waits for them and the tasks they spawn. The first rank error (by rank
+// order) is returned; a rank panic is that rank's error. When every
+// goroutine left is blocked in a world wait (an inbox receive or probe, a
+// queue get or put), Run returns a *DeadlockError, leaving them parked.
 func (w *ChanWorld) Run(n int, main func(Ctx) error) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: world size %d < 1", n)
 	}
+	run := &chanRun{errs: make([]error, n), end: make(chan struct{})}
+	run.count.Store(int64(n) << 32)
 	inboxes := make([]*inbox, n)
 	for i := range inboxes {
-		inboxes[i] = newInbox()
+		inboxes[i] = &inbox{who: fmt.Sprintf("rank %d", i)}
+		inboxes[i].init(run)
 	}
-	clock := rt.NewWallClock()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
+	wall := rt.NewWallClock()
 	for r := 0; r < n; r++ {
-		wg.Add(1)
 		go func(r int) {
-			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("mpi: rank %d panicked: %v", r, p)
+					run.errs[r] = fmt.Errorf("mpi: rank %d panicked: %v", r, p)
 				}
+				run.add(-1, 0)
 			}()
-			ep := &chanEndpoint{rank: r, inboxes: inboxes, hook: w.hook}
-			ctx := &chanCtx{
-				comm:  NewWorldComm(ep),
-				clock: clock,
-				fs:    w.fs,
-				node:  r / w.ppn,
-				ppn:   w.ppn,
-				wg:    &wg,
-			}
-			errs[r] = main(ctx)
+			comm := NewWorldComm(&chanEndpoint{rank: r, inboxes: inboxes, hook: w.hook})
+			clock := &chanClock{wall, inboxes[r].who}
+			run.errs[r] = main(&chanCtx{comm: comm, clock: clock, fs: w.fs, node: r / w.ppn, ppn: w.ppn, run: run})
 		}(r)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	<-run.end
+	return run.err
+}
+
+// DeadlockError reports a ChanWorld run whose every goroutine left was
+// blocked in a wait only another of them could end.
+type DeadlockError struct {
+	Blocked  []string // "who: wait" for each blocked rank or rank/task
+	Returned []string // "rank r: error" for each rank that had returned one
+}
+
+func (d *DeadlockError) Error() string {
+	msg := fmt.Sprintf("mpi: deadlock, %d blocked: %v", len(d.Blocked), d.Blocked)
+	if len(d.Returned) > 0 {
+		msg += fmt.Sprintf("; returned: %v", d.Returned)
+	}
+	return msg
+}
+
+// chanRun is one Run's accounting: its live goroutines (ranks, all counted
+// before any starts, and spawned tasks) and the waits they are blocked in.
+// A wait counts from just before its goroutine sleeps until the waker hands
+// it back, before waking it, so no goroutine is counted blocked after the
+// event that ends its wait. A sleeping or polling goroutine is running.
+type chanRun struct {
+	count atomic.Int64 // live goroutines << 32 + blocked waits
+	mu    sync.Mutex   // guards sets
+	sets  []*waitSet
+	errs  []error       // each rank's, set before it retires
+	end   chan struct{} // closed once err is the outcome
+	err   error
+}
+
+// add counts live goroutines started (live > 0) or retired (live < 0), and
+// waits begun (blocked > 0) or handed back (blocked < 0). The one call that
+// leaves every live goroutine blocked, or none live, settles the run: after
+// it nothing runs, so nothing else touches the run.
+func (r *chanRun) add(live, blocked int) {
+	if v := r.count.Add(int64(live)<<32 + int64(blocked)); v>>32 <= v&(1<<32-1) {
+		r.settle(v>>32 == 0)
+	}
+}
+
+// settle ends the run with its first rank error when no goroutine is left
+// (done), or with a DeadlockError naming every wait.
+func (r *chanRun) settle(done bool) {
+	defer close(r.end)
+	if r.err = cmp.Or(r.errs...); done {
+		return
+	}
+	d := &DeadlockError{}
+	for _, s := range r.sets {
+		for _, w := range s.asleep {
+			d.Blocked = append(d.Blocked, w.who+": "+w.what)
 		}
 	}
-	return nil
+	sort.Strings(d.Blocked)
+	for rank, err := range r.errs {
+		if err != nil {
+			d.Returned = append(d.Returned, fmt.Sprintf("rank %d: %v", rank, err))
+		}
+	}
+	r.err = d
+}
+
+// waitSet is a mutex, guarding what its sleepers wait on, and a condition
+// variable whose sleepers the run counts as blocked.
+type waitSet struct {
+	sync.Mutex
+	cond   sync.Cond
+	run    *chanRun
+	asleep []waiter
+	wakes  int // unlockWake calls that woke sleepers
+}
+
+type waiter struct{ who, what string }
+
+func (s *waitSet) init(run *chanRun) {
+	s.run, s.cond.L = run, &s.Mutex
+	run.mu.Lock()
+	run.sets = append(run.sets, s)
+	run.mu.Unlock()
+}
+
+// sleep blocks who, counted as waiting in what, until the next unlockWake.
+// The caller holds the lock.
+func (s *waitSet) sleep(who, what string) {
+	s.asleep = append(s.asleep, waiter{who, what})
+	s.run.add(0, 1)
+	for n := s.wakes; n == s.wakes; {
+		s.cond.Wait()
+	}
+}
+
+// unlockWake releases the lock after a change a sleeper may wait for: it
+// hands every sleeper back to the running count, unlocks, then wakes them.
+func (s *waitSet) unlockWake() {
+	n := len(s.asleep)
+	if n > 0 {
+		s.run.add(0, -n)
+		s.asleep, s.wakes = s.asleep[:0], s.wakes+1
+	}
+	s.Unlock()
+	if n > 0 {
+		s.cond.Broadcast()
+	}
 }
 
 type chanCtx struct {
 	comm  Comm
-	clock rt.Clock
+	clock *chanClock
 	fs    rt.FS
 	node  int
 	ppn   int
-	wg    *sync.WaitGroup
+	run   *chanRun
 }
 
 func (c *chanCtx) Comm() Comm        { return c.comm }
@@ -92,26 +189,80 @@ func (c *chanCtx) FS() rt.FS         { return c.fs }
 func (c *chanCtx) Node() int         { return c.node }
 func (c *chanCtx) ProcsPerNode() int { return c.ppn }
 
-// Spawn implements Ctx: background activities are plain goroutines sharing
-// the rank's clock and filesystem; Run waits for them.
+// Spawn implements Ctx: a goroutine named rank/task, with the rank's
+// filesystem and its own view of the wall clock; Run waits for it.
 func (c *chanCtx) Spawn(name string, fn func(rt.TaskCtx)) {
-	c.wg.Add(1)
+	c.run.add(1, 0)
 	go func() {
-		defer c.wg.Done()
-		fn(&chanTaskCtx{clock: c.clock, fs: c.fs})
+		defer c.run.add(-1, 0)
+		fn(&chanCtx{clock: &chanClock{c.clock.WallClock, c.clock.who + "/" + name}, fs: c.fs})
 	}()
 }
 
 // NewQueue implements Ctx.
-func (c *chanCtx) NewQueue(capacity int) rt.Queue { return rt.NewGoQueue(capacity) }
-
-type chanTaskCtx struct {
-	clock rt.Clock
-	fs    rt.FS
+func (c *chanCtx) NewQueue(capacity int) rt.Queue {
+	q := &chanQueue{cap: max(capacity, 1)}
+	q.init(c.run)
+	return q
 }
 
-func (t *chanTaskCtx) Clock() rt.Clock { return t.clock }
-func (t *chanTaskCtx) FS() rt.FS       { return t.fs }
+// chanClock is the world's wall clock as one rank or task sees it; its name
+// says who waits on a queue.
+type chanClock struct {
+	*rt.WallClock
+	who string
+}
+
+// chanQueue is the world's rt.Queue, with Go-channel semantics.
+type chanQueue struct {
+	waitSet
+	items  []interface{}
+	cap    int
+	closed bool
+}
+
+func (q *chanQueue) Put(c rt.Clock, v interface{}) {
+	q.Lock()
+	defer q.unlockWake()
+	for len(q.items) >= q.cap && !q.closed {
+		q.sleep(c.(*chanClock).who, "put")
+	}
+	if q.closed {
+		panic("mpi: put on a closed queue")
+	}
+	q.items = append(q.items, v)
+}
+
+func (q *chanQueue) Get(c rt.Clock) (interface{}, bool) {
+	q.Lock()
+	defer q.unlockWake()
+	for len(q.items) == 0 && !q.closed {
+		q.sleep(c.(*chanClock).who, "get")
+	}
+	return q.pop()
+}
+
+func (q *chanQueue) TryGet(rt.Clock) (interface{}, bool) {
+	q.Lock()
+	defer q.unlockWake()
+	return q.pop()
+}
+
+// pop takes the head item. The caller holds the lock.
+func (q *chanQueue) pop() (interface{}, bool) {
+	if len(q.items) == 0 {
+		return nil, false
+	}
+	v := q.items[0]
+	q.items[0], q.items = nil, q.items[1:]
+	return v, true
+}
+
+func (q *chanQueue) Close() {
+	q.Lock()
+	q.closed = true
+	q.unlockWake()
+}
 
 // chanEndpoint implements Endpoint over shared in-process inboxes.
 type chanEndpoint struct {
@@ -138,72 +289,59 @@ func (e *chanEndpoint) Send(dst int, m *Message) {
 }
 
 func (e *chanEndpoint) RecvMatch(pred func(*Message) bool) *Message {
-	return e.inboxes[e.rank].recvMatch(pred)
+	b := e.inboxes[e.rank]
+	b.Lock()
+	defer b.Unlock()
+	i := b.match(pred, "recv")
+	m := b.q[i]
+	b.q = append(b.q[:i], b.q[i+1:]...)
+	return m
 }
 
 func (e *chanEndpoint) ProbeMatch(pred func(*Message) bool) *Message {
-	return e.inboxes[e.rank].probeMatch(pred)
+	b := e.inboxes[e.rank]
+	b.Lock()
+	defer b.Unlock()
+	return b.q[b.match(pred, "probe")]
 }
 
 func (e *chanEndpoint) TryProbeMatch(pred func(*Message) bool) (*Message, bool) {
-	return e.inboxes[e.rank].tryProbeMatch(pred)
+	b := e.inboxes[e.rank]
+	b.Lock()
+	defer b.Unlock()
+	if i := b.match(pred, ""); i >= 0 {
+		return b.q[i], true
+	}
+	return nil, false
 }
 
-// inbox is a matched FIFO of messages guarded by a mutex and condition
-// variable. One goroutine (the owning rank) consumes; any rank produces.
+// inbox is a rank's matched FIFO of messages. The rank consumes; any rank
+// produces.
 type inbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    []*Message
-}
-
-func newInbox() *inbox {
-	b := &inbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	waitSet
+	who string
+	q   []*Message
 }
 
 func (b *inbox) put(m *Message) {
-	b.mu.Lock()
+	b.Lock()
 	b.q = append(b.q, m)
-	b.mu.Unlock()
-	b.cond.Broadcast()
+	b.unlockWake()
 }
 
-func (b *inbox) recvMatch(pred func(*Message) bool) *Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// match returns the index of the earliest message matching pred. With a
+// wait named it sleeps in that wait until one arrives; with none it returns
+// -1 at once. The caller holds the lock.
+func (b *inbox) match(pred func(*Message) bool, what string) int {
 	for {
 		for i, m := range b.q {
 			if pred(m) {
-				b.q = append(b.q[:i], b.q[i+1:]...)
-				return m
+				return i
 			}
 		}
-		b.cond.Wait()
-	}
-}
-
-func (b *inbox) probeMatch(pred func(*Message) bool) *Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		for _, m := range b.q {
-			if pred(m) {
-				return m
-			}
+		if what == "" {
+			return -1
 		}
-		b.cond.Wait()
+		b.sleep(b.who, what)
 	}
-}
-
-func (b *inbox) tryProbeMatch(pred func(*Message) bool) (*Message, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, m := range b.q {
-		if pred(m) {
-			return m, true
-		}
-	}
-	return nil, false
 }

@@ -3,6 +3,8 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 )
 
@@ -137,11 +139,6 @@ func (c *comm) allreduce(x float64, op reduceOp) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(out))
 }
 
-// AllreduceSum returns the sum of x across all ranks, on all ranks.
-func (c *comm) AllreduceSum(x float64) float64 {
-	return c.allreduce(x, func(a, b float64) float64 { return a + b })
-}
-
 // AllreduceMax returns the maximum of x across all ranks, on all ranks.
 func (c *comm) AllreduceMax(x float64) float64 {
 	return c.allreduce(x, math.Max)
@@ -150,4 +147,30 @@ func (c *comm) AllreduceMax(x float64) float64 {
 // AllreduceMin returns the minimum of x across all ranks, on all ranks.
 func (c *comm) AllreduceMin(x float64) float64 {
 	return c.allreduce(x, math.Min)
+}
+
+// ErrPeerFailed is what a failure agreement returns, wrapped with the
+// lowest failing rank, on a rank that did not fail itself.
+var ErrPeerFailed = errors.New("mpi: a peer rank failed")
+
+// Agree is the failure agreement of a collective step: every rank of c
+// passes its own outcome, and each returns its own error, ErrPeerFailed
+// when only a peer failed, or nil when no rank did.
+func Agree(c Comm, err error) error {
+	_, err = AgreeMin(c, 0, err)
+	return err
+}
+
+// AgreeMin is Agree carrying the minimum of x >= 0 over the clean ranks,
+// which is meaningful only when no rank failed. It is one AllreduceMin: a
+// failing rank k of n contributes k-n, so the lowest failing rank wins.
+func AgreeMin(c Comm, x float64, err error) (float64, error) {
+	if err != nil {
+		x = float64(c.Rank() - c.Size())
+	}
+	min := c.AllreduceMin(x)
+	if min < 0 && err == nil {
+		err = fmt.Errorf("%w (rank %d)", ErrPeerFailed, int(min)+c.Size())
+	}
+	return min, err
 }

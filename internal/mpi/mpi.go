@@ -136,8 +136,6 @@ type Comm interface {
 	// non-root callers receive nil. A rank's data may come in segments,
 	// gathered into its one message as Send gathers them.
 	Gather(root int, data ...[]byte) [][]byte
-	// AllreduceSum returns the sum of x over all ranks, on all ranks.
-	AllreduceSum(x float64) float64
 	// AllreduceMax returns the maximum of x over all ranks, on all ranks.
 	AllreduceMax(x float64) float64
 	// AllreduceMin returns the minimum of x over all ranks, on all ranks.

@@ -182,6 +182,12 @@ func TestRebalanceEvensLoad(t *testing.T) {
 				}
 			}
 		}
+		countNodes := func() (n int) {
+			w.EachPane(func(p *roccom.Pane) { n += p.Block.NumNodes() })
+			return n
+		}
+		// Rank 0 holds every node, so the largest count is the total.
+		total := int(c.AllreduceMax(float64(countNodes())))
 		moves, err := Rebalance(c, w, 10)
 		if err != nil {
 			return err
@@ -189,9 +195,7 @@ func TestRebalanceEvensLoad(t *testing.T) {
 		if moves == 0 {
 			return fmt.Errorf("no moves planned for a fully skewed load")
 		}
-		var nodes int
-		w.EachPane(func(p *roccom.Pane) { nodes += p.Block.NumNodes() })
-		total := int(c.AllreduceSum(float64(nodes)))
+		nodes := countNodes()
 		mean := total / 3
 		if nodes > 2*mean {
 			return fmt.Errorf("rank %d still holds %d of %d nodes after rebalance", c.Rank(), nodes, total)

@@ -437,30 +437,20 @@ func (g *genx) restart(svc roccom.IOService, base string) error {
 		}
 	}
 	t1 := g.ctx.Clock().Now()
-	if peerFailed(g.comm, err) {
-		return cmp.Or(err, fmt.Errorf("rocman: restart %s: a peer rank's read failed", base))
+	if err := mpi.Agree(g.comm, err); err != nil {
+		return err
 	}
 	g.cfg.Trace.Record(g.comm.Rank(), trace.PhaseRead, t0, t1)
 	return nil
 }
 
-// peerFailed reports whether any rank in comm passed a non-nil error.
-func peerFailed(comm mpi.Comm, err error) bool {
-	bad := 0.0
-	if err != nil {
-		bad = 1
-	}
-	return comm.AllreduceMax(bad) > 0
-}
-
 // run executes the timestep loop with periodic snapshots. A step that fails
 // on one rank — its snapshot write, refinement or rebalance — must not
 // leave its peers in a collective it no longer enters, so the rank skips
-// the rest of its own work and enters the next step's dt reduction with a
-// negative bound, where every rank stops with an error. A failure in the
-// last step is returned on its rank alone; Run carries it into the final
-// Sync's commit allreduce. A clean run makes no collective call it did not
-// make before.
+// the rest of its own work and enters the next step's dt reduction, an
+// mpi.AgreeMin, with its failure, where every rank stops with an error. A
+// failure in the last step is returned on its rank alone; Run carries it
+// into the final Sync's commit agreement.
 func (g *genx) run(svc roccom.IOService, cfg Config) error {
 	spec := cfg.Workload
 	simTime := 0.0
@@ -473,12 +463,9 @@ func (g *genx) run(svc roccom.IOService, cfg Config) error {
 		for _, s := range g.solvers {
 			bound = math.Min(bound, s.StableDt())
 		}
-		if failed != nil {
-			bound = -1
-		}
-		dt := g.comm.AllreduceMin(bound)
-		if dt < 0 {
-			return cmp.Or(failed, fmt.Errorf("rocman: step %d failed on a peer rank", step-1))
+		dt, err := mpi.AgreeMin(g.comm, bound, failed)
+		if err != nil {
+			return err
 		}
 		if (step-1)%cfg.StrideRealWork == 0 {
 			for _, s := range g.solvers {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"genxio/internal/cluster"
 	"genxio/internal/faults"
@@ -568,11 +567,10 @@ func TestRestartFromLatestFallsBackMultiWindow(t *testing.T) {
 
 // TestFailedRunReleasesServers: a run whose restart, drain or write fails on
 // some ranks returns an error on every client, and a Rocpanda run's servers
-// are released, so the world ends. Each row runs the world on its own
-// goroutine under a deadline: a client that returned without releasing its
-// servers, that skipped a collective read round its peers entered, or that
-// left its peers in the next step's dt reduction hangs the world, and the
-// test fails instead of hanging with it. Rocpanda rows run 6 ranks, of which
+// are released, so the world ends. A client that returned without releasing
+// its servers, that skipped a collective read round its peers entered, or
+// that left its peers in the next step's dt reduction leaves the world
+// deadlocked, and Run returns the mpi.DeadlockError naming the stuck ranks. Rocpanda rows run 6 ranks, of which
 // world ranks 0 and 3 are the servers (Spread placement of 2 among 6); the
 // individual-I/O rows run 3 clients, and rank 1's file of a snapshot fails
 // to create.
@@ -620,21 +618,13 @@ func TestFailedRunReleasesServers(t *testing.T) {
 			}
 			fs := row.setup(t, &cfg)
 			errs := make([]error, n)
-			done := make(chan error, 1)
-			go func() {
-				done <- mpi.NewChanWorld(fs, 1).Run(n, func(ctx mpi.Ctx) error {
-					_, err := Run(ctx, cfg)
-					errs[ctx.Comm().Rank()] = err
-					return nil
-				})
-			}()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("the world did not end: a rank is blocked in a collective its peers left")
+			err := mpi.NewChanWorld(fs, 1).Run(n, func(ctx mpi.Ctx) error {
+				_, err := Run(ctx, cfg)
+				errs[ctx.Comm().Rank()] = err
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, rank := range clients {
 				if errs[rank] == nil {

@@ -160,8 +160,8 @@ func TestParallelReadBudgetOneByteDegeneratesToSerial(t *testing.T) {
 // client waiting for its done notification. It must instead count a read
 // error and report the round failed — clients get their notifications,
 // the collective completes, and the restart surfaces ErrIncompleteRestart
-// instead of deadlocking. Run without RetryTimeout so a hang would be a
-// hang, not a failover.
+// instead of deadlocking. Run without RetryTimeout so a hang would be the
+// world's DeadlockError, not a failover.
 func TestReadListFailureDegradesNotCrash(t *testing.T) {
 	raw := rt.NewMemFS()
 	writeSnapshot(t, raw, "lf/A", 2, 1, 2)
@@ -370,13 +370,9 @@ func TestParallelReadCrashMidReadFallsBack(t *testing.T) {
 				}
 				w := zeroWindow(t, cl.Comm().Rank(), 2)
 				readErr := cl.ReadAttribute("cr/B", w, "all")
-				bad := 0.0
-				if readErr != nil {
-					bad = 1
-				}
 				// The crash leaves all clients short of B; agree and fall
 				// back a generation, now excluding the dead server.
-				if cl.Comm().AllreduceMax(bad) > 0 {
+				if mpi.Agree(cl.Comm(), readErr) != nil {
 					if err := cl.ReadAttribute("cr/A", w, "all"); err != nil {
 						return err
 					}

@@ -237,17 +237,15 @@ func TestCrashMidDrainIncompleteSnapshotFallsBack(t *testing.T) {
 		}
 		w := zeroWindow(t, cl.Comm().Rank(), 2)
 		err = cl.ReadAttribute("fb/B", w, "all")
-		bad := 0.0
 		if err != nil {
 			if !errors.Is(err, ErrIncompleteRestart) {
 				return err
 			}
-			bad = 1
 			mu.Lock()
 			incomplete++
 			mu.Unlock()
 		}
-		if cl.Comm().AllreduceMax(bad) > 0 {
+		if mpi.Agree(cl.Comm(), err) != nil {
 			if err := cl.ReadAttribute("fb/A", w, "all"); err != nil {
 				return err
 			}

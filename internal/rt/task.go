@@ -23,39 +23,3 @@ type Queue interface {
 	TryGet(c Clock) (interface{}, bool)
 	Close()
 }
-
-// GoQueue is the real-backend Queue: a thin wrapper over a buffered
-// channel. The Clock arguments are ignored (goroutines block natively).
-type GoQueue struct {
-	ch chan interface{}
-}
-
-// NewGoQueue returns a queue with the given capacity (>= 1).
-func NewGoQueue(capacity int) *GoQueue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &GoQueue{ch: make(chan interface{}, capacity)}
-}
-
-// Put implements Queue.
-func (q *GoQueue) Put(_ Clock, v interface{}) { q.ch <- v }
-
-// Get implements Queue.
-func (q *GoQueue) Get(_ Clock) (interface{}, bool) {
-	v, ok := <-q.ch
-	return v, ok
-}
-
-// TryGet implements Queue.
-func (q *GoQueue) TryGet(_ Clock) (interface{}, bool) {
-	select {
-	case v, ok := <-q.ch:
-		return v, ok
-	default:
-		return nil, false
-	}
-}
-
-// Close implements Queue.
-func (q *GoQueue) Close() { close(q.ch) }

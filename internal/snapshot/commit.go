@@ -14,14 +14,14 @@ import (
 
 // ErrDrainFailed reports that some process could not land all of its
 // snapshot output (a block write or file close failed). Every rank of the
-// commit allreduce surfaces it — one failure spreads to all — and the
+// commit's agreement surfaces it — one failure spreads to all — and the
 // affected generations get no manifest.
 var ErrDrainFailed = errors.New("snapshot: output did not reach the filesystem")
 
 // ErrCommitFailed reports that every rank's output landed but rank 0 could
 // not write the commit records (or prune after them). Rank 0 returns its own
-// error; every other rank learns of it from the commit's closing allreduce
-// and returns this.
+// error; every other rank learns of it from the commit's closing agreement
+// and returns this, wrapping mpi.ErrPeerFailed.
 var ErrCommitFailed = errors.New("snapshot: commit failed")
 
 // PendingGen is one generation written since the last commit, awaiting its
@@ -88,11 +88,11 @@ func (p *Pending) Begin(base string, epoch int64, tm float64) (g *PendingGen, fr
 }
 
 // Commit is the collective end of a sync or shutdown. flushErr is what this
-// rank's flush barrier reported; the allreduce over it doubles as the
-// barrier that guarantees every rank's output is on disk, and if any rank
-// failed no manifest may be written: every rank returns an error (its own,
-// or ErrDrainFailed for a peer's) and the generations stay pending, with
-// what was published. Otherwise the pending generations commit. published
+// rank's flush barrier reported; the agreement over it (mpi.Agree) doubles
+// as the barrier that guarantees every rank's output is on disk, and if any
+// rank failed no manifest may be written: every rank returns an error (its
+// own, or ErrDrainFailed wrapping mpi.ErrPeerFailed for a peer's) and the
+// generations stay pending, with what was published. Otherwise the pending generations commit. published
 // is what this rank's write service reported closing since it last handed
 // reports out (Writer.Published, or a Rocpanda server's ack); every rank's
 // reach rank 0, which indexes the files from them. chain, when non-nil, is
@@ -101,15 +101,12 @@ func (p *Pending) Begin(base string, epoch int64, tm float64) (g *PendingGen, fr
 // generation.
 func (p *Pending) Commit(flushErr error, published []hdf.Published, chain func(*PendingGen) *ChainInfo) error {
 	p.published = append(p.published, published...)
-	bad := 0.0
-	if flushErr != nil {
-		bad = 1
-	}
-	if p.comm.AllreduceMax(bad) > 0 {
-		if flushErr == nil {
-			flushErr = fmt.Errorf("%w on a peer", ErrDrainFailed)
-		}
+	err := mpi.Agree(p.comm, flushErr)
+	switch {
+	case flushErr != nil:
 		return flushErr
+	case err != nil:
+		return fmt.Errorf("%w: %w", ErrDrainFailed, err)
 	}
 	return p.commitPending(chain)
 }
@@ -121,9 +118,9 @@ func (p *Pending) Commit(flushErr error, published []hdf.Published, chain func(*
 // files from that listing and the prune works from it plus the catalogs and
 // manifests the commits wrote. When a report could not be gathered rank 0
 // commits nothing — every rank's Sync fails, so no manifest may appear. The
-// closing allreduce is the agreement on the outcome: no rank races ahead —
-// e.g. into a manifest-driven restore — before the commit records exist,
-// and when rank 0 failed every rank returns an error.
+// closing agreement on the outcome (mpi.Agree) is also a barrier: no rank
+// races ahead — e.g. into a manifest-driven restore — before the commit
+// records exist, and when rank 0 failed every rank returns an error.
 func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 	reported, err := p.gatherPublished()
 	var listed map[string][]string // generation prefix → its listing
@@ -164,12 +161,8 @@ func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 		}
 	}
 	p.gens, p.published = nil, nil
-	bad := 0.0
-	if err != nil {
-		bad = 1
-	}
-	if p.comm.AllreduceMax(bad) > 0 && err == nil {
-		err = fmt.Errorf("%w on rank 0", ErrCommitFailed)
+	if aerr := mpi.Agree(p.comm, err); err == nil && aerr != nil {
+		err = fmt.Errorf("%w: %w", ErrCommitFailed, aerr)
 	}
 	return err
 }

@@ -179,7 +179,9 @@ func walk(fsys rt.FS, prefix string, opts Options) func() step {
 
 // Restore walks the generations under prefix newest-first and calls try
 // with each restorable base until one attempt succeeds on every rank,
-// returning that base. Uncommitted generations, generations that fail
+// returning that base. The ranks agree on each attempt (mpi.Agree), so a
+// rank whose own try succeeded falls past a base a peer's failed and ends
+// the walk with the same verdict. Uncommitted generations, generations that fail
 // restorable, and generations whose try fails (for example
 // rocpanda.ErrIncompleteRestart after a server skipped a checksum-damaged
 // file) are fallen past, each bumping the rocpanda.restart.fallbacks
@@ -214,20 +216,14 @@ func Restore(fsys rt.FS, prefix string, try func(base string) error, opts Option
 		scanned.Inc()
 		if st.err == nil {
 			st.err = try(st.base)
-			bad := 0.0
-			if st.err != nil {
-				bad = 1
-			}
 			if opts.Comm != nil {
-				bad = opts.Comm.AllreduceMax(bad)
+				st.err = mpi.Agree(opts.Comm, st.err)
 			}
-			if bad == 0 {
+			if st.err == nil {
 				return st.base, nil
 			}
 		}
-		if st.err != nil {
-			lastErr = st.err
-		}
+		lastErr = st.err
 		fallbacks.Inc()
 	}
 }

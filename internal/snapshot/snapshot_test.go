@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
@@ -273,47 +272,70 @@ func TestRestoreCollectiveAgreement(t *testing.T) {
 	}
 }
 
-// TestRestoreListFailureEveryRankAgrees: a directory listing that fails
-// once must end the walk the same way on every rank. Only rank 0 lists, so
-// the one failure is the one every rank hears about; when each rank listed
-// for itself the rank that saw the failure returned while the others
-// entered the collective and waited for it forever.
+// TestRestoreListFailureEveryRankAgrees: a walk that fails on some ranks
+// must end the same way on every rank. Only rank 0 lists, so one failed
+// listing is the one every rank hears about; when each rank listed for
+// itself the rank that saw the failure returned while the others entered
+// the collective and waited for it forever. A try that fails on one rank
+// alone falls past the generation on every rank, so each reports the same
+// failed walk, the clean ranks naming the peer.
 func TestRestoreListFailureEveryRankAgrees(t *testing.T) {
 	raw := rt.NewMemFS()
 	writeGen(t, raw, "out/snap000000", 4, 0)
 	if _, err := Commit(raw, "out/snap000000", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	fsys := faults.WrapFS(raw, faults.NewFSPlan(1, faults.FSRule{Op: faults.OpList, PathPrefix: "out/", Nth: 1}))
-
-	type result struct {
-		base   string
-		failed bool
+	rows := []struct {
+		name    string
+		fsys    rt.FS
+		failing int // the rank whose try fails, or -1
+	}{
+		{"list-fails", faults.WrapFS(raw, faults.NewFSPlan(1, faults.FSRule{Op: faults.OpList, PathPrefix: "out/", Nth: 1})), -1},
+		{"try-fails-on-one-rank", raw, 1},
 	}
-	results := make([]result, 4)
-	done := make(chan error, 1)
-	go func() {
-		done <- mpi.NewChanWorld(fsys, 1).Run(len(results), func(ctx mpi.Ctx) error {
-			base, err := Restore(fsys, "out/", func(string) error { return nil }, Options{Comm: ctx.Comm()})
-			results[ctx.Comm().Rank()] = result{base, err != nil}
-			return nil
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			type result struct {
+				base   string
+				failed bool
+			}
+			results := make([]result, 4)
+			errs := make([]error, len(results))
+			err := mpi.NewChanWorld(row.fsys, 1).Run(len(results), func(ctx mpi.Ctx) error {
+				rank := ctx.Comm().Rank()
+				try := func(string) error {
+					if rank == row.failing {
+						return errors.New("read failed")
+					}
+					return nil
+				}
+				base, err := Restore(row.fsys, "out/", try, Options{Comm: ctx.Comm()})
+				results[rank], errs[rank] = result{base, err != nil}, err
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank, r := range results {
+				if r != results[0] {
+					t.Fatalf("rank %d returned %+v, rank 0 %+v", rank, r, results[0])
+				}
+			}
+			if !results[0].failed {
+				t.Fatalf("the failure was swallowed: restored %q", results[0].base)
+			}
+			if row.failing < 0 {
+				return
+			}
+			for rank, err := range errs {
+				if !strings.Contains(err.Error(), "no restorable generation") {
+					t.Errorf("rank %d: %v, want no restorable generation", rank, err)
+				}
+				if rank != row.failing && !errors.Is(err, mpi.ErrPeerFailed) {
+					t.Errorf("rank %d: %v, want mpi.ErrPeerFailed", rank, err)
+				}
+			}
 		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("collective Restore hung after one failed listing")
-	}
-	for rank, r := range results {
-		if r != results[0] {
-			t.Fatalf("rank %d returned %+v, rank 0 %+v", rank, r, results[0])
-		}
-	}
-	if !results[0].failed {
-		t.Fatalf("the listing failure was swallowed: restored %q", results[0].base)
 	}
 }
 
