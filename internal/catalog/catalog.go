@@ -11,8 +11,12 @@
 // commit builds the blob by copying entries (Splice): each directory passes
 // its one gate, hdf.RawDir.Walk, and no dataset is decoded on the way. Every
 // entry carries its dataset's CRC32C, in the blob as in the directory; an
-// entry without one is refused by both. A Catalog is the decoded blob
-// (Decode) that readers plan from.
+// entry without one is refused by both. A Catalog is the blob's entry
+// bytes in place plus a light index over them, one Entry per dataset (file,
+// interned window and attr, pane, extent, place in the blob), which Decode
+// builds in one validating walk and readers plan from; a dataset's name,
+// dims and attributes are decoded (Catalog.Dataset) only for an entry a
+// reader delivers.
 //
 // At restart, servers consult the catalog to open only the files that
 // contain requested panes and issue direct offset reads, each entry's bytes
@@ -27,6 +31,7 @@
 package catalog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -52,25 +57,34 @@ const Suffix = ".catalog"
 // headerSize is magic(4) + version(4) + bodyCRC(4).
 const headerSize = 12
 
-// Entry is one dataset's coordinates: which file, and that file's own
-// directory entry for it — enough to locate, read, verify, and reconstruct
-// the dataset without opening the file's directory.
+// Entry is one dataset's coordinates in a catalog's index: which file,
+// the pane path its name spells, its payload's extent, and where its
+// directory entry sits in the catalog's blob — enough to plan and coalesce
+// reads without decoding the entry; Catalog.Dataset decodes it for the
+// dataset's name, dims, attributes and CRC.
 type Entry struct {
-	File        int // index into Catalog.Files
-	hdf.Dataset     // Name is the full dataset path, /<window>/pane<ID>/<attr>
-
-	// Parsed from Name for query convenience; not stored separately.
-	Window string
+	File   int    // index into Catalog.Files
+	Window string // interned: a catalog holds each window and attr name once
 	Pane   int
 	Attr   string
+
+	offset, length int64
+	at             int // its record's offset in the catalog's entry bytes
 }
 
-func (e *Entry) offset() int64 { off, _ := e.Extent(); return off }
+// Extent returns the file offset and stored byte length of the entry's
+// payload.
+func (e *Entry) Extent() (offset, length int64) { return e.offset, e.length }
 
-// Catalog is a generation's merged block index.
+// Catalog is a generation's merged block index: its blob's entry bytes
+// and, over them, one Entry per dataset.
 type Catalog struct {
 	Files   []string // file names relative to the snapshot root
 	Entries []Entry
+
+	ranks   []int             // each file's ReplicaRank, parallel to Files
+	entries []byte            // len(Entries) × { u32 fileIdx | directory entry }
+	names   map[string]string // the interned window and attr names
 }
 
 // AddFile merges one file's dataset descriptors into the catalog and
@@ -79,14 +93,47 @@ type Catalog struct {
 // indexes restartable blocks, not bookkeeping. With Encode it is the
 // decoded reference a Splice of the same directories must match.
 func (c *Catalog) AddFile(name string, sets []*hdf.Dataset) int {
-	idx := len(c.Files)
-	c.Files = append(c.Files, name)
+	idx := c.addFile(name)
 	for _, d := range sets {
 		if window, pane, attr, ok := roccom.ParseDatasetName(d.Name); ok {
-			c.Entries = append(c.Entries, Entry{File: idx, Dataset: *d, Window: window, Pane: pane, Attr: attr})
+			at := len(c.entries)
+			c.entries = binary.LittleEndian.AppendUint32(c.entries, uint32(idx))
+			c.entries = d.AppendDirEntry(c.entries)
+			off, length := d.Extent()
+			c.Entries = append(c.Entries, Entry{File: idx, Window: c.intern([]byte(window)), Pane: pane,
+				Attr: c.intern([]byte(attr)), offset: off, length: length, at: at})
 		}
 	}
 	return idx
+}
+
+// addFile appends a file to the file table and returns its index.
+func (c *Catalog) addFile(name string) int {
+	c.Files = append(c.Files, name)
+	c.ranks = append(c.ranks, ReplicaRank(name))
+	return len(c.Files) - 1
+}
+
+// intern returns the catalog's one copy of the name b spells.
+func (c *Catalog) intern(b []byte) string {
+	if s, ok := c.names[string(b)]; ok {
+		return s
+	}
+	if c.names == nil {
+		c.names = make(map[string]string)
+	}
+	s := string(b)
+	c.names[s] = s
+	return s
+}
+
+// Dataset decodes e's directory entry: the dataset's name, type, dims,
+// attributes (views of the catalog's bytes), extent and CRC. e must be one
+// of c's entries.
+func (c *Catalog) Dataset(e *Entry) hdf.Dataset {
+	var d hdf.Dataset
+	hdf.NewCursor(c.entries[e.at+4:]).DirEntry(&d)
+	return d
 }
 
 // Encode serializes the catalog:
@@ -96,14 +143,7 @@ func (c *Catalog) AddFile(name string, sets []*hdf.Dataset) int {
 //	file:  u16 len | bytes
 //	entry: u32 fileIdx | the dataset's RHDF directory entry
 //	       (hdf.Dataset.AppendDirEntry)
-func (c *Catalog) Encode() []byte {
-	var entries []byte
-	for i := range c.Entries {
-		entries = binary.LittleEndian.AppendUint32(entries, uint32(c.Entries[i].File))
-		entries = c.Entries[i].AppendDirEntry(entries)
-	}
-	return assembleBlob(c.Files, len(c.Entries), entries)
-}
+func (c *Catalog) Encode() []byte { return assembleBlob(c.Files, len(c.Entries), c.entries) }
 
 // assembleBlob writes a blob around n encoded entries: the header, the file
 // table, the entry count and the body CRC32C.
@@ -163,7 +203,12 @@ func (s *Splice) AddDir(d hdf.RawDir) error {
 func (s *Splice) Blob() []byte { return assembleBlob(s.files, s.n, s.entries) }
 
 // Decode parses a catalog blob, verifying magic, version, and the body
-// checksum. All malformed-input paths are errors, never panics.
+// checksum, and indexes it in one walk with the directory's entry parser
+// (hdf.Cursor.Entry): every entry must carry its CRC, reference a file of
+// the table, have a sane extent and a pane-path name, and nothing may
+// follow the last. No dataset is decoded (Catalog.Dataset does that for an
+// entry a reader delivers); the catalog keeps the blob's entry bytes in
+// place. All malformed-input paths are errors, never panics.
 func Decode(blob []byte) (*Catalog, error) {
 	if len(blob) < headerSize {
 		return nil, fmt.Errorf("catalog: blob too short (%d bytes)", len(blob))
@@ -183,46 +228,43 @@ func Decode(blob []byte) (*Catalog, error) {
 	// Every count is capped by what the remaining bytes could hold before
 	// it sizes an allocation: a file record is at least 2 bytes, the
 	// smallest entry (empty name, no dims, no attrs) 4+2+1+1+1+8+8+4+2 = 31.
-	// Every entry must carry its CRC (Cursor.DirEntry), as in a directory.
 	nf := p.Fits(int(p.U32()), 2)
-	c.Files = make([]string, 0, nf)
+	c.Files, c.ranks = make([]string, 0, nf), make([]int, 0, nf)
 	for i := 0; i < nf; i++ {
-		c.Files = append(c.Files, p.Str())
+		c.addFile(p.Str())
 	}
 	ne := p.Fits(int(p.U32()), 31)
 	if p.Err() != nil {
 		return nil, fmt.Errorf("catalog: corrupt header: %w", p.Err())
 	}
+	start := p.Offset()
+	c.entries = body[start:len(body):len(body)]
 	c.Entries = make([]Entry, 0, ne)
+	var d hdf.DirEntry
 	for i := 0; i < ne; i++ {
-		var e Entry
-		e.File = int(p.U32())
-		p.DirEntry(&e.Dataset)
-		if p.Err() != nil {
+		at := p.Offset() - start
+		file := int(p.U32())
+		if p.Entry(&d); p.Err() != nil {
 			return nil, fmt.Errorf("catalog: corrupt at entry %d: %w", i, p.Err())
 		}
-		if e.File < 0 || e.File >= len(c.Files) {
-			return nil, fmt.Errorf("catalog: entry %d references file %d of %d", i, e.File, len(c.Files))
+		if file < 0 || file >= len(c.Files) {
+			return nil, fmt.Errorf("catalog: entry %d references file %d of %d", i, file, len(c.Files))
 		}
-		if off, length := e.Extent(); off < 0 || length < 0 || off+length < off {
+		off, length := d.Extent()
+		if off < 0 || length < 0 || off+length < off {
 			return nil, fmt.Errorf("catalog: entry %d has bad extent [%d,+%d)", i, off, length)
 		}
-		window, pane, attr, ok := roccom.ParseDatasetName(e.Name)
+		window, pane, attr, ok := roccom.ParseDatasetName(d.Name)
 		if !ok {
-			return nil, fmt.Errorf("catalog: entry %d has unparseable dataset name %q", i, e.Name)
+			return nil, fmt.Errorf("catalog: entry %d has unparseable dataset name %q", i, d.Name)
 		}
-		e.Window, e.Pane, e.Attr = window, pane, attr
-		c.Entries = append(c.Entries, e)
+		c.Entries = append(c.Entries, Entry{File: file, Window: c.intern(window), Pane: pane,
+			Attr: c.intern(attr), offset: off, length: length, at: at})
 	}
 	if err := p.End(); err != nil {
 		return nil, fmt.Errorf("catalog: %w after %d entries", err, ne)
 	}
 	return c, nil
-}
-
-// Write publishes c's blob the way WriteBlob does.
-func Write(fsys rt.FS, base string, c *Catalog) (size int64, crc uint32, err error) {
-	return WriteBlob(fsys, base, c.Encode())
 }
 
 // WriteBlob stages blob at base+Suffix+tmp and renames it into place,
@@ -319,18 +361,14 @@ func ReplicaRank(name string) int {
 // Panes returns the sorted set of pane IDs present in a window — the
 // generation's pane universe, the input to the repartitioner.
 func (c *Catalog) Panes(window string) []int {
-	seen := make(map[int]bool)
+	var ids []int
 	for i := range c.Entries {
 		if c.Entries[i].Window == window {
-			seen[c.Entries[i].Pane] = true
+			ids = append(ids, c.Entries[i].Pane)
 		}
 	}
-	ids := make([]int, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // FilePlan is the read plan for one file: which entries to fetch, sorted by
@@ -347,53 +385,100 @@ type FilePlan struct {
 // same replica rank the earliest-indexed one. Plans come back in file-index
 // order with entries sorted by offset.
 func (c *Catalog) PlanReads(window string, wanted map[int]bool) []FilePlan {
-	fileOf := make(map[int]int) // pane → preferred file index holding it
-	for i := range c.Entries {
-		e := &c.Entries[i]
-		if e.Window != window || !wanted[e.Pane] {
-			continue
-		}
-		if cur, ok := fileOf[e.Pane]; !ok || c.betterSource(e.File, cur) {
-			fileOf[e.Pane] = e.File
-		}
-	}
-	byFile := make(map[int][]Entry)
-	for i := range c.Entries {
-		e := &c.Entries[i]
-		if e.Window != window || fileOf[e.Pane] != e.File || !wanted[e.Pane] {
-			continue
-		}
-		byFile[e.File] = append(byFile[e.File], *e)
-	}
-	return c.filePlans(byFile, func(a, b int) bool { return a < b })
+	return c.PlanFiles(window, wanted, nil)
 }
 
-// filePlans turns entries grouped by file index into single-file plans,
-// files ordered by before, entries offset-sorted.
-func (c *Catalog) filePlans(byFile map[int][]Entry, before func(a, b int) bool) []FilePlan {
-	idxs := make([]int, 0, len(byFile))
-	for idx := range byFile {
-		idxs = append(idxs, idx)
+// PlanFiles is PlanReads for the files keep accepts (nil: every file):
+// each wanted pane's copy is still chosen among every file, and a kept
+// file's plan is the one PlanReads gives it, so processes keeping disjoint
+// files plan disjoint shares of one PlanReads. Files are judged by keep
+// once each, and no plan is built for a file it refuses.
+func (c *Catalog) PlanFiles(window string, wanted map[int]bool, keep func(file string) bool) []FilePlan {
+	// A copy is a run of consecutive wanted entries of one pane in one file:
+	// a writer puts a pane's datasets together, so a directory holds about
+	// one run per pane, not one per dataset, and the choice among a pane's
+	// copies sorts runs.
+	type run struct{ pane, file, start, end int }
+	planned := make([]bool, len(c.Entries))
+	for i := range c.Entries {
+		planned[i] = c.Entries[i].Window == window && wanted[c.Entries[i].Pane]
 	}
-	sort.Slice(idxs, func(a, b int) bool { return before(idxs[a], idxs[b]) })
-	plans := make([]FilePlan, 0, len(idxs))
-	for _, idx := range idxs {
-		ents := byFile[idx]
-		sort.Slice(ents, func(a, b int) bool { return ents[a].offset() < ents[b].offset() })
-		plans = append(plans, FilePlan{File: c.Files[idx], Entries: ents})
+	starts := func(i int) bool { // entry i begins a run
+		return planned[i] && (i == 0 || !planned[i-1] ||
+			c.Entries[i-1].Pane != c.Entries[i].Pane || c.Entries[i-1].File != c.Entries[i].File)
+	}
+	n := 0
+	for i := range c.Entries {
+		if starts(i) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	runs := make([]run, 0, n)
+	for i := range c.Entries {
+		if starts(i) {
+			runs = append(runs, run{c.Entries[i].Pane, c.Entries[i].File, i, i + 1})
+		} else if planned[i] {
+			runs[len(runs)-1].end++
+		}
+	}
+	// Each pane's runs, its best source's first: the runs of any other file
+	// are not planned, nor those of a file keep refuses.
+	slices.SortFunc(runs, func(a, b run) int {
+		return cmp.Or(cmp.Compare(a.pane, b.pane), c.compareSources(a.file, b.file), cmp.Compare(a.start, b.start))
+	})
+	kept := make([]bool, len(c.Files))
+	for f, name := range c.Files {
+		kept[f] = keep == nil || keep(name)
+	}
+	n = 0
+	for k := 0; k < len(runs); {
+		src := runs[k].file
+		for pane := runs[k].pane; k < len(runs) && runs[k].pane == pane; k++ {
+			if r := runs[k]; r.file == src && kept[src] {
+				n += r.end - r.start
+			} else {
+				clear(planned[r.start:r.end])
+			}
+		}
+	}
+	sel := make([]Entry, 0, n)
+	for i := range c.Entries {
+		if planned[i] {
+			sel = append(sel, c.Entries[i])
+		}
+	}
+	return c.filePlans(sel, cmp.Compare[int])
+}
+
+// filePlans cuts entries into single-file plans: files ordered by order,
+// each file's entries by offset, then by their place in the blob — an order
+// entries already in it keep without a sort.
+func (c *Catalog) filePlans(sel []Entry, order func(a, b int) int) []FilePlan {
+	byPlace := func(a, b Entry) int {
+		return cmp.Or(order(a.File, b.File), cmp.Compare(a.offset, b.offset), cmp.Compare(a.at, b.at))
+	}
+	if !slices.IsSortedFunc(sel, byPlace) {
+		slices.SortFunc(sel, byPlace)
+	}
+	var plans []FilePlan
+	for len(sel) > 0 {
+		n := 1
+		for n < len(sel) && sel[n].File == sel[0].File {
+			n++
+		}
+		plans = append(plans, FilePlan{File: c.Files[sel[0].File], Entries: sel[:n:n]})
+		sel = sel[n:]
 	}
 	return plans
 }
 
-// betterSource reports whether file index a is a strictly better source
-// than b: lower replica rank wins (primaries before replicas), then lower
-// file index for determinism.
-func (c *Catalog) betterSource(a, b int) bool {
-	ra, rb := ReplicaRank(c.Files[a]), ReplicaRank(c.Files[b])
-	if ra != rb {
-		return ra < rb
-	}
-	return a < b
+// compareSources orders file indices as sources of a pane, better first:
+// lower replica rank (primaries before replicas), then lower file index.
+func (c *Catalog) compareSources(a, b int) int {
+	return cmp.Or(cmp.Compare(c.ranks[a], c.ranks[b]), cmp.Compare(a, b))
 }
 
 // PaneSources returns every file holding a copy of a pane's datasets, as
@@ -403,15 +488,13 @@ func (c *Catalog) betterSource(a, b int) bool {
 // deterministic retry order, so every server agrees on which copy repairs
 // a pane.
 func (c *Catalog) PaneSources(window string, pane int) []FilePlan {
-	byFile := make(map[int][]Entry)
+	var sel []Entry
 	for i := range c.Entries {
-		e := &c.Entries[i]
-		if e.Window != window || e.Pane != pane {
-			continue
+		if e := &c.Entries[i]; e.Window == window && e.Pane == pane {
+			sel = append(sel, *e)
 		}
-		byFile[e.File] = append(byFile[e.File], *e)
 	}
-	return c.filePlans(byFile, c.betterSource)
+	return c.filePlans(sel, c.compareSources)
 }
 
 // ResolvePanes walks a delta chain's catalogs newest first (cats[0] is
@@ -433,6 +516,9 @@ func ResolvePanes(cats []*Catalog, window string, wanted map[int]bool) []map[int
 		}
 		for j := range c.Entries {
 			e := &c.Entries[j]
+			if j > 0 && e.Pane == c.Entries[j-1].Pane && e.Window == c.Entries[j-1].Window {
+				continue // a pane's datasets sit together: the first decided
+			}
 			if e.Window != window || !wanted[e.Pane] || resolved[e.Pane] {
 				continue
 			}

@@ -74,8 +74,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestAddFileSkipsNonPaneDatasets(t *testing.T) {
 	fsys := rt.NewMemFS()
 	c := buildCatalog(t, fsys)
-	for _, e := range c.Entries {
-		if e.Name == "_meta" {
+	for i := range c.Entries {
+		if c.Dataset(&c.Entries[i]).Name == "_meta" {
 			t.Fatal("bookkeeping dataset _meta indexed")
 		}
 	}
@@ -116,7 +116,7 @@ func TestPlanReadsDedupsAcrossFiles(t *testing.T) {
 	}
 	for _, p := range plans {
 		for i := 1; i < len(p.Entries); i++ {
-			if p.Entries[i].offset() < p.Entries[i-1].offset() {
+			if p.Entries[i].offset < p.Entries[i-1].offset {
 				t.Fatalf("%s entries not offset-sorted", p.File)
 			}
 		}
@@ -362,7 +362,7 @@ func TestRepartitionZeroPanes(t *testing.T) {
 	}
 }
 
-// readBack reads and decodes the blob Write put beside base.
+// readBack reads and decodes the blob WriteBlob put beside base.
 func readBack(fsys rt.FS, base string) (*Catalog, error) {
 	blob, err := hdf.ReadFile(fsys, base+Suffix)
 	if err != nil {
@@ -374,13 +374,13 @@ func readBack(fsys rt.FS, base string) (*Catalog, error) {
 func TestWriteLoadRoundTrip(t *testing.T) {
 	fsys := rt.NewMemFS()
 	c := buildCatalog(t, fsys)
-	size, crc, err := Write(fsys, "snap", c)
+	blob := c.Encode()
+	size, crc, err := WriteBlob(fsys, "snap", blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := c.Encode()
 	if size != int64(len(blob)) || crc != hdf.Checksum(blob) {
-		t.Fatalf("Write returned size %d crc %08x, want %d %08x", size, crc, len(blob), hdf.Checksum(blob))
+		t.Fatalf("WriteBlob returned size %d crc %08x, want %d %08x", size, crc, len(blob), hdf.Checksum(blob))
 	}
 	if _, err := fsys.Open("snap" + Suffix + hdf.TmpSuffix); err == nil {
 		t.Fatal("staging file left behind")
@@ -397,7 +397,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsCorruptBlob(t *testing.T) {
 	fsys := rt.NewMemFS()
 	c := buildCatalog(t, fsys)
-	if _, _, err := Write(fsys, "snap", c); err != nil {
+	if _, _, err := WriteBlob(fsys, "snap", c.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	f, err := fsys.Open("snap" + Suffix)

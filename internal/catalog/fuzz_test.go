@@ -41,12 +41,16 @@ func TestGoldenBlob(t *testing.T) {
 		t.Fatalf("decoded %+v", c)
 	}
 	e := &c.Entries[0]
+	d := c.Dataset(e)
 	off, length := e.Extent()
-	loc, _ := e.Dataset.Attr("location")
-	if e.File != 0 || e.Name != "/fluid/pane000001/pressure" || e.Window != "fluid" || e.Pane != 1 || e.Attr != "pressure" ||
-		e.Type != hdf.F64 || len(e.Dims) != 2 || e.Dims[0] != 4 || e.Dims[1] != 1 || loc.Str() != "node" ||
-		off != 24 || length != 32 || e.CRC() != 0xdeadbeef || e.Compressed() {
-		t.Fatalf("decoded entry %+v", *e)
+	loc, _ := d.Attr("location")
+	if dOff, dLength := d.Extent(); dOff != off || dLength != length {
+		t.Fatalf("entry extent [%d,+%d), its dataset's [%d,+%d)", off, length, dOff, dLength)
+	}
+	if e.File != 0 || d.Name != "/fluid/pane000001/pressure" || e.Window != "fluid" || e.Pane != 1 || e.Attr != "pressure" ||
+		d.Type != hdf.F64 || len(d.Dims) != 2 || d.Dims[0] != 4 || d.Dims[1] != 1 || loc.Str() != "node" ||
+		off != 24 || length != 32 || d.CRC() != 0xdeadbeef || d.Compressed() {
+		t.Fatalf("decoded entry %+v, dataset %+v", *e, d)
 	}
 	if !bytes.Equal(c.Encode(), blob) {
 		t.Fatalf("re-encoded blob differs:\n got %x\nwant %x", c.Encode(), blob)

@@ -1,22 +1,16 @@
 package catalog
 
-import (
-	"fmt"
-	"testing"
-
-	"genxio/internal/hdf"
-)
+import "testing"
 
 // mkCat builds a catalog holding the given panes of "fluid" in one file.
 func mkCat(panes ...int) *Catalog {
 	c := &Catalog{Files: []string{"f.rhdf"}}
 	for _, p := range panes {
 		c.Entries = append(c.Entries, Entry{
-			File:    0,
-			Dataset: hdf.Dataset{Name: fmt.Sprintf("/fluid/pane%06d/p", p)},
-			Window:  "fluid",
-			Pane:    p,
-			Attr:    "p",
+			File:   0,
+			Window: "fluid",
+			Pane:   p,
+			Attr:   "p",
 		})
 	}
 	return c

@@ -20,6 +20,9 @@ type Cursor struct {
 // NewCursor returns a cursor at the start of b.
 func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
 
+// Offset returns how many bytes the cursor has read.
+func (c *Cursor) Offset() int { return c.off }
+
 // Err returns the first decoding error.
 func (c *Cursor) Err() error { return c.err }
 

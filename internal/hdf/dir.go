@@ -68,7 +68,7 @@ func (d RawDir) Walk(yield func(*DirEntry)) error {
 	}
 	var e DirEntry
 	for i := 0; i < n; i++ {
-		if c.entry(&e); c.Err() != nil {
+		if c.Entry(&e); c.Err() != nil {
 			return fmt.Errorf("hdf: %s: corrupt directory at dataset %d: %w", d.Name, i, c.Err())
 		}
 		if e.offset < headerSize || e.length < 0 || e.offset+e.length < e.offset || e.offset+e.length > dirOff {
@@ -103,10 +103,11 @@ func (d RawDir) Datasets() ([]*Dataset, error) {
 	return sets, nil
 }
 
-// entry reads one directory entry in place: the one parser of an entry's
+// Entry reads one directory entry in place: the one parser of an entry's
 // layout, which AppendDirEntry writes. An entry whose flags do not mark its
-// CRC fails the cursor: its payload could not be checked.
-func (c *Cursor) entry(e *DirEntry) {
+// CRC fails the cursor: its payload could not be checked. e is valid only
+// while the cursor's input is unchanged, and until the next Entry into it.
+func (c *Cursor) Entry(e *DirEntry) {
 	start := c.off
 	e.Name = c.Bytes(int(c.U16()))
 	e.typ = DType(c.U8())
@@ -131,7 +132,7 @@ func (c *Cursor) entry(e *DirEntry) {
 // DirEntry is AppendDirEntry's inverse: it reads one directory entry into d.
 func (c *Cursor) DirEntry(d *Dataset) {
 	var e DirEntry
-	if c.entry(&e); c.err == nil {
+	if c.Entry(&e); c.err == nil {
 		e.decode(d)
 	}
 }
@@ -151,6 +152,9 @@ func (e *DirEntry) decode(d *Dataset) {
 		d.Attrs[j].Data = c.Bytes(int(c.U32()))
 	}
 }
+
+// Extent returns the file offset and stored byte length of e's payload.
+func (e *DirEntry) Extent() (offset, length int64) { return e.offset, e.length }
 
 // Append appends e as stored: the bytes AppendDirEntry writes for the
 // dataset e decodes to.

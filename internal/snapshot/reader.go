@@ -147,7 +147,9 @@ type ReadRequest struct {
 
 	// Mine deals the generation's files: a file is read by the one process
 	// whose Mine accepts its home index (catalog.ParseDataFile; a file
-	// outside the grammar has home 0). Nil takes every planned file.
+	// outside the grammar has home 0). Nil takes every planned file. A
+	// file Mine refuses is still a pane's candidate source, but no plan is
+	// built for it (catalog.PlanFiles).
 	Mine func(home int) bool
 	// Own, when set, is the one file read where Base has no commit record,
 	// and nothing is listed: individual I/O, where a rank knows its file by
@@ -237,12 +239,12 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 	if mine == nil {
 		mine = func(int) bool { return true }
 	}
+	mineFile := func(name string) bool { _, home, _ := catalog.ParseDataFile(name); return mine(home) }
 	var items []readItem
 	planFrom := func(cats []*catalog.Catalog) {
 		for gi, panes := range catalog.ResolvePanes(cats, req.Window, req.Wanted) {
-			for _, fp := range cats[gi].PlanReads(req.Window, panes) {
-				fp = attrPlan(fp, req.Attr)
-				if _, home, _ := catalog.ParseDataFile(fp.File); len(fp.Entries) > 0 && mine(home) {
+			for _, fp := range cats[gi].PlanFiles(req.Window, panes, mineFile) {
+				if fp = attrPlan(fp, req.Attr); len(fp.Entries) > 0 {
 					items = append(items, readItem{plan: fp, cat: cats[gi]})
 				}
 			}
@@ -609,7 +611,7 @@ func (e *readRound) consume(c iosched.Completion) *readFile {
 	var panes []paneSets
 	ok := !f.failed
 	if ok {
-		panes, ok = assemble(f.plan, f.runs, f.bufs, e.rd.cfg.Metrics)
+		panes, ok = assemble(f.cat, f.plan, f.runs, f.bufs, e.rd.cfg.Metrics)
 	}
 	if !ok {
 		// An unreadable or damaged file is skipped whole, with whatever was
@@ -679,25 +681,29 @@ func (e *readRound) recoverPanes(f *readFile) {
 }
 
 // assemble cuts one planned file's read buffers into its entries' stored
-// bytes, unpacks each (hdf.Dataset.Unpack: CRC, inflate, logical length) and
-// groups them into per-pane payloads, in plan (entry) order. ok is false
-// when anything is damaged or an extent lies outside its run: the whole file
-// must then be skipped with nothing delivered, so a restart never mixes
-// verified and unverified panes from one file — it recovers the panes
-// elsewhere or falls back a generation.
-func assemble(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, reg *metrics.Registry) (panes []paneSets, ok bool) {
+// bytes, decodes each entry's dataset from its catalog cat and unpacks it
+// (hdf.Dataset.Unpack: CRC, inflate, logical length), and groups them into
+// per-pane payloads, in plan (entry) order. ok is false when anything is
+// damaged or an extent lies outside its run: the whole file must then be
+// skipped with nothing delivered, so a restart never mixes verified and
+// unverified panes from one file — it recovers the panes elsewhere or falls
+// back a generation.
+func assemble(cat *catalog.Catalog, plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, reg *metrics.Registry) (panes []paneSets, ok bool) {
 	byPane := make(map[int]int) // pane → its index in panes, in first-seen order
 	ri := 0
 	for i := range plan.Entries {
 		e := &plan.Entries[i]
 		off, length := e.Extent()
-		for ri < len(runs) && off >= runs[ri].Offset+runs[ri].Length {
+		// A run ends where its last extent does, and an empty extent there
+		// (Coalesce merges it) still lies in the run.
+		for ri < len(runs) && off+length > runs[ri].Offset+runs[ri].Length {
 			ri++
 		}
-		if ri == len(runs) || off < runs[ri].Offset || off+length > runs[ri].Offset+runs[ri].Length {
+		if ri == len(runs) || off < runs[ri].Offset {
 			return nil, false
 		}
-		data, err := e.Unpack(bufs[ri][off-runs[ri].Offset:off-runs[ri].Offset+length], reg)
+		d := cat.Dataset(e)
+		data, err := d.Unpack(bufs[ri][off-runs[ri].Offset:off-runs[ri].Offset+length], reg)
 		if err != nil {
 			return nil, false
 		}
@@ -706,7 +712,7 @@ func assemble(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, reg *met
 			i, byPane[e.Pane] = len(panes), len(panes)
 			panes = append(panes, paneSets{pane: e.Pane})
 		}
-		panes[i].sets = append(panes[i].sets, roccom.IOSet{Name: e.Name, Type: e.Type, Dims: e.Dims, Attrs: e.Attrs, Data: data})
+		panes[i].sets = append(panes[i].sets, roccom.IOSet{Name: d.Name, Type: d.Type, Dims: d.Dims, Attrs: d.Attrs, Data: data})
 	}
 	return panes, true
 }
