@@ -9,8 +9,9 @@ import (
 // committed name, its size, its dataset count and its directory bytes
 // exactly as written — everything a commit would otherwise read back off the
 // file (ReadRawDir) to index it, which is why a writer reports it upward. Dir
-// aliases the writer's directory buffer, or, once decoded, the message that
-// carried it.
+// is the writer's own directory buffer, the entries CreateDataset appended
+// behind the count Publish patched, capacity-capped; once decoded, it
+// aliases the message that carried it.
 type Published struct {
 	Name  string
 	Size  int64

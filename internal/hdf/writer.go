@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"genxio/internal/metrics"
 	"genxio/internal/rt"
@@ -17,6 +18,11 @@ import (
 // replaces a previous snapshot file; appends write past the existing
 // directory and patch the header last, so an interrupted append leaves the
 // previous directory (and every dataset it describes) intact.
+//
+// The directory is bytes from the first dataset: CreateDataset appends the
+// dataset's entry, in AppendDirEntry's layout, to one buffer that Publish
+// writes as it stands, so a dataset costs no descriptor, no copy of its dims
+// or attributes and no deflate state of its own.
 type Writer struct {
 	f      rt.File
 	fsys   rt.FS
@@ -24,10 +30,16 @@ type Writer struct {
 	staged bool   // true for Create (rename at Close), false for append
 	clock  rt.Clock
 	cost   CostProfile
-	sets   []*Dataset
-	names  map[string]int
+	dir    []byte // u32 count (patched at Publish) | one entry per dataset
+	count  int
+	names  map[string]struct{}
 	off    int64
 	closed bool
+
+	// zw and zbuf are the writer's one deflate stream and its output,
+	// Reset for each compressed dataset.
+	zw   *flate.Writer
+	zbuf bytes.Buffer
 
 	// Compress stores subsequent datasets deflate-compressed (HDF's
 	// gzip filter equivalent). Readers inflate transparently. Small
@@ -60,7 +72,8 @@ func Create(fsys rt.FS, name string, clock rt.Clock, cost CostProfile) (*Writer,
 		staged: true,
 		clock:  clock,
 		cost:   cost,
-		names:  make(map[string]int),
+		dir:    make([]byte, 4, 512),
+		names:  make(map[string]struct{}),
 		off:    headerSize,
 	}
 	// Reserve the header; the directory offset is patched at Close.
@@ -76,7 +89,9 @@ func Create(fsys rt.FS, name string, clock rt.Clock, cost CostProfile) (*Writer,
 
 // OpenAppend opens an existing RHDF file for appending more datasets. New
 // data land after the old directory, which stays valid until Close patches
-// the header to the new one — the commit point of the append.
+// the header to the new one — the commit point of the append. The new
+// directory starts as the entries Open's walk accepted, each re-appended as
+// stored.
 func OpenAppend(fsys rt.FS, name string, clock rt.Clock, cost CostProfile) (*Writer, error) {
 	r, err := Open(fsys, name, clock, cost)
 	if err != nil {
@@ -93,28 +108,34 @@ func OpenAppend(fsys rt.FS, name string, clock rt.Clock, cost CostProfile) (*Wri
 		final: name,
 		clock: clock,
 		cost:  cost,
-		sets:  r.sets,
-		names: make(map[string]int, len(r.sets)),
+		dir:   make([]byte, 4, 512),
+		count: len(r.sets),
+		names: make(map[string]struct{}, len(r.sets)),
 		off:   size,
 	}
-	for i, d := range r.sets {
-		w.names[d.Name] = i
+	for _, d := range r.sets {
+		w.dir = d.AppendDirEntry(w.dir)
+		w.names[d.Name] = struct{}{}
 	}
 	return w, nil
 }
 
 // NumDatasets returns the number of datasets written so far.
-func (w *Writer) NumDatasets() int { return len(w.sets) }
+func (w *Writer) NumDatasets() int { return w.count }
 
 // CreateDataset appends a dataset with raw little-endian data. The element
 // count implied by dims must match len(data)/typ.Size(). Dataset names must
-// be unique within a file.
+// be unique within a file, and the name, the number of dims and attributes
+// and each attribute must fit the directory's field widths.
 func (w *Writer) CreateDataset(name string, typ DType, dims []int64, attrs []Attr, data []byte) error {
 	if w.closed {
 		return fmt.Errorf("hdf: write to closed writer %s", w.final)
 	}
 	if _, dup := w.names[name]; dup {
 		return fmt.Errorf("hdf: duplicate dataset %q in %s", name, w.final)
+	}
+	if err := checkEncodable(name, dims, attrs); err != nil {
+		return err
 	}
 	n := int64(1)
 	for _, d := range dims {
@@ -129,46 +150,77 @@ func (w *Writer) CreateDataset(name string, typ DType, dims []int64, attrs []Att
 	}
 	// Charge the library's dataset-management overhead (DD-list upkeep in
 	// HDF4 terms) before the transfer itself.
-	w.clock.Compute(w.cost.CreateCost(len(w.sets)))
-	var flags uint8
+	w.clock.Compute(w.cost.CreateCost(w.count))
+	flags := uint8(flagHasCRC)
 	stored := data
 	if w.Compress && len(data) >= 512 {
-		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, flate.BestSpeed)
+		z, err := w.deflate(data)
 		if err != nil {
 			return err
 		}
-		if _, err := zw.Write(data); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		if buf.Len() < len(data) {
-			stored = buf.Bytes()
+		if len(z) < len(data) {
+			stored = z
 			flags |= flagDeflate
 		}
 	}
 	if _, err := w.f.WriteAt(stored, w.off); err != nil {
 		return fmt.Errorf("hdf: writing %q: %w", name, err)
 	}
-	ds := &Dataset{
-		Name:   name,
-		Type:   typ,
-		Dims:   append([]int64(nil), dims...),
-		Attrs:  append([]Attr(nil), attrs...),
-		flags:  flags | flagHasCRC,
-		offset: w.off,
-		length: int64(len(stored)),
-		crc:    Checksum(stored),
-	}
-	w.names[name] = len(w.sets)
-	w.sets = append(w.sets, ds)
+	w.dir = appendEntry(w.dir, name, typ, flags, dims, w.off, int64(len(stored)), Checksum(stored), attrs)
+	w.names[name] = struct{}{}
+	w.count++
 	w.off += int64(len(stored))
 	w.Metrics.Counter("hdf.datasets_written").Inc()
 	w.Metrics.Counter("hdf.bytes_written").Add(int64(len(data)))
 	w.Metrics.Counter("hdf.bytes_stored").Add(int64(len(stored)))
 	return nil
+}
+
+// checkEncodable refuses a dataset whose directory entry AppendDirEntry's
+// field widths cannot hold — a u16 name length, a u8 rank, a u16 attribute
+// count and, per attribute, a u16 name length and a u32 value length —
+// rather than truncate a field and publish a directory no reader accepts.
+func checkEncodable(name string, dims []int64, attrs []Attr) error {
+	switch {
+	case len(name) > math.MaxUint16:
+		return fmt.Errorf("hdf: dataset name of %d bytes, at most %d fit", len(name), math.MaxUint16)
+	case len(dims) > math.MaxUint8:
+		return fmt.Errorf("hdf: dataset %q has %d dims, at most %d fit", name, len(dims), math.MaxUint8)
+	case len(attrs) > math.MaxUint16:
+		return fmt.Errorf("hdf: dataset %q has %d attributes, at most %d fit", name, len(attrs), math.MaxUint16)
+	}
+	for _, a := range attrs {
+		if len(a.Name) > math.MaxUint16 {
+			return fmt.Errorf("hdf: dataset %q attribute name of %d bytes, at most %d fit", name, len(a.Name), math.MaxUint16)
+		}
+		if uint64(len(a.Data)) > math.MaxUint32 {
+			return fmt.Errorf("hdf: dataset %q attribute %q of %d bytes, at most %d fit", name, a.Name, len(a.Data), uint64(math.MaxUint32))
+		}
+	}
+	return nil
+}
+
+// deflate compresses data through the writer's one flate stream into its
+// one output buffer; Reset leaves the stream as flate.NewWriter would, so
+// the bytes are a fresh writer's. The result is valid until the next call.
+func (w *Writer) deflate(data []byte) ([]byte, error) {
+	w.zbuf.Reset()
+	if w.zw == nil {
+		zw, err := flate.NewWriter(&w.zbuf, flate.BestSpeed)
+		if err != nil {
+			return nil, err
+		}
+		w.zw = zw
+	} else {
+		w.zw.Reset(&w.zbuf)
+	}
+	if _, err := w.zw.Write(data); err != nil {
+		return nil, err
+	}
+	if err := w.zw.Close(); err != nil {
+		return nil, err
+	}
+	return w.zbuf.Bytes(), nil
 }
 
 // Close is Publish for a caller that needs only the outcome.
@@ -187,7 +239,8 @@ func (w *Writer) Publish() (Published, error) {
 		return Published{}, nil
 	}
 	w.closed = true
-	dir := encodeDir(w.sets)
+	binary.LittleEndian.PutUint32(w.dir, uint32(w.count))
+	dir := w.dir[:len(w.dir):len(w.dir)]
 	if _, err := w.f.WriteAt(dir, w.off); err != nil {
 		w.f.Close()
 		return Published{}, fmt.Errorf("hdf: writing directory: %w", err)
@@ -201,7 +254,7 @@ func (w *Writer) Publish() (Published, error) {
 	copy(hdr, Magic)
 	binary.LittleEndian.PutUint32(hdr[4:], Version)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(w.off))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(w.sets)))
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(w.count))
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
 		w.f.Close()
 		return Published{}, fmt.Errorf("hdf: patching header: %w", err)
@@ -214,17 +267,7 @@ func (w *Writer) Publish() (Published, error) {
 			return Published{}, fmt.Errorf("hdf: committing %s: %w", w.final, err)
 		}
 	}
-	return Published{Name: w.final, Size: size, Count: len(w.sets), Dir: dir}, nil
-}
-
-// encodeDir serializes the dataset directory (version-3 layout).
-func encodeDir(sets []*Dataset) []byte {
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(sets)))
-	for _, d := range sets {
-		b = d.AppendDirEntry(b)
-	}
-	return b
+	return Published{Name: w.final, Size: size, Count: w.count, Dir: dir}, nil
 }
 
 // AppendDirEntry appends d's directory entry in the version-3 layout, the
@@ -234,16 +277,22 @@ func encodeDir(sets []*Dataset) []byte {
 //	u64 offset | u64 length | u32 crc |
 //	u16 nattrs | { str name | u8 type | u32 len | bytes }...
 func (d *Dataset) AppendDirEntry(b []byte) []byte {
-	b = AppendStr(b, d.Name)
-	b = append(b, byte(d.Type), d.flags, byte(len(d.Dims)))
-	for _, dim := range d.Dims {
+	return appendEntry(b, d.Name, d.Type, d.flags, d.Dims, d.offset, d.length, d.crc, d.Attrs)
+}
+
+// appendEntry is AppendDirEntry over the entry's fields, which CreateDataset
+// has as arguments rather than as a Dataset.
+func appendEntry(b []byte, name string, typ DType, flags uint8, dims []int64, offset, length int64, crc uint32, attrs []Attr) []byte {
+	b = AppendStr(b, name)
+	b = append(b, byte(typ), flags, byte(len(dims)))
+	for _, dim := range dims {
 		b = binary.LittleEndian.AppendUint64(b, uint64(dim))
 	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(d.offset))
-	b = binary.LittleEndian.AppendUint64(b, uint64(d.length))
-	b = binary.LittleEndian.AppendUint32(b, d.crc)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(d.Attrs)))
-	for _, a := range d.Attrs {
+	b = binary.LittleEndian.AppendUint64(b, uint64(offset))
+	b = binary.LittleEndian.AppendUint64(b, uint64(length))
+	b = binary.LittleEndian.AppendUint32(b, crc)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(attrs)))
+	for _, a := range attrs {
 		b = AppendStr(b, a.Name)
 		b = append(b, byte(a.Type))
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(a.Data)))

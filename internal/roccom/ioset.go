@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"genxio/internal/hdf"
 	"genxio/internal/mesh"
@@ -31,9 +33,30 @@ const (
 	connAttr   = "_conn"
 )
 
-// PanePrefix returns the dataset path prefix of a pane.
+// PanePrefix returns the dataset path prefix of a pane:
+// "/<window>/pane<ID>/", the ID as fmt's %06d writes it.
 func PanePrefix(window string, paneID int) string {
-	return fmt.Sprintf("/%s/pane%06d/", window, paneID)
+	return string(appendPanePrefix(nil, window, paneID))
+}
+
+// appendPanePrefix appends PanePrefix(window, paneID) to b: the ID
+// zero-padded to six characters, a minus sign counted among them.
+func appendPanePrefix(b []byte, window string, paneID int) []byte {
+	b = append(b, '/')
+	b = append(b, window...)
+	b = append(b, "/pane"...)
+	u, width := uint64(paneID), 6
+	if paneID < 0 {
+		b = append(b, '-')
+		u, width = -u, width-1
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	b = append(b, d...)
+	return append(b, '/')
 }
 
 // ParseDatasetName splits a dataset path into window, pane ID, and
@@ -108,66 +131,120 @@ func atoi[S ~string | ~[]byte](s S) (int, bool) {
 // whoever holds a set past the call that packed it copies it — T-Rochdf's
 // buffered block does; a send, a write-through block and a migration consume
 // the sets before they return and copy nothing.
+//
+// A pane costs a fixed number of allocations, however many attributes its
+// window declares: one backing array each for the sets, their dims and their
+// attributes, one string every name is a substring of, and the mesh
+// metadata's values. Every "location" attribute value is a read-only view
+// of locationBytes, shared by all packed sets.
 func PaneIOSets(w *Window, p *Pane, attr string) ([]IOSet, error) {
-	prefix := PanePrefix(w.Name, p.ID)
-	var sets []IOSet
-
-	addMesh := attr == "all" || attr == "mesh"
-	if addMesh {
-		b := p.Block
-		meshAttrs := []hdf.Attr{
-			hdf.I32Attr("kind", int32(b.Kind)),
-			hdf.I32Attr("extent", int32(b.NI), int32(b.NJ), int32(b.NK)),
-			hdf.I32Attr("level", int32(b.Level)),
-		}
-		sets = append(sets, IOSet{
-			Name:  prefix + coordsAttr,
-			Type:  hdf.F64,
-			Dims:  []int64{int64(b.NumNodes()), 3},
-			Attrs: meshAttrs,
-			Data:  f64View(b.Coords),
-		})
-		if b.Kind == mesh.Unstructured {
-			sets = append(sets, IOSet{
-				Name: prefix + connAttr,
-				Type: hdf.I32,
-				Dims: []int64{int64(b.NumElems()), 4},
-				Data: i32View(b.Conn),
-			})
-		}
-	}
-	if attr == "mesh" {
-		return sets, nil
-	}
-
-	var specs []AttrSpec
-	if attr == "all" {
-		specs = w.Attributes()
-	} else {
-		spec, ok := w.Attribute(attr)
+	specs := w.specs
+	switch attr {
+	case "all":
+	case "mesh":
+		specs = nil
+	default:
+		i, ok := w.byNam[attr]
 		if !ok {
 			return nil, fmt.Errorf("roccom: window %q has no attribute %q", w.Name, attr)
 		}
-		specs = []AttrSpec{spec}
+		specs = w.specs[i : i+1 : i+1]
+	}
+	b := p.Block
+	reserved := [2]string{coordsAttr, connAttr}
+	nMesh := 0
+	if attr == "all" || attr == "mesh" {
+		nMesh = 1
+		if b.Kind == mesh.Unstructured {
+			nMesh = 2
+		}
+	}
+	var buf [64]byte
+	prefix := appendPanePrefix(buf[:0], w.Name, p.ID)
+	size, longest := 0, 0
+	for _, suffix := range reserved[:nMesh] {
+		size += len(prefix) + len(suffix)
+		longest = max(longest, len(prefix)+len(suffix))
 	}
 	for _, spec := range specs {
+		size += len(prefix) + len(spec.Name)
+		longest = max(longest, len(prefix)+len(spec.Name))
+	}
+	if longest > math.MaxUint16 {
+		return nil, fmt.Errorf("roccom: pane %d of window %q has a %d-byte dataset name, over the %d bytes a name may have",
+			p.ID, w.Name, longest, math.MaxUint16)
+	}
+	// Grown to the exact total, the builder never reallocates, so each name
+	// is a substring of the one string it ends up holding.
+	var names strings.Builder
+	names.Grow(size)
+	name := func(suffix string) string {
+		k := names.Len()
+		names.Write(prefix)
+		names.WriteString(suffix)
+		return names.String()[k:]
+	}
+
+	n := nMesh + len(specs)
+	sets := make([]IOSet, n)
+	dims := make([]int64, 2*n)
+	dimsOf := func(i int, items, comps int) []int64 {
+		d := dims[2*i : 2*i+2 : 2*i+2]
+		d[0], d[1] = int64(items), int64(comps)
+		return d
+	}
+	attrs := make([]hdf.Attr, 3*min(nMesh, 1)+len(specs))
+	if nMesh > 0 {
+		vals := make([]byte, 0, 5*4)
+		for _, v := range []int{int(b.Kind), b.NI, b.NJ, b.NK, b.Level} {
+			vals = binary.LittleEndian.AppendUint32(vals, uint32(int32(v)))
+		}
+		attrs[0] = hdf.Attr{Name: "kind", Type: hdf.I32, Data: vals[0:4:4]}
+		attrs[1] = hdf.Attr{Name: "extent", Type: hdf.I32, Data: vals[4:16:16]}
+		attrs[2] = hdf.Attr{Name: "level", Type: hdf.I32, Data: vals[16:20:20]}
+		sets[0] = IOSet{
+			Name:  name(coordsAttr),
+			Type:  hdf.F64,
+			Dims:  dimsOf(0, b.NumNodes(), 3),
+			Attrs: attrs[0:3:3],
+			Data:  f64View(b.Coords),
+		}
+		if nMesh == 2 {
+			sets[1] = IOSet{
+				Name: name(connAttr),
+				Type: hdf.I32,
+				Dims: dimsOf(1, b.NumElems(), 4),
+				Data: i32View(b.Conn),
+			}
+		}
+		attrs = attrs[3:]
+	}
+	for j, spec := range specs {
 		a, ok := p.Array(spec.Name)
 		if !ok {
 			return nil, fmt.Errorf("roccom: pane %d missing attribute %q", p.ID, spec.Name)
 		}
-		items := spec.items(p.Block)
-		sets = append(sets, IOSet{
-			Name: prefix + spec.Name,
-			Type: spec.Type,
-			Dims: []int64{int64(items), int64(spec.NComp)},
-			Attrs: []hdf.Attr{
-				hdf.StrAttr("location", string(spec.Loc)),
-			},
-			Data: a.Bytes(),
-		})
+		attrs[j] = hdf.Attr{Name: "location", Type: hdf.U8, Data: locationBytes[spec.Loc : spec.Loc+1 : spec.Loc+1]}
+		sets[nMesh+j] = IOSet{
+			Name:  name(spec.Name),
+			Type:  spec.Type,
+			Dims:  dimsOf(nMesh+j, spec.items(p.Block), spec.NComp),
+			Attrs: attrs[j : j+1 : j+1],
+			Data:  a.Bytes(),
+		}
 	}
 	return sets, nil
 }
+
+// locationBytes holds every byte value at its own index, so a Location's
+// one-byte "location" attribute value is a view of it, never an allocation.
+// Packed sets share it read-only.
+var locationBytes = func() (b [256]byte) {
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return b
+}()
 
 // RestorePane rebuilds a pane from its datasets (read from a restart file)
 // and registers it in the window: the mesh block is reconstructed from the
@@ -330,37 +407,90 @@ const minAttrBytes = 2 + 1 + 4
 // else: any byte string is safe to pass, damage — trailing bytes included —
 // is an error, never a panic or an allocation sized by the damage. Payloads
 // are decoded by alias: every Data and attribute value is a capacity-capped
-// subslice of b (hdf.Cursor.Bytes), which the caller — a message's receiver —
-// already owns and must not reuse while the sets live.
+// subslice of b, which the caller — a message's receiver — already owns and
+// must not reuse while the sets live.
+//
+// A block costs a fixed number of allocations, however many sets it holds:
+// the stream is checked and measured first (scanIOSets), then read again
+// into one backing array each for the sets, their dims and their attributes,
+// and every set and attribute name is a substring of one string.
 func DecodeIOSets(b []byte) ([]IOSet, error) {
-	c := hdf.NewCursor(b)
-	n := c.Fits(int(c.U32()), minIOSetBytes)
-	if c.Err() != nil {
-		return nil, fmt.Errorf("roccom: corrupt IOSet stream: %w", c.Err())
+	n, ndims, nattrs, nameBytes, err := scanIOSets(b)
+	if err != nil {
+		return nil, err
 	}
-	sets := make([]IOSet, 0, n)
-	for i := 0; i < n; i++ {
-		var s IOSet
-		s.Name = c.Str()
-		s.Type = hdf.DType(c.U8())
-		s.Dims = make([]int64, c.Fits(int(c.U8()), 8))
+	// The scan has bounded every count and length, so this second pass
+	// reads the stream directly: each read is in range.
+	off := 4
+	next := func(n int) []byte {
+		off += n
+		return b[off-n : off : off]
+	}
+	le := binary.LittleEndian
+	// Grown to the exact total, the builder never reallocates, so each name
+	// is a substring of the one string it ends up holding.
+	var names strings.Builder
+	names.Grow(nameBytes)
+	name := func() string {
+		k := names.Len()
+		names.Write(next(int(le.Uint16(next(2)))))
+		return names.String()[k:]
+	}
+	sets := make([]IOSet, n)
+	dims := make([]int64, ndims)
+	attrs := make([]hdf.Attr, nattrs)
+	for i := range sets {
+		s := &sets[i]
+		s.Name = name()
+		s.Type = hdf.DType(next(1)[0])
+		k := int(next(1)[0])
+		s.Dims, dims = dims[:k:k], dims[k:]
 		for j := range s.Dims {
-			s.Dims[j] = int64(c.U64())
+			s.Dims[j] = int64(le.Uint64(next(8)))
 		}
-		s.Attrs = make([]hdf.Attr, c.Fits(int(c.U16()), minAttrBytes))
+		k = int(le.Uint16(next(2)))
+		s.Attrs, attrs = attrs[:k:k], attrs[k:]
 		for j := range s.Attrs {
-			s.Attrs[j].Name = c.Str()
-			s.Attrs[j].Type = hdf.DType(c.U8())
-			s.Attrs[j].Data = c.Bytes(int(c.U32()))
+			a := &s.Attrs[j]
+			a.Name = name()
+			a.Type = hdf.DType(next(1)[0])
+			a.Data = next(int(le.Uint32(next(4))))
 		}
-		s.Data = c.Bytes(int(c.U64()))
-		if c.Err() != nil {
-			return nil, fmt.Errorf("roccom: corrupt IOSet stream at %d: %w", i, c.Err())
-		}
-		sets = append(sets, s)
-	}
-	if err := c.End(); err != nil {
-		return nil, fmt.Errorf("roccom: corrupt IOSet stream: %w", err)
+		s.Data = next(int(le.Uint64(next(8))))
 	}
 	return sets, nil
+}
+
+// scanIOSets is DecodeIOSets' gate: it reads the wire form's headers through
+// the bounded cursor, refusing any damage, and returns the set count and the
+// totals that size the decode's backing arrays: dims, attributes and name
+// bytes.
+func scanIOSets(b []byte) (n, ndims, nattrs, nameBytes int, err error) {
+	c := hdf.NewCursor(b)
+	n = c.Fits(int(c.U32()), minIOSetBytes)
+	if c.Err() != nil {
+		return 0, 0, 0, 0, fmt.Errorf("roccom: corrupt IOSet stream: %w", c.Err())
+	}
+	for i := 0; i < n; i++ {
+		nameBytes += len(c.Bytes(int(c.U16())))
+		c.U8()
+		k := c.Fits(int(c.U8()), 8)
+		ndims += k
+		c.Bytes(8 * k)
+		k = c.Fits(int(c.U16()), minAttrBytes)
+		nattrs += k
+		for range k {
+			nameBytes += len(c.Bytes(int(c.U16())))
+			c.U8()
+			c.Bytes(int(c.U32()))
+		}
+		c.Bytes(int(c.U64()))
+		if c.Err() != nil {
+			return 0, 0, 0, 0, fmt.Errorf("roccom: corrupt IOSet stream at %d: %w", i, c.Err())
+		}
+	}
+	if err := c.End(); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("roccom: corrupt IOSet stream: %w", err)
+	}
+	return n, ndims, nattrs, nameBytes, nil
 }

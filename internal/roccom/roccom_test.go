@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 	"genxio/internal/stats"
 )
 
-func testBlocks(t *testing.T, n int) []*mesh.Block {
+func testBlocks(t testing.TB, n int) []*mesh.Block {
 	t.Helper()
 	blocks, err := mesh.GenCylinder(mesh.CylinderSpec{
 		RInner: 0.1, ROuter: 0.5, Length: 1,
@@ -25,7 +26,7 @@ func testBlocks(t *testing.T, n int) []*mesh.Block {
 	return blocks
 }
 
-func fluidWindow(t *testing.T, rc *Roccom, blocks []*mesh.Block) *Window {
+func fluidWindow(t testing.TB, rc *Roccom, blocks []*mesh.Block) *Window {
 	t.Helper()
 	w, err := rc.NewWindow("fluid")
 	if err != nil {
@@ -593,6 +594,11 @@ func TestParseDatasetName(t *testing.T) {
 	}
 	if PanePrefix("fluid", 42) != "/fluid/pane000042/" {
 		t.Fatal("PanePrefix format changed")
+	}
+	for _, id := range []int{0, 7, 99999, 999999, 1234567, -1, -42, -99999, -100000, math.MaxInt, math.MinInt} {
+		if got, want := PanePrefix("w", id), fmt.Sprintf("/%s/pane%06d/", "w", id); got != want {
+			t.Errorf("PanePrefix(%d) = %q, fmt's %%06d writes %q", id, got, want)
+		}
 	}
 }
 
