@@ -173,6 +173,8 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 	cfg.Metrics.Histogram("rocpanda.restart.judge_seconds", nil)
 	cfg.Metrics.Histogram("snapshot.commit_seconds", nil)
 	cfg.Metrics.Histogram("rocpanda.restart.chain_seconds", nil)
+	cfg.Metrics.Counter("rocpanda.restart.chain_loads")
+	cfg.Metrics.Counter("rocpanda.restart.chain_reuses")
 
 	// I/O module selection: Rocpanda splits the world; the Rochdf
 	// variants use the world communicator directly.

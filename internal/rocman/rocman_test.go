@@ -257,6 +257,48 @@ func TestRestartContinuesIdentically(t *testing.T) {
 	}
 }
 
+// TestRestartLoadsEachGenerationOnce: a restart reads the fluid window, then
+// the solid one. Each reading process — a Rochdf or T-Rochdf rank, a
+// Rocpanda server — loads the generation's commit record for the first round
+// and serves the second from the chain its Reader holds, and the run's
+// registry shows both.
+func TestRestartLoadsEachGenerationOnce(t *testing.T) {
+	for _, tc := range []struct {
+		io      IOKind
+		n       int
+		readers int64 // processes that read the snapshot
+	}{
+		{IORochdf, 3, 3},
+		{IOTRochdf, 3, 3},
+		{IORocpanda, 4, 1},
+	} {
+		t.Run(string(tc.io), func(t *testing.T) {
+			fs := rt.NewMemFS()
+			cfg := baseCfg(tc.io)
+			cfg.Workload.Steps = 4
+			if err := mpi.NewChanWorld(fs, 1).Run(tc.n, func(ctx mpi.Ctx) error {
+				_, err := Run(ctx, cfg)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.New()
+			cfg.OutputDir, cfg.RestartFrom, cfg.Metrics = "again", "out/snap000004", reg
+			if err := mpi.NewChanWorld(fs, 1).Run(tc.n, func(ctx mpi.Ctx) error {
+				_, err := Run(ctx, cfg)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			c := reg.Snapshot().Counters
+			prefix := string(tc.io) + ".restart."
+			if loads, reuses := c[prefix+"chain_loads"], c[prefix+"chain_reuses"]; loads != tc.readers || reuses != tc.readers {
+				t.Fatalf("%schain_loads %d, chain_reuses %d; want %d and %d", prefix, loads, reuses, tc.readers, tc.readers)
+			}
+		})
+	}
+}
+
 func TestRefinementChangesDistributionTransparently(t *testing.T) {
 	cfg := baseCfg(IORocpanda)
 	cfg.FluidOnly = true

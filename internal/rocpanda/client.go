@@ -59,7 +59,7 @@ type Client struct {
 	pending  *snapshot.Pending
 	ackErr   error
 	registry *metrics.Registry
-	rd       *snapshot.Reader // the restore walk's metadata reads (newReader)
+	rd       *snapshot.Reader // the restore walk's metadata reads and the pane universe (newReader)
 
 	// Delta snapshots (Config.DeltaSnapshots): which panes were last
 	// shipped at which dirty epoch, how many generations this client has
@@ -470,9 +470,13 @@ func mergeUniverses(parts [][]byte) map[string][]int {
 // round-robin over the current client count. Every client computes the
 // same assignment with no communication, so a run may restart with any
 // topology — more clients, fewer, different server counts — and ReadPanes
-// with attr "all" rebuilds panes this rank never wrote.
+// with attr "all" rebuilds panes this rank never wrote. The universe comes
+// from the client's Reader: from the chain it holds of base (client 0's
+// restore walk judged it; any client held a full generation's index on an
+// earlier restart), else from a fresh read of the head's commit record
+// (snapshot.Reader.PaneUniverse).
 func (c *Client) PanesForRestart(base, window string) ([]int, error) {
-	ids, err := snapshot.PaneUniverse(c.ctx.FS(), base, window)
+	ids, err := c.rd.PaneUniverse(base, window)
 	if err != nil {
 		return nil, err
 	}

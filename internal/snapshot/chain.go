@@ -41,8 +41,11 @@ const maxChainDepth = 1024
 // error is returned alongside the links whose manifests did load — an empty
 // prefix means base itself has no readable commit record.
 //
-// LoadChain reads inline, in the paper's serial order; a Reader's rounds and
-// the restore walk issue the same reads through their driver (loadChain).
+// LoadChain reads inline, in the paper's serial order, and keeps nothing: each
+// call reads the whole commit record again. A Reader is the restart's one
+// loader (Reader.chain): it issues the same reads through its driver
+// (loadChain) and holds the chain it loaded, for its rounds and for the
+// restore walk's judgments made through it.
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
 	return loadChain(fsys, serial(fsys), base, nil)
 }
@@ -82,7 +85,9 @@ type commitRecord struct {
 // in link order after the batch, so it fails where a link-by-link walk
 // would stop, with the same error and prefix; only a broken chain reads
 // more (the links past the one at fault). known, when set, holds the
-// records loaded so far by base and gains the new ones.
+// records loaded so far by base and gains the new ones: the scrub's pass
+// shares links across heads with it, and a Reader seeds it with the head
+// manifest it has just read, so a load reads that manifest once.
 func loadChain(fsys rt.FS, each reads, base string, known map[string]*commitRecord) ([]ChainGen, error) {
 	if known == nil {
 		known = make(map[string]*commitRecord)
@@ -158,25 +163,41 @@ func ChainCatalogs(chain []ChainGen) []*catalog.Catalog {
 // from universe; a full generation's Index must be whole up to copies,
 // restorable's rule judged on the index alone (every file passes): a
 // universe short of an unindexed file's panes would restore short and
-// report success.
+// report success. It reads one manifest for a delta, the manifest and the
+// index for a full generation; Reader.PaneUniverse answers from a held
+// chain instead.
 func PaneUniverse(fsys rt.FS, base, window string) ([]int, error) {
 	m, err := Load(fsys, base)
-	var cat *catalog.Catalog
+	head, err := universeHead(fsys, base, m, err)
+	return paneUniverse(head, window, err)
+}
+
+// universeHead loads the head link PaneUniverse answers from, given base's
+// manifest m as loaded (err: why it did not load): a delta's manifest
+// alone, a full generation's with its Index.
+func universeHead(fsys rt.FS, base string, m *Manifest, err error) (ChainGen, error) {
+	head := ChainGen{Base: base, Manifest: m}
 	if err == nil && m.ChainDepth == 0 {
-		if cat, _, err = Index(fsys, m); cat != nil {
-			head := []ChainGen{{Base: base, Manifest: m, Catalog: cat}}
-			err = nil // a derived index lacks the files that failed: restorable judges them
-			if _, lost := restorable(head, func(FileEntry) bool { return true }); len(lost) > 0 {
-				err = fmt.Errorf("no indexed copy of %s", strings.Join(lost, ", "))
-			}
+		head.Catalog, head.Derived, err = Index(fsys, m)
+	}
+	return head, err
+}
+
+// paneUniverse is PaneUniverse's answer from head, a universeHead link or a
+// held chain's head, and err, why head did not load.
+func paneUniverse(head ChainGen, window string, err error) ([]int, error) {
+	if head.Catalog != nil && head.Manifest.ChainDepth == 0 {
+		err = nil // a derived index lacks the files that failed: restorable judges them
+		if _, lost := restorable([]ChainGen{head}, func(FileEntry) bool { return true }); len(lost) > 0 {
+			err = fmt.Errorf("no indexed copy of %s", strings.Join(lost, ", "))
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: pane universe of %s: %w", base, err)
+		return nil, fmt.Errorf("snapshot: pane universe of %s: %w", head.Base, err)
 	}
-	ids := slices.Sorted(slices.Values(universe(m, cat)[window]))
+	ids := slices.Sorted(slices.Values(universe(head.Manifest, head.Catalog)[window]))
 	if len(ids) == 0 {
-		return nil, fmt.Errorf("snapshot: generation %s has no panes in window %q", base, window)
+		return nil, fmt.Errorf("snapshot: generation %s has no panes in window %q", head.Base, window)
 	}
 	return ids, nil
 }
@@ -203,13 +224,13 @@ func universe(m *Manifest, cat *catalog.Catalog) map[string][]int {
 // fileOK on the filesystem view the driver each hands it (the walk's
 // checkOnDisk, the scrub's reports): nil when the restore walk goes through
 // it, else the link at fault — where the chain load stopped, or where the
-// first pane with no intact copy resolves — and why. The chain loads through
-// each (loadChain, sharing known); then the files restorable asks first,
-// every needed pane's best copy, are checked as one batch through each, and
-// restorable runs over those verdicts, checking a copy on fsys only where a
-// best copy failed — each file at most once, as restorable alone would.
-func judge(fsys rt.FS, each reads, base string, fileOK func(rt.FS, FileEntry) bool, known map[string]*commitRecord) (link string, err error) {
-	chain, err := loadChain(fsys, each, base, known)
+// first pane with no intact copy resolves — and why. chain and err are
+// base's commit record as loaded (loadChain, or a Reader's chain); the files
+// restorable asks first, every needed pane's best copy, are checked as one
+// batch through each, and restorable runs over those verdicts, checking a
+// copy on fsys only where a best copy failed — each file at most once, as
+// restorable alone would. Every call checks the files afresh.
+func judge(fsys rt.FS, each reads, base string, chain []ChainGen, err error, fileOK func(rt.FS, FileEntry) bool) (link string, _ error) {
 	if n := len(chain); err != nil {
 		if link = base; n > 0 && chain[n-1].Catalog == nil {
 			link = chain[n-1].Base

@@ -3,7 +3,9 @@ package snapshot
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"genxio/internal/hdf"
@@ -348,12 +350,34 @@ func TestPruneLinksStayBounded(t *testing.T) {
 	}
 }
 
-// countFS counts List calls and records each Remove of a name that did not
-// exist.
+// countFS counts List calls, records each Remove of a name that did not
+// exist, and records the name of every Open, in order, whether it succeeds
+// or not.
 type countFS struct {
 	rt.FS
 	lists        int
 	blindRemoves []string
+
+	mu     sync.Mutex // opens come from pool workers too
+	opened []string
+}
+
+func (fs *countFS) Open(name string) (rt.File, error) {
+	fs.mu.Lock()
+	fs.opened = append(fs.opened, name)
+	fs.mu.Unlock()
+	return fs.FS.Open(name)
+}
+
+// opens runs f and returns the names it opened.
+func (fs *countFS) opens(f func()) []string {
+	fs.mu.Lock()
+	n := len(fs.opened)
+	fs.mu.Unlock()
+	f()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return slices.Clone(fs.opened[n:])
 }
 
 func (fs *countFS) List(prefix string) ([]string, error) {

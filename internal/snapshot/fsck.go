@@ -111,7 +111,8 @@ func chainVerdicts(fsys rt.FS, reports []GenReport) {
 		if rep.Verdict == VerdictUncommitted {
 			continue
 		}
-		if link, err := judge(fsys, serial(fsys), rep.Base, scrubbed, known); err != nil {
+		chain, err := loadChain(fsys, serial(fsys), rep.Base, known)
+		if link, err := judge(fsys, serial(fsys), rep.Base, chain, err, scrubbed); err != nil {
 			if rep.Verdict == VerdictOK || rep.Verdict == VerdictRepaired {
 				rep.Verdict = VerdictChainBroken
 			}

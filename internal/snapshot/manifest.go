@@ -200,6 +200,11 @@ func Load(fsys rt.FS, base string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeManifest(base, buf)
+}
+
+// decodeManifest is Load's decode of buf, the manifest bytes read for base.
+func decodeManifest(base string, buf []byte) (*Manifest, error) {
 	m, err := DecodeManifest(buf)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: manifest %s: %w", base, err)

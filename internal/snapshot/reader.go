@@ -11,12 +11,25 @@ package snapshot
 // planned or listed files are this process's (ReadRequest.Mine, Own) — what
 // delivering a verified pane means (ReadRequest.Deliver), and ReaderConfig.
 //
-// One plan (Read). The generation's chain is loaded once, newest first; a
-// full generation is the chain of length one. The manifests are followed
-// link by link; every link's catalog blob is then read as one batch through
-// the Reader's driver (reads), and the restore walk's file checks go the
-// same way (Options.Reader) — inline, the paper's serial order; pooled, one
-// task per blob or file. Every wanted pane resolves to
+// One plan (Read). The generation's chain comes newest first; a full
+// generation is the chain of length one. The Reader is the restart's one
+// loader of commit records and holds the last chain it loaded (chain): every
+// round, every restore-walk judgment made through it (Options.Reader) and
+// every Reader.PaneUniverse reads the head manifest — one small read — and
+// is served the held chain when those bytes are the ones it was loaded
+// from. Otherwise the manifests are followed link by link and every link's
+// catalog blob is read as one batch through the Reader's driver (reads),
+// and the walk's file checks go the same way — inline, the paper's serial
+// order; pooled, one task per blob or file. So a process loads a generation
+// once for all its windows and attributes, and once per lifetime across
+// restarts of it. A held chain is the commit record as this process first
+// loaded it: damage after that load to a lower link's manifest, or to any
+// link's catalog blob, does not change this process's restores (every
+// payload is still CRC-checked as it is read), while a head re-committed
+// under the same name reads as other bytes and is reloaded. Only a whole
+// load is held — committed, every link loaded, the head's index its
+// committed catalog — so a broken, derived or uncommitted generation is
+// loaded afresh each round. Every wanted pane resolves to
 // the newest link whose index holds it — each pane to exactly one
 // (generation, file, extent) — and each link's planned files are read by
 // direct coalesced offset reads, every entry CRC-verified before anything
@@ -74,12 +87,14 @@ package snapshot
 // one process (Crashed).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
 
 	"genxio/internal/catalog"
 	"genxio/internal/faults"
+	"genxio/internal/hdf"
 	"genxio/internal/iosched"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -184,7 +199,9 @@ type readerMx struct {
 	replicaReads  *metrics.Counter // pane retries served by a replica copy
 	repairedPanes *metrics.Counter
 	chainDepth    *metrics.Gauge     // delta chains
-	chainSeconds  *metrics.Histogram // each round's chain load
+	chainSeconds  *metrics.Histogram // each round's chain step, the head manifest check included
+	chainLoads    *metrics.Counter   // commit records loaded (Reader.chain)
+	chainReuses   *metrics.Counter   // commit records served from the held chain
 }
 
 func newReaderMx(cfg *ReaderConfig) readerMx {
@@ -203,20 +220,85 @@ func newReaderMx(cfg *ReaderConfig) readerMx {
 		repairedPanes: r.Counter(p + "repaired_panes"),
 		chainDepth:    r.Gauge(p + "chain_depth"),
 		chainSeconds:  r.Histogram(p+"chain_seconds", nil),
+		chainLoads:    r.Counter(p + "chain_loads"),
+		chainReuses:   r.Counter(p + "chain_reuses"),
 	}
 }
 
 // Reader is one process's restart-read machine, built once per service
-// lifetime; a pool, when configured, lives for one round.
+// lifetime; a pool, when configured, lives for one round. It holds the last
+// commit record it loaded whole (chain). A Reader is used from one
+// goroutine, its owner's.
 type Reader struct {
 	ctx mpi.Ctx
 	cfg ReaderConfig
 	mx  readerMx
+
+	// held is the chain of held[0].Base as loaded from heldHead, its head
+	// manifest's bytes; nil holds nothing.
+	held     []ChainGen
+	heldHead []byte
 }
 
 // NewReader builds the read machine for the calling process.
 func NewReader(ctx mpi.Ctx, cfg ReaderConfig) *Reader {
 	return &Reader{ctx: ctx, cfg: cfg, mx: newReaderMx(&cfg)}
+}
+
+// chain returns the commit record of the generation under base, as
+// loadChain gives it: the held chain when base's head manifest reads as the
+// bytes it was loaded from, and otherwise a load through the Reader's
+// driver that reads the head manifest no second time. A load is held only
+// when it is whole: committed, every link loaded, the head's index its
+// committed catalog (not Derived). Any other load leaves nothing held, so
+// the next call loads again.
+func (rd *Reader) chain(base string) ([]ChainGen, error) {
+	held, buf, m, err := rd.head(base)
+	if held != nil {
+		return held, nil
+	}
+	rd.mx.chainLoads.Inc()
+	chain, err := loadChain(rd.ctx.FS(), rd.reads(), base, map[string]*commitRecord{base: {m: m, mErr: err}})
+	rd.held, rd.heldHead = nil, nil
+	if err == nil && !chain[0].Derived {
+		rd.held, rd.heldHead = chain, buf
+	}
+	return chain, err
+}
+
+// head reads base's head manifest. When the held chain is base's and was
+// loaded from those bytes it returns that chain (a reuse); otherwise the
+// bytes and the manifest they decode to, or why they did not read or
+// decode, as Load says it.
+func (rd *Reader) head(base string) (held []ChainGen, buf []byte, m *Manifest, err error) {
+	if buf, err = hdf.ReadFile(rd.ctx.FS(), base+Suffix); err != nil {
+		return nil, nil, nil, err
+	}
+	if rd.held != nil && rd.held[0].Base == base && bytes.Equal(rd.heldHead, buf) {
+		rd.mx.chainReuses.Inc()
+		return rd.held, buf, nil, nil
+	}
+	m, err = decodeManifest(base, buf)
+	return nil, buf, m, err
+}
+
+// PaneUniverse is PaneUniverse answered by this process: from the held chain
+// when it is base's and the head manifest still reads as the bytes it was
+// loaded from, and otherwise with no more reads than PaneUniverse makes —
+// a delta's manifest, a full generation's manifest and index. A full
+// generation whose index is its committed catalog is then held, as chain
+// would hold it.
+func (rd *Reader) PaneUniverse(base, window string) ([]int, error) {
+	held, buf, m, err := rd.head(base)
+	if held != nil {
+		return paneUniverse(held[0], window, nil)
+	}
+	head, err := universeHead(rd.ctx.FS(), base, m, err)
+	if err == nil && m.ChainDepth == 0 && !head.Derived {
+		rd.mx.chainLoads.Inc()
+		rd.held, rd.heldHead = []ChainGen{head}, buf
+	}
+	return paneUniverse(head, window, err)
 }
 
 // Read serves one restart round — plan this process's share of the
@@ -225,7 +307,7 @@ func NewReader(ctx mpi.Ctx, cfg ReaderConfig) *Reader {
 func (rd *Reader) Read(req ReadRequest) ReadMode {
 	fsys, clock := rd.ctx.FS(), rd.ctx.Clock()
 	t0 := clock.Now()
-	chain, err := loadChain(fsys, rd.reads(), req.Base, nil)
+	chain, err := rd.chain(req.Base)
 	rd.mx.chainSeconds.Observe(clock.Now() - t0)
 	switch {
 	case len(chain) == 0: // no commit record: what is on disk is the only description

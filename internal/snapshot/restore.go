@@ -99,8 +99,12 @@ type Options struct {
 	// Reader, when set, is the restart-read driver rank 0 issues the walk's
 	// metadata reads through — a generation's catalog blobs, then its best
 	// copies' file checks, each as one batch: inline (Workers 0) or on its
-	// pool. Its process reads fsys; its clock times each judged generation.
-	// Nil reads inline on fsys, timed by the wall clock.
+	// pool. Each judged generation's chain is the Reader's (Reader.chain):
+	// the one it holds when the head manifest is unchanged, and otherwise a
+	// load it then holds, so a round on the same Reader loads nothing
+	// again. Its process reads fsys; its clock times each judged
+	// generation. Nil loads every chain afresh and reads inline on fsys,
+	// timed by the wall clock.
 	Reader *Reader
 }
 
@@ -149,14 +153,15 @@ func decodeStep(msg []byte) step {
 // walk returns rank 0's side of Restore: a function yielding the walk's
 // steps, newest generation first. Verification reads the needed files'
 // headers and directories, so one rank does it and shares the verdict. Its
-// metadata reads — each candidate's catalog blobs, then its best copies'
-// file checks — go through opts.Reader's driver as one batch each (judge):
-// inline, the paper's serial order; pooled, concurrent.
+// metadata reads — each candidate's chain, from opts.Reader when set, then
+// its best copies' file checks — go through opts.Reader's driver as one
+// batch each (judge): inline, the paper's serial order; pooled, concurrent.
 func walk(fsys rt.FS, prefix string, opts Options) func() step {
 	gens, listErr := Generations(fsys, prefix)
 	each, clock := serial(fsys), rt.Clock(rt.NewWallClock())
+	load := func(base string) ([]ChainGen, error) { return loadChain(fsys, each, base, nil) }
 	if rd := opts.Reader; rd != nil {
-		each, clock = rd.reads(), rd.ctx.Clock()
+		each, clock, load = rd.reads(), rd.ctx.Clock(), rd.chain
 	}
 	judged := opts.Metrics.Histogram("rocpanda.restart.judge_seconds", nil)
 	fileOK := func(fsys rt.FS, e FileEntry) bool { return checkOnDisk(fsys, e) == nil }
@@ -171,7 +176,8 @@ func walk(fsys rt.FS, prefix string, opts Options) func() step {
 		}
 		// A full generation is the chain of length one.
 		t0 := clock.Now()
-		_, err := judge(fsys, each, g.Base, fileOK, nil)
+		chain, err := load(g.Base)
+		_, err = judge(fsys, each, g.Base, chain, err, fileOK)
 		judged.Observe(clock.Now() - t0)
 		return step{base: g.Base, err: err}
 	}
