@@ -119,10 +119,16 @@ func main() {
 	fmt.Printf("  clients %d, servers %d, steps %d, snapshots %d\n",
 		rep.NumClients, rep.NumServers, rep.Steps, rep.Snapshots)
 	fmt.Printf("  payload to I/O: %.1f MB\n", float64(rep.BytesOut)/1e6)
+	// Series are the module's: rocpanda.client.* and rocpanda.restart.*, or
+	// rochdf.* (trochdf.*) for both.
+	clientSeries, restartSeries := *io+".", *io+".restart."
+	if cfg.IO == genxio.IORocpanda {
+		clientSeries = "rocpanda.client."
+	}
 	// A Rocpanda client's sync waits for its server's drain and then for
 	// rank 0's commit, so the two sums split a sync second between them.
 	s := reg.Snapshot()
-	commit, wait := s.Histograms["snapshot.commit_seconds"], s.Histograms["rocpanda.client.sync_wait_seconds"]
+	commit, wait := s.Histograms["snapshot.commit_seconds"], s.Histograms[clientSeries+"sync_wait_seconds"]
 	fmt.Printf("  sync: rank 0 committed %d generations in %.3f s", commit.Count, commit.Sum)
 	if wait.Count > 0 {
 		fmt.Printf(", clients waited %.3f s each", wait.Sum/float64(rep.NumClients))
@@ -144,22 +150,25 @@ func main() {
 		s := reg.Snapshot()
 		nc := int64(rep.NumClients)
 		// Seconds split the restart: client 0 judging the generations,
-		// then each server round's chain load and the scan around it.
-		fmt.Printf("  restart: scanned %d generations, %d fallbacks, %d checksum failures; judge %.3f s, chain %.3f s, scan %.3f s\n",
-			s.Counters["rocpanda.restart.generations_scanned"]/nc,
-			s.Counters["rocpanda.restart.fallbacks"]/nc,
+		// then each round's chain load and a Rocpanda server's scan.
+		fmt.Printf("  restart: scanned %d generations, %d fallbacks, %d checksum failures; judge %.3f s, chain %.3f s",
+			s.Counters[restartSeries+"generations_scanned"]/nc,
+			s.Counters[restartSeries+"fallbacks"]/nc,
 			s.Counters["hdf.checksum_failures"],
-			s.Histograms["rocpanda.restart.judge_seconds"].Sum,
-			s.Histograms["rocpanda.restart.chain_seconds"].Sum,
-			s.Histograms["rocpanda.server.restart_scan_seconds"].Sum)
+			s.Histograms[restartSeries+"judge_seconds"].Sum,
+			s.Histograms[restartSeries+"chain_seconds"].Sum)
+		if cfg.IO == genxio.IORocpanda {
+			fmt.Printf(", scan %.3f s", s.Histograms["rocpanda.server.restart_scan_seconds"].Sum)
+		}
+		fmt.Println()
 		fmt.Printf("  catalog: %d indexed, %d derived, %d files opened, %.1f MB read\n",
-			s.Counters["rocpanda.restart.catalog_hits"],
-			s.Counters["rocpanda.restart.catalog_fallbacks"],
-			s.Counters["rocpanda.restart.files_opened"],
-			float64(s.Counters["rocpanda.restart.bytes_read"])/1e6)
-		// Server-side totals, not per-client: a pane is repaired once for
+			s.Counters[restartSeries+"catalog_hits"],
+			s.Counters[restartSeries+"catalog_fallbacks"],
+			s.Counters[restartSeries+"files_opened"],
+			float64(s.Counters[restartSeries+"bytes_read"])/1e6)
+		// Reader-side totals, not per-client: a pane is repaired once for
 		// everyone.
-		if rr, rp := s.Counters["rocpanda.restart.replica_reads"], s.Counters["rocpanda.restart.repaired_panes"]; rr > 0 || rp > 0 || *replicate > 1 {
+		if rr, rp := s.Counters[restartSeries+"replica_reads"], s.Counters[restartSeries+"repaired_panes"]; rr > 0 || rp > 0 || *replicate > 1 {
 			fmt.Printf("  replicas: %d panes repaired, %d served from replica copies\n", rp, rr)
 		}
 		if *pread {

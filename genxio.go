@@ -288,15 +288,14 @@ var Rebalance = rocman.Rebalance
 // Durable snapshots: commit manifests, generation-aware restore, and the
 // deep scrub behind cmd/genxfsck. Every I/O module stages RHDF files
 // under temporary names and commits a generation by writing its manifest
-// last; restart walks generations newest-first and falls back past
-// corrupt or uncommitted ones.
+// last; a restart from the latest (Config.RestartFromLatest, or an I/O
+// module's RestoreLatest) walks generations newest-first and falls back
+// past corrupt or uncommitted ones.
 type (
 	// SnapshotManifest is a generation's commit record.
 	SnapshotManifest = snapshot.Manifest
 	// SnapshotGeneration is one discovered snapshot base.
 	SnapshotGeneration = snapshot.Generation
-	// SnapshotOptions configures a RestoreLatest walk.
-	SnapshotOptions = snapshot.Options
 	// FsckReport is one generation's scrub outcome.
 	FsckReport = snapshot.GenReport
 )
@@ -309,9 +308,6 @@ var (
 	// SnapshotGenerations discovers generations under a prefix, newest
 	// first.
 	SnapshotGenerations = snapshot.Generations
-	// RestoreLatest restores from the newest verifiable generation,
-	// falling back past damaged ones.
-	RestoreLatest = snapshot.Restore
 	// PruneSnapshots removes generations beyond a retention limit.
 	PruneSnapshots = snapshot.Prune
 	// Fsck deep-scrubs every generation under a prefix (payload CRCs

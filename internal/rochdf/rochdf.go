@@ -71,7 +71,7 @@ type Metrics struct {
 
 // Rochdf is one process's individual-I/O service.
 type Rochdf struct {
-	rank  int
+	comm  mpi.Comm
 	clock rt.Clock
 
 	wr       *snapshot.Writer  // the write service, this rank its only source of blocks
@@ -108,7 +108,7 @@ func New(ctx mpi.Ctx, cfg Config) *Rochdf {
 	rank := ctx.Comm().Rank()
 	r := cfg.Metrics
 	return &Rochdf{
-		rank:     rank,
+		comm:     ctx.Comm(),
 		clock:    ctx.Clock(),
 		buffered: cfg.Threaded,
 		wr: snapshot.NewWriter(ctx, snapshot.WriterConfig{
@@ -169,7 +169,7 @@ func (h *Rochdf) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 	defer h.timed(&h.m.VisibleWrite, h.mx.visibleWrite)()
 	h.m.WriteCalls++
 
-	blk := snapshot.Block{File: catalog.RankFile(file, h.rank), Time: tm, Step: int32(step)}
+	blk := snapshot.Block{File: catalog.RankFile(file, h.comm.Rank()), Time: tm, Step: int32(step)}
 	for _, id := range w.PaneIDs() {
 		p, _ := w.Pane(id)
 		sets, err := roccom.PaneIOSets(w, p, attr)
@@ -243,11 +243,30 @@ func (h *Rochdf) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 	rcv := snapshot.NewReceiver(w, attr, ids)
 	h.rd.Read(snapshot.ReadRequest{
 		Base: file, Window: w.Name, Attr: attr, Wanted: rcv.Wanted(),
-		Own:         catalog.RankFile(file, h.rank),
+		Own:         catalog.RankFile(file, h.comm.Rank()),
 		Uncommitted: func() { rcv.Fail(h.flush()) },
 		Deliver:     func(_ int, sets []roccom.IOSet) { rcv.Deliver(sets) }, // a failure sticks: Complete reports it
 	})
 	return rcv.Complete(file)
+}
+
+// PanesForRestart deals the generation's pane universe for the window
+// (snapshot.Reader.PaneUniverse) round-robin over the ranks, as
+// rocpanda.Client's does, so a restart through ReadPanes with attr "all" may
+// run on any rank count.
+func (h *Rochdf) PanesForRestart(base, window string) ([]int, error) {
+	ids, err := h.rd.PaneUniverse(base, window)
+	if err != nil {
+		return nil, err
+	}
+	return catalog.Repartition(ids, h.comm.Size())[h.comm.Rank()], nil
+}
+
+// RestoreLatest is rocpanda.Client's restore walk, collective over the ranks
+// and run on this rank's Reader (snapshot.Reader.Restore): rank 0's judgment
+// loads the chain its first round then reuses.
+func (h *Rochdf) RestoreLatest(prefix string, restore func(base string) error) (string, error) {
+	return h.rd.Restore(h.comm, prefix, restore)
 }
 
 // Sync implements roccom.IOService: it blocks until all buffered output

@@ -25,7 +25,6 @@ import (
 	"genxio/internal/roccom"
 	"genxio/internal/rochdf"
 	"genxio/internal/rocpanda"
-	"genxio/internal/snapshot"
 	"genxio/internal/trace"
 	"genxio/internal/workload"
 )
@@ -183,9 +182,12 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 		mod     roccom.Module
 		pandaCl *rocpanda.Client
 		hdfSvc  *rochdf.Rochdf
-		fail    func(error) // the module's Fail: no commit after a failed step
-		rc      = roccom.New()
-		nsrv    int
+		// The module's Fail (no commit after a failed step) and RestoreLatest
+		// (the restore walk, on the module's own restart Reader).
+		fail   func(error)
+		latest func(string, func(string) error) (string, error)
+		rc     = roccom.New()
+		nsrv   int
 	)
 	switch cfg.IO {
 	case IORocpanda:
@@ -218,7 +220,7 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 		if cl == nil {
 			return nil, nil // server rank: service loop already done
 		}
-		pandaCl, comm, nsrv, mod, fail = cl, cl.Comm(), cl.NumServers(), cl.Module(), cl.Fail
+		pandaCl, comm, nsrv, mod, fail, latest = cl, cl.Comm(), cl.NumServers(), cl.Module(), cl.Fail, cl.RestoreLatest
 	case IORochdf, IOTRochdf:
 		comm = ctx.Comm()
 		hdfSvc = rochdf.New(ctx, rochdf.Config{
@@ -229,7 +231,7 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 			Metrics:           cfg.Metrics,
 			RetainGenerations: cfg.RetainGenerations,
 		})
-		mod, fail = hdfSvc.Module(), hdfSvc.Fail
+		mod, fail, latest = hdfSvc.Module(), hdfSvc.Fail, hdfSvc.RestoreLatest
 	default:
 		return nil, fmt.Errorf("rocman: unknown I/O module %q", cfg.IO)
 	}
@@ -260,9 +262,9 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 		}
 	}
 	if cfg.RestartFromLatest {
-		if _, err := snapshot.Restore(ctx.FS(), cfg.OutputDir+"/", func(base string) error {
+		if _, err := latest(cfg.OutputDir+"/", func(base string) error {
 			return sim.restart(svc, base)
-		}, snapshot.Options{Comm: comm, Metrics: cfg.Metrics, Reader: snapshot.NewReader(ctx, snapshot.ReaderConfig{})}); err != nil {
+		}); err != nil {
 			return nil, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"genxio/internal/cluster"
@@ -261,18 +262,32 @@ func TestRestartContinuesIdentically(t *testing.T) {
 // the solid one. Each reading process — a Rochdf or T-Rochdf rank, a
 // Rocpanda server — loads the generation's commit record for the first round
 // and serves the second from the chain its Reader holds, and the run's
-// registry shows both.
+// registry shows both. A restart from the latest generation runs the restore
+// walk on the module's own Readers: client 0's judgment loads the chain its
+// Reader then holds, so under Rochdf and T-Rochdf rank 0's first round
+// reuses it and the chosen catalog is opened once per reading rank; under
+// Rocpanda the judging client is not a reader, and opens it once more.
 func TestRestartLoadsEachGenerationOnce(t *testing.T) {
 	for _, tc := range []struct {
-		io      IOKind
-		n       int
-		readers int64 // processes that read the snapshot
+		io     IOKind
+		n      int
+		latest bool // restart through the restore walk, not from a named base
+		// chain loads and reuses, opens of out/snap000004.catalog, and
+		// generations the walk scanned, summed over the run's processes
+		loads, reuses, opens, scanned int64
 	}{
-		{IORochdf, 3, 3},
-		{IOTRochdf, 3, 3},
-		{IORocpanda, 4, 1},
+		{IORochdf, 3, false, 3, 3, 3, 0},
+		{IOTRochdf, 3, false, 3, 3, 3, 0},
+		{IORocpanda, 4, false, 1, 1, 1, 0},
+		{IORochdf, 3, true, 3, 4, 3, 3},
+		{IOTRochdf, 3, true, 3, 4, 3, 3},
+		{IORocpanda, 4, true, 2, 1, 2, 3},
 	} {
-		t.Run(string(tc.io), func(t *testing.T) {
+		name := string(tc.io)
+		if tc.latest {
+			name += "-latest"
+		}
+		t.Run(name, func(t *testing.T) {
 			fs := rt.NewMemFS()
 			cfg := baseCfg(tc.io)
 			cfg.Workload.Steps = 4
@@ -284,7 +299,11 @@ func TestRestartLoadsEachGenerationOnce(t *testing.T) {
 			}
 			reg := metrics.New()
 			cfg.OutputDir, cfg.RestartFrom, cfg.Metrics = "again", "out/snap000004", reg
-			if err := mpi.NewChanWorld(fs, 1).Run(tc.n, func(ctx mpi.Ctx) error {
+			if tc.latest {
+				cfg.OutputDir, cfg.RestartFrom, cfg.RestartFromLatest = "out", "", true
+			}
+			counted := &catalogOpens{FS: fs, name: "out/snap000004.catalog"}
+			if err := mpi.NewChanWorld(counted, 1).Run(tc.n, func(ctx mpi.Ctx) error {
 				_, err := Run(ctx, cfg)
 				return err
 			}); err != nil {
@@ -292,11 +311,31 @@ func TestRestartLoadsEachGenerationOnce(t *testing.T) {
 			}
 			c := reg.Snapshot().Counters
 			prefix := string(tc.io) + ".restart."
-			if loads, reuses := c[prefix+"chain_loads"], c[prefix+"chain_reuses"]; loads != tc.readers || reuses != tc.readers {
-				t.Fatalf("%schain_loads %d, chain_reuses %d; want %d and %d", prefix, loads, reuses, tc.readers, tc.readers)
+			if loads, reuses := c[prefix+"chain_loads"], c[prefix+"chain_reuses"]; loads != tc.loads || reuses != tc.reuses {
+				t.Errorf("%schain_loads %d, chain_reuses %d; want %d and %d", prefix, loads, reuses, tc.loads, tc.reuses)
+			}
+			if opens := counted.n.Load(); opens != tc.opens {
+				t.Errorf("%s opened %d times, want %d", counted.name, opens, tc.opens)
+			}
+			if scanned := c[prefix+"generations_scanned"]; scanned != tc.scanned {
+				t.Errorf("%sgenerations_scanned %d, want %d", prefix, scanned, tc.scanned)
 			}
 		})
 	}
+}
+
+// catalogOpens is an rt.FS that counts the opens of the file name.
+type catalogOpens struct {
+	rt.FS
+	name string
+	n    atomic.Int64
+}
+
+func (fs *catalogOpens) Open(name string) (rt.File, error) {
+	if name == fs.name {
+		fs.n.Add(1)
+	}
+	return fs.FS.Open(name)
 }
 
 func TestRefinementChangesDistributionTransparently(t *testing.T) {

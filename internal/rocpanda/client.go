@@ -56,10 +56,9 @@ type Client struct {
 	// first write ack that arrived damaged, or step the caller failed (Fail)
 	// — the generation it belonged to must not commit, so every later Sync
 	// reports it.
-	pending  *snapshot.Pending
-	ackErr   error
-	registry *metrics.Registry
-	rd       *snapshot.Reader // the restore walk's metadata reads and the pane universe (newReader)
+	pending *snapshot.Pending
+	ackErr  error
+	rd      *snapshot.Reader // the restore walk and the pane universe (newReader)
 
 	// Delta snapshots (Config.DeltaSnapshots): which panes were last
 	// shipped at which dirty epoch, how many generations this client has
@@ -471,10 +470,10 @@ func mergeUniverses(parts [][]byte) map[string][]int {
 // same assignment with no communication, so a run may restart with any
 // topology — more clients, fewer, different server counts — and ReadPanes
 // with attr "all" rebuilds panes this rank never wrote. The universe comes
-// from the client's Reader: from the chain it holds of base (client 0's
-// restore walk judged it; any client held a full generation's index on an
-// earlier restart), else from a fresh read of the head's commit record
-// (snapshot.Reader.PaneUniverse).
+// from the client's Reader (snapshot.Reader.PaneUniverse): from the chain
+// it holds of base (client 0's RestoreLatest judged it; any client held a
+// full generation's index on an earlier restart), else from a fresh read of
+// the head's commit record. rochdf.Rochdf deals the same way.
 func (c *Client) PanesForRestart(base, window string) ([]int, error) {
 	ids, err := c.rd.PaneUniverse(base, window)
 	if err != nil {
@@ -487,14 +486,14 @@ func (c *Client) PanesForRestart(base, window string) ([]int, error) {
 // — skipping uncommitted and damaged ones — and calls restore with each
 // candidate base until one succeeds on every client, returning that base.
 // Collective over the clients; restore is typically a ReadAttribute (or
-// several). Fallbacks are counted on rocpanda.restart.fallbacks. Client 0
-// judges each generation through the driver the servers read with.
+// several). It is the restore walk on the client's Reader
+// (snapshot.Reader.Restore): client 0 judges each generation through the
+// driver the servers read with, counting on rocpanda.restart.*.
 func (c *Client) RestoreLatest(prefix string, restore func(base string) error) (string, error) {
 	if c.shutdown {
 		return "", fmt.Errorf("rocpanda: restore after shutdown")
 	}
-	return snapshot.Restore(c.ctx.FS(), prefix, restore,
-		snapshot.Options{Comm: c.comm, Metrics: c.registry, Reader: c.rd})
+	return c.rd.Restore(c.comm, prefix, restore)
 }
 
 // Fail records a step the caller could not finish on this client: from then

@@ -334,7 +334,7 @@ func TestDeltaTwoGenerationsUnderOneSync(t *testing.T) {
 	want := expectedDeltaPanes(t, nClients, nblocks, []int{1, 2})
 	var mu sync.Mutex
 	got := make(map[int]paneData)
-	universe := make(map[int]int) // written by client 0 only
+	universe := make(map[int]int) // the clients' deals of each generation, summed
 	err := cluster.NewWorld(cluster.Turing(), 1).Run(nClients+1, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, Config{
 			NumServers: 1, Profile: hdf.NullProfile(),
@@ -362,14 +362,14 @@ func TestDeltaTwoGenerationsUnderOneSync(t *testing.T) {
 		if err := cl.Sync(); err != nil {
 			return err
 		}
-		if cl.Comm().Rank() == 0 {
-			for g := 1; g <= 2; g++ {
-				ids, err := snapshot.PaneUniverse(ctx.FS(), fmt.Sprintf("d2/s%06d", g), "fluid")
-				if err != nil {
-					return err
-				}
-				universe[g] = len(ids)
+		for g := 1; g <= 2; g++ {
+			ids, err := cl.PanesForRestart(fmt.Sprintf("d2/s%06d", g), "fluid")
+			if err != nil {
+				return err
 			}
+			mu.Lock()
+			universe[g] += len(ids)
+			mu.Unlock()
 		}
 		rw, err := roccom.New().NewWindow("fluid")
 		if err != nil {

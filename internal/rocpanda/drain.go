@@ -57,8 +57,8 @@ func (s *server) newWriter() *snapshot.Writer {
 // cfg.ParallelRead: off, the inline driver (the request loop runs each
 // file's reads itself, the paper's restart); on, a pool of ReadWorkers read
 // workers per round. A server reads its share and ships it with it (crash is
-// its fault hook); the clients' rank 0 issues the restore walk's metadata
-// reads through it (RestoreLatest).
+// its fault hook); a client's runs the restore walk (RestoreLatest), whose
+// rank 0 issues its metadata reads through it, and answers PanesForRestart.
 func newReader(ctx mpi.Ctx, cfg *Config, crash func(faults.CrashPoint) bool, traceRank int) *snapshot.Reader {
 	workers := 0
 	if cfg.ParallelRead {

@@ -282,7 +282,6 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 		numServers: m,
 		blockOH:    cfg.PerBlockOverhead,
 		pending:    snapshot.NewPending(sub, ctx.FS(), ctx.Clock(), cfg.RetainGenerations, cfg.Metrics),
-		registry:   cfg.Metrics,
 		rd:         newReader(ctx, &cfg, nil, myIdx),
 		nClients:   n,
 		myIdx:      myIdx,

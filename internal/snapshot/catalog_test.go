@@ -105,7 +105,7 @@ func TestVerifyIgnoresCatalogDamage(t *testing.T) {
 	}
 	// A damaged catalog must not fail the walk's file check — restart
 	// degrades to the scan path instead of abandoning the generation.
-	if got, err := Restore(fsys, "out/", func(string) error { return nil }, Options{}); err != nil || got != m.Base {
+	if got, err := restoreOn(t, fsys, "out/", func(string) error { return nil }, nil); err != nil || got != m.Base {
 		t.Fatalf("walk on catalog damage: restored %q, %v", got, err)
 	}
 	if chain, err := LoadChain(fsys, "out/snap000010"); err != nil || !chain[0].Derived {
@@ -142,7 +142,7 @@ func TestPaneUniverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{1000, 1001, 1002, 1003}
-	got, err := PaneUniverse(fsys, "out/snap000010", "fluid")
+	got, err := universeOn(t, fsys, "out/snap000010", "fluid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +153,14 @@ func TestPaneUniverse(t *testing.T) {
 	if err := fsys.Remove("out/snap000010" + catalog.Suffix); err != nil {
 		t.Fatal(err)
 	}
-	got, err = PaneUniverse(fsys, "out/snap000010", "fluid")
+	got, err = universeOn(t, fsys, "out/snap000010", "fluid")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scan universe %v, want %v", got, want)
 	}
-	if _, err := PaneUniverse(fsys, "out/snap000010", "solid"); err == nil {
+	if _, err := universeOn(t, fsys, "out/snap000010", "solid"); err == nil {
 		t.Fatal("empty window produced a universe")
 	}
 }
@@ -241,7 +241,7 @@ func TestIndex(t *testing.T) {
 	}
 	writeAll(t, fsys, m.Catalog.Name, readAll(t, fsys, other.Catalog.Name))
 	index(true)
-	if ids, err := PaneUniverse(fsys, "out/snap000010", "fluid"); err != nil || len(ids) != 5 {
+	if ids, err := universeOn(t, fsys, "out/snap000010", "fluid"); err != nil || len(ids) != 5 {
 		t.Fatalf("PaneUniverse beside a stale catalog = %v, %v; want this generation's 5 panes", ids, err)
 	}
 	if err := fsys.Remove(m.Catalog.Name); err != nil {
@@ -258,7 +258,7 @@ func TestIndex(t *testing.T) {
 	if !derived || !errors.Is(err, rt.ErrNotExist) || len(cat.Files) != 1 || len(cat.Entries) != 3 {
 		t.Fatalf("Index short a file: derived %v err %v, %d files %d entries", derived, err, len(cat.Files), len(cat.Entries))
 	}
-	if _, err := PaneUniverse(fsys, "out/snap000010", "fluid"); err == nil {
+	if _, err := universeOn(t, fsys, "out/snap000010", "fluid"); err == nil {
 		t.Fatal("PaneUniverse answered from an index short a file")
 	}
 
@@ -281,7 +281,7 @@ func TestIndex(t *testing.T) {
 
 	// An orphan catalog beside an unreadable manifest is nobody's index.
 	writeAll(t, fsys, "out/snap000020"+Suffix, []byte("{"))
-	if ids, err := PaneUniverse(fsys, "out/snap000020", "fluid"); err == nil {
+	if ids, err := universeOn(t, fsys, "out/snap000020", "fluid"); err == nil {
 		t.Fatalf("PaneUniverse answered %v from an orphan catalog", ids)
 	}
 }

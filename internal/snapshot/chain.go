@@ -44,8 +44,8 @@ const maxChainDepth = 1024
 // LoadChain reads inline, in the paper's serial order, and keeps nothing: each
 // call reads the whole commit record again. A Reader is the restart's one
 // loader (Reader.chain): it issues the same reads through its driver
-// (loadChain) and holds the chain it loaded, for its rounds and for the
-// restore walk's judgments made through it.
+// (loadChain) and holds the chain it loaded, for its rounds and for its
+// restore walk's judgments.
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
 	return loadChain(fsys, serial(fsys), base, nil)
 }
@@ -157,34 +157,8 @@ func ChainCatalogs(chain []ChainGen) []*catalog.Catalog {
 	return cats
 }
 
-// PaneUniverse returns the sorted set of pane IDs a committed generation
-// holds for a window — the input to the M×N repartitioner, which lets a
-// restart run use a different rank count than the writing run. It answers
-// from universe; a full generation's Index must be whole up to copies,
-// restorable's rule judged on the index alone (every file passes): a
-// universe short of an unindexed file's panes would restore short and
-// report success. It reads one manifest for a delta, the manifest and the
-// index for a full generation; Reader.PaneUniverse answers from a held
-// chain instead.
-func PaneUniverse(fsys rt.FS, base, window string) ([]int, error) {
-	m, err := Load(fsys, base)
-	head, err := universeHead(fsys, base, m, err)
-	return paneUniverse(head, window, err)
-}
-
-// universeHead loads the head link PaneUniverse answers from, given base's
-// manifest m as loaded (err: why it did not load): a delta's manifest
-// alone, a full generation's with its Index.
-func universeHead(fsys rt.FS, base string, m *Manifest, err error) (ChainGen, error) {
-	head := ChainGen{Base: base, Manifest: m}
-	if err == nil && m.ChainDepth == 0 {
-		head.Catalog, head.Derived, err = Index(fsys, m)
-	}
-	return head, err
-}
-
-// paneUniverse is PaneUniverse's answer from head, a universeHead link or a
-// held chain's head, and err, why head did not load.
+// paneUniverse is Reader.PaneUniverse's answer from head, a head link it
+// loaded or a held chain's head, and err, why head did not load.
 func paneUniverse(head ChainGen, window string, err error) ([]int, error) {
 	if head.Catalog != nil && head.Manifest.ChainDepth == 0 {
 		err = nil // a derived index lacks the files that failed: restorable judges them

@@ -210,7 +210,7 @@ func TestPaneUniverseOnDeltas(t *testing.T) {
 
 	// The head delta's files hold only panes 1 and 3; the universe must
 	// still be the manifest's recorded {1,2,3}.
-	ids, err := PaneUniverse(fsys, bases[2], "fluid")
+	ids, err := universeOn(t, fsys, bases[2], "fluid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestPaneUniverseOnDeltas(t *testing.T) {
 		t.Fatalf("delta universe %v, want [1 2 3]", ids)
 	}
 	// Unknown window on a delta is an error, not an empty success.
-	if _, err := PaneUniverse(fsys, bases[2], "nope"); err == nil {
+	if _, err := universeOn(t, fsys, bases[2], "nope"); err == nil {
 		t.Fatal("universe of unknown window succeeded")
 	}
 	// Full generations still answer from the catalog.
-	ids, err = PaneUniverse(fsys, bases[0], "fluid")
+	ids, err = universeOn(t, fsys, bases[0], "fluid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +241,10 @@ func TestRestoreFallsBackPastBrokenChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	tried := []string{}
-	_, err := Restore(fsys, "out/", func(base string) error {
+	_, err := restoreOn(t, fsys, "out/", func(base string) error {
 		tried = append(tried, base)
 		return nil
-	}, Options{})
+	}, nil)
 	if err == nil {
 		t.Fatal("restore succeeded with every chain link broken")
 	}
@@ -257,7 +257,7 @@ func TestRestoreFallsBackPastBrokenChain(t *testing.T) {
 	if _, err := Commit(fsys, bases[0], 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Restore(fsys, "out/", func(base string) error { return nil }, Options{})
+	got, err := restoreOn(t, fsys, "out/", func(base string) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,12 +111,12 @@ func TestWalkJudgmentThenReadLoadsCatalogsOnce(t *testing.T) {
 	reg := metrics.New()
 	onReader(t, fsys, reg, func(ctx mpi.Ctx, rd *Reader) {
 		opened := fsys.opens(func() {
-			base, err := Restore(ctx.FS(), "out/", func(base string) error {
+			base, err := rd.Restore(ctx.Comm(), "out/", func(base string) error {
 				if got, _ := readPanes(rd, base); len(got) != 3 {
 					return fmt.Errorf("restored %d of 3 panes", len(got))
 				}
 				return nil
-			}, Options{Reader: rd})
+			})
 			if err != nil || base != bases[2] {
 				t.Fatalf("restored %q (%v), want %s", base, err, bases[2])
 			}
@@ -278,8 +278,8 @@ func TestHeldChainIsTheRecordAsLoaded(t *testing.T) {
 	})
 }
 
-// TestReaderPaneUniverse: the universe a Reader answers is PaneUniverse's.
-// Cold, it reads what PaneUniverse reads — a delta's manifest, a full
+// TestReaderPaneUniverse: the universe a Reader answers is a fresh Reader's.
+// Cold, it reads what a fresh Reader reads — a delta's manifest, a full
 // generation's manifest and catalog — and holds the full generation, so the
 // round after it reads the head manifest and data files only; warm (after a
 // round of the base) it reads the head manifest alone.
@@ -287,16 +287,16 @@ func TestReaderPaneUniverse(t *testing.T) {
 	fsys := &countFS{FS: rt.NewMemFS()}
 	bases := commitChain(t, fsys)
 	reg := metrics.New()
-	onReader(t, fsys, reg, func(_ mpi.Ctx, rd *Reader) {
+	onReader(t, fsys, reg, func(ctx mpi.Ctx, rd *Reader) {
 		universe := func(base string) []string {
-			want, err := PaneUniverse(fsys.FS, base, "fluid")
+			want, err := NewReader(ctx, ReaderConfig{}).PaneUniverse(base, "fluid")
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got []int
 			opened := fsys.opens(func() { got, err = rd.PaneUniverse(base, "fluid") })
 			if err != nil || !slices.Equal(got, want) {
-				t.Fatalf("universe of %s: %v (%v), PaneUniverse says %v", base, got, err, want)
+				t.Fatalf("universe of %s: %v (%v), a fresh Reader says %v", base, got, err, want)
 			}
 			return opened
 		}
@@ -414,7 +414,7 @@ func FuzzReaderReuseMatchesFresh(f *testing.F) {
 					var lIDs []int
 					var lErr error
 					exempt = served(g, func() { lIDs, lErr = rd.PaneUniverse(g, "fluid") })
-					fIDs, fErr := PaneUniverse(fsys, g, "fluid")
+					fIDs, fErr := NewReader(ctx, ReaderConfig{}).PaneUniverse(g, "fluid")
 					if !exempt && (!slices.Equal(lIDs, fIDs) || (lErr == nil) != (fErr == nil)) {
 						t.Fatalf("universe of %s: long-lived Reader %v (%v), fresh %v (%v)", g, lIDs, lErr, fIDs, fErr)
 					}

@@ -190,11 +190,11 @@ func restoreWith(t *testing.T, fsys rt.FS, prefix string, walk ReaderConfig) (ba
 	t.Helper()
 	runErr := mpi.NewChanWorld(fsys, 1).Run(1, func(ctx mpi.Ctx) error {
 		rd := NewReader(ctx, ReaderConfig{})
-		base, err = Restore(ctx.FS(), prefix, func(b string) (err error) {
+		base, err = NewReader(ctx, walk).Restore(ctx.Comm(), prefix, func(b string) (err error) {
 			tried = append(tried, b)
 			got, err = readBase(t, rd, b)
 			return err
-		}, Options{Reader: NewReader(ctx, walk)})
+		})
 		return nil
 	})
 	if runErr != nil {
@@ -443,7 +443,7 @@ func TestScrubPredictsRestore(t *testing.T) {
 				t.Fatalf("restored %s, the scrub promised %s\n%s", base, scrubbed, Format(reports))
 			}
 			for _, g := range tried {
-				if _, err := PaneUniverse(fsys, g, "fluid"); err != nil {
+				if _, err := universeOn(t, fsys, g, "fluid"); err != nil {
 					t.Fatalf("the walk accepted %s, PaneUniverse refuses it: %v", g, err)
 				}
 			}
@@ -485,7 +485,7 @@ func TestIndexRefusesUnpinnedFile(t *testing.T) {
 					t.Fatalf("derived index holds %s, which the manifest does not pin", victim)
 				}
 			}
-			if ids, err := PaneUniverse(fsys, base, "fluid"); r == 1 && err == nil {
+			if ids, err := universeOn(t, fsys, base, "fluid"); r == 1 && err == nil {
 				t.Fatal("PaneUniverse answered from an index short the impostor")
 			} else if r == 2 && fmt.Sprint(ids) != "[1 2 3 4]" {
 				t.Fatalf("PaneUniverse at R = 2: %v, %v; want [1 2 3 4] through the impostor's indexed replica", ids, err)

@@ -10,12 +10,15 @@ package snapshot
 // module restarts it, on any rank count. What differs is the share — which
 // planned or listed files are this process's (ReadRequest.Mine, Own) — what
 // delivering a verified pane means (ReadRequest.Deliver), and ReaderConfig.
+// The restore walk (Restore) is a method of the same machine: a module's
+// clients walk the generations with their own Readers, so the walk's
+// filesystem, clock, driver, held chain and counters are the module's.
 //
 // One plan (Read). The generation's chain comes newest first; a full
 // generation is the chain of length one. The Reader is the restart's one
 // loader of commit records and holds the last chain it loaded (chain): every
-// round, every restore-walk judgment made through it (Options.Reader) and
-// every Reader.PaneUniverse reads the head manifest — one small read — and
+// round, every judgment of its restore walk and every PaneUniverse reads
+// the head manifest — one small read — and
 // is served the held chain when those bytes are the ones it was loaded
 // from. Otherwise the manifests are followed link by link and every link's
 // catalog blob is read as one batch through the Reader's driver (reads),
@@ -202,6 +205,12 @@ type readerMx struct {
 	chainSeconds  *metrics.Histogram // each round's chain step, the head manifest check included
 	chainLoads    *metrics.Counter   // commit records loaded (Reader.chain)
 	chainReuses   *metrics.Counter   // commit records served from the held chain
+
+	// The restore walk (Restore): generations each rank scanned and fell
+	// past, and rank 0's judgment of each.
+	generationsScanned *metrics.Counter
+	fallbacks          *metrics.Counter
+	judgeSeconds       *metrics.Histogram
 }
 
 func newReaderMx(cfg *ReaderConfig) readerMx {
@@ -222,6 +231,10 @@ func newReaderMx(cfg *ReaderConfig) readerMx {
 		chainSeconds:  r.Histogram(p+"chain_seconds", nil),
 		chainLoads:    r.Counter(p + "chain_loads"),
 		chainReuses:   r.Counter(p + "chain_reuses"),
+
+		generationsScanned: r.Counter(p + "generations_scanned"),
+		fallbacks:          r.Counter(p + "fallbacks"),
+		judgeSeconds:       r.Histogram(p+"judge_seconds", nil),
 	}
 }
 
@@ -282,21 +295,28 @@ func (rd *Reader) head(base string) (held []ChainGen, buf []byte, m *Manifest, e
 	return nil, buf, m, err
 }
 
-// PaneUniverse is PaneUniverse answered by this process: from the held chain
-// when it is base's and the head manifest still reads as the bytes it was
-// loaded from, and otherwise with no more reads than PaneUniverse makes —
-// a delta's manifest, a full generation's manifest and index. A full
-// generation whose index is its committed catalog is then held, as chain
-// would hold it.
+// PaneUniverse returns the sorted set of pane IDs the committed generation
+// under base holds for a window — the input to the M×N repartitioner, which
+// lets a restart run use a different rank count than the writing run. It
+// answers from the held chain when it is base's and the head manifest still
+// reads as the bytes it was loaded from. Otherwise it reads the head's
+// commit record no further than it must: a delta's manifest alone (its
+// recorded universe), a full generation's manifest and Index, which must be
+// whole up to copies — restorable's rule judged on the index alone (every
+// file passes): a universe short of an unindexed file's panes would restore
+// short and report success. A full generation whose index is its committed
+// catalog is then held, as chain would hold it.
 func (rd *Reader) PaneUniverse(base, window string) ([]int, error) {
 	held, buf, m, err := rd.head(base)
 	if held != nil {
 		return paneUniverse(held[0], window, nil)
 	}
-	head, err := universeHead(rd.ctx.FS(), base, m, err)
-	if err == nil && m.ChainDepth == 0 && !head.Derived {
-		rd.mx.chainLoads.Inc()
-		rd.held, rd.heldHead = []ChainGen{head}, buf
+	head := ChainGen{Base: base, Manifest: m}
+	if err == nil && m.ChainDepth == 0 {
+		if head.Catalog, head.Derived, err = Index(rd.ctx.FS(), m); err == nil && !head.Derived {
+			rd.mx.chainLoads.Inc()
+			rd.held, rd.heldHead = []ChainGen{head}, buf
+		}
 	}
 	return paneUniverse(head, window, err)
 }

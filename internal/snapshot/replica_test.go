@@ -114,7 +114,7 @@ func TestRestoreAllUncommitted(t *testing.T) {
 	writeGen(t, fsys, "out/snap000100", 2, 1)
 
 	reg := metrics.New()
-	if _, err := Restore(fsys, "out/", tryRead(fsys), Options{Metrics: reg}); err == nil {
+	if _, err := restoreOn(t, fsys, "out/", tryRead(fsys), reg); err == nil {
 		t.Fatal("restored from a tree of uncommitted generations")
 	} else if !strings.Contains(err.Error(), "uncommitted") {
 		t.Fatalf("error %v does not name the uncommitted cause", err)
@@ -148,7 +148,7 @@ func TestRestoreAttemptsDegradedReplicatedGeneration(t *testing.T) {
 	reg := metrics.New()
 	attempted := []string{}
 	try := func(base string) error { attempted = append(attempted, base); return nil }
-	base, err := Restore(fsys, "out/", try, Options{Metrics: reg})
+	base, err := restoreOn(t, fsys, "out/", try, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRestoreAttemptsDegradedReplicatedGeneration(t *testing.T) {
 	}
 	reg2 := metrics.New()
 	attempted = attempted[:0]
-	base, err = Restore(fsys2, "out/", try, Options{Metrics: reg2})
+	base, err = restoreOn(t, fsys2, "out/", try, reg2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"genxio/internal/catalog"
 	"genxio/internal/hdf"
-	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/rt"
 )
@@ -83,31 +82,6 @@ func generations(names []string) ([]Generation, map[string][]string) {
 	return gens, files
 }
 
-// Options configures a Restore walk.
-type Options struct {
-	// Comm, when set, makes the walk collective: rank 0 alone lists and
-	// verifies the generations and broadcasts every step of the walk, and
-	// every generation attempt ends with an allreduce so all ranks agree on
-	// success or fallback. Every rank of the communicator must call Restore
-	// with the same arguments. Nil runs single-process.
-	Comm mpi.Comm
-	// Metrics, when set, receives rocpanda.restart.generations_scanned
-	// and rocpanda.restart.fallbacks counters and the
-	// rocpanda.restart.judge_seconds histogram (rank 0, once per judged
-	// generation). Nil disables recording.
-	Metrics *metrics.Registry
-	// Reader, when set, is the restart-read driver rank 0 issues the walk's
-	// metadata reads through — a generation's catalog blobs, then its best
-	// copies' file checks, each as one batch: inline (Workers 0) or on its
-	// pool. Each judged generation's chain is the Reader's (Reader.chain):
-	// the one it holds when the head manifest is unchanged, and otherwise a
-	// load it then holds, so a round on the same Reader loads nothing
-	// again. Its process reads fsys; its clock times each judged
-	// generation. Nil loads every chain afresh and reads inline on fsys,
-	// timed by the wall clock.
-	Reader *Reader
-}
-
 // step is one move of the restore walk: try the generation under base,
 // skip one (err says why), or end the walk (err is the listing failure, if
 // that is what ended it). Rank 0 decides each step and broadcasts it, so
@@ -152,18 +126,16 @@ func decodeStep(msg []byte) step {
 
 // walk returns rank 0's side of Restore: a function yielding the walk's
 // steps, newest generation first. Verification reads the needed files'
-// headers and directories, so one rank does it and shares the verdict. Its
-// metadata reads — each candidate's chain, from opts.Reader when set, then
-// its best copies' file checks — go through opts.Reader's driver as one
-// batch each (judge): inline, the paper's serial order; pooled, concurrent.
-func walk(fsys rt.FS, prefix string, opts Options) func() step {
+// headers and directories, so one rank does it and shares the verdict. Each
+// candidate's chain is the Reader's (chain): the one it holds when the head
+// manifest is unchanged, and otherwise a load it then holds, so the round
+// that restores it on the same Reader loads nothing again. The chain's
+// catalog blobs, then its best copies' file checks, go through the Reader's
+// driver as one batch each (judge): inline, the paper's serial order;
+// pooled, concurrent. The Reader's clock times each judged generation.
+func (rd *Reader) walk(prefix string) func() step {
+	fsys, clock, each := rd.ctx.FS(), rd.ctx.Clock(), rd.reads()
 	gens, listErr := Generations(fsys, prefix)
-	each, clock := serial(fsys), rt.Clock(rt.NewWallClock())
-	load := func(base string) ([]ChainGen, error) { return loadChain(fsys, each, base, nil) }
-	if rd := opts.Reader; rd != nil {
-		each, clock, load = rd.reads(), rd.ctx.Clock(), rd.chain
-	}
-	judged := opts.Metrics.Histogram("rocpanda.restart.judge_seconds", nil)
 	fileOK := func(fsys rt.FS, e FileEntry) bool { return checkOnDisk(fsys, e) == nil }
 	return func() step {
 		if listErr != nil || len(gens) == 0 {
@@ -176,39 +148,37 @@ func walk(fsys rt.FS, prefix string, opts Options) func() step {
 		}
 		// A full generation is the chain of length one.
 		t0 := clock.Now()
-		chain, err := load(g.Base)
+		chain, err := rd.chain(g.Base)
 		_, err = judge(fsys, each, g.Base, chain, err, fileOK)
-		judged.Observe(clock.Now() - t0)
+		rd.mx.judgeSeconds.Observe(clock.Now() - t0)
 		return step{base: g.Base, err: err}
 	}
 }
 
 // Restore walks the generations under prefix newest-first and calls try
-// with each restorable base until one attempt succeeds on every rank,
-// returning that base. The ranks agree on each attempt (mpi.Agree), so a
-// rank whose own try succeeded falls past a base a peer's failed and ends
-// the walk with the same verdict. Uncommitted generations, generations that fail
-// restorable, and generations whose try fails (for example
-// rocpanda.ErrIncompleteRestart after a server skipped a checksum-damaged
-// file) are fallen past, each bumping the rocpanda.restart.fallbacks
-// counter once. A failed listing ends the walk on every rank.
-func Restore(fsys rt.FS, prefix string, try func(base string) error, opts Options) (string, error) {
+// with each restorable base until one attempt succeeds on every rank of
+// comm, returning that base. Every rank of comm calls it with the same
+// arguments, each on its own Reader; rank 0 alone lists and judges (walk)
+// and broadcasts every step. The ranks agree on each attempt (mpi.Agree),
+// so a rank whose own try succeeded falls past a base a peer's failed and
+// ends the walk with the same verdict. Uncommitted generations, generations
+// that fail restorable, and generations whose try fails (for example
+// ErrIncompleteRestart after a server skipped a checksum-damaged file) are
+// fallen past, each counted on the Reader's fallbacks. A failed listing
+// ends the walk on every rank.
+func (rd *Reader) Restore(comm mpi.Comm, prefix string, try func(base string) error) (string, error) {
 	var next func() step
-	if opts.Comm == nil || opts.Comm.Rank() == 0 {
-		next = walk(fsys, prefix, opts)
+	if comm.Rank() == 0 {
+		next = rd.walk(prefix)
 	}
-	scanned := opts.Metrics.Counter("rocpanda.restart.generations_scanned")
-	fallbacks := opts.Metrics.Counter("rocpanda.restart.fallbacks")
 	var lastErr error
 	for {
 		var st step
 		if next != nil {
 			st = next()
 		}
-		if opts.Comm != nil {
-			if msg := opts.Comm.Bcast(0, st.encode()); next == nil {
-				st = decodeStep(msg)
-			}
+		if msg := comm.Bcast(0, st.encode()); next == nil {
+			st = decodeStep(msg)
 		}
 		if st.end {
 			switch {
@@ -219,18 +189,14 @@ func Restore(fsys rt.FS, prefix string, try func(base string) error, opts Option
 			}
 			return "", fmt.Errorf("snapshot: no generations under %q", prefix)
 		}
-		scanned.Inc()
+		rd.mx.generationsScanned.Inc()
 		if st.err == nil {
-			st.err = try(st.base)
-			if opts.Comm != nil {
-				st.err = mpi.Agree(opts.Comm, st.err)
-			}
-			if st.err == nil {
+			if st.err = mpi.Agree(comm, try(st.base)); st.err == nil {
 				return st.base, nil
 			}
 		}
 		lastErr = st.err
-		fallbacks.Inc()
+		rd.mx.fallbacks.Inc()
 	}
 }
 

@@ -58,14 +58,14 @@ func TestCommitLoadVerifyRoundTrip(t *testing.T) {
 	// The walk's file check passes the committed files and fails a
 	// truncated one.
 	accept := func(string) error { return nil }
-	if base, err := Restore(fsys, "out/", accept, Options{}); err != nil || base != got.Base {
+	if base, err := restoreOn(t, fsys, "out/", accept, nil); err != nil || base != got.Base {
 		t.Fatalf("walk over the committed generation: %q, %v", base, err)
 	}
 	// Damage one file's length: the check must fail.
 	if err := faults.TruncateTail(fsys, files[1], 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(fsys, "out/", accept, Options{}); err == nil {
+	if _, err := restoreOn(t, fsys, "out/", accept, nil); err == nil {
 		t.Fatal("the walk accepted a truncated file")
 	}
 }
@@ -177,6 +177,34 @@ func tryRead(fsys rt.FS) func(base string) error {
 	}
 }
 
+// onFresh runs f on a fresh Reader in a one-rank channel world over fsys,
+// its counters landing in reg (nil: none) under a Rocpanda client's restart
+// names, which the walk's tests assert on.
+func onFresh(t *testing.T, fsys rt.FS, reg *metrics.Registry, f func(comm mpi.Comm, rd *Reader)) {
+	t.Helper()
+	err := mpi.NewChanWorld(fsys, 1).Run(1, func(ctx mpi.Ctx) error {
+		f(ctx.Comm(), NewReader(ctx, ReaderConfig{Metrics: reg, Prefix: "rocpanda.restart."}))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restoreOn is the restore walk under prefix on a fresh Reader (onFresh).
+func restoreOn(t *testing.T, fsys rt.FS, prefix string, try func(string) error, reg *metrics.Registry) (base string, err error) {
+	t.Helper()
+	onFresh(t, fsys, reg, func(comm mpi.Comm, rd *Reader) { base, err = rd.Restore(comm, prefix, try) })
+	return base, err
+}
+
+// universeOn is a fresh Reader's pane universe of base (onFresh).
+func universeOn(t *testing.T, fsys rt.FS, base, window string) (ids []int, err error) {
+	t.Helper()
+	onFresh(t, fsys, nil, func(_ mpi.Comm, rd *Reader) { ids, err = rd.PaneUniverse(base, window) })
+	return ids, err
+}
+
 func TestRestoreFallsBackPastDamage(t *testing.T) {
 	fsys := rt.NewMemFS()
 	writeGen(t, fsys, "out/snap000000", 2, 0)
@@ -197,7 +225,7 @@ func TestRestoreFallsBackPastDamage(t *testing.T) {
 	}
 
 	reg := metrics.New()
-	base, err := Restore(fsys, "out/", tryRead(fsys), Options{Metrics: reg})
+	base, err := restoreOn(t, fsys, "out/", tryRead(fsys), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +242,7 @@ func TestRestoreFallsBackPastDamage(t *testing.T) {
 
 func TestRestoreNoGenerations(t *testing.T) {
 	fsys := rt.NewMemFS()
-	if _, err := Restore(fsys, "out/", tryRead(fsys), Options{}); err == nil {
+	if _, err := restoreOn(t, fsys, "out/", tryRead(fsys), nil); err == nil {
 		t.Fatal("restored from nothing")
 	}
 }
@@ -258,7 +286,7 @@ func TestRestoreCollectiveAgreement(t *testing.T) {
 			}
 			return nil
 		}
-		base, err := Restore(fsys, "out/", try, Options{Comm: ctx.Comm()})
+		base, err := NewReader(ctx, ReaderConfig{}).Restore(ctx.Comm(), "out/", try)
 		if err != nil {
 			return err
 		}
@@ -309,7 +337,7 @@ func TestRestoreListFailureEveryRankAgrees(t *testing.T) {
 					}
 					return nil
 				}
-				base, err := Restore(row.fsys, "out/", try, Options{Comm: ctx.Comm()})
+				base, err := NewReader(ctx, ReaderConfig{}).Restore(ctx.Comm(), "out/", try)
 				results[rank], errs[rank] = result{base, err != nil}, err
 				return nil
 			})

@@ -110,7 +110,10 @@ func stateDigest(t *testing.T, fs rt.FS, base string) string {
 		t.Fatalf("%s: %v", base, err)
 	}
 	// The restore walk's file check passes every manifested file.
-	if _, err := snapshot.Restore(fs, base, func(string) error { return nil }, snapshot.Options{}); err != nil {
+	if err := mpi.NewChanWorld(fs, 1).Run(1, func(ctx mpi.Ctx) error {
+		_, err := snapshot.NewReader(ctx, snapshot.ReaderConfig{}).Restore(ctx.Comm(), base, func(string) error { return nil })
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var lines []string
@@ -145,11 +148,12 @@ func fileSHA(t *testing.T, fs rt.FS, name string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// paneIO is what every module's service offers: the three Roccom calls and
-// the explicit-pane restart.
+// paneIO is what every module's service offers: the three Roccom calls, the
+// explicit-pane restart and its deal of a generation's panes.
 type paneIO interface {
 	roccom.IOService
 	ReadPanes(file string, w *roccom.Window, attr string, ids []int) error
+	PanesForRestart(base, window string) ([]int, error)
 }
 
 // ioModule is one way to run a rank of an I/O module: Rochdf, T-Rochdf, or
@@ -362,7 +366,7 @@ func (f dataReadFile) ReadAt(p []byte, off int64) (int, error) {
 
 // restartMatrix restores every module's committed generation under every
 // module, on another rank count (4 writers, 3 readers; the pane
-// universe dealt by snapshot.PaneUniverse + catalog.Repartition): they are
+// universe dealt by each reader's PanesForRestart): they are
 // placements of one restart-read service, so any module restarts any
 // module's snapshot, to the same state. Per cell it then re-reads one named
 // attribute — which must cost a fraction of the data bytes — and, on a copy
@@ -411,12 +415,12 @@ func restartMatrix(t *testing.T) {
 				var ws []*roccom.Window
 				deal := make(map[string][]int)
 				for _, name := range moduleWindowNames {
-					ids, err := snapshot.PaneUniverse(ctx.FS(), "m/g0", name)
+					ids, err := svc.PanesForRestart("m/g0", name)
 					if err != nil {
 						return err
 					}
 					ws = append(ws, emptyModuleWindow(t, name))
-					deal[name] = catalog.Repartition(ids, readers)[comm.Rank()]
+					deal[name] = ids
 				}
 				pass := func(attr string) (err error) {
 					for _, w := range ws {
