@@ -236,8 +236,6 @@ type simClock struct {
 
 func (c *simClock) Now() float64 { return c.p.Env().Now() }
 
-func (c *simClock) Sleep(d float64) { c.p.Wait(d) }
-
 // Compute charges CPU work, stretched by OS noise when the node has no
 // idle CPU to absorb it.
 func (c *simClock) Compute(d float64) {

@@ -24,7 +24,7 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	err := w.Run(4, func(ctx mpi.Ctx) error {
 		ctx.Clock().Compute(5)
 		ctx.Comm().Barrier()
-		ctx.Clock().Sleep(2)
+		ctx.Clock().Compute(2)
 		return nil
 	})
 	if err != nil {
@@ -336,16 +336,96 @@ func TestRankErrorAndPanicPropagate(t *testing.T) {
 	}
 }
 
+// TestDeadlockReported: a run whose blocked waits are all untimed is a
+// deadlock. A timed receive expires only when nothing else can happen —
+// never while its sender still computes — the earliest virtual deadline
+// first, ties broken by rank, with the clock then reading at least the
+// deadline.
 func TestDeadlockReported(t *testing.T) {
-	w := NewWorld(quiet(), 1)
-	err := w.Run(2, func(ctx mpi.Ctx) error {
-		if ctx.Comm().Rank() == 0 {
-			ctx.Comm().Recv(1, 0) // never sent
+	// expire is a timed receive from rank 0 that must expire at or after
+	// its deadline.
+	expire := func(ctx mpi.Ctx, timeout float64) error {
+		deadline := ctx.Clock().Now() + timeout
+		if _, _, err := ctx.Comm().RecvTimed(0, []int{0}, timeout); err != mpi.ErrTimedOut {
+			return fmt.Errorf("rank %d: %v, want ErrTimedOut", ctx.Comm().Rank(), err)
+		}
+		if now := ctx.Clock().Now(); now < deadline {
+			return fmt.Errorf("rank %d expired at %g, before its deadline %g", ctx.Comm().Rank(), now, deadline)
 		}
 		return nil
-	})
-	if _, ok := err.(*sim.DeadlockError); !ok {
-		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	rows := []struct {
+		name     string
+		n        int
+		main     func(ctx mpi.Ctx) error
+		deadlock bool
+	}{
+		{"untimed-recv-never-sent", 2, func(ctx mpi.Ctx) error {
+			if ctx.Comm().Rank() == 0 {
+				ctx.Comm().Recv(1, 0) // never sent
+			}
+			return nil
+		}, true},
+		{"timed-recv-of-a-computing-sender", 2, func(ctx mpi.Ctx) error {
+			c := ctx.Comm()
+			if c.Rank() == 1 {
+				ctx.Clock().Compute(5)
+				c.Send(0, 0, []byte("late"))
+				return nil
+			}
+			if data, _, err := c.RecvTimed(1, []int{0}, 1); err != nil || string(data) != "late" {
+				return fmt.Errorf("received %q, %v", data, err)
+			}
+			return nil
+		}, false},
+		{"quiescent-expires-the-timed-recv", 2, func(ctx mpi.Ctx) error {
+			if ctx.Comm().Rank() == 0 {
+				ctx.Comm().Recv(1, 1)
+				return nil
+			}
+			if err := expire(ctx, 3); err != nil {
+				return err
+			}
+			ctx.Comm().Send(0, 1)
+			return nil
+		}, false},
+		{"earliest-deadline-first-ties-by-rank", 4, func(ctx mpi.Ctx) error {
+			c := ctx.Comm()
+			if c.Rank() > 0 {
+				// Deadlines 2, 1, 2: rank 2 first, then rank 1 before rank 3.
+				if err := expire(ctx, float64(1+c.Rank()%2)); err != nil {
+					return err
+				}
+				c.Send(0, 1, []byte{byte(c.Rank())})
+				return nil
+			}
+			var order []byte
+			for range 3 {
+				data, _ := c.Recv(mpi.AnySource, 1)
+				order = append(order, data...)
+			}
+			if fmt.Sprint(order) != "[2 1 3]" {
+				return fmt.Errorf("expired in rank order %v, want [2 1 3]", order)
+			}
+			return nil
+		}, false},
+		{"untimed-after-an-expiry", 2, func(ctx mpi.Ctx) error {
+			if ctx.Comm().Rank() == 1 {
+				if err := expire(ctx, 1); err != nil {
+					return err
+				}
+			}
+			ctx.Comm().Recv(1-ctx.Comm().Rank(), 0)
+			return nil
+		}, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			err := NewWorld(quiet(), 1).Run(row.n, row.main)
+			if _, ok := err.(*sim.DeadlockError); ok != row.deadlock || !ok && err != nil {
+				t.Fatalf("err = %v, want deadlock %v", err, row.deadlock)
+			}
+		})
 	}
 }
 

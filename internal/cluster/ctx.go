@@ -131,9 +131,10 @@ func wrapPred(pred func(*mpi.Message) bool) func(interface{}) bool {
 	return func(v interface{}) bool { return pred(v.(*mpi.Message)) }
 }
 
-func (e *simEndpoint) RecvMatch(pred func(*mpi.Message) bool) *mpi.Message {
-	v := e.ctx.boxes[e.ctx.rank].Get(e.ctx.proc, wrapPred(pred))
-	return v.(*mpi.Message)
+// RecvMatch implements mpi.Endpoint; a timed wait's deadline is virtual.
+func (e *simEndpoint) RecvMatch(pred func(*mpi.Message) bool, timeout float64) *mpi.Message {
+	m, _ := e.ctx.boxes[e.ctx.rank].Get(e.ctx.proc, wrapPred(pred), timeout).(*mpi.Message)
+	return m // nil when the wait expired
 }
 
 func (e *simEndpoint) ProbeMatch(pred func(*mpi.Message) bool) *mpi.Message {

@@ -320,11 +320,13 @@ func (r *BenchResult) Format() string {
 	}
 	b.WriteByte('\n')
 	for _, io := range r.IOs {
+		// Rows are named module[-variant]; the walk counts under the module.
+		module, _, _ := strings.Cut(io.IO, "-")
 		s := io.Metrics
 		fmt.Fprintf(&b, "%-10s durability: %d checksum failures, %d restart generations scanned, %d restart fallbacks\n",
 			io.IO, s.Counters["hdf.checksum_failures"],
-			s.Counters["rocpanda.restart.generations_scanned"],
-			s.Counters["rocpanda.restart.fallbacks"])
+			s.Counters[module+".restart.generations_scanned"],
+			s.Counters[module+".restart.fallbacks"])
 	}
 	return b.String()
 }

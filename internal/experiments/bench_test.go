@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -215,6 +216,19 @@ func TestBenchCarriesPerModuleMetrics(t *testing.T) {
 	}
 	if byIO["trochdf"].Metrics.Histograms["trochdf.drain_seconds"].Count == 0 {
 		t.Error("trochdf background-write histogram empty")
+	}
+	// Each row's durability line reads its own module's restart series.
+	for i, io := range res.IOs {
+		module, _, _ := strings.Cut(io.IO, "-")
+		res.IOs[i].Metrics.Counters[module+".restart.generations_scanned"] = int64(100 + i)
+	}
+	out := res.Format()
+	for i, io := range res.IOs {
+		want := fmt.Sprintf("%-10s durability: %d checksum failures, %d restart generations scanned",
+			io.IO, io.Metrics.Counters["hdf.checksum_failures"], 100+i)
+		if !strings.Contains(out, want) {
+			t.Errorf("Format lacks %q", want)
+		}
 	}
 	// MeasureRestart ran for rochdf and rocpanda.
 	if byIO["rochdf"].VisibleRead <= 0 || byIO["rocpanda"].VisibleRead <= 0 {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,14 +41,15 @@ func NewChanWorld(fs rt.FS, procsPerNode int) *ChanWorld {
 // waits for them and the tasks they spawn. The first rank error (by rank
 // order) is returned; a rank panic is that rank's error. When every
 // goroutine left is blocked in a world wait (an inbox receive or probe, a
-// queue get or put), Run returns a *DeadlockError, leaving them parked.
+// queue get or put), the earliest timed receive among them expires (ties by
+// rank); with none, Run returns a *DeadlockError, leaving them parked.
 func (w *ChanWorld) Run(n int, main func(Ctx) error) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: world size %d < 1", n)
 	}
-	run := &chanRun{errs: make([]error, n), end: make(chan struct{})}
+	run := &chanRun{errs: make([]error, n), end: make(chan struct{}), inboxes: make([]*inbox, n)}
 	run.count.Store(int64(n) << 32)
-	inboxes := make([]*inbox, n)
+	inboxes := run.inboxes
 	for i := range inboxes {
 		inboxes[i] = &inbox{who: fmt.Sprintf("rank %d", i)}
 		inboxes[i].init(run)
@@ -91,27 +93,40 @@ func (d *DeadlockError) Error() string {
 // it back, before waking it, so no goroutine is counted blocked after the
 // event that ends its wait. A sleeping or polling goroutine is running.
 type chanRun struct {
-	count atomic.Int64 // live goroutines << 32 + blocked waits
-	mu    sync.Mutex   // guards sets
-	sets  []*waitSet
-	errs  []error       // each rank's, set before it retires
-	end   chan struct{} // closed once err is the outcome
-	err   error
+	count   atomic.Int64 // live goroutines << 32 + blocked waits
+	mu      sync.Mutex   // guards sets
+	sets    []*waitSet
+	inboxes []*inbox      // by rank
+	errs    []error       // each rank's, set before it retires
+	end     chan struct{} // closed once err is the outcome
+	err     error
 }
 
 // add counts live goroutines started (live > 0) or retired (live < 0), and
 // waits begun (blocked > 0) or handed back (blocked < 0). The one call that
 // leaves every live goroutine blocked, or none live, settles the run: after
-// it nothing runs, so nothing else touches the run.
+// it nothing runs but what settling wakes.
 func (r *chanRun) add(live, blocked int) {
 	if v := r.count.Add(int64(live)<<32 + int64(blocked)); v>>32 <= v&(1<<32-1) {
 		r.settle(v>>32 == 0)
 	}
 }
 
-// settle ends the run with its first rank error when no goroutine is left
-// (done), or with a DeadlockError naming every wait.
+// settle expires the earliest timed receive, ties going to the lower rank,
+// on a goroutine of its own (settle may hold the lock of the wait just
+// begun). With none it ends the run: with its first rank error when no
+// goroutine is left (done), else with a DeadlockError naming every wait.
 func (r *chanRun) settle(done bool) {
+	var first *inbox
+	for _, b := range r.inboxes {
+		if !b.at.IsZero() && (first == nil || b.at.Before(first.at)) {
+			first = b
+		}
+	}
+	if first != nil {
+		go first.expire()
+		return
+	}
 	defer close(r.end)
 	if r.err = cmp.Or(r.errs...); done {
 		return
@@ -288,11 +303,18 @@ func (e *chanEndpoint) Send(dst int, m *Message) {
 	e.inboxes[dst].put(m)
 }
 
-func (e *chanEndpoint) RecvMatch(pred func(*Message) bool) *Message {
+func (e *chanEndpoint) RecvMatch(pred func(*Message) bool, timeout float64) *Message {
 	b := e.inboxes[e.rank]
 	b.Lock()
 	defer b.Unlock()
+	if timeout > 0 {
+		b.at = time.Now().Add(time.Duration(timeout * float64(time.Second)))
+		defer func() { b.at = time.Time{} }()
+	}
 	i := b.match(pred, "recv")
+	if i < 0 {
+		return nil
+	}
 	m := b.q[i]
 	b.q = append(b.q[:i], b.q[i+1:]...)
 	return m
@@ -319,8 +341,10 @@ func (e *chanEndpoint) TryProbeMatch(pred func(*Message) bool) (*Message, bool) 
 // produces.
 type inbox struct {
 	waitSet
-	who string
-	q   []*Message
+	who     string
+	q       []*Message
+	at      time.Time // the deadline of the rank's timed receive; zero outside one
+	expired bool      // settling expired that receive
 }
 
 func (b *inbox) put(m *Message) {
@@ -330,18 +354,23 @@ func (b *inbox) put(m *Message) {
 }
 
 // match returns the index of the earliest message matching pred. With a
-// wait named it sleeps in that wait until one arrives; with none it returns
-// -1 at once. The caller holds the lock.
+// wait named it sleeps in that wait until one arrives, or returns -1 once
+// settling expires a timed receive; with none it returns -1 at once. The
+// caller holds the lock.
 func (b *inbox) match(pred func(*Message) bool, what string) int {
 	for {
-		for i, m := range b.q {
-			if pred(m) {
-				return i
-			}
-		}
-		if what == "" {
-			return -1
+		i := slices.IndexFunc(b.q, pred)
+		if i >= 0 || what == "" || b.expired {
+			b.expired = false
+			return i
 		}
 		b.sleep(b.who, what)
 	}
+}
+
+// expire ends the rank's timed receive.
+func (b *inbox) expire() {
+	b.Lock()
+	b.expired = true
+	b.unlockWake()
 }

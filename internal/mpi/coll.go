@@ -52,11 +52,11 @@ func (c *comm) Barrier() {
 	}
 	me := c.rank
 	for _, kid := range treeChildren(me, n) {
-		c.ep.RecvMatch(c.pred(kid, tagBarrierUp))
+		c.ep.RecvMatch(c.pred(kid, tagBarrierUp), 0)
 	}
 	if p := treeParent(me, n); p >= 0 {
 		c.send(p, tagBarrierUp, nil)
-		c.ep.RecvMatch(c.pred(p, tagBarrierDown))
+		c.ep.RecvMatch(c.pred(p, tagBarrierDown), 0)
 	}
 	for _, kid := range treeChildren(me, n) {
 		c.send(kid, tagBarrierDown, nil)
@@ -77,7 +77,7 @@ func (c *comm) bcast(root, tag int, data []byte) []byte {
 	me := rel(c.rank, root, n)
 	if me != 0 {
 		p := unrel(treeParent(me, n), root, n)
-		m := c.ep.RecvMatch(c.pred(p, tag))
+		m := c.ep.RecvMatch(c.pred(p, tag), 0)
 		data = m.Data
 	}
 	for _, kid := range treeChildren(me, n) {
@@ -109,16 +109,15 @@ func (c *comm) gather(root, tag int, data ...[]byte) [][]byte {
 	out[root] = bytes.Join(data, nil)
 	for src := range out {
 		if src != root {
-			out[src] = c.ep.RecvMatch(c.pred(src, tag)).Data
+			out[src] = c.ep.RecvMatch(c.pred(src, tag), 0).Data
 		}
 	}
 	return out
 }
 
-// reduceOp combines two float64s.
-type reduceOp func(a, b float64) float64
-
-func (c *comm) allreduce(x float64, op reduceOp) float64 {
+// allreduce combines every rank's 64-bit word with op up the tree and
+// broadcasts the result down it.
+func (c *comm) allreduce(x uint64, op func(a, b uint64) uint64) uint64 {
 	n := c.Size()
 	if n == 1 {
 		return x
@@ -126,27 +125,39 @@ func (c *comm) allreduce(x float64, op reduceOp) float64 {
 	me := c.rank
 	acc := x
 	for _, kid := range treeChildren(me, n) {
-		m := c.ep.RecvMatch(c.pred(kid, tagReduceUp))
-		acc = op(acc, math.Float64frombits(binary.LittleEndian.Uint64(m.Data)))
+		m := c.ep.RecvMatch(c.pred(kid, tagReduceUp), 0)
+		acc = op(acc, binary.LittleEndian.Uint64(m.Data))
 	}
 	buf := make([]byte, 8)
 	if p := treeParent(me, n); p >= 0 {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(acc))
+		binary.LittleEndian.PutUint64(buf, acc)
 		c.send(p, tagReduceUp, buf)
 	}
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(acc))
+	binary.LittleEndian.PutUint64(buf, acc)
 	out := c.bcast(0, tagReduceUp, buf)
-	return math.Float64frombits(binary.LittleEndian.Uint64(out))
+	return binary.LittleEndian.Uint64(out)
+}
+
+// allreduceFloat is allreduce over float64s, carried as their bits.
+func (c *comm) allreduceFloat(x float64, op func(a, b float64) float64) float64 {
+	return math.Float64frombits(c.allreduce(math.Float64bits(x), func(a, b uint64) uint64 {
+		return math.Float64bits(op(math.Float64frombits(a), math.Float64frombits(b)))
+	}))
 }
 
 // AllreduceMax returns the maximum of x across all ranks, on all ranks.
 func (c *comm) AllreduceMax(x float64) float64 {
-	return c.allreduce(x, math.Max)
+	return c.allreduceFloat(x, math.Max)
 }
 
 // AllreduceMin returns the minimum of x across all ranks, on all ranks.
 func (c *comm) AllreduceMin(x float64) float64 {
-	return c.allreduce(x, math.Min)
+	return c.allreduceFloat(x, math.Min)
+}
+
+// AllreduceOr returns the bitwise OR of bits across all ranks, on all ranks.
+func (c *comm) AllreduceOr(bits uint64) uint64 {
+	return c.allreduce(bits, func(a, b uint64) uint64 { return a | b })
 }
 
 // ErrPeerFailed is what a failure agreement returns, wrapped with the

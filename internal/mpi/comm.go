@@ -3,7 +3,9 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -79,8 +81,21 @@ func (c *comm) status(m *Message) Status {
 }
 
 func (c *comm) Recv(src, tag int) ([]byte, Status) {
-	m := c.ep.RecvMatch(c.pred(src, tag))
+	m := c.ep.RecvMatch(c.pred(src, tag), 0)
 	return m.Data, c.status(m)
+}
+
+// ErrTimedOut is what RecvTimed returns when its wait expired: every live
+// process was blocked in a world wait, so no matching message could come.
+var ErrTimedOut = errors.New("mpi: timed receive expired")
+
+func (c *comm) RecvTimed(src int, tags []int, timeout float64) ([]byte, Status, error) {
+	from := c.pred(src, AnyTag)
+	m := c.ep.RecvMatch(func(m *Message) bool { return slices.Contains(tags, m.Tag) && from(m) }, timeout)
+	if m == nil {
+		return nil, Status{}, ErrTimedOut
+	}
+	return m.Data, c.status(m), nil
 }
 
 func (c *comm) Probe(src, tag int) Status {

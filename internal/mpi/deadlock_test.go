@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"genxio/internal/cluster"
 	"genxio/internal/mpi"
@@ -42,6 +43,16 @@ func TestChanWorldDeadlockReported(t *testing.T) {
 			ctx.Comm().Recv(mpi.AnySource, 0)
 			return nil
 		}, []string{"rank 0/io: get", "rank 0: recv"}, nil},
+		{"untimed-after-an-expiry", 2, func(ctx mpi.Ctx) error {
+			c := ctx.Comm()
+			if c.Rank() == 0 {
+				if _, _, err := c.RecvTimed(1, []int{0}, 1); err != mpi.ErrTimedOut {
+					return fmt.Errorf("timed receive: %v, want ErrTimedOut", err)
+				}
+			}
+			c.Recv(1-c.Rank(), 0)
+			return nil
+		}, []string{"rank 0: recv", "rank 1: recv"}, nil},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -58,7 +69,10 @@ func TestChanWorldDeadlockReported(t *testing.T) {
 }
 
 // TestChanWorldNoFalseDeadlock: a goroutine that sleeps is running, so a
-// peer blocked on what it will do after the sleep is not a deadlock.
+// peer blocked on what it will do after the sleep is not a deadlock, and a
+// timed receive waiting on it does not expire however short its timeout. A
+// timed receive expires only when every goroutine is blocked — at once,
+// however long its timeout — and the earliest deadline first.
 func TestChanWorldNoFalseDeadlock(t *testing.T) {
 	rows := []struct {
 		name string
@@ -68,7 +82,7 @@ func TestChanWorldNoFalseDeadlock(t *testing.T) {
 		{"send-after-sleep", 2, func(ctx mpi.Ctx) error {
 			c := ctx.Comm()
 			if c.Rank() == 1 {
-				ctx.Clock().Sleep(1e-3)
+				time.Sleep(time.Millisecond)
 				c.Send(0, 0, []byte("late"))
 				return nil
 			}
@@ -80,7 +94,7 @@ func TestChanWorldNoFalseDeadlock(t *testing.T) {
 		{"put-after-sleep", 1, func(ctx mpi.Ctx) error {
 			q := ctx.NewQueue(1)
 			ctx.Spawn("io", func(tc rt.TaskCtx) {
-				tc.Clock().Sleep(1e-3)
+				time.Sleep(time.Millisecond)
 				q.Put(tc.Clock(), "late")
 				q.Close()
 			})
@@ -89,6 +103,54 @@ func TestChanWorldNoFalseDeadlock(t *testing.T) {
 			}
 			if _, ok := q.Get(ctx.Clock()); ok {
 				return errors.New("a closed, drained queue returned an item")
+			}
+			return nil
+		}},
+		{"timed-recv-after-sleep", 2, func(ctx mpi.Ctx) error {
+			c := ctx.Comm()
+			if c.Rank() == 1 {
+				time.Sleep(time.Millisecond)
+				c.Send(0, 0, []byte("late"))
+				return nil
+			}
+			if data, _, err := c.RecvTimed(1, []int{0}, 1e-6); err != nil || string(data) != "late" {
+				return fmt.Errorf("received %q, %v", data, err)
+			}
+			return nil
+		}},
+		{"quiescent-expires-the-timed-recv", 2, func(ctx mpi.Ctx) error {
+			c := ctx.Comm()
+			if c.Rank() == 1 {
+				c.Recv(0, 1)
+				return nil
+			}
+			t0 := time.Now()
+			if _, _, err := c.RecvTimed(1, []int{0}, 60); err != mpi.ErrTimedOut {
+				return fmt.Errorf("timed receive: %v, want ErrTimedOut", err)
+			}
+			if waited := time.Since(t0); waited > 30*time.Second {
+				return fmt.Errorf("expired after %v, not at quiescence", waited)
+			}
+			c.Send(1, 1)
+			return nil
+		}},
+		{"earliest-deadline-first", 3, func(ctx mpi.Ctx) error {
+			c := ctx.Comm()
+			if c.Rank() > 0 {
+				// Rank 2's deadline is a second before rank 1's.
+				if _, _, err := c.RecvTimed(0, []int{0}, float64(3-c.Rank())); err != mpi.ErrTimedOut {
+					return fmt.Errorf("rank %d: %v, want ErrTimedOut", c.Rank(), err)
+				}
+				c.Send(0, 1, []byte{byte(c.Rank())})
+				return nil
+			}
+			var order []byte
+			for range 2 {
+				data, _ := c.Recv(mpi.AnySource, 1)
+				order = append(order, data...)
+			}
+			if !slices.Equal(order, []byte{2, 1}) {
+				return fmt.Errorf("expired in rank order %v, want [2 1]", order)
 			}
 			return nil
 		}},

@@ -59,8 +59,11 @@ type Endpoint interface {
 	// receiver to post a matching receive.
 	Send(dst int, m *Message)
 	// RecvMatch removes and returns the earliest pending message
-	// matching pred, blocking until one arrives.
-	RecvMatch(pred func(*Message) bool) *Message
+	// matching pred, blocking until one arrives. With timeout > 0 it
+	// returns nil when the wait expires, which it does only once every live
+	// process is blocked in a world wait: the earliest deadline (now +
+	// timeout) first, ties broken by rank.
+	RecvMatch(pred func(*Message) bool, timeout float64) *Message
 	// ProbeMatch blocks until a message matching pred is pending and
 	// returns it without removing it.
 	ProbeMatch(pred func(*Message) bool) *Message
@@ -109,6 +112,9 @@ type Comm interface {
 	// Recv receives the earliest message matching (src, tag), either of
 	// which may be a wildcard, and returns its payload and status.
 	Recv(src, tag int) ([]byte, Status)
+	// RecvTimed receives the earliest message from src carrying one of
+	// tags; with timeout > 0 it returns ErrTimedOut if the wait expires.
+	RecvTimed(src int, tags []int, timeout float64) ([]byte, Status, error)
 	// Probe blocks until a message matching (src, tag) is pending and
 	// returns its status without receiving it.
 	Probe(src, tag int) Status
@@ -140,6 +146,8 @@ type Comm interface {
 	AllreduceMax(x float64) float64
 	// AllreduceMin returns the minimum of x over all ranks, on all ranks.
 	AllreduceMin(x float64) float64
+	// AllreduceOr returns the bitwise OR of bits over all ranks, on all ranks.
+	AllreduceOr(bits uint64) uint64
 }
 
 // Ctx is the per-rank execution context a World hands to the rank's main

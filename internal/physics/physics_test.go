@@ -286,7 +286,6 @@ func TestRocfracRespondsToTraction(t *testing.T) {
 type countClock struct{ total float64 }
 
 func (c *countClock) Now() float64      { return 0 }
-func (c *countClock) Sleep(d float64)   {}
 func (c *countClock) Compute(d float64) { c.total += d }
 
 func TestComputeCostCharged(t *testing.T) {

@@ -3,6 +3,7 @@ package rocpanda
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"genxio/internal/catalog"
@@ -35,7 +36,7 @@ type Metrics struct {
 	SyncWait     float64 // time inside sync
 	WriteCalls   int
 	BytesOut     int64 // payload bytes shipped to the server
-	Retries      int   // operations retried after a server wait timed out
+	Retries      int   // operations retried after a server wait expired
 	Failovers    int   // servers this client declared dead
 }
 
@@ -73,11 +74,11 @@ type Client struct {
 	lastDepth int
 
 	// Fault tolerance (see failover.go).
-	nClients  int          // client-communicator size
-	myIdx     int          // this client's index in the client communicator
-	timeout   float64      // RetryTimeout; 0 disables
-	dead      map[int]bool // server idx -> believed dead
-	contacted []int        // world ranks of servers this client announced itself to
+	nClients  int     // client-communicator size
+	myIdx     int     // this client's index in the client communicator
+	timeout   float64 // RetryTimeout; 0 disables
+	dead      deadSet // servers believed dead
+	contacted []int   // world ranks of servers this client announced itself to
 
 	m  Metrics
 	mx clMx
@@ -219,7 +220,7 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 			}
 			c.world.Send(target, tagWriteBlock, segs...)
 		}
-		data, _, ok := c.recvTimeout(target, tagWriteAck)
+		data, _, ok := c.recv(target, tagWriteAck)
 		if ok && len(data) > 0 {
 			damaged = fmt.Errorf("rocpanda: unexpected %d-byte ack payload", len(data))
 		}
@@ -277,7 +278,7 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 	if c.timeout > 0 {
 		c.shareDeaths()
 	}
-	alive := c.aliveIdxs()
+	alive := c.dead.alive(c.numServers)
 	if len(alive) == 0 {
 		return fmt.Errorf("rocpanda: restart of %q: all %d servers failed", file, c.numServers)
 	}
@@ -299,56 +300,44 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 
 	// The round is read to its last done, whatever a block held: a message
 	// left unread would be taken for the next round's. A failure sticks in
-	// the receiver and is returned after the round. A pane can arrive more
-	// than once: a client that timed out on a slow-but-alive server resent
-	// its write elsewhere, duplicating the pane across two servers' files.
-	// First arrival wins (the copies are identical); recovered panes are
-	// counted once. A server not asked this round — one a stall declared
-	// dead, whose late messages still arrive — is not heard.
+	// the receiver and is returned after the round. Only the restart tags
+	// are received, so a stale write ack of a failed-over operation is never
+	// misread. A pane can arrive more than once: a client whose write ack
+	// the network dropped resent the write elsewhere, duplicating the pane
+	// across two servers' files. First arrival wins (the copies are
+	// identical); recovered panes are counted once.
 	rcv := snapshot.NewReceiver(w, attr, ids)
 	for len(asked) > 0 {
-		data, st, ok := c.recvReadMsg()
+		data, st, ok := c.recv(mpi.AnySource, tagReadBlock, tagReadDone)
 		if !ok {
-			// A server that never reported its round is dead (or as good
-			// as): mark it so the next attempt — typically the caller
-			// falling back a generation — agrees on the survivors instead
-			// of stalling on the same silence again.
+			// The wait expired with servers still owing their done: they
+			// are dead (or cut off), and every message they did send has
+			// been taken. Mark them so the next attempt — typically the
+			// caller falling back a generation — agrees on the survivors.
 			for rank := range asked {
 				c.markDeadRank(rank)
 			}
-			return fmt.Errorf("rocpanda: restart of %q stalled (%d of %d servers reported)",
-				file, len(alive)-len(asked), len(alive))
+			rcv.Fail(fmt.Errorf("rocpanda: restart of %q stalled (%d of %d servers reported)",
+				file, len(alive)-len(asked), len(alive)))
+			break
 		}
-		if !asked[st.Source] {
-			continue
-		}
-		switch st.Tag {
-		case tagReadDone:
+		if st.Tag == tagReadDone {
 			delete(asked, st.Source)
-		case tagReadBlock:
-			if sets, err := roccom.DecodeIOSets(data); err != nil {
-				rcv.Fail(err)
-			} else {
-				rcv.Deliver(sets) // a failure sticks: Complete reports it
-			}
-		default:
-			rcv.Fail(fmt.Errorf("rocpanda: unexpected message tag %d during restart", st.Tag))
+		} else if sets, err := roccom.DecodeIOSets(data); err != nil {
+			rcv.Fail(err)
+		} else {
+			rcv.Deliver(sets) // a failure sticks: Complete reports it
 		}
 	}
-	return rcv.Complete(file)
-}
-
-// recvReadMsg receives the next restart-protocol message. In fault-
-// tolerant mode it polls only the restart tags — a stale write ack from a
-// failed-over operation must not be misread — and gives up after an
-// extended stall (servers may legitimately spend a while scanning files,
-// so the budget is far above RetryTimeout).
-func (c *Client) recvReadMsg() ([]byte, mpi.Status, bool) {
-	if c.timeout <= 0 {
-		data, st := c.world.Recv(mpi.AnySource, mpi.AnyTag)
-		return data, st, true
+	err := rcv.Complete(file)
+	if c.timeout > 0 {
+		// A server declared dead on a lost message may hold panes no
+		// survivor has: a read that fails on one client fails on all.
+		if peer := mpi.Agree(c.comm, err); err == nil && peer != nil {
+			err = fmt.Errorf("rocpanda: restart of %q: %w: %w", file, ErrIncompleteRestart, peer)
+		}
 	}
-	return c.recvWithin(mpi.AnySource, []int{tagReadBlock, tagReadDone}, 20*c.timeout, c.timeout/2)
+	return err
 }
 
 // Sync implements roccom.IOService: it blocks until this client's server
@@ -378,7 +367,7 @@ func (c *Client) Sync() error {
 	var published []hdf.Published // what the server reported, if this client's sync was its first
 	err := c.withFailover("sync", func(target int) bool {
 		c.world.Send(target, tagSync, nil)
-		data, _, ok := c.recvTimeout(target, tagSyncAck)
+		data, _, ok := c.recv(target, tagSyncAck)
 		if ok {
 			published, drainErr = decodeAck(data)
 		}
@@ -530,10 +519,10 @@ func (c *Client) Shutdown() error {
 	var drainErr error
 	var published []hdf.Published
 	for _, t := range c.contacted {
-		if c.deadRank(t) {
+		if c.dead.has(slices.Index(c.srvRanks, t)) {
 			continue
 		}
-		data, _, ok := c.recvTimeout(t, tagShutdownAck)
+		data, _, ok := c.recv(t, tagShutdownAck)
 		if !ok {
 			c.markDeadRank(t) // died during shutdown; nothing left to do
 			continue
@@ -553,16 +542,6 @@ func (c *Client) Shutdown() error {
 		drainErr = c.ackErr
 	}
 	return c.pending.Commit(drainErr, published, c.chainInfo)
-}
-
-// deadRank reports whether the server at this world rank is believed dead.
-func (c *Client) deadRank(worldRank int) bool {
-	for i, r := range c.srvRanks {
-		if r == worldRank {
-			return c.dead[i]
-		}
-	}
-	return false
 }
 
 // Module returns a roccom.Module exposing this client as the

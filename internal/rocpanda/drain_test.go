@@ -336,13 +336,13 @@ type ackTamper struct {
 	done bool
 }
 
-func (a *ackTamper) Recv(src, tag int) ([]byte, mpi.Status) {
-	data, st := a.Comm.Recv(src, tag)
-	if tag == tagWriteAck && !a.done {
+func (a *ackTamper) RecvTimed(src int, tags []int, timeout float64) ([]byte, mpi.Status, error) {
+	data, st, err := a.Comm.RecvTimed(src, tags, timeout)
+	if err == nil && st.Tag == tagWriteAck && !a.done {
 		a.done = true
 		data = []byte{0x7f, 'x'}
 	}
-	return data, st
+	return data, st, err
 }
 
 // TestDamagedWriteAckFailsCommitNotClient: a write ack that arrives with a

@@ -6,15 +6,18 @@ package rocpanda
 // deterministic protocol every client executes identically:
 //
 //   - Detection. With Config.RetryTimeout set, every client-side wait for
-//     a server response is bounded. A timed-out wait declares that server
-//     dead (a false positive merely degrades service, it never corrupts
-//     data: the wrongly-declared server keeps its buffered blocks and
-//     drains them at its own shutdown).
+//     a server response is a timed receive (mpi.Comm.RecvTimed). The world
+//     expires it only when every live process is blocked in a world wait:
+//     the server's answer can no longer come. So a slow server, however
+//     slow, is never declared dead; a crashed one, or one whose answer the
+//     network dropped or a partition cut off, is, at a deterministic point.
+//     RetryTimeout only orders the expiries and, on the simulated
+//     platforms, is the virtual time detection costs.
 //
 //   - Agreement. At every collective boundary (sync, restart read,
 //     shutdown) the clients merge their death observations with one
-//     AllreduceMax per server, so the surviving set is agreed before any
-//     operation that depends on it.
+//     AllreduceOr over the dead set as a bitset, so the surviving set is
+//     agreed before any operation that depends on it.
 //
 //   - Reassignment. Clients of dead servers are redistributed round-robin
 //     over the surviving servers, in client-index order — a pure function
@@ -31,32 +34,45 @@ package rocpanda
 
 import (
 	"fmt"
+	"slices"
 
 	"genxio/internal/mpi"
 )
+
+// deadSet is the servers believed dead: bit i for server index i (failover
+// allows at most 64 servers; Init checks).
+type deadSet uint64
+
+func (d deadSet) has(i int) bool { return d>>i&1 != 0 }
+
+// alive returns the indices of the m servers not in d, in order.
+func (d deadSet) alive(m int) []int {
+	var alive []int
+	for i := 0; i < m; i++ {
+		if !d.has(i) {
+			alive = append(alive, i)
+		}
+	}
+	return alive
+}
 
 // reassignServer returns the server index serving client j of n once the
 // servers in dead have failed. Clients whose original server survives keep
 // it; orphaned clients are dealt round-robin, in client-index order, over
 // the surviving servers. ok is false when no server survives.
-func reassignServer(m, n, j int, dead map[int]bool) (idx int, ok bool) {
+func reassignServer(m, n, j int, dead deadSet) (idx int, ok bool) {
 	assign := func(j int) int { return j * m / n }
 	orig := assign(j)
-	if !dead[orig] {
+	if !dead.has(orig) {
 		return orig, true
 	}
-	var alive []int
-	for i := 0; i < m; i++ {
-		if !dead[i] {
-			alive = append(alive, i)
-		}
-	}
+	alive := dead.alive(m)
 	if len(alive) == 0 {
 		return 0, false
 	}
 	k := 0 // j's position among the orphaned clients
 	for jj := 0; jj < j; jj++ {
-		if dead[assign(jj)] {
+		if dead.has(assign(jj)) {
 			k++
 		}
 	}
@@ -78,42 +94,21 @@ func (c *Client) currentServer() (int, bool) {
 	return c.srvRanks[idx], true
 }
 
-// aliveIdxs returns the indices of servers not believed dead, in order.
-func (c *Client) aliveIdxs() []int {
-	var alive []int
-	for i := 0; i < c.numServers; i++ {
-		if !c.dead[i] {
-			alive = append(alive, i)
-		}
-	}
-	return alive
-}
-
 // markDeadRank records a server (by world rank) as dead.
 func (c *Client) markDeadRank(worldRank int) {
-	for i, r := range c.srvRanks {
-		if r == worldRank && !c.dead[i] {
-			c.dead[i] = true
-			c.m.Failovers++
-			c.mx.failovers.Inc()
-		}
+	if i := slices.Index(c.srvRanks, worldRank); !c.dead.has(i) {
+		c.dead |= 1 << i
+		c.m.Failovers++
+		c.mx.failovers.Inc()
 	}
 }
 
-// shareDeaths is the coordinator's agreement step: one AllreduceMax per
-// server merges every client's death observations, so all clients leave
+// shareDeaths is the coordinator's agreement step: one AllreduceOr over the
+// dead set merges every client's death observations, so all clients leave
 // with the same surviving set. Collective over the client communicator;
 // only called when fault tolerance is enabled (RetryTimeout > 0).
 func (c *Client) shareDeaths() {
-	for i := 0; i < c.numServers; i++ {
-		v := 0.0
-		if c.dead[i] {
-			v = 1
-		}
-		if c.comm.AllreduceMax(v) > 0 {
-			c.dead[i] = true
-		}
-	}
+	c.dead = deadSet(c.comm.AllreduceOr(uint64(c.dead)))
 }
 
 // ensureAdopted announces this client to target (world rank) if target is
@@ -131,52 +126,19 @@ func (c *Client) ensureAdopted(target int) {
 	c.world.Send(target, tagAdopt, nil)
 }
 
-// recvTimeout receives the earliest message matching (src, tag), waiting
-// at most RetryTimeout seconds (forever when timeouts are disabled).
-func (c *Client) recvTimeout(src, tag int) ([]byte, mpi.Status, bool) {
-	if c.timeout <= 0 {
-		data, st := c.world.Recv(src, tag)
-		return data, st, true
-	}
-	return c.recvWithin(src, []int{tag}, c.timeout, c.timeout/8)
-}
-
-// recvWithin is the one timed wait: the earliest message from src carrying
-// one of tags, or false after budget seconds. It polls with exponential
-// backoff from retryPoll up to pollCap, so it behaves on both the wall-clock
-// and virtual-time backends.
-func (c *Client) recvWithin(src int, tags []int, budget, pollCap float64) ([]byte, mpi.Status, bool) {
-	clock := c.ctx.Clock()
-	deadline := clock.Now() + budget
-	poll := retryPoll
-	for {
-		for _, tag := range tags {
-			if _, ok := c.world.Iprobe(src, tag); ok {
-				data, st := c.world.Recv(src, tag)
-				return data, st, true
-			}
-		}
-		now := clock.Now()
-		if now >= deadline {
-			return nil, mpi.Status{}, false
-		}
-		sleep := poll
-		if now+sleep > deadline {
-			sleep = deadline - now
-		}
-		clock.Sleep(sleep)
-		if poll < pollCap {
-			poll *= 2
-		}
-	}
+// recv receives the earliest message from src carrying one of tags; ok is
+// false when the timed wait expired (never, with timeouts disabled).
+func (c *Client) recv(src int, tags ...int) (data []byte, st mpi.Status, ok bool) {
+	data, st, err := c.world.RecvTimed(src, tags, c.timeout)
+	return data, st, err == nil
 }
 
 // withFailover runs op against the client's current server until it
-// succeeds, declaring the target dead and failing over on every timeout.
-// op must send its request(s) to target and report whether the server's
-// response arrived in time.
+// succeeds, declaring the target dead and failing over on every expired
+// wait. op must send its request(s) to target and report whether the
+// server's response arrived.
 func (c *Client) withFailover(what string, op func(target int) bool) error {
-	for attempt := 0; ; attempt++ {
+	for {
 		target, ok := c.currentServer()
 		if !ok {
 			return fmt.Errorf("rocpanda: %s: all %d servers failed", what, c.numServers)
@@ -187,9 +149,6 @@ func (c *Client) withFailover(what string, op func(target int) bool) error {
 		}
 		c.m.Retries++
 		c.mx.retries.Inc()
-		c.markDeadRank(target)
-		if attempt+1 > c.numServers {
-			return fmt.Errorf("rocpanda: %s: no responsive server after %d attempts", what, attempt+1)
-		}
+		c.markDeadRank(target) // so the loop ends once no server is left
 	}
 }

@@ -100,8 +100,7 @@ type writeHdr struct {
 // readReq asks the servers for the panes this client owns in a snapshot.
 // Alive lists the server indices the clients believe are alive; the
 // snapshot files are assigned round-robin over that set by their home
-// index, so a degraded read still covers every file. Empty means all
-// servers.
+// index, so a degraded read still covers every file.
 type readReq struct {
 	File    string
 	Window  string

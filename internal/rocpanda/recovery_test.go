@@ -386,16 +386,54 @@ func TestDroppedAckFailoverDedupsRestart(t *testing.T) {
 	}
 }
 
+// TestDroppedAckInRunReadFailsEverywhere pins the in-run read after the one
+// false positive a timed wait still has: the network eats server 1's first
+// write ack to client 2 (world rank 4), so client 2 declares the live server
+// dead and the clients' Sync agrees on it. Client 3's blocks stay buffered
+// on server 1, which no longer gets a sync, so an in-run read of the
+// generation before shutdown cannot reach them. It fails on every client:
+// client 3 with ErrIncompleteRestart, the others with ErrIncompleteRestart
+// wrapping ErrPeerFailed for rank 3 — and the run still shuts down.
+func TestDroppedAckInRunReadFailsEverywhere(t *testing.T) {
+	net := faults.NewNetPlan(7, faults.NetRule{Src: 3, Dst: 4, Tag: tagWriteAck, Nth: 1, Drop: true})
+	world := mpi.NewChanWorld(rt.NewMemFS(), 1)
+	world.SetSendHook(net.Hook())
+	readErrs := make([]error, 4)
+	err := world.Run(6, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, Config{NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true, RetryTimeout: 0.2})
+		if err != nil || cl == nil {
+			return err
+		}
+		me := cl.Comm().Rank()
+		if err := cl.WriteAttribute("dup/s", buildWindow(t, me, 2), "all", 0, 0); err != nil {
+			return err
+		}
+		if err := cl.Sync(); err != nil {
+			return err
+		}
+		readErrs[me] = cl.ReadAttribute("dup/s", zeroWindow(t, me, 2), "all")
+		return cl.Shutdown()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for me, err := range readErrs {
+		if !errors.Is(err, ErrIncompleteRestart) || (me != 3) != errors.Is(err, mpi.ErrPeerFailed) {
+			t.Errorf("client %d: in-run read returned %v, want ErrIncompleteRestart (wrapping ErrPeerFailed unless client 3)", me, err)
+		}
+	}
+}
+
 func TestReassignServer(t *testing.T) {
 	// 3 servers, 9 clients, contiguous groups of 3.
-	none := map[int]bool{}
+	none := deadSet(0)
 	for j := 0; j < 9; j++ {
 		if idx, ok := reassignServer(3, 9, j, none); !ok || idx != j/3 {
 			t.Fatalf("healthy assignment of client %d: %d %v", j, idx, ok)
 		}
 	}
 	// Server 1 dead: its clients 3,4,5 are dealt round-robin over {0,2}.
-	dead1 := map[int]bool{1: true}
+	dead1 := deadSet(1 << 1)
 	wants := map[int]int{3: 0, 4: 2, 5: 0}
 	for j := 0; j < 9; j++ {
 		idx, ok := reassignServer(3, 9, j, dead1)
@@ -411,14 +449,14 @@ func TestReassignServer(t *testing.T) {
 		}
 	}
 	// Only server 2 survives: everyone lands there.
-	dead02 := map[int]bool{0: true, 1: true}
+	dead02 := deadSet(1<<0 | 1<<1)
 	for j := 0; j < 9; j++ {
 		if idx, ok := reassignServer(3, 9, j, dead02); !ok || idx != 2 {
 			t.Fatalf("client %d -> %d %v, want 2", j, idx, ok)
 		}
 	}
 	// All dead.
-	if _, ok := reassignServer(2, 4, 0, map[int]bool{0: true, 1: true}); ok {
+	if _, ok := reassignServer(2, 4, 0, deadSet(1<<0|1<<1)); ok {
 		t.Fatal("assignment with no survivors")
 	}
 }

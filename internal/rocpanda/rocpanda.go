@@ -172,18 +172,16 @@ type Config struct {
 	// its service loop — deterministic fault injection for exercising the
 	// failover and restart paths.
 	Crash *faults.CrashPlan
-	// RetryTimeout, when positive, bounds every client-side wait for a
-	// server response (seconds). A timed-out wait declares that server
-	// dead and fails the client over to a surviving server, per the
-	// coordinator's deterministic reassignment. Zero disables timeouts:
-	// a dead server then hangs its clients, as plain MPI would.
+	// RetryTimeout, when positive, turns failover on: every client-side
+	// wait for a server response becomes a timed receive of this many
+	// seconds (mpi.Comm.RecvTimed), which expires only once the response
+	// can no longer come. An expired wait declares that server dead and
+	// fails the client over to a surviving server, per the coordinator's
+	// deterministic reassignment. Zero disables failover: a dead server
+	// then hangs its clients until the world reports the deadlock, as
+	// plain MPI would hang. At most 64 servers with failover on.
 	RetryTimeout float64
 }
-
-// retryPoll is the initial poll interval of a timed wait (seconds); it
-// doubles up to RetryTimeout/8. (A single operation may fail over at most
-// once per server before giving up.)
-const retryPoll = 2e-4
 
 // serverRanks returns the global ranks acting as servers.
 func serverRanks(total, m int, placement Placement) []int {
@@ -212,6 +210,9 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 	m := cfg.NumServers
 	if m < 1 || m > total-m {
 		return nil, fmt.Errorf("rocpanda: %d servers with world size %d (need at least as many clients as servers)", m, total)
+	}
+	if cfg.RetryTimeout > 0 && m > 64 {
+		return nil, fmt.Errorf("rocpanda: failover tracks at most 64 servers, not %d", m)
 	}
 
 	srvRanks := serverRanks(total, m, cfg.Placement)
@@ -286,7 +287,6 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 		nClients:   n,
 		myIdx:      myIdx,
 		timeout:    cfg.RetryTimeout,
-		dead:       make(map[int]bool),
 		contacted:  []int{origServer},
 		deltaOn:    cfg.DeltaSnapshots,
 		fullEvery:  cfg.FullEvery,

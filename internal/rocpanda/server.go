@@ -244,26 +244,13 @@ func (s *server) handleReadReq(src int) {
 	for _, id := range req.PaneIDs {
 		round.wantAll[int(id)] = src
 	}
-	// The clients agree on the surviving-server set before asking (an
-	// allreduce in ReadAttribute), so every request carries the same
-	// alive list; keep the intersection anyway so a disagreement can only
-	// shrink a server's share, never leave a file scanned twice.
+	// The clients agree on the surviving-server set before asking (the
+	// dead-set AllreduceOr in ReadPanes), so every request carries the same
+	// alive list.
 	if len(round.reqers) == 0 {
 		for _, a := range req.Alive {
 			round.alive = append(round.alive, int(a))
 		}
-	} else if len(req.Alive) > 0 {
-		keep := make(map[int]bool, len(req.Alive))
-		for _, a := range req.Alive {
-			keep[int(a)] = true
-		}
-		var merged []int
-		for _, a := range round.alive {
-			if keep[a] {
-				merged = append(merged, a)
-			}
-		}
-		round.alive = merged
 	}
 	// Count distinct requesters, not messages: a failed-over client can
 	// resend the same request (its timeout fired while this server was
@@ -297,15 +284,6 @@ func (s *server) handleReadReq(src int) {
 // no client is left hanging, and the clients decide whether peers covered
 // the panes.
 func (s *server) serveRead(req readReq, round *readRound) {
-	// The servers sharing the round: all of them normally, the agreed
-	// survivors in degraded mode.
-	alive := round.alive
-	if len(alive) == 0 {
-		alive = make([]int, s.numServers)
-		for i := range alive {
-			alive[i] = i
-		}
-	}
 	wanted := make(map[int]bool, len(round.wantAll))
 	for id := range round.wantAll {
 		wanted[id] = true
@@ -315,7 +293,7 @@ func (s *server) serveRead(req readReq, round *readRound) {
 	defer func() { s.mx.scanSeconds.Observe(clock.Now() - scanT0) }()
 	mode := s.rd.Read(snapshot.ReadRequest{
 		Base: req.File, Window: req.Window, Attr: req.Attr, Wanted: wanted,
-		Mine: func(home int) bool { return dealt(alive, home) == s.idx },
+		Mine: func(home int) bool { return dealt(round.alive, home) == s.idx },
 		// Reading a committed generation g proceeds at once, while the
 		// write service may still be writing back g+1. When the flush does
 		// run it is write-back cost, not scan cost: it gets its own

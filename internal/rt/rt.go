@@ -16,9 +16,6 @@ import (
 type Clock interface {
 	// Now returns seconds since the start of the run.
 	Now() float64
-	// Sleep advances this process's time by d seconds without consuming
-	// CPU (simulated: virtual wait; real: time.Sleep).
-	Sleep(d float64)
 	// Compute charges d seconds of CPU work to this process. On real
 	// backends the work is the code actually running, so Compute is a
 	// no-op; on simulated platforms it advances virtual time and is
@@ -76,13 +73,6 @@ func NewWallClock() *WallClock { return &WallClock{start: time.Now()} }
 
 // Now implements Clock.
 func (w *WallClock) Now() float64 { return time.Since(w.start).Seconds() }
-
-// Sleep implements Clock.
-func (w *WallClock) Sleep(d float64) {
-	if d > 0 {
-		time.Sleep(time.Duration(d * float64(time.Second)))
-	}
-}
 
 // Compute implements Clock. Real computation is performed by the caller's
 // own code, so charging is a no-op.

@@ -286,11 +286,7 @@ func TestWallClock(t *testing.T) {
 	c := NewWallClock()
 	t0 := c.Now()
 	c.Compute(1e9) // must be free
-	c.Sleep(0.01)
 	t1 := c.Now()
-	if t1-t0 < 0.009 {
-		t.Fatalf("Sleep advanced only %v s", t1-t0)
-	}
 	if t1-t0 > 5 {
 		t.Fatalf("Compute appears to have consumed real time: %v s", t1-t0)
 	}

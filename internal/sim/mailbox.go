@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Mailbox is an unbounded FIFO of messages with predicate matching, the
 // building block for MPI-style tagged receive and probe. Messages are
 // delivered with Put and retrieved in FIFO order among those matching a
@@ -37,7 +39,7 @@ func (m *Mailbox) Put(v interface{}) {
 			kept = append(kept, w)
 			continue
 		}
-		w.val = v
+		w.val, w.p.expire = v, nil
 		m.env.schedule(w.p, m.env.now)
 		if w.take {
 			consumed = true
@@ -52,8 +54,10 @@ func (m *Mailbox) Put(v interface{}) {
 }
 
 // Get removes and returns the first queued message matching pred, blocking
-// the calling process until one is available.
-func (m *Mailbox) Get(p *Proc, pred func(interface{}) bool) interface{} {
+// the calling process until one is available. With timeout > 0 the wait
+// has a deadline timeout seconds on and returns nil if it expires, which it
+// does only once no wakeup is pending (Env.Run).
+func (m *Mailbox) Get(p *Proc, pred func(interface{}) bool, timeout float64) interface{} {
 	for i, v := range m.queue {
 		if pred(v) {
 			m.queue = append(m.queue[:i], m.queue[i+1:]...)
@@ -62,6 +66,11 @@ func (m *Mailbox) Get(p *Proc, pred func(interface{}) bool) interface{} {
 	}
 	w := &mboxWaiter{p: p, pred: pred, take: true}
 	m.waiters = append(m.waiters, w)
+	if timeout > 0 {
+		p.deadline, p.expire = m.env.now+timeout, func() {
+			m.waiters = slices.DeleteFunc(m.waiters, func(x *mboxWaiter) bool { return x == w })
+		}
+	}
 	p.park("recv:" + m.name)
 	return w.val
 }

@@ -6,6 +6,8 @@
 // waits for it to block (on a timed Wait, an Event, a Resource, or a
 // Mailbox) or to finish, and then advances virtual time to the next wakeup.
 // All ties are broken by sequence number, so runs are fully deterministic.
+// A Mailbox receive with a deadline expires only when no wakeup is pending
+// at all: the earliest deadline first, ties broken by spawn order.
 //
 // The kernel is the substrate for the simulated cluster platforms used to
 // reproduce the paper's evaluation: network links, disks, and file servers
@@ -55,6 +57,11 @@ type Proc struct {
 	// block describes what the process is currently blocked on, for
 	// deadlock reports.
 	block string
+	id    int64 // spawn order
+	// A receive with a deadline: when, and how to withdraw it (nil outside
+	// one).
+	deadline float64
+	expire   func()
 }
 
 // Name returns the process name given at spawn time.
@@ -112,7 +119,7 @@ func (e *Env) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{}), daemon: daemon}
+	p := &Proc{env: e, name: name, resume: make(chan struct{}), daemon: daemon, id: e.seq}
 	e.procs[p] = struct{}{}
 	if !daemon {
 		e.live++
@@ -165,16 +172,29 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes the simulation until every non-daemon process has finished.
-// It returns a *DeadlockError if no process can make progress, and nil on
-// normal completion. Run must be called at most once per Env.
+// When no wakeup is pending, the earliest receive deadline expires, leaving
+// the clock at the later of now and the deadline; with none, Run returns a
+// *DeadlockError. Run must be called at most once per Env.
 func (e *Env) Run() error {
 	if e.stopped {
 		return fmt.Errorf("sim: Run called twice")
 	}
 	for e.live > 0 {
 		if e.cal.Len() == 0 {
-			e.stopped = true
-			return e.deadlock()
+			var p *Proc // the earliest receive deadline, ties by spawn order
+			for q := range e.procs {
+				if q.expire != nil && (p == nil || q.deadline < p.deadline || q.deadline == p.deadline && q.id < p.id) {
+					p = q
+				}
+			}
+			if p == nil {
+				e.stopped = true
+				return e.deadlock()
+			}
+			p.expire()
+			p.expire = nil
+			e.now = max(e.now, p.deadline)
+			e.schedule(p, e.now)
 		}
 		ent := heap.Pop(&e.cal).(entry)
 		if ent.p.done {

@@ -220,7 +220,7 @@ func TestMailboxGetBlocksUntilPut(t *testing.T) {
 	var got interface{}
 	var at float64
 	env.Spawn("rx", func(p *Proc) {
-		got = m.Get(p, any)
+		got = m.Get(p, any, 0)
 		at = env.Now()
 	})
 	env.Spawn("tx", func(p *Proc) {
@@ -252,13 +252,13 @@ func TestMailboxMatching(t *testing.T) {
 	env.Spawn("rxEven", func(p *Proc) {
 		p.Wait(1)
 		for i := 0; i < 3; i++ {
-			evens = append(evens, m.Get(p, isEven).(int))
+			evens = append(evens, m.Get(p, isEven, 0).(int))
 		}
 	})
 	env.Spawn("rxOdd", func(p *Proc) {
 		p.Wait(1)
 		for i := 0; i < 3; i++ {
-			odds = append(odds, m.Get(p, isOdd).(int))
+			odds = append(odds, m.Get(p, isOdd, 0).(int))
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -276,7 +276,7 @@ func TestMailboxProbeDoesNotConsume(t *testing.T) {
 	var probed, got interface{}
 	env.Spawn("rx", func(p *Proc) {
 		probed = m.Probe(p, any)
-		got = m.Get(p, any)
+		got = m.Get(p, any, 0)
 	})
 	env.Spawn("tx", func(p *Proc) {
 		p.Wait(2)
