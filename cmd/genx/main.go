@@ -161,11 +161,12 @@ func main() {
 			fmt.Printf(", scan %.3f s", s.Histograms["rocpanda.server.restart_scan_seconds"].Sum)
 		}
 		fmt.Println()
-		fmt.Printf("  catalog: %d indexed, %d derived, %d files opened, %.1f MB read\n",
+		fmt.Printf("  catalog: %d indexed, %d derived, %d files opened, %.1f MB read, %.3f MB of catalogs read\n",
 			s.Counters[restartSeries+"catalog_hits"],
 			s.Counters[restartSeries+"catalog_fallbacks"],
 			s.Counters[restartSeries+"files_opened"],
-			float64(s.Counters[restartSeries+"bytes_read"])/1e6)
+			float64(s.Counters[restartSeries+"bytes_read"])/1e6,
+			float64(s.Counters[restartSeries+"catalog_bytes_read"])/1e6)
 		// Reader-side totals, not per-client: a pane is repaired once for
 		// everyone.
 		if rr, rp := s.Counters[restartSeries+"replica_reads"], s.Counters[restartSeries+"repaired_panes"]; rr > 0 || rp > 0 || *replicate > 1 {

@@ -16,7 +16,7 @@
 // manifest), staging each rebuild to a temporary file and renaming it
 // into place; a damaged catalog blob is re-derived from the repaired
 // files and installed only if it matches the manifest's pinned size and
-// CRC. Generations fully restored this way report the verdict REPAIRED
+// header CRC. Generations fully restored this way report the verdict REPAIRED
 // and count as clean. -repair implies the full payload scrub and cannot
 // be combined with -quick.
 //
@@ -28,7 +28,9 @@
 //	                  path already ignores                        exit 1
 //	CORRUPT           a manifested file is damaged or missing     exit 2
 //	CATALOG-MISMATCH  the pinned catalog blob is present but
-//	                  does not match the manifest reference       exit 2
+//	                  does not match the manifest reference, or
+//	                  one of its sections fails its CRC (the
+//	                  detail names the section)                   exit 2
 //	CATALOG-MISSING   the manifest pins a catalog blob that is
 //	                  absent from disk                            exit 2
 //	CHAIN-BROKEN      the generation's own files are clean but the

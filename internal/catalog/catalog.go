@@ -5,18 +5,28 @@
 // directories of the generation's RHDF files (the writer's directory IS the
 // per-file index, so no extra wire traffic is needed) and writes it as a
 // single blob next to the manifest, before the manifest — the manifest is
-// the commit record and always pins its catalog's size and CRC32C, so a
-// generation either has its catalog or is not yet committed. A blob entry
-// is a file index and the dataset's directory entry byte for byte, so the
+// the commit record and always pins its catalog (the blob's size and its
+// header's CRC32C), so a generation either has its catalog or is not yet
+// committed.
+//
+// The blob is addressable (sections.go): a header whose table gives every
+// section's length, count and CRC32C, then the file table, a compact pane
+// index (per file and window, the sorted pane IDs) and one entry run per
+// file. An entry is the dataset's directory entry byte for byte, so the
 // commit builds the blob by copying entries (Splice): each directory passes
 // its one gate, hdf.RawDir.Walk, and no dataset is decoded on the way. Every
 // entry carries its dataset's CRC32C, in the blob as in the directory; an
-// entry without one is refused by both. A Catalog is the blob's entry
-// bytes in place plus a light index over them, one Entry per dataset (file,
-// interned window and attr, pane, extent, place in the blob), which Decode
-// builds in one validating walk and readers plan from; a dataset's name,
-// dims and attributes are decoded (Catalog.Dataset) only for an entry a
-// reader delivers.
+// entry without one is refused by both.
+//
+// A Catalog is the file table and pane index, plus the entry runs loaded so
+// far — each run's bytes in place and a light index over them, one Entry
+// per dataset (file, interned window and attr, pane, extent, place in the
+// blob). Decode reads a whole blob; a reader that plans from part of it
+// opens the header, file table and pane index (Open) and loads the runs of
+// the files it reads from (LoadRun). Resolution, source choice and the
+// pane universe work from the pane index alone; only a file's plan needs
+// its run. A dataset's name, dims and attributes are decoded
+// (Catalog.Dataset) only for an entry a reader delivers.
 //
 // At restart, servers consult the catalog to open only the files that
 // contain requested panes and issue direct offset reads, each entry's bytes
@@ -32,7 +42,6 @@ package catalog
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -47,15 +56,13 @@ import (
 // Magic identifies a catalog blob.
 const Magic = "RCAT"
 
-// Version is the current catalog format version.
-const Version = 1
+// Version is the current catalog format version: 2, addressable sections.
+// A blob of any other version is refused.
+const Version = 2
 
 // Suffix is appended to a generation base name to form its catalog file,
 // e.g. "run/snap000100" + Suffix.
 const Suffix = ".catalog"
-
-// headerSize is magic(4) + version(4) + bodyCRC(4).
-const headerSize = 12
 
 // Entry is one dataset's coordinates in a catalog's index: which file,
 // the pane path its name spells, its payload's extent, and where its
@@ -69,41 +76,82 @@ type Entry struct {
 	Attr   string
 
 	offset, length int64
-	at             int // its record's offset in the catalog's entry bytes
+	at             int // its record's offset in the blob's entry runs, end to end
 }
 
 // Extent returns the file offset and stored byte length of the entry's
 // payload.
 func (e *Entry) Extent() (offset, length int64) { return e.offset, e.length }
 
-// Catalog is a generation's merged block index: its blob's entry bytes
-// and, over them, one Entry per dataset.
+// Catalog is a generation's merged block index: its file table and pane
+// index and, over the entry runs loaded, one Entry per dataset.
 type Catalog struct {
-	Files   []string // file names relative to the snapshot root
+	Files []string // file names relative to the snapshot root
+	// Entries holds every entry, in blob order, of a whole catalog (Decode,
+	// AddFile). A catalog opened from its sections (Open) leaves it nil and
+	// keeps each loaded run's entries with the run.
 	Entries []Entry
 
-	ranks   []int             // each file's ReplicaRank, parallel to Files
-	entries []byte            // len(Entries) × { u32 fileIdx | directory entry }
+	ranks []int // each file's ReplicaRank, parallel to Files
+
+	// The pane index: file f's record is index[indexEnd[f-1]:indexEnd[f]]
+	// (from 0 for f = 0), and its windows lists[listEnd[f-1]:listEnd[f]].
+	index    []byte
+	indexEnd []int
+	lists    []paneList
+	listEnd  []int
+	ids      []int // the lists' pane IDs, end to end
+	npanes   int   // pane IDs in all lists
+
+	runs    []run  // parallel to Files
+	missing int    // runs not loaded
+	entries []byte // AddFile's runs, end to end
+	hdr     *Header
 	names   map[string]string // the interned window and attr names
+}
+
+// paneList is one file's panes of one window, ascending.
+type paneList struct {
+	window string
+	ids    []int
+}
+
+// run is one file's entry run: its bytes and entries once loaded.
+type run struct {
+	at     int // the run's offset in the blob's entry runs, end to end
+	b      []byte
+	ents   []Entry
+	loaded bool
 }
 
 // AddFile merges one file's dataset descriptors into the catalog and
 // returns the file's index. Datasets whose names do not follow the pane
 // path grammar (e.g. server-side "_meta" markers) are skipped — the catalog
 // indexes restartable blocks, not bookkeeping. With Encode it is the
-// decoded reference a Splice of the same directories must match.
+// decoded reference a Splice of the same directories must match; it builds
+// a catalog from nothing (the zero value) and is not for one Decode or
+// Open returned.
 func (c *Catalog) AddFile(name string, sets []*hdf.Dataset) int {
 	idx := c.addFile(name)
+	start, first := len(c.entries), len(c.Entries)
+	var pairs []panePair[string]
 	for _, d := range sets {
 		if window, pane, attr, ok := roccom.ParseDatasetName(d.Name); ok {
 			at := len(c.entries)
-			c.entries = binary.LittleEndian.AppendUint32(c.entries, uint32(idx))
 			c.entries = d.AppendDirEntry(c.entries)
 			off, length := d.Extent()
 			c.Entries = append(c.Entries, Entry{File: idx, Window: c.intern([]byte(window)), Pane: pane,
 				Attr: c.intern([]byte(attr)), offset: off, length: length, at: at})
+			pairs = append(pairs, panePair[string]{window, pane})
 		}
 	}
+	rec, _ := appendRecord(nil, pairs)
+	c.index = append(c.index, rec...)
+	if _, err := c.readRecord(rec); err != nil {
+		panic("catalog: AddFile's own pane index record does not read: " + err.Error())
+	}
+	c.indexEnd = append(c.indexEnd, len(c.index))
+	c.runs = append(c.runs, run{at: start, b: c.entries[start:], ents: c.Entries[first:], loaded: true})
 	return idx
 }
 
@@ -132,150 +180,136 @@ func (c *Catalog) intern(b []byte) string {
 // of c's entries.
 func (c *Catalog) Dataset(e *Entry) hdf.Dataset {
 	var d hdf.Dataset
-	hdf.NewCursor(c.entries[e.at+4:]).DirEntry(&d)
+	r := &c.runs[e.File]
+	hdf.NewCursor(r.b[e.at-r.at:]).DirEntry(&d)
 	return d
 }
 
-// Encode serializes the catalog:
-//
-//	"RCAT" | u32 version | u32 crc32c(body) | body
-//	body:  u32 nfiles | files... | u32 nentries | entries...
-//	file:  u16 len | bytes
-//	entry: u32 fileIdx | the dataset's RHDF directory entry
-//	       (hdf.Dataset.AppendDirEntry)
-func (c *Catalog) Encode() []byte { return assembleBlob(c.Files, len(c.Entries), c.entries) }
-
-// assembleBlob writes a blob around n encoded entries: the header, the file
-// table, the entry count and the body CRC32C.
-func assembleBlob(files []string, n int, entries []byte) []byte {
-	size := headerSize + 4 + 4 + len(entries)
-	for _, f := range files {
-		size += 2 + len(f)
-	}
-	blob := make([]byte, headerSize, size)
-	copy(blob, Magic)
-	binary.LittleEndian.PutUint32(blob[4:], Version)
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(files)))
-	for _, f := range files {
-		blob = hdf.AppendStr(blob, f)
-	}
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(n))
-	blob = append(blob, entries...)
-	binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:]))
-	return blob
+// Encode serializes a whole catalog in the layout sections.go gives.
+func (c *Catalog) Encode() []byte {
+	return assembleBlob(c.Files, c.index, c.npanes, func(f int) ([]byte, int) { return c.runs[f].b, len(c.runs[f].ents) })
 }
 
 // Splice builds a catalog blob the way a commit does: each file's
 // directory entries pass the directory's one gate (hdf.RawDir.Walk) and
-// the pane-path grammar, and are copied into the body as they stand — no
-// dataset is decoded and encoded again. The blob is the one AddFile and
+// the pane-path grammar, and are copied into the file's entry run as they
+// stand — no dataset is decoded and encoded again — while the same pass
+// collects the file's pane index record. The blob is the one AddFile and
 // Encode make of the same directories (FuzzDirSplice). The zero value is
 // empty.
 type Splice struct {
-	files   []string
-	n       int
-	entries []byte // n × { u32 fileIdx | directory entry }
+	files   []splicedFile
+	n       int    // entries spliced
+	entries []byte // the runs, end to end
+	index   []byte // the pane index records, file by file
+	npanes  int
+	pairs   []panePair[[]byte] // scratch: one directory's (window, pane)s
+}
+
+// splicedFile is one file of a Splice: its name, where its run ends in the
+// entries and how many entries it holds.
+type splicedFile struct {
+	name   string
+	end, n int
 }
 
 // AddDir indexes d's pane datasets under the next file index. A directory
 // that fails the gate adds nothing and its error says why.
 func (s *Splice) AddDir(d hdf.RawDir) error {
-	mark, n, idx := len(s.entries), s.n, uint32(len(s.files))
-	// An entry is at least 27 bytes and gains its 4-byte file index here, so
-	// the directory's quarter again holds whatever it adds.
-	s.entries = slices.Grow(s.entries, len(d.Bytes)+len(d.Bytes)/4)
+	mark, n := len(s.entries), s.n
+	s.entries = slices.Grow(s.entries, len(d.Bytes))
+	s.pairs = s.pairs[:0]
 	err := d.Walk(func(e *hdf.DirEntry) {
-		if _, _, _, ok := roccom.ParseDatasetName(e.Name); ok {
-			s.entries = binary.LittleEndian.AppendUint32(s.entries, idx)
+		if window, pane, _, ok := roccom.ParseDatasetName(e.Name); ok {
+			if s.pairs == nil || cap(s.pairs) < d.Count {
+				s.pairs = make([]panePair[[]byte], 0, d.Count) // Walk has bounded Count by the bytes
+			}
 			s.entries = e.Append(s.entries)
 			s.n++
+			s.pairs = append(s.pairs, panePair[[]byte]{window, pane})
 		}
 	})
 	if err != nil {
 		s.entries, s.n = s.entries[:mark], n
 		return err
 	}
-	s.files = append(s.files, d.Name)
+	var k int
+	s.index, k = appendRecord(s.index, s.pairs)
+	clear(s.pairs) // the windows are views of d's bytes
+	s.npanes += k
+	s.files = append(s.files, splicedFile{name: d.Name, end: len(s.entries), n: s.n - n})
 	return nil
 }
 
 // Blob returns the catalog blob of the directories added.
-func (s *Splice) Blob() []byte { return assembleBlob(s.files, s.n, s.entries) }
+func (s *Splice) Blob() []byte {
+	names := make([]string, len(s.files))
+	for i, f := range s.files {
+		names[i] = f.name
+	}
+	return assembleBlob(names, s.index, s.npanes, func(f int) ([]byte, int) {
+		start := 0
+		if f > 0 {
+			start = s.files[f-1].end
+		}
+		return s.entries[start:s.files[f].end], s.files[f].n
+	})
+}
 
-// Decode parses a catalog blob, verifying magic, version, and the body
-// checksum, and indexes it in one walk with the directory's entry parser
-// (hdf.Cursor.Entry): every entry must carry its CRC, reference a file of
-// the table, have a sane extent and a pane-path name, and nothing may
-// follow the last. No dataset is decoded (Catalog.Dataset does that for an
-// entry a reader delivers); the catalog keeps the blob's entry bytes in
+// Decode parses a whole catalog blob: the header (ReadHeader) must be
+// complete, version 2 and sized to the blob, and every section must match
+// its CRC32C and parse (Open, LoadRun) — every entry must carry its CRC,
+// have a sane extent and a pane-path name, each run must hold exactly the
+// panes the pane index lists for its file, and nothing may follow the last
+// entry of a run. No dataset is decoded (Catalog.Dataset does that for an
+// entry a reader delivers); the catalog keeps the blob's entry runs in
 // place. All malformed-input paths are errors, never panics.
 func Decode(blob []byte) (*Catalog, error) {
-	if len(blob) < headerSize {
-		return nil, fmt.Errorf("catalog: blob too short (%d bytes)", len(blob))
+	h, err := ReadHeader(blob)
+	if err != nil {
+		return nil, err
 	}
-	if string(blob[:4]) != Magic {
-		return nil, fmt.Errorf("catalog: bad magic")
+	if h.Size() != int64(len(blob)) {
+		return nil, fmt.Errorf("catalog: blob is %d bytes, its header describes %d", len(blob), h.Size())
 	}
-	if v := binary.LittleEndian.Uint32(blob[4:]); v != Version {
-		return nil, fmt.Errorf("catalog: version %d, want %d", v, Version)
+	off, n := h.IndexExtent()
+	c, err := Open(h, blob[off:off+n])
+	if err != nil {
+		return nil, err
 	}
-	body := blob[headerSize:]
-	if want, got := binary.LittleEndian.Uint32(blob[8:]), hdf.Checksum(body); got != want {
-		return nil, fmt.Errorf("%w: catalog body crc32c %08x, computed %08x", hdf.ErrChecksum, want, got)
+	total := 0
+	for f := range c.Files {
+		total += h.secs[secRuns+f].count
 	}
-	p := hdf.NewCursor(body)
-	c := &Catalog{}
-	// Every count is capped by what the remaining bytes could hold before
-	// it sizes an allocation: a file record is at least 2 bytes, the
-	// smallest entry (empty name, no dims, no attrs) 4+2+1+1+1+8+8+4+2 = 31.
-	nf := p.Fits(int(p.U32()), 2)
-	c.Files, c.ranks = make([]string, 0, nf), make([]int, 0, nf)
-	for i := 0; i < nf; i++ {
-		c.addFile(p.Str())
+	c.Entries = make([]Entry, 0, total) // counts are bounded by their sections (ReadHeader)
+	most := 0
+	for f := range c.Files {
+		most = max(most, h.secs[secRuns+f].count)
 	}
-	ne := p.Fits(int(p.U32()), 31)
-	if p.Err() != nil {
-		return nil, fmt.Errorf("catalog: corrupt header: %w", p.Err())
-	}
-	start := p.Offset()
-	c.entries = body[start:len(body):len(body)]
-	c.Entries = make([]Entry, 0, ne)
-	var d hdf.DirEntry
-	for i := 0; i < ne; i++ {
-		at := p.Offset() - start
-		file := int(p.U32())
-		if p.Entry(&d); p.Err() != nil {
-			return nil, fmt.Errorf("catalog: corrupt at entry %d: %w", i, p.Err())
+	sc := runScratch{pairs: make([]panePair[string], 0, most)}
+	for f := range c.Files {
+		s := &h.secs[secRuns+f]
+		if c.Entries, err = c.readRun(f, blob[s.off:s.off+int64(s.length)], c.Entries, &sc); err != nil {
+			return nil, err
 		}
-		if file < 0 || file >= len(c.Files) {
-			return nil, fmt.Errorf("catalog: entry %d references file %d of %d", i, file, len(c.Files))
-		}
-		off, length := d.Extent()
-		if off < 0 || length < 0 || off+length < off {
-			return nil, fmt.Errorf("catalog: entry %d has bad extent [%d,+%d)", i, off, length)
-		}
-		window, pane, attr, ok := roccom.ParseDatasetName(d.Name)
-		if !ok {
-			return nil, fmt.Errorf("catalog: entry %d has unparseable dataset name %q", i, d.Name)
-		}
-		c.Entries = append(c.Entries, Entry{File: file, Window: c.intern(window), Pane: pane,
-			Attr: c.intern(attr), offset: off, length: length, at: at})
-	}
-	if err := p.End(); err != nil {
-		return nil, fmt.Errorf("catalog: %w after %d entries", err, ne)
 	}
 	return c, nil
 }
 
 // WriteBlob stages blob at base+Suffix+tmp and renames it into place,
-// returning its size and whole-blob CRC32C for the manifest's catalog
-// reference. It must be called before the manifest commit so the
-// generation's commit record never points at a missing catalog.
+// returning its size and its header's CRC32C — the manifest's catalog
+// reference, which pins the header and through it every section. It must
+// be called before the manifest commit so the generation's commit record
+// never points at a missing catalog.
 func WriteBlob(fsys rt.FS, base string, blob []byte) (size int64, crc uint32, err error) {
+	h, err := ReadHeader(blob)
+	if err != nil {
+		return 0, 0, err
+	}
 	if err := hdf.PublishFile(fsys, base+Suffix, blob); err != nil {
 		return 0, 0, fmt.Errorf("catalog: writing %s: %w", base+Suffix, err)
 	}
-	return int64(len(blob)), hdf.Checksum(blob), nil
+	return int64(len(blob)), h.CRC, nil
 }
 
 // ServerFile names one copy of a Rocpanda server's snapshot file — the one
@@ -358,18 +392,47 @@ func ReplicaRank(name string) int {
 	return replica
 }
 
+// Windows returns the windows the catalog's pane index names, ascending.
+func (c *Catalog) Windows() []string {
+	var ws []string
+	for _, l := range c.lists {
+		ws = append(ws, l.window)
+	}
+	slices.Sort(ws)
+	return slices.Compact(ws)
+}
+
 // Panes returns the sorted set of pane IDs present in a window — the
-// generation's pane universe, the input to the repartitioner.
+// generation's pane universe, the input to the repartitioner. It reads the
+// pane index alone.
 func (c *Catalog) Panes(window string) []int {
 	var ids []int
-	for i := range c.Entries {
-		if c.Entries[i].Window == window {
-			ids = append(ids, c.Entries[i].Pane)
+	for _, l := range c.lists {
+		if l.window == window {
+			ids = append(ids, l.ids...)
 		}
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)
 }
+
+// list returns file f's panes of window, ascending; nil if it has none.
+func (c *Catalog) list(f int, window string) []int {
+	start := 0
+	if f > 0 {
+		start = c.listEnd[f-1]
+	}
+	for _, l := range c.lists[start:c.listEnd[f]] {
+		if l.window == window {
+			return l.ids
+		}
+	}
+	return nil
+}
+
+// HasRun reports whether file f's entry run is loaded: always, for a whole
+// catalog.
+func (c *Catalog) HasRun(f int) bool { return c.runs[f].loaded }
 
 // FilePlan is the read plan for one file: which entries to fetch, sorted by
 // offset so adjacent extents coalesce into single reads.
@@ -388,67 +451,112 @@ func (c *Catalog) PlanReads(window string, wanted map[int]bool) []FilePlan {
 	return c.PlanFiles(window, wanted, nil)
 }
 
-// PlanFiles is PlanReads for the files keep accepts (nil: every file):
-// each wanted pane's copy is still chosen among every file, and a kept
-// file's plan is the one PlanReads gives it, so processes keeping disjoint
-// files plan disjoint shares of one PlanReads. Files are judged by keep
-// once each, and no plan is built for a file it refuses.
-func (c *Catalog) PlanFiles(window string, wanted map[int]bool, keep func(file string) bool) []FilePlan {
-	// A copy is a run of consecutive wanted entries of one pane in one file:
-	// a writer puts a pane's datasets together, so a directory holds about
-	// one run per pane, not one per dataset, and the choice among a pane's
-	// copies sorts runs.
-	type run struct{ pane, file, start, end int }
-	planned := make([]bool, len(c.Entries))
-	for i := range c.Entries {
-		planned[i] = c.Entries[i].Window == window && wanted[c.Entries[i].Pane]
-	}
-	starts := func(i int) bool { // entry i begins a run
-		return planned[i] && (i == 0 || !planned[i-1] ||
-			c.Entries[i-1].Pane != c.Entries[i].Pane || c.Entries[i-1].File != c.Entries[i].File)
-	}
+// choice is one wanted pane and the file holding its best copy.
+type choice struct{ file, pane int }
+
+// choose picks, from the pane index alone, each wanted pane's best copy in
+// window: among the files holding it, the first by compareSources. The
+// choices come back ordered by file, then pane.
+func (c *Catalog) choose(window string, wanted map[int]bool) []choice {
 	n := 0
-	for i := range c.Entries {
-		if starts(i) {
-			n++
+	for f := range c.Files {
+		for _, id := range c.list(f, window) {
+			if wanted[id] {
+				n++
+			}
 		}
 	}
 	if n == 0 {
 		return nil
 	}
-	runs := make([]run, 0, n)
-	for i := range c.Entries {
-		if starts(i) {
-			runs = append(runs, run{c.Entries[i].Pane, c.Entries[i].File, i, i + 1})
-		} else if planned[i] {
-			runs[len(runs)-1].end++
-		}
-	}
-	// Each pane's runs, its best source's first: the runs of any other file
-	// are not planned, nor those of a file keep refuses.
-	slices.SortFunc(runs, func(a, b run) int {
-		return cmp.Or(cmp.Compare(a.pane, b.pane), c.compareSources(a.file, b.file), cmp.Compare(a.start, b.start))
-	})
-	kept := make([]bool, len(c.Files))
-	for f, name := range c.Files {
-		kept[f] = keep == nil || keep(name)
-	}
-	n = 0
-	for k := 0; k < len(runs); {
-		src := runs[k].file
-		for pane := runs[k].pane; k < len(runs) && runs[k].pane == pane; k++ {
-			if r := runs[k]; r.file == src && kept[src] {
-				n += r.end - r.start
-			} else {
-				clear(planned[r.start:r.end])
+	copies := make([]choice, 0, n)
+	for f := range c.Files {
+		for _, id := range c.list(f, window) {
+			if wanted[id] {
+				copies = append(copies, choice{f, id})
 			}
 		}
 	}
-	sel := make([]Entry, 0, n)
-	for i := range c.Entries {
-		if planned[i] {
-			sel = append(sel, c.Entries[i])
+	// Each pane's copies, its best first; keep the first of each.
+	slices.SortFunc(copies, func(a, b choice) int {
+		return cmp.Or(cmp.Compare(a.pane, b.pane), c.compareSources(a.file, b.file))
+	})
+	best := copies[:1]
+	for _, ch := range copies[1:] {
+		if ch.pane != best[len(best)-1].pane {
+			best = append(best, ch)
 		}
+	}
+	slices.SortFunc(best, func(a, b choice) int { return cmp.Or(cmp.Compare(a.file, b.file), cmp.Compare(a.pane, b.pane)) })
+	return best
+}
+
+// Sources returns the files PlanFiles plans from for the same arguments —
+// each wanted pane's best copy (chosen from the pane index alone, among
+// every file) where keep (nil: every file) accepts its file — ascending,
+// and for each the panes it is the best copy of, ascending. These are the
+// files whose entry runs a plan needs loaded.
+func (c *Catalog) Sources(window string, wanted map[int]bool, keep func(file string) bool) (files []int, panes [][]int) {
+	best := c.choose(window, wanted)
+	for len(best) > 0 {
+		n := 1
+		for n < len(best) && best[n].file == best[0].file {
+			n++
+		}
+		if f := best[0].file; keep == nil || keep(c.Files[f]) {
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = best[i].pane
+			}
+			files, panes = append(files, f), append(panes, ids)
+		}
+		best = best[n:]
+	}
+	return files, panes
+}
+
+// PlanFiles is PlanReads for the files keep accepts (nil: every file):
+// each wanted pane's copy is still chosen among every file, and a kept
+// file's plan is the one PlanReads gives it, so processes keeping disjoint
+// files plan disjoint shares of one PlanReads. Files are judged by keep at
+// most once each, and no plan is built for a file it refuses. The choice
+// reads the pane index alone; a kept file's plan needs its entry run, and a
+// file whose run is not loaded (LoadRun) gets none — Sources names the
+// runs to load first.
+func (c *Catalog) PlanFiles(window string, wanted map[int]bool, keep func(file string) bool) []FilePlan {
+	best := c.choose(window, wanted)
+	n := 0
+	for i := 0; i < len(best); i++ {
+		if i == 0 || best[i].file != best[i-1].file {
+			n += len(c.runs[best[i].file].ents)
+		}
+	}
+	sel := make([]Entry, 0, n)
+	for len(best) > 0 {
+		k := 1
+		for k < len(best) && best[k].file == best[0].file {
+			k++
+		}
+		f := best[0].file
+		if r := &c.runs[f]; r.loaded && (keep == nil || keep(c.Files[f])) {
+			mine := best[:k] // the panes f is the best copy of, ascending
+			// A pane's datasets sit together: judge each pane once.
+			pane, judged, planned := 0, false, false
+			for i := range r.ents {
+				e := &r.ents[i]
+				if e.Window != window {
+					continue
+				}
+				if !judged || e.Pane != pane {
+					pane, judged = e.Pane, true
+					_, planned = slices.BinarySearchFunc(mine, pane, func(ch choice, p int) int { return cmp.Compare(ch.pane, p) })
+				}
+				if planned {
+					sel = append(sel, *e)
+				}
+			}
+		}
+		best = best[k:]
 	}
 	return c.filePlans(sel, cmp.Compare[int])
 }
@@ -481,31 +589,63 @@ func (c *Catalog) compareSources(a, b int) int {
 	return cmp.Or(cmp.Compare(c.ranks[a], c.ranks[b]), cmp.Compare(a, b))
 }
 
-// PaneSources returns every file holding a copy of a pane's datasets, as
-// single-file plans ordered best-first: primaries before replicas, lower
-// file index first within a rank, entries offset-sorted. The restart read
-// path walks this list when a planned copy fails its open/read/CRC —
-// deterministic retry order, so every server agrees on which copy repairs
-// a pane.
-func (c *Catalog) PaneSources(window string, pane int) []FilePlan {
+// PaneFiles returns the files holding a copy of a pane's datasets, from the
+// pane index alone, best first: primaries before replicas, lower file index
+// first within a rank — the order PaneSources plans them in.
+func (c *Catalog) PaneFiles(window string, pane int) []int {
+	var files []int
+	for f := range c.Files {
+		if _, ok := slices.BinarySearch(c.list(f, window), pane); ok {
+			files = append(files, f)
+		}
+	}
+	slices.SortFunc(files, c.compareSources)
+	return files
+}
+
+// PaneCopy returns file f's copy of a pane as a single-file plan, entries
+// offset-sorted; f's entry run must be loaded.
+func (c *Catalog) PaneCopy(window string, pane, f int) FilePlan {
 	var sel []Entry
-	for i := range c.Entries {
-		if e := &c.Entries[i]; e.Window == window && e.Pane == pane {
+	for i := range c.runs[f].ents {
+		if e := &c.runs[f].ents[i]; e.Window == window && e.Pane == pane {
 			sel = append(sel, *e)
 		}
 	}
-	return c.filePlans(sel, c.compareSources)
+	plans := c.filePlans(sel, cmp.Compare[int])
+	if len(plans) == 0 {
+		return FilePlan{File: c.Files[f]}
+	}
+	return plans[0]
+}
+
+// PaneSources returns every file holding a copy of a pane's datasets, as
+// single-file plans ordered best-first (PaneFiles): primaries before
+// replicas, lower file index first within a rank, entries offset-sorted. A
+// file whose entry run is not loaded is left out. The restart read path
+// walks the same order (PaneFiles, PaneCopy) when a planned copy fails its
+// open/read/CRC — deterministic retry order, so every server agrees on which
+// copy repairs a pane.
+func (c *Catalog) PaneSources(window string, pane int) []FilePlan {
+	var plans []FilePlan
+	for _, f := range c.PaneFiles(window, pane) {
+		if c.runs[f].loaded {
+			plans = append(plans, c.PaneCopy(window, pane, f))
+		}
+	}
+	return plans
 }
 
 // ResolvePanes walks a delta chain's catalogs newest first (cats[0] is
 // the head generation, the last element its full base) and assigns each
 // wanted pane of a window to exactly one generation: the newest one
 // whose catalog contains it — that generation rewrote the pane last, so
-// every older copy is stale. The result is parallel to cats; feed each
-// per-generation set to that catalog's PlanReads (and, on a failed read,
-// PaneSources) so chain resolution composes with the replica-preferring
-// dedup and retry order unchanged. Panes found in no catalog are absent
-// from every set — the caller's incomplete-restart accounting applies.
+// every older copy is stale. It reads the pane indexes alone. The result
+// is parallel to cats; feed each per-generation set to that catalog's
+// PlanReads (and, on a failed read, PaneSources) so chain resolution
+// composes with the replica-preferring dedup and retry order unchanged.
+// Panes found in no catalog are absent from every set — the caller's
+// incomplete-restart accounting applies.
 func ResolvePanes(cats []*Catalog, window string, wanted map[int]bool) []map[int]bool {
 	assign := make([]map[int]bool, len(cats))
 	resolved := make(map[int]bool, len(wanted))
@@ -514,15 +654,15 @@ func ResolvePanes(cats []*Catalog, window string, wanted map[int]bool) []map[int
 		if c == nil {
 			continue
 		}
-		for j := range c.Entries {
-			e := &c.Entries[j]
-			if j > 0 && e.Pane == c.Entries[j-1].Pane && e.Window == c.Entries[j-1].Window {
-				continue // a pane's datasets sit together: the first decided
-			}
-			if e.Window != window || !wanted[e.Pane] || resolved[e.Pane] {
+		for _, l := range c.lists {
+			if l.window != window {
 				continue
 			}
-			assign[i][e.Pane] = true
+			for _, id := range l.ids {
+				if wanted[id] && !resolved[id] {
+					assign[i][id] = true
+				}
+			}
 		}
 		for id := range assign[i] {
 			resolved[id] = true

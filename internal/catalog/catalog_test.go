@@ -379,8 +379,8 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size != int64(len(blob)) || crc != hdf.Checksum(blob) {
-		t.Fatalf("WriteBlob returned size %d crc %08x, want %d %08x", size, crc, len(blob), hdf.Checksum(blob))
+	if h, err := ReadHeader(blob); err != nil || size != int64(len(blob)) || crc != h.CRC {
+		t.Fatalf("WriteBlob returned size %d crc %08x, want %d and the header's crc (%v)", size, crc, len(blob), err)
 	}
 	if _, err := fsys.Open("snap" + Suffix + hdf.TmpSuffix); err == nil {
 		t.Fatal("staging file left behind")

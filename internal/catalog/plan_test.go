@@ -3,6 +3,8 @@ package catalog
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/big"
 	"reflect"
 	"slices"
 	"sort"
@@ -22,34 +24,121 @@ type refEntry struct {
 }
 
 // refDecode is the reference catalog decoder: the materializing one, which
-// decodes every entry into an hdf.Dataset and checks it as Decode must —
-// magic, version, body CRC, the entry CRC bit, the file index, the extent,
-// the pane-path name and trailing bytes.
+// decodes every entry into an hdf.Dataset and checks the blob as Decode
+// must — magic, version, the header CRC, every section's length and CRC,
+// the pane index's order, the entry CRC bit, the extent, the pane-path
+// name, trailing bytes, and that each run holds exactly the panes the index
+// lists for its file.
 func refDecode(blob []byte) (files []string, ents []refEntry, err error) {
-	if len(blob) < headerSize || string(blob[:4]) != Magic || binary.LittleEndian.Uint32(blob[4:]) != Version ||
-		binary.LittleEndian.Uint32(blob[8:]) != hdf.Checksum(blob[headerSize:]) {
+	if len(blob) < 16 || string(blob[:4]) != Magic || binary.LittleEndian.Uint32(blob[4:]) != Version {
 		return nil, nil, fmt.Errorf("bad header")
 	}
-	p := hdf.NewCursor(blob[headerSize:])
-	for n := p.Fits(int(p.U32()), 2); len(files) < n; {
+	nf := int(binary.LittleEndian.Uint32(blob[12:]))
+	if nf > len(blob) || len(blob) < 16+12*(nf+2) || binary.LittleEndian.Uint32(blob[8:]) != hdf.Checksum(blob[12:16+12*(nf+2)]) {
+		return nil, nil, fmt.Errorf("bad header")
+	}
+	var secs [][]byte
+	var counts []int
+	at := 16 + 12*(nf+2)
+	for i := 0; i < nf+2; i++ {
+		r := blob[16+12*i:]
+		n := int(binary.LittleEndian.Uint32(r))
+		if n > len(blob)-at || hdf.Checksum(blob[at:at+n]) != binary.LittleEndian.Uint32(r[8:]) {
+			return nil, nil, fmt.Errorf("bad section %d", i)
+		}
+		secs, counts = append(secs, blob[at:at+n]), append(counts, int(binary.LittleEndian.Uint32(r[4:])))
+		at += n
+	}
+	if at != len(blob) || counts[0] != nf {
+		return nil, nil, fmt.Errorf("bad layout")
+	}
+	p := hdf.NewCursor(secs[0])
+	for len(files) < nf && p.Err() == nil {
 		files = append(files, p.Str())
 	}
-	n := p.Fits(int(p.U32()), 31)
-	for i := 0; i < n && p.Err() == nil; i++ {
-		e := refEntry{file: int(p.U32())}
-		if p.DirEntry(&e.d); p.Err() != nil {
-			break
-		}
-		off, length := e.d.Extent()
-		var ok bool
-		e.window, e.pane, e.attr, ok = roccom.ParseDatasetName(e.d.Name)
-		if e.file >= len(files) || off < 0 || length < 0 || off+length < off || !ok {
-			return nil, nil, fmt.Errorf("bad entry %d", i)
-		}
-		ents = append(ents, e)
+	if p.End() != nil {
+		return nil, nil, fmt.Errorf("bad file table")
 	}
-	if err := p.End(); err != nil {
-		return nil, nil, err
+	// The pane index: per file, window → panes, in order.
+	type wp struct {
+		w string
+		p int
+	}
+	index, ids := make([]map[wp]bool, nf), 0
+	rest := secs[1]
+	uv := func() uint64 {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			rest = nil
+			return math.MaxUint64
+		}
+		rest = rest[n:]
+		return v
+	}
+	for f := 0; f < nf; f++ {
+		index[f] = map[wp]bool{}
+		nw := uv()
+		prev := ""
+		for w := uint64(0); w < nw; w++ {
+			if len(rest) < 2 || len(rest) < 2+int(binary.LittleEndian.Uint16(rest)) {
+				return nil, nil, fmt.Errorf("bad pane index")
+			}
+			name := string(rest[2 : 2+binary.LittleEndian.Uint16(rest)])
+			rest = rest[2+len(name):]
+			if w > 0 && name <= prev {
+				return nil, nil, fmt.Errorf("windows out of order")
+			}
+			prev = name
+			np := uv()
+			if np == 0 || np > uint64(len(rest)) {
+				return nil, nil, fmt.Errorf("bad pane count")
+			}
+			id, n := binary.Varint(rest)
+			if n <= 0 {
+				return nil, nil, fmt.Errorf("bad pane")
+			}
+			rest = rest[n:]
+			index[f][wp{name, int(id)}] = true
+			for k := uint64(1); k < np; k++ {
+				gap := uv()
+				if gap == 0 || gap == math.MaxUint64 || new(big.Int).Add(big.NewInt(id), new(big.Int).SetUint64(gap)).Cmp(big.NewInt(math.MaxInt64)) > 0 {
+					return nil, nil, fmt.Errorf("bad gap")
+				}
+				id += int64(gap)
+				index[f][wp{name, int(id)}] = true
+			}
+			ids += int(np)
+		}
+		if nw == math.MaxUint64 || rest == nil {
+			return nil, nil, fmt.Errorf("bad pane index")
+		}
+	}
+	if len(rest) != 0 || ids != counts[1] {
+		return nil, nil, fmt.Errorf("bad pane index")
+	}
+	for f := 0; f < nf; f++ {
+		p := hdf.NewCursor(secs[2+f])
+		held := map[wp]bool{}
+		for i := 0; i < counts[2+f] && p.Err() == nil; i++ {
+			e := refEntry{file: f}
+			if p.DirEntry(&e.d); p.Err() != nil {
+				break
+			}
+			off, length := e.d.Extent()
+			var ok bool
+			e.window, e.pane, e.attr, ok = roccom.ParseDatasetName(e.d.Name)
+			if off < 0 || length < 0 || off+length < off || !ok {
+				return nil, nil, fmt.Errorf("bad entry %d of file %d", i, f)
+			}
+			held[wp{e.window, e.pane}] = true
+			ents = append(ents, e)
+		}
+		if err := p.End(); err != nil {
+			return nil, nil, err
+		}
+		if !reflect.DeepEqual(held, index[f]) {
+			return nil, nil, fmt.Errorf("run %d disagrees with the pane index", f)
+		}
 	}
 	return files, ents, nil
 }

@@ -1,18 +1,20 @@
 package catalog
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"genxio/internal/hdf"
+)
 
 // mkCat builds a catalog holding the given panes of "fluid" in one file.
 func mkCat(panes ...int) *Catalog {
-	c := &Catalog{Files: []string{"f.rhdf"}}
+	var sets []*hdf.Dataset
 	for _, p := range panes {
-		c.Entries = append(c.Entries, Entry{
-			File:   0,
-			Window: "fluid",
-			Pane:   p,
-			Attr:   "p",
-		})
+		sets = append(sets, &hdf.Dataset{Name: fmt.Sprintf("/fluid/pane%06d/p", p)})
 	}
+	c := &Catalog{}
+	c.AddFile("f.rhdf", sets)
 	return c
 }
 

@@ -174,6 +174,7 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 	cfg.Metrics.Histogram("rocpanda.restart.chain_seconds", nil)
 	cfg.Metrics.Counter("rocpanda.restart.chain_loads")
 	cfg.Metrics.Counter("rocpanda.restart.chain_reuses")
+	cfg.Metrics.Counter("rocpanda.restart.catalog_bytes_read")
 
 	// I/O module selection: Rocpanda splits the world; the Rochdf
 	// variants use the world communicator directly.

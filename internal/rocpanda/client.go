@@ -1,6 +1,7 @@
 package rocpanda
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -78,6 +79,7 @@ type Client struct {
 	myIdx     int     // this client's index in the client communicator
 	timeout   float64 // RetryTimeout; 0 disables
 	dead      deadSet // servers believed dead
+	acked     deadSet // servers that acked this client's writes since its last sync
 	contacted []int   // world ranks of servers this client announced itself to
 
 	m  Metrics
@@ -223,6 +225,9 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 		data, _, ok := c.recv(target, tagWriteAck)
 		if ok && len(data) > 0 {
 			damaged = fmt.Errorf("rocpanda: unexpected %d-byte ack payload", len(data))
+		}
+		if ok {
+			c.acked |= 1 << slices.Index(c.srvRanks, target)
 		}
 		return ok
 	})
@@ -373,6 +378,24 @@ func (c *Client) Sync() error {
 		}
 		return ok
 	})
+	// A server that acked this client's writes of the epoch and has since
+	// been declared dead holds panes no survivor has. After a peer's dropped
+	// ack it is alive: sync it too, so the files it publishes join the
+	// commit and the generation's pane universe is whole. Its timed wait
+	// expires only if it really is gone; the commit then proceeds on what
+	// survives, as before, and a read of the lost panes finds them missing.
+	for i, rank := range c.srvRanks {
+		if err != nil || !c.acked.has(i) || !c.dead.has(i) {
+			continue
+		}
+		c.world.Send(rank, tagSync, nil)
+		if data, _, ok := c.recv(rank, tagSyncAck); ok {
+			ps, e := decodeAck(data)
+			published = append(published, ps...)
+			drainErr = cmp.Or(drainErr, e)
+		}
+	}
+	c.acked = 0
 	// The server answered, but some of its output never landed (a failed
 	// block write or file close), or an earlier write's ack was damaged:
 	// the generation is incomplete and must not commit.
@@ -511,15 +534,16 @@ func (c *Client) Shutdown() error {
 	// Release every server this client ever announced itself to, dead or
 	// not: sends never block on the receiver, and a server we wrongly
 	// declared dead still holds us in its served set — it must get our
-	// shutdown or it would wait forever. Acks are awaited only from
-	// servers believed alive.
+	// shutdown or it would wait forever. Acks are awaited from servers
+	// believed alive, and, as Sync does, from one declared dead that acked
+	// writes since the last sync: its published files join the commit.
 	for _, t := range c.contacted {
 		c.world.Send(t, tagShutdown, nil)
 	}
 	var drainErr error
 	var published []hdf.Published
 	for _, t := range c.contacted {
-		if c.dead.has(slices.Index(c.srvRanks, t)) {
+		if i := slices.Index(c.srvRanks, t); c.dead.has(i) && !c.acked.has(i) {
 			continue
 		}
 		data, _, ok := c.recv(t, tagShutdownAck)

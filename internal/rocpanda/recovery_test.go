@@ -7,7 +7,9 @@ package rocpanda
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
+	"genxio/internal/snapshot"
 )
 
 // crashRunResult captures one crash-failover run for determinism checks.
@@ -379,26 +382,34 @@ func TestDroppedAckFailoverDedupsRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 clients x 2 panes unique; the duplicated panes are shipped too
-	// (and discarded client-side), so more than 8 blocks cross the wire.
-	if served := reg.Snapshot().Counters["rocpanda.server.reads_served"]; served <= 8 {
-		t.Fatalf("servers shipped %d blocks, want >8 (duplicates must exist)", served)
+	// 4 clients x 2 panes unique. Client 2's panes sit in both committed
+	// files, and the catalog plans one copy of each: 8 blocks cross the wire.
+	chain, err := snapshot.LoadChain(fs, "dup/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat := chain[0].Catalog; len(cat.Files) != 2 || len(cat.PaneFiles("fluid", 2001)) != 2 {
+		t.Fatalf("committed files %v; want both, each holding client 2's pane 2001", cat.Files)
+	}
+	if served := reg.Snapshot().Counters["rocpanda.server.reads_served"]; served != 8 {
+		t.Fatalf("servers shipped %d blocks, want 8 (one copy of each pane)", served)
 	}
 }
 
-// TestDroppedAckInRunReadFailsEverywhere pins the in-run read after the one
-// false positive a timed wait still has: the network eats server 1's first
-// write ack to client 2 (world rank 4), so client 2 declares the live server
-// dead and the clients' Sync agrees on it. Client 3's blocks stay buffered
-// on server 1, which no longer gets a sync, so an in-run read of the
-// generation before shutdown cannot reach them. It fails on every client:
-// client 3 with ErrIncompleteRestart, the others with ErrIncompleteRestart
-// wrapping ErrPeerFailed for rank 3 — and the run still shuts down.
-func TestDroppedAckInRunReadFailsEverywhere(t *testing.T) {
+// TestDroppedAckSyncCommitsEveryPane: after the one false positive a timed
+// wait still has — the network eats server 1's first write ack to client 2
+// (world rank 4), so client 2 declares the live server dead and the clients'
+// Sync agrees on it — client 3, whose writes server 1 acked, syncs server 1
+// too, and the file server 1 publishes joins the commit. The committed
+// generation lists both servers' files, PanesForRestart deals all eight
+// panes, and the in-run read before shutdown restores every client's panes
+// bit-exact.
+func TestDroppedAckSyncCommitsEveryPane(t *testing.T) {
 	net := faults.NewNetPlan(7, faults.NetRule{Src: 3, Dst: 4, Tag: tagWriteAck, Nth: 1, Drop: true})
-	world := mpi.NewChanWorld(rt.NewMemFS(), 1)
+	fs := rt.NewMemFS()
+	world := mpi.NewChanWorld(fs, 1)
 	world.SetSendHook(net.Hook())
-	readErrs := make([]error, 4)
+	dealt, readErrs := make([][]int, 4), make([]error, 4)
 	err := world.Run(6, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, Config{NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true, RetryTimeout: 0.2})
 		if err != nil || cl == nil {
@@ -411,15 +422,39 @@ func TestDroppedAckInRunReadFailsEverywhere(t *testing.T) {
 		if err := cl.Sync(); err != nil {
 			return err
 		}
-		readErrs[me] = cl.ReadAttribute("dup/s", zeroWindow(t, me, 2), "all")
+		if dealt[me], err = cl.PanesForRestart("dup/s", "fluid"); err != nil {
+			return err
+		}
+		w := zeroWindow(t, me, 2)
+		if readErrs[me] = cl.ReadAttribute("dup/s", w, "all"); readErrs[me] == nil {
+			readErrs[me] = checkWindow(me, w)
+		}
 		return cl.Shutdown()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(net.Trips()) != 1 {
+		t.Fatalf("net trips %v, want exactly the dropped ack", net.Trips())
+	}
+	m, err := snapshot.Load(fs, "dup/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Files) != 2 {
+		t.Fatalf("dup/s commits %v, want both servers' files", m.Files)
+	}
+	var all []int
+	for _, ids := range dealt {
+		all = append(all, ids...)
+	}
+	slices.Sort(all)
+	if fmt.Sprint(all) != "[1 2 1001 1002 2001 2002 3001 3002]" {
+		t.Fatalf("PanesForRestart dealt %v, want all eight panes", all)
+	}
 	for me, err := range readErrs {
-		if !errors.Is(err, ErrIncompleteRestart) || (me != 3) != errors.Is(err, mpi.ErrPeerFailed) {
-			t.Errorf("client %d: in-run read returned %v, want ErrIncompleteRestart (wrapping ErrPeerFailed unless client 3)", me, err)
+		if err != nil {
+			t.Errorf("client %d: in-run read: %v", me, err)
 		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
+	"genxio/internal/metrics"
+	"genxio/internal/mpi"
 	"genxio/internal/rt"
 )
 
@@ -53,11 +55,11 @@ func TestCommitWritesCatalogBeforeManifest(t *testing.T) {
 	if m.Catalog.Name != "out/snap000010"+catalog.Suffix {
 		t.Fatalf("catalog name %q", m.Catalog.Name)
 	}
-	// Golden: the blob and the files of this fixed generation, as PR 22
-	// wrote them — the catalog entry codec is hdf's directory-entry codec
-	// now, and the bytes on disk did not move.
-	if m.Catalog.Size != 397 || m.Catalog.CRC != 0x60857d2a {
-		t.Errorf("catalog blob is %d bytes crc %08x, golden 397 bytes crc 60857d2a", m.Catalog.Size, m.Catalog.CRC)
+	// Golden: the blob and the files of this fixed generation. The blob is
+	// in the version-2 layout, whose header CRC32C the manifest pins; the
+	// files did not move with it.
+	if m.Catalog.Size != 446 || m.Catalog.CRC != 0x5d7a9249 {
+		t.Errorf("catalog blob is %d bytes header crc %08x, golden 446 bytes header crc 5d7a9249", m.Catalog.Size, m.Catalog.CRC)
 	}
 	if f := m.Files; len(f) != 2 || f[0].Size != 307 || f[0].DirCRC != 0x053bc0c5 || f[1].Size != 214 || f[1].DirCRC != 0x6017f34e {
 		t.Errorf("files %+v, golden 307 bytes dir crc 053bc0c5 and 214 bytes dir crc 6017f34e", f)
@@ -73,15 +75,14 @@ func TestCommitWritesCatalogBeforeManifest(t *testing.T) {
 	if got := cat.Panes("fluid"); !reflect.DeepEqual(got, []int{1000, 1001, 1002, 1003, 1004}) {
 		t.Fatalf("pane universe %v", got)
 	}
-	// The manifest's size and CRC pin the blob on disk.
+	// The manifest's size and header CRC pin the blob on disk.
 	f, _ := fsys.Open(m.Catalog.Name)
 	size, _ := f.Size()
 	blob := make([]byte, size)
 	f.ReadAt(blob, 0)
 	f.Close()
-	if size != m.Catalog.Size || hdf.Checksum(blob) != m.Catalog.CRC {
-		t.Fatalf("catalog ref size %d crc %08x, blob is %d bytes crc %08x",
-			m.Catalog.Size, m.Catalog.CRC, size, hdf.Checksum(blob))
+	if h, err := catalog.ReadHeader(blob); err != nil || size != m.Catalog.Size || h.CRC != m.Catalog.CRC {
+		t.Fatalf("catalog ref size %d crc %08x, blob is %d bytes (header: %v)", m.Catalog.Size, m.Catalog.CRC, size, err)
 	}
 	// The reloaded manifest round-trips the reference.
 	got, err := Load(fsys, "out/snap000010")
@@ -283,5 +284,61 @@ func TestIndex(t *testing.T) {
 	writeAll(t, fsys, "out/snap000020"+Suffix, []byte("{"))
 	if ids, err := universeOn(t, fsys, "out/snap000020", "fluid"); err == nil {
 		t.Fatalf("PaneUniverse answered %v from an orphan catalog", ids)
+	}
+}
+
+// TestDamagedSectionFailsOnlyItsReads: one flipped byte in a section of a
+// delta head's catalog. In the head's entry run it costs no restore: the
+// chain loads (the header, file table and pane index are intact), the round
+// derives that run again from its file's directory and must match the
+// header's CRC, and every pane is delivered; the scrub reports
+// CATALOG-MISMATCH naming the run, and the walk's judgment breaks no
+// chain. In the pane index it is the damaged catalog it always was: a delta
+// head that will not load fails the round, and the scrub's CATALOG-MISMATCH
+// names the pane index and carries a chain-broken line.
+func TestDamagedSectionFailsOnlyItsReads(t *testing.T) {
+	for _, tc := range []struct {
+		section string
+		restore bool
+	}{{"run", true}, {"index", false}} {
+		t.Run(tc.section, func(t *testing.T) {
+			fsys := rt.NewMemFS()
+			head := commitChain(t, fsys)[2]
+			name := head + catalog.Suffix
+			blob := readAll(t, fsys, name)
+			h, err := catalog.ReadHeader(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cat, err := catalog.Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, n := h.IndexExtent()
+			if tc.section == "run" {
+				off, n = cat.RunExtent(0)
+			}
+			flipByte(t, fsys, name, off+n-1)
+
+			onReader(t, fsys, metrics.New(), func(_ mpi.Ctx, rd *Reader) {
+				got, mode := readPanes(rd, head)
+				if restored := mode == ReadIndexed && len(got) == 3; restored != tc.restore {
+					t.Fatalf("round: mode %d, %d panes; want restored %v", mode, len(got), tc.restore)
+				}
+			})
+			reports, err := Fsck(fsys, "out/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			detail := "entry run of " + head + "_s000.rhdf"
+			if !tc.restore {
+				detail = "pane index"
+			}
+			listing := Format(reports[:1])
+			if rep := reports[0]; rep.Base != head || rep.Verdict != VerdictCatalogMismatch || !strings.Contains(listing, detail) ||
+				strings.Contains(listing, "chain-broken") == tc.restore {
+				t.Fatalf("scrub of %s: want %s naming %q, chain broken %v\n%s", head, VerdictCatalogMismatch, detail, !tc.restore, Format(reports))
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"genxio/internal/catalog"
+	"genxio/internal/metrics"
 	"genxio/internal/rt"
 )
 
@@ -20,6 +21,8 @@ type ChainGen struct {
 	Manifest *Manifest
 	Catalog  *catalog.Catalog
 	Derived  bool
+
+	blob *catalogBlob // where the committed catalog's entry runs load from
 }
 
 // maxChainDepth bounds the chain walk against manifests whose recorded
@@ -42,53 +45,90 @@ const maxChainDepth = 1024
 // prefix means base itself has no readable commit record.
 //
 // LoadChain reads inline, in the paper's serial order, and keeps nothing: each
-// call reads the whole commit record again. A Reader is the restart's one
-// loader (Reader.chain): it issues the same reads through its driver
-// (loadChain) and holds the chain it loaded, for its rounds and for its
-// restore walk's judgments.
+// call reads the whole commit record again, every link's catalog whole. A
+// Reader is the restart's one loader (Reader.chain): it issues the same
+// reads through its driver (loadChain) but reads of each catalog only the
+// sections it plans from, and holds the chain it loaded, for its rounds and
+// for its restore walk's judgments.
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
-	return loadChain(fsys, serial(fsys), base, nil)
+	each := serial(fsys)
+	chain, err := loadChain(fsys, each, base, nil, nil, nil)
+	var loads []*runLoad
+	for _, g := range chain {
+		if l := lacking(g.Catalog, g.blob, allFiles(g.Catalog)); l != nil {
+			loads = append(loads, l)
+		}
+	}
+	loadRuns(fsys, each, loads, nil)
+	closeBlobs(chain)
+	return chain, err
 }
 
-// reads issues one batch of independent metadata reads — a chain's catalog
-// blobs, the walk's file checks — through a process's restart-read driver:
-// read(fsys, i) for every i < n, each on the filesystem view of whoever runs
-// it, returning once all have run. serial is the inline driver; a pooled
-// Reader's (Reader.reads) runs one task per read.
-type reads func(n int, read func(fsys rt.FS, i int))
+// closeBlobs closes the catalog handles the chain's links keep.
+func closeBlobs(chain []ChainGen) {
+	for _, g := range chain {
+		g.blob.close()
+	}
+}
+
+// allFiles returns every file index of c (none of a nil c).
+func allFiles(c *catalog.Catalog) []int {
+	if c == nil {
+		return nil
+	}
+	files := make([]int, len(c.Files))
+	for f := range files {
+		files[f] = f
+	}
+	return files
+}
+
+// reads issues one batch of independent metadata reads — a chain's
+// catalogs, their entry runs, the walk's file checks — through a process's
+// restart-read driver: read(fsys, i, owner) for every i < n, each on the
+// filesystem view of whoever runs it, returning once all have run. owner
+// says the view is the batch owner's own, so a handle opened on it may serve
+// the owner's later reads. serial is the inline driver; a pooled Reader's
+// (Reader.reads) runs one task per read.
+type reads func(n int, read func(fsys rt.FS, i int, owner bool))
 
 // serial runs a batch inline on fsys, in index order: the paper's serial
 // restart.
 func serial(fsys rt.FS) reads {
-	return func(n int, read func(rt.FS, int)) {
+	return func(n int, read func(rt.FS, int, bool)) {
 		for i := range n {
-			read(fsys, i)
+			read(fsys, i, true)
 		}
 	}
 }
 
 // commitRecord is one generation's commit record as a chain walk loaded it:
-// the manifest, and once read, the catalog blob it pins — each with why it
-// did not load. A pass judging many heads (the scrub) keeps them by base, so
-// a link shared by several chains loads once.
+// the manifest, and once read, the catalog it pins (openCatalog: the
+// sections a judgment needs) — each with why it did not load. A pass
+// judging many heads (the scrub) keeps them by base, so a link shared by
+// several chains loads once.
 type commitRecord struct {
 	m       *Manifest
 	mErr    error
 	cat     *catalog.Catalog
+	blob    *catalogBlob
 	catErr  error
 	catRead bool
 }
 
-// loadChain is LoadChain through the driver each. The manifests come first,
-// one link at a time on fsys (each names the next); then every link's pinned
-// catalog blob is read as one batch, one read per blob. The chain is judged
+// loadChain is LoadChain through the driver each, opening each link's
+// catalog (openCatalog) with the entry runs prefetch names (nil: none),
+// every catalog byte read counted on read. The manifests come first, one
+// link at a time on fsys (each names the next); then every link's pinned
+// catalog is opened as one batch, one task per catalog. The chain is judged
 // in link order after the batch, so it fails where a link-by-link walk
 // would stop, with the same error and prefix; only a broken chain reads
 // more (the links past the one at fault). known, when set, holds the
 // records loaded so far by base and gains the new ones: the scrub's pass
 // shares links across heads with it, and a Reader seeds it with the head
 // manifest it has just read, so a load reads that manifest once.
-func loadChain(fsys rt.FS, each reads, base string, known map[string]*commitRecord) ([]ChainGen, error) {
+func loadChain(fsys rt.FS, each reads, base string, known map[string]*commitRecord, read *metrics.Counter,
+	prefetch func(*catalog.Catalog) []int) ([]ChainGen, error) {
 	if known == nil {
 		known = make(map[string]*commitRecord)
 	}
@@ -128,12 +168,12 @@ func loadChain(fsys rt.FS, each reads, base string, known map[string]*commitReco
 			unread = append(unread, rec)
 		}
 	}
-	each(len(unread), func(fsys rt.FS, i int) {
-		unread[i].cat, unread[i].catErr = loadCatalog(fsys, unread[i].m)
+	each(len(unread), func(fsys rt.FS, i int, owner bool) {
+		unread[i].cat, unread[i].blob, unread[i].catErr = openCatalog(fsys, unread[i].m, read, owner, prefetch)
 	})
 	for i := range chain {
 		g, rec := &chain[i], known[chain[i].Base]
-		g.Catalog = rec.cat
+		g.Catalog, g.blob = rec.cat, rec.blob
 		err := rec.catErr
 		if i == 0 {
 			if g.Catalog, g.Derived, err = index(fsys, g.Manifest, rec.cat, rec.catErr); g.Derived {
@@ -180,16 +220,14 @@ func paneUniverse(head ChainGen, window string, err error) ([]int, error) {
 // commits must restore. A delta answers from the universe its manifest
 // recorded at snapshot time (its files alone cannot: most panes live down
 // the chain, and a pane deleted by refinement must not resurrect from a base
-// generation); a full generation from cat, its index.
+// generation); a full generation from cat's pane index.
 func universe(m *Manifest, cat *catalog.Catalog) map[string][]int {
 	if m.ChainDepth > 0 {
 		return m.Panes
 	}
 	u := make(map[string][]int)
-	for _, e := range cat.Entries {
-		if _, seen := u[e.Window]; !seen {
-			u[e.Window] = cat.Panes(e.Window)
-		}
+	for _, w := range cat.Windows() {
+		u[w] = cat.Panes(w)
 	}
 	return u
 }
@@ -216,7 +254,7 @@ func judge(fsys rt.FS, each reads, base string, chain []ChainGen, err error, fil
 	var best []FileEntry // what restorable asks when every file passes
 	restorable(chain, func(e FileEntry) bool { best = append(best, e); return true })
 	ok := make([]bool, len(best))
-	each(len(best), func(fsys rt.FS, i int) { ok[i] = fileOK(fsys, best[i]) })
+	each(len(best), func(fsys rt.FS, i int, _ bool) { ok[i] = fileOK(fsys, best[i]) })
 	verdicts := make(map[string]bool, len(best))
 	for i, e := range best {
 		verdicts[e.Name] = ok[i]
@@ -236,7 +274,8 @@ func judge(fsys rt.FS, each reads, base string, chain []ChainGen, err error, fil
 // restorable is the restore walk's one rule, at the unit a restart promises:
 // every pane of the head's universe needs a copy whose file passes fileOK,
 // in the link the pane resolves to (catalog.ResolvePanes). fileOK is asked
-// best copy first, the next only when one fails, each file at most once. It
+// best copy first (catalog.PaneFiles), the next only when one fails, each
+// file at most once. It reads the links' pane indexes, never an entry run. It
 // returns the panes with no such copy, as window:pane, and the link the
 // first resolves to. A manifested file the head's index lacks (a derived
 // index holds only the files that read) is returned by name unless a copy of
@@ -268,16 +307,10 @@ func restorable(chain []ChainGen, fileOK func(FileEntry) bool) (link string, los
 		}
 		for gi, panes := range catalog.ResolvePanes(ChainCatalogs(chain), w, wanted) {
 			g := chain[gi]
-			for _, fp := range g.Catalog.PlanReads(w, panes) {
-				for _, e := range fp.Entries {
-					if !wanted[e.Pane] {
-						continue // another dataset of a pane already judged
-					}
-					delete(wanted, e.Pane)
-					if at[e.Pane] = g.Base; ok(g, fp.File) || slices.ContainsFunc(g.Catalog.PaneSources(w, e.Pane),
-						func(src catalog.FilePlan) bool { return ok(g, src.File) }) {
-						delete(at, e.Pane)
-					}
+			for _, id := range slices.Sorted(maps.Keys(panes)) {
+				if at[id] = g.Base; slices.ContainsFunc(g.Catalog.PaneFiles(w, id),
+					func(f int) bool { return ok(g, g.Catalog.Files[f]) }) {
+					delete(at, id)
 				}
 			}
 		}

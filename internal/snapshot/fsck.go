@@ -111,13 +111,16 @@ func chainVerdicts(fsys rt.FS, reports []GenReport) {
 		if rep.Verdict == VerdictUncommitted {
 			continue
 		}
-		chain, err := loadChain(fsys, serial(fsys), rep.Base, known)
+		chain, err := loadChain(fsys, serial(fsys), rep.Base, known, nil, nil)
 		if link, err := judge(fsys, serial(fsys), rep.Base, chain, err, scrubbed); err != nil {
 			if rep.Verdict == VerdictOK || rep.Verdict == VerdictRepaired {
 				rep.Verdict = VerdictChainBroken
 			}
 			rep.Files = append(rep.Files, FileReport{Name: link, Status: "chain-broken", Detail: err.Error()})
 		}
+	}
+	for _, rec := range known {
+		rec.blob.close()
 	}
 }
 
@@ -333,12 +336,13 @@ func scrubFile(fsys rt.FS, e FileEntry, deep bool) FileReport {
 }
 
 // scrubCatalog checks a committed generation's block catalog: the blob on
-// disk must be the one the manifest pins and decode cleanly (loadCatalog)
+// disk must be the one the manifest pins and decode cleanly, every section
+// matching its CRC32C (readCatalog; a damaged section's error names it),
 // and, when derive, the catalog blob derived from the manifested files must
 // be that same pinned blob — the identity the commit wrote it under and
 // rebuildCatalog installs it under. derive needs every file intact.
 func scrubCatalog(fsys rt.FS, m *Manifest, derive bool) (status, detail string) {
-	_, err := loadCatalog(fsys, m)
+	_, err := readCatalog(fsys, m)
 	switch {
 	case errors.Is(err, rt.ErrNotExist):
 		// The manifest pins a blob that is not there at all — report

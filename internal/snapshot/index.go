@@ -70,46 +70,222 @@ func checkFile(e, found FileEntry) error {
 }
 
 // matches reports whether blob is the catalog blob r pins: its size and
-// whole-blob CRC32C.
+// its header's CRC32C, which holds every section's.
 func (r *CatalogRef) matches(blob []byte) bool {
-	return int64(len(blob)) == r.Size && hdf.Checksum(blob) == r.CRC
+	h, err := catalog.ReadHeader(blob)
+	return err == nil && int64(len(blob)) == r.Size && h.CRC == r.CRC
 }
 
-// loadCatalog reads the catalog blob m's commit wrote: the bytes must be the
-// blob the manifest pins before they are decoded, so an orphan of a crashed
-// earlier commit, or another generation's blob, is never taken for this
-// one's.
-func loadCatalog(fsys rt.FS, m *Manifest) (*catalog.Catalog, error) {
+// pinned holds a catalog header to the reference its manifest carries.
+func (r *CatalogRef) pinned(h *catalog.Header) error {
+	if h.CRC != r.CRC || h.Size() != r.Size {
+		return fmt.Errorf("%w: catalog %s header crc32c %08x describes %d bytes, manifest pins crc32c %08x and %d bytes",
+			hdf.ErrChecksum, r.Name, h.CRC, h.Size(), r.CRC, r.Size)
+	}
+	return nil
+}
+
+// catalogBlob is where a committed catalog's entry runs load from: the
+// blob's name and, while a Reader holds the chain, the handle its owner
+// opened the blob with (nil: open it by name).
+type catalogBlob struct {
+	name string
+	f    rt.File
+}
+
+// close closes the handle, if any; the blob is then opened by name.
+func (b *catalogBlob) close() {
+	if b != nil && b.f != nil {
+		b.f.Close()
+		b.f = nil
+	}
+}
+
+// openCatalog reads what a reader plans from of the catalog blob m's commit
+// wrote, the sections it addresses and no more: the header — one request,
+// its length known from the manifest's file count — which must be the one
+// the manifest pins, so an orphan of a crashed earlier commit, or another
+// generation's blob, is never taken for this one's; then the file table and
+// pane index in one request, each checked against the header. When
+// prefetch is set, the entry runs of the files it names load next on the
+// same handle (a round that knows its share reads it with the catalog, one
+// open); other runs load later, as plans need them (loadRuns), from the blob
+// returned: with its handle still open when keep is set. Every byte read
+// counts on read.
+func openCatalog(fsys rt.FS, m *Manifest, read *metrics.Counter, keep bool, prefetch func(*catalog.Catalog) []int) (*catalog.Catalog, *catalogBlob, error) {
+	f, err := fsys.Open(m.Catalog.Name)
+	if err != nil {
+		return nil, nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
+	}
+	blob := &catalogBlob{name: m.Catalog.Name, f: f}
+	cat, err := openSections(f, m, read)
+	if err == nil && prefetch != nil {
+		if l := lacking(cat, blob, prefetch(cat)); l != nil {
+			l.fetch(f, read) // a run that fails loads again, or is derived, when a plan needs it
+		}
+	}
+	if err != nil || !keep {
+		blob.close()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return cat, blob, nil
+}
+
+// openSections is openCatalog on f, the open blob.
+func openSections(f rt.File, m *Manifest, read *metrics.Counter) (*catalog.Catalog, error) {
+	head, err := readAt(f, 0, int64(catalog.HeaderSize(len(m.Files))), read)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
+	}
+	h, err := catalog.ReadHeader(head)
+	if err == nil {
+		err = m.Catalog.pinned(h)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("catalog %s: %w", m.Catalog.Name, err)
+	}
+	off, n := h.IndexExtent()
+	index, err := readAt(f, off, n, read)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
+	}
+	return catalog.Open(h, index)
+}
+
+// readAt reads n bytes of f at off in one request, counting on read what
+// arrived.
+func readAt(f rt.File, off, n int64, read *metrics.Counter) ([]byte, error) {
+	b := make([]byte, n)
+	got, err := f.ReadAt(b, off)
+	read.Add(int64(got))
+	if got == len(b) {
+		return b, nil
+	}
+	return nil, err
+}
+
+// readCatalog reads the whole catalog blob m's commit wrote: it must be the
+// blob the manifest pins before it is decoded, every section checked.
+func readCatalog(fsys rt.FS, m *Manifest) (*catalog.Catalog, error) {
 	blob, err := hdf.ReadFile(fsys, m.Catalog.Name)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
 	}
 	if !m.Catalog.matches(blob) {
-		return nil, fmt.Errorf("%w: catalog %s is %d bytes crc32c %08x, manifest pins %d bytes crc32c %08x", hdf.ErrChecksum,
-			m.Catalog.Name, len(blob), hdf.Checksum(blob), m.Catalog.Size, m.Catalog.CRC)
+		return nil, fmt.Errorf("%w: catalog %s is %d bytes, not the %d-byte blob with header crc32c %08x its manifest pins",
+			hdf.ErrChecksum, m.Catalog.Name, len(blob), m.Catalog.Size, m.Catalog.CRC)
 	}
 	return catalog.Decode(blob)
 }
 
+// runLoad is one catalog's entry runs a plan needs and lacks: the catalog,
+// its blob and the files whose runs to load.
+type runLoad struct {
+	cat   *catalog.Catalog
+	blob  *catalogBlob
+	files []int
+}
+
+// fetch reads l's runs off f, each range of adjacent runs in one request,
+// and loads each that matches its record (Catalog.LoadRun).
+func (l *runLoad) fetch(f rt.File, read *metrics.Counter) {
+	for j := 0; j < len(l.files); {
+		off, n := l.cat.RunExtent(l.files[j])
+		k := j + 1
+		for ; k < len(l.files) && l.files[k] == l.files[k-1]+1; k++ {
+			_, m := l.cat.RunExtent(l.files[k])
+			n += m
+		}
+		if buf, err := readAt(f, off, n, read); err == nil {
+			for ; j < k; j++ {
+				_, m := l.cat.RunExtent(l.files[j])
+				l.cat.LoadRun(l.files[j], buf[:m:m]) // one that does not match is derived (loadRuns)
+				buf = buf[m:]
+			}
+		}
+		j = k
+	}
+}
+
+// loadRuns loads the entry runs loads name: those of a blob whose handle is
+// held on the owner, off that handle; the rest as one batch through the
+// driver each, one read per blob, which opens it and fetches each range of
+// adjacent runs in one request. Every byte read counts on read. A run that
+// did not read or does not match its section's record is derived again from
+// its file's own directory (deriveCatalog, the catalog of that file alone),
+// the run the commit wrote from those very entries: an intact file gives
+// back the bytes the header pins, which LoadRun still checks. A run that loads neither way stays unloaded,
+// and the reads that need it treat its file as failed.
+func loadRuns(fsys rt.FS, each reads, loads []*runLoad, read *metrics.Counter) {
+	var byName []*runLoad
+	for _, l := range loads {
+		if l.blob.f != nil {
+			l.fetch(l.blob.f, read)
+		} else {
+			byName = append(byName, l)
+		}
+	}
+	each(len(byName), func(fsys rt.FS, i int, _ bool) {
+		if f, err := fsys.Open(byName[i].blob.name); err == nil {
+			byName[i].fetch(f, read)
+			f.Close()
+		}
+	})
+	for _, l := range loads {
+		for _, f := range l.files {
+			if l.cat.HasRun(f) {
+				continue
+			}
+			blob, _, errs := deriveCatalog(fsys, []FileEntry{{Name: l.cat.Files[f]}}, false, nil, nil)
+			if one, err := catalog.Decode(blob); len(errs) == 0 && err == nil {
+				off, n := one.RunExtent(0)
+				l.cat.LoadRun(f, blob[off:off+n])
+			}
+		}
+	}
+}
+
+// lacking returns a load of the runs of files that c lacks, nil if none
+// (or c is nil, or whole and has no blob).
+func lacking(c *catalog.Catalog, blob *catalogBlob, files []int) *runLoad {
+	if c == nil || blob == nil {
+		return nil
+	}
+	var need []int
+	for _, f := range files {
+		if !c.HasRun(f) {
+			need = append(need, f)
+		}
+	}
+	if len(need) == 0 {
+		return nil
+	}
+	return &runLoad{cat: c, blob: blob, files: need}
+}
+
 // Index answers "where are the pane bytes of the generation m commits": the
-// committed catalog when loadCatalog accepts it, otherwise — for a full
-// generation, whose files are its whole state — the same catalog derived
-// from the manifested files' directories. derived reports which; a derived
-// index holds every file whose directory read and passes checkFile, and err
-// then joins the errors of those that did not (a reader goes on without
-// them; whoever needs the whole generation cannot). A file the manifest does
-// not pin is never indexed.
+// committed catalog, read whole, when readCatalog accepts it, otherwise — for
+// a full generation, whose files are its whole state — the same catalog
+// derived from the manifested files' directories. derived reports which; a
+// derived index holds every file whose directory read and passes checkFile,
+// and err then joins the errors of those that did not (a reader goes on
+// without them; whoever needs the whole generation cannot). A file the
+// manifest does not pin is never indexed. A restart Reader asks the same
+// question section by section (openCatalog, loadRuns) and gets the same
+// answer.
 //
 // A delta generation gets no derived index: its files do not spell out the
 // panes it inherits, and a derived index that silently lacked a damaged
 // file would resolve that file's panes to a stale older link. Its committed
 // catalog loads or Index fails.
 func Index(fsys rt.FS, m *Manifest) (cat *catalog.Catalog, derived bool, err error) {
-	cat, err = loadCatalog(fsys, m)
+	cat, err = readCatalog(fsys, m)
 	return index(fsys, m, cat, err)
 }
 
-// index is Index given what loadCatalog returned for m.
+// index is Index given what openCatalog or readCatalog returned for m.
 func index(fsys rt.FS, m *Manifest, cat *catalog.Catalog, err error) (*catalog.Catalog, bool, error) {
 	if err == nil || m.ChainDepth > 0 {
 		return cat, false, err

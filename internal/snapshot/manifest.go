@@ -36,12 +36,14 @@ const Suffix = ".manifest"
 
 // CatalogRef pins a generation's block-catalog blob from the manifest:
 // the catalog is written before the manifest, so the commit record can
-// carry its size and whole-blob CRC32C, letting readers detect a damaged
-// or swapped catalog cheaply (loadCatalog). Every manifest carries one.
+// carry its size and its header's CRC32C. The header holds every section's
+// CRC32C, so a reader that reads only some sections (openCatalog, loadRuns)
+// still detects a damaged or swapped catalog in the bytes it reads. Every
+// manifest carries one.
 type CatalogRef struct {
 	Name string `json:"name"`
-	Size int64  `json:"size"`
-	CRC  uint32 `json:"crc32c"`
+	Size int64  `json:"size"`   // the whole blob's
+	CRC  uint32 `json:"crc32c"` // the header's (catalog.Header.CRC)
 }
 
 // FileEntry records one snapshot file at commit time.

@@ -21,12 +21,15 @@ package snapshot
 // the head manifest — one small read — and
 // is served the held chain when those bytes are the ones it was loaded
 // from. Otherwise the manifests are followed link by link and every link's
-// catalog blob is read as one batch through the Reader's driver (reads),
-// and the walk's file checks go the same way — inline, the paper's serial
-// order; pooled, one task per blob or file. So a process loads a generation
-// once for all its windows and attributes, and once per lifetime across
-// restarts of it. A held chain is the commit record as this process first
-// loaded it: damage after that load to a lower link's manifest, or to any
+// catalog is opened as one batch through the Reader's driver (reads) —
+// its header, file table and pane index, and for a round the entry runs of
+// the share's files, never the whole blob (openCatalog) — and the walk's
+// file checks go the same way — inline, the paper's serial order; pooled,
+// one task per catalog or file. A held chain keeps what it read, and a
+// later round reads only the runs it lacks (loadRuns). So a process loads a
+// generation once for all its windows and attributes, and once per lifetime
+// across restarts of it. A held chain is the commit record as this process
+// first loaded it: damage after that load to a lower link's manifest, or to any
 // link's catalog blob, does not change this process's restores (every
 // payload is still CRC-checked as it is read), while a head re-committed
 // under the same name reads as other bytes and is reloaded. Only a whole
@@ -205,6 +208,7 @@ type readerMx struct {
 	chainSeconds  *metrics.Histogram // each round's chain step, the head manifest check included
 	chainLoads    *metrics.Counter   // commit records loaded (Reader.chain)
 	chainReuses   *metrics.Counter   // commit records served from the held chain
+	catalogBytes  *metrics.Counter   // catalog bytes read: headers, indexes, entry runs
 
 	// The restore walk (Restore): generations each rank scanned and fell
 	// past, and rank 0's judgment of each.
@@ -231,6 +235,7 @@ func newReaderMx(cfg *ReaderConfig) readerMx {
 		chainSeconds:  r.Histogram(p+"chain_seconds", nil),
 		chainLoads:    r.Counter(p + "chain_loads"),
 		chainReuses:   r.Counter(p + "chain_reuses"),
+		catalogBytes:  r.Counter(p + "catalog_bytes_read"),
 
 		generationsScanned: r.Counter(p + "generations_scanned"),
 		fallbacks:          r.Counter(p + "fallbacks"),
@@ -264,19 +269,31 @@ func NewReader(ctx mpi.Ctx, cfg ReaderConfig) *Reader {
 // driver that reads the head manifest no second time. A load is held only
 // when it is whole: committed, every link loaded, the head's index its
 // committed catalog (not Derived). Any other load leaves nothing held, so
-// the next call loads again.
-func (rd *Reader) chain(base string) ([]ChainGen, error) {
+// the next call loads again. A load reads the entry runs prefetch names
+// with each catalog (openCatalog); a held chain reads none.
+func (rd *Reader) chain(base string, prefetch func(*catalog.Catalog) []int) ([]ChainGen, error) {
 	held, buf, m, err := rd.head(base)
 	if held != nil {
 		return held, nil
 	}
 	rd.mx.chainLoads.Inc()
-	chain, err := loadChain(rd.ctx.FS(), rd.reads(), base, map[string]*commitRecord{base: {m: m, mErr: err}})
-	rd.held, rd.heldHead = nil, nil
+	chain, err := loadChain(rd.ctx.FS(), rd.reads(), base, map[string]*commitRecord{base: {m: m, mErr: err}}, rd.mx.catalogBytes, prefetch)
 	if err == nil && !chain[0].Derived {
-		rd.held, rd.heldHead = chain, buf
+		rd.hold(chain, buf)
+	} else {
+		rd.hold(nil, nil)
+		closeBlobs(chain)
 	}
 	return chain, err
+}
+
+// hold makes chain, loaded from the head manifest bytes buf, the held one,
+// closing the catalog handles of the chain it replaces. A held chain keeps
+// the handles its owner opened its catalogs with (loadChain), so the entry
+// runs its rounds need later are read without opening the blob again.
+func (rd *Reader) hold(chain []ChainGen, buf []byte) {
+	closeBlobs(rd.held)
+	rd.held, rd.heldHead = chain, buf
 }
 
 // head reads base's head manifest. When the held chain is base's and was
@@ -301,10 +318,11 @@ func (rd *Reader) head(base string) (held []ChainGen, buf []byte, m *Manifest, e
 // answers from the held chain when it is base's and the head manifest still
 // reads as the bytes it was loaded from. Otherwise it reads the head's
 // commit record no further than it must: a delta's manifest alone (its
-// recorded universe), a full generation's manifest and Index, which must be
-// whole up to copies — restorable's rule judged on the index alone (every
-// file passes): a universe short of an unindexed file's panes would restore
-// short and report success. A full generation whose index is its committed
+// recorded universe), a full generation's manifest and index — the
+// catalog's header, file table and pane index (openCatalog), or the index
+// derived from the files — which must be whole up to copies: restorable's
+// rule judged on the index alone (every file passes), since a universe short
+// of an unindexed file's panes would restore short and report success. A full generation whose index is its committed
 // catalog is then held, as chain would hold it.
 func (rd *Reader) PaneUniverse(base, window string) ([]int, error) {
 	held, buf, m, err := rd.head(base)
@@ -313,9 +331,14 @@ func (rd *Reader) PaneUniverse(base, window string) ([]int, error) {
 	}
 	head := ChainGen{Base: base, Manifest: m}
 	if err == nil && m.ChainDepth == 0 {
-		if head.Catalog, head.Derived, err = Index(rd.ctx.FS(), m); err == nil && !head.Derived {
+		fsys := rd.ctx.FS()
+		cat, blob, catErr := openCatalog(fsys, m, rd.mx.catalogBytes, true, nil)
+		if head.Catalog, head.Derived, err = index(fsys, m, cat, catErr); err == nil && !head.Derived {
 			rd.mx.chainLoads.Inc()
-			rd.held, rd.heldHead = []ChainGen{head}, buf
+			head.blob = blob
+			rd.hold([]ChainGen{head}, buf)
+		} else {
+			blob.close()
 		}
 	}
 	return paneUniverse(head, window, err)
@@ -326,8 +349,19 @@ func (rd *Reader) PaneUniverse(base, window string) ([]int, error) {
 // index came from.
 func (rd *Reader) Read(req ReadRequest) ReadMode {
 	fsys, clock := rd.ctx.FS(), rd.ctx.Clock()
+	mine := req.Mine
+	if mine == nil {
+		mine = func(int) bool { return true }
+	}
+	mineFile := func(name string) bool { _, home, _ := catalog.ParseDataFile(name); return mine(home) }
+	// A load reads with each link's catalog the runs of the share's files
+	// that hold a wanted pane's best copy in that link: all the round plans
+	// from, but for a file whose every wanted pane a newer link rewrote.
 	t0 := clock.Now()
-	chain, err := rd.chain(req.Base)
+	chain, err := rd.chain(req.Base, func(c *catalog.Catalog) []int {
+		files, _ := c.Sources(req.Window, req.Wanted, mineFile)
+		return files
+	})
 	rd.mx.chainSeconds.Observe(clock.Now() - t0)
 	switch {
 	case len(chain) == 0: // no commit record: what is on disk is the only description
@@ -337,17 +371,33 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 	case err != nil: // a delta head with an unloadable link
 		return rd.failed()
 	}
-	mine := req.Mine
-	if mine == nil {
-		mine = func(int) bool { return true }
-	}
-	mineFile := func(name string) bool { _, home, _ := catalog.ParseDataFile(name); return mine(home) }
 	var items []readItem
-	planFrom := func(cats []*catalog.Catalog) {
-		for gi, panes := range catalog.ResolvePanes(cats, req.Window, req.Wanted) {
-			for _, fp := range cats[gi].PlanFiles(req.Window, panes, mineFile) {
+	var lost []lostRun
+	// planFrom plans from a chain's catalogs, newest first, each blob beside
+	// it (nil: a whole catalog). The entry runs of the share's source
+	// files that a catalog lacks load first, as one batch through the driver
+	// (loadRuns); a source whose run loads neither way is a failed file,
+	// whose panes go to their other copies.
+	planFrom := func(cats []*catalog.Catalog, blobs []*catalogBlob) {
+		assign := catalog.ResolvePanes(cats, req.Window, req.Wanted)
+		srcs, panes := make([][]int, len(cats)), make([][][]int, len(cats))
+		var loads []*runLoad
+		for gi, c := range cats {
+			srcs[gi], panes[gi] = c.Sources(req.Window, assign[gi], mineFile)
+			if l := lacking(c, blobs[gi], srcs[gi]); l != nil {
+				loads = append(loads, l)
+			}
+		}
+		loadRuns(fsys, rd.reads(), loads, rd.mx.catalogBytes)
+		for gi, c := range cats {
+			for _, fp := range c.PlanFiles(req.Window, assign[gi], mineFile) {
 				if fp = attrPlan(fp, req.Attr); len(fp.Entries) > 0 {
-					items = append(items, readItem{plan: fp, cat: cats[gi]})
+					items = append(items, readItem{plan: fp, cat: c, blob: blobs[gi]})
+				}
+			}
+			for i, f := range srcs[gi] {
+				if !c.HasRun(f) {
+					lost = append(lost, lostRun{readItem{plan: catalog.FilePlan{File: c.Files[f]}, cat: c, blob: blobs[gi]}, panes[gi][i]})
 				}
 			}
 		}
@@ -359,7 +409,11 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 			mode = ReadIndexed
 		}
 		rd.mx.chainDepth.SetMax(float64(len(chain) - 1))
-		planFrom(ChainCatalogs(chain))
+		blobs := make([]*catalogBlob, len(chain))
+		for i, g := range chain {
+			blobs[i] = g.blob
+		}
+		planFrom(ChainCatalogs(chain), blobs)
 	}
 	// The share's files on disk that no commit record describes get an
 	// index derived from their own directories.
@@ -396,9 +450,9 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		if err != nil {
 			return rd.failed()
 		}
-		planFrom([]*catalog.Catalog{cat})
+		planFrom([]*catalog.Catalog{cat}, []*catalogBlob{nil})
 	}
-	rd.serve(&req, items)
+	rd.serve(&req, items, lost)
 	if mode == ReadIndexed {
 		rd.mx.catalogHits.Inc()
 	} else {
@@ -417,7 +471,7 @@ func (rd *Reader) reads() reads {
 	if rd.cfg.Workers == 0 {
 		return inline
 	}
-	return func(n int, read func(rt.FS, int)) {
+	return func(n int, read func(rt.FS, int, bool)) {
 		if n < 2 {
 			inline(n, read)
 			return
@@ -425,7 +479,7 @@ func (rd *Reader) reads() reads {
 		tasks := make([]*iosched.Task, n)
 		for i := range tasks {
 			tasks[i] = &iosched.Task{Class: iosched.ClassRead, Run: func(tc rt.TaskCtx, _ iosched.WorkerState) iosched.Result {
-				read(tc.FS(), i)
+				read(tc.FS(), i, false)
 				return iosched.Result{}
 			}}
 		}
@@ -485,12 +539,21 @@ func (rd *Reader) dies() bool {
 }
 
 // readItem is one file of a share: the extents planned from it, and the
-// index they were planned from — in chain rounds each item carries its own
-// generation's, a file no commit describes its share's derived one — so a
-// failed file's pane retries consult the right copies.
+// index they were planned from and its blob — in chain rounds each item
+// carries its own generation's, a file no commit describes its share's
+// derived one, with no blob — so a failed file's pane retries consult the
+// right copies, loading the entry runs they need.
 type readItem struct {
 	plan catalog.FilePlan
 	cat  *catalog.Catalog
+	blob *catalogBlob
+}
+
+// lostRun is a planned source file whose entry run would not load: its
+// panes are retried against their other copies, as a failed file's are.
+type lostRun struct {
+	readItem
+	panes []int
 }
 
 // readFile is the state of one file being read.
@@ -555,19 +618,23 @@ type readRound struct {
 	delivered bool // something left this process already (overlap accounting)
 }
 
-// serve reads, verifies and delivers one round's share. This is the one
-// place the driver is chosen.
-func (rd *Reader) serve(req *ReadRequest, items []readItem) {
+// serve reads, verifies and delivers one round's share, then retries the
+// panes of the sources whose runs were lost. This is the one place the
+// driver is chosen.
+func (rd *Reader) serve(req *ReadRequest, items []readItem, lost []lostRun) {
 	e := &readRound{rd: rd, req: req, bad: make(map[string]bool)}
 	if rd.cfg.Workers > 0 && len(items) > 0 {
 		e.runPool(items)
-		return
-	}
-	for _, it := range items {
-		e.runInline(it, false)
-		if rd.dies() {
-			panic(Crashed{})
+	} else {
+		for _, it := range items {
+			e.runInline(it, false)
+			if rd.dies() {
+				panic(Crashed{})
+			}
 		}
+	}
+	for _, l := range lost {
+		e.recoverPanes(l.readItem, l.panes)
 	}
 }
 
@@ -653,7 +720,7 @@ func (e *readRound) runInline(it readItem, retry bool) *readFile {
 	}
 	h.Close()
 	if !f.delivered {
-		e.recoverPanes(f)
+		e.recoverFile(f)
 	}
 	return f
 }
@@ -682,7 +749,7 @@ func (e *readRound) runPool(items []readItem) {
 		if f := e.consume(c); f != nil && !f.delivered {
 			// Recovery runs inline, while the workers keep reading the
 			// round's remaining files.
-			e.recoverPanes(f)
+			e.recoverFile(f)
 		}
 	})
 	eng.Close()
@@ -739,42 +806,61 @@ func (e *readRound) consume(c iosched.Completion) *readFile {
 	return f
 }
 
-// recoverPanes retries every pane of a failed file against the other copies
-// its index knows, best-first (primaries before replicas, per
-// catalog.PaneSources), delivering each pane from the first copy that
-// verifies end to end. The walk is deterministic — sorted panes, ordered
-// sources, a shared bad-file set — so every process makes the same recovery
-// decisions. A pane with no good copy anywhere is simply not delivered: the
-// receivers then report the snapshot incomplete and the restore walk falls
-// back a generation, which is exactly the all-copies-bad semantics the
-// replica layer promises. A retry's own failure is final: the walk moves on
-// to the pane's next copy.
-func (e *readRound) recoverPanes(f *readFile) {
+// recoverFile retries the panes of a failed file (recoverPanes); a retry's
+// own failure is final: the walk moves on to the pane's next copy.
+func (e *readRound) recoverFile(f *readFile) {
 	if f.retry {
 		return
 	}
-	e.bad[f.plan.File] = true
 	var panes []int
 	for i := range f.plan.Entries {
 		panes = append(panes, f.plan.Entries[i].Pane)
 	}
 	slices.Sort(panes)
-	for _, pane := range slices.Compact(panes) {
-		for _, src := range f.cat.PaneSources(e.req.Window, pane) {
-			if e.bad[src.File] {
+	e.recoverPanes(f.readItem, slices.Compact(panes))
+}
+
+// recoverPanes retries panes of a failed file against the other copies its
+// index knows, best-first (primaries before replicas, per
+// catalog.PaneFiles), delivering each pane from the first copy that
+// verifies end to end; a copy's entry run, when its catalog lacks it, is
+// read first, that run alone (loadRuns), and a copy whose run loads neither
+// way is failed. The walk is deterministic — sorted panes, ordered sources,
+// a shared bad-file set — so every process makes the same recovery
+// decisions. A pane with no good copy anywhere is simply not delivered: the
+// receivers then report the snapshot incomplete and the restore walk falls
+// back a generation, which is exactly the all-copies-bad semantics the
+// replica layer promises.
+func (e *readRound) recoverPanes(it readItem, panes []int) {
+	rd, w := e.rd, e.req.Window
+	e.bad[it.plan.File] = true
+	for _, pane := range panes {
+		for _, f := range it.cat.PaneFiles(w, pane) {
+			name := it.cat.Files[f]
+			if e.bad[name] {
 				continue
+			}
+			if !it.cat.HasRun(f) {
+				if l := lacking(it.cat, it.blob, []int{f}); l != nil {
+					fsys := rd.ctx.FS()
+					loadRuns(fsys, serial(fsys), []*runLoad{l}, rd.mx.catalogBytes)
+				}
+				if !it.cat.HasRun(f) {
+					e.bad[name] = true
+					continue
+				}
 			}
 			// A copy that cannot be opened is blacklisted; one that opens
 			// but is damaged may still hold other panes intact, so only the
 			// attempted read is charged as wasted.
-			try := e.runInline(readItem{plan: attrPlan(src, e.req.Attr), cat: f.cat}, true)
+			try := e.runInline(readItem{plan: attrPlan(it.cat.PaneCopy(w, pane, f), e.req.Attr), cat: it.cat, blob: it.blob}, true)
 			if !try.opened {
-				e.bad[src.File] = true
+				e.bad[name] = true
 			}
 			if try.delivered {
-				e.rd.mx.repairedPanes.Inc()
-				if catalog.ReplicaRank(src.File) > 0 {
-					e.rd.mx.replicaReads.Inc()
+				rd.mx.repairedPanes.Inc()
+				if catalog.ReplicaRank(name) > 0 {
+					rd.mx.replicaReads.Inc()
 				}
 				break
 			}

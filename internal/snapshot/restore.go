@@ -129,8 +129,9 @@ func decodeStep(msg []byte) step {
 // headers and directories, so one rank does it and shares the verdict. Each
 // candidate's chain is the Reader's (chain): the one it holds when the head
 // manifest is unchanged, and otherwise a load it then holds, so the round
-// that restores it on the same Reader loads nothing again. The chain's
-// catalog blobs, then its best copies' file checks, go through the Reader's
+// that restores it on the same Reader loads nothing again but the entry runs
+// it plans from. The chain's catalogs — header, file table and pane index,
+// no entry run — then its best copies' file checks, go through the Reader's
 // driver as one batch each (judge): inline, the paper's serial order;
 // pooled, concurrent. The Reader's clock times each judged generation.
 func (rd *Reader) walk(prefix string) func() step {
@@ -148,7 +149,7 @@ func (rd *Reader) walk(prefix string) func() step {
 		}
 		// A full generation is the chain of length one.
 		t0 := clock.Now()
-		chain, err := rd.chain(g.Base)
+		chain, err := rd.chain(g.Base, nil)
 		_, err = judge(fsys, each, g.Base, chain, err, fileOK)
 		rd.mx.judgeSeconds.Observe(clock.Now() - t0)
 		return step{base: g.Base, err: err}
