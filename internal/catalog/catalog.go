@@ -697,27 +697,38 @@ func Coalesce(entries []Entry, maxGap int64) []Run {
 }
 
 // Repartition deterministically assigns a pane universe to n ranks:
-// pane IDs are sorted ascending, deduplicated, and dealt round-robin, so
-// sorted[i] goes to rank i%n. Every rank computes the same assignment from
-// the same universe with no communication, and the universe comes from the
-// catalog — the mechanism that decouples restart topology from the writing
-// run's decomposition.
+// pane IDs are sorted ascending, deduplicated, and cut into n contiguous
+// runs whose sizes differ by at most one, the longer runs first. A writer's
+// panes sort together, so each rank's share spans few writers' files, and a
+// restart on the writing topology (each writer holding as many panes) gives
+// every rank back its own panes. Every rank computes the same assignment
+// from the same universe with no communication, and the universe comes
+// from the catalog — the mechanism that decouples restart topology from the
+// writing run's decomposition. A rank past the universe gets a nil share.
 func Repartition(ids []int, n int) [][]int {
 	if n <= 0 {
 		return nil
 	}
 	sorted := append([]int(nil), ids...)
 	sort.Ints(sorted)
-	out := make([][]int, n)
-	prev := 0
 	k := 0
-	for _, id := range sorted {
-		if k > 0 && id == prev {
-			continue
+	for i, id := range sorted {
+		if i == 0 || id != sorted[k-1] {
+			sorted[k] = id
+			k++
 		}
-		out[k%n] = append(out[k%n], id)
-		prev = id
-		k++
+	}
+	out := make([][]int, n)
+	lo := 0
+	for r := range out {
+		hi := lo + k/n
+		if r < k%n {
+			hi++
+		}
+		if hi > lo {
+			out[r] = sorted[lo:hi:hi]
+		}
+		lo = hi
 	}
 	return out
 }

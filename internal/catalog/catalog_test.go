@@ -309,10 +309,25 @@ func TestCoalesce(t *testing.T) {
 }
 
 func TestRepartitionDeterministic(t *testing.T) {
+	// Contiguous runs of the sorted universe, sizes within one, the
+	// longer first.
 	got := Repartition([]int{42, 7, 100, 3, 9, 55}, 4)
-	want := [][]int{{3, 55}, {7, 100}, {9}, {42}}
+	want := [][]int{{3, 7}, {9, 42}, {55}, {100}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Repartition = %v, want %v", got, want)
+	}
+	// The writing topology restarts with every rank's own panes: three
+	// writers of four panes each (rank r's IDs 1000r+1..1000r+4).
+	var ids []int
+	for r := 2; r >= 0; r-- {
+		for p := 4; p >= 1; p-- {
+			ids = append(ids, 1000*r+p)
+		}
+	}
+	for r, share := range Repartition(ids, 3) {
+		if want := []int{1000*r + 1, 1000*r + 2, 1000*r + 3, 1000*r + 4}; !reflect.DeepEqual(share, want) {
+			t.Fatalf("rank %d's share = %v, want its own panes %v", r, share, want)
+		}
 	}
 	// Duplicates collapse; more ranks than panes leaves tail ranks empty.
 	got = Repartition([]int{5, 5, 1}, 4)

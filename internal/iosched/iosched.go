@@ -23,7 +23,9 @@
 //     completion that releases budget. The two entry points are the two
 //     admission rules. Submit streams (drain engines): every task is
 //     enqueued, then the submitter is held while OverBudget — write-through
-//     degeneration at tiny budgets. RunBatch runs a bounded list (restart
+//     degeneration at tiny budgets; SubmitShared streams tasks that hold
+//     one charge together (a replicated block's copies), released by the
+//     last of their completions. RunBatch runs a bounded list (restart
 //     rounds): a task is admitted while it fits the budget or nothing is in
 //     flight — serial degeneration at tiny budgets. Because admission is
 //     per Engine instance, a restart-read instance is serviced immediately
@@ -93,11 +95,22 @@ type Task struct {
 	// Key routes the task: equal non-empty keys serialize on one worker
 	// in submission order; an empty key deals round-robin.
 	Key string
-	// Cost is the task's byte charge against Config.Budget.
+	// Cost is the task's byte charge against Config.Budget (Submit and
+	// RunBatch; SubmitShared charges its tasks together instead).
 	Cost int64
 	// Run does the work on a worker, with the worker's clock and
 	// filesystem (via TaskCtx) and the worker's private state.
 	Run func(tc rt.TaskCtx, st WorkerState) Result
+
+	share *share // the charge this task holds with others (SubmitShared)
+}
+
+// share is one budget charge held by several tasks: the bytes count once
+// and are released when the last of the tasks completes. Only the
+// submitter goroutine touches it, counting completions as it consumes them.
+type share struct {
+	cost int64
+	left int
 }
 
 // Result is what a Task's Run returns.
@@ -314,20 +327,35 @@ func OverBudget(queued, budget int64) bool {
 // while the queue is OverBudget. Ready completions are reaped (without
 // blocking) first, so depth and byte accounting track the workers'
 // progress at every submit point. Submitter goroutine.
-func (e *Engine) Submit(t *Task) SubmitInfo {
+func (e *Engine) Submit(t *Task) SubmitInfo { return e.SubmitShared(t.Cost, t) }
+
+// SubmitShared is Submit for tasks that hold one charge of cost bytes
+// between them — the copies of one buffered block, each keyed by its own
+// file: the budget counts the bytes once, when they are submitted, and gets
+// them back when the last of the tasks completes, in whatever order the
+// workers finish them. Every task is enqueued before the submitter is held.
+// Submitter goroutine.
+func (e *Engine) SubmitShared(cost int64, ts ...*Task) SubmitInfo {
 	e.reapReady()
-	e.queued += t.Cost
-	e.depth++
-	e.classDepth[t.Class]++
-	e.mx[t.Class].depth.SetMax(float64(e.classDepth[t.Class]))
+	e.queued += cost
+	sh := &share{cost: cost, left: len(ts)}
+	cl := ts[0].Class
+	for _, t := range ts {
+		t.share = sh
+		e.depth++
+		e.classDepth[t.Class]++
+		e.mx[t.Class].depth.SetMax(float64(e.classDepth[t.Class]))
+	}
 	info := SubmitInfo{Queued: e.queued}
 	// Whether this submit overruns the budget is decided here, before the
 	// workers can race the check: the wait accounting stays deterministic.
 	if OverBudget(e.queued, e.cfg.Budget) {
 		info.Waited = true
-		e.mx[t.Class].waits.Inc()
+		e.mx[cl].waits.Inc()
 	}
-	e.jobs[e.route(t)].Put(e.clock, t)
+	for _, t := range ts {
+		e.jobs[e.route(t)].Put(e.clock, t)
+	}
 	for OverBudget(e.queued, e.cfg.Budget) && !e.crashed.Load() {
 		v, ok := e.ctl.Get(e.clock)
 		if !ok {
@@ -468,7 +496,11 @@ func (e *Engine) Close() {
 }
 
 func (e *Engine) noteCompletion(c Completion) {
-	e.queued -= c.Task.Cost
+	if sh := c.Task.share; sh == nil {
+		e.queued -= c.Task.Cost
+	} else if sh.left--; sh.left == 0 {
+		e.queued -= sh.cost
+	}
 	e.depth--
 	e.classDepth[c.Task.Class]--
 }

@@ -394,3 +394,98 @@ func TestUnifiedMetricNames(t *testing.T) {
 		t.Fatalf("iosched.write.tasks = %d, want 1", got)
 	}
 }
+
+// waitCtx is stubCtx whose first queue — the engine's control queue —
+// signals waits: every time the submitter blocks on it.
+type waitCtx struct {
+	stubCtx
+	waits chan struct{}
+	made  int
+}
+
+func (c *waitCtx) NewQueue(capacity int) rt.Queue {
+	c.made++
+	if c.made == 1 {
+		return waitQueue{make(chanQueue, max(capacity, 1)), c.waits}
+	}
+	return c.stubCtx.NewQueue(capacity)
+}
+
+type waitQueue struct {
+	chanQueue
+	waits chan struct{}
+}
+
+func (q waitQueue) Get(c rt.Clock) (interface{}, bool) {
+	q.waits <- struct{}{}
+	return q.chanQueue.Get(c)
+}
+
+// TestSharedChargeReleasedByLastCopy: the tasks of one SubmitShared hold
+// one charge, as a replicated block's copies do. With a budget under two
+// blocks, the second block's submitter stays held when the first block's
+// first copy completes and is released by its last; the queued bytes are
+// 0 after Flush; and a copy whose worker dies to an injected crash between
+// the block's copies counts its completion once, so the charge is neither
+// released twice nor kept.
+func TestSharedChargeReleasedByLastCopy(t *testing.T) {
+	const block = 100
+	// Room for every wait of the run, the unread ones of Flush and Close
+	// included, so no Get blocks on its signal.
+	ctx := &waitCtx{stubCtx: stubCtx{clock: &testClock{}}, waits: make(chan struct{}, 64)}
+	eng := New(ctx, Config{Name: "test-share", Workers: 2, Budget: 3 * block / 2, QueueCap: 8})
+	// Two copy files that route to different workers.
+	keys := []string{"f-0"}
+	for i := 1; len(keys) < 2; i++ {
+		if k := fmt.Sprintf("f-%d", i); eng.route(&Task{Key: k}) != eng.route(&Task{Key: keys[0]}) {
+			keys = append(keys, k)
+		}
+	}
+	copyTask := func(key string, gate chan struct{}) *Task {
+		return &Task{Class: ClassWrite, Key: key, Run: func(rt.TaskCtx, WorkerState) Result {
+			if gate != nil {
+				<-gate
+			}
+			return Result{}
+		}}
+	}
+	first, last := make(chan struct{}), make(chan struct{})
+	if info := eng.SubmitShared(block, copyTask(keys[0], first), copyTask(keys[1], last)); info.Waited || info.Queued != block {
+		t.Fatalf("first block: %+v, want %d bytes queued once and no wait", info, block)
+	}
+	held := make(chan SubmitInfo)
+	go func() { held <- eng.SubmitShared(block, copyTask(keys[0], nil), copyTask(keys[1], nil)) }()
+	<-ctx.waits // the second block's submitter blocks on completions
+	close(first)
+	select {
+	case <-ctx.waits: // the first copy's completion left it held
+	case info := <-held:
+		t.Fatalf("released by the first block's first copy: %+v", info)
+	}
+	close(last)
+	if info := <-held; !info.Waited || info.Queued != 2*block {
+		t.Fatalf("second block: %+v, want a wait at %d bytes", info, 2*block)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.queued != 0 {
+		t.Fatalf("%d bytes queued after Flush, want 0", eng.queued)
+	}
+	eng.Close()
+
+	// A crash between copies: the first copy's worker dies after landing it,
+	// the second copy lands on the other worker.
+	eng, _ = newTestEngine(t, Config{Name: "test-share-crash", Workers: 2, Budget: 3 * block / 2, QueueCap: 8})
+	crash := copyTask(keys[0], nil)
+	crash.Run = func(rt.TaskCtx, WorkerState) Result { return Result{Fatal: true} }
+	eng.SubmitShared(block, crash, copyTask(keys[1], nil))
+	eng.Flush() // returns when the crashed worker exits
+	eng.Close()
+	if !eng.Crashed() {
+		t.Fatal("the crashing copy did not crash its worker")
+	}
+	if eng.queued != 0 {
+		t.Fatalf("%d bytes queued after both copies completed, want 0", eng.queued)
+	}
+}

@@ -251,9 +251,9 @@ func (h *Rochdf) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 }
 
 // PanesForRestart deals the generation's pane universe for the window
-// (snapshot.Reader.PaneUniverse) round-robin over the ranks, as
-// rocpanda.Client's does, so a restart through ReadPanes with attr "all" may
-// run on any rank count.
+// (snapshot.Reader.PaneUniverse) over the ranks in contiguous runs
+// (catalog.Repartition), as rocpanda.Client's does, so a restart through
+// ReadPanes with attr "all" may run on any rank count.
 func (h *Rochdf) PanesForRestart(base, window string) ([]int, error) {
 	ids, err := h.rd.PaneUniverse(base, window)
 	if err != nil {

@@ -477,15 +477,16 @@ func mergeUniverses(parts [][]byte) map[string][]int {
 // PanesForRestart returns the panes this client should recover from a
 // committed generation: the generation's pane universe for the window
 // (from the block catalog, or the same catalog derived from the files'
-// directories when the committed one is missing or damaged), dealt
-// round-robin over the current client count. Every client computes the
-// same assignment with no communication, so a run may restart with any
-// topology — more clients, fewer, different server counts — and ReadPanes
-// with attr "all" rebuilds panes this rank never wrote. The universe comes
-// from the client's Reader (snapshot.Reader.PaneUniverse): from the chain
-// it holds of base (client 0's RestoreLatest judged it; any client held a
-// full generation's index on an earlier restart), else from a fresh read of
-// the head's commit record. rochdf.Rochdf deals the same way.
+// directories when the committed one is missing or damaged), cut into
+// contiguous runs over the current client count (catalog.Repartition).
+// Every client computes the same assignment with no communication, so a
+// run may restart with any topology — more clients, fewer, different
+// server counts — and ReadPanes with attr "all" rebuilds panes this rank
+// never wrote. The universe comes from the client's Reader
+// (snapshot.Reader.PaneUniverse): from the chain it holds of base (client
+// 0's RestoreLatest judged it; any client held a full generation's index on
+// an earlier restart), else from a fresh read of the head's commit record.
+// rochdf.Rochdf deals the same way.
 func (c *Client) PanesForRestart(base, window string) ([]int, error) {
 	ids, err := c.rd.PaneUniverse(base, window)
 	if err != nil {

@@ -3,10 +3,11 @@ package rocpanda
 // The server-side snapshot write (§6.1, Figure 2 — buffer a block, drain one
 // block whenever the non-blocking probe comes back empty, block in probe
 // when clean) is the shared write service, internal/snapshot.Writer, fed
-// from the MPI stream: handleWrite submits each decoded block once per
-// copy, the request loop (server.run) steps the inline queue between
-// probes, and every sync, shutdown and restart read of an uncommitted
-// generation ends in its Flush. The restart read is the shared read service
+// from the MPI stream: handleWrite submits each decoded block once, naming
+// its replica files beside the primary, the request loop (server.run) steps
+// the inline queue between probes — one copy of a block per step — and
+// every sync, shutdown and restart read of an uncommitted generation ends
+// in its Flush. The restart read is the shared read service
 // the same way (internal/snapshot.Reader; server.serveRead feeds it the
 // accumulated request and the deal). What is the server's own is below:
 // which driver, how wide, and what its files and series are called.

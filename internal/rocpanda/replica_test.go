@@ -10,9 +10,11 @@ package rocpanda
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"genxio/internal/cluster"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
@@ -398,5 +400,98 @@ func TestReplicaAllCopiesBadFallsBack(t *testing.T) {
 	}
 	if clients != 4 {
 		t.Fatalf("%d ranks ran the restore walk, want 4 clients", clients)
+	}
+}
+
+// TestReplicatedBlockBufferedOnce: a replicated block is buffered once and
+// lands R times. On simulated Turing with the buffer copy charged, the same
+// inputs run at R = 1 and R = 2, under the inline driver and the pool; R = 2
+// must buffer exactly R = 1's blocks with R = 1's buffer peak, write exactly
+// twice the blocks and bytes, hand every client R = 1's write-call virtual
+// seconds, and leave R = 1's files byte for byte as its primaries. One
+// client per server pins each server's arrival order, and the think time
+// after each write lets the drain finish before the next one.
+func TestReplicatedBlockBufferedOnce(t *testing.T) {
+	const nServers, nblocks, gens, think = 2, 6, 2, 5.0
+	type outcome struct {
+		snap   metrics.Snapshot
+		writes map[int][]float64 // per client rank: each write call's virtual seconds
+		files  map[string][]byte
+	}
+	run := func(async bool, repl int) outcome {
+		plat := cluster.Turing()
+		plat.NoiseFrac = 0
+		reg := metrics.New()
+		o := outcome{writes: make(map[int][]float64)}
+		var mu sync.Mutex
+		world := cluster.NewWorld(plat, 1)
+		err := world.Run(2*nServers, func(ctx mpi.Ctx) error {
+			cl, err := Init(ctx, Config{
+				NumServers: nServers, Profile: hdf.NullProfile(), ActiveBuffering: true,
+				AsyncDrain: async, DrainWriters: 2, MemcpyBW: plat.MemcpyBW,
+				ReplicationFactor: repl, Metrics: reg,
+			})
+			if err != nil || cl == nil {
+				return err
+			}
+			rank, clock := cl.Comm().Rank(), ctx.Clock()
+			w := buildWindow(t, rank, nblocks)
+			for g := 0; g < gens; g++ {
+				t0 := clock.Now()
+				if err := cl.WriteAttribute(fmt.Sprintf("fan/s%06d", g), w, "all", float64(g), g); err != nil {
+					return err
+				}
+				mu.Lock()
+				o.writes[rank] = append(o.writes[rank], clock.Now()-t0)
+				mu.Unlock()
+				clock.Compute(think)
+			}
+			if err := cl.Sync(); err != nil {
+				return err
+			}
+			return cl.Shutdown()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.snap = reg.Snapshot()
+		o.files = snapshotFileBytes(t, world.FSModel().Backing(), "fan/")
+		return o
+	}
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			r1, r2 := run(async, 1), run(async, 2)
+			c1, c2 := r1.snap.Counters, r2.snap.Counters
+			if c1["rocpanda.server.blocks_buffered"] == 0 {
+				t.Fatal("R=1 buffered no blocks")
+			}
+			if a, b := c2["rocpanda.server.blocks_buffered"], c1["rocpanda.server.blocks_buffered"]; a != b {
+				t.Errorf("R=2 buffered %d blocks, R=1 %d", a, b)
+			}
+			if a, b := r2.snap.Gauges["rocpanda.server.buf_bytes_peak"], r1.snap.Gauges["rocpanda.server.buf_bytes_peak"]; a != b {
+				t.Errorf("R=2 buffer peak %v bytes, R=1 %v", a, b)
+			}
+			for _, name := range []string{"rocpanda.server.blocks_written", "rocpanda.server.bytes_written"} {
+				if a, b := c2[name], c1[name]; a != 2*b {
+					t.Errorf("R=2 %s = %d, want 2 x R=1's %d", name, a, b)
+				}
+			}
+			if len(r1.writes) != nServers {
+				t.Fatalf("timed %d clients, want %d", len(r1.writes), nServers)
+			}
+			for rank, want := range r1.writes {
+				if got := r2.writes[rank]; !reflect.DeepEqual(got, want) {
+					t.Errorf("client %d write calls took %v virtual s at R=2, %v at R=1", rank, got, want)
+				}
+			}
+			if len(r2.files) != 2*len(r1.files) {
+				t.Fatalf("R=2 wrote %d files, R=1 %d", len(r2.files), len(r1.files))
+			}
+			for name, want := range r1.files {
+				if !bytes.Equal(r2.files[name], want) {
+					t.Errorf("R=2 primary %s differs from R=1's file", name)
+				}
+			}
+		})
 	}
 }

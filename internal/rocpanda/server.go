@@ -199,13 +199,12 @@ func (s *server) handleWrite(src int) {
 				s.idx, i+1, hdr.NBlocks, src, tagWriteBlock, len(payload), err))
 			continue
 		}
-		// One block per copy: the primary plus any replicas, all through
-		// the same service, so the buffered-byte and written-byte tallies
-		// honestly show the write amplification. The sets alias the
-		// received payload — the server's buffer, copied nowhere else.
-		for _, fname := range fnames {
-			s.wr.Submit(snapshot.Block{File: fname, Sets: sets, Bytes: int64(len(payload)), Time: hdr.Time, Step: hdr.Step})
-		}
+		// One buffered block that lands in every copy: the primary, then
+		// any replicas. The sets alias the received payload — the server's
+		// buffer, copied nowhere else — so the buffer copy and the budget
+		// are charged once, and only the written-byte tallies show the
+		// write amplification.
+		s.wr.Submit(snapshot.Block{File: fnames[0], Replicas: fnames[1:], Sets: sets, Bytes: int64(len(payload)), Time: hdr.Time, Step: hdr.Step})
 	}
 	s.world.Send(src, tagWriteAck, nil)
 }

@@ -8,23 +8,26 @@ package snapshot
 // compute rank itself, and T-Rochdf its pool of one. It is one state machine
 // with two drivers.
 //
-// The state machine. Submit takes a block into the queue (charging the
-// buffer copy and counting it under active buffering); a step pops the
-// oldest queued block, appends it to its snapshot file through a blockSink,
-// observes drain_seconds and then visits the MidDrain crash point; Flush
-// empties the queue, closes every open file and returns the sticky first
-// error — the barrier-before-commit that sync, restart reads of an
-// uncommitted generation and shutdown rely on. Only after it may a
+// The state machine. Submit takes a block into the queue once, whatever its
+// replication (charging the buffer copy and counting it under active
+// buffering); a step lands one copy of the oldest queued block — its
+// primary file, then each replica in order — appending it through a
+// blockSink, observes drain_seconds and then visits the MidDrain crash
+// point; the block leaves the queue with its last copy. Flush empties the
+// queue, closes every open file and returns the sticky first error — the
+// barrier-before-commit that sync, restart reads of an uncommitted
+// generation and shutdown rely on. Only after it may a
 // generation's manifest be written (Pending.Commit), so crash consistency,
 // catalog publication and generation fallback depend on neither the driver
 // nor the module.
 //
 // The budget rule, stated once: WriterConfig.Budget bounds the queued bytes
-// by iosched.OverBudget, the scheduler's streaming rule. A Submit that
-// leaves the queue over budget holds the submitter — delaying a Rocpanda
-// client's ack — until steps bring it back under; 0 is unbounded, and a
-// budget smaller than any block degenerates to write-through timing under
-// either driver.
+// by iosched.OverBudget, the scheduler's streaming rule. A block counts its
+// bytes once, however many copies it lands, and releases them when its last
+// copy lands. A Submit that leaves the queue over budget holds the
+// submitter — delaying a Rocpanda client's ack — until steps bring it back
+// under; 0 is unbounded, and a budget smaller than any block degenerates to
+// write-through timing under either driver.
 //
 // The inline driver (Workers 0) is the paper-faithful, zero-worker case: the
 // queue lives on the owner, which runs one step per empty Iprobe (a Rocpanda
@@ -33,22 +36,24 @@ package snapshot
 // is constructed, so such a run reports no iosched write tasks.
 // Write-through (Buffering off — Rochdf, and Rocpanda's ablation baseline)
 // is this driver holding every Submit until the queue is empty: no buffer
-// copy is charged and nothing counts as buffered, but a block still takes
-// the one step, MidDrain point included.
+// copy is charged and nothing counts as buffered, but each copy of a block
+// still takes its step, MidDrain point included.
 //
 // The pool driver (Workers > 0 — T-Rochdf's I/O thread is one worker) hands
 // the same step to an internal/iosched pool as ClassWrite tasks (goroutines
 // on the channel backend, simulation processes with their own clock and
-// filesystem view on the virtual platforms): queue, budget and hold are the
+// filesystem view on the virtual platforms), one task per copy holding the
+// block's one charge (iosched.SubmitShared): queue, budget and hold are the
 // scheduler's, each writer owns a private blockSink, and the owner keeps
 // absorbing blocks while earlier ones land. A held submitter blocks on
 // completion signals (iosched.write.backpressure_waits), never sleep-polling.
 //
-// Ordering and bit-exactness: the inline queue is FIFO; a pool task's key is
-// its destination file, so the scheduler's keyed-ordering invariant (same
-// key => same worker, in submission order) gives each file its blocks in
-// exactly the arrival order the inline driver uses. The output files are
-// byte-identical under both.
+// Ordering and bit-exactness: the inline queue is FIFO and lands a block's
+// copies back to back; a pool task's key is its destination file, so the
+// scheduler's keyed-ordering invariant (same key => same worker, in
+// submission order) gives each file its blocks in exactly the arrival order
+// the inline driver uses. The output files are byte-identical under both,
+// and every replica is byte-identical to its primary.
 //
 // Reports: every file a sink closes is reported to the Writer as what its
 // hdf.Writer published — name, size, dataset count and directory bytes, the
@@ -59,9 +64,9 @@ package snapshot
 // only a barrier (a restart read of an uncommitted generation) leaves them
 // for the next.
 //
-// Faults: MidBuffer fires on the owner after a buffered block is queued
-// (never under write-through). MidDrain fires after a block lands and
-// BeforeMeta inside the sink, on whichever process runs the step — on the
+// Faults: MidBuffer fires on the owner once per buffered block, after it is
+// queued (never under write-through). MidDrain fires after each copy lands
+// and BeforeMeta inside the sink, on whichever process runs the step — on the
 // owner inline, as a fatal task result on a pool writer; a dying writer takes
 // the owning process with it (Crashed), its files left as staged
 // temporaries. A failed write or close never panics: the first error sticks
@@ -88,14 +93,27 @@ import (
 // intended flow control.
 const writerQueueCap = 4096
 
-// Block is one data block awaiting its step: the datasets one source handed
-// over for one snapshot file.
+// Block is one data block awaiting its steps: the datasets one source handed
+// over, and the files they land in — the primary, then any replicas, each a
+// copy of the same buffered bytes.
 type Block struct {
-	File  string // destination snapshot file
-	Sets  []roccom.IOSet
-	Bytes int64 // the block's charge against the buffer budget
-	Time  float64
-	Step  int32
+	File     string   // destination snapshot file: the primary copy
+	Replicas []string // further copies, landed after File in this order
+	Sets     []roccom.IOSet
+	Bytes    int64 // the block's charge against the buffer budget, once for all its copies
+	Time     float64
+	Step     int32
+}
+
+// copies is how many files the block lands in.
+func (b *Block) copies() int { return 1 + len(b.Replicas) }
+
+// copyFile names copy i's file: the primary, then the replicas.
+func (b *Block) copyFile(i int) string {
+	if i == 0 {
+		return b.File
+	}
+	return b.Replicas[i-1]
 }
 
 // WriterConfig is what differs between the placements of a Writer.
@@ -174,9 +192,13 @@ type Writer struct {
 	mx    writerMx
 	err   error // sticky first failure
 
-	// Inline driver: the queue, its byte count and the owner's sink.
+	// Inline driver: the queue (pending from head on; its array is reused
+	// once it drains), its byte count, how many copies of the head block
+	// have landed, and the owner's sink.
 	queue  []Block
+	head   int
 	queued int64
+	landed int
 	sink   *blockSink
 
 	// Pool driver: queue, budget and sinks live in the scheduler.
@@ -235,28 +257,34 @@ func (w *Writer) Submit(blk Block) {
 		w.mx.blocksBuffered.Inc()
 	}
 	if w.eng != nil {
-		info := w.eng.Submit(&iosched.Task{
-			Class: iosched.ClassWrite,
-			Key:   blk.File,
-			Cost:  blk.Bytes,
-			Run: func(tc rt.TaskCtx, st iosched.WorkerState) (res iosched.Result) {
-				// The BeforeMeta crash point inside the sink panics with
-				// Crashed; the writer dies there, its files unclosed.
-				defer func() {
-					if r := recover(); r != nil {
-						if _, died := r.(Crashed); !died {
-							panic(r)
+		// One task per copy, keyed by its file, all holding the block's one
+		// charge: the budget gets the bytes back when the last copy lands.
+		tasks := make([]*iosched.Task, blk.copies())
+		for i := range tasks {
+			file := blk.copyFile(i)
+			tasks[i] = &iosched.Task{
+				Class: iosched.ClassWrite,
+				Key:   file,
+				Run: func(tc rt.TaskCtx, st iosched.WorkerState) (res iosched.Result) {
+					// The BeforeMeta crash point inside the sink panics with
+					// Crashed; the writer dies there, its files unclosed.
+					defer func() {
+						if r := recover(); r != nil {
+							if _, died := r.(Crashed); !died {
+								panic(r)
+							}
+							res = iosched.Result{Fatal: true}
 						}
-						res = iosched.Result{Fatal: true}
+					}()
+					err := w.land(st.(*blockSink), &blk, file)
+					if err != nil {
+						w.mx.errors.Inc()
 					}
-				}()
-				err := w.land(st.(*blockSink), blk)
-				if err != nil {
-					w.mx.errors.Inc()
-				}
-				return iosched.Result{Err: err, Fatal: w.dies(faults.MidDrain)}
-			},
-		})
+					return iosched.Result{Err: err, Fatal: w.dies(faults.MidDrain)}
+				},
+			}
+		}
+		info := w.eng.SubmitShared(blk.Bytes, tasks...)
 		w.mx.bufBytesPeak.SetMax(float64(info.Queued))
 		if info.Waited && w.eng.Crashed() {
 			panic(Crashed{})
@@ -280,17 +308,26 @@ func (w *Writer) Submit(blk Block) {
 
 // Pending reports whether the owner has queued blocks to step through
 // between probes; never with the pool, whose writers drain on their own.
-func (w *Writer) Pending() bool { return len(w.queue) > 0 }
+func (w *Writer) Pending() bool { return w.head < len(w.queue) }
 
-// Step drains the oldest queued block on the owner. A failure does not stop
+// Step lands the next copy of the oldest queued block on the owner; the
+// block's bytes leave the queue with its last copy. A failure does not stop
 // the queue: other files may still complete, and the sticky error already
 // blocks every later commit.
 func (w *Writer) Step() {
-	blk := w.queue[0]
-	w.queue = w.queue[1:]
-	w.queued -= blk.Bytes
-	if err := w.land(w.sink, blk); err != nil {
+	blk := &w.queue[w.head]
+	file := blk.copyFile(w.landed)
+	if w.landed++; w.landed == blk.copies() {
+		w.head++
+		w.queued -= blk.Bytes
+		w.landed = 0
+	}
+	if err := w.land(w.sink, blk, file); err != nil {
 		w.Fail(err)
+	}
+	if !w.Pending() {
+		clear(w.queue) // drop the landed blocks' payloads
+		w.queue, w.head = w.queue[:0], 0
 	}
 	w.crashAt(faults.MidDrain)
 }
@@ -302,13 +339,13 @@ func (w *Writer) drain() {
 	}
 }
 
-// land writes one block through k — and under ClosePerBlock closes its
-// file, written or not, so what landed is published — and records the drain
-// latency (the cost active buffering hides) on the clock of whichever
-// process runs it.
-func (w *Writer) land(k *blockSink, blk Block) error {
+// land writes one copy of a block, to file, through k — and under
+// ClosePerBlock closes the file, written or not, so what landed is
+// published — and records the drain latency (the cost active buffering
+// hides) on the clock of whichever process runs it.
+func (w *Writer) land(k *blockSink, blk *Block, file string) error {
 	t0 := k.clock.Now()
-	err := k.write(blk)
+	err := k.write(blk, file)
 	if w.cfg.ClosePerBlock {
 		if cerr := k.closeAll(""); err == nil {
 			err = cerr
@@ -316,7 +353,7 @@ func (w *Writer) land(k *blockSink, blk Block) error {
 	}
 	w.mx.drainSeconds.Observe(k.clock.Now() - t0)
 	if err != nil {
-		return fmt.Errorf("snapshot: writing %s: %w", blk.File, err)
+		return fmt.Errorf("snapshot: writing %s: %w", file, err)
 	}
 	return nil
 }
@@ -435,42 +472,42 @@ func (k *blockSink) Flush() error {
 // when a writer exits belong to a dead process and stay staged.
 func (k *blockSink) Close() error { return nil }
 
-// write appends one block's datasets to the snapshot file, opening it
-// first if needed. Opening a new snapshot file closes the previous
-// snapshot's writers (writes are ordered across generations, so once a
-// newer snapshot's data drains, older files are complete). A file that was
-// already created and closed (by ClosePerBlock, or by one client's sync
-// while another client's blocks were still inbound) is reopened in append
-// mode — recreating it would truncate the blocks already on disk.
+// write appends one block's datasets to file, opening it first if needed.
+// Opening a new snapshot file closes the previous snapshot's writers (writes
+// are ordered across generations, so once a newer snapshot's data drains,
+// older files are complete). A file that was already created and closed (by
+// ClosePerBlock, or by one client's sync while another client's blocks were
+// still inbound) is reopened in append mode — recreating it would truncate
+// the blocks already on disk.
 //
 // Errors are returned, not panicked: a full disk must surface through the
 // sticky error and the commit allreduce, not tear the whole run down.
-func (k *blockSink) write(blk Block) error {
+func (k *blockSink) write(blk *Block, file string) error {
 	cfg, mx := &k.w.cfg, &k.w.mx
-	w, ok := k.writers[blk.File]
+	w, ok := k.writers[file]
 	if !ok {
-		if err := k.closeAll(baseOf(blk.File)); err != nil {
+		if err := k.closeAll(baseOf(file)); err != nil {
 			return err
 		}
 		var err error
-		if k.metaDone[blk.File] {
-			w, err = hdf.OpenAppend(k.fs, blk.File, k.clock, cfg.Profile)
+		if k.metaDone[file] {
+			w, err = hdf.OpenAppend(k.fs, file, k.clock, cfg.Profile)
 		} else {
-			w, err = hdf.Create(k.fs, blk.File, k.clock, cfg.Profile)
+			w, err = hdf.Create(k.fs, file, k.clock, cfg.Profile)
 		}
 		if err != nil {
 			return err
 		}
-		if !k.metaDone[blk.File] {
+		if !k.metaDone[file] {
 			mx.filesCreated.Inc()
 		}
 		w.Compress = cfg.Compress
 		w.Metrics = cfg.Metrics
-		k.writers[blk.File] = w
+		k.writers[file] = w
 	}
-	if !k.metaDone[blk.File] {
+	if !k.metaDone[file] {
 		k.w.crashAt(faults.BeforeMeta)
-		k.metaDone[blk.File] = true
+		k.metaDone[file] = true
 		attrs := append([]hdf.Attr{hdf.F64Attr("time", blk.Time), hdf.I32Attr("step", blk.Step)}, cfg.Meta...)
 		if err := w.CreateDataset("_meta", hdf.U8, []int64{0}, attrs, nil); err != nil {
 			return fmt.Errorf("meta: %w", err)
