@@ -187,7 +187,7 @@ func (c *Catalog) Dataset(e *Entry) hdf.Dataset {
 
 // Encode serializes a whole catalog in the layout sections.go gives.
 func (c *Catalog) Encode() []byte {
-	return assembleBlob(c.Files, c.index, c.npanes, func(f int) ([]byte, int) { return c.runs[f].b, len(c.runs[f].ents) })
+	return assembleBlob(len(c.Files), func(f int) string { return c.Files[f] }, c.index, c.npanes, func(f int) ([]byte, int) { return c.runs[f].b, len(c.runs[f].ents) })
 }
 
 // Splice builds a catalog blob the way a commit does: each file's
@@ -243,11 +243,7 @@ func (s *Splice) AddDir(d hdf.RawDir) error {
 
 // Blob returns the catalog blob of the directories added.
 func (s *Splice) Blob() []byte {
-	names := make([]string, len(s.files))
-	for i, f := range s.files {
-		names[i] = f.name
-	}
-	return assembleBlob(names, s.index, s.npanes, func(f int) ([]byte, int) {
+	return assembleBlob(len(s.files), func(f int) string { return s.files[f].name }, s.index, s.npanes, func(f int) ([]byte, int) {
 		start := 0
 		if f > 0 {
 			start = s.files[f-1].end

@@ -429,19 +429,19 @@ func (r *varintReader) str() []byte {
 	return r.b[r.off-n : r.off]
 }
 
-// assembleBlob writes a blob: the header, the file table, the pane index
-// (npanes IDs) and each file's entry run (runOf).
-func assembleBlob(files []string, index []byte, npanes int, runOf func(f int) (b []byte, count int)) []byte {
-	hs := HeaderSize(len(files))
+// assembleBlob writes a blob: the header, the file table (nfiles names,
+// nameOf), the pane index (npanes IDs) and each file's entry run (runOf).
+func assembleBlob(nfiles int, nameOf func(f int) string, index []byte, npanes int, runOf func(f int) (b []byte, count int)) []byte {
+	hs := HeaderSize(nfiles)
 	size := hs + len(index)
-	for f, name := range files {
+	for f := range nfiles {
 		b, _ := runOf(f)
-		size += 2 + len(name) + len(b)
+		size += 2 + len(nameOf(f)) + len(b)
 	}
 	blob := make([]byte, hs, size)
 	copy(blob, Magic)
 	binary.LittleEndian.PutUint32(blob[4:], Version)
-	binary.LittleEndian.PutUint32(blob[12:], uint32(len(files)))
+	binary.LittleEndian.PutUint32(blob[12:], uint32(nfiles))
 	record := func(i, start, count int) {
 		r := blob[headerSize+4+recordSize*i:]
 		binary.LittleEndian.PutUint32(r, uint32(len(blob)-start))
@@ -449,14 +449,14 @@ func assembleBlob(files []string, index []byte, npanes int, runOf func(f int) (b
 		binary.LittleEndian.PutUint32(r[8:], hdf.Checksum(blob[start:]))
 	}
 	start := len(blob)
-	for _, name := range files {
-		blob = hdf.AppendStr(blob, name)
+	for f := range nfiles {
+		blob = hdf.AppendStr(blob, nameOf(f))
 	}
-	record(secFiles, start, len(files))
+	record(secFiles, start, nfiles)
 	start = len(blob)
 	blob = append(blob, index...)
 	record(secPanes, start, npanes)
-	for f := range files {
+	for f := range nfiles {
 		b, n := runOf(f)
 		start = len(blob)
 		blob = append(blob, b...)

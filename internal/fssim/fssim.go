@@ -76,6 +76,10 @@ func DefaultInterference(k int) float64 {
 	return 1 + 0.02*x + 0.25*x*math.Exp(-u*u*u*u)
 }
 
+// DefaultStreamReadBW is NFSParams.StreamReadBW when left zero: one
+// client's window-limited read stream, in bytes per second.
+const DefaultStreamReadBW = 0.75e6
+
 // NFS is the Turing-style single-server shared filesystem.
 type NFS struct {
 	params  NFSParams
@@ -99,7 +103,7 @@ func NewNFS(env *sim.Env, params NFSParams) *NFS {
 		params.DiskWriteBW = 15e6
 	}
 	if params.StreamReadBW == 0 {
-		params.StreamReadBW = 0.75e6
+		params.StreamReadBW = DefaultStreamReadBW
 	}
 	if params.OpLatency == 0 {
 		params.OpLatency = 0.8e-3

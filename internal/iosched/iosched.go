@@ -14,8 +14,11 @@
 //     worker in submission order (FNV-32a of the key over the pool width) —
 //     the file-routing guarantee that keeps async-drain output
 //     byte-identical to a synchronous drain is a scheduler invariant here,
-//     not a drain-engine detail. Tasks with an empty Key are dealt
-//     round-robin by submission index.
+//     not a drain-engine detail. A task with an empty Key goes to the
+//     worker dealt the fewest bytes (Cost) so far, ties to the round-robin
+//     cursor: a batch of mixed sizes (a read round's chunks, tails and
+//     short runs) ends with every worker's bytes within one task's cost of
+//     the others', and an equal-cost batch deals round-robin by index.
 //
 //   - Budget admission on completion signals. Config.Budget bounds the
 //     task bytes in flight. The gate never sleep-polls: a stalled
@@ -93,7 +96,8 @@ type Task struct {
 	// Class selects the accounting bucket.
 	Class Class
 	// Key routes the task: equal non-empty keys serialize on one worker
-	// in submission order; an empty key deals round-robin.
+	// in submission order; an empty key deals to the worker with the
+	// fewest bytes dealt so far.
 	Key string
 	// Cost is the task's byte charge against Config.Budget (Submit and
 	// RunBatch; SubmitShared charges its tasks together instead).
@@ -216,7 +220,8 @@ type Engine struct {
 	queued     int64
 	depth      int
 	classDepth [numClasses]int
-	rr         int // round-robin cursor for unkeyed tasks
+	rr         int     // round-robin cursor: where unkeyed ties go
+	dealt      []int64 // unkeyed task bytes routed to each worker so far
 	exited     int
 	closed     bool
 	mx         [numClasses]classMx
@@ -230,6 +235,7 @@ func New(ctx mpi.Ctx, cfg Config) *Engine {
 		cfg:   cfg,
 		clock: ctx.Clock(),
 		nw:    nw,
+		dealt: make([]int64, nw),
 		// One slot per possibly-outstanding task plus every ack and exit:
 		// a worker never blocks reporting, so a stalled or absent
 		// submitter can never wedge the pool.
@@ -274,13 +280,23 @@ func (e *Engine) NoteOverlap(c Class, seconds float64) {
 	e.mx[c].overlap.Observe(seconds)
 }
 
-// route assigns a task to a worker: FNV-32a of the key, or round-robin by
-// submission index when unkeyed. Stable by key, so one key's tasks always
-// execute on one worker, in submission order.
+// route assigns a task to a worker: FNV-32a of the key — stable, so one
+// key's tasks always execute on one worker, in submission order — or, when
+// unkeyed, the worker dealt the fewest bytes so far, the first such from
+// the round-robin cursor. Dealing each task to the lightest worker keeps
+// any two workers' bytes within the largest task's cost of each other; when
+// every task costs the same, the lightest worker from the cursor is the
+// cursor itself, so equal-cost tasks deal round-robin by submission index.
 func (e *Engine) route(t *Task) int {
 	if t.Key == "" {
 		wi := e.rr % e.nw
-		e.rr++
+		for i := 1; i < e.nw; i++ {
+			if j := (e.rr + i) % e.nw; e.dealt[j] < e.dealt[wi] {
+				wi = j
+			}
+		}
+		e.rr = wi + 1
+		e.dealt[wi] += t.Cost
 		return wi
 	}
 	h := fnv.New32a()

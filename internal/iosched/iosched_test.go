@@ -3,6 +3,8 @@ package iosched
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sync"
 	"testing"
 
@@ -244,6 +246,45 @@ func TestRoundRobinDealing(t *testing.T) {
 		}
 	}
 	eng.Close()
+}
+
+// TestByteBalancedDealing checks the deal on a batch shaped like a restart
+// read round — a full file's 512 KB chunks and tail, then the short runs of
+// delta files: after it, the bytes dealt to any two workers differ by at
+// most the largest task's cost. Keyed tasks keep their FNV-32a routing.
+func TestByteBalancedDealing(t *testing.T) {
+	const nw = 4
+	eng, _ := newTestEngine(t, Config{
+		Name:     "test-deal",
+		Workers:  nw,
+		QueueCap: 64,
+	})
+	defer eng.Close()
+	var costs []int64
+	for range 5 {
+		costs = append(costs, 512<<10)
+	}
+	costs = append(costs, 200<<10)
+	for i := range 36 {
+		costs = append(costs, int64(4<<10+(i%7)*3<<10))
+	}
+	var dealt [nw]int64
+	var largest int64
+	for _, c := range costs {
+		dealt[eng.route(&Task{Cost: c})] += c
+		largest = max(largest, c)
+	}
+	if lo, hi := slices.Min(dealt[:]), slices.Max(dealt[:]); hi-lo > largest {
+		t.Fatalf("dealt bytes per worker %v: spread %d exceeds the largest task's %d", dealt, hi-lo, largest)
+	}
+	for _, key := range []string{"a_s000.rhdf", "a_s001.rhdf", "a_s002r1.rhdf", "b_p00003.rhdf"} {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		want := int(h.Sum32() % nw)
+		if got := eng.route(&Task{Key: key, Cost: 512 << 10}); got != want {
+			t.Fatalf("keyed task %q routed to worker %d, want FNV-32a mod %d = %d", key, got, nw, want)
+		}
+	}
 }
 
 // TestFlushErrorSticky checks error semantics: a failed task surfaces on

@@ -2,11 +2,13 @@ package rocpanda
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"genxio/internal/cluster"
+	"genxio/internal/fssim"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -163,5 +165,82 @@ func TestRestartMetadataBatchOnSimulatedTuring(t *testing.T) {
 	}
 	if p, i := pooled.judge+pooled.chain, inline.judge+inline.chain; p > 0.6*i {
 		t.Errorf("judge plus chain load: pooled %.3f s, inline %.3f s; want at most 0.6 of inline", p, i)
+	}
+}
+
+// TestParallelReadRoundBalancedOnSimulatedTuring: one server's pooled read
+// round on simulated Turing (NFS, one window-limited stream per read
+// worker) over a depth-3 delta chain, so the share mixes a full file's
+// 512 KB chunks and tails with the short runs of the delta files. The
+// round's virtual seconds stay within 1.18× of its bytes over four streams:
+// dealing the chunks by bytes gives every worker about a quarter of them,
+// where dealing by index left one worker reading far more than the rest.
+// The platform runs noise-free, so the ratio repeats exactly.
+func TestParallelReadRoundBalancedOnSimulatedTuring(t *testing.T) {
+	const nClients, nblocks, nodes, gens, workers = 2, 24, 4000, 4, 4
+	// Each delta rewrites a few scattered panes of every client (mutateDelta
+	// m rewrites the pane at local index m), breaking the full file's
+	// planned extent into runs of several lengths.
+	dirtied := [gens][]int{1: {5}, 2: {11, 12}, 3: {17, 20, 21}}
+	plat := cluster.Turing()
+	plat.NoiseFrac = 0
+	reg := metrics.New()
+	err := cluster.NewWorld(plat, 1).Run(nClients+1, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, Config{
+			NumServers: 1, Profile: hdf.NullProfile(), ActiveBuffering: true,
+			MemcpyBW: plat.MemcpyBW, Metrics: reg,
+			DeltaSnapshots: true, FullEvery: gens,
+			ParallelRead: true, ReadWorkers: workers,
+		})
+		if err != nil || cl == nil {
+			return err
+		}
+		rank := cl.Comm().Rank()
+		w := buildWindowNodes(t, rank, nblocks, nodes)
+		for g := 0; g < gens; g++ {
+			for _, m := range dirtied[g] {
+				mutateDelta(w, m, nblocks)
+			}
+			if err := cl.WriteAttribute(fmt.Sprintf("bal/s%06d", g), w, "all", float64(g), g*10); err != nil {
+				return err
+			}
+			if err := cl.Sync(); err != nil {
+				return err
+			}
+		}
+		rw := buildWindowNodes(t, rank, nblocks, nodes)
+		if err := cl.ReadAttribute(fmt.Sprintf("bal/s%06d", gens-1), rw, "all"); err != nil {
+			return err
+		}
+		var bad error
+		w.EachPane(func(p *roccom.Pane) {
+			q, _ := rw.Pane(p.ID)
+			if bad == nil && !reflect.DeepEqual(capturePane(q), capturePane(p)) {
+				bad = fmt.Errorf("client %d: pane %d differs after the restart", rank, p.ID)
+			}
+		})
+		if bad != nil {
+			return bad
+		}
+		return cl.Shutdown()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := reg.Snapshot()
+	scan, chain := s.Histograms["rocpanda.server.restart_scan_seconds"], s.Histograms["rocpanda.restart.chain_seconds"]
+	if scan.Count != 1 || chain.Count != 1 {
+		t.Fatalf("%d read rounds and %d chain loads, want 1 and 1", scan.Count, chain.Count)
+	}
+	bytes := s.Counters["rocpanda.restart.bytes_read"]
+	files := s.Counters["rocpanda.restart.files_opened"]
+	round := scan.Sum - chain.Sum
+	ideal := float64(bytes) / (workers * fssim.DefaultStreamReadBW) // Turing's NFS streams
+	t.Logf("round %.3f s for %d B from %d files; %d streams ideal %.3f s, ratio %.3f", round, bytes, files, workers, ideal, round/ideal)
+	if files != gens {
+		t.Fatalf("the round opened %d files, want the chain's %d", files, gens)
+	}
+	if round > 1.18*ideal {
+		t.Errorf("read round took %.3f s, %.2f× its %d B over %d streams (%.3f s); want at most 1.18×", round, round/ideal, bytes, workers, ideal)
 	}
 }

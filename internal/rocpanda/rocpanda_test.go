@@ -114,6 +114,11 @@ func (r *rankRegistries) crashed(t testing.TB) (rank int, counters map[string]in
 // buildWindow registers nblocks panes with deterministic data for a client
 // rank (of the client communicator).
 func buildWindow(t testing.TB, clientRank, nblocks int) *roccom.Window {
+	return buildWindowNodes(t, clientRank, nblocks, 50)
+}
+
+// buildWindowNodes is buildWindow with nodes nodes per pane.
+func buildWindowNodes(t testing.TB, clientRank, nblocks, nodes int) *roccom.Window {
 	rc := roccom.New()
 	w, err := rc.NewWindow("fluid")
 	if err != nil {
@@ -123,7 +128,7 @@ func buildWindow(t testing.TB, clientRank, nblocks int) *roccom.Window {
 	w.NewAttribute(roccom.AttrSpec{Name: "flags", Loc: roccom.PaneLoc, Type: hdf.I32, NComp: 1})
 	blocks, err := mesh.GenCylinder(mesh.CylinderSpec{
 		RInner: 0.1, ROuter: 0.4, Length: 1,
-		BR: 1, BT: nblocks, BZ: 1, NodesPerBlock: 50, Spread: 0.25,
+		BR: 1, BT: nblocks, BZ: 1, NodesPerBlock: nodes, Spread: 0.25,
 	}, 1000*clientRank+1, stats.NewRNG(uint64(clientRank)+3))
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,12 @@ package snapshot
 // delivery of file N. Coalesced runs split into readChunkBytes chunks, so
 // even a single large file spreads across the pool — on the simulated NFS
 // platforms each worker has its own stream-read pacing, which is where the
-// restart speedup comes from. ReaderConfig.Budget is the batch's scheduler
+// restart speedup comes from. The scheduler deals each chunk to the worker
+// dealt the fewest bytes so far, so a share that mixes a full file's chunks
+// and tails with the short runs of delta files leaves every worker about
+// the same bytes and the round ends when they all do; a worker may thus
+// hold many short tasks while another holds one chunk, and the job queues
+// are sized for it (newPool). ReaderConfig.Budget is the batch's scheduler
 // budget: a task that would overrun it is deferred until outstanding reads
 // complete, but an idle pool always admits. Read overlap is disk time after
 // the round's first delivery, which the owner notes per completion.
@@ -499,11 +504,13 @@ func (rd *Reader) newPool(n int, newState func(int, rt.TaskCtx) iosched.WorkerSt
 		Workers: nw,
 		Budget:  cfg.Budget,
 		// Job queues are sized so no Put ever blocks: the scheduler deals
-		// unkeyed tasks round-robin by index (and its control queue holds
-		// every job queue's worth of completions plus every exit). A crashed
-		// worker that abandons its queue can then never wedge the owner
-		// mid-Put.
-		QueueCap:   n/nw + 2,
+		// each unkeyed task to the worker dealt the fewest bytes, so a
+		// worker's task count follows the bytes, not n/nw — one may be
+		// dealt many short runs while another holds one chunk — and only a
+		// queue of n holds every deal (the control queue holds every job
+		// queue's worth of completions plus every exit). A crashed worker
+		// that abandons its queue can then never wedge the owner mid-Put.
+		QueueCap:   n,
 		NewState:   newState,
 		Metrics:    cfg.Metrics,
 		Trace:      cfg.Trace,
