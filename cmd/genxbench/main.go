@@ -9,17 +9,11 @@
 //	genxbench -exp fig3a  [-maxprocs 480] [-runs 3]
 //	genxbench -exp fig3b  [-maxnodes 32] [-runs 3]
 //	genxbench -exp ablations [-scale 0.25]
-//	genxbench -exp bench [-json] [-out BENCH_genxbench.json] [-trace jsonl|chrome]
 //	genxbench -exp all
 //
-// The bench experiment runs one small instrumented run per I/O module
-// (Rocpanda twice: synchronous drain and the AsyncDrain background
-// writer pool) and, with -json, emits the machine-readable
-// BENCH_genxbench.json (metrics snapshots, per-phase visible-I/O and
-// drain costs); -trace additionally exports each module's phase trace.
-// The committed BENCH_genxbench.json is the CI perf baseline: refresh it
-// with this command in any PR that intentionally changes bench numbers
-// (ci/comparebench gates regressions against it).
+// The repository's benchmark of the Rocpanda module and its layers is
+// the separate bench/ module (sh bench/run.sh); genxbench runs only the
+// paper's figures and the ablations.
 package main
 
 import (
@@ -32,15 +26,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1 | fig3a | fig3b | ablations | bench | all")
+	exp := flag.String("exp", "all", "experiment: table1 | fig3a | fig3b | ablations | all")
 	scale := flag.Float64("scale", 1.0, "lab-scale workload scale in (0,1]")
 	runs := flag.Int("runs", 0, "runs per configuration (0 = experiment default)")
 	maxProcs := flag.Int("maxprocs", 480, "largest compute-processor count for fig3a")
 	maxNodes := flag.Int("maxnodes", 32, "largest node count for fig3b")
-	benchSeed := flag.Uint64("seed", 1, "bench: platform seed (output is deterministic in it)")
-	jsonOut := flag.Bool("json", false, "bench: also write the JSON result")
-	outPath := flag.String("out", "BENCH_genxbench.json", "bench: JSON output path")
-	traceFmt := flag.String("trace", "", "bench: export per-module phase traces: jsonl | chrome")
 	flag.Parse()
 
 	t0 := time.Now()
@@ -54,7 +44,7 @@ func main() {
 		fmt.Println(res.Format())
 	}
 
-	known := map[string]bool{"all": true, "table1": true, "fig3a": true, "fig3b": true, "ablations": true, "bench": true}
+	known := map[string]bool{"all": true, "table1": true, "fig3a": true, "fig3b": true, "ablations": true}
 	if !known[*exp] {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -95,54 +85,6 @@ func main() {
 				s = 0.25 // ablations do not need the full-size mesh
 			}
 			return experiments.RunAblations(experiments.AblationOpts{Scale: s})
-		})
-	}
-	if all || *exp == "bench" {
-		run("bench", func() (interface{ Format() string }, error) {
-			s := *scale
-			if s >= 1 {
-				s = 0.1 // the observability bench is a smoke-sized run
-			}
-			res, err := experiments.RunBench(experiments.BenchOpts{Scale: s, Seed: *benchSeed})
-			if err != nil {
-				return nil, err
-			}
-			if *jsonOut {
-				f, err := os.Create(*outPath)
-				if err != nil {
-					return nil, err
-				}
-				if err := res.WriteJSON(f); err != nil {
-					f.Close()
-					return nil, err
-				}
-				if err := f.Close(); err != nil {
-					return nil, err
-				}
-				fmt.Printf("wrote %s\n", *outPath)
-			}
-			if *traceFmt != "" {
-				ext := map[string]string{"jsonl": "jsonl", "chrome": "trace.json"}[*traceFmt]
-				if ext == "" {
-					return nil, fmt.Errorf("unknown -trace format %q (want jsonl or chrome)", *traceFmt)
-				}
-				for _, io := range res.IOs {
-					name := fmt.Sprintf("BENCH_trace_%s.%s", io.IO, ext)
-					f, err := os.Create(name)
-					if err != nil {
-						return nil, err
-					}
-					if err := io.Trace.WriteFile(f, *traceFmt); err != nil {
-						f.Close()
-						return nil, err
-					}
-					if err := f.Close(); err != nil {
-						return nil, err
-					}
-					fmt.Printf("wrote %s\n", name)
-				}
-			}
-			return res, nil
 		})
 	}
 	fmt.Printf("total wall time: %v\n", time.Since(t0))

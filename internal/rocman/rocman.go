@@ -146,36 +146,6 @@ func Run(ctx mpi.Ctx, cfg Config) (report *Report, err error) {
 		return nil, fmt.Errorf("rocman: RestartFrom and RestartFromLatest are mutually exclusive")
 	}
 
-	// Pre-register the durability counters so every report carries them
-	// (zero-valued on clean runs), keeping bench JSON schemas stable.
-	cfg.Metrics.Counter("hdf.checksum_failures")
-	cfg.Metrics.Counter("rocpanda.restart.generations_scanned")
-	cfg.Metrics.Counter("rocpanda.restart.fallbacks")
-	cfg.Metrics.Counter("rocpanda.restart.catalog_hits")
-	cfg.Metrics.Counter("rocpanda.restart.catalog_fallbacks")
-	cfg.Metrics.Counter("rocpanda.restart.files_opened")
-	cfg.Metrics.Counter("rocpanda.restart.bytes_read")
-	cfg.Metrics.Gauge("iosched.write.queue_depth")
-	cfg.Metrics.Counter("iosched.write.backpressure_waits")
-	cfg.Metrics.Histogram("iosched.write.overlap_seconds", nil)
-	cfg.Metrics.Counter("rocpanda.drain.errors")
-	cfg.Metrics.Histogram("rocpanda.drain.flush_seconds", nil)
-	cfg.Metrics.Gauge("iosched.read.queue_depth")
-	cfg.Metrics.Counter("iosched.read.backpressure_waits")
-	cfg.Metrics.Histogram("iosched.read.overlap_seconds", nil)
-	cfg.Metrics.Counter("rocpanda.read.errors")
-	cfg.Metrics.Counter("rocpanda.restart.bytes_wasted")
-	cfg.Metrics.Counter("rocpanda.write.dirty_panes")
-	cfg.Metrics.Counter("rocpanda.write.clean_panes")
-	cfg.Metrics.Counter("rocpanda.write.delta_bytes_saved")
-	cfg.Metrics.Gauge("rocpanda.restart.chain_depth")
-	cfg.Metrics.Histogram("rocpanda.restart.judge_seconds", nil)
-	cfg.Metrics.Histogram("snapshot.commit_seconds", nil)
-	cfg.Metrics.Histogram("rocpanda.restart.chain_seconds", nil)
-	cfg.Metrics.Counter("rocpanda.restart.chain_loads")
-	cfg.Metrics.Counter("rocpanda.restart.chain_reuses")
-	cfg.Metrics.Counter("rocpanda.restart.catalog_bytes_read")
-
 	// I/O module selection: Rocpanda splits the world; the Rochdf
 	// variants use the world communicator directly.
 	var (

@@ -1,6 +1,8 @@
 package rocman
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -55,6 +57,13 @@ func tinySpec() workload.Spec {
 func runReal(t *testing.T, n int, cfg Config) (*Report, *rt.MemFS) {
 	t.Helper()
 	fs := rt.NewMemFS()
+	return runRealOn(t, fs, n, cfg), fs
+}
+
+// runRealOn is runReal over an existing filesystem, for reruns that
+// restart from what an earlier run wrote.
+func runRealOn(t *testing.T, fs *rt.MemFS, n int, cfg Config) *Report {
+	t.Helper()
 	var rep *Report
 	world := mpi.NewChanWorld(fs, 1)
 	err := world.Run(n, func(ctx mpi.Ctx) error {
@@ -70,7 +79,7 @@ func runReal(t *testing.T, n int, cfg Config) (*Report, *rt.MemFS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, fs
+	return rep
 }
 
 func baseCfg(io IOKind) Config {
@@ -83,13 +92,27 @@ func baseCfg(io IOKind) Config {
 }
 
 func TestIntegratedRunAllIOModules(t *testing.T) {
+	// Each module's own series, which a run's registry must carry.
+	series := map[IOKind][]string{
+		IORochdf:   {"rochdf.files_created", "rochdf.bytes_out", "hdf.datasets_written"},
+		IOTRochdf:  {"trochdf.files_created", "trochdf.bytes_out"},
+		IORocpanda: {"rocpanda.server.blocks_written", "rocpanda.client.bytes_out"},
+	}
+	drain := map[IOKind]string{
+		IOTRochdf:  "trochdf.drain_seconds",
+		IORocpanda: "rocpanda.server.drain_seconds",
+	}
 	for _, io := range []IOKind{IORochdf, IOTRochdf, IORocpanda} {
 		t.Run(string(io), func(t *testing.T) {
 			n := 3
 			if io == IORocpanda {
 				n = 4 // 3 clients + 1 server
 			}
-			rep, fs := runReal(t, n, baseCfg(io))
+			cfg := baseCfg(io)
+			reg := metrics.New()
+			cfg.Metrics = reg
+			fs := rt.NewMemFS()
+			rep := runRealOn(t, fs, n, cfg)
 			if rep == nil {
 				t.Fatal("no report from client rank 0")
 			}
@@ -122,6 +145,29 @@ func TestIntegratedRunAllIOModules(t *testing.T) {
 					t.Fatalf("%s empty", name)
 				}
 				r.Close()
+			}
+			snap := reg.Snapshot()
+			for _, name := range series[io] {
+				if snap.Counters[name] == 0 {
+					t.Errorf("counter %s = 0, want > 0", name)
+				}
+			}
+			if name, ok := drain[io]; ok && snap.Histograms[name].Count == 0 {
+				t.Errorf("histogram %s empty", name)
+			}
+
+			// A rerun restarts from the newest generation and counts the
+			// walk under the module's own prefix.
+			cfg.RestartFromLatest = true
+			reg = metrics.New()
+			cfg.Metrics = reg
+			runRealOn(t, fs, n, cfg)
+			snap = reg.Snapshot()
+			if got := snap.Counters[string(io)+".restart.generations_scanned"]; got < 1 {
+				t.Errorf("%s.restart.generations_scanned = %d, want >= 1", io, got)
+			}
+			if io == IORocpanda && snap.Counters["rocpanda.server.reads_served"] == 0 {
+				t.Error("rocpanda.server.reads_served = 0 after a restart")
 			}
 		})
 	}
@@ -392,19 +438,35 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestRunOnSimulatedPlatform(t *testing.T) {
-	// Smoke-test the full integrated stack on the Turing model: Rocpanda
-	// with one server, 8+1 ranks, visible write far below compute.
+// simRun is one integrated Rocpanda run on simulated Turing, 8 clients + 1
+// server at seed 5: its client-0 report, metrics snapshot (also as JSON),
+// JSONL trace export and filesystem bytes.
+type simRun struct {
+	rep     *Report
+	metrics metrics.Snapshot
+	json    []byte
+	trace   []byte
+	fsBytes int64
+}
+
+func runSimulated(t *testing.T, rp rocpanda.Config) simRun {
+	t.Helper()
 	plat := cluster.Turing()
 	w := cluster.NewWorld(plat, 5)
+	reg, rec := metrics.New(), trace.New()
 	var rep *Report
 	err := w.Run(9, func(ctx mpi.Ctx) error {
 		cfg := baseCfg(IORocpanda)
+		cfg.Rocpanda = rp
+		cfg.Rocpanda.MemcpyBW = 300e6
 		cfg.BufferBW = plat.MemcpyBW
 		cfg.Profile = hdf.HDF4Profile()
 		cfg.StrideRealWork = 3
 		cfg.Workload.FluidCostPerNode = 1e-5
 		cfg.Workload.SolidCostPerNode = 1e-5
+		cfg.MeasureRestart = true
+		cfg.Metrics = reg
+		cfg.Trace = rec
 		r, err := Run(ctx, cfg)
 		if r != nil {
 			rep = r
@@ -417,14 +479,75 @@ func TestRunOnSimulatedPlatform(t *testing.T) {
 	if rep == nil {
 		t.Fatal("no report")
 	}
-	if rep.ComputeTime <= 0 {
-		t.Fatalf("no compute time charged: %+v", rep)
+	run := simRun{rep: rep, metrics: reg.Snapshot(), fsBytes: w.FSModel().BytesWritten()}
+	if run.json, err = json.Marshal(run.metrics); err != nil {
+		t.Fatal(err)
 	}
-	if rep.VisibleWrite >= rep.ComputeTime {
-		t.Fatalf("visible write %.3f not hidden vs compute %.3f", rep.VisibleWrite, rep.ComputeTime)
+	var tr bytes.Buffer
+	if err := rec.WriteJSONL(&tr); err != nil {
+		t.Fatal(err)
 	}
-	if w.FSModel().BytesWritten() == 0 {
-		t.Fatal("nothing reached the simulated filesystem")
+	run.trace = tr.Bytes()
+	return run
+}
+
+func TestRunOnSimulatedPlatform(t *testing.T) {
+	// The full integrated stack on the Turing model, once per drain
+	// configuration. Each row runs twice with one seed: the simulated platform serialises execution, so the
+	// metrics and the trace must repeat byte for byte.
+	rows := []struct {
+		name string
+		cfg  rocpanda.Config
+	}{
+		{"inline", rocpanda.Config{NumServers: 1, ActiveBuffering: true}},
+		{"async", rocpanda.Config{NumServers: 1, ActiveBuffering: true, AsyncDrain: true, DrainWriters: 2}},
+		{"r2", rocpanda.Config{NumServers: 1, ActiveBuffering: true, ReplicationFactor: 2}},
+	}
+	runs := map[string]simRun{}
+	for _, row := range rows {
+		a, b := runSimulated(t, row.cfg), runSimulated(t, row.cfg)
+		if !bytes.Equal(a.json, b.json) {
+			t.Fatalf("%s: same-seed metrics differ:\n%s\nvs\n%s", row.name, a.json, b.json)
+		}
+		if len(a.trace) == 0 || !bytes.Equal(a.trace, b.trace) {
+			t.Fatalf("%s: same-seed trace export empty or differs (%d vs %d bytes)", row.name, len(a.trace), len(b.trace))
+		}
+		if a.rep.ComputeTime <= 0 {
+			t.Fatalf("%s: no compute time charged: %+v", row.name, a.rep)
+		}
+		if a.rep.VisibleWrite >= a.rep.ComputeTime {
+			t.Fatalf("%s: visible write %.3f not hidden vs compute %.3f", row.name, a.rep.VisibleWrite, a.rep.ComputeTime)
+		}
+		if a.rep.VisibleWrite <= 0 || a.rep.VisibleRead <= 0 || a.fsBytes == 0 {
+			t.Fatalf("%s: write or restart not measured, or nothing reached the filesystem: %+v", row.name, a.rep)
+		}
+		t.Logf("%-6s visible write %.4f s, sync %.4f s, visible read %.4f s", row.name, a.rep.VisibleWrite, a.rep.SyncWait, a.rep.VisibleRead)
+		runs[row.name] = a
+	}
+	inline, async, r2 := runs["inline"], runs["async"], runs["r2"]
+
+	// The background drain moves writeback off the clients' path: a lower
+	// visible write + sync wait for the same bytes, with the overlap
+	// recorded.
+	iv, av := inline.rep.VisibleWrite+inline.rep.SyncWait, async.rep.VisibleWrite+async.rep.SyncWait
+	if av >= iv {
+		t.Errorf("async visible write+sync %.4fs not below inline's %.4fs", av, iv)
+	}
+	if async.rep.BytesOut != inline.rep.BytesOut {
+		t.Errorf("bytes out differ: async %d, inline %d", async.rep.BytesOut, inline.rep.BytesOut)
+	}
+	if ov := async.metrics.Histograms["iosched.write.overlap_seconds"]; ov.Count == 0 || ov.Sum <= 0 {
+		t.Errorf("no overlapped drain recorded: %+v", ov)
+	}
+
+	// Replication writes every byte twice, and its restart reads the
+	// primaries: at most a little metadata slower than R = 1.
+	ib, rb := inline.metrics.Counters["rocpanda.server.bytes_written"], r2.metrics.Counters["rocpanda.server.bytes_written"]
+	if ib == 0 || rb != 2*ib {
+		t.Errorf("R = 2 wrote %d server bytes, want exactly 2 x %d", rb, ib)
+	}
+	if r2.rep.VisibleRead > 1.25*inline.rep.VisibleRead {
+		t.Errorf("R = 2 visible read %.4fs, want within 1.25x of inline's %.4fs", r2.rep.VisibleRead, inline.rep.VisibleRead)
 	}
 }
 

@@ -36,8 +36,8 @@ func (e *ConfigRangeError) Error() string {
 }
 
 // Validate rejects incompatible or out-of-range Config combinations with
-// typed errors, instead of the silent clamping Init applies. Command-line
-// front ends (cmd/genx, cmd/genxbench) call it so a bad flag fails with a
+// typed errors, instead of the silent clamping Init applies. The
+// command-line front end (cmd/genx) calls it so a bad flag fails with a
 // message; the library entry points keep clamping, so programmatic
 // ablations stay free to probe degenerate settings. Checks that need the
 // world size (server count vs. ranks) stay in Init.

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -67,16 +66,4 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(ct)
-}
-
-// WriteFile is a small convenience used by cmd/genxbench: it dispatches
-// on format ("jsonl" or "chrome").
-func (r *Recorder) WriteFile(w io.Writer, format string) error {
-	switch format {
-	case "jsonl":
-		return r.WriteJSONL(w)
-	case "chrome":
-		return r.WriteChromeTrace(w)
-	}
-	return fmt.Errorf("trace: unknown export format %q (want jsonl or chrome)", format)
 }
