@@ -32,7 +32,8 @@
 // contain requested panes and issue direct offset reads, each entry's bytes
 // checked against its CRC. A full generation whose catalog file is missing
 // or is not the blob its manifest pins is read the same way through the
-// same catalog, derived again from its files' directories (snapshot.Index).
+// same catalog, derived again from its files' directories (the snapshot
+// package's index).
 // The catalog also carries the generation's pane universe, which the
 // deterministic repartitioner divides among restart ranks — allowing a
 // restart topology (client and server counts) different from the writing

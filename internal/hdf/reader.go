@@ -158,9 +158,7 @@ func InflateStored(stored []byte, logical int64) ([]byte, error) {
 func (r *Reader) Close() error { return r.f.Close() }
 
 // readHeader validates the fixed header against the actual file size and
-// returns (dirOff, count). All failure modes of garbage input — wrong magic,
-// a version other than Version, offsets outside the file — are errors,
-// never panics.
+// returns (dirOff, count) — ParseHeader of the header bytes read off f.
 func readHeader(f rt.File, size int64) (int64, int, error) {
 	if size < headerSize {
 		return 0, 0, fmt.Errorf("hdf: %s too short for a header (%d bytes)", f.Name(), size)
@@ -169,19 +167,33 @@ func readHeader(f rt.File, size int64) (int64, int, error) {
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return 0, 0, fmt.Errorf("hdf: reading header of %s: %w", f.Name(), err)
 	}
+	return ParseHeader(f.Name(), hdr, size)
+}
+
+// ParseHeader checks hdr, the first HeaderSize bytes of the file name,
+// against the file's size, as every reader of the file does, and returns
+// where its directory starts and the dataset count the header records: the
+// check of a header read apart from its directory (the restore walk's file
+// check reads both in pieces). All failure modes of garbage input — wrong
+// magic, a version other than Version, offsets outside the file — are
+// errors, never panics.
+func ParseHeader(name string, hdr []byte, size int64) (dirOff int64, count int, err error) {
+	if size < headerSize || len(hdr) < headerSize {
+		return 0, 0, fmt.Errorf("hdf: %s too short for a header (%d bytes)", name, size)
+	}
 	if string(hdr[:4]) != Magic {
-		return 0, 0, fmt.Errorf("hdf: %s is not an RHDF file", f.Name())
+		return 0, 0, fmt.Errorf("hdf: %s is not an RHDF file", name)
 	}
 	if version := binary.LittleEndian.Uint32(hdr[4:]); version != Version {
-		return 0, 0, fmt.Errorf("hdf: %s has version %d, want %d", f.Name(), version, Version)
+		return 0, 0, fmt.Errorf("hdf: %s has version %d, want %d", name, version, Version)
 	}
-	dirOff := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	count := int(binary.LittleEndian.Uint32(hdr[16:]))
+	dirOff = int64(binary.LittleEndian.Uint64(hdr[8:]))
+	count = int(binary.LittleEndian.Uint32(hdr[16:]))
 	if dirOff == 0 {
-		return 0, 0, fmt.Errorf("hdf: %s has no directory (incomplete write?)", f.Name())
+		return 0, 0, fmt.Errorf("hdf: %s has no directory (incomplete write?)", name)
 	}
 	if dirOff < headerSize || dirOff > size {
-		return 0, 0, fmt.Errorf("hdf: %s directory offset %d outside file [%d,%d]", f.Name(), dirOff, headerSize, size)
+		return 0, 0, fmt.Errorf("hdf: %s directory offset %d outside file [%d,%d]", name, dirOff, headerSize, size)
 	}
 	return dirOff, count, nil
 }

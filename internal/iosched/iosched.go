@@ -18,7 +18,11 @@
 //     worker dealt the fewest bytes (Cost) so far, ties to the round-robin
 //     cursor: a batch of mixed sizes (a read round's chunks, tails and
 //     short runs) ends with every worker's bytes within one task's cost of
-//     the others', and an equal-cost batch deals round-robin by index.
+//     the others', and an equal-cost batch deals round-robin by index. The
+//     restart reader costs every read it batches — data chunks from the
+//     chunk plan, metadata reads from the catalog's section table — and
+//     submits each batch largest first, so the deal starts the longest
+//     reads first and the short ones fill the workers up to the same bytes.
 //
 //   - Budget admission on completion signals. Config.Budget bounds the
 //     task bytes in flight. The gate never sleep-polls: a stalled

@@ -2,11 +2,13 @@ package rocpanda
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"genxio/internal/catalog"
 	"genxio/internal/cluster"
 	"genxio/internal/fssim"
 	"genxio/internal/hdf"
@@ -14,6 +16,7 @@ import (
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
+	"genxio/internal/trace"
 )
 
 // readTally counts every ReadAt a world's ranks and their spawned workers
@@ -68,13 +71,17 @@ func (f tallyFile) ReadAt(p []byte, off int64) (int, error) {
 // TestRestartMetadataBatchOnSimulatedTuring: an R = 2, depth-3 delta chain
 // restored through RestoreLatest on simulated Turing (NFS, one
 // window-limited stream per reader), once inline and once with 4 read
-// workers. The pool issues exactly the inline driver's reads — the same
-// ReadAt calls and bytes, walk and rounds together — and restores the same
-// panes bit-exact, but the restart's metadata (client 0's judge of the
-// head, each server's chain load) takes at most 0.6 of the inline virtual
-// seconds: the catalog blobs and the best copies' file checks go out as one
-// concurrent batch each. The platform runs noise-free, so every number
-// repeats exactly.
+// workers. The pool reads exactly the inline driver's bytes, walk and rounds
+// together, with the inline driver's ReadAt calls but for one more per piece
+// it cut a long read into (<prefix>cut_pieces: here each server's base
+// entry run), and restores the same panes bit-exact; but the restart's
+// metadata (client 0's judge of the head, each server's chain load and the
+// entry runs it plans from) takes at most 0.52 of the inline virtual
+// seconds: the catalog blobs, the best copies' file checks and the entry
+// runs go out as one batch each, every read costed by its bytes and
+// submitted largest first, a run longer than its batch's fair share cut
+// across the workers. The platform runs noise-free, so every number repeats
+// exactly.
 func TestRestartMetadataBatchOnSimulatedTuring(t *testing.T) {
 	const nClients, nblocks, gens = 4, 128, 4
 	// Each delta rewrites a quarter of every client's panes (mutateDelta
@@ -89,6 +96,7 @@ func TestRestartMetadataBatchOnSimulatedTuring(t *testing.T) {
 	}
 	type outcome struct {
 		calls, bytes int64
+		pieces       int64
 		judge, chain float64
 		base         string
 		got          map[int]paneData
@@ -148,11 +156,13 @@ func TestRestartMetadataBatchOnSimulatedTuring(t *testing.T) {
 			t.Fatalf("pooled %v: %d judged generations and %d chain loads, want 1 and 2", pooled, judge.Count, chain.Count)
 		}
 		o.judge, o.chain = judge.Sum, chain.Sum
+		o.pieces = reg.Snapshot().Counters["rocpanda.restart.cut_pieces"]
 		return o
 	}
 	inline, pooled := restart(false), restart(true)
-	t.Logf("inline: %d reads, %d B, judge %.3f s, chain %.3f s; pooled: %d reads, %d B, judge %.3f s, chain %.3f s",
-		inline.calls, inline.bytes, inline.judge, inline.chain, pooled.calls, pooled.bytes, pooled.judge, pooled.chain)
+	t.Logf("inline: %d reads, %d B, judge %.3f s, chain %.3f s; pooled: %d reads (%d cut pieces), %d B, judge %.3f s, chain %.3f s; ratio %.3f",
+		inline.calls, inline.bytes, inline.judge, inline.chain, pooled.calls, pooled.pieces, pooled.bytes, pooled.judge, pooled.chain,
+		(pooled.judge+pooled.chain)/(inline.judge+inline.chain))
 	head := fmt.Sprintf("mb/s%06d", gens-1)
 	for _, o := range []outcome{inline, pooled} {
 		if o.base != head {
@@ -160,11 +170,14 @@ func TestRestartMetadataBatchOnSimulatedTuring(t *testing.T) {
 		}
 		checkMxN(t, expectedDeltaPanes(t, nClients, nblocks, all), o.got)
 	}
-	if pooled.calls != inline.calls || pooled.bytes != inline.bytes {
-		t.Errorf("pooled restart read %d calls, %d B; inline %d calls, %d B", pooled.calls, pooled.bytes, inline.calls, inline.bytes)
+	if inline.pieces != 0 || pooled.pieces == 0 {
+		t.Errorf("the inline driver cut %d pieces and the pool %d; want none and some", inline.pieces, pooled.pieces)
 	}
-	if p, i := pooled.judge+pooled.chain, inline.judge+inline.chain; p > 0.6*i {
-		t.Errorf("judge plus chain load: pooled %.3f s, inline %.3f s; want at most 0.6 of inline", p, i)
+	if pooled.calls != inline.calls+pooled.pieces || pooled.bytes != inline.bytes {
+		t.Errorf("pooled restart read %d calls (%d cut pieces), %d B; inline %d calls, %d B", pooled.calls, pooled.pieces, pooled.bytes, inline.calls, inline.bytes)
+	}
+	if p, i := pooled.judge+pooled.chain, inline.judge+inline.chain; p > 0.52*i {
+		t.Errorf("judge plus chain load: pooled %.3f s, inline %.3f s; want at most 0.52 of inline", p, i)
 	}
 }
 
@@ -242,5 +255,106 @@ func TestParallelReadRoundBalancedOnSimulatedTuring(t *testing.T) {
 	}
 	if round > 1.18*ideal {
 		t.Errorf("read round took %.3f s, %.2f× its %d B over %d streams (%.3f s); want at most 1.18×", round, round/ideal, bytes, workers, ideal)
+	}
+}
+
+// TestRestoreWalkChecksBalancedOnSimulatedTuring: client 0's file checks of
+// a depth-3 chain on simulated Turing (NFS, one window-limited stream per
+// read worker), pooled on 4 workers, where each of the full base's two
+// directories is 4× a delta's. The checks go out as one batch, each costed
+// by its directory's length from the catalog's section table and submitted
+// largest first, and a base directory longer than the batch's fair share is
+// cut: the byte deal gives each base directory's first piece a worker of its
+// own and the deltas and the pieces' rest to the other two, so the check
+// phase takes at most 1.2× the directories' bytes over four streams. The
+// phase is the span of client 0's read tasks in the walk's second judgment
+// of the head, whose chain is held: the check batch alone. The platform runs
+// noise-free, so the ratio repeats exactly.
+func TestRestoreWalkChecksBalancedOnSimulatedTuring(t *testing.T) {
+	const nClients, nblocks, gens, workers = 4, 384, 4, 4
+	dirtied := make([][]int, gens)
+	for g := 1; g < gens; g++ {
+		for j := range nblocks / 4 {
+			dirtied[g] = append(dirtied[g], g*nblocks/4+j)
+		}
+	}
+	plat := cluster.Turing()
+	plat.NoiseFrac = 0
+	reg, rec := metrics.New(), trace.New()
+	var warm float64 // when the second walk starts, on client 0's clock
+	world := cluster.NewWorld(plat, 1)
+	err := world.Run(nClients+2, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, Config{
+			NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true,
+			MemcpyBW: plat.MemcpyBW, Metrics: reg, Trace: rec,
+			DeltaSnapshots: true, FullEvery: gens,
+			ParallelRead: true, ReadWorkers: workers,
+		})
+		if err != nil || cl == nil {
+			return err
+		}
+		rank := cl.Comm().Rank()
+		w := buildWindow(t, rank, nblocks)
+		for g := 0; g < gens; g++ {
+			for _, m := range dirtied[g] {
+				mutateDelta(w, m, nblocks)
+			}
+			if err := cl.WriteAttribute(fmt.Sprintf("cb/s%06d", g), w, "all", float64(g), g*10); err != nil {
+				return err
+			}
+			if err := cl.Sync(); err != nil {
+				return err
+			}
+		}
+		for i := range 2 {
+			cl.Comm().Barrier()
+			if rank == 0 && i == 1 {
+				warm = ctx.Clock().Now()
+			}
+			rw := zeroWindow(t, rank, nblocks)
+			if _, err := cl.RestoreLatest("cb/", func(base string) error { return cl.ReadAttribute(base, rw, "all") }); err != nil {
+				return err
+			}
+		}
+		return cl.Shutdown()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Histograms["rocpanda.restart.judge_seconds"].Count; n != 2 {
+		t.Fatalf("%d judged generations, want the head twice", n)
+	}
+	// Client 0 reads nothing of the second restore but its checks.
+	t0, t1, tasks := math.Inf(1), 0.0, 0
+	for _, sp := range rec.Spans() {
+		if sp.Rank == 0 && sp.Phase == trace.PhaseRead && sp.T0 >= warm {
+			t0, t1, tasks = min(t0, sp.T0), max(t1, sp.T1), tasks+1
+		}
+	}
+	// At R = 1 every file of the chain is a best copy, and each is checked.
+	fs := world.FSModel().Backing()
+	names, err := fs.List("cb/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files int
+	var dirs int64
+	for _, name := range names {
+		if _, _, _, ok := catalog.ParseServerFile(name); ok {
+			d, err := hdf.ReadRawDir(fs, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files, dirs = files+1, dirs+int64(len(d.Bytes))
+		}
+	}
+	if files != 2*gens || tasks < files {
+		t.Fatalf("%d server files checked in %d tasks, want %d files", files, tasks, 2*gens)
+	}
+	checks := t1 - t0
+	ideal := float64(dirs) / (workers * fssim.DefaultStreamReadBW)
+	t.Logf("check phase %.3f s in %d tasks for %d directory bytes of %d files; %d streams ideal %.3f s, ratio %.3f", checks, tasks, dirs, files, workers, ideal, checks/ideal)
+	if checks > 1.2*ideal {
+		t.Errorf("the check phase took %.3f s, %.2f× its %d directory bytes over %d streams (%.3f s); want at most 1.2×", checks, checks/ideal, dirs, workers, ideal)
 	}
 }

@@ -210,6 +210,13 @@ func TestFsckCatalogMismatch(t *testing.T) {
 	}
 }
 
+// indexOf is the index of the generation m commits as a reader of the whole
+// blob gets it: readCatalog, then index.
+func indexOf(fsys rt.FS, m *Manifest) (*catalog.Catalog, bool, error) {
+	cat, err := readCatalog(fsys, m)
+	return index(fsys, m, cat, err)
+}
+
 // TestIndex: the one answer to "where are this generation's pane bytes" is
 // the committed blob when it is the blob the manifest pins, and otherwise —
 // for a full generation only — the same catalog derived from the files.
@@ -223,12 +230,12 @@ func TestIndex(t *testing.T) {
 	committed := readAll(t, fsys, m.Catalog.Name)
 	index := func(wantDerived bool) *catalog.Catalog {
 		t.Helper()
-		cat, derived, err := Index(fsys, m)
+		cat, derived, err := indexOf(fsys, m)
 		if err != nil || derived != wantDerived {
-			t.Fatalf("Index: derived %v err %v, want derived %v", derived, err, wantDerived)
+			t.Fatalf("index: derived %v err %v, want derived %v", derived, err, wantDerived)
 		}
 		if !bytes.Equal(cat.Encode(), committed) {
-			t.Fatalf("Index (derived %v) is not the catalog the commit wrote", derived)
+			t.Fatalf("index (derived %v) is not the catalog the commit wrote", derived)
 		}
 		return cat
 	}
@@ -255,9 +262,9 @@ func TestIndex(t *testing.T) {
 	if err := fsys.Remove("out/snap000010_s001.rhdf"); err != nil {
 		t.Fatal(err)
 	}
-	cat, derived, err := Index(fsys, m)
+	cat, derived, err := indexOf(fsys, m)
 	if !derived || !errors.Is(err, rt.ErrNotExist) || len(cat.Files) != 1 || len(cat.Entries) != 3 {
-		t.Fatalf("Index short a file: derived %v err %v, %d files %d entries", derived, err, len(cat.Files), len(cat.Entries))
+		t.Fatalf("index short a file: derived %v err %v, %d files %d entries", derived, err, len(cat.Files), len(cat.Entries))
 	}
 	if _, err := universeOn(t, fsys, "out/snap000010", "fluid"); err == nil {
 		t.Fatal("PaneUniverse answered from an index short a file")
@@ -270,14 +277,14 @@ func TestIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Index(fsys, delta); err != nil {
+	if _, _, err := indexOf(fsys, delta); err != nil {
 		t.Fatal(err)
 	}
 	if err := fsys.Remove(delta.Catalog.Name); err != nil {
 		t.Fatal(err)
 	}
-	if cat, derived, err := Index(fsys, delta); err == nil || derived || cat != nil {
-		t.Fatalf("Index of a delta without its blob: cat %v derived %v err %v", cat, derived, err)
+	if cat, derived, err := indexOf(fsys, delta); err == nil || derived || cat != nil {
+		t.Fatalf("index of a delta without its blob: cat %v derived %v err %v", cat, derived, err)
 	}
 
 	// An orphan catalog beside an unreadable manifest is nobody's index.

@@ -13,7 +13,7 @@ import (
 )
 
 // ChainGen is one link of a delta chain: a committed generation's base
-// name, its manifest, and its index (Index). Derived marks an index built
+// name, its manifest, and its index (index). Derived marks an index built
 // from the files' directories, which only a depth-0 head may have; Catalog is
 // nil on the link LoadChain failed at.
 type ChainGen struct {
@@ -36,7 +36,7 @@ const maxChainDepth = 1024
 // has ChainDepth 0. A full generation is the chain of length one.
 //
 // Every link needs a loadable, valid manifest and an index. The head's is
-// whatever Index gives: a depth-0 head whose committed catalog is missing,
+// whatever index gives: a depth-0 head whose committed catalog is missing,
 // damaged or not the one its manifest pins comes back Derived, with the
 // files whose directories read, and no error. Every link under a head needs
 // its committed catalog — a delta's files do not spell out the panes it
@@ -52,14 +52,14 @@ const maxChainDepth = 1024
 // for its restore walk's judgments.
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
 	each := serial(fsys)
-	chain, err := loadChain(fsys, each, base, nil, nil, nil)
+	chain, err := loadChain(each, base, nil, nil, nil)
 	var loads []*runLoad
 	for _, g := range chain {
 		if l := lacking(g.Catalog, g.blob, allFiles(g.Catalog)); l != nil {
 			loads = append(loads, l)
 		}
 	}
-	loadRuns(fsys, each, loads, nil)
+	loadRuns(each, loads, nil)
 	closeBlobs(chain)
 	return chain, err
 }
@@ -83,25 +83,6 @@ func allFiles(c *catalog.Catalog) []int {
 	return files
 }
 
-// reads issues one batch of independent metadata reads — a chain's
-// catalogs, their entry runs, the walk's file checks — through a process's
-// restart-read driver: read(fsys, i, owner) for every i < n, each on the
-// filesystem view of whoever runs it, returning once all have run. owner
-// says the view is the batch owner's own, so a handle opened on it may serve
-// the owner's later reads. serial is the inline driver; a pooled Reader's
-// (Reader.reads) runs one task per read.
-type reads func(n int, read func(fsys rt.FS, i int, owner bool))
-
-// serial runs a batch inline on fsys, in index order: the paper's serial
-// restart.
-func serial(fsys rt.FS) reads {
-	return func(n int, read func(rt.FS, int, bool)) {
-		for i := range n {
-			read(fsys, i, true)
-		}
-	}
-}
-
 // commitRecord is one generation's commit record as a chain walk loaded it:
 // the manifest, and once read, the catalog it pins (openCatalog: the
 // sections a judgment needs) — each with why it did not load. A pass
@@ -119,16 +100,19 @@ type commitRecord struct {
 // loadChain is LoadChain through the driver each, opening each link's
 // catalog (openCatalog) with the entry runs prefetch names (nil: none),
 // every catalog byte read counted on read. The manifests come first, one
-// link at a time on fsys (each names the next); then every link's pinned
-// catalog is opened as one batch, one task per catalog. The chain is judged
-// in link order after the batch, so it fails where a link-by-link walk
-// would stop, with the same error and prefix; only a broken chain reads
-// more (the links past the one at fault). known, when set, holds the
+// link at a time on the owner's view (each names the next); then every
+// link's pinned catalog is opened as one batch, one read per catalog,
+// costed at its header's length (its manifest's file count). A pooled load
+// prefetches no runs the pool could cut. The chain is judged in link order
+// after the batch, so it fails where a link-by-link walk would stop, with
+// the same error and prefix; only a broken chain reads more (the links past
+// the one at fault). known, when set, holds the
 // records loaded so far by base and gains the new ones: the scrub's pass
 // shares links across heads with it, and a Reader seeds it with the head
 // manifest it has just read, so a load reads that manifest once.
-func loadChain(fsys rt.FS, each reads, base string, known map[string]*commitRecord, read *metrics.Counter,
+func loadChain(each reads, base string, known map[string]*commitRecord, read *metrics.Counter,
 	prefetch func(*catalog.Catalog) []int) ([]ChainGen, error) {
+	fsys := each.fsys
 	if known == nil {
 		known = make(map[string]*commitRecord)
 	}
@@ -168,7 +152,22 @@ func loadChain(fsys rt.FS, each reads, base string, known map[string]*commitReco
 			unread = append(unread, rec)
 		}
 	}
-	each(len(unread), func(fsys rt.FS, i int, owner bool) {
+	costs := make([]int64, len(unread))
+	for i, rec := range unread {
+		costs[i] = int64(catalog.HeaderSize(len(rec.m.Files)))
+	}
+	if prefetch != nil && each.width > 0 {
+		// Runs long enough to cut are left to the round's run batch
+		// (loadRuns), which spreads them over the pool.
+		whole := prefetch
+		prefetch = func(c *catalog.Catalog) []int {
+			if files := whole(c); !each.cuts(runBytes(c, files)) {
+				return files
+			}
+			return nil
+		}
+	}
+	each.run(costs, func(fsys rt.FS, i int, owner bool) {
 		unread[i].cat, unread[i].blob, unread[i].catErr = openCatalog(fsys, unread[i].m, read, owner, prefetch)
 	})
 	for i := range chain {
@@ -233,16 +232,16 @@ func universe(m *Manifest, cat *catalog.Catalog) map[string][]int {
 }
 
 // judge holds the generation under base to restorable, each file judged by
-// fileOK on the filesystem view the driver each hands it (the walk's
-// checkOnDisk, the scrub's reports): nil when the restore walk goes through
-// it, else the link at fault — where the chain load stopped, or where the
-// first pane with no intact copy resolves — and why. chain and err are
-// base's commit record as loaded (loadChain, or a Reader's chain); the files
-// restorable asks first, every needed pane's best copy, are checked as one
-// batch through each, and restorable runs over those verdicts, checking a
-// copy on fsys only where a best copy failed — each file at most once, as
-// restorable alone would. Every call checks the files afresh.
-func judge(fsys rt.FS, each reads, base string, chain []ChainGen, err error, fileOK func(rt.FS, FileEntry) bool) (link string, _ error) {
+// check, which judges a batch of files (the walk's checkFiles, the scrub's
+// reports) given each one's directory length (dirBytes): nil when the
+// restore walk goes through it, else the link at fault — where the chain
+// load stopped, or where the first pane with no intact copy resolves — and
+// why. chain and err are base's commit record as loaded (loadChain, or a
+// Reader's chain); the files restorable asks first, every needed pane's best
+// copy, are checked as one batch, and restorable runs over those verdicts,
+// checking a copy alone only where a best copy failed — each file at most
+// once, as restorable alone would. Every call checks the files afresh.
+func judge(base string, chain []ChainGen, err error, check func(files []FileEntry, dirs []int64) []bool) (link string, _ error) {
 	if n := len(chain); err != nil {
 		if link = base; n > 0 && chain[n-1].Catalog == nil {
 			link = chain[n-1].Base
@@ -253,8 +252,12 @@ func judge(fsys rt.FS, each reads, base string, chain []ChainGen, err error, fil
 	}
 	var best []FileEntry // what restorable asks when every file passes
 	restorable(chain, func(e FileEntry) bool { best = append(best, e); return true })
-	ok := make([]bool, len(best))
-	each(len(best), func(fsys rt.FS, i int, _ bool) { ok[i] = fileOK(fsys, best[i]) })
+	dirs := dirBytes(chain)
+	costs := make([]int64, len(best))
+	for i, e := range best {
+		costs[i] = dirs[e.Name]
+	}
+	ok := check(best, costs)
 	verdicts := make(map[string]bool, len(best))
 	for i, e := range best {
 		verdicts[e.Name] = ok[i]
@@ -263,12 +266,28 @@ func judge(fsys rt.FS, each reads, base string, chain []ChainGen, err error, fil
 		if v, asked := verdicts[e.Name]; asked {
 			return v
 		}
-		return fileOK(fsys, e)
+		return check([]FileEntry{e}, []int64{dirs[e.Name]})[0]
 	})
 	if len(lost) > 0 {
 		return link, fmt.Errorf("snapshot: %s: no intact copy of %s (%d in all)", base, strings.Join(lost[:min(len(lost), 4)], ", "), len(lost))
 	}
 	return "", nil
+}
+
+// dirBytes gives, by name, the directory length of every file the chain's
+// catalogs index, from their section tables: a directory is its entry count
+// and its entries, and a file's entry run is its pane datasets' entries as
+// they stand — the whole directory but the count when every dataset is a
+// pane's.
+func dirBytes(chain []ChainGen) map[string]int64 {
+	dirs := make(map[string]int64)
+	for _, g := range chain {
+		for f, name := range g.Catalog.Files {
+			_, n := g.Catalog.RunExtent(f)
+			dirs[name] = 4 + n
+		}
+	}
+	return dirs
 }
 
 // restorable is the restore walk's one rule, at the unit a restart promises:

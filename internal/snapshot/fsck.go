@@ -17,7 +17,7 @@ const (
 	// VerdictCatalogMismatch marks a generation whose data files all scrub
 	// clean but whose block catalog is not the one its manifest pins, or
 	// (deep) is not the catalog the files' directories derive — a stale,
-	// damaged, or incomplete index. A full generation still restarts (Index
+	// damaged, or incomplete index. A full generation still restarts (a reader
 	// derives the catalog from the files' directories, at the price of
 	// reading them); a delta, or any chain through this generation, does
 	// not. The scrub fails.
@@ -104,15 +104,21 @@ func chainVerdicts(fsys rt.FS, reports []GenReport) {
 			status[f.Name] = f.Status // a repaired file's fresh report comes last
 		}
 	}
-	scrubbed := func(_ rt.FS, e FileEntry) bool { return status[e.Name] == "ok" } // no report: not scrubbed clean
+	scrubbed := func(files []FileEntry, _ []int64) []bool {
+		ok := make([]bool, len(files))
+		for i, e := range files {
+			ok[i] = status[e.Name] == "ok" // no report: not scrubbed clean
+		}
+		return ok
+	}
 	known := make(map[string]*commitRecord)
 	for i := range reports {
 		rep := &reports[i]
 		if rep.Verdict == VerdictUncommitted {
 			continue
 		}
-		chain, err := loadChain(fsys, serial(fsys), rep.Base, known, nil, nil)
-		if link, err := judge(fsys, serial(fsys), rep.Base, chain, err, scrubbed); err != nil {
+		chain, err := loadChain(serial(fsys), rep.Base, known, nil, nil)
+		if link, err := judge(rep.Base, chain, err, scrubbed); err != nil {
 			if rep.Verdict == VerdictOK || rep.Verdict == VerdictRepaired {
 				rep.Verdict = VerdictChainBroken
 			}

@@ -188,57 +188,98 @@ type runLoad struct {
 	files []int
 }
 
-// fetch reads l's runs off f, each range of adjacent runs in one request,
-// and loads each that matches its record (Catalog.LoadRun).
-func (l *runLoad) fetch(f rt.File, read *metrics.Counter) {
-	for j := 0; j < len(l.files); {
-		off, n := l.cat.RunExtent(l.files[j])
-		k := j + 1
-		for ; k < len(l.files) && l.files[k] == l.files[k-1]+1; k++ {
-			_, m := l.cat.RunExtent(l.files[k])
-			n += m
+// runBytes is the length of c's runs of files.
+func runBytes(c *catalog.Catalog, files []int) (n int64) {
+	for _, f := range files {
+		_, m := c.RunExtent(f)
+		n += m
+	}
+	return n
+}
+
+// ranges groups l's files into ranges of adjacent runs, each read in one
+// request unless the read is cut.
+func (l *runLoad) ranges() [][]int {
+	var rs [][]int
+	for j, f := range l.files {
+		if j > 0 && f == l.files[j-1]+1 {
+			rs[len(rs)-1] = append(rs[len(rs)-1], f)
+		} else {
+			rs = append(rs, []int{f})
 		}
-		if buf, err := readAt(f, off, n, read); err == nil {
-			for ; j < k; j++ {
-				_, m := l.cat.RunExtent(l.files[j])
-				l.cat.LoadRun(l.files[j], buf[:m:m]) // one that does not match is derived (loadRuns)
-				buf = buf[m:]
-			}
+	}
+	return rs
+}
+
+// extents lays l's ranges out as one extent read of its blob.
+func (l *runLoad) extents() *extentRead {
+	x := &extentRead{name: l.blob.name}
+	for _, fs := range l.ranges() {
+		off, _ := l.cat.RunExtent(fs[0])
+		x.add(off, runBytes(l.cat, fs))
+	}
+	return x
+}
+
+// load loads the runs of each range of x, l's extents as read, that read
+// whole, each that matches its record (Catalog.LoadRun).
+func (l *runLoad) load(x *extentRead) {
+	for r, fs := range l.ranges() {
+		if x.bad[r] {
+			continue
 		}
-		j = k
+		buf := x.bufs[r]
+		for _, f := range fs {
+			_, m := l.cat.RunExtent(f)
+			l.cat.LoadRun(f, buf[:m:m]) // one that does not match is derived (loadRuns)
+			buf = buf[m:]
+		}
 	}
 }
 
+// fetch reads l's runs off f, the blob's open handle, each range of
+// adjacent runs in one request, and loads them.
+func (l *runLoad) fetch(f rt.File, read *metrics.Counter) {
+	x := l.extents()
+	for r, buf := range x.bufs {
+		n, _ := f.ReadAt(buf, x.offs[r])
+		read.Add(int64(n))
+		x.bad[r] = n != len(buf)
+	}
+	l.load(x)
+}
+
 // loadRuns loads the entry runs loads name: those of a blob whose handle is
-// held on the owner, off that handle; the rest as one batch through the
-// driver each, one read per blob, which opens it and fetches each range of
-// adjacent runs in one request. Every byte read counts on read. A run that
-// did not read or does not match its section's record is derived again from
-// its file's own directory (deriveCatalog, the catalog of that file alone),
-// the run the commit wrote from those very entries: an intact file gives
-// back the bytes the header pins, which LoadRun still checks. A run that loads neither way stays unloaded,
-// and the reads that need it treat its file as failed.
-func loadRuns(fsys rt.FS, each reads, loads []*runLoad, read *metrics.Counter) {
+// held on the owner, off that handle, unless the pool could cut them; the
+// rest as one batch of extent reads through the driver each (readExtents),
+// one read per blob, costed by its runs' lengths in the section table — a
+// read longer than the batch's fair share cut across the pool's workers.
+// Every byte read counts on read. A run that did not read or does not match its section's record is
+// derived again from its file's own directory (deriveCatalog, the catalog of
+// that file alone), the run the commit wrote from those very entries: an
+// intact file gives back the bytes the header pins, which LoadRun still
+// checks. A run that loads neither way stays unloaded, and the reads that
+// need it treat its file as failed.
+func loadRuns(each reads, loads []*runLoad, read *metrics.Counter) {
 	var byName []*runLoad
+	var xs []*extentRead
 	for _, l := range loads {
-		if l.blob.f != nil {
+		if l.blob.f != nil && !each.cuts(runBytes(l.cat, l.files)) {
 			l.fetch(l.blob.f, read)
 		} else {
-			byName = append(byName, l)
+			byName, xs = append(byName, l), append(xs, l.extents())
 		}
 	}
-	each(len(byName), func(fsys rt.FS, i int, _ bool) {
-		if f, err := fsys.Open(byName[i].blob.name); err == nil {
-			byName[i].fetch(f, read)
-			f.Close()
-		}
-	})
+	each.readExtents(xs, read)
+	for i, l := range byName {
+		l.load(xs[i])
+	}
 	for _, l := range loads {
 		for _, f := range l.files {
 			if l.cat.HasRun(f) {
 				continue
 			}
-			blob, _, errs := deriveCatalog(fsys, []FileEntry{{Name: l.cat.Files[f]}}, false, nil, nil)
+			blob, _, errs := deriveCatalog(each.fsys, []FileEntry{{Name: l.cat.Files[f]}}, false, nil, nil)
 			if one, err := catalog.Decode(blob); len(errs) == 0 && err == nil {
 				off, n := one.RunExtent(0)
 				l.cat.LoadRun(f, blob[off:off+n])
@@ -265,27 +306,22 @@ func lacking(c *catalog.Catalog, blob *catalogBlob, files []int) *runLoad {
 	return &runLoad{cat: c, blob: blob, files: need}
 }
 
-// Index answers "where are the pane bytes of the generation m commits": the
-// committed catalog, read whole, when readCatalog accepts it, otherwise — for
-// a full generation, whose files are its whole state — the same catalog
-// derived from the manifested files' directories. derived reports which; a
-// derived index holds every file whose directory read and passes checkFile,
-// and err then joins the errors of those that did not (a reader goes on
-// without them; whoever needs the whole generation cannot). A file the
-// manifest does not pin is never indexed. A restart Reader asks the same
-// question section by section (openCatalog, loadRuns) and gets the same
-// answer.
+// index answers "where are the pane bytes of the generation m commits",
+// given what openCatalog or readCatalog returned for m: the committed
+// catalog when it was accepted, otherwise — for a full generation, whose
+// files are its whole state — the same catalog derived from the manifested
+// files' directories. The bool reports which; a derived index holds every
+// file whose directory read and passes checkFile, and the error then joins
+// the errors of those that did not (a reader goes on without them; whoever
+// needs the whole generation cannot). A file the manifest does not pin is
+// never indexed. A restart Reader reads the committed catalog section by
+// section (openCatalog, loadRuns), the scrub whole (readCatalog), and both
+// get the same answer.
 //
 // A delta generation gets no derived index: its files do not spell out the
 // panes it inherits, and a derived index that silently lacked a damaged
 // file would resolve that file's panes to a stale older link. Its committed
-// catalog loads or Index fails.
-func Index(fsys rt.FS, m *Manifest) (cat *catalog.Catalog, derived bool, err error) {
-	cat, err = readCatalog(fsys, m)
-	return index(fsys, m, cat, err)
-}
-
-// index is Index given what openCatalog or readCatalog returned for m.
+// catalog loads or index fails.
 func index(fsys rt.FS, m *Manifest, cat *catalog.Catalog, err error) (*catalog.Catalog, bool, error) {
 	if err == nil || m.ChainDepth > 0 {
 		return cat, false, err

@@ -476,7 +476,7 @@ func TestIndexRefusesUnpinnedFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cat, derived, err := Index(fsys, m)
+			cat, derived, err := indexOf(fsys, m)
 			if !derived || !errors.Is(err, hdf.ErrChecksum) || !strings.Contains(err.Error(), victim) {
 				t.Fatalf("Index: derived %v, err %v; want a derived index and the impostor's crc error", derived, err)
 			}

@@ -18,15 +18,17 @@ package snapshot
 // generation is the chain of length one. The Reader is the restart's one
 // loader of commit records and holds the last chain it loaded (chain): every
 // round, every judgment of its restore walk and every PaneUniverse reads
-// the head manifest — one small read — and
-// is served the held chain when those bytes are the ones it was loaded
-// from. Otherwise the manifests are followed link by link and every link's
-// catalog is opened as one batch through the Reader's driver (reads) —
-// its header, file table and pane index, and for a round the entry runs of
-// the share's files, never the whole blob (openCatalog) — and the walk's
-// file checks go the same way — inline, the paper's serial order; pooled,
-// one task per catalog or file. A held chain keeps what it read, and a
-// later round reads only the runs it lacks (loadRuns). So a process loads a
+// the head manifest — one small read, none while the restore walk's step
+// carries it (given) — and is served the held chain when those bytes are
+// the ones it was loaded from. Otherwise the manifests are followed link by
+// link and every link's catalog is opened as one batch through the Reader's
+// driver (reads) — its header, file table and pane index, and for a round
+// the entry runs of the share's files, never the whole blob (openCatalog)
+// — and the walk's file checks and a round's entry runs go the same way:
+// inline, the paper's serial order; pooled, every read a task costed by its
+// bytes, largest first, a long one cut across the workers (batch.go). A
+// held chain keeps what it read, and a later round reads only the runs it
+// lacks (loadRuns). So a process loads a
 // generation once for all its windows and attributes, and once per lifetime
 // across restarts of it. A held chain is the commit record as this process
 // first loaded it: damage after that load to a lower link's manifest, or to any
@@ -44,7 +46,7 @@ package snapshot
 // pane. Where the index comes from is all that varies: the catalog a commit
 // wrote, or — a full head without a usable one, files no commit record
 // describes — the same catalog derived from the files' own directories
-// (Index, deriveCatalog), planned and read the same way. A delta's files do
+// (index, deriveCatalog), planned and read the same way. A delta's files do
 // not spell out the panes it inherits, so a delta head with any unloadable
 // link fails the round — ReadFailed, nothing delivered — and the caller's
 // completeness check sends the restore walk back past the whole chain. A
@@ -210,10 +212,11 @@ type readerMx struct {
 	replicaReads  *metrics.Counter // pane retries served by a replica copy
 	repairedPanes *metrics.Counter
 	chainDepth    *metrics.Gauge     // delta chains
-	chainSeconds  *metrics.Histogram // each round's chain step, the head manifest check included
+	chainSeconds  *metrics.Histogram // each round's chain step, the head manifest check and the runs it plans from included
 	chainLoads    *metrics.Counter   // commit records loaded (Reader.chain)
 	chainReuses   *metrics.Counter   // commit records served from the held chain
 	catalogBytes  *metrics.Counter   // catalog bytes read: headers, indexes, entry runs
+	cutPieces     *metrics.Counter   // pieces the pool cut metadata reads into, beyond one per read
 
 	// The restore walk (Restore): generations each rank scanned and fell
 	// past, and rank 0's judgment of each.
@@ -241,6 +244,7 @@ func newReaderMx(cfg *ReaderConfig) readerMx {
 		chainLoads:    r.Counter(p + "chain_loads"),
 		chainReuses:   r.Counter(p + "chain_reuses"),
 		catalogBytes:  r.Counter(p + "catalog_bytes_read"),
+		cutPieces:     r.Counter(p + "cut_pieces"),
 
 		generationsScanned: r.Counter(p + "generations_scanned"),
 		fallbacks:          r.Counter(p + "fallbacks"),
@@ -261,6 +265,18 @@ type Reader struct {
 	// manifest's bytes; nil holds nothing.
 	held     []ChainGen
 	heldHead []byte
+	// given, while set, is base's head manifest as a restore-walk step
+	// carries it: a head read of given.base takes its bytes, or its error,
+	// instead of the disk's.
+	given headRead
+}
+
+// headRead is a head manifest's bytes as read for base, or why they did not
+// read.
+type headRead struct {
+	base string
+	buf  []byte
+	err  error
 }
 
 // NewReader builds the read machine for the calling process.
@@ -282,7 +298,7 @@ func (rd *Reader) chain(base string, prefetch func(*catalog.Catalog) []int) ([]C
 		return held, nil
 	}
 	rd.mx.chainLoads.Inc()
-	chain, err := loadChain(rd.ctx.FS(), rd.reads(), base, map[string]*commitRecord{base: {m: m, mErr: err}}, rd.mx.catalogBytes, prefetch)
+	chain, err := loadChain(rd.reads(), base, map[string]*commitRecord{base: {m: m, mErr: err}}, rd.mx.catalogBytes, prefetch)
 	if err == nil && !chain[0].Derived {
 		rd.hold(chain, buf)
 	} else {
@@ -301,12 +317,18 @@ func (rd *Reader) hold(chain []ChainGen, buf []byte) {
 	rd.held, rd.heldHead = chain, buf
 }
 
-// head reads base's head manifest. When the held chain is base's and was
-// loaded from those bytes it returns that chain (a reuse); otherwise the
-// bytes and the manifest they decode to, or why they did not read or
-// decode, as Load says it.
+// head reads base's head manifest — or takes the bytes the restore walk's
+// step carries (given). When the held chain is base's and was loaded from
+// those bytes it returns that chain (a reuse); otherwise the bytes and the
+// manifest they decode to, or why they did not read or decode, as Load says
+// it.
 func (rd *Reader) head(base string) (held []ChainGen, buf []byte, m *Manifest, err error) {
-	if buf, err = hdf.ReadFile(rd.ctx.FS(), base+Suffix); err != nil {
+	if rd.given.base == base {
+		buf, err = rd.given.buf, rd.given.err
+	} else {
+		buf, err = hdf.ReadFile(rd.ctx.FS(), base+Suffix)
+	}
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	if rd.held != nil && rd.held[0].Base == base && bytes.Equal(rd.heldHead, buf) {
@@ -367,7 +389,6 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		files, _ := c.Sources(req.Window, req.Wanted, mineFile)
 		return files
 	})
-	rd.mx.chainSeconds.Observe(clock.Now() - t0)
 	switch {
 	case len(chain) == 0: // no commit record: what is on disk is the only description
 		if req.Uncommitted != nil {
@@ -393,7 +414,7 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 				loads = append(loads, l)
 			}
 		}
-		loadRuns(fsys, rd.reads(), loads, rd.mx.catalogBytes)
+		loadRuns(rd.reads(), loads, rd.mx.catalogBytes)
 		for gi, c := range cats {
 			for _, fp := range c.PlanFiles(req.Window, assign[gi], mineFile) {
 				if fp = attrPlan(fp, req.Attr); len(fp.Entries) > 0 {
@@ -420,6 +441,7 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		}
 		planFrom(ChainCatalogs(chain), blobs)
 	}
+	rd.mx.chainSeconds.Observe(clock.Now() - t0)
 	// The share's files on disk that no commit record describes get an
 	// index derived from their own directories.
 	var loose []FileEntry
@@ -466,32 +488,22 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 	return mode
 }
 
-// reads is the Reader's driver for a batch of independent metadata reads:
-// inline on the owner, or one task per read on a pool of Workers, each with
-// its worker's filesystem view (on the simulated platforms, a stream of its
-// own). A batch of one runs inline: a pool would only add its start-up.
-// Metadata tasks fire no crash point.
+// reads is the Reader's driver for batches of independent metadata reads:
+// inline on the owner, or one scheduler batch on a pool of Workers per
+// batch, each read a task costed by its bytes, on its worker's filesystem
+// view (on the simulated platforms, a stream of its own). Metadata tasks
+// fire no crash point.
 func (rd *Reader) reads() reads {
-	inline := serial(rd.ctx.FS())
-	if rd.cfg.Workers == 0 {
-		return inline
-	}
-	return func(n int, read func(rt.FS, int, bool)) {
-		if n < 2 {
-			inline(n, read)
-			return
+	each := serial(rd.ctx.FS())
+	if rd.cfg.Workers > 0 {
+		each.width, each.cut = min(rd.cfg.Workers, MaxWorkers), rd.mx.cutPieces
+		each.pool = func(tasks []*iosched.Task) {
+			eng := rd.newPool(len(tasks), nil)
+			defer eng.Close()
+			eng.RunBatch(tasks, nil)
 		}
-		tasks := make([]*iosched.Task, n)
-		for i := range tasks {
-			tasks[i] = &iosched.Task{Class: iosched.ClassRead, Run: func(tc rt.TaskCtx, _ iosched.WorkerState) iosched.Result {
-				read(tc.FS(), i, false)
-				return iosched.Result{}
-			}}
-		}
-		eng := rd.newPool(n, nil)
-		defer eng.Close()
-		eng.RunBatch(tasks, func(iosched.Completion) {})
 	}
+	return each
 }
 
 // newPool builds a batch's scheduler: Workers wide, at most MaxWorkers, for
@@ -742,6 +754,9 @@ func (e *readRound) runPool(items []readItem) {
 		_, ts := e.newFile(it, true)
 		tasks = append(tasks, ts...)
 	}
+	// Largest first: the byte deal then starts every full chunk before the
+	// tails and short delta runs that fill the workers up to the same bytes.
+	largestFirst(tasks)
 	eng := e.rd.newPool(len(tasks), func(int, rt.TaskCtx) iosched.WorkerState {
 		return &readHandles{m: make(map[string]rt.File)}
 	})
@@ -849,8 +864,7 @@ func (e *readRound) recoverPanes(it readItem, panes []int) {
 			}
 			if !it.cat.HasRun(f) {
 				if l := lacking(it.cat, it.blob, []int{f}); l != nil {
-					fsys := rd.ctx.FS()
-					loadRuns(fsys, serial(fsys), []*runLoad{l}, rd.mx.catalogBytes)
+					loadRuns(serial(rd.ctx.FS()), []*runLoad{l}, rd.mx.catalogBytes)
 				}
 				if !it.cat.HasRun(f) {
 					e.bad[name] = true

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -86,13 +87,18 @@ func generations(names []string) ([]Generation, map[string][]string) {
 // skip one (err says why), or end the walk (err is the listing failure, if
 // that is what ended it). Rank 0 decides each step and broadcasts it, so
 // every rank sees the same sequence whatever its own view of the directory.
+// A try carries head, the head manifest's bytes as rank 0 read and judged
+// them: every rank's Reader takes them as its head read of base while it
+// tries it (Reader.head), so no other rank reads that manifest again.
 type step struct {
 	base string
+	head []byte
 	err  error
 	end  bool
 }
 
-// Wire form of a step: a kind byte, then the base or the error text.
+// Wire form of a step: a kind byte, then the error text, or for a try the
+// base's length (uvarint), the base and the head manifest.
 const (
 	stepTry = iota
 	stepSkip
@@ -108,18 +114,23 @@ func (st step) encode() []byte {
 	case st.err != nil:
 		return append([]byte{stepSkip}, st.err.Error()...)
 	}
-	return append([]byte{stepTry}, st.base...)
+	msg := binary.AppendUvarint([]byte{stepTry}, uint64(len(st.base)))
+	return append(append(msg, st.base...), st.head...)
 }
 
 func decodeStep(msg []byte) step {
 	if len(msg) == 0 {
 		return step{end: true, err: errors.New("snapshot: empty restore-walk step")}
 	}
-	switch kind, text := msg[0], string(msg[1:]); {
+	switch kind, text := msg[0], msg[1:]; {
 	case kind == stepTry:
-		return step{base: text}
-	case kind == stepSkip || text != "":
-		return step{err: errors.New(text), end: kind == stepEnd}
+		n, k := binary.Uvarint(text)
+		if k <= 0 || n > uint64(len(text)-k) {
+			return step{end: true, err: errors.New("snapshot: malformed restore-walk step")}
+		}
+		return step{base: string(text[k : k+int(n)]), head: text[k+int(n):]}
+	case kind == stepSkip || len(text) > 0:
+		return step{err: errors.New(string(text)), end: kind == stepEnd}
 	}
 	return step{end: true}
 }
@@ -127,17 +138,19 @@ func decodeStep(msg []byte) step {
 // walk returns rank 0's side of Restore: a function yielding the walk's
 // steps, newest generation first. Verification reads the needed files'
 // headers and directories, so one rank does it and shares the verdict. Each
-// candidate's chain is the Reader's (chain): the one it holds when the head
-// manifest is unchanged, and otherwise a load it then holds, so the round
-// that restores it on the same Reader loads nothing again but the entry runs
-// it plans from. The chain's catalogs — header, file table and pane index,
-// no entry run — then its best copies' file checks, go through the Reader's
-// driver as one batch each (judge): inline, the paper's serial order;
-// pooled, concurrent. The Reader's clock times each judged generation.
+// candidate's chain is the Reader's (chain), loaded from the head manifest
+// bytes the step then carries: the one it holds when those bytes are
+// unchanged, and otherwise a load it then holds, so the round that restores
+// it on the same Reader loads nothing again but the entry runs it plans
+// from. The chain's catalogs — header, file table and pane index, no entry
+// run — then its best copies' file checks (checkFiles), go through the
+// Reader's driver as one batch each (judge): inline, the paper's serial
+// order; pooled, concurrent, each read costed by its bytes. The manifests
+// themselves are read one link at a time, each naming the next. The
+// Reader's clock times each judged generation.
 func (rd *Reader) walk(prefix string) func() step {
 	fsys, clock, each := rd.ctx.FS(), rd.ctx.Clock(), rd.reads()
 	gens, listErr := Generations(fsys, prefix)
-	fileOK := func(fsys rt.FS, e FileEntry) bool { return checkOnDisk(fsys, e) == nil }
 	return func() step {
 		if listErr != nil || len(gens) == 0 {
 			return step{end: true, err: listErr}
@@ -149,10 +162,13 @@ func (rd *Reader) walk(prefix string) func() step {
 		}
 		// A full generation is the chain of length one.
 		t0 := clock.Now()
+		buf, err := hdf.ReadFile(fsys, g.Base+Suffix)
+		rd.given = headRead{base: g.Base, buf: buf, err: err}
 		chain, err := rd.chain(g.Base, nil)
-		_, err = judge(fsys, each, g.Base, chain, err, fileOK)
+		rd.given = headRead{}
+		_, err = judge(g.Base, chain, err, each.checkFiles)
 		rd.mx.judgeSeconds.Observe(clock.Now() - t0)
-		return step{base: g.Base, err: err}
+		return step{base: g.Base, head: buf, err: err}
 	}
 }
 
@@ -160,9 +176,11 @@ func (rd *Reader) walk(prefix string) func() step {
 // with each restorable base until one attempt succeeds on every rank of
 // comm, returning that base. Every rank of comm calls it with the same
 // arguments, each on its own Reader; rank 0 alone lists and judges (walk)
-// and broadcasts every step. The ranks agree on each attempt (mpi.Agree),
-// so a rank whose own try succeeded falls past a base a peer's failed and
-// ends the walk with the same verdict. Uncommitted generations, generations
+// and broadcasts every step, a try with the head manifest it judged, which
+// every rank's Reader takes as its head read of base while it tries it. The
+// ranks agree on each attempt (mpi.Agree), so a rank whose own try
+// succeeded falls past a base a peer's failed and ends the walk with the
+// same verdict. Uncommitted generations, generations
 // that fail restorable, and generations whose try fails (for example
 // ErrIncompleteRestart after a server skipped a checksum-damaged file) are
 // fallen past, each counted on the Reader's fallbacks. A failed listing
@@ -192,7 +210,10 @@ func (rd *Reader) Restore(comm mpi.Comm, prefix string, try func(base string) er
 		}
 		rd.mx.generationsScanned.Inc()
 		if st.err == nil {
-			if st.err = mpi.Agree(comm, try(st.base)); st.err == nil {
+			rd.given = headRead{base: st.base, buf: st.head}
+			err := try(st.base)
+			rd.given = headRead{}
+			if st.err = mpi.Agree(comm, err); st.err == nil {
 				return st.base, nil
 			}
 		}
@@ -203,9 +224,10 @@ func (rd *Reader) Restore(comm mpi.Comm, prefix string, try func(base string) er
 
 // checkOnDisk is checkFile of the file as it is on disk now: one
 // hdf.ReadRawDir, header and directory bytes only, none of them decoded — a
-// file that matches its entry has the directory its commit walked.
-// ReadData's per-dataset CRCs (and Fsck's deep scrub) cover the payload
-// bytes.
+// file that matches its entry has the directory its commit walked. The
+// scrub checks a file with it; the restore walk reads the same bytes as a
+// batch (checkFiles) and checks them the same way. ReadData's per-dataset
+// CRCs (and Fsck's deep scrub) cover the payload bytes.
 func checkOnDisk(fsys rt.FS, e FileEntry) error {
 	d, err := hdf.ReadRawDir(fsys, e.Name)
 	if err != nil {
