@@ -47,7 +47,7 @@ func runWriters(t *testing.T, mk func(env *sim.Env) Model, n, size int, read boo
 		// after writes in one env, subtracting the write makespan.
 		env = sim.NewEnv()
 		m = mk(env)
-		gate := env.NewEvent("writesDone")
+		gate := env.NewQueue("writesDone", 1) // closed once the files are written
 		var writeEnd float64
 		env.Spawn("prep2", func(p *sim.Proc) {
 			fs := m.View(p)
@@ -57,12 +57,12 @@ func runWriters(t *testing.T, mk func(env *sim.Env) Model, n, size int, read boo
 				f.Close()
 			}
 			writeEnd = env.Now()
-			gate.Trigger(nil)
+			gate.Close()
 		})
 		for i := 0; i < n; i++ {
 			i := i
 			env.Spawn(fmt.Sprintf("r%d", i), func(p *sim.Proc) {
-				p.WaitEvent(gate)
+				gate.Get(p)
 				fs := m.View(p)
 				f, err := fs.Open(fmt.Sprintf("f%d", i))
 				if err != nil {

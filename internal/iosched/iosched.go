@@ -16,13 +16,15 @@
 //     byte-identical to a synchronous drain is a scheduler invariant here,
 //     not a drain-engine detail. A task with an empty Key goes to the
 //     worker dealt the fewest bytes (Cost) so far, ties to the round-robin
-//     cursor: a batch of mixed sizes (a read round's chunks, tails and
+//     cursor: a batch of mixed sizes (a read round's pieces, tails and
 //     short runs) ends with every worker's bytes within one task's cost of
 //     the others', and an equal-cost batch deals round-robin by index. The
-//     restart reader costs every read it batches — data chunks from the
-//     chunk plan, metadata reads from the catalog's section table — and
-//     submits each batch largest first, so the deal starts the longest
-//     reads first and the short ones fill the workers up to the same bytes.
+//     restart reader cuts every read it batches, data and metadata alike,
+//     by one rule into pieces of known bytes — a data file's runs from its
+//     plan, a directory or entry run from the catalog's section table —
+//     costs each task at its piece's bytes and submits each batch largest
+//     first, so the deal starts the longest pieces first and the short ones
+//     fill the workers up to the same bytes.
 //
 //   - Budget admission on completion signals. Config.Budget bounds the
 //     task bytes in flight. The gate never sleep-polls: a stalled

@@ -358,3 +358,94 @@ func TestRestoreWalkChecksBalancedOnSimulatedTuring(t *testing.T) {
 		t.Errorf("the check phase took %.3f s, %.2f× its %d directory bytes over %d streams (%.3f s); want at most 1.2×", checks, checks/ideal, dirs, workers, ideal)
 	}
 }
+
+// TestPooledReadIsInlinePlusPieces: one server's restart of a depth-3 delta
+// chain on simulated Turing, whose full file holds runs longer than a piece,
+// once inline and once on 4 read workers. Every read of the restart, data
+// and metadata alike, is one extent read under one cut rule: the pool reads
+// exactly the inline driver's bytes, with the inline driver's ReadAt calls
+// plus one for every window it cut a range into beyond the first
+// (<prefix>cut_pieces), and both restore every pane bit-exact.
+func TestPooledReadIsInlinePlusPieces(t *testing.T) {
+	const nClients, nblocks, nodes, gens = 2, 24, 4000, 4
+	dirtied := [gens][]int{1: {5}, 2: {11, 12}, 3: {17, 20, 21}}
+	type outcome struct {
+		calls, bytes, pieces int64
+		got                  map[int]paneData
+	}
+	restart := func(pooled bool) outcome {
+		plat := cluster.Turing()
+		plat.NoiseFrac = 0
+		reg := metrics.New()
+		var n readTally
+		var mu sync.Mutex
+		o := outcome{got: make(map[int]paneData)}
+		err := cluster.NewWorld(plat, 1).Run(nClients+1, func(ctx mpi.Ctx) error {
+			cl, err := Init(tallyCtx{ctx, &n}, Config{
+				NumServers: 1, Profile: hdf.NullProfile(), ActiveBuffering: true,
+				MemcpyBW: plat.MemcpyBW, Metrics: reg,
+				DeltaSnapshots: true, FullEvery: gens,
+				ParallelRead: pooled, ReadWorkers: 4,
+			})
+			if err != nil || cl == nil {
+				return err
+			}
+			rank := cl.Comm().Rank()
+			w := buildWindowNodes(t, rank, nblocks, nodes)
+			for g := 0; g < gens; g++ {
+				for _, m := range dirtied[g] {
+					mutateDelta(w, m, nblocks)
+				}
+				if err := cl.WriteAttribute(fmt.Sprintf("pp/s%06d", g), w, "all", float64(g), g*10); err != nil {
+					return err
+				}
+				if err := cl.Sync(); err != nil {
+					return err
+				}
+			}
+			cl.Comm().Barrier()
+			calls0, bytes0 := n.calls.Load(), n.bytes.Load()
+			rw := buildWindowNodes(t, rank, nblocks, nodes)
+			rw.EachPane(func(p *roccom.Pane) {
+				pr, _ := p.Array("pressure")
+				clear(pr.F64)
+			})
+			if err := cl.ReadAttribute(fmt.Sprintf("pp/s%06d", gens-1), rw, "all"); err != nil {
+				return err
+			}
+			cl.Comm().Barrier() // the server's round is done
+			mu.Lock()
+			if rank == 0 {
+				o.calls, o.bytes = n.calls.Load()-calls0, n.bytes.Load()-bytes0
+			}
+			var bad error
+			w.EachPane(func(p *roccom.Pane) {
+				q, _ := rw.Pane(p.ID)
+				if o.got[p.ID] = capturePane(q); bad == nil && !reflect.DeepEqual(o.got[p.ID], capturePane(p)) {
+					bad = fmt.Errorf("client %d: pane %d differs after the restart", rank, p.ID)
+				}
+			})
+			mu.Unlock()
+			if bad != nil {
+				return bad
+			}
+			return cl.Shutdown()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.pieces = reg.Snapshot().Counters["rocpanda.restart.cut_pieces"]
+		return o
+	}
+	inline, pooled := restart(false), restart(true)
+	t.Logf("inline: %d reads, %d B; pooled: %d reads (%d cut pieces), %d B", inline.calls, inline.bytes, pooled.calls, pooled.pieces, pooled.bytes)
+	if inline.pieces != 0 || pooled.pieces == 0 {
+		t.Errorf("the inline driver cut %d pieces and the pool %d; want none and some", inline.pieces, pooled.pieces)
+	}
+	if pooled.bytes != inline.bytes {
+		t.Errorf("pooled restart read %d B, inline %d B", pooled.bytes, inline.bytes)
+	}
+	if pooled.calls != inline.calls+pooled.pieces {
+		t.Errorf("pooled restart read in %d calls, want the inline driver's %d plus its %d cut pieces", pooled.calls, inline.calls, pooled.pieces)
+	}
+}

@@ -3,7 +3,7 @@
 //
 // Each simulated process is a goroutine, but exactly one process runs at a
 // time: the scheduler resumes the process with the earliest pending wakeup,
-// waits for it to block (on a timed Wait, an Event, a Resource, or a
+// waits for it to block (on a timed Wait, a Resource, a Queue or a
 // Mailbox) or to finish, and then advances virtual time to the next wakeup.
 // All ties are broken by sequence number, so runs are fully deterministic.
 // A Mailbox receive with a deadline expires only when no wakeup is pending
@@ -46,7 +46,7 @@ func NewEnv() *Env {
 func (e *Env) Now() float64 { return e.now }
 
 // Proc is a simulated process. A Proc may only call its blocking methods
-// (Wait, WaitEvent, ...) from its own goroutine while it is the running
+// (Wait, Queue.Get, ...) from its own goroutine while it is the running
 // process.
 type Proc struct {
 	env    *Env
@@ -156,9 +156,6 @@ func (p *Proc) Wait(d float64) {
 	p.env.schedule(p, p.env.now+d)
 	p.park(fmt.Sprintf("wait(%g)", d))
 }
-
-// Yield gives other processes scheduled at the current time a chance to run.
-func (p *Proc) Yield() { p.Wait(0) }
 
 // DeadlockError reports that the simulation cannot make progress: the
 // calendar is empty but non-daemon processes remain blocked.

@@ -33,10 +33,6 @@ func TestNegativeAndZeroWait(t *testing.T) {
 		if env.Now() != 0 {
 			t.Errorf("negative wait moved time to %v", env.Now())
 		}
-		p.Yield()
-		if env.Now() != 0 {
-			t.Errorf("yield moved time to %v", env.Now())
-		}
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -70,71 +66,6 @@ func TestDeterministicInterleaving(t *testing.T) {
 	// Same-time wakeups must preserve spawn order.
 	if !strings.HasPrefix(first, "p0,p1,p2,p3,p4") {
 		t.Fatalf("tie-break order wrong: %q", first)
-	}
-}
-
-func TestEventDeliversValue(t *testing.T) {
-	env := NewEnv()
-	ev := env.NewEvent("go")
-	var got interface{}
-	var at float64
-	env.Spawn("waiter", func(p *Proc) {
-		got = p.WaitEvent(ev)
-		at = env.Now()
-	})
-	env.Spawn("trigger", func(p *Proc) {
-		p.Wait(3)
-		ev.Trigger("payload")
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != "payload" || at != 3 {
-		t.Fatalf("got %v at %v, want payload at 3", got, at)
-	}
-	if !ev.Fired() {
-		t.Fatal("event not marked fired")
-	}
-}
-
-func TestEventAlreadyFired(t *testing.T) {
-	env := NewEnv()
-	ev := env.NewEvent("done")
-	ev.Trigger(42)
-	ev.Trigger(43) // second trigger ignored
-	env.Spawn("w", func(p *Proc) {
-		if v := p.WaitEvent(ev); v != 42 {
-			t.Errorf("WaitEvent = %v, want 42", v)
-		}
-		if env.Now() != 0 {
-			t.Errorf("fired event blocked until %v", env.Now())
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCounterLatch(t *testing.T) {
-	env := NewEnv()
-	c := env.NewCounter("latch", 3)
-	var releasedAt float64 = -1
-	env.Spawn("waiter", func(p *Proc) {
-		p.WaitCounter(c)
-		releasedAt = env.Now()
-	})
-	for i := 0; i < 3; i++ {
-		d := float64(i + 1)
-		env.Spawn(fmt.Sprintf("d%d", i), func(p *Proc) {
-			p.Wait(d)
-			c.Done()
-		})
-	}
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if releasedAt != 3 {
-		t.Fatalf("latch released at %v, want 3 (after last Done)", releasedAt)
 	}
 }
 
@@ -314,9 +245,9 @@ func TestMailboxTryProbe(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	env := NewEnv()
-	ev := env.NewEvent("never")
+	q := env.NewQueue("never", 1)
 	env.Spawn("stuck", func(p *Proc) {
-		p.WaitEvent(ev)
+		q.Get(p)
 	})
 	err := env.Run()
 	de, ok := err.(*DeadlockError)

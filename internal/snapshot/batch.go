@@ -1,19 +1,20 @@
 package snapshot
 
-// The metadata driver: how a process issues a batch of independent metadata
-// reads — a chain's catalogs, their entry runs, the restore walk's file
-// checks — inline, in the paper's serial order, or on a Reader's pool.
-//
-// Pooled, every read is a task that carries its byte cost, known before the
-// read: a catalog's header length from its manifest's file count, an entry
-// run's length or a file's directory length from its catalog's section
-// table. The batch goes to the scheduler largest first, so its byte deal
-// (iosched: each task to the worker dealt the fewest bytes) starts the
-// longest reads first and ends with every worker near the batch's fair
-// share, its bytes over the pool width. A read of known byte ranges
-// (extentRead) that is longer than that share is cut into pieces that read
-// on several workers, each into its own windows of the read's buffers; the
-// owner checks the reassembled bytes as it checks an uncut read's.
+// The restart's reads. Every read a Reader issues of byte ranges known
+// before it is issued — the restore walk's file checks, the entry runs of a
+// chain's catalogs and each planned data file of a round — is one
+// extentRead: ranges of one file, each read into its own buffer. One rule
+// cuts a batch of them into pieces (pieces) and one driver runs the pieces
+// (reads.run), as it runs a chain's catalog opens: inline on the owner, in
+// the paper's serial order, every read one piece; or pooled, one scheduler
+// batch, every piece a task costed by its bytes — a data file's from its
+// plan, an entry run's or a directory's from its catalog's section table —
+// and submitted largest first, so the byte deal (iosched) ends with every
+// worker near the batch's fair share. A read's pieces fill disjoint windows
+// of its buffers; the owner folds each completed piece into its read and
+// runs the read's hook (done) once its last piece is in, so a data file is
+// verified and delivered while the pool reads on, and a cut read's bytes
+// are checked as an uncut read's are.
 
 import (
 	"cmp"
@@ -22,79 +23,149 @@ import (
 
 	"genxio/internal/hdf"
 	"genxio/internal/iosched"
-	"genxio/internal/metrics"
 	"genxio/internal/rt"
+	"genxio/internal/trace"
 )
 
-// minPieceBytes is the least one piece of a cut read holds. A piece pays its
-// own open, request and close — on simulated Turing's NFS two 1.5 ms
-// metadata operations on the shared line and a 0.8 ms request, about what
-// one 0.75 MB/s stream reads in 4 KB, queued behind the other workers' —
-// and there a cut whose rest was 13 KB slowed a pooled check batch rather
-// than balancing it.
-const minPieceBytes = 16 << 10
+const (
+	// minPieceBytes is the least one piece of a cut read holds. A piece pays
+	// its own open, request and close — on simulated Turing's NFS two 1.5 ms
+	// metadata operations on the shared line and a 0.8 ms request, about
+	// what one 0.75 MB/s stream reads in 4 KB, queued behind the other
+	// workers' — and there a cut whose rest was 13 KB slowed a pooled check
+	// batch rather than balancing it.
+	minPieceBytes = 16 << 10
+	// maxPieceBytes is the most one piece of a cut read holds: a full
+	// file's runs spread across the pool even when the batch's fair share
+	// is larger.
+	maxPieceBytes = 512 << 10
+)
 
-// reads is one process's driver for batches of independent metadata reads.
-// fsys is the owner's filesystem view; width is the pool's width, 0 for the
-// inline driver; pool runs one pooled batch (Reader.reads), and cut counts
-// the pieces it cuts reads into beyond one per read.
+// reads is one process's driver for batches of independent reads. fsys is
+// the owner's filesystem view; width is the pool's width, 0 for the inline
+// driver; rd, when set, is the Reader whose pool runs a pooled batch, whose
+// trace row records each inline job and whose cut_pieces counts the cuts
+// (nil: LoadChain's and the scrub's inline reads).
 type reads struct {
 	fsys  rt.FS
 	width int
-	pool  func(tasks []*iosched.Task)
-	cut   *metrics.Counter
+	rd    *Reader
 }
 
-// serial is the inline driver on fsys: every batch in index order on the
-// owner, the paper's serial restart.
-func serial(fsys rt.FS) reads { return reads{fsys: fsys} }
+// inline is each without its pool.
+func (each reads) inline() reads {
+	each.width = 0
+	return each
+}
 
-// run issues read(fsys, i, owner) for every i < len(costs), each on the
-// filesystem view of whoever runs it, costs[i] the bytes read i reads,
-// returning once all have run. owner says the view is the batch owner's
-// own, so a handle opened on it may serve the owner's later reads. A batch
-// of one runs inline: a pool would only add its start-up.
-func (each reads) run(costs []int64, read func(fsys rt.FS, i int, owner bool)) {
-	if each.width == 0 || len(costs) < 2 {
+// run is the one driver, and the one place a batch's driver is chosen: it
+// runs job i for every i < len(costs), costs[i] the bytes it reads, then
+// done(i) on the owner, and returns once all have run. A job gets its
+// runner's filesystem view and kept handles (readHandles), and owner:
+// whether a handle it opens on that view may serve the owner's later reads.
+// Inline — no pool, or a lone job, where a pool would add only its start-up
+// — the jobs run on the owner in index order, each followed by done and the
+// closing of the handles it kept. Pooled, they are one scheduler batch,
+// largest first (equal costs in index order, so an equal-cost batch deals
+// round-robin), each on a worker's view with the handles that worker keeps
+// until it exits, done as each completes. crash, when set, is the batch's
+// injected crash point (a round's data reads): it keeps even a lone job on
+// the pool, where a worker asks it after each job and dies with it (a fatal
+// task result); inline the owner asks it once per job, after done, and dies
+// as one process (Crashed).
+func (each reads) run(costs []int64, crash func() bool, job func(fsys rt.FS, h *readHandles, i int, owner bool), done func(i int)) {
+	if len(costs) == 0 || each.width <= 0 || len(costs) == 1 && crash == nil {
+		own := readHandles{m: make(map[string]rt.File)}
 		for i := range costs {
-			read(each.fsys, i, true)
+			t0 := each.now()
+			job(each.fsys, &own, i, true)
+			if each.rd != nil {
+				each.rd.cfg.Trace.Record(each.rd.cfg.TraceRank, trace.PhaseRead, t0, each.now())
+			}
+			done(i)
+			own.Close()
+			if crash != nil && crash() {
+				panic(Crashed{})
+			}
 		}
 		return
 	}
 	tasks := make([]*iosched.Task, len(costs))
 	for i, c := range costs {
-		tasks[i] = &iosched.Task{Class: iosched.ClassRead, Cost: c, Run: func(tc rt.TaskCtx, _ iosched.WorkerState) iosched.Result {
-			read(tc.FS(), i, false)
-			return iosched.Result{}
+		tasks[i] = &iosched.Task{Class: iosched.ClassRead, Cost: c, Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
+			job(tc.FS(), st.(*readHandles), i, false)
+			return iosched.Result{Value: i, Fatal: crash != nil && crash()}
 		}}
 	}
-	each.pool(largestFirst(tasks))
+	slices.SortStableFunc(tasks, func(a, b *iosched.Task) int { return cmp.Compare(b.Cost, a.Cost) })
+	each.rd.pool(tasks, func(c iosched.Completion) { done(c.Result.Value.(int)) })
+}
+
+// now is the owner's clock, when the driver has a Reader to read it from.
+func (each reads) now() float64 {
+	if each.rd == nil {
+		return 0
+	}
+	return each.rd.ctx.Clock().Now()
 }
 
 // cuts reports whether a pooled batch could cut a read of n bytes: whether
 // it holds two pieces.
 func (each reads) cuts(n int64) bool { return each.width > 0 && n >= 2*minPieceBytes }
 
-// largestFirst orders a pooled batch for the scheduler's byte deal: largest
-// cost first, equal costs in submission order (so an equal-cost batch still
-// deals round-robin by index).
-func largestFirst(tasks []*iosched.Task) []*iosched.Task {
-	slices.SortStableFunc(tasks, func(a, b *iosched.Task) int { return cmp.Compare(b.Cost, a.Cost) })
-	return tasks
+// readHandles keeps one open handle per file for whoever runs the pieces of
+// reads that keep theirs (extentRead.keep): a pool worker's private
+// iosched.WorkerState, closed on every worker exit, crashed or not (several
+// workers may hold handles on the same file; each reads disjoint windows);
+// or the inline driver's, closed once the read's hook has run.
+type readHandles struct{ m map[string]rt.File }
+
+// open returns the kept handle of name, opening it on fsys if there is none.
+func (h *readHandles) open(fsys rt.FS, name string) (rt.File, error) {
+	if f, ok := h.m[name]; ok {
+		return f, nil
+	}
+	f, err := fsys.Open(name)
+	if err == nil {
+		h.m[name] = f
+	}
+	return f, err
 }
 
-// extentRead is one metadata read of byte ranges known before it is
-// issued: ranges of the file name, each read into its own buffer. After
-// readExtents, size is the file's size as a reader of it saw it (-1: none
-// opened it) and bad[r] marks each range that did not read whole. dir, when
-// set, makes it a file check's read (checkFiles).
+// Flush implements iosched.WorkerState (restart reads never flush).
+func (h *readHandles) Flush() error { return nil }
+
+// Close implements iosched.WorkerState: it closes every kept handle.
+func (h *readHandles) Close() error {
+	for name, f := range h.m {
+		f.Close()
+		delete(h.m, name)
+	}
+	return nil
+}
+
+// extentRead is one read of byte ranges known before it is issued: ranges
+// of the file name, each read into its own buffer. f, when set, is a handle
+// the owner holds on the file (a held catalog blob's), read through instead
+// of opening it; keep, when set, keeps the handle a piece opens on its
+// runner for the batch (a data file's), where otherwise each piece opens
+// and closes the file. done, when set, runs on the owner once the last
+// piece is in. By then opened says whether any piece opened the file, got
+// counts the bytes that arrived, and bad[r] marks each range that did not
+// read whole. dir, when set, makes it a file check's read (checkFiles).
 type extentRead struct {
 	name string
 	offs []int64
 	bufs [][]byte
-	size int64
-	bad  []bool
+	f    rt.File
+	keep bool
+	done func()
 	dir  *dirRead
+
+	opened bool
+	got    int64
+	bad    []bool
+	left   int // pieces not yet folded in
 }
 
 // dirRead is what a file check's read learns from the file's header: range
@@ -106,6 +177,7 @@ type extentRead struct {
 // the directory, the bytes before the range (lead) and the window in one
 // request: an uncut check issues exactly checkOnDisk's requests.
 type dirRead struct {
+	size  int64 // the file's size as the header's piece saw it; -1: it did not open the file
 	off   int64 // where the directory starts
 	count int   // the header's dataset count
 	err   error // why the header did not read or check
@@ -129,11 +201,12 @@ func (x *extentRead) cost() (n int64) {
 // piece is one task's share of an extent read: windows of its ranges, laid
 // end to end, and what the task saw.
 type piece struct {
-	x     *extentRead
-	ws    []window
-	bytes int64
-	size  int64 // the file's size as the piece saw it; -1: not opened
-	bad   []int // the ranges whose window did not read whole
+	x      *extentRead
+	ws     []window
+	bytes  int64
+	opened bool
+	got    int64 // the bytes that arrived
+	bad    []int // the ranges whose window did not read whole
 }
 
 // window is bytes [lo, hi) of range r.
@@ -142,65 +215,104 @@ type window struct {
 	lo, hi int64
 }
 
-// cut lays x's ranges end to end and cuts them into pieces of size bytes,
-// each a run of windows; the last holds the rest, and a rest under
-// minPieceBytes stays with the piece before it. An empty range goes to the
-// piece its place falls in, so every range is requested once, as an uncut
-// read requests it.
-func (x *extentRead) cut(size int64) []*piece {
-	total := x.cost()
-	bounds := []int64{0} // where each piece starts, then the end
-	for end := size; end < total && total-end >= minPieceBytes; end += size {
-		bounds = append(bounds, end)
+// pieces cuts a batch of reads for the driver, by the one rule: inline,
+// every read is one piece; pooled, each range of a read is cut on its own
+// into pieces of the batch's fair share — its bytes over the pool width,
+// no less than minPieceBytes and no more than maxPieceBytes (cut) — so the
+// byte deal gives each full piece a worker of its own and fills the other
+// workers' shares with the batch's shorter reads and the pieces' rest.
+// Every window beyond one per range counts on the Reader's cut_pieces: one
+// more request than the inline driver makes.
+func (each reads) pieces(xs []*extentRead) []*piece {
+	var total int64
+	for _, x := range xs {
+		total += x.cost()
 	}
-	bounds = append(bounds, total)
-	ps := make([]*piece, len(bounds)-1)
-	for j := range ps {
-		ps[j] = &piece{x: x, bytes: bounds[j+1] - bounds[j]}
+	size := int64(0)
+	if each.width > 0 {
+		size = min(max((total+int64(each.width)-1)/int64(each.width), minPieceBytes), maxPieceBytes)
 	}
-	var pos int64
-	for r, b := range x.bufs {
-		n := int64(len(b))
-		if n == 0 {
-			j, _ := slices.BinarySearch(bounds[1:len(bounds)-1], pos+1)
-			ps[j].ws = append(ps[j].ws, window{r: r})
-			continue
+	var ps []*piece
+	cuts := 0
+	for _, x := range xs {
+		cut := x.cut(size)
+		for _, p := range cut {
+			cuts += len(p.ws)
 		}
-		for j, p := range ps {
-			if a, z := max(bounds[j], pos), min(bounds[j+1], pos+n); a < z {
-				p.ws = append(p.ws, window{r: r, lo: a - pos, hi: z - pos})
-			}
-		}
-		pos += n
+		cuts -= len(x.bufs)
+		x.left = len(cut)
+		ps = append(ps, cut...)
+	}
+	if each.rd != nil {
+		each.rd.mx.cutPieces.Add(int64(cuts))
 	}
 	return ps
 }
 
-// read runs one piece on fsys: one open, one request per window, each byte
-// that arrived counted on read.
-func (p *piece) read(fsys rt.FS, read *metrics.Counter) {
+// cut cuts x into pieces of size bytes, size 0 into one piece. Each range
+// is cut on its own, and a rest under minPieceBytes stays with the piece
+// before it. A range under minPieceBytes that is not x's last rides at the
+// front of the next range's first piece — so a file check's header travels
+// with the first window of its directory (dirRead). Every range, an empty
+// one too, is one window or more, so every range is requested once or more,
+// as an uncut read requests it.
+func (x *extentRead) cut(size int64) []*piece {
+	var ps []*piece
+	p := &piece{x: x}
+	for r, b := range x.bufs {
+		n := int64(len(b))
+		for lo := int64(0); ; {
+			hi := n
+			if size > 0 && n-(lo+size) >= minPieceBytes {
+				hi = lo + size
+			}
+			p.ws, p.bytes = append(p.ws, window{r: r, lo: lo, hi: hi}), p.bytes+hi-lo
+			if lo = hi; lo == n {
+				break
+			}
+			ps, p = append(ps, p), &piece{x: x}
+		}
+		if size > 0 && (n >= minPieceBytes || r == len(x.bufs)-1) {
+			ps, p = append(ps, p), &piece{x: x}
+		}
+	}
+	if len(ps) == 0 { // uncut, or no ranges at all
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// read runs one piece on fsys, its runner's filesystem view: the read's
+// handle, one kept in h or a handle of its own; then one request per
+// window, in order.
+func (p *piece) read(fsys rt.FS, h *readHandles) {
 	x := p.x
-	p.size = -1
-	f, err := fsys.Open(x.name)
+	f, err := x.f, error(nil)
+	switch {
+	case f != nil:
+	case x.keep:
+		f, err = h.open(fsys, x.name)
+	default:
+		if f, err = fsys.Open(x.name); err == nil {
+			defer f.Close()
+		}
+	}
 	if err != nil {
 		for _, w := range p.ws {
 			p.bad = append(p.bad, w.r)
 		}
 		return
 	}
-	defer f.Close()
-	if p.size, err = f.Size(); err != nil {
-		p.size = -1
-	}
+	p.opened = true
+	d := x.dir
 	for _, w := range p.ws {
 		buf, off := x.bufs[w.r][w.lo:w.hi], x.offs[w.r]+w.lo
-		d := x.dir
 		lead := d != nil && w.r == 1 && w.lo == 0 && d.err == nil && d.off < off
 		if lead {
 			buf, off = make([]byte, off-d.off+int64(len(buf))), d.off
 		}
 		n, err := f.ReadAt(buf, off)
-		read.Add(int64(n))
+		p.got += int64(n)
 		if n != len(buf) {
 			p.bad = append(p.bad, w.r)
 		}
@@ -209,57 +321,45 @@ func (p *piece) read(fsys rt.FS, read *metrics.Counter) {
 			d.lead = buf[:len(buf)-int(w.hi)]
 			copy(x.bufs[1], buf[len(d.lead):])
 		case d != nil && w.r == 0:
+			var sizeErr error
+			if d.size, sizeErr = f.Size(); sizeErr != nil {
+				d.size = -1
+			}
 			if n != len(buf) {
 				d.err = fmt.Errorf("hdf: reading header of %s: %w", x.name, err)
 			} else {
-				d.off, d.count, d.err = hdf.ParseHeader(x.name, buf, p.size)
+				d.off, d.count, d.err = hdf.ParseHeader(x.name, buf, d.size)
 			}
 		}
 	}
 }
 
-// readExtents reads xs as one batch through the driver, cut as pieces cuts
-// them. Every byte read counts on read.
-func (each reads) readExtents(xs []*extentRead, read *metrics.Counter) {
+// fold folds a completed piece into its read, on the owner, and runs the
+// read's hook when it was the last.
+func (p *piece) fold() {
+	x := p.x
+	x.opened = x.opened || p.opened
+	x.got += p.got
+	for _, r := range p.bad {
+		x.bad[r] = true
+	}
+	if x.left--; x.left == 0 && x.done != nil {
+		x.done()
+	}
+}
+
+// readExtents reads xs as one batch: cut by pieces, run by run, each piece
+// folded into its read on the owner as it completes. crash is the batch's
+// crash point (run).
+func (each reads) readExtents(xs []*extentRead, crash func() bool) {
 	ps := each.pieces(xs)
 	costs := make([]int64, len(ps))
 	for i, p := range ps {
 		costs[i] = p.bytes
 	}
-	each.run(costs, func(fsys rt.FS, i int, _ bool) { ps[i].read(fsys, read) })
-	for _, x := range xs {
-		x.size = -1
-	}
-	for _, p := range ps {
-		if p.x.size < 0 {
-			p.x.size = p.size
-		}
-		for _, r := range p.bad {
-			p.x.bad[r] = true
-		}
-	}
-}
-
-// pieces cuts a batch of reads for the driver. Pooled, a read longer than
-// the batch's fair share — its bytes over the pool width, and no less than
-// minPieceBytes — is cut into pieces of that share (cut), so the byte deal
-// gives each full piece a worker of its own and fills the other workers'
-// shares with the batch's shorter reads and the pieces' rest.
-func (each reads) pieces(xs []*extentRead) []*piece {
-	var total int64
-	for _, x := range xs {
-		total += x.cost()
-	}
-	share := total
-	if each.width > 0 {
-		share = max((total+int64(each.width)-1)/int64(each.width), minPieceBytes)
-	}
-	var ps []*piece
-	for _, x := range xs {
-		ps = append(ps, x.cut(share)...)
-	}
-	each.cut.Add(int64(len(ps) - len(xs)))
-	return ps
+	each.run(costs, crash,
+		func(fsys rt.FS, h *readHandles, i int, _ bool) { ps[i].read(fsys, h) },
+		func(i int) { ps[i].fold() })
 }
 
 // checkFiles is the restore walk's file check of a batch: each file held to
@@ -283,21 +383,25 @@ func checkReads(files []FileEntry, dirs []int64) []*extentRead {
 	xs := make([]*extentRead, len(files))
 	for i, e := range files {
 		lo := max(e.Size-dirs[i], hdf.HeaderSize())
-		xs[i] = &extentRead{name: e.Name, dir: &dirRead{err: fmt.Errorf("snapshot: %s: header not read", e.Name)}}
+		xs[i] = &extentRead{name: e.Name, dir: &dirRead{size: -1, err: fmt.Errorf("snapshot: %s: header not read", e.Name)}}
 		xs[i].add(0, hdf.HeaderSize()).add(lo, max(e.Size-lo, 0))
 	}
 	return xs
 }
 
-// checkDir is checkOnDisk's verdict on x, checkFiles' read of e: a file of
-// another size fails, and so does a header that did not read or check, or a
-// directory that did not read whole; otherwise the directory's bytes — from
-// where the header places it to the end of the file — must be e's.
+// checkDir is checkOnDisk's verdict on x, checkFiles' read of e, in
+// checkOnDisk's order: a file of another size fails (checkFile, on the size
+// alone), and so does a header that did not read or check, or a directory
+// that did not read whole; otherwise the directory's bytes — from where the
+// header places it to the end of the file — must be e's (checkFile).
 func (x *extentRead) checkDir(e FileEntry) error {
 	d := x.dir
+	sized := e
+	sized.Size = d.size
+	if err := checkFile(e, sized); d.size >= 0 && err != nil {
+		return err
+	}
 	switch {
-	case x.size != e.Size && x.size >= 0:
-		return checkFile(e, FileEntry{Size: x.size})
 	case d.err != nil:
 		return d.err
 	case x.bad[1]:
@@ -312,5 +416,5 @@ func (x *extentRead) checkDir(e FileEntry) error {
 	} else {
 		dir = dir[d.off-x.offs[1]:]
 	}
-	return checkFile(e, FileEntry{Size: x.size, DirCRC: hdf.Checksum(dir), Datasets: d.count})
+	return checkFile(e, FileEntry{Size: d.size, DirCRC: hdf.Checksum(dir), Datasets: d.count})
 }

@@ -51,7 +51,7 @@ const maxChainDepth = 1024
 // sections it plans from, and holds the chain it loaded, for its rounds and
 // for its restore walk's judgments.
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
-	each := serial(fsys)
+	each := reads{fsys: fsys}
 	chain, err := loadChain(each, base, nil, nil, nil)
 	var loads []*runLoad
 	for _, g := range chain {
@@ -167,9 +167,9 @@ func loadChain(each reads, base string, known map[string]*commitRecord, read *me
 			return nil
 		}
 	}
-	each.run(costs, func(fsys rt.FS, i int, owner bool) {
+	each.run(costs, nil, func(fsys rt.FS, _ *readHandles, i int, owner bool) {
 		unread[i].cat, unread[i].blob, unread[i].catErr = openCatalog(fsys, unread[i].m, read, owner, prefetch)
-	})
+	}, func(int) {})
 	for i := range chain {
 		g, rec := &chain[i], known[chain[i].Base]
 		g.Catalog, g.blob = rec.cat, rec.blob

@@ -117,7 +117,7 @@ func chainVerdicts(fsys rt.FS, reports []GenReport) {
 		if rep.Verdict == VerdictUncommitted {
 			continue
 		}
-		chain, err := loadChain(serial(fsys), rep.Base, known, nil, nil)
+		chain, err := loadChain(reads{fsys: fsys}, rep.Base, known, nil, nil)
 		if link, err := judge(rep.Base, chain, err, scrubbed); err != nil {
 			if rep.Verdict == VerdictOK || rep.Verdict == VerdictRepaired {
 				rep.Verdict = VerdictChainBroken

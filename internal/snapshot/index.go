@@ -121,7 +121,7 @@ func openCatalog(fsys rt.FS, m *Manifest, read *metrics.Counter, keep bool, pref
 	cat, err := openSections(f, m, read)
 	if err == nil && prefetch != nil {
 		if l := lacking(cat, blob, prefetch(cat)); l != nil {
-			l.fetch(f, read) // a run that fails loads again, or is derived, when a plan needs it
+			readRuns(reads{fsys: fsys}, []*runLoad{l}, true, read)
 		}
 	}
 	if err != nil || !keep {
@@ -211,9 +211,13 @@ func (l *runLoad) ranges() [][]int {
 	return rs
 }
 
-// extents lays l's ranges out as one extent read of its blob.
-func (l *runLoad) extents() *extentRead {
+// extents lays l's ranges out as one extent read of its blob, through the
+// blob's handle when held is set.
+func (l *runLoad) extents(held bool) *extentRead {
 	x := &extentRead{name: l.blob.name}
+	if held {
+		x.f = l.blob.f
+	}
 	for _, fs := range l.ranges() {
 		off, _ := l.cat.RunExtent(fs[0])
 		x.add(off, runBytes(l.cat, fs))
@@ -221,59 +225,56 @@ func (l *runLoad) extents() *extentRead {
 	return x
 }
 
-// load loads the runs of each range of x, l's extents as read, that read
-// whole, each that matches its record (Catalog.LoadRun).
-func (l *runLoad) load(x *extentRead) {
-	for r, fs := range l.ranges() {
-		if x.bad[r] {
-			continue
-		}
-		buf := x.bufs[r]
-		for _, f := range fs {
-			_, m := l.cat.RunExtent(f)
-			l.cat.LoadRun(f, buf[:m:m]) // one that does not match is derived (loadRuns)
-			buf = buf[m:]
+// readRuns reads the runs loads name as one batch through each, one extent
+// read per blob (extents: through its handle when held is set), costed by
+// its runs' lengths in the section table, counting on read every byte that
+// arrived, and loads the runs of each range that read whole, each that
+// matches its record (Catalog.LoadRun; one that does not is derived by
+// loadRuns, or loads again when a plan needs it).
+func readRuns(each reads, loads []*runLoad, held bool, read *metrics.Counter) {
+	xs := make([]*extentRead, len(loads))
+	for i, l := range loads {
+		xs[i] = l.extents(held)
+	}
+	each.readExtents(xs, nil)
+	for i, l := range loads {
+		x := xs[i]
+		read.Add(x.got)
+		for r, fs := range l.ranges() {
+			if x.bad[r] {
+				continue
+			}
+			buf := x.bufs[r]
+			for _, f := range fs {
+				_, m := l.cat.RunExtent(f)
+				l.cat.LoadRun(f, buf[:m:m])
+				buf = buf[m:]
+			}
 		}
 	}
-}
-
-// fetch reads l's runs off f, the blob's open handle, each range of
-// adjacent runs in one request, and loads them.
-func (l *runLoad) fetch(f rt.File, read *metrics.Counter) {
-	x := l.extents()
-	for r, buf := range x.bufs {
-		n, _ := f.ReadAt(buf, x.offs[r])
-		read.Add(int64(n))
-		x.bad[r] = n != len(buf)
-	}
-	l.load(x)
 }
 
 // loadRuns loads the entry runs loads name: those of a blob whose handle is
-// held on the owner, off that handle, unless the pool could cut them; the
-// rest as one batch of extent reads through the driver each (readExtents),
-// one read per blob, costed by its runs' lengths in the section table — a
-// read longer than the batch's fair share cut across the pool's workers.
-// Every byte read counts on read. A run that did not read or does not match its section's record is
-// derived again from its file's own directory (deriveCatalog, the catalog of
-// that file alone), the run the commit wrote from those very entries: an
-// intact file gives back the bytes the header pins, which LoadRun still
-// checks. A run that loads neither way stays unloaded, and the reads that
-// need it treat its file as failed.
+// held on the owner off that handle, inline, unless the pool could cut
+// them; the rest as one batch through the driver (readRuns) — a read longer
+// than the batch's fair share cut across the pool's workers. Every byte
+// read counts on read. A run that did not read or does not match its
+// section's record is derived again from its file's own directory
+// (deriveCatalog, the catalog of that file alone), the run the commit wrote
+// from those very entries: an intact file gives back the bytes the header
+// pins, which LoadRun still checks. A run that loads neither way stays
+// unloaded, and the reads that need it treat its file as failed.
 func loadRuns(each reads, loads []*runLoad, read *metrics.Counter) {
-	var byName []*runLoad
-	var xs []*extentRead
+	var held, byName []*runLoad
 	for _, l := range loads {
 		if l.blob.f != nil && !each.cuts(runBytes(l.cat, l.files)) {
-			l.fetch(l.blob.f, read)
+			held = append(held, l)
 		} else {
-			byName, xs = append(byName, l), append(xs, l.extents())
+			byName = append(byName, l)
 		}
 	}
-	each.readExtents(xs, read)
-	for i, l := range byName {
-		l.load(xs[i])
-	}
+	readRuns(each.inline(), held, true, read)
+	readRuns(each, byName, false, read)
 	for _, l := range loads {
 		for _, f := range l.files {
 			if l.cat.HasRun(f) {

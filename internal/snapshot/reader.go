@@ -17,76 +17,75 @@ package snapshot
 // One plan (Read). The generation's chain comes newest first; a full
 // generation is the chain of length one. The Reader is the restart's one
 // loader of commit records and holds the last chain it loaded (chain): every
-// round, every judgment of its restore walk and every PaneUniverse reads
-// the head manifest — one small read, none while the restore walk's step
-// carries it (given) — and is served the held chain when those bytes are
-// the ones it was loaded from. Otherwise the manifests are followed link by
-// link and every link's catalog is opened as one batch through the Reader's
-// driver (reads) — its header, file table and pane index, and for a round
-// the entry runs of the share's files, never the whole blob (openCatalog)
-// — and the walk's file checks and a round's entry runs go the same way:
-// inline, the paper's serial order; pooled, every read a task costed by its
-// bytes, largest first, a long one cut across the workers (batch.go). A
-// held chain keeps what it read, and a later round reads only the runs it
-// lacks (loadRuns). So a process loads a
-// generation once for all its windows and attributes, and once per lifetime
-// across restarts of it. A held chain is the commit record as this process
-// first loaded it: damage after that load to a lower link's manifest, or to any
+// round, every judgment of its restore walk and every PaneUniverse reads the
+// head manifest — one small read, none while the restore walk's step carries
+// it (given) — and is served the held chain when those bytes are the ones it
+// was loaded from. Otherwise the manifests are followed link by link and
+// every link's catalog is opened as one batch through the Reader's driver
+// (reads) — its header, file table and pane index, and for a round the entry
+// runs of the share's files, never the whole blob (openCatalog) — and the
+// walk's file checks, a round's entry runs and its data files go the same
+// way, each one extent read: inline, the paper's serial order; pooled, every
+// piece a task costed by its bytes, largest first, a long read cut across
+// the workers (batch.go). A held chain keeps what it read, and a later round
+// reads only the runs it lacks (loadRuns). So a process loads a generation
+// once for all its windows and attributes, and once per lifetime across
+// restarts of it. A held chain is the commit record as this process first
+// loaded it: damage after that load to a lower link's manifest, or to any
 // link's catalog blob, does not change this process's restores (every
 // payload is still CRC-checked as it is read), while a head re-committed
 // under the same name reads as other bytes and is reloaded. Only a whole
 // load is held — committed, every link loaded, the head's index its
 // committed catalog — so a broken, derived or uncommitted generation is
-// loaded afresh each round. Every wanted pane resolves to
-// the newest link whose index holds it — each pane to exactly one
-// (generation, file, extent) — and each link's planned files are read by
-// direct coalesced offset reads, every entry CRC-verified before anything
-// from its file is delivered; files the index knows but planned nothing
-// from are never opened, and a named attribute plans that one dataset per
-// pane. Where the index comes from is all that varies: the catalog a commit
-// wrote, or — a full head without a usable one, files no commit record
-// describes — the same catalog derived from the files' own directories
-// (index, deriveCatalog), planned and read the same way. A delta's files do
-// not spell out the panes it inherits, so a delta head with any unloadable
-// link fails the round — ReadFailed, nothing delivered — and the caller's
-// completeness check sends the restore walk back past the whole chain. A
-// failed listing reports the same way.
+// loaded afresh each round. Every wanted pane resolves to the newest link
+// whose index holds it — each pane to exactly one (generation, file, extent)
+// — and each link's planned files are read by direct coalesced offset reads,
+// every entry CRC-verified before anything from its file is delivered; files
+// the index knows but planned nothing from are never opened, and a named
+// attribute plans that one dataset per pane. Where the index comes from is
+// all that varies: the catalog a commit wrote, or — a full head without a
+// usable one, files no commit record describes — the same catalog derived
+// from the files' own directories (index, deriveCatalog), planned and read
+// the same way. A delta's files do not spell out the panes it inherits, so a
+// delta head with any unloadable link fails the round — ReadFailed, nothing
+// delivered — and the caller's completeness check sends the restore walk
+// back past the whole chain. A failed listing reports the same way.
 //
-// The state machine. Each planned file of the share becomes a readFile with
-// its coalesced run buffers and one ReadAt task per run, or per chunk of a
-// run (newFile). Tasks do disk I/O only. consume folds each result into its
-// file on the owner's goroutine and, when the file's last task is in, does
-// everything else: CRC verification, inflate, pane assembly and every
-// delivery (a server's sends: simulated endpoints charge the sending
-// process, so shipping stays on the owner's identity). A file with any
-// damage is skipped whole, nothing from it is delivered, its bytes count as
-// wasted rather than read, and recoverPanes retries its panes against the
-// other copies its index knows.
+// The state machine. Each planned file of the share is one extent read of
+// its coalesced runs (readFile), and the share is one batch through the
+// Reader's driver (reads, batch.go). Pieces do disk I/O only; when a file's
+// last piece is in, its hook (consume) does everything else on the owner's
+// goroutine: CRC verification, inflate, pane assembly and every delivery (a
+// server's sends: simulated endpoints charge the sending process, so
+// shipping stays on the owner's identity). A file with any damage is
+// skipped whole, nothing from it is delivered, its bytes count as wasted
+// rather than read, and recoverPanes retries its panes against the other
+// copies its index knows.
 //
-// The inline driver (Workers 0) is the paper-faithful, zero-worker case and
-// the only one Rochdf uses: it runs a file's tasks on the owner with its own
-// mpi.Ctx as their rt.TaskCtx, one file at a time — open, one ReadAt per
-// coalesced run, verify, deliver, close — and constructs no scheduler, so
-// such a run reports no iosched read tasks. Pane retries always run through
-// this driver, and so does a metadata batch of one.
+// The driver is chosen in one place (reads.run), for data and metadata
+// reads alike. The inline driver (Workers 0) is the paper-faithful,
+// zero-worker case and the only one Rochdf uses: every read is one piece,
+// run on the owner's filesystem view — open, one ReadAt per coalesced
+// run, verify, deliver, close — one file at a time, and no scheduler is
+// constructed, so such a run reports no iosched read tasks. Pane retries
+// always run inline, and so does a metadata batch of one piece.
 //
-// The pool driver (Workers > 0) hands the whole share's tasks to an
-// internal/iosched batch: ClassRead tasks executed by ctx.Spawn
-// workers (goroutines on the channel backend, simulation processes with
-// their own clock and filesystem view on the virtual platforms), completions
-// consumed on the owner, so reads of file N+1 overlap the verification and
-// delivery of file N. Coalesced runs split into readChunkBytes chunks, so
-// even a single large file spreads across the pool — on the simulated NFS
-// platforms each worker has its own stream-read pacing, which is where the
-// restart speedup comes from. The scheduler deals each chunk to the worker
-// dealt the fewest bytes so far, so a share that mixes a full file's chunks
-// and tails with the short runs of delta files leaves every worker about
-// the same bytes and the round ends when they all do; a worker may thus
-// hold many short tasks while another holds one chunk, and the job queues
-// are sized for it (newPool). ReaderConfig.Budget is the batch's scheduler
-// budget: a task that would overrun it is deferred until outstanding reads
-// complete, but an idle pool always admits. Read overlap is disk time after
-// the round's first delivery, which the owner notes per completion.
+// The pool driver (Workers > 0) hands a batch's pieces to an
+// internal/iosched batch: ClassRead tasks executed by ctx.Spawn workers
+// (goroutines on the channel backend, simulation processes with their own
+// clock and filesystem view on the virtual platforms), completions folded
+// on the owner, so reads of file N+1 overlap the verification and delivery
+// of file N. One rule cuts every read: each range into pieces of the
+// batch's fair share, 16 KB to 512 KB, so even a single large file spreads
+// across the pool — on the simulated NFS platforms each worker has its own
+// stream-read pacing, which is where the restart speedup comes from — and
+// the scheduler's byte deal leaves every worker about the same bytes, so
+// the round ends when they all do. A data file's handle stays open on each
+// worker that reads it until the batch ends; a metadata piece opens and
+// closes its file. ReaderConfig.Budget is the batch's scheduler budget: a
+// task that would overrun it is deferred until outstanding reads complete,
+// but an idle pool always admits. Read overlap is disk time after the
+// round's first delivery, which the owner notes per completion.
 //
 // Ordering and dedupe: within one file, panes are delivered in plan order
 // under both drivers; across files the pool's completion order may differ,
@@ -116,13 +115,9 @@ import (
 	"genxio/internal/trace"
 )
 
-const (
-	// MaxWorkers caps the pool width of both services: WriterConfig.Workers
-	// and ReaderConfig.Workers.
-	MaxWorkers = 8
-	// readChunkBytes splits coalesced runs into pool-sized chunks.
-	readChunkBytes = 512 << 10
-)
+// MaxWorkers caps the pool width of both services: WriterConfig.Workers
+// and ReaderConfig.Workers.
+const MaxWorkers = 8
 
 // ErrIncompleteRestart reports that a restart could not recover every
 // requested pane: the snapshot is incomplete — a writer died mid-snapshot,
@@ -216,7 +211,7 @@ type readerMx struct {
 	chainLoads    *metrics.Counter   // commit records loaded (Reader.chain)
 	chainReuses   *metrics.Counter   // commit records served from the held chain
 	catalogBytes  *metrics.Counter   // catalog bytes read: headers, indexes, entry runs
-	cutPieces     *metrics.Counter   // pieces the pool cut metadata reads into, beyond one per read
+	cutPieces     *metrics.Counter   // windows the pool cut ranges of data and metadata reads into, beyond one per range: its requests over the inline driver's
 
 	// The restore walk (Restore): generations each rank scanned and fell
 	// past, and rank 0's judgment of each.
@@ -269,6 +264,9 @@ type Reader struct {
 	// carries it: a head read of given.base takes its bytes, or its error,
 	// instead of the disk's.
 	given headRead
+	// delivered: a pane of the round being served has left this process,
+	// so pooled read time after it is overlap (pool).
+	delivered bool
 }
 
 // headRead is a head manifest's bytes as read for base, or why they did not
@@ -348,9 +346,10 @@ func (rd *Reader) head(base string) (held []ChainGen, buf []byte, m *Manifest, e
 // recorded universe), a full generation's manifest and index — the
 // catalog's header, file table and pane index (openCatalog), or the index
 // derived from the files — which must be whole up to copies: restorable's
-// rule judged on the index alone (every file passes), since a universe short
-// of an unindexed file's panes would restore short and report success. A full generation whose index is its committed
-// catalog is then held, as chain would hold it.
+// rule judged on the index alone (every file passes), since a universe
+// short of an unindexed file's panes would restore short and report
+// success. A full generation whose index is its committed catalog is then
+// held, as chain would hold it.
 func (rd *Reader) PaneUniverse(base, window string) ([]int, error) {
 	held, buf, m, err := rd.head(base)
 	if held != nil {
@@ -488,47 +487,54 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 	return mode
 }
 
-// reads is the Reader's driver for batches of independent metadata reads:
-// inline on the owner, or one scheduler batch on a pool of Workers per
-// batch, each read a task costed by its bytes, on its worker's filesystem
-// view (on the simulated platforms, a stream of its own). Metadata tasks
-// fire no crash point.
+// reads is the Reader's driver (batch.go): inline on the owner, or one
+// scheduler batch on a pool of Workers per batch, each read's pieces tasks
+// costed by their bytes, on their worker's filesystem view (on the
+// simulated platforms, a stream of its own).
 func (rd *Reader) reads() reads {
-	each := serial(rd.ctx.FS())
-	if rd.cfg.Workers > 0 {
-		each.width, each.cut = min(rd.cfg.Workers, MaxWorkers), rd.mx.cutPieces
-		each.pool = func(tasks []*iosched.Task) {
-			eng := rd.newPool(len(tasks), nil)
-			defer eng.Close()
-			eng.RunBatch(tasks, nil)
-		}
-	}
-	return each
+	return reads{fsys: rd.ctx.FS(), width: min(rd.cfg.Workers, MaxWorkers), rd: rd}
 }
 
-// newPool builds a batch's scheduler: Workers wide, at most MaxWorkers, for
-// n tasks, each worker's private state from newState (nil: stateless).
-func (rd *Reader) newPool(n int, newState func(int, rt.TaskCtx) iosched.WorkerState) *iosched.Engine {
+// pool runs tasks as one scheduler batch on a pool built for it, handing
+// each completion to done on the owner's goroutine; it returns only after
+// every worker has exited. Disk time after the round's first delivery
+// (delivered) is overlap. If a worker hit an injected crash the owning
+// process dies with it.
+func (rd *Reader) pool(tasks []*iosched.Task, done func(iosched.Completion)) {
 	cfg := &rd.cfg
-	nw := min(cfg.Workers, MaxWorkers)
-	return iosched.New(rd.ctx, iosched.Config{
+	eng := iosched.New(rd.ctx, iosched.Config{
 		Name:    "snapshot-read",
-		Workers: nw,
+		Workers: min(cfg.Workers, MaxWorkers),
 		Budget:  cfg.Budget,
 		// Job queues are sized so no Put ever blocks: the scheduler deals
 		// each unkeyed task to the worker dealt the fewest bytes, so a
-		// worker's task count follows the bytes, not n/nw — one may be
-		// dealt many short runs while another holds one chunk — and only a
-		// queue of n holds every deal (the control queue holds every job
-		// queue's worth of completions plus every exit). A crashed worker
-		// that abandons its queue can then never wedge the owner mid-Put.
-		QueueCap:   n,
-		NewState:   newState,
+		// worker's task count follows the bytes, not the batch over the
+		// width — one may be dealt many short pieces while another holds
+		// one long one — and only a queue of the whole batch holds every
+		// deal (the control queue holds every job queue's worth of
+		// completions plus every exit). A crashed worker that abandons its
+		// queue can then never wedge the owner mid-Put.
+		QueueCap:   len(tasks),
+		NewState:   func(int, rt.TaskCtx) iosched.WorkerState { return &readHandles{m: make(map[string]rt.File)} },
 		Metrics:    cfg.Metrics,
 		Trace:      cfg.Trace,
 		TraceRank:  cfg.TraceRank,
 		TracePhase: trace.PhaseRead,
 	})
+	defer eng.Close()
+	eng.RunBatch(tasks, func(c iosched.Completion) {
+		if dt := c.T1 - c.T0; dt > 0 && rd.delivered {
+			// Disk time spent after this round's first pane left: reads of
+			// later files overlapped earlier files' deliveries. The batch
+			// runs under the barrier, so this is its only overlap.
+			eng.NoteOverlap(c.Task.Class, dt)
+		}
+		done(c)
+	})
+	eng.Close()
+	if eng.Crashed() {
+		panic(Crashed{})
+	}
 }
 
 // failed reports a round that could not be served at all.
@@ -575,28 +581,14 @@ type lostRun struct {
 	panes []int
 }
 
-// readFile is the state of one file being read.
+// readFile is one planned file of a round: its coalesced runs, read as one
+// extent read (x), each run a range into its own buffer.
 type readFile struct {
 	readItem
-	pooled    bool // its tasks run on pool workers, not on the owner
 	retry     bool // a pane retry against another copy: its own failure is final
 	runs      []catalog.Run
-	bufs      [][]byte // one buffer per run; tasks fill disjoint windows
-	left      int      // outstanding task results for this file
-	failed    bool
-	opened    bool
-	read      int64 // bytes successfully pulled from the file so far
-	delivered bool  // verified end to end and handed over
-}
-
-// readResult is one task's outcome, carried as the completion's value (in
-// the pool the control-queue handoff is also the happens-before edge
-// covering the buffer window the worker filled).
-type readResult struct {
-	f      *readFile
-	read   int64 // bytes actually pulled from the file
-	opened bool
-	failed bool
+	x         *extentRead
+	delivered bool // verified end to end and handed over
 }
 
 // paneSets is one pane's verified datasets. Building one never delivers
@@ -607,202 +599,66 @@ type paneSets struct {
 	sets []roccom.IOSet
 }
 
-// readHandles caches one open handle per file for whoever runs chunk tasks:
-// a pool worker's private iosched.WorkerState (several workers may hold
-// handles on the same file; each reads disjoint chunks), closed on every
-// worker exit, crashed or not; or the inline driver's per-file handle,
-// closed after the file's deliveries.
-type readHandles struct{ m map[string]rt.File }
-
-// Flush implements iosched.WorkerState (restart rounds never flush).
-func (h *readHandles) Flush() error { return nil }
-
-// Close implements iosched.WorkerState.
-func (h *readHandles) Close() error {
-	for _, f := range h.m {
-		f.Close()
-	}
-	return nil
-}
-
-// readRound is one round's share on one process. Everything but the task
-// closures runs on the owner's goroutine.
+// readRound is one round's share on one process. Everything but the
+// pieces' reads runs on the owner's goroutine.
 type readRound struct {
 	rd  *Reader
 	req *ReadRequest
 	// bad holds files that failed an open this round: a pane retry never
 	// re-reads them, so one lost file costs one failed open, not one per
 	// pane.
-	bad       map[string]bool
-	delivered bool // something left this process already (overlap accounting)
+	bad map[string]bool
 }
 
-// serve reads, verifies and delivers one round's share, then retries the
-// panes of the sources whose runs were lost. This is the one place the
-// driver is chosen.
+// serve reads, verifies and delivers one round's share as one batch through
+// the Reader's driver, then retries the panes of the sources whose runs
+// were lost.
 func (rd *Reader) serve(req *ReadRequest, items []readItem, lost []lostRun) {
 	e := &readRound{rd: rd, req: req, bad: make(map[string]bool)}
-	if rd.cfg.Workers > 0 && len(items) > 0 {
-		e.runPool(items)
-	} else {
-		for _, it := range items {
-			e.runInline(it, false)
-			if rd.dies() {
-				panic(Crashed{})
-			}
-		}
-	}
+	defer func() { rd.delivered = false }()
+	e.read(rd.reads(), items, false)
 	for _, l := range lost {
 		e.recoverPanes(l.readItem, l.panes)
 	}
 }
 
-// newFile builds one item's file state and disk tasks: for the pool, runs
-// split into readChunkBytes chunks; inline, a run is one read.
-func (e *readRound) newFile(it readItem, pooled bool) (*readFile, []*iosched.Task) {
-	f := &readFile{readItem: it, pooled: pooled}
-	f.runs = catalog.Coalesce(it.plan.Entries, 0)
-	f.bufs = make([][]byte, len(f.runs))
-	var tasks []*iosched.Task
-	for ri, run := range f.runs {
-		f.bufs[ri] = make([]byte, run.Length)
-		chunk := run.Length
-		if pooled {
-			chunk = readChunkBytes
+// read reads items as one batch through each, every file one extent read
+// of its coalesced runs whose handle stays open for the batch and whose
+// hook (consume) verifies and delivers it, or retries a failed file's panes,
+// as soon as its last piece is in. A round's reads carry the MidRead crash
+// point (run); a pane retry's do not.
+func (e *readRound) read(each reads, items []readItem, retry bool) []*readFile {
+	files := make([]*readFile, len(items))
+	xs := make([]*extentRead, len(items))
+	for i, it := range items {
+		f := &readFile{readItem: it, retry: retry, runs: catalog.Coalesce(it.plan.Entries, 0)}
+		f.x = &extentRead{name: it.plan.File, keep: true, done: func() { e.consume(f) }}
+		for _, run := range f.runs {
+			f.x.add(run.Offset, run.Length)
 		}
-		// At least one task per run, so an empty run still opens its file.
-		for off := int64(0); ; {
-			n := min(chunk, run.Length-off)
-			tasks = append(tasks, e.chunkTask(f, run.Offset+off, f.bufs[ri][off:off+n]))
-			f.left++
-			if off += n; off >= run.Length {
-				break
-			}
-		}
+		files[i], xs[i] = f, f.x
 	}
-	return f, tasks
+	var crash func() bool
+	if !retry {
+		crash = e.rd.dies
+	}
+	each.readExtents(xs, crash)
+	return files
 }
 
-// chunkTask builds one contiguous disk read: fill buf from off.
-func (e *readRound) chunkTask(f *readFile, off int64, buf []byte) *iosched.Task {
-	name := f.plan.File
-	return &iosched.Task{
-		Class: iosched.ClassRead,
-		Cost:  int64(len(buf)),
-		Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
-			handles := st.(*readHandles).m
-			res := readResult{f: f}
-			h, ok := handles[name]
-			if !ok {
-				var err error
-				h, err = tc.FS().Open(name)
-				if err != nil {
-					res.failed = true
-					return e.finish(res)
-				}
-				handles[name] = h
-			}
-			res.opened = true
-			if _, err := h.ReadAt(buf, off); err != nil {
-				res.failed = true
-			} else {
-				res.read = int64(len(buf))
-			}
-			return e.finish(res)
-		},
-	}
-}
-
-// finish wraps a task result. On a pool worker it evaluates the injected
-// MidRead crash after the work (and before the completion is reported,
-// whose tallies and span still land — the owner then dies with the worker);
-// the inline driver fires the crash point itself, once per file.
-func (e *readRound) finish(res readResult) iosched.Result {
-	return iosched.Result{Value: res, Fatal: res.f.pooled && e.rd.dies()}
-}
-
-// runInline is the zero-worker driver: one file's tasks, run to completion
-// on the owner with its own clock and filesystem view. The file's handle
-// closes after its deliveries and before any pane retry.
-func (e *readRound) runInline(it readItem, retry bool) *readFile {
-	rd := e.rd
-	f, tasks := e.newFile(it, false)
-	f.retry = retry
-	h := &readHandles{m: make(map[string]rt.File)}
-	clock := rd.ctx.Clock()
-	for _, t := range tasks {
-		t0 := clock.Now()
-		res := t.Run(rd.ctx, h)
-		t1 := clock.Now()
-		rd.cfg.Trace.Record(rd.cfg.TraceRank, trace.PhaseRead, t0, t1)
-		e.consume(iosched.Completion{Task: t, Result: res, T0: t0, T1: t1})
-	}
-	h.Close()
-	if !f.delivered {
-		e.recoverFile(f)
-	}
-	return f
-}
-
-// runPool is the worker-pool driver: the whole share's tasks as one
-// scheduler batch. Runs on the owner's goroutine; returns only after every
-// worker has exited. If a worker hit an injected crash the owning process
-// dies with it.
-func (e *readRound) runPool(items []readItem) {
-	var tasks []*iosched.Task
-	for _, it := range items {
-		_, ts := e.newFile(it, true)
-		tasks = append(tasks, ts...)
-	}
-	// Largest first: the byte deal then starts every full chunk before the
-	// tails and short delta runs that fill the workers up to the same bytes.
-	largestFirst(tasks)
-	eng := e.rd.newPool(len(tasks), func(int, rt.TaskCtx) iosched.WorkerState {
-		return &readHandles{m: make(map[string]rt.File)}
-	})
-	defer eng.Close()
-	eng.RunBatch(tasks, func(c iosched.Completion) {
-		if dt := c.T1 - c.T0; dt > 0 && e.delivered {
-			// Disk time spent after this round's first pane left: reads of
-			// later files overlapped earlier files' deliveries. The batch
-			// runs under the barrier, so this is its only overlap.
-			eng.NoteOverlap(c.Task.Class, dt)
-		}
-		if f := e.consume(c); f != nil && !f.delivered {
-			// Recovery runs inline, while the workers keep reading the
-			// round's remaining files.
-			e.recoverFile(f)
-		}
-	})
-	eng.Close()
-	if eng.Crashed() {
-		panic(Crashed{})
-	}
-}
-
-// consume folds one task result into its file and, when it was the file's
-// last, verifies and delivers the file — or skips it whole. It returns the
-// file once it is complete (delivered or not), nil before that. Owner's
-// goroutine only.
-func (e *readRound) consume(c iosched.Completion) *readFile {
+// consume verifies and delivers a file whose last piece is in — or skips
+// it whole and retries its panes against their other copies (recoverPanes).
+// Owner's goroutine only.
+func (e *readRound) consume(f *readFile) {
 	mx := &e.rd.mx
-	r := c.Result.Value.(readResult)
-	f := r.f
-	if r.opened && !f.opened {
-		f.opened = true
+	x := f.x
+	if x.opened {
 		mx.filesOpened.Inc()
 	}
-	if r.failed {
-		f.failed = true
-	}
-	f.read += r.read
-	if f.left--; f.left > 0 {
-		return nil
-	}
 	var panes []paneSets
-	ok := !f.failed
+	ok := !slices.Contains(x.bad, true)
 	if ok {
-		panes, ok = assemble(f.cat, f.plan, f.runs, f.bufs, e.rd.cfg.Metrics)
+		panes, ok = assemble(f.cat, f.plan, f.runs, x.bufs, e.rd.cfg.Metrics)
 	}
 	if !ok {
 		// An unreadable or damaged file is skipped whole, with whatever was
@@ -810,36 +666,25 @@ func (e *readRound) consume(c iosched.Completion) *readFile {
 		// files that were delivered.
 		mx.filesSkipped.Inc()
 		mx.readErrors.Inc()
-		if f.read > 0 {
-			mx.bytesWasted.Add(f.read)
+		mx.bytesWasted.Add(x.got)
+		if !f.retry { // a retry's own failure is final: the walk moves on to the pane's next copy
+			var ids []int
+			for i := range f.plan.Entries {
+				ids = append(ids, f.plan.Entries[i].Pane)
+			}
+			slices.Sort(ids)
+			e.recoverPanes(f.readItem, slices.Compact(ids))
 		}
-		return f
+		return
 	}
-	if f.read > 0 {
-		mx.bytesRead.Add(f.read)
-	}
+	mx.bytesRead.Add(x.got)
 	for _, p := range panes {
 		e.req.Deliver(p.pane, p.sets)
 	}
 	f.delivered = true
 	if len(panes) > 0 {
-		e.delivered = true
+		e.rd.delivered = true
 	}
-	return f
-}
-
-// recoverFile retries the panes of a failed file (recoverPanes); a retry's
-// own failure is final: the walk moves on to the pane's next copy.
-func (e *readRound) recoverFile(f *readFile) {
-	if f.retry {
-		return
-	}
-	var panes []int
-	for i := range f.plan.Entries {
-		panes = append(panes, f.plan.Entries[i].Pane)
-	}
-	slices.Sort(panes)
-	e.recoverPanes(f.readItem, slices.Compact(panes))
 }
 
 // recoverPanes retries panes of a failed file against the other copies its
@@ -864,7 +709,7 @@ func (e *readRound) recoverPanes(it readItem, panes []int) {
 			}
 			if !it.cat.HasRun(f) {
 				if l := lacking(it.cat, it.blob, []int{f}); l != nil {
-					loadRuns(serial(rd.ctx.FS()), []*runLoad{l}, rd.mx.catalogBytes)
+					loadRuns(rd.reads().inline(), []*runLoad{l}, rd.mx.catalogBytes)
 				}
 				if !it.cat.HasRun(f) {
 					e.bad[name] = true
@@ -874,8 +719,8 @@ func (e *readRound) recoverPanes(it readItem, panes []int) {
 			// A copy that cannot be opened is blacklisted; one that opens
 			// but is damaged may still hold other panes intact, so only the
 			// attempted read is charged as wasted.
-			try := e.runInline(readItem{plan: attrPlan(it.cat.PaneCopy(w, pane, f), e.req.Attr), cat: it.cat, blob: it.blob}, true)
-			if !try.opened {
+			try := e.read(rd.reads().inline(), []readItem{{plan: attrPlan(it.cat.PaneCopy(w, pane, f), e.req.Attr), cat: it.cat, blob: it.blob}}, true)[0]
+			if !try.x.opened {
 				e.bad[name] = true
 			}
 			if try.delivered {
