@@ -17,9 +17,9 @@
 //
 //   - CrashPlan (crash.go): kills a Rocpanda server at a chosen point of
 //     its service loop (mid-buffer, mid-drain, before the metadata
-//     dataset) on the Nth visit, simulating process death: the server
-//     stops responding and its open snapshot file is left without a
-//     directory, so readers see it as incomplete.
+//     dataset, at a sync, mid-read) on the Nth visit, simulating process
+//     death: the server stops responding and its open snapshot files are
+//     left staged, never renamed into place, so no reader opens them.
 //
 // Determinism. Every plan is driven by operation counters scoped to a
 // stream that is totally ordered by construction — a single file path, a

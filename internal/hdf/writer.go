@@ -12,12 +12,15 @@ import (
 )
 
 // Writer creates or extends an RHDF file. Datasets are appended
-// sequentially; the directory is written at Close and the header patched to
-// point at it. New files are staged under a temporary name and renamed into
+// sequentially; the directory is written after the last of them and the
+// header patched to point at it — at Close, or earlier by Land, which a
+// staged file's owner takes once it holds a whole write (the next dataset
+// then overwrites the landed directory, and Close writes nothing a landing
+// left current). New files are staged under a temporary name and renamed into
 // place only when Close succeeds, so a crashed or failed write never
 // replaces a previous snapshot file; appends write past the existing
-// directory and patch the header last, so an interrupted append leaves the
-// previous directory (and every dataset it describes) intact.
+// directory and patch the header last, at Close, so an interrupted append
+// leaves the previous directory (and every dataset it describes) intact.
 //
 // The directory is bytes from the first dataset: CreateDataset appends the
 // dataset's entry, in AppendDirEntry's layout, to one buffer that Publish
@@ -30,11 +33,12 @@ type Writer struct {
 	staged bool   // true for Create (rename at Close), false for append
 	clock  rt.Clock
 	cost   CostProfile
-	dir    []byte // u32 count (patched at Publish) | one entry per dataset
+	dir    []byte // u32 count (patched as the directory is written) | one entry per dataset
 	count  int
 	names  map[string]struct{}
 	off    int64
 	closed bool
+	landed bool // the directory and header on disk describe every dataset so far
 
 	// zw and zbuf are the writer's one deflate stream and its output,
 	// Reset for each compressed dataset.
@@ -76,7 +80,7 @@ func Create(fsys rt.FS, name string, clock rt.Clock, cost CostProfile) (*Writer,
 		names:  make(map[string]struct{}),
 		off:    headerSize,
 	}
-	// Reserve the header; the directory offset is patched at Close.
+	// Reserve the header; the directory offset is patched by Land or Close.
 	hdr := make([]byte, headerSize)
 	copy(hdr, Magic)
 	binary.LittleEndian.PutUint32(hdr[4:], Version)
@@ -163,6 +167,9 @@ func (w *Writer) CreateDataset(name string, typ DType, dims []int64, attrs []Att
 			flags |= flagDeflate
 		}
 	}
+	// Any write attempt, even a short one that fails, may cover a landed
+	// directory, so the file is unlanded before it.
+	w.landed = false
 	if _, err := w.f.WriteAt(stored, w.off); err != nil {
 		return fmt.Errorf("hdf: writing %q: %w", name, err)
 	}
@@ -229,26 +236,40 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// Publish writes the directory, patches the header, closes the file, and —
-// for newly created files — renames the staged bytes into place, returning
-// what it put on disk. Any failure before the rename leaves the previous
-// file (if one existed) untouched, with the staged *.tmp orphan as the only
-// residue. A writer publishes once; later calls return the zero report.
-func (w *Writer) Publish() (Published, error) {
-	if w.closed {
-		return Published{}, nil
+// Landed reports whether the file's directory and header are on disk as
+// Publish would write them: a Land wrote them and no dataset followed it.
+func (w *Writer) Landed() bool { return w.landed }
+
+// Land writes the directory after the data so far, truncates the file to
+// its end and patches the header to point at it — everything Publish writes
+// — without closing the file, so a later Publish only closes and renames.
+// It reports whether it wrote anything. The next dataset is written over
+// the landed directory. Land is for staged files only: nothing reads a
+// *.tmp, while an append's header patch is its commit point, taken only when
+// it publishes; on an append writer, a closed or an already landed one it
+// writes nothing. A failed Land leaves the file unlanded, and Publish writes
+// it all again.
+func (w *Writer) Land() (bool, error) {
+	if !w.staged || w.closed || w.landed {
+		return false, nil
 	}
-	w.closed = true
+	if err := w.writeDir(); err != nil {
+		return true, err
+	}
+	w.landed = true
+	return true, nil
+}
+
+// writeDir writes the directory at w.off, truncates the file after it and
+// patches the header to point at it: the one place the file's end is laid
+// out, for Land and Publish alike.
+func (w *Writer) writeDir() error {
 	binary.LittleEndian.PutUint32(w.dir, uint32(w.count))
-	dir := w.dir[:len(w.dir):len(w.dir)]
-	if _, err := w.f.WriteAt(dir, w.off); err != nil {
-		w.f.Close()
-		return Published{}, fmt.Errorf("hdf: writing directory: %w", err)
+	if _, err := w.f.WriteAt(w.dir, w.off); err != nil {
+		return fmt.Errorf("hdf: writing directory: %w", err)
 	}
-	size := w.off + int64(len(dir))
-	if err := w.f.Truncate(size); err != nil {
-		w.f.Close()
-		return Published{}, err
+	if err := w.f.Truncate(w.off + int64(len(w.dir))); err != nil {
+		return err
 	}
 	hdr := make([]byte, headerSize)
 	copy(hdr, Magic)
@@ -256,8 +277,27 @@ func (w *Writer) Publish() (Published, error) {
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(w.off))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(w.count))
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
-		w.f.Close()
-		return Published{}, fmt.Errorf("hdf: patching header: %w", err)
+		return fmt.Errorf("hdf: patching header: %w", err)
+	}
+	return nil
+}
+
+// Publish writes the directory and patches the header (unless Land left
+// them current), closes the file, and — for newly created files — renames
+// the staged bytes into place, returning what it put on disk. Any failure
+// before the rename leaves the previous file (if one existed) untouched,
+// with the staged *.tmp orphan as the only residue. A writer publishes
+// once; later calls return the zero report.
+func (w *Writer) Publish() (Published, error) {
+	if w.closed {
+		return Published{}, nil
+	}
+	w.closed = true
+	if !w.landed {
+		if err := w.writeDir(); err != nil {
+			w.f.Close()
+			return Published{}, err
+		}
 	}
 	if err := w.f.Close(); err != nil {
 		return Published{}, err
@@ -267,7 +307,8 @@ func (w *Writer) Publish() (Published, error) {
 			return Published{}, fmt.Errorf("hdf: committing %s: %w", w.final, err)
 		}
 	}
-	return Published{Name: w.final, Size: size, Count: w.count, Dir: dir}, nil
+	dir := w.dir[:len(w.dir):len(w.dir)]
+	return Published{Name: w.final, Size: w.off + int64(len(dir)), Count: w.count, Dir: dir}, nil
 }
 
 // AppendDirEntry appends d's directory entry in the version-3 layout, the

@@ -271,7 +271,8 @@ func errText(err error) string {
 
 // FuzzWriterMatchesReference: for any op sequence — CreateDataset with
 // duplicate names, unencodable fields, 0–3 dims and attributes, payloads
-// either side of the 512-byte deflate floor, Compress toggled, and Close +
+// either side of the 512-byte deflate floor, Compress toggled, Land (which
+// the reference does not have: a landing must not show), and Close +
 // OpenAppend midway — Writer returns the reference writer's error for every
 // op, publishes the directory the reference encodes, and leaves the same
 // file bytes, which Open accepts.
@@ -298,6 +299,10 @@ func FuzzWriterMatchesReference(f *testing.F) {
 			case 5:
 				w.Compress = !w.Compress
 				ref.compress = w.Compress
+			case 7:
+				if _, err := w.Land(); err != nil {
+					t.Fatalf("op %d: Land: %v", op, err)
+				}
 			case 6:
 				p, err := w.Publish()
 				dir, refErr := ref.Close()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"genxio/internal/catalog"
+	"genxio/internal/faults"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
@@ -40,6 +41,7 @@ type server struct {
 	wr            *snapshot.Writer      // the snapshot write service, fed from the MPI stream
 	rd            *snapshot.Reader      // the restart-read service, shipping to the clients
 	reads         map[string]*readRound // key: file|window|attr
+	parts         map[string]int        // write headers received per snapshot base since its last landing
 	shutdown      int
 	shutdownQueue []int // clients awaiting the shutdown ack
 
@@ -74,15 +76,18 @@ func newSrvMx(r *metrics.Registry) srvMx {
 // run is the server service loop, structured exactly as Section 6.1
 // describes: with dirty buffers it polls for new requests between block
 // writes (responsiveness); with clean buffers it blocks in probe, leaving
-// the CPU to the operating system.
+// the CPU to the operating system. The drain step of the last block of a
+// write every client here has sent its part of also lands its files'
+// directories, so a sync only closes and renames the files.
 func (s *server) run() {
 	s.wr = s.newWriter()
 	s.rd = newReader(s.ctx, &s.cfg, s.crashes, s.traceRank())
 	s.reads = make(map[string]*readRound)
+	s.parts = make(map[string]int)
 	// An injected crash (internal/faults) panics with serverCrashed from
 	// deep inside the loop; catching it here and returning — no drain, no
-	// acks, snapshot files left without directories — is how this backend
-	// models the process dying.
+	// acks, snapshot files left staged, never renamed into place — is how
+	// this backend models the process dying.
 	defer func() {
 		r := recover()
 		s.wr.Close()
@@ -133,6 +138,9 @@ func (s *server) handle(st mpi.Status) {
 		// Of several clients syncing here, the first carries what the flush
 		// published to the commit; the others' acks report only the outcome.
 		s.recvEmpty(st.Source, tagSync, "sync request")
+		if s.crashes(faults.AtSync) {
+			panic(serverCrashed{})
+		}
 		err := s.wr.Flush()
 		s.world.Send(st.Source, tagSyncAck, ackSegments(err, s.wr.Published())...)
 	case tagShutdown:
@@ -191,6 +199,18 @@ func (s *server) handleWrite(src int) {
 		panic(fmt.Sprintf("rocpanda: server %d: corrupt write header from rank %d (tag %d): %v", s.idx, src, tagWriteHdr, err))
 	}
 	fnames := s.copyNames(hdr.File)
+	// With this part, is every client's part of the write in? Then its
+	// files hold the whole write once its last block lands, and that step
+	// lands their directories too. Counting parts, not watching for an
+	// empty queue, puts the landing at the same step whatever order the
+	// clients' parts arrived in. (A last part with no blocks lands nothing;
+	// the sync writes those directories.)
+	whole := s.parts[hdr.File]+1 >= len(s.myClients)
+	if whole {
+		delete(s.parts, hdr.File)
+	} else {
+		s.parts[hdr.File]++
+	}
 	for i := int32(0); i < hdr.NBlocks; i++ {
 		payload, _ := s.world.Recv(src, tagWriteBlock)
 		sets, err := roccom.DecodeIOSets(payload)
@@ -204,7 +224,10 @@ func (s *server) handleWrite(src int) {
 		// buffer, copied nowhere else — so the buffer copy and the budget
 		// are charged once, and only the written-byte tallies show the
 		// write amplification.
-		s.wr.Submit(snapshot.Block{File: fnames[0], Replicas: fnames[1:], Sets: sets, Bytes: int64(len(payload)), Time: hdr.Time, Step: hdr.Step})
+		s.wr.Submit(snapshot.Block{
+			File: fnames[0], Replicas: fnames[1:], Sets: sets, Bytes: int64(len(payload)),
+			Time: hdr.Time, Step: hdr.Step, LandDir: whole && i == hdr.NBlocks-1,
+		})
 	}
 	s.world.Send(src, tagWriteAck, nil)
 }

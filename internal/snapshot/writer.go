@@ -13,8 +13,21 @@ package snapshot
 // buffering); a step lands one copy of the oldest queued block — its
 // primary file, then each replica in order — appending it through a
 // blockSink, observes drain_seconds and then visits the MidDrain crash
-// point; the block leaves the queue with its last copy. Flush empties the
-// queue, closes every open file and returns the sticky first error — the
+// point; the block leaves the queue with its last copy. Under active
+// buffering, the step of a write's last block (Block.LandDir, set by an
+// owner that knows the write is whole — a Rocpanda server, once each of its
+// clients has sent its part of a collective write) also lands the copy's
+// file: it writes the directory after the data so far and patches the
+// header (hdf.Writer.Land), the file still open and staged, so the flush
+// that ends the generation only closes and renames it. The landing is drain
+// work like the block's, done in the owner's idle time between probes
+// (idle_landings counts those done before a flush began); a block that
+// later lands in such a file writes over that directory
+// (landings_overwritten, the work wasted). Which step lands is decided by
+// what the owner received, not by when its queue ran empty, so a run makes
+// the same filesystem calls whatever the timing of its clients. Flush
+// empties the queue, closes every open file (for a landed file, only its
+// close and rename) and returns the sticky first error — the
 // barrier-before-commit that sync, restart reads of an uncommitted
 // generation and shutdown rely on. Only after it may a
 // generation's manifest be written (Pending.Commit), so crash consistency,
@@ -37,7 +50,8 @@ package snapshot
 // Write-through (Buffering off — Rochdf, and Rocpanda's ablation baseline)
 // is this driver holding every Submit until the queue is empty: no buffer
 // copy is charged and nothing counts as buffered, but each copy of a block
-// still takes its step, MidDrain point included.
+// still takes its step, MidDrain point included. It lands no directory
+// early, nor does ClosePerBlock, whose files close as each block lands.
 //
 // The pool driver (Workers > 0 — T-Rochdf's I/O thread is one worker) hands
 // the same step to an internal/iosched pool as ClassWrite tasks (goroutines
@@ -69,14 +83,17 @@ package snapshot
 // and BeforeMeta inside the sink, on whichever process runs the step — on the
 // owner inline, as a fatal task result on a pool writer; a dying writer takes
 // the owning process with it (Crashed), its files left as staged
-// temporaries. A failed write or close never panics: the first error sticks
-// (ErrorSeries counts every one), Flush reports it from then on, and the
-// commit allreduce refuses the generation.
+// temporaries — holding a landed directory if a write's last block landed,
+// but never renamed into place. A failed landing is no error: the file stays
+// unlanded and its Publish writes everything again. A failed write or close
+// never panics: the first error sticks (ErrorSeries counts every one), Flush
+// reports it from then on, and the commit allreduce refuses the generation.
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
@@ -103,6 +120,10 @@ type Block struct {
 	Bytes    int64 // the block's charge against the buffer budget, once for all its copies
 	Time     float64
 	Step     int32
+	// LandDir marks the last block of a write its owner knows is whole (a
+	// Rocpanda server's, once each of its clients has sent its part): after
+	// its datasets, each copy's step lands the file's directory.
+	LandDir bool
 }
 
 // copies is how many files the block lands in.
@@ -166,6 +187,8 @@ type writerMx struct {
 	bytesWritten   *metrics.Counter
 	filesCreated   *metrics.Counter
 	overflowStalls *metrics.Counter
+	idleLandings   *metrics.Counter
+	overwritten    *metrics.Counter
 	errors         *metrics.Counter
 	bufBytesPeak   *metrics.Gauge
 	drainSeconds   *metrics.Histogram
@@ -178,6 +201,8 @@ func newWriterMx(r *metrics.Registry, prefix, errorSeries string) writerMx {
 		bytesWritten:   r.Counter(prefix + "bytes_written"),
 		filesCreated:   r.Counter(prefix + "files_created"),
 		overflowStalls: r.Counter(prefix + "overflow_stalls"),
+		idleLandings:   r.Counter(prefix + "idle_landings"),
+		overwritten:    r.Counter(prefix + "landings_overwritten"),
 		errors:         r.Counter(errorSeries),
 		bufBytesPeak:   r.Gauge(prefix + "buf_bytes_peak"),
 		drainSeconds:   r.Histogram(prefix+"drain_seconds", nil),
@@ -203,6 +228,8 @@ type Writer struct {
 
 	// Pool driver: queue, budget and sinks live in the scheduler.
 	eng *iosched.Engine
+
+	flushing atomic.Bool // a Flush is under way: a landing now is on its path, not idle
 
 	mu        sync.Mutex               // guards published: pool sinks report from their workers
 	published map[string]hdf.Published // closed since the last Published call, the latest per file
@@ -341,8 +368,9 @@ func (w *Writer) drain() {
 
 // land writes one copy of a block, to file, through k — and under
 // ClosePerBlock closes the file, written or not, so what landed is
-// published — and records the drain latency (the cost active buffering
-// hides) on the clock of whichever process runs it.
+// published; after a LandDir block under active buffering it lands the
+// file's directory (blockSink.landDir) — and records the drain latency (the
+// cost active buffering hides) on the clock of whichever process runs it.
 func (w *Writer) land(k *blockSink, blk *Block, file string) error {
 	t0 := k.clock.Now()
 	err := k.write(blk, file)
@@ -350,6 +378,8 @@ func (w *Writer) land(k *blockSink, blk *Block, file string) error {
 		if cerr := k.closeAll(""); err == nil {
 			err = cerr
 		}
+	} else if err == nil && blk.LandDir && w.cfg.Buffering {
+		k.landDir(file)
 	}
 	w.mx.drainSeconds.Observe(k.clock.Now() - t0)
 	if err != nil {
@@ -364,6 +394,8 @@ func (w *Writer) land(k *blockSink, blk *Block, file string) error {
 // and acks with its own sticky error. Panics with Crashed if a
 // writer died to an injected crash.
 func (w *Writer) Flush() error {
+	w.flushing.Store(true)
+	defer w.flushing.Store(false)
 	if w.eng == nil {
 		w.drain()
 		if err := w.sink.closeAll(""); err != nil {
@@ -472,6 +504,15 @@ func (k *blockSink) Flush() error {
 // when a writer exits belong to a dead process and stay staged.
 func (k *blockSink) Close() error { return nil }
 
+// landDir lands the open file's directory (hdf.Writer.Land), counting
+// idle_landings when it wrote one before a flush began. A failed landing
+// leaves the file unlanded, for its Publish to write whole and report.
+func (k *blockSink) landDir(file string) {
+	if wrote, err := k.writers[file].Land(); wrote && err == nil && !k.w.flushing.Load() {
+		k.w.mx.idleLandings.Inc()
+	}
+}
+
 // write appends one block's datasets to file, opening it first if needed.
 // Opening a new snapshot file closes the previous snapshot's writers (writes
 // are ordered across generations, so once a newer snapshot's data drains,
@@ -512,6 +553,9 @@ func (k *blockSink) write(blk *Block, file string) error {
 		if err := w.CreateDataset("_meta", hdf.U8, []int64{0}, attrs, nil); err != nil {
 			return fmt.Errorf("meta: %w", err)
 		}
+	}
+	if w.Landed() {
+		mx.overwritten.Inc() // the block goes over the directory a landing wrote
 	}
 	for _, set := range blk.Sets {
 		if err := w.CreateDataset(set.Name, set.Type, set.Dims, set.Attrs, set.Data); err != nil {
