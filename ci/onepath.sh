@@ -1,6 +1,7 @@
 #!/bin/sh
-# The structural claims of PRs 15-25 as a check: one write path, one commit,
-# one restart-read path with one kind of file work, one way to make a catalog,
+# The codebase's structural claims as a check: one write path, one commit,
+# one restart-read path with one kind of file work, one way to make a catalog
+# and one loader of a file's entries,
 # one verify-and-inflate, one bounded cursor, one payload copy per message —
 # over the non-test Go under internal/. Run from the repository root; any
 # miss fails.
@@ -23,14 +24,14 @@ none 'hdf.Open outside internal/hdf and the deep scrub (its independent referenc
 none 'a dataset-at-a-time read in the restart reader' '\.Lookup\(|\.ReadData\(' -path 'internal/snapshot/reader.go'
 hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -nE 'ClassScan|func scanFile' {} +)
 [ -z "$hits" ] || { echo "onepath: a scan class or a second file reader:"; echo "$hits"; fail=1; }
-# Commit from what the writers know, copying entries: a directory passes one
-# gate, the walker, whether read off the file or reported by its writer; the
-# walker's one materializing caller is hdf's Datasets (Open, ScanDir), its one
-# splicing caller catalog.Splice, which copies each entry into the blob; one
-# assembler writes the blob around the entries, for Splice and Encode alike;
-# the snapshot package neither builds a catalog with AddFile nor re-encodes
-# one; and the commit reads a directory off the filesystem only in
-# deriveCatalog's fallback for a file no writer reported.
+# Commit from what the writers know: a directory passes one gate, the
+# walker, whether read off the file or reported by its writer; the walker's
+# one materializing caller is hdf's Datasets (Open, ScanDir), its one caller
+# in the catalog walkPanes, which Splice (the commit's blob: a file table of
+# names and directory lengths and a pane index, no copy of any entry) and
+# LoadDir share; one assembler writes the blob, for Splice and Encode alike;
+# and the snapshot package neither builds a catalog with AddFile nor
+# re-encodes one.
 one 'a directory walker (the gate)' '^func \([a-z]+ \*?RawDir\) Walk\('
 one 'a dataset-extent check (the body of the walker)' 'outside data region'
 for pkg in hdf catalog; do
@@ -42,8 +43,19 @@ none 'a caller of the directory walker outside internal/hdf and internal/catalog
 one 'a catalog blob assembler' '^func assembleBlob\('
 none 'a catalog built by AddFile or re-encoded in internal/snapshot' 'AddFile\(|\.Encode\(\)' -path 'internal/snapshot/*'
 none 'ScanDir on the commit path' 'ScanDir\(' '(' -path 'internal/snapshot/commit.go' -o -path 'internal/snapshot/manifest.go' -o -path 'internal/snapshot/index.go' ')'
-n=$(grep -cE 'ReadRawDir\(' internal/snapshot/index.go)
-[ "$n" -eq 1 ] || { echo "onepath: $n directory reads in index.go, want 1 (deriveCatalog's fallback)"; fail=1; }
+# One loader of a committed file's entries: its own directory, read from the
+# extent the catalog places it at and held to its manifest entry — the
+# DirCRC alone (dirLoad.load) for a restart's rounds, LoadChain and the
+# scrub, the whole entry (checkFile) for the restore walk's file checks —
+# is installed by dirLoad.install, the catalog's one LoadDir caller in the
+# snapshot package besides derived (a derived index's own directories).
+one 'a loader of a committed file'"'"'s entries' '^func \(l dirLoad\) load\('
+n=$(src -path 'internal/snapshot/*' | xargs grep -hE '\.LoadDir\(' | wc -l)
+[ "$n" -eq 2 ] || { echo "onepath: $n LoadDir calls in internal/snapshot, want 2 (dirLoad.install and derived)"; fail=1; }
+n=$(src -path 'internal/snapshot/*' | xargs grep -hE '\.install\(' | wc -l)
+[ "$n" -eq 2 ] || { echo "onepath: $n directory installs in internal/snapshot, want 2 (dirLoad.load and checkFiles)"; fail=1; }
+hits=$(awk '/^func \(l dirLoad\) load\(/,/^}/' internal/snapshot/index.go | grep -c 'hdf.Checksum(dir); crc != l.e.DirCRC')
+[ "$hits" -eq 1 ] || { echo "onepath: dirLoad.load does not hold the directory to its manifest entry's DirCRC"; fail=1; }
 # Prune from what the commit knows: the commit round lists its prefix once
 # and commit indexes from that listing; the prune removes only listed names
 # (no per-generation listing, no staged name guessed at) and reads a
@@ -61,11 +73,12 @@ n=$(grep -c 'Load(' internal/snapshot/prune.go)
 # universe has a copy whose file passes, in the link it resolves to) that the
 # restore walk and the scrub both call, with no replica count in it; one check
 # of a file against its manifest entry (checkFile; findDonor matches two
-# entries, not a file); and no catalog loader that skips the manifest's pin.
+# entries, not a file), beside dirLoad.load's of a directory's bytes against
+# the entry's DirCRC; and no catalog loader that skips the manifest's pin.
 none 'maxChainDepth outside chain.go' 'maxChainDepth' -path 'internal/*' ! -path 'internal/snapshot/chain.go'
 none 'a chain walk of the scrub'"'"'s own' 'BaseGeneration' -path 'internal/snapshot/fsck.go'
 none 'a replication count in the snapshot package' '\bReplication\b' -path 'internal/snapshot/*'
-n=$(src -path 'internal/snapshot/*' | xargs awk '/^func /{f=$0} /(Size|DirCRC|size|crc) [!=]= [a-z]+\.(Size|DirCRC)/ && f !~ /findDonor/ {print FILENAME ": " f}' | sort -u | wc -l)
+n=$(src -path 'internal/snapshot/*' | xargs awk '/^func /{f=$0} /(Size|DirCRC|size|crc) [!=]= [a-z]+\.(Size|DirCRC)/ && f !~ /findDonor/ && f !~ /dirLoad\) load/ {print FILENAME ": " f}' | sort -u | wc -l)
 [ "$n" -eq 1 ] || { echo "onepath: $n functions compare a file with its manifest entry, want 1 (checkFile)"; fail=1; }
 hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -n 'catalog\.Load(' {} +)
 [ -z "$hits" ] || { echo "onepath: an unpinned catalog loader:"; echo "$hits"; fail=1; }

@@ -29,8 +29,11 @@
 //	CORRUPT           a manifested file is damaged or missing     exit 2
 //	CATALOG-MISMATCH  the pinned catalog blob is present but
 //	                  does not match the manifest reference, or
-//	                  one of its sections fails its CRC (the
-//	                  detail names the section)                   exit 2
+//	                  it lies: the detail names the "file table"
+//	                  or "pane index" (a section fails its CRC),
+//	                  or the "directory extent of <file>" (the
+//	                  file's directory is not where or what the
+//	                  catalog says; full scrub only)              exit 2
 //	CATALOG-MISSING   the manifest pins a catalog blob that is
 //	                  absent from disk                            exit 2
 //	CHAIN-BROKEN      the generation's own files are clean but the

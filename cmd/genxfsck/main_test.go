@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -235,5 +236,113 @@ func TestExitCodeSeverity(t *testing.T) {
 		if got := exitCode(reports); got != c.want {
 			t.Fatalf("verdicts %v -> exit %d, want %d", c.verdicts, got, c.want)
 		}
+	}
+}
+
+// TestCatalogMismatchNamesWhere: a catalog that is the blob its manifest
+// pins but lies is CATALOG-MISMATCH, and the detail names where: a byte
+// flipped in its file table or its pane index names that section (the
+// quick scrub sees it too), and a file table that places a file's
+// directory elsewhere than the file holds it names the directory extent of
+// that file (the full scrub, which loads every directory as a restart does).
+func TestCatalogMismatchNamesWhere(t *testing.T) {
+	const base = "out/snap000000"
+	for _, tc := range []struct {
+		name, detail string
+		quick        bool
+		damage       func(t *testing.T, fsys rt.FS)
+	}{
+		{"file table", "file table", true, func(t *testing.T, fsys rt.FS) { flipCatalogByte(t, fsys, base, func(int) int { return 36 + 3 }) }},
+		{"pane index", "pane index", true, func(t *testing.T, fsys rt.FS) { flipCatalogByte(t, fsys, base, func(n int) int { return n - 1 }) }},
+		{"directory extent", "directory extent of " + base + "_s000.rhdf", false, func(t *testing.T, fsys rt.FS) {
+			// The catalog indexes file 0 by file 1's directory: its
+			// length and panes. Repinned, it is the blob the manifest pins.
+			var s catalog.Splice
+			d1, err := hdf.ReadRawDir(fsys, base+"_s001.rhdf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d0 := d1
+			d0.Name = base + "_s000.rhdf"
+			for _, d := range []hdf.RawDir{d0, d1} {
+				if err := s.AddDir(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			repin(t, fsys, base, s.Blob())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := rt.NewMemFS()
+			writeGen(t, fsys, base, []int{1, 2})
+			writeGenFile(t, fsys, base+"_s001.rhdf", []int{3, 4, 5})
+			if _, err := snapshot.Commit(fsys, base, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, fsys)
+			scrubs := []func(rt.FS, string) ([]snapshot.GenReport, error){snapshot.Fsck}
+			if tc.quick {
+				scrubs = append(scrubs, snapshot.FsckQuick)
+			}
+			for _, scrub := range scrubs {
+				reports, err := scrub(fsys, "out/")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out := snapshot.Format(reports); len(reports) != 1 || reports[0].Verdict != snapshot.VerdictCatalogMismatch ||
+					!strings.Contains(out, tc.detail) || exitCode(reports) != exitCorrupt {
+					t.Fatalf("want %s naming %q:\n%s", snapshot.VerdictCatalogMismatch, tc.detail, out)
+				}
+			}
+		})
+	}
+}
+
+// writeGenFile writes one more file of a generation: panes of "fluid".
+func writeGenFile(t *testing.T, fsys rt.FS, name string, panes []int) {
+	t.Helper()
+	w, err := hdf.Create(fsys, name, rt.NewWallClock(), hdf.NullProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range panes {
+		if err := w.CreateDataset(roccom.PanePrefix("fluid", id)+"p", hdf.F64, []int64{1}, nil, hdf.F64Bytes([]float64{1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipCatalogByte flips the byte at(n) of base's n-byte catalog blob.
+func flipCatalogByte(t *testing.T, fsys rt.FS, base string, at func(n int) int) {
+	t.Helper()
+	blob, err := hdf.ReadFile(fsys, base+catalog.Suffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[at(len(blob))] ^= 0x20
+	if err := hdf.PublishFile(fsys, base+catalog.Suffix, blob); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// repin installs blob as base's catalog and rewrites the manifest to pin it.
+func repin(t *testing.T, fsys rt.FS, base string, blob []byte) {
+	t.Helper()
+	m, err := snapshot.Load(fsys, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Catalog.Size, m.Catalog.CRC, err = catalog.WriteBlob(fsys, base, blob); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hdf.PublishFile(fsys, base+snapshot.Suffix, enc); err != nil {
+		t.Fatal(err)
 	}
 }

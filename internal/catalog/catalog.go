@@ -1,32 +1,32 @@
 // Package catalog implements the per-generation block catalog: a compact
-// index mapping every (window, pane, dataset) in a committed snapshot
-// generation to its exact byte extent — file, offset, stored length, and
-// CRC32C. The committing rank builds it at snapshot commit from the
-// directories of the generation's RHDF files (the writer's directory IS the
-// per-file index, so no extra wire traffic is needed) and writes it as a
-// single blob next to the manifest, before the manifest — the manifest is
-// the commit record and always pins its catalog (the blob's size and its
-// header's CRC32C), so a generation either has its catalog or is not yet
-// committed.
+// index of where every (window, pane) of a committed snapshot generation
+// lives — which files hold a copy of it — and of where each file's own
+// index, its RHDF directory, lies. The committing rank builds it at
+// snapshot commit from the directories of the generation's RHDF files (the
+// writer's directory IS the per-file index, so no extra wire traffic is
+// needed) and writes it as a single blob next to the manifest, before the
+// manifest — the manifest is the commit record and always pins its catalog
+// (the blob's size and its header's CRC32C), so a generation either has its
+// catalog or is not yet committed.
 //
-// The blob is addressable (sections.go): a header whose table gives every
-// section's length, count and CRC32C, then the file table, a compact pane
-// index (per file and window, the sorted pane IDs) and one entry run per
-// file. An entry is the dataset's directory entry byte for byte, so the
-// commit builds the blob by copying entries (Splice): each directory passes
-// its one gate, hdf.RawDir.Walk, and no dataset is decoded on the way. Every
-// entry carries its dataset's CRC32C, in the blob as in the directory; an
-// entry without one is refused by both.
+// The blob (sections.go) is a header whose table gives each section's
+// length, count and CRC32C, then the file table — each file's name and the
+// exact length of its directory — and a compact pane index (per file and
+// window, the sorted pane IDs). It holds no copy of any directory entry:
+// each directory is kept in one place, its file, where the manifest pins
+// its bytes (size and directory CRC32C). The commit builds the blob
+// (Splice) from the directories the writers reported: each passes its one
+// gate, hdf.RawDir.Walk, and no dataset is decoded on the way.
 //
-// A Catalog is the file table and pane index, plus the entry runs loaded so
-// far — each run's bytes in place and a light index over them, one Entry
-// per dataset (file, interned window and attr, pane, extent, place in the
-// blob). Decode reads a whole blob; a reader that plans from part of it
-// opens the header, file table and pane index (Open) and loads the runs of
-// the files it reads from (LoadRun). Resolution, source choice and the
-// pane universe work from the pane index alone; only a file's plan needs
-// its run. A dataset's name, dims and attributes are decoded
-// (Catalog.Dataset) only for an entry a reader delivers.
+// A Catalog is the file table and pane index, plus the directories loaded
+// so far — each one's bytes in place and a light index over them, one
+// Entry per pane dataset (file, interned window and attr, pane, extent,
+// place in the directory). Decode reads a blob; a reader loads the
+// directories of the files it reads from (LoadDir), each read from the end
+// of its file. Resolution, source choice and the pane universe work from
+// the pane index alone; only a file's plan needs its directory. A
+// dataset's name, dims and attributes are decoded (Catalog.Dataset) only
+// for an entry a reader delivers.
 //
 // At restart, servers consult the catalog to open only the files that
 // contain requested panes and issue direct offset reads, each entry's bytes
@@ -43,7 +43,9 @@ package catalog
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -57,9 +59,10 @@ import (
 // Magic identifies a catalog blob.
 const Magic = "RCAT"
 
-// Version is the current catalog format version: 2, addressable sections.
-// A blob of any other version is refused.
-const Version = 2
+// Version is the current catalog format version: 3, the file table and the
+// pane index, each file's entries left in its own directory. A blob of any
+// other version is refused.
+const Version = 3
 
 // Suffix is appended to a generation base name to form its catalog file,
 // e.g. "run/snap000100" + Suffix.
@@ -67,7 +70,7 @@ const Suffix = ".catalog"
 
 // Entry is one dataset's coordinates in a catalog's index: which file,
 // the pane path its name spells, its payload's extent, and where its
-// directory entry sits in the catalog's blob — enough to plan and coalesce
+// directory entry sits in its file's directory — enough to plan and coalesce
 // reads without decoding the entry; Catalog.Dataset decodes it for the
 // dataset's name, dims, attributes and CRC.
 type Entry struct {
@@ -77,7 +80,7 @@ type Entry struct {
 	Attr   string
 
 	offset, length int64
-	at             int // its record's offset in the blob's entry runs, end to end
+	at             int // its entry's offset in its file's directory
 }
 
 // Extent returns the file offset and stored byte length of the entry's
@@ -85,12 +88,13 @@ type Entry struct {
 func (e *Entry) Extent() (offset, length int64) { return e.offset, e.length }
 
 // Catalog is a generation's merged block index: its file table and pane
-// index and, over the entry runs loaded, one Entry per dataset.
+// index and, over the directories loaded, one Entry per pane dataset.
 type Catalog struct {
 	Files []string // file names relative to the snapshot root
-	// Entries holds every entry, in blob order, of a whole catalog (Decode,
-	// AddFile). A catalog opened from its sections (Open) leaves it nil and
-	// keeps each loaded run's entries with the run.
+	// Entries holds every entry, file by file in directory order, once every
+	// directory is loaded: from the start for a catalog AddFile built, after
+	// LoadDir of each file for one Decode returned. Until then it is nil and
+	// each loaded directory's entries stay with the directory.
 	Entries []Entry
 
 	ranks []int // each file's ReplicaRank, parallel to Files
@@ -104,10 +108,8 @@ type Catalog struct {
 	ids      []int // the lists' pane IDs, end to end
 	npanes   int   // pane IDs in all lists
 
-	runs    []run  // parallel to Files
-	missing int    // runs not loaded
-	entries []byte // AddFile's runs, end to end
-	hdr     *Header
+	dirs    []dir             // parallel to Files
+	missing int               // directories not loaded
 	names   map[string]string // the interned window and attr names
 }
 
@@ -117,49 +119,54 @@ type paneList struct {
 	ids    []int
 }
 
-// run is one file's entry run: its bytes and entries once loaded.
-type run struct {
-	at     int // the run's offset in the blob's entry runs, end to end
+// dir is one file's directory: its length, and its bytes and pane
+// entries once loaded.
+type dir struct {
+	len    int64
 	b      []byte
 	ents   []Entry
 	loaded bool
 }
 
-// AddFile merges one file's dataset descriptors into the catalog and
-// returns the file's index. Datasets whose names do not follow the pane
-// path grammar (e.g. server-side "_meta" markers) are skipped — the catalog
-// indexes restartable blocks, not bookkeeping. With Encode it is the
-// decoded reference a Splice of the same directories must match; it builds
-// a catalog from nothing (the zero value) and is not for one Decode or
-// Open returned.
+// AddFile merges one file's dataset descriptors — its whole directory, in
+// order — into the catalog and returns the file's index. Datasets whose
+// names do not follow the pane path grammar (e.g. server-side "_meta"
+// markers) are not indexed — the catalog indexes restartable blocks, not
+// bookkeeping — but their entries count in the directory's length. With
+// Encode it is the decoded reference a Splice of the same directories must
+// match; it builds a catalog from nothing (the zero value), every
+// directory loaded, and is not for one Decode returned.
 func (c *Catalog) AddFile(name string, sets []*hdf.Dataset) int {
-	idx := c.addFile(name)
-	start, first := len(c.entries), len(c.Entries)
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(sets)))
+	first := len(c.Entries)
 	var pairs []panePair[string]
 	for _, d := range sets {
+		at := len(b)
+		b = d.AppendDirEntry(b)
 		if window, pane, attr, ok := roccom.ParseDatasetName(d.Name); ok {
-			at := len(c.entries)
-			c.entries = d.AppendDirEntry(c.entries)
 			off, length := d.Extent()
-			c.Entries = append(c.Entries, Entry{File: idx, Window: c.intern([]byte(window)), Pane: pane,
+			c.Entries = append(c.Entries, Entry{File: len(c.Files), Window: c.intern([]byte(window)), Pane: pane,
 				Attr: c.intern([]byte(attr)), offset: off, length: length, at: at})
 			pairs = append(pairs, panePair[string]{window, pane})
 		}
 	}
+	idx := c.addFile(name, int64(len(b)))
 	rec, _ := appendRecord(nil, pairs)
 	c.index = append(c.index, rec...)
 	if _, err := c.readRecord(rec); err != nil {
 		panic("catalog: AddFile's own pane index record does not read: " + err.Error())
 	}
 	c.indexEnd = append(c.indexEnd, len(c.index))
-	c.runs = append(c.runs, run{at: start, b: c.entries[start:], ents: c.Entries[first:], loaded: true})
+	c.dirs[idx] = dir{len: int64(len(b)), b: b, ents: c.Entries[first:], loaded: true}
 	return idx
 }
 
-// addFile appends a file to the file table and returns its index.
-func (c *Catalog) addFile(name string) int {
+// addFile appends a file with a directory of dirLen bytes, not loaded, to
+// the file table and returns its index.
+func (c *Catalog) addFile(name string, dirLen int64) int {
 	c.Files = append(c.Files, name)
 	c.ranks = append(c.ranks, ReplicaRank(name))
+	c.dirs = append(c.dirs, dir{len: dirLen})
 	return len(c.Files) - 1
 }
 
@@ -181,116 +188,61 @@ func (c *Catalog) intern(b []byte) string {
 // of c's entries.
 func (c *Catalog) Dataset(e *Entry) hdf.Dataset {
 	var d hdf.Dataset
-	r := &c.runs[e.File]
-	hdf.NewCursor(r.b[e.at-r.at:]).DirEntry(&d)
+	hdf.NewCursor(c.dirs[e.File].b[e.at:]).DirEntry(&d)
 	return d
 }
 
 // Encode serializes a whole catalog in the layout sections.go gives.
 func (c *Catalog) Encode() []byte {
-	return assembleBlob(len(c.Files), func(f int) string { return c.Files[f] }, c.index, c.npanes, func(f int) ([]byte, int) { return c.runs[f].b, len(c.runs[f].ents) })
+	return assembleBlob(len(c.Files), func(f int) (string, int64) { return c.Files[f], c.dirs[f].len }, c.index, c.npanes)
 }
 
 // Splice builds a catalog blob the way a commit does: each file's
-// directory entries pass the directory's one gate (hdf.RawDir.Walk) and
-// the pane-path grammar, and are copied into the file's entry run as they
-// stand — no dataset is decoded and encoded again — while the same pass
-// collects the file's pane index record. The blob is the one AddFile and
-// Encode make of the same directories (FuzzDirSplice). The zero value is
-// empty.
+// directory passes the directory's one gate (walkPanes) and the pane-path
+// grammar, and the same pass collects the file's pane index record — no
+// dataset is decoded — while the file table records the directory's length.
+// The blob is the one AddFile and Encode make of the same directories
+// (FuzzDirSplice). The zero value is empty.
 type Splice struct {
-	files   []splicedFile
-	n       int    // entries spliced
-	entries []byte // the runs, end to end
-	index   []byte // the pane index records, file by file
-	npanes  int
-	pairs   []panePair[[]byte] // scratch: one directory's (window, pane)s
+	files  []splicedFile
+	index  []byte // the pane index records, file by file
+	npanes int
+	pairs  []panePair[[]byte] // scratch: one directory's (window, pane)s
 }
 
-// splicedFile is one file of a Splice: its name, where its run ends in the
-// entries and how many entries it holds.
+// splicedFile is one file of a Splice: its name and directory length.
 type splicedFile struct {
 	name   string
-	end, n int
+	dirLen int64
 }
 
 // AddDir indexes d's pane datasets under the next file index. A directory
 // that fails the gate adds nothing and its error says why.
 func (s *Splice) AddDir(d hdf.RawDir) error {
-	mark, n := len(s.entries), s.n
-	s.entries = slices.Grow(s.entries, len(d.Bytes))
+	if len(d.Bytes) > math.MaxUint32 {
+		return fmt.Errorf("catalog: %s has a %d-byte directory", d.Name, len(d.Bytes))
+	}
 	s.pairs = s.pairs[:0]
-	err := d.Walk(func(e *hdf.DirEntry) {
-		if window, pane, _, ok := roccom.ParseDatasetName(e.Name); ok {
-			if s.pairs == nil || cap(s.pairs) < d.Count {
-				s.pairs = make([]panePair[[]byte], 0, d.Count) // Walk has bounded Count by the bytes
-			}
-			s.entries = e.Append(s.entries)
-			s.n++
-			s.pairs = append(s.pairs, panePair[[]byte]{window, pane})
+	err := walkPanes(d, func(_ *hdf.DirEntry, _ int, window []byte, pane int, _ []byte) {
+		if s.pairs == nil || cap(s.pairs) < d.Count {
+			s.pairs = make([]panePair[[]byte], 0, d.Count) // Walk has bounded Count by the bytes
 		}
+		s.pairs = append(s.pairs, panePair[[]byte]{window, pane})
 	})
 	if err != nil {
-		s.entries, s.n = s.entries[:mark], n
 		return err
 	}
 	var k int
 	s.index, k = appendRecord(s.index, s.pairs)
 	clear(s.pairs) // the windows are views of d's bytes
 	s.npanes += k
-	s.files = append(s.files, splicedFile{name: d.Name, end: len(s.entries), n: s.n - n})
+	s.files = append(s.files, splicedFile{name: d.Name, dirLen: int64(len(d.Bytes))})
 	return nil
 }
 
 // Blob returns the catalog blob of the directories added.
 func (s *Splice) Blob() []byte {
-	return assembleBlob(len(s.files), func(f int) string { return s.files[f].name }, s.index, s.npanes, func(f int) ([]byte, int) {
-		start := 0
-		if f > 0 {
-			start = s.files[f-1].end
-		}
-		return s.entries[start:s.files[f].end], s.files[f].n
-	})
-}
-
-// Decode parses a whole catalog blob: the header (ReadHeader) must be
-// complete, version 2 and sized to the blob, and every section must match
-// its CRC32C and parse (Open, LoadRun) — every entry must carry its CRC,
-// have a sane extent and a pane-path name, each run must hold exactly the
-// panes the pane index lists for its file, and nothing may follow the last
-// entry of a run. No dataset is decoded (Catalog.Dataset does that for an
-// entry a reader delivers); the catalog keeps the blob's entry runs in
-// place. All malformed-input paths are errors, never panics.
-func Decode(blob []byte) (*Catalog, error) {
-	h, err := ReadHeader(blob)
-	if err != nil {
-		return nil, err
-	}
-	if h.Size() != int64(len(blob)) {
-		return nil, fmt.Errorf("catalog: blob is %d bytes, its header describes %d", len(blob), h.Size())
-	}
-	off, n := h.IndexExtent()
-	c, err := Open(h, blob[off:off+n])
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for f := range c.Files {
-		total += h.secs[secRuns+f].count
-	}
-	c.Entries = make([]Entry, 0, total) // counts are bounded by their sections (ReadHeader)
-	most := 0
-	for f := range c.Files {
-		most = max(most, h.secs[secRuns+f].count)
-	}
-	sc := runScratch{pairs: make([]panePair[string], 0, most)}
-	for f := range c.Files {
-		s := &h.secs[secRuns+f]
-		if c.Entries, err = c.readRun(f, blob[s.off:s.off+int64(s.length)], c.Entries, &sc); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return assembleBlob(len(s.files), func(f int) (string, int64) { return s.files[f].name, s.files[f].dirLen }, s.index, s.npanes)
 }
 
 // WriteBlob stages blob at base+Suffix+tmp and renames it into place,
@@ -427,10 +379,6 @@ func (c *Catalog) list(f int, window string) []int {
 	return nil
 }
 
-// HasRun reports whether file f's entry run is loaded: always, for a whole
-// catalog.
-func (c *Catalog) HasRun(f int) bool { return c.runs[f].loaded }
-
 // FilePlan is the read plan for one file: which entries to fetch, sorted by
 // offset so adjacent extents coalesce into single reads.
 type FilePlan struct {
@@ -492,7 +440,7 @@ func (c *Catalog) choose(window string, wanted map[int]bool) []choice {
 // each wanted pane's best copy (chosen from the pane index alone, among
 // every file) where keep (nil: every file) accepts its file — ascending,
 // and for each the panes it is the best copy of, ascending. These are the
-// files whose entry runs a plan needs loaded.
+// files whose directories a plan needs loaded.
 func (c *Catalog) Sources(window string, wanted map[int]bool, keep func(file string) bool) (files []int, panes [][]int) {
 	best := c.choose(window, wanted)
 	for len(best) > 0 {
@@ -517,15 +465,15 @@ func (c *Catalog) Sources(window string, wanted map[int]bool, keep func(file str
 // file's plan is the one PlanReads gives it, so processes keeping disjoint
 // files plan disjoint shares of one PlanReads. Files are judged by keep at
 // most once each, and no plan is built for a file it refuses. The choice
-// reads the pane index alone; a kept file's plan needs its entry run, and a
-// file whose run is not loaded (LoadRun) gets none — Sources names the
-// runs to load first.
+// reads the pane index alone; a kept file's plan needs its directory, and a
+// file whose directory is not loaded (LoadDir) gets none — Sources names
+// the directories to load first.
 func (c *Catalog) PlanFiles(window string, wanted map[int]bool, keep func(file string) bool) []FilePlan {
 	best := c.choose(window, wanted)
 	n := 0
 	for i := 0; i < len(best); i++ {
 		if i == 0 || best[i].file != best[i-1].file {
-			n += len(c.runs[best[i].file].ents)
+			n += len(c.dirs[best[i].file].ents)
 		}
 	}
 	sel := make([]Entry, 0, n)
@@ -535,7 +483,7 @@ func (c *Catalog) PlanFiles(window string, wanted map[int]bool, keep func(file s
 			k++
 		}
 		f := best[0].file
-		if r := &c.runs[f]; r.loaded && (keep == nil || keep(c.Files[f])) {
+		if r := &c.dirs[f]; r.loaded && (keep == nil || keep(c.Files[f])) {
 			mine := best[:k] // the panes f is the best copy of, ascending
 			// A pane's datasets sit together: judge each pane once.
 			pane, judged, planned := 0, false, false
@@ -559,7 +507,7 @@ func (c *Catalog) PlanFiles(window string, wanted map[int]bool, keep func(file s
 }
 
 // filePlans cuts entries into single-file plans: files ordered by order,
-// each file's entries by offset, then by their place in the blob — an order
+// each file's entries by offset, then by their place in the directory — an order
 // entries already in it keep without a sort.
 func (c *Catalog) filePlans(sel []Entry, order func(a, b int) int) []FilePlan {
 	byPlace := func(a, b Entry) int {
@@ -601,11 +549,11 @@ func (c *Catalog) PaneFiles(window string, pane int) []int {
 }
 
 // PaneCopy returns file f's copy of a pane as a single-file plan, entries
-// offset-sorted; f's entry run must be loaded.
+// offset-sorted; f's directory must be loaded.
 func (c *Catalog) PaneCopy(window string, pane, f int) FilePlan {
 	var sel []Entry
-	for i := range c.runs[f].ents {
-		if e := &c.runs[f].ents[i]; e.Window == window && e.Pane == pane {
+	for i := range c.dirs[f].ents {
+		if e := &c.dirs[f].ents[i]; e.Window == window && e.Pane == pane {
 			sel = append(sel, *e)
 		}
 	}
@@ -619,14 +567,14 @@ func (c *Catalog) PaneCopy(window string, pane, f int) FilePlan {
 // PaneSources returns every file holding a copy of a pane's datasets, as
 // single-file plans ordered best-first (PaneFiles): primaries before
 // replicas, lower file index first within a rank, entries offset-sorted. A
-// file whose entry run is not loaded is left out. The restart read path
+// file whose directory is not loaded is left out. The restart read path
 // walks the same order (PaneFiles, PaneCopy) when a planned copy fails its
 // open/read/CRC — deterministic retry order, so every server agrees on which
 // copy repairs a pane.
 func (c *Catalog) PaneSources(window string, pane int) []FilePlan {
 	var plans []FilePlan
 	for _, f := range c.PaneFiles(window, pane) {
-		if c.runs[f].loaded {
+		if c.dirs[f].loaded {
 			plans = append(plans, c.PaneCopy(window, pane, f))
 		}
 	}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -51,6 +52,26 @@ func buildCatalog(t *testing.T, fsys rt.FS) *Catalog {
 	return c
 }
 
+// loadFiles loads every directory of c from its file on fsys: the bytes
+// DirLen(f) before the file's end, as a restart reads them.
+func loadFiles(t *testing.T, fsys rt.FS, c *Catalog) {
+	t.Helper()
+	for f, name := range c.Files {
+		img, err := hdf.ReadFile(fsys, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := int64(len(img))
+		d := hdf.RawDir{Name: name, Size: size, Count: int(binary.LittleEndian.Uint32(img[16:])), Bytes: img[size-c.DirLen(f):]}
+		if err := c.LoadDir(f, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEncodeDecodeRoundTrip: a decoded catalog, its directories loaded
+// from the files, holds the entries AddFile made, and nothing before they
+// load.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	fsys := rt.NewMemFS()
 	c := buildCatalog(t, fsys)
@@ -58,6 +79,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(got.Entries) != 0 || got.HasDir(0) || got.DirLen(0) != c.DirLen(0) || got.DirLen(1) != c.DirLen(1) {
+		t.Fatalf("decoded: %d entries, directories %d and %d bytes, want none loaded of %d and %d",
+			len(got.Entries), got.DirLen(0), got.DirLen(1), c.DirLen(0), c.DirLen(1))
+	}
+	loadFiles(t, fsys, got)
 	if !reflect.DeepEqual(c.Files, got.Files) {
 		t.Fatalf("files: got %v want %v", got.Files, c.Files)
 	}
@@ -404,7 +430,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Files, c.Files) || len(got.Entries) != len(c.Entries) {
+	if loadFiles(t, fsys, got); !reflect.DeepEqual(got.Files, c.Files) || len(got.Entries) != len(c.Entries) {
 		t.Fatalf("Load mismatch: %+v", got)
 	}
 }

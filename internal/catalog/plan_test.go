@@ -23,48 +23,45 @@ type refEntry struct {
 	pane         int
 }
 
-// refDecode is the reference catalog decoder: the materializing one, which
-// decodes every entry into an hdf.Dataset and checks the blob as Decode
-// must — magic, version, the header CRC, every section's length and CRC,
-// the pane index's order, the entry CRC bit, the extent, the pane-path
-// name, trailing bytes, and that each run holds exactly the panes the index
-// lists for its file.
-func refDecode(blob []byte) (files []string, ents []refEntry, err error) {
-	if len(blob) < 16 || string(blob[:4]) != Magic || binary.LittleEndian.Uint32(blob[4:]) != Version {
-		return nil, nil, fmt.Errorf("bad header")
-	}
-	nf := int(binary.LittleEndian.Uint32(blob[12:]))
-	if nf > len(blob) || len(blob) < 16+12*(nf+2) || binary.LittleEndian.Uint32(blob[8:]) != hdf.Checksum(blob[12:16+12*(nf+2)]) {
-		return nil, nil, fmt.Errorf("bad header")
+// refDecode is the reference catalog decoder, written from the layout
+// alone: it checks the blob as Decode must — magic, version, the header
+// CRC, each section's length and CRC, the file table's directory lengths,
+// the pane index's order and count, trailing bytes — and returns the file
+// table and, per file, the (window, pane)s the pane index lists.
+func refDecode(blob []byte) (files []string, dirLens []int64, index []map[refPane]bool, err error) {
+	if len(blob) < 36 || string(blob[:4]) != Magic || binary.LittleEndian.Uint32(blob[4:]) != Version ||
+		binary.LittleEndian.Uint32(blob[8:]) != hdf.Checksum(blob[12:36]) {
+		return nil, nil, nil, fmt.Errorf("bad header")
 	}
 	var secs [][]byte
 	var counts []int
-	at := 16 + 12*(nf+2)
-	for i := 0; i < nf+2; i++ {
-		r := blob[16+12*i:]
+	at := 36
+	for i := 0; i < 2; i++ {
+		r := blob[12+12*i:]
 		n := int(binary.LittleEndian.Uint32(r))
 		if n > len(blob)-at || hdf.Checksum(blob[at:at+n]) != binary.LittleEndian.Uint32(r[8:]) {
-			return nil, nil, fmt.Errorf("bad section %d", i)
+			return nil, nil, nil, fmt.Errorf("bad section %d", i)
 		}
 		secs, counts = append(secs, blob[at:at+n]), append(counts, int(binary.LittleEndian.Uint32(r[4:])))
 		at += n
 	}
-	if at != len(blob) || counts[0] != nf {
-		return nil, nil, fmt.Errorf("bad layout")
+	if at != len(blob) {
+		return nil, nil, nil, fmt.Errorf("bad layout")
 	}
+	nf := counts[0]
 	p := hdf.NewCursor(secs[0])
 	for len(files) < nf && p.Err() == nil {
-		files = append(files, p.Str())
+		name, n := p.Str(), int64(p.U32())
+		if p.Err() == nil && n < 4 {
+			return nil, nil, nil, fmt.Errorf("bad directory length")
+		}
+		files, dirLens = append(files, name), append(dirLens, n)
 	}
 	if p.End() != nil {
-		return nil, nil, fmt.Errorf("bad file table")
+		return nil, nil, nil, fmt.Errorf("bad file table")
 	}
 	// The pane index: per file, window → panes, in order.
-	type wp struct {
-		w string
-		p int
-	}
-	index, ids := make([]map[wp]bool, nf), 0
+	index, ids := make([]map[refPane]bool, nf), 0
 	rest := secs[1]
 	uv := func() uint64 {
 		v, n := binary.Uvarint(rest)
@@ -76,71 +73,53 @@ func refDecode(blob []byte) (files []string, ents []refEntry, err error) {
 		return v
 	}
 	for f := 0; f < nf; f++ {
-		index[f] = map[wp]bool{}
+		index[f] = map[refPane]bool{}
 		nw := uv()
 		prev := ""
 		for w := uint64(0); w < nw; w++ {
 			if len(rest) < 2 || len(rest) < 2+int(binary.LittleEndian.Uint16(rest)) {
-				return nil, nil, fmt.Errorf("bad pane index")
+				return nil, nil, nil, fmt.Errorf("bad pane index")
 			}
 			name := string(rest[2 : 2+binary.LittleEndian.Uint16(rest)])
 			rest = rest[2+len(name):]
 			if w > 0 && name <= prev {
-				return nil, nil, fmt.Errorf("windows out of order")
+				return nil, nil, nil, fmt.Errorf("windows out of order")
 			}
 			prev = name
 			np := uv()
 			if np == 0 || np > uint64(len(rest)) {
-				return nil, nil, fmt.Errorf("bad pane count")
+				return nil, nil, nil, fmt.Errorf("bad pane count")
 			}
 			id, n := binary.Varint(rest)
 			if n <= 0 {
-				return nil, nil, fmt.Errorf("bad pane")
+				return nil, nil, nil, fmt.Errorf("bad pane")
 			}
 			rest = rest[n:]
-			index[f][wp{name, int(id)}] = true
+			index[f][refPane{name, int(id)}] = true
 			for k := uint64(1); k < np; k++ {
 				gap := uv()
 				if gap == 0 || gap == math.MaxUint64 || new(big.Int).Add(big.NewInt(id), new(big.Int).SetUint64(gap)).Cmp(big.NewInt(math.MaxInt64)) > 0 {
-					return nil, nil, fmt.Errorf("bad gap")
+					return nil, nil, nil, fmt.Errorf("bad gap")
 				}
 				id += int64(gap)
-				index[f][wp{name, int(id)}] = true
+				index[f][refPane{name, int(id)}] = true
 			}
 			ids += int(np)
 		}
 		if nw == math.MaxUint64 || rest == nil {
-			return nil, nil, fmt.Errorf("bad pane index")
+			return nil, nil, nil, fmt.Errorf("bad pane index")
 		}
 	}
 	if len(rest) != 0 || ids != counts[1] {
-		return nil, nil, fmt.Errorf("bad pane index")
+		return nil, nil, nil, fmt.Errorf("bad pane index")
 	}
-	for f := 0; f < nf; f++ {
-		p := hdf.NewCursor(secs[2+f])
-		held := map[wp]bool{}
-		for i := 0; i < counts[2+f] && p.Err() == nil; i++ {
-			e := refEntry{file: f}
-			if p.DirEntry(&e.d); p.Err() != nil {
-				break
-			}
-			off, length := e.d.Extent()
-			var ok bool
-			e.window, e.pane, e.attr, ok = roccom.ParseDatasetName(e.d.Name)
-			if off < 0 || length < 0 || off+length < off || !ok {
-				return nil, nil, fmt.Errorf("bad entry %d of file %d", i, f)
-			}
-			held[wp{e.window, e.pane}] = true
-			ents = append(ents, e)
-		}
-		if err := p.End(); err != nil {
-			return nil, nil, err
-		}
-		if !reflect.DeepEqual(held, index[f]) {
-			return nil, nil, fmt.Errorf("run %d disagrees with the pane index", f)
-		}
-	}
-	return files, ents, nil
+	return files, dirLens, index, nil
+}
+
+// refPane is one (window, pane) of a file, as the reference lists it.
+type refPane struct {
+	w string
+	p int
 }
 
 // refPlan is a plan as the reference writes it: a file and the indices of
@@ -252,15 +231,16 @@ func refResolve(links [][]refEntry, window string, wanted map[int]bool) []map[in
 // asRef turns the view's plans into reference form: each entry by its
 // index in c.Entries.
 func asRef(c *Catalog, plans []FilePlan) []refPlan {
-	index := make(map[int]int, len(c.Entries))
+	type place struct{ file, at int }
+	index := make(map[place]int, len(c.Entries))
 	for i := range c.Entries {
-		index[c.Entries[i].at] = i
+		index[place{c.Entries[i].File, c.Entries[i].at}] = i
 	}
 	var out []refPlan
 	for _, p := range plans {
 		rp := refPlan{file: p.File}
 		for _, e := range p.Entries {
-			rp.ents = append(rp.ents, index[e.at])
+			rp.ents = append(rp.ents, index[place{e.File, e.at}])
 		}
 		out = append(out, rp)
 	}
@@ -282,9 +262,11 @@ func (s *specReader) next(n int) int {
 // genLink writes one generation's files from the spec — a few server
 // files, replicas among them, each holding datasets of two windows whose
 // panes repeat across files, empty payloads and a named attribute among
-// them — and returns its catalog blob (Splice) and, per blob entry, the
-// dataset hdf.RawDir.Datasets decodes.
-func genLink(t *testing.T, fsys rt.FS, link int, spec *specReader) (blob []byte, files []string, ents []refEntry) {
+// them — and returns its catalog blob (Splice), its files, per pane dataset
+// the dataset hdf.RawDir.Datasets decodes, and each file's directory as
+// spliced (a spec may write one name twice: the directory on disk is then
+// the last one's).
+func genLink(t *testing.T, fsys rt.FS, link int, spec *specReader) (blob []byte, files []string, ents []refEntry, dirs []hdf.RawDir) {
 	t.Helper()
 	var s Splice
 	windows, attrs := []string{"fluid", "solid"}, []string{"pressure", "_coords", "vel"}
@@ -332,9 +314,9 @@ func genLink(t *testing.T, fsys rt.FS, link int, spec *specReader) (blob []byte,
 				ents = append(ents, refEntry{file: len(files), d: *d, window: window, pane: pane, attr: attr})
 			}
 		}
-		files = append(files, name)
+		files, dirs = append(files, name), append(dirs, raw)
 	}
-	return s.Blob(), files, ents
+	return s.Blob(), files, ents, dirs
 }
 
 // FuzzPlanMatchesReference: over random chains of 1–3 catalogs, the
@@ -358,28 +340,48 @@ func FuzzPlanMatchesReference(f *testing.F) {
 			files [][]string
 		)
 		for l := 0; l < nlinks; l++ {
-			blob, fs, ents := genLink(t, fsys, l, &sp)
+			blob, fs, ents, dirs := genLink(t, fsys, l, &sp)
 			if l == 0 && flip != 0 && len(blob) > headerSize {
 				blob[int(at)%len(blob)] ^= flip
-				binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:]))
+				binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:min(len(blob), blobHeader)]))
 			}
 			c, err := Decode(blob)
-			refFiles, refEnts, refErr := refDecode(blob)
+			refFiles, refLens, refIndex, refErr := refDecode(blob)
 			if (err == nil) != (refErr == nil) {
 				t.Fatalf("link %d: Decode says %v, the reference %v", l, err, refErr)
 			}
 			if err != nil {
 				return
 			}
-			if l > 0 || flip == 0 {
-				// Unflipped, the reference decoder reads back what the
-				// directories held.
-				if !reflect.DeepEqual(refFiles, fs) || !reflect.DeepEqual(refEnts, ents) {
-					t.Fatalf("link %d: reference decoded %v %+v, directories held %v %+v", l, refFiles, refEnts, fs, ents)
+			if !reflect.DeepEqual(c.Files, refFiles) {
+				t.Fatalf("link %d: files %v, reference %v", l, c.Files, refFiles)
+			}
+			if l == 0 && flip != 0 {
+				return // a flip both accept describes other directories
+			}
+			// Unflipped, the reference decoder reads back what the
+			// directories held.
+			if !reflect.DeepEqual(refFiles, fs) {
+				t.Fatalf("link %d: reference decoded files %v, directories held %v", l, refFiles, fs)
+			}
+			for f, d := range dirs {
+				held := map[refPane]bool{}
+				for _, e := range ents {
+					if e.file == f {
+						held[refPane{e.window, e.pane}] = true
+					}
+				}
+				if refLens[f] != int64(len(d.Bytes)) || !reflect.DeepEqual(held, refIndex[f]) {
+					t.Fatalf("link %d file %d: reference decoded a %d-byte directory of panes %v, the directory is %d bytes of %v",
+						l, f, refLens[f], refIndex[f], len(d.Bytes), held)
+				}
+				if err := c.LoadDir(f, d); err != nil {
+					t.Fatalf("link %d: LoadDir(%d): %v", l, f, err)
 				}
 			}
-			if !reflect.DeepEqual(c.Files, refFiles) || len(c.Entries) != len(refEnts) {
-				t.Fatalf("link %d: files %v and %d entries, reference %v and %d", l, c.Files, len(c.Entries), refFiles, len(refEnts))
+			refEnts := ents
+			if len(c.Entries) != len(refEnts) {
+				t.Fatalf("link %d: %d entries, reference %d", l, len(c.Entries), len(refEnts))
 			}
 			for i := range c.Entries {
 				e, r := &c.Entries[i], &refEnts[i]
@@ -431,11 +433,12 @@ func FuzzPlanMatchesReference(f *testing.F) {
 
 // twoFileBlob is a catalog in panda-smallblocks' shape: panes panes of
 // attrs datasets each, dealt between two server files, each pane's
-// datasets together as a writer puts them.
-func twoFileBlob(t testing.TB, panes, attrs int) []byte {
+// datasets together as a writer puts them; and the files' directories.
+func twoFileBlob(t testing.TB, panes, attrs int) ([]byte, []hdf.RawDir) {
 	t.Helper()
 	fsys := rt.NewMemFS()
 	var s Splice
+	var dirs []hdf.RawDir
 	for f := 0; f < 2; f++ {
 		name := ServerFile("snap", f, 0)
 		w, err := hdf.Create(fsys, name, rt.NewWallClock(), hdf.NullProfile())
@@ -460,16 +463,23 @@ func twoFileBlob(t testing.TB, panes, attrs int) []byte {
 		if err := s.AddDir(raw); err != nil {
 			t.Fatal(err)
 		}
+		dirs = append(dirs, raw)
 	}
-	return s.Blob()
+	return s.Blob(), dirs
 }
 
-// decodePlan is a restart round's catalog work: decode the blob, plan every
-// pane of the window and coalesce each file's plan.
-func decodePlan(blob []byte, wanted map[int]bool) (entries int, err error) {
+// decodePlan is a restart round's catalog work: decode the blob, load the
+// files' directories, plan every pane of the window and coalesce each
+// file's plan.
+func decodePlan(blob []byte, dirs []hdf.RawDir, wanted map[int]bool) (entries int, err error) {
 	c, err := Decode(blob)
 	if err != nil {
 		return 0, err
+	}
+	for f, d := range dirs {
+		if err := c.LoadDir(f, d); err != nil {
+			return 0, err
+		}
 	}
 	for _, plan := range c.PlanReads("fluid", wanted) {
 		Coalesce(plan.Entries, 0)
@@ -487,14 +497,15 @@ func everyPane(n int) map[int]bool {
 	return wanted
 }
 
-// TestDecodePlanAllocations: decoding a catalog and planning and coalescing
-// its reads costs a fixed number of allocations however many entries it
+// TestDecodePlanAllocations: decoding a catalog, loading its directories
+// and planning and coalescing its reads costs a fixed number of allocations however many entries it
 // holds — none per entry or per pane.
 func TestDecodePlanAllocations(t *testing.T) {
 	allocs := func(panes int) float64 {
-		blob, wanted := twoFileBlob(t, panes, 24), everyPane(panes)
+		blob, dirs := twoFileBlob(t, panes, 24)
+		wanted := everyPane(panes)
 		return testing.AllocsPerRun(5, func() {
-			if n, err := decodePlan(blob, wanted); err != nil || n != 24*panes {
+			if n, err := decodePlan(blob, dirs, wanted); err != nil || n != 24*panes {
 				t.Fatalf("planned %d of %d entries: %v", n, 24*panes, err)
 			}
 		})
@@ -505,13 +516,15 @@ func TestDecodePlanAllocations(t *testing.T) {
 }
 
 // BenchmarkDecodePlan is one restart round's catalog work on a 9 600-entry,
-// two-file catalog: decode, plan every pane, coalesce.
+// two-file catalog: decode, load both directories, plan every pane,
+// coalesce.
 func BenchmarkDecodePlan(b *testing.B) {
-	blob, wanted := twoFileBlob(b, 400, 24), everyPane(400)
-	b.SetBytes(int64(len(blob)))
+	blob, dirs := twoFileBlob(b, 400, 24)
+	wanted := everyPane(400)
+	b.SetBytes(int64(len(blob) + len(dirs[0].Bytes) + len(dirs[1].Bytes)))
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := decodePlan(blob, wanted); err != nil {
+		if _, err := decodePlan(blob, dirs, wanted); err != nil {
 			b.Fatal(err)
 		}
 	}

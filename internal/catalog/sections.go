@@ -1,27 +1,27 @@
 package catalog
 
-// The blob's layout: a header whose table addresses every section, then
+// The blob's layout: a header whose table addresses both sections, then
 // the sections back to back, each under its own CRC32C.
 //
-//	header:    "RCAT" | u32 version | u32 crc32c(header[12:]) | u32 nfiles |
-//	           (2 + nfiles) × { u32 length | u32 count | u32 crc32c }
-//	section 0, the file table: nfiles × { u16 len | name }       count: nfiles
+//	header:    "RCAT" | u32 version | u32 crc32c(header[12:]) |
+//	           2 × { u32 length | u32 count | u32 crc32c }
+//	section 0, the file table: nfiles × { u16 len | name | u32 dirLen }
+//	                                                             count: nfiles
 //	section 1, the pane index: one record per file, in file order —
 //	           uvarint nwindows, then per window, ascending by name:
 //	           u16 len | name | uvarint npanes | varint first pane |
 //	           (npanes - 1) × uvarint gap to the next, ascending   count: pane IDs
-//	section 2+f, file f's entry run: its pane datasets' RHDF directory
-//	           entries, in directory order                        count: entries
+//
+// dirLen is the exact byte length of the file's RHDF directory, which ends
+// the file: a reader that knows the file's size (its manifest entry's)
+// reads the file's entries from [size - dirLen, size) of the file itself,
+// held to the manifest's directory CRC32C (LoadDir). The blob holds no
+// copy of any entry.
 //
 // The header's own CRC32C (Header.CRC) is what a manifest pins. It covers
-// every section's record, so a reader that checked the header against the
-// pin checks each section it reads against the header: a swapped or damaged
-// catalog is caught by the bytes actually read, and a damaged section fails
-// only the reads that need it. A reader that knows the file count (its
-// manifest's) reads the header (HeaderSize) in one request, the file table
-// and pane index (Header.IndexExtent) in another — all a pane universe,
-// resolution or a restore-walk judgment needs — and the runs of the files
-// it plans from (Catalog.RunExtent), adjacent runs in one request.
+// both sections' records, so a reader that checked the header against the
+// pin checks each section against the header: a swapped or damaged catalog
+// is caught, and the error names the section.
 
 import (
 	"bytes"
@@ -38,25 +38,17 @@ import (
 const (
 	headerSize = 12 // the header's fixed part: magic(4) + version(4) + CRC(4)
 	recordSize = 12 // a section's record: length, count, CRC32C
+	blobHeader = headerSize + 2*recordSize
 
-	secFiles = 0 // the section indices: file table, pane index, runs
+	secFiles = 0 // the section indices: file table, pane index
 	secPanes = 1
-	secRuns  = 2
-
-	// minEntryBytes is the encoded size of a directory entry with an empty
-	// name and no dims or attrs.
-	minEntryBytes = 2 + 1 + 1 + 1 + 8 + 8 + 4 + 2
 )
 
-// HeaderSize returns the byte length of the header of a catalog of nfiles
-// files.
-func HeaderSize(nfiles int) int { return headerSize + 4 + recordSize*(secRuns+nfiles) }
-
-// Header is a catalog blob's header as read and checked: where every
+// Header is a catalog blob's header as read and checked: where each
 // section lies, how many records it holds and its CRC32C.
 type Header struct {
 	CRC  uint32 // the header's own CRC32C, which a manifest pins
-	secs []section
+	secs [2]section
 }
 
 // section is one section's place and record.
@@ -68,10 +60,11 @@ type section struct {
 }
 
 // ReadHeader parses and checks the header at the start of b (which may run
-// on into the sections): magic, version 2, the header's CRC32C, and counts
-// that their sections could hold. Any other version is refused.
+// on into the sections): magic, version 3, the header's CRC32C, and counts
+// that their sections could hold. Any other version is refused, and the
+// error names it.
 func ReadHeader(b []byte) (*Header, error) {
-	if len(b) < HeaderSize(0) {
+	if len(b) < 8 {
 		return nil, fmt.Errorf("catalog: header too short (%d bytes)", len(b))
 	}
 	if string(b[:4]) != Magic {
@@ -80,28 +73,22 @@ func ReadHeader(b []byte) (*Header, error) {
 	if v := binary.LittleEndian.Uint32(b[4:]); v != Version {
 		return nil, fmt.Errorf("catalog: version %d, want %d", v, Version)
 	}
-	nf := binary.LittleEndian.Uint32(b[12:])
-	if uint64(nf) > uint64((len(b)-HeaderSize(0))/recordSize) {
-		return nil, fmt.Errorf("catalog: header of %d files does not fit in %d bytes", nf, len(b))
+	if len(b) < blobHeader {
+		return nil, fmt.Errorf("catalog: header too short (%d bytes)", len(b))
 	}
-	n := HeaderSize(int(nf))
 	h := &Header{CRC: binary.LittleEndian.Uint32(b[8:])}
-	if got := hdf.Checksum(b[headerSize:n]); got != h.CRC {
+	if got := hdf.Checksum(b[headerSize:blobHeader]); got != h.CRC {
 		return nil, fmt.Errorf("%w: catalog header crc32c %08x, computed %08x", hdf.ErrChecksum, h.CRC, got)
 	}
-	h.secs = make([]section, secRuns+int(nf))
-	off := int64(n)
+	off := int64(blobHeader)
 	for i := range h.secs {
-		r := b[headerSize+4+recordSize*i:]
+		r := b[headerSize+recordSize*i:]
 		s := section{off: off, length: int(binary.LittleEndian.Uint32(r)), count: int(binary.LittleEndian.Uint32(r[4:])),
 			crc: binary.LittleEndian.Uint32(r[8:])}
-		// The smallest record of each section: a file name of 2 bytes, a
-		// pane ID of 1, an entry of minEntryBytes.
-		least := minEntryBytes
-		switch i {
-		case secFiles:
-			least = 2
-		case secPanes:
+		// The smallest record of each section: a file of an empty name and
+		// its directory length, a pane ID of 1 byte.
+		least := 2 + 4
+		if i == secPanes {
 			least = 1
 		}
 		if s.count > s.length/least {
@@ -109,14 +96,8 @@ func ReadHeader(b []byte) (*Header, error) {
 		}
 		h.secs[i], off = s, off+int64(s.length)
 	}
-	if h.secs[secFiles].count != int(nf) {
-		return nil, fmt.Errorf("catalog: file table counts %d files, header %d", h.secs[secFiles].count, nf)
-	}
 	return h, nil
 }
-
-// Len returns the header's byte length.
-func (h *Header) Len() int { return HeaderSize(len(h.secs) - secRuns) }
 
 // Size returns the byte length of the blob the header describes.
 func (h *Header) Size() int64 {
@@ -124,52 +105,57 @@ func (h *Header) Size() int64 {
 	return last.off + int64(last.length)
 }
 
-// IndexExtent returns where the file table and pane index lie, together:
-// what Open needs.
-func (h *Header) IndexExtent() (off, length int64) {
-	return h.secs[secFiles].off, int64(h.secs[secFiles].length + h.secs[secPanes].length)
-}
-
-// check holds b to the section's record.
-func (s *section) check(b []byte, what string) error {
-	if len(b) != s.length {
-		return fmt.Errorf("catalog: %s is %d bytes, header says %d", what, len(b), s.length)
-	}
+// check holds the section's bytes of blob to the section's record; what
+// names it in the error.
+func (s *section) check(blob []byte, what string) ([]byte, error) {
+	b := blob[s.off : s.off+int64(s.length)]
 	if got := hdf.Checksum(b); got != s.crc {
-		return fmt.Errorf("%w: catalog %s crc32c %08x, header says %08x", hdf.ErrChecksum, what, got, s.crc)
+		return nil, fmt.Errorf("%w: catalog %s crc32c %08x, header says %08x", hdf.ErrChecksum, what, got, s.crc)
 	}
-	return nil
+	return b, nil
 }
 
-// Open builds a catalog from its header and the bytes at h.IndexExtent —
-// the file table and pane index, each checked against its record — with no
-// entry run loaded: enough to resolve panes, choose sources, list a pane
-// universe and judge, and to name the runs a plan needs (Sources, RunExtent,
-// LoadRun).
-func Open(h *Header, index []byte) (*Catalog, error) {
-	ft, pi := &h.secs[secFiles], &h.secs[secPanes]
-	if len(index) != ft.length+pi.length {
-		return nil, fmt.Errorf("catalog: index is %d bytes, header says %d", len(index), ft.length+pi.length)
-	}
-	if err := ft.check(index[:ft.length], "file table"); err != nil {
+// Decode parses a whole catalog blob: the header (ReadHeader) must be
+// complete, version 3 and sized to the blob, and each section must match
+// its CRC32C and parse — every file's directory length at least a
+// directory's count, the pane index in order and counting the pane IDs the
+// header says. No directory is loaded: the catalog answers resolution,
+// source choice and the pane universe from the pane index alone, and plans
+// a file's reads once its directory is loaded (LoadDir). All malformed-input
+// paths are errors, never panics.
+func Decode(blob []byte) (*Catalog, error) {
+	h, err := ReadHeader(blob)
+	if err != nil {
 		return nil, err
 	}
-	if err := pi.check(index[ft.length:], "pane index"); err != nil {
+	if h.Size() != int64(len(blob)) {
+		return nil, fmt.Errorf("catalog: blob is %d bytes, its header describes %d", len(blob), h.Size())
+	}
+	ft, err := h.secs[secFiles].check(blob, "file table")
+	if err != nil {
 		return nil, err
 	}
-	c := &Catalog{hdr: h}
-	nf := ft.count
-	p := hdf.NewCursor(index[:ft.length])
-	c.Files, c.ranks = make([]string, 0, nf), make([]int, 0, nf)
+	pi, err := h.secs[secPanes].check(blob, "pane index")
+	if err != nil {
+		return nil, err
+	}
+	c := &Catalog{}
+	nf := h.secs[secFiles].count
+	p := hdf.NewCursor(ft)
+	c.Files, c.ranks, c.dirs = make([]string, 0, nf), make([]int, 0, nf), make([]dir, 0, nf)
 	for i := 0; i < nf; i++ {
-		c.addFile(p.Str())
+		name, n := p.Str(), int64(p.U32())
+		if p.Err() == nil && n < 4 {
+			return nil, fmt.Errorf("catalog: corrupt file table: %s has a %d-byte directory", name, n)
+		}
+		c.addFile(name, n)
 	}
 	if err := p.End(); err != nil {
 		return nil, fmt.Errorf("catalog: corrupt file table: %w", err)
 	}
-	c.index = index[ft.length:]
+	c.index = pi
 	c.indexEnd, c.listEnd = make([]int, 0, nf), make([]int, 0, nf)
-	c.ids = make([]int, 0, pi.count)
+	c.ids = make([]int, 0, h.secs[secPanes].count)
 	at := 0
 	for f := 0; f < nf; f++ {
 		n, err := c.readRecord(c.index[at:])
@@ -182,102 +168,97 @@ func Open(h *Header, index []byte) (*Catalog, error) {
 	if at != len(c.index) {
 		return nil, fmt.Errorf("catalog: pane index has %d trailing bytes", len(c.index)-at)
 	}
-	if c.npanes != pi.count {
-		return nil, fmt.Errorf("catalog: pane index holds %d pane IDs, header says %d", c.npanes, pi.count)
+	if c.npanes != h.secs[secPanes].count {
+		return nil, fmt.Errorf("catalog: pane index holds %d pane IDs, header says %d", c.npanes, h.secs[secPanes].count)
 	}
-	c.runs, c.missing = make([]run, nf), nf
-	for f := range c.runs {
-		c.runs[f].at = int(h.secs[secRuns+f].off - h.secs[secRuns].off)
-	}
+	c.missing = nf
 	return c, nil
 }
 
-// RunExtent returns where file f's entry run lies in the blob of a catalog
-// Decode or Open returned.
-func (c *Catalog) RunExtent(f int) (off, length int64) {
-	s := &c.hdr.secs[secRuns+f]
-	return s.off, int64(s.length)
-}
+// DirLen returns the byte length of file f's directory, which ends the
+// file.
+func (c *Catalog) DirLen(f int) int64 { return c.dirs[f].len }
 
-// LoadRun checks b, the bytes at RunExtent(f), against run f's record and
-// indexes them: every entry must parse as Decode requires, and the run must
-// hold exactly the panes the pane index lists for f. The catalog keeps b.
-// A run loads once; loading it again does nothing. Once every run is
-// loaded, Entries holds every entry, as Decode's does.
-func (c *Catalog) LoadRun(f int, b []byte) error {
-	if c.hdr == nil || f < 0 || f >= len(c.Files) {
-		return fmt.Errorf("catalog: no run %d to load", f)
-	}
-	if c.runs[f].loaded {
+// HasDir reports whether file f's directory is loaded: always, for a
+// catalog AddFile built.
+func (c *Catalog) HasDir(f int) bool { return c.dirs[f].loaded }
+
+// Dir returns file f's directory bytes as loaded, nil until it is.
+func (c *Catalog) Dir(f int) []byte {
+	if !c.dirs[f].loaded {
 		return nil
 	}
-	var sc runScratch
-	if _, err := c.readRun(f, b, nil, &sc); err != nil {
+	return c.dirs[f].b
+}
+
+// LoadDir indexes d, file f's directory as read off the file — its bytes
+// from the file's end less DirLen(f), which the caller has held to what
+// pins them — so that f's reads can be planned: d must be as long as the
+// file table records, pass the directory's gate (walkPanes) and hold
+// exactly the panes the pane index lists for f. The catalog keeps d.Bytes.
+// A directory loads once; loading it again does nothing. Once every
+// directory is loaded, Entries holds every entry.
+func (c *Catalog) LoadDir(f int, d hdf.RawDir) error {
+	if f < 0 || f >= len(c.Files) {
+		return fmt.Errorf("catalog: no file %d to load", f)
+	}
+	r := &c.dirs[f]
+	if r.loaded {
+		return nil
+	}
+	if int64(len(d.Bytes)) != r.len {
+		return fmt.Errorf("catalog: directory of %s is %d bytes, the file table says %d", c.Files[f], len(d.Bytes), r.len)
+	}
+	var ents []Entry
+	err := walkPanes(d, func(e *hdf.DirEntry, at int, window []byte, pane int, attr []byte) {
+		if ents == nil {
+			ents = make([]Entry, 0, d.Count) // Walk has bounded Count by the bytes
+		}
+		off, length := e.Extent()
+		ents = append(ents, Entry{File: f, Window: c.intern(window), Pane: pane, Attr: c.intern(attr), offset: off, length: length, at: at})
+	})
+	if err != nil {
 		return err
 	}
-	if c.missing == 0 {
-		for i := range c.runs {
-			c.Entries = append(c.Entries, c.runs[i].ents...)
+	pairs := make([]panePair[string], len(ents))
+	for i := range ents {
+		pairs[i] = panePair[string]{ents[i].Window, ents[i].Pane}
+	}
+	rec, _ := appendRecord(nil, pairs)
+	from := 0
+	if f > 0 {
+		from = c.indexEnd[f-1]
+	}
+	if !bytes.Equal(rec, c.index[from:c.indexEnd[f]]) {
+		return fmt.Errorf("catalog: directory of %s holds other panes than the pane index lists", c.Files[f])
+	}
+	*r = dir{len: r.len, b: d.Bytes, ents: ents, loaded: true}
+	if c.missing--; c.missing == 0 {
+		for i := range c.dirs {
+			c.Entries = append(c.Entries, c.dirs[i].ents...)
 		}
 	}
 	return nil
 }
 
-// runScratch is readRun's reusable space: a run's (window, pane)s and its
-// pane index record.
-type runScratch struct {
-	pairs []panePair[string]
-	rec   []byte
-}
-
-// readRun is LoadRun appending run f's entries to dst (nil: a slice of the
-// run's own), which must have room for them.
-func (c *Catalog) readRun(f int, b []byte, dst []Entry, sc *runScratch) ([]Entry, error) {
-	s := &c.hdr.secs[secRuns+f]
-	if err := s.check(b, "entry run of "+c.Files[f]); err != nil {
-		return dst, err
-	}
-	if dst == nil {
-		dst = make([]Entry, 0, s.count)
-	}
-	start, base := len(dst), c.runs[f].at
-	p := hdf.NewCursor(b)
-	var d hdf.DirEntry
-	for i := 0; i < s.count; i++ {
-		at := p.Offset()
-		if p.Entry(&d); p.Err() != nil {
-			return dst[:start], fmt.Errorf("catalog: run of %s corrupt at entry %d: %w", c.Files[f], i, p.Err())
+// walkPanes passes d through the directory's one gate (hdf.RawDir.Walk)
+// and calls yield with each pane dataset's entry, its offset in d.Bytes and
+// the parts of its name; datasets outside the pane path grammar (e.g. a
+// server's "_meta" marker) are skipped. The entries must end the directory:
+// a catalog records a directory's exact length, and a reader reads it by
+// that length.
+func walkPanes(d hdf.RawDir, yield func(e *hdf.DirEntry, at int, window []byte, pane int, attr []byte)) error {
+	at := 4 // the entry count
+	err := d.Walk(func(e *hdf.DirEntry) {
+		if window, pane, attr, ok := roccom.ParseDatasetName(e.Name); ok {
+			yield(e, at, window, pane, attr)
 		}
-		off, length := d.Extent()
-		if off < 0 || length < 0 || off+length < off {
-			return dst[:start], fmt.Errorf("catalog: run of %s entry %d has bad extent [%d,+%d)", c.Files[f], i, off, length)
-		}
-		window, pane, attr, ok := roccom.ParseDatasetName(d.Name)
-		if !ok {
-			return dst[:start], fmt.Errorf("catalog: run of %s entry %d has unparseable dataset name %q", c.Files[f], i, d.Name)
-		}
-		dst = append(dst, Entry{File: f, Window: c.intern(window), Pane: pane, Attr: c.intern(attr),
-			offset: off, length: length, at: base + at})
+		at += e.Len()
+	})
+	if err == nil && at != len(d.Bytes) {
+		err = fmt.Errorf("catalog: %s has %d directory bytes after its last entry", d.Name, len(d.Bytes)-at)
 	}
-	if err := p.End(); err != nil {
-		return dst[:start], fmt.Errorf("catalog: run of %s: %w after %d entries", c.Files[f], err, s.count)
-	}
-	ents := dst[start:len(dst):len(dst)]
-	sc.pairs = sc.pairs[:0]
-	for i := range ents {
-		sc.pairs = append(sc.pairs, panePair[string]{ents[i].Window, ents[i].Pane})
-	}
-	sc.rec, _ = appendRecord(sc.rec[:0], sc.pairs)
-	from := 0
-	if f > 0 {
-		from = c.indexEnd[f-1]
-	}
-	if !bytes.Equal(sc.rec, c.index[from:c.indexEnd[f]]) {
-		return dst[:start], fmt.Errorf("catalog: run of %s holds other panes than the pane index lists", c.Files[f])
-	}
-	c.runs[f] = run{at: base, b: b, ents: ents, loaded: true}
-	c.missing--
-	return dst, nil
+	return err
 }
 
 // panePair is one dataset's window and pane, the window a name or a view
@@ -429,39 +410,33 @@ func (r *varintReader) str() []byte {
 	return r.b[r.off-n : r.off]
 }
 
-// assembleBlob writes a blob: the header, the file table (nfiles names,
-// nameOf), the pane index (npanes IDs) and each file's entry run (runOf).
-func assembleBlob(nfiles int, nameOf func(f int) string, index []byte, npanes int, runOf func(f int) (b []byte, count int)) []byte {
-	hs := HeaderSize(nfiles)
-	size := hs + len(index)
+// assembleBlob writes a blob: the header, the file table (nfiles names and
+// directory lengths, fileOf) and the pane index (npanes IDs).
+func assembleBlob(nfiles int, fileOf func(f int) (name string, dirLen int64), index []byte, npanes int) []byte {
+	size := blobHeader + len(index)
 	for f := range nfiles {
-		b, _ := runOf(f)
-		size += 2 + len(nameOf(f)) + len(b)
+		name, _ := fileOf(f)
+		size += 2 + len(name) + 4
 	}
-	blob := make([]byte, hs, size)
+	blob := make([]byte, blobHeader, size)
 	copy(blob, Magic)
 	binary.LittleEndian.PutUint32(blob[4:], Version)
-	binary.LittleEndian.PutUint32(blob[12:], uint32(nfiles))
 	record := func(i, start, count int) {
-		r := blob[headerSize+4+recordSize*i:]
+		r := blob[headerSize+recordSize*i:]
 		binary.LittleEndian.PutUint32(r, uint32(len(blob)-start))
 		binary.LittleEndian.PutUint32(r[4:], uint32(count))
 		binary.LittleEndian.PutUint32(r[8:], hdf.Checksum(blob[start:]))
 	}
 	start := len(blob)
 	for f := range nfiles {
-		blob = hdf.AppendStr(blob, nameOf(f))
+		name, n := fileOf(f)
+		blob = hdf.AppendStr(blob, name)
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(n))
 	}
 	record(secFiles, start, nfiles)
 	start = len(blob)
 	blob = append(blob, index...)
 	record(secPanes, start, npanes)
-	for f := range nfiles {
-		b, n := runOf(f)
-		start = len(blob)
-		blob = append(blob, b...)
-		record(secRuns+f, start, n)
-	}
-	binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:hs]))
+	binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:blobHeader]))
 	return blob
 }

@@ -3,68 +3,88 @@ package catalog
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
+	"genxio/internal/hdf"
 	"genxio/internal/rt"
 )
 
-// section names the section of blob that holds byte i: -1 the header, 0
-// the file table, 1 the pane index, 2+f file f's entry run.
-func sectionOf(h *Header, i int) int {
-	if i < h.Len() {
-		return -1
+// sectionOf names the part of blob that holds byte i: the header, the
+// file table or the pane index, as Decode's errors name them.
+func sectionOf(h *Header, i int) string {
+	switch {
+	case i < blobHeader:
+		return "header"
+	case int64(i) < h.secs[secPanes].off:
+		return "file table"
 	}
-	for s := range h.secs {
-		if off := int(h.secs[s].off); i >= off && i < off+h.secs[s].length {
-			return s
-		}
-	}
-	return len(h.secs)
+	return "pane index"
 }
 
-// FuzzSectionsMatchWhole: a catalog opened from its header, file table and
-// pane index (Open), with any subset of its entry runs loaded (LoadRun),
-// resolves, chooses sources, lists panes and orders copies exactly as Decode
-// of the whole blob, and plans exactly as it for the files whose runs it
-// holds. A flipped byte fails only the reads of the section it lands in:
-// in the header, opening; in the file table or pane index, Open; in a run,
-// that run's LoadRun and Decode, while every other run still loads.
+// loadAll decodes blob and loads every directory of dirs into it.
+func loadAll(t *testing.T, blob []byte, dirs []hdf.RawDir) *Catalog {
+	t.Helper()
+	c, err := Decode(blob)
+	if err != nil {
+		t.Fatalf("Decode of a spliced blob: %v", err)
+	}
+	for f, d := range dirs {
+		if err := c.LoadDir(f, d); err != nil {
+			t.Fatalf("LoadDir(%d): %v", f, err)
+		}
+	}
+	return c
+}
+
+// FuzzSectionsMatchWhole: a catalog decoded from its blob — the file table
+// and pane index — with any subset of its files' directories loaded
+// (LoadDir), resolves, chooses sources, lists panes and orders copies
+// exactly as one with every directory loaded, and plans exactly as it for
+// the files whose directories it holds. A directory loads only into its
+// own file: under another file's index its length or panes differ, or it
+// is the same directory. A flipped byte anywhere in the blob fails Decode,
+// and the error names the part it lands in: the header, the file table or
+// the pane index.
 func FuzzSectionsMatchWhole(f *testing.F) {
 	f.Add([]byte{2, 3, 0, 0, 5, 0, 0, 1, 0, 0, 2, 0, 1, 0, 0, 1, 1, 0, 3, 1, 0, 0, 1, 1, 4, 0, 1, 2, 0, 2}, byte(0x05), uint16(0), byte(0), byte(0x1f))
 	f.Add([]byte{3, 1, 1, 1, 6, 1, 2, 0, 1, 0, 1, 0, 4, 2, 1, 3, 0, 3, 1, 1, 1, 0, 0, 2, 2, 1, 5, 0, 1}, byte(0x0e), uint16(90), byte(0x40), byte(0x3f))
 	f.Add([]byte{1, 2, 0, 1, 6, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 2, 0, 0, 1, 1, 1, 3, 0, 0, 0, 0, 4, 2, 2, 5, 0, 0}, byte(0xff), uint16(200), byte(1), byte(0x07))
+	f.Add([]byte{3, 0, 0, 4, 1, 2, 3, 0, 0, 1, 1, 1, 2, 0, 2, 0, 5, 1, 0, 1, 0, 2, 2, 1, 4, 0, 0}, byte(0x03), uint16(40), byte(0x80), byte(0x2a))
 	f.Fuzz(func(t *testing.T, spec []byte, loadMask byte, at uint16, flip, wantMask byte) {
 		fsys := rt.NewMemFS()
 		sp := specReader(spec)
-		blob, _, _ := genLink(t, fsys, 0, &sp)
-		whole, err := Decode(blob)
+		blob, _, _, dirs := genLink(t, fsys, 0, &sp)
+		whole := loadAll(t, blob, dirs)
+		part, err := Decode(blob)
 		if err != nil {
-			t.Fatalf("Decode of a spliced blob: %v", err)
-		}
-		h, err := ReadHeader(blob[:HeaderSize(len(whole.Files))])
-		if err != nil {
-			t.Fatalf("ReadHeader of the header alone: %v", err)
-		}
-		off, n := h.IndexExtent()
-		part, err := Open(h, blob[off:off+n])
-		if err != nil {
-			t.Fatalf("Open: %v", err)
+			t.Fatalf("Decode: %v", err)
 		}
 		// keep takes names, and a spec may write one name twice: a name is
 		// loaded when every file of that name is.
 		loaded := func(name string) bool {
 			for i, f := range part.Files {
-				if f == name && !part.HasRun(i) {
+				if f == name && !part.HasDir(i) {
 					return false
 				}
 			}
 			return true
 		}
 		for i := range part.Files {
+			if part.DirLen(i) != int64(len(dirs[i].Bytes)) {
+				t.Fatalf("DirLen(%d) = %d, the directory is %d bytes", i, part.DirLen(i), len(dirs[i].Bytes))
+			}
+			for j := range dirs {
+				// Another file's directory loads only if it is this one's.
+				same := len(dirs[j].Bytes) == len(dirs[i].Bytes) && reflect.DeepEqual(paneRecord(whole, i), paneRecord(whole, j))
+				probe, _ := Decode(blob)
+				if err := probe.LoadDir(i, dirs[j]); (err == nil) != same {
+					t.Fatalf("directory %d under file %d: LoadDir says %v, same shape %v", j, i, err, same)
+				}
+			}
 			if loadMask>>i&1 == 1 {
-				o, n := part.RunExtent(i)
-				if err := part.LoadRun(i, blob[o:o+n]); err != nil {
-					t.Fatalf("LoadRun(%d): %v", i, err)
+				if err := part.LoadDir(i, dirs[i]); err != nil {
+					t.Fatalf("LoadDir(%d): %v", i, err)
 				}
 			}
 		}
@@ -93,7 +113,7 @@ func FuzzSectionsMatchWhole(f *testing.F) {
 				t.Fatalf("Sources(%s) = %v %v, whole %v %v", w, gotFiles, gotPanes, wantFiles, wantPanes)
 			}
 			if got, want := part.PlanFiles(w, wanted, loaded), whole.PlanFiles(w, wanted, loaded); !reflect.DeepEqual(got, want) {
-				t.Fatalf("PlanFiles(%s) over the loaded runs = %v, whole %v", w, got, want)
+				t.Fatalf("PlanFiles(%s) over the loaded directories = %v, whole %v", w, got, want)
 			}
 			for p := 0; p <= 6; p++ {
 				files := part.PaneFiles(w, p)
@@ -101,7 +121,7 @@ func FuzzSectionsMatchWhole(f *testing.F) {
 					t.Fatalf("PaneFiles(%s, %d) = %v, whole %v", w, p, files, want)
 				}
 				for _, file := range files {
-					if part.HasRun(file) {
+					if part.HasDir(file) {
 						if got, want := part.PaneCopy(w, p, file), whole.PaneCopy(w, p, file); !reflect.DeepEqual(got, want) {
 							t.Fatalf("PaneCopy(%s, %d, %d) = %v, whole %v", w, p, file, got, want)
 						}
@@ -120,31 +140,31 @@ func FuzzSectionsMatchWhole(f *testing.F) {
 		if flip == 0 {
 			return
 		}
+		h, err := ReadHeader(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
 		i := int(at) % len(blob)
 		bad := slices.Clone(blob)
 		bad[i] ^= flip
-		if _, err := Decode(bad); err == nil {
-			t.Fatalf("Decode accepted a flip at byte %d", i)
+		where := sectionOf(h, i)
+		_, err = Decode(bad)
+		if err == nil {
+			t.Fatalf("Decode accepted a flip at byte %d (%s)", i, where)
 		}
-		s := sectionOf(h, i)
-		if s == -1 {
-			if _, err := ReadHeader(bad[:h.Len()]); err == nil {
-				t.Fatalf("ReadHeader accepted a flip at byte %d of the header", i)
-			}
-			return
-		}
-		opened, err := Open(h, bad[off:off+n])
-		if (err != nil) != (s < secRuns) {
-			t.Fatalf("flip at byte %d (section %d): Open says %v", i, s, err)
-		}
-		if err != nil {
-			return
-		}
-		for file := range opened.Files {
-			o, n := opened.RunExtent(file)
-			if err := opened.LoadRun(file, bad[o:o+n]); (err != nil) != (secRuns+file == s) {
-				t.Fatalf("flip at byte %d (section %d): LoadRun(%d) says %v", i, s, file, err)
-			}
+		if where != "header" && !strings.Contains(err.Error(), where) {
+			t.Fatalf("a flip at byte %d of the %s: Decode says %v", i, where, err)
 		}
 	})
+}
+
+// paneRecord is file f's panes in every window c's pane index lists.
+func paneRecord(c *Catalog, f int) map[string][]int {
+	out := map[string][]int{}
+	for _, w := range c.Windows() {
+		if ids := c.list(f, w); ids != nil {
+			out[w] = ids
+		}
+	}
+	return out
 }

@@ -57,10 +57,12 @@ func fileWith(dir []byte, count uint32, dataLen uint16) []byte {
 }
 
 // FuzzDirSplice: for any directory bytes and header facts, the splice
-// accepts exactly what the materializing reader (hdf.ScanDir) accepts, and
-// its blob is the one AddFile and Encode make of the decoded datasets. A
-// refused directory adds nothing: the intact file spliced before it is the
-// whole blob.
+// accepts exactly what the materializing reader (hdf.ScanDir) accepts whose
+// entries end the directory — the catalog records a directory's exact
+// length, where the reader takes any bytes after the last entry (a torn
+// append leaves its data there) — and its blob is the one AddFile and
+// Encode make of the decoded datasets. A refused directory adds nothing:
+// the intact file spliced before it is the whole blob.
 func FuzzDirSplice(f *testing.F) {
 	v3 := rhdfImage(f, map[string][]int64{
 		"/fluid/pane000001/pressure": {4},
@@ -89,6 +91,11 @@ func FuzzDirSplice(f *testing.F) {
 	f.Add(dir, count, dataLen)
 	f.Add([]byte{}, uint32(0), uint16(0))
 	f.Add([]byte{0, 0, 0, 0}, uint32(0), uint16(0))
+	// A directory with bytes after its last entry: the reader's, not the
+	// catalog's.
+	dir, count, dataLen = dirOf(small)
+	f.Add(append(bytes.Clone(dir), 0, 0, 0), count, dataLen)
+	f.Add([]byte{0, 0, 0, 0, 0}, uint32(0), uint16(0))
 	intact := rhdfImage(f, map[string][]int64{"/fluid/pane000002/pressure": {2}})
 
 	f.Fuzz(func(t *testing.T, dir []byte, count uint32, dataLen uint16) {
@@ -103,6 +110,15 @@ func FuzzDirSplice(f *testing.F) {
 		for _, name := range []string{"a.rhdf", "b.rhdf"} {
 			_, _, sets, refErr := hdf.ScanDir(fsys, name)
 			d, err := hdf.ReadRawDir(fsys, name)
+			if refErr == nil {
+				n := 4
+				for _, ds := range sets {
+					n += len(ds.AppendDirEntry(nil))
+				}
+				if n != len(d.Bytes) {
+					refErr = fmt.Errorf("%d bytes after the last entry", len(d.Bytes)-n)
+				}
+			}
 			if err == nil {
 				err = s.AddDir(d)
 			}
@@ -132,8 +148,8 @@ func TestSpliceAllocations(t *testing.T) {
 		d := hdf.RawDir{Name: "f.rhdf", Size: int64(len(img)), Count: int(count), Bytes: dir}
 		return testing.AllocsPerRun(5, func() {
 			var s Splice
-			if err := s.AddDir(d); err != nil || s.n != n {
-				t.Fatalf("spliced %d of %d entries: %v", s.n, n, err)
+			if err := s.AddDir(d); err != nil || s.npanes != n {
+				t.Fatalf("spliced %d of %d panes: %v", s.npanes, n, err)
 			}
 			s.Blob()
 		})

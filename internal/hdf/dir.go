@@ -156,6 +156,9 @@ func (e *DirEntry) decode(d *Dataset) {
 // Extent returns the file offset and stored byte length of e's payload.
 func (e *DirEntry) Extent() (offset, length int64) { return e.offset, e.length }
 
+// Len returns the byte length of e as stored.
+func (e *DirEntry) Len() int { return len(e.raw) }
+
 // Append appends e as stored: the bytes AppendDirEntry writes for the
 // dataset e decodes to.
 func (e *DirEntry) Append(b []byte) []byte { return append(b, e.raw...) }

@@ -21,10 +21,10 @@
 //     the others', and an equal-cost batch deals round-robin by index. The
 //     restart reader cuts every read it batches, data and metadata alike,
 //     by one rule into pieces of known bytes — a data file's runs from its
-//     plan, a directory or entry run from the catalog's section table —
-//     costs each task at its piece's bytes and submits each batch largest
-//     first, so the deal starts the longest pieces first and the short ones
-//     fill the workers up to the same bytes.
+//     plan, a directory from the catalog's file table — costs each task
+//     at its piece's bytes and submits each batch largest first, so the
+//     deal starts the longest pieces first and the short ones fill the
+//     workers up to the same bytes.
 //
 //   - Budget admission on completion signals. Config.Budget bounds the
 //     task bytes in flight. The gate never sleep-polls: a stalled
@@ -113,6 +113,7 @@ type Task struct {
 	Run func(tc rt.TaskCtx, st WorkerState) Result
 
 	share *share // the charge this task holds with others (SubmitShared)
+	wi    int    // the worker it was put to
 }
 
 // share is one budget charge held by several tasks: the bytes count once
@@ -171,7 +172,9 @@ type Config struct {
 	Workers int
 	// Budget bounds the task bytes in flight; <= 0 is unbounded.
 	Budget int64
-	// QueueCap is each worker's job-queue capacity (>= 1).
+	// QueueCap is each worker's job-queue capacity (>= 1). RunBatch puts
+	// no task to a worker holding QueueCap unfinished ones, so a batch of
+	// any size runs on a queue of any capacity.
 	QueueCap int
 	// NewState builds a worker's private state; nil means stateless.
 	NewState func(wi int, tc rt.TaskCtx) WorkerState
@@ -228,6 +231,8 @@ type Engine struct {
 	classDepth [numClasses]int
 	rr         int     // round-robin cursor: where unkeyed ties go
 	dealt      []int64 // unkeyed task bytes routed to each worker so far
+	qcap       int
+	out        []int // tasks put to each worker and not yet completed
 	exited     int
 	closed     bool
 	mx         [numClasses]classMx
@@ -242,6 +247,8 @@ func New(ctx mpi.Ctx, cfg Config) *Engine {
 		clock: ctx.Clock(),
 		nw:    nw,
 		dealt: make([]int64, nw),
+		qcap:  qcap,
+		out:   make([]int, nw),
 		// One slot per possibly-outstanding task plus every ack and exit:
 		// a worker never blocks reporting, so a stalled or absent
 		// submitter can never wedge the pool.
@@ -376,7 +383,7 @@ func (e *Engine) SubmitShared(cost int64, ts ...*Task) SubmitInfo {
 		e.mx[cl].waits.Inc()
 	}
 	for _, t := range ts {
-		e.jobs[e.route(t)].Put(e.clock, t)
+		e.put(e.route(t), t)
 	}
 	for OverBudget(e.queued, e.cfg.Budget) && !e.crashed.Load() {
 		v, ok := e.ctl.Get(e.clock)
@@ -445,21 +452,30 @@ func (e *Engine) Flush() error {
 func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
 	e.barrier.Store(true)
 	stalled := -1 // index of the last wait-counted task
+	wi := -1      // the worker tasks[next] is routed to, once it is
 	for next := 0; next < len(tasks) || e.depth > 0; {
 		if next < len(tasks) {
 			t := tasks[next]
 			if e.cfg.Budget <= 0 || e.queued+t.Cost <= e.cfg.Budget || e.depth == 0 {
-				e.jobs[e.route(t)].Put(e.clock, t)
-				e.queued += t.Cost
-				e.depth++
-				e.classDepth[t.Class]++
-				e.mx[t.Class].depth.SetMax(float64(e.classDepth[t.Class]))
-				next++
-				continue
-			}
-			// Count the wait once per task, however many completions it
-			// takes to fit.
-			if stalled != next {
+				if wi < 0 {
+					wi = e.route(t)
+				}
+				// A worker's full queue waits for a completion, as the
+				// budget does: a crashed worker's then ends the batch
+				// instead of wedging the Put.
+				if e.out[wi] < e.qcap {
+					e.put(wi, t)
+					wi = -1
+					e.queued += t.Cost
+					e.depth++
+					e.classDepth[t.Class]++
+					e.mx[t.Class].depth.SetMax(float64(e.classDepth[t.Class]))
+					next++
+					continue
+				}
+			} else if stalled != next {
+				// Count the wait once per task, however many completions it
+				// takes to fit.
 				stalled = next
 				e.mx[t.Class].waits.Inc()
 			}
@@ -517,7 +533,15 @@ func (e *Engine) Close() {
 	e.ctl.Close()
 }
 
+// put puts t to worker wi's queue.
+func (e *Engine) put(wi int, t *Task) {
+	t.wi = wi
+	e.out[wi]++
+	e.jobs[wi].Put(e.clock, t)
+}
+
 func (e *Engine) noteCompletion(c Completion) {
+	e.out[c.Task.wi]--
 	if sh := c.Task.share; sh == nil {
 		e.queued -= c.Task.Cost
 	} else if sh.left--; sh.left == 0 {

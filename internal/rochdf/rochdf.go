@@ -253,13 +253,19 @@ func (h *Rochdf) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 // PanesForRestart deals the generation's pane universe for the window
 // (snapshot.Reader.PaneUniverse) over the ranks in contiguous runs
 // (catalog.Repartition), as rocpanda.Client's does, so a restart through
-// ReadPanes with attr "all" may run on any rank count.
+// ReadPanes with attr "all" may run on any rank count. It is collective:
+// the ranks then load the directories of the files their parts plan from,
+// each read by one rank and sent to the others that need it
+// (snapshot.Reader.ShareDirs), so the ReadPanes of those parts read data
+// only.
 func (h *Rochdf) PanesForRestart(base, window string) ([]int, error) {
 	ids, err := h.rd.PaneUniverse(base, window)
-	if err != nil {
-		return nil, err
+	var part []int
+	if err == nil {
+		part = catalog.Repartition(ids, h.comm.Size())[h.comm.Rank()]
 	}
-	return catalog.Repartition(ids, h.comm.Size())[h.comm.Rank()], nil
+	h.rd.ShareDirs(h.comm, base, window, part)
+	return part, err
 }
 
 // RestoreLatest is rocpanda.Client's restore walk, collective over the ranks

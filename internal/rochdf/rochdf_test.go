@@ -1,16 +1,20 @@
 package rochdf
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"genxio/internal/catalog"
 	"genxio/internal/cluster"
 	"genxio/internal/hdf"
 	"genxio/internal/mesh"
+	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
+	"genxio/internal/snapshot"
 	"genxio/internal/stats"
 )
 
@@ -370,6 +374,102 @@ func TestFileNamesContainRank(t *testing.T) {
 	for i, n := range names {
 		if !strings.Contains(n, fmt.Sprintf("_p%05d", i)) {
 			t.Fatalf("file %q lacks rank suffix", n)
+		}
+	}
+}
+
+// TestRanksShareDirectories restarts three ranks' committed files on two
+// ranks through PanesForRestart, whose deal of the panes makes both plan
+// from the middle file: each file's directory is read once between them —
+// the middle one by one rank and sent to the other — and every pane
+// restores bit-exact. With that directory damaged, the rank that reads it
+// fails its pin and sends the failure, so neither rank waits for it, and
+// neither plans from it: both report the restart incomplete.
+func TestRanksShareDirectories(t *testing.T) {
+	const writers, readers = 3, 2
+	fs := rt.NewMemFS()
+	if err := mpi.NewChanWorld(fs, 1).Run(writers, func(ctx mpi.Ctx) error {
+		_, w := buildWindow(t, ctx.Comm().Rank(), 2)
+		h := New(ctx, Config{Profile: hdf.NullProfile()})
+		if err := h.WriteAttribute("s", w, "all", 0, 0); err != nil {
+			return err
+		}
+		if err := h.Sync(); err != nil {
+			return err
+		}
+		return h.Close()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var dirs int64
+	for r := 0; r < writers; r++ {
+		d, err := hdf.ReadRawDir(fs, catalog.RankFile("s", r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs += int64(len(d.Bytes))
+	}
+
+	restart := func(reg *metrics.Registry) []error {
+		errs := make([]error, readers)
+		if err := mpi.NewChanWorld(fs, 1).Run(readers, func(ctx mpi.Ctx) error {
+			rank := ctx.Comm().Rank()
+			h := New(ctx, Config{Profile: hdf.NullProfile(), Metrics: reg})
+			defer h.Close()
+			ids, err := h.PanesForRestart("s", "fluid")
+			if err != nil {
+				return err
+			}
+			w, err := roccom.New().NewWindow("fluid")
+			if err != nil {
+				return err
+			}
+			w.NewAttribute(roccom.AttrSpec{Name: "pressure", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 1})
+			w.NewAttribute(roccom.AttrSpec{Name: "velocity", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 3})
+			if errs[rank] = h.ReadPanes("s", w, "all", ids); errs[rank] != nil {
+				return nil
+			}
+			for _, id := range ids {
+				p, ok := w.Pane(id)
+				if !ok {
+					return fmt.Errorf("rank %d: pane %d not restored", rank, id)
+				}
+				pr, _ := p.Array("pressure")
+				for i, v := range pr.F64 {
+					if want := float64(id/100*1000+id) + float64(i)*0.01; v != want {
+						return fmt.Errorf("rank %d pane %d pressure[%d] = %v, want %v", rank, id, i, v, want)
+					}
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return errs
+	}
+
+	reg := metrics.New()
+	for _, err := range restart(reg) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Snapshot().Counters["rochdf.restart.dir_bytes_read"]; got != dirs {
+		t.Errorf("the ranks read %d directory bytes; the %d files' directories are %d", got, writers, dirs)
+	}
+
+	mid := catalog.RankFile("s", 1)
+	img, err := hdf.ReadFile(fs, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)-1] ^= 0x40 // the last byte of its directory
+	if err := hdf.PublishFile(fs, mid, img); err != nil {
+		t.Fatal(err)
+	}
+	for rank, err := range restart(metrics.New()) {
+		if !errors.Is(err, snapshot.ErrIncompleteRestart) {
+			t.Errorf("rank %d: restart over a damaged shared directory: %v, want ErrIncompleteRestart", rank, err)
 		}
 	}
 }

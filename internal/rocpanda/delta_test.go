@@ -6,12 +6,15 @@ package rocpanda
 // replica repair of a corrupted chain base.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"genxio/internal/cluster"
+	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -400,4 +403,128 @@ func TestDeltaTwoGenerationsUnderOneSync(t *testing.T) {
 		}
 	}
 	checkMxN(t, want, got)
+}
+
+// flipDirectoryByte flips one byte in the middle of name's RHDF directory,
+// where the file's header places it: the file's payloads stay intact.
+func flipDirectoryByte(t *testing.T, fs rt.FS, name string) {
+	t.Helper()
+	img, err := hdf.ReadFile(fs, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirOff := int64(binary.LittleEndian.Uint64(img[8:]))
+	if err := faults.FlipBit(fs, name, (dirOff+int64(len(img)))/2*8+2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDamagedDirectoryServedFromReplica: with R = 2, a byte flipped in the
+// directory of the head's primary file of a committed delta chain — the
+// file's payloads intact — costs no restore: the restore walk restores the
+// head, and so does a direct PanesForRestart + ReadPanes on another client
+// count, each delivering that file's panes from the replica bit-exact (a
+// file's entries are read from its own directory, held to the manifest's
+// directory CRC32C, so the damaged primary plans nothing). With the
+// replica's directory flipped too, no intact copy of those panes is left:
+// the walk falls back one generation, and a direct read of the head fails
+// with ErrIncompleteRestart, agreed on every client — no pane resolves to
+// its stale copy in an older link. On both read paths.
+func TestDamagedDirectoryServedFromReplica(t *testing.T) {
+	const nClients, nServers, nblocks, prefix = 4, 2, 4, "dd/"
+	const head, older = prefix + "s000002", prefix + "s000001"
+	// restore runs a world of clients + nServers: each client restores its
+	// deal of base's panes — through the restore walk, its own panes, or
+	// directly, its PanesForRestart share, with RetryTimeout set so that a
+	// read that fails on one client fails on all — and it returns the base
+	// each client restored, the panes, each client's error and the registry.
+	restore := func(fs rt.FS, clients int, walk, parallel bool) (bases []string, got map[int]paneData, errs []error, reg *metrics.Registry) {
+		var mu sync.Mutex
+		got, reg = make(map[int]paneData), metrics.New()
+		err := mpi.NewChanWorld(fs, 1).Run(clients+nServers, func(ctx mpi.Ctx) error {
+			cfg := Config{NumServers: nServers, Profile: hdf.NullProfile(), ActiveBuffering: true,
+				ReplicationFactor: 2, DeltaSnapshots: true, ParallelRead: parallel, Metrics: reg}
+			if !walk {
+				cfg.RetryTimeout = 10
+			}
+			cl, err := Init(ctx, cfg)
+			if err != nil || cl == nil {
+				return err
+			}
+			rank := cl.Comm().Rank()
+			var w *roccom.Window
+			base, readErr := head, error(nil)
+			if walk {
+				w = zeroWindow(t, rank, nblocks)
+				base, readErr = cl.RestoreLatest(prefix, func(b string) error { return cl.ReadAttribute(b, w, "all") })
+			} else {
+				if w, readErr = roccom.New().NewWindow("fluid"); readErr != nil {
+					return readErr
+				}
+				w.NewAttribute(roccom.AttrSpec{Name: "pressure", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 1})
+				w.NewAttribute(roccom.AttrSpec{Name: "flags", Loc: roccom.PaneLoc, Type: hdf.I32, NComp: 1})
+				var mine []int
+				if mine, readErr = cl.PanesForRestart(head, "fluid"); readErr == nil {
+					readErr = cl.ReadPanes(head, w, "all", mine)
+				}
+			}
+			mu.Lock()
+			bases, errs = append(bases, base), append(errs, readErr)
+			if readErr == nil {
+				w.EachPane(func(p *roccom.Pane) { got[p.ID] = capturePane(p) })
+			}
+			mu.Unlock()
+			return cl.Shutdown()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bases, got, errs, reg
+	}
+	for _, both := range []bool{false, true} {
+		for _, parallel := range []bool{false, true} {
+			t.Run(fmt.Sprintf("both=%v/parallel=%v", both, parallel), func(t *testing.T) {
+				fs := rt.NewMemFS()
+				writeDeltaChain(t, fs, prefix, nClients, nServers, nblocks, 3, func(cfg *Config) { cfg.ReplicationFactor = 2 })
+				// Server 0's panes live in its primary and in the replica
+				// homed at server 1's file set.
+				flipDirectoryByte(t, fs, head+"_s000.rhdf")
+				if both {
+					flipDirectoryByte(t, fs, head+"_s001r1.rhdf")
+				}
+
+				wantBase, wantPanes := head, expectedDeltaPanes(t, nClients, nblocks, []int{1, 2})
+				if both {
+					wantBase, wantPanes = older, expectedDeltaPanes(t, nClients, nblocks, []int{1})
+				}
+				bases, got, errs, reg := restore(fs, nClients, true, parallel)
+				for i, err := range errs {
+					if err != nil || bases[i] != wantBase {
+						t.Fatalf("walk: a client restored %q (%v), want %s", bases[i], err, wantBase)
+					}
+				}
+				checkMxN(t, wantPanes, got)
+				c := reg.Snapshot().Counters
+				if f, want := c["rocpanda.restart.fallbacks"], map[bool]int64{false: 0, true: nClients}[both]; f != want {
+					t.Errorf("walk: %d fallbacks over the clients, want %d", f, want)
+				}
+				if !both && c["rocpanda.restart.replica_reads"] == 0 {
+					t.Error("walk: the damaged primary's panes were not read from the replica")
+				}
+
+				_, got, errs, reg = restore(fs, nClients-1, false, parallel)
+				for i, err := range errs {
+					if both != errors.Is(err, ErrIncompleteRestart) || !both && err != nil {
+						t.Fatalf("direct read, client %d: %v; want ErrIncompleteRestart %v", i, err, both)
+					}
+				}
+				if !both {
+					checkMxN(t, expectedDeltaPanes(t, nClients, nblocks, []int{1, 2}), got)
+					if reg.Snapshot().Counters["rocpanda.restart.replica_reads"] == 0 {
+						t.Error("direct read: the damaged primary's panes were not read from the replica")
+					}
+				}
+			})
+		}
+	}
 }

@@ -74,13 +74,13 @@ func (f tallyFile) ReadAt(p []byte, off int64) (int, error) {
 // workers. The pool reads exactly the inline driver's bytes, walk and rounds
 // together, with the inline driver's ReadAt calls but for one more per piece
 // it cut a long read into (<prefix>cut_pieces: here each server's base
-// entry run), and restores the same panes bit-exact; but the restart's
+// directory), and restores the same panes bit-exact; but the restart's
 // metadata (client 0's judge of the head, each server's chain load and the
-// entry runs it plans from) takes at most 0.52 of the inline virtual
-// seconds: the catalog blobs, the best copies' file checks and the entry
-// runs go out as one batch each, every read costed by its bytes and
-// submitted largest first, a run longer than its batch's fair share cut
-// across the workers. The platform runs noise-free, so every number repeats
+// directories it plans from) takes at most 0.52 of the inline virtual
+// seconds: the catalog blobs, the best copies' file checks and the
+// directories go out as one batch each, every read costed by its bytes and
+// submitted largest first, a directory longer than its batch's fair share
+// cut across the workers. The platform runs noise-free, so every number repeats
 // exactly.
 func TestRestartMetadataBatchOnSimulatedTuring(t *testing.T) {
 	const nClients, nblocks, gens = 4, 128, 4

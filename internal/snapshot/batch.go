@@ -1,15 +1,15 @@
 package snapshot
 
 // The restart's reads. Every read a Reader issues of byte ranges known
-// before it is issued — the restore walk's file checks, the entry runs of a
-// chain's catalogs and each planned data file of a round — is one
+// before it is issued — the restore walk's file checks, the directories a
+// round plans from and each planned data file of a round — is one
 // extentRead: ranges of one file, each read into its own buffer. One rule
 // cuts a batch of them into pieces (pieces) and one driver runs the pieces
 // (reads.run), as it runs a chain's catalog opens: inline on the owner, in
 // the paper's serial order, every read one piece; or pooled, one scheduler
 // batch, every piece a task costed by its bytes — a data file's from its
-// plan, an entry run's or a directory's from its catalog's section table —
-// and submitted largest first, so the byte deal (iosched) ends with every
+// plan, a directory's from its catalog's file table — and submitted
+// largest first, so the byte deal (iosched) ends with every
 // worker near the batch's fair share. A read's pieces fill disjoint windows
 // of its buffers; the owner folds each completed piece into its read and
 // runs the read's hook (done) once its last piece is in, so a data file is
@@ -45,11 +45,33 @@ const (
 // the owner's filesystem view; width is the pool's width, 0 for the inline
 // driver; rd, when set, is the Reader whose pool runs a pooled batch, whose
 // trace row records each inline job and whose cut_pieces counts the cuts
-// (nil: LoadChain's and the scrub's inline reads).
+// (nil: LoadChain's and the scrub's inline reads). round, when set, is what
+// a round's batches share (roundState), so a file whose directory and data one
+// round reads is opened once by each runner that reads it.
 type reads struct {
 	fsys  rt.FS
 	width int
 	rd    *Reader
+	round *roundState
+}
+
+// roundState is what the batches of one round share: the owner's handles, which
+// every inline job of the round reads through, and the pool the round's
+// first pooled batch builds, whose workers keep their handles for every
+// later batch of the round. Both stay open until the round ends (close).
+type roundState struct {
+	own *readHandles
+	eng *iosched.Engine
+}
+
+func newRound() *roundState { return &roundState{own: newReadHandles()} }
+
+// close closes the round's handles and its pool.
+func (r *roundState) close() {
+	r.own.Close()
+	if r.eng != nil {
+		r.eng.Close()
+	}
 }
 
 // inline is each without its pool.
@@ -61,29 +83,34 @@ func (each reads) inline() reads {
 // run is the one driver, and the one place a batch's driver is chosen: it
 // runs job i for every i < len(costs), costs[i] the bytes it reads, then
 // done(i) on the owner, and returns once all have run. A job gets its
-// runner's filesystem view and kept handles (readHandles), and owner:
-// whether a handle it opens on that view may serve the owner's later reads.
-// Inline — no pool, or a lone job, where a pool would add only its start-up
-// — the jobs run on the owner in index order, each followed by done and the
-// closing of the handles it kept. Pooled, they are one scheduler batch,
-// largest first (equal costs in index order, so an equal-cost batch deals
-// round-robin), each on a worker's view with the handles that worker keeps
-// until it exits, done as each completes. crash, when set, is the batch's
-// injected crash point (a round's data reads): it keeps even a lone job on
-// the pool, where a worker asks it after each job and dies with it (a fatal
-// task result); inline the owner asks it once per job, after done, and dies
-// as one process (Crashed).
-func (each reads) run(costs []int64, crash func() bool, job func(fsys rt.FS, h *readHandles, i int, owner bool), done func(i int)) {
-	if len(costs) == 0 || each.width <= 0 || len(costs) == 1 && crash == nil {
-		own := readHandles{m: make(map[string]rt.File)}
+// runner's filesystem view and kept handles (readHandles). Inline — no
+// pool, or a lone job outside a round, where a pool would add only its
+// start-up — the jobs run on the owner in index order, each followed by
+// done and the closing of the handles it kept, unless they are the round's.
+// Pooled, they are one scheduler batch, largest first (equal costs in
+// index order, so an equal-cost batch deals round-robin), each on a
+// worker's view with the handles that worker keeps until it exits — at the
+// batch's end, or a round's — done as each completes. crash, when set, is
+// the batch's injected crash point (a round's data reads): it keeps even a
+// lone job on the pool, where a worker asks it after each job and dies
+// with it (a fatal task result); inline the owner asks it once per job,
+// after done, and dies as one process (Crashed).
+func (each reads) run(costs []int64, crash func() bool, job func(fsys rt.FS, h *readHandles, i int), done func(i int)) {
+	if len(costs) == 0 || each.width <= 0 || len(costs) == 1 && crash == nil && each.round == nil {
+		own := newReadHandles()
+		if each.round != nil {
+			own = each.round.own
+		}
 		for i := range costs {
 			t0 := each.now()
-			job(each.fsys, &own, i, true)
+			job(each.fsys, own, i)
 			if each.rd != nil {
 				each.rd.cfg.Trace.Record(each.rd.cfg.TraceRank, trace.PhaseRead, t0, each.now())
 			}
 			done(i)
-			own.Close()
+			if each.round == nil {
+				own.Close()
+			}
 			if crash != nil && crash() {
 				panic(Crashed{})
 			}
@@ -93,12 +120,12 @@ func (each reads) run(costs []int64, crash func() bool, job func(fsys rt.FS, h *
 	tasks := make([]*iosched.Task, len(costs))
 	for i, c := range costs {
 		tasks[i] = &iosched.Task{Class: iosched.ClassRead, Cost: c, Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
-			job(tc.FS(), st.(*readHandles), i, false)
+			job(tc.FS(), st.(*readHandles), i)
 			return iosched.Result{Value: i, Fatal: crash != nil && crash()}
 		}}
 	}
 	slices.SortStableFunc(tasks, func(a, b *iosched.Task) int { return cmp.Compare(b.Cost, a.Cost) })
-	each.rd.pool(tasks, func(c iosched.Completion) { done(c.Result.Value.(int)) })
+	each.rd.pool(tasks, each.round, func(c iosched.Completion) { done(c.Result.Value.(int)) })
 }
 
 // now is the owner's clock, when the driver has a Reader to read it from.
@@ -109,16 +136,15 @@ func (each reads) now() float64 {
 	return each.rd.ctx.Clock().Now()
 }
 
-// cuts reports whether a pooled batch could cut a read of n bytes: whether
-// it holds two pieces.
-func (each reads) cuts(n int64) bool { return each.width > 0 && n >= 2*minPieceBytes }
-
 // readHandles keeps one open handle per file for whoever runs the pieces of
 // reads that keep theirs (extentRead.keep): a pool worker's private
 // iosched.WorkerState, closed on every worker exit, crashed or not (several
 // workers may hold handles on the same file; each reads disjoint windows);
-// or the inline driver's, closed once the read's hook has run.
+// or the inline driver's, closed once the read's hook has run or, when
+// they are a round's (roundState), once the round ends.
 type readHandles struct{ m map[string]rt.File }
+
+func newReadHandles() *readHandles { return &readHandles{m: make(map[string]rt.File)} }
 
 // open returns the kept handle of name, opening it on fsys if there is none.
 func (h *readHandles) open(fsys rt.FS, name string) (rt.File, error) {
@@ -145,49 +171,53 @@ func (h *readHandles) Close() error {
 }
 
 // extentRead is one read of byte ranges known before it is issued: ranges
-// of the file name, each read into its own buffer. f, when set, is a handle
-// the owner holds on the file (a held catalog blob's), read through instead
-// of opening it; keep, when set, keeps the handle a piece opens on its
-// runner for the batch (a data file's), where otherwise each piece opens
-// and closes the file. done, when set, runs on the owner once the last
-// piece is in. By then opened says whether any piece opened the file, got
-// counts the bytes that arrived, and bad[r] marks each range that did not
+// of the file name, each read into its own buffer. keep, when set, keeps
+// the handle a piece opens on its runner for the batch, or for the round
+// (roundState) — a data file's, and a directory's a round plans from, whose
+// data the round reads next — where otherwise each piece opens and closes
+// the file. done, when set, runs on the owner once the last piece is in. By
+// then opened says whether any piece opened the file, got[r] counts the
+// bytes of range r that arrived, and bad[r] marks each range that did not
 // read whole. dir, when set, makes it a file check's read (checkFiles).
 type extentRead struct {
 	name string
 	offs []int64
 	bufs [][]byte
-	f    rt.File
 	keep bool
 	done func()
 	dir  *dirRead
 
 	opened bool
-	got    int64
+	got    []int64
 	bad    []bool
 	left   int // pieces not yet folded in
 }
 
 // dirRead is what a file check's read learns from the file's header: range
-// 0 of its extent read is the header and range 1 the directory as the
-// catalog sizes it, which the header may place earlier (a directory also
-// lists datasets no catalog run holds). The piece that reads the header —
-// the first, which also holds the directory range's first window — checks
-// it (hdf.ParseHeader) and reads that window from where the header places
-// the directory, the bytes before the range (lead) and the window in one
-// request: an uncut check issues exactly checkOnDisk's requests.
+// 0 of its extent read is the header and range 1 the directory, where its
+// catalog places it. The piece that reads the header — the first, which
+// also holds the directory range's first window — checks it
+// (hdf.ParseHeader), and the check then holds the header to the place.
 type dirRead struct {
 	size  int64 // the file's size as the header's piece saw it; -1: it did not open the file
-	off   int64 // where the directory starts
+	off   int64 // where the header places the directory
 	count int   // the header's dataset count
 	err   error // why the header did not read or check
-	lead  []byte
 }
 
 // add appends the range of n bytes at off.
 func (x *extentRead) add(off, n int64) *extentRead {
-	x.offs, x.bufs, x.bad = append(x.offs, off), append(x.bufs, make([]byte, n)), append(x.bad, false)
+	x.offs, x.bufs = append(x.offs, off), append(x.bufs, make([]byte, n))
+	x.got, x.bad = append(x.got, 0), append(x.bad, false)
 	return x
+}
+
+// bytesGot is the bytes of every range that arrived.
+func (x *extentRead) bytesGot() (n int64) {
+	for _, g := range x.got {
+		n += g
+	}
+	return n
 }
 
 // cost is the bytes x reads.
@@ -205,8 +235,8 @@ type piece struct {
 	ws     []window
 	bytes  int64
 	opened bool
-	got    int64 // the bytes that arrived
-	bad    []int // the ranges whose window did not read whole
+	got    []int64 // the bytes that arrived, per window
+	bad    []int   // the ranges whose window did not read whole
 }
 
 // window is bytes [lo, hi) of range r.
@@ -287,15 +317,12 @@ func (x *extentRead) cut(size int64) []*piece {
 // window, in order.
 func (p *piece) read(fsys rt.FS, h *readHandles) {
 	x := p.x
-	f, err := x.f, error(nil)
-	switch {
-	case f != nil:
-	case x.keep:
+	var f rt.File
+	var err error
+	if x.keep {
 		f, err = h.open(fsys, x.name)
-	default:
-		if f, err = fsys.Open(x.name); err == nil {
-			defer f.Close()
-		}
+	} else if f, err = fsys.Open(x.name); err == nil {
+		defer f.Close()
 	}
 	if err != nil {
 		for _, w := range p.ws {
@@ -305,22 +332,15 @@ func (p *piece) read(fsys rt.FS, h *readHandles) {
 	}
 	p.opened = true
 	d := x.dir
-	for _, w := range p.ws {
-		buf, off := x.bufs[w.r][w.lo:w.hi], x.offs[w.r]+w.lo
-		lead := d != nil && w.r == 1 && w.lo == 0 && d.err == nil && d.off < off
-		if lead {
-			buf, off = make([]byte, off-d.off+int64(len(buf))), d.off
-		}
-		n, err := f.ReadAt(buf, off)
-		p.got += int64(n)
+	p.got = make([]int64, len(p.ws))
+	for i, w := range p.ws {
+		buf := x.bufs[w.r][w.lo:w.hi]
+		n, err := f.ReadAt(buf, x.offs[w.r]+w.lo)
+		p.got[i] = int64(n)
 		if n != len(buf) {
 			p.bad = append(p.bad, w.r)
 		}
-		switch {
-		case lead:
-			d.lead = buf[:len(buf)-int(w.hi)]
-			copy(x.bufs[1], buf[len(d.lead):])
-		case d != nil && w.r == 0:
+		if d != nil && w.r == 0 {
 			var sizeErr error
 			if d.size, sizeErr = f.Size(); sizeErr != nil {
 				d.size = -1
@@ -339,7 +359,9 @@ func (p *piece) read(fsys rt.FS, h *readHandles) {
 func (p *piece) fold() {
 	x := p.x
 	x.opened = x.opened || p.opened
-	x.got += p.got
+	for i, n := range p.got {
+		x.got[p.ws[i].r] += n
+	}
 	for _, r := range p.bad {
 		x.bad[r] = true
 	}
@@ -358,27 +380,40 @@ func (each reads) readExtents(xs []*extentRead, crash func() bool) {
 		costs[i] = p.bytes
 	}
 	each.run(costs, crash,
-		func(fsys rt.FS, h *readHandles, i int, _ bool) { ps[i].read(fsys, h) },
+		func(fsys rt.FS, h *readHandles, i int) { ps[i].read(fsys, h) },
 		func(i int) { ps[i].fold() })
 }
 
 // checkFiles is the restore walk's file check of a batch: each file held to
 // its manifest entry by checkFile, as checkOnDisk holds it, from its header
 // and directory bytes, read as one extent read each (checkReads;
-// readExtents: pooled, a long directory in pieces on several workers).
-func (each reads) checkFiles(files []FileEntry, dirs []int64) []bool {
-	xs := checkReads(files, dirs)
+// readExtents: pooled, a long directory in pieces on several workers), the
+// directory where dirs[i], the file's place in a catalog of the chain,
+// puts it. A file that passes has read the very bytes a round plans it
+// from, held to its entry, and its directory is installed as they are
+// (dirLoad.install): a round on the same Reader does not read it again. Every directory byte that arrived counts
+// on the Reader's dir_bytes_read.
+func (each reads) checkFiles(files []FileEntry, dirs []dirLoad) []bool {
+	lens := make([]int64, len(dirs))
+	for i, d := range dirs {
+		lens[i] = d.cat.DirLen(d.f)
+	}
+	xs := checkReads(files, lens)
 	each.readExtents(xs, nil)
 	ok := make([]bool, len(files))
 	for i, x := range xs {
-		ok[i] = x.checkDir(files[i]) == nil
+		if each.rd != nil {
+			each.rd.mx.dirBytes.Add(x.got[1])
+		}
+		if ok[i] = x.checkDir(files[i]) == nil; ok[i] && !dirs[i].cat.HasDir(dirs[i].f) {
+			dirs[i].install(x.bufs[1])
+		}
 	}
 	return ok
 }
 
 // checkReads lays out checkFiles' reads: each file's header, then its
-// directory's range, sized by dirs[i] (dirBytes) and ending the file its
-// entry pins, its start placed by the header as it is read (dirRead).
+// directory's range, dirs[i] bytes ending the file its entry pins.
 func checkReads(files []FileEntry, dirs []int64) []*extentRead {
 	xs := make([]*extentRead, len(files))
 	for i, e := range files {
@@ -391,9 +426,9 @@ func checkReads(files []FileEntry, dirs []int64) []*extentRead {
 
 // checkDir is checkOnDisk's verdict on x, checkFiles' read of e, in
 // checkOnDisk's order: a file of another size fails (checkFile, on the size
-// alone), and so does a header that did not read or check, or a directory
-// that did not read whole; otherwise the directory's bytes — from where the
-// header places it to the end of the file — must be e's (checkFile).
+// alone), and so does a header that did not read or check, a directory
+// that did not read whole, or one the header places elsewhere than its
+// catalog does; otherwise the directory's bytes must be e's (checkFile).
 func (x *extentRead) checkDir(e FileEntry) error {
 	d := x.dir
 	sized := e
@@ -406,15 +441,8 @@ func (x *extentRead) checkDir(e FileEntry) error {
 		return d.err
 	case x.bad[1]:
 		return fmt.Errorf("snapshot: %s: directory did not read", e.Name)
+	case d.off != x.offs[1]:
+		return fmt.Errorf("snapshot: %s: header places its directory at %d, its catalog at %d", e.Name, d.off, x.offs[1])
 	}
-	// The header placed the directory no later than the file's end (and so
-	// inside the range read), or before it, where the first piece read the
-	// lead.
-	dir := x.bufs[1]
-	if d.lead != nil {
-		dir = append(d.lead, dir...)
-	} else {
-		dir = dir[d.off-x.offs[1]:]
-	}
-	return checkFile(e, FileEntry{Size: d.size, DirCRC: hdf.Checksum(dir), Datasets: d.count})
+	return checkFile(e, FileEntry{Size: d.size, DirCRC: hdf.Checksum(x.bufs[1]), Datasets: d.count})
 }

@@ -50,10 +50,10 @@ func TestCutCheckKeepsItsStrength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, dirs := chain[0].Manifest.Files, dirBytes(chain)
+	files, dirs := chain[0].Manifest.Files, chainDirs(chain)
 	costs := make([]int64, len(files))
 	for i, e := range files {
-		costs[i] = dirs[e.Name]
+		costs[i] = dirs[e.Name].cat.DirLen(dirs[e.Name].f)
 	}
 	xs := checkReads(files, costs)
 	var inVictim []int64 // a byte inside each piece of the victim's directory

@@ -56,10 +56,11 @@ func TestCommitWritesCatalogBeforeManifest(t *testing.T) {
 		t.Fatalf("catalog name %q", m.Catalog.Name)
 	}
 	// Golden: the blob and the files of this fixed generation. The blob is
-	// in the version-2 layout, whose header CRC32C the manifest pins; the
-	// files did not move with it.
-	if m.Catalog.Size != 446 || m.Catalog.CRC != 0x5d7a9249 {
-		t.Errorf("catalog blob is %d bytes header crc %08x, golden 446 bytes header crc 5d7a9249", m.Catalog.Size, m.Catalog.CRC)
+	// in the version-3 layout — the file table and pane index, no copy of
+	// an entry — whose header CRC32C the manifest pins; the files did not
+	// move with it.
+	if m.Catalog.Size != 121 || m.Catalog.CRC != 0x45b140b7 {
+		t.Errorf("catalog blob is %d bytes header crc %08x, golden 121 bytes header crc 45b140b7", m.Catalog.Size, m.Catalog.CRC)
 	}
 	if f := m.Files; len(f) != 2 || f[0].Size != 307 || f[0].DirCRC != 0x053bc0c5 || f[1].Size != 214 || f[1].DirCRC != 0x6017f34e {
 		t.Errorf("files %+v, golden 307 bytes dir crc 053bc0c5 and 214 bytes dir crc 6017f34e", f)
@@ -213,7 +214,7 @@ func TestFsckCatalogMismatch(t *testing.T) {
 // indexOf is the index of the generation m commits as a reader of the whole
 // blob gets it: readCatalog, then index.
 func indexOf(fsys rt.FS, m *Manifest) (*catalog.Catalog, bool, error) {
-	cat, err := readCatalog(fsys, m)
+	cat, err := readCatalog(fsys, m, nil)
 	return index(fsys, m, cat, err)
 }
 
@@ -295,56 +296,39 @@ func TestIndex(t *testing.T) {
 }
 
 // TestDamagedSectionFailsOnlyItsReads: one flipped byte in a section of a
-// delta head's catalog. In the head's entry run it costs no restore: the
-// chain loads (the header, file table and pane index are intact), the round
-// derives that run again from its file's directory and must match the
-// header's CRC, and every pane is delivered; the scrub reports
-// CATALOG-MISMATCH naming the run, and the walk's judgment breaks no
-// chain. In the pane index it is the damaged catalog it always was: a delta
-// head that will not load fails the round, and the scrub's CATALOG-MISMATCH
-// names the pane index and carries a chain-broken line.
+// delta head's catalog — its file table or its pane index. The header
+// still matches the manifest's pin, so the damage is caught by the
+// section's own CRC32C, and it is the damaged catalog it always was: a
+// delta head that will not load fails the round, and the scrub's
+// CATALOG-MISMATCH names the section and carries a chain-broken line.
 func TestDamagedSectionFailsOnlyItsReads(t *testing.T) {
-	for _, tc := range []struct {
-		section string
-		restore bool
-	}{{"run", true}, {"index", false}} {
-		t.Run(tc.section, func(t *testing.T) {
+	for _, tc := range []struct{ name, section string }{{"files", "file table"}, {"index", "pane index"}} {
+		t.Run(tc.name, func(t *testing.T) {
 			fsys := rt.NewMemFS()
 			head := commitChain(t, fsys)[2]
 			name := head + catalog.Suffix
 			blob := readAll(t, fsys, name)
-			h, err := catalog.ReadHeader(blob)
-			if err != nil {
-				t.Fatal(err)
+			// The file table follows the 36-byte header; the pane index ends
+			// the blob.
+			at := int64(len(blob) - 1)
+			if tc.name == "files" {
+				at = 36 + 3
 			}
-			cat, err := catalog.Decode(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			off, n := h.IndexExtent()
-			if tc.section == "run" {
-				off, n = cat.RunExtent(0)
-			}
-			flipByte(t, fsys, name, off+n-1)
+			flipByte(t, fsys, name, at)
 
 			onReader(t, fsys, metrics.New(), func(_ mpi.Ctx, rd *Reader) {
-				got, mode := readPanes(rd, head)
-				if restored := mode == ReadIndexed && len(got) == 3; restored != tc.restore {
-					t.Fatalf("round: mode %d, %d panes; want restored %v", mode, len(got), tc.restore)
+				if got, mode := readPanes(rd, head); mode != ReadFailed || len(got) != 0 {
+					t.Fatalf("round: mode %d, %d panes; want a failed round", mode, len(got))
 				}
 			})
 			reports, err := Fsck(fsys, "out/")
 			if err != nil {
 				t.Fatal(err)
 			}
-			detail := "entry run of " + head + "_s000.rhdf"
-			if !tc.restore {
-				detail = "pane index"
-			}
 			listing := Format(reports[:1])
-			if rep := reports[0]; rep.Base != head || rep.Verdict != VerdictCatalogMismatch || !strings.Contains(listing, detail) ||
-				strings.Contains(listing, "chain-broken") == tc.restore {
-				t.Fatalf("scrub of %s: want %s naming %q, chain broken %v\n%s", head, VerdictCatalogMismatch, detail, !tc.restore, Format(reports))
+			if rep := reports[0]; rep.Base != head || rep.Verdict != VerdictCatalogMismatch || !strings.Contains(listing, tc.section) ||
+				!strings.Contains(listing, "chain-broken") {
+				t.Fatalf("scrub of %s: want %s naming %q and a broken chain\n%s", head, VerdictCatalogMismatch, tc.section, Format(reports))
 			}
 		})
 	}

@@ -21,8 +21,6 @@ type ChainGen struct {
 	Manifest *Manifest
 	Catalog  *catalog.Catalog
 	Derived  bool
-
-	blob *catalogBlob // where the committed catalog's entry runs load from
 }
 
 // maxChainDepth bounds the chain walk against manifests whose recorded
@@ -45,30 +43,23 @@ const maxChainDepth = 1024
 // prefix means base itself has no readable commit record.
 //
 // LoadChain reads inline, in the paper's serial order, and keeps nothing: each
-// call reads the whole commit record again, every link's catalog whole. A
-// Reader is the restart's one loader (Reader.chain): it issues the same
-// reads through its driver (loadChain) but reads of each catalog only the
-// sections it plans from, and holds the chain it loaded, for its rounds and
-// for its restore walk's judgments.
+// call reads the whole commit record again, and every directory of every
+// link's files (loadDirs), so each catalog comes back with every file
+// planable. A Reader is the restart's one loader (Reader.chain): it issues
+// the same reads through its driver (loadChain) but loads only the
+// directories it plans from, and holds the chain it loaded, for its rounds
+// and for its restore walk's judgments.
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
 	each := reads{fsys: fsys}
-	chain, err := loadChain(each, base, nil, nil, nil)
-	var loads []*runLoad
+	chain, err := loadChain(each, base, nil, nil)
+	var loads []dirLoad
 	for _, g := range chain {
-		if l := lacking(g.Catalog, g.blob, allFiles(g.Catalog)); l != nil {
-			loads = append(loads, l)
+		if g.Catalog != nil {
+			loads = append(loads, lacking(g, allFiles(g.Catalog))...)
 		}
 	}
-	loadRuns(each, loads, nil)
-	closeBlobs(chain)
+	loadDirs(each, loads, nil)
 	return chain, err
-}
-
-// closeBlobs closes the catalog handles the chain's links keep.
-func closeBlobs(chain []ChainGen) {
-	for _, g := range chain {
-		g.blob.close()
-	}
 }
 
 // allFiles returns every file index of c (none of a nil c).
@@ -84,34 +75,30 @@ func allFiles(c *catalog.Catalog) []int {
 }
 
 // commitRecord is one generation's commit record as a chain walk loaded it:
-// the manifest, and once read, the catalog it pins (openCatalog: the
-// sections a judgment needs) — each with why it did not load. A pass
-// judging many heads (the scrub) keeps them by base, so a link shared by
-// several chains loads once.
+// the manifest, and once read, the catalog it pins (readCatalog: the file
+// table and pane index, all a judgment needs) — each with why it did not
+// load. A pass judging many heads (the scrub) keeps them by base, so a link
+// shared by several chains loads once.
 type commitRecord struct {
 	m       *Manifest
 	mErr    error
 	cat     *catalog.Catalog
-	blob    *catalogBlob
 	catErr  error
 	catRead bool
 }
 
-// loadChain is LoadChain through the driver each, opening each link's
-// catalog (openCatalog) with the entry runs prefetch names (nil: none),
-// every catalog byte read counted on read. The manifests come first, one
-// link at a time on the owner's view (each names the next); then every
-// link's pinned catalog is opened as one batch, one read per catalog,
-// costed at its header's length (its manifest's file count). A pooled load
-// prefetches no runs the pool could cut. The chain is judged in link order
-// after the batch, so it fails where a link-by-link walk would stop, with
-// the same error and prefix; only a broken chain reads more (the links past
-// the one at fault). known, when set, holds the
+// loadChain is LoadChain through the driver each, without the directories:
+// each link's pinned catalog is read (readCatalog), every catalog byte
+// counted on read. The manifests come first, one link at a time on the
+// owner's view (each names the next); then every link's catalog is read as
+// one batch, one read per catalog, costed at its pinned size. The chain is
+// judged in link order after the batch, so it fails where a link-by-link
+// walk would stop, with the same error and prefix; only a broken chain reads
+// more (the links past the one at fault). known, when set, holds the
 // records loaded so far by base and gains the new ones: the scrub's pass
 // shares links across heads with it, and a Reader seeds it with the head
 // manifest it has just read, so a load reads that manifest once.
-func loadChain(each reads, base string, known map[string]*commitRecord, read *metrics.Counter,
-	prefetch func(*catalog.Catalog) []int) ([]ChainGen, error) {
+func loadChain(each reads, base string, known map[string]*commitRecord, read *metrics.Counter) ([]ChainGen, error) {
 	fsys := each.fsys
 	if known == nil {
 		known = make(map[string]*commitRecord)
@@ -154,25 +141,14 @@ func loadChain(each reads, base string, known map[string]*commitRecord, read *me
 	}
 	costs := make([]int64, len(unread))
 	for i, rec := range unread {
-		costs[i] = int64(catalog.HeaderSize(len(rec.m.Files)))
+		costs[i] = rec.m.Catalog.Size
 	}
-	if prefetch != nil && each.width > 0 {
-		// Runs long enough to cut are left to the round's run batch
-		// (loadRuns), which spreads them over the pool.
-		whole := prefetch
-		prefetch = func(c *catalog.Catalog) []int {
-			if files := whole(c); !each.cuts(runBytes(c, files)) {
-				return files
-			}
-			return nil
-		}
-	}
-	each.run(costs, nil, func(fsys rt.FS, _ *readHandles, i int, owner bool) {
-		unread[i].cat, unread[i].blob, unread[i].catErr = openCatalog(fsys, unread[i].m, read, owner, prefetch)
+	each.run(costs, nil, func(fsys rt.FS, _ *readHandles, i int) {
+		unread[i].cat, unread[i].catErr = readCatalog(fsys, unread[i].m, read)
 	}, func(int) {})
 	for i := range chain {
 		g, rec := &chain[i], known[chain[i].Base]
-		g.Catalog, g.blob = rec.cat, rec.blob
+		g.Catalog = rec.cat
 		err := rec.catErr
 		if i == 0 {
 			if g.Catalog, g.Derived, err = index(fsys, g.Manifest, rec.cat, rec.catErr); g.Derived {
@@ -233,7 +209,7 @@ func universe(m *Manifest, cat *catalog.Catalog) map[string][]int {
 
 // judge holds the generation under base to restorable, each file judged by
 // check, which judges a batch of files (the walk's checkFiles, the scrub's
-// reports) given each one's directory length (dirBytes): nil when the
+// reports) given each one's directory (chainDirs): nil when the
 // restore walk goes through it, else the link at fault — where the chain
 // load stopped, or where the first pane with no intact copy resolves — and
 // why. chain and err are base's commit record as loaded (loadChain, or a
@@ -241,7 +217,7 @@ func universe(m *Manifest, cat *catalog.Catalog) map[string][]int {
 // copy, are checked as one batch, and restorable runs over those verdicts,
 // checking a copy alone only where a best copy failed — each file at most
 // once, as restorable alone would. Every call checks the files afresh.
-func judge(base string, chain []ChainGen, err error, check func(files []FileEntry, dirs []int64) []bool) (link string, _ error) {
+func judge(base string, chain []ChainGen, err error, check func(files []FileEntry, dirs []dirLoad) []bool) (link string, _ error) {
 	if n := len(chain); err != nil {
 		if link = base; n > 0 && chain[n-1].Catalog == nil {
 			link = chain[n-1].Base
@@ -252,12 +228,12 @@ func judge(base string, chain []ChainGen, err error, check func(files []FileEntr
 	}
 	var best []FileEntry // what restorable asks when every file passes
 	restorable(chain, func(e FileEntry) bool { best = append(best, e); return true })
-	dirs := dirBytes(chain)
-	costs := make([]int64, len(best))
+	dirs := chainDirs(chain)
+	at := make([]dirLoad, len(best))
 	for i, e := range best {
-		costs[i] = dirs[e.Name]
+		at[i] = dirs[e.Name]
 	}
-	ok := check(best, costs)
+	ok := check(best, at)
 	verdicts := make(map[string]bool, len(best))
 	for i, e := range best {
 		verdicts[e.Name] = ok[i]
@@ -266,7 +242,7 @@ func judge(base string, chain []ChainGen, err error, check func(files []FileEntr
 		if v, asked := verdicts[e.Name]; asked {
 			return v
 		}
-		return check([]FileEntry{e}, []int64{dirs[e.Name]})[0]
+		return check([]FileEntry{e}, []dirLoad{dirs[e.Name]})[0]
 	})
 	if len(lost) > 0 {
 		return link, fmt.Errorf("snapshot: %s: no intact copy of %s (%d in all)", base, strings.Join(lost[:min(len(lost), 4)], ", "), len(lost))
@@ -274,17 +250,18 @@ func judge(base string, chain []ChainGen, err error, check func(files []FileEntr
 	return "", nil
 }
 
-// dirBytes gives, by name, the directory length of every file the chain's
-// catalogs index, from their section tables: a directory is its entry count
-// and its entries, and a file's entry run is its pane datasets' entries as
-// they stand — the whole directory but the count when every dataset is a
-// pane's.
-func dirBytes(chain []ChainGen) map[string]int64 {
-	dirs := make(map[string]int64)
+// chainDirs gives, by name, the directory of every file the chain's
+// catalogs index: the catalog and index it has there, and its manifest
+// entry.
+func chainDirs(chain []ChainGen) map[string]dirLoad {
+	dirs := make(map[string]dirLoad)
 	for _, g := range chain {
+		pinned := make(map[string]FileEntry, len(g.Manifest.Files))
+		for _, e := range g.Manifest.Files {
+			pinned[e.Name] = e
+		}
 		for f, name := range g.Catalog.Files {
-			_, n := g.Catalog.RunExtent(f)
-			dirs[name] = 4 + n
+			dirs[name] = dirLoad{cat: g.Catalog, f: f, e: pinned[name]}
 		}
 	}
 	return dirs
@@ -294,7 +271,7 @@ func dirBytes(chain []ChainGen) map[string]int64 {
 // every pane of the head's universe needs a copy whose file passes fileOK,
 // in the link the pane resolves to (catalog.ResolvePanes). fileOK is asked
 // best copy first (catalog.PaneFiles), the next only when one fails, each
-// file at most once. It reads the links' pane indexes, never an entry run. It
+// file at most once. It reads the links' pane indexes, never a directory. It
 // returns the panes with no such copy, as window:pane, and the link the
 // first resolves to. A manifested file the head's index lacks (a derived
 // index holds only the files that read) is returned by name unless a copy of

@@ -56,6 +56,7 @@ type Pending struct {
 	// when retain > 0.
 	links         map[string]string
 	dirsRead      *metrics.Counter
+	catalogBytes  *metrics.Counter
 	manifestsRead *metrics.Counter
 	commitSeconds *metrics.Histogram
 }
@@ -64,13 +65,15 @@ type Pending struct {
 // retain > 0 prunes all but the newest retain generations after each commit.
 // reg receives snapshot.commit.dirs_read, the directories a commit had to
 // read off the filesystem because no writer reported them,
+// snapshot.commit.catalog_bytes, the catalog bytes its commits wrote,
 // snapshot.prune.manifests_read, the manifests a prune had to read because
 // no commit of this Pending wrote them, and snapshot.commit_seconds, the
 // time on clock rank 0 spent committing each generation (its catalog and
 // manifest, from the reports to the renames).
 func NewPending(comm mpi.Comm, fs rt.FS, clock rt.Clock, retain int, reg *metrics.Registry) *Pending {
 	return &Pending{comm: comm, fs: fs, clock: clock, retain: retain, links: make(map[string]string),
-		dirsRead: reg.Counter("snapshot.commit.dirs_read"), manifestsRead: reg.Counter("snapshot.prune.manifests_read"),
+		dirsRead: reg.Counter("snapshot.commit.dirs_read"), catalogBytes: reg.Counter("snapshot.commit.catalog_bytes"),
+		manifestsRead: reg.Counter("snapshot.prune.manifests_read"),
 		commitSeconds: reg.Histogram("snapshot.commit_seconds", nil)}
 }
 
@@ -138,7 +141,7 @@ func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 		}
 		prefix := genPrefix(g.Base)
 		t0 := p.clock.Now()
-		_, cerr := commit(p.fs, g.Base, g.Epoch, g.Time, ci, listed[prefix], reported, p.dirsRead)
+		m, cerr := commit(p.fs, g.Base, g.Epoch, g.Time, ci, listed[prefix], reported, p.dirsRead)
 		p.commitSeconds.Observe(p.clock.Now() - t0)
 		if cerr != nil {
 			if err == nil {
@@ -146,6 +149,7 @@ func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 			}
 			continue
 		}
+		p.catalogBytes.Add(m.Catalog.Size)
 		listed[prefix] = afterCommit(listed[prefix], g.Base)
 		if p.retain > 0 {
 			p.links[g.Base] = ""

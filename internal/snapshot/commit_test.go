@@ -6,8 +6,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"genxio/internal/catalog"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -419,5 +421,76 @@ func TestCommitSeconds(t *testing.T) {
 		if h := regs[rank].Snapshot().Histograms["snapshot.commit_seconds"]; h.Count != want || h.Sum < 0 {
 			t.Errorf("rank %d observed %d commits (%g s), want %d", rank, h.Count, h.Sum, want)
 		}
+	}
+}
+
+// catalogWrites counts the bytes written to catalog blobs, staged or not.
+type catalogWrites struct {
+	rt.FS
+	n atomic.Int64
+}
+
+func (fs *catalogWrites) Create(name string) (rt.File, error) {
+	f, err := fs.FS.Create(name)
+	if err != nil || !strings.Contains(name, catalog.Suffix) {
+		return f, err
+	}
+	return catalogFile{f, &fs.n}, nil
+}
+
+type catalogFile struct {
+	rt.File
+	n *atomic.Int64
+}
+
+func (f catalogFile) WriteAt(b []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(b, off)
+	f.n.Add(int64(n))
+	return n, err
+}
+
+// TestCommitCatalogBytes: snapshot.commit.catalog_bytes, on rank 0, is the
+// catalog bytes its commits wrote, as the filesystem saw them, and each
+// blob holds the file table and pane index alone: a few dozen bytes a file
+// however many datasets the file holds.
+func TestCommitCatalogBytes(t *testing.T) {
+	fsys := &catalogWrites{FS: rt.NewMemFS()}
+	var pubs [2][]hdf.Published
+	for rank := range pubs {
+		for g := range 3 {
+			panes := make([]int, 200)
+			for i := range panes {
+				panes[i] = 1000*rank + i
+			}
+			pubs[rank] = append(pubs[rank], publishFile(t, fsys, fmt.Sprintf("m/g%d_p%05d.rhdf", g, rank), panes, 1))
+		}
+	}
+	regs := [2]*metrics.Registry{metrics.New(), metrics.New()}
+	err := mpi.NewChanWorld(fsys, 1).Run(2, func(ctx mpi.Ctx) error {
+		rank := ctx.Comm().Rank()
+		p := NewPending(ctx.Comm(), fsys, ctx.Clock(), 0, regs[rank])
+		for g := range 3 {
+			p.Begin(fmt.Sprintf("m/g%d", g), int64(g), 0)
+		}
+		return p.Commit(nil, pubs[rank], nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned int64
+	for g := range 3 {
+		m, err := Load(fsys, fmt.Sprintf("m/g%d", g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned += m.Catalog.Size
+	}
+	got := regs[0].Counter("snapshot.commit.catalog_bytes").Value()
+	if seen := fsys.n.Load(); got != seen || got != pinned || regs[1].Counter("snapshot.commit.catalog_bytes").Value() != 0 {
+		t.Fatalf("rank 0 counted %d catalog bytes, rank 1 %d; the filesystem saw %d, the manifests pin %d",
+			got, regs[1].Counter("snapshot.commit.catalog_bytes").Value(), seen, pinned)
+	}
+	if per := got / 3; per > 600 {
+		t.Fatalf("a catalog of two 200-pane files is %d bytes, want at most 600", per)
 	}
 }

@@ -16,10 +16,13 @@ const (
 	VerdictCorrupt     = "CORRUPT"
 	// VerdictCatalogMismatch marks a generation whose data files all scrub
 	// clean but whose block catalog is not the one its manifest pins, or
-	// (deep) is not the catalog the files' directories derive — a stale,
-	// damaged, or incomplete index. A full generation still restarts (a reader
-	// derives the catalog from the files' directories, at the price of
-	// reading them); a delta, or any chain through this generation, does
+	// one of whose sections fails its CRC32C or will not parse (the detail
+	// names the file table or the pane index), or (deep) places a file's
+	// directory elsewhere than the file holds it or lists other panes for
+	// it than the directory does (the detail names the directory extent of
+	// that file) — a stale, damaged, or lying index. A full generation
+	// still restarts (a reader derives the catalog from the files'
+	// directories); a delta, or any chain through this generation, does
 	// not. The scrub fails.
 	VerdictCatalogMismatch = "CATALOG-MISMATCH"
 	// VerdictRepaired marks a generation Repair rebuilt from verified
@@ -61,8 +64,8 @@ type GenReport struct {
 // For committed generations it holds each manifested file to its entry
 // (checkFile), then reads every dataset back so the per-dataset CRC32Cs
 // cover the payload bytes too — a single flipped bit anywhere in a
-// committed file is reported against that file — and checks that the
-// catalog blob derived from the files is the blob the manifest pins.
+// committed file is reported against that file — and loads every file's
+// directory through the pinned catalog, as a restart does (dirLoad).
 // Staged temporaries and files on disk but absent from the manifest are
 // flagged without failing the generation: the restore walk judges only
 // manifested files, so they never refuse it. The read does not ignore them
@@ -104,7 +107,7 @@ func chainVerdicts(fsys rt.FS, reports []GenReport) {
 			status[f.Name] = f.Status // a repaired file's fresh report comes last
 		}
 	}
-	scrubbed := func(files []FileEntry, _ []int64) []bool {
+	scrubbed := func(files []FileEntry, _ []dirLoad) []bool {
 		ok := make([]bool, len(files))
 		for i, e := range files {
 			ok[i] = status[e.Name] == "ok" // no report: not scrubbed clean
@@ -117,16 +120,13 @@ func chainVerdicts(fsys rt.FS, reports []GenReport) {
 		if rep.Verdict == VerdictUncommitted {
 			continue
 		}
-		chain, err := loadChain(reads{fsys: fsys}, rep.Base, known, nil, nil)
+		chain, err := loadChain(reads{fsys: fsys}, rep.Base, known, nil)
 		if link, err := judge(rep.Base, chain, err, scrubbed); err != nil {
 			if rep.Verdict == VerdictOK || rep.Verdict == VerdictRepaired {
 				rep.Verdict = VerdictChainBroken
 			}
 			rep.Files = append(rep.Files, FileReport{Name: link, Status: "chain-broken", Detail: err.Error()})
 		}
-	}
-	for _, rec := range known {
-		rec.blob.close()
 	}
 }
 
@@ -240,7 +240,7 @@ func findDonor(m *Manifest, e FileEntry, status map[string]string) string {
 // lexical) file order — and installs it only if every file passes its pin
 // and the rebuilt blob is the one the manifest pins.
 func rebuildCatalog(fsys rt.FS, m *Manifest) (FileReport, bool) {
-	blob, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
+	blob, _, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
 	if len(errs) > 0 || !m.Catalog.matches(blob) {
 		return FileReport{}, false // a data file is still bad, or the index would lie
 	}
@@ -342,13 +342,14 @@ func scrubFile(fsys rt.FS, e FileEntry, deep bool) FileReport {
 }
 
 // scrubCatalog checks a committed generation's block catalog: the blob on
-// disk must be the one the manifest pins and decode cleanly, every section
+// disk must be the one the manifest pins and decode cleanly, each section
 // matching its CRC32C (readCatalog; a damaged section's error names it),
-// and, when derive, the catalog blob derived from the manifested files must
-// be that same pinned blob — the identity the commit wrote it under and
-// rebuildCatalog installs it under. derive needs every file intact.
-func scrubCatalog(fsys rt.FS, m *Manifest, derive bool) (status, detail string) {
-	_, err := readCatalog(fsys, m)
+// and, when deep, every manifested file's directory must load through it by
+// the one loader a restart uses (loadDirs): read from where the catalog
+// places it, be the bytes the manifest pins and hold the panes the pane
+// index lists for the file. deep needs every file intact.
+func scrubCatalog(fsys rt.FS, m *Manifest, deep bool) (status, detail string) {
+	cat, err := readCatalog(fsys, m, nil)
 	switch {
 	case errors.Is(err, rt.ErrNotExist):
 		// The manifest pins a blob that is not there at all — report
@@ -356,11 +357,17 @@ func scrubCatalog(fsys rt.FS, m *Manifest, derive bool) (status, detail string) 
 		return "missing", err.Error()
 	case err != nil:
 		return "mismatch", err.Error()
-	case !derive:
+	case !deep:
 		return "ok", ""
 	}
-	if blob, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil); len(errs) > 0 || !m.Catalog.matches(blob) {
-		return "mismatch", "catalog is not the one the manifested files' directories derive"
+	loads := make([]dirLoad, len(m.Files))
+	for f, e := range m.Files {
+		loads[f] = dirLoad{cat: cat, f: f, e: e}
+	}
+	for i, err := range loadDirs(reads{fsys: fsys}, loads, nil) {
+		if err != nil {
+			return "mismatch", fmt.Sprintf("directory extent of %s: %v", m.Files[i].Name, err)
+		}
 	}
 	return "ok", ""
 }

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"genxio/internal/catalog"
 	"genxio/internal/hdf"
@@ -12,17 +13,18 @@ import (
 
 // deriveCatalog builds the block catalog blob of files from the files' own
 // directories, in the order given — the one way a catalog is made: at
-// commit, by the catalog rebuild and the scrub, and by any reader left
-// without a committed one (which decodes it). A file's directory is the one
-// its writer reported publishing, when reported holds it (the commit's
-// case: no read), and is otherwise read off the file and counted on
-// dirsRead; either way its entries pass the directory's one gate and are
-// copied into the blob as they stand (catalog.Splice). When pinned, files
-// are manifest entries and each is held to its entry by checkFile. entries
-// are the files' manifest records as found, parallel to the blob's file
-// table. A file whose directory will not read or pass, or fails its pin, is
-// in neither, and its error (which names it) is in errs.
-func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[string]hdf.Published, dirsRead *metrics.Counter) (blob []byte, entries []FileEntry, errs []error) {
+// commit, by the catalog rebuild, and by any reader left without a
+// committed one (which loads the directories into it: derived). A file's
+// directory is the one its writer reported publishing, when reported holds
+// it (the commit's case: no read), and is otherwise read off the file and
+// counted on dirsRead; either way it passes the directory's one gate
+// (catalog.Splice), which records its length and its panes. When pinned,
+// files are manifest entries and each is held to its entry by checkFile.
+// entries are the files' manifest records as found, and dirs their
+// directories, both parallel to the blob's file table. A file whose
+// directory will not read or pass, or fails its pin, is in neither, and its
+// error (which names it) is in errs.
+func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[string]hdf.Published, dirsRead *metrics.Counter) (blob []byte, dirs []hdf.RawDir, entries []FileEntry, errs []error) {
 	var s catalog.Splice
 	for _, f := range files {
 		var d hdf.RawDir
@@ -44,17 +46,27 @@ func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[stri
 			errs = append(errs, err)
 			continue
 		}
-		entries = append(entries, found)
+		dirs, entries = append(dirs, d), append(entries, found)
 	}
-	return s.Blob(), entries, errs
+	return s.Blob(), dirs, entries, errs
+}
+
+// derived is the catalog of blob, deriveCatalog's, with each file's
+// directory loaded from dirs, deriveCatalog's too.
+func derived(blob []byte, dirs []hdf.RawDir) (*catalog.Catalog, error) {
+	cat, err := catalog.Decode(blob)
+	for f := 0; err == nil && f < len(dirs); f++ {
+		err = cat.LoadDir(f, dirs[f])
+	}
+	return cat, err
 }
 
 // checkFile is the one test of a committed file against its commit record:
 // found — the file as its header and directory bytes give it, by
-// checkOnDisk or deriveCatalog — must have the size, directory CRC32C and
-// header dataset count its manifest entry e pins. A stale or torn
-// replacement of the file cannot keep all three, and a file that keeps them
-// has the directory its commit walked.
+// checkOnDisk, deriveCatalog or a file check (checkFiles) — must have the
+// size, directory CRC32C and header dataset count its manifest entry e
+// pins. A stale or torn replacement of the file cannot keep all three, and
+// a file that keeps them has the directory its commit walked.
 func checkFile(e, found FileEntry) error {
 	if found.Size != e.Size {
 		return fmt.Errorf("snapshot: %s is %d bytes on disk, manifest says %d", e.Name, found.Size, e.Size)
@@ -70,254 +82,135 @@ func checkFile(e, found FileEntry) error {
 }
 
 // matches reports whether blob is the catalog blob r pins: its size and
-// its header's CRC32C, which holds every section's.
+// its header's CRC32C, which holds each section's.
 func (r *CatalogRef) matches(blob []byte) bool {
 	h, err := catalog.ReadHeader(blob)
 	return err == nil && int64(len(blob)) == r.Size && h.CRC == r.CRC
 }
 
-// pinned holds a catalog header to the reference its manifest carries.
-func (r *CatalogRef) pinned(h *catalog.Header) error {
-	if h.CRC != r.CRC || h.Size() != r.Size {
-		return fmt.Errorf("%w: catalog %s header crc32c %08x describes %d bytes, manifest pins crc32c %08x and %d bytes",
-			hdf.ErrChecksum, r.Name, h.CRC, h.Size(), r.CRC, r.Size)
-	}
-	return nil
-}
-
-// catalogBlob is where a committed catalog's entry runs load from: the
-// blob's name and, while a Reader holds the chain, the handle its owner
-// opened the blob with (nil: open it by name).
-type catalogBlob struct {
-	name string
-	f    rt.File
-}
-
-// close closes the handle, if any; the blob is then opened by name.
-func (b *catalogBlob) close() {
-	if b != nil && b.f != nil {
-		b.f.Close()
-		b.f = nil
-	}
-}
-
-// openCatalog reads what a reader plans from of the catalog blob m's commit
-// wrote, the sections it addresses and no more: the header — one request,
-// its length known from the manifest's file count — which must be the one
-// the manifest pins, so an orphan of a crashed earlier commit, or another
-// generation's blob, is never taken for this one's; then the file table and
-// pane index in one request, each checked against the header. When
-// prefetch is set, the entry runs of the files it names load next on the
-// same handle (a round that knows its share reads it with the catalog, one
-// open); other runs load later, as plans need them (loadRuns), from the blob
-// returned: with its handle still open when keep is set. Every byte read
-// counts on read.
-func openCatalog(fsys rt.FS, m *Manifest, read *metrics.Counter, keep bool, prefetch func(*catalog.Catalog) []int) (*catalog.Catalog, *catalogBlob, error) {
-	f, err := fsys.Open(m.Catalog.Name)
-	if err != nil {
-		return nil, nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
-	}
-	blob := &catalogBlob{name: m.Catalog.Name, f: f}
-	cat, err := openSections(f, m, read)
-	if err == nil && prefetch != nil {
-		if l := lacking(cat, blob, prefetch(cat)); l != nil {
-			readRuns(reads{fsys: fsys}, []*runLoad{l}, true, read)
-		}
-	}
-	if err != nil || !keep {
-		blob.close()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return cat, blob, nil
-}
-
-// openSections is openCatalog on f, the open blob.
-func openSections(f rt.File, m *Manifest, read *metrics.Counter) (*catalog.Catalog, error) {
-	head, err := readAt(f, 0, int64(catalog.HeaderSize(len(m.Files))), read)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
-	}
-	h, err := catalog.ReadHeader(head)
-	if err == nil {
-		err = m.Catalog.pinned(h)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("catalog %s: %w", m.Catalog.Name, err)
-	}
-	off, n := h.IndexExtent()
-	index, err := readAt(f, off, n, read)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
-	}
-	return catalog.Open(h, index)
-}
-
-// readAt reads n bytes of f at off in one request, counting on read what
-// arrived.
-func readAt(f rt.File, off, n int64, read *metrics.Counter) ([]byte, error) {
-	b := make([]byte, n)
-	got, err := f.ReadAt(b, off)
-	read.Add(int64(got))
-	if got == len(b) {
-		return b, nil
-	}
-	return nil, err
-}
-
-// readCatalog reads the whole catalog blob m's commit wrote: it must be the
-// blob the manifest pins before it is decoded, every section checked.
-func readCatalog(fsys rt.FS, m *Manifest) (*catalog.Catalog, error) {
+// readCatalog reads the catalog blob m's commit wrote — whole, in one
+// request: it holds the file table and pane index alone — counting on read
+// the bytes that arrived. The blob must be the one the manifest pins, so an
+// orphan of a crashed earlier commit, or another generation's blob, is
+// never taken for this one's; each section must match its CRC32C and parse
+// (catalog.Decode; a damaged section's error names it); and the file table
+// must list m's files in m's order, so that file f's directory is pinned by
+// m.Files[f] (dirLoad).
+func readCatalog(fsys rt.FS, m *Manifest, read *metrics.Counter) (*catalog.Catalog, error) {
 	blob, err := hdf.ReadFile(fsys, m.Catalog.Name)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
 	}
+	read.Add(int64(len(blob)))
 	if !m.Catalog.matches(blob) {
 		return nil, fmt.Errorf("%w: catalog %s is %d bytes, not the %d-byte blob with header crc32c %08x its manifest pins",
 			hdf.ErrChecksum, m.Catalog.Name, len(blob), m.Catalog.Size, m.Catalog.CRC)
 	}
-	return catalog.Decode(blob)
-}
-
-// runLoad is one catalog's entry runs a plan needs and lacks: the catalog,
-// its blob and the files whose runs to load.
-type runLoad struct {
-	cat   *catalog.Catalog
-	blob  *catalogBlob
-	files []int
-}
-
-// runBytes is the length of c's runs of files.
-func runBytes(c *catalog.Catalog, files []int) (n int64) {
-	for _, f := range files {
-		_, m := c.RunExtent(f)
-		n += m
+	cat, err := catalog.Decode(blob)
+	if err != nil {
+		return nil, fmt.Errorf("catalog %s: %w", m.Catalog.Name, err)
 	}
-	return n
+	if !slices.EqualFunc(cat.Files, m.Files, func(name string, e FileEntry) bool { return name == e.Name }) {
+		return nil, fmt.Errorf("catalog %s: file table does not list its manifest's files", m.Catalog.Name)
+	}
+	return cat, nil
 }
 
-// ranges groups l's files into ranges of adjacent runs, each read in one
-// request unless the read is cut.
-func (l *runLoad) ranges() [][]int {
-	var rs [][]int
-	for j, f := range l.files {
-		if j > 0 && f == l.files[j-1]+1 {
-			rs[len(rs)-1] = append(rs[len(rs)-1], f)
-		} else {
-			rs = append(rs, []int{f})
+// dirLoad is one committed file's directory: the catalog that indexes the
+// file as file f, and the file's manifest entry, which places the
+// directory — it ends the file, whose size the entry pins, and is as long as
+// the catalog's file table says — and pins its bytes (DirCRC).
+type dirLoad struct {
+	cat *catalog.Catalog
+	f   int
+	e   FileEntry
+}
+
+// extent is where l's directory lies in its file; n is 0 when the catalog
+// places it outside the file.
+func (l dirLoad) extent() (off, n int64) {
+	n = l.cat.DirLen(l.f)
+	if off = l.e.Size - n; off < hdf.HeaderSize() {
+		return 0, 0
+	}
+	return off, n
+}
+
+// load is the one loader of a committed file's entries read for a round
+// or a scrub: dir, the bytes read from l's extent, must hash to the
+// directory CRC32C l's manifest entry pins, and is then installed. A
+// directory already loaded is not loaded again.
+func (l dirLoad) load(dir []byte) error {
+	if l.cat.HasDir(l.f) {
+		return nil
+	}
+	if crc := hdf.Checksum(dir); crc != l.e.DirCRC {
+		return fmt.Errorf("%w: snapshot: %s directory crc32c %08x, manifest says %08x", hdf.ErrChecksum, l.e.Name, crc, l.e.DirCRC)
+	}
+	return l.install(dir)
+}
+
+// install indexes dir as l's directory (catalog.LoadDir: the directory's
+// gate, and exactly the panes the pane index lists for the file). Its
+// caller has held dir to l's manifest entry: load, or a file check that
+// passed (checkFiles).
+func (l dirLoad) install(dir []byte) error {
+	return l.cat.LoadDir(l.f, hdf.RawDir{Name: l.e.Name, Size: l.e.Size, Count: l.e.Datasets, Bytes: dir})
+}
+
+// lacking returns the loads of the directories of g's files, by index, that
+// g's catalog lacks. g's catalog is the committed one, whose files are its
+// manifest's (readCatalog); a derived index has every directory loaded.
+func lacking(g ChainGen, files []int) []dirLoad {
+	var loads []dirLoad
+	for _, f := range files {
+		if !g.Catalog.HasDir(f) {
+			loads = append(loads, dirLoad{cat: g.Catalog, f: f, e: g.Manifest.Files[f]})
 		}
 	}
-	return rs
+	return loads
 }
 
-// extents lays l's ranges out as one extent read of its blob, through the
-// blob's handle when held is set.
-func (l *runLoad) extents(held bool) *extentRead {
-	x := &extentRead{name: l.blob.name}
-	if held {
-		x.f = l.blob.f
-	}
-	for _, fs := range l.ranges() {
-		off, _ := l.cat.RunExtent(fs[0])
-		x.add(off, runBytes(l.cat, fs))
-	}
-	return x
-}
-
-// readRuns reads the runs loads name as one batch through each, one extent
-// read per blob (extents: through its handle when held is set), costed by
-// its runs' lengths in the section table, counting on read every byte that
-// arrived, and loads the runs of each range that read whole, each that
-// matches its record (Catalog.LoadRun; one that does not is derived by
-// loadRuns, or loads again when a plan needs it).
-func readRuns(each reads, loads []*runLoad, held bool, read *metrics.Counter) {
+// loadDirs reads the directories loads name as one batch through each: each
+// one extent read of its own file, whose handle is kept (extentRead.keep)
+// for the data reads of the file that follow in the same round, costed by
+// its bytes, so a long directory is cut across the pool like any long read.
+// Every byte that arrived counts on read. Each directory that read whole is
+// loaded (dirLoad.load). The error of each load that did not read or load
+// is returned, parallel to loads; its file stays without entries, and the
+// reads that need them treat the file as failed.
+func loadDirs(each reads, loads []dirLoad, read *metrics.Counter) []error {
+	errs := make([]error, len(loads))
 	xs := make([]*extentRead, len(loads))
 	for i, l := range loads {
-		xs[i] = l.extents(held)
-	}
-	each.readExtents(xs, nil)
-	for i, l := range loads {
-		x := xs[i]
-		read.Add(x.got)
-		for r, fs := range l.ranges() {
-			if x.bad[r] {
-				continue
-			}
-			buf := x.bufs[r]
-			for _, f := range fs {
-				_, m := l.cat.RunExtent(f)
-				l.cat.LoadRun(f, buf[:m:m])
-				buf = buf[m:]
+		off, n := l.extent()
+		if n == 0 {
+			errs[i] = fmt.Errorf("snapshot: %s: catalog places a %d-byte directory in a %d-byte file", l.e.Name, l.cat.DirLen(l.f), l.e.Size)
+			continue
+		}
+		x := (&extentRead{name: l.e.Name, keep: true}).add(off, n)
+		x.done = func() {
+			read.Add(x.got[0])
+			if errs[i] = fmt.Errorf("snapshot: %s: directory did not read", l.e.Name); !x.bad[0] {
+				errs[i] = l.load(x.bufs[0])
 			}
 		}
+		xs[i] = x
 	}
-}
-
-// loadRuns loads the entry runs loads name: those of a blob whose handle is
-// held on the owner off that handle, inline, unless the pool could cut
-// them; the rest as one batch through the driver (readRuns) — a read longer
-// than the batch's fair share cut across the pool's workers. Every byte
-// read counts on read. A run that did not read or does not match its
-// section's record is derived again from its file's own directory
-// (deriveCatalog, the catalog of that file alone), the run the commit wrote
-// from those very entries: an intact file gives back the bytes the header
-// pins, which LoadRun still checks. A run that loads neither way stays
-// unloaded, and the reads that need it treat its file as failed.
-func loadRuns(each reads, loads []*runLoad, read *metrics.Counter) {
-	var held, byName []*runLoad
-	for _, l := range loads {
-		if l.blob.f != nil && !each.cuts(runBytes(l.cat, l.files)) {
-			held = append(held, l)
-		} else {
-			byName = append(byName, l)
-		}
-	}
-	readRuns(each.inline(), held, true, read)
-	readRuns(each, byName, false, read)
-	for _, l := range loads {
-		for _, f := range l.files {
-			if l.cat.HasRun(f) {
-				continue
-			}
-			blob, _, errs := deriveCatalog(each.fsys, []FileEntry{{Name: l.cat.Files[f]}}, false, nil, nil)
-			if one, err := catalog.Decode(blob); len(errs) == 0 && err == nil {
-				off, n := one.RunExtent(0)
-				l.cat.LoadRun(f, blob[off:off+n])
-			}
-		}
-	}
-}
-
-// lacking returns a load of the runs of files that c lacks, nil if none
-// (or c is nil, or whole and has no blob).
-func lacking(c *catalog.Catalog, blob *catalogBlob, files []int) *runLoad {
-	if c == nil || blob == nil {
-		return nil
-	}
-	var need []int
-	for _, f := range files {
-		if !c.HasRun(f) {
-			need = append(need, f)
-		}
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	return &runLoad{cat: c, blob: blob, files: need}
+	each.readExtents(slices.DeleteFunc(xs, func(x *extentRead) bool { return x == nil }), nil)
+	return errs
 }
 
 // index answers "where are the pane bytes of the generation m commits",
-// given what openCatalog or readCatalog returned for m: the committed
-// catalog when it was accepted, otherwise — for a full generation, whose
-// files are its whole state — the same catalog derived from the manifested
-// files' directories. The bool reports which; a derived index holds every
-// file whose directory read and passes checkFile, and the error then joins
-// the errors of those that did not (a reader goes on without them; whoever
-// needs the whole generation cannot). A file the manifest does not pin is
-// never indexed. A restart Reader reads the committed catalog section by
-// section (openCatalog, loadRuns), the scrub whole (readCatalog), and both
-// get the same answer.
+// given what readCatalog returned for m: the committed catalog when it was
+// accepted, otherwise — for a full generation, whose files are its whole
+// state — the same catalog derived from the manifested files' directories,
+// every directory loaded. The bool reports which; a derived index holds
+// every file whose directory read and passes checkFile, and the error then
+// joins the errors of those that did not (a reader goes on without them;
+// whoever needs the whole generation cannot). A file the manifest does not
+// pin is never indexed. A restart Reader and the scrub read the committed
+// catalog the same way and get the same answer.
 //
 // A delta generation gets no derived index: its files do not spell out the
 // panes it inherits, and a derived index that silently lacked a damaged
@@ -327,8 +220,8 @@ func index(fsys rt.FS, m *Manifest, cat *catalog.Catalog, err error) (*catalog.C
 	if err == nil || m.ChainDepth > 0 {
 		return cat, false, err
 	}
-	blob, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
-	if cat, err = catalog.Decode(blob); err != nil {
+	blob, dirs, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
+	if cat, err = derived(blob, dirs); err != nil {
 		return nil, false, err
 	}
 	return cat, true, errors.Join(errs...)

@@ -36,10 +36,9 @@ const Suffix = ".manifest"
 
 // CatalogRef pins a generation's block-catalog blob from the manifest:
 // the catalog is written before the manifest, so the commit record can
-// carry its size and its header's CRC32C. The header holds every section's
-// CRC32C, so a reader that reads only some sections (openCatalog, loadRuns)
-// still detects a damaged or swapped catalog in the bytes it reads. Every
-// manifest carries one.
+// carry its size and its header's CRC32C. The header holds each section's
+// CRC32C, so a damaged or swapped catalog is caught, and the damaged
+// section named (readCatalog). Every manifest carries one.
 type CatalogRef struct {
 	Name string `json:"name"`
 	Size int64  `json:"size"`   // the whole blob's
@@ -53,7 +52,9 @@ type FileEntry struct {
 	// Size is the committed length in bytes.
 	Size int64 `json:"size"`
 	// DirCRC is the CRC32C of the file's RHDF directory bytes; a stale or
-	// torn replacement of the file cannot keep both Size and DirCRC.
+	// torn replacement of the file cannot keep both Size and DirCRC. It is
+	// also what a restart holds the directory to when it reads the file's
+	// entries from it (dirLoad): the catalog keeps no copy of them.
 	DirCRC uint32 `json:"dir_crc32c"`
 	// Datasets is the directory's dataset count.
 	Datasets int `json:"datasets"`
@@ -169,7 +170,7 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 		sort.Strings(lost)
 		return nil, fmt.Errorf("snapshot: commit %s: %s published but not on the filesystem", base, strings.Join(lost, ", "))
 	}
-	blob, entries, errs := deriveCatalog(fsys, files, false, reported, dirsRead)
+	blob, _, entries, errs := deriveCatalog(fsys, files, false, reported, dirsRead)
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, errs[0])
 	}

@@ -21,15 +21,19 @@ package snapshot
 // head manifest — one small read, none while the restore walk's step carries
 // it (given) — and is served the held chain when those bytes are the ones it
 // was loaded from. Otherwise the manifests are followed link by link and
-// every link's catalog is opened as one batch through the Reader's driver
-// (reads) — its header, file table and pane index, and for a round the entry
-// runs of the share's files, never the whole blob (openCatalog) — and the
-// walk's file checks, a round's entry runs and its data files go the same
-// way, each one extent read: inline, the paper's serial order; pooled, every
-// piece a task costed by its bytes, largest first, a long read cut across
-// the workers (batch.go). A held chain keeps what it read, and a later round
-// reads only the runs it lacks (loadRuns). So a process loads a generation
-// once for all its windows and attributes, and once per lifetime across
+// every link's catalog — its file table and pane index, a few hundred
+// bytes — is read as one batch through the Reader's driver (reads), and the
+// walk's file checks, the directories a round plans from and its data files
+// go the same way, each one extent read: inline, the paper's serial order;
+// pooled, every piece a task costed by its bytes, largest first, a long
+// read cut across the workers (batch.go). A file's entries are read from
+// its own directory, the bytes that end it, held to the directory CRC32C its
+// manifest pins (dirLoad), on the handle the round's data reads of the file
+// then use. A held chain keeps what it read, and a later round reads only
+// the directories it lacks (loadDirs); ranks that deal a generation's
+// panes among themselves can read its directories once among them first
+// (ShareDirs). So a process loads a generation once
+// for all its windows and attributes, and once per lifetime across
 // restarts of it. A held chain is the commit record as this process first
 // loaded it: damage after that load to a lower link's manifest, or to any
 // link's catalog blob, does not change this process's restores (every
@@ -42,14 +46,17 @@ package snapshot
 // — and each link's planned files are read by direct coalesced offset reads,
 // every entry CRC-verified before anything from its file is delivered; files
 // the index knows but planned nothing from are never opened, and a named
-// attribute plans that one dataset per pane. Where the index comes from is
-// all that varies: the catalog a commit wrote, or — a full head without a
-// usable one, files no commit record describes — the same catalog derived
-// from the files' own directories (index, deriveCatalog), planned and read
-// the same way. A delta's files do not spell out the panes it inherits, so a
-// delta head with any unloadable link fails the round — ReadFailed, nothing
-// delivered — and the caller's completeness check sends the restore walk
-// back past the whole chain. A failed listing reports the same way.
+// attribute plans that one dataset per pane. A planned file whose directory
+// does not read or fails its pin is a failed file: its panes go to their
+// other copies in the same link, never to an older one. Where the index
+// comes from is all that varies: the catalog a commit wrote, or — a full
+// head without a usable one, files no commit record describes — the same
+// catalog derived from the files' own directories (index, deriveCatalog),
+// planned and read the same way. A delta's files do not spell out the panes
+// it inherits, so a delta head with any unloadable link fails the round —
+// ReadFailed, nothing delivered — and the caller's completeness check sends
+// the restore walk back past the whole chain. A failed listing reports the
+// same way.
 //
 // The state machine. Each planned file of the share is one extent read of
 // its coalesced runs (readFile), and the share is one batch through the
@@ -80,9 +87,11 @@ package snapshot
 // across the pool — on the simulated NFS platforms each worker has its own
 // stream-read pacing, which is where the restart speedup comes from — and
 // the scheduler's byte deal leaves every worker about the same bytes, so
-// the round ends when they all do. A data file's handle stays open on each
-// worker that reads it until the batch ends; a metadata piece opens and
-// closes its file. ReaderConfig.Budget is the batch's scheduler budget: a
+// the round ends when they all do. A round's batches share one pool, and a
+// data file's handle — opened by its directory's read or its data's —
+// stays open on each worker that reads it until the round ends; a piece of
+// the restore walk's or a chain load's metadata opens and closes its
+// file. ReaderConfig.Budget is the batch's scheduler budget: a
 // task that would overrun it is deferred until outstanding reads complete,
 // but an idle pool always admits. Read overlap is disk time after the
 // round's first delivery, which the owner notes per completion.
@@ -207,10 +216,11 @@ type readerMx struct {
 	replicaReads  *metrics.Counter // pane retries served by a replica copy
 	repairedPanes *metrics.Counter
 	chainDepth    *metrics.Gauge     // delta chains
-	chainSeconds  *metrics.Histogram // each round's chain step, the head manifest check and the runs it plans from included
+	chainSeconds  *metrics.Histogram // each round's chain step, the head manifest check and the directories it plans from included
 	chainLoads    *metrics.Counter   // commit records loaded (Reader.chain)
 	chainReuses   *metrics.Counter   // commit records served from the held chain
-	catalogBytes  *metrics.Counter   // catalog bytes read: headers, indexes, entry runs
+	catalogBytes  *metrics.Counter   // catalog blob bytes read
+	dirBytes      *metrics.Counter   // directory bytes read: the walk's file checks and the directories rounds load to plan from
 	cutPieces     *metrics.Counter   // windows the pool cut ranges of data and metadata reads into, beyond one per range: its requests over the inline driver's
 
 	// The restore walk (Restore): generations each rank scanned and fell
@@ -239,6 +249,7 @@ func newReaderMx(cfg *ReaderConfig) readerMx {
 		chainLoads:    r.Counter(p + "chain_loads"),
 		chainReuses:   r.Counter(p + "chain_reuses"),
 		catalogBytes:  r.Counter(p + "catalog_bytes_read"),
+		dirBytes:      r.Counter(p + "dir_bytes_read"),
 		cutPieces:     r.Counter(p + "cut_pieces"),
 
 		generationsScanned: r.Counter(p + "generations_scanned"),
@@ -288,31 +299,20 @@ func NewReader(ctx mpi.Ctx, cfg ReaderConfig) *Reader {
 // driver that reads the head manifest no second time. A load is held only
 // when it is whole: committed, every link loaded, the head's index its
 // committed catalog (not Derived). Any other load leaves nothing held, so
-// the next call loads again. A load reads the entry runs prefetch names
-// with each catalog (openCatalog); a held chain reads none.
-func (rd *Reader) chain(base string, prefetch func(*catalog.Catalog) []int) ([]ChainGen, error) {
+// the next call loads again.
+func (rd *Reader) chain(base string) ([]ChainGen, error) {
 	held, buf, m, err := rd.head(base)
 	if held != nil {
 		return held, nil
 	}
 	rd.mx.chainLoads.Inc()
-	chain, err := loadChain(rd.reads(), base, map[string]*commitRecord{base: {m: m, mErr: err}}, rd.mx.catalogBytes, prefetch)
+	chain, err := loadChain(rd.reads(), base, map[string]*commitRecord{base: {m: m, mErr: err}}, rd.mx.catalogBytes)
 	if err == nil && !chain[0].Derived {
-		rd.hold(chain, buf)
+		rd.held, rd.heldHead = chain, buf
 	} else {
-		rd.hold(nil, nil)
-		closeBlobs(chain)
+		rd.held, rd.heldHead = nil, nil
 	}
 	return chain, err
-}
-
-// hold makes chain, loaded from the head manifest bytes buf, the held one,
-// closing the catalog handles of the chain it replaces. A held chain keeps
-// the handles its owner opened its catalogs with (loadChain), so the entry
-// runs its rounds need later are read without opening the blob again.
-func (rd *Reader) hold(chain []ChainGen, buf []byte) {
-	closeBlobs(rd.held)
-	rd.held, rd.heldHead = chain, buf
 }
 
 // head reads base's head manifest — or takes the bytes the restore walk's
@@ -344,8 +344,8 @@ func (rd *Reader) head(base string) (held []ChainGen, buf []byte, m *Manifest, e
 // reads as the bytes it was loaded from. Otherwise it reads the head's
 // commit record no further than it must: a delta's manifest alone (its
 // recorded universe), a full generation's manifest and index — the
-// catalog's header, file table and pane index (openCatalog), or the index
-// derived from the files — which must be whole up to copies: restorable's
+// catalog's file table and pane index (readCatalog), or the index derived
+// from the files — which must be whole up to copies: restorable's
 // rule judged on the index alone (every file passes), since a universe
 // short of an unindexed file's panes would restore short and report
 // success. A full generation whose index is its committed catalog is then
@@ -358,13 +358,10 @@ func (rd *Reader) PaneUniverse(base, window string) ([]int, error) {
 	head := ChainGen{Base: base, Manifest: m}
 	if err == nil && m.ChainDepth == 0 {
 		fsys := rd.ctx.FS()
-		cat, blob, catErr := openCatalog(fsys, m, rd.mx.catalogBytes, true, nil)
+		cat, catErr := readCatalog(fsys, m, rd.mx.catalogBytes)
 		if head.Catalog, head.Derived, err = index(fsys, m, cat, catErr); err == nil && !head.Derived {
 			rd.mx.chainLoads.Inc()
-			head.blob = blob
-			rd.hold([]ChainGen{head}, buf)
-		} else {
-			blob.close()
+			rd.held, rd.heldHead = []ChainGen{head}, buf
 		}
 	}
 	return paneUniverse(head, window, err)
@@ -380,14 +377,13 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		mine = func(int) bool { return true }
 	}
 	mineFile := func(name string) bool { _, home, _ := catalog.ParseDataFile(name); return mine(home) }
-	// A load reads with each link's catalog the runs of the share's files
-	// that hold a wanted pane's best copy in that link: all the round plans
-	// from, but for a file whose every wanted pane a newer link rewrote.
+	// The round's runners keep every file they open until the round ends:
+	// a planned file's directory and its data are read on one handle.
+	each := rd.reads()
+	each.round = newRound()
+	defer each.round.close()
 	t0 := clock.Now()
-	chain, err := rd.chain(req.Base, func(c *catalog.Catalog) []int {
-		files, _ := c.Sources(req.Window, req.Wanted, mineFile)
-		return files
-	})
+	chain, err := rd.chain(req.Base)
 	switch {
 	case len(chain) == 0: // no commit record: what is on disk is the only description
 		if req.Uncommitted != nil {
@@ -397,32 +393,30 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		return rd.failed()
 	}
 	var items []readItem
-	var lost []lostRun
-	// planFrom plans from a chain's catalogs, newest first, each blob beside
-	// it (nil: a whole catalog). The entry runs of the share's source
-	// files that a catalog lacks load first, as one batch through the driver
-	// (loadRuns); a source whose run loads neither way is a failed file,
-	// whose panes go to their other copies.
-	planFrom := func(cats []*catalog.Catalog, blobs []*catalogBlob) {
-		assign := catalog.ResolvePanes(cats, req.Window, req.Wanted)
-		srcs, panes := make([][]int, len(cats)), make([][][]int, len(cats))
-		var loads []*runLoad
-		for gi, c := range cats {
-			srcs[gi], panes[gi] = c.Sources(req.Window, assign[gi], mineFile)
-			if l := lacking(c, blobs[gi], srcs[gi]); l != nil {
-				loads = append(loads, l)
-			}
+	var lost []lostDir
+	// planFrom plans from a chain's links, newest first. The directories of
+	// the share's source files that a link's catalog lacks load first, as
+	// one batch through the driver (loadDirs); a source whose directory
+	// does not load is a failed file, whose panes go to their other copies.
+	planFrom := func(links []ChainGen) {
+		assign := catalog.ResolvePanes(ChainCatalogs(links), req.Window, req.Wanted)
+		srcs, panes := make([][]int, len(links)), make([][][]int, len(links))
+		var loads []dirLoad
+		for gi, g := range links {
+			srcs[gi], panes[gi] = g.Catalog.Sources(req.Window, assign[gi], mineFile)
+			loads = append(loads, lacking(g, srcs[gi])...)
 		}
-		loadRuns(rd.reads(), loads, rd.mx.catalogBytes)
-		for gi, c := range cats {
+		rd.loadDirs(each, loads)
+		for gi, g := range links {
+			c := g.Catalog
 			for _, fp := range c.PlanFiles(req.Window, assign[gi], mineFile) {
 				if fp = attrPlan(fp, req.Attr); len(fp.Entries) > 0 {
-					items = append(items, readItem{plan: fp, cat: c, blob: blobs[gi]})
+					items = append(items, readItem{plan: fp, link: g})
 				}
 			}
 			for i, f := range srcs[gi] {
-				if !c.HasRun(f) {
-					lost = append(lost, lostRun{readItem{plan: catalog.FilePlan{File: c.Files[f]}, cat: c, blob: blobs[gi]}, panes[gi][i]})
+				if !c.HasDir(f) {
+					lost = append(lost, lostDir{readItem{plan: catalog.FilePlan{File: c.Files[f]}, link: g}, panes[gi][i]})
 				}
 			}
 		}
@@ -434,11 +428,7 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 			mode = ReadIndexed
 		}
 		rd.mx.chainDepth.SetMax(float64(len(chain) - 1))
-		blobs := make([]*catalogBlob, len(chain))
-		for i, g := range chain {
-			blobs[i] = g.blob
-		}
-		planFrom(ChainCatalogs(chain), blobs)
+		planFrom(chain)
 	}
 	rd.mx.chainSeconds.Observe(clock.Now() - t0)
 	// The share's files on disk that no commit record describes get an
@@ -467,24 +457,36 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		}
 	}
 	if len(loose) > 0 {
-		blob, _, errs := deriveCatalog(fsys, loose, false, nil, nil)
+		blob, dirs, _, errs := deriveCatalog(fsys, loose, false, nil, nil)
 		for range errs { // no directory: what a crashed writer leaves behind
 			rd.mx.filesSkipped.Inc()
 			rd.mx.readErrors.Inc()
 		}
-		cat, err := catalog.Decode(blob)
+		cat, err := derived(blob, dirs)
 		if err != nil {
 			return rd.failed()
 		}
-		planFrom([]*catalog.Catalog{cat}, []*catalogBlob{nil})
+		planFrom([]ChainGen{{Catalog: cat}})
 	}
-	rd.serve(&req, items, lost)
+	rd.serve(&req, each, items, lost)
 	if mode == ReadIndexed {
 		rd.mx.catalogHits.Inc()
 	} else {
 		rd.mx.catalogFallbacks.Inc()
 	}
 	return mode
+}
+
+// loadDirs is loadDirs for a round, its bytes counted on dir_bytes_read: a
+// directory that does not load is a skipped file and a read error, as a
+// data file that does not read or verify is.
+func (rd *Reader) loadDirs(each reads, loads []dirLoad) {
+	for _, err := range loadDirs(each, loads, rd.mx.dirBytes) {
+		if err != nil {
+			rd.mx.filesSkipped.Inc()
+			rd.mx.readErrors.Inc()
+		}
+	}
 }
 
 // reads is the Reader's driver (batch.go): inline on the owner, or one
@@ -495,33 +497,20 @@ func (rd *Reader) reads() reads {
 	return reads{fsys: rd.ctx.FS(), width: min(rd.cfg.Workers, MaxWorkers), rd: rd}
 }
 
-// pool runs tasks as one scheduler batch on a pool built for it, handing
-// each completion to done on the owner's goroutine; it returns only after
-// every worker has exited. Disk time after the round's first delivery
-// (delivered) is overlap. If a worker hit an injected crash the owning
-// process dies with it.
-func (rd *Reader) pool(tasks []*iosched.Task, done func(iosched.Completion)) {
-	cfg := &rd.cfg
-	eng := iosched.New(rd.ctx, iosched.Config{
-		Name:    "snapshot-read",
-		Workers: min(cfg.Workers, MaxWorkers),
-		Budget:  cfg.Budget,
-		// Job queues are sized so no Put ever blocks: the scheduler deals
-		// each unkeyed task to the worker dealt the fewest bytes, so a
-		// worker's task count follows the bytes, not the batch over the
-		// width — one may be dealt many short pieces while another holds
-		// one long one — and only a queue of the whole batch holds every
-		// deal (the control queue holds every job queue's worth of
-		// completions plus every exit). A crashed worker that abandons its
-		// queue can then never wedge the owner mid-Put.
-		QueueCap:   len(tasks),
-		NewState:   func(int, rt.TaskCtx) iosched.WorkerState { return &readHandles{m: make(map[string]rt.File)} },
-		Metrics:    cfg.Metrics,
-		Trace:      cfg.Trace,
-		TraceRank:  cfg.TraceRank,
-		TracePhase: trace.PhaseRead,
-	})
-	defer eng.Close()
+// pool runs tasks as one scheduler batch, handing each completion to done
+// on the owner's goroutine; it returns only after every task has completed.
+// The pool is the round's when r is set — built by its first pooled batch
+// and closed when the round ends, so its workers' handles serve every
+// batch of the round — and otherwise built for the batch alone and closed
+// at its end. Disk time after the round's first delivery (delivered) is
+// overlap. If a worker hit an injected crash the owning process dies with
+// it, its pool closed.
+func (rd *Reader) pool(tasks []*iosched.Task, r *roundState, done func(iosched.Completion)) {
+	eng := r.pool(rd, len(tasks))
+	if r == nil {
+		defer eng.Close()
+	}
+	fatal := false
 	eng.RunBatch(tasks, func(c iosched.Completion) {
 		if dt := c.T1 - c.T0; dt > 0 && rd.delivered {
 			// Disk time spent after this round's first pane left: reads of
@@ -529,13 +518,47 @@ func (rd *Reader) pool(tasks []*iosched.Task, done func(iosched.Completion)) {
 			// runs under the barrier, so this is its only overlap.
 			eng.NoteOverlap(c.Task.Class, dt)
 		}
+		fatal = fatal || c.Result.Fatal
 		done(c)
 	})
-	eng.Close()
-	if eng.Crashed() {
+	if fatal || eng.Crashed() {
+		eng.Close()
 		panic(Crashed{})
 	}
 }
+
+// pool returns r's pool, building it when r has none; with no round, a
+// pool for one batch of n tasks. A round's pool queues up to
+// roundQueueCap tasks per worker, and a batch of more waits for
+// completions to put the rest (iosched.RunBatch).
+func (r *roundState) pool(rd *Reader, n int) *iosched.Engine {
+	if r != nil && r.eng != nil {
+		return r.eng
+	}
+	cfg := &rd.cfg
+	if r != nil {
+		n = max(n, roundQueueCap)
+	}
+	eng := iosched.New(rd.ctx, iosched.Config{
+		Name:       "snapshot-read",
+		Workers:    min(cfg.Workers, MaxWorkers),
+		Budget:     cfg.Budget,
+		QueueCap:   n,
+		NewState:   func(int, rt.TaskCtx) iosched.WorkerState { return newReadHandles() },
+		Metrics:    cfg.Metrics,
+		Trace:      cfg.Trace,
+		TraceRank:  cfg.TraceRank,
+		TracePhase: trace.PhaseRead,
+	})
+	if r != nil {
+		r.eng = eng
+	}
+	return eng
+}
+
+// roundQueueCap is each worker's queue in a round's pool: room for every
+// piece of a round's batches at the bench's shapes.
+const roundQueueCap = 256
 
 // failed reports a round that could not be served at all.
 func (rd *Reader) failed() ReadMode {
@@ -564,19 +587,18 @@ func (rd *Reader) dies() bool {
 }
 
 // readItem is one file of a share: the extents planned from it, and the
-// index they were planned from and its blob — in chain rounds each item
+// link whose index they were planned from — in chain rounds each item
 // carries its own generation's, a file no commit describes its share's
-// derived one, with no blob — so a failed file's pane retries consult the
-// right copies, loading the entry runs they need.
+// derived index, with no manifest — so a failed file's pane retries consult
+// the right copies, loading the directories they need.
 type readItem struct {
 	plan catalog.FilePlan
-	cat  *catalog.Catalog
-	blob *catalogBlob
+	link ChainGen
 }
 
-// lostRun is a planned source file whose entry run would not load: its
+// lostDir is a planned source file whose directory would not load: its
 // panes are retried against their other copies, as a failed file's are.
-type lostRun struct {
+type lostDir struct {
 	readItem
 	panes []int
 }
@@ -602,8 +624,9 @@ type paneSets struct {
 // readRound is one round's share on one process. Everything but the
 // pieces' reads runs on the owner's goroutine.
 type readRound struct {
-	rd  *Reader
-	req *ReadRequest
+	rd   *Reader
+	req  *ReadRequest
+	each reads // the round's driver, with the owner's handles for the round
 	// bad holds files that failed an open this round: a pane retry never
 	// re-reads them, so one lost file costs one failed open, not one per
 	// pane.
@@ -611,12 +634,12 @@ type readRound struct {
 }
 
 // serve reads, verifies and delivers one round's share as one batch through
-// the Reader's driver, then retries the panes of the sources whose runs
-// were lost.
-func (rd *Reader) serve(req *ReadRequest, items []readItem, lost []lostRun) {
-	e := &readRound{rd: rd, req: req, bad: make(map[string]bool)}
+// the round's driver each, then retries the panes of the sources whose
+// directories were lost.
+func (rd *Reader) serve(req *ReadRequest, each reads, items []readItem, lost []lostDir) {
+	e := &readRound{rd: rd, req: req, each: each, bad: make(map[string]bool)}
 	defer func() { rd.delivered = false }()
-	e.read(rd.reads(), items, false)
+	e.read(each, items, false)
 	for _, l := range lost {
 		e.recoverPanes(l.readItem, l.panes)
 	}
@@ -658,7 +681,7 @@ func (e *readRound) consume(f *readFile) {
 	var panes []paneSets
 	ok := !slices.Contains(x.bad, true)
 	if ok {
-		panes, ok = assemble(f.cat, f.plan, f.runs, x.bufs, e.rd.cfg.Metrics)
+		panes, ok = assemble(f.link.Catalog, f.plan, f.runs, x.bufs, e.rd.cfg.Metrics)
 	}
 	if !ok {
 		// An unreadable or damaged file is skipped whole, with whatever was
@@ -666,7 +689,7 @@ func (e *readRound) consume(f *readFile) {
 		// files that were delivered.
 		mx.filesSkipped.Inc()
 		mx.readErrors.Inc()
-		mx.bytesWasted.Add(x.got)
+		mx.bytesWasted.Add(x.bytesGot())
 		if !f.retry { // a retry's own failure is final: the walk moves on to the pane's next copy
 			var ids []int
 			for i := range f.plan.Entries {
@@ -677,7 +700,7 @@ func (e *readRound) consume(f *readFile) {
 		}
 		return
 	}
-	mx.bytesRead.Add(x.got)
+	mx.bytesRead.Add(x.bytesGot())
 	for _, p := range panes {
 		e.req.Deliver(p.pane, p.sets)
 	}
@@ -688,30 +711,28 @@ func (e *readRound) consume(f *readFile) {
 }
 
 // recoverPanes retries panes of a failed file against the other copies its
-// index knows, best-first (primaries before replicas, per
+// index knows in the same link, best-first (primaries before replicas, per
 // catalog.PaneFiles), delivering each pane from the first copy that
-// verifies end to end; a copy's entry run, when its catalog lacks it, is
-// read first, that run alone (loadRuns), and a copy whose run loads neither
-// way is failed. The walk is deterministic — sorted panes, ordered sources,
+// verifies end to end; a copy's directory, when its catalog lacks it, is
+// read first, that directory alone (loadDirs), and a copy whose directory
+// does not load is failed. The walk is deterministic — sorted panes, ordered sources,
 // a shared bad-file set — so every process makes the same recovery
 // decisions. A pane with no good copy anywhere is simply not delivered: the
 // receivers then report the snapshot incomplete and the restore walk falls
 // back a generation, which is exactly the all-copies-bad semantics the
 // replica layer promises.
 func (e *readRound) recoverPanes(it readItem, panes []int) {
-	rd, w := e.rd, e.req.Window
+	rd, w, cat := e.rd, e.req.Window, it.link.Catalog
 	e.bad[it.plan.File] = true
 	for _, pane := range panes {
-		for _, f := range it.cat.PaneFiles(w, pane) {
-			name := it.cat.Files[f]
+		for _, f := range cat.PaneFiles(w, pane) {
+			name := cat.Files[f]
 			if e.bad[name] {
 				continue
 			}
-			if !it.cat.HasRun(f) {
-				if l := lacking(it.cat, it.blob, []int{f}); l != nil {
-					loadRuns(rd.reads().inline(), []*runLoad{l}, rd.mx.catalogBytes)
-				}
-				if !it.cat.HasRun(f) {
+			if !cat.HasDir(f) {
+				rd.loadDirs(e.each.inline(), lacking(it.link, []int{f}))
+				if !cat.HasDir(f) {
 					e.bad[name] = true
 					continue
 				}
@@ -719,7 +740,7 @@ func (e *readRound) recoverPanes(it readItem, panes []int) {
 			// A copy that cannot be opened is blacklisted; one that opens
 			// but is damaged may still hold other panes intact, so only the
 			// attempted read is charged as wasted.
-			try := e.read(rd.reads().inline(), []readItem{{plan: attrPlan(it.cat.PaneCopy(w, pane, f), e.req.Attr), cat: it.cat, blob: it.blob}}, true)[0]
+			try := e.read(e.each.inline(), []readItem{{plan: attrPlan(cat.PaneCopy(w, pane, f), e.req.Attr), link: it.link}}, true)[0]
 			if !try.x.opened {
 				e.bad[name] = true
 			}

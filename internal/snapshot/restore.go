@@ -141,13 +141,14 @@ func decodeStep(msg []byte) step {
 // candidate's chain is the Reader's (chain), loaded from the head manifest
 // bytes the step then carries: the one it holds when those bytes are
 // unchanged, and otherwise a load it then holds, so the round that restores
-// it on the same Reader loads nothing again but the entry runs it plans
-// from. The chain's catalogs — header, file table and pane index, no entry
-// run — then its best copies' file checks (checkFiles), go through the
-// Reader's driver as one batch each (judge): inline, the paper's serial
-// order; pooled, concurrent, each read costed by its bytes. The manifests
-// themselves are read one link at a time, each naming the next. The
-// Reader's clock times each judged generation.
+// it on the same Reader loads nothing again but the directories it plans
+// from that the checks did not load. The chain's catalogs — the file table
+// and pane index — then its best copies' file checks (checkFiles, which
+// load each directory that passes), go through the Reader's driver as one
+// batch each (judge): inline, the paper's serial order; pooled, concurrent,
+// each read costed by its bytes. The manifests themselves are read one link
+// at a time, each naming the next. The Reader's clock times each judged
+// generation.
 func (rd *Reader) walk(prefix string) func() step {
 	fsys, clock, each := rd.ctx.FS(), rd.ctx.Clock(), rd.reads()
 	gens, listErr := Generations(fsys, prefix)
@@ -164,7 +165,7 @@ func (rd *Reader) walk(prefix string) func() step {
 		t0 := clock.Now()
 		buf, err := hdf.ReadFile(fsys, g.Base+Suffix)
 		rd.given = headRead{base: g.Base, buf: buf, err: err}
-		chain, err := rd.chain(g.Base, nil)
+		chain, err := rd.chain(g.Base)
 		rd.given = headRead{}
 		_, err = judge(g.Base, chain, err, each.checkFiles)
 		rd.mx.judgeSeconds.Observe(clock.Now() - t0)

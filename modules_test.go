@@ -339,7 +339,8 @@ func TestModulesAreOneService(t *testing.T) {
 }
 
 // dataReadFS counts the bytes read from snapshot data files (*.rhdf) beneath
-// it; manifests and catalogs, which every restart loads whole, stay out.
+// it — their directories and data; manifests and catalogs, which every
+// restart loads whole, stay out.
 type dataReadFS struct {
 	rt.FS
 	bytes *atomic.Int64
@@ -364,6 +365,26 @@ func (f dataReadFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
+// dirBytes is the length of every directory of base's data files, end to
+// end.
+func dirBytes(t *testing.T, fs rt.FS, base string) (n int64) {
+	t.Helper()
+	names, err := fs.List(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, ".rhdf") {
+			d, err := hdf.ReadRawDir(fs, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += int64(len(d.Bytes))
+		}
+	}
+	return n
+}
+
 // restartMatrix restores every module's committed generation under every
 // module, on another rank count (4 writers, 3 readers; the pane
 // universe dealt by each reader's PanesForRestart): they are
@@ -374,8 +395,9 @@ func (f dataReadFile) ReadAt(p []byte, off int64) (int, error) {
 func restartMatrix(t *testing.T) {
 	const writers, readers = 4, 3
 	var firstDigest string
-	var firstBytes [2]int64 // data bytes an "all" and a named-attribute restore read
+	var firstData [2]int64 // data bytes an "all" and a named-attribute restore read: .rhdf bytes less the writer's directories
 	for _, wmod := range ioModules(nil) {
+		var firstBytes [2]int64 // .rhdf bytes an "all" and a named-attribute restore of this writer's files read
 		mem := rt.NewMemFS()
 		err := mpi.NewChanWorld(mem, 1).Run(writers+wmod.servers, func(ctx mpi.Ctx) error {
 			svc, comm, closeSvc, err := wmod.open(ctx)
@@ -399,6 +421,7 @@ func restartMatrix(t *testing.T) {
 		if firstDigest == "" {
 			firstDigest = want
 		}
+		dirs := dirBytes(t, mem, "m/g0")
 
 		// restore runs rmod's readers over fs. Each restores its deal of
 		// both windows with "all", then zeroes and re-reads the pressure
@@ -480,11 +503,19 @@ func restartMatrix(t *testing.T) {
 			if allBytes == 0 || attrBytes == 0 || attrBytes*3 > allBytes {
 				t.Errorf("%s: a named attribute read %d data bytes, \"all\" %d: want a fraction", cell, attrBytes, allBytes)
 			}
-			// One plan: the same extents, whoever reads them from whose files.
+			// One plan: the same extents, whoever reads them from whose files,
+			// and each file's directory read once among the readers — so the
+			// same .rhdf bytes under every module, and beyond the writer's
+			// directories the same data bytes, whichever module wrote them.
 			if firstBytes == [2]int64{} {
 				firstBytes = [2]int64{allBytes, attrBytes}
 			} else if firstBytes != [2]int64{allBytes, attrBytes} {
-				t.Errorf("%s read %d and %d data bytes, the first cell %v", cell, allBytes, attrBytes, firstBytes)
+				t.Errorf("%s read %d and %d .rhdf bytes, the first cell %v", cell, allBytes, attrBytes, firstBytes)
+			}
+			if data := [2]int64{allBytes - dirs, attrBytes}; firstData == [2]int64{} {
+				firstData = data
+			} else if data != firstData {
+				t.Errorf("%s read %d and %d data bytes beyond the writer's %d directory bytes, the first cell %v", cell, data[0], data[1], dirs, firstData)
 			}
 			// Only Rocpanda's ParallelRead builds a read pool.
 			if pooled := reg.Snapshot().Counters["iosched.read.tasks"] > before; pooled != (rmod.name == "rocpanda-pool") {
