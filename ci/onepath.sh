@@ -82,6 +82,13 @@ n=$(src -path 'internal/snapshot/*' | xargs awk '/^func /{f=$0} /(Size|DirCRC|si
 [ "$n" -eq 1 ] || { echo "onepath: $n functions compare a file with its manifest entry, want 1 (checkFile)"; fail=1; }
 hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -n 'catalog\.Load(' {} +)
 [ -z "$hits" ] || { echo "onepath: an unpinned catalog loader:"; echo "$hits"; fail=1; }
+# A file is under its final name exactly when it holds a whole write: a
+# data file's directory reaches the disk only by its writer's Publish, which
+# the write service alone calls (after a write's last block, at a flush, or
+# per block under individual I/O) — no landing without a publish.
+hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -nE '\bLand(ed)?\(' {} +)
+[ -z "$hits" ] || { echo "onepath: a landing without a publish:"; echo "$hits"; fail=1; }
+none 'an hdf.Writer Publish outside the write service' '\.Publish\(\)' ! -path 'internal/snapshot/writer.go' ! -path 'internal/hdf/*'
 one 'verify-and-inflate (the caller of InflateStored)' '^[^f].*InflateStored\('
 none 'iosched.New outside internal/snapshot' 'iosched\.New\(' ! -path 'internal/snapshot/*'
 none 'RHDF writes in internal/rochdf or internal/rocpanda' 'hdf\.(Create|OpenAppend)\(|\.CreateDataset\(' \

@@ -219,8 +219,21 @@ type splicedFile struct {
 // AddDir indexes d's pane datasets under the next file index. A directory
 // that fails the gate adds nothing and its error says why.
 func (s *Splice) AddDir(d hdf.RawDir) error {
+	index, k, err := s.appendIndex(s.index, d)
+	if err != nil {
+		return err
+	}
+	s.index, s.npanes = index, s.npanes+k
+	s.files = append(s.files, splicedFile{name: d.Name, dirLen: int64(len(d.Bytes))})
+	return nil
+}
+
+// appendIndex passes d through the gate (walkPanes) and appends its pane
+// index record to dst, returning it with the number of pane IDs the record
+// lists.
+func (s *Splice) appendIndex(dst []byte, d hdf.RawDir) ([]byte, int, error) {
 	if len(d.Bytes) > math.MaxUint32 {
-		return fmt.Errorf("catalog: %s has a %d-byte directory", d.Name, len(d.Bytes))
+		return dst, 0, fmt.Errorf("catalog: %s has a %d-byte directory", d.Name, len(d.Bytes))
 	}
 	s.pairs = s.pairs[:0]
 	err := walkPanes(d, func(_ *hdf.DirEntry, _ int, window []byte, pane int, _ []byte) {
@@ -230,14 +243,11 @@ func (s *Splice) AddDir(d hdf.RawDir) error {
 		s.pairs = append(s.pairs, panePair[[]byte]{window, pane})
 	})
 	if err != nil {
-		return err
+		return dst, 0, err
 	}
-	var k int
-	s.index, k = appendRecord(s.index, s.pairs)
+	dst, k := appendRecord(dst, s.pairs)
 	clear(s.pairs) // the windows are views of d's bytes
-	s.npanes += k
-	s.files = append(s.files, splicedFile{name: d.Name, dirLen: int64(len(d.Bytes))})
-	return nil
+	return dst, k, nil
 }
 
 // Blob returns the catalog blob of the directories added.

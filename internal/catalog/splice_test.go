@@ -62,7 +62,9 @@ func fileWith(dir []byte, count uint32, dataLen uint16) []byte {
 // length, where the reader takes any bytes after the last entry (a torn
 // append leaves its data there) — and its blob is the one AddFile and
 // Encode make of the decoded datasets. A refused directory adds nothing:
-// the intact file spliced before it is the whole blob.
+// the intact file spliced before it is the whole blob. Each directory's
+// report (Record) is made exactly when the splice accepts it, survives its
+// wire form, and splices (Add) to the same blob.
 func FuzzDirSplice(f *testing.F) {
 	v3 := rhdfImage(f, map[string][]int64{
 		"/fluid/pane000001/pressure": {4},
@@ -106,7 +108,7 @@ func FuzzDirSplice(f *testing.F) {
 			}
 		}
 		ref := &Catalog{}
-		var s Splice
+		var s, viaReports Splice
 		for _, name := range []string{"a.rhdf", "b.rhdf"} {
 			_, _, sets, refErr := hdf.ScanDir(fsys, name)
 			d, err := hdf.ReadRawDir(fsys, name)
@@ -119,11 +121,23 @@ func FuzzDirSplice(f *testing.F) {
 					refErr = fmt.Errorf("%d bytes after the last entry", len(d.Bytes)-n)
 				}
 			}
+			var r Report
+			rerr := err
 			if err == nil {
 				err = s.AddDir(d)
+				r, rerr = Record(d)
 			}
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s: splice says %v, the reader %v", name, err, refErr)
+			if (err == nil) != (refErr == nil) || (rerr == nil) != (refErr == nil) {
+				t.Fatalf("%s: splice says %v, its report %v, the reader %v", name, err, rerr, refErr)
+			}
+			if rerr == nil {
+				rs, derr := DecodeReports(AppendReports(nil, []Report{r}))
+				if derr != nil {
+					t.Fatalf("%s: the report does not survive its wire form: %v", name, derr)
+				}
+				if err := viaReports.Add(rs[0]); err != nil {
+					t.Fatalf("%s: the splice refuses the directory's own report: %v", name, err)
+				}
 			}
 			if refErr == nil {
 				ref.AddFile(name, sets)
@@ -131,6 +145,9 @@ func FuzzDirSplice(f *testing.F) {
 		}
 		if got, want := s.Blob(), ref.Encode(); !bytes.Equal(got, want) {
 			t.Fatalf("spliced blob differs from the encoded catalog:\n got %x\nwant %x", got, want)
+		}
+		if got, want := viaReports.Blob(), s.Blob(); !bytes.Equal(got, want) {
+			t.Fatalf("the blob spliced from reports differs from the one spliced from directories:\n got %x\nwant %x", got, want)
 		}
 	})
 }

@@ -17,19 +17,18 @@ const (
 	// write landed.
 	MidBuffer CrashPoint = "mid-buffer"
 	// MidDrain fires after the background drain has written a block to
-	// the snapshot file, before the file is closed: the file is still a
-	// staged temporary — holding a landed directory if an earlier step, or
-	// this one, ended a whole write — and no reader opens it.
+	// the snapshot file: the file is a staged temporary no reader opens,
+	// unless the step ended a whole write and published the file, whole,
+	// under its final name.
 	MidDrain CrashPoint = "mid-drain"
 	// BeforeMeta fires when a snapshot file has been created but before
 	// its _meta dataset is written — the earliest possible on-disk state
 	// of a snapshot.
 	BeforeMeta CrashPoint = "before-meta"
 	// AtSync fires when a client's sync request reaches the server, before
-	// the flush it asks for: the drained blocks are on disk and, once the
-	// drain has passed each whole write's last block, every open file's
-	// directory has landed, but no file is renamed into place — its files
-	// stay staged temporaries.
+	// the flush it asks for: the drained blocks are on disk, each file
+	// whose whole write the drain has passed is published under its final
+	// name, and any other stays a staged temporary.
 	AtSync CrashPoint = "at-sync"
 	// MidRead fires while the server is serving a restart round, after it
 	// has read (and possibly shipped) some of its file share but before

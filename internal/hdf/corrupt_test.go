@@ -5,7 +5,6 @@ package hdf
 // and payload damage must surface as ErrChecksum.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -237,32 +236,6 @@ func TestWriterReportsWhatItPublished(t *testing.T) {
 		}
 		if again, err := w.Publish(); err != nil || again.Name != "" {
 			t.Fatalf("a second Publish reported %+v, %v", again, err)
-		}
-	}
-}
-
-// TestPublishedWireRoundTrip: reports survive their wire form, directories
-// decoded by alias, and damage is an error.
-func TestPublishedWireRoundTrip(t *testing.T) {
-	in := []Published{
-		{Name: "a_s000.rhdf", Size: 100, Count: 1, Dir: []byte{1, 2, 3}},
-		{Name: "a_s001r1.rhdf", Size: 1 << 33, Count: 7, Dir: nil},
-	}
-	enc := bytes.Join(PublishedSegments(in), nil)
-	out, err := DecodePublished(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Name != in[0].Name || out[1].Size != in[1].Size || out[1].Count != 7 ||
-		string(out[0].Dir) != string(in[0].Dir) || len(out[1].Dir) != 0 {
-		t.Fatalf("round trip gave %+v", out)
-	}
-	if cap(out[0].Dir) != len(out[0].Dir) || &out[0].Dir[0] != &enc[4+2+len(in[0].Name)+16] {
-		t.Fatal("a decoded directory is not a capacity-capped alias of the message")
-	}
-	for _, bad := range [][]byte{enc[:len(enc)-1], append(enc[:len(enc):len(enc)], 0), {0xff, 0xff, 0xff, 0xff}} {
-		if _, err := DecodePublished(bad); err == nil {
-			t.Errorf("DecodePublished accepted %x", bad)
 		}
 	}
 }

@@ -12,15 +12,17 @@ import (
 )
 
 // Writer creates or extends an RHDF file. Datasets are appended
-// sequentially; the directory is written after the last of them and the
-// header patched to point at it — at Close, or earlier by Land, which a
-// staged file's owner takes once it holds a whole write (the next dataset
-// then overwrites the landed directory, and Close writes nothing a landing
-// left current). New files are staged under a temporary name and renamed into
-// place only when Close succeeds, so a crashed or failed write never
-// replaces a previous snapshot file; appends write past the existing
-// directory and patch the header last, at Close, so an interrupted append
-// leaves the previous directory (and every dataset it describes) intact.
+// sequentially; Publish writes the directory after the last of them,
+// patches the header to point at it and closes the file. New files are
+// staged under a temporary name and renamed into place only when Publish
+// succeeds, so a crashed or failed write never replaces a previous snapshot
+// file. Appends (OpenAppend) write past the existing directory and patch
+// the header last, at Publish, so an interrupted append leaves the previous
+// directory (and every dataset it describes) intact. A published file can
+// be taken back for more datasets without reading it (Reopen): a new file
+// goes back under its staged name and its next dataset overwrites the
+// directory Publish wrote — the next Publish leaves the bytes of a file
+// never published in between — and an appended one is appended to again.
 //
 // The directory is bytes from the first dataset: CreateDataset appends the
 // dataset's entry, in AppendDirEntry's layout, to one buffer that Publish
@@ -37,8 +39,11 @@ type Writer struct {
 	count  int
 	names  map[string]struct{}
 	off    int64
-	closed bool
-	landed bool // the directory and header on disk describe every dataset so far
+	closed bool // Publish ran
+	done   bool // Publish succeeded: the file is on disk under final, whole
+	// current: the directory and header on disk describe every dataset
+	// so far (Publish wrote them, and Reopen took the file back since).
+	current bool
 
 	// zw and zbuf are the writer's one deflate stream and its output,
 	// Reset for each compressed dataset.
@@ -80,7 +85,7 @@ func Create(fsys rt.FS, name string, clock rt.Clock, cost CostProfile) (*Writer,
 		names:  make(map[string]struct{}),
 		off:    headerSize,
 	}
-	// Reserve the header; the directory offset is patched by Land or Close.
+	// Reserve the header; the directory offset is patched by Publish.
 	hdr := make([]byte, headerSize)
 	copy(hdr, Magic)
 	binary.LittleEndian.PutUint32(hdr[4:], Version)
@@ -167,9 +172,9 @@ func (w *Writer) CreateDataset(name string, typ DType, dims []int64, attrs []Att
 			flags |= flagDeflate
 		}
 	}
-	// Any write attempt, even a short one that fails, may cover a landed
-	// directory, so the file is unlanded before it.
-	w.landed = false
+	// Any write attempt, even a short one that fails, may cover the
+	// directory a Publish wrote before a Reopen, so it is no longer current.
+	w.current = false
 	if _, err := w.f.WriteAt(stored, w.off); err != nil {
 		return fmt.Errorf("hdf: writing %q: %w", name, err)
 	}
@@ -236,33 +241,9 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// Landed reports whether the file's directory and header are on disk as
-// Publish would write them: a Land wrote them and no dataset followed it.
-func (w *Writer) Landed() bool { return w.landed }
-
-// Land writes the directory after the data so far, truncates the file to
-// its end and patches the header to point at it — everything Publish writes
-// — without closing the file, so a later Publish only closes and renames.
-// It reports whether it wrote anything. The next dataset is written over
-// the landed directory. Land is for staged files only: nothing reads a
-// *.tmp, while an append's header patch is its commit point, taken only when
-// it publishes; on an append writer, a closed or an already landed one it
-// writes nothing. A failed Land leaves the file unlanded, and Publish writes
-// it all again.
-func (w *Writer) Land() (bool, error) {
-	if !w.staged || w.closed || w.landed {
-		return false, nil
-	}
-	if err := w.writeDir(); err != nil {
-		return true, err
-	}
-	w.landed = true
-	return true, nil
-}
-
 // writeDir writes the directory at w.off, truncates the file after it and
 // patches the header to point at it: the one place the file's end is laid
-// out, for Land and Publish alike.
+// out.
 func (w *Writer) writeDir() error {
 	binary.LittleEndian.PutUint32(w.dir, uint32(w.count))
 	if _, err := w.f.WriteAt(w.dir, w.off); err != nil {
@@ -282,18 +263,19 @@ func (w *Writer) writeDir() error {
 	return nil
 }
 
-// Publish writes the directory and patches the header (unless Land left
-// them current), closes the file, and — for newly created files — renames
-// the staged bytes into place, returning what it put on disk. Any failure
-// before the rename leaves the previous file (if one existed) untouched,
-// with the staged *.tmp orphan as the only residue. A writer publishes
-// once; later calls return the zero report.
+// Publish writes the directory and patches the header (unless they are
+// current: a Reopen with no dataset since), closes the file, and — for
+// newly created files — renames the staged bytes into place, returning what
+// it put on disk. Any failure before the rename leaves the previous file
+// (if one existed) untouched, with the staged *.tmp orphan as the only
+// residue. A writer publishes once per open; later calls return the zero
+// report.
 func (w *Writer) Publish() (Published, error) {
 	if w.closed {
 		return Published{}, nil
 	}
 	w.closed = true
-	if !w.landed {
+	if !w.current {
 		if err := w.writeDir(); err != nil {
 			w.f.Close()
 			return Published{}, err
@@ -307,8 +289,46 @@ func (w *Writer) Publish() (Published, error) {
 			return Published{}, fmt.Errorf("hdf: committing %s: %w", w.final, err)
 		}
 	}
+	w.done, w.current = true, true
 	dir := w.dir[:len(w.dir):len(w.dir)]
 	return Published{Name: w.final, Size: w.off + int64(len(dir)), Count: w.count, Dir: dir}, nil
+}
+
+// Closed reports whether Publish has run since the writer was opened or
+// reopened, whether or not it succeeded.
+func (w *Writer) Closed() bool { return w.closed }
+
+// Reopen takes a file this writer published back for more datasets, from
+// what the writer holds: no byte of the file is read. A created file goes
+// back under its staged name — until the next Publish no reader takes it
+// for a whole file — and the next dataset overwrites the directory Publish
+// wrote, so the next Publish leaves the bytes of a file never published in
+// between. An append's header patch is its commit point, so an appended
+// file is reopened in place and written past its directory, which stays
+// the file's until the next Publish — the bytes OpenAppend would write. A
+// writer whose Publish failed does not reopen: it may have left no file
+// under the final name.
+func (w *Writer) Reopen() error {
+	if !w.closed || !w.done {
+		return fmt.Errorf("hdf: reopen of %s, which is not published", w.final)
+	}
+	name := w.final
+	if w.staged {
+		if err := w.fsys.Rename(name, name+TmpSuffix); err != nil {
+			return fmt.Errorf("hdf: reopening %s: %w", w.final, err)
+		}
+		name += TmpSuffix
+	}
+	f, err := w.fsys.Open(name)
+	if err != nil {
+		return fmt.Errorf("hdf: reopening %s: %w", w.final, err)
+	}
+	if !w.staged {
+		w.off += int64(len(w.dir))
+		w.current = false
+	}
+	w.f, w.closed, w.done = f, false, false
+	return nil
 }
 
 // AppendDirEntry appends d's directory entry in the version-3 layout, the

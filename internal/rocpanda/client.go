@@ -9,7 +9,6 @@ import (
 
 	"genxio/internal/catalog"
 	"genxio/internal/delta"
-	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
@@ -334,13 +333,13 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 			rcv.Deliver(sets) // a failure sticks: Complete reports it
 		}
 	}
+	// A read that fails on one client fails on all: the panes it lacks may
+	// sit in a file no server could read, or with a server declared dead on
+	// a lost message, and a client whose share held none of them must not
+	// go on to a next collective read its peers never make.
 	err := rcv.Complete(file)
-	if c.timeout > 0 {
-		// A server declared dead on a lost message may hold panes no
-		// survivor has: a read that fails on one client fails on all.
-		if peer := mpi.Agree(c.comm, err); err == nil && peer != nil {
-			err = fmt.Errorf("rocpanda: restart of %q: %w: %w", file, ErrIncompleteRestart, peer)
-		}
+	if peer := mpi.Agree(c.comm, err); err == nil && peer != nil {
+		err = fmt.Errorf("rocpanda: restart of %q: %w: %w", file, ErrIncompleteRestart, peer)
 	}
 	return err
 }
@@ -369,7 +368,7 @@ func (c *Client) Sync() error {
 		c.shareDeaths()
 	}
 	var drainErr error
-	var published []hdf.Published // what the server reported, if this client's sync was its first
+	var published []catalog.Report // what the server reported, if this client's sync was its first
 	err := c.withFailover("sync", func(target int) bool {
 		c.world.Send(target, tagSync, nil)
 		data, _, ok := c.recv(target, tagSyncAck)
@@ -542,7 +541,7 @@ func (c *Client) Shutdown() error {
 		c.world.Send(t, tagShutdown, nil)
 	}
 	var drainErr error
-	var published []hdf.Published
+	var published []catalog.Report
 	for _, t := range c.contacted {
 		if i := slices.Index(c.srvRanks, t); c.dead.has(i) && !c.acked.has(i) {
 			continue

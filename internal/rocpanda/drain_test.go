@@ -392,3 +392,66 @@ func TestDamagedWriteAckFailsCommitNotClient(t *testing.T) {
 		t.Fatal("generation B committed over a damaged write ack")
 	}
 }
+
+// payloadTamper puts a byte into every message of tag its client sends.
+type payloadTamper struct {
+	mpi.Comm
+	tag int
+}
+
+func (p payloadTamper) Send(dst, tag int, data ...[]byte) {
+	if tag == p.tag {
+		data = append(data, []byte{0x7f})
+	}
+	p.Comm.Send(dst, tag, data...)
+}
+
+// TestDamagedControlMessageFailsCommitNotServer: a sync, shutdown or
+// adoption message that arrives with a payload used to panic the server,
+// and the world died with it. It must instead stick as the server's drain
+// error: the message still does what its tag says, the next ack carries
+// ackDrainFailed, and every client's commit refuses the generation.
+func TestDamagedControlMessageFailsCommitNotServer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tag  int
+	}{{"sync", tagSync}, {"shutdown", tagShutdown}, {"adopt", tagAdopt}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := rt.NewMemFS()
+			err := mpi.NewChanWorld(fs, 1).Run(3, func(ctx mpi.Ctx) error {
+				cl, err := Init(ctx, Config{NumServers: 1, Profile: hdf.NullProfile(), ActiveBuffering: true})
+				if err != nil || cl == nil {
+					return err
+				}
+				rank := cl.Comm().Rank()
+				if rank == 0 {
+					cl.world = payloadTamper{Comm: cl.world, tag: tc.tag}
+				}
+				if tc.tag == tagAdopt && rank == 0 {
+					// An announcement to the server that already serves it.
+					cl.world.Send(cl.srvRanks[0], tagAdopt)
+				}
+				if err := cl.WriteAttribute("dc/A", buildWindow(t, rank, 2), "all", 0, 0); err != nil {
+					return err
+				}
+				var cerr error
+				if tc.tag == tagShutdown {
+					cerr = cl.Shutdown()
+				} else {
+					cerr = cl.Sync()
+					cl.Shutdown()
+				}
+				if !errors.Is(cerr, errDrainFailed) {
+					return fmt.Errorf("client %d: commit = %v, want the generation refused", rank, cerr)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snapshot.Load(fs, "dc/A"); err == nil {
+				t.Fatal("the generation committed over a damaged control message")
+			}
+		})
+	}
+}

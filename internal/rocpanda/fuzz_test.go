@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"genxio/internal/catalog"
 	"genxio/internal/hdf"
 	"genxio/internal/roccom"
 )
@@ -26,13 +27,13 @@ func FuzzWireDecoders(f *testing.F) {
 		Name: "/fluid/pane000001/pressure", Type: hdf.F64, Dims: []int64{2, 1},
 		Attrs: []hdf.Attr{hdf.StrAttr("location", "node")}, Data: make([]byte, 16),
 	}}))
-	published := []hdf.Published{
-		{Name: "run/snap000010_s000.rhdf", Size: 4096, Count: 3, Dir: bytes.Repeat([]byte{7}, 300)},
-		{Name: "run/snap000010_s001r1.rhdf", Size: 1 << 20, Count: 1, Dir: make([]byte, 40)},
+	published := []catalog.Report{
+		{Name: "run/snap000010_s000.rhdf", Size: 4096, Count: 3, DirLen: 300, DirCRC: 0xfeed, Index: []byte{1, 5, 0, 'f', 'l', 'u', 'i', 'd', 2, 2, 3}},
+		{Name: "run/snap000010_s001r1.rhdf", Size: 1 << 20, Count: 1, DirLen: 40, DirCRC: 1, Index: []byte{0}},
 	}
-	f.Add(bytes.Join(ackSegments(nil, published), nil))
-	f.Add(bytes.Join(ackSegments(nil, published[1:]), nil))
-	f.Add(bytes.Join(ackSegments(errDrainFailed, published), nil))
+	f.Add(encodeAck(nil, published))
+	f.Add(encodeAck(nil, published[1:]))
+	f.Add(encodeAck(errDrainFailed, published))
 
 	decoders := map[string]func([]byte) ([]byte, error){
 		"decodeWriteHdr": func(b []byte) ([]byte, error) {
@@ -49,7 +50,7 @@ func FuzzWireDecoders(f *testing.F) {
 		},
 		"decodeAck": func(b []byte) ([]byte, error) {
 			published, err := decodeAck(b)
-			return bytes.Join(ackSegments(nil, published), nil), err
+			return encodeAck(nil, published), err
 		},
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -61,8 +62,8 @@ func FuzzWireDecoders(f *testing.F) {
 			// Decoding aliases every payload, so what it allocates is the
 			// structs, at most ~7× their wire form (a 7-byte minimal
 			// attribute becomes a 48-byte hdf.Attr, a 14-byte minimal set a
-			// 96-byte IOSet, an 18-byte minimal report a 56-byte
-			// hdf.Published); the re-encode adds its header bytes, its
+			// 96-byte IOSet, a 26-byte minimal report a 72-byte
+			// catalog.Report); the re-encode adds its header bytes, its
 			// segment list (48 bytes a set) and one exact-size copy: at most
 			// ~13×, hence 16× (64× while the decoder copied). The 16 KiB
 			// floor is for an error message and, under -fuzz, the engine's

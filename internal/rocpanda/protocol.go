@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"genxio/internal/catalog"
 	"genxio/internal/hdf"
 )
 
@@ -34,23 +35,23 @@ const (
 //     some of its output (a block write or file close error). Clients fold it
 //     into the commit allreduce so no generation with missing data ever gets
 //     a manifest.
-//   - ackPublished followed by hdf.PublishedSegments: the flush succeeded,
-//     and these are the files the server published since its last ack, which
-//     the commit indexes instead of reading their directories back.
+//   - ackPublished followed by catalog.AppendReports' form: the flush
+//     succeeded, and these are the reports of the files the server
+//     published since its last ack, which the commit records instead of
+//     reading their directories back.
 //   - empty: the flush succeeded and published nothing new.
 const (
 	ackDrainFailed = 1
 	ackPublished   = 2
 )
 
-// ackSegments encodes a flush outcome for a sync or shutdown ack, as
-// segments for a gathering Send: the directories travel uncopied.
-func ackSegments(err error, published []hdf.Published) [][]byte {
+// encodeAck encodes a flush outcome for a sync or shutdown ack.
+func encodeAck(err error, published []catalog.Report) []byte {
 	switch {
 	case err != nil:
-		return [][]byte{append([]byte{ackDrainFailed}, err.Error()...)}
+		return append([]byte{ackDrainFailed}, err.Error()...)
 	case len(published) > 0:
-		return append([][]byte{{ackPublished}}, hdf.PublishedSegments(published)...)
+		return catalog.AppendReports([]byte{ackPublished}, published)
 	}
 	return nil
 }
@@ -59,17 +60,17 @@ func ackSegments(err error, published []hdf.Published) [][]byte {
 // server published when it carries a report, errDrainFailed with the
 // server's reason for a failed drain, and an error — not a panic — for
 // anything else, which only a damaged stream produces. A report is read
-// strictly (hdf.DecodePublished), its directories by alias of data.
-func decodeAck(data []byte) ([]hdf.Published, error) {
+// strictly (catalog.DecodeReports), its records by alias of data.
+func decodeAck(data []byte) ([]catalog.Report, error) {
 	switch {
 	case len(data) == 0:
 		return nil, nil
 	case data[0] == ackDrainFailed:
 		return nil, fmt.Errorf("%w: %s", errDrainFailed, data[1:])
 	case data[0] == ackPublished:
-		published, err := hdf.DecodePublished(data[1:])
+		published, err := catalog.DecodeReports(data[1:])
 		if err == nil && len(published) == 0 {
-			err = fmt.Errorf("empty report") // ackSegments sends an empty ack instead
+			err = fmt.Errorf("empty report") // encodeAck sends an empty ack instead
 		}
 		if err != nil {
 			return nil, fmt.Errorf("rocpanda: corrupt ack: %w", err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -177,26 +178,42 @@ func TestReadListFailureDegradesNotCrash(t *testing.T) {
 	}
 }
 
-// slowRenameFS delays every Rename by delay of real time: the observable
-// cost of closing staged snapshot files during the pre-read flush.
-type slowRenameFS struct {
+// slowWriteFS delays every write to a snapshot data file by delay of real
+// time: the observable cost of the drain a pre-read flush waits for.
+type slowWriteFS struct {
 	rt.FS
 	delay time.Duration
 }
 
-func (f *slowRenameFS) Rename(oldname, newname string) error {
-	time.Sleep(f.delay)
-	return f.FS.Rename(oldname, newname)
+func (f *slowWriteFS) Create(name string) (rt.File, error) {
+	file, err := f.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return slowWriteFile{file, f.delay}, nil
+}
+
+type slowWriteFile struct {
+	rt.File
+	delay time.Duration
+}
+
+func (f slowWriteFile) WriteAt(p []byte, off int64) (int, error) {
+	if strings.Contains(f.Name(), ".rhdf") {
+		time.Sleep(f.delay)
+	}
+	return f.File.WriteAt(p, off)
 }
 
 // TestRestartScanTimeExcludesFlush pins the second bugfix: the restart
 // scan histogram used to start before the pre-read flushOutput, so the
-// drain barrier's cost was booked as scan time. Renames (which happen
-// only when the flush closes staged files) are slowed by 100ms of real
-// time; that cost must land in drain.flush_seconds and stay out of
+// drain barrier's cost was booked as scan time. Writes to the data files
+// (the drain a read of an unsynced generation flushes first: at least the
+// last block's, which also publishes the file) are slowed by 50ms of real
+// time each; that cost must land in drain.flush_seconds and stay out of
 // restart_scan_seconds.
 func TestRestartScanTimeExcludesFlush(t *testing.T) {
-	fs := &slowRenameFS{FS: rt.NewMemFS(), delay: 100 * time.Millisecond}
+	fs := &slowWriteFS{FS: rt.NewMemFS(), delay: 50 * time.Millisecond}
 	reg := metrics.New()
 	world := mpi.NewChanWorld(fs, 1)
 	err := world.Run(2, func(ctx mpi.Ctx) error {
@@ -214,8 +231,8 @@ func TestRestartScanTimeExcludesFlush(t *testing.T) {
 		if err := cl.WriteAttribute("fl/A", w, "all", 0, 0); err != nil {
 			return err
 		}
-		// No Sync: the buffered generation is still staged, so the read
-		// must flush (and rename) it first.
+		// No Sync: the buffered generation may still be queued, so the
+		// read must flush it first.
 		if err := cl.ReadAttribute("fl/A", w, "all"); err != nil {
 			return err
 		}
@@ -228,10 +245,10 @@ func TestRestartScanTimeExcludesFlush(t *testing.T) {
 	flush := s.Histograms["rocpanda.drain.flush_seconds"]
 	scan := s.Histograms["rocpanda.server.restart_scan_seconds"]
 	if flush.Count == 0 || flush.Sum < 0.09 {
-		t.Fatalf("flush_seconds sum = %v over %d obs, want >= 0.09 (the slowed rename)", flush.Sum, flush.Count)
+		t.Fatalf("flush_seconds sum = %v over %d obs, want >= 0.09 (the slowed writes)", flush.Sum, flush.Count)
 	}
 	if scan.Count == 0 || scan.Sum > 0.05 {
-		t.Fatalf("restart_scan_seconds sum = %v, want well under the 0.1s rename delay", scan.Sum)
+		t.Fatalf("restart_scan_seconds sum = %v, want well under the slowed writes' 0.05 s each", scan.Sum)
 	}
 }
 
@@ -701,5 +718,87 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 				t.Errorf("iosched.read.tasks = %d with %d workers", n, workers)
 			}
 		})
+	}
+}
+
+// TestDirectReadAgreesOnFailure: a direct M×N restart — PanesForRestart,
+// then ReadPanes of each client's share — of a generation in which both
+// copies of one pane are damaged fails on every client, with no retry
+// timeout set: the client whose share held the pane fails its own read,
+// and every other learns of it from the read's agreement, so none goes on
+// with a partial restart (or into a next collective read its peers never
+// make).
+func TestDirectReadAgreesOnFailure(t *testing.T) {
+	const nClients, nServers = 4, 2
+	fs := rt.NewMemFS()
+	err := mpi.NewChanWorld(fs, 1).Run(nClients+nServers, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, Config{NumServers: nServers, Profile: hdf.NullProfile(), ActiveBuffering: true, ReplicationFactor: 2})
+		if err != nil || cl == nil {
+			return err
+		}
+		if err := cl.WriteAttribute("da/A", buildWindow(t, cl.Comm().Rank(), 3), "all", 0, 0); err != nil {
+			return err
+		}
+		return cl.Shutdown()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := snapshot.LoadChain(fs, "da/A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := chain[0].Catalog
+	damaged := cat.Entries[0].Pane
+	copies := 0
+	for _, e := range cat.Entries {
+		if e.Pane == damaged && e.Attr == "pressure" {
+			off, length := e.Extent()
+			if err := faults.FlipBit(fs, cat.Files[e.File], (off+length/2)*8); err != nil {
+				t.Fatal(err)
+			}
+			copies++
+		}
+	}
+	if copies != 2 {
+		t.Fatalf("pane %d's pressure has %d copies, want 2", damaged, copies)
+	}
+
+	var mu sync.Mutex
+	var incomplete, held int
+	err = mpi.NewChanWorld(fs, 1).Run(nClients+nServers, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, Config{NumServers: nServers, Profile: hdf.NullProfile(), ActiveBuffering: true})
+		if err != nil || cl == nil {
+			return err
+		}
+		rc := roccom.New()
+		w, err := rc.NewWindow("fluid")
+		if err != nil {
+			return err
+		}
+		w.NewAttribute(roccom.AttrSpec{Name: "pressure", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 1})
+		w.NewAttribute(roccom.AttrSpec{Name: "flags", Loc: roccom.PaneLoc, Type: hdf.I32, NComp: 1})
+		mine, err := cl.PanesForRestart("da/A", "fluid")
+		if err != nil {
+			return err
+		}
+		rerr := cl.ReadPanes("da/A", w, "all", mine)
+		mu.Lock()
+		if errors.Is(rerr, ErrIncompleteRestart) {
+			incomplete++
+		}
+		for _, id := range mine {
+			if id == damaged {
+				held++
+			}
+		}
+		mu.Unlock()
+		return cl.Shutdown()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held != 1 || incomplete != nClients {
+		t.Fatalf("%d of %d clients returned ErrIncompleteRestart (%d shares held the damaged pane), want all", incomplete, nClients, held)
 	}
 }

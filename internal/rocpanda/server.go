@@ -41,7 +41,7 @@ type server struct {
 	wr            *snapshot.Writer      // the snapshot write service, fed from the MPI stream
 	rd            *snapshot.Reader      // the restart-read service, shipping to the clients
 	reads         map[string]*readRound // key: file|window|attr
-	parts         map[string]int        // write headers received per snapshot base since its last landing
+	parts         map[string]int        // parts received of each write not yet whole, by base, window and attribute
 	shutdown      int
 	shutdownQueue []int // clients awaiting the shutdown ack
 
@@ -77,8 +77,8 @@ func newSrvMx(r *metrics.Registry) srvMx {
 // describes: with dirty buffers it polls for new requests between block
 // writes (responsiveness); with clean buffers it blocks in probe, leaving
 // the CPU to the operating system. The drain step of the last block of a
-// write every client here has sent its part of also lands its files'
-// directories, so a sync only closes and renames the files.
+// write every client here has sent its part of also publishes its files,
+// so a sync finds them published and only acknowledges.
 func (s *server) run() {
 	s.wr = s.newWriter()
 	s.rd = newReader(s.ctx, &s.cfg, s.crashes, s.traceRank())
@@ -118,7 +118,7 @@ func (s *server) run() {
 	err := s.wr.Flush()
 	published := s.wr.Published()
 	for _, dst := range s.shutdownQueue {
-		s.world.Send(dst, tagShutdownAck, ackSegments(err, published)...)
+		s.world.Send(dst, tagShutdownAck, encodeAck(err, published))
 		published = nil
 	}
 }
@@ -142,7 +142,7 @@ func (s *server) handle(st mpi.Status) {
 			panic(serverCrashed{})
 		}
 		err := s.wr.Flush()
-		s.world.Send(st.Source, tagSyncAck, ackSegments(err, s.wr.Published())...)
+		s.world.Send(st.Source, tagSyncAck, encodeAck(err, s.wr.Published()))
 	case tagShutdown:
 		s.recvEmpty(st.Source, tagShutdown, "shutdown request")
 		s.shutdown++
@@ -175,11 +175,15 @@ func (s *server) recvExpect(src, tag int, what string) []byte {
 	return data
 }
 
-// recvEmpty receives one control message that must carry no payload.
+// recvEmpty receives one control message that must carry no payload. A
+// payload is protocol damage but no reason to die: MPI framing keeps the
+// stream in sync, so the message still does what its tag says, and the
+// damage sticks as a drain error, which the next sync or shutdown ack
+// carries to every client's commit.
 func (s *server) recvEmpty(src, tag int, what string) {
 	data, st := s.world.Recv(src, tag)
 	if len(data) != 0 {
-		panic(fmt.Sprintf("rocpanda: server %d: unexpected %d-byte payload on %s from rank %d (tag %d)",
+		s.wr.Fail(fmt.Errorf("rocpanda: server %d: unexpected %d-byte payload on %s from rank %d (tag %d)",
 			s.idx, len(data), what, st.Source, st.Tag))
 	}
 }
@@ -201,15 +205,17 @@ func (s *server) handleWrite(src int) {
 	fnames := s.copyNames(hdr.File)
 	// With this part, is every client's part of the write in? Then its
 	// files hold the whole write once its last block lands, and that step
-	// lands their directories too. Counting parts, not watching for an
-	// empty queue, puts the landing at the same step whatever order the
-	// clients' parts arrived in. (A last part with no blocks lands nothing;
-	// the sync writes those directories.)
-	whole := s.parts[hdr.File]+1 >= len(s.myClients)
+	// publishes them. Counting parts, not watching for an empty queue, puts
+	// the publish at the same step whatever order the clients' parts arrived
+	// in; counting them per write, not per base, keeps one client's next
+	// write into the base from standing in for a part still on its way.
+	// (A last part with no blocks publishes nothing; the sync does.)
+	write := hdr.File + "\x00" + hdr.Window + "\x00" + hdr.Attr
+	whole := s.parts[write]+1 >= len(s.myClients)
 	if whole {
-		delete(s.parts, hdr.File)
+		delete(s.parts, write)
 	} else {
-		s.parts[hdr.File]++
+		s.parts[write]++
 	}
 	for i := int32(0); i < hdr.NBlocks; i++ {
 		payload, _ := s.world.Recv(src, tagWriteBlock)
@@ -226,7 +232,7 @@ func (s *server) handleWrite(src int) {
 		// write amplification.
 		s.wr.Submit(snapshot.Block{
 			File: fnames[0], Replicas: fnames[1:], Sets: sets, Bytes: int64(len(payload)),
-			Time: hdr.Time, Step: hdr.Step, LandDir: whole && i == hdr.NBlocks-1,
+			Time: hdr.Time, Step: hdr.Step, Whole: whole && i == hdr.NBlocks-1,
 		})
 	}
 	s.world.Send(src, tagWriteAck, nil)

@@ -49,8 +49,8 @@ type Pending struct {
 	fs        rt.FS
 	clock     rt.Clock
 	retain    int
-	gens      []*PendingGen   // few: what was written since the last sync
-	published []hdf.Published // what this rank's writers reported since the last commit
+	gens      []*PendingGen    // few: what was written since the last sync
+	published []catalog.Report // what this rank's writers reported since the last commit
 	// links is rank 0's base → BaseGeneration of the generations it
 	// committed (or its prunes read) that retention still keeps; kept only
 	// when retain > 0.
@@ -95,14 +95,14 @@ func (p *Pending) Begin(base string, epoch int64, tm float64) (g *PendingGen, fr
 // as the barrier that guarantees every rank's output is on disk, and if any
 // rank failed no manifest may be written: every rank returns an error (its
 // own, or ErrDrainFailed wrapping mpi.ErrPeerFailed for a peer's) and the
-// generations stay pending, with what was published. Otherwise the pending generations commit. published
-// is what this rank's write service reported closing since it last handed
-// reports out (Writer.Published, or a Rocpanda server's ack); every rank's
-// reach rank 0, which indexes the files from them. chain, when non-nil, is
-// called on every rank for each generation in order just before its commit —
-// it may be collective — and returns, on rank 0, the chain facts of a delta
-// generation.
-func (p *Pending) Commit(flushErr error, published []hdf.Published, chain func(*PendingGen) *ChainInfo) error {
+// generations stay pending, with what was published. Otherwise the pending
+// generations commit. published is what this rank's write service reported
+// publishing since it last handed reports out (Writer.Published, or a
+// Rocpanda server's ack); every rank's reach rank 0, which indexes the
+// files from them. chain, when non-nil, is called on every rank for each
+// generation in order just before its commit — it may be collective — and
+// returns, on rank 0, the chain facts of a delta generation.
+func (p *Pending) Commit(flushErr error, published []catalog.Report, chain func(*PendingGen) *ChainInfo) error {
 	p.published = append(p.published, published...)
 	err := mpi.Agree(p.comm, flushErr)
 	switch {
@@ -205,26 +205,27 @@ func afterCommit(names []string, base string) []string {
 }
 
 // gatherPublished collects every rank's reports on rank 0 (nil elsewhere),
-// keyed by file: the others ship theirs as uncopied segments, rank 0 keeps
-// its own. Of two reports of one file the larger wins: an append republishes
-// a file past its old end, so the latest is the largest.
-func (p *Pending) gatherPublished() (map[string]hdf.Published, error) {
+// keyed by file: the others ship theirs in their wire form
+// (catalog.AppendReports), rank 0 keeps its own. Of two reports of one file
+// the larger wins: a reopen or an append republishes a file past its old
+// end, so the latest is the largest.
+func (p *Pending) gatherPublished() (map[string]catalog.Report, error) {
 	if p.comm.Rank() != 0 {
-		p.comm.Gather(0, hdf.PublishedSegments(p.published)...)
+		p.comm.Gather(0, catalog.AppendReports(nil, p.published))
 		return nil, nil
 	}
 	parts := p.comm.Gather(0)
-	reported := make(map[string]hdf.Published)
-	add := func(ps []hdf.Published) {
-		for _, pub := range ps {
-			if have, ok := reported[pub.Name]; !ok || pub.Size > have.Size {
-				reported[pub.Name] = pub
+	reported := make(map[string]catalog.Report)
+	add := func(rs []catalog.Report) {
+		for _, r := range rs {
+			if have, ok := reported[r.Name]; !ok || r.Size > have.Size {
+				reported[r.Name] = r
 			}
 		}
 	}
 	add(p.published)
 	for _, part := range parts[1:] {
-		ps, err := hdf.DecodePublished(part)
+		ps, err := catalog.DecodeReports(part)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: commit: %w", err)
 		}

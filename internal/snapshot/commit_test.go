@@ -18,8 +18,8 @@ import (
 )
 
 // publishFile writes one server-style snapshot file holding panes of the
-// "fluid" window and returns its writer's report.
-func publishFile(t *testing.T, fsys rt.FS, name string, panes []int, val float64) hdf.Published {
+// "fluid" window and returns what its writer reports of it.
+func publishFile(t *testing.T, fsys rt.FS, name string, panes []int, val float64) catalog.Report {
 	t.Helper()
 	w, err := hdf.Create(fsys, name, rt.NewWallClock(), hdf.NullProfile())
 	if err != nil {
@@ -35,7 +35,11 @@ func publishFile(t *testing.T, fsys rt.FS, name string, panes []int, val float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pub
+	r, err := catalog.Record(pub.Raw())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // soloComm returns the communicator of a one-process world, for use on the
@@ -108,7 +112,7 @@ func TestCommitRefusesDamagedReport(t *testing.T) {
 	fsys := rt.NewMemFS()
 	var errs [2]error
 	var hooks [2]int
-	var pubs [2]hdf.Published
+	var pubs [2]catalog.Report
 	for rank := range pubs {
 		pubs[rank] = publishFile(t, fsys, fmt.Sprintf("m/g0_p%05d.rhdf", rank), []int{rank}, 1)
 	}
@@ -156,8 +160,8 @@ type genSpec struct {
 	replicated bool
 }
 
-func (g genSpec) write(t *testing.T, fsys rt.FS, val float64) []hdf.Published {
-	pubs := []hdf.Published{publishFile(t, fsys, g.base+"_s000.rhdf", g.panes, val)}
+func (g genSpec) write(t *testing.T, fsys rt.FS, val float64) []catalog.Report {
+	pubs := []catalog.Report{publishFile(t, fsys, g.base+"_s000.rhdf", g.panes, val)}
 	if g.replicated {
 		pubs = append(pubs, publishFile(t, fsys, g.base+"_s000r1.rhdf", g.panes, val))
 	}
@@ -241,7 +245,7 @@ func TestCommitPruneMatchesPrune(t *testing.T) {
 			p := NewPending(comm, viaCommit, rt.NewWallClock(), tc.retain, reg)
 			removed := 0
 			for i, r := range tc.rounds {
-				var published []hdf.Published
+				var published []catalog.Report
 				for _, fsys := range []rt.FS{viaPrune, viaCommit} {
 					if r.before != nil {
 						r.before(t, fsys)
@@ -399,7 +403,7 @@ func (fs *countFS) Remove(name string) error {
 // generation it commits; no other rank observes it.
 func TestCommitSeconds(t *testing.T) {
 	fsys := rt.NewMemFS()
-	var pubs [2][]hdf.Published
+	var pubs [2][]catalog.Report
 	for rank := range pubs {
 		for g := range 3 {
 			pubs[rank] = append(pubs[rank], publishFile(t, fsys, fmt.Sprintf("m/g%d_p%05d.rhdf", g, rank), []int{rank}, 1))
@@ -455,7 +459,7 @@ func (f catalogFile) WriteAt(b []byte, off int64) (int, error) {
 // however many datasets the file holds.
 func TestCommitCatalogBytes(t *testing.T) {
 	fsys := &catalogWrites{FS: rt.NewMemFS()}
-	var pubs [2][]hdf.Published
+	var pubs [2][]catalog.Report
 	for rank := range pubs {
 		for g := range 3 {
 			panes := make([]int, 200)

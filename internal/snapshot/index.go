@@ -11,35 +11,38 @@ import (
 	"genxio/internal/rt"
 )
 
-// deriveCatalog builds the block catalog blob of files from the files' own
-// directories, in the order given — the one way a catalog is made: at
-// commit, by the catalog rebuild, and by any reader left without a
-// committed one (which loads the directories into it: derived). A file's
-// directory is the one its writer reported publishing, when reported holds
-// it (the commit's case: no read), and is otherwise read off the file and
-// counted on dirsRead; either way it passes the directory's one gate
-// (catalog.Splice), which records its length and its panes. When pinned,
-// files are manifest entries and each is held to its entry by checkFile.
-// entries are the files' manifest records as found, and dirs their
-// directories, both parallel to the blob's file table. A file whose
+// deriveCatalog builds the block catalog blob of files from what the
+// files' own directories record, in the order given — the one way a
+// catalog is made: at commit, by the catalog rebuild, and by any reader left
+// without a committed one (which loads the directories into it: derived).
+// A file's record is the one its writer reported (catalog.Report, made from
+// the directory it published) when reported holds it — the commit's case:
+// no read. Otherwise its directory is read off the file, counted on
+// dirsRead, and makes the same record as it passes the directory's one
+// gate (catalog.Splice). When pinned, files are manifest entries and each
+// is held to its entry by checkFile. entries are the files' manifest
+// records as found, and dirs the directories read (the zero RawDir for a
+// reported file), both parallel to the blob's file table. A file whose
 // directory will not read or pass, or fails its pin, is in neither, and its
 // error (which names it) is in errs.
-func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[string]hdf.Published, dirsRead *metrics.Counter) (blob []byte, dirs []hdf.RawDir, entries []FileEntry, errs []error) {
+func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[string]catalog.Report, dirsRead *metrics.Counter) (blob []byte, dirs []hdf.RawDir, entries []FileEntry, errs []error) {
 	var s catalog.Splice
 	for _, f := range files {
+		r, ok := reported[f.Name]
 		var d hdf.RawDir
 		var err error
-		if p, ok := reported[f.Name]; ok {
-			d = p.Raw()
-		} else {
+		if !ok {
 			dirsRead.Inc()
 			d, err = hdf.ReadRawDir(fsys, f.Name)
+			r = catalog.Report{Size: d.Size, Count: d.Count, DirCRC: hdf.Checksum(d.Bytes)}
 		}
-		found := FileEntry{Name: f.Name, Size: d.Size, DirCRC: hdf.Checksum(d.Bytes), Datasets: d.Count}
+		found := FileEntry{Name: f.Name, Size: r.Size, DirCRC: r.DirCRC, Datasets: r.Count}
 		if err == nil && pinned {
 			err = checkFile(f, found)
 		}
-		if err == nil {
+		if err == nil && ok {
+			err = s.Add(r)
+		} else if err == nil {
 			err = s.AddDir(d)
 		}
 		if err != nil {

@@ -131,14 +131,14 @@ func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *Chai
 
 // commit is CommitChained over names, a listing that holds the generation's
 // files (its Base_*.rhdf names are the generation), indexing them from what
-// their writers reported publishing (hdf.Published, keyed by file name): a
-// listed file with a report is indexed from it, one without — a dead
-// writer's renamed file — is read off the filesystem and counted on
-// dirsRead, and a reported file the listing lacks (its rename was lost)
-// refuses the commit. The manifest and catalog bytes are the same either
-// way.
+// their writers reported publishing (catalog.Report, keyed by file name): a
+// listed file with a report is recorded from it, one without — a dead
+// writer's published file — has its directory read off the filesystem,
+// counted on dirsRead, and a reported file the listing lacks (its rename
+// was lost) refuses the commit. The manifest and catalog bytes are the same
+// either way.
 func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
-	names []string, reported map[string]hdf.Published, dirsRead *metrics.Counter) (*Manifest, error) {
+	names []string, reported map[string]catalog.Report, dirsRead *metrics.Counter) (*Manifest, error) {
 	m := &Manifest{Schema: ManifestSchema, Base: base, Epoch: epoch, Time: tm}
 	if chain != nil {
 		if chain.Base == "" || chain.Base == base {

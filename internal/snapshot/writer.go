@@ -14,25 +14,28 @@ package snapshot
 // primary file, then each replica in order — appending it through a
 // blockSink, observes drain_seconds and then visits the MidDrain crash
 // point; the block leaves the queue with its last copy. Under active
-// buffering, the step of a write's last block (Block.LandDir, set by an
-// owner that knows the write is whole — a Rocpanda server, once each of its
-// clients has sent its part of a collective write) also lands the copy's
-// file: it writes the directory after the data so far and patches the
-// header (hdf.Writer.Land), the file still open and staged, so the flush
-// that ends the generation only closes and renames it. The landing is drain
-// work like the block's, done in the owner's idle time between probes
-// (idle_landings counts those done before a flush began); a block that
-// later lands in such a file writes over that directory
-// (landings_overwritten, the work wasted). Which step lands is decided by
-// what the owner received, not by when its queue ran empty, so a run makes
-// the same filesystem calls whatever the timing of its clients. Flush
-// empties the queue, closes every open file (for a landed file, only its
-// close and rename) and returns the sticky first error — the
-// barrier-before-commit that sync, restart reads of an uncommitted
-// generation and shutdown rely on. Only after it may a
-// generation's manifest be written (Pending.Commit), so crash consistency,
-// catalog publication and generation fallback depend on neither the driver
-// nor the module.
+// buffering, the step of a write's last block (Block.Whole, set by an
+// owner that knows the write is whole — a Rocpanda server, once each of
+// its clients has sent its part of a collective write) also publishes the
+// copy's file: it writes the directory after the data, patches the
+// header, closes the file and renames it into place (hdf.Writer.Publish),
+// so a file is under its final name exactly when it holds a whole write,
+// and the flush that ends the generation finds no file open. The publish
+// is drain work like the block's, done in the owner's idle time between
+// probes (idle_publishes counts those done before a flush began); a block
+// that later lands in such a file — a second write into the same base, as
+// Rocman's fluid and solid windows are — reopens it from the sink's memory
+// (hdf.Writer.Reopen, files_reopened): back under its staged name, no byte
+// of it read, written on over the directory the publish wrote, so the file
+// ends with the bytes of one never published in between. Which step
+// publishes is decided by what the owner received, not by when its queue
+// ran empty, so a run makes the same filesystem calls whatever the timing
+// of its clients. Flush empties the queue, publishes every file still open
+// and returns the sticky first error — the barrier-before-commit that
+// sync, restart reads of an uncommitted generation and shutdown rely on.
+// Only after it may a generation's manifest be written (Pending.Commit),
+// so crash consistency, catalog publication and generation fallback depend
+// on neither the driver nor the module.
 //
 // The budget rule, stated once: WriterConfig.Budget bounds the queued bytes
 // by iosched.OverBudget, the scheduler's streaming rule. A block counts its
@@ -50,8 +53,9 @@ package snapshot
 // Write-through (Buffering off — Rochdf, and Rocpanda's ablation baseline)
 // is this driver holding every Submit until the queue is empty: no buffer
 // copy is charged and nothing counts as buffered, but each copy of a block
-// still takes its step, MidDrain point included. It lands no directory
-// early, nor does ClosePerBlock, whose files close as each block lands.
+// still takes its step, MidDrain point included. It publishes no file at a
+// write's last block; ClosePerBlock publishes each file as each block
+// lands, and a later block appends to it (hdf.OpenAppend).
 //
 // The pool driver (Workers > 0 — T-Rochdf's I/O thread is one worker) hands
 // the same step to an internal/iosched pool as ClassWrite tasks (goroutines
@@ -69,25 +73,27 @@ package snapshot
 // the inline driver uses. The output files are byte-identical under both,
 // and every replica is byte-identical to its primary.
 //
-// Reports: every file a sink closes is reported to the Writer as what its
-// hdf.Writer published — name, size, dataset count and directory bytes, the
-// latest per file (an append republishes it). Published hands them out once;
-// the owner calls it after the flush that answers a sync or shutdown, so they
-// travel to the commit (Pending.Commit), which indexes the files from them
-// instead of reading every directory back off the filesystem. A flush that is
-// only a barrier (a restart read of an uncommitted generation) leaves them
-// for the next.
+// Reports: every file a sink publishes is reported to the Writer as what
+// the commit records of it (catalog.Record: its size, dataset count,
+// directory length and CRC32C, and its pane index record), made from the
+// directory its hdf.Writer published, the latest per file (a reopen or an
+// append republishes it). The directory itself stays here. Published hands
+// the reports out once; the owner calls it after the flush that answers a
+// sync or shutdown, so they travel to the commit (Pending.Commit), which
+// indexes the files from them instead of reading every directory back off
+// the filesystem. A flush that is only a barrier (a restart read of an
+// uncommitted generation) leaves them for the next.
 //
 // Faults: MidBuffer fires on the owner once per buffered block, after it is
 // queued (never under write-through). MidDrain fires after each copy lands
 // and BeforeMeta inside the sink, on whichever process runs the step — on the
 // owner inline, as a fatal task result on a pool writer; a dying writer takes
-// the owning process with it (Crashed), its files left as staged
-// temporaries — holding a landed directory if a write's last block landed,
-// but never renamed into place. A failed landing is no error: the file stays
-// unlanded and its Publish writes everything again. A failed write or close
-// never panics: the first error sticks (ErrorSeries counts every one), Flush
-// reports it from then on, and the commit allreduce refuses the generation.
+// the owning process with it (Crashed): a file whose write was whole is
+// published, whole, under its final name; one still being written is left
+// a staged temporary, never renamed into place. A failed write, publish,
+// reopen or close never panics: the first error sticks (ErrorSeries counts
+// every one), Flush reports it from then on, and the commit allreduce
+// refuses the generation.
 
 import (
 	"fmt"
@@ -95,6 +101,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/iosched"
@@ -120,10 +127,10 @@ type Block struct {
 	Bytes    int64 // the block's charge against the buffer budget, once for all its copies
 	Time     float64
 	Step     int32
-	// LandDir marks the last block of a write its owner knows is whole (a
+	// Whole marks the last block of a write its owner knows is whole (a
 	// Rocpanda server's, once each of its clients has sent its part): after
-	// its datasets, each copy's step lands the file's directory.
-	LandDir bool
+	// its datasets, each copy's step publishes the file.
+	Whole bool
 }
 
 // copies is how many files the block lands in.
@@ -187,8 +194,8 @@ type writerMx struct {
 	bytesWritten   *metrics.Counter
 	filesCreated   *metrics.Counter
 	overflowStalls *metrics.Counter
-	idleLandings   *metrics.Counter
-	overwritten    *metrics.Counter
+	idlePublishes  *metrics.Counter
+	reopened       *metrics.Counter
 	errors         *metrics.Counter
 	bufBytesPeak   *metrics.Gauge
 	drainSeconds   *metrics.Histogram
@@ -201,8 +208,8 @@ func newWriterMx(r *metrics.Registry, prefix, errorSeries string) writerMx {
 		bytesWritten:   r.Counter(prefix + "bytes_written"),
 		filesCreated:   r.Counter(prefix + "files_created"),
 		overflowStalls: r.Counter(prefix + "overflow_stalls"),
-		idleLandings:   r.Counter(prefix + "idle_landings"),
-		overwritten:    r.Counter(prefix + "landings_overwritten"),
+		idlePublishes:  r.Counter(prefix + "idle_publishes"),
+		reopened:       r.Counter(prefix + "files_reopened"),
 		errors:         r.Counter(errorSeries),
 		bufBytesPeak:   r.Gauge(prefix + "buf_bytes_peak"),
 		drainSeconds:   r.Histogram(prefix+"drain_seconds", nil),
@@ -229,10 +236,10 @@ type Writer struct {
 	// Pool driver: queue, budget and sinks live in the scheduler.
 	eng *iosched.Engine
 
-	flushing atomic.Bool // a Flush is under way: a landing now is on its path, not idle
+	flushing atomic.Bool // a Flush is under way: a publish now is on its path, not idle
 
-	mu        sync.Mutex               // guards published: pool sinks report from their workers
-	published map[string]hdf.Published // closed since the last Published call, the latest per file
+	mu        sync.Mutex                // guards published: pool sinks report from their workers
+	published map[string]catalog.Report // published since the last Published call, the latest per file
 }
 
 // NewWriter builds the write machine for the calling process. This is the
@@ -367,10 +374,12 @@ func (w *Writer) drain() {
 }
 
 // land writes one copy of a block, to file, through k — and under
-// ClosePerBlock closes the file, written or not, so what landed is
-// published; after a LandDir block under active buffering it lands the
-// file's directory (blockSink.landDir) — and records the drain latency (the
-// cost active buffering hides) on the clock of whichever process runs it.
+// ClosePerBlock publishes the file, written or not, so what landed is
+// published; after a Whole block under active buffering it publishes the
+// file, its writer kept to reopen should a later block land in it
+// (idle_publishes counts it when no flush had begun) — and records the
+// drain latency (the cost active buffering hides) on the clock of
+// whichever process runs it.
 func (w *Writer) land(k *blockSink, blk *Block, file string) error {
 	t0 := k.clock.Now()
 	err := k.write(blk, file)
@@ -378,8 +387,10 @@ func (w *Writer) land(k *blockSink, blk *Block, file string) error {
 		if cerr := k.closeAll(""); err == nil {
 			err = cerr
 		}
-	} else if err == nil && blk.LandDir && w.cfg.Buffering {
-		k.landDir(file)
+	} else if err == nil && blk.Whole && w.cfg.Buffering {
+		if err = k.publish(file); err == nil && !w.flushing.Load() {
+			w.mx.idlePublishes.Inc()
+		}
 	}
 	w.mx.drainSeconds.Observe(k.clock.Now() - t0)
 	if err != nil {
@@ -388,11 +399,11 @@ func (w *Writer) land(k *blockSink, blk *Block, file string) error {
 	return nil
 }
 
-// Flush forces every queued block to disk and closes the snapshot files,
-// returning the sticky error (nil when all output landed). With the pool
-// it is iosched.Flush: every writer finishes its queue, closes its files
-// and acks with its own sticky error. Panics with Crashed if a
-// writer died to an injected crash.
+// Flush forces every queued block to disk and publishes every snapshot
+// file still open, returning the sticky error (nil when all output landed).
+// With the pool it is iosched.Flush: every writer finishes its queue,
+// publishes its open files and acks with its own sticky error. Panics with
+// Crashed if a writer died to an injected crash.
 func (w *Writer) Flush() error {
 	w.flushing.Store(true)
 	defer w.flushing.Store(false)
@@ -416,8 +427,8 @@ func (w *Writer) Flush() error {
 	return w.err
 }
 
-// Fail records a failure seen on the owner: a failed block write or file
-// close, or (a Rocpanda server) a block that arrived undecodable. The first
+// Fail records a failure seen on the owner: a failed block write or
+// publish, or (a Rocpanda server) a message that arrived damaged. The first
 // error sticks: Flush reports it from then on, so no generation after the
 // failure can commit.
 func (w *Writer) Fail(err error) {
@@ -432,28 +443,29 @@ func (w *Writer) Fail(err error) {
 func (w *Writer) Err() error { return w.err }
 
 // Published hands out, once and sorted by name, the reports of the files
-// closed since the last call: what each put on disk, the latest per file.
-// Call it after a Flush, when every file of what was flushed is closed.
-func (w *Writer) Published() []hdf.Published {
+// published since the last call: what the commit records of each, the
+// latest per file. Call it after a Flush, when every file of what was
+// flushed is published.
+func (w *Writer) Published() []catalog.Report {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ps := make([]hdf.Published, 0, len(w.published))
-	for _, p := range w.published {
-		ps = append(ps, p)
+	rs := make([]catalog.Report, 0, len(w.published))
+	for _, r := range w.published {
+		rs = append(rs, r)
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
+	sort.Slice(rs, func(i, j int) bool { return rs[i].Name < rs[j].Name })
 	w.published = nil
-	return ps
+	return rs
 }
 
-// report records what a sink's file put on disk as it closed.
-func (w *Writer) report(p hdf.Published) {
+// report records what the commit records of a file a sink published.
+func (w *Writer) report(r catalog.Report) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.published == nil {
-		w.published = make(map[string]hdf.Published)
+		w.published = make(map[string]catalog.Report)
 	}
-	w.published[p.Name] = p
+	w.published[r.Name] = r
 }
 
 // Crashed reports whether a pool writer died to an injected crash; the
@@ -468,17 +480,19 @@ func (w *Writer) Close() {
 	}
 }
 
-// blockSink owns a set of open snapshot writers and appends blocks to
+// blockSink owns a generation's snapshot writers and appends blocks to
 // them: the owner's under the inline driver, one per writer task under the
 // pool — its private iosched.WorkerState, with the worker's own clock
 // identity and filesystem view (required by the simulated platforms) — so
-// sinks never share mutable state. A pool writer's files stay open (staged
-// temporaries) if it dies to an injected crash, as a real process death
+// sinks never share mutable state. A pool writer's open files stay staged
+// temporaries if it dies to an injected crash, as a real process death
 // would leave them.
 type blockSink struct {
-	w        *Writer
-	clock    rt.Clock
-	fs       rt.FS
+	w     *Writer
+	clock rt.Clock
+	fs    rt.FS
+	// writers holds the generation's files by name: open, or published
+	// after a whole write and kept to be reopened.
 	writers  map[string]*hdf.Writer
 	metaDone map[string]bool
 }
@@ -491,7 +505,8 @@ func newBlockSink(w *Writer, clock rt.Clock, fs rt.FS) *blockSink {
 	}
 }
 
-// Flush implements iosched.WorkerState: the barrier closes every file.
+// Flush implements iosched.WorkerState: the barrier publishes every open
+// file.
 func (k *blockSink) Flush() error {
 	err := k.closeAll("")
 	if err != nil {
@@ -504,29 +519,42 @@ func (k *blockSink) Flush() error {
 // when a writer exits belong to a dead process and stay staged.
 func (k *blockSink) Close() error { return nil }
 
-// landDir lands the open file's directory (hdf.Writer.Land), counting
-// idle_landings when it wrote one before a flush began. A failed landing
-// leaves the file unlanded, for its Publish to write whole and report.
-func (k *blockSink) landDir(file string) {
-	if wrote, err := k.writers[file].Land(); wrote && err == nil && !k.w.flushing.Load() {
-		k.w.mx.idleLandings.Inc()
+// publish publishes the open file name and reports what the commit
+// records of it (catalog.Record, over the directory just written).
+func (k *blockSink) publish(name string) error {
+	p, err := k.writers[name].Publish()
+	var r catalog.Report
+	if err == nil {
+		r, err = catalog.Record(p.Raw())
 	}
+	if err != nil {
+		return fmt.Errorf("snapshot: publishing %s: %w", name, err)
+	}
+	k.w.report(r)
+	return nil
 }
 
 // write appends one block's datasets to file, opening it first if needed.
-// Opening a new snapshot file closes the previous snapshot's writers (writes
-// are ordered across generations, so once a newer snapshot's data drains,
-// older files are complete). A file that was already created and closed (by
-// ClosePerBlock, or by one client's sync while another client's blocks were
-// still inbound) is reopened in append mode — recreating it would truncate
-// the blocks already on disk.
+// Opening a new snapshot file publishes and forgets the previous
+// snapshots' writers (writes are ordered across generations, so once a
+// newer snapshot's data drains, older files are complete). A file published
+// after a whole write is reopened from its writer (hdf.Writer.Reopen); one
+// created and published before but no longer held (by ClosePerBlock, or by
+// a flush while another client's blocks were still inbound) is appended to
+// — recreating it would truncate the blocks already on disk.
 //
 // Errors are returned, not panicked: a full disk must surface through the
 // sticky error and the commit allreduce, not tear the whole run down.
 func (k *blockSink) write(blk *Block, file string) error {
 	cfg, mx := &k.w.cfg, &k.w.mx
 	w, ok := k.writers[file]
-	if !ok {
+	switch {
+	case ok && w.Closed():
+		if err := w.Reopen(); err != nil {
+			return err
+		}
+		mx.reopened.Inc()
+	case !ok:
 		if err := k.closeAll(baseOf(file)); err != nil {
 			return err
 		}
@@ -554,9 +582,6 @@ func (k *blockSink) write(blk *Block, file string) error {
 			return fmt.Errorf("meta: %w", err)
 		}
 	}
-	if w.Landed() {
-		mx.overwritten.Inc() // the block goes over the directory a landing wrote
-	}
 	for _, set := range blk.Sets {
 		if err := w.CreateDataset(set.Name, set.Type, set.Dims, set.Attrs, set.Data); err != nil {
 			return err
@@ -567,14 +592,15 @@ func (k *blockSink) write(blk *Block, file string) error {
 	return nil
 }
 
-// closeAll closes every open writer except those of the named generation
-// base ("" closes everything), reporting each file it published and
-// returning the first failure (all affected writers are closed and forgotten
-// regardless — a handle that failed its close is not worth retrying, and its
-// file is not reported). Closing by generation, not by file, keeps
-// a generation's primary and replica writers open side by side while its
-// copies interleave; writes are still ordered across generations, so once
-// a newer snapshot's data drains, the older generation's files are
+// closeAll publishes every open writer except those of the named
+// generation base ("" publishes everything), reporting each file it
+// published, and forgets every writer it covers, open or already
+// published; it returns the first failure (a writer that failed its
+// publish is forgotten too — a handle that failed is not worth retrying,
+// and its file is not reported). Closing by generation, not by file, keeps
+// a generation's primary and replica writers open side by side while
+// their copies interleave; writes are still ordered across generations,
+// so once a newer snapshot's data drains, the older generation's files are
 // complete and can close.
 func (k *blockSink) closeAll(exceptGen string) error {
 	names := make([]string, 0, len(k.writers))
@@ -586,11 +612,10 @@ func (k *blockSink) closeAll(exceptGen string) error {
 	sort.Strings(names)
 	var first error
 	for _, name := range names {
-		p, err := k.writers[name].Publish()
-		if err == nil {
-			k.w.report(p)
-		} else if first == nil {
-			first = fmt.Errorf("snapshot: closing %s: %w", name, err)
+		if !k.writers[name].Closed() {
+			if err := k.publish(name); err != nil && first == nil {
+				first = err
+			}
 		}
 		delete(k.writers, name)
 	}
