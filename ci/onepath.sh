@@ -27,11 +27,11 @@ hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -nE 'ClassSca
 # Commit from what the writers know: a directory passes one gate, the
 # walker, whether read off the file or reported by its writer; the walker's
 # one materializing caller is hdf's Datasets (Open, ScanDir), its one caller
-# in the catalog walkPanes, which Splice (the commit's blob: a file table of
-# names and directory lengths and a pane index, no copy of any entry) and
-# LoadDir share; one assembler writes the blob, for Splice and Encode alike;
-# and the snapshot package neither builds a catalog with AddFile nor
-# re-encodes one.
+# in the catalog walkPanes, which Splice (the commit's sections: a file
+# table of names and directory lengths and a pane index, no copy of any
+# entry) and LoadDir share; one writer writes the sections, for Splice and
+# Encode alike; and the snapshot package neither builds a catalog with
+# AddFile nor re-encodes one.
 one 'a directory walker (the gate)' '^func \([a-z]+ \*?RawDir\) Walk\('
 one 'a dataset-extent check (the body of the walker)' 'outside data region'
 for pkg in hdf catalog; do
@@ -40,7 +40,19 @@ for pkg in hdf catalog; do
 done
 none 'a caller of the directory walker outside internal/hdf and internal/catalog' '\.Walk\(' \
 	! -path 'internal/hdf/*' ! -path 'internal/catalog/*'
-one 'a catalog blob assembler' '^func assembleBlob\('
+one 'a catalog sections writer' '^func appendSections\('
+# One commit record per generation: one encoder and one decoder, the only
+# functions that name its magic; and the older format — a JSON manifest
+# beside a .catalog file — is named only where a record refuses it
+# (legacyFormat).
+one 'a commit record encoder' '^func encodeRecord\('
+one 'a commit record decoder' '^func DecodeRecord\('
+n=$(src | xargs grep -h 'recordMagic' | wc -l)
+m=$(awk '/^func (encodeRecord|DecodeRecord)\(/,/^}/' internal/snapshot/manifest.go | grep -c 'recordMagic')
+[ "$n" -eq $((m + 1)) ] || { echo "onepath: recordMagic named outside its definition, encodeRecord and DecodeRecord"; fail=1; }
+n=$(find . -name .bench_build -prune -o -name '*.go' ! -name '*_test.go' -exec grep -h 'catalog\.Suffix' {} + | wc -l)
+m=$(awk '/^func legacyFormat\(/,/^}/' internal/snapshot/manifest.go | grep -c 'catalog\.Suffix')
+[ "$n" -eq "$m" ] || { echo "onepath: catalog.Suffix named outside the refusal of the older format (legacyFormat)"; fail=1; }
 none 'a catalog built by AddFile or re-encoded in internal/snapshot' 'AddFile\(|\.Encode\(\)' -path 'internal/snapshot/*'
 none 'ScanDir on the commit path' 'ScanDir\(' '(' -path 'internal/snapshot/commit.go' -o -path 'internal/snapshot/manifest.go' -o -path 'internal/snapshot/index.go' ')'
 # One loader of a committed file's entries: its own directory, read from the
@@ -72,16 +84,14 @@ n=$(grep -c 'Load(' internal/snapshot/prune.go)
 # with the one depth guard), one rule (restorable: every pane of the head's
 # universe has a copy whose file passes, in the link it resolves to) that the
 # restore walk and the scrub both call, with no replica count in it; one check
-# of a file against its manifest entry (checkFile; findDonor matches two
+# of a file against its record's pins (checkFile; findDonor matches two
 # entries, not a file), beside dirLoad.load's of a directory's bytes against
-# the entry's DirCRC; and no catalog loader that skips the manifest's pin.
-none 'maxChainDepth outside chain.go' 'maxChainDepth' -path 'internal/*' ! -path 'internal/snapshot/chain.go'
+# the entry's DirCRC. The depth guard is the record decoder's.
+none 'maxChainDepth outside the record decoder' 'maxChainDepth' -path 'internal/*' ! -path 'internal/snapshot/manifest.go'
 none 'a chain walk of the scrub'"'"'s own' 'BaseGeneration' -path 'internal/snapshot/fsck.go'
 none 'a replication count in the snapshot package' '\bReplication\b' -path 'internal/snapshot/*'
 n=$(src -path 'internal/snapshot/*' | xargs awk '/^func /{f=$0} /(Size|DirCRC|size|crc) [!=]= [a-z]+\.(Size|DirCRC)/ && f !~ /findDonor/ && f !~ /dirLoad\) load/ {print FILENAME ": " f}' | sort -u | wc -l)
 [ "$n" -eq 1 ] || { echo "onepath: $n functions compare a file with its manifest entry, want 1 (checkFile)"; fail=1; }
-hits=$(find . -name .bench_build -prune -o -name '*.go' -exec grep -n 'catalog\.Load(' {} +)
-[ -z "$hits" ] || { echo "onepath: an unpinned catalog loader:"; echo "$hits"; fail=1; }
 # A file is under its final name exactly when it holds a whole write: a
 # data file's directory reaches the disk only by its writer's Publish, which
 # the write service alone calls (after a write's last block, at a flush, or

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/mesh"
@@ -132,27 +131,31 @@ func TestBuiltBinaryExitCodes(t *testing.T) {
 	t.Run("replicated", func(t *testing.T) {
 		root := t.TempDir()
 		fsys := writeTree(t, root, rocpanda.Config{NumServers: 2, ReplicationFactor: 2}, 2)
-		scrub(root, exitOK, []string{"OK"}, []string{"CORRUPT", "CATALOG"})
+		scrub(root, exitOK, []string{"OK", `"record"`, `"index"`}, []string{"CORRUPT"}, "-json")
 		scrub(root, exitOK, []string{"OK"}, nil, "-quick")
 
-		// A payload bit in one generation, a catalog bit in the other: the
-		// scrub tells them apart, and the manifest-level pass still catches
-		// the catalog.
+		// A payload bit in one generation, a lost primary in the other:
+		// every damaged file has a verified replica, so -repair rebuilds the
+		// tree and a fresh scrub agrees.
 		flipPayloadBit(t, fsys, "run/snap000000", "run/snap000000_s001.rhdf")
-		if err := faults.FlipBit(fsys, "run/snap000001"+catalog.Suffix, 20*8); err != nil {
-			t.Fatal(err)
-		}
-		scrub(root, exitCorrupt, []string{"CORRUPT", "CATALOG-MISMATCH"}, nil)
-		scrub(root, exitCorrupt, []string{"CATALOG-MISMATCH"}, nil, "-quick")
-
-		// Lose a primary outright as well; every damaged file has a verified
-		// replica, so -repair rebuilds the tree and a fresh scrub agrees.
 		if err := fsys.Remove("run/snap000001_s000.rhdf"); err != nil {
 			t.Fatal(err)
 		}
 		scrub(root, exitCorrupt, []string{"CORRUPT"}, nil)
-		scrub(root, exitOK, []string{"REPAIRED"}, []string{"CORRUPT", "CATALOG-MISMATCH"}, "-repair")
-		scrub(root, exitOK, []string{"OK"}, []string{"CORRUPT", "CATALOG", "REPAIRED"})
+		scrub(root, exitOK, []string{"REPAIRED"}, []string{"CORRUPT"}, "-repair")
+		scrub(root, exitOK, []string{"OK"}, []string{"CORRUPT", "REPAIRED"})
+
+		// A bit in a commit record's catalog is damage to the record, which
+		// has no copy: the quick pass catches it, and -repair leaves it.
+		buf, err := hdf.ReadFile(fsys, "run/snap000001"+snapshot.Suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := faults.FlipBit(fsys, "run/snap000001"+snapshot.Suffix, int64(len(buf)-3)*8); err != nil {
+			t.Fatal(err)
+		}
+		scrub(root, exitCorrupt, []string{"CORRUPT", "commit record crc32c"}, nil, "-quick")
+		scrub(root, exitCorrupt, []string{"CORRUPT"}, []string{"REPAIRED"}, "-repair")
 	})
 
 	t.Run("delta-chain", func(t *testing.T) {
@@ -160,6 +163,7 @@ func TestBuiltBinaryExitCodes(t *testing.T) {
 		// Fulls at generations 0 and 4, deltas chained between and after.
 		fsys := writeTree(t, root, rocpanda.Config{NumServers: 1, DeltaSnapshots: true, FullEvery: 4}, 7)
 		scrub(root, exitOK, []string{"OK"}, []string{"CORRUPT", "CHAIN-BROKEN"})
+		scrub(root, exitOK, []string{`"links"`, `"universe"`}, nil, "-json")
 		// The mid-run full loses its file: it is CORRUPT, and the deltas
 		// chained on it are clean themselves but cannot restore.
 		if err := fsys.Remove("run/snap000004_s000.rhdf"); err != nil {

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -31,27 +31,24 @@ func writeGen(t *testing.T, fsys rt.FS, base string, panes []int) {
 	}
 }
 
-// TestQuickScrubCatalogMissing: the quick pass must report an absent pinned
-// catalog blob as CATALOG-MISSING (catalog state "missing"), not as the
-// generic mismatch, and exit-code it as corrupt.
+// TestQuickScrubCatalogMissing: the catalog lives in the commit record, so
+// a record cut short where its catalog begins is a damaged record: the quick
+// pass reports the generation CORRUPT, naming the record, and exit-codes it
+// as corrupt.
 func TestQuickScrubCatalogMissing(t *testing.T) {
 	fsys := rt.NewMemFS()
 	writeGen(t, fsys, "out/snap000000", []int{1, 2})
 	if _, err := snapshot.Commit(fsys, "out/snap000000", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fsys.Remove("out/snap000000" + catalog.Suffix); err != nil {
-		t.Fatal(err)
-	}
+	cutCatalog(t, fsys, "out/snap000000")
 	reports, err := snapshot.FsckQuick(fsys, "out/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 1 || reports[0].Verdict != snapshot.VerdictCatalogMissing {
-		t.Fatalf("reports %+v, want one CATALOG-MISSING", reports)
-	}
-	if reports[0].Catalog != "missing" {
-		t.Fatalf("catalog state %q, want missing", reports[0].Catalog)
+	if len(reports) != 1 || reports[0].Verdict != snapshot.VerdictCorrupt ||
+		!strings.Contains(snapshot.Format(reports), "out/snap000000"+snapshot.Suffix) {
+		t.Fatalf("reports %+v, want one CORRUPT naming the record", reports)
 	}
 	if code := exitCode(reports); code != exitCorrupt {
 		t.Fatalf("exit code %d, want %d", code, exitCorrupt)
@@ -73,9 +70,7 @@ func TestQuickScrubChainBroken(t *testing.T) {
 			Panes: map[string][]int{"fluid": {1, 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fsys.Remove("out/snap000000" + catalog.Suffix); err != nil {
-		t.Fatal(err)
-	}
+	cutCatalog(t, fsys, "out/snap000000")
 	reports, err := snapshot.FsckQuick(fsys, "out/")
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +79,8 @@ func TestQuickScrubChainBroken(t *testing.T) {
 	for _, r := range reports {
 		verdicts[r.Base] = r.Verdict
 	}
-	if verdicts["out/snap000000"] != snapshot.VerdictCatalogMissing {
-		t.Fatalf("base verdict %q, want CATALOG-MISSING", verdicts["out/snap000000"])
+	if verdicts["out/snap000000"] != snapshot.VerdictCorrupt {
+		t.Fatalf("base verdict %q, want CORRUPT", verdicts["out/snap000000"])
 	}
 	if verdicts["out/snap000010"] != snapshot.VerdictChainBroken {
 		t.Fatalf("delta verdict %q, want CHAIN-BROKEN", verdicts["out/snap000010"])
@@ -224,8 +219,6 @@ func TestExitCodeSeverity(t *testing.T) {
 		{[]string{snapshot.VerdictOK, snapshot.VerdictRepaired}, exitOK},
 		{[]string{snapshot.VerdictOK, snapshot.VerdictUncommitted}, exitUncommitted},
 		{[]string{snapshot.VerdictUncommitted, snapshot.VerdictCorrupt}, exitCorrupt},
-		{[]string{snapshot.VerdictOK, snapshot.VerdictCatalogMismatch}, exitCorrupt},
-		{[]string{snapshot.VerdictOK, snapshot.VerdictCatalogMissing}, exitCorrupt},
 		{[]string{snapshot.VerdictOK, snapshot.VerdictChainBroken}, exitCorrupt},
 	}
 	for _, c := range cases {
@@ -239,12 +232,13 @@ func TestExitCodeSeverity(t *testing.T) {
 	}
 }
 
-// TestCatalogMismatchNamesWhere: a catalog that is the blob its manifest
-// pins but lies is CATALOG-MISMATCH, and the detail names where: a byte
-// flipped in its file table or its pane index names that section (the
-// quick scrub sees it too), and a file table that places a file's
-// directory elsewhere than the file holds it names the directory extent of
-// that file (the full scrub, which loads every directory as a restart does).
+// TestCatalogMismatchNamesWhere: the catalog lives in the commit record,
+// so a catalog that is damaged or lies makes the generation CORRUPT, and
+// the detail names where: a byte flipped in its file table or its pane
+// index fails the record's CRC32C (the quick scrub sees it too), and a
+// record whose file table places a file's directory elsewhere than the file
+// holds it — sealed again, its CRC32C holding — names the directory extent
+// of that file.
 func TestCatalogMismatchNamesWhere(t *testing.T) {
 	const base = "out/snap000000"
 	for _, tc := range []struct {
@@ -252,11 +246,15 @@ func TestCatalogMismatchNamesWhere(t *testing.T) {
 		quick        bool
 		damage       func(t *testing.T, fsys rt.FS)
 	}{
-		{"file table", "file table", true, func(t *testing.T, fsys rt.FS) { flipCatalogByte(t, fsys, base, func(int) int { return 36 + 3 }) }},
-		{"pane index", "pane index", true, func(t *testing.T, fsys rt.FS) { flipCatalogByte(t, fsys, base, func(n int) int { return n - 1 }) }},
+		{"file table", base + snapshot.Suffix + ": snapshot: record " + base + snapshot.Suffix + ": hdf: checksum mismatch: commit record crc32c", true, func(t *testing.T, fsys rt.FS) {
+			flipCatalogByte(t, fsys, base, func(at, _ int) int { return at + 3 })
+		}},
+		{"pane index", base + snapshot.Suffix + ": snapshot: record " + base + snapshot.Suffix + ": hdf: checksum mismatch: commit record crc32c", true, func(t *testing.T, fsys rt.FS) {
+			flipCatalogByte(t, fsys, base, func(_, n int) int { return n - 1 })
+		}},
 		{"directory extent", "directory extent of " + base + "_s000.rhdf", false, func(t *testing.T, fsys rt.FS) {
 			// The catalog indexes file 0 by file 1's directory: its
-			// length and panes. Repinned, it is the blob the manifest pins.
+			// length and panes.
 			var s catalog.Splice
 			d1, err := hdf.ReadRawDir(fsys, base+"_s001.rhdf")
 			if err != nil {
@@ -269,7 +267,8 @@ func TestCatalogMismatchNamesWhere(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			repin(t, fsys, base, s.Blob())
+			buf, at := catalogAt(t, fsys, base)
+			reseal(t, fsys, base, append(buf[:at:at], s.Blob()...))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,9 +288,9 @@ func TestCatalogMismatchNamesWhere(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out := snapshot.Format(reports); len(reports) != 1 || reports[0].Verdict != snapshot.VerdictCatalogMismatch ||
+				if out := snapshot.Format(reports); len(reports) != 1 || reports[0].Verdict != snapshot.VerdictCorrupt ||
 					!strings.Contains(out, tc.detail) || exitCode(reports) != exitCorrupt {
-					t.Fatalf("want %s naming %q:\n%s", snapshot.VerdictCatalogMismatch, tc.detail, out)
+					t.Fatalf("want %s naming %q:\n%s", snapshot.VerdictCorrupt, tc.detail, out)
 				}
 			}
 		})
@@ -315,34 +314,47 @@ func writeGenFile(t *testing.T, fsys rt.FS, name string, panes []int) {
 	}
 }
 
-// flipCatalogByte flips the byte at(n) of base's n-byte catalog blob.
-func flipCatalogByte(t *testing.T, fsys rt.FS, base string, at func(n int) int) {
+// catalogAt returns base's commit record and where in it the catalog's
+// sections begin: they end the record.
+func catalogAt(t *testing.T, fsys rt.FS, base string) ([]byte, int) {
 	t.Helper()
-	blob, err := hdf.ReadFile(fsys, base+catalog.Suffix)
+	buf, err := hdf.ReadFile(fsys, base+snapshot.Suffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob[at(len(blob))] ^= 0x20
-	if err := hdf.PublishFile(fsys, base+catalog.Suffix, blob); err != nil {
+	_, cat, err := snapshot.DecodeRecord(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf, len(buf) - len(cat.Encode())
+}
+
+// cutCatalog cuts base's commit record short where its catalog begins.
+func cutCatalog(t *testing.T, fsys rt.FS, base string) {
+	t.Helper()
+	buf, at := catalogAt(t, fsys, base)
+	if err := hdf.PublishFile(fsys, base+snapshot.Suffix, buf[:at]); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// repin installs blob as base's catalog and rewrites the manifest to pin it.
-func repin(t *testing.T, fsys rt.FS, base string, blob []byte) {
+// flipCatalogByte flips the byte at(at, n) of base's n-byte commit record,
+// whose catalog begins at at.
+func flipCatalogByte(t *testing.T, fsys rt.FS, base string, where func(at, n int) int) {
 	t.Helper()
-	m, err := snapshot.Load(fsys, base)
-	if err != nil {
+	buf, at := catalogAt(t, fsys, base)
+	buf[where(at, len(buf))] ^= 0x20
+	if err := hdf.PublishFile(fsys, base+snapshot.Suffix, buf); err != nil {
 		t.Fatal(err)
 	}
-	if m.Catalog.Size, m.Catalog.CRC, err = catalog.WriteBlob(fsys, base, blob); err != nil {
-		t.Fatal(err)
-	}
-	enc, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hdf.PublishFile(fsys, base+snapshot.Suffix, enc); err != nil {
+}
+
+// reseal installs buf as base's commit record, its CRC32C recomputed: the
+// record a writer would have sealed around those bytes.
+func reseal(t *testing.T, fsys rt.FS, base string, buf []byte) {
+	t.Helper()
+	binary.LittleEndian.PutUint32(buf[8:], hdf.Checksum(buf[12:]))
+	if err := hdf.PublishFile(fsys, base+snapshot.Suffix, buf); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -98,18 +98,15 @@ func TestCommitFromReports(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if listed := strings.Contains(string(fromReports[0]), extra); listed != (unreported && g == 0) {
-						t.Errorf("%s: manifest lists %s = %v", base, extra, listed)
+					if listed := strings.Contains(string(fromReports), extra); listed != (unreported && g == 0) {
+						t.Errorf("%s: record lists %s = %v", base, extra, listed)
 					}
 					if _, err := snapshot.CommitChained(mem, base, m.Epoch, m.Time, nil); err != nil {
 						t.Fatal(err)
 					}
-					fromDisk := commitBytes(t, mem, base)
-					for k, what := range []string{snapshot.Suffix, catalog.Suffix} {
-						if !bytes.Equal(fromReports[k], fromDisk[k]) {
-							t.Errorf("%s%s committed from the reports differs from the disk path's:\n%s\n%s",
-								base, what, fromReports[k], fromDisk[k])
-						}
+					if fromDisk := commitBytes(t, mem, base); !bytes.Equal(fromReports, fromDisk) {
+						t.Errorf("%s%s committed from the reports differs from the disk path's:\n%x\n%x",
+							base, snapshot.Suffix, fromReports, fromDisk)
 					}
 				}
 			})
@@ -117,18 +114,14 @@ func TestCommitFromReports(t *testing.T) {
 	}
 }
 
-// commitBytes returns a generation's committed manifest and catalog blob.
-func commitBytes(t *testing.T, fs rt.FS, base string) [2][]byte {
+// commitBytes returns a generation's commit record.
+func commitBytes(t *testing.T, fs rt.FS, base string) []byte {
 	t.Helper()
-	var out [2][]byte
-	for k, suffix := range []string{snapshot.Suffix, catalog.Suffix} {
-		b, err := hdf.ReadFile(fs, base+suffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[k] = b
+	b, err := hdf.ReadFile(fs, base+snapshot.Suffix)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return b
 }
 
 // metaFS counts, beneath it, the metadata traffic of a commit round: List
@@ -199,8 +192,8 @@ func TestSyncPrunesFromOneListing(t *testing.T) {
 			if n := c.manifestOpens.Load(); n != 0 {
 				t.Errorf("the run opened %d manifests, want 0", n)
 			}
-			if n := reg.Snapshot().Counters["snapshot.prune.manifests_read"]; n != 0 {
-				t.Errorf("snapshot.prune.manifests_read = %d, want 0", n)
+			if n := reg.Snapshot().Counters["snapshot.prune.records_read"]; n != 0 {
+				t.Errorf("snapshot.prune.records_read = %d, want 0", n)
 			}
 			if n := c.blindRemoves.Load(); n != 0 || c.removes.Load() == 0 {
 				t.Errorf("%d of %d removes named files that did not exist, want 0 of some", n, c.removes.Load())

@@ -2,26 +2,25 @@
 // index of where every (window, pane) of a committed snapshot generation
 // lives — which files hold a copy of it — and of where each file's own
 // index, its RHDF directory, lies. The committing rank builds it at
-// snapshot commit from the directories of the generation's RHDF files (the
-// writer's directory IS the per-file index, so no extra wire traffic is
-// needed) and writes it as a single blob next to the manifest, before the
-// manifest — the manifest is the commit record and always pins its catalog
-// (the blob's size and its header's CRC32C), so a generation either has its
-// catalog or is not yet committed.
+// snapshot commit from what the generation's writers reported of their
+// files' directories (the writer's directory IS the per-file index, so no
+// extra wire traffic is needed), and the generation's commit record
+// (internal/snapshot) carries its sections: the record is published last,
+// under one CRC32C, so a generation either has its catalog or is not yet
+// committed.
 //
-// The blob (sections.go) is a header whose table gives each section's
-// length, count and CRC32C, then the file table — each file's name and the
+// The sections (sections.go) are the file table — each file's name and the
 // exact length of its directory — and a compact pane index (per file and
-// window, the sorted pane IDs). It holds no copy of any directory entry:
-// each directory is kept in one place, its file, where the manifest pins
-// its bytes (size and directory CRC32C). The commit builds the blob
-// (Splice) from the directories the writers reported: each passes its one
-// gate, hdf.RawDir.Walk, and no dataset is decoded on the way.
+// window, the sorted pane IDs). They hold no copy of any directory entry:
+// each directory is kept in one place, its file, where the commit record
+// pins its bytes (size and directory CRC32C). The commit builds the
+// sections (Splice) from the directories the writers reported: each passes
+// its one gate, hdf.RawDir.Walk, and no dataset is decoded on the way.
 //
 // A Catalog is the file table and pane index, plus the directories loaded
 // so far — each one's bytes in place and a light index over them, one
 // Entry per pane dataset (file, interned window and attr, pane, extent,
-// place in the directory). Decode reads a blob; a reader loads the
+// place in the directory). Decode reads the sections; a reader loads the
 // directories of the files it reads from (LoadDir), each read from the end
 // of its file. Resolution, source choice and the pane universe work from
 // the pane index alone; only a file's plan needs its directory. A
@@ -30,10 +29,9 @@
 //
 // At restart, servers consult the catalog to open only the files that
 // contain requested panes and issue direct offset reads, each entry's bytes
-// checked against its CRC. A full generation whose catalog file is missing
-// or is not the blob its manifest pins is read the same way through the
-// same catalog, derived again from its files' directories (the snapshot
-// package's index).
+// checked against its CRC. Files no commit record describes are read the
+// same way through the same catalog, derived from their own directories
+// (the snapshot package's deriveCatalog).
 // The catalog also carries the generation's pane universe, which the
 // deterministic repartitioner divides among restart ranks — allowing a
 // restart topology (client and server counts) different from the writing
@@ -53,20 +51,16 @@ import (
 
 	"genxio/internal/hdf"
 	"genxio/internal/roccom"
-	"genxio/internal/rt"
 )
 
-// Magic identifies a catalog blob.
-const Magic = "RCAT"
-
-// Version is the current catalog format version: 3, the file table and the
-// pane index, each file's entries left in its own directory. A blob of any
-// other version is refused.
-const Version = 3
-
-// Suffix is appended to a generation base name to form its catalog file,
-// e.g. "run/snap000100" + Suffix.
-const Suffix = ".catalog"
+// Suffix and Magic are the retired catalog file's: the suffix a generation
+// base took to name it ("run/snap000100" + Suffix) and the first bytes of
+// its blob, up to version 3. A commit record carries the catalog's sections
+// now, and a reader names these only to refuse the older format.
+const (
+	Suffix = ".catalog"
+	Magic  = "RCAT"
+)
 
 // Entry is one dataset's coordinates in a catalog's index: which file,
 // the pane path its name spells, its payload's extent, and where its
@@ -106,7 +100,6 @@ type Catalog struct {
 	lists    []paneList
 	listEnd  []int
 	ids      []int // the lists' pane IDs, end to end
-	npanes   int   // pane IDs in all lists
 
 	dirs    []dir             // parallel to Files
 	missing int               // directories not loaded
@@ -192,22 +185,22 @@ func (c *Catalog) Dataset(e *Entry) hdf.Dataset {
 	return d
 }
 
-// Encode serializes a whole catalog in the layout sections.go gives.
+// Encode serializes a whole catalog's sections in the layout sections.go
+// gives.
 func (c *Catalog) Encode() []byte {
-	return assembleBlob(len(c.Files), func(f int) (string, int64) { return c.Files[f], c.dirs[f].len }, c.index, c.npanes)
+	return appendSections(len(c.Files), func(f int) (string, int64) { return c.Files[f], c.dirs[f].len }, c.index)
 }
 
-// Splice builds a catalog blob the way a commit does: each file's
+// Splice builds a catalog's sections the way a commit does: each file's
 // directory passes the directory's one gate (walkPanes) and the pane-path
 // grammar, and the same pass collects the file's pane index record — no
 // dataset is decoded — while the file table records the directory's length.
-// The blob is the one AddFile and Encode make of the same directories
+// The sections are the ones AddFile and Encode make of the same directories
 // (FuzzDirSplice). The zero value is empty.
 type Splice struct {
-	files  []splicedFile
-	index  []byte // the pane index records, file by file
-	npanes int
-	pairs  []panePair[[]byte] // scratch: one directory's (window, pane)s
+	files []splicedFile
+	index []byte             // the pane index records, file by file
+	pairs []panePair[[]byte] // scratch: one directory's (window, pane)s
 }
 
 // splicedFile is one file of a Splice: its name and directory length.
@@ -219,21 +212,20 @@ type splicedFile struct {
 // AddDir indexes d's pane datasets under the next file index. A directory
 // that fails the gate adds nothing and its error says why.
 func (s *Splice) AddDir(d hdf.RawDir) error {
-	index, k, err := s.appendIndex(s.index, d)
+	index, err := s.appendIndex(s.index, d)
 	if err != nil {
 		return err
 	}
-	s.index, s.npanes = index, s.npanes+k
+	s.index = index
 	s.files = append(s.files, splicedFile{name: d.Name, dirLen: int64(len(d.Bytes))})
 	return nil
 }
 
 // appendIndex passes d through the gate (walkPanes) and appends its pane
-// index record to dst, returning it with the number of pane IDs the record
-// lists.
-func (s *Splice) appendIndex(dst []byte, d hdf.RawDir) ([]byte, int, error) {
+// index record to dst.
+func (s *Splice) appendIndex(dst []byte, d hdf.RawDir) ([]byte, error) {
 	if len(d.Bytes) > math.MaxUint32 {
-		return dst, 0, fmt.Errorf("catalog: %s has a %d-byte directory", d.Name, len(d.Bytes))
+		return dst, fmt.Errorf("catalog: %s has a %d-byte directory", d.Name, len(d.Bytes))
 	}
 	s.pairs = s.pairs[:0]
 	err := walkPanes(d, func(_ *hdf.DirEntry, _ int, window []byte, pane int, _ []byte) {
@@ -243,32 +235,16 @@ func (s *Splice) appendIndex(dst []byte, d hdf.RawDir) ([]byte, int, error) {
 		s.pairs = append(s.pairs, panePair[[]byte]{window, pane})
 	})
 	if err != nil {
-		return dst, 0, err
+		return dst, err
 	}
-	dst, k := appendRecord(dst, s.pairs)
+	dst, _ = appendRecord(dst, s.pairs)
 	clear(s.pairs) // the windows are views of d's bytes
-	return dst, k, nil
+	return dst, nil
 }
 
-// Blob returns the catalog blob of the directories added.
+// Blob returns the catalog's sections of the directories added.
 func (s *Splice) Blob() []byte {
-	return assembleBlob(len(s.files), func(f int) (string, int64) { return s.files[f].name, s.files[f].dirLen }, s.index, s.npanes)
-}
-
-// WriteBlob stages blob at base+Suffix+tmp and renames it into place,
-// returning its size and its header's CRC32C — the manifest's catalog
-// reference, which pins the header and through it every section. It must
-// be called before the manifest commit so the generation's commit record
-// never points at a missing catalog.
-func WriteBlob(fsys rt.FS, base string, blob []byte) (size int64, crc uint32, err error) {
-	h, err := ReadHeader(blob)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := hdf.PublishFile(fsys, base+Suffix, blob); err != nil {
-		return 0, 0, fmt.Errorf("catalog: writing %s: %w", base+Suffix, err)
-	}
-	return int64(len(blob)), h.CRC, nil
+	return appendSections(len(s.files), func(f int) (string, int64) { return s.files[f].name, s.files[f].dirLen }, s.index)
 }
 
 // ServerFile names one copy of a Rocpanda server's snapshot file — the one

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -28,38 +27,22 @@ func goldenDir(t testing.TB) hdf.RawDir {
 	return hdf.RawDir{Name: "snap_s000.rhdf", Size: 24 + 32 + int64(len(dir)), Count: 1, Bytes: dir}
 }
 
-// goldenBlob is the catalog of one file, "snap_s000.rhdf", whose directory
-// is goldenDir, in the version-3 layout, byte for byte: the format pin. The
-// file table records the directory's 92 bytes; no entry is copied.
+// goldenBlob is the catalog sections of one file, "snap_s000.rhdf", whose
+// directory is goldenDir, byte for byte: the format pin. The file table
+// records the directory's 92 bytes; no entry is copied.
 func goldenBlob(t testing.TB) []byte {
-	blob, err := hex.DecodeString("52434154" + "03000000" + "6e19d914" +
-		"14000000" + "01000000" + "316625bd" + // file table
-		"0a000000" + "01000000" + "6e3f180f" + // pane index
-		"0e00736e61705f733030302e72686466" + "5c000000" +
-		"01" + "0500666c756964" + "01" + "02")
+	blob, err := hex.DecodeString("01" + // one file
+		"0e00736e61705f733030302e72686466" + "5c000000" + // file table
+		"01" + "0500666c756964" + "01" + "02") // pane index
 	if err != nil {
 		t.Fatal(err)
 	}
 	return blob
 }
 
-// reseal recomputes, after bytes of blob were changed in place, each
-// section's CRC32C from the bytes its record's length covers, then the
-// header's: the blob a writer would have sealed around them.
-func reseal(blob []byte) {
-	off := blobHeader
-	for i := 0; i < 2; i++ {
-		r := blob[headerSize+recordSize*i:]
-		n := int(binary.LittleEndian.Uint32(r))
-		binary.LittleEndian.PutUint32(r[8:], hdf.Checksum(blob[off:off+n]))
-		off += n
-	}
-	binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:blobHeader]))
-}
-
-// TestGoldenBlob pins the blob format: the golden blob decodes to the file
-// and directory length it describes, its directory loads to the entry it
-// holds, and the catalog re-encodes to the golden blob.
+// TestGoldenBlob pins the sections' format: the golden sections decode to
+// the file and directory length they describe, its directory loads to the
+// entry it holds, and the catalog re-encodes to the golden bytes.
 func TestGoldenBlob(t *testing.T) {
 	blob := goldenBlob(t)
 	c, err := Decode(blob)
@@ -113,55 +96,45 @@ func TestDecodeRefusesCRCLessEntry(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesOtherVersions: a version-2 blob — the layout that copied
-// every directory entry — and any other version is an error that names it.
+// TestDecodeRefusesOtherVersions: a blob of the retired catalog file —
+// magic, version and section headers before the sections, versions 1 to 3
+// — is not the sections and does not decode. (The commit record refuses
+// it by name: TestRecordRefusesOlderFormats.)
 func TestDecodeRefusesOtherVersions(t *testing.T) {
-	for _, v := range []uint32{1, 2, 4, 0xffffffff} {
-		blob := goldenBlob(t)
-		binary.LittleEndian.PutUint32(blob[4:], v)
-		want := fmt.Sprintf("version %d, want 3", v)
-		if _, err := Decode(blob); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Decode of a version-%d blob: %v, want %q", v, err, want)
-		}
-		if _, err := ReadHeader(blob[:8]); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("ReadHeader of a version-%d blob's first 8 bytes: %v, want %q", v, err, want)
+	for _, v := range []uint32{1, 2, 3} {
+		blob := binary.LittleEndian.AppendUint32([]byte(Magic), v)
+		blob = append(blob, make([]byte, 28)...)
+		blob = append(blob, goldenBlob(t)...)
+		if _, err := Decode(blob); err == nil {
+			t.Errorf("Decode took a version-%d catalog blob", v)
 		}
 	}
 }
 
-// FuzzCatalogDecode feeds arbitrary bytes to Decode: malformed blobs must
-// come back as errors, never panics or hangs, and any blob that decodes
-// must re-encode to itself (the catalog is the restart path's map — a
-// crash here would turn recoverable corruption into an unrecoverable one).
+// FuzzCatalogDecode feeds arbitrary bytes to Decode: malformed sections
+// must come back as errors, never panics or hangs, and any bytes that
+// decode must re-encode to themselves (the catalog is the restart path's
+// map — a crash here would turn recoverable corruption into an
+// unrecoverable one).
 func FuzzCatalogDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("RCAT"))
-	f.Add([]byte("RCAT\x01\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add([]byte("RCAT\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add([]byte("RCAT\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	empty := new(Catalog).Encode()
-	f.Add(empty)
+	f.Add([]byte{0})
+	f.Add([]byte{0x80, 0x00}) // an overlong zero
+	f.Add([]byte("RCAT\x03\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(new(Catalog).Encode())
 
 	valid := goldenBlob(f)
 	f.Add(valid)
-	// Seed a few near-valid mutants so the fuzzer starts past the checksum.
-	for _, i := range []int{0, 5, 8, headerSize, len(valid) - 1} {
+	for _, i := range []int{0, 1, 2, 16, 20, 21, 27, len(valid) - 1} {
 		m := append([]byte(nil), valid...)
 		m[i] ^= 0x40
-		f.Add(m)
-	}
-	// ... and past every section's: resealed flips in the file table (a
-	// name, the directory length) and the pane index, each a blob whose
-	// checksums all hold.
-	for _, i := range []int{blobHeader + 3, blobHeader + 16 + 1, blobHeader + 20 + 3, len(valid) - 1} {
-		m := append([]byte(nil), valid...)
-		m[i] ^= 0x40
-		reseal(m)
 		f.Add(m)
 	}
 	two, _ := twoFileBlob(f, 4, 2)
 	f.Add(two)
 	f.Add(two[:len(two)-1])
+	f.Add(append(two, 0))
+	f.Add(append([]byte{1, 0x80, 0x80, 0x00}, valid[1:]...)) // an overlong file count
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		c, err := Decode(blob)

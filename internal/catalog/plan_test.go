@@ -24,55 +24,36 @@ type refEntry struct {
 }
 
 // refDecode is the reference catalog decoder, written from the layout
-// alone: it checks the blob as Decode must — magic, version, the header
-// CRC, each section's length and CRC, the file table's directory lengths,
-// the pane index's order and count, trailing bytes — and returns the file
-// table and, per file, the (window, pane)s the pane index lists.
+// alone: it checks the sections as Decode must — the file table's count and
+// directory lengths, the pane index's order, shortest-form varints, trailing
+// bytes — and returns the file table and, per file, the (window, pane)s the
+// pane index lists.
 func refDecode(blob []byte) (files []string, dirLens []int64, index []map[refPane]bool, err error) {
-	if len(blob) < 36 || string(blob[:4]) != Magic || binary.LittleEndian.Uint32(blob[4:]) != Version ||
-		binary.LittleEndian.Uint32(blob[8:]) != hdf.Checksum(blob[12:36]) {
-		return nil, nil, nil, fmt.Errorf("bad header")
-	}
-	var secs [][]byte
-	var counts []int
-	at := 36
-	for i := 0; i < 2; i++ {
-		r := blob[12+12*i:]
-		n := int(binary.LittleEndian.Uint32(r))
-		if n > len(blob)-at || hdf.Checksum(blob[at:at+n]) != binary.LittleEndian.Uint32(r[8:]) {
-			return nil, nil, nil, fmt.Errorf("bad section %d", i)
-		}
-		secs, counts = append(secs, blob[at:at+n]), append(counts, int(binary.LittleEndian.Uint32(r[4:])))
-		at += n
-	}
-	if at != len(blob) {
-		return nil, nil, nil, fmt.Errorf("bad layout")
-	}
-	nf := counts[0]
-	p := hdf.NewCursor(secs[0])
-	for len(files) < nf && p.Err() == nil {
+	p := hdf.NewCursor(blob)
+	nf := p.Uvarint()
+	for uint64(len(files)) < nf && p.Err() == nil {
 		name, n := p.Str(), int64(p.U32())
 		if p.Err() == nil && n < 4 {
 			return nil, nil, nil, fmt.Errorf("bad directory length")
 		}
 		files, dirLens = append(files, name), append(dirLens, n)
 	}
-	if p.End() != nil {
+	if p.Err() != nil {
 		return nil, nil, nil, fmt.Errorf("bad file table")
 	}
 	// The pane index: per file, window → panes, in order.
-	index, ids := make([]map[refPane]bool, nf), 0
-	rest := secs[1]
+	index = make([]map[refPane]bool, nf)
+	rest := blob[p.Offset():]
 	uv := func() uint64 {
 		v, n := binary.Uvarint(rest)
-		if n <= 0 {
+		if n <= 0 || n > 1 && rest[n-1] == 0 {
 			rest = nil
 			return math.MaxUint64
 		}
 		rest = rest[n:]
 		return v
 	}
-	for f := 0; f < nf; f++ {
+	for f := range index {
 		index[f] = map[refPane]bool{}
 		nw := uv()
 		prev := ""
@@ -91,7 +72,7 @@ func refDecode(blob []byte) (files []string, dirLens []int64, index []map[refPan
 				return nil, nil, nil, fmt.Errorf("bad pane count")
 			}
 			id, n := binary.Varint(rest)
-			if n <= 0 {
+			if n <= 0 || n > 1 && rest[n-1] == 0 {
 				return nil, nil, nil, fmt.Errorf("bad pane")
 			}
 			rest = rest[n:]
@@ -104,13 +85,12 @@ func refDecode(blob []byte) (files []string, dirLens []int64, index []map[refPan
 				id += int64(gap)
 				index[f][refPane{name, int(id)}] = true
 			}
-			ids += int(np)
 		}
 		if nw == math.MaxUint64 || rest == nil {
 			return nil, nil, nil, fmt.Errorf("bad pane index")
 		}
 	}
-	if len(rest) != 0 || ids != counts[1] {
+	if len(rest) != 0 {
 		return nil, nil, nil, fmt.Errorf("bad pane index")
 	}
 	return files, dirLens, index, nil
@@ -323,7 +303,7 @@ func genLink(t *testing.T, fsys rt.FS, link int, spec *specReader) (blob []byte,
 // indexed catalog plans exactly what a naive planner over fully decoded
 // datasets plans — ResolvePanes, PlanReads, PlanFiles, PaneSources, Panes —
 // and decodes each entry's dataset as the directory does. One byte of the
-// head's blob may be flipped (its CRC fixed up): Decode must accept exactly
+// head's sections may be flipped: Decode must accept exactly
 // the blobs the materializing reference decoder accepts, and plan them the
 // same.
 func FuzzPlanMatchesReference(f *testing.F) {
@@ -341,9 +321,8 @@ func FuzzPlanMatchesReference(f *testing.F) {
 		)
 		for l := 0; l < nlinks; l++ {
 			blob, fs, ents, dirs := genLink(t, fsys, l, &sp)
-			if l == 0 && flip != 0 && len(blob) > headerSize {
+			if l == 0 && flip != 0 {
 				blob[int(at)%len(blob)] ^= flip
-				binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:min(len(blob), blobHeader)]))
 			}
 			c, err := Decode(blob)
 			refFiles, refLens, refIndex, refErr := refDecode(blob)

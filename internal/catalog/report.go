@@ -10,11 +10,11 @@ import (
 
 // Report is what a commit records of one published file, made where the
 // file was published (Record) and sent to the committing rank in place of
-// the file's directory: the manifest's pins of the file — its size, its
-// header's dataset count and its directory's CRC32C — and the catalog's —
-// the directory's length and the file's pane index record. A Splice takes a
-// report (Add) as it takes the directory it was made from (AddDir), to the
-// same blob.
+// the file's directory: the commit record's pins of the file — its size,
+// its header's dataset count and its directory's CRC32C — and the
+// catalog's — the directory's length and the file's pane index record. A
+// Splice takes a report (Add) as it takes the directory it was made from
+// (AddDir), to the same sections.
 type Report struct {
 	Name   string
 	Size   int64
@@ -28,7 +28,7 @@ type Report struct {
 // (walkPanes) and its pane datasets make the record, as in AddDir.
 func Record(d hdf.RawDir) (Report, error) {
 	var s Splice
-	index, _, err := s.appendIndex(nil, d)
+	index, err := s.appendIndex(nil, d)
 	if err != nil {
 		return Report{}, err
 	}
@@ -53,7 +53,6 @@ func (s *Splice) Add(r Report) error {
 		return fmt.Errorf("catalog: report of %s: a %d-byte directory", r.Name, r.DirLen)
 	}
 	s.index = append(s.index, r.Index...)
-	s.npanes += c.npanes
 	s.files = append(s.files, splicedFile{name: r.Name, dirLen: r.DirLen})
 	return nil
 }

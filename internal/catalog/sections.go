@@ -1,27 +1,21 @@
 package catalog
 
-// The blob's layout: a header whose table addresses both sections, then
-// the sections back to back, each under its own CRC32C.
+// The catalog's sections, as a commit record carries them
+// (internal/snapshot): the file table, then the pane index, back to back.
 //
-//	header:    "RCAT" | u32 version | u32 crc32c(header[12:]) |
-//	           2 × { u32 length | u32 count | u32 crc32c }
-//	section 0, the file table: nfiles × { u16 len | name | u32 dirLen }
-//	                                                             count: nfiles
-//	section 1, the pane index: one record per file, in file order —
-//	           uvarint nwindows, then per window, ascending by name:
-//	           u16 len | name | uvarint npanes | varint first pane |
-//	           (npanes - 1) × uvarint gap to the next, ascending   count: pane IDs
+//	file table: uvarint nfiles | nfiles × { u16 len | name | u32 dirLen }
+//	pane index: one record per file, in file order —
+//	            uvarint nwindows, then per window, ascending by name:
+//	            u16 len | name | uvarint npanes | varint first pane |
+//	            (npanes - 1) × uvarint gap to the next, ascending
 //
 // dirLen is the exact byte length of the file's RHDF directory, which ends
-// the file: a reader that knows the file's size (its manifest entry's)
+// the file: a reader that knows the file's size (its commit record's pin)
 // reads the file's entries from [size - dirLen, size) of the file itself,
-// held to the manifest's directory CRC32C (LoadDir). The blob holds no
-// copy of any entry.
-//
-// The header's own CRC32C (Header.CRC) is what a manifest pins. It covers
-// both sections' records, so a reader that checked the header against the
-// pin checks each section against the header: a swapped or damaged catalog
-// is caught, and the error names the section.
+// held to the record's directory CRC32C (LoadDir). The sections hold no copy
+// of any entry, and no header or checksum of their own: the record that
+// carries them holds one CRC32C over all of its bytes. Every varint is in
+// its shortest form, so a decoded catalog encodes to the bytes it came from.
 
 import (
 	"bytes"
@@ -35,129 +29,36 @@ import (
 	"genxio/internal/roccom"
 )
 
-const (
-	headerSize = 12 // the header's fixed part: magic(4) + version(4) + CRC(4)
-	recordSize = 12 // a section's record: length, count, CRC32C
-	blobHeader = headerSize + 2*recordSize
-
-	secFiles = 0 // the section indices: file table, pane index
-	secPanes = 1
-)
-
-// Header is a catalog blob's header as read and checked: where each
-// section lies, how many records it holds and its CRC32C.
-type Header struct {
-	CRC  uint32 // the header's own CRC32C, which a manifest pins
-	secs [2]section
-}
-
-// section is one section's place and record.
-type section struct {
-	off    int64
-	length int
-	count  int
-	crc    uint32
-}
-
-// ReadHeader parses and checks the header at the start of b (which may run
-// on into the sections): magic, version 3, the header's CRC32C, and counts
-// that their sections could hold. Any other version is refused, and the
-// error names it.
-func ReadHeader(b []byte) (*Header, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("catalog: header too short (%d bytes)", len(b))
-	}
-	if string(b[:4]) != Magic {
-		return nil, fmt.Errorf("catalog: bad magic")
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != Version {
-		return nil, fmt.Errorf("catalog: version %d, want %d", v, Version)
-	}
-	if len(b) < blobHeader {
-		return nil, fmt.Errorf("catalog: header too short (%d bytes)", len(b))
-	}
-	h := &Header{CRC: binary.LittleEndian.Uint32(b[8:])}
-	if got := hdf.Checksum(b[headerSize:blobHeader]); got != h.CRC {
-		return nil, fmt.Errorf("%w: catalog header crc32c %08x, computed %08x", hdf.ErrChecksum, h.CRC, got)
-	}
-	off := int64(blobHeader)
-	for i := range h.secs {
-		r := b[headerSize+recordSize*i:]
-		s := section{off: off, length: int(binary.LittleEndian.Uint32(r)), count: int(binary.LittleEndian.Uint32(r[4:])),
-			crc: binary.LittleEndian.Uint32(r[8:])}
-		// The smallest record of each section: a file of an empty name and
-		// its directory length, a pane ID of 1 byte.
-		least := 2 + 4
-		if i == secPanes {
-			least = 1
-		}
-		if s.count > s.length/least {
-			return nil, fmt.Errorf("catalog: section %d counts %d records in %d bytes", i, s.count, s.length)
-		}
-		h.secs[i], off = s, off+int64(s.length)
-	}
-	return h, nil
-}
-
-// Size returns the byte length of the blob the header describes.
-func (h *Header) Size() int64 {
-	last := h.secs[len(h.secs)-1]
-	return last.off + int64(last.length)
-}
-
-// check holds the section's bytes of blob to the section's record; what
-// names it in the error.
-func (s *section) check(blob []byte, what string) ([]byte, error) {
-	b := blob[s.off : s.off+int64(s.length)]
-	if got := hdf.Checksum(b); got != s.crc {
-		return nil, fmt.Errorf("%w: catalog %s crc32c %08x, header says %08x", hdf.ErrChecksum, what, got, s.crc)
-	}
-	return b, nil
-}
-
-// Decode parses a whole catalog blob: the header (ReadHeader) must be
-// complete, version 3 and sized to the blob, and each section must match
-// its CRC32C and parse — every file's directory length at least a
-// directory's count, the pane index in order and counting the pane IDs the
-// header says. No directory is loaded: the catalog answers resolution,
-// source choice and the pane universe from the pane index alone, and plans
-// a file's reads once its directory is loaded (LoadDir). All malformed-input
-// paths are errors, never panics.
-func Decode(blob []byte) (*Catalog, error) {
-	h, err := ReadHeader(blob)
-	if err != nil {
-		return nil, err
-	}
-	if h.Size() != int64(len(blob)) {
-		return nil, fmt.Errorf("catalog: blob is %d bytes, its header describes %d", len(blob), h.Size())
-	}
-	ft, err := h.secs[secFiles].check(blob, "file table")
-	if err != nil {
-		return nil, err
-	}
-	pi, err := h.secs[secPanes].check(blob, "pane index")
-	if err != nil {
-		return nil, err
+// Decode parses a catalog's sections, all of b: the file table — every
+// file's directory length at least a directory's count — then one pane
+// index record per file, in order, and nothing after. No directory is
+// loaded: the catalog answers resolution, source choice and the pane
+// universe from the pane index alone, and plans a file's reads once its
+// directory is loaded (LoadDir). All malformed-input paths are errors, never
+// panics.
+func Decode(b []byte) (*Catalog, error) {
+	r := varintReader{b: b}
+	nf := r.uvarint()
+	if nf > uint64(len(b)/(2+4)) { // a file is at least a name's length and a directory length
+		return nil, fmt.Errorf("catalog: %d files cannot fit in %d bytes", nf, len(b))
 	}
 	c := &Catalog{}
-	nf := h.secs[secFiles].count
-	p := hdf.NewCursor(ft)
 	c.Files, c.ranks, c.dirs = make([]string, 0, nf), make([]int, 0, nf), make([]dir, 0, nf)
-	for i := 0; i < nf; i++ {
-		name, n := p.Str(), int64(p.U32())
-		if p.Err() == nil && n < 4 {
+	for i := uint64(0); i < nf && r.err == nil; i++ {
+		name, n := r.str(), int64(r.u32())
+		if r.err == nil && n < 4 {
 			return nil, fmt.Errorf("catalog: corrupt file table: %s has a %d-byte directory", name, n)
 		}
-		c.addFile(name, n)
+		c.addFile(string(name), n)
 	}
-	if err := p.End(); err != nil {
-		return nil, fmt.Errorf("catalog: corrupt file table: %w", err)
+	if r.err != nil {
+		return nil, fmt.Errorf("catalog: corrupt file table: %w", r.err)
 	}
-	c.index = pi
+	c.index = b[r.off:]
 	c.indexEnd, c.listEnd = make([]int, 0, nf), make([]int, 0, nf)
-	c.ids = make([]int, 0, h.secs[secPanes].count)
+	c.ids = make([]int, 0, len(c.index)) // a pane ID is at least a byte
 	at := 0
-	for f := 0; f < nf; f++ {
+	for f := range c.Files {
 		n, err := c.readRecord(c.index[at:])
 		if err != nil {
 			return nil, fmt.Errorf("catalog: corrupt pane index of %s: %w", c.Files[f], err)
@@ -168,10 +69,7 @@ func Decode(blob []byte) (*Catalog, error) {
 	if at != len(c.index) {
 		return nil, fmt.Errorf("catalog: pane index has %d trailing bytes", len(c.index)-at)
 	}
-	if c.npanes != h.secs[secPanes].count {
-		return nil, fmt.Errorf("catalog: pane index holds %d pane IDs, header says %d", c.npanes, h.secs[secPanes].count)
-	}
-	c.missing = nf
+	c.missing = len(c.Files)
 	return c, nil
 }
 
@@ -347,7 +245,6 @@ func (c *Catalog) readRecord(b []byte) (int, error) {
 			ids = append(ids, int(id))
 		}
 		c.lists = append(c.lists, paneList{window: c.intern(name), ids: ids[start:len(ids):len(ids)]})
-		c.npanes += int(np)
 		c.ids = ids
 	}
 	if r.err != nil {
@@ -357,7 +254,9 @@ func (c *Catalog) readRecord(b []byte) (int, error) {
 	return r.off, nil
 }
 
-// varintReader reads a pane index record's fields, sticking the first error.
+// varintReader reads the sections' fields, sticking the first error. A
+// varint must be in its shortest form: a longer one that spells the same
+// value is an error, so only an encoding's own bytes decode.
 type varintReader struct {
 	b   []byte
 	off int
@@ -375,7 +274,7 @@ func (r *varintReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 {
 		r.fail()
 		return 0
 	}
@@ -384,16 +283,17 @@ func (r *varintReader) uvarint() uint64 {
 }
 
 func (r *varintReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1) // zig-zag, as binary.Varint
+}
+
+func (r *varintReader) u32() uint32 {
+	if r.err != nil || len(r.b)-r.off < 4 {
 		r.fail()
 		return 0
 	}
-	r.off += n
-	return v
+	r.off += 4
+	return binary.LittleEndian.Uint32(r.b[r.off-4:])
 }
 
 func (r *varintReader) str() []byte {
@@ -410,33 +310,49 @@ func (r *varintReader) str() []byte {
 	return r.b[r.off-n : r.off]
 }
 
-// assembleBlob writes a blob: the header, the file table (nfiles names and
-// directory lengths, fileOf) and the pane index (npanes IDs).
-func assembleBlob(nfiles int, fileOf func(f int) (name string, dirLen int64), index []byte, npanes int) []byte {
-	size := blobHeader + len(index)
+// appendSections writes the sections: the file table (nfiles names and
+// directory lengths, fileOf), then the pane index.
+func appendSections(nfiles int, fileOf func(f int) (name string, dirLen int64), index []byte) []byte {
+	size := binary.MaxVarintLen64 + len(index)
 	for f := range nfiles {
 		name, _ := fileOf(f)
 		size += 2 + len(name) + 4
 	}
-	blob := make([]byte, blobHeader, size)
-	copy(blob, Magic)
-	binary.LittleEndian.PutUint32(blob[4:], Version)
-	record := func(i, start, count int) {
-		r := blob[headerSize+recordSize*i:]
-		binary.LittleEndian.PutUint32(r, uint32(len(blob)-start))
-		binary.LittleEndian.PutUint32(r[4:], uint32(count))
-		binary.LittleEndian.PutUint32(r[8:], hdf.Checksum(blob[start:]))
-	}
-	start := len(blob)
+	b := binary.AppendUvarint(make([]byte, 0, size), uint64(nfiles))
 	for f := range nfiles {
 		name, n := fileOf(f)
-		blob = hdf.AppendStr(blob, name)
-		blob = binary.LittleEndian.AppendUint32(blob, uint32(n))
+		b = hdf.AppendStr(b, name)
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
 	}
-	record(secFiles, start, nfiles)
-	start = len(blob)
-	blob = append(blob, index...)
-	record(secPanes, start, npanes)
-	binary.LittleEndian.PutUint32(blob[8:], hdf.Checksum(blob[headerSize:blobHeader]))
-	return blob
+	return append(b, index...)
+}
+
+// AppendPanes appends panes, pane IDs per window, as one pane index record
+// (the layout above): windows ascending, each one's IDs ascending and
+// distinct. A window with no panes is not written. A commit record carries
+// a delta's pane universe this way.
+func AppendPanes(dst []byte, panes map[string][]int) []byte {
+	var pairs []panePair[string]
+	for w, ids := range panes {
+		for _, id := range ids {
+			pairs = append(pairs, panePair[string]{w, id})
+		}
+	}
+	dst, _ = appendRecord(dst, pairs)
+	return dst
+}
+
+// ReadPanes parses one pane index record at the start of b (AppendPanes')
+// and returns its pane IDs per window and its length.
+func ReadPanes(b []byte) (map[string][]int, int, error) {
+	var c Catalog
+	n, err := c.readRecord(b)
+	if err != nil {
+		return nil, 0, fmt.Errorf("catalog: corrupt pane record: %w", err)
+	}
+	panes := make(map[string][]int, len(c.lists))
+	for _, l := range c.lists {
+		panes[l.window] = l.ids
+	}
+	return panes, n, nil
 }

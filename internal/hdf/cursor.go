@@ -96,6 +96,21 @@ func (c *Cursor) Bytes(n int) []byte {
 	return c.b[c.off-n : c.off : c.off]
 }
 
+// Uvarint reads an unsigned varint in its shortest form: a longer encoding
+// of the same value is an error, so only an encoding's own bytes decode.
+func (c *Cursor) Uvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 || n > 1 && c.b[c.off+n-1] == 0 {
+		c.err = fmt.Errorf("bad varint at offset %d", c.off)
+		return 0
+	}
+	c.off += n
+	return v
+}
+
 // Str reads a uint16-counted string.
 func (c *Cursor) Str() string {
 	n := int(c.U16())

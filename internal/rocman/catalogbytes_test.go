@@ -11,10 +11,11 @@ import (
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/rt"
+	"genxio/internal/snapshot"
 )
 
-// restartReads is an rt.FS that records, per open of a data file or catalog
-// under prefix, the file's name and the byte ranges read through that
+// restartReads is an rt.FS that records, per open of a data file or commit
+// record under prefix, the file's name and the byte ranges read through that
 // handle, until the first file is created: a run restarts before it writes.
 // A handle is one process's: no process hands its open files to another.
 type restartReads struct {
@@ -41,7 +42,7 @@ type fileOpen struct {
 
 func (fs *restartReads) Open(name string) (rt.File, error) {
 	f, err := fs.FS.Open(name)
-	if err != nil || !strings.HasPrefix(name, fs.prefix) || !strings.HasSuffix(name, ".rhdf") && !strings.HasSuffix(name, catalog.Suffix) {
+	if err != nil || !strings.HasPrefix(name, fs.prefix) || !strings.HasSuffix(name, ".rhdf") && !strings.HasSuffix(name, snapshot.Suffix) {
 		return f, err
 	}
 	fs.mu.Lock()
@@ -75,9 +76,9 @@ type fileUse struct {
 	header, dir, data int
 }
 
-// TestRestartReadsOnlyPlannedCatalogBytes: a restart reads of a
-// generation's catalog, per process, the header and the pane index once
-// each — one read of the whole blob, which holds no entry — and each file
+// TestRestartReadsOnlyPlannedCatalogBytes: a restart reads a generation's
+// commit record — which carries its catalog, the file table and the pane
+// index, and no entry — whole, in one read, per head read; and each file
 // it plans from supplies its own entries: the file's directory, read once
 // per process from the extent the catalog places it at, on the handle the
 // file's data reads of that round then use, so no round opens a data file
@@ -88,10 +89,9 @@ type fileUse struct {
 // process, on one open per window's round; and rank 0 of a Rochdf or
 // T-Rochdf restore walk, which judges and restores on one Reader, plans its
 // own file from the directory its check read. Every window's round after a
-// process's first is served from its held chain and reads no catalog or
-// directory byte again. What
-// the wrapping filesystem saw is what the module's catalog_bytes_read and
-// dir_bytes_read counted.
+// process's first is served from its held chain and reads no directory
+// byte again. What the wrapping filesystem saw is what the module's
+// record_bytes_read and dir_bytes_read counted.
 func TestRestartReadsOnlyPlannedCatalogBytes(t *testing.T) {
 	for _, tc := range []struct {
 		io      IOKind
@@ -118,7 +118,7 @@ func TestRestartReadsOnlyPlannedCatalogBytes(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			const base = "out/snap000004"
-			const blobName = base + catalog.Suffix
+			const blobName = base + snapshot.Suffix
 			fs := rt.NewMemFS()
 			cfg := baseCfg(tc.io)
 			cfg.Workload.Steps = 4
@@ -138,7 +138,7 @@ func TestRestartReadsOnlyPlannedCatalogBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cat, err := catalog.Decode(blob)
+			_, cat, err := snapshot.DecodeRecord(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestRestartReadsOnlyPlannedCatalogBytes(t *testing.T) {
 				if o.name == blobName {
 					catOpens++
 					if len(o.ranges) != 1 || o.ranges[0] != [2]int64{0, int64(len(blob))} {
-						t.Fatalf("open %d of the catalog read %v; want the %d-byte blob in one read", i, o.ranges, len(blob))
+						t.Fatalf("open %d of the commit record read %v; want the %d-byte record in one read", i, o.ranges, len(blob))
 					}
 					catBytes += o.ranges[0][1]
 					continue
@@ -216,8 +216,8 @@ func TestRestartReadsOnlyPlannedCatalogBytes(t *testing.T) {
 				}
 				dirReads[o.name] += use.dir
 			}
-			if got := reg.Snapshot().Counters[string(tc.io)+".restart.catalog_bytes_read"]; got != catBytes {
-				t.Errorf("%s.restart.catalog_bytes_read = %d, the filesystem saw %d", tc.io, got, catBytes)
+			if got := reg.Snapshot().Counters[string(tc.io)+".restart.record_bytes_read"]; got != catBytes {
+				t.Errorf("%s.restart.record_bytes_read = %d, the filesystem saw %d", tc.io, got, catBytes)
 			}
 			if pooled := reg.Snapshot().Counters["iosched.read.tasks"] > 0; pooled != tc.pool {
 				t.Errorf("read ran scheduler tasks = %v, want %v", pooled, tc.pool)
@@ -226,18 +226,22 @@ func TestRestartReadsOnlyPlannedCatalogBytes(t *testing.T) {
 				t.Errorf("%s.restart.dir_bytes_read = %d, the filesystem saw %d", tc.io, got, dirBytes)
 			}
 
-			// Who loads the chain: every Rochdf or T-Rochdf rank (rank 0's
-			// walk and round share a Reader); Client 0's judgment, then
-			// every server.
-			wantCat := tc.n
-			if tc.io == IORocpanda {
-				wantCat = tc.servers
-				if tc.latest {
-					wantCat++
+			// Who reads the commit record: through the restore walk, its
+			// judge alone — rank 0, or client 0 — and every other process
+			// takes the bytes the walk's step (a Rocpanda server: its read
+			// request) carries; from a named base, every reading process —
+			// each Rochdf or T-Rochdf rank, each server — once per window's
+			// round, the second round served from the chain it holds.
+			wantCat := 1
+			if !tc.latest {
+				readers := tc.n
+				if tc.io == IORocpanda {
+					readers = tc.servers
 				}
+				wantCat = 2 * readers
 			}
 			if catOpens != wantCat {
-				t.Errorf("%d opens of the catalog, want %d", catOpens, wantCat)
+				t.Errorf("%d opens of the commit record, want %d", catOpens, wantCat)
 			}
 			for _, file := range cat.Files {
 				// One process reads each file's data, one round per window,
@@ -254,7 +258,7 @@ func TestRestartReadsOnlyPlannedCatalogBytes(t *testing.T) {
 						file, rounds[file], checks[file], dirReads[file], windows[file], wantChecks, wantDirs)
 				}
 			}
-			t.Logf("%d opens: %d catalog bytes, %d directory bytes of a %d-byte catalog", len(counted.opens), catBytes, dirBytes, len(blob))
+			t.Logf("%d opens: %d record bytes, %d directory bytes of a %d-byte record", len(counted.opens), catBytes, dirBytes, len(blob))
 		})
 	}
 }

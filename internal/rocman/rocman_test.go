@@ -308,26 +308,28 @@ func TestRestartContinuesIdentically(t *testing.T) {
 // the solid one. Each reading process — a Rochdf or T-Rochdf rank, a
 // Rocpanda server — loads the generation's commit record for the first round
 // and serves the second from the chain its Reader holds, and the run's
-// registry shows both. A restart from the latest generation runs the restore
+// registry shows both; each round reads the head commit record, to hold
+// the chain to it. A restart from the latest generation runs the restore
 // walk on the module's own Readers: client 0's judgment loads the chain its
 // Reader then holds, so under Rochdf and T-Rochdf rank 0's first round
-// reuses it and the chosen catalog is opened once per reading rank; under
-// Rocpanda the judging client is not a reader, and opens it once more.
+// reuses it, and every reader takes the head record the walk's step carries
+// — a Rocpanda server from its read request — so the chosen record is
+// opened once, by the judge.
 func TestRestartLoadsEachGenerationOnce(t *testing.T) {
 	for _, tc := range []struct {
 		io     IOKind
 		n      int
 		latest bool // restart through the restore walk, not from a named base
-		// chain loads and reuses, opens of out/snap000004.catalog, and
+		// chain loads and reuses, opens of out/snap000004.manifest, and
 		// generations the walk scanned, summed over the run's processes
 		loads, reuses, opens, scanned int64
 	}{
-		{IORochdf, 3, false, 3, 3, 3, 0},
-		{IOTRochdf, 3, false, 3, 3, 3, 0},
-		{IORocpanda, 4, false, 1, 1, 1, 0},
-		{IORochdf, 3, true, 3, 4, 3, 3},
-		{IOTRochdf, 3, true, 3, 4, 3, 3},
-		{IORocpanda, 4, true, 2, 1, 2, 3},
+		{IORochdf, 3, false, 3, 3, 6, 0},
+		{IOTRochdf, 3, false, 3, 3, 6, 0},
+		{IORocpanda, 4, false, 1, 1, 2, 0},
+		{IORochdf, 3, true, 3, 4, 1, 3},
+		{IOTRochdf, 3, true, 3, 4, 1, 3},
+		{IORocpanda, 4, true, 2, 1, 1, 3},
 	} {
 		name := string(tc.io)
 		if tc.latest {
@@ -348,7 +350,7 @@ func TestRestartLoadsEachGenerationOnce(t *testing.T) {
 			if tc.latest {
 				cfg.OutputDir, cfg.RestartFrom, cfg.RestartFromLatest = "out", "", true
 			}
-			counted := &catalogOpens{FS: fs, name: "out/snap000004.catalog"}
+			counted := &catalogOpens{FS: fs, name: "out/snap000004.manifest"}
 			if err := mpi.NewChanWorld(counted, 1).Run(tc.n, func(ctx mpi.Ctx) error {
 				_, err := Run(ctx, cfg)
 				return err

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"genxio/internal/catalog"
 	"genxio/internal/cluster"
-	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -120,19 +118,19 @@ func TestIndexedRestartReadsOnlyNeededFiles(t *testing.T) {
 	}
 }
 
-// TestCorruptCatalogFallsBackToScan bit-flips the committed catalog blob:
-// the servers must detect the damage (blob CRC), count a fallback, derive
-// the index from the files' directories instead, and still restart every
-// pane bit-exact. A missing catalog file and a stale one (another
-// generation's blob) take the same path.
-func TestCorruptCatalogFallsBackToScan(t *testing.T) {
+// TestMissingRecordReadsByScan: a generation whose commit record is gone
+// is read as an uncommitted one is — what is on disk is the only
+// description: each server derives the index of its share from the files'
+// directories, counts a fallback, and still restarts every pane bit-exact.
+// A record that is there but damaged is no such fallback: a catalog lives
+// in its record, and a round of a generation whose record does not load
+// fails (snapshot.ReadFailed).
+func TestMissingRecordReadsByScan(t *testing.T) {
 	fs := rt.NewMemFS()
 	const nClients, nServers = 3, 1
 	writeSnapshot(t, fs, "corr/s", nClients, nServers, 2)
 	want := expectedPanes(t, nClients, 2)
-
-	// Flip a body bit, past the 12-byte catalog header.
-	if err := faults.FlipBit(fs, "corr/s"+catalog.Suffix, 12*8+3); err != nil {
+	if err := fs.Remove("corr/s" + snapshot.Suffix); err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
@@ -145,48 +143,17 @@ func TestCorruptCatalogFallsBackToScan(t *testing.T) {
 	if s.Counters["rocpanda.restart.catalog_hits"] != 0 {
 		t.Fatalf("catalog_hits = %d, want 0", s.Counters["rocpanda.restart.catalog_hits"])
 	}
-
-	// No catalog at all: the scan path still recovers everything.
-	if err := fs.Remove("corr/s" + catalog.Suffix); err != nil {
-		t.Fatal(err)
-	}
-	reg = metrics.New()
-	got = restartTopology(t, fs, "corr/s", nClients, nServers, reg)
-	checkMxN(t, want, got)
-	if n := reg.Snapshot().Counters["rocpanda.restart.catalog_fallbacks"]; n != nServers {
-		t.Fatalf("catalog-less fallbacks = %d, want %d", n, nServers)
-	}
-
-	// A newer generation's blob in the older one's place — intact, but not
-	// the blob the older manifest pins (an orphan of a crashed commit whose
-	// replacing rename was dropped looks the same): not this generation's
-	// index either.
-	writeSnapshot(t, fs, "corr/t", nClients, nServers, 2)
-	blob, err := hdf.ReadFile(fs, "corr/t"+catalog.Suffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hdf.PublishFile(fs, "corr/s"+catalog.Suffix, blob); err != nil {
-		t.Fatal(err)
-	}
-	reg = metrics.New()
-	got = restartTopology(t, fs, "corr/s", nClients, nServers, reg)
-	checkMxN(t, want, got)
-	if c := reg.Snapshot().Counters; c["rocpanda.restart.catalog_fallbacks"] != nServers || c["rocpanda.restart.catalog_hits"] != 0 {
-		t.Fatalf("stale catalog: fallbacks %d hits %d, want %d and 0",
-			c["rocpanda.restart.catalog_fallbacks"], c["rocpanda.restart.catalog_hits"], nServers)
-	}
 }
 
 // TestDerivedIndexRestartOnSimulatedTuring restarts one generation twice on
 // the simulated Turing platform (NFS, HDF4 cost profile, 16 clients + 2
-// servers): from its committed catalog, and with the catalog deleted. Both
+// servers): from its commit record, and with the record deleted. Both
 // restore bit-exact, and the derived-index restart is the indexed one plus
 // each file's directory read — it pays no per-dataset library lookups, which
 // only the dataset-at-a-time reader it replaced ever paid. The log line is
 // the number EXPERIMENTS.md quotes.
 func TestDerivedIndexRestartOnSimulatedTuring(t *testing.T) {
-	restart := func(deleteCatalog bool) (visible float64) {
+	restart := func(deleteRecord bool) (visible float64) {
 		plat := cluster.Turing()
 		plat.NoiseFrac = 0
 		reg := metrics.New()
@@ -205,8 +172,8 @@ func TestDerivedIndexRestartOnSimulatedTuring(t *testing.T) {
 			if err := cl.Sync(); err != nil {
 				return err
 			}
-			if deleteCatalog && rank == 0 {
-				if err := ctx.FS().Remove("tu/A" + catalog.Suffix); err != nil {
+			if deleteRecord && rank == 0 {
+				if err := ctx.FS().Remove("tu/A" + snapshot.Suffix); err != nil {
 					return err
 				}
 			}
@@ -227,14 +194,14 @@ func TestDerivedIndexRestartOnSimulatedTuring(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := reg.Snapshot().Counters
-		if derived := c["rocpanda.restart.catalog_fallbacks"] == 2; derived != deleteCatalog || c["rocpanda.restart.catalog_hits"]+c["rocpanda.restart.catalog_fallbacks"] != 2 {
-			t.Fatalf("catalog deleted %v: %d rounds indexed, %d derived", deleteCatalog,
+		if derived := c["rocpanda.restart.catalog_fallbacks"] == 2; derived != deleteRecord || c["rocpanda.restart.catalog_hits"]+c["rocpanda.restart.catalog_fallbacks"] != 2 {
+			t.Fatalf("record deleted %v: %d rounds indexed, %d derived", deleteRecord,
 				c["rocpanda.restart.catalog_hits"], c["rocpanda.restart.catalog_fallbacks"])
 		}
 		return visible
 	}
 	indexed, derived := restart(false), restart(true)
-	t.Logf("visible restart read on simulated Turing: %.4f s from the committed catalog, %.4f s from a derived one", indexed, derived)
+	t.Logf("visible restart read on simulated Turing: %.4f s from the commit record, %.4f s from a derived index", indexed, derived)
 	if derived < indexed || derived > 1.5*indexed {
 		t.Fatalf("derived-index restart %.4f s against %.4f s indexed: want the same reads plus two directory reads", derived, indexed)
 	}

@@ -289,6 +289,9 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 
 	req := readReq{File: file, Window: w.Name, Attr: attr,
 		PaneIDs: make([]int32, len(ids)), Alive: make([]int32, len(alive))}
+	if c.myIdx == 0 { // every client's Reader was handed the same head record
+		req.Head = c.rd.Given(file)
+	}
 	for i, id := range ids {
 		req.PaneIDs[i] = int32(id)
 	}

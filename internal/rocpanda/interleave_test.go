@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"genxio/internal/catalog"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -78,19 +77,15 @@ func (f *slowFile) ReadAt(p []byte, off int64) (int, error) {
 //     drain's write class (work behind the application's back) and the
 //     restart share's read class (disk time behind the round's shipping).
 //
-// The restart goes through the derived index (catalog deleted). Generation A
-// was written by two servers, so the one server here has two files in its
-// share — the round ships from the first while the second still reads, which
-// is what makes the read-side overlap nonzero.
+// Generation A was written by two servers, so the one server here has two
+// files in its share — the round ships from the first while the second
+// still reads, which is what makes the read-side overlap nonzero.
 func TestCrossEngineInterleavedRestartRead(t *testing.T) {
 	raw := rt.NewMemFS()
 	writeSnapshot(t, raw, "icx/A", 2, 2, 6)
-	// Sync committed A, so its catalog is on disk; deleting it makes the
-	// restart below derive its index from the two files' directories.
-	if err := raw.Remove("icx/A" + catalog.Suffix); err != nil {
-		t.Fatal(err)
-	}
-	fs := &slowFS{FS: raw, write: 5 * time.Millisecond, read: 5 * time.Millisecond}
+	// A read costs twice a write, so the round — the head record, two
+	// directories and two files' data — outlasts B's first drain tasks.
+	fs := &slowFS{FS: raw, write: 5 * time.Millisecond, read: 10 * time.Millisecond}
 	reg := metrics.New()
 	// Written on client 0's goroutine; world.Run's wait is the
 	// happens-before edge to the assertions below.
@@ -170,9 +165,9 @@ func TestCrossEngineInterleavedRestartRead(t *testing.T) {
 	if overlapMidRead <= 0 {
 		t.Fatal("no write-class overlap accrued by the end of the read")
 	}
-	// The restart derived its index (catalog deleted), two files.
-	if n := snap.Counters["rocpanda.restart.catalog_fallbacks"]; n == 0 {
-		t.Fatal("restart did not take the derived-index fallback")
+	// The restart read A through its commit record, two files.
+	if n := snap.Counters["rocpanda.restart.catalog_hits"]; n == 0 {
+		t.Fatal("restart did not read through the commit record")
 	}
 	if n := snap.Counters["iosched.read.tasks"]; n < 2 {
 		t.Fatalf("read-class tasks = %d, want >= 2 (one per file)", n)

@@ -101,13 +101,18 @@ type writeHdr struct {
 // readReq asks the servers for the panes this client owns in a snapshot.
 // Alive lists the server indices the clients believe are alive; the
 // snapshot files are assigned round-robin over that set by their home
-// index, so a degraded read still covers every file.
+// index, so a degraded read still covers every file. Head, on client 0's
+// request of a restore walk's try, is the head commit record client 0 read
+// and judged (snapshot.Reader.Given), which the server takes instead of
+// reading it; empty otherwise. It is a view of the message, which the
+// server's Reader may hold with the chain it loads from it.
 type readReq struct {
 	File    string
 	Window  string
 	Attr    string
 	PaneIDs []int32
 	Alive   []int32
+	Head    []byte
 }
 
 func encodeWriteHdr(h writeHdr) []byte {
@@ -151,7 +156,8 @@ func encodeReadReq(r readReq) []byte {
 	for _, s := range r.Alive {
 		b = binary.LittleEndian.AppendUint32(b, uint32(s))
 	}
-	return b
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Head)))
+	return append(b, r.Head...)
 }
 
 func decodeReadReq(b []byte) (readReq, error) {
@@ -162,6 +168,9 @@ func decodeReadReq(b []byte) (readReq, error) {
 	r.Attr = c.Str()
 	r.PaneIDs = c.I32s()
 	r.Alive = c.I32s()
+	if n := int(c.U32()); n > 0 {
+		r.Head = c.Bytes(n)
+	}
 	if err := c.End(); err != nil {
 		return r, fmt.Errorf("rocpanda: corrupt read request: %w", err)
 	}

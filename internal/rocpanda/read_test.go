@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
@@ -282,7 +281,7 @@ func TestRestartWastedBytesAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			if mode == "scan" {
-				if err := fs.Remove("wb/A" + catalog.Suffix); err != nil {
+				if err := fs.Remove("wb/A" + snapshot.Suffix); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -456,8 +455,9 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 		checks []func(*testing.T, *rankRegistries) // run after each restore
 	}{
 		{name: "indexed", gens: 1, tune: full},
+		// No commit record: the files' own directories are the index.
 		{name: "scan", gens: 1, tune: full,
-			damage: func(fs rt.FS, head string) error { return fs.Remove(head + catalog.Suffix) }},
+			damage: func(fs rt.FS, head string) error { return fs.Remove(head + snapshot.Suffix) }},
 		{name: "delta-chain", gens: 3, want: expectedDeltaPanes(t, 4, 2, []int{1, 2})},
 		{name: "r2-deleted-primary", gens: 1, tune: r2,
 			damage: func(fs rt.FS, head string) error { return damagePrimary(fs, head, head+"_s000.rhdf", "delete") }},
@@ -475,19 +475,6 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 					}
 				}
 			}}},
-		// One server reaches the catalog and the other does not (the three
-		// clients' PanesForRestart open the blob first, a server's open is
-		// the fourth): indexed and scanning, they still cover every file
-		// once between them.
-		{name: "mixed-catalog-verdict", gens: 1, tune: full,
-			rules: func(head string) []faults.FSRule {
-				return []faults.FSRule{{Op: faults.OpOpen, PathPrefix: head + catalog.Suffix, Nth: 3 + 1}}
-			},
-			checks: []func(*testing.T, *rankRegistries){
-				total("rocpanda.restart.catalog_hits", 1),
-				total("rocpanda.restart.catalog_fallbacks", 1),
-				total("rocpanda.restart.fallbacks", 0),
-			}},
 		// A file the catalog never saw (a server wrongly declared dead
 		// renamed it into place after the commit) is still read, through an
 		// index derived from its own directory: here it holds the only copy
@@ -498,23 +485,20 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 				total("rocpanda.restart.catalog_hits", 2),
 				total("rocpanda.server.files_skipped", 1),
 			}},
-		// A derived index is an index: with no catalog, a primary that fails
-		// its CRCs is retried pane by pane against the replica in its share.
+		// A derived index is an index: with no commit record, each server
+		// derives its share's, where the replica of the primary that fails
+		// its CRCs — in the other server's share — is a pane's best copy,
+		// and every pane is still restored.
 		{name: "derived-r2-flipped-primary", gens: 1, tune: r2,
 			damage: func(fs rt.FS, head string) error {
 				if err := damagePrimary(fs, head, head+"_s000.rhdf", "flipbit"); err != nil {
 					return err
 				}
-				return fs.Remove(head + catalog.Suffix)
+				return fs.Remove(head + snapshot.Suffix)
 			},
 			checks: []func(*testing.T, *rankRegistries){
 				total("rocpanda.restart.catalog_fallbacks", 2),
 				total("rocpanda.server.files_skipped", 1),
-				func(t *testing.T, regs *rankRegistries) {
-					if n := regs.total("rocpanda.restart.repaired_panes"); n == 0 {
-						t.Error("no pane was repaired from the replica")
-					}
-				},
 			}},
 		// A file with no directory (what a crashed writer leaves behind) is
 		// skipped and the rest of the share delivered.
@@ -523,28 +507,12 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 				if err := hdf.PublishFile(fs, head+"_s002.rhdf", []byte("not an RHDF file")); err != nil {
 					return err
 				}
-				return fs.Remove(head + catalog.Suffix)
+				return fs.Remove(head + snapshot.Suffix)
 			},
 			checks: []func(*testing.T, *rankRegistries){
 				total("rocpanda.restart.catalog_fallbacks", 2),
 				total("rocpanda.server.files_skipped", 1),
 				total("rocpanda.restart.files_opened", 2),
-			}},
-		// A catalog blob that decodes but is not the one the manifest pins —
-		// here the previous generation's — is not this generation's index.
-		{name: "stale-catalog", gens: 2, tune: full,
-			damage: func(fs rt.FS, head string) error {
-				blob, err := hdf.ReadFile(fs, "om/s000000"+catalog.Suffix)
-				if err != nil {
-					return err
-				}
-				return hdf.PublishFile(fs, head+catalog.Suffix, blob)
-			},
-			want: expectedDeltaPanes(t, 4, 2, []int{1}),
-			checks: []func(*testing.T, *rankRegistries){
-				total("rocpanda.restart.catalog_hits", 0),
-				total("rocpanda.restart.catalog_fallbacks", 2),
-				total("rocpanda.server.files_skipped", 0),
 			}},
 	}
 	same := []string{
@@ -602,8 +570,8 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 		})
 	}
 
-	// One plan: a round opens each chain link's manifest and catalog once
-	// per server, whatever the chain's length and the driver. (The clients
+	// One plan: a round opens each chain link's commit record once per
+	// server, whatever the chain's length and the driver. (The clients
 	// restore the panes they wrote, so only servers touch the metadata.)
 	for _, depth := range []int{0, 2} {
 		for _, pooled := range []bool{false, true} {
@@ -629,24 +597,22 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 					t.Fatal(err)
 				}
 				for g := 0; g <= depth; g++ {
-					for _, suffix := range []string{snapshot.Suffix, catalog.Suffix} {
-						if name := fmt.Sprintf("om/s%06d%s", g, suffix); fs.opens[name] != 2 {
-							t.Errorf("%s opened %d times by 2 servers, want once each", name, fs.opens[name])
-						}
+					if name := fmt.Sprintf("om/s%06d%s", g, snapshot.Suffix); fs.opens[name] != 2 {
+						t.Errorf("%s opened %d times by 2 servers, want once each", name, fs.opens[name])
 					}
 				}
 			})
 		}
 	}
 
-	// One kind of file work: with no catalog, one large file is still read
+	// One kind of file work: with no commit record, one large file is still read
 	// by coalesced runs — a handful of ReadAt calls, not one per dataset —
 	// and under the pool its runs split into chunks across the workers.
 	for _, pooled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("derived-coalesced/pooled-%v", pooled), func(t *testing.T) {
 			raw := rt.NewMemFS()
 			writeSnapshot(t, raw, "lg/A", 4, 1, 120)
-			if err := raw.Remove("lg/A" + catalog.Suffix); err != nil {
+			if err := raw.Remove("lg/A" + snapshot.Suffix); err != nil {
 				t.Fatal(err)
 			}
 			size, _, sets, err := hdf.ScanDir(raw, "lg/A_s000.rhdf")
@@ -684,10 +650,8 @@ func TestReadDriversAreOneMachine(t *testing.T) {
 		t.Run(fmt.Sprintf("own-file-no-manifest/workers-%d", workers), func(t *testing.T) {
 			fs := rt.NewMemFS()
 			writeSnapshot(t, fs, "ow/A", 1, 1, 4)
-			for _, suffix := range []string{snapshot.Suffix, catalog.Suffix} {
-				if err := fs.Remove("ow/A" + suffix); err != nil {
-					t.Fatal(err)
-				}
+			if err := fs.Remove("ow/A" + snapshot.Suffix); err != nil {
+				t.Fatal(err)
 			}
 			reg := metrics.New()
 			err := mpi.NewChanWorld(fs, 1).Run(1, func(ctx mpi.Ctx) error {

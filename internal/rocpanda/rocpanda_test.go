@@ -670,7 +670,7 @@ func TestProtocolCodecs(t *testing.T) {
 	// alive list then decoding from the pane IDs' bytes: a "successful"
 	// request for no panes. So is a count that leaves bytes over.
 	enc := encodeReadReq(r)
-	countAt := len(enc) - 4 - 4*len(r.PaneIDs) - 4
+	countAt := len(enc) - 4 - 4 - 4*len(r.PaneIDs) - 4 // before the pane IDs, the alive count and the head length
 	for _, n := range []uint32{1 << 30, uint32(len(r.PaneIDs)) + 2, uint32(len(r.PaneIDs)) - 1} {
 		bad := append([]byte(nil), enc...)
 		binary.LittleEndian.PutUint32(bad[countAt:], n)

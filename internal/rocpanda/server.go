@@ -26,6 +26,7 @@ type readRound struct {
 	wantAll map[int]int  // (paneID) -> world rank of requesting client
 	reqers  map[int]bool // world ranks that have requested this round
 	alive   []int        // server indices sharing the scan (agreed by the clients)
+	head    []byte       // the head commit record client 0's request carried, if any
 }
 
 // server is the Rocpanda server routine state (Figure 2's I/O processor).
@@ -272,6 +273,9 @@ func (s *server) handleReadReq(src int) {
 	for _, id := range req.PaneIDs {
 		round.wantAll[int(id)] = src
 	}
+	if req.Head != nil {
+		round.head = req.Head
+	}
 	// The clients agree on the surviving-server set before asking (the
 	// dead-set AllreduceOr in ReadPanes), so every request carries the same
 	// alive list.
@@ -320,7 +324,7 @@ func (s *server) serveRead(req readReq, round *readRound) {
 	scanT0 := clock.Now()
 	defer func() { s.mx.scanSeconds.Observe(clock.Now() - scanT0) }()
 	mode := s.rd.Read(snapshot.ReadRequest{
-		Base: req.File, Window: req.Window, Attr: req.Attr, Wanted: wanted,
+		Base: req.File, Window: req.Window, Attr: req.Attr, Wanted: wanted, Head: round.head,
 		Mine: func(home int) bool { return dealt(round.alive, home) == s.idx },
 		// Reading a committed generation g proceeds at once, while the
 		// write service may still be writing back g+1. When the flush does

@@ -2,14 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
-	"genxio/internal/catalog"
-	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
@@ -42,32 +41,55 @@ func writePaneGen(t *testing.T, fsys rt.FS, base string, nfiles, npanes int) {
 	}
 }
 
-func TestCommitWritesCatalogBeforeManifest(t *testing.T) {
+// catalogAt returns base's commit record and where in it the catalog's
+// sections begin: they end the record.
+func catalogAt(t *testing.T, fsys rt.FS, base string) ([]byte, int) {
+	t.Helper()
+	buf := readAll(t, fsys, base+Suffix)
+	_, cat, err := DecodeRecord(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf, len(buf) - len(cat.Encode())
+}
+
+// cutCatalog cuts base's commit record short where its catalog's sections
+// begin: the record has lost its catalog.
+func cutCatalog(t *testing.T, fsys rt.FS, base string) {
+	t.Helper()
+	buf, at := catalogAt(t, fsys, base)
+	writeAll(t, fsys, base+Suffix, buf[:at])
+}
+
+// reseal recomputes a commit record's CRC32C after its bytes were changed in
+// place: the record a writer would have sealed around them.
+func reseal(buf []byte) {
+	binary.LittleEndian.PutUint32(buf[8:], hdf.Checksum(buf[recordHeader:]))
+}
+
+// TestCommitWritesOneRecord: a commit publishes one file, the commit record,
+// which carries the catalog — no catalog file beside it — and pins the
+// files; it reloads to the same record and re-encodes to its bytes.
+func TestCommitWritesOneRecord(t *testing.T) {
 	fsys := rt.NewMemFS()
 	writePaneGen(t, fsys, "out/snap000010", 2, 5)
 	m, err := Commit(fsys, "out/snap000010", 10, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Catalog == nil {
-		t.Fatal("manifest carries no catalog reference")
+	if names, _ := fsys.List("out/snap000010."); len(names) != 1 || names[0] != "out/snap000010"+Suffix {
+		t.Fatalf("the commit left %v, want the record alone", names)
 	}
-	if m.Catalog.Name != "out/snap000010"+catalog.Suffix {
-		t.Fatalf("catalog name %q", m.Catalog.Name)
-	}
-	// Golden: the blob and the files of this fixed generation. The blob is
-	// in the version-3 layout — the file table and pane index, no copy of
-	// an entry — whose header CRC32C the manifest pins; the files did not
-	// move with it.
-	if m.Catalog.Size != 121 || m.Catalog.CRC != 0x45b140b7 {
-		t.Errorf("catalog blob is %d bytes header crc %08x, golden 121 bytes header crc 45b140b7", m.Catalog.Size, m.Catalog.CRC)
+	// Golden: the record and the files of this fixed generation.
+	if m.Size != 146 || m.CRC != 0x63ed6899 {
+		t.Errorf("record is %d bytes crc %08x, golden 146 bytes crc 63ed6899", m.Size, m.CRC)
 	}
 	if f := m.Files; len(f) != 2 || f[0].Size != 307 || f[0].DirCRC != 0x053bc0c5 || f[1].Size != 214 || f[1].DirCRC != 0x6017f34e {
 		t.Errorf("files %+v, golden 307 bytes dir crc 053bc0c5 and 214 bytes dir crc 6017f34e", f)
 	}
 	chain, err := LoadChain(fsys, "out/snap000010")
-	if err != nil || chain[0].Derived {
-		t.Fatalf("pinned catalog: derived %v, err %v", chain[0].Derived, err)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cat := chain[0].Catalog
 	if len(cat.Files) != 2 || len(cat.Entries) != 5 {
@@ -76,42 +98,40 @@ func TestCommitWritesCatalogBeforeManifest(t *testing.T) {
 	if got := cat.Panes("fluid"); !reflect.DeepEqual(got, []int{1000, 1001, 1002, 1003, 1004}) {
 		t.Fatalf("pane universe %v", got)
 	}
-	// The manifest's size and header CRC pin the blob on disk.
-	f, _ := fsys.Open(m.Catalog.Name)
-	size, _ := f.Size()
-	blob := make([]byte, size)
-	f.ReadAt(blob, 0)
-	f.Close()
-	if h, err := catalog.ReadHeader(blob); err != nil || size != m.Catalog.Size || h.CRC != m.Catalog.CRC {
-		t.Fatalf("catalog ref size %d crc %08x, blob is %d bytes (header: %v)", m.Catalog.Size, m.Catalog.CRC, size, err)
-	}
-	// The reloaded manifest round-trips the reference.
 	got, err := Load(fsys, "out/snap000010")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Catalog, m.Catalog) {
-		t.Fatalf("reloaded catalog ref %+v, want %+v", got.Catalog, m.Catalog)
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("reloaded record %+v, want %+v", got, m)
+	}
+	buf, at := catalogAt(t, fsys, "out/snap000010")
+	if again := encodeRecord(got, buf[at:]); !bytes.Equal(again, buf) {
+		t.Fatal("the reloaded record encodes to other bytes")
 	}
 }
 
-func TestVerifyIgnoresCatalogDamage(t *testing.T) {
+// TestRecordDamageCostsItsGeneration: the catalog lives in the commit
+// record, under its CRC32C, so a damaged catalog is a damaged record — the
+// generation is not loaded, and the walk falls back past it. There is no
+// index derived from the files in its place.
+func TestRecordDamageCostsItsGeneration(t *testing.T) {
 	fsys := rt.NewMemFS()
+	writePaneGen(t, fsys, "out/snap000000", 1, 2)
+	if _, err := Commit(fsys, "out/snap000000", 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	writePaneGen(t, fsys, "out/snap000010", 1, 2)
-	m, err := Commit(fsys, "out/snap000010", 10, 0)
-	if err != nil {
+	if _, err := Commit(fsys, "out/snap000010", 10, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := faults.FlipBit(fsys, m.Catalog.Name, 12*8+3); err != nil {
-		t.Fatal(err)
+	_, at := catalogAt(t, fsys, "out/snap000010")
+	flipByte(t, fsys, "out/snap000010"+Suffix, int64(at+3))
+	if got, err := restoreOn(t, fsys, "out/", func(string) error { return nil }, nil); err != nil || got != "out/snap000000" {
+		t.Fatalf("walk on a damaged record: restored %q, %v; want the generation before it", got, err)
 	}
-	// A damaged catalog must not fail the walk's file check — restart
-	// degrades to the scan path instead of abandoning the generation.
-	if got, err := restoreOn(t, fsys, "out/", func(string) error { return nil }, nil); err != nil || got != m.Base {
-		t.Fatalf("walk on catalog damage: restored %q, %v", got, err)
-	}
-	if chain, err := LoadChain(fsys, "out/snap000010"); err != nil || !chain[0].Derived {
-		t.Fatal("damaged catalog loaded cleanly")
+	if _, err := LoadChain(fsys, "out/snap000010"); !errors.Is(err, hdf.ErrChecksum) {
+		t.Fatalf("damaged record loaded: %v", err)
 	}
 }
 
@@ -126,13 +146,10 @@ func TestPruneRemovesCatalog(t *testing.T) {
 	if _, err := Prune(fsys, "out/", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fsys.Open("out/snap000000" + catalog.Suffix); err == nil {
-		t.Fatal("pruned generation's catalog survived")
-	}
 	if names, _ := fsys.List("out/snap000000"); len(names) != 0 {
 		t.Fatalf("pruned generation left artifacts: %v", names)
 	}
-	if chain, err := LoadChain(fsys, "out/snap000100"); err != nil || chain[0].Derived {
+	if chain, err := LoadChain(fsys, "out/snap000100"); err != nil || len(chain[0].Catalog.Files) != 1 {
 		t.Fatalf("surviving generation's catalog gone: %v", err)
 	}
 }
@@ -151,22 +168,20 @@ func TestPaneUniverse(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("catalog universe %v, want %v", got, want)
 	}
-	// Without the catalog file, the index derived from the files answers.
-	if err := fsys.Remove("out/snap000010" + catalog.Suffix); err != nil {
-		t.Fatal(err)
-	}
-	got, err = universeOn(t, fsys, "out/snap000010", "fluid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("scan universe %v, want %v", got, want)
-	}
 	if _, err := universeOn(t, fsys, "out/snap000010", "solid"); err == nil {
 		t.Fatal("empty window produced a universe")
 	}
+	// A record that lost its catalog answers nothing: no universe is
+	// derived from the files.
+	cutCatalog(t, fsys, "out/snap000010")
+	if ids, err := universeOn(t, fsys, "out/snap000010", "fluid"); err == nil {
+		t.Fatalf("PaneUniverse answered %v from a record without its catalog", ids)
+	}
 }
 
+// TestFsckCatalogMismatch: a bit flipped in the catalog a commit record
+// carries is damage to the record: the generation is CORRUPT, the record's
+// line says why, and the scrub is no longer clean — quick or deep.
 func TestFsckCatalogMismatch(t *testing.T) {
 	fsys := rt.NewMemFS()
 	writePaneGen(t, fsys, "out/snap000010", 2, 4)
@@ -177,144 +192,77 @@ func TestFsckCatalogMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 1 || reports[0].Verdict != VerdictOK || reports[0].Catalog != "ok" {
+	if len(reports) != 1 || reports[0].Verdict != VerdictOK || reports[0].Record == nil || len(reports[0].Record.Files) != 2 {
 		t.Fatalf("clean scrub: %+v", reports)
 	}
-
-	// Bit-flip the catalog body: data files are fine, so the verdict is
-	// CATALOG-MISMATCH, not CORRUPT — and the scrub is no longer clean.
-	if err := faults.FlipBit(fsys, "out/snap000010"+catalog.Suffix, 12*8+3); err != nil {
-		t.Fatal(err)
+	_, at := catalogAt(t, fsys, "out/snap000010")
+	flipByte(t, fsys, "out/snap000010"+Suffix, int64(at+3))
+	for _, scrub := range []func(rt.FS, string) ([]GenReport, error){Fsck, FsckQuick} {
+		reports, err = scrub(fsys, "out/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := Format(reports)
+		if rep := reports[0]; rep.Verdict != VerdictCorrupt || rep.Record != nil || !strings.Contains(out, "out/snap000010"+Suffix) ||
+			!strings.Contains(out, "crc32c") {
+			t.Fatalf("damaged record's catalog: want %s naming the record\n%s", VerdictCorrupt, out)
+		}
+		if Clean(reports) {
+			t.Fatal("Clean() true with a damaged record")
+		}
 	}
-	reports, err = Fsck(fsys, "out/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := reports[0]
-	if rep.Verdict != VerdictCatalogMismatch || rep.Catalog != "mismatch" {
-		t.Fatalf("tampered catalog: verdict %q, catalog %q", rep.Verdict, rep.Catalog)
-	}
-	if Clean(reports) {
-		t.Fatal("Clean() true with a catalog mismatch")
-	}
-	if out := Format(reports); !strings.Contains(out, VerdictCatalogMismatch) {
-		t.Fatalf("Format output lacks the verdict:\n%s", out)
-	}
-
-	// A flipped payload bit on top of that dominates: CORRUPT wins.
-	if err := faults.FlipBit(fsys, "out/snap000010_s000.rhdf", hdf.HeaderSize()*8+1); err != nil {
-		t.Fatal(err)
-	}
-	reports, _ = Fsck(fsys, "out/")
-	if reports[0].Verdict != VerdictCorrupt {
-		t.Fatalf("corrupt+mismatch verdict %q, want %q", reports[0].Verdict, VerdictCorrupt)
-	}
-}
-
-// indexOf is the index of the generation m commits as a reader of the whole
-// blob gets it: readCatalog, then index.
-func indexOf(fsys rt.FS, m *Manifest) (*catalog.Catalog, bool, error) {
-	cat, err := readCatalog(fsys, m, nil)
-	return index(fsys, m, cat, err)
 }
 
 // TestIndex: the one answer to "where are this generation's pane bytes" is
-// the committed blob when it is the blob the manifest pins, and otherwise —
-// for a full generation only — the same catalog derived from the files.
+// the catalog its commit record carries. Another generation's record in its
+// place, or none, is no index of it: nothing is derived from the files.
 func TestIndex(t *testing.T) {
 	fsys := rt.NewMemFS()
 	writePaneGen(t, fsys, "out/snap000010", 2, 5)
-	m, err := Commit(fsys, "out/snap000010", 10, 0)
-	if err != nil {
+	if _, err := Commit(fsys, "out/snap000010", 10, 0); err != nil {
 		t.Fatal(err)
 	}
-	committed := readAll(t, fsys, m.Catalog.Name)
-	index := func(wantDerived bool) *catalog.Catalog {
-		t.Helper()
-		cat, derived, err := indexOf(fsys, m)
-		if err != nil || derived != wantDerived {
-			t.Fatalf("index: derived %v err %v, want derived %v", derived, err, wantDerived)
-		}
-		if !bytes.Equal(cat.Encode(), committed) {
-			t.Fatalf("index (derived %v) is not the catalog the commit wrote", derived)
-		}
-		return cat
+	buf, at := catalogAt(t, fsys, "out/snap000010")
+	chain, err := LoadChain(fsys, "out/snap000010")
+	if err != nil || !bytes.Equal(chain[0].Catalog.Encode(), buf[at:]) {
+		t.Fatalf("index is not the catalog the record carries (%v)", err)
 	}
-	index(false)
 
-	// Another generation's blob, self-consistent, in this one's place.
+	// Another generation's record, self-consistent, in this one's place.
 	writePaneGen(t, fsys, "out/snap000020", 2, 3)
-	other, err := Commit(fsys, "out/snap000020", 20, 0)
-	if err != nil {
+	if _, err := Commit(fsys, "out/snap000020", 20, 0); err != nil {
 		t.Fatal(err)
 	}
-	writeAll(t, fsys, m.Catalog.Name, readAll(t, fsys, other.Catalog.Name))
-	index(true)
-	if ids, err := universeOn(t, fsys, "out/snap000010", "fluid"); err != nil || len(ids) != 5 {
-		t.Fatalf("PaneUniverse beside a stale catalog = %v, %v; want this generation's 5 panes", ids, err)
+	writeAll(t, fsys, "out/snap000010"+Suffix, readAll(t, fsys, "out/snap000020"+Suffix))
+	if _, err := LoadChain(fsys, "out/snap000010"); err == nil || !strings.Contains(err.Error(), "the record of out/snap000020") {
+		t.Fatalf("another generation's record loaded as this one's: %v", err)
 	}
-	if err := fsys.Remove(m.Catalog.Name); err != nil {
+	if ids, err := universeOn(t, fsys, "out/snap000010", "fluid"); err == nil {
+		t.Fatalf("PaneUniverse answered %v from another generation's record", ids)
+	}
+	if err := fsys.Remove("out/snap000010" + Suffix); err != nil {
 		t.Fatal(err)
 	}
-	index(true)
-
-	// A file whose directory will not read: the rest is indexed and the
-	// error says so; the pane universe, which must be whole, refuses.
-	if err := fsys.Remove("out/snap000010_s001.rhdf"); err != nil {
-		t.Fatal(err)
-	}
-	cat, derived, err := indexOf(fsys, m)
-	if !derived || !errors.Is(err, rt.ErrNotExist) || len(cat.Files) != 1 || len(cat.Entries) != 3 {
-		t.Fatalf("index short a file: derived %v err %v, %d files %d entries", derived, err, len(cat.Files), len(cat.Entries))
-	}
-	if _, err := universeOn(t, fsys, "out/snap000010", "fluid"); err == nil {
-		t.Fatal("PaneUniverse answered from an index short a file")
-	}
-
-	// A delta generation is never derived.
-	writePaneGen(t, fsys, "out/snap000030", 1, 1)
-	delta, err := CommitChained(fsys, "out/snap000030", 30, 0,
-		&ChainInfo{Base: "out/snap000020", Depth: 1, Panes: map[string][]int{"fluid": {1000, 1001, 1002}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := indexOf(fsys, delta); err != nil {
-		t.Fatal(err)
-	}
-	if err := fsys.Remove(delta.Catalog.Name); err != nil {
-		t.Fatal(err)
-	}
-	if cat, derived, err := indexOf(fsys, delta); err == nil || derived || cat != nil {
-		t.Fatalf("index of a delta without its blob: cat %v derived %v err %v", cat, derived, err)
-	}
-
-	// An orphan catalog beside an unreadable manifest is nobody's index.
-	writeAll(t, fsys, "out/snap000020"+Suffix, []byte("{"))
-	if ids, err := universeOn(t, fsys, "out/snap000020", "fluid"); err == nil {
-		t.Fatalf("PaneUniverse answered %v from an orphan catalog", ids)
+	if ids, err := universeOn(t, fsys, "out/snap000010", "fluid"); err == nil {
+		t.Fatalf("PaneUniverse answered %v with no record", ids)
 	}
 }
 
 // TestDamagedSectionFailsOnlyItsReads: one flipped byte in a section of a
-// delta head's catalog — its file table or its pane index. The header
-// still matches the manifest's pin, so the damage is caught by the
-// section's own CRC32C, and it is the damaged catalog it always was: a
-// delta head that will not load fails the round, and the scrub's
-// CATALOG-MISMATCH names the section and carries a chain-broken line.
+// delta head record's catalog — its file table or its pane index — fails
+// the record's CRC32C: the head will not load, so its round fails, and the
+// scrub says CORRUPT on the record, with a chain-broken line.
 func TestDamagedSectionFailsOnlyItsReads(t *testing.T) {
-	for _, tc := range []struct{ name, section string }{{"files", "file table"}, {"index", "pane index"}} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, name := range []string{"files", "index"} {
+		t.Run(name, func(t *testing.T) {
 			fsys := rt.NewMemFS()
 			head := commitChain(t, fsys)[2]
-			name := head + catalog.Suffix
-			blob := readAll(t, fsys, name)
-			// The file table follows the 36-byte header; the pane index ends
-			// the blob.
-			at := int64(len(blob) - 1)
-			if tc.name == "files" {
-				at = 36 + 3
+			buf, at := catalogAt(t, fsys, head)
+			off := int64(len(buf) - 1) // the pane index ends the record
+			if name == "files" {
+				off = int64(at + 3) // the first file's name
 			}
-			flipByte(t, fsys, name, at)
+			flipByte(t, fsys, head+Suffix, off)
 
 			onReader(t, fsys, metrics.New(), func(_ mpi.Ctx, rd *Reader) {
 				if got, mode := readPanes(rd, head); mode != ReadFailed || len(got) != 0 {
@@ -326,9 +274,9 @@ func TestDamagedSectionFailsOnlyItsReads(t *testing.T) {
 				t.Fatal(err)
 			}
 			listing := Format(reports[:1])
-			if rep := reports[0]; rep.Base != head || rep.Verdict != VerdictCatalogMismatch || !strings.Contains(listing, tc.section) ||
+			if rep := reports[0]; rep.Base != head || rep.Verdict != VerdictCorrupt || !strings.Contains(listing, "crc32c") ||
 				!strings.Contains(listing, "chain-broken") {
-				t.Fatalf("scrub of %s: want %s naming %q and a broken chain\n%s", head, VerdictCatalogMismatch, tc.section, Format(reports))
+				t.Fatalf("scrub of %s: want %s naming the record's crc32c and a broken chain\n%s", head, VerdictCorrupt, Format(reports))
 			}
 		})
 	}

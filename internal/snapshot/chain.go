@@ -8,65 +8,49 @@ import (
 	"strings"
 
 	"genxio/internal/catalog"
+	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/rt"
 )
 
 // ChainGen is one link of a delta chain: a committed generation's base
-// name, its manifest, and its index (index). Derived marks an index built
-// from the files' directories, which only a depth-0 head may have; Catalog is
-// nil on the link LoadChain failed at.
+// name, its commit record, and the record's catalog.
 type ChainGen struct {
 	Base     string
 	Manifest *Manifest
 	Catalog  *catalog.Catalog
-	Derived  bool
 }
-
-// maxChainDepth bounds the chain walk against manifests whose recorded
-// depths form an unbounded (or cyclic) ancestry. Real chains are capped
-// by the FullEvery cadence, orders of magnitude below this.
-const maxChainDepth = 1024
 
 // LoadChain is how a reader learns a generation's shape: it loads the
 // generation under base and walks its delta chain down to the full
 // generation, newest first — result[0] is base itself and the last element
 // has ChainDepth 0. A full generation is the chain of length one.
 //
-// Every link needs a loadable, valid manifest and an index. The head's is
-// whatever index gives: a depth-0 head whose committed catalog is missing,
-// damaged or not the one its manifest pins comes back Derived, with the
-// files whose directories read, and no error. Every link under a head needs
-// its committed catalog — a delta's files do not spell out the panes it
-// inherits, so nothing is derived across generations. On any failure the
-// error is returned alongside the links whose manifests did load — an empty
+// Every link needs a loadable, valid commit record, and every link under
+// the head the very record its head's links pin. On any failure the error
+// is returned alongside the links that did load, in order — an empty
 // prefix means base itself has no readable commit record.
 //
 // LoadChain reads inline, in the paper's serial order, and keeps nothing: each
-// call reads the whole commit record again, and every directory of every
-// link's files (loadDirs), so each catalog comes back with every file
-// planable. A Reader is the restart's one loader (Reader.chain): it issues
-// the same reads through its driver (loadChain) but loads only the
-// directories it plans from, and holds the chain it loaded, for its rounds
-// and for its restore walk's judgments.
+// call reads every record again, and every directory of every link's files
+// (loadDirs), so each catalog comes back with every file planable. A Reader
+// is the restart's one loader (Reader.chain): it issues the same reads
+// through its driver (loadChain) but loads only the directories it plans
+// from, and holds the chain it loaded, for its rounds and for its restore
+// walk's judgments.
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
 	each := reads{fsys: fsys}
 	chain, err := loadChain(each, base, nil, nil)
 	var loads []dirLoad
 	for _, g := range chain {
-		if g.Catalog != nil {
-			loads = append(loads, lacking(g, allFiles(g.Catalog))...)
-		}
+		loads = append(loads, lacking(g, allFiles(g.Catalog))...)
 	}
 	loadDirs(each, loads, nil)
 	return chain, err
 }
 
-// allFiles returns every file index of c (none of a nil c).
+// allFiles returns every file index of c.
 func allFiles(c *catalog.Catalog) []int {
-	if c == nil {
-		return nil
-	}
 	files := make([]int, len(c.Files))
 	for f := range files {
 		files[f] = f
@@ -74,92 +58,80 @@ func allFiles(c *catalog.Catalog) []int {
 	return files
 }
 
-// commitRecord is one generation's commit record as a chain walk loaded it:
-// the manifest, and once read, the catalog it pins (readCatalog: the file
-// table and pane index, all a judgment needs) — each with why it did not
-// load. A pass judging many heads (the scrub) keeps them by base, so a link
-// shared by several chains loads once.
+// commitRecord is one generation's commit record as a chain walk loaded it
+// — the record and its catalog, or why it did not load. A pass judging many
+// heads (the scrub) keeps them by base, so a link shared by several chains
+// loads once.
 type commitRecord struct {
-	m       *Manifest
-	mErr    error
-	cat     *catalog.Catalog
-	catErr  error
-	catRead bool
+	m   *Manifest
+	cat *catalog.Catalog
+	err error
 }
 
-// loadChain is LoadChain through the driver each, without the directories:
-// each link's pinned catalog is read (readCatalog), every catalog byte
-// counted on read. The manifests come first, one link at a time on the
-// owner's view (each names the next); then every link's catalog is read as
-// one batch, one read per catalog, costed at its pinned size. The chain is
-// judged in link order after the batch, so it fails where a link-by-link
-// walk would stop, with the same error and prefix; only a broken chain reads
-// more (the links past the one at fault). known, when set, holds the
-// records loaded so far by base and gains the new ones: the scrub's pass
-// shares links across heads with it, and a Reader seeds it with the head
-// manifest it has just read, so a load reads that manifest once.
+// loadRecord reads and decodes base's commit record on fsys, counting the
+// bytes that arrived on read.
+func loadRecord(fsys rt.FS, base string, read *metrics.Counter) *commitRecord {
+	buf, err := hdf.ReadFile(fsys, base+Suffix)
+	read.Add(int64(len(buf)))
+	rec := &commitRecord{err: err}
+	if err == nil {
+		rec.m, rec.cat, rec.err = decodeRecord(base, buf)
+	}
+	return rec
+}
+
+// loadChain is LoadChain through the driver each, without the directories.
+// The head's record comes first; it lists every lower link with its pin,
+// so every lower record not yet known is read as one batch, one read per
+// record costed at its pinned size, every byte counted on read. The chain
+// is judged in link order after the batch: each lower record must load,
+// be the one the head pins and list the links below it that the head
+// does, and the chain fails at the first that is not, with the links before
+// it. known, when set, holds the records loaded so far by base and gains
+// the new ones: the scrub's pass shares links across heads with it, and a
+// Reader seeds it with the head record it has just read, so a load reads
+// that record once.
 func loadChain(each reads, base string, known map[string]*commitRecord, read *metrics.Counter) ([]ChainGen, error) {
-	fsys := each.fsys
 	if known == nil {
 		known = make(map[string]*commitRecord)
 	}
-	var chain []ChainGen
-	var walkErr error
-	seen := make(map[string]bool)
-	for cur := base; ; {
-		if seen[cur] {
-			walkErr = fmt.Errorf("snapshot: chain of %s revisits %s", base, cur)
-			break
-		}
-		if len(chain) >= maxChainDepth {
-			walkErr = fmt.Errorf("snapshot: chain of %s exceeds depth %d", base, maxChainDepth)
-			break
-		}
-		seen[cur] = true
-		rec := known[cur]
-		if rec == nil {
-			rec = &commitRecord{}
-			rec.m, rec.mErr = Load(fsys, cur)
-			known[cur] = rec
-		}
-		if rec.mErr != nil {
-			walkErr = fmt.Errorf("snapshot: chain of %s: link %s: %w", base, cur, rec.mErr)
-			break
-		}
-		chain = append(chain, ChainGen{Base: cur, Manifest: rec.m})
-		if rec.m.ChainDepth == 0 {
-			break
-		}
-		cur = rec.m.BaseGeneration
+	head := known[base]
+	if head == nil {
+		head = loadRecord(each.fsys, base, read)
+		known[base] = head
 	}
-	var unread []*commitRecord
-	for _, g := range chain {
-		if rec := known[g.Base]; !rec.catRead {
-			rec.catRead = true
-			unread = append(unread, rec)
+	if head.err != nil {
+		return nil, fmt.Errorf("snapshot: chain of %s: link %s: %w", base, base, head.err)
+	}
+	var unread []Link
+	var costs []int64
+	for _, l := range head.m.Links {
+		if known[l.Base] == nil {
+			unread, costs = append(unread, l), append(costs, l.Size)
 		}
 	}
-	costs := make([]int64, len(unread))
-	for i, rec := range unread {
-		costs[i] = rec.m.Catalog.Size
-	}
+	recs := make([]*commitRecord, len(unread))
 	each.run(costs, nil, func(fsys rt.FS, _ *readHandles, i int) {
-		unread[i].cat, unread[i].catErr = readCatalog(fsys, unread[i].m, read)
-	}, func(int) {})
-	for i := range chain {
-		g, rec := &chain[i], known[chain[i].Base]
-		g.Catalog = rec.cat
-		err := rec.catErr
-		if i == 0 {
-			if g.Catalog, g.Derived, err = index(fsys, g.Manifest, rec.cat, rec.catErr); g.Derived {
-				err = nil
-			}
+		recs[i] = loadRecord(fsys, unread[i].Base, read)
+	}, func(i int) { known[unread[i].Base] = recs[i] })
+	chain := []ChainGen{{Base: base, Manifest: head.m, Catalog: head.cat}}
+	for i, l := range head.m.Links {
+		rec := known[l.Base]
+		err := rec.err
+		switch {
+		case err != nil:
+		case rec.m.link() != l:
+			err = fmt.Errorf("%w: its record is %d bytes with crc32c %08x, %s pins %d bytes with crc32c %08x",
+				hdf.ErrChecksum, rec.m.Size, rec.m.CRC, base, l.Size, l.CRC)
+		case !slices.Equal(rec.m.Links, head.m.Links[i+1:]):
+			err = fmt.Errorf("its record lists other links than %s does", base)
 		}
 		if err != nil {
-			return chain[:i+1], fmt.Errorf("snapshot: chain of %s: link %s catalog: %w", base, g.Base, err)
+			return chain, fmt.Errorf("snapshot: chain of %s: link %s: %w", base, l.Base, err)
 		}
+		chain = append(chain, ChainGen{Base: l.Base, Manifest: rec.m, Catalog: rec.cat})
 	}
-	return chain, walkErr
+	return chain, nil
 }
 
 // ChainCatalogs returns the chain's catalogs newest first, ready for
@@ -175,12 +147,6 @@ func ChainCatalogs(chain []ChainGen) []*catalog.Catalog {
 // paneUniverse is Reader.PaneUniverse's answer from head, a head link it
 // loaded or a held chain's head, and err, why head did not load.
 func paneUniverse(head ChainGen, window string, err error) ([]int, error) {
-	if head.Catalog != nil && head.Manifest.ChainDepth == 0 {
-		err = nil // a derived index lacks the files that failed: restorable judges them
-		if _, lost := restorable([]ChainGen{head}, func(FileEntry) bool { return true }); len(lost) > 0 {
-			err = fmt.Errorf("no indexed copy of %s", strings.Join(lost, ", "))
-		}
-	}
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: pane universe of %s: %w", head.Base, err)
 	}
@@ -192,8 +158,8 @@ func paneUniverse(head ChainGen, window string, err error) ([]int, error) {
 }
 
 // universe is the pane universe, per window, a restart of the generation m
-// commits must restore. A delta answers from the universe its manifest
-// recorded at snapshot time (its files alone cannot: most panes live down
+// commits must restore. A delta answers from the universe its record
+// carries from snapshot time (its files alone cannot: most panes live down
 // the chain, and a pane deleted by refinement must not resurrect from a base
 // generation); a full generation from cat's pane index.
 func universe(m *Manifest, cat *catalog.Catalog) map[string][]int {
@@ -219,9 +185,7 @@ func universe(m *Manifest, cat *catalog.Catalog) map[string][]int {
 // once, as restorable alone would. Every call checks the files afresh.
 func judge(base string, chain []ChainGen, err error, check func(files []FileEntry, dirs []dirLoad) []bool) (link string, _ error) {
 	if n := len(chain); err != nil {
-		if link = base; n > 0 && chain[n-1].Catalog == nil {
-			link = chain[n-1].Base
-		} else if n > 0 {
+		if link = base; n > 0 {
 			link = chain[n-1].Manifest.BaseGeneration
 		}
 		return link, err
@@ -251,17 +215,12 @@ func judge(base string, chain []ChainGen, err error, check func(files []FileEntr
 }
 
 // chainDirs gives, by name, the directory of every file the chain's
-// catalogs index: the catalog and index it has there, and its manifest
-// entry.
+// catalogs index: the catalog and index it has there, and its pins.
 func chainDirs(chain []ChainGen) map[string]dirLoad {
 	dirs := make(map[string]dirLoad)
 	for _, g := range chain {
-		pinned := make(map[string]FileEntry, len(g.Manifest.Files))
-		for _, e := range g.Manifest.Files {
-			pinned[e.Name] = e
-		}
-		for f, name := range g.Catalog.Files {
-			dirs[name] = dirLoad{cat: g.Catalog, f: f, e: pinned[name]}
+		for f, e := range g.Manifest.Files {
+			dirs[e.Name] = dirLoad{cat: g.Catalog, f: f, e: e}
 		}
 	}
 	return dirs
@@ -273,27 +232,17 @@ func chainDirs(chain []ChainGen) map[string]dirLoad {
 // best copy first (catalog.PaneFiles), the next only when one fails, each
 // file at most once. It reads the links' pane indexes, never a directory. It
 // returns the panes with no such copy, as window:pane, and the link the
-// first resolves to. A manifested file the head's index lacks (a derived
-// index holds only the files that read) is returned by name unless a copy of
-// it (findDonor) is indexed: the universe must not shrink by its panes.
+// first resolves to.
 func restorable(chain []ChainGen, fileOK func(FileEntry) bool) (link string, lost []string) {
-	head, indexed := chain[0], make(map[string]string)
-	for _, name := range head.Catalog.Files {
-		indexed[name] = "ok"
-	}
-	for _, e := range head.Manifest.Files {
-		if indexed[e.Name] == "" && findDonor(head.Manifest, e, indexed) == "" {
-			link, lost = head.Base, append(lost, e.Name)
-		}
-	}
+	head := chain[0]
 	verdicts := make(map[string]bool)
-	ok := func(g ChainGen, name string) bool {
-		if v, asked := verdicts[name]; asked {
+	ok := func(g ChainGen, f int) bool {
+		e := g.Manifest.Files[f]
+		if v, asked := verdicts[e.Name]; asked {
 			return v
 		}
-		i := slices.IndexFunc(g.Manifest.Files, func(e FileEntry) bool { return e.Name == name })
-		verdicts[name] = i >= 0 && fileOK(g.Manifest.Files[i])
-		return verdicts[name]
+		verdicts[e.Name] = fileOK(e)
+		return verdicts[e.Name]
 	}
 	u := universe(head.Manifest, head.Catalog)
 	for _, w := range slices.Sorted(maps.Keys(u)) {
@@ -305,7 +254,7 @@ func restorable(chain []ChainGen, fileOK func(FileEntry) bool) (link string, los
 			g := chain[gi]
 			for _, id := range slices.Sorted(maps.Keys(panes)) {
 				if at[id] = g.Base; slices.ContainsFunc(g.Catalog.PaneFiles(w, id),
-					func(f int) bool { return ok(g, g.Catalog.Files[f]) }) {
+					func(f int) bool { return ok(g, f) }) {
 					delete(at, id)
 				}
 			}

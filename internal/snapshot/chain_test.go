@@ -1,7 +1,10 @@
 package snapshot
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -113,64 +116,76 @@ func TestLoadChainRefusesBrokenLinks(t *testing.T) {
 	fsys := rt.NewMemFS()
 	bases := commitChain(t, fsys)
 
-	// Missing mid-chain catalog: the chain cannot resolve (no scan
-	// fallback across generations).
-	blob := readAll(t, fsys, bases[1]+catalog.Suffix)
-	if err := fsys.Remove(bases[1] + catalog.Suffix); err != nil {
-		t.Fatal(err)
-	}
+	// A mid-chain record that lost its catalog: the chain cannot resolve
+	// (nothing is derived across generations).
+	rec := readAll(t, fsys, bases[1]+Suffix)
+	cutCatalog(t, fsys, bases[1])
 	if _, err := LoadChain(fsys, bases[2]); err == nil {
-		t.Fatal("LoadChain accepted a chain with a missing catalog")
+		t.Fatal("LoadChain accepted a chain with a record short its catalog")
 	}
-	// Another link's blob in its place: loadable, but not the one the
-	// link's manifest pins.
-	writeAll(t, fsys, bases[1]+catalog.Suffix, readAll(t, fsys, bases[0]+catalog.Suffix))
+	// Another link's record in its place: loadable, but not the one the
+	// head pins.
+	writeAll(t, fsys, bases[1]+Suffix, readAll(t, fsys, bases[0]+Suffix))
 	if _, err := LoadChain(fsys, bases[2]); err == nil {
-		t.Fatal("LoadChain accepted a link whose catalog its manifest does not pin")
+		t.Fatal("LoadChain accepted another generation's record as a link")
 	}
-	writeAll(t, fsys, bases[1]+catalog.Suffix, blob)
+	// The link's own record, committed again with other bytes: it is not
+	// the record the head pins.
+	other := slices.Clone(rec)
+	binary.LittleEndian.PutUint64(other[recordHeader+2+len(bases[1]):], 99) // its epoch
+	reseal(other)
+	writeAll(t, fsys, bases[1]+Suffix, other)
+	if _, err := LoadChain(fsys, bases[2]); !errors.Is(err, hdf.ErrChecksum) {
+		t.Fatalf("LoadChain accepted a link the head does not pin: %v", err)
+	}
+	writeAll(t, fsys, bases[1]+Suffix, rec)
 	if _, err := LoadChain(fsys, bases[2]); err != nil {
-		t.Fatalf("restored catalog, LoadChain still fails: %v", err)
+		t.Fatalf("restored record, LoadChain still fails: %v", err)
 	}
-	// The full base under a delta needs its committed blob like any link:
-	// only a head is ever derived.
-	blob = readAll(t, fsys, bases[0]+catalog.Suffix)
-	if err := fsys.Remove(bases[0] + catalog.Suffix); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadChain(fsys, bases[2]); err == nil {
-		t.Fatal("LoadChain accepted a chain whose full base has no catalog")
-	}
-	if chain, err := LoadChain(fsys, bases[0]); err != nil || len(chain) != 1 || !chain[0].Derived || chain[0].Catalog == nil {
-		t.Fatalf("the same generation as a head: chain %+v, err %v; want one derived link", chain, err)
-	}
-	writeAll(t, fsys, bases[0]+catalog.Suffix, blob)
 
-	// Missing base manifest.
+	// Missing base record.
 	if err := fsys.Remove(bases[0] + Suffix); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadChain(fsys, bases[2]); err == nil {
+	chain, err := LoadChain(fsys, bases[2])
+	if err == nil {
 		t.Fatal("LoadChain accepted a chain with an uncommitted base")
+	}
+	if len(chain) != 2 {
+		t.Fatalf("a chain failing at its third link returned %d links, want the two that loaded", len(chain))
 	}
 }
 
+// TestLoadChainCycleGuard: a record names its whole chain, each link pinned,
+// so no chain can come back to a generation: a commit that would close a
+// cycle is refused, and so is a record that lists a link twice or itself.
 func TestLoadChainCycleGuard(t *testing.T) {
 	fsys := rt.NewMemFS()
-	// Two deltas chained to each other — legal JSON, illegal topology.
-	for _, g := range []struct{ base, to string }{
-		{"out/snap000000", "out/snap000010"},
-		{"out/snap000010", "out/snap000000"},
-	} {
-		writeChainGen(t, fsys, g.base, []int{1}, 0)
-		if _, err := CommitChained(fsys, g.base, 0, 0,
-			&ChainInfo{Base: g.to, Depth: 1, Panes: map[string][]int{"fluid": {1}}}); err != nil {
-			t.Fatal(err)
-		}
+	writeChainGen(t, fsys, "out/snap000000", []int{1}, 0)
+	if _, err := Commit(fsys, "out/snap000000", 0, 0); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadChain(fsys, "out/snap000010"); err == nil ||
-		!strings.Contains(err.Error(), "revisits") {
-		t.Fatalf("cyclic chain error = %v, want a cycle complaint", err)
+	writeChainGen(t, fsys, "out/snap000010", []int{1}, 0)
+	if _, err := CommitChained(fsys, "out/snap000010", 0, 0,
+		&ChainInfo{Base: "out/snap000000", Depth: 1, Panes: map[string][]int{"fluid": {1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CommitChained(fsys, "out/snap000000", 0, 0,
+		&ChainInfo{Base: "out/snap000010", Depth: 2, Panes: map[string][]int{"fluid": {1}}}); err == nil {
+		t.Fatal("committed a delta whose chain holds it")
+	}
+	m, err := Load(fsys, "out/snap000010")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, at := catalogAt(t, fsys, "out/snap000010")
+	for _, links := range [][]Link{{m.Links[0], m.Links[0]}, {m.Links[0], m.link()}} {
+		loop := *m
+		loop.Links = links
+		buf := encodeRecord(&loop, readAll(t, fsys, "out/snap000010"+Suffix)[at:])
+		if _, _, err := DecodeRecord(buf); err == nil || !strings.Contains(err.Error(), "twice or to itself") {
+			t.Fatalf("record with links %v: %v, want a cycle complaint", links, err)
+		}
 	}
 }
 
@@ -188,6 +203,19 @@ func TestCommitChainedValidation(t *testing.T) {
 	if _, err := CommitChained(fsys, "out/snap000010", 0, 0,
 		&ChainInfo{Base: "out/snap000000", Depth: 0}); err == nil {
 		t.Fatal("committed a delta with depth 0")
+	}
+	// A delta on a generation with no record could never restore.
+	if _, err := CommitChained(fsys, "out/snap000010", 0, 0,
+		&ChainInfo{Base: "out/snap000000", Depth: 1}); err == nil {
+		t.Fatal("committed a delta on an uncommitted base")
+	}
+	writeChainGen(t, fsys, "out/snap000000", []int{1}, 0)
+	if _, err := Commit(fsys, "out/snap000000", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CommitChained(fsys, "out/snap000010", 0, 0,
+		&ChainInfo{Base: "out/snap000000", Depth: 2}); err == nil {
+		t.Fatal("committed a delta at another depth than its base's next")
 	}
 	// An empty delta — nothing dirty — is legal: its state lives in the
 	// chain.
@@ -315,8 +343,9 @@ func TestPruneRerunnable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Simulate the crash window: the oldest generation's manifest and one
-	// data file are already gone, its catalog is not.
+	// Simulate the crash window: the oldest generation's record and one
+	// data file are already gone, a staged residue of it is not.
+	writeAll(t, fsys, "out/snap000000_s001.rhdf"+hdf.TmpSuffix, []byte("staged"))
 	if err := fsys.Remove("out/snap000000" + Suffix); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +417,7 @@ func TestFsckChainBroken(t *testing.T) {
 func TestFsckChainBrokenByMissingBase(t *testing.T) {
 	fsys := rt.NewMemFS()
 	bases := commitChain(t, fsys)
-	// Remove the middle delta entirely — files, catalog, manifest.
+	// Remove the middle delta entirely — files and record.
 	names, _ := fsys.List(bases[1])
 	for _, n := range names {
 		if err := fsys.Remove(n); err != nil {
@@ -413,89 +442,66 @@ func TestFsckChainBrokenByMissingBase(t *testing.T) {
 	}
 }
 
-func TestRepairHealsChainThroughCatalogRebuild(t *testing.T) {
+// TestRepairLeavesDamagedRecord: a commit record has no copy to rebuild it
+// from, so Repair leaves a damaged one as it is: the full base stays
+// CORRUPT and the deltas on it CHAIN-BROKEN, and the scrub is not clean.
+func TestRepairLeavesDamagedRecord(t *testing.T) {
 	fsys := rt.NewMemFS()
 	bases := commitChain(t, fsys)
-
-	// Delete the full base's catalog blob: the base is CATALOG-MISSING and
-	// both deltas CHAIN-BROKEN.
-	if err := fsys.Remove(bases[0] + catalog.Suffix); err != nil {
-		t.Fatal(err)
-	}
-	reports, err := Fsck(fsys, "out/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdicts := map[string]string{}
-	for _, r := range reports {
-		verdicts[r.Base] = r.Verdict
-	}
-	if verdicts[bases[0]] != VerdictCatalogMissing {
-		t.Fatalf("base verdict %q, want CATALOG-MISSING", verdicts[bases[0]])
-	}
-	if verdicts[bases[1]] != VerdictChainBroken || verdicts[bases[2]] != VerdictChainBroken {
-		t.Fatalf("delta verdicts %v, want CHAIN-BROKEN", verdicts)
-	}
-
-	// Repair rebuilds the catalog deterministically from the manifested
-	// files; the base comes back REPAIRED and the chain heals with it.
-	reports, err = Repair(fsys, "out/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdicts = map[string]string{}
-	for _, r := range reports {
-		verdicts[r.Base] = r.Verdict
-	}
-	if verdicts[bases[0]] != VerdictRepaired {
-		t.Fatalf("repaired base verdict %q", verdicts[bases[0]])
-	}
-	for _, b := range bases[1:] {
-		if verdicts[b] != VerdictOK {
-			t.Fatalf("delta %s verdict %q after repair, want OK", b, verdicts[b])
+	cutCatalog(t, fsys, bases[0])
+	for _, scrub := range []func(rt.FS, string) ([]GenReport, error){Fsck, Repair} {
+		reports, err := scrub(fsys, "out/")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !Clean(reports) {
-		t.Fatal("Clean() false after a successful chain repair")
-	}
-	// And the chain loads again.
-	if _, err := LoadChain(fsys, bases[2]); err != nil {
-		t.Fatal(err)
+		verdicts := map[string]string{}
+		for _, r := range reports {
+			verdicts[r.Base] = r.Verdict
+		}
+		if verdicts[bases[0]] != VerdictCorrupt || verdicts[bases[1]] != VerdictChainBroken || verdicts[bases[2]] != VerdictChainBroken {
+			t.Fatalf("verdicts %v, want the base CORRUPT and both deltas CHAIN-BROKEN", verdicts)
+		}
+		if Clean(reports) {
+			t.Fatal("Clean() true with a damaged record")
+		}
 	}
 }
 
+// TestFsckCatalogMissingVsMismatch: a generation with no commit record is
+// UNCOMMITTED — crash residue, never a restart candidate — and one whose
+// record lost its catalog, or lies, is CORRUPT.
 func TestFsckCatalogMissingVsMismatch(t *testing.T) {
 	fsys := rt.NewMemFS()
 	writeChainGen(t, fsys, "out/snap000000", []int{1, 2}, 0)
 	if _, err := Commit(fsys, "out/snap000000", 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	rec := readAll(t, fsys, "out/snap000000"+Suffix)
 
-	// Absent blob: CATALOG-MISSING, catalog state "missing".
-	blob := readAll(t, fsys, "out/snap000000"+catalog.Suffix)
-	if err := fsys.Remove("out/snap000000" + catalog.Suffix); err != nil {
+	// No record: UNCOMMITTED.
+	if err := fsys.Remove("out/snap000000" + Suffix); err != nil {
 		t.Fatal(err)
 	}
 	reports, err := Fsck(fsys, "out/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reports[0].Verdict != VerdictCatalogMissing || reports[0].Catalog != "missing" {
-		t.Fatalf("verdict %q catalog %q, want CATALOG-MISSING/missing", reports[0].Verdict, reports[0].Catalog)
-	}
-	if Clean(reports) {
-		t.Fatal("Clean() true with a missing catalog")
+	if reports[0].Verdict != VerdictUncommitted {
+		t.Fatalf("verdict %q, want UNCOMMITTED", reports[0].Verdict)
 	}
 
-	// Corrupted blob: still CATALOG-MISMATCH, not MISSING.
-	blob[len(blob)-1] ^= 0xff
-	writeAll(t, fsys, "out/snap000000"+catalog.Suffix, blob)
-	reports, err = Fsck(fsys, "out/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reports[0].Verdict != VerdictCatalogMismatch {
-		t.Fatalf("verdict %q, want CATALOG-MISMATCH for a lying blob", reports[0].Verdict)
+	// The record short its catalog, or with its last byte flipped: CORRUPT.
+	flipped := slices.Clone(rec)
+	flipped[len(flipped)-1] ^= 0xff
+	for _, bad := range [][]byte{rec[:len(rec)-1], flipped} {
+		writeAll(t, fsys, "out/snap000000"+Suffix, bad)
+		reports, err = Fsck(fsys, "out/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reports[0].Verdict != VerdictCorrupt || Clean(reports) {
+			t.Fatalf("verdict %q, want CORRUPT for a damaged record", reports[0].Verdict)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // ErrDrainFailed reports that some process could not land all of its
 // snapshot output (a block write or file close failed). Every rank of the
 // commit's agreement surfaces it — one failure spreads to all — and the
-// affected generations get no manifest.
+// affected generations get no commit record.
 var ErrDrainFailed = errors.New("snapshot: output did not reach the filesystem")
 
 // ErrCommitFailed reports that every rank's output landed but rank 0 could
@@ -32,7 +32,7 @@ type PendingGen struct {
 	Time  float64
 	// Delta marks a generation that shipped only dirty panes, and Panes is
 	// then the writing rank's local pane universe per window — every
-	// registered pane, shipped or not, so the committed manifest can record
+	// registered pane, shipped or not, so the committed record can carry
 	// the generation's true pane set (a clean pane still exists; a
 	// refinement-deleted one must not resurrect from the chain's base). Set
 	// by the module that began the generation; zero for full generations.
@@ -42,7 +42,7 @@ type PendingGen struct {
 
 // Pending is the commit protocol every I/O module ends a sync with: the
 // generations written since the last commit, in write order, and the
-// collective routine that turns them into manifests. Writes are collective,
+// collective routine that turns them into commit records. Writes are collective,
 // so every rank of comm accumulates the same list.
 type Pending struct {
 	comm      mpi.Comm
@@ -51,13 +51,14 @@ type Pending struct {
 	retain    int
 	gens      []*PendingGen    // few: what was written since the last sync
 	published []catalog.Report // what this rank's writers reported since the last commit
-	// links is rank 0's base → BaseGeneration of the generations it
-	// committed (or its prunes read) that retention still keeps; kept only
-	// when retain > 0.
-	links         map[string]string
+	// records is rank 0's commit records of the generations it committed
+	// (or its prunes read) that retention still keeps — without retention,
+	// of the last generation it committed — so a delta on one of them, and
+	// a prune, need not read it.
+	records       map[string]*Manifest
 	dirsRead      *metrics.Counter
-	catalogBytes  *metrics.Counter
-	manifestsRead *metrics.Counter
+	recordBytes   *metrics.Counter
+	recordsRead   *metrics.Counter
 	commitSeconds *metrics.Histogram
 }
 
@@ -65,15 +66,15 @@ type Pending struct {
 // retain > 0 prunes all but the newest retain generations after each commit.
 // reg receives snapshot.commit.dirs_read, the directories a commit had to
 // read off the filesystem because no writer reported them,
-// snapshot.commit.catalog_bytes, the catalog bytes its commits wrote,
-// snapshot.prune.manifests_read, the manifests a prune had to read because
-// no commit of this Pending wrote them, and snapshot.commit_seconds, the
-// time on clock rank 0 spent committing each generation (its catalog and
-// manifest, from the reports to the renames).
+// snapshot.commit.record_bytes, the commit record bytes its commits wrote,
+// snapshot.prune.records_read, the records a prune had to read because no
+// commit of this Pending wrote them, and snapshot.commit_seconds, the time
+// on clock rank 0 spent committing each generation (its record, from the
+// reports to the rename).
 func NewPending(comm mpi.Comm, fs rt.FS, clock rt.Clock, retain int, reg *metrics.Registry) *Pending {
-	return &Pending{comm: comm, fs: fs, clock: clock, retain: retain, links: make(map[string]string),
-		dirsRead: reg.Counter("snapshot.commit.dirs_read"), catalogBytes: reg.Counter("snapshot.commit.catalog_bytes"),
-		manifestsRead: reg.Counter("snapshot.prune.manifests_read"),
+	return &Pending{comm: comm, fs: fs, clock: clock, retain: retain, records: make(map[string]*Manifest),
+		dirsRead: reg.Counter("snapshot.commit.dirs_read"), recordBytes: reg.Counter("snapshot.commit.record_bytes"),
+		recordsRead:   reg.Counter("snapshot.prune.records_read"),
 		commitSeconds: reg.Histogram("snapshot.commit_seconds", nil)}
 }
 
@@ -93,7 +94,7 @@ func (p *Pending) Begin(base string, epoch int64, tm float64) (g *PendingGen, fr
 // Commit is the collective end of a sync or shutdown. flushErr is what this
 // rank's flush barrier reported; the agreement over it (mpi.Agree) doubles
 // as the barrier that guarantees every rank's output is on disk, and if any
-// rank failed no manifest may be written: every rank returns an error (its
+// rank failed no commit record may be written: every rank returns an error (its
 // own, or ErrDrainFailed wrapping mpi.ErrPeerFailed for a peer's) and the
 // generations stay pending, with what was published. Otherwise the pending
 // generations commit. published is what this rank's write service reported
@@ -114,16 +115,16 @@ func (p *Pending) Commit(flushErr error, published []catalog.Report, chain func(
 	return p.commitPending(chain)
 }
 
-// commitPending writes the manifest of every pending generation (rank 0
-// only; the others wait), then prunes old generations if retention is
+// commitPending writes the commit record of every pending generation (rank
+// 0 only; the others wait), then prunes old generations if retention is
 // configured. Callers must have established that every rank's output is on
 // disk. Rank 0 lists each generation prefix once; the commits index their
-// files from that listing and the prune works from it plus the catalogs and
-// manifests the commits wrote. When a report could not be gathered rank 0
-// commits nothing — every rank's Sync fails, so no manifest may appear. The
-// closing agreement on the outcome (mpi.Agree) is also a barrier: no rank
-// races ahead — e.g. into a manifest-driven restore — before the commit
-// records exist, and when rank 0 failed every rank returns an error.
+// files from that listing and the prune works from it plus the records the
+// commits wrote. When a report could not be gathered rank 0 commits nothing
+// — every rank's Sync fails, so no record may appear. The closing agreement
+// on the outcome (mpi.Agree) is also a barrier: no rank races ahead — e.g.
+// into a record-driven restore — before the commit records exist, and when
+// rank 0 failed every rank returns an error.
 func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 	reported, err := p.gatherPublished()
 	var listed map[string][]string // generation prefix → its listing
@@ -141,7 +142,7 @@ func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 		}
 		prefix := genPrefix(g.Base)
 		t0 := p.clock.Now()
-		m, cerr := commit(p.fs, g.Base, g.Epoch, g.Time, ci, listed[prefix], reported, p.dirsRead)
+		m, cerr := commit(p.fs, g.Base, g.Epoch, g.Time, ci, p.records, listed[prefix], reported, p.dirsRead)
 		p.commitSeconds.Observe(p.clock.Now() - t0)
 		if cerr != nil {
 			if err == nil {
@@ -149,18 +150,16 @@ func (p *Pending) commitPending(chain func(*PendingGen) *ChainInfo) error {
 			}
 			continue
 		}
-		p.catalogBytes.Add(m.Catalog.Size)
+		p.recordBytes.Add(m.Size)
 		listed[prefix] = afterCommit(listed[prefix], g.Base)
-		if p.retain > 0 {
-			p.links[g.Base] = ""
-			if ci != nil {
-				p.links[g.Base] = ci.Base
-			}
+		if p.retain <= 0 {
+			clear(p.records)
 		}
+		p.records[g.Base] = m
 	}
 	if err == nil && commits && p.retain > 0 && len(p.gens) > 0 {
 		prefix := genPrefix(p.gens[len(p.gens)-1].Base)
-		if _, err = prune(p.fs, listed[prefix], p.retain, p.links, p.manifestsRead); err != nil {
+		if _, err = prune(p.fs, listed[prefix], p.retain, p.records, p.recordsRead); err != nil {
 			err = fmt.Errorf("snapshot: prune %s: %w", prefix, err)
 		}
 	}
@@ -189,19 +188,16 @@ func (p *Pending) list() (map[string][]string, error) {
 }
 
 // afterCommit returns names, a listing taken before base's commit, as the
-// commit left it: base's catalog and manifest exist, each renamed over its
-// staged name.
+// commit left it: base's record exists, renamed over its staged name.
 func afterCommit(names []string, base string) []string {
-	cat, man := base+catalog.Suffix, base+Suffix
+	rec := base + Suffix
 	out := names[:0]
 	for _, name := range names {
-		switch name {
-		case cat, man, cat + hdf.TmpSuffix, man + hdf.TmpSuffix:
-		default:
+		if name != rec && name != rec+hdf.TmpSuffix {
 			out = append(out, name)
 		}
 	}
-	return append(out, cat, man)
+	return append(out, rec)
 }
 
 // gatherPublished collects every rank's reports on rank 0 (nil elsewhere),

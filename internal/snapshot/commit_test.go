@@ -300,9 +300,9 @@ func TestCommitPruneMatchesPrune(t *testing.T) {
 // TestPruneLinksStayBounded runs 40 generations through one Pending at
 // retain 4 — all full, then full every 4 with delta chains between. The
 // links it keeps are exactly the surviving generations, never more than
-// the retained ones and their pinned chain, and it reads no manifest. A
+// the retained ones and their pinned chain, and it reads no record. A
 // fresh Pending over the same tree, as a restarted run has, knows no links:
-// it reads manifests, and leaves the same tree.
+// it reads records, and leaves the same tree.
 func TestPruneLinksStayBounded(t *testing.T) {
 	const gens, retain = 40, 4
 	for _, fullEvery := range []int{1, 4} {
@@ -334,20 +334,20 @@ func TestPruneLinksStayBounded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(p.links) != len(survivors) || len(p.links) > retain+fullEvery-1 {
-					t.Fatalf("generation %d: %d links for %d survivors, bound %d", i, len(p.links), len(survivors), retain+fullEvery-1)
+				if len(p.records) != len(survivors) || len(p.records) > retain+fullEvery-1 {
+					t.Fatalf("generation %d: %d records for %d survivors, bound %d", i, len(p.records), len(survivors), retain+fullEvery-1)
 				}
 			}
-			if got := reg.Snapshot().Counters["snapshot.prune.manifests_read"]; got != 0 {
-				t.Errorf("snapshot.prune.manifests_read = %d on a clean run, want 0", got)
+			if got := reg.Snapshot().Counters["snapshot.prune.records_read"]; got != 0 {
+				t.Errorf("snapshot.prune.records_read = %d on a clean run, want 0", got)
 			}
 
 			reg2 := metrics.New()
 			fresh := NewPending(comm, restarted, rt.NewWallClock(), retain, reg2)
 			commitOne(p, kept, gens)
 			commitOne(fresh, restarted, gens)
-			if got := reg2.Snapshot().Counters["snapshot.prune.manifests_read"]; got == 0 {
-				t.Error("a restarted Pending pruned without reading a manifest")
+			if got := reg2.Snapshot().Counters["snapshot.prune.records_read"]; got == 0 {
+				t.Error("a restarted Pending pruned without reading a record")
 			}
 			if d := diffTrees(tree(t, kept), tree(t, restarted)); d != "" {
 				t.Errorf("the restarted Pending left another tree: %s", d)
@@ -428,7 +428,7 @@ func TestCommitSeconds(t *testing.T) {
 	}
 }
 
-// catalogWrites counts the bytes written to catalog blobs, staged or not.
+// catalogWrites counts the bytes written to commit records, staged or not.
 type catalogWrites struct {
 	rt.FS
 	n atomic.Int64
@@ -436,7 +436,7 @@ type catalogWrites struct {
 
 func (fs *catalogWrites) Create(name string) (rt.File, error) {
 	f, err := fs.FS.Create(name)
-	if err != nil || !strings.Contains(name, catalog.Suffix) {
+	if err != nil || !strings.Contains(name, Suffix) {
 		return f, err
 	}
 	return catalogFile{f, &fs.n}, nil
@@ -453,10 +453,10 @@ func (f catalogFile) WriteAt(b []byte, off int64) (int, error) {
 	return n, err
 }
 
-// TestCommitCatalogBytes: snapshot.commit.catalog_bytes, on rank 0, is the
-// catalog bytes its commits wrote, as the filesystem saw them, and each
-// blob holds the file table and pane index alone: a few dozen bytes a file
-// however many datasets the file holds.
+// TestCommitCatalogBytes: snapshot.commit.record_bytes, on rank 0, is the
+// commit record bytes its commits wrote, as the filesystem saw them, and
+// each record's catalog holds the file table and pane index alone: a few
+// dozen bytes a file however many datasets the file holds.
 func TestCommitCatalogBytes(t *testing.T) {
 	fsys := &catalogWrites{FS: rt.NewMemFS()}
 	var pubs [2][]catalog.Report
@@ -487,14 +487,14 @@ func TestCommitCatalogBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pinned += m.Catalog.Size
+		pinned += m.Size
 	}
-	got := regs[0].Counter("snapshot.commit.catalog_bytes").Value()
-	if seen := fsys.n.Load(); got != seen || got != pinned || regs[1].Counter("snapshot.commit.catalog_bytes").Value() != 0 {
-		t.Fatalf("rank 0 counted %d catalog bytes, rank 1 %d; the filesystem saw %d, the manifests pin %d",
-			got, regs[1].Counter("snapshot.commit.catalog_bytes").Value(), seen, pinned)
+	got := regs[0].Counter("snapshot.commit.record_bytes").Value()
+	if seen := fsys.n.Load(); got != seen || got != pinned || regs[1].Counter("snapshot.commit.record_bytes").Value() != 0 {
+		t.Fatalf("rank 0 counted %d record bytes, rank 1 %d; the filesystem saw %d, the records are %d",
+			got, regs[1].Counter("snapshot.commit.record_bytes").Value(), seen, pinned)
 	}
 	if per := got / 3; per > 600 {
-		t.Fatalf("a catalog of two 200-pane files is %d bytes, want at most 600", per)
+		t.Fatalf("a record of two 200-pane files is %d bytes, want at most 600", per)
 	}
 }

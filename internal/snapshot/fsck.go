@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"genxio/internal/catalog"
 	"genxio/internal/hdf"
 	"genxio/internal/rt"
 )
@@ -13,31 +14,21 @@ import (
 const (
 	VerdictOK          = "OK"
 	VerdictUncommitted = "UNCOMMITTED"
-	VerdictCorrupt     = "CORRUPT"
-	// VerdictCatalogMismatch marks a generation whose data files all scrub
-	// clean but whose block catalog is not the one its manifest pins, or
-	// one of whose sections fails its CRC32C or will not parse (the detail
-	// names the file table or the pane index), or (deep) places a file's
-	// directory elsewhere than the file holds it or lists other panes for
-	// it than the directory does (the detail names the directory extent of
-	// that file) — a stale, damaged, or lying index. A full generation
-	// still restarts (a reader derives the catalog from the files'
-	// directories); a delta, or any chain through this generation, does
-	// not. The scrub fails.
-	VerdictCatalogMismatch = "CATALOG-MISMATCH"
+	// VerdictCorrupt marks a committed generation with damage of its own: a
+	// recorded file that is damaged or missing, or a commit record that does
+	// not load — torn, bit-flipped, of an older format — or (deep) lies
+	// about where or what a file's directory is (the detail names the
+	// directory extent of that file). A damaged record costs its
+	// generation, which the restore walk falls back past.
+	VerdictCorrupt = "CORRUPT"
 	// VerdictRepaired marks a generation Repair rebuilt from verified
 	// replica copies and re-scrubbed clean. It counts as clean.
 	VerdictRepaired = "REPAIRED"
-	// VerdictCatalogMissing marks a generation whose manifest parses and
-	// pins a catalog blob that is simply absent on disk — distinct from
-	// CATALOG-MISMATCH (a blob that exists but lies) so operators can
-	// tell deletion from damage. What still restarts is the same.
-	VerdictCatalogMissing = "CATALOG-MISSING"
 	// VerdictChainBroken marks a committed generation whose own files scrub
 	// clean but which the restore walk will not restore (restorable, the
-	// files judged by their scrub): a link of its chain will not load with
-	// its catalog, or a pane has no clean copy in the link that wrote it
-	// last. The scrub fails.
+	// files judged by their scrub): a link of its chain will not load or is
+	// not the record it pins, or a pane has no clean copy in the link that
+	// wrote it last. The scrub fails.
 	VerdictChainBroken = "CHAIN-BROKEN"
 )
 
@@ -48,36 +39,76 @@ type FileReport struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// GenReport is one generation's scrub outcome. Catalog reports the block
-// catalog's state: "ok", "missing" (pinned by the manifest but absent on
-// disk), or "mismatch". On a CORRUPT generation it is the blob's state
-// alone: the deep identity check needs every file intact.
+// GenReport is one generation's scrub outcome. Record is the generation's
+// commit record as read, when it loaded.
 type GenReport struct {
-	Base    string       `json:"base"`
-	Verdict string       `json:"verdict"`
-	Epoch   int64        `json:"epoch,omitempty"`
-	Catalog string       `json:"catalog,omitempty"`
-	Files   []FileReport `json:"files"`
+	Base    string        `json:"base"`
+	Verdict string        `json:"verdict"`
+	Epoch   int64         `json:"epoch,omitempty"`
+	Record  *RecordReport `json:"record,omitempty"`
+	Files   []FileReport  `json:"files"`
+}
+
+// RecordReport is a commit record as the scrub read it, for people
+// (genxfsck -json): its size and CRC32C, the snapshot time, the file
+// table, a per-window summary of the pane index and, on a delta, the chain
+// links and the universe's pane count per window.
+type RecordReport struct {
+	Bytes    int64          `json:"bytes"`
+	CRC      uint32         `json:"crc32c"`
+	Time     float64        `json:"time"`
+	Files    []FileEntry    `json:"files"`
+	Index    []WindowIndex  `json:"index"`
+	Links    []Link         `json:"links,omitempty"`
+	Universe map[string]int `json:"universe,omitempty"`
+}
+
+// WindowIndex summarizes one window of a record's pane index: the panes it
+// holds and their copies, one per file holding a pane.
+type WindowIndex struct {
+	Window string `json:"window"`
+	Panes  int    `json:"panes"`
+	Copies int    `json:"copies"`
+}
+
+// recordReport renders m and its catalog cat.
+func recordReport(m *Manifest, cat *catalog.Catalog) *RecordReport {
+	r := &RecordReport{Bytes: m.Size, CRC: m.CRC, Time: m.Time, Files: m.Files, Links: m.Links}
+	for _, w := range cat.Windows() {
+		wi := WindowIndex{Window: w}
+		for _, id := range cat.Panes(w) {
+			wi.Panes++
+			wi.Copies += len(cat.PaneFiles(w, id))
+		}
+		r.Index = append(r.Index, wi)
+	}
+	if m.ChainDepth > 0 {
+		r.Universe = make(map[string]int, len(m.Panes))
+		for w, ids := range m.Panes {
+			r.Universe[w] = len(ids)
+		}
+	}
+	return r
 }
 
 // Fsck deep-scrubs every snapshot generation under prefix, newest first.
-// For committed generations it holds each manifested file to its entry
+// For committed generations it holds each recorded file to its pins
 // (checkFile), then reads every dataset back so the per-dataset CRC32Cs
 // cover the payload bytes too — a single flipped bit anywhere in a
 // committed file is reported against that file — and loads every file's
-// directory through the pinned catalog, as a restart does (dirLoad).
-// Staged temporaries and files on disk but absent from the manifest are
+// directory through the record's catalog, as a restart does (dirLoad).
+// Staged temporaries and files on disk but absent from the record are
 // flagged without failing the generation: the restore walk judges only
-// manifested files, so they never refuse it. The read does not ignore them
-// all: beside a full generation, a listed server file its manifest does not
+// recorded files, so they never refuse it. The read does not ignore them
+// all: beside a full generation, a listed server file its record does not
 // name (one a server wrongly declared dead renamed into place after the
 // commit) is indexed from its own directory and read too, its panes
 // delivered like any copy's (ReadRequest.Own).
 func Fsck(fsys rt.FS, prefix string) ([]GenReport, error) { return fsck(fsys, prefix, true) }
 
 // FsckQuick is the scrub at its shallow depth: the same verdicts from
-// manifests, file sizes, directory checksums and the catalog blob's pinned
-// size and CRC, with no payload read and no catalog derived.
+// commit records, file sizes and directory checksums, with no payload read
+// and no directory loaded.
 func FsckQuick(fsys rt.FS, prefix string) ([]GenReport, error) { return fsck(fsys, prefix, false) }
 
 func fsck(fsys rt.FS, prefix string, deep bool) ([]GenReport, error) {
@@ -98,8 +129,8 @@ func fsck(fsys rt.FS, prefix string, deep bool) ([]GenReport, error) {
 // scrub report. One the walk would not restore gets a "chain-broken" line
 // naming the link at fault and why and, if its own files are clean, the
 // verdict CHAIN-BROKEN; a CORRUPT one stays CORRUPT. A committed generation
-// without the line is one the walk restores. Each link's manifest and catalog
-// load once per pass, however many heads sit above it.
+// without the line is one the walk restores. Each link's record loads once
+// per pass, however many heads sit above it.
 func chainVerdicts(fsys rt.FS, reports []GenReport) {
 	status := make(map[string]string)
 	for _, rep := range reports {
@@ -134,21 +165,17 @@ func chainVerdicts(fsys rt.FS, reports []GenReport) {
 // attempts to rebuild what the scrub found damaged, from data the
 // generation itself still carries:
 //
-//   - A corrupt or missing manifested file is rebuilt from a donor file
-//     with the same manifest-pinned size and directory CRC32C that scrubs
+//   - A corrupt or missing recorded file is rebuilt from a donor file
+//     with the same record-pinned size and directory CRC32C that scrubs
 //     clean — with ReplicationFactor > 1 every replica is byte-identical
 //     to its primary, so the copy is exact, and the donor match is
 //     content-addressed (size+CRC), never guessed from file names.
-//   - A mismatched or missing block catalog is rebuilt deterministically
-//     from the manifested files (the same merge Commit performs) and
-//     written only if the rebuilt blob matches the manifest's pinned size
-//     and CRC — a rebuilt index can never disagree with the commit record.
 //
 // All writes are staged at name+".tmp" and renamed into place, and only
 // files the scrub reported damaged are ever written; committed-good files
-// are read at most. Generations whose manifest itself is unreadable, or
-// whose damage has no clean copy anywhere, are left as they are — the
-// restore walk's generation fallback still covers those.
+// are read at most. Generations whose record itself is unreadable — there
+// is no copy of it — or whose damage has no clean copy anywhere, are left as
+// they are: the restore walk's generation fallback still covers those.
 //
 // Each repaired generation is re-scrubbed; if it now passes, its verdict
 // is VerdictRepaired and the rebuilt artifacts are reported with status
@@ -161,8 +188,7 @@ func Repair(fsys rt.FS, prefix string) ([]GenReport, error) {
 	reports := make([]GenReport, 0, len(gens))
 	for _, g := range gens {
 		rep := fsckGen(fsys, g, true)
-		switch rep.Verdict {
-		case VerdictCorrupt, VerdictCatalogMismatch, VerdictCatalogMissing:
+		if rep.Verdict == VerdictCorrupt {
 			if fixed := repairGen(fsys, rep); len(fixed) > 0 {
 				fresh := fsckGen(fsys, g, true)
 				if fresh.Verdict == VerdictOK {
@@ -209,15 +235,10 @@ func repairGen(fsys rt.FS, rep GenReport) []FileReport {
 		fixed = append(fixed, FileReport{Name: e.Name, Status: "repaired",
 			Detail: fmt.Sprintf("rebuilt from %s", donor)})
 	}
-	if rep.Catalog != "ok" {
-		if fr, ok := rebuildCatalog(fsys, m); ok {
-			fixed = append(fixed, fr)
-		}
-	}
 	return fixed
 }
 
-// findDonor picks another manifested file whose committed size and
+// findDonor picks another recorded file whose committed size and
 // directory CRC equal the damaged entry's and whose scrub (or repair, this
 // pass) left it clean. Byte-identical replicas always satisfy this; two
 // coincidentally different files never can, since DirCRC covers the
@@ -235,22 +256,6 @@ func findDonor(m *Manifest, e FileEntry, status map[string]string) string {
 	return ""
 }
 
-// rebuildCatalog regenerates the block catalog from the manifested files'
-// directories — deriveCatalog, as Commit ran it, in the same (manifest, i.e.
-// lexical) file order — and installs it only if every file passes its pin
-// and the rebuilt blob is the one the manifest pins.
-func rebuildCatalog(fsys rt.FS, m *Manifest) (FileReport, bool) {
-	blob, _, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
-	if len(errs) > 0 || !m.Catalog.matches(blob) {
-		return FileReport{}, false // a data file is still bad, or the index would lie
-	}
-	if err := hdf.PublishFile(fsys, m.Catalog.Name, blob); err != nil {
-		return FileReport{}, false
-	}
-	return FileReport{Name: m.Catalog.Name, Status: "repaired",
-		Detail: "rebuilt from manifested files"}, true
-}
-
 // copyFile clones src's bytes over dst via a staged temporary and an
 // atomic rename, so a crash mid-repair never leaves a half-written dst.
 func copyFile(fsys rt.FS, src, dst string) error {
@@ -261,47 +266,38 @@ func copyFile(fsys rt.FS, src, dst string) error {
 	return hdf.PublishFile(fsys, dst, buf)
 }
 
-// fsckGen scrubs one generation; deep adds the payload reads and the catalog
-// identity check.
+// fsckGen scrubs one generation; deep adds the payload reads and the loads
+// of every directory through the record's catalog.
 func fsckGen(fsys rt.FS, g Generation, deep bool) GenReport {
 	rep := GenReport{Base: g.Base, Verdict: VerdictOK}
 	onDisk, _ := fsys.List(g.Base + "_")
-	inManifest := make(map[string]bool)
+	inRecord := make(map[string]bool)
 
 	if !g.Committed {
 		rep.Verdict = VerdictUncommitted
+	} else if rec := loadRecord(fsys, g.Base, nil); rec.err != nil {
+		rep.Verdict = VerdictCorrupt
+		rep.Files = append(rep.Files, FileReport{Name: g.Base + Suffix, Status: "corrupt", Detail: rec.err.Error()})
 	} else {
-		m, err := Load(fsys, g.Base)
-		if err != nil {
-			rep.Verdict = VerdictCorrupt
-			rep.Files = append(rep.Files, FileReport{Name: g.Base + Suffix, Status: "corrupt", Detail: err.Error()})
-		} else {
-			rep.Epoch = m.Epoch
-			for _, e := range m.Files {
-				inManifest[e.Name] = true
-				fr := scrubFile(fsys, e, deep)
-				if fr.Status != "ok" {
-					rep.Verdict = VerdictCorrupt
-				}
-				rep.Files = append(rep.Files, fr)
+		m := rec.m
+		rep.Epoch, rep.Record = m.Epoch, recordReport(m, rec.cat)
+		for _, e := range m.Files {
+			inRecord[e.Name] = true
+			fr := scrubFile(fsys, e, deep)
+			if fr.Status != "ok" {
+				rep.Verdict = VerdictCorrupt
 			}
-			status, detail := scrubCatalog(fsys, m, deep && rep.Verdict == VerdictOK)
-			rep.Catalog = status
-			if status != "ok" {
-				// A CORRUPT generation stays CORRUPT; a clean one with a bad
-				// index is CATALOG-MISSING or CATALOG-MISMATCH.
-				if rep.Verdict == VerdictOK {
-					rep.Verdict = VerdictCatalogMismatch
-					if status == "missing" {
-						rep.Verdict = VerdictCatalogMissing
-					}
-				}
-				rep.Files = append(rep.Files, FileReport{Name: m.Catalog.Name, Status: status, Detail: detail})
+			rep.Files = append(rep.Files, fr)
+		}
+		if deep && rep.Verdict == VerdictOK {
+			if detail := loadEveryDir(fsys, m, rec.cat); detail != "" {
+				rep.Verdict = VerdictCorrupt
+				rep.Files = append(rep.Files, FileReport{Name: g.Base + Suffix, Status: "corrupt", Detail: detail})
 			}
 		}
 	}
 	for _, name := range onDisk {
-		if baseOf(name) != g.Base || inManifest[name] {
+		if baseOf(name) != g.Base || inRecord[name] {
 			continue
 		}
 		status := "unmanifested"
@@ -341,35 +337,22 @@ func scrubFile(fsys rt.FS, e FileEntry, deep bool) FileReport {
 	return FileReport{Name: e.Name, Status: "ok"}
 }
 
-// scrubCatalog checks a committed generation's block catalog: the blob on
-// disk must be the one the manifest pins and decode cleanly, each section
-// matching its CRC32C (readCatalog; a damaged section's error names it),
-// and, when deep, every manifested file's directory must load through it by
-// the one loader a restart uses (loadDirs): read from where the catalog
-// places it, be the bytes the manifest pins and hold the panes the pane
-// index lists for the file. deep needs every file intact.
-func scrubCatalog(fsys rt.FS, m *Manifest, deep bool) (status, detail string) {
-	cat, err := readCatalog(fsys, m, nil)
-	switch {
-	case errors.Is(err, rt.ErrNotExist):
-		// The manifest pins a blob that is not there at all — report
-		// absence distinctly from a blob that exists but disagrees.
-		return "missing", err.Error()
-	case err != nil:
-		return "mismatch", err.Error()
-	case !deep:
-		return "ok", ""
-	}
+// loadEveryDir loads every recorded file's directory through the record's
+// catalog by the one loader a restart uses (loadDirs): read from where the
+// catalog places it, be the bytes the record pins and hold the panes the
+// pane index lists for the file. It returns what the first that did not
+// load says, or "". It needs every file intact.
+func loadEveryDir(fsys rt.FS, m *Manifest, cat *catalog.Catalog) string {
 	loads := make([]dirLoad, len(m.Files))
 	for f, e := range m.Files {
 		loads[f] = dirLoad{cat: cat, f: f, e: e}
 	}
 	for i, err := range loadDirs(reads{fsys: fsys}, loads, nil) {
 		if err != nil {
-			return "mismatch", fmt.Sprintf("directory extent of %s: %v", m.Files[i].Name, err)
+			return fmt.Sprintf("directory extent of %s: %v", m.Files[i].Name, err)
 		}
 	}
-	return "ok", ""
+	return ""
 }
 
 // Format renders scrub reports as the per-generation verdict listing
@@ -389,12 +372,12 @@ func Format(reports []GenReport) string {
 	return b.String()
 }
 
-// Clean reports whether no generation was found corrupt, carrying a
-// mismatched or missing catalog, or chained to an unrestorable base.
+// Clean reports whether no generation was found corrupt or chained to an
+// unrestorable base.
 func Clean(reports []GenReport) bool {
 	for _, rep := range reports {
 		switch rep.Verdict {
-		case VerdictCorrupt, VerdictCatalogMismatch, VerdictCatalogMissing, VerdictChainBroken:
+		case VerdictCorrupt, VerdictChainBroken:
 			return false
 		}
 	}

@@ -104,7 +104,7 @@ func TestReaderServesHeldChain(t *testing.T) {
 
 // TestWalkJudgmentThenReadLoadsCatalogsOnce: the restore walk judging a
 // generation through a Reader and the round that restores it on the same
-// Reader read each catalog blob, and each lower link's manifest, once.
+// Reader read each link's commit record — which carries its catalog — once.
 func TestWalkJudgmentThenReadLoadsCatalogsOnce(t *testing.T) {
 	fsys := &countFS{FS: rt.NewMemFS()}
 	bases := commitChain(t, fsys)
@@ -125,12 +125,9 @@ func TestWalkJudgmentThenReadLoadsCatalogsOnce(t *testing.T) {
 		for _, name := range opened {
 			count[name]++
 		}
-		for i, b := range bases {
-			if n := count[b+".catalog"]; n != 1 {
-				t.Errorf("catalog of %s read %d times, want once", b, n)
-			}
-			if n := count[b+Suffix]; i < 2 && n != 1 {
-				t.Errorf("manifest of lower link %s read %d times, want once", b, n)
+		for _, b := range bases {
+			if n := count[b+Suffix]; n != 1 {
+				t.Errorf("record of %s read %d times, want once", b, n)
 			}
 		}
 	})
@@ -181,8 +178,8 @@ func TestReaderReloadsRecommittedHead(t *testing.T) {
 }
 
 // TestReaderHoldsOnlyWholeChains: a delta with an unloadable link, a full
-// head whose index is derived, and a base with no commit record are never
-// held — the next round loads again, reading what the first read.
+// head whose record does not load, and a base with no commit record are
+// never held — the next round loads again, reading what the first read.
 func TestReaderHoldsOnlyWholeChains(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -191,16 +188,14 @@ func TestReaderHoldsOnlyWholeChains(t *testing.T) {
 	}{
 		{"unloadable-link", func(t *testing.T, fsys rt.FS) string {
 			bases := commitChain(t, fsys)
-			flipByte(t, fsys, bases[0]+".catalog", 20)
+			flipByte(t, fsys, bases[0]+Suffix, 20)
 			return bases[2]
 		}, ReadFailed},
-		{"derived-head", func(t *testing.T, fsys rt.FS) string {
+		{"damaged-head", func(t *testing.T, fsys rt.FS) string {
 			commitFull(t, fsys, "out/snap000000", 1)
-			if err := fsys.Remove("out/snap000000.catalog"); err != nil {
-				t.Fatal(err)
-			}
+			cutCatalog(t, fsys, "out/snap000000")
 			return "out/snap000000"
-		}, ReadScan},
+		}, ReadFailed},
 		{"uncommitted", func(t *testing.T, fsys rt.FS) string {
 			writeChainGen(t, fsys, "out/snap000000", []int{1, 2, 3}, 1)
 			return "out/snap000000"
@@ -239,8 +234,9 @@ func TestReaderDifferentBaseReplacesHeld(t *testing.T) {
 	reg := metrics.New()
 	onReader(t, fsys, reg, func(_ mpi.Ctx, rd *Reader) {
 		for _, base := range []string{"out/snap000000", "out/snap000010", "out/snap000000"} {
-			if opened := fsys.opens(func() { readPanes(rd, base) }); !slices.Contains(opened, base+".catalog") {
-				t.Fatalf("round of %s opened %v: no catalog, want a load", base, opened)
+			before, _ := chainCounts(reg)
+			if readPanes(rd, base); func() int64 { loads, _ := chainCounts(reg); return loads }() != before+1 {
+				t.Fatalf("round of %s loaded no chain, want a load", base)
 			}
 		}
 		dataOnly(t, fsys.opens(func() { readPanes(rd, "out/snap000000") }), "out/snap000000")
@@ -252,7 +248,7 @@ func TestReaderDifferentBaseReplacesHeld(t *testing.T) {
 
 // TestHeldChainIsTheRecordAsLoaded is the documented case: a held chain is
 // the commit record as the process first loaded it, so damage after that
-// load to a lower link's manifest or catalog does not change its restores —
+// load to a lower link's record does not change its restores —
 // a fresh Reader fails the same round — while every payload it reads is
 // still CRC-checked.
 func TestHeldChainIsTheRecordAsLoaded(t *testing.T) {
@@ -262,7 +258,7 @@ func TestHeldChainIsTheRecordAsLoaded(t *testing.T) {
 	bit := payloadBit(t, fsys, bases[1], bases[1]+"_s000.rhdf") // pane 2 resolves to snap000010
 	onReader(t, fsys, metrics.New(), func(ctx mpi.Ctx, rd *Reader) {
 		want, _ := readPanes(rd, head)
-		flipByte(t, fsys, bases[0]+".catalog", 20)
+		flipByte(t, fsys, bases[0]+Suffix, 20)
 		flipByte(t, fsys, bases[1]+Suffix, 3)
 		if got, mode := readPanes(rd, head); mode != ReadIndexed || !maps.EqualFunc(got, want, slices.Equal) {
 			t.Fatalf("held round: mode %d, %d panes; want the first round's 3", mode, len(got))
@@ -279,10 +275,10 @@ func TestHeldChainIsTheRecordAsLoaded(t *testing.T) {
 }
 
 // TestReaderPaneUniverse: the universe a Reader answers is a fresh Reader's.
-// Cold, it reads what a fresh Reader reads — a delta's manifest, a full
-// generation's manifest and catalog — and holds the full generation, so the
-// round after it reads the head manifest and data files only; warm (after a
-// round of the base) it reads the head manifest alone.
+// Cold, it reads what a fresh Reader reads — the head's record alone — and
+// holds a full generation, so the round after it reads the head record and
+// data files only; warm (after a round of the base) it reads the head
+// record alone.
 func TestReaderPaneUniverse(t *testing.T) {
 	fsys := &countFS{FS: rt.NewMemFS()}
 	bases := commitChain(t, fsys)
@@ -303,8 +299,8 @@ func TestReaderPaneUniverse(t *testing.T) {
 		if opened := universe(bases[2]); !slices.Equal(opened, []string{bases[2] + Suffix}) {
 			t.Fatalf("cold delta universe opened %v, want its manifest alone", opened)
 		}
-		if opened := universe(bases[0]); !slices.Equal(opened, []string{bases[0] + Suffix, bases[0] + ".catalog"}) {
-			t.Fatalf("cold full universe opened %v, want its manifest and catalog", opened)
+		if opened := universe(bases[0]); !slices.Equal(opened, []string{bases[0] + Suffix}) {
+			t.Fatalf("cold full universe opened %v, want its record alone", opened)
 		}
 		dataOnly(t, fsys.opens(func() { readPanes(rd, bases[0]) }), bases[0])
 		readPanes(rd, bases[2])
@@ -319,12 +315,12 @@ func TestReaderPaneUniverse(t *testing.T) {
 
 // FuzzReaderReuseMatchesFresh holds a long-lived Reader to a fresh one over
 // random sequences of commits (full or delta), re-commits of a name, damage
-// (a manifest, a catalog or a data file), prunes and reads: every round and
+// (a commit record or a data file), prunes and reads: every round and
 // every pane universe the long-lived Reader answers is exactly what a fresh
 // Reader answers, delivering the same bytes and failing exactly when it
 // fails. The one allowed difference is the documented one: it served a held
-// chain while a lower link's manifest, or a link's catalog, no longer reads
-// as the bytes the chain was loaded from.
+// chain while a lower link's record no longer reads as the bytes the chain
+// was loaded from.
 func FuzzReaderReuseMatchesFresh(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 2, 0, 0})
 	f.Add([]byte{0, 0, 0, 1, 4, 3, 2, 1, 0, 2, 1, 0, 3, 1, 9, 2, 1, 0, 5, 1, 0, 2, 1, 0})
@@ -352,12 +348,16 @@ func FuzzReaderReuseMatchesFresh(f *testing.F) {
 				}
 			}
 			depth := 1
-			if m, err := Load(fsys, base); err == nil {
+			m, lerr := Load(fsys, base)
+			if lerr == nil {
 				depth = m.ChainDepth + 1
 			}
 			writeChainGen(t, fsys, g, panes, val)
-			if _, err := CommitChained(fsys, g, 0, val, &ChainInfo{Base: base, Depth: depth,
-				Panes: map[string][]int{"fluid": {1, 2, 3}}}); err != nil {
+			_, err := CommitChained(fsys, g, 0, val, &ChainInfo{Base: base, Depth: depth,
+				Panes: map[string][]int{"fluid": {1, 2, 3}}})
+			// A delta on a base without a record, or whose chain holds g, is
+			// refused: g keeps the record it had.
+			if err != nil && lerr == nil && !slices.ContainsFunc(m.Links, func(l Link) bool { return l.Base == g }) {
 				t.Fatal(err)
 			}
 		}
@@ -385,7 +385,6 @@ func FuzzReaderReuseMatchesFresh(f *testing.F) {
 				}
 				clear(loaded)
 				for i, g := range rd.held {
-					loaded[g.Manifest.Catalog.Name], _ = hdf.ReadFile(fsys, g.Manifest.Catalog.Name)
 					if i > 0 {
 						loaded[g.Base+Suffix], _ = hdf.ReadFile(fsys, g.Base+Suffix)
 					}
@@ -419,7 +418,7 @@ func FuzzReaderReuseMatchesFresh(f *testing.F) {
 						t.Fatalf("universe of %s: long-lived Reader %v (%v), fresh %v (%v)", g, lIDs, lErr, fIDs, fErr)
 					}
 				case 3: // damage
-					name := []string{g + Suffix, g + ".catalog", g + "_s000.rhdf"}[b%3]
+					name := []string{g + Suffix, g + Suffix, g + "_s000.rhdf"}[b%3]
 					if blob, err := hdf.ReadFile(fsys, name); err == nil && len(blob) > 0 {
 						blob[int(b/3)*7%len(blob)] ^= 0x20
 						writeAll(t, fsys, name, blob)

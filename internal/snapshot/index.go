@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -11,21 +10,19 @@ import (
 	"genxio/internal/rt"
 )
 
-// deriveCatalog builds the block catalog blob of files from what the
-// files' own directories record, in the order given — the one way a
-// catalog is made: at commit, by the catalog rebuild, and by any reader left
-// without a committed one (which loads the directories into it: derived).
-// A file's record is the one its writer reported (catalog.Report, made from
-// the directory it published) when reported holds it — the commit's case:
-// no read. Otherwise its directory is read off the file, counted on
-// dirsRead, and makes the same record as it passes the directory's one
-// gate (catalog.Splice). When pinned, files are manifest entries and each
-// is held to its entry by checkFile. entries are the files' manifest
-// records as found, and dirs the directories read (the zero RawDir for a
-// reported file), both parallel to the blob's file table. A file whose
-// directory will not read or pass, or fails its pin, is in neither, and its
-// error (which names it) is in errs.
-func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[string]catalog.Report, dirsRead *metrics.Counter) (blob []byte, dirs []hdf.RawDir, entries []FileEntry, errs []error) {
+// deriveCatalog builds the catalog sections of files from what the files'
+// own directories record, in the order given — at commit, and for any
+// reader of files no commit record describes (which loads the directories
+// into it: derived). A file's record is the one its writer reported
+// (catalog.Report, made from the directory it published) when reported
+// holds it — the commit's case: no read. Otherwise its directory is read
+// off the file, counted on dirsRead, and makes the same record as it passes
+// the directory's one gate (catalog.Splice). entries are the files' pins as
+// found, and dirs the directories read (the zero RawDir for a reported
+// file), both parallel to the sections' file table. A file whose directory
+// will not read or pass is in neither, and its error (which names it) is in
+// errs.
+func deriveCatalog(fsys rt.FS, files []FileEntry, reported map[string]catalog.Report, dirsRead *metrics.Counter) (sections []byte, dirs []hdf.RawDir, entries []FileEntry, errs []error) {
 	var s catalog.Splice
 	for _, f := range files {
 		r, ok := reported[f.Name]
@@ -36,10 +33,6 @@ func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[stri
 			d, err = hdf.ReadRawDir(fsys, f.Name)
 			r = catalog.Report{Size: d.Size, Count: d.Count, DirCRC: hdf.Checksum(d.Bytes)}
 		}
-		found := FileEntry{Name: f.Name, Size: r.Size, DirCRC: r.DirCRC, Datasets: r.Count}
-		if err == nil && pinned {
-			err = checkFile(f, found)
-		}
 		if err == nil && ok {
 			err = s.Add(r)
 		} else if err == nil {
@@ -49,15 +42,15 @@ func deriveCatalog(fsys rt.FS, files []FileEntry, pinned bool, reported map[stri
 			errs = append(errs, err)
 			continue
 		}
-		dirs, entries = append(dirs, d), append(entries, found)
+		dirs, entries = append(dirs, d), append(entries, FileEntry{Name: f.Name, Size: r.Size, DirCRC: r.DirCRC, Datasets: r.Count})
 	}
 	return s.Blob(), dirs, entries, errs
 }
 
-// derived is the catalog of blob, deriveCatalog's, with each file's
+// derived is the catalog of sections, deriveCatalog's, with each file's
 // directory loaded from dirs, deriveCatalog's too.
-func derived(blob []byte, dirs []hdf.RawDir) (*catalog.Catalog, error) {
-	cat, err := catalog.Decode(blob)
+func derived(sections []byte, dirs []hdf.RawDir) (*catalog.Catalog, error) {
+	cat, err := catalog.Decode(sections)
 	for f := 0; err == nil && f < len(dirs); f++ {
 		err = cat.LoadDir(f, dirs[f])
 	}
@@ -84,59 +77,21 @@ func checkFile(e, found FileEntry) error {
 	return nil
 }
 
-// matches reports whether blob is the catalog blob r pins: its size and
-// its header's CRC32C, which holds each section's.
-func (r *CatalogRef) matches(blob []byte) bool {
-	h, err := catalog.ReadHeader(blob)
-	return err == nil && int64(len(blob)) == r.Size && h.CRC == r.CRC
-}
-
-// readCatalog reads the catalog blob m's commit wrote — whole, in one
-// request: it holds the file table and pane index alone — counting on read
-// the bytes that arrived. The blob must be the one the manifest pins, so an
-// orphan of a crashed earlier commit, or another generation's blob, is
-// never taken for this one's; each section must match its CRC32C and parse
-// (catalog.Decode; a damaged section's error names it); and the file table
-// must list m's files in m's order, so that file f's directory is pinned by
-// m.Files[f] (dirLoad).
-func readCatalog(fsys rt.FS, m *Manifest, read *metrics.Counter) (*catalog.Catalog, error) {
-	blob, err := hdf.ReadFile(fsys, m.Catalog.Name)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: reading %s: %w", m.Catalog.Name, err)
-	}
-	read.Add(int64(len(blob)))
-	if !m.Catalog.matches(blob) {
-		return nil, fmt.Errorf("%w: catalog %s is %d bytes, not the %d-byte blob with header crc32c %08x its manifest pins",
-			hdf.ErrChecksum, m.Catalog.Name, len(blob), m.Catalog.Size, m.Catalog.CRC)
-	}
-	cat, err := catalog.Decode(blob)
-	if err != nil {
-		return nil, fmt.Errorf("catalog %s: %w", m.Catalog.Name, err)
-	}
-	if !slices.EqualFunc(cat.Files, m.Files, func(name string, e FileEntry) bool { return name == e.Name }) {
-		return nil, fmt.Errorf("catalog %s: file table does not list its manifest's files", m.Catalog.Name)
-	}
-	return cat, nil
-}
-
 // dirLoad is one committed file's directory: the catalog that indexes the
-// file as file f, and the file's manifest entry, which places the
+// file as file f, and the file's pins in the same record, which place the
 // directory — it ends the file, whose size the entry pins, and is as long as
-// the catalog's file table says — and pins its bytes (DirCRC).
+// the catalog's file table says — and pin its bytes (DirCRC).
 type dirLoad struct {
 	cat *catalog.Catalog
 	f   int
 	e   FileEntry
 }
 
-// extent is where l's directory lies in its file; n is 0 when the catalog
-// places it outside the file.
+// extent is where l's directory lies in its file (DecodeRecord has held it
+// inside the file).
 func (l dirLoad) extent() (off, n int64) {
 	n = l.cat.DirLen(l.f)
-	if off = l.e.Size - n; off < hdf.HeaderSize() {
-		return 0, 0
-	}
-	return off, n
+	return l.e.Size - n, n
 }
 
 // load is the one loader of a committed file's entries read for a round
@@ -162,8 +117,8 @@ func (l dirLoad) install(dir []byte) error {
 }
 
 // lacking returns the loads of the directories of g's files, by index, that
-// g's catalog lacks. g's catalog is the committed one, whose files are its
-// manifest's (readCatalog); a derived index has every directory loaded.
+// g's catalog lacks. g's catalog is its record's, whose files are its
+// pins'; a derived index has every directory loaded.
 func lacking(g ChainGen, files []int) []dirLoad {
 	var loads []dirLoad
 	for _, f := range files {
@@ -187,10 +142,6 @@ func loadDirs(each reads, loads []dirLoad, read *metrics.Counter) []error {
 	xs := make([]*extentRead, len(loads))
 	for i, l := range loads {
 		off, n := l.extent()
-		if n == 0 {
-			errs[i] = fmt.Errorf("snapshot: %s: catalog places a %d-byte directory in a %d-byte file", l.e.Name, l.cat.DirLen(l.f), l.e.Size)
-			continue
-		}
 		x := (&extentRead{name: l.e.Name, keep: true}).add(off, n)
 		x.done = func() {
 			read.Add(x.got[0])
@@ -202,30 +153,4 @@ func loadDirs(each reads, loads []dirLoad, read *metrics.Counter) []error {
 	}
 	each.readExtents(slices.DeleteFunc(xs, func(x *extentRead) bool { return x == nil }), nil)
 	return errs
-}
-
-// index answers "where are the pane bytes of the generation m commits",
-// given what readCatalog returned for m: the committed catalog when it was
-// accepted, otherwise — for a full generation, whose files are its whole
-// state — the same catalog derived from the manifested files' directories,
-// every directory loaded. The bool reports which; a derived index holds
-// every file whose directory read and passes checkFile, and the error then
-// joins the errors of those that did not (a reader goes on without them;
-// whoever needs the whole generation cannot). A file the manifest does not
-// pin is never indexed. A restart Reader and the scrub read the committed
-// catalog the same way and get the same answer.
-//
-// A delta generation gets no derived index: its files do not spell out the
-// panes it inherits, and a derived index that silently lacked a damaged
-// file would resolve that file's panes to a stale older link. Its committed
-// catalog loads or index fails.
-func index(fsys rt.FS, m *Manifest, cat *catalog.Catalog, err error) (*catalog.Catalog, bool, error) {
-	if err == nil || m.ChainDepth > 0 {
-		return cat, false, err
-	}
-	blob, dirs, _, errs := deriveCatalog(fsys, m.Files, true, nil, nil)
-	if cat, err = derived(blob, dirs); err != nil {
-		return nil, false, err
-	}
-	return cat, true, errors.Join(errs...)
 }

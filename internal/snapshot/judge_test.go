@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"genxio/internal/faults"
@@ -271,14 +270,13 @@ func promised(rep GenReport) bool {
 // restores is the model the restore is checked against, built from what the
 // test recorded alone — which panes each generation wrote to which files —
 // and hit, the artifacts the damage hit: a restart of head returns every
-// pane when head and every link below it kept their manifests, every link
-// but a full head (which derives its index from its files) kept its
-// catalog, and each pane has a file no damage hit in the newest link that
-// wrote it.
+// pane when head and every link below it kept their commit records — each
+// carrying its catalog — and each pane has a file no damage hit in the
+// newest link that wrote it.
 func (s *judgeState) restores(head string, hit map[string]bool) bool {
 	intact, resolved := map[int]bool{}, map[int]bool{}
 	for g := head; g != ""; g = s.parent[g] {
-		if hit[g+Suffix] || (hit[g+".catalog"] && (g != head || s.parent[g] != "")) {
+		if hit[g+Suffix] {
 			return false
 		}
 		wrote := map[int]bool{}
@@ -361,14 +359,18 @@ func TestScrubPredictsRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"catalog-bit-flipped", []string{".catalog"}, false, func(t *testing.T, fsys rt.FS) {
-			if err := faults.FlipBit(fsys, target+".catalog", 12*8+3); err != nil {
-				t.Fatal(err)
-			}
+		// The catalog lives in the commit record: damage to it, or its loss
+		// (the record cut short where it begins), is damage to the record.
+		{"catalog-bit-flipped", []string{Suffix}, false, func(t *testing.T, fsys rt.FS) {
+			_, at := catalogAt(t, fsys, target)
+			flipByte(t, fsys, target+Suffix, int64(at+3))
 		}},
-		{"catalog-removed", []string{".catalog"}, false, remove(".catalog")},
+		{"catalog-removed", []string{Suffix}, false, func(t *testing.T, fsys rt.FS) { cutCatalog(t, fsys, target) }},
 		{"base-manifest-removed", []string{Suffix}, false, remove(Suffix)},
-		{"catalog-and-data-file-removed", []string{".catalog", "_s000.rhdf"}, false, remove(".catalog", "_s000.rhdf")},
+		{"catalog-and-data-file-removed", []string{Suffix, "_s000.rhdf"}, false, func(t *testing.T, fsys rt.FS) {
+			cutCatalog(t, fsys, target)
+			remove("_s000.rhdf")(t, fsys)
+		}},
 	}
 	type row struct {
 		r    int
@@ -452,12 +454,11 @@ func TestScrubPredictsRestore(t *testing.T) {
 	}
 }
 
-// TestIndexRefusesUnpinnedFile: a full generation whose catalog is damaged
-// and whose _s000.rhdf was replaced by another valid RHDF holding the same
-// panes is indexed without the impostor, and the index says why. The walk
-// falls back past it at R = 1, an explicit-base read comes up short instead
-// of delivering the impostor's bytes, and at R = 2 the generation restores
-// bit-exact from the replica.
+// TestIndexRefusesUnpinnedFile: a full generation whose _s000.rhdf was
+// replaced by another valid RHDF holding the same panes: its record pins the
+// file, so the impostor is never read. The walk falls back past it at R = 1,
+// an explicit-base read comes up short instead of delivering the impostor's
+// bytes, and at R = 2 the generation restores bit-exact from the replica.
 func TestIndexRefusesUnpinnedFile(t *testing.T) {
 	for _, r := range []int{1, 2} {
 		t.Run(fmt.Sprintf("R%d", r), func(t *testing.T) {
@@ -467,28 +468,9 @@ func TestIndexRefusesUnpinnedFile(t *testing.T) {
 			s.write(t, fsys, "out/snap000000", []int{1, 2, 3, 4}, 0, r, nil)
 			impostor := readAll(t, fsys, "out/snap000000_s000.rhdf") // panes 1 and 3, older values
 			s.write(t, fsys, base, []int{1, 2, 3, 4}, 10, r, nil)
-			if err := faults.FlipBit(fsys, base+".catalog", 12*8+3); err != nil {
-				t.Fatal(err)
-			}
 			writeAll(t, fsys, victim, impostor)
-
-			m, err := Load(fsys, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cat, derived, err := indexOf(fsys, m)
-			if !derived || !errors.Is(err, hdf.ErrChecksum) || !strings.Contains(err.Error(), victim) {
-				t.Fatalf("Index: derived %v, err %v; want a derived index and the impostor's crc error", derived, err)
-			}
-			for _, name := range cat.Files {
-				if name == victim {
-					t.Fatalf("derived index holds %s, which the manifest does not pin", victim)
-				}
-			}
-			if ids, err := universeOn(t, fsys, base, "fluid"); r == 1 && err == nil {
-				t.Fatal("PaneUniverse answered from an index short the impostor")
-			} else if r == 2 && fmt.Sprint(ids) != "[1 2 3 4]" {
-				t.Fatalf("PaneUniverse at R = 2: %v, %v; want [1 2 3 4] through the impostor's indexed replica", ids, err)
+			if ids, err := universeOn(t, fsys, base, "fluid"); err != nil || fmt.Sprint(ids) != "[1 2 3 4]" {
+				t.Fatalf("PaneUniverse: %v, %v; want [1 2 3 4] from the record's pane index", ids, err)
 			}
 
 			got, err := readExplicit(t, fsys, base)

@@ -1,11 +1,12 @@
 // Package snapshot implements the durable-snapshot commit protocol shared
 // by every I/O module: writers stage RHDF files under temporary names and
 // rename them into place (internal/hdf), and a completed generation is
-// committed by writing a small manifest — epoch, file list, per-file sizes
-// and directory checksums — as the last step. A generation without its
-// manifest never happened as far as restart is concerned, which is what
-// makes a crash at any point recoverable: the previous committed
-// generation is still intact and still selected.
+// committed by publishing one small binary commit record — epoch, the file
+// table with per-file sizes and directory checksums, the pane index and, for
+// a delta, its chain — as the last step. A generation without its record
+// never happened as far as restart is concerned, which is what makes a
+// crash at any point recoverable: the previous committed generation is
+// still intact and still selected.
 //
 // The package also provides the read side: generation discovery, a
 // newest-first restore walk that falls back past damaged generations,
@@ -15,8 +16,11 @@
 package snapshot
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,24 +30,36 @@ import (
 	"genxio/internal/rt"
 )
 
-// ManifestSchema identifies the manifest JSON layout; bump on breaking
-// changes so tooling can dispatch.
-const ManifestSchema = "genxio-manifest/v1"
-
-// Suffix is appended to a generation's base name to form its manifest
-// file name.
+// Suffix is appended to a generation's base name to form its commit
+// record's file name.
 const Suffix = ".manifest"
 
-// CatalogRef pins a generation's block-catalog blob from the manifest:
-// the catalog is written before the manifest, so the commit record can
-// carry its size and its header's CRC32C. The header holds each section's
-// CRC32C, so a damaged or swapped catalog is caught, and the damaged
-// section named (readCatalog). Every manifest carries one.
-type CatalogRef struct {
-	Name string `json:"name"`
-	Size int64  `json:"size"`   // the whole blob's
-	CRC  uint32 `json:"crc32c"` // the header's (catalog.Header.CRC)
-}
+// The commit record, one per generation, published last (hdf.PublishFile)
+// and read whole:
+//
+//	header: "GXCR" | u32 version | u32 crc32c(record[12:])
+//	body:   str base | u64 epoch | u64 time (float64 bits) |
+//	        uvarint nlinks | nlinks × { str base | uvarint size | u32 crc32c } |
+//	        a delta's pane universe, one pane index record (catalog.AppendPanes),
+//	          present when nlinks > 0 |
+//	        uvarint nfiles | nfiles × { uvarint size | u32 dirCRC | uvarint datasets } |
+//	        the catalog's sections (catalog.Encode: the file table's names and
+//	          directory lengths, then the pane index), to the end
+//
+// str is u16-counted. The links are the generation's chain ancestors,
+// nearest first, down to its full generation: each one's base and its
+// record's size and header CRC32C, so a reader of the head reads every
+// lower record in one batch and holds each to its pin. The per-file pins
+// and the catalog's file table are parallel, in lexical file order. Every
+// varint is in its shortest form, so a decoded record encodes to its bytes.
+const (
+	recordMagic   = "GXCR"
+	recordVersion = 1
+	recordHeader  = 12
+	// maxChainDepth bounds the links a record may list. Real chains are
+	// capped by the FullEvery cadence, orders of magnitude below this.
+	maxChainDepth = 1024
+)
 
 // FileEntry records one snapshot file at commit time.
 type FileEntry struct {
@@ -60,43 +76,53 @@ type FileEntry struct {
 	Datasets int `json:"datasets"`
 }
 
-// Manifest is a generation's commit record.
-type Manifest struct {
-	Schema string `json:"schema"`
-	// Base is the generation's base name (files are Base_*.rhdf).
+// Link pins one chain ancestor of a delta generation: its base name and its
+// commit record's size and header CRC32C.
+type Link struct {
 	Base string `json:"base"`
-	// Epoch is the simulation step the snapshot was taken at.
-	Epoch int64 `json:"epoch"`
-	// Time is the simulation time of the snapshot.
-	Time float64 `json:"time"`
-	// Files lists every committed file, in lexical order.
-	Files []FileEntry `json:"files"`
-	// Catalog references the generation's block-catalog blob; DecodeManifest
-	// requires it. The restore walk's file check ignores it: a damaged
-	// catalog costs a full generation the indexed read path, not the
-	// generation.
-	Catalog *CatalogRef `json:"catalog,omitempty"`
-	// BaseGeneration names the committed generation this delta resolves
-	// against: panes not rewritten here are read from the base (which may
-	// itself be a delta — the chain walks down to a full generation).
-	// Empty on full generations.
-	BaseGeneration string `json:"base_generation,omitempty"`
-	// ChainDepth is the generation's distance from its full base: 0 for a
-	// full generation, base's depth + 1 for a delta. It bounds the chain
-	// walk and is what the restart counters report.
-	ChainDepth int `json:"chain_depth,omitempty"`
-	// Panes records the generation's global pane universe per window —
-	// every pane a restart of this generation must restore, whether it
-	// was rewritten here or inherited from the chain. Delta generations
-	// need it because the file set alone no longer spells out the
-	// universe (a pane deleted by refinement must not resurrect from a
-	// base generation). Absent on full generations, whose files are the
-	// universe.
-	Panes map[string][]int `json:"panes,omitempty"`
+	Size int64  `json:"size"`
+	CRC  uint32 `json:"crc32c"`
 }
 
+// Manifest is a generation's commit record, decoded.
+type Manifest struct {
+	// Base is the generation's base name (files are Base_*.rhdf).
+	Base string
+	// Epoch is the simulation step the snapshot was taken at.
+	Epoch int64
+	// Time is the simulation time of the snapshot.
+	Time float64
+	// Files lists every committed file, in lexical order; the record's
+	// catalog indexes them in the same order.
+	Files []FileEntry
+	// Links pins the chain ancestors of a delta, nearest first, down to its
+	// full generation; empty on a full generation. BaseGeneration (the
+	// first link's base) and ChainDepth (the number of links) are what
+	// Links gives: the committed generation this delta resolves against —
+	// panes not rewritten here are read from the chain — and the
+	// generation's distance from its full base, which bounds the walk and
+	// is what the restart counters report.
+	Links          []Link
+	BaseGeneration string
+	ChainDepth     int
+	// Panes records a delta generation's global pane universe per window —
+	// every pane a restart of it must restore, whether rewritten here or
+	// inherited from the chain. A delta needs it because its files alone no
+	// longer spell out the universe (a pane deleted by refinement must not
+	// resurrect from a base generation). Nil on full generations, whose
+	// files are the universe.
+	Panes map[string][]int
+	// Size and CRC are the record's own length and header CRC32C: what a
+	// child's link pins.
+	Size int64
+	CRC  uint32
+}
+
+// link is the pin a delta on m records of it.
+func (m *Manifest) link() Link { return Link{Base: m.Base, Size: m.Size, CRC: m.CRC} }
+
 // ChainInfo carries the delta-chain facts CommitChained records in the
-// manifest of a delta generation.
+// commit record of a delta generation.
 type ChainInfo struct {
 	// Base is the committed generation this delta resolves against.
 	Base string
@@ -118,15 +144,16 @@ func Commit(fsys rt.FS, base string, epoch int64, tm float64) (*Manifest, error)
 
 // CommitChained is Commit for a delta generation: chain records the base
 // generation the delta resolves against, its chain depth, and the global
-// pane universe at snapshot time. A nil chain commits a full generation
-// (exactly Commit). A delta generation may legitimately have no files —
-// nothing was dirty — because its restorable state lives in the chain.
+// pane universe at snapshot time. The base's commit record is read for its
+// pin and its own links. A nil chain commits a full generation (exactly
+// Commit). A delta generation may legitimately have no files — nothing was
+// dirty — because its restorable state lives in the chain.
 func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo) (*Manifest, error) {
 	names, err := fsys.List(base + "_")
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
 	}
-	return commit(fsys, base, epoch, tm, chain, names, nil, nil)
+	return commit(fsys, base, epoch, tm, chain, nil, names, nil, nil)
 }
 
 // commit is CommitChained over names, a listing that holds the generation's
@@ -135,11 +162,13 @@ func CommitChained(fsys rt.FS, base string, epoch int64, tm float64, chain *Chai
 // listed file with a report is recorded from it, one without — a dead
 // writer's published file — has its directory read off the filesystem,
 // counted on dirsRead, and a reported file the listing lacks (its rename
-// was lost) refuses the commit. The manifest and catalog bytes are the same
-// either way.
-func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
+// was lost) refuses the commit. The record's bytes are the same either way.
+// A delta's links come from its base's record: from known, which holds
+// the records a Pending committed, or read off the filesystem. A delta
+// whose base has no readable record is refused: it could never restore.
+func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo, known map[string]*Manifest,
 	names []string, reported map[string]catalog.Report, dirsRead *metrics.Counter) (*Manifest, error) {
-	m := &Manifest{Schema: ManifestSchema, Base: base, Epoch: epoch, Time: tm}
+	m := &Manifest{Base: base, Epoch: epoch, Time: tm}
 	if chain != nil {
 		if chain.Base == "" || chain.Base == base {
 			return nil, fmt.Errorf("snapshot: commit %s: invalid chain base %q", base, chain.Base)
@@ -147,9 +176,26 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 		if chain.Depth < 1 {
 			return nil, fmt.Errorf("snapshot: commit %s: invalid chain depth %d", base, chain.Depth)
 		}
-		m.BaseGeneration = chain.Base
-		m.ChainDepth = chain.Depth
-		m.Panes = chain.Panes
+		parent := known[chain.Base]
+		if parent == nil {
+			var err error
+			if parent, err = Load(fsys, chain.Base); err != nil {
+				return nil, fmt.Errorf("snapshot: commit %s: chain base: %w", base, err)
+			}
+		}
+		m.Links = append([]Link{parent.link()}, parent.Links...)
+		if len(m.Links) != chain.Depth {
+			return nil, fmt.Errorf("snapshot: commit %s: chain depth %d, its base %s is at depth %d", base, chain.Depth, chain.Base, parent.ChainDepth)
+		}
+		if slices.ContainsFunc(m.Links, func(l Link) bool { return l.Base == base }) {
+			return nil, fmt.Errorf("snapshot: commit %s: its chain already holds it", base)
+		}
+		for w, ids := range chain.Panes {
+			if w == "" || slices.ContainsFunc(ids, func(id int) bool { return id < 0 }) {
+				return nil, fmt.Errorf("snapshot: commit %s: pane universe %q holds a negative pane or has no name", base, w)
+			}
+		}
+		m.BaseGeneration, m.ChainDepth, m.Panes = chain.Base, chain.Depth, chain.Panes
 	}
 	var files []FileEntry
 	listed := make(map[string]bool, len(names))
@@ -170,7 +216,7 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 		sort.Strings(lost)
 		return nil, fmt.Errorf("snapshot: commit %s: %s published but not on the filesystem", base, strings.Join(lost, ", "))
 	}
-	blob, _, entries, errs := deriveCatalog(fsys, files, false, reported, dirsRead)
+	sections, _, entries, errs := deriveCatalog(fsys, files, reported, dirsRead)
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, errs[0])
 	}
@@ -178,93 +224,186 @@ func commit(fsys rt.FS, base string, epoch int64, tm float64, chain *ChainInfo,
 	if len(m.Files) == 0 && chain == nil {
 		return nil, fmt.Errorf("snapshot: commit %s: no snapshot files", base)
 	}
-	// The catalog goes to disk before the manifest: the manifest is the
-	// commit record, so a crash between the two leaves an uncommitted
-	// generation with a harmless orphan catalog, never a committed
-	// generation pointing at a catalog that does not exist.
-	catSize, catCRC, err := catalog.WriteBlob(fsys, base, blob)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
-	}
-	m.Catalog = &CatalogRef{Name: base + catalog.Suffix, Size: catSize, CRC: catCRC}
-	enc, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
+	enc := encodeRecord(m, sections)
 	if err := hdf.PublishFile(fsys, base+Suffix, enc); err != nil {
 		return nil, fmt.Errorf("snapshot: commit %s: %w", base, err)
 	}
+	m.Size, m.CRC = int64(len(enc)), binary.LittleEndian.Uint32(enc[8:])
 	return m, nil
 }
 
-// Load reads and validates the manifest of the generation under base.
+// Load reads and validates the commit record of the generation under base.
 func Load(fsys rt.FS, base string) (*Manifest, error) {
 	buf, err := hdf.ReadFile(fsys, base+Suffix)
 	if err != nil {
 		return nil, err
 	}
-	return decodeManifest(base, buf)
+	m, _, err := decodeRecord(base, buf)
+	return m, err
 }
 
-// decodeManifest is Load's decode of buf, the manifest bytes read for base.
-func decodeManifest(base string, buf []byte) (*Manifest, error) {
-	m, err := DecodeManifest(buf)
+// decodeRecord is DecodeRecord of buf, the commit record read for base,
+// errors naming base; the record must be base's own.
+func decodeRecord(base string, buf []byte) (*Manifest, *catalog.Catalog, error) {
+	m, cat, err := DecodeRecord(buf)
+	if err == nil && m.Base != base {
+		err = fmt.Errorf("the record of %s", m.Base)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: manifest %s: %w", base, err)
+		return nil, nil, fmt.Errorf("snapshot: record %s: %w", base+Suffix, err)
 	}
-	return m, nil
+	return m, cat, nil
 }
 
-// DecodeManifest parses and validates manifest JSON. It is the single
-// entry point for untrusted manifest bytes (Load, the fsck scrub, the
-// fuzzer): beyond the schema check it requires the catalog reference and
-// enforces the chain invariants — depth and base name must agree, a
-// generation cannot base on itself, and the recorded pane universe must be
-// well-formed — so downstream chain walks never see a manifest that lies
-// about its own shape.
-func DecodeManifest(buf []byte) (*Manifest, error) {
-	m := &Manifest{}
-	if err := json.Unmarshal(buf, m); err != nil {
-		return nil, err
+// encodeRecord is the one encoder of a commit record: m's fields and
+// sections, the catalog's (catalog.Encode, or a Splice's), in the layout
+// above. m's Files must be the catalog's files, in its order.
+func encodeRecord(m *Manifest, sections []byte) []byte {
+	b := make([]byte, recordHeader, 256+len(sections))
+	copy(b, recordMagic)
+	binary.LittleEndian.PutUint32(b[4:], recordVersion)
+	b = hdf.AppendStr(b, m.Base)
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.Epoch))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Time))
+	b = binary.AppendUvarint(b, uint64(len(m.Links)))
+	for _, l := range m.Links {
+		b = hdf.AppendStr(b, l.Base)
+		b = binary.AppendUvarint(b, uint64(l.Size))
+		b = binary.LittleEndian.AppendUint32(b, l.CRC)
 	}
-	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("schema %q, want %q", m.Schema, ManifestSchema)
+	if len(m.Links) > 0 {
+		b = catalog.AppendPanes(b, m.Panes)
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Files)))
+	for _, e := range m.Files {
+		b = binary.AppendUvarint(b, uint64(e.Size))
+		b = binary.LittleEndian.AppendUint32(b, e.DirCRC)
+		b = binary.AppendUvarint(b, uint64(e.Datasets))
+	}
+	b = append(b, sections...)
+	binary.LittleEndian.PutUint32(b[8:], hdf.Checksum(b[recordHeader:]))
+	return b
+}
+
+// DecodeRecord is the one decoder of commit record bytes — every load, the
+// scrub and the fuzzer go through it. Beyond the magic, the version and the
+// CRC32C it enforces the record's invariants: a named generation; distinct
+// links, none the generation itself, at most maxChainDepth of them; a
+// well-formed pane universe on a delta; a file table the catalog's sections
+// match, each directory inside its file; and at least one file on a full
+// generation. So downstream chain walks never see a record that lies about
+// its own shape. A JSON manifest or a catalog blob of the older format is
+// refused by name.
+func DecodeRecord(buf []byte) (*Manifest, *catalog.Catalog, error) {
+	if len(buf) < recordHeader || string(buf[:4]) != recordMagic {
+		if old := legacyFormat(buf); old != "" {
+			return nil, nil, fmt.Errorf("%s is an older format: this build reads commit record version %d only", old, recordVersion)
+		}
+		return nil, nil, fmt.Errorf("not a commit record")
+	}
+	if v := binary.LittleEndian.Uint32(buf[4:]); v != recordVersion {
+		return nil, nil, fmt.Errorf("commit record version %d, want %d", v, recordVersion)
+	}
+	crc := binary.LittleEndian.Uint32(buf[8:])
+	if got := hdf.Checksum(buf[recordHeader:]); got != crc {
+		return nil, nil, fmt.Errorf("%w: commit record crc32c %08x, computed %08x", hdf.ErrChecksum, crc, got)
+	}
+	m := &Manifest{Size: int64(len(buf)), CRC: crc}
+	c := hdf.NewCursor(buf[recordHeader:])
+	m.Base = c.Str()
+	m.Epoch = int64(c.U64())
+	m.Time = math.Float64frombits(c.U64())
+	nl := c.Fits(int(min(c.Uvarint(), maxChainDepth+1)), 2+1+4)
+	if nl > maxChainDepth {
+		return nil, nil, fmt.Errorf("chain of %d links exceeds depth %d", nl, maxChainDepth)
+	}
+	for range nl {
+		l := Link{Base: c.Str(), Size: int64(c.Uvarint()), CRC: c.U32()}
+		if c.Err() == nil && (l.Base == "" || l.Size < recordHeader) {
+			return nil, nil, fmt.Errorf("chain link %q of %d bytes", l.Base, l.Size)
+		}
+		m.Links = append(m.Links, l)
+	}
+	if err := c.Err(); err != nil {
+		return nil, nil, err
 	}
 	if m.Base == "" {
-		return nil, fmt.Errorf("empty base")
+		return nil, nil, fmt.Errorf("empty base")
 	}
-	if m.Catalog == nil {
-		return nil, fmt.Errorf("no catalog reference")
-	}
-	if m.ChainDepth < 0 {
-		return nil, fmt.Errorf("negative chain depth %d", m.ChainDepth)
-	}
-	if (m.BaseGeneration != "") != (m.ChainDepth > 0) {
-		return nil, fmt.Errorf("chain depth %d disagrees with base generation %q", m.ChainDepth, m.BaseGeneration)
-	}
-	if m.BaseGeneration == m.Base && m.Base != "" {
-		return nil, fmt.Errorf("generation %q chained to itself", m.Base)
-	}
-	if m.Panes != nil && m.ChainDepth == 0 {
-		return nil, fmt.Errorf("full generation carries a delta pane universe")
-	}
-	for w, ids := range m.Panes {
-		if w == "" {
-			return nil, fmt.Errorf("pane universe with empty window name")
+	seen := map[string]bool{m.Base: true}
+	for _, l := range m.Links {
+		if seen[l.Base] {
+			return nil, nil, fmt.Errorf("generation %q chained to %q twice or to itself", m.Base, l.Base)
 		}
-		for _, id := range ids {
-			if id < 0 {
-				return nil, fmt.Errorf("pane universe %q has negative pane %d", w, id)
+		seen[l.Base] = true
+	}
+	if m.ChainDepth = len(m.Links); m.ChainDepth > 0 {
+		m.BaseGeneration = m.Links[0].Base
+		panes, n, err := catalog.ReadPanes(buf[recordHeader+c.Offset():])
+		if err != nil {
+			return nil, nil, err
+		}
+		for w, ids := range panes {
+			if w == "" {
+				return nil, nil, fmt.Errorf("pane universe with empty window name")
+			}
+			if ids[0] < 0 {
+				return nil, nil, fmt.Errorf("pane universe %q has negative pane %d", w, ids[0])
 			}
 		}
+		m.Panes = panes
+		c.Bytes(n)
 	}
-	for _, e := range m.Files {
-		if e.Name == "" {
-			return nil, fmt.Errorf("file entry with empty name")
+	nf := c.Fits(int(min(c.Uvarint(), math.MaxInt32)), 1+4+1)
+	m.Files = make([]FileEntry, nf)
+	for i := range m.Files {
+		size, crc, sets := c.Uvarint(), c.U32(), c.Uvarint()
+		if size > math.MaxInt64 || sets > math.MaxInt32 {
+			return nil, nil, fmt.Errorf("file %d: %d bytes, %d datasets", i, size, sets)
 		}
-		if e.Size < 0 {
-			return nil, fmt.Errorf("file %q has negative size %d", e.Name, e.Size)
+		m.Files[i] = FileEntry{Size: int64(size), DirCRC: crc, Datasets: int(sets)}
+	}
+	if err := c.Err(); err != nil {
+		return nil, nil, err
+	}
+	cat, err := catalog.Decode(buf[recordHeader+c.Offset():])
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(cat.Files) != nf {
+		return nil, nil, fmt.Errorf("%d file pins, the catalog lists %d files", nf, len(cat.Files))
+	}
+	for f, name := range cat.Files {
+		e := &m.Files[f]
+		e.Name = name
+		if name == "" {
+			return nil, nil, fmt.Errorf("file entry with empty name")
+		}
+		if e.Size-cat.DirLen(f) < hdf.HeaderSize() {
+			return nil, nil, fmt.Errorf("directory extent of %s: a %d-byte directory in a %d-byte file", name, cat.DirLen(f), e.Size)
 		}
 	}
-	return m, nil
+	if nf == 0 && m.ChainDepth == 0 {
+		return nil, nil, fmt.Errorf("full generation with no files")
+	}
+	return m, cat, nil
+}
+
+// legacyFormat names the older format buf is written in — a JSON manifest
+// (which pinned a catalog file beside it) or a catalog blob, with
+// its version — or returns "".
+func legacyFormat(buf []byte) string {
+	switch {
+	case len(buf) >= 8 && string(buf[:4]) == catalog.Magic:
+		return fmt.Sprintf("a %s catalog blob (version %d)", catalog.Suffix, binary.LittleEndian.Uint32(buf[4:]))
+	case bytes.HasPrefix(bytes.TrimLeft(buf, " \t\r\n"), []byte("{")):
+		schema := "of no known schema"
+		if i := bytes.Index(buf, []byte(`"genxio-manifest/v`)); i >= 0 {
+			if j := bytes.IndexByte(buf[i+1:], '"'); j >= 0 {
+				schema = string(buf[i+1 : i+1+j])
+			}
+		}
+		return fmt.Sprintf("a JSON manifest %s (with a %s file)", schema, catalog.Suffix)
+	}
+	return ""
 }

@@ -18,45 +18,43 @@ package snapshot
 // generation is the chain of length one. The Reader is the restart's one
 // loader of commit records and holds the last chain it loaded (chain): every
 // round, every judgment of its restore walk and every PaneUniverse reads the
-// head manifest — one small read, none while the restore walk's step carries
-// it (given) — and is served the held chain when those bytes are the ones it
-// was loaded from. Otherwise the manifests are followed link by link and
-// every link's catalog — its file table and pane index, a few hundred
-// bytes — is read as one batch through the Reader's driver (reads), and the
-// walk's file checks, the directories a round plans from and its data files
-// go the same way, each one extent read: inline, the paper's serial order;
-// pooled, every piece a task costed by its bytes, largest first, a long
-// read cut across the workers (batch.go). A file's entries are read from
-// its own directory, the bytes that end it, held to the directory CRC32C its
-// manifest pins (dirLoad), on the handle the round's data reads of the file
-// then use. A held chain keeps what it read, and a later round reads only
-// the directories it lacks (loadDirs); ranks that deal a generation's
-// panes among themselves can read its directories once among them first
-// (ShareDirs). So a process loads a generation once
-// for all its windows and attributes, and once per lifetime across
-// restarts of it. A held chain is the commit record as this process first
-// loaded it: damage after that load to a lower link's manifest, or to any
-// link's catalog blob, does not change this process's restores (every
-// payload is still CRC-checked as it is read), while a head re-committed
-// under the same name reads as other bytes and is reloaded. Only a whole
-// load is held — committed, every link loaded, the head's index its
-// committed catalog — so a broken, derived or uncommitted generation is
-// loaded afresh each round. Every wanted pane resolves to the newest link
-// whose index holds it — each pane to exactly one (generation, file, extent)
-// — and each link's planned files are read by direct coalesced offset reads,
-// every entry CRC-verified before anything from its file is delivered; files
-// the index knows but planned nothing from are never opened, and a named
-// attribute plans that one dataset per pane. A planned file whose directory
-// does not read or fails its pin is a failed file: its panes go to their
-// other copies in the same link, never to an older one. Where the index
-// comes from is all that varies: the catalog a commit wrote, or — a full
-// head without a usable one, files no commit record describes — the same
-// catalog derived from the files' own directories (index, deriveCatalog),
-// planned and read the same way. A delta's files do not spell out the panes
-// it inherits, so a delta head with any unloadable link fails the round —
-// ReadFailed, nothing delivered — and the caller's completeness check sends
-// the restore walk back past the whole chain. A failed listing reports the
-// same way.
+// head record — one small read, none while the restore walk's step, or a
+// Rocpanda server's read request, carries it (given) — and is served the
+// held chain when those bytes are the ones it was loaded from. Otherwise the
+// head record names every lower link with its pin, and the lower records —
+// each carrying its link's catalog, a file table and pane index of a few
+// hundred bytes — are read as one batch through the Reader's driver (reads),
+// and the walk's file checks, the directories a round plans from and its
+// data files go the same way, each one extent read: inline, the paper's
+// serial order; pooled, every piece a task costed by its bytes, largest
+// first, a long read cut across the workers (batch.go). A file's entries
+// are read from its own directory, the bytes that end it, held to the
+// directory CRC32C its record pins (dirLoad), on the handle the round's data
+// reads of the file then use. A held chain keeps what it read, and a later
+// round reads only the directories it lacks (loadDirs); ranks that deal a
+// generation's panes among themselves can read its directories once among
+// them first (ShareDirs). So a process loads a generation once for all its
+// windows and attributes, and once per lifetime across restarts of it. A
+// held chain is the commit record as this process first loaded it: damage
+// after that load to a lower link's record does not change this process's
+// restores (every payload is still CRC-checked as it is read), while a head
+// re-committed under the same name reads as other bytes and is reloaded.
+// Only a whole load is held — committed, every link loaded — so a broken or
+// uncommitted generation is loaded afresh each round. Every wanted pane
+// resolves to the newest link whose index holds it — each pane to exactly
+// one (generation, file, extent) — and each link's planned files are read by
+// direct coalesced offset reads, every entry CRC-verified before anything
+// from its file is delivered; files the index knows but planned nothing from
+// are never opened, and a named attribute plans that one dataset per pane. A
+// planned file whose directory does not read or fails its pin is a failed
+// file: its panes go to their other copies in the same link, never to an
+// older one. Where the index comes from is all that varies: the catalog a
+// commit record carries, or — for files no record describes — the same
+// catalog derived from the files' own directories (deriveCatalog), planned
+// and read the same way. A head whose record, or any of whose links, will
+// not load fails the round — ReadFailed, nothing delivered — and the
+// caller's completeness check sends the restore walk back past the whole
+// chain. A failed listing reports the same way.
 //
 // The state machine. Each planned file of the share is one extent read of
 // its coalesced runs (readFile), and the share is one batch through the
@@ -140,7 +138,7 @@ type ReadMode byte
 
 const (
 	ReadScan    ReadMode = iota // derived from the directories of the share's files
-	ReadIndexed                 // the head's committed catalog
+	ReadIndexed                 // the head's commit record
 	// ReadFailed: the share could not be served at all (an unloadable chain
 	// link, a failed listing) and delivered nothing. The round completed;
 	// whether the restart is still complete is the receivers' call.
@@ -190,6 +188,10 @@ type ReadRequest struct {
 	// record, and beside a full generation any its commit never saw (a
 	// server wrongly declared dead renamed its file into place afterwards).
 	Own string
+	// Head, when set, is Base's head record as the restore walk handed the
+	// caller (Reader.Given): the round takes it as its head read instead of
+	// reading the record again. Nil reads it.
+	Head []byte
 	// Uncommitted, when set, runs once Base proves to have no readable
 	// commit record, before its files are read: the flush barrier that
 	// puts a still-buffered generation's blocks on disk. A committed
@@ -217,9 +219,9 @@ type readerMx struct {
 	repairedPanes *metrics.Counter
 	chainDepth    *metrics.Gauge     // delta chains
 	chainSeconds  *metrics.Histogram // each round's chain step, the head manifest check and the directories it plans from included
-	chainLoads    *metrics.Counter   // commit records loaded (Reader.chain)
-	chainReuses   *metrics.Counter   // commit records served from the held chain
-	catalogBytes  *metrics.Counter   // catalog blob bytes read
+	chainLoads    *metrics.Counter   // chains loaded (Reader.chain)
+	chainReuses   *metrics.Counter   // chains served from the held one
+	recordBytes   *metrics.Counter   // commit record bytes read
 	dirBytes      *metrics.Counter   // directory bytes read: the walk's file checks and the directories rounds load to plan from
 	cutPieces     *metrics.Counter   // windows the pool cut ranges of data and metadata reads into, beyond one per range: its requests over the inline driver's
 
@@ -248,7 +250,7 @@ func newReaderMx(cfg *ReaderConfig) readerMx {
 		chainSeconds:  r.Histogram(p+"chain_seconds", nil),
 		chainLoads:    r.Counter(p + "chain_loads"),
 		chainReuses:   r.Counter(p + "chain_reuses"),
-		catalogBytes:  r.Counter(p + "catalog_bytes_read"),
+		recordBytes:   r.Counter(p + "record_bytes_read"),
 		dirBytes:      r.Counter(p + "dir_bytes_read"),
 		cutPieces:     r.Counter(p + "cut_pieces"),
 
@@ -294,20 +296,19 @@ func NewReader(ctx mpi.Ctx, cfg ReaderConfig) *Reader {
 }
 
 // chain returns the commit record of the generation under base, as
-// loadChain gives it: the held chain when base's head manifest reads as the
+// loadChain gives it: the held chain when base's head record reads as the
 // bytes it was loaded from, and otherwise a load through the Reader's
-// driver that reads the head manifest no second time. A load is held only
-// when it is whole: committed, every link loaded, the head's index its
-// committed catalog (not Derived). Any other load leaves nothing held, so
-// the next call loads again.
+// driver that reads the head record no second time. A load is held only
+// when it is whole: committed, every link loaded. Any other load leaves
+// nothing held, so the next call loads again.
 func (rd *Reader) chain(base string) ([]ChainGen, error) {
-	held, buf, m, err := rd.head(base)
+	held, buf, rec := rd.head(base)
 	if held != nil {
 		return held, nil
 	}
 	rd.mx.chainLoads.Inc()
-	chain, err := loadChain(rd.reads(), base, map[string]*commitRecord{base: {m: m, mErr: err}}, rd.mx.catalogBytes)
-	if err == nil && !chain[0].Derived {
+	chain, err := loadChain(rd.reads(), base, map[string]*commitRecord{base: rec}, rd.mx.recordBytes)
+	if err == nil {
 		rd.held, rd.heldHead = chain, buf
 	} else {
 		rd.held, rd.heldHead = nil, nil
@@ -315,56 +316,59 @@ func (rd *Reader) chain(base string) ([]ChainGen, error) {
 	return chain, err
 }
 
-// head reads base's head manifest — or takes the bytes the restore walk's
-// step carries (given). When the held chain is base's and was loaded from
-// those bytes it returns that chain (a reuse); otherwise the bytes and the
-// manifest they decode to, or why they did not read or decode, as Load says
-// it.
-func (rd *Reader) head(base string) (held []ChainGen, buf []byte, m *Manifest, err error) {
+// head reads base's head record — or takes the bytes the restore walk's
+// step carries, or a read request's (given). When the held chain is base's
+// and was loaded from those bytes it returns that chain (a reuse);
+// otherwise the bytes and the record they decode to, or why they did not
+// read or decode.
+func (rd *Reader) head(base string) (held []ChainGen, buf []byte, rec *commitRecord) {
+	var err error
 	if rd.given.base == base {
 		buf, err = rd.given.buf, rd.given.err
 	} else {
 		buf, err = hdf.ReadFile(rd.ctx.FS(), base+Suffix)
+		rd.mx.recordBytes.Add(int64(len(buf)))
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, &commitRecord{err: err}
 	}
 	if rd.held != nil && rd.held[0].Base == base && bytes.Equal(rd.heldHead, buf) {
 		rd.mx.chainReuses.Inc()
-		return rd.held, buf, nil, nil
+		return rd.held, buf, nil
 	}
-	m, err = decodeManifest(base, buf)
-	return nil, buf, m, err
+	rec = &commitRecord{}
+	rec.m, rec.cat, rec.err = decodeRecord(base, buf)
+	return nil, buf, rec
+}
+
+// Given returns the head record's bytes the restore walk handed this
+// Reader for base while it tries base — what a Rocpanda client carries to
+// the servers in its read request (ReadRequest.Head) — or nil.
+func (rd *Reader) Given(base string) []byte {
+	if rd.given.base != base || rd.given.err != nil {
+		return nil
+	}
+	return rd.given.buf
 }
 
 // PaneUniverse returns the sorted set of pane IDs the committed generation
 // under base holds for a window — the input to the M×N repartitioner, which
 // lets a restart run use a different rank count than the writing run. It
-// answers from the held chain when it is base's and the head manifest still
+// answers from the held chain when it is base's and the head record still
 // reads as the bytes it was loaded from. Otherwise it reads the head's
-// commit record no further than it must: a delta's manifest alone (its
-// recorded universe), a full generation's manifest and index — the
-// catalog's file table and pane index (readCatalog), or the index derived
-// from the files — which must be whole up to copies: restorable's
-// rule judged on the index alone (every file passes), since a universe
-// short of an unindexed file's panes would restore short and report
-// success. A full generation whose index is its committed catalog is then
-// held, as chain would hold it.
+// record alone: a delta's recorded universe, or a full generation's pane
+// index, which is then held, as chain would hold it.
 func (rd *Reader) PaneUniverse(base, window string) ([]int, error) {
-	held, buf, m, err := rd.head(base)
+	held, buf, rec := rd.head(base)
 	if held != nil {
 		return paneUniverse(held[0], window, nil)
 	}
-	head := ChainGen{Base: base, Manifest: m}
-	if err == nil && m.ChainDepth == 0 {
-		fsys := rd.ctx.FS()
-		cat, catErr := readCatalog(fsys, m, rd.mx.catalogBytes)
-		if head.Catalog, head.Derived, err = index(fsys, m, cat, catErr); err == nil && !head.Derived {
-			rd.mx.chainLoads.Inc()
-			rd.held, rd.heldHead = []ChainGen{head}, buf
-		}
+	head := ChainGen{Base: base, Manifest: rec.m, Catalog: rec.cat}
+	if rec.err == nil && rec.m.ChainDepth == 0 {
+		rd.mx.chainLoads.Inc()
+		rd.held, rd.heldHead = []ChainGen{head}, buf
 	}
-	return paneUniverse(head, window, err)
+	return paneUniverse(head, window, rec.err)
 }
 
 // Read serves one restart round — plan this process's share of the
@@ -383,13 +387,17 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 	each.round = newRound()
 	defer each.round.close()
 	t0 := clock.Now()
+	if req.Head != nil {
+		rd.given = headRead{base: req.Base, buf: req.Head}
+		defer func() { rd.given = headRead{} }()
+	}
 	chain, err := rd.chain(req.Base)
 	switch {
-	case len(chain) == 0: // no commit record: what is on disk is the only description
+	case len(chain) == 0 && errors.Is(err, rt.ErrNotExist): // no commit record: what is on disk is the only description
 		if req.Uncommitted != nil {
 			req.Uncommitted()
 		}
-	case err != nil: // a delta head with an unloadable link
+	case err != nil: // a record that does not load, or a delta head with an unloadable link
 		return rd.failed()
 	}
 	var items []readItem
@@ -424,9 +432,7 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 
 	mode := ReadScan
 	if len(chain) > 0 {
-		if !chain[0].Derived {
-			mode = ReadIndexed
-		}
+		mode = ReadIndexed
 		rd.mx.chainDepth.SetMax(float64(len(chain) - 1))
 		planFrom(chain)
 	}
@@ -457,12 +463,12 @@ func (rd *Reader) Read(req ReadRequest) ReadMode {
 		}
 	}
 	if len(loose) > 0 {
-		blob, dirs, _, errs := deriveCatalog(fsys, loose, false, nil, nil)
+		sections, dirs, _, errs := deriveCatalog(fsys, loose, nil, nil)
 		for range errs { // no directory: what a crashed writer leaves behind
 			rd.mx.filesSkipped.Inc()
 			rd.mx.readErrors.Inc()
 		}
-		cat, err := derived(blob, dirs)
+		cat, err := derived(sections, dirs)
 		if err != nil {
 			return rd.failed()
 		}

@@ -242,15 +242,11 @@ func TestRepairRebuildsCorruptTree(t *testing.T) {
 		"out/snap000100_s001.rhdf": good["out/snap000100_s000r1.rhdf"],
 	}
 
-	// Damage: flip a payload bit in one primary, delete the other, and
-	// flip a bit in the catalog blob.
+	// Damage: flip a payload bit in one primary and delete the other.
 	if err := faults.FlipBit(fsys, "out/snap000100_s000.rhdf", int64(hdf.HeaderSize()*8+3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fsys.Remove("out/snap000100_s001.rhdf"); err != nil {
-		t.Fatal(err)
-	}
-	if err := faults.FlipBit(fsys, "out/snap000100.catalog", 18*8); err != nil {
 		t.Fatal(err)
 	}
 
@@ -280,7 +276,7 @@ func TestRepairRebuildsCorruptTree(t *testing.T) {
 			repaired[fr.Name] = true
 		}
 	}
-	for _, name := range []string{"out/snap000100_s000.rhdf", "out/snap000100_s001.rhdf", "out/snap000100.catalog"} {
+	for _, name := range []string{"out/snap000100_s000.rhdf", "out/snap000100_s001.rhdf"} {
 		if !repaired[name] {
 			t.Fatalf("%s not reported repaired: %+v", name, rep.Files)
 		}

@@ -18,22 +18,19 @@ type Generation struct {
 	// Base is the generation's base name (restart input for the I/O
 	// services).
 	Base string
-	// Committed reports whether the generation has a manifest — the
-	// commit record written last. Uncommitted generations are crash
-	// residue and never restart candidates.
+	// Committed reports whether the generation has a commit record — the
+	// file written last. Uncommitted generations are crash residue and
+	// never restart candidates.
 	Committed bool
 }
 
 // baseOf derives the generation base from a snapshot artifact name:
-// base.manifest, base.catalog, a server or rank data file
-// (catalog.ParseDataFile), or any of those with a staged .tmp suffix. It returns
-// "" for names that are not snapshot artifacts.
+// base.manifest (the commit record), a server or rank data file
+// (catalog.ParseDataFile), or any of those with a staged .tmp suffix. It
+// returns "" for names that are not snapshot artifacts.
 func baseOf(name string) string {
 	name = strings.TrimSuffix(name, hdf.TmpSuffix)
 	if b, ok := strings.CutSuffix(name, Suffix); ok {
-		return b
-	}
-	if b, ok := strings.CutSuffix(name, catalog.Suffix); ok {
 		return b
 	}
 	if b, _, ok := catalog.ParseDataFile(name); ok {
@@ -45,7 +42,7 @@ func baseOf(name string) string {
 // Generations discovers the snapshot generations under prefix (typically
 // the run's output directory plus "/"), newest first. Base names must
 // order lexically by age — which the zero-padded snap%06d convention
-// guarantees — since the epoch lives in the manifest and uncommitted
+// guarantees — since the epoch lives in the record and uncommitted
 // generations have none.
 func Generations(fsys rt.FS, prefix string) ([]Generation, error) {
 	names, err := fsys.List(prefix)
@@ -87,9 +84,10 @@ func generations(names []string) ([]Generation, map[string][]string) {
 // skip one (err says why), or end the walk (err is the listing failure, if
 // that is what ended it). Rank 0 decides each step and broadcasts it, so
 // every rank sees the same sequence whatever its own view of the directory.
-// A try carries head, the head manifest's bytes as rank 0 read and judged
+// A try carries head, the head record's bytes as rank 0 read and judged
 // them: every rank's Reader takes them as its head read of base while it
-// tries it (Reader.head), so no other rank reads that manifest again.
+// tries it (Reader.head), so no other rank reads that record again — nor,
+// through a read request (ReadRequest.Head), does a Rocpanda server.
 type step struct {
 	base string
 	head []byte
@@ -98,7 +96,7 @@ type step struct {
 }
 
 // Wire form of a step: a kind byte, then the error text, or for a try the
-// base's length (uvarint), the base and the head manifest.
+// base's length (uvarint), the base and the head record.
 const (
 	stepTry = iota
 	stepSkip
@@ -138,17 +136,16 @@ func decodeStep(msg []byte) step {
 // walk returns rank 0's side of Restore: a function yielding the walk's
 // steps, newest generation first. Verification reads the needed files'
 // headers and directories, so one rank does it and shares the verdict. Each
-// candidate's chain is the Reader's (chain), loaded from the head manifest
+// candidate's chain is the Reader's (chain), loaded from the head record
 // bytes the step then carries: the one it holds when those bytes are
 // unchanged, and otherwise a load it then holds, so the round that restores
 // it on the same Reader loads nothing again but the directories it plans
-// from that the checks did not load. The chain's catalogs — the file table
-// and pane index — then its best copies' file checks (checkFiles, which
-// load each directory that passes), go through the Reader's driver as one
-// batch each (judge): inline, the paper's serial order; pooled, concurrent,
-// each read costed by its bytes. The manifests themselves are read one link
-// at a time, each naming the next. The Reader's clock times each judged
-// generation.
+// from that the checks did not load. The lower links' records — the head's
+// record pins every one — then its best copies' file checks (checkFiles,
+// which load each directory that passes), go through the Reader's driver as
+// one batch each (judge): inline, the paper's serial order; pooled,
+// concurrent, each read costed by its bytes. The Reader's clock times each
+// judged generation.
 func (rd *Reader) walk(prefix string) func() step {
 	fsys, clock, each := rd.ctx.FS(), rd.ctx.Clock(), rd.reads()
 	gens, listErr := Generations(fsys, prefix)
@@ -159,11 +156,12 @@ func (rd *Reader) walk(prefix string) func() step {
 		g := gens[0]
 		gens = gens[1:]
 		if !g.Committed {
-			return step{err: fmt.Errorf("snapshot: %s has no manifest (uncommitted)", g.Base)}
+			return step{err: fmt.Errorf("snapshot: %s has no commit record (uncommitted)", g.Base)}
 		}
 		// A full generation is the chain of length one.
 		t0 := clock.Now()
 		buf, err := hdf.ReadFile(fsys, g.Base+Suffix)
+		rd.mx.recordBytes.Add(int64(len(buf)))
 		rd.given = headRead{base: g.Base, buf: buf, err: err}
 		chain, err := rd.chain(g.Base)
 		rd.given = headRead{}
@@ -177,7 +175,7 @@ func (rd *Reader) walk(prefix string) func() step {
 // with each restorable base until one attempt succeeds on every rank of
 // comm, returning that base. Every rank of comm calls it with the same
 // arguments, each on its own Reader; rank 0 alone lists and judges (walk)
-// and broadcasts every step, a try with the head manifest it judged, which
+// and broadcasts every step, a try with the head record it judged, which
 // every rank's Reader takes as its head read of base while it tries it. The
 // ranks agree on each attempt (mpi.Agree), so a rank whose own try
 // succeeded falls past a base a peer's failed and ends the walk with the
@@ -225,7 +223,7 @@ func (rd *Reader) Restore(comm mpi.Comm, prefix string, try func(base string) er
 
 // checkOnDisk is checkFile of the file as it is on disk now: one
 // hdf.ReadRawDir, header and directory bytes only, none of them decoded — a
-// file that matches its entry has the directory its commit walked. The
+// file that matches its pins has the directory its commit walked. The
 // scrub checks a file with it; the restore walk reads the same bytes as a
 // batch (checkFiles) and checks them the same way. ReadData's per-dataset
 // CRCs (and Fsck's deep scrub) cover the payload bytes.

@@ -52,7 +52,7 @@ func TestCommitLoadVerifyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 10 || got.Time != 0.5 || got.Schema != ManifestSchema {
+	if got.Epoch != 10 || got.Time != 0.5 || got.Base != "out/snap000010" {
 		t.Fatalf("manifest %+v", got)
 	}
 	// The walk's file check passes the committed files and fails a

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/mesh"
@@ -214,7 +213,7 @@ func retainingModules(reg *metrics.Registry, retain int) []ioModule {
 func TestModulesAreOneService(t *testing.T) {
 	const writers = 2
 	modules := ioModules(nil)
-	const catalogBlob = "m/g0" + catalog.Suffix
+	const record = "m/g0" + snapshot.Suffix
 	scenarios := []struct {
 		name    string
 		rule    func(file string) *faults.FSRule
@@ -229,11 +228,12 @@ func TestModulesAreOneService(t *testing.T) {
 		{"failed-close", func(file string) *faults.FSRule {
 			return &faults.FSRule{Op: faults.OpRename, PathPrefix: file}
 		}, false, ""},
-		// Every output landed, but rank 0 cannot write the commit's catalog:
-		// the commit fails there, and every other rank must hear of it.
+		// Every output landed, but rank 0 cannot create the file that holds
+		// the commit's catalog, its commit record: the commit fails there,
+		// and every other rank must hear of it.
 		{"catalog-create-fails", func(string) *faults.FSRule {
-			return &faults.FSRule{Op: faults.OpCreate, PathPrefix: catalogBlob}
-		}, false, catalogBlob},
+			return &faults.FSRule{Op: faults.OpCreate, PathPrefix: record}
+		}, false, record},
 		// The rename reports success and never happens: the writer published
 		// a file the filesystem does not have, and the generation is short.
 		{"dropped-rename", func(file string) *faults.FSRule {
@@ -521,57 +521,6 @@ func restartMatrix(t *testing.T) {
 			if pooled := reg.Snapshot().Counters["iosched.read.tasks"] > before; pooled != (rmod.name == "rocpanda-pool") {
 				t.Errorf("%s: read ran scheduler tasks = %v", cell, pooled)
 			}
-		}
-
-		// The same cells with no usable committed catalog — deleted, then a
-		// self-consistent blob the manifest does not pin (here an empty
-		// catalog; an orphan of a crashed commit looks the same): every
-		// module derives the index from the files' directories and restores
-		// the same state.
-		blobName := "m/g0" + catalog.Suffix
-		blob, err := hdf.ReadFile(mem, blobName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, damage := range []struct {
-			name string
-			do   func() error
-		}{
-			{"catalog deleted", func() error { return mem.Remove(blobName) }},
-			{"stale catalog", func() error { return hdf.PublishFile(mem, blobName, new(catalog.Catalog).Encode()) }},
-		} {
-			if err := damage.do(); err != nil {
-				t.Fatal(err)
-			}
-			reg := metrics.New()
-			rounds := func(series string) (n int64) { // restart rounds, over every module's prefix
-				for name, v := range reg.Snapshot().Counters {
-					if strings.HasSuffix(name, ".restart."+series) {
-						n += v
-					}
-				}
-				return n
-			}
-			for _, rmod := range ioModules(reg) {
-				cell := wmod.name + " -> " + rmod.name + ", " + damage.name
-				before := rounds("catalog_fallbacks")
-				errs, lines, _, _ := restore(rmod, mem)
-				for _, err := range errs {
-					if err != nil {
-						t.Fatalf("%s: %v", cell, err)
-					}
-				}
-				if got := digestOf(lines); got != want {
-					t.Errorf("%s restored %s; the files hold %s", cell, got, want)
-				}
-				if rounds("catalog_fallbacks") == before || rounds("catalog_hits") != 0 {
-					t.Errorf("%s: %d rounds took the committed catalog, %d derived their index",
-						cell, rounds("catalog_hits"), rounds("catalog_fallbacks")-before)
-				}
-			}
-		}
-		if err := hdf.PublishFile(mem, blobName, blob); err != nil {
-			t.Fatal(err)
 		}
 
 		// One flipped bit in writer 1's file, past the header and inside the
